@@ -23,8 +23,11 @@ void
 validate(const std::vector<BatchEntry> &entries)
 {
     for (const auto &entry : entries) {
-        LIGHTLLM_ASSERT(entry.promptLen >= 0, "negative prompt");
         LIGHTLLM_ASSERT(entry.generatedLen >= 0, "negative generated");
+        // promptLen alone may be negative when a shared prefix also
+        // covers generated tokens; the resident term must not be.
+        LIGHTLLM_ASSERT(entry.promptLen + entry.generatedLen >= 0,
+                        "negative resident footprint");
         LIGHTLLM_ASSERT(
             entry.predictedOutputLen >= entry.generatedLen,
             "prediction ", entry.predictedOutputLen,

@@ -31,7 +31,12 @@ namespace core {
 /** Per-request inputs to the future-memory computation. */
 struct BatchEntry
 {
-    /** Prompt length l_p (tokens resident from admission). */
+    /**
+     * Prompt length l_p (tokens resident from admission), net of
+     * any shared prefix. A re-admitted session turn can share blocks
+     * that cover its own generated reply, so this may be negative;
+     * the resident term promptLen + generatedLen never is.
+     */
     TokenCount promptLen = 0;
 
     /** Tokens generated so far, l_t. */

@@ -63,6 +63,9 @@ struct RunningView
      * cost no private memory, so memory-exact policies charge
      * promptLen - cachedPrefixLen for this request's resident
      * prompt (0 when prefix caching is off — the seed arithmetic).
+     * After an eviction the shared prefix can also cover generated
+     * tokens, so it may exceed promptLen (never promptLen +
+     * generatedLen).
      */
     TokenCount cachedPrefixLen = 0;
 };

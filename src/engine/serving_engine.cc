@@ -191,18 +191,13 @@ ServingEngine::deliverySpawnFloor() const
     // engine clock by at least one scaled minimal phase latency
     // (scaled() floors at one tick). Take the minimum over every
     // phase reachable under this engine's configuration, with the
-    // smallest argument combinations a phase can see.
+    // smallest arguments a phase can see: every latency is
+    // non-decreasing in each argument, so larger ones never win.
     Tick floor = scaled(perf_.prefillLatency(1));
-    floor = std::min(floor, scaled(perf_.decodeLatency(1, 1)));
-    floor = std::min(floor, scaled(perf_.decodeLatency(1, 2)));
-    if (config_.splitFuse) {
+    floor = std::min(floor, scaled(perf_.fusedStepLatency(1, 1, 0)));
+    if (config_.splitFuse)
         floor =
             std::min(floor, scaled(perf_.fusedStepLatency(0, 0, 1)));
-        floor =
-            std::min(floor, scaled(perf_.fusedStepLatency(1, 1, 0)));
-        floor =
-            std::min(floor, scaled(perf_.fusedStepLatency(1, 2, 1)));
-    }
     if (config_.evictionMode == EvictionMode::Swap)
         floor = std::min(floor, scaled(perf_.swapLatency(1)));
     return std::max<Tick>(1, floor);
@@ -753,144 +748,82 @@ ServingEngine::predictedFutureMemory()
 }
 
 void
+ServingEngine::startDecoding(EngineRequest *request)
+{
+    if (trace_ != nullptr) {
+        trace_->end(trace::TraceName::Prefill, request->spec.id,
+                    now_);
+        trace_->begin(trace::TraceName::Decode, request->spec.id,
+                      now_, request->generated);
+    }
+    running_.push_back(request);
+}
+
+void
+ServingEngine::joinMigrated(EngineRequest *request)
+{
+    // Migrated KV is already resident: straight to the decode
+    // batch. The transfer cost was paid on the interconnect before
+    // dispatch, and the first token came from the prefill pool.
+    request->migratedAdmit = false;
+    if (trace_ != nullptr) {
+        trace_->instant(trace::TraceName::Migrated, request->spec.id,
+                        now_, request->spec.migratedPrefix);
+    }
+    startDecoding(request);
+}
+
+bool
+ServingEngine::completePrefill(EngineRequest *request)
+{
+    request->remainingPrompt = 0;
+    request->generated += 1;
+    recordEmission(*request, now_);
+    if (request->generated >= request->targetOutput()) {
+        if (trace_ != nullptr)
+            trace_->end(trace::TraceName::Prefill, request->spec.id,
+                        now_);
+        return true;  // finishRequest does its own cacheInsert
+    }
+    // The freshly prefilled prompt blocks are now valid KV: publish
+    // them so concurrent same-prefix requests share.
+    cacheInsert(request);
+    startDecoding(request);
+    return false;
+}
+
+void
 ServingEngine::runPrefillPhase()
 {
     for (EngineRequest *request : prefillPending_) {
         if (request->swappedOut) {
             // Swap-in: restore the KV; no compute, no new token
             // (the request resumes decoding from where it was).
-            const Tick duration = scaled(perf_.swapLatency(
-                request->spec.inputLen + request->generated));
+            const TokenCount tokens =
+                request->spec.inputLen + request->generated;
+            const Tick duration = scaled(perf_.swapLatency(tokens));
             now_ += duration;
-            collector_.onSwap(
-                request->spec.inputLen + request->generated,
-                duration);
+            collector_.onSwap(tokens, duration);
             request->swappedOut = false;
-            running_.push_back(request);
             if (trace_ != nullptr) {
                 trace_->instant(trace::TraceName::SwapIn,
-                                request->spec.id, now_,
-                                request->spec.inputLen +
-                                    request->generated);
-                trace_->end(trace::TraceName::Prefill,
-                            request->spec.id, now_);
-                trace_->begin(trace::TraceName::Decode,
-                              request->spec.id, now_,
-                              request->generated);
+                                request->spec.id, now_, tokens);
             }
+            startDecoding(request);
             continue;
         }
         if (request->migratedAdmit) {
-            // Migrated KV is already resident: straight to the
-            // decode batch. The transfer cost was paid on the
-            // interconnect before dispatch.
-            request->migratedAdmit = false;
-            running_.push_back(request);
-            if (trace_ != nullptr) {
-                trace_->instant(trace::TraceName::Migrated,
-                                request->spec.id, now_,
-                                request->spec.migratedPrefix);
-                trace_->end(trace::TraceName::Prefill,
-                            request->spec.id, now_);
-                trace_->begin(trace::TraceName::Decode,
-                              request->spec.id, now_,
-                              request->generated);
-            }
+            joinMigrated(request);
             continue;
         }
         const Tick duration =
             scaled(perf_.prefillLatency(request->remainingPrompt));
         now_ += duration;
         collector_.onPrefill(request->remainingPrompt, duration);
-        request->remainingPrompt = 0;
-        request->generated += 1;
-        recordEmission(*request, now_);
-        if (trace_ != nullptr)
-            trace_->end(trace::TraceName::Prefill,
-                        request->spec.id, now_);
-        if (request->generated >= request->targetOutput()) {
-            finishRequest(request);  // does its own cacheInsert
-        } else {
-            if (trace_ != nullptr)
-                trace_->begin(trace::TraceName::Decode,
-                              request->spec.id, now_,
-                              request->generated);
-            // The freshly prefilled prompt blocks are now valid
-            // KV: publish them so concurrent same-prefix requests
-            // share.
-            cacheInsert(request);
-            running_.push_back(request);
-        }
+        if (completePrefill(request))
+            finishRequest(request);
     }
     prefillPending_.clear();
-}
-
-void
-ServingEngine::runDecodeStep()
-{
-    runningIds_.clear();
-    for (const EngineRequest *request : running_)
-        runningIds_.push_back(request->spec.id);
-
-    // extendBatchByOne fuses the feasibility check with the
-    // per-request growth (one KV lookup per request per step); a
-    // false return changed nothing, exactly like the old split
-    // check, so the eviction loop is unchanged.
-    Tick eviction_stall = 0;
-    while (!running_.empty() &&
-           !kv_.extendBatchByOne(runningIds_)) {
-        if (running_.size() == 1) {
-            // A lone request that cannot extend would evict and
-            // re-admit itself forever.
-            fatal("request ", running_.front()->spec.id,
-                  " outgrew the KV capacity of ",
-                  kv_.capacityTokens(),
-                  " tokens; raise capacity or lower "
-                  "max_new_tokens");
-        }
-        eviction_stall += evictOne();
-    }
-    if (running_.empty()) {
-        now_ += eviction_stall;
-        return;
-    }
-
-    TokenCount batch_kv = 0;
-    for (EngineRequest *request : running_) {
-        request->generated += 1;
-        batch_kv += request->spec.inputLen + request->generated;
-    }
-
-    const auto batch_size =
-        static_cast<std::int64_t>(running_.size());
-    const Tick duration = eviction_stall +
-        scaled(perf_.decodeLatency(batch_size, batch_kv));
-    now_ += duration;
-    const TokenCount true_future = trueFutureMemory();
-    const TokenCount predicted_future = predictedFutureMemory();
-    collector_.onDecodeStep(batch_size, kv_.usedTokens(),
-                            true_future, predicted_future, now_,
-                            duration);
-    if (trace_ != nullptr && trace_->stepsEnabled())
-        traceStepCounters(batch_size, true_future, predicted_future);
-
-    // Emissions and completions.
-    finishedScratch_.clear();
-    for (EngineRequest *request : running_)
-        recordEmission(*request, now_);
-    std::erase_if(running_, [&](EngineRequest *request) {
-        if (request->generated >= request->targetOutput()) {
-            if (trace_ != nullptr)
-                trace_->end(trace::TraceName::Decode,
-                            request->spec.id, now_,
-                            request->generated);
-            finishedScratch_.push_back(request);
-            return true;
-        }
-        return false;
-    });
-    for (EngineRequest *request : finishedScratch_)
-        finishRequest(request);
 }
 
 void
@@ -910,19 +843,32 @@ ServingEngine::traceStepCounters(std::int64_t batch_size,
 }
 
 void
-ServingEngine::runFusedStep()
+ServingEngine::runStep()
 {
+    // Migrated admissions join the batch before it extends, as in
+    // runPrefillPhase; they emit nothing this step.
+    std::erase_if(prefillPending_, [&](EngineRequest *request) {
+        if (!request->migratedAdmit)
+            return false;
+        joinMigrated(request);
+        return true;
+    });
+
     runningIds_.clear();
     for (const EngineRequest *request : running_)
         runningIds_.push_back(request->spec.id);
 
-    // Fused check+growth, as in runDecodeStep: nothing between the
-    // passing call and the step body touches the KV manager, so
-    // applying the extends up front is byte-equivalent.
+    // extendBatchByOne fuses the feasibility check with the
+    // per-request growth (one KV lookup per request per step); a
+    // false return changed nothing, and nothing between the passing
+    // call and the step body touches the KV manager, so applying
+    // the extends up front is byte-equivalent.
     Tick extra_stall = 0;
     while (!running_.empty() &&
            !kv_.extendBatchByOne(runningIds_)) {
         if (running_.size() == 1) {
+            // A lone request that cannot extend would evict and
+            // re-admit itself forever.
             fatal("request ", running_.front()->spec.id,
                   " outgrew the KV capacity of ",
                   kv_.capacityTokens(),
@@ -953,7 +899,8 @@ ServingEngine::runFusedStep()
     });
 
     // Consume up to one chunk of pending prompt tokens (front
-    // requests first).
+    // requests first). Without split-fuse the prefill phase has
+    // already emptied the pending list, so the chunk is 0.
     TokenCount chunk_used = 0;
     for (EngineRequest *request : prefillPending_) {
         if (chunk_used >= config_.splitFuseChunk)
@@ -1003,6 +950,7 @@ ServingEngine::runFusedStep()
     if (chunk_used > 0)
         collector_.onPrefill(chunk_used, duration);
 
+    // Emissions and completions.
     finishedScratch_.clear();
     for (EngineRequest *request : running_)
         recordEmission(*request, now_);
@@ -1023,21 +971,8 @@ ServingEngine::runFusedStep()
     std::erase_if(prefillPending_, [&](EngineRequest *request) {
         if (request->remainingPrompt > 0)
             return false;
-        request->generated += 1;
-        recordEmission(*request, now_);
-        if (trace_ != nullptr)
-            trace_->end(trace::TraceName::Prefill,
-                        request->spec.id, now_);
-        if (request->generated >= request->targetOutput()) {
-            finishedScratch_.push_back(request);  // finish inserts
-        } else {
-            if (trace_ != nullptr)
-                trace_->begin(trace::TraceName::Decode,
-                              request->spec.id, now_,
-                              request->generated);
-            cacheInsert(request);
-            running_.push_back(request);
-        }
+        if (completePrefill(request))
+            finishedScratch_.push_back(request);
         return true;
     });
 
@@ -1045,16 +980,8 @@ ServingEngine::runFusedStep()
         finishRequest(request);
 
     // Restored requests resume decoding from the next step.
-    for (EngineRequest *request : swappedInScratch_) {
-        if (trace_ != nullptr) {
-            trace_->end(trace::TraceName::Prefill,
-                        request->spec.id, now_);
-            trace_->begin(trace::TraceName::Decode,
-                          request->spec.id, now_,
-                          request->generated);
-        }
-        running_.push_back(request);
-    }
+    for (EngineRequest *request : swappedInScratch_)
+        startDecoding(request);
 }
 
 bool
@@ -1073,14 +1000,9 @@ void
 ServingEngine::iterateOnce()
 {
     admitRequests();
-    if (config_.splitFuse) {
-        runFusedStep();
-    } else {
-        if (!prefillPending_.empty())
-            runPrefillPhase();
-        if (!running_.empty())
-            runDecodeStep();
-    }
+    if (!config_.splitFuse && !prefillPending_.empty())
+        runPrefillPhase();
+    runStep();
 }
 
 bool

@@ -301,8 +301,8 @@ class ServingEngine : public workload::RequestSink
          *  (0 unless admitted through a cache match). */
         TokenCount cachedPrefix = 0;
 
-        /** Admitted this iteration with migrated KV: the prefill
-         *  phase moves it straight to running (no compute, no
+        /** Admitted this iteration with migrated KV: the iteration
+         *  moves it straight to running (no compute, no
          *  emission — the first token came from the prefill pool). */
         bool migratedAdmit = false;
 
@@ -327,8 +327,9 @@ class ServingEngine : public workload::RequestSink
      *  (standalone mode). */
     void deliverArrivals();
 
-    /** One engine iteration: admissions + prefill/decode phases.
-     *  Shared by stepOnce() and the actor-mode Step handler. */
+    /** One engine iteration: admissions, the dedicated prefill
+     *  phase when split-fuse is off, then the step body. Shared by
+     *  stepOnce() and the actor-mode Step handler. */
     void iterateOnce();
 
     /** Actor mode: ensure a Step event is scheduled no later than
@@ -373,11 +374,21 @@ class ServingEngine : public workload::RequestSink
     /** Process all pending prefills as dedicated iterations. */
     void runPrefillPhase();
 
-    /** One decode iteration over the running batch. */
-    void runDecodeStep();
+    /** The one step body: a decode step over the running batch
+     *  fused with up to one chunk of pending prompt tokens (none
+     *  without split-fuse: the prefill phase ran first). */
+    void runStep();
 
-    /** One split-fuse iteration (decode + prompt chunk). */
-    void runFusedStep();
+    /** Close the prefill span and join the decoding batch. */
+    void startDecoding(EngineRequest *request);
+
+    /** Migrated admission: join the batch, no compute or emission. */
+    void joinMigrated(EngineRequest *request);
+
+    /** Emit a prefilled request's first token; true when that
+     *  finished it (the caller runs finishRequest), otherwise it
+     *  joins the decoding batch. */
+    bool completePrefill(EngineRequest *request);
 
     /**
      * Evict one running request; the victim is chosen by the

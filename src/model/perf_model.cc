@@ -79,13 +79,7 @@ PerfModel::decodeLatency(std::int64_t batch_size,
 {
     LIGHTLLM_ASSERT(batch_size >= 0, "negative batch size");
     LIGHTLLM_ASSERT(batch_kv_tokens >= 0, "negative KV footprint");
-    // Bandwidth-bound: stream weights + the batch's KV cache; the
-    // roofline keeps the compute term in case of very large batches.
-    const double mem = memorySeconds(batch_kv_tokens);
-    const double compute = computeSeconds(batch_size);
-    const double seconds =
-        std::max(mem, compute) + params_.iterationOverheadSeconds;
-    return secondsToTicks(seconds * params_.timeFactor);
+    return fusedStepLatency(batch_size, batch_kv_tokens, 0);
 }
 
 Tick
@@ -93,8 +87,9 @@ PerfModel::fusedStepLatency(std::int64_t batch_size,
                             TokenCount batch_kv_tokens,
                             TokenCount chunk_tokens) const
 {
-    // A fused step streams weights once; the prompt chunk adds its
-    // compute on top of the decode step's bandwidth cost.
+    // Bandwidth-bound: stream weights + the batch's KV cache once;
+    // the prompt chunk adds its compute on top, and the roofline
+    // keeps the compute term in case of very large batches.
     const double mem = memorySeconds(batch_kv_tokens);
     const double compute =
         computeSeconds(batch_size + chunk_tokens);

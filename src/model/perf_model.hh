@@ -71,7 +71,8 @@ class PerfModel
 
     /**
      * Duration of one decode iteration for `batch_size` requests
-     * whose KV caches total `batch_kv_tokens` token slots.
+     * whose KV caches total `batch_kv_tokens` token slots: the
+     * fused step with an empty prompt chunk.
      */
     Tick decodeLatency(std::int64_t batch_size,
                        TokenCount batch_kv_tokens) const;

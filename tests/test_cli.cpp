@@ -10,6 +10,9 @@
 #include <vector>
 
 #include "cli_scenario.hh"
+#include "metrics/report_io.hh"
+#include "workload/datasets.hh"
+#include "workload/trace_io.hh"
 
 namespace lightllm {
 namespace {
@@ -527,6 +530,108 @@ TEST(CliRun, TinyScenarioEndToEnd)
     EXPECT_NE(text.find("scheduler"), std::string::npos);
     EXPECT_NE(text.find("\"num_finished\""), std::string::npos);
 }
+
+/** FNV-1a over the bytes of a rendered report. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+/** One {target x load generator} cell of runScenario and the summary
+ *  JSON it produced when the matrix was introduced. */
+struct RunCell
+{
+    const char *target;
+    const char *load;
+    std::size_t finished;
+    std::uint64_t summaryHash;
+};
+
+class CliRunMatrix : public ::testing::TestWithParam<RunCell>
+{};
+
+TEST_P(CliRunMatrix, SummaryBytesArePinned)
+{
+    const RunCell &cell = GetParam();
+    const std::string target = cell.target;
+    const std::string load = cell.load;
+
+    // The replay trace: 16 ShareGPT requests a quarter second apart.
+    const std::string replay_path =
+        ::testing::TempDir() + "cli_run_matrix_replay.csv";
+    if (load == "replay") {
+        workload::Dataset dataset = workload::makeShareGpt(16, 23);
+        for (std::size_t i = 0; i < dataset.requests.size(); ++i) {
+            dataset.requests[i].arrivalTick =
+                static_cast<Tick>(i) * secondsToTicks(0.25);
+        }
+        workload::writeDatasetCsvFile(replay_path, dataset);
+    }
+
+    std::vector<const char *> args = {"--seed", "5"};
+    if (target == "fleet")
+        args.insert(args.end(), {"--instances", "3"});
+    else if (target == "disagg")
+        args.push_back("--disagg");
+    if (load == "sessions") {
+        args.insert(args.end(), {"--sessions", "4", "--turns", "3",
+                                 "--prefix-cache", "on"});
+    } else if (load == "replay") {
+        args.insert(args.end(),
+                    {"--trace-replay", replay_path.c_str()});
+    } else {
+        args.insert(args.end(),
+                    {"--workload", "sharegpt", "--requests", "16"});
+        if (load == "closed")
+            args.insert(args.end(), {"--clients", "4"});
+        else if (load == "rate")
+            args.insert(args.end(), {"--rate", "4"});
+        else
+            args.insert(args.end(),
+                        {"--rate-schedule", "steps:6x2,2"});
+    }
+
+    cli::CliOptions options;
+    ASSERT_EQ(parse(args, options), "");
+    const cli::Scenario scenario = cli::assembleScenario(options);
+    const metrics::RunReport report = cli::runScenario(scenario);
+    std::ostringstream json;
+    metrics::writeSummaryJson(json, report, scenario.sla);
+
+    EXPECT_EQ(report.numFinished, cell.finished);
+    EXPECT_EQ(fnv1a(json.str()), cell.summaryHash)
+        << std::hex << "0x" << fnv1a(json.str()) << "\n"
+        << json.str();
+}
+
+// Sessions are dataset-free closed loops, which --disagg rejects.
+INSTANTIATE_TEST_SUITE_P(
+    TargetByLoad, CliRunMatrix,
+    ::testing::Values(
+        RunCell{"engine", "closed", 16, 0x5ce539e228741160ull},
+        RunCell{"engine", "rate", 16, 0xd3779cd374a4785full},
+        RunCell{"engine", "schedule", 16, 0x95c448e9152f8d6cull},
+        RunCell{"engine", "replay", 16, 0x14ec3dba20823aull},
+        RunCell{"engine", "sessions", 12, 0x19651529318170a7ull},
+        RunCell{"fleet", "closed", 16, 0xd6d86a5911ab496ull},
+        RunCell{"fleet", "rate", 16, 0x870f201ed125ddcaull},
+        RunCell{"fleet", "schedule", 16, 0x14948c72f226fe38ull},
+        RunCell{"fleet", "replay", 16, 0x9b7206be37245d9full},
+        RunCell{"fleet", "sessions", 12, 0xa2f8821af58004a3ull},
+        RunCell{"disagg", "closed", 16, 0xd5fdd958425d13a4ull},
+        RunCell{"disagg", "rate", 16, 0x65b4387aef1fa245ull},
+        RunCell{"disagg", "schedule", 16, 0xde8ec74159b6c46full},
+        RunCell{"disagg", "replay", 16, 0x7a15949eb9bd5959ull}),
+    [](const ::testing::TestParamInfo<RunCell> &info) {
+        return std::string(info.param.target) + "_" +
+            info.param.load;
+    });
 
 } // namespace
 } // namespace lightllm

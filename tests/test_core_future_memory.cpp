@@ -102,6 +102,23 @@ TEST(FutureMemoryDeathTest, PredictionBelowGeneratedPanics)
     EXPECT_DEATH(futureRequiredMemory(entries), "below generated");
 }
 
+TEST(FutureMemoryTest, SharedPrefixMayCoverGeneratedTokens)
+{
+    // A 63-token prompt whose shared prefix (64 tokens) reaches into
+    // its 10 generated tokens: resident footprint -1 + 10 = 9.
+    std::vector<BatchEntry> entries{{-1, 10, 14}, {20, 0, 2}};
+    // Sorted by remaining: A (4 left) peaks at 9 + 4 = 13, then
+    // B at 9 + 20 + 2 * 2 = 33.
+    EXPECT_EQ(futureRequiredMemory(entries), 33);
+}
+
+TEST(FutureMemoryDeathTest, NegativeResidentFootprintPanics)
+{
+    std::vector<BatchEntry> entries{{-11, 10, 14}};
+    EXPECT_DEATH(futureRequiredMemory(entries),
+                 "negative resident footprint");
+}
+
 /**
  * Figure 5 analogue: admitting the same queued request one step
  * later (after the running batch made progress) lowers the batch's

@@ -170,6 +170,56 @@ TEST(DisaggClusterTest, RerunIsByteIdentical)
     EXPECT_EQ(run_once(), run_once());
 }
 
+TEST(DisaggClusterTest, SplitFuseServesMigratedAdmissions)
+{
+    // Migrated admissions hold their KV and emit nothing on the
+    // decode side, with or without split-fuse. Sparse arrivals reach
+    // an idle decode engine, the burst a busy one.
+    const auto run_with = [](bool prefill_split, bool decode_split) {
+        const auto pool = [](bool split_fuse) {
+            engine::EngineConfig config;
+            config.splitFuse = split_fuse;
+            config.splitFuseChunk = 32;
+            std::vector<std::unique_ptr<engine::ServingEngine>> one;
+            one.push_back(std::make_unique<engine::ServingEngine>(
+                tinyPerf(4.0),
+                core::makeScheduler(SchedulerConfig::oracle()),
+                config));
+            return one;
+        };
+        DisaggCluster cluster(pool(prefill_split), pool(decode_split),
+                              tinyConfig());
+        for (RequestId id = 0; id < 24; ++id) {
+            const Tick arrival = id < 8
+                ? static_cast<Tick>(id) * secondsToTicks(5.0)
+                : secondsToTicks(40.0) + static_cast<Tick>(id) * 500;
+            cluster.submitAt(makeRequest(id, 60, 20 + id % 5),
+                             arrival);
+        }
+        const auto report = cluster.run();
+        std::ostringstream oss;
+        metrics::writeSummaryJson(oss, report,
+                                  metrics::SlaSpec::small7b13b());
+        for (const auto &record : report.requests) {
+            oss << record.id << ':' << record.outputTokens << ':'
+                << record.firstToken << ':' << record.finish << ':'
+                << record.maxGap << '\n';
+        }
+        return std::make_pair(report, oss.str());
+    };
+    const auto fused = run_with(true, true).first;
+    const auto dedicated = run_with(false, false);
+    EXPECT_EQ(fused.numFinished, 24u);
+    EXPECT_EQ(fused.migratedRequests, 24);
+    EXPECT_EQ(fused.totalOutputTokens,
+              dedicated.first.totalOutputTokens);
+
+    // With identical prefill pools the handoffs are identical, and a
+    // split-fuse decode engine then steps exactly like a dedicated
+    // one: no spurious first token, no missing KV slot.
+    EXPECT_EQ(run_with(false, true).second, dedicated.second);
+}
+
 // --- Handoff backpressure ------------------------------------------------
 
 TEST(DisaggClusterTest, HandoffOverflowShedsAtTheBound)

@@ -302,6 +302,38 @@ TEST(EnginePrefixTest, EvictedSharerDecrefsAndRematchesOnReadmit)
     EXPECT_GT(engine.prefixCache()->size(), 0u);
 }
 
+TEST(EnginePrefixTest, ReadmittedTurnSharesItsOwnCachedReply)
+{
+    // A session turn names its reply's content (outputKey), so the
+    // blocks cached when its prefill completes cover generated
+    // tokens too: with a 63-token prompt the fourth block holds the
+    // first reply token. The recompute admission after an eviction
+    // matches that block, so the shared prefix exceeds the prompt.
+    // The Eq. 2 resident term (prompt + generated - shared) stays
+    // non-negative and the run completes.
+    engine::EngineConfig config;
+    config.prefixCache = true;
+    engine::ServingEngine engine(
+        tinyPerf(1.0),  // 672-token pool
+        core::makeScheduler(SchedulerConfig::aggressive(1.0)),
+        config);
+
+    for (RequestId id = 1; id <= 2; ++id) {
+        RequestSpec spec = taggedRequest(id, 70 + id, 63, 500, 500);
+        spec.outputKey = 90 + id;
+        engine.submitAt(spec, 0);
+    }
+    const auto report = engine.run();
+
+    EXPECT_EQ(report.numFinished, 2u);
+    EXPECT_GE(report.evictionEvents, 1);
+    EXPECT_EQ(report.totalOutputTokens, 1000);
+    EXPECT_EQ(engine.kvManager().usedTokens(), 0);
+    // Nothing is cached at the first admissions; every recompute
+    // admission re-matched at least the four blocks past the prompt.
+    EXPECT_GE(report.prefixHitTokens, 64 * report.evictionEvents);
+}
+
 TEST(EnginePrefixTest, SplitFusePrefillsOnlyUncachedSuffix)
 {
     engine::EngineConfig config;

@@ -1109,30 +1109,102 @@ runScenario(const Scenario &scenario)
     return report;
 }
 
+namespace {
+
+/** Installs a completion listener on a run target. */
+using FinishHook =
+    std::function<void(engine::ServingEngine::FinishCallback)>;
+
+/**
+ * Attach the scenario's load generator (sessions, trace replay, rate
+ * schedule, Poisson, or closed loop) to `sink`, route completions
+ * back to the closed-loop generators through `set_on_finish`, and
+ * return `run()`'s report.
+ */
+metrics::RunReport
+driveLoad(const Scenario &scenario, workload::RequestSink &sink,
+          const FinishHook &set_on_finish,
+          const std::function<metrics::RunReport()> &run)
+{
+    if (scenario.sessionMode) {
+        workload::SessionGenerator sessions(scenario.sessionConfig,
+                                            sink);
+        set_on_finish(
+            [&](const workload::RequestSpec &spec, Tick tick) {
+                sessions.onRequestFinished(spec.id, tick);
+            });
+        sessions.start();
+        return run();
+    }
+    if (scenario.traceReplay) {
+        workload::submitTraceArrivals(scenario.dataset, sink);
+        return run();
+    }
+    if (scenario.hasRateSchedule) {
+        workload::submitScheduledArrivals(scenario.dataset, sink,
+                                          scenario.rateSchedule,
+                                          scenario.seed);
+        return run();
+    }
+    if (scenario.poissonRate > 0.0) {
+        workload::submitPoissonArrivals(scenario.dataset, sink,
+                                        scenario.poissonRate,
+                                        scenario.seed);
+        return run();
+    }
+    workload::ClosedLoopClientPool clients(
+        scenario.clients, scenario.dataset, sink,
+        scenario.thinkTime);
+    set_on_finish(
+        [&](const workload::RequestSpec &spec, Tick tick) {
+            clients.onRequestFinished(spec.id, tick);
+        });
+    clients.start();
+    return run();
+}
+
+} // namespace
+
 metrics::RunReport
 runScenario(const Scenario &scenario,
             trace::TraceRecorder *recorder)
 {
-    if (scenario.disagg) {
-        // Disaggregated fleet: both pools clone the base platform
-        // (--hardware) and the scenario's scheduler + engine
-        // configuration; the pools differ only in routing and in
-        // the work the DisaggCluster hands them.
-        const auto make_engine = [&scenario]() {
+    // Every engine (single, fleet member, pool member, autoscaled
+    // clone) runs the scenario's scheduler + engine configuration;
+    // only the platform varies.
+    const auto make_engine =
+        [&scenario](const model::PerfModel &perf) {
             return std::make_unique<engine::ServingEngine>(
-                scenario.perf,
-                core::makeSchedulingPolicy(
-                    scenario.schedulerConfig),
+                perf,
+                core::makeSchedulingPolicy(scenario.schedulerConfig),
                 scenario.engineConfig);
         };
+    // Pool members and provisioned instances clone the base
+    // platform (--hardware).
+    const auto make_clone = [&]() {
+        return make_engine(scenario.perf);
+    };
+    const auto enable_autoscale = [&](cluster::ServingCluster &pool,
+                                      autoscale::ShedPolicy shed) {
+        pool.setInstanceFactory(make_clone);
+        autoscale::AutoscaleConfig config = scenario.autoscaleConfig;
+        config.shedPolicy = shed;
+        auto policy = autoscale::makeScalePolicy(
+            scenario.scalePolicyName, config.sloTarget);
+        LIGHTLLM_ASSERT(policy != nullptr,
+                        "scale policy validated at assembly");
+        pool.enableAutoscale(config, std::move(policy));
+    };
+
+    if (scenario.disagg) {
+        // Disaggregated fleet: the pools differ only in routing and
+        // in the work the DisaggCluster hands them.
         std::vector<std::unique_ptr<engine::ServingEngine>> prefill;
-        prefill.reserve(scenario.prefillInstances);
         for (std::size_t i = 0; i < scenario.prefillInstances; ++i)
-            prefill.push_back(make_engine());
+            prefill.push_back(make_clone());
         std::vector<std::unique_ptr<engine::ServingEngine>> decode;
-        decode.reserve(scenario.decodeInstances);
         for (std::size_t i = 0; i < scenario.decodeInstances; ++i)
-            decode.push_back(make_engine());
+            decode.push_back(make_clone());
 
         disagg::DisaggCluster cluster(std::move(prefill),
                                       std::move(decode),
@@ -1145,121 +1217,36 @@ runScenario(const Scenario &scenario,
             // sheds at admission: the bounded handoff queue is the
             // pipeline's only rejection point, so a request that
             // paid for prefill and migration is served.
-            const auto enable =
-                [&](cluster::ServingCluster &pool,
-                    autoscale::ShedPolicy shed) {
-                    pool.setInstanceFactory(make_engine);
-                    autoscale::AutoscaleConfig config =
-                        scenario.autoscaleConfig;
-                    config.shedPolicy = shed;
-                    auto policy = autoscale::makeScalePolicy(
-                        scenario.scalePolicyName,
-                        config.sloTarget);
-                    LIGHTLLM_ASSERT(
-                        policy != nullptr,
-                        "scale policy validated at assembly");
-                    pool.enableAutoscale(config,
-                                         std::move(policy));
-                };
-            enable(cluster.prefillPool(),
-                   scenario.autoscaleConfig.shedPolicy);
-            enable(cluster.decodePool(),
-                   autoscale::ShedPolicy::Never);
+            enable_autoscale(cluster.prefillPool(),
+                             scenario.autoscaleConfig.shedPolicy);
+            enable_autoscale(cluster.decodePool(),
+                             autoscale::ShedPolicy::Never);
         }
-
-        if (scenario.traceReplay) {
-            workload::submitTraceArrivals(scenario.dataset,
-                                          cluster);
-            return cluster.run();
-        }
-        if (scenario.hasRateSchedule) {
-            workload::submitScheduledArrivals(
-                scenario.dataset, cluster, scenario.rateSchedule,
-                scenario.seed);
-            return cluster.run();
-        }
-        if (scenario.poissonRate > 0.0) {
-            workload::submitPoissonArrivals(scenario.dataset,
-                                            cluster,
-                                            scenario.poissonRate,
-                                            scenario.seed);
-            return cluster.run();
-        }
-        workload::ClosedLoopClientPool clients(
-            scenario.clients, scenario.dataset, cluster,
-            scenario.thinkTime);
-        cluster.setOnFinish(
-            [&](const workload::RequestSpec &spec, Tick tick) {
-                clients.onRequestFinished(spec.id, tick);
-            });
-        clients.start();
-        return cluster.run();
+        return driveLoad(
+            scenario, cluster,
+            [&](auto callback) { cluster.setOnFinish(callback); },
+            [&]() { return cluster.run(); });
     }
 
     if (scenario.fleetPerfs.empty()) {
         // Single instance: the self-clocked engine path, kept
         // bit-identical through the SimContext refactor (golden
         // suite pins it).
-        engine::ServingEngine engine(
-            scenario.perf,
-            core::makeSchedulingPolicy(scenario.schedulerConfig),
-            scenario.engineConfig);
+        const auto engine = make_engine(scenario.perf);
         if (recorder != nullptr)
-            engine.attachTrace(recorder->createEngine("engine-0"));
-
-        if (scenario.sessionMode) {
-            workload::SessionGenerator sessions(
-                scenario.sessionConfig, engine);
-            engine.setOnFinish(
-                [&](const workload::RequestSpec &spec, Tick tick) {
-                    sessions.onRequestFinished(spec.id, tick);
-                });
-            sessions.start();
-            return engine.run(scenario.limits);
-        }
-
-        if (scenario.traceReplay) {
-            workload::submitTraceArrivals(scenario.dataset,
-                                          engine);
-            return engine.run(scenario.limits);
-        }
-
-        if (scenario.hasRateSchedule) {
-            workload::submitScheduledArrivals(
-                scenario.dataset, engine, scenario.rateSchedule,
-                scenario.seed);
-            return engine.run(scenario.limits);
-        }
-
-        if (scenario.poissonRate > 0.0) {
-            workload::submitPoissonArrivals(scenario.dataset,
-                                            engine,
-                                            scenario.poissonRate,
-                                            scenario.seed);
-            return engine.run(scenario.limits);
-        }
-
-        workload::ClosedLoopClientPool clients(
-            scenario.clients, scenario.dataset, engine,
-            scenario.thinkTime);
-        engine.setOnFinish(
-            [&](const workload::RequestSpec &spec, Tick tick) {
-                clients.onRequestFinished(spec.id, tick);
-            });
-        clients.start();
-        return engine.run(scenario.limits);
+            engine->attachTrace(recorder->createEngine("engine-0"));
+        return driveLoad(
+            scenario, *engine,
+            [&](auto callback) { engine->setOnFinish(callback); },
+            [&]() { return engine->run(scenario.limits); });
     }
 
     // Fleet: engines co-simulate exactly on the cluster's shared
     // SimContext; the router places every request.
     std::vector<std::unique_ptr<engine::ServingEngine>> engines;
     engines.reserve(scenario.fleetPerfs.size());
-    for (const model::PerfModel &perf : scenario.fleetPerfs) {
-        engines.push_back(std::make_unique<engine::ServingEngine>(
-            perf,
-            core::makeSchedulingPolicy(scenario.schedulerConfig),
-            scenario.engineConfig));
-    }
+    for (const model::PerfModel &perf : scenario.fleetPerfs)
+        engines.push_back(make_engine(perf));
     // With --sim-threads K > 1 the fleet borrows an external root
     // context enrolled in a sharded executor; adoption (inside the
     // cluster ctor) then places each engine on a worker shard. The
@@ -1285,66 +1272,12 @@ runScenario(const Scenario &scenario,
     }
     if (scenario.drainAt > 0)
         fleet.scheduleDrain(0, scenario.drainAt);
-
-    if (scenario.autoscale) {
-        // Provisioned instances are clones of the base platform
-        // (--hardware), sharing the scenario's scheduler + engine
-        // configuration.
-        fleet.setInstanceFactory([&scenario]() {
-            return std::make_unique<engine::ServingEngine>(
-                scenario.perf,
-                core::makeSchedulingPolicy(
-                    scenario.schedulerConfig),
-                scenario.engineConfig);
-        });
-        auto policy = autoscale::makeScalePolicy(
-            scenario.scalePolicyName,
-            scenario.autoscaleConfig.sloTarget);
-        LIGHTLLM_ASSERT(policy != nullptr,
-                        "scale policy validated at assembly");
-        fleet.enableAutoscale(scenario.autoscaleConfig,
-                              std::move(policy));
-    }
-
-    if (scenario.sessionMode) {
-        workload::SessionGenerator sessions(
-            scenario.sessionConfig, fleet);
-        fleet.setOnFinish(
-            [&](const workload::RequestSpec &spec, Tick tick) {
-                sessions.onRequestFinished(spec.id, tick);
-            });
-        sessions.start();
-        return fleet.run();
-    }
-
-    if (scenario.traceReplay) {
-        workload::submitTraceArrivals(scenario.dataset, fleet);
-        return fleet.run();
-    }
-
-    if (scenario.hasRateSchedule) {
-        workload::submitScheduledArrivals(scenario.dataset, fleet,
-                                          scenario.rateSchedule,
-                                          scenario.seed);
-        return fleet.run();
-    }
-
-    if (scenario.poissonRate > 0.0) {
-        workload::submitPoissonArrivals(scenario.dataset, fleet,
-                                        scenario.poissonRate,
-                                        scenario.seed);
-        return fleet.run();
-    }
-
-    workload::ClosedLoopClientPool clients(
-        scenario.clients, scenario.dataset, fleet,
-        scenario.thinkTime);
-    fleet.setOnFinish(
-        [&](const workload::RequestSpec &spec, Tick tick) {
-            clients.onRequestFinished(spec.id, tick);
-        });
-    clients.start();
-    return fleet.run();
+    if (scenario.autoscale)
+        enable_autoscale(fleet, scenario.autoscaleConfig.shedPolicy);
+    return driveLoad(
+        scenario, fleet,
+        [&](auto callback) { fleet.setOnFinish(callback); },
+        [&]() { return fleet.run(); });
 }
 
 void
