@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <vector>
 
 #include "base/rng.hh"
@@ -89,20 +90,80 @@ BM_PastFutureAdmissionRound(benchmark::State &state)
     }
 }
 
+/**
+ * One feasibility test: every trial's M* with the candidate merged
+ * into the round's sorted trial batch (no copy, no sort). Zero
+ * capacity rejects every candidate, so the round state — and the
+ * measured work — stays the same across iterations.
+ */
 void
-BM_FutureRequiredMemory(benchmark::State &state)
+BM_PastFutureTryAdmit(benchmark::State &state)
 {
-    ContextFixture fixture(state.range(0), 0);
+    ContextFixture fixture(state.range(0), 1);
+    fixture.ctx.capacityTokens = 0;
+    auto scheduler = warmScheduler();
+    scheduler.beginAdmissionRound(fixture.ctx);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            scheduler.tryAdmit(fixture.waiting.front()));
+    }
+}
+
+std::vector<core::BatchEntry>
+fixtureEntries(const ContextFixture &fixture)
+{
     std::vector<core::BatchEntry> entries;
     for (const auto &view : fixture.running) {
         entries.push_back(core::BatchEntry{
             view.promptLen, view.generatedLen, view.trueOutputLen});
     }
+    return entries;
+}
+
+/** From-scratch reference: copy and sort the batch, then scan. */
+void
+BM_FutureRequiredMemory(benchmark::State &state)
+{
+    ContextFixture fixture(state.range(0), 0);
+    const std::vector<core::BatchEntry> entries =
+        fixtureEntries(fixture);
     std::vector<core::BatchEntry> scratch;
     for (auto _ : state) {
         scratch = entries;
         benchmark::DoNotOptimize(
             core::futureRequiredMemory(scratch));
+    }
+}
+
+/**
+ * The engine's per-step audit: a batch carried in Eq. 2 order is
+ * advanced one decode step (every request generates a token; a
+ * finished one is replaced in place by a fresh join), its order
+ * restored by insertion sort, and its M* taken in one scan.
+ */
+void
+BM_AuditStep(benchmark::State &state)
+{
+    ContextFixture fixture(state.range(0), 0);
+    std::vector<core::BatchEntry> carried = fixtureEntries(fixture);
+    core::sortByRemaining(carried);
+    // The engine carries which request each entry describes.
+    std::vector<std::size_t> tags(carried.size());
+    for (std::size_t i = 0; i < tags.size(); ++i)
+        tags[i] = i;
+    Rng rng(23);
+    for (auto _ : state) {
+        for (core::BatchEntry &entry : carried) {
+            entry.generatedLen += 1;
+            if (entry.remaining() == 0) {
+                entry = core::BatchEntry{rng.uniformInt(64, 2048), 0,
+                                         rng.uniformInt(1, 2000)};
+            }
+        }
+        core::restoreRemainingOrder(
+            std::span<core::BatchEntry>(carried),
+            std::span<std::size_t>(tags));
+        benchmark::DoNotOptimize(core::sortedPeak(carried));
     }
 }
 
@@ -178,7 +239,9 @@ BM_CollectorDecodeStep(benchmark::State &state)
 } // namespace
 
 BENCHMARK(BM_PastFutureAdmissionRound)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_PastFutureTryAdmit)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_FutureRequiredMemory)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_AuditStep)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_DistributionRebuild)->Arg(1000)->Arg(5000);
 BENCHMARK(BM_TailSampleAt);
 BENCHMARK(BM_ReferenceDecodeIterationLatency)->Arg(64)->Arg(256);

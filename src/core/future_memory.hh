@@ -15,14 +15,25 @@
  * and the future required memory is M* = max_i M_i (Eq. 4). M* is
  * the exact minimum capacity that completes the batch without any
  * eviction, assuming the predictions hold.
+ *
+ * M* does not depend on how equal remaining lengths are ordered:
+ * within a tie block of remaining r, M_k = prefix_k + r * k never
+ * decreases (each step adds a resident term >= 0 plus r >= 0), so the
+ * block's maximum sits at its last index, whose prefix sum is the
+ * same for every tie order. Callers may therefore keep a batch in
+ * any Eq. 2 order across calls — carried from the previous decode
+ * step, or with a candidate merged in — and score it with one O(k)
+ * scan instead of a copy and a sort (DESIGN.md §8).
  */
 
 #ifndef LIGHTLLM_CORE_FUTURE_MEMORY_HH
 #define LIGHTLLM_CORE_FUTURE_MEMORY_HH
 
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 
 namespace lightllm {
@@ -60,14 +71,68 @@ struct BatchEntry
  */
 TokenCount futureRequiredMemory(std::vector<BatchEntry> &entries);
 
-/** Convenience overload that copies the entries first. */
-TokenCount futureRequiredMemory(std::span<const BatchEntry> entries);
+/** Put `entries` in Eq. 2 order (descending remaining);
+ *  O(k log k). */
+void sortByRemaining(std::span<BatchEntry> entries);
+
+/**
+ * Restore Eq. 2 order of a batch carried from an earlier order by
+ * insertion sort, applying every move to `tags` too (tags[i]
+ * identifies entries[i]; same length). O(k + inversions): a decode
+ * step takes one token off every decoding request's remaining
+ * length, so a batch sorted at the previous step is still sorted
+ * except where requests joined, stalled (prefill pending) or
+ * changed prediction.
+ */
+template <typename Tag>
+void
+restoreRemainingOrder(std::span<BatchEntry> entries,
+                      std::span<Tag> tags)
+{
+    LIGHTLLM_ASSERT(tags.size() == entries.size(), tags.size(),
+                    " tags for ", entries.size(), " entries");
+    for (std::size_t i = 1; i < entries.size(); ++i) {
+        const TokenCount key = entries[i].remaining();
+        if (entries[i - 1].remaining() >= key)
+            continue;
+        const BatchEntry entry = entries[i];
+        Tag tag = std::move(tags[i]);
+        std::size_t j = i;
+        for (; j > 0 && entries[j - 1].remaining() < key; --j) {
+            entries[j] = entries[j - 1];
+            tags[j] = std::move(tags[j - 1]);
+        }
+        entries[j] = entry;
+        tags[j] = std::move(tag);
+    }
+}
+
+/**
+ * M* of a batch already in Eq. 2 order: one O(k) scan that also
+ * validates every entry and the order itself. 0 when empty.
+ */
+TokenCount sortedPeak(std::span<const BatchEntry> sorted);
+
+/**
+ * M* of `sorted` (in Eq. 2 order) plus `candidate`, with the
+ * candidate merged in at its Eq. 2 position during the same O(k)
+ * scan: no copy, no sort. Equal to futureRequiredMemory over a copy
+ * with the candidate appended.
+ */
+TokenCount mergedPeak(std::span<const BatchEntry> sorted,
+                      const BatchEntry &candidate);
+
+/** Insert `candidate` into `sorted` at the position mergedPeak
+ *  scored it at, keeping Eq. 2 order. */
+void insertSorted(std::vector<BatchEntry> &sorted,
+                  const BatchEntry &candidate);
 
 /**
  * Full occupancy-at-completion profile {M_1 ... M_k} (Eq. 3) in
  * completion order (earliest finisher first), useful for
  * introspection and for the memory time-series benches. Entries are
- * reordered in place.
+ * reordered in place. Unlike M*, the profile's values inside a tie
+ * block depend on the tie order.
  */
 std::vector<TokenCount>
 futureMemoryProfile(std::vector<BatchEntry> &entries);

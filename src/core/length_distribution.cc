@@ -64,12 +64,16 @@ TokenCount
 LengthDistribution::sampleTail(Rng &rng, TokenCount greater_than,
                                TokenCount fallback) const
 {
-    const auto first = std::upper_bound(sorted_.begin(), sorted_.end(),
-                                        greater_than);
-    if (first == sorted_.end())
+    return sampleTailFrom(rng, tailStart(greater_than), fallback);
+}
+
+TokenCount
+LengthDistribution::sampleTailFrom(Rng &rng, std::size_t start,
+                                   TokenCount fallback) const
+{
+    if (start >= sorted_.size())
         return fallback;
-    const auto lo = static_cast<std::int64_t>(
-        std::distance(sorted_.begin(), first));
+    const auto lo = static_cast<std::int64_t>(start);
     const auto hi = static_cast<std::int64_t>(sorted_.size()) - 1;
     const auto index =
         static_cast<std::size_t>(rng.uniformInt(lo, hi));
@@ -80,18 +84,36 @@ TokenCount
 LengthDistribution::sampleTailAt(double u, TokenCount greater_than,
                                  TokenCount fallback) const
 {
-    const auto first = std::upper_bound(sorted_.begin(), sorted_.end(),
-                                        greater_than);
-    if (first == sorted_.end())
-        return fallback;
-    u = std::clamp(u, 0.0, 1.0);
-    const auto lo = static_cast<std::size_t>(
-        std::distance(sorted_.begin(), first));
-    const auto tail_size = sorted_.size() - lo;
-    auto offset = static_cast<std::size_t>(
-        u * static_cast<double>(tail_size));
-    offset = std::min(offset, tail_size - 1);
-    return sorted_[lo + offset];
+    return sampleTailFrom(u, tailStart(greater_than), fallback);
+}
+
+std::size_t
+LengthDistribution::tailStart(TokenCount greater_than) const
+{
+    return static_cast<std::size_t>(
+        std::upper_bound(sorted_.begin(), sorted_.end(),
+                         greater_than) -
+        sorted_.begin());
+}
+
+std::size_t
+LengthDistribution::searchTailStart(std::size_t start,
+                                    TokenCount greater_than) const
+{
+    // A short walk covers l_t passing a few recorded lengths; a long
+    // jump binary searches the rest of the tail.
+    constexpr std::size_t kWalk = 8;
+    const std::size_t walk_end =
+        std::min(sorted_.size(), start + kWalk);
+    while (start < walk_end && sorted_[start] <= greater_than)
+        ++start;
+    if (start < walk_end || start == sorted_.size())
+        return start;
+    return static_cast<std::size_t>(
+        std::upper_bound(sorted_.begin() +
+                             static_cast<std::ptrdiff_t>(start),
+                         sorted_.end(), greater_than) -
+        sorted_.begin());
 }
 
 double

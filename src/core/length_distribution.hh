@@ -17,6 +17,7 @@
 #ifndef LIGHTLLM_CORE_LENGTH_DISTRIBUTION_HH
 #define LIGHTLLM_CORE_LENGTH_DISTRIBUTION_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "base/rng.hh"
@@ -72,6 +73,45 @@ class LengthDistribution
     TokenCount sampleTailAt(double u, TokenCount greater_than,
                             TokenCount fallback) const;
 
+    /**
+     * Start index of the conditional tail P(l | l > greater_than):
+     * the number of recorded lengths <= greater_than.
+     */
+    std::size_t tailStart(TokenCount greater_than) const;
+
+    /**
+     * tailStart(greater_than) given `start` = tailStart(x) for some
+     * x <= greater_than, found by walking forward from `start`
+     * (O(1) when greater_than moved by a token or two since).
+     */
+    std::size_t
+    tailStartFrom(std::size_t start, TokenCount greater_than) const
+    {
+        // Inline: the common case passes no recorded length.
+        if (start >= sorted_.size() || sorted_[start] > greater_than)
+            return start;
+        return searchTailStart(start + 1, greater_than);
+    }
+
+    /** sampleTail over the tail beginning at index `start`. */
+    TokenCount sampleTailFrom(Rng &rng, std::size_t start,
+                              TokenCount fallback) const;
+
+    /** sampleTailAt over the tail beginning at index `start`. */
+    TokenCount
+    sampleTailFrom(double u, std::size_t start,
+                   TokenCount fallback) const
+    {
+        if (start >= sorted_.size())
+            return fallback;
+        u = std::clamp(u, 0.0, 1.0);
+        const auto tail_size = sorted_.size() - start;
+        auto offset = static_cast<std::size_t>(
+            u * static_cast<double>(tail_size));
+        offset = std::min(offset, tail_size - 1);
+        return sorted_[start + offset];
+    }
+
     /** Fraction of recorded lengths strictly greater than x. */
     double probGreater(TokenCount x) const;
 
@@ -102,6 +142,11 @@ class LengthDistribution
     double meanLength() const;
 
   private:
+    /** The out-of-line half of tailStartFrom: every recorded length
+     *  before `start` is known to be <= greater_than. */
+    std::size_t searchTailStart(std::size_t start,
+                                TokenCount greater_than) const;
+
     /** Recompute prefixSums_ if a mutation invalidated them. The
      *  rebuild is the same left-to-right summation the constructor
      *  performs, so lazily refreshed sums are bit-identical to a

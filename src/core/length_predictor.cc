@@ -35,14 +35,11 @@ LengthPredictor::warm(std::span<const TokenCount> lengths)
         observe(length);
 }
 
-const LengthDistribution &
-LengthPredictor::distribution()
+void
+LengthPredictor::rebuildDistribution()
 {
-    if (!distributionValid_) {
-        distribution_ = LengthDistribution(window_.snapshot());
-        distributionValid_ = true;
-    }
-    return distribution_;
+    distribution_ = LengthDistribution(window_.snapshot());
+    distributionValid_ = true;
 }
 
 TokenCount

@@ -55,7 +55,56 @@ class LengthPredictor
      * The distribution over the current window contents, built on
      * first use and kept in sync incrementally by observe().
      */
-    const LengthDistribution &distribution();
+    const LengthDistribution &
+    distribution()
+    {
+        if (!distributionValid_)
+            rebuildDistribution();
+        return distribution_;
+    }
+
+    /**
+     * Version of the distribution's contents: changes on every
+     * observe(), warm() and seed() (the window's version counter).
+     */
+    std::uint64_t version() const { return window_.version(); }
+
+    /**
+     * A memoised conditional-tail start for one request: valid for
+     * one predictor version, advanced by comparison as the request's
+     * generated length grows (see tailStart).
+     */
+    struct TailCursor
+    {
+        /** Version `start` was found under (max = never). */
+        std::uint64_t version = ~std::uint64_t{0};
+
+        /** The greater_than `start` was found for. */
+        TokenCount after = 0;
+
+        /** distribution().tailStart(after) under `version`. */
+        std::size_t start = 0;
+    };
+
+    /**
+     * distribution().tailStart(greater_than), through `cursor`: an
+     * O(1) forward walk when the cursor is current and greater_than
+     * has not decreased, a binary search otherwise. The result is
+     * the same either way; the cursor is updated to it.
+     */
+    std::size_t
+    tailStart(TailCursor &cursor, TokenCount greater_than)
+    {
+        const LengthDistribution &dist = distribution();
+        const bool current = cursor.version == version() &&
+            greater_than >= cursor.after;
+        cursor.start = current
+            ? dist.tailStartFrom(cursor.start, greater_than)
+            : dist.tailStart(greater_than);
+        cursor.version = version();
+        cursor.after = greater_than;
+        return cursor.start;
+    }
 
     /**
      * Point estimate of a request's final output length: the
@@ -74,6 +123,9 @@ class LengthPredictor
                                 TokenCount max_new_tokens);
 
   private:
+    /** Build distribution_ from a window snapshot. */
+    void rebuildDistribution();
+
     HistoryWindow window_;
     LengthDistribution distribution_;
     /** distribution_ mirrors the window (false until first query

@@ -32,6 +32,7 @@ OracleScheduler::beginAdmissionRound(const SchedulerContext &ctx)
             request.promptLen - request.cachedPrefixLen,
             request.generatedLen, total});
     }
+    sortByRemaining(entries_);
 }
 
 bool
@@ -45,13 +46,11 @@ OracleScheduler::tryAdmit(const WaitingView &candidate)
         candidate.promptLen + candidate.generatedLen -
             candidate.cachedPrefixLen,
         0, total - candidate.generatedLen};
-    scratch_ = entries_;
-    scratch_.push_back(entry);
     const TokenCount overhead = perRequestOverhead_ *
-        static_cast<TokenCount>(scratch_.size());
-    if (futureRequiredMemory(scratch_) + overhead > capacity_)
+        static_cast<TokenCount>(entries_.size() + 1);
+    if (mergedPeak(entries_, entry) + overhead > capacity_)
         return false;
-    entries_.push_back(entry);
+    insertSorted(entries_, entry);
     return true;
 }
 

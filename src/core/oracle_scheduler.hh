@@ -34,8 +34,8 @@ class OracleScheduler : public Scheduler
     std::string name() const override;
 
   private:
+    /** Running batch plus this round's admissions, in Eq. 2 order. */
     std::vector<BatchEntry> entries_;
-    std::vector<BatchEntry> scratch_;
 
     // Admission-round state.
     TokenCount capacity_ = 0;

@@ -53,11 +53,11 @@ PastFutureScheduler::predict(RequestId id, TokenCount generated_len,
             // Quantile coupling: freeze u per request, evaluate the
             // current conditional tail at u. For fresh requests
             // l_t = 0 and the tail is the full distribution P(l).
-            auto [it, inserted] = stickyU_.try_emplace(id, 0.0);
+            auto [it, inserted] = stickyU_.try_emplace(id);
             if (inserted)
-                it->second = rng_.uniformDouble();
-            predicted = distribution.sampleTailAt(
-                it->second, generated_len, max_new_tokens);
+                it->second.u = rng_.uniformDouble();
+            predicted = stickyPrediction(it->second, generated_len,
+                                         max_new_tokens);
             break;
           }
           case PredictionMode::PerStepSample:
@@ -102,8 +102,8 @@ PastFutureScheduler::peekPrediction(RequestId id,
         predicted =
             params_.predictionMode == PredictionMode::StickySample &&
                 it != stickyU_.end()
-            ? distribution.sampleTailAt(it->second, generated_len,
-                                        max_new_tokens)
+            ? stickyPrediction(it->second, generated_len,
+                               max_new_tokens)
             : distribution.tailMean(generated_len, max_new_tokens);
     }
     predicted = std::min(predicted, max_new_tokens);
@@ -111,15 +111,29 @@ PastFutureScheduler::peekPrediction(RequestId id,
 }
 
 TokenCount
-PastFutureScheduler::samplePerturbed(TokenCount generated_len,
+PastFutureScheduler::stickyPrediction(StickySample &sample,
+                                      TokenCount generated_len,
+                                      TokenCount max_new_tokens)
+{
+    // Same value as distribution().sampleTailAt(u, l_t, cap); the
+    // memo replaces its binary search with a forward walk while the
+    // window is unchanged and l_t only grows.
+    return predictor_.distribution().sampleTailFrom(
+        sample.u, predictor_.tailStart(sample.tail, generated_len),
+        max_new_tokens);
+}
+
+TokenCount
+PastFutureScheduler::samplePerturbed(std::size_t tail_start,
+                                     TokenCount generated_len,
                                      TokenCount max_new_tokens)
 {
     const LengthDistribution &distribution =
         predictor_.distribution();
     TokenCount predicted = distribution.empty()
         ? max_new_tokens
-        : distribution.sampleTail(rng_, generated_len,
-                                  max_new_tokens);
+        : distribution.sampleTailFrom(rng_, tail_start,
+                                      max_new_tokens);
     predicted = std::min(predicted, max_new_tokens);
     return std::max(predicted, generated_len);
 }
@@ -162,18 +176,30 @@ PastFutureScheduler::beginAdmissionRound(const SchedulerContext &ctx)
     const auto trials = static_cast<std::size_t>(trials_);
     if (trialEntries_.size() < trials)
         trialEntries_.resize(trials);
+    // Every perturbation trial redraws a request from the same
+    // conditional tail: find where each tail starts once.
+    tailStarts_.clear();
+    if (trials > 1) {
+        const LengthDistribution &distribution =
+            predictor_.distribution();
+        for (const auto &request : ctx.running)
+            tailStarts_.push_back(
+                distribution.tailStart(request.generatedLen));
+    }
     for (std::size_t t = 0; t < trials; ++t) {
         auto &entries = trialEntries_[t];
         entries.clear();
         entries.reserve(ctx.running.size() + ctx.waiting.size());
-        for (const auto &request : ctx.running) {
+        for (std::size_t i = 0; i < ctx.running.size(); ++i) {
+            const RunningView &request = ctx.running[i];
             // Trial 0 uses the official (sticky / per-step / point)
             // predictions; perturbation trials redraw every request
             // to probe the upside risk of the batch peak.
             const TokenCount predicted = t == 0
                 ? predict(request.id, request.generatedLen,
                           request.maxNewTokens)
-                : samplePerturbed(request.generatedLen,
+                : samplePerturbed(tailStarts_[i],
+                                  request.generatedLen,
                                   request.maxNewTokens);
             // Shared prefix blocks cost no private memory: charge
             // the uncached prompt suffix only.
@@ -181,6 +207,9 @@ PastFutureScheduler::beginAdmissionRound(const SchedulerContext &ctx)
                 request.promptLen - request.cachedPrefixLen,
                 request.generatedLen, predicted});
         }
+        // Sorted once per round: every candidate is then scored by
+        // a merged scan and committed by an ordered insert.
+        sortByRemaining(entries);
     }
     peaks_.resize(trials);
 }
@@ -190,11 +219,14 @@ PastFutureScheduler::tryAdmit(const WaitingView &candidate)
 {
     const auto trials = static_cast<std::size_t>(trials_);
     candidateEntries_.resize(trials);
+    const std::size_t tail_start = trials > 1
+        ? predictor_.distribution().tailStart(candidate.generatedLen)
+        : 0;
     for (std::size_t t = 0; t < trials; ++t) {
         const TokenCount predicted = t == 0
             ? predict(candidate.id, candidate.generatedLen,
                       candidate.maxNewTokens)
-            : samplePerturbed(candidate.generatedLen,
+            : samplePerturbed(tail_start, candidate.generatedLen,
                               candidate.maxNewTokens);
         // The recompute prefill re-materialises prompt +
         // generated tokens, so that is the candidate's resident
@@ -204,10 +236,8 @@ PastFutureScheduler::tryAdmit(const WaitingView &candidate)
             candidate.promptLen + candidate.generatedLen -
                 candidate.cachedPrefixLen,
             0, predicted - candidate.generatedLen};
-        scratch_ = trialEntries_[t];
-        scratch_.push_back(candidateEntries_[t]);
-        peaks_[t] =
-            static_cast<double>(futureRequiredMemory(scratch_));
+        peaks_[t] = static_cast<double>(
+            mergedPeak(trialEntries_[t], candidateEntries_[t]));
     }
 
     // Aggregate the trial peaks. PerStepSample keeps the
@@ -237,7 +267,7 @@ PastFutureScheduler::tryAdmit(const WaitingView &candidate)
     if (static_cast<TokenCount>(estimate) + overhead > limit_)
         return false;
     for (std::size_t t = 0; t < trials; ++t)
-        trialEntries_[t].push_back(candidateEntries_[t]);
+        insertSorted(trialEntries_[t], candidateEntries_[t]);
     ++admitted_;
     return true;
 }

@@ -22,7 +22,6 @@
 #define LIGHTLLM_CORE_PAST_FUTURE_SCHEDULER_HH
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -141,7 +140,9 @@ class PastFutureScheduler : public Scheduler
      * variate when the request has one, falls back to the
      * conditional tail mean otherwise. Never inserts into the
      * sticky map and never draws from the RNG, so tracing and
-     * audit can call it freely without steering the run.
+     * audit can call it freely without steering the run; it only
+     * advances the sample's tail-start memo, a cache of a pure
+     * function.
      */
     TokenCount peekPrediction(RequestId id,
                               TokenCount generated_len,
@@ -174,12 +175,30 @@ class PastFutureScheduler : public Scheduler
                        TokenCount max_new_tokens);
 
     /** Fresh conditional-tail draw that bypasses the sticky map
-     *  (perturbation trials of the admission check). */
-    TokenCount samplePerturbed(TokenCount generated_len,
+     *  (perturbation trials of the admission check); `tail_start`
+     *  is distribution().tailStart(generated_len). */
+    TokenCount samplePerturbed(std::size_t tail_start,
+                               TokenCount generated_len,
                                TokenCount max_new_tokens);
 
     /** Trials to use for the given running-batch size. */
     int trialsFor(std::size_t batch_size) const;
+
+    /** One request's StickySample state. */
+    struct StickySample
+    {
+        /** The frozen uniform variate. */
+        double u = 0.0;
+
+        /** Memoised conditional-tail start of the last lookup. */
+        LengthPredictor::TailCursor tail;
+    };
+
+    /** The u-quantile of the conditional tail past `generated_len`
+     *  (StickySample mode; advances the sample's tail memo). */
+    TokenCount stickyPrediction(StickySample &sample,
+                                TokenCount generated_len,
+                                TokenCount max_new_tokens);
 
     PastFutureParams params_;
 
@@ -188,14 +207,17 @@ class PastFutureScheduler : public Scheduler
 
     Rng rng_;
 
-    /** Frozen per-request uniform variates (StickySample mode). */
-    std::unordered_map<RequestId, double> stickyU_;
+    /** Frozen per-request samples (StickySample mode). */
+    std::unordered_map<RequestId, StickySample> stickyU_;
 
     // Admission-round state: one entry vector per trial (running
-    // batch predictions + incrementally committed candidates).
+    // batch predictions + incrementally committed candidates), each
+    // kept in Eq. 2 order so a candidate costs one merged scan.
     std::vector<std::vector<BatchEntry>> trialEntries_;
     std::vector<BatchEntry> candidateEntries_;
-    std::vector<BatchEntry> scratch_;
+    /** Conditional-tail start of each running request this round
+     *  (perturbation trials only). */
+    std::vector<std::size_t> tailStarts_;
     /** estimateFutureMemory scratch (routing/introspection path). */
     std::vector<BatchEntry> loadScratch_;
     std::vector<double> peaks_;

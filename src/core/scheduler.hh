@@ -189,7 +189,10 @@ class Scheduler
      * Implementations MUST NOT mutate observable scheduler state
      * (no RNG draws, no per-request bookkeeping), so calling this
      * any number of times leaves a run bit-identical to one that
-     * never called it. The default returns the generation cap.
+     * never called it. Memoising a pure function of (history
+     * window, id, generated_len) is allowed: a cache that returns
+     * what recomputation would is not observable. The default
+     * returns the generation cap.
      */
     virtual TokenCount peekPrediction(RequestId id,
                                       TokenCount generated_len,

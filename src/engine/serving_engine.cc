@@ -167,6 +167,7 @@ ServingEngine::allocRequest()
         request->migratedAdmit = false;
         request->hashes.clear();
         request->hashedFor = -1;
+        request->auditMark = 0;
         return request;
     }
     requestSlab_.push_back(std::make_unique<EngineRequest>());
@@ -705,46 +706,83 @@ ServingEngine::evictRequest(RequestId id, bool reactive)
     return 0;
 }
 
-TokenCount
-ServingEngine::trueFutureMemory() const
+void
+ServingEngine::carryAuditMembers()
 {
-    scratchEntries_.clear();
-    auto add_entry = [this](const EngineRequest *request) {
-        const TokenCount target =
-            std::max(request->targetOutput(), request->generated);
-        scratchEntries_.push_back(core::BatchEntry{
-            request->spec.inputLen - request->cachedPrefix,
-            request->generated, target});
+    // Members carry this step's `member` mark. A carried request
+    // survives only if it carries the mark (a departed request, or a
+    // recycled slab entry now queued or free, does not) and then
+    // flips it to `kept`, so no member is ever carried twice. Both
+    // batches always hold the same members.
+    const std::uint64_t member = ++auditEpoch_;
+    const std::uint64_t kept = ++auditEpoch_;
+    for (EngineRequest *request : running_)
+        request->auditMark = member;
+    for (EngineRequest *request : prefillPending_)
+        request->auditMark = member;
+    std::erase_if(auditTrue_.requests, [&](EngineRequest *request) {
+        if (request->auditMark != member)
+            return true;
+        request->auditMark = kept;
+        return false;
+    });
+    std::erase_if(auditPredicted_.requests,
+                  [&](EngineRequest *request) {
+                      return request->auditMark != kept;
+                  });
+    auto join = [&](EngineRequest *request) {
+        if (request->auditMark == kept)
+            return;
+        request->auditMark = kept;
+        auditTrue_.requests.push_back(request);
+        auditPredicted_.requests.push_back(request);
     };
-    for (const EngineRequest *request : running_)
-        add_entry(request);
-    for (const EngineRequest *request : prefillPending_)
-        add_entry(request);
-    return core::futureRequiredMemory(scratchEntries_);
+    for (EngineRequest *request : running_)
+        join(request);
+    for (EngineRequest *request : prefillPending_)
+        join(request);
+}
+
+TokenCount
+ServingEngine::carriedPeak(AuditBatch &batch)
+{
+    core::restoreRemainingOrder(
+        std::span<core::BatchEntry>(batch.entries),
+        std::span<EngineRequest *>(batch.requests));
+    return core::sortedPeak(batch.entries);
+}
+
+TokenCount
+ServingEngine::trueFutureMemory()
+{
+    auditTrue_.entries.clear();
+    for (const EngineRequest *request : auditTrue_.requests) {
+        auditTrue_.entries.push_back(core::BatchEntry{
+            request->spec.inputLen - request->cachedPrefix,
+            request->generated,
+            std::max(request->targetOutput(), request->generated)});
+    }
+    return carriedPeak(auditTrue_);
 }
 
 TokenCount
 ServingEngine::predictedFutureMemory()
 {
-    // Same batch walk as trueFutureMemory, but with the target
-    // lengths the scheduler believes in (read-only peek — consumes
-    // no RNG, inserts no sticky state).
-    scratchEntries_.clear();
-    auto add_entry = [this](const EngineRequest *request) {
+    // Same batch as trueFutureMemory, but with the target lengths
+    // the scheduler believes in (read-only peek — consumes no RNG,
+    // inserts no sticky state).
+    auditPredicted_.entries.clear();
+    for (const EngineRequest *request : auditPredicted_.requests) {
         const TokenCount predicted = std::max(
             policy_->peekPrediction(request->spec.id,
                                     request->generated,
                                     request->spec.maxNewTokens),
             request->generated);
-        scratchEntries_.push_back(core::BatchEntry{
+        auditPredicted_.entries.push_back(core::BatchEntry{
             request->spec.inputLen - request->cachedPrefix,
             request->generated, predicted});
-    };
-    for (const EngineRequest *request : running_)
-        add_entry(request);
-    for (const EngineRequest *request : prefillPending_)
-        add_entry(request);
-    return core::futureRequiredMemory(scratchEntries_);
+    }
+    return carriedPeak(auditPredicted_);
 }
 
 void
@@ -937,6 +975,7 @@ ServingEngine::runStep()
     }
     now_ += duration;
     if (batch_size > 0) {
+        carryAuditMembers();
         const TokenCount true_future = trueFutureMemory();
         const TokenCount predicted_future = predictedFutureMemory();
         collector_.onDecodeStep(batch_size, kv_.usedTokens(),

@@ -311,6 +311,10 @@ class ServingEngine : public workload::RequestSink
         std::vector<PrefixHash> hashes;
         TokenCount hashedFor = -1;
 
+        /** Prediction-audit membership mark (see carryAuditMembers;
+         *  only ever compared against the current step's marks). */
+        std::uint64_t auditMark = 0;
+
         /** Tokens generation will produce (EOS or cap). */
         TokenCount
         targetOutput() const
@@ -412,8 +416,28 @@ class ServingEngine : public workload::RequestSink
     /** Complete a request and notify listeners. */
     void finishRequest(EngineRequest *request);
 
+    /**
+     * One prediction-audit batch, carried across steps in its last
+     * Eq. 2 order: requests[i] is the request entries[i] describes.
+     */
+    struct AuditBatch
+    {
+        std::vector<EngineRequest *> requests;
+        std::vector<core::BatchEntry> entries;
+    };
+
+    /**
+     * Bring both audit batches up to the current batch (running
+     * plus prefill-pending): drop requests that left, append
+     * requests that joined, keep survivors in their carried order.
+     * Only the order is carried — both audits recompute every entry
+     * from its request — so a recycled slab entry that takes over a
+     * departed request's place inherits nothing from it.
+     */
+    void carryAuditMembers();
+
     /** Exact future required memory with ground-truth lengths. */
-    TokenCount trueFutureMemory() const;
+    TokenCount trueFutureMemory();
 
     /**
      * The scheduler's own future-memory estimate for the current
@@ -421,6 +445,10 @@ class ServingEngine : public workload::RequestSink
      * never consumes RNG or scheduler state).
      */
     TokenCount predictedFutureMemory();
+
+    /** M* of a refreshed audit batch: restore its Eq. 2 order by
+     *  insertion sort, then one scan (DESIGN.md §8). */
+    static TokenCount carriedPeak(AuditBatch &batch);
 
     /** Trace a successful admission (queued → prefill spans). */
     void traceAdmit(const EngineRequest &request);
@@ -552,7 +580,14 @@ class ServingEngine : public workload::RequestSink
     std::vector<RequestId> victimScratch_;
     std::vector<EngineRequest *> finishedScratch_;
     std::vector<EngineRequest *> swappedInScratch_;
-    mutable std::vector<core::BatchEntry> scratchEntries_;
+
+    /** The prediction audit's true and predicted batches. */
+    AuditBatch auditTrue_;
+    AuditBatch auditPredicted_;
+
+    /** Source of audit membership marks (two per step). */
+    std::uint64_t auditEpoch_ = 0;
+
     std::vector<memory::BlockId> matchScratch_;
     std::vector<PromptSegment> streamScratch_;
     std::vector<PrefixHash> insertHashScratch_;

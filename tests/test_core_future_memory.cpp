@@ -8,10 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "base/rng.hh"
 #include "core/future_memory.hh"
+#include "core/length_distribution.hh"
+#include "core/length_predictor.hh"
+#include "core/past_future_scheduler.hh"
 
 namespace lightllm {
 namespace core {
@@ -75,15 +81,41 @@ TEST(FutureMemoryTest, PeakAtLeastCurrentResident)
     EXPECT_GE(futureRequiredMemory(entries), resident);
 }
 
-TEST(FutureMemoryTest, SpanOverloadDoesNotMutate)
+TEST(FutureMemoryTest, MergedPeakDoesNotMutate)
 {
-    const std::vector<BatchEntry> entries{{10, 0, 4}, {20, 0, 2}};
-    const auto copy = entries;
-    EXPECT_EQ(futureRequiredMemory(std::span<const BatchEntry>(
-                  entries)),
-              34);
-    EXPECT_EQ(entries[0].promptLen, copy[0].promptLen);
-    EXPECT_EQ(entries[1].promptLen, copy[1].promptLen);
+    // A sorted batch of one ({10, 0, 4}) scored with a candidate
+    // ({20, 0, 2}): the batch of TwoRequestHandComputation, with
+    // neither input copied or reordered.
+    const std::vector<BatchEntry> sorted{{10, 0, 4}};
+    const BatchEntry candidate{20, 0, 2};
+    EXPECT_EQ(mergedPeak(sorted, candidate), 34);
+    ASSERT_EQ(sorted.size(), 1u);
+    EXPECT_EQ(sorted[0].promptLen, 10);
+    EXPECT_EQ(sorted[0].predictedOutputLen, 4);
+    EXPECT_EQ(candidate.promptLen, 20);
+}
+
+TEST(FutureMemoryTest, InsertSortedPlacesFirstTieOrLast)
+{
+    std::vector<BatchEntry> sorted{{10, 0, 40}, {10, 0, 20}};
+    insertSorted(sorted, BatchEntry{1, 0, 50});  // longest: first
+    insertSorted(sorted, BatchEntry{2, 0, 0});   // shortest: last
+    insertSorted(sorted, BatchEntry{3, 0, 20});  // first among ties
+    std::vector<TokenCount> prompts;
+    for (const BatchEntry &entry : sorted)
+        prompts.push_back(entry.promptLen);
+    EXPECT_EQ(prompts, (std::vector<TokenCount>{1, 10, 3, 10, 2}));
+
+    std::vector<BatchEntry> empty;
+    EXPECT_EQ(mergedPeak(empty, BatchEntry{5, 0, 20}), 25);
+    insertSorted(empty, BatchEntry{5, 0, 20});
+    EXPECT_EQ(sortedPeak(empty), 25);
+}
+
+TEST(FutureMemoryDeathTest, UnsortedBatchPanics)
+{
+    const std::vector<BatchEntry> unsorted{{10, 0, 2}, {20, 0, 4}};
+    EXPECT_DEATH(sortedPeak(unsorted), "descending-remaining");
 }
 
 TEST(FutureMemoryTest, ProfileIsInCompletionOrder)
@@ -235,6 +267,492 @@ TEST_P(FutureMemoryProperty, MatchesBruteForceSimulation)
 INSTANTIATE_TEST_SUITE_P(Seeds, FutureMemoryProperty,
                          ::testing::Values(11u, 22u, 33u, 44u, 55u,
                                            66u, 77u, 88u));
+
+/**
+ * Randomized equivalence of the incremental Eq. 2-4 paths (the
+ * admission trials' merged scan, the engine audit's carried order,
+ * the sticky predictions' memoised tail start) against the
+ * from-scratch computations they replace. Every failure names its
+ * seed.
+ */
+class IncrementalPeakProperty
+    : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+/** Remaining lengths drawn from a handful of values (dense ties) in
+ *  half the trials, from a wide range otherwise. */
+std::vector<TokenCount>
+remainingValues(Rng &rng, int trial)
+{
+    std::vector<TokenCount> values;
+    if (trial % 2 == 0) {
+        const auto count = rng.uniformInt(1, 4);
+        for (std::int64_t i = 0; i < count; ++i)
+            values.push_back(rng.uniformInt(0, 60));
+    }
+    return values;
+}
+
+TokenCount
+drawRemaining(Rng &rng, const std::vector<TokenCount> &values)
+{
+    if (values.empty())
+        return rng.uniformInt(0, 500);
+    return values[rng.pickIndex(std::span<const TokenCount>(values))];
+}
+
+/** A running-batch entry; one in five has a negative promptLen (a
+ *  shared prefix reaching into its generated tokens) with a
+ *  non-negative resident term. */
+BatchEntry
+randomEntry(Rng &rng, const std::vector<TokenCount> &values)
+{
+    BatchEntry entry;
+    entry.generatedLen = rng.uniformInt(0, 300);
+    entry.promptLen = rng.bernoulli(0.2)
+        ? rng.uniformInt(-entry.generatedLen, 0)
+        : rng.uniformInt(1, 400);
+    entry.predictedOutputLen =
+        entry.generatedLen + drawRemaining(rng, values);
+    return entry;
+}
+
+TEST_P(IncrementalPeakProperty, MergedScanMatchesCopyAndSort)
+{
+    const std::uint64_t seed = GetParam();
+    Rng rng(seed);
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::vector<TokenCount> values =
+            remainingValues(rng, trial);
+        std::vector<BatchEntry> batch;  // arbitrary order
+        const auto batch_size = rng.uniformInt(0, 24);
+        for (std::int64_t i = 0; i < batch_size; ++i)
+            batch.push_back(randomEntry(rng, values));
+        std::vector<BatchEntry> sorted = batch;
+        sortByRemaining(sorted);
+
+        // One admission round: each candidate is scored against the
+        // batch plus the candidates admitted before it.
+        for (int c = 0; c < 6; ++c) {
+            TokenCount remaining = drawRemaining(rng, values);
+            const auto where = rng.uniformInt(0, 2);
+            if (where == 0 && !sorted.empty()) {
+                remaining = sorted.front().remaining() +
+                    rng.uniformInt(1, 50);  // lands first
+            } else if (where == 1 && !sorted.empty()) {
+                remaining = std::max<TokenCount>(
+                    0, sorted.back().remaining() - 1);  // last
+            }
+            const BatchEntry candidate{rng.uniformInt(0, 400), 0,
+                                       remaining};
+            std::vector<BatchEntry> copy = batch;
+            copy.push_back(candidate);
+            const TokenCount expected = futureRequiredMemory(copy);
+            ASSERT_EQ(mergedPeak(sorted, candidate), expected)
+                << "seed " << seed << " trial " << trial
+                << " candidate " << c;
+            if (rng.bernoulli(0.5)) {
+                insertSorted(sorted, candidate);
+                batch.push_back(candidate);
+                ASSERT_EQ(sortedPeak(sorted), expected)
+                    << "seed " << seed << " trial " << trial
+                    << " candidate " << c;
+            }
+        }
+    }
+}
+
+TEST_P(IncrementalPeakProperty, CarriedOrderMatchesFreshSort)
+{
+    const std::uint64_t seed = GetParam();
+    Rng rng(seed);
+
+    struct Member
+    {
+        int id;
+        TokenCount prompt;
+        TokenCount generated;
+        TokenCount predicted;
+        bool prefilling;  // admitted, generated frozen
+    };
+    std::vector<Member> batch;       // engine order
+    std::vector<int> carried_ids;    // carried Eq. 2 order
+    std::vector<BatchEntry> carried; // carried_ids[i]'s entry
+    int next_id = 0;
+    const std::vector<TokenCount> values =
+        remainingValues(rng, static_cast<int>(seed % 2));
+
+    for (int step = 0; step < 600; ++step) {
+        // Joins, some still prefilling.
+        const auto joins =
+            batch.size() < 40 ? rng.uniformInt(0, 3) : 0;
+        for (std::int64_t j = 0; j < joins; ++j) {
+            const BatchEntry entry = randomEntry(rng, values);
+            batch.push_back(Member{next_id++, entry.promptLen,
+                                   entry.generatedLen,
+                                   entry.predictedOutputLen,
+                                   rng.bernoulli(0.3)});
+        }
+        // Evictions.
+        if (!batch.empty() && rng.bernoulli(0.1)) {
+            const auto victim =
+                rng.uniformInt(0, std::ssize(batch) - 1);
+            batch.erase(batch.begin() +
+                        static_cast<std::ptrdiff_t>(victim));
+        }
+        // Prediction jumps, up or down (never below generated).
+        for (Member &member : batch) {
+            if (rng.bernoulli(0.05)) {
+                member.predicted = member.generated +
+                    drawRemaining(rng, values);
+            }
+        }
+
+        // Carry: drop leavers, append joiners, refresh every entry
+        // in the carried order, restore the order.
+        auto member_of = [&](int id) {
+            return std::find_if(batch.begin(), batch.end(),
+                                [&](const Member &member) {
+                                    return member.id == id;
+                                });
+        };
+        std::erase_if(carried_ids, [&](int id) {
+            return member_of(id) == batch.end();
+        });
+        std::vector<BatchEntry> fresh;
+        for (const Member &member : batch) {
+            fresh.push_back(BatchEntry{
+                member.prompt, member.generated, member.predicted});
+            if (std::find(carried_ids.begin(), carried_ids.end(),
+                          member.id) == carried_ids.end()) {
+                carried_ids.push_back(member.id);
+            }
+        }
+        carried.clear();
+        for (int id : carried_ids) {
+            const Member &member = *member_of(id);
+            carried.push_back(BatchEntry{
+                member.prompt, member.generated, member.predicted});
+        }
+        restoreRemainingOrder(std::span<BatchEntry>(carried),
+                              std::span<int>(carried_ids));
+        ASSERT_EQ(carried.size(), fresh.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < carried.size(); ++i) {
+            const Member &member = *member_of(carried_ids[i]);
+            const BatchEntry &entry = carried[i];
+            ASSERT_TRUE(entry.promptLen == member.prompt &&
+                        entry.generatedLen == member.generated &&
+                        entry.predictedOutputLen == member.predicted)
+                << "seed " << seed << " step " << step
+                << ": a tag did not move with its entry";
+        }
+        ASSERT_TRUE(std::is_sorted(carried.begin(), carried.end(),
+                                   [](const BatchEntry &a,
+                                      const BatchEntry &b) {
+                                       return a.remaining() >
+                                           b.remaining();
+                                   }))
+            << "seed " << seed << " step " << step;
+        ASSERT_EQ(sortedPeak(carried), futureRequiredMemory(fresh))
+            << "seed " << seed << " step " << step;
+
+        // The decode step: decoders take a token, some prefills
+        // complete; finished requests leave.
+        for (Member &member : batch) {
+            if (member.prefilling)
+                member.prefilling = !rng.bernoulli(0.3);
+            else
+                member.generated += 1;
+            member.predicted =
+                std::max(member.predicted, member.generated);
+        }
+        std::erase_if(batch, [](const Member &member) {
+            return !member.prefilling &&
+                member.generated >= member.predicted;
+        });
+    }
+}
+
+TEST_P(IncrementalPeakProperty, TailCursorMatchesUpperBound)
+{
+    const std::uint64_t seed = GetParam();
+    Rng rng(seed);
+    LengthPredictor predictor(64);
+    if (seed % 2 == 0)
+        predictor.seed(2048, 16);
+    std::vector<LengthPredictor::TailCursor> cursors(8);
+    std::vector<TokenCount> generated(8, 0);
+
+    for (int op = 0; op < 5000; ++op) {
+        if (rng.bernoulli(0.1)) {
+            // Few distinct values: the window holds long tie runs.
+            predictor.observe(rng.bernoulli(0.5)
+                                  ? rng.uniformInt(1, 8) * 50
+                                  : rng.uniformInt(1, 600));
+            continue;
+        }
+        const auto k = static_cast<std::size_t>(rng.uniformInt(0, 7));
+        const auto move = rng.uniformInt(0, 9);
+        if (move < 7)
+            generated[k] += 1;
+        else if (move < 9)
+            generated[k] += rng.uniformInt(0, 400);  // long jump
+        else
+            generated[k] = rng.uniformInt(0, generated[k]);  // down
+        std::vector<TokenCount> window =
+            predictor.window().snapshot();
+        std::sort(window.begin(), window.end());
+        const auto expected = static_cast<std::size_t>(
+            std::upper_bound(window.begin(), window.end(),
+                             generated[k]) -
+            window.begin());
+        ASSERT_EQ(predictor.tailStart(cursors[k], generated[k]),
+                  expected)
+            << "seed " << seed << " op " << op;
+    }
+}
+
+TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
+{
+    const std::uint64_t seed = GetParam();
+    constexpr TokenCount kCap = 3000;
+    for (PredictionMode mode :
+         {PredictionMode::StickySample, PredictionMode::PerStepSample,
+          PredictionMode::TailMean, PredictionMode::TailQuantile}) {
+        Rng rng(seed);
+        PastFutureParams params;
+        params.windowSize = 64;
+        params.predictionMode = mode;
+        params.seed = seed;
+        PastFutureScheduler scheduler(params);
+        // Replays the scheduler's sticky draws (its RNG feeds only
+        // first-sight variates here: no admission round runs).
+        Rng draws(params.seed);
+
+        struct Tracked
+        {
+            RequestId id = 0;
+            TokenCount generated = 0;
+            bool hasU = false;
+            double u = 0.0;
+        };
+        std::vector<Tracked> tracked(6);
+        for (std::size_t i = 0; i < tracked.size(); ++i)
+            tracked[i].id = static_cast<RequestId>(i + 1);
+
+        // From-scratch reference of predict (peek = false) and
+        // peekPrediction (peek = true).
+        auto reference = [&](const Tracked &t, bool peek) {
+            const LengthDistribution dist(
+                scheduler.history().snapshot());
+            TokenCount predicted = kCap;
+            if (!dist.empty()) {
+                if (mode == PredictionMode::TailQuantile) {
+                    predicted = dist.tailQuantile(
+                        t.generated, params.tailQuantile, kCap);
+                } else if (mode == PredictionMode::StickySample &&
+                           (t.hasU || !peek)) {
+                    predicted =
+                        dist.sampleTailAt(t.u, t.generated, kCap);
+                } else {
+                    predicted = dist.tailMean(t.generated, kCap);
+                }
+            }
+            return std::max(std::min(predicted, kCap), t.generated);
+        };
+
+        for (int op = 0; op < 3000; ++op) {
+            const auto dice = rng.uniformInt(0, 99);
+            Tracked &t = tracked[static_cast<std::size_t>(
+                rng.uniformInt(0, 5))];
+            if (dice < 15) {
+                scheduler.onRequestFinished(1'000'000 + op,
+                                            rng.uniformInt(1, 800));
+            } else if (dice < 20) {
+                // The request finishes; its id comes back fresh.
+                scheduler.onRequestFinished(t.id, t.generated + 1);
+                t.generated = 0;
+                t.hasU = false;
+            } else if (dice < 50) {
+                const auto move = rng.uniformInt(0, 9);
+                if (move < 7)
+                    t.generated += 1;
+                else if (move < 9)
+                    t.generated += rng.uniformInt(0, 300);
+                else  // evicted and re-admitted with less history
+                    t.generated = rng.uniformInt(0, t.generated);
+            } else if (dice < 75 &&
+                       mode != PredictionMode::PerStepSample) {
+                // predict() through the routing estimate: with an
+                // empty batch and a zero-prompt queue of one, the
+                // load is exactly the candidate's prediction. (An
+                // empty window predicts the cap and draws nothing.)
+                if (mode == PredictionMode::StickySample && !t.hasU &&
+                    !scheduler.history().empty()) {
+                    t.u = draws.uniformDouble();
+                    t.hasU = true;
+                }
+                WaitingView view;
+                view.id = t.id;
+                view.generatedLen = t.generated;
+                view.maxNewTokens = kCap;
+                SchedulerContext ctx;
+                ctx.waiting = std::span<const WaitingView>(&view, 1);
+                ASSERT_EQ(scheduler.estimateLoad(ctx),
+                          reference(t, false))
+                    << "seed " << seed << " mode "
+                    << static_cast<int>(mode) << " op " << op;
+            } else {
+                ASSERT_EQ(scheduler.peekPrediction(t.id, t.generated,
+                                                   kCap),
+                          reference(t, true))
+                    << "seed " << seed << " mode "
+                    << static_cast<int>(mode) << " op " << op;
+            }
+        }
+    }
+}
+
+/**
+ * Whole admission rounds against the copy-and-sort algorithm they
+ * replaced: a reference replays the scheduler's RNG (sticky variates
+ * and perturbation draws, in the same order), scores every trial by
+ * copying the batch, appending the candidate and sorting, and must
+ * reach the same decision for every candidate. Candidates include
+ * re-queued ones (generated > 0), whose tails start past the front.
+ */
+TEST_P(IncrementalPeakProperty, AdmissionMatchesCopyAndSortReference)
+{
+    const std::uint64_t seed = GetParam();
+    constexpr TokenCount kCap = 400;
+    Rng rng(seed);
+    PastFutureParams params;
+    params.windowSize = 64;
+    params.seed = seed;
+    PastFutureScheduler scheduler(params);
+    RequestId observed = 1'000'000;  // ids of requests seen finishing
+    for (int i = 0; i < 64; ++i) {
+        scheduler.onRequestFinished(observed++,
+                                    rng.uniformInt(1, 300));
+    }
+
+    Rng draws(params.seed);  // the scheduler's RNG, replayed
+    std::unordered_map<RequestId, double> sticky;
+    int decisions[2] = {0, 0};  // rejected, admitted
+    auto clamp_prediction = [&](TokenCount predicted, TokenCount g) {
+        return std::max(std::min(predicted, kCap), g);
+    };
+
+    for (int round = 0; round < 40; ++round) {
+        std::vector<RunningView> running(
+            static_cast<std::size_t>(rng.uniformInt(0, 12)));
+        for (std::size_t i = 0; i < running.size(); ++i) {
+            RunningView &view = running[i];
+            view.id = round * 100 + static_cast<RequestId>(i);
+            view.promptLen = rng.uniformInt(1, 200);
+            view.cachedPrefixLen = rng.uniformInt(0, view.promptLen);
+            view.generatedLen = rng.uniformInt(0, 250);
+            view.maxNewTokens = kCap;
+        }
+        std::vector<WaitingView> waiting(6);
+        for (std::size_t j = 0; j < waiting.size(); ++j) {
+            WaitingView &view = waiting[j];
+            view.id = round * 100 + 50 + static_cast<RequestId>(j);
+            view.promptLen = rng.uniformInt(1, 200);
+            view.generatedLen =
+                rng.bernoulli(0.5) ? rng.uniformInt(1, 250) : 0;
+            view.maxNewTokens = kCap;
+        }
+        SchedulerContext ctx;
+        ctx.capacityTokens = rng.uniformInt(500, 6000);
+        ctx.perRequestOverhead = 16;
+        ctx.running = running;
+        ctx.waiting = waiting;
+
+        const LengthDistribution dist(scheduler.history().snapshot());
+        auto predict = [&](RequestId id, TokenCount g) {
+            auto [it, inserted] = sticky.try_emplace(id, 0.0);
+            if (inserted)
+                it->second = draws.uniformDouble();
+            return clamp_prediction(
+                dist.sampleTailAt(it->second, g, kCap), g);
+        };
+        auto perturbed = [&](TokenCount g) {
+            return clamp_prediction(
+                dist.sampleTail(draws, g, kCap), g);
+        };
+
+        scheduler.beginAdmissionRound(ctx);
+        const auto trials =
+            static_cast<std::size_t>(params.admissionTrials);
+        std::vector<std::vector<BatchEntry>> batches(trials);
+        for (std::size_t t = 0; t < trials; ++t) {
+            for (const RunningView &view : running) {
+                batches[t].push_back(BatchEntry{
+                    view.promptLen - view.cachedPrefixLen,
+                    view.generatedLen,
+                    t == 0 ? predict(view.id, view.generatedLen)
+                           : perturbed(view.generatedLen)});
+            }
+        }
+        const auto limit = static_cast<TokenCount>(
+            static_cast<double>(ctx.capacityTokens) *
+            (1.0 - params.reservedRatio));
+        std::size_t admitted = 0;
+        for (const WaitingView &candidate : waiting) {
+            std::vector<BatchEntry> entries(trials);
+            std::vector<double> peaks(trials);
+            for (std::size_t t = 0; t < trials; ++t) {
+                const TokenCount g = candidate.generatedLen;
+                const TokenCount predicted =
+                    t == 0 ? predict(candidate.id, g) : perturbed(g);
+                entries[t] = BatchEntry{candidate.promptLen + g, 0,
+                                        predicted - g};
+                std::vector<BatchEntry> copy = batches[t];
+                copy.push_back(entries[t]);
+                peaks[t] =
+                    static_cast<double>(futureRequiredMemory(copy));
+            }
+            double mean = 0.0;
+            for (double peak : peaks)
+                mean += peak;
+            mean /= static_cast<double>(peaks.size());
+            double variance = 0.0;
+            for (double peak : peaks)
+                variance += (peak - mean) * (peak - mean);
+            variance /= static_cast<double>(peaks.size());
+            const double estimate =
+                mean + params.riskFactor * std::sqrt(variance);
+            const auto batch_size = static_cast<TokenCount>(
+                running.size() + admitted + 1);
+            const TokenCount overhead =
+                ctx.perRequestOverhead * batch_size;
+            const bool fits =
+                static_cast<TokenCount>(estimate) + overhead <= limit;
+            ASSERT_EQ(scheduler.tryAdmit(candidate), fits)
+                << "seed " << seed << " round " << round
+                << " candidate " << candidate.id;
+            ++decisions[fits ? 1 : 0];
+            if (fits) {
+                for (std::size_t t = 0; t < trials; ++t)
+                    batches[t].push_back(entries[t]);
+                ++admitted;
+            }
+        }
+        // The window moves between rounds.
+        const auto finished = rng.uniformInt(0, 3);
+        for (std::int64_t k = 0; k < finished; ++k) {
+            scheduler.onRequestFinished(observed++,
+                                        rng.uniformInt(1, 300));
+        }
+    }
+    EXPECT_GT(decisions[0], 0) << "seed " << seed;
+    EXPECT_GT(decisions[1], 0) << "seed " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalPeakProperty,
+                         ::testing::Values(3u, 14u, 159u, 2653u,
+                                           58979u, 323846u));
 
 } // namespace
 } // namespace core

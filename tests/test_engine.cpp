@@ -8,8 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
+#include "base/rng.hh"
+#include "core/future_memory.hh"
 #include "core/scheduler_factory.hh"
 #include "engine/framework_profile.hh"
 #include "engine/serving_engine.hh"
@@ -333,6 +338,181 @@ TEST(ServingEngineTest, DeterministicAcrossRuns)
     for (std::size_t i = 0; i < a.requests.size(); ++i) {
         EXPECT_EQ(a.requests[i].firstToken, b.requests[i].firstToken);
         EXPECT_EQ(a.requests[i].finish, b.requests[i].finish);
+    }
+}
+
+/**
+ * Admission decorator that records every prediction peek, optionally
+ * replacing the inner scheduler's prediction with a synthetic one
+ * that jumps every 16 generated tokens. Without a trace attached the
+ * engine peeks only in its prediction audit, so the peeks of one
+ * stepOnce() are exactly the batch that step audited.
+ */
+class PeekRecorder final : public core::Scheduler
+{
+  public:
+    struct Peek
+    {
+        RequestId id;
+        TokenCount generated;
+        TokenCount predicted;
+    };
+
+    PeekRecorder(std::unique_ptr<core::Scheduler> inner, bool jumpy)
+        : inner_(std::move(inner)), jumpy_(jumpy)
+    {
+    }
+
+    void
+    beginAdmissionRound(const core::SchedulerContext &ctx) override
+    {
+        inner_->beginAdmissionRound(ctx);
+    }
+
+    bool
+    tryAdmit(const core::WaitingView &candidate) override
+    {
+        return inner_->tryAdmit(candidate);
+    }
+
+    void
+    onRequestFinished(RequestId id, TokenCount output_len) override
+    {
+        inner_->onRequestFinished(id, output_len);
+    }
+
+    void
+    onRequestEvicted(RequestId id) override
+    {
+        inner_->onRequestEvicted(id);
+    }
+
+    TokenCount
+    peekPrediction(RequestId id, TokenCount generated_len,
+                   TokenCount max_new_tokens) override
+    {
+        // Jumps every 16 generated tokens, up or down.
+        const TokenCount jump =
+            (id * 37 + generated_len / 16 * 11) % 200;
+        const TokenCount predicted = jumpy_
+            ? generated_len + jump
+            : inner_->peekPrediction(id, generated_len,
+                                     max_new_tokens);
+        peeks.push_back(Peek{id, generated_len, predicted});
+        return predicted;
+    }
+
+    std::string name() const override { return inner_->name(); }
+
+    std::vector<Peek> peeks;
+
+  private:
+    std::unique_ptr<core::Scheduler> inner_;
+    bool jumpy_;
+};
+
+/**
+ * The carried prediction audit against a from-scratch one, step by
+ * step, while the request slab recycles. Two waves reuse the same
+ * ids, so every second-wave request takes over a recycled
+ * EngineRequest (and, under Past-Future, starts a fresh sticky
+ * sample) while the audit slots may still point at the slab entry
+ * from its previous life; evictions, swap-ins and split-fuse
+ * prefill-pending entries reorder the carried batch.
+ */
+TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
+{
+    struct Variant
+    {
+        const char *name;
+        SchedulerConfig scheduler;
+        bool jumpy;
+        bool splitFuse;
+        EvictionMode mode;
+    };
+    const Variant variants[] = {
+        {"aggressive, jumpy predictions, split-fuse",
+         SchedulerConfig::aggressive(1.0), true, true,
+         EvictionMode::Recompute},
+        {"aggressive, jumpy predictions, swap",
+         SchedulerConfig::aggressive(1.0), true, false,
+         EvictionMode::Swap},
+        {"past-future, split-fuse",
+         SchedulerConfig::pastFutureDefault(0.0), false, true,
+         EvictionMode::Recompute},
+    };
+    constexpr RequestId kWave = 48;
+    for (const Variant &variant : variants) {
+        SCOPED_TRACE(variant.name);
+        EngineConfig config;
+        config.splitFuse = variant.splitFuse;
+        config.splitFuseChunk = 64;
+        config.evictionMode = variant.mode;
+        config.timeseriesInterval = 1;  // one point per decode step
+        auto recorder = std::make_unique<PeekRecorder>(
+            core::makeScheduler(variant.scheduler), variant.jumpy);
+        PeekRecorder &recorded = *recorder;
+        ServingEngine engine(tinyPerf(2.0), std::move(recorder),
+                             config);
+
+        Rng rng(29);
+        std::unordered_map<RequestId, RequestSpec> live;
+        std::vector<TokenCount> expected_true;
+        std::vector<TokenCount> expected_predicted;
+        for (int wave = 0; wave < 2; ++wave) {
+            for (RequestId id = 0; id < kWave; ++id) {
+                live[id] = makeRequest(id, rng.uniformInt(16, 300),
+                                       rng.uniformInt(1, 400), 600);
+                engine.submitAt(live[id], engine.now() + id * 20'000);
+            }
+            const std::size_t done = engine.numFinished() +
+                static_cast<std::size_t>(kWave);
+            while (engine.numFinished() < done) {
+                recorded.peeks.clear();
+                ASSERT_TRUE(engine.stepOnce());
+                if (recorded.peeks.empty())
+                    continue;
+                std::vector<core::BatchEntry> truth;
+                std::vector<core::BatchEntry> predicted;
+                for (const auto &peek : recorded.peeks) {
+                    const RequestSpec &spec = live.at(peek.id);
+                    truth.push_back(core::BatchEntry{
+                        spec.inputLen, peek.generated,
+                        std::max(spec.effectiveOutputLen(),
+                                 peek.generated)});
+                    predicted.push_back(core::BatchEntry{
+                        spec.inputLen, peek.generated,
+                        std::max(peek.predicted, peek.generated)});
+                }
+                expected_true.push_back(
+                    core::futureRequiredMemory(truth));
+                expected_predicted.push_back(
+                    core::futureRequiredMemory(predicted));
+            }
+        }
+
+        // The second wave ran entirely on recycled slab entries.
+        EXPECT_LE(engine.requestSlabSize(),
+                  static_cast<std::size_t>(kWave));
+        const auto report = engine.report();
+        if (variant.jumpy) {
+            EXPECT_GT(report.evictionEvents, 0);
+        }
+        const double capacity =
+            static_cast<double>(engine.capacityTokens());
+        ASSERT_EQ(report.timeseries.size(), expected_true.size());
+        double error_sum = 0.0;
+        for (std::size_t i = 0; i < expected_true.size(); ++i) {
+            const double future =
+                static_cast<double>(expected_true[i]) / capacity;
+            ASSERT_EQ(report.timeseries[i].futureRequiredRatio,
+                      future)
+                << "decode step " << i;
+            const double predicted =
+                static_cast<double>(expected_predicted[i]) / capacity;
+            error_sum += std::fabs(predicted - future);
+        }
+        EXPECT_DOUBLE_EQ(report.futureErrorAbsSum, error_sum);
     }
 }
 

@@ -352,6 +352,62 @@ TEST(EngineAllocTest, SubmitPathReusesRequestSlab)
         << ": the submit path lost its warm-up amortization";
 }
 
+/**
+ * Once warm, the serving loop itself allocates nothing: an iteration
+ * that neither admits, finishes nor evicts still runs a full
+ * Past-Future admission round (sorted trials, merged-scan candidate
+ * tests) and a decode step with its carried Eq. 2-4 prediction
+ * audit, and every buffer those use persists across iterations.
+ * Iterations that change the batch are excluded: admission inserts a
+ * block table and a sticky sample, finishing records a request. One
+ * KV block per request (a block larger than any request) keeps block
+ * tables from growing mid-decode.
+ */
+TEST(EngineAllocTest, WarmedStepsAndAdmissionRoundsAllocateNothing)
+{
+    engine::EngineConfig config;
+    config.blockSize = 1024;
+    engine::ServingEngine engine(
+        testfx::tinyPerf(32.0),
+        core::makeScheduler(
+            core::SchedulerConfig::pastFutureDefault(0.05)),
+        config);
+    Lcg rng(0xa11c);
+    constexpr RequestId kRequests = 300;
+    for (RequestId id = 0; id < kRequests; ++id) {
+        engine.submitAt(
+            testfx::makeRequest(
+                id, 32 + static_cast<TokenCount>(rng.below(224)),
+                16 + static_cast<TokenCount>(rng.below(384)), 600),
+            0);
+    }
+
+    // Warm-up: the first sixth of the requests.
+    while (engine.numFinished() < kRequests / 6)
+        ASSERT_TRUE(engine.stepOnce());
+
+    std::size_t quiet_steps = 0;
+    std::uint64_t quiet_allocations = 0;
+    while (engine.numFinished() < kRequests * 5 / 6) {
+        const std::size_t finished = engine.numFinished();
+        const std::size_t waiting = engine.waitingSize();
+        const std::size_t running = engine.runningSize();
+        const std::uint64_t before = g_allocations;
+        ASSERT_TRUE(engine.stepOnce());
+        if (engine.numFinished() == finished &&
+            engine.waitingSize() == waiting &&
+            engine.runningSize() == running) {
+            ++quiet_steps;
+            quiet_allocations += g_allocations - before;
+        }
+    }
+    ASSERT_GT(engine.waitingSize(), 0u)
+        << "the queue drained: admission rounds stopped running";
+    EXPECT_GT(quiet_steps, 500u);
+    EXPECT_EQ(quiet_allocations, 0u)
+        << "a warmed admission round or decode step allocated";
+}
+
 /** Callables beyond kInlineSize must still work (heap fallback). */
 TEST(EventQueueAllocTest, OversizedCallablesFallBackToHeap)
 {
