@@ -7,10 +7,13 @@
  * at realistic batch sizes, with the modelled decode-iteration
  * latency printed for comparison: a Past-Future admission round at
  * batch 256 must stay 100x below the ~30-60 ms A100 decode step.
+ * Also times the prefix cache's reclaim under a mostly pinned cache,
+ * the KV bookkeeping a decode step pays when its pool runs dry.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -18,6 +21,8 @@
 #include "core/future_memory.hh"
 #include "core/length_distribution.hh"
 #include "core/past_future_scheduler.hh"
+#include "memory/kv_block_manager.hh"
+#include "memory/prefix_cache.hh"
 #include "metrics/collector.hh"
 #include "model/perf_model.hh"
 
@@ -236,6 +241,50 @@ BM_CollectorDecodeStep(benchmark::State &state)
     benchmark::DoNotOptimize(&collector);
 }
 
+/**
+ * One-block reclaims from a mostly pinned cache: 8192 cached blocks,
+ * 90% of them held by a live request and older than every parked
+ * block, so a walk from the LRU tail passes all of them. Each
+ * iteration admits a two-block request with one block free, which
+ * reclaims the least recently used parked block; the request then
+ * publishes its first block under a fresh hash and finishes, parking
+ * it, so the pinned/parked split stays fixed.
+ */
+void
+BM_PrefixCacheReclaim(benchmark::State &state)
+{
+    constexpr TokenCount kBlock = 16;
+    constexpr std::int64_t kCached = 8192;
+    constexpr std::int64_t kPinned = kCached * 9 / 10;
+    memory::KvBlockManager kv((kCached + 1) * kBlock, kBlock);
+    memory::PrefixCache cache(kv);
+    kv.attachPrefixCache(&cache);
+
+    std::vector<PrefixHash> pinned(kPinned);
+    std::iota(pinned.begin(), pinned.end(), PrefixHash{1});
+    PrefixHash next_hash = kPinned + 1;
+    kv.allocate(0, kPinned * kBlock);
+    cache.insert(pinned, kv.blockTable(0));
+
+    RequestId next_id = 1;
+    auto cycle = [&](TokenCount tokens) {
+        const RequestId id = next_id++;
+        kv.allocate(id, tokens);
+        const PrefixHash hash = next_hash++;
+        cache.insert(std::span<const PrefixHash>(&hash, 1),
+                     std::span<const memory::BlockId>(
+                         kv.blockTable(id))
+                         .first(1));
+        kv.release(id);
+    };
+    for (std::int64_t i = kPinned; i < kCached; ++i)
+        cycle(kBlock);  // park one block
+    for (auto _ : state)
+        cycle(2 * kBlock);  // reclaim one, park one
+    state.counters["reclaimable"] =
+        static_cast<double>(kv.reclaimableBlocks());
+}
+
 } // namespace
 
 BENCHMARK(BM_PastFutureAdmissionRound)->Arg(16)->Arg(64)->Arg(256);
@@ -246,5 +295,6 @@ BENCHMARK(BM_DistributionRebuild)->Arg(1000)->Arg(5000);
 BENCHMARK(BM_TailSampleAt);
 BENCHMARK(BM_ReferenceDecodeIterationLatency)->Arg(64)->Arg(256);
 BENCHMARK(BM_CollectorDecodeStep);
+BENCHMARK(BM_PrefixCacheReclaim);
 
 BENCHMARK_MAIN();

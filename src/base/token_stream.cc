@@ -31,30 +31,51 @@ foldToken(PrefixHash hash, std::uint64_t key, TokenCount offset)
 
 } // namespace
 
+void
+extendBlockHashChain(std::span<const PromptSegment> segments,
+                     TokenCount block_size_tokens, TokenCount max_tokens,
+                     std::vector<PrefixHash> &hashes)
+{
+    LIGHTLLM_ASSERT(block_size_tokens >= 1,
+                    "block size must be >= 1");
+    // Tokens past the last full block under the cap emit nothing.
+    const TokenCount limit =
+        max_tokens / block_size_tokens * block_size_tokens;
+    // The running hash at a block boundary is the hash emitted
+    // there, so the chain resumes from its last hash.
+    TokenCount position =
+        static_cast<TokenCount>(hashes.size()) * block_size_tokens;
+    if (position >= limit)
+        return;
+    PrefixHash hash = hashes.empty()
+        ? 0x50465343414348ull  // chain seed
+        : hashes.back();
+    TokenCount boundary = position + block_size_tokens;
+    TokenCount start = 0;  // stream position of `segment`'s first token
+    for (const PromptSegment &segment : segments) {
+        LIGHTLLM_ASSERT(segment.len > 0,
+                        "empty prompt segment");
+        const TokenCount end = std::min(start + segment.len, limit);
+        for (; position < end; ++position) {
+            hash = foldToken(hash, segment.key, position - start);
+            if (position + 1 == boundary) {
+                hashes.push_back(hash);
+                boundary += block_size_tokens;
+            }
+        }
+        if (end == limit)
+            return;
+        start += segment.len;
+    }
+}
+
 std::vector<PrefixHash>
 blockHashChain(std::span<const PromptSegment> segments,
                TokenCount block_size_tokens, TokenCount max_tokens)
 {
-    LIGHTLLM_ASSERT(block_size_tokens >= 1,
-                    "block size must be >= 1");
     std::vector<PrefixHash> hashes;
-    if (max_tokens < block_size_tokens)
-        return hashes;
-
-    PrefixHash hash = 0x50465343414348ull;  // chain seed
-    TokenCount position = 0;  // tokens folded so far
-    for (const PromptSegment &segment : segments) {
-        LIGHTLLM_ASSERT(segment.len > 0,
-                        "empty prompt segment");
-        for (TokenCount offset = 0; offset < segment.len; ++offset) {
-            if (position >= max_tokens)
-                return hashes;
-            hash = foldToken(hash, segment.key, offset);
-            ++position;
-            if (position % block_size_tokens == 0)
-                hashes.push_back(hash);
-        }
-    }
+    extendBlockHashChain(segments, block_size_tokens, max_tokens,
+                         hashes);
     return hashes;
 }
 

@@ -47,11 +47,25 @@ using PrefixHash = std::uint64_t;
  * tokens and emits one hash per *complete* block of
  * `block_size_tokens` tokens, each chained over all preceding
  * blocks. A partial trailing block emits nothing: only full blocks
- * are shareable.
+ * are shareable. The from-empty case of extendBlockHashChain().
  */
 std::vector<PrefixHash>
 blockHashChain(std::span<const PromptSegment> segments,
                TokenCount block_size_tokens, TokenCount max_tokens);
+
+/**
+ * Resume a chain: `hashes` holds the first hashes of this stream's
+ * chain (possibly none); append the rest up to `max_tokens`, so the
+ * result equals blockHashChain(segments, block_size_tokens,
+ * max_tokens) whenever that is at least as long. The running hash
+ * at a block boundary is the hash emitted there, so resuming needs
+ * only hashes.back() and the position hashes.size() * block size;
+ * every token is folded at most once over a growing stream.
+ */
+void extendBlockHashChain(std::span<const PromptSegment> segments,
+                          TokenCount block_size_tokens,
+                          TokenCount max_tokens,
+                          std::vector<PrefixHash> &hashes);
 
 /** Derive a fresh content key from a seed and two coordinates
  *  (SplitMix64 finalisation; never returns 0). */

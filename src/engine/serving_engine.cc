@@ -166,7 +166,6 @@ ServingEngine::allocRequest()
         request->cachedPrefix = 0;
         request->migratedAdmit = false;
         request->hashes.clear();
-        request->hashedFor = -1;
         request->auditMark = 0;
         return request;
     }
@@ -268,32 +267,43 @@ ServingEngine::runningViewOf(const EngineRequest &request,
         request.cachedPrefix};
 }
 
-const std::vector<PrefixHash> &
+std::span<const PrefixHash>
+ServingEngine::hashChain(EngineRequest &request, TokenCount cap)
+{
+    const workload::RequestSpec &spec = request.spec;
+    // Content-identified tokens: the prompt segments always; the
+    // generated output only when the spec names its content.
+    const TokenCount output =
+        spec.outputKey != 0 ? request.generated : 0;
+    const auto full_blocks =
+        static_cast<std::size_t>(cap / kv_.blockSize());
+    if (request.hashes.size() < full_blocks) {
+        // The stream only grows (output is appended), so the chain
+        // held so far is a prefix of the one to this cap.
+        streamScratch_.assign(spec.segments.begin(),
+                              spec.segments.end());
+        if (output > 0)
+            streamScratch_.push_back(
+                PromptSegment{spec.outputKey, output});
+        extendBlockHashChain(streamScratch_, kv_.blockSize(), cap,
+                             request.hashes);
+    }
+    // Shorter than full_blocks only when the stream ends before cap.
+    return std::span<const PrefixHash>(request.hashes)
+        .first(std::min(request.hashes.size(), full_blocks));
+}
+
+std::span<const PrefixHash>
 ServingEngine::promptHashes(EngineRequest &request)
 {
     const workload::RequestSpec &spec = request.spec;
     const TokenCount prompt = spec.inputLen + request.generated;
-    // Content-identified tokens: the prompt segments always; the
-    // regenerated output only when the spec names its content.
     const TokenCount known = spec.outputKey != 0
         ? prompt
         : spec.inputLen;
     // One short of the prompt: the final prompt token is always
     // prefilled (it produces the logits for the first new token).
-    const TokenCount cap = std::min(known, prompt - 1);
-    if (request.hashedFor == cap)
-        return request.hashes;
-
-    streamScratch_.assign(spec.segments.begin(),
-                          spec.segments.end());
-    if (spec.outputKey != 0 && request.generated > 0) {
-        streamScratch_.push_back(
-            PromptSegment{spec.outputKey, request.generated});
-    }
-    request.hashes =
-        blockHashChain(streamScratch_, kv_.blockSize(), cap);
-    request.hashedFor = cap;
-    return request.hashes;
+    return hashChain(request, std::min(known, prompt - 1));
 }
 
 TokenCount
@@ -319,23 +329,15 @@ ServingEngine::cacheInsert(EngineRequest *request)
     const workload::RequestSpec &spec = request->spec;
     const TokenCount known = spec.inputLen +
         (spec.outputKey != 0 ? request->generated : 0);
-    streamScratch_.assign(spec.segments.begin(),
-                          spec.segments.end());
-    if (spec.outputKey != 0 && request->generated > 0) {
-        streamScratch_.push_back(
-            PromptSegment{spec.outputKey, request->generated});
-    }
-    insertHashScratch_ =
-        blockHashChain(streamScratch_, kv_.blockSize(), known);
+    const std::span<const PrefixHash> hashes =
+        hashChain(*request, known);
     const std::vector<memory::BlockId> &table =
         kv_.blockTable(spec.id);
     // Full identified blocks are always a prefix of the block
     // table (the allocation covers prompt + at least one token).
-    const std::size_t count =
-        std::min(insertHashScratch_.size(), table.size());
+    const std::size_t count = std::min(hashes.size(), table.size());
     prefixCache_->insert(
-        std::span<const PrefixHash>(insertHashScratch_)
-            .first(count),
+        hashes.first(count),
         std::span<const memory::BlockId>(table).first(count));
 }
 

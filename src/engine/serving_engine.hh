@@ -37,6 +37,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -306,10 +307,10 @@ class ServingEngine : public workload::RequestSink
          *  emission — the first token came from the prefill pool). */
         bool migratedAdmit = false;
 
-        /** Memoised prompt block-hash chain (prefix-cache mode)
-         *  and the token cap it was computed for (-1 = none). */
+        /** The request's block-hash chain (prefix-cache mode),
+         *  extended in place as larger caps ask for more blocks:
+         *  no token of the request is folded twice. */
         std::vector<PrefixHash> hashes;
-        TokenCount hashedFor = -1;
 
         /** Prediction-audit membership mark (see carryAuditMembers;
          *  only ever compared against the current step's marks). */
@@ -361,14 +362,23 @@ class ServingEngine : public workload::RequestSink
         const EngineRequest &request);
 
     /**
+     * The first cap / blockSize hashes of the request's stream
+     * (prompt segments, then generated output when outputKey names
+     * it), fewer if the stream ends sooner. Extends
+     * EngineRequest::hashes when it is short; the span is valid
+     * until the next extension.
+     */
+    std::span<const PrefixHash> hashChain(EngineRequest &request,
+                                          TokenCount cap);
+
+    /**
      * The request's prompt block-hash chain, capped one token short
      * of its recompute prompt (a fully cached prompt still prefills
      * its last token) and at the tokens whose content is known
      * (prompt; plus regenerated output when outputKey is set).
-     * Memoised per request. Prefix-cache mode only.
+     * Prefix-cache mode only.
      */
-    const std::vector<PrefixHash> &promptHashes(
-        EngineRequest &request);
+    std::span<const PrefixHash> promptHashes(EngineRequest &request);
 
     /** Cache the request's full KV blocks whose content is
      *  identified (prompt, plus generated tokens when the spec
@@ -590,7 +600,6 @@ class ServingEngine : public workload::RequestSink
 
     std::vector<memory::BlockId> matchScratch_;
     std::vector<PromptSegment> streamScratch_;
-    std::vector<PrefixHash> insertHashScratch_;
 };
 
 } // namespace engine

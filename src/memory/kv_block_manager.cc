@@ -1,6 +1,7 @@
 #include "memory/kv_block_manager.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "base/logging.hh"
 #include "memory/prefix_cache.hh"
@@ -24,6 +25,9 @@ KvBlockManager::KvBlockManager(TokenCount capacity_tokens,
     : blockSize_(block_size_tokens)
 {
     LIGHTLLM_ASSERT(block_size_tokens >= 1, "block size must be >= 1");
+    LIGHTLLM_ASSERT(block_size_tokens <=
+                        std::numeric_limits<std::int32_t>::max(),
+                    "block size exceeds the 32-bit per-block fill");
     LIGHTLLM_ASSERT(capacity_tokens >= block_size_tokens,
                     "capacity smaller than one block");
     const std::int64_t num_blocks = capacity_tokens / blockSize_;
@@ -57,10 +61,11 @@ KvBlockManager::takeFreeBlock(TokenCount tokens)
     const BlockId block = freeList_.back();
     freeList_.pop_back();
     BlockState &state = states_[static_cast<std::size_t>(block)];
-    LIGHTLLM_ASSERT(state.requestRefs == 0 && !state.cached,
+    LIGHTLLM_ASSERT(state.requestRefs == 0 &&
+                        state.cacheEntry == kNotCached,
                     "free-list block ", block, " still referenced");
     state.requestRefs = 1;
-    state.heldTokens = tokens;
+    state.heldTokens = static_cast<std::int32_t>(tokens);
     usedTokens_ += tokens;
     return block;
 }
@@ -69,15 +74,17 @@ void
 KvBlockManager::addRequestRef(BlockId block)
 {
     BlockState &state = states_[static_cast<std::size_t>(block)];
-    LIGHTLLM_ASSERT(state.requestRefs > 0 || state.cached,
+    LIGHTLLM_ASSERT(state.requestRefs > 0 ||
+                        state.cacheEntry != kNotCached,
                     "sharing an unreferenced block ", block);
     if (state.requestRefs == 0) {
         // A reclaimable cache-only block rejoins the working set.
         LIGHTLLM_ASSERT(state.heldTokens == 0,
                         "cache-only block still charged");
-        state.heldTokens = blockSize_;
+        state.heldTokens = static_cast<std::int32_t>(blockSize_);
         usedTokens_ += blockSize_;
         --cacheOnly_;
+        cache_->pin(state.cacheEntry);
     }
     ++state.requestRefs;
 }
@@ -93,8 +100,9 @@ KvBlockManager::dropRequestRef(BlockId block)
         return;
     usedTokens_ -= state.heldTokens;
     state.heldTokens = 0;
-    if (state.cached) {
+    if (state.cacheEntry != kNotCached) {
         ++cacheOnly_;  // parked: reclaimable, not free
+        cache_->park(state.cacheEntry);
         return;
     }
     freeList_.push_back(block);
@@ -124,31 +132,42 @@ KvBlockManager::allocateShared(RequestId id, TokenCount num_tokens,
     const std::int64_t need =
         ceilDiv(num_tokens - shared_tokens, blockSize_);
 
-    Allocation alloc;
-    alloc.numTokens = num_tokens;
-    alloc.sharedTokens = shared_tokens;
-    alloc.blocks.reserve(shared_prefix.size() +
-                         static_cast<std::size_t>(need));
     // Hold the shared blocks before covering the private suffix:
     // an LRU reclaim triggered below must not steal a matched
     // cache-only block out from under this allocation.
-    for (const BlockId block : shared_prefix) {
+    for (const BlockId block : shared_prefix)
         addRequestRef(block);
-        alloc.blocks.push_back(block);
-    }
     if (!ensureFreeBlocks(need)) {
         for (const BlockId block : shared_prefix)
             dropRequestRef(block);
         return false;
     }
+
+    Allocation &alloc = insertTable(id);
+    alloc.numTokens = num_tokens;
+    alloc.sharedTokens = shared_tokens;
+    alloc.blocks.reserve(shared_prefix.size() +
+                         static_cast<std::size_t>(need));
+    alloc.blocks.assign(shared_prefix.begin(), shared_prefix.end());
     TokenCount remaining = num_tokens - shared_tokens;
     for (std::int64_t i = 0; i < need; ++i) {
         const TokenCount fill = std::min(remaining, blockSize_);
         alloc.blocks.push_back(takeFreeBlock(fill));
         remaining -= fill;
     }
-    tables_.emplace(id, std::move(alloc));
     return true;
+}
+
+KvBlockManager::Allocation &
+KvBlockManager::insertTable(RequestId id)
+{
+    if (spareTables_.empty())
+        return tables_.emplace(id, Allocation{}).first->second;
+    TableMap::node_type node = std::move(spareTables_.back());
+    spareTables_.pop_back();
+    node.key() = id;
+    node.mapped().blocks.clear();
+    return tables_.insert(std::move(node)).position->second;
 }
 
 std::int64_t
@@ -192,7 +211,7 @@ KvBlockManager::extendAlloc(Allocation &alloc, TokenCount num_tokens)
             states_[static_cast<std::size_t>(alloc.blocks.back())];
         LIGHTLLM_ASSERT(last.requestRefs == 1,
                         "slack fill into a shared block");
-        last.heldTokens += fill;
+        last.heldTokens += static_cast<std::int32_t>(fill);
         usedTokens_ += fill;
     }
     TokenCount remaining = num_tokens - fill;
@@ -213,7 +232,7 @@ KvBlockManager::release(RequestId id)
         return;
     for (BlockId block : it->second.blocks)
         dropRequestRef(block);
-    tables_.erase(it);
+    spareTables_.push_back(tables_.extract(it));
 }
 
 bool
@@ -306,27 +325,29 @@ KvBlockManager::requestRefs(BlockId block) const
 bool
 KvBlockManager::isCached(BlockId block) const
 {
-    return states_[static_cast<std::size_t>(block)].cached;
+    return states_[static_cast<std::size_t>(block)].cacheEntry !=
+        kNotCached;
 }
 
 void
-KvBlockManager::retainCached(BlockId block)
+KvBlockManager::retainCached(BlockId block, std::uint32_t entry)
 {
     BlockState &state = states_[static_cast<std::size_t>(block)];
-    LIGHTLLM_ASSERT(!state.cached,
+    LIGHTLLM_ASSERT(state.cacheEntry == kNotCached,
                     "block ", block, " retained twice");
     LIGHTLLM_ASSERT(state.requestRefs > 0,
                     "caching a free block ", block);
-    state.cached = true;
+    LIGHTLLM_ASSERT(entry != kNotCached, "invalid cache entry");
+    state.cacheEntry = entry;
 }
 
 void
 KvBlockManager::dropCached(BlockId block)
 {
     BlockState &state = states_[static_cast<std::size_t>(block)];
-    LIGHTLLM_ASSERT(state.cached,
+    LIGHTLLM_ASSERT(state.cacheEntry != kNotCached,
                     "dropping uncached block ", block);
-    state.cached = false;
+    state.cacheEntry = kNotCached;
     if (state.requestRefs == 0) {
         --cacheOnly_;
         freeList_.push_back(block);

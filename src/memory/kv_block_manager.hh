@@ -70,7 +70,10 @@ class KvBlockManager
      * Attach a prefix cache: blocks the cache retains survive
      * release() as reclaimable entries, and allocation reclaims
      * least-recently-used unreferenced cached blocks when the free
-     * list alone cannot cover a request. The cache must outlive the
+     * list alone cannot cover a request. The manager tells the
+     * cache when a cached block loses its last request reference
+     * (parked) or gains its first (pinned), so the cache indexes
+     * exactly the reclaimable blocks. The cache must outlive the
      * manager's use of it.
      */
     void attachPrefixCache(PrefixCache *cache) { cache_ = cache; }
@@ -160,8 +163,9 @@ class KvBlockManager
         return static_cast<std::int64_t>(freeList_.size());
     }
 
-    /** Cached blocks no request references — reclaimable on demand
-     *  by the attached prefix cache's LRU walk. */
+    /** Cached blocks no request references (parked) — reclaimable
+     *  on demand, least recently used first, by the attached prefix
+     *  cache. */
     std::int64_t reclaimableBlocks() const { return cacheOnly_; }
 
     /** Token-level utilization in [0, 1]. */
@@ -180,7 +184,7 @@ class KvBlockManager
     /** Number of live requests. */
     std::size_t numRequests() const { return tables_.size(); }
 
-    // --- Reference bookkeeping (prefix cache + tests) ---------------
+    // --- Reference bookkeeping (tests) -------------------------------
 
     /** Requests referencing `block` (cache retention excluded). */
     std::int32_t requestRefs(BlockId block) const;
@@ -188,15 +192,12 @@ class KvBlockManager
     /** True when the prefix cache retains `block`. */
     bool isCached(BlockId block) const;
 
-    /** The prefix cache retains `block` (must be live, not yet
-     *  cached): it will survive request release as reclaimable. */
-    void retainCached(BlockId block);
-
-    /** The prefix cache stops retaining `block`; if no request
-     *  references it, it returns to the free list. */
-    void dropCached(BlockId block);
-
   private:
+    friend class PrefixCache;
+
+    /** BlockState::cacheEntry of a block the cache does not hold. */
+    static constexpr std::uint32_t kNotCached = 0xffffffffu;
+
     struct Allocation
     {
         TokenCount numTokens = 0;
@@ -208,20 +209,39 @@ class KvBlockManager
         std::vector<BlockId> blocks;
     };
 
+    using TableMap = std::unordered_map<RequestId, Allocation>;
+
     /** Per-physical-block reference state. */
     struct BlockState
     {
         /** Requests whose tables contain the block. */
         std::int32_t requestRefs = 0;
 
-        /** Retained by the prefix cache. */
-        bool cached = false;
-
         /** Tokens this block contributes to usedTokens_ while
          *  request-referenced (blockSize for full blocks, the
-         *  actual fill for a private last block). */
-        TokenCount heldTokens = 0;
+         *  actual fill for a private last block; never more than
+         *  blockSize, hence 32 bits). */
+        std::int32_t heldTokens = 0;
+
+        /** The prefix cache's entry for the block, kNotCached when
+         *  the cache does not retain it. */
+        std::uint32_t cacheEntry = kNotCached;
     };
+
+  public:
+    /** Bytes of per-block state (tests pin that the prefix cache's
+     *  entry index did not grow it). */
+    static constexpr std::size_t kBlockStateBytes = sizeof(BlockState);
+
+  private:
+    /** The prefix cache retains `block` (must be live, not yet
+     *  cached) under its entry `entry`: the block will survive
+     *  request release as reclaimable. */
+    void retainCached(BlockId block, std::uint32_t entry);
+
+    /** The prefix cache stops retaining `block`; if no request
+     *  references it, it returns to the free list. */
+    void dropCached(BlockId block);
 
     /** Blocks needed to extend an allocation by `extra` tokens. */
     std::int64_t blocksForExtension(const Allocation &alloc,
@@ -235,11 +255,15 @@ class KvBlockManager
      *  blocks if required. False when impossible. */
     bool ensureFreeBlocks(std::int64_t need);
 
+    /** A fresh (empty) table for `id`, reusing a spare node. */
+    Allocation &insertTable(RequestId id);
+
     /** Take one block off the free list for a new reference holding
      *  `tokens` slots. */
     BlockId takeFreeBlock(TokenCount tokens);
 
-    /** Add a request reference to an existing (shared) block. */
+    /** Add a request reference to an existing (shared) block; a
+     *  parked block is pinned again. */
     void addRequestRef(BlockId block);
 
     /** Drop one request reference; frees or parks the block. */
@@ -249,8 +273,12 @@ class KvBlockManager
     TokenCount capacityTokens_;
     std::vector<BlockId> freeList_;
     std::vector<BlockState> states_;
-    std::unordered_map<RequestId, Allocation> tables_;
+    TableMap tables_;
     TokenCount usedTokens_ = 0;
+
+    /** Released tables' map nodes, block vectors still allocated:
+     *  admissions reuse them, so a warmed pool allocates nothing. */
+    std::vector<TableMap::node_type> spareTables_;
 
     /** Count of cached blocks with zero request references. */
     std::int64_t cacheOnly_ = 0;

@@ -13,8 +13,8 @@ PrefixCache::~PrefixCache()
 {
     // Orderly teardown keeps the manager's invariants intact even
     // when the cache dies first (engine member destruction order).
-    for (const Entry &entry : lru_)
-        kv_.dropCached(entry.block);
+    for (const auto &[hash, entry] : map_)
+        kv_.dropCached(entries_[entry].block);
 }
 
 std::size_t
@@ -27,8 +27,8 @@ PrefixCache::match(std::span<const PrefixHash> hashes,
         const auto it = map_.find(hash);
         if (it == map_.end())
             break;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        blocks_out.push_back(it->second->block);
+        touch(it->second);
+        blocks_out.push_back(entries_[it->second].block);
         ++matched;
     }
     hitBlocks_ += matched;
@@ -59,12 +59,32 @@ PrefixCache::insert(std::span<const PrefixHash> hashes,
             // Same content already cached (possibly under a
             // different physical block prefilled concurrently);
             // keep the incumbent, refresh its recency.
-            lru_.splice(lru_.begin(), lru_, it->second);
+            touch(it->second);
             continue;
         }
-        kv_.retainCached(blocks[i]);
-        lru_.push_front(Entry{hashes[i], blocks[i]});
-        map_.emplace(hashes[i], lru_.begin());
+        EntryIndex entry;
+        if (freeEntries_.empty()) {
+            entry = static_cast<EntryIndex>(entries_.size());
+            LIGHTLLM_ASSERT(entry != KvBlockManager::kNotCached,
+                            "entry slab overflow");
+            entries_.emplace_back();
+        } else {
+            entry = freeEntries_.back();
+            freeEntries_.pop_back();
+        }
+        // A live request holds the block, so it starts pinned.
+        entries_[entry] =
+            Entry{hashes[i], ++clock_, blocks[i], kPinned};
+        kv_.retainCached(blocks[i], entry);
+        if (spareNodes_.empty()) {
+            map_.emplace(hashes[i], entry);
+        } else {
+            HashMap::node_type node = std::move(spareNodes_.back());
+            spareNodes_.pop_back();
+            node.key() = hashes[i];
+            node.mapped() = entry;
+            map_.insert(std::move(node));
+        }
     }
 }
 
@@ -72,18 +92,94 @@ std::int64_t
 PrefixCache::reclaim(std::int64_t count)
 {
     std::int64_t reclaimed = 0;
-    auto it = lru_.end();
-    while (reclaimed < count && it != lru_.begin()) {
-        --it;
-        if (kv_.requestRefs(it->block) > 0)
-            continue;  // shared with a live request: keep cached
-        const BlockId block = it->block;
-        map_.erase(it->hash);
-        it = lru_.erase(it);
-        kv_.dropCached(block);
+    while (reclaimed < count && !parked_.empty()) {
+        const EntryIndex entry = parked_.front().entry;
+        pin(entry);  // leave the heap
+        spareNodes_.push_back(map_.extract(entries_[entry].hash));
+        freeEntries_.push_back(entry);
+        kv_.dropCached(entries_[entry].block);
         ++reclaimed;
     }
     return reclaimed;
+}
+
+void
+PrefixCache::touch(EntryIndex entry)
+{
+    Entry &record = entries_[entry];
+    record.stamp = ++clock_;
+    if (record.heapSlot != kPinned) {
+        // The newest stamp only ever moves a parked entry down.
+        parked_[record.heapSlot].stamp = record.stamp;
+        siftDown(record.heapSlot);
+    }
+}
+
+void
+PrefixCache::park(EntryIndex entry)
+{
+    LIGHTLLM_ASSERT(entries_[entry].heapSlot == kPinned,
+                    "parking a parked cache entry");
+    parked_.push_back(Parked{entries_[entry].stamp, entry});
+    siftUp(parked_.size() - 1);
+}
+
+void
+PrefixCache::pin(EntryIndex entry)
+{
+    const std::size_t slot = entries_[entry].heapSlot;
+    LIGHTLLM_ASSERT(slot != kPinned, "pinning a pinned cache entry");
+    entries_[entry].heapSlot = kPinned;
+    const Parked last = parked_.back();
+    parked_.pop_back();
+    if (slot == parked_.size())
+        return;  // it was the last node
+    placeAt(slot, last);
+    if (slot > 0 && parked_[(slot - 1) / 2].stamp > last.stamp)
+        siftUp(slot);
+    else
+        siftDown(slot);
+}
+
+void
+PrefixCache::placeAt(std::size_t slot, Parked node)
+{
+    parked_[slot] = node;
+    entries_[node.entry].heapSlot = static_cast<std::uint32_t>(slot);
+}
+
+void
+PrefixCache::siftUp(std::size_t slot)
+{
+    const Parked node = parked_[slot];
+    while (slot > 0) {
+        const std::size_t parent = (slot - 1) / 2;
+        if (parked_[parent].stamp <= node.stamp)
+            break;
+        placeAt(slot, parked_[parent]);
+        slot = parent;
+    }
+    placeAt(slot, node);
+}
+
+void
+PrefixCache::siftDown(std::size_t slot)
+{
+    const Parked node = parked_[slot];
+    const std::size_t size = parked_.size();
+    for (;;) {
+        std::size_t child = 2 * slot + 1;
+        if (child >= size)
+            break;
+        if (child + 1 < size &&
+            parked_[child + 1].stamp < parked_[child].stamp)
+            ++child;
+        if (node.stamp <= parked_[child].stamp)
+            break;
+        placeAt(slot, parked_[child]);
+        slot = child;
+    }
+    placeAt(slot, node);
 }
 
 } // namespace memory

@@ -10,19 +10,27 @@
  * and inserting extends exactly the missing suffix.
  *
  * Cached blocks are retained in the block manager, so they survive
- * the owning request's release as *reclaimable* blocks: still
- * serving future matches, but handed back to the free list — in
- * least-recently-used order, referenced blocks skipped — the moment
- * an allocation cannot be covered otherwise (KvBlockManager::
+ * the owning request's release as *parked* blocks (cached, no
+ * request reference): still serving future matches, but handed
+ * back to the free list — least recently used first — the moment an
+ * allocation cannot be covered otherwise (KvBlockManager::
  * ensureFreeBlocks). The cache therefore never shrinks usable
  * capacity; it only recycles otherwise-idle blocks.
+ *
+ * Recency is a monotonically increasing stamp, assigned at every
+ * match, new insert and incumbent refresh. The manager reports each
+ * cached block's 0<->1 request-reference transitions (park / pin),
+ * and only parked blocks sit in a min-heap keyed by stamp, so a
+ * reclaim pops the oldest parked blocks in O(log parked) instead of
+ * walking every cached block past the request-pinned ones. The
+ * order equals that walk's: both visit unreferenced blocks by
+ * ascending last touch.
  */
 
 #ifndef LIGHTLLM_MEMORY_PREFIX_CACHE_HH
 #define LIGHTLLM_MEMORY_PREFIX_CACHE_HH
 
 #include <cstdint>
-#include <list>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -64,23 +72,24 @@ class PrefixCache
     /**
      * Cache `blocks[i]` under `hashes[i]` for every position not
      * already present (first insertion wins: a duplicate stream
-     * prefilled concurrently keeps the original blocks). Newly
-     * cached blocks are retained in the manager; they must be live
-     * request blocks whose KV holds the hashed tokens.
+     * prefilled concurrently keeps the original blocks, whose
+     * recency is refreshed). Newly cached blocks are retained in the
+     * manager; they must be live request blocks whose KV holds the
+     * hashed tokens.
      */
     void insert(std::span<const PrefixHash> hashes,
                 std::span<const BlockId> blocks);
 
     /**
-     * Hand up to `count` least-recently-used blocks that no request
-     * references back to the free list. Called by the manager when
-     * the free list runs dry.
+     * Hand up to `count` least-recently-used parked blocks (no
+     * request references them) back to the free list. Called by the
+     * manager when the free list runs dry.
      *
      * @return Blocks actually reclaimed.
      */
     std::int64_t reclaim(std::int64_t count);
 
-    /** Cached blocks (reclaimable or not). */
+    /** Cached blocks (parked or pinned). */
     std::size_t size() const { return map_.size(); }
 
     /** Total match() calls and block-level hits (bench telemetry;
@@ -89,21 +98,61 @@ class PrefixCache
     std::uint64_t hitBlocks() const { return hitBlocks_; }
 
   private:
-    /** One cached block, linked into the LRU list. */
+    friend class KvBlockManager;
+
+    using EntryIndex = std::uint32_t;
+    using HashMap = std::unordered_map<PrefixHash, EntryIndex>;
+
+    /** Entry::heapSlot of a block some request references. */
+    static constexpr std::uint32_t kPinned = 0xffffffffu;
+
+    /** One cached block (a slot of the recycled entry slab). */
     struct Entry
     {
         PrefixHash hash;
+
+        /** Last touch; larger is more recent. */
+        std::uint64_t stamp;
+
         BlockId block;
+
+        /** Position in parked_, or kPinned. */
+        std::uint32_t heapSlot;
     };
 
-    using LruList = std::list<Entry>;
+    /** Heap node: the key rides along so sifts stay in the heap. */
+    struct Parked
+    {
+        std::uint64_t stamp;
+        EntryIndex entry;
+    };
+
+    /** Manager callbacks: the entry's block lost its last request
+     *  reference (park) or gained its first (pin). */
+    void park(EntryIndex entry);
+    void pin(EntryIndex entry);
+
+    /** Make `entry` the most recently used. */
+    void touch(EntryIndex entry);
+
+    void placeAt(std::size_t slot, Parked node);
+    void siftUp(std::size_t slot);
+    void siftDown(std::size_t slot);
 
     KvBlockManager &kv_;
 
-    /** Most recently used at the front. */
-    LruList lru_;
+    std::vector<Entry> entries_;
+    std::vector<EntryIndex> freeEntries_;
 
-    std::unordered_map<PrefixHash, LruList::iterator> map_;
+    /** Parked entries, a min-heap on stamp (root = LRU). */
+    std::vector<Parked> parked_;
+
+    HashMap map_;
+
+    /** Nodes of reclaimed hashes, reused by insert(). */
+    std::vector<HashMap::node_type> spareNodes_;
+
+    std::uint64_t clock_ = 0;
 
     std::uint64_t lookups_ = 0;
     std::uint64_t hitBlocks_ = 0;

@@ -633,5 +633,64 @@ INSTANTIATE_TEST_SUITE_P(
             info.param.load;
     });
 
+/** One {eviction mode x topology} cell of a session run under cache
+ *  pressure, and the summary JSON it produced when pinned. */
+struct ReclaimCell
+{
+    const char *eviction;
+    const char *topology;
+    std::uint64_t summaryHash;
+};
+
+class CliReclaimMatrix : public ::testing::TestWithParam<ReclaimCell>
+{};
+
+// The sessions cells above never fill the pool. These runs do: the
+// small rtx4090 pool forces prefix-cache reclaims during decode,
+// evictions, and re-admissions that re-match cached blocks, so the
+// pinned bytes cover the LRU reclaim order and the hash chains of
+// evicted and re-admitted turns.
+TEST_P(CliReclaimMatrix, SummaryBytesArePinned)
+{
+    const ReclaimCell &cell = GetParam();
+    const std::string topology = cell.topology;
+    std::vector<const char *> args = {
+        "--seed", "5", "--sessions", "96", "--turns", "6",
+        "--prefix-cache", "on", "--hardware", "rtx4090",
+        "--eviction-mode", cell.eviction};
+    if (topology == "split_fuse")
+        args.push_back("--split-fuse");
+    else if (topology == "fleet")
+        args.insert(args.end(), {"--instances", "3", "--routing",
+                                 "prefix-affinity"});
+
+    cli::CliOptions options;
+    ASSERT_EQ(parse(args, options), "");
+    const cli::Scenario scenario = cli::assembleScenario(options);
+    const metrics::RunReport report = cli::runScenario(scenario);
+    std::ostringstream json;
+    metrics::writeSummaryJson(json, report, scenario.sla);
+
+    EXPECT_EQ(report.numFinished, 576u);
+    EXPECT_GT(report.evictionEvents, 0);
+    EXPECT_EQ(fnv1a(json.str()), cell.summaryHash)
+        << std::hex << "0x" << fnv1a(json.str()) << "\n"
+        << json.str();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EvictionByTopology, CliReclaimMatrix,
+    ::testing::Values(
+        ReclaimCell{"recompute", "engine", 0x1d7a33ae003b4f36ull},
+        ReclaimCell{"recompute", "split_fuse", 0xadf35a060d62323eull},
+        ReclaimCell{"recompute", "fleet", 0xacfd18c23d1dd253ull},
+        ReclaimCell{"swap", "engine", 0x5af0cf9c2c719681ull},
+        ReclaimCell{"swap", "split_fuse", 0xd7e2342d5fbe612aull},
+        ReclaimCell{"swap", "fleet", 0xd51918216e5136f7ull}),
+    [](const ::testing::TestParamInfo<ReclaimCell> &info) {
+        return std::string(info.param.eviction) + "_" +
+            info.param.topology;
+    });
+
 } // namespace
 } // namespace lightllm

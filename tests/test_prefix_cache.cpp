@@ -10,10 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
+#include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "base/rng.hh"
 #include "base/token_stream.hh"
 #include "cluster/serving_cluster.hh"
 #include "core/scheduler_factory.hh"
@@ -69,6 +73,100 @@ TEST(BlockHashChainTest, CapExcludesPartialBlocks)
     EXPECT_EQ(blockHashChain(a, 16, 95).size(), 5u);
     EXPECT_EQ(blockHashChain(a, 16, 15).size(), 0u);
     EXPECT_EQ(blockHashChain(a, 16, 0).size(), 0u);
+}
+
+/** A random segment stream: 1-5 segments of 1-40 tokens. */
+std::vector<PromptSegment>
+randomStream(Rng &rng)
+{
+    std::vector<PromptSegment> stream;
+    const auto segments = rng.uniformInt(1, 5);
+    for (std::int64_t i = 0; i < segments; ++i) {
+        stream.push_back(PromptSegment{
+            static_cast<std::uint64_t>(rng.uniformInt(1, 1000)),
+            rng.uniformInt(1, 40)});
+    }
+    return stream;
+}
+
+TEST(BlockHashChainTest, ResumedChainEqualsChainFromScratch)
+{
+    for (const TokenCount block : {1, 7, 16}) {
+        Rng rng(static_cast<std::uint64_t>(block) * 7919);
+        for (int trial = 0; trial < 200; ++trial) {
+            const auto stream = randomStream(rng);
+            TokenCount total = 0;
+            for (const PromptSegment &segment : stream)
+                total += segment.len;
+            // Growing caps in random steps, including steps that stay
+            // below the next block boundary and caps past the end.
+            std::vector<PrefixHash> resumed;
+            TokenCount cap = 0;
+            while (cap <= total + block) {
+                extendBlockHashChain(stream, block, cap, resumed);
+                ASSERT_EQ(resumed, blockHashChain(stream, block, cap))
+                    << "block " << block << " cap " << cap;
+                cap += rng.uniformInt(0, 2 * block);
+            }
+            extendBlockHashChain(stream, block, total, resumed);
+            ASSERT_EQ(resumed, blockHashChain(stream, block, total));
+            // A smaller cap leaves the complete chain alone; its
+            // prefix is the smaller chain.
+            const TokenCount lower = rng.uniformInt(0, total);
+            const std::vector<PrefixHash> before = resumed;
+            extendBlockHashChain(stream, block, lower, resumed);
+            EXPECT_EQ(resumed, before);
+            const auto expected = blockHashChain(stream, block, lower);
+            EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                                   resumed.begin()));
+        }
+    }
+}
+
+TEST(BlockHashChainTest, ResumesAcrossSegmentBoundariesAndCapsBelowBlock)
+{
+    // Blocks of 7 ending exactly on, and straddling, segment edges.
+    const std::vector<PromptSegment> stream{{3, 7}, {4, 14}, {5, 3}};
+    std::vector<PrefixHash> resumed;
+    for (const TokenCount cap : {0, 6, 7, 13, 14, 21, 23, 24, 30}) {
+        extendBlockHashChain(stream, 7, cap, resumed);
+        EXPECT_EQ(resumed, blockHashChain(stream, 7, cap))
+            << "cap " << cap;
+    }
+    EXPECT_EQ(resumed.size(), 3u);  // 24 tokens: 3 full blocks
+}
+
+TEST(BlockHashChainTest, ResumesAsTheOutputSegmentGrows)
+{
+    // Recompute re-admission: a turn's identified reply grows between
+    // calls, so the stream is the prompt plus a longer output run
+    // each time, and the cap moves with it.
+    for (const TokenCount block : {1, 7, 16}) {
+        Rng rng(static_cast<std::uint64_t>(block) + 41);
+        for (int trial = 0; trial < 100; ++trial) {
+            const auto prompt = randomStream(rng);
+            std::vector<PrefixHash> resumed;
+            TokenCount generated = 0;
+            TokenCount max_cap = 0;
+            for (int call = 0; call < 12; ++call) {
+                generated += rng.uniformInt(0, 2 * block);
+                std::vector<PromptSegment> stream = prompt;
+                if (generated > 0)
+                    stream.push_back(PromptSegment{999, generated});
+                TokenCount total = 0;
+                for (const PromptSegment &segment : stream)
+                    total += segment.len;
+                // Admission caps one short; insertion caps at the end
+                // (so the cap may step back by one token).
+                const TokenCount cap = total - rng.uniformInt(0, 1);
+                max_cap = std::max(max_cap, cap);
+                extendBlockHashChain(stream, block, cap, resumed);
+                ASSERT_EQ(resumed,
+                          blockHashChain(stream, block, max_cap))
+                    << "block " << block << " generated " << generated;
+            }
+        }
+    }
 }
 
 // --- Copy-on-write sharing in the block manager ------------------
@@ -210,6 +308,366 @@ TEST(PrefixCacheTest, FirstInsertionWinsOnDuplicateContent)
     EXPECT_EQ(matched[0], kv.blockTable(1)[0]);
     // Request 2's identical blocks were not retained.
     EXPECT_FALSE(kv.isCached(kv.blockTable(2)[0]));
+}
+
+// --- Differential reclaim against the list-walk reference ---------
+
+/**
+ * Reference model of the block pool and prefix cache before parked
+ * blocks were indexed: per-block request refcounts, a LIFO free
+ * list, and a std::list in recency order (front = most recent)
+ * whose reclaim walks from the tail past request-referenced blocks.
+ */
+class ListWalkPool
+{
+  public:
+    ListWalkPool(TokenCount capacity, TokenCount block) : block_(block)
+    {
+        const auto blocks = static_cast<std::size_t>(capacity / block);
+        for (std::size_t b = blocks; b-- > 0;)
+            free_.push_back(static_cast<BlockId>(b));
+        refs_.assign(blocks, 0);
+        held_.assign(blocks, 0);
+        cached_.assign(blocks, false);
+    }
+
+    bool
+    allocateShared(RequestId id, TokenCount tokens,
+                   const std::vector<BlockId> &shared)
+    {
+        const auto shared_tokens =
+            static_cast<TokenCount>(shared.size()) * block_;
+        if (tokens <= shared_tokens || tables_.count(id) > 0)
+            return false;
+        const std::int64_t need = blocksFor(tokens - shared_tokens);
+        for (const BlockId b : shared)
+            addRef(b);
+        if (!ensureFree(need)) {
+            for (const BlockId b : shared)
+                dropRef(b);
+            return false;
+        }
+        Table &table = tables_[id];
+        table.tokens = tokens;
+        table.blocks = shared;
+        takeBlocks(table, tokens - shared_tokens, need);
+        return true;
+    }
+
+    bool
+    extend(RequestId id, TokenCount tokens)
+    {
+        Table &table = tables_.at(id);
+        const TokenCount slack =
+            static_cast<TokenCount>(table.blocks.size()) * block_ -
+            table.tokens;
+        const std::int64_t need =
+            tokens <= slack ? 0 : blocksFor(tokens - slack);
+        if (!ensureFree(need))
+            return false;
+        const TokenCount fill = std::min(tokens, slack);
+        held_[idx(table.blocks.back())] += fill;
+        used_ += fill;
+        takeBlocks(table, tokens - fill, need);
+        table.tokens += tokens;
+        return true;
+    }
+
+    void
+    release(RequestId id)
+    {
+        for (const BlockId b : tables_.at(id).blocks)
+            dropRef(b);
+        tables_.erase(id);
+    }
+
+    std::size_t
+    match(const std::vector<PrefixHash> &hashes,
+          std::vector<BlockId> &out)
+    {
+        std::size_t matched = 0;
+        for (const PrefixHash hash : hashes) {
+            const auto it = map_.find(hash);
+            if (it == map_.end())
+                break;
+            lru_.splice(lru_.begin(), lru_, it->second);
+            out.push_back(it->second->second);
+            ++matched;
+        }
+        return matched;
+    }
+
+    void
+    insert(std::span<const PrefixHash> hashes,
+           std::span<const BlockId> blocks)
+    {
+        for (std::size_t i = 0; i < hashes.size(); ++i) {
+            const auto it = map_.find(hashes[i]);
+            if (it != map_.end()) {
+                lru_.splice(lru_.begin(), lru_, it->second);
+                continue;
+            }
+            cached_[idx(blocks[i])] = true;
+            lru_.emplace_front(hashes[i], blocks[i]);
+            map_.emplace(hashes[i], lru_.begin());
+        }
+    }
+
+    /** The blocks reclaimed, in reclaim order. */
+    std::vector<BlockId>
+    reclaim(std::int64_t count)
+    {
+        std::vector<BlockId> out;
+        auto it = lru_.end();
+        while (static_cast<std::int64_t>(out.size()) < count &&
+               it != lru_.begin()) {
+            --it;
+            if (refs_[idx(it->second)] > 0)
+                continue;  // request-pinned: skip
+            const BlockId b = it->second;
+            map_.erase(it->first);
+            it = lru_.erase(it);
+            cached_[idx(b)] = false;
+            --cacheOnly_;
+            free_.push_back(b);
+            out.push_back(b);
+        }
+        reclaimed_ += static_cast<std::int64_t>(out.size());
+        return out;
+    }
+
+    /** Blocks reclaimed so far, explicitly or by allocations. */
+    std::int64_t reclaimed() const { return reclaimed_; }
+
+    std::int64_t freeBlocks() const
+    {
+        return static_cast<std::int64_t>(free_.size());
+    }
+    std::int64_t reclaimableBlocks() const { return cacheOnly_; }
+    TokenCount usedTokens() const { return used_; }
+    std::size_t size() const { return map_.size(); }
+    const std::vector<BlockId> &table(RequestId id) const
+    {
+        return tables_.at(id).blocks;
+    }
+
+  private:
+    struct Table
+    {
+        TokenCount tokens = 0;
+        std::vector<BlockId> blocks;
+    };
+
+    static std::size_t idx(BlockId b)
+    {
+        return static_cast<std::size_t>(b);
+    }
+
+    std::int64_t blocksFor(TokenCount tokens) const
+    {
+        return (tokens + block_ - 1) / block_;
+    }
+
+    bool
+    ensureFree(std::int64_t need)
+    {
+        if (need <= freeBlocks())
+            return true;
+        if (need > freeBlocks() + cacheOnly_)
+            return false;
+        reclaim(need - freeBlocks());
+        return true;
+    }
+
+    void
+    takeBlocks(Table &table, TokenCount tokens, std::int64_t count)
+    {
+        for (std::int64_t i = 0; i < count; ++i) {
+            const TokenCount fill = std::min(tokens, block_);
+            const BlockId b = free_.back();
+            free_.pop_back();
+            refs_[idx(b)] = 1;
+            held_[idx(b)] = fill;
+            used_ += fill;
+            table.blocks.push_back(b);
+            tokens -= fill;
+        }
+    }
+
+    void
+    addRef(BlockId b)
+    {
+        if (refs_[idx(b)] == 0) {
+            held_[idx(b)] = block_;
+            used_ += block_;
+            --cacheOnly_;
+        }
+        ++refs_[idx(b)];
+    }
+
+    void
+    dropRef(BlockId b)
+    {
+        if (--refs_[idx(b)] > 0)
+            return;
+        used_ -= held_[idx(b)];
+        held_[idx(b)] = 0;
+        if (cached_[idx(b)])
+            ++cacheOnly_;
+        else
+            free_.push_back(b);
+    }
+
+    using Lru = std::list<std::pair<PrefixHash, BlockId>>;
+
+    TokenCount block_;
+    std::vector<BlockId> free_;
+    std::vector<std::int32_t> refs_;
+    std::vector<TokenCount> held_;
+    std::vector<bool> cached_;
+    std::map<RequestId, Table> tables_;
+    Lru lru_;
+    std::unordered_map<PrefixHash, Lru::iterator> map_;
+    TokenCount used_ = 0;
+    std::int64_t cacheOnly_ = 0;
+    std::int64_t reclaimed_ = 0;
+};
+
+/**
+ * Random admissions (match, then allocateShared — failures still
+ * touch the LRU), extensions, releases, inserts and explicit
+ * reclaims on a small pool under constant pressure. After every
+ * operation the real manager and cache must agree with the
+ * list-walk reference on every counter and every block table; an
+ * explicit reclaim is followed by a probe allocation of exactly the
+ * reclaimed blocks, whose table is the reclaim sequence reversed
+ * (the free list is LIFO), and implicit reclaims show up the same
+ * way in the table of the allocation that triggered them.
+ */
+TEST(PrefixCacheTest, ReclaimMatchesListWalkReference)
+{
+    constexpr TokenCount kBlock = 4;
+    constexpr TokenCount kCapacity = 64 * kBlock;
+    constexpr RequestId kProbe = 1'000'000;
+
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        Rng rng(seed);
+        KvBlockManager kv(kCapacity, kBlock);
+        PrefixCache cache(kv);
+        kv.attachPrefixCache(&cache);
+        ListWalkPool ref(kCapacity, kBlock);
+
+        // Streams sharing a few system prompts, so prefixes overlap.
+        std::vector<std::vector<PromptSegment>> streams;
+        for (std::uint64_t s = 0; s < 12; ++s) {
+            streams.push_back(
+                {PromptSegment{1 + s % 3, rng.uniformInt(4, 24)},
+                 PromptSegment{100 + s, rng.uniformInt(1, 40)}});
+        }
+        struct Live
+        {
+            RequestId id;
+            std::size_t stream;
+        };
+        std::vector<Live> live;
+        RequestId next_id = 1;
+        std::int64_t explicit_reclaims = 0;
+        int failed_after_match = 0;
+
+        auto check_tables = [&]() {
+            for (const Live &request : live) {
+                ASSERT_EQ(kv.blockTable(request.id),
+                          ref.table(request.id))
+                    << "request " << request.id;
+            }
+        };
+
+        for (int op = 0; op < 2000; ++op) {
+            const auto dice = rng.uniformInt(0, 99);
+            if (dice < 35 || live.empty()) {
+                // Admission: match (touching the LRU), then allocate
+                // the prompt plus a slot, sharing the matched blocks.
+                const auto stream = static_cast<std::size_t>(
+                    rng.uniformInt(0, 11));
+                const TokenCount tokens = rng.uniformInt(1, 72);
+                const auto hashes = blockHashChain(
+                    streams[stream], kBlock, tokens - 1);
+                std::vector<BlockId> got;
+                std::vector<BlockId> want;
+                ASSERT_EQ(cache.match(hashes, got),
+                          ref.match(hashes, want));
+                ASSERT_EQ(got, want);
+                const RequestId id = next_id++;
+                const bool ok = kv.allocateShared(id, tokens, got);
+                ASSERT_EQ(ok, ref.allocateShared(id, tokens, want));
+                if (ok)
+                    live.push_back(Live{id, stream});
+                else if (!got.empty())
+                    ++failed_after_match;
+            } else if (dice < 60) {
+                const Live &request = live[static_cast<std::size_t>(
+                    rng.uniformInt(0, live.size() - 1))];
+                const TokenCount tokens = rng.uniformInt(1, 3 * kBlock);
+                ASSERT_EQ(kv.extend(request.id, tokens),
+                          ref.extend(request.id, tokens));
+            } else if (dice < 75) {
+                const auto at = static_cast<std::size_t>(
+                    rng.uniformInt(0, live.size() - 1));
+                kv.release(live[at].id);
+                ref.release(live[at].id);
+                live.erase(live.begin() +
+                           static_cast<std::ptrdiff_t>(at));
+            } else if (dice < 90) {
+                // Publish the full blocks the request's stream covers.
+                const Live &request = live[static_cast<std::size_t>(
+                    rng.uniformInt(0, live.size() - 1))];
+                const auto &table = kv.blockTable(request.id);
+                const auto hashes = blockHashChain(
+                    streams[request.stream], kBlock,
+                    kv.requestTokens(request.id));
+                const std::size_t count =
+                    std::min(hashes.size(), table.size());
+                const std::vector<BlockId> blocks(
+                    table.begin(),
+                    table.begin() +
+                        static_cast<std::ptrdiff_t>(count));
+                cache.insert(std::span(hashes).first(count), blocks);
+                ref.insert(std::span(hashes).first(count), blocks);
+            } else {
+                const std::int64_t count = rng.uniformInt(0, 4);
+                const std::vector<BlockId> want = ref.reclaim(count);
+                ASSERT_EQ(cache.reclaim(count),
+                          static_cast<std::int64_t>(want.size()));
+                explicit_reclaims +=
+                    static_cast<std::int64_t>(want.size());
+                if (!want.empty()) {
+                    const auto tokens =
+                        static_cast<TokenCount>(want.size()) * kBlock;
+                    ASSERT_TRUE(kv.allocate(kProbe, tokens));
+                    ASSERT_TRUE(ref.allocateShared(kProbe, tokens, {}));
+                    const std::vector<BlockId> reversed(want.rbegin(),
+                                                        want.rend());
+                    ASSERT_EQ(kv.blockTable(kProbe), reversed);
+                    ASSERT_EQ(ref.table(kProbe), reversed);
+                    kv.release(kProbe);
+                    ref.release(kProbe);
+                }
+            }
+            ASSERT_EQ(kv.freeBlocks(), ref.freeBlocks()) << "op " << op;
+            ASSERT_EQ(kv.reclaimableBlocks(), ref.reclaimableBlocks())
+                << "op " << op;
+            ASSERT_EQ(kv.usedTokens(), ref.usedTokens()) << "op " << op;
+            ASSERT_EQ(cache.size(), ref.size()) << "op " << op;
+            check_tables();
+            if (HasFatalFailure())
+                return;
+        }
+        // The run really exercised every reclaim path.
+        EXPECT_GT(explicit_reclaims, 0);
+        EXPECT_GT(ref.reclaimed() - explicit_reclaims, 0);
+        EXPECT_GT(failed_after_match, 0);
+    }
 }
 
 // --- Engine integration ------------------------------------------

@@ -2,7 +2,8 @@
  * @file
  * EventQueue stress tests: randomized schedule/cancel/reschedule
  * churn checked against a naive reference model, plus the
- * zero-allocation contract of the steady-state schedule/fire path.
+ * zero-allocation contracts of the steady-state schedule/fire path,
+ * the serving loop, and the prefix cache's reclaim bookkeeping.
  *
  * This binary replaces global operator new/delete with counting
  * versions so the allocation test can assert that a warmed queue
@@ -17,10 +18,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
+#include "base/token_stream.hh"
 #include "core/scheduler_factory.hh"
 #include "engine/serving_engine.hh"
+#include "memory/kv_block_manager.hh"
+#include "memory/prefix_cache.hh"
 #include "sim/event_queue.hh"
 #include "test_fixtures.hh"
 #include "workload/datasets.hh"
@@ -406,6 +411,100 @@ TEST(EngineAllocTest, WarmedStepsAndAdmissionRoundsAllocateNothing)
     EXPECT_GT(quiet_steps, 500u);
     EXPECT_EQ(quiet_allocations, 0u)
         << "a warmed admission round or decode step allocated";
+}
+
+/**
+ * The prefix cache's reclaim bookkeeping allocates nothing once warm:
+ * matches touch cached blocks, admissions pin parked ones, releases
+ * park them, inserts reuse reclaimed entries and hash-map nodes, and
+ * allocations under pressure reclaim the least recently used parked
+ * blocks — every structure (entry slab, parked heap, spare map
+ * nodes, spare block tables) stays within its warmed capacity. Every
+ * request runs the same lifecycle, so each recycled block table has
+ * reached its final capacity after its first use.
+ */
+TEST(PrefixCacheAllocTest, WarmedParkPinTouchReclaimCyclesAllocateNothing)
+{
+    constexpr TokenCount kBlock = 16;
+    memory::KvBlockManager kv(96 * kBlock, kBlock);
+    memory::PrefixCache cache(kv);
+    kv.attachPrefixCache(&cache);
+
+    // 40 eight-block conversations over a shared two-block system
+    // prompt: far more cacheable blocks than the 96-block pool.
+    constexpr std::size_t kStreams = 40;
+    std::vector<std::vector<PrefixHash>> prompt_hashes;
+    std::vector<std::vector<PrefixHash>> full_hashes;
+    for (std::uint64_t s = 0; s < kStreams; ++s) {
+        const std::vector<PromptSegment> stream{
+            {1, 2 * kBlock}, {100 + s, 6 * kBlock}};
+        prompt_hashes.push_back(blockHashChain(stream, kBlock, 64));
+        full_hashes.push_back(blockHashChain(stream, kBlock, 113));
+    }
+    std::vector<memory::BlockId> matched;
+    matched.reserve(8);
+    RequestId next_id = 0;
+    std::int64_t explicit_reclaims = 0;
+    constexpr int kConcurrent = 6;
+
+    auto round = [&](int r) {
+        // Admit: match (touch, then pin parked blocks), allocate the
+        // 64-token prompt plus a slot, publish the prompt blocks.
+        for (int i = 0; i < kConcurrent; ++i) {
+            const std::size_t s =
+                static_cast<std::size_t>(r * kConcurrent + i) %
+                kStreams;
+            matched.clear();
+            cache.match(prompt_hashes[s], matched);
+            ASSERT_TRUE(kv.allocateShared(next_id + i, 65, matched));
+            cache.insert(
+                prompt_hashes[s],
+                std::span<const memory::BlockId>(
+                    kv.blockTable(next_id + i))
+                    .first(prompt_hashes[s].size()));
+        }
+        // Decode: grow to 113 tokens (reclaiming under pressure),
+        // then publish the identified blocks as a finish would.
+        for (int i = 0; i < kConcurrent; ++i) {
+            const std::size_t s =
+                static_cast<std::size_t>(r * kConcurrent + i) %
+                kStreams;
+            ASSERT_TRUE(kv.extend(next_id + i, 48));
+            cache.insert(
+                full_hashes[s],
+                std::span<const memory::BlockId>(
+                    kv.blockTable(next_id + i))
+                    .first(full_hashes[s].size()));
+        }
+        explicit_reclaims += cache.reclaim(2);
+        // Finish: park every cached block, free the rest.
+        for (int i = 0; i < kConcurrent; ++i)
+            kv.release(next_id + i);
+        next_id += kConcurrent;
+    };
+
+    for (int r = 0; r < 40; ++r)
+        round(r);
+    ASSERT_GT(kv.reclaimableBlocks(), 0);
+    const std::size_t cached_before = cache.size();
+    const std::uint64_t hits_before = cache.hitBlocks();
+    explicit_reclaims = 0;
+    const std::uint64_t allocations_before = g_allocations;
+    for (int r = 40; r < 120; ++r)
+        round(r);
+    EXPECT_EQ(g_allocations, allocations_before)
+        << "a warmed park/pin/touch/reclaim cycle allocated";
+    EXPECT_GT(cache.hitBlocks(), hits_before);
+    EXPECT_GT(explicit_reclaims, 0);
+    EXPECT_EQ(cache.size(), cached_before);
+    EXPECT_EQ(kv.usedTokens(), 0);
+}
+
+/** The cache's per-block entry index rides in padding the block
+ *  state already had: 16 bytes per block before the index existed. */
+TEST(PrefixCacheAllocTest, BlockStateDidNotGrow)
+{
+    EXPECT_LE(memory::KvBlockManager::kBlockStateBytes, 16u);
 }
 
 /** Callables beyond kInlineSize must still work (heap fallback). */
