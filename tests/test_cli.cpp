@@ -67,6 +67,57 @@ TEST(CliParse, RejectsUnknownFlagAndBadValues)
     EXPECT_NE(parse({"--max-seconds", "-2"}, options), "");
 }
 
+TEST(CliParse, RejectsOutOfDomainValues)
+{
+    // Each of these once reached a library assertion or silently ran
+    // a different scenario; every one must now fail at parse time
+    // with a diagnostic naming the flag.
+    const std::vector<std::vector<const char *>> cases = {
+        {"--window-size", "0"},
+        {"--reserved-ratio", "1.5"},
+        {"--scheduler", "conservative", "--overcommit", "0"},
+        {"--scheduler", "aggressive", "--watermark", "nan"},
+        {"--think-time", "nan"},
+        {"--think-time", "1e300"},
+        {"--tenants", "2", "--tenant-zipf", "nan"},
+        {"--tenants", "2", "--tenant-weights", "nan,1"},
+        {"--priority-mix", "nan,1"},
+        {"--autoscale", "--provision-delay", "nan"},
+        {"--block-size", "9223372036854775808"},
+        {"--rate", "nan"},
+        {"--autoscale", "--scale-slo-target", "nan"},
+        {"--instances", "2", "--drain-at", "nan"},
+        {"--tp", "4294967296"},
+        {"--ttft-limit", "inf"},
+    };
+    for (const auto &args : cases) {
+        cli::CliOptions options;
+        const std::string flag = args[args.size() - 2];
+        const std::string value = args.back();
+        EXPECT_EQ(parse(args, options),
+                  "bad value for " + flag + ": " + value)
+            << flag << " " << value;
+    }
+
+    // The domain boundaries themselves stay valid.
+    const std::vector<std::vector<const char *>> boundaries = {
+        {"--reserved-ratio", "0"},
+        {"--watermark", "1"},
+        {"--autoscale", "--scale-slo-target", "1"},
+    };
+    for (const auto &args : boundaries) {
+        cli::CliOptions options;
+        EXPECT_EQ(parse(args, options), "") << args[args.size() - 2];
+    }
+}
+
+TEST(CliParse, BooleanFlagTakesNoValue)
+{
+    cli::CliOptions options;
+    EXPECT_EQ(parse({"--split-fuse=1"}, options),
+              "--split-fuse takes no value");
+}
+
 TEST(CliParse, HelpShortCircuits)
 {
     cli::CliOptions options;
@@ -529,6 +580,47 @@ TEST(CliRun, TinyScenarioEndToEnd)
     const std::string text = out.str();
     EXPECT_NE(text.find("scheduler"), std::string::npos);
     EXPECT_NE(text.find("\"num_finished\""), std::string::npos);
+}
+
+/** The value cell of `metric` in a rendered report table. */
+std::string
+tableValue(const std::string &text, const std::string &metric)
+{
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+        std::istringstream cells(line);
+        std::string bar, name, value;
+        if (cells >> bar >> name >> bar >> value && name == metric)
+            return value;
+    }
+    return "";
+}
+
+TEST(CliReport, TenantP99MatchesReportPercentile)
+{
+    cli::CliOptions options;
+    ASSERT_EQ(parse({"--tenants", "1", "--requests", "8"}, options),
+              "");
+    const cli::Scenario scenario = cli::assembleScenario(options);
+
+    // 100 distinct TTFTs: nearest-rank p99 is the 99th, not the max.
+    metrics::RunReport report;
+    for (int i = 1; i <= 100; ++i) {
+        metrics::RequestRecord record;
+        record.id = i;
+        record.outputTokens = 2;
+        record.firstToken = secondsToTicks(0.01 * i);
+        record.finish = record.firstToken + secondsToTicks(0.5);
+        report.requests.push_back(record);
+    }
+    report.numFinished = report.requests.size();
+
+    std::ostringstream out;
+    cli::emitReport(out, options, scenario, report);
+    const std::string text = out.str();
+    EXPECT_EQ(tableValue(text, "p99_ttft_s"), "0.990");
+    EXPECT_EQ(tableValue(text, "tenant0_p99_ttft_s"),
+              tableValue(text, "p99_ttft_s"));
 }
 
 /** FNV-1a over the bytes of a rendered report. */

@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <functional>
-#include <map>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "metrics/report_io.hh"
 #include "sim/sharded_sim_context.hh"
 #include "sim/sim_context.hh"
+#include "stats/percentile.hh"
 #include "trace/trace_recorder.hh"
 #include "workload/arrivals.hh"
 #include "workload/client_pool.hh"
@@ -33,129 +39,198 @@ namespace cli {
 namespace {
 
 /** Parse helpers that reject trailing junk ("64x" is not a number)
- *  and signs ("-1" would silently wrap through std::stoull). */
+ *  and signs ("-1" would silently wrap through std::strtoull). */
 bool
-parseUnsigned(const std::string &text, std::uint64_t &out)
+parseUnsigned(const char *text, std::uint64_t &out)
 {
-    if (text.empty() || !std::isdigit(
-                            static_cast<unsigned char>(text[0])))
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
         return false;
-    try {
-        std::size_t used = 0;
-        out = std::stoull(text, &used);
-        return used == text.size();
-    } catch (const std::exception &) {
-        return false;
-    }
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(text, &end, 10);
+    return *end == '\0' && errno != ERANGE;
 }
 
+/** Non-finite values are rejected: NaN slips through every range
+ *  comparison and infinity overflows the tick conversions. */
 bool
-parseDouble(const std::string &text, double &out)
+parseDouble(const char *text, double &out)
 {
-    try {
-        std::size_t used = 0;
-        out = std::stod(text, &used);
-        return used == text.size();
-    } catch (const std::exception &) {
-        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtod(text, &end);
+    return end != text && *end == '\0' && errno != ERANGE &&
+        std::isfinite(out);
+}
+
+/** Bounds of the open intervals (0, ...) and [..., 1). */
+constexpr double kAboveZero =
+    std::numeric_limits<double>::denorm_min();
+constexpr double kBelowOne =
+    1.0 - std::numeric_limits<double>::epsilon() / 2;
+
+/** Parse a comma-separated share list ("0.8,0.2"): entries of at
+ *  least `min` with a positive total. */
+bool
+parseShares(const std::string &text, double min,
+            std::vector<double> &shares)
+{
+    double total = 0.0;
+    for (const std::string &field : splitString(text, ',')) {
+        double share = 0.0;
+        if (!parseDouble(std::string(trimString(field)).c_str(),
+                         share) ||
+            share < min)
+            return false;
+        shares.push_back(share);
+        total += share;
     }
+    return total > 0.0;
+}
+
+/** A name the CLI resolves at assembly, and what it maps to. */
+template <typename T>
+struct Named
+{
+    const char *name;
+    T value;
+};
+
+/** The value of `name` in `table`; throws naming `what` when the
+ *  name is unknown. */
+template <typename T, std::size_t N>
+T
+lookup(const Named<T> (&table)[N], const std::string &name,
+       const char *what)
+{
+    for (const Named<T> &entry : table)
+        if (name == entry.name)
+            return entry.value;
+    throw std::invalid_argument(std::string("unknown ") + what +
+                                ": " + name);
+}
+
+/** "a | b | c": the names of `Table`, for --help. */
+template <const auto &Table>
+std::string
+namesOf()
+{
+    std::string names;
+    for (const auto &entry : Table)
+        names += std::string(names.empty() ? "" : " | ") + entry.name;
+    return names;
+}
+
+/** A text-only dataset generator as a kWorkloads maker. */
+template <workload::Dataset (*Make)(std::size_t, std::uint64_t)>
+workload::Dataset
+textOnly(std::size_t n, std::uint64_t seed, TokenCount)
+{
+    return Make(n, seed);
 }
 
 using workload::traceToDataset;
 
-workload::Dataset
-makeWorkload(const std::string &name, std::size_t n,
-             std::uint64_t seed, TokenCount image_tokens)
-{
-    if (name == "sharegpt")
-        return workload::makeShareGpt(n, seed);
-    if (name == "sharegpt-o1")
-        return workload::makeShareGptO1(n, seed);
-    if (name == "dist1")
-        return workload::makeDistribution1(n, seed);
-    if (name == "dist2")
-        return workload::makeDistribution2(n, seed);
-    if (name == "dist3")
-        return workload::makeDistribution3(n, seed);
-    if (name == "textvqa")
-        return workload::makeTextVqaLike(n, image_tokens, seed);
-    if (name == "trace-conversation")
-        return traceToDataset(workload::makeConversationTrace(n, seed),
-                              2048);
-    if (name == "trace-api")
-        return traceToDataset(workload::makeApiTrace(n, seed), 2048);
-    if (name == "trace-code")
-        return traceToDataset(
-            workload::makeCodeCompletionTrace(n, seed), 512);
-    if (name == "trace-longdoc")
-        return traceToDataset(workload::makeLongDocTrace(n, seed),
-                              2048);
-    throw std::invalid_argument("unknown workload: " + name);
-}
+constexpr Named<workload::Dataset (*)(
+    std::size_t n, std::uint64_t seed, TokenCount image_tokens)>
+    kWorkloads[] = {
+    {"sharegpt", textOnly<workload::makeShareGpt>},
+    {"sharegpt-o1", textOnly<workload::makeShareGptO1>},
+    {"dist1", textOnly<workload::makeDistribution1>},
+    {"dist2", textOnly<workload::makeDistribution2>},
+    {"dist3", textOnly<workload::makeDistribution3>},
+    {"textvqa",
+     [](std::size_t n, std::uint64_t seed, TokenCount image_tokens) {
+         return workload::makeTextVqaLike(n, image_tokens, seed);
+     }},
+    {"trace-conversation",
+     [](std::size_t n, std::uint64_t seed, TokenCount) {
+         return traceToDataset(
+             workload::makeConversationTrace(n, seed), 2048);
+     }},
+    {"trace-api",
+     [](std::size_t n, std::uint64_t seed, TokenCount) {
+         return traceToDataset(workload::makeApiTrace(n, seed), 2048);
+     }},
+    {"trace-code",
+     [](std::size_t n, std::uint64_t seed, TokenCount) {
+         return traceToDataset(
+             workload::makeCodeCompletionTrace(n, seed), 512);
+     }},
+    {"trace-longdoc",
+     [](std::size_t n, std::uint64_t seed, TokenCount) {
+         return traceToDataset(workload::makeLongDocTrace(n, seed),
+                               2048);
+     }},
+};
 
-core::SchedulerConfig
-makeSchedulerConfig(const CliOptions &options)
-{
-    core::SchedulerConfig config;
-    if (options.scheduler == "past_future") {
-        config = core::SchedulerConfig::pastFutureDefault(
-            options.reservedRatio);
-        config.pastFuture.windowSize = options.windowSize;
-    } else if (options.scheduler == "aggressive") {
-        config = core::SchedulerConfig::aggressive(options.watermark);
-    } else if (options.scheduler == "conservative") {
-        config = core::SchedulerConfig::conservative(
-            options.overcommit);
-    } else if (options.scheduler == "oracle") {
-        config = core::SchedulerConfig::oracle();
-    } else {
-        throw std::invalid_argument("unknown scheduler: " +
-                                    options.scheduler);
-    }
-    return config;
-}
+using core::SchedulerConfig;
 
-model::ModelSpec
-makeModelSpec(const std::string &name)
-{
-    if (name == "llama2-7b")
-        return model::ModelSpec::llama2_7b();
-    if (name == "llama2-13b")
-        return model::ModelSpec::llama2_13b();
-    if (name == "llama2-70b")
-        return model::ModelSpec::llama2_70b();
-    if (name == "qwen-vl-chat")
-        return model::ModelSpec::qwenVlChat();
-    if (name == "llava15-7b")
-        return model::ModelSpec::llava15_7b();
-    if (name == "llava15-13b")
-        return model::ModelSpec::llava15_13b();
-    throw std::invalid_argument("unknown model: " + name);
-}
+constexpr Named<SchedulerConfig (*)(const CliOptions &)>
+    kSchedulers[] = {
+    {"past_future",
+     [](const CliOptions &options) {
+         SchedulerConfig config = SchedulerConfig::pastFutureDefault(
+             options.reservedRatio);
+         config.pastFuture.windowSize = options.windowSize;
+         return config;
+     }},
+    {"aggressive",
+     [](const CliOptions &options) {
+         return SchedulerConfig::aggressive(options.watermark);
+     }},
+    {"conservative",
+     [](const CliOptions &options) {
+         return SchedulerConfig::conservative(options.overcommit);
+     }},
+    {"oracle",
+     [](const CliOptions &) { return SchedulerConfig::oracle(); }},
+};
+
+constexpr Named<model::ModelSpec (*)()> kModels[] = {
+    {"llama2-7b", model::ModelSpec::llama2_7b},
+    {"llama2-13b", model::ModelSpec::llama2_13b},
+    {"llama2-70b", model::ModelSpec::llama2_70b},
+    {"qwen-vl-chat", model::ModelSpec::qwenVlChat},
+    {"llava15-7b", model::ModelSpec::llava15_7b},
+    {"llava15-13b", model::ModelSpec::llava15_13b},
+};
+
+constexpr Named<model::HardwareSpec (*)()> kHardware[] = {
+    {"a100-80g", model::HardwareSpec::a100_80g},
+    {"h800", model::HardwareSpec::h800},
+    {"rtx4090", model::HardwareSpec::rtx4090},
+    {"a30", model::HardwareSpec::a30},
+};
+
+constexpr Named<bool> kPrefixCacheModes[] = {{"on", true},
+                                              {"off", false}};
+
+constexpr Named<engine::EvictionPolicy> kEvictionPolicies[] = {
+    {"lifo", engine::EvictionPolicy::Lifo},
+    {"fifo", engine::EvictionPolicy::Fifo},
+};
+
+constexpr Named<engine::EvictionMode> kEvictionModes[] = {
+    {"recompute", engine::EvictionMode::Recompute},
+    {"swap", engine::EvictionMode::Swap},
+};
 
 model::HardwareSpec
 makeHardwareSpec(const std::string &name, int tensor_parallel)
 {
-    model::HardwareSpec spec = [&] {
-        if (name == "a100-80g")
-            return model::HardwareSpec::a100_80g();
-        if (name == "h800")
-            return model::HardwareSpec::h800();
-        if (name == "rtx4090")
-            return model::HardwareSpec::rtx4090();
-        if (name == "a30")
-            return model::HardwareSpec::a30();
-        throw std::invalid_argument("unknown hardware: " + name);
-    }();
+    model::HardwareSpec spec = lookup(kHardware, name, "hardware")();
     if (tensor_parallel > 1)
         spec = spec.withTensorParallel(tensor_parallel);
     return spec;
 }
 
 metrics::SlaSpec
-makeSla(const CliOptions &options)
+makeSla(const CliOptions &options, const model::ModelSpec &spec)
 {
-    metrics::SlaSpec sla = options.model == "llama2-70b"
+    // By model size: the paper's 70B SLA above its 13B models.
+    metrics::SlaSpec sla =
+        spec.numParams > model::ModelSpec::llama2_13b().numParams
         ? metrics::SlaSpec::large70b()
         : metrics::SlaSpec::small7b13b();
     if (options.ttftLimitSeconds > 0.0)
@@ -163,26 +238,6 @@ makeSla(const CliOptions &options)
     if (options.mtpotLimitSeconds > 0.0)
         sla.mtpotLimit = secondsToTicks(options.mtpotLimitSeconds);
     return sla;
-}
-
-/** Parse "--priority-mix 0.8,0.2"-style class shares. */
-std::vector<double>
-parsePriorityMix(const std::string &text)
-{
-    std::vector<double> shares;
-    double total = 0.0;
-    for (const std::string &field : splitString(text, ',')) {
-        double share = 0.0;
-        if (!parseDouble(std::string(trimString(field)), share) ||
-            share < 0.0) {
-            throw std::invalid_argument("bad priority mix: " + text);
-        }
-        shares.push_back(share);
-        total += share;
-    }
-    if (total <= 0.0)
-        throw std::invalid_argument("bad priority mix: " + text);
-    return shares;
 }
 
 /** Build the tenant mix from --tenants/--tenant-zipf/
@@ -194,16 +249,10 @@ makeTenantMix(const CliOptions &options)
     mix.numTenants = options.tenants;
     mix.zipfExponent = options.tenantZipf;
     if (!options.tenantWeights.empty()) {
-        for (const std::string &field :
-             splitString(options.tenantWeights, ',')) {
-            double weight = 0.0;
-            if (!parseDouble(std::string(trimString(field)),
-                             weight) ||
-                weight <= 0.0) {
-                throw std::invalid_argument(
-                    "bad tenant weights: " + options.tenantWeights);
-            }
-            mix.weights.push_back(weight);
+        if (!parseShares(options.tenantWeights, kAboveZero,
+                         mix.weights)) {
+            throw std::invalid_argument(
+                "bad tenant weights: " + options.tenantWeights);
         }
         if (mix.weights.size() != options.tenants) {
             throw std::invalid_argument(
@@ -229,7 +278,7 @@ expandPlatformMix(const std::string &text, std::size_t instances)
         std::uint64_t count = 1;
         const auto colon = entry.find(':');
         if (colon != std::string::npos) {
-            if (!parseUnsigned(entry.substr(colon + 1), count) ||
+            if (!parseUnsigned(entry.c_str() + colon + 1, count) ||
                 count == 0) {
                 throw std::invalid_argument("bad platform mix: " +
                                             text);
@@ -266,235 +315,293 @@ makeEngineConfig(const CliOptions &options)
     config.maxBatchSize = options.maxBatchSize;
     config.warmupRequests = options.warmupRequests;
 
-    if (options.prefixCache == "on")
-        config.prefixCache = true;
-    else if (options.prefixCache == "off")
-        config.prefixCache = false;
-    else
-        throw std::invalid_argument("unknown prefix-cache mode: " +
-                                    options.prefixCache);
-
-    if (options.evictionPolicy == "lifo")
-        config.evictionPolicy = engine::EvictionPolicy::Lifo;
-    else if (options.evictionPolicy == "fifo")
-        config.evictionPolicy = engine::EvictionPolicy::Fifo;
-    else
-        throw std::invalid_argument("unknown eviction policy: " +
-                                    options.evictionPolicy);
-
-    if (options.evictionMode == "recompute")
-        config.evictionMode = engine::EvictionMode::Recompute;
-    else if (options.evictionMode == "swap")
-        config.evictionMode = engine::EvictionMode::Swap;
-    else
-        throw std::invalid_argument("unknown eviction mode: " +
-                                    options.evictionMode);
+    config.prefixCache = lookup(
+        kPrefixCacheModes, options.prefixCache, "prefix-cache mode");
+    config.evictionPolicy = lookup(
+        kEvictionPolicies, options.evictionPolicy, "eviction policy");
+    config.evictionMode = lookup(kEvictionModes, options.evictionMode,
+                                 "eviction mode");
     return config;
 }
 
-/** Flags taking no value. */
-constexpr const char *kBooleanFlags[] = {"--autoscale", "--disagg",
-                                         "--split-fuse",
-                                         "--tenant-tree", "--help"};
+/** Whether `text` is one of `words` ("a | b | c"). */
+bool
+isOneOf(std::string_view words, std::string_view text)
+{
+    for (;;) {
+        const std::size_t bar = words.find(" | ");
+        if (words.substr(0, bar) == text)
+            return true;
+        if (bar == std::string_view::npos)
+            return false;
+        words.remove_prefix(bar + 3);
+    }
+}
 
 /**
- * Bindings of every valued flag to its slot in `options`. Shared by
- * parseCliArgs and cliFlagNames so the usage audit can never miss a
- * flag that parsing accepts.
+ * The values a flag accepts: numbers in [min, max] (integers must
+ * also fit their field), or with `shares` set, a share list whose
+ * entries are at least `min`; with `closed` set, only the flag's
+ * choices.
  */
-std::map<std::string, std::function<bool(const std::string &)>>
-valuedFlagBindings(CliOptions &options)
+struct Domain
 {
-    std::map<std::string, std::function<bool(const std::string &)>>
-        valued;
+    double min = 0.0;
+    double max = std::numeric_limits<double>::infinity();
+    bool shares = false;
+    bool closed = false;
+};
 
-    auto bind_string = [](std::string &slot) {
-        return [&slot](const std::string &value) {
-            slot = value;
-            return true;
-        };
-    };
-    auto bind_size = [](std::size_t &slot) {
-        return [&slot](const std::string &value) {
-            std::uint64_t parsed = 0;
-            if (!parseUnsigned(value, parsed))
-                return false;
-            slot = static_cast<std::size_t>(parsed);
-            return true;
-        };
-    };
-    auto bind_double = [](double &slot) {
-        return [&slot](const std::string &value) {
-            return parseDouble(value, slot);
-        };
-    };
+constexpr Domain kPositive{.min = 1};
 
-    valued["--workload"] = bind_string(options.workload);
-    valued["--requests"] = bind_size(options.requests);
-    valued["--seed"] = [&options](const std::string &value) {
-        return parseUnsigned(value, options.seed);
-    };
-    valued["--sessions"] = bind_size(options.sessions);
-    valued["--turns"] = bind_size(options.turns);
-    valued["--system-prompt-tokens"] =
-        [&options](const std::string &value) {
-            std::uint64_t parsed = 0;
-            if (!parseUnsigned(value, parsed) || parsed == 0)
-                return false;
-            options.systemPromptTokens =
-                static_cast<TokenCount>(parsed);
-            return true;
-        };
-    valued["--prefix-cache"] = bind_string(options.prefixCache);
-    valued["--clients"] = bind_size(options.clients);
-    valued["--rate"] = bind_double(options.poissonRate);
-    valued["--think-time"] = bind_double(options.thinkSeconds);
-    valued["--scheduler"] = bind_string(options.scheduler);
-    valued["--overcommit"] = bind_double(options.overcommit);
-    valued["--watermark"] = bind_double(options.watermark);
-    valued["--reserved-ratio"] = bind_double(options.reservedRatio);
-    valued["--window-size"] = bind_size(options.windowSize);
-    valued["--queue-policy"] = bind_string(options.queuePolicy);
-    valued["--priority-mix"] = bind_string(options.priorityMix);
-    valued["--tenants"] = bind_size(options.tenants);
-    valued["--tenant-zipf"] = bind_double(options.tenantZipf);
-    valued["--tenant-weights"] = bind_string(options.tenantWeights);
-    valued["--model"] = bind_string(options.model);
-    valued["--hardware"] = bind_string(options.hardware);
-    valued["--tp"] = [&options](const std::string &value) {
-        std::uint64_t parsed = 0;
-        if (!parseUnsigned(value, parsed) || parsed == 0)
+/** Seconds stop at half of Tick's range: secondsToTicks cannot
+ *  overflow, and one such delay added to a clock below the same
+ *  bound still fits. */
+constexpr Domain kSeconds{
+    .max = ticksToSeconds(std::numeric_limits<Tick>::max() / 2)};
+
+/** One command-line flag: parsing, --help and the audit read it. */
+struct Flag
+{
+    /** --help heading opening a section; null continues the one
+     *  above. */
+    const char *section;
+    const char *name;
+
+    /** Value placeholder in --help; null for a boolean flag. */
+    const char *metavar;
+
+    /** Store the flag's value into its CliOptions field; false when
+     *  the text does not parse or lies outside `domain`. */
+    bool (*set)(const Flag &flag, const char *text,
+                CliOptions &options);
+    const char *help;
+    Domain domain = {};
+
+    /** The accepted names ("a | b"), listed ahead of the help text;
+     *  checked while parsing only in a closed domain, else by
+     *  assembly. */
+    std::string (*choices)() = nullptr;
+
+    /** Short spelling, if any. */
+    const char *alias = nullptr;
+};
+
+/** Setter of the CliOptions field `Field`, parsed by its type. */
+template <auto Field>
+bool
+store(const Flag &flag, const char *text, CliOptions &options)
+{
+    auto &slot = options.*Field;
+    using T = std::remove_reference_t<decltype(slot)>;
+    const Domain &domain = flag.domain;
+    if constexpr (std::is_same_v<T, bool>) {
+        slot = true;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        std::vector<double> shares;
+        if ((domain.closed && !isOneOf(flag.choices(), text)) ||
+            (domain.shares && !parseShares(text, domain.min, shares)))
             return false;
-        options.tensorParallel = static_cast<int>(parsed);
-        return true;
-    };
-    valued["--instances"] = bind_size(options.instances);
-    valued["--sim-threads"] = bind_size(options.simThreads);
-    valued["--prefill-instances"] =
-        bind_size(options.prefillInstances);
-    valued["--decode-instances"] =
-        bind_size(options.decodeInstances);
-    valued["--handoff-depth"] = bind_size(options.handoffDepth);
-    valued["--link-gbps"] = bind_double(options.linkGbps);
-    valued["--link-latency"] =
-        bind_double(options.linkLatencySeconds);
-    valued["--trace-replay"] = bind_string(options.traceReplay);
-    valued["--routing"] = bind_string(options.routing);
-    valued["--platform-mix"] = bind_string(options.platformMix);
-    valued["--drain-at"] = bind_double(options.drainAtSeconds);
-    valued["--min-instances"] = bind_size(options.minInstances);
-    valued["--max-instances"] = bind_size(options.maxInstances);
-    valued["--provision-delay"] =
-        bind_double(options.provisionDelaySeconds);
-    valued["--scale-policy"] = bind_string(options.scalePolicy);
-    valued["--scale-slo-target"] =
-        bind_double(options.scaleSloTarget);
-    valued["--shed-policy"] = bind_string(options.shedPolicy);
-    valued["--rate-schedule"] = bind_string(options.rateSchedule);
-    valued["--ttft-limit"] = bind_double(options.ttftLimitSeconds);
-    valued["--mtpot-limit"] = bind_double(options.mtpotLimitSeconds);
-    valued["--block-size"] = [&options](const std::string &value) {
-        std::uint64_t parsed = 0;
-        if (!parseUnsigned(value, parsed) || parsed == 0)
+        slot = text;
+    } else if constexpr (std::is_floating_point_v<T>) {
+        double value = 0.0;
+        if (!parseDouble(text, value) || value < domain.min ||
+            value > domain.max)
             return false;
-        options.blockSize = static_cast<TokenCount>(parsed);
-        return true;
-    };
-    valued["--max-batch"] = bind_size(options.maxBatchSize);
-    valued["--eviction-policy"] =
-        bind_string(options.evictionPolicy);
-    valued["--eviction-mode"] = bind_string(options.evictionMode);
-    valued["--warmup"] = bind_size(options.warmupRequests);
-    valued["--max-requests"] = bind_size(options.maxFinishedRequests);
-    valued["--max-seconds"] = bind_double(options.maxSimSeconds);
-    valued["--format"] = bind_string(options.format);
-    valued["--csv"] = bind_string(options.csvPath);
-    valued["--trace-out"] = bind_string(options.traceOut);
-    valued["--trace-detail"] = bind_string(options.traceDetail);
-    valued["--trace-limit"] =
-        [&options](const std::string &value) {
-            std::uint64_t parsed = 0;
-            if (!parseUnsigned(value, parsed) || parsed == 0)
-                return false;
-            options.traceLimit = static_cast<std::size_t>(parsed);
-            return true;
-        };
-    return valued;
-}
-
-} // namespace
-
-std::vector<std::string>
-cliFlagNames()
-{
-    CliOptions scratch;
-    std::vector<std::string> names;
-    for (const auto &[name, binding] : valuedFlagBindings(scratch))
-        names.push_back(name);
-    for (const char *name : kBooleanFlags)
-        names.push_back(name);
-    return names;
-}
-
-std::string
-parseCliArgs(int argc, const char *const *argv, CliOptions &options)
-{
-    // Flags taking a value, keyed by name.
-    const std::map<std::string,
-                   std::function<bool(const std::string &)>>
-        valued = valuedFlagBindings(options);
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            options.showHelp = true;
-            return "";
-        }
-        if (arg == "--split-fuse") {
-            options.splitFuse = true;
-            continue;
-        }
-        if (arg == "--autoscale") {
-            options.autoscale = true;
-            continue;
-        }
-        if (arg == "--disagg") {
-            options.disagg = true;
-            continue;
-        }
-        if (arg == "--tenant-tree") {
-            options.tenantTree = true;
-            continue;
-        }
-
-        // Accept both "--flag value" and "--flag=value".
-        std::string value;
-        auto eq = arg.find('=');
-        if (eq != std::string::npos) {
-            value = arg.substr(eq + 1);
-            arg = arg.substr(0, eq);
-        }
-        auto it = valued.find(arg);
-        if (it == valued.end())
-            return "unknown flag: " + arg;
-        if (eq == std::string::npos) {
-            if (i + 1 >= argc)
-                return "missing value for " + arg;
-            value = argv[++i];
-        }
-        if (!it->second(value))
-            return "bad value for " + arg + ": " + value;
+        slot = value;
+    } else {
+        std::uint64_t value = 0;
+        if (!parseUnsigned(text, value) ||
+            value > static_cast<std::uint64_t>(
+                        std::numeric_limits<T>::max()) ||
+            static_cast<double>(value) < domain.min ||
+            static_cast<double>(value) > domain.max)
+            return false;
+        slot = static_cast<T>(value);
     }
+    return true;
+}
 
-    if (options.format != "table" && options.format != "json" &&
-        options.format != "both")
-        return "bad value for --format: " + options.format;
-    if (options.prefixCache != "on" && options.prefixCache != "off")
-        return "bad value for --prefix-cache: " +
-            options.prefixCache + " (use on | off)";
+using O = CliOptions;
+
+/** Every flag pfs_cli accepts, in --help order. */
+constexpr Flag kFlags[] = {
+    {"Workload:", "--workload", "NAME", store<&O::workload>, nullptr,
+     {}, namesOf<kWorkloads>},
+    {nullptr, "--requests", "N", store<&O::requests>,
+     "dataset size (default 512)", kPositive},
+    {nullptr, "--seed", "N", store<&O::seed>,
+     "RNG seed (default 42)"},
+    {nullptr, "--clients", "N", store<&O::clients>,
+     "closed-loop client count (default 32)"},
+    {nullptr, "--rate", "R", store<&O::poissonRate>,
+     "open-loop Poisson arrivals/sec (overrides closed loop)"},
+    {nullptr, "--rate-schedule", "S", store<&O::rateSchedule>,
+     "open-loop time-varying arrivals: const:R | steps:RxS,... | "
+     "spike:BASE,PEAK,AT,DUR | diurnal:BASE,AMP,PERIOD[,STEPS "
+     "[,CYCLES]] (seconds; exclusive with --rate)"},
+    {nullptr, "--think-time", "S", store<&O::thinkSeconds>,
+     "closed-loop (and per-turn session) think time, seconds",
+     kSeconds},
+    {nullptr, "--trace-replay", "PATH", store<&O::traceReplay>,
+     "replay a dataset CSV carrying an arrival_us column at its "
+     "recorded timestamps (replaces --workload / --requests and the "
+     "load generators)"},
+    {"Multi-turn sessions (replaces --workload when set):",
+     "--sessions", "N", store<&O::sessions>, "concurrent "
+     "conversations (0 = off); every turn shares the system prompt "
+     "and prepends its session history"},
+    {nullptr, "--turns", "N", store<&O::turns>,
+     "requests per session (default 4)", kPositive},
+    {nullptr, "--system-prompt-tokens", "N",
+     store<&O::systemPromptTokens>,
+     "shared system prompt length (512)", kPositive},
+    {"Scheduler:", "--scheduler", "NAME", store<&O::scheduler>,
+     nullptr, {}, namesOf<kSchedulers>},
+    {nullptr, "--reserved-ratio", "F", store<&O::reservedRatio>,
+     "past_future reserve (default 0.03)", {.max = kBelowOne}},
+    {nullptr, "--window-size", "N", store<&O::windowSize>,
+     "past_future history window (1000)", kPositive},
+    {nullptr, "--watermark", "F", store<&O::watermark>, "aggressive "
+     "watermark (default 0.95)", {.min = kAboveZero, .max = 1}},
+    {nullptr, "--overcommit", "F", store<&O::overcommit>,
+     "conservative multiplier (default 1.0)", {.min = kAboveZero}},
+    {nullptr, "--queue-policy", "P", store<&O::queuePolicy>,
+     "fcfs | sjf | edf | priority (queue ordering; default fcfs)"},
+    {nullptr, "--priority-mix", "L", store<&O::priorityMix>, "class "
+     "shares, lowest first, e.g. 0.8,0.2 = 20% priority-1 requests",
+     {.shares = true}},
+    {"Multi-tenant isolation:", "--tenants", "N", store<&O::tenants>,
+     "tenants drawing the workload's requests, ids 0..N-1 (default 0 "
+     "= single tenant)"},
+    {nullptr, "--tenant-zipf", "S", store<&O::tenantZipf>, "Zipf "
+     "exponent of the tenant traffic shares (default 0 = uniform)"},
+    {nullptr, "--tenant-weights", "L", store<&O::tenantWeights>,
+     "explicit tenant shares, e.g. 8,1,1 (count = --tenants; "
+     "exclusive with --tenant-zipf)",
+     {.min = kAboveZero, .shares = true}},
+    {nullptr, "--tenant-tree", nullptr, store<&O::tenantTree>,
+     "schedule through the per-tenant fair tree (weighted fair "
+     "queueing over tenants, --queue-policy within one; also makes "
+     "overload shedding fairness-aware). Off = flat bit-exact "
+     "pipeline"},
+    {"Platform:", "--model", "NAME", store<&O::model>, nullptr, {},
+     namesOf<kModels>},
+    {nullptr, "--hardware", "NAME", store<&O::hardware>, nullptr, {},
+     namesOf<kHardware>},
+    {nullptr, "--tp", "N", store<&O::tensorParallel>,
+     "tensor-parallel degree (default 1)", kPositive},
+    {"Fleet (exact event-driven co-simulation when N > 1):",
+     "--instances", "N", store<&O::instances>,
+     "fleet size (default 1)", kPositive},
+    {nullptr, "--routing", "P", store<&O::routing>, "round-robin | "
+     "least-outstanding | future-memory (the default) | "
+     "prefix-affinity (sticky sessions: turns follow their cached "
+     "prefix)"},
+    {nullptr, "--platform-mix", "L", store<&O::platformMix>,
+     "per-instance hardware, name[:count] entries summing to N, e.g. "
+     "a100-80g:2,a30:2 (default: --hardware everywhere)"},
+    {nullptr, "--drain-at", "S", store<&O::drainAtSeconds>, "drain "
+     "instance 0 after S simulated seconds; its queued requests "
+     "re-dispatch through the router", kSeconds},
+    {nullptr, "--sim-threads", "K", store<&O::simThreads>, "shard "
+     "the fleet's engines across K compute threads (default 1); "
+     "results are bit-identical to the single-threaded run (works "
+     "with --autoscale and --disagg too)", kPositive},
+    {"Disaggregated prefill/decode (KV migration over a modeled "
+     "interconnect; exclusive with --instances/--routing):",
+     "--disagg", nullptr, store<&O::disagg>, "split the fleet into a "
+     "prefill pool (routed by pending prefill load) and a decode "
+     "pool (future-memory); finished prefill KV migrates through a "
+     "bounded handoff queue"},
+    {nullptr, "--prefill-instances", "N", store<&O::prefillInstances>,
+     "prefill pool size (default 1)"},
+    {nullptr, "--decode-instances", "N", store<&O::decodeInstances>,
+     "decode pool size (default 1)"},
+    {nullptr, "--handoff-depth", "N", store<&O::handoffDepth>,
+     "handoff queue bound; a transfer finding it full is shed "
+     "(default 64)"},
+    {nullptr, "--link-gbps", "G", store<&O::linkGbps>, "interconnect "
+     "bandwidth, GB/s (default: the hardware's interconnect "
+     "profile)"},
+    {nullptr, "--link-latency", "S", store<&O::linkLatencySeconds>,
+     "fixed per-transfer latency, seconds (default: hardware "
+     "profile)", kSeconds},
+    {"Elastic autoscaling (SLA -> capacity control loop; with "
+     "--disagg, one independent loop per pool):", "--autoscale",
+     nullptr, store<&O::autoscale>, "close the loop: "
+     "provision/retire instances from SLO attainment and fleet-wide "
+     "future-memory forecasts (works from --instances 1 up)"},
+    {nullptr, "--min-instances", "N", store<&O::minInstances>,
+     "scale-down floor (default 1)"},
+    {nullptr, "--max-instances", "N", store<&O::maxInstances>,
+     "scale-up ceiling (default 8)"},
+    {nullptr, "--provision-delay", "S",
+     store<&O::provisionDelaySeconds>, "cold-start delay before a "
+     "new instance joins the router (10)", kSeconds},
+    {nullptr, "--scale-policy", "P", store<&O::scalePolicy>,
+     "reactive (threshold+hysteresis on observed attainment) | "
+     "predictive (fleet-wide future-memory forecast, the default)"},
+    {nullptr, "--scale-slo-target", "F", store<&O::scaleSloTarget>,
+     "attainment target in (0, 1] (default 0.9)",
+     {.min = kAboveZero, .max = 1}},
+    {nullptr, "--shed-policy", "P", store<&O::shedPolicy>, "never "
+     "(default) | overload: at max scale, reject arrivals that would "
+     "push outstanding work past the shed bound instead of queueing "
+     "without limit"},
+    {"SLA (defaults follow the paper, by model size):",
+     "--ttft-limit", "S", store<&O::ttftLimitSeconds>,
+     "TTFT limit, seconds", kSeconds},
+    {nullptr, "--mtpot-limit", "S", store<&O::mtpotLimitSeconds>,
+     "max time-per-output-token, seconds", kSeconds},
+    {"Engine:", "--block-size", "N", store<&O::blockSize>,
+     "KV block size (default 16)", kPositive},
+    {nullptr, "--prefix-cache", "M", store<&O::prefixCache>,
+     "(default off): shared-prefix KV reuse with copy-on-write "
+     "blocks; admission charges and prefills only the uncached "
+     "prompt suffix", {.closed = true}, namesOf<kPrefixCacheModes>},
+    {nullptr, "--split-fuse", nullptr, store<&O::splitFuse>,
+     "enable chunked prefill"},
+    {nullptr, "--max-batch", "N", store<&O::maxBatchSize>,
+     "running-batch cap (0 = unlimited)"},
+    {nullptr, "--eviction-policy", "P", store<&O::evictionPolicy>,
+     nullptr, {}, namesOf<kEvictionPolicies>},
+    {nullptr, "--eviction-mode", "M", store<&O::evictionMode>,
+     nullptr, {}, namesOf<kEvictionModes>},
+    {nullptr, "--warmup", "N", store<&O::warmupRequests>,
+     "discard metrics of first N requests"},
+    {"Run limits / output:", "--max-requests", "N",
+     store<&O::maxFinishedRequests>,
+     "stop after N finished requests"},
+    {nullptr, "--max-seconds", "S", store<&O::maxSimSeconds>,
+     "stop after S simulated seconds", kSeconds},
+    {nullptr, "--format", "F", store<&O::format>, "(default table)",
+     {.closed = true},
+     [] { return std::string("table | json | both"); }},
+    {nullptr, "--csv", "PATH", store<&O::csvPath>,
+     "also write per-request CSV"},
+    {"Flight recorder (read-only: the RunReport is byte-identical "
+     "with tracing on or off):", "--trace-out", "PATH",
+     store<&O::traceOut>, "write a Chrome trace-event JSON (open in "
+     "Perfetto / chrome://tracing) plus a per-request timeline at "
+     "PATH.requests.csv"},
+    {nullptr, "--trace-detail", "L", store<&O::traceDetail>, "off | "
+     "requests (lifecycle spans and decision instants; the default "
+     "when --trace-out is set) | steps (+ per- iteration engine "
+     "counters) | full (+ per-shard wall-clock profiling under "
+     "--sim-threads)"},
+    {nullptr, "--trace-limit", "N", store<&O::traceLimit>, "per-sink "
+     "event ring capacity (default 65536); the oldest events drop "
+     "when a ring wraps", kPositive},
+    {nullptr, "--help", nullptr, store<&O::showHelp>,
+     "show this reference", {}, nullptr, "-h"},
+};
+
+/** Rules that span flags; single-flag domains live in the rows. */
+std::string
+validateOptions(const CliOptions &options)
+{
     if (options.sessions > 0) {
-        if (options.turns == 0)
-            return "--turns must be positive";
         if (options.poissonRate > 0.0)
             return "--rate is open-loop; the session workload is "
                    "closed-loop by construction";
@@ -537,12 +644,6 @@ parseCliArgs(int argc, const char *const *argv, CliOptions &options)
         if (options.drainAtSeconds > 0.0)
             return "--drain-at composes with colocated fleets; "
                    "drain a disagg pool programmatically";
-        if (options.maxFinishedRequests > 0 ||
-            options.maxSimSeconds > 0.0)
-            return "run limits (--max-requests/--max-seconds) are "
-                   "single-instance only; --disagg runs two pools";
-        if (options.linkGbps < 0.0)
-            return "--link-gbps must be non-negative";
     } else {
         if (options.prefillInstances > 0)
             return "--prefill-instances needs --disagg";
@@ -563,8 +664,6 @@ parseCliArgs(int argc, const char *const *argv, CliOptions &options)
         if (!options.tenantWeights.empty())
             return "--tenant-weights needs --tenants";
     }
-    if (options.tenantZipf < 0.0)
-        return "--tenant-zipf must be non-negative";
     if (options.tenantZipf > 0.0 && !options.tenantWeights.empty())
         return "--tenant-zipf and --tenant-weights are exclusive "
                "(explicit weights already fix the shares)";
@@ -595,16 +694,6 @@ parseCliArgs(int argc, const char *const *argv, CliOptions &options)
             return "--instances must start inside "
                    "[--min-instances, --max-instances]";
         }
-        if (options.provisionDelaySeconds < 0.0)
-            return "--provision-delay must be non-negative";
-        if (options.scaleSloTarget <= 0.0 ||
-            options.scaleSloTarget > 1.0)
-            return "--scale-slo-target must be in (0, 1]";
-        if (options.maxFinishedRequests > 0 ||
-            options.maxSimSeconds > 0.0)
-            return "run limits (--max-requests/--max-seconds) are "
-                   "single-instance only; --autoscale runs a "
-                   "cluster";
         if (options.drainAtSeconds > 0.0)
             return "--drain-at composes with static fleets; "
                    "--autoscale manages drains itself";
@@ -622,29 +711,18 @@ parseCliArgs(int argc, const char *const *argv, CliOptions &options)
         return "--shed-policy needs --autoscale (shedding guards "
                "the fleet's max scale)";
     }
-    if (options.requests == 0)
-        return "--requests must be positive";
     if (options.clients == 0 && options.poissonRate <= 0.0 &&
         options.rateSchedule.empty() && options.traceReplay.empty())
         return "--clients must be positive in closed-loop mode";
-    if (options.thinkSeconds < 0.0)
-        return "--think-time must be non-negative";
-    if (options.poissonRate < 0.0)
-        return "--rate must be non-negative";
-    if (options.maxSimSeconds < 0.0)
-        return "--max-seconds must be non-negative";
-    if (options.instances == 0)
-        return "--instances must be positive";
-    if (options.simThreads == 0)
-        return "--sim-threads must be positive";
     if (options.simThreads > 1 && options.instances < 2 &&
         !options.autoscale && !options.disagg)
         return "--sim-threads needs a co-simulated fleet "
                "(--instances >= 2, --autoscale, or --disagg); the "
                "single-engine path is self-clocked";
-    if (options.drainAtSeconds < 0.0)
-        return "--drain-at must be non-negative";
-    if (options.instances > 1 &&
+    // Only a single engine's loop stops at run limits; a cluster
+    // would silently ignore them.
+    if ((options.instances > 1 || options.autoscale ||
+         options.disagg) &&
         (options.maxFinishedRequests > 0 ||
          options.maxSimSeconds > 0.0)) {
         return "run limits (--max-requests/--max-seconds) are "
@@ -675,180 +753,116 @@ parseCliArgs(int argc, const char *const *argv, CliOptions &options)
     return "";
 }
 
+constexpr std::size_t kUsageWidth = 70;
+constexpr std::size_t kHelpColumn = 22;
+
+/** Print `line` padded to `indent` (or on its own line when wider),
+ *  then `text` wrapped to kUsageWidth at that indent. */
+void
+printWrapped(std::ostream &os, std::string line, std::size_t indent,
+             const std::string &text)
+{
+    if (!line.empty() && line.size() >= indent) {
+        os << line << '\n';
+        line.clear();
+    }
+    line.resize(indent, ' ');
+    std::istringstream words(text);
+    for (std::string word; words >> word;) {
+        if (line.size() > indent &&
+            line.size() + 1 + word.size() > kUsageWidth) {
+            os << line << '\n';
+            line.assign(indent, ' ');
+        }
+        line += (line.size() > indent ? " " : "") + word;
+    }
+    os << line << '\n';
+}
+
+} // namespace
+
+std::vector<std::string>
+cliFlagNames()
+{
+    std::vector<std::string> names;
+    for (const Flag &flag : kFlags)
+        names.push_back(flag.name);
+    return names;
+}
+
+std::string
+parseCliArgs(int argc, const char *const *argv, CliOptions &options)
+{
+    for (int i = 1; i < argc; ++i) {
+        // Accept both "--flag value" and "--flag=value".
+        std::string_view arg = argv[i];
+        const char *value = nullptr;
+        const std::size_t eq = arg.find('=');
+        if (eq != std::string_view::npos) {
+            value = argv[i] + eq + 1;
+            arg = arg.substr(0, eq);
+        }
+        const Flag *flag = std::find_if(
+            std::begin(kFlags), std::end(kFlags),
+            [arg](const Flag &f) {
+                return arg == f.name ||
+                    (f.alias != nullptr && arg == f.alias);
+            });
+        if (flag == std::end(kFlags))
+            return "unknown flag: " + std::string(arg);
+        const bool boolean = flag->metavar == nullptr;
+        if (boolean && value != nullptr)
+            return std::string(arg) + " takes no value";
+        if (!boolean && value == nullptr) {
+            if (i + 1 >= argc)
+                return "missing value for " + std::string(arg);
+            value = argv[++i];
+        }
+        if (!flag->set(*flag, boolean ? "" : value, options)) {
+            const std::string hint = flag->domain.closed
+                ? " (use " + flag->choices() + ")" : "";
+            return "bad value for " + std::string(arg) + ": " +
+                value + hint;
+        }
+        if (options.showHelp)
+            return "";
+    }
+    return validateOptions(options);
+}
+
 void
 printCliUsage(std::ostream &os)
 {
-    os <<
-        "pfs_cli — run one serving scenario and report metrics\n"
-        "\n"
-        "Workload:\n"
-        "  --workload NAME     sharegpt | sharegpt-o1 | dist1 | dist2\n"
-        "                      | dist3 | textvqa | trace-conversation\n"
-        "                      | trace-api | trace-code | trace-longdoc\n"
-        "  --requests N        dataset size (default 512)\n"
-        "  --seed N            RNG seed (default 42)\n"
-        "  --clients N         closed-loop client count (default 32)\n"
-        "  --rate R            open-loop Poisson arrivals/sec\n"
-        "                      (overrides closed loop)\n"
-        "  --rate-schedule S   open-loop time-varying arrivals:\n"
-        "                      const:R | steps:RxS,... |\n"
-        "                      spike:BASE,PEAK,AT,DUR |\n"
-        "                      diurnal:BASE,AMP,PERIOD[,STEPS\n"
-        "                      [,CYCLES]] (seconds; exclusive\n"
-        "                      with --rate)\n"
-        "  --think-time S      closed-loop (and per-turn session)\n"
-        "                      think time, seconds\n"
-        "  --trace-replay PATH replay a dataset CSV carrying an\n"
-        "                      arrival_us column at its recorded\n"
-        "                      timestamps (replaces --workload /\n"
-        "                      --requests and the load generators)\n"
-        "\n"
-        "Multi-turn sessions (replaces --workload when set):\n"
-        "  --sessions N        concurrent conversations (0 = off);\n"
-        "                      every turn shares the system prompt\n"
-        "                      and prepends its session history\n"
-        "  --turns N           requests per session (default 4)\n"
-        "  --system-prompt-tokens N\n"
-        "                      shared system prompt length (512)\n"
-        "\n"
-        "Scheduler:\n"
-        "  --scheduler NAME    past_future | aggressive |\n"
-        "                      conservative | oracle\n"
-        "  --reserved-ratio F  past_future reserve (default 0.03)\n"
-        "  --window-size N     past_future history window (1000)\n"
-        "  --watermark F       aggressive watermark (default 0.95)\n"
-        "  --overcommit F      conservative multiplier (default 1.0)\n"
-        "  --queue-policy P    fcfs | sjf | edf | priority\n"
-        "                      (queue ordering; default fcfs)\n"
-        "  --priority-mix L    class shares, lowest first, e.g.\n"
-        "                      0.8,0.2 = 20% priority-1 requests\n"
-        "\n"
-        "Multi-tenant isolation:\n"
-        "  --tenants N         tenants drawing the workload's\n"
-        "                      requests, ids 0..N-1 (default 0 =\n"
-        "                      single tenant)\n"
-        "  --tenant-zipf S     Zipf exponent of the tenant traffic\n"
-        "                      shares (default 0 = uniform)\n"
-        "  --tenant-weights L  explicit tenant shares, e.g. 8,1,1\n"
-        "                      (count = --tenants; exclusive with\n"
-        "                      --tenant-zipf)\n"
-        "  --tenant-tree       schedule through the per-tenant\n"
-        "                      fair tree (weighted fair queueing\n"
-        "                      over tenants, --queue-policy within\n"
-        "                      one; also makes overload shedding\n"
-        "                      fairness-aware). Off = flat\n"
-        "                      bit-exact pipeline\n"
-        "\n"
-        "Platform:\n"
-        "  --model NAME        llama2-7b | llama2-13b | llama2-70b |\n"
-        "                      qwen-vl-chat | llava15-7b | llava15-13b\n"
-        "  --hardware NAME     a100-80g | h800 | rtx4090 | a30\n"
-        "  --tp N              tensor-parallel degree (default 1)\n"
-        "\n"
-        "Fleet (exact event-driven co-simulation when N > 1):\n"
-        "  --instances N       fleet size (default 1)\n"
-        "  --routing P         round-robin | least-outstanding |\n"
-        "                      future-memory (the default) |\n"
-        "                      prefix-affinity (sticky sessions:\n"
-        "                      turns follow their cached prefix)\n"
-        "  --platform-mix L    per-instance hardware, name[:count]\n"
-        "                      entries summing to N, e.g.\n"
-        "                      a100-80g:2,a30:2 (default:\n"
-        "                      --hardware everywhere)\n"
-        "  --drain-at S        drain instance 0 after S simulated\n"
-        "                      seconds; its queued requests\n"
-        "                      re-dispatch through the router\n"
-        "  --sim-threads K     shard the fleet's engines across K\n"
-        "                      compute threads (default 1); results\n"
-        "                      are bit-identical to the\n"
-        "                      single-threaded run (works with\n"
-        "                      --autoscale and --disagg too)\n"
-        "\n"
-        "Disaggregated prefill/decode (KV migration over a modeled\n"
-        "interconnect; exclusive with --instances/--routing):\n"
-        "  --disagg            split the fleet into a prefill pool\n"
-        "                      (routed by pending prefill load) and\n"
-        "                      a decode pool (future-memory);\n"
-        "                      finished prefill KV migrates through\n"
-        "                      a bounded handoff queue\n"
-        "  --prefill-instances N\n"
-        "                      prefill pool size (default 1)\n"
-        "  --decode-instances N\n"
-        "                      decode pool size (default 1)\n"
-        "  --handoff-depth N   handoff queue bound; a transfer\n"
-        "                      finding it full is shed (default 64)\n"
-        "  --link-gbps G       interconnect bandwidth, GB/s\n"
-        "                      (default: the hardware's\n"
-        "                      interconnect profile)\n"
-        "  --link-latency S    fixed per-transfer latency, seconds\n"
-        "                      (default: hardware profile)\n"
-        "\n"
-        "Elastic autoscaling (SLA -> capacity control loop;\n"
-        "with --disagg, one independent loop per pool):\n"
-        "  --autoscale         close the loop: provision/retire\n"
-        "                      instances from SLO attainment and\n"
-        "                      fleet-wide future-memory forecasts\n"
-        "                      (works from --instances 1 up)\n"
-        "  --min-instances N   scale-down floor (default 1)\n"
-        "  --max-instances N   scale-up ceiling (default 8)\n"
-        "  --provision-delay S cold-start delay before a new\n"
-        "                      instance joins the router (10)\n"
-        "  --scale-policy P    reactive (threshold+hysteresis on\n"
-        "                      observed attainment) | predictive\n"
-        "                      (fleet-wide future-memory forecast,\n"
-        "                      the default)\n"
-        "  --scale-slo-target F attainment target in (0, 1]\n"
-        "                      (default 0.9)\n"
-        "  --shed-policy P     never (default) | overload: at max\n"
-        "                      scale, reject arrivals that would\n"
-        "                      push outstanding work past the\n"
-        "                      shed bound instead of queueing\n"
-        "                      without limit\n"
-        "\n"
-        "SLA (defaults follow the paper, by model size):\n"
-        "  --ttft-limit S      TTFT limit, seconds\n"
-        "  --mtpot-limit S     max time-per-output-token, seconds\n"
-        "\n"
-        "Engine:\n"
-        "  --block-size N      KV block size (default 16)\n"
-        "  --prefix-cache M    on | off (default off): shared-prefix\n"
-        "                      KV reuse with copy-on-write blocks;\n"
-        "                      admission charges and prefills only\n"
-        "                      the uncached prompt suffix\n"
-        "  --split-fuse        enable chunked prefill\n"
-        "  --max-batch N       running-batch cap (0 = unlimited)\n"
-        "  --eviction-policy P lifo | fifo\n"
-        "  --eviction-mode M   recompute | swap\n"
-        "  --warmup N          discard metrics of first N requests\n"
-        "\n"
-        "Run limits / output:\n"
-        "  --max-requests N    stop after N finished requests\n"
-        "  --max-seconds S     stop after S simulated seconds\n"
-        "  --format F          table | json | both (default table)\n"
-        "  --csv PATH          also write per-request CSV\n"
-        "\n"
-        "Flight recorder (read-only: the RunReport is\n"
-        "byte-identical with tracing on or off):\n"
-        "  --trace-out PATH    write a Chrome trace-event JSON\n"
-        "                      (open in Perfetto / chrome://tracing)\n"
-        "                      plus a per-request timeline at\n"
-        "                      PATH.requests.csv\n"
-        "  --trace-detail L    off | requests (lifecycle spans and\n"
-        "                      decision instants; the default when\n"
-        "                      --trace-out is set) | steps (+ per-\n"
-        "                      iteration engine counters) | full\n"
-        "                      (+ per-shard wall-clock profiling\n"
-        "                      under --sim-threads)\n"
-        "  --trace-limit N     per-sink event ring capacity\n"
-        "                      (default 65536); the oldest events\n"
-        "                      drop when a ring wraps\n"
-        "  --help, -h          show this reference\n";
+    os << "pfs_cli — run one serving scenario and report metrics\n";
+    for (const Flag &flag : kFlags) {
+        if (flag.section != nullptr) {
+            os << '\n';
+            printWrapped(os, "", 0, flag.section);
+        }
+        std::string lead = std::string("  ") + flag.name;
+        if (flag.alias != nullptr)
+            lead += std::string(", ") + flag.alias;
+        if (flag.metavar != nullptr)
+            lead += std::string(" ") + flag.metavar;
+        // printWrapped collapses the spaces of absent parts.
+        const std::string text =
+            (flag.choices != nullptr ? flag.choices() : "") + " " +
+            (flag.help != nullptr ? flag.help : "");
+        printWrapped(os, std::move(lead), kHelpColumn, text);
+    }
 }
 
 Scenario
 assembleScenario(const CliOptions &options)
 {
-    const model::ModelSpec model_spec = makeModelSpec(options.model);
+    // Programmatic callers skip parseCliArgs; hold them to the same
+    // cross-flag rules.
+    if (const std::string error = validateOptions(options);
+        !error.empty())
+        throw std::invalid_argument(error);
+
+    const model::ModelSpec model_spec =
+        lookup(kModels, options.model, "model")();
 
     workload::Dataset dataset;
     workload::SessionWorkloadConfig session_config;
@@ -888,14 +902,19 @@ assembleScenario(const CliOptions &options)
                 }
             }
         } else {
-            dataset = makeWorkload(options.workload,
-                                   options.requests, options.seed,
-                                   image_tokens);
+            dataset = lookup(kWorkloads, options.workload,
+                             "workload")(options.requests,
+                                         options.seed, image_tokens);
         }
 
+        std::vector<double> shares;
         if (!options.priorityMix.empty()) {
+            if (!parseShares(options.priorityMix, 0.0, shares)) {
+                throw std::invalid_argument("bad priority mix: " +
+                                            options.priorityMix);
+            }
             workload::assignPriorityMix(
-                dataset, parsePriorityMix(options.priorityMix),
+                dataset, shares,
                 options.seed ^ 0x9e3779b97f4a7c15ull);
         }
 
@@ -908,10 +927,10 @@ assembleScenario(const CliOptions &options)
         }
     }
 
-    const metrics::SlaSpec sla = makeSla(options);
+    const metrics::SlaSpec sla = makeSla(options, model_spec);
 
     core::SchedulerConfig scheduler_config =
-        makeSchedulerConfig(options);
+        lookup(kSchedulers, options.scheduler, "scheduler")(options);
     // Cold-start seeding with the service cap, as the benches do.
     scheduler_config.pastFuture.seedOutputLen = dataset.maxNewTokens;
     if (!core::parseQueuePolicyKind(options.queuePolicy,
@@ -939,29 +958,20 @@ assembleScenario(const CliOptions &options)
         limits.maxTicks = secondsToTicks(options.maxSimSeconds);
 
     Scenario scenario{
-        std::move(dataset),
-        session_mode,
-        session_config,
-        scheduler_config,
-        model::PerfModel(model_spec,
-                         makeHardwareSpec(options.hardware,
-                                          options.tensorParallel)),
-        sla,
-        makeEngineConfig(options),
-        limits,
-        options.clients,
-        options.poissonRate,
-        secondsToTicks(options.thinkSeconds),
-        options.seed,
-        {},
-        cluster::RoutingPolicy::FutureMemory,
-        0,
-        1,
-        false,
-        workload::RateSchedule::constant(1.0),
-        false,
-        {},
-        {},
+        .dataset = std::move(dataset),
+        .sessionMode = session_mode,
+        .sessionConfig = session_config,
+        .schedulerConfig = scheduler_config,
+        .perf = model::PerfModel(
+            model_spec, makeHardwareSpec(options.hardware,
+                                         options.tensorParallel)),
+        .sla = sla,
+        .engineConfig = makeEngineConfig(options),
+        .limits = limits,
+        .clients = options.clients,
+        .poissonRate = options.poissonRate,
+        .thinkTime = secondsToTicks(options.thinkSeconds),
+        .seed = options.seed,
     };
 
     if (!options.rateSchedule.empty()) {
@@ -1014,14 +1024,6 @@ assembleScenario(const CliOptions &options)
     }
     if ((options.instances > 1 || options.autoscale) &&
         !options.disagg) {
-        // Guarded in parseCliArgs for the CLI; repeated here so
-        // programmatic callers cannot assemble a fleet whose run
-        // limits would be silently ignored.
-        if (options.maxFinishedRequests > 0 ||
-            options.maxSimSeconds > 0.0) {
-            throw std::invalid_argument(
-                "run limits are single-instance only");
-        }
         const std::vector<std::string> mix =
             options.platformMix.empty()
             ? std::vector<std::string>(options.instances,
@@ -1405,11 +1407,8 @@ emitReport(std::ostream &os, const CliOptions &options,
             for (std::size_t t = 0; t < scenario.tenants; ++t) {
                 auto &samples = ttfts[t];
                 std::sort(samples.begin(), samples.end());
-                const double p99 = samples.empty()
-                    ? 0.0
-                    : samples[std::min(samples.size() - 1,
-                                       (samples.size() * 99) /
-                                           100)];
+                const double p99 =
+                    stats::percentileSorted(samples, 0.99);
                 const std::string prefix =
                     "tenant" + std::to_string(t);
                 table.addRow({prefix + "_finished",

@@ -35,7 +35,15 @@
 namespace lightllm {
 namespace cli {
 
-/** Everything configurable from the command line, as raw values. */
+/**
+ * Everything configurable from the command line, as raw values.
+ *
+ * Adding a flag takes the field here plus one row of the flag table
+ * (`kFlags` in cli_scenario.cc): name, metavar, --help section and
+ * text, `store<&CliOptions::field>`, and the field's value domain.
+ * Parsing, --help and cliFlagNames() all read that row; only a rule
+ * spanning several flags needs code, in the cross-flag validation.
+ */
 struct CliOptions
 {
     // Workload.
@@ -201,6 +209,9 @@ struct CliOptions
 /**
  * Parse argv into `options`.
  *
+ * A value outside its flag's domain (non-finite, out of range, or
+ * too large for its field) is rejected as "bad value for --X: V".
+ *
  * @return Empty string on success, otherwise a diagnostic naming the
  *         offending flag (the options are then unspecified).
  */
@@ -240,7 +251,7 @@ struct Scenario
     /** Per-instance performance models; populated (and sized to
      *  --instances) only for fleet scenarios. Empty = one engine
      *  driven by `perf` (the bit-exact single-instance path). */
-    std::vector<model::PerfModel> fleetPerfs;
+    std::vector<model::PerfModel> fleetPerfs = {};
     cluster::RoutingPolicy routing =
         cluster::RoutingPolicy::FutureMemory;
 
@@ -259,8 +270,8 @@ struct Scenario
     /** Elastic autoscaling (cluster path, possibly from a fleet of
      *  one). */
     bool autoscale = false;
-    autoscale::AutoscaleConfig autoscaleConfig;
-    std::string scalePolicyName;
+    autoscale::AutoscaleConfig autoscaleConfig = {};
+    std::string scalePolicyName = {};
 
     /** Tenant count of the workload (0 = single tenant); gates the
      *  per-tenant report breakdown. */
@@ -275,12 +286,12 @@ struct Scenario
     bool disagg = false;
     std::size_t prefillInstances = 1;
     std::size_t decodeInstances = 1;
-    disagg::DisaggConfig disaggConfig;
+    disagg::DisaggConfig disaggConfig = {};
 
     /** Flight-recorder output path (empty = tracing off); the
      *  exported JSON lands here and the per-request timeline at
      *  `traceOut + ".requests.csv"`. */
-    std::string traceOut;
+    std::string traceOut = {};
 
     /** Capture level; Off leaves every trace hook a dead branch. */
     trace::TraceDetail traceDetail = trace::TraceDetail::Off;
@@ -293,7 +304,9 @@ struct Scenario
  * Turn parsed options into a runnable scenario.
  *
  * @throws std::invalid_argument naming the option when a name
- *         (workload, scheduler, model, hardware, ...) is unknown.
+ *         (workload, scheduler, model, hardware, ...) is unknown, or
+ *         when the options break a cross-flag rule parseCliArgs
+ *         enforces (programmatic callers skip the parse).
  */
 Scenario assembleScenario(const CliOptions &options);
 
