@@ -266,16 +266,18 @@ BM_PrefixCacheReclaim(benchmark::State &state)
     kv.allocate(0, kPinned * kBlock);
     cache.insert(pinned, kv.blockTable(0));
 
-    RequestId next_id = 1;
+    // One slot, recycled into a new generation per cycle, as an
+    // engine recycles a finished request's slot.
+    std::uint32_t generation = 0;
     auto cycle = [&](TokenCount tokens) {
-        const RequestId id = next_id++;
-        kv.allocate(id, tokens);
+        const RequestSlot slot = makeSlot(1, generation++);
+        kv.allocate(slot, tokens);
         const PrefixHash hash = next_hash++;
         cache.insert(std::span<const PrefixHash>(&hash, 1),
                      std::span<const memory::BlockId>(
-                         kv.blockTable(id))
+                         kv.blockTable(slot))
                          .first(1));
-        kv.release(id);
+        kv.release(slot);
     };
     for (std::int64_t i = kPinned; i < kCached; ++i)
         cycle(kBlock);  // park one block

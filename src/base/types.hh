@@ -34,6 +34,33 @@ using RequestId = std::int64_t;
 /** Sentinel for "no request". */
 inline constexpr RequestId kInvalidRequestId = -1;
 
+/**
+ * Dense, generation-tagged handle of one request's state inside an
+ * engine (its EngineRequest slab entry, KV allocation and sticky
+ * prediction sample). Low 32 bits: the slot index; high 32 bits: the
+ * slot's generation, bumped every time the engine recycles the slot,
+ * so a handle kept past its request's departure names nothing (the
+ * sim::EventId scheme). RequestId stays the external identity.
+ */
+using RequestSlot = std::uint64_t;
+
+/** Sentinel for "no slot" (callers outside an engine). */
+inline constexpr RequestSlot kInvalidSlot = ~RequestSlot{0};
+
+/** Index part of a slot handle. */
+constexpr std::uint32_t
+slotIndex(RequestSlot slot)
+{
+    return static_cast<std::uint32_t>(slot);
+}
+
+/** The handle of slot `index` in generation `generation`. */
+constexpr RequestSlot
+makeSlot(std::uint32_t index, std::uint32_t generation)
+{
+    return (RequestSlot{generation} << 32) | index;
+}
+
 /** Convert seconds (double) to ticks, rounding to nearest. */
 constexpr Tick
 secondsToTicks(double seconds)

@@ -12,8 +12,9 @@ LengthDistribution::LengthDistribution(std::vector<TokenCount> lengths)
     : sorted_(std::move(lengths))
 {
     std::sort(sorted_.begin(), sorted_.end());
+    for (TokenCount value : sorted_)
+        total_ += value;
     sumsDirty_ = true;
-    ensureSums();
 }
 
 void
@@ -22,6 +23,7 @@ LengthDistribution::insertValue(TokenCount value)
     sorted_.insert(
         std::upper_bound(sorted_.begin(), sorted_.end(), value),
         value);
+    total_ += value;
     sumsDirty_ = true;
 }
 
@@ -33,6 +35,7 @@ LengthDistribution::eraseValue(TokenCount value)
     LIGHTLLM_ASSERT(it != sorted_.end() && *it == value,
                     "erase of unrecorded length ", value);
     sorted_.erase(it);
+    total_ -= value;
     sumsDirty_ = true;
 }
 
@@ -43,11 +46,9 @@ LengthDistribution::ensureSums() const
         return;
     prefixSums_.clear();
     prefixSums_.reserve(sorted_.size() + 1);
-    prefixSums_.push_back(0.0);
-    for (TokenCount value : sorted_) {
-        prefixSums_.push_back(prefixSums_.back() +
-                              static_cast<double>(value));
-    }
+    prefixSums_.push_back(0);
+    for (TokenCount value : sorted_)
+        prefixSums_.push_back(prefixSums_.back() + value);
     sumsDirty_ = false;
 }
 
@@ -132,29 +133,44 @@ TokenCount
 LengthDistribution::tailMean(TokenCount greater_than,
                              TokenCount fallback) const
 {
-    const auto first = std::upper_bound(sorted_.begin(), sorted_.end(),
-                                        greater_than);
-    if (first == sorted_.end())
+    // Below every recorded length the tail is the whole window.
+    const std::size_t start =
+        sorted_.empty() || greater_than < sorted_.front()
+        ? 0
+        : tailStart(greater_than);
+    return tailMeanFrom(start, fallback);
+}
+
+TokenCount
+LengthDistribution::tailMeanFrom(std::size_t start,
+                                 TokenCount fallback) const
+{
+    if (start >= sorted_.size())
         return fallback;
-    ensureSums();
-    const auto lo = static_cast<std::size_t>(
-        std::distance(sorted_.begin(), first));
-    const double sum = prefixSums_.back() - prefixSums_[lo];
-    const double count = static_cast<double>(sorted_.size() - lo);
-    return static_cast<TokenCount>(std::llround(sum / count));
+    TokenCount sum = total_;
+    if (start > 0) {
+        ensureSums();
+        sum -= prefixSums_[start];
+    }
+    const double count = static_cast<double>(sorted_.size() - start);
+    return static_cast<TokenCount>(
+        std::llround(static_cast<double>(sum) / count));
 }
 
 TokenCount
 LengthDistribution::tailQuantile(TokenCount greater_than, double q,
                                  TokenCount fallback) const
 {
-    const auto first = std::upper_bound(sorted_.begin(), sorted_.end(),
-                                        greater_than);
-    if (first == sorted_.end())
+    return tailQuantileFrom(tailStart(greater_than), q, fallback);
+}
+
+TokenCount
+LengthDistribution::tailQuantileFrom(std::size_t lo, double q,
+                                     TokenCount fallback) const
+{
+    if (lo >= sorted_.size())
         return fallback;
     q = std::clamp(q, 0.0, 1.0);
-    const auto lo = static_cast<std::size_t>(
-        std::distance(sorted_.begin(), first));
     const auto tail_size = sorted_.size() - lo;
     std::size_t rank = static_cast<std::size_t>(
         std::ceil(q * static_cast<double>(tail_size)));

@@ -112,6 +112,17 @@ class LengthDistribution
         return sorted_[start + offset];
     }
 
+    /**
+     * The smallest length in the tail beginning at index `start`:
+     * the tail P(l | l > g) found at `start` is the same for every
+     * g below it. `fallback` when the tail is empty.
+     */
+    TokenCount
+    tailMin(std::size_t start, TokenCount fallback) const
+    {
+        return start < sorted_.size() ? sorted_[start] : fallback;
+    }
+
     /** Fraction of recorded lengths strictly greater than x. */
     double probGreater(TokenCount x) const;
 
@@ -122,12 +133,20 @@ class LengthDistribution
     TokenCount tailMean(TokenCount greater_than,
                         TokenCount fallback) const;
 
+    /** tailMean over the tail beginning at index `start`. */
+    TokenCount tailMeanFrom(std::size_t start,
+                            TokenCount fallback) const;
+
     /**
      * Quantile q (nearest rank) of the conditional tail
      * P(l | l > greater_than); `fallback` when the tail is empty.
      */
     TokenCount tailQuantile(TokenCount greater_than, double q,
                             TokenCount fallback) const;
+
+    /** tailQuantile over the tail beginning at index `start`. */
+    TokenCount tailQuantileFrom(std::size_t start, double q,
+                                TokenCount fallback) const;
 
     /**
      * Smallest recorded length at or above quantile q in [0, 1]
@@ -147,18 +166,23 @@ class LengthDistribution
     std::size_t searchTailStart(std::size_t start,
                                 TokenCount greater_than) const;
 
-    /** Recompute prefixSums_ if a mutation invalidated them. The
-     *  rebuild is the same left-to-right summation the constructor
-     *  performs, so lazily refreshed sums are bit-identical to a
-     *  from-scratch build. */
+    /** Recompute prefixSums_ if a mutation invalidated them. */
     void ensureSums() const;
 
     std::vector<TokenCount> sorted_;
 
-    /** Prefix sums of sorted_ for O(log n) tail means; rebuilt
-     *  lazily after insertValue/eraseValue (mean queries are far
-     *  rarer than observations on the serving hot path). */
-    mutable std::vector<double> prefixSums_;
+    /**
+     * Exact sum of sorted_, kept by every mutation: the whole-window
+     * tail mean (the router's footprint charge, queried after every
+     * observation) needs no prefix sums. Integer sums are exact, and
+     * so were the double sums they replace while every partial sum
+     * stays below 2^53, so means are bit-identical.
+     */
+    TokenCount total_ = 0;
+
+    /** Prefix sums of sorted_ for O(log n) means of proper tails;
+     *  rebuilt lazily after insertValue/eraseValue. */
+    mutable std::vector<TokenCount> prefixSums_;
     mutable bool sumsDirty_ = false;
 };
 

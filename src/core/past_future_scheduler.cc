@@ -34,11 +34,76 @@ PastFutureScheduler::onRequestFinished(RequestId id,
                                        TokenCount output_len)
 {
     predictor_.observe(output_len);
-    stickyU_.erase(id);
+    const auto it = slotOf_.find(id);
+    if (it != slotOf_.end())
+        dropSlotSample(bySlot_[slotIndex(it->second)]);
+    byId_.erase(id);
+}
+
+void
+PastFutureScheduler::onSlotReleased(RequestSlot slot, RequestId)
+{
+    const std::uint32_t index = slotIndex(slot);
+    if (index < bySlot_.size() && bySlot_[index].owner == slot)
+        dropSlotSample(bySlot_[index]);
+}
+
+void
+PastFutureScheduler::dropSlotSample(SlotSample &entry)
+{
+    const auto it = slotOf_.find(entry.id);
+    if (it != slotOf_.end() && it->second == entry.owner)
+        slotOf_.erase(it);
+    entry.owner = kInvalidSlot;
+}
+
+PastFutureScheduler::StickySample *
+PastFutureScheduler::findSample(RequestSlot slot, RequestId id)
+{
+    if (slot == kInvalidSlot) {
+        const auto slotted = slotOf_.find(id);
+        if (slotted != slotOf_.end())
+            slot = slotted->second;
+        else {
+            const auto it = byId_.find(id);
+            return it == byId_.end() ? nullptr : &it->second;
+        }
+    }
+    const std::uint32_t index = slotIndex(slot);
+    if (index >= bySlot_.size() || bySlot_[index].owner != slot)
+        return nullptr;
+    return &bySlot_[index].sample;
+}
+
+PastFutureScheduler::StickySample &
+PastFutureScheduler::sampleFor(RequestSlot slot, RequestId id)
+{
+    if (slot == kInvalidSlot) {
+        auto [it, inserted] = byId_.try_emplace(id);
+        if (inserted)
+            it->second.u = rng_.uniformDouble();
+        return it->second;
+    }
+    const std::uint32_t index = slotIndex(slot);
+    if (index >= bySlot_.size())
+        bySlot_.resize(static_cast<std::size_t>(index) + 1);
+    SlotSample &entry = bySlot_[index];
+    if (entry.owner != slot) {
+        // An earlier generation never released (a wrapper that
+        // does not forward onSlotReleased) gives way.
+        if (entry.owner != kInvalidSlot)
+            dropSlotSample(entry);
+        entry.owner = slot;
+        entry.id = id;
+        entry.sample = StickySample{rng_.uniformDouble(), {}};
+        slotOf_.insert_or_assign(id, slot);
+    }
+    return entry.sample;
 }
 
 TokenCount
-PastFutureScheduler::predict(RequestId id, TokenCount generated_len,
+PastFutureScheduler::predict(RequestSlot slot, RequestId id,
+                             TokenCount generated_len,
                              TokenCount max_new_tokens)
 {
     const LengthDistribution &distribution =
@@ -53,10 +118,8 @@ PastFutureScheduler::predict(RequestId id, TokenCount generated_len,
             // Quantile coupling: freeze u per request, evaluate the
             // current conditional tail at u. For fresh requests
             // l_t = 0 and the tail is the full distribution P(l).
-            auto [it, inserted] = stickyU_.try_emplace(id);
-            if (inserted)
-                it->second.u = rng_.uniformDouble();
-            predicted = stickyPrediction(it->second, generated_len,
+            predicted = stickyPrediction(sampleFor(slot, id),
+                                         generated_len,
                                          max_new_tokens);
             break;
           }
@@ -85,29 +148,52 @@ PastFutureScheduler::peekPrediction(RequestId id,
                                     TokenCount generated_len,
                                     TokenCount max_new_tokens)
 {
+    return peekWithHorizon(kInvalidSlot, id, generated_len,
+                           max_new_tokens)
+        .predicted;
+}
+
+PredictionPeek
+PastFutureScheduler::peekWithHorizon(RequestSlot slot, RequestId id,
+                                     TokenCount generated_len,
+                                     TokenCount max_new_tokens)
+{
     // Materialising the lazy distribution here is safe: it is
     // bit-identical to the incrementally maintained one (see
     // length_predictor.hh), and nothing else below touches state.
     const LengthDistribution &distribution =
         predictor_.distribution();
-    TokenCount predicted = 0;
-    if (distribution.empty()) {
-        predicted = max_new_tokens;
-    } else if (params_.predictionMode ==
-               PredictionMode::TailQuantile) {
-        predicted = distribution.tailQuantile(
-            generated_len, params_.tailQuantile, max_new_tokens);
-    } else {
-        const auto it = stickyU_.find(id);
-        predicted =
-            params_.predictionMode == PredictionMode::StickySample &&
-                it != stickyU_.end()
-            ? stickyPrediction(it->second, generated_len,
-                               max_new_tokens)
-            : distribution.tailMean(generated_len, max_new_tokens);
+    TokenCount predicted = max_new_tokens;
+    TokenCount horizon = max_new_tokens;
+    if (!distribution.empty()) {
+        StickySample *sample =
+            params_.predictionMode == PredictionMode::StickySample
+            ? findSample(slot, id)
+            : nullptr;
+        std::size_t start = 0;
+        if (sample != nullptr) {
+            start = predictor_.tailStart(sample->tail, generated_len);
+            predicted = distribution.sampleTailFrom(sample->u, start,
+                                                    max_new_tokens);
+        } else {
+            start = distribution.tailStart(generated_len);
+            predicted = params_.predictionMode ==
+                    PredictionMode::TailQuantile
+                ? distribution.tailQuantileFrom(
+                      start, params_.tailQuantile, max_new_tokens)
+                : distribution.tailMeanFrom(start, max_new_tokens);
+        }
+        horizon = std::min(
+            distribution.tailMin(start, max_new_tokens),
+            max_new_tokens);
+        if (sample == nullptr &&
+            params_.predictionMode == PredictionMode::StickySample) {
+            horizon = generated_len + 1;
+        }
     }
     predicted = std::min(predicted, max_new_tokens);
-    return std::max(predicted, generated_len);
+    return PredictionPeek{std::max(predicted, generated_len),
+                          std::max(horizon, generated_len + 1)};
 }
 
 TokenCount
@@ -196,8 +282,8 @@ PastFutureScheduler::beginAdmissionRound(const SchedulerContext &ctx)
             // predictions; perturbation trials redraw every request
             // to probe the upside risk of the batch peak.
             const TokenCount predicted = t == 0
-                ? predict(request.id, request.generatedLen,
-                          request.maxNewTokens)
+                ? predict(request.slot, request.id,
+                          request.generatedLen, request.maxNewTokens)
                 : samplePerturbed(tailStarts_[i],
                                   request.generatedLen,
                                   request.maxNewTokens);
@@ -224,8 +310,8 @@ PastFutureScheduler::tryAdmit(const WaitingView &candidate)
         : 0;
     for (std::size_t t = 0; t < trials; ++t) {
         const TokenCount predicted = t == 0
-            ? predict(candidate.id, candidate.generatedLen,
-                      candidate.maxNewTokens)
+            ? predict(candidate.slot, candidate.id,
+                      candidate.generatedLen, candidate.maxNewTokens)
             : samplePerturbed(tail_start, candidate.generatedLen,
                               candidate.maxNewTokens);
         // The recompute prefill re-materialises prompt +
@@ -281,8 +367,8 @@ PastFutureScheduler::estimateFutureMemory(const SchedulerContext &ctx)
         loadScratch_.push_back(BatchEntry{
             request.promptLen - request.cachedPrefixLen,
             request.generatedLen,
-            predict(request.id, request.generatedLen,
-                    request.maxNewTokens)});
+            predict(request.slot, request.id,
+                    request.generatedLen, request.maxNewTokens)});
     }
     return futureRequiredMemory(loadScratch_);
 }
@@ -293,8 +379,8 @@ PastFutureScheduler::estimateLoad(const SchedulerContext &ctx)
     TokenCount total = estimateFutureMemory(ctx);
     for (const auto &candidate : ctx.waiting) {
         total += candidate.promptLen - candidate.cachedPrefixLen +
-            predict(candidate.id, candidate.generatedLen,
-                    candidate.maxNewTokens);
+            predict(candidate.slot, candidate.id,
+                    candidate.generatedLen, candidate.maxNewTokens);
     }
     return total;
 }

@@ -135,18 +135,34 @@ class PastFutureScheduler : public Scheduler
     void onRequestFinished(RequestId id,
                            TokenCount output_len) override;
 
+    /** Drop the slot's sticky sample (a request that leaves without
+     *  finishing would otherwise keep it forever). */
+    void onSlotReleased(RequestSlot slot, RequestId id) override;
+
     /**
      * Read-only twin of predict(): reuses the frozen sticky
      * variate when the request has one, falls back to the
-     * conditional tail mean otherwise. Never inserts into the
-     * sticky map and never draws from the RNG, so tracing and
-     * audit can call it freely without steering the run; it only
-     * advances the sample's tail-start memo, a cache of a pure
-     * function.
+     * conditional tail mean otherwise. Never creates a sample and
+     * never draws from the RNG, so tracing and audit can call it
+     * freely without steering the run; it only advances the
+     * sample's tail-start memo, a cache of a pure function.
      */
     TokenCount peekPrediction(RequestId id,
                               TokenCount generated_len,
                               TokenCount max_new_tokens) override;
+
+    /**
+     * peekPrediction with its horizon. Every mode predicts from the
+     * conditional tail P(l | l > l_t), which stays the same set
+     * while l_t is below the tail's smallest length, and every
+     * prediction is at least that length: so H is that length,
+     * capped at max_new_tokens (the cap when the tail or the window
+     * is empty). A StickySample request without a sample gets
+     * l_t + 1: its next predict() creates one.
+     */
+    PredictionPeek peekWithHorizon(RequestSlot slot, RequestId id,
+                                   TokenCount generated_len,
+                                   TokenCount max_new_tokens) override;
 
     /** Predicted future peak of the batch plus predicted footprints
      *  of the queue (cross-instance routing signal). */
@@ -163,6 +179,13 @@ class PastFutureScheduler : public Scheduler
 
     const PastFutureParams &params() const { return params_; }
 
+    /** Live sticky samples (tests: every departed request's sample
+     *  must be gone). */
+    std::size_t stickySampleCount() const
+    {
+        return slotOf_.size() + byId_.size();
+    }
+
     /** Observed historical window (for tests / introspection). */
     const HistoryWindow &history() const
     {
@@ -170,8 +193,9 @@ class PastFutureScheduler : public Scheduler
     }
 
   private:
-    /** Draw/look up a prediction for (id, generated, cap). */
-    TokenCount predict(RequestId id, TokenCount generated_len,
+    /** Draw/look up a prediction for (request, generated, cap). */
+    TokenCount predict(RequestSlot slot, RequestId id,
+                       TokenCount generated_len,
                        TokenCount max_new_tokens);
 
     /** Fresh conditional-tail draw that bypasses the sticky map
@@ -194,6 +218,26 @@ class PastFutureScheduler : public Scheduler
         LengthPredictor::TailCursor tail;
     };
 
+    /** A sample held by a slot. */
+    struct SlotSample
+    {
+        /** The handle the sample belongs to; kInvalidSlot when the
+         *  entry is free. */
+        RequestSlot owner = kInvalidSlot;
+        RequestId id = kInvalidRequestId;
+        StickySample sample;
+    };
+
+    /** The request's sample; null when it has none. */
+    StickySample *findSample(RequestSlot slot, RequestId id);
+
+    /** The request's sample, drawing a fresh variate when it has
+     *  none. */
+    StickySample &sampleFor(RequestSlot slot, RequestId id);
+
+    /** Free a slotted sample entry (and its id index). */
+    void dropSlotSample(SlotSample &entry);
+
     /** The u-quantile of the conditional tail past `generated_len`
      *  (StickySample mode; advances the sample's tail memo). */
     TokenCount stickyPrediction(StickySample &sample,
@@ -207,8 +251,21 @@ class PastFutureScheduler : public Scheduler
 
     Rng rng_;
 
-    /** Frozen per-request samples (StickySample mode). */
-    std::unordered_map<RequestId, StickySample> stickyU_;
+    /**
+     * Frozen per-request samples (StickySample mode), indexed by
+     * the engine's request slot: a prediction on the step path
+     * resolves its sample without hashing.
+     */
+    std::vector<SlotSample> bySlot_;
+
+    /** Slot of each live slotted sample, by request id: serves
+     *  callers that name a request by id alone (finish, wrappers
+     *  forwarding peekPrediction). Touched once per request. */
+    std::unordered_map<RequestId, RequestSlot> slotOf_;
+
+    /** Samples of requests predicted without a slot (schedulers
+     *  driven outside an engine). */
+    std::unordered_map<RequestId, StickySample> byId_;
 
     // Admission-round state: one entry vector per trial (running
     // batch predictions + incrementally committed candidates), each

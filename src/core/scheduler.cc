@@ -30,6 +30,11 @@ Scheduler::onRequestEvicted(RequestId)
 {
 }
 
+void
+Scheduler::onSlotReleased(RequestSlot, RequestId)
+{
+}
+
 TokenCount
 Scheduler::peekPrediction(RequestId, TokenCount generated_len,
                           TokenCount max_new_tokens)
@@ -38,6 +43,16 @@ Scheduler::peekPrediction(RequestId, TokenCount generated_len,
     // request may generate up to its cap (but never less than it
     // already has).
     return std::max(generated_len, max_new_tokens);
+}
+
+PredictionPeek
+Scheduler::peekWithHorizon(RequestSlot, RequestId id,
+                           TokenCount generated_len,
+                           TokenCount max_new_tokens)
+{
+    return PredictionPeek{
+        peekPrediction(id, generated_len, max_new_tokens),
+        generated_len + 1};
 }
 
 TokenCount

@@ -68,6 +68,10 @@ struct RunningView
      * generatedLen).
      */
     TokenCount cachedPrefixLen = 0;
+
+    /** The engine's handle of this request's state (kInvalidSlot
+     *  outside an engine); keys per-request scheduler state. */
+    RequestSlot slot = kInvalidSlot;
 };
 
 /** Scheduler's view of one queued request. */
@@ -108,6 +112,25 @@ struct WaitingView
      * actual match is smaller.
      */
     TokenCount cachedPrefixLen = 0;
+
+    /** The engine's handle of this request's state (kInvalidSlot
+     *  outside an engine); keys per-request scheduler state. */
+    RequestSlot slot = kInvalidSlot;
+};
+
+/** A prediction peek and how long it holds. */
+struct PredictionPeek
+{
+    /** peekPrediction at the peeked generated length. */
+    TokenCount predicted = 0;
+
+    /**
+     * Horizon H (> the peeked generated length l_t): until the
+     * scheduler next observes a finished request, a peek at any
+     * length in (l_t, H) the request grows to returns `predicted`.
+     * A request that has not grown is peeked afresh.
+     */
+    TokenCount horizon = 0;
 };
 
 /** Everything a scheduler may inspect when deciding admissions. */
@@ -183,6 +206,14 @@ class Scheduler
     virtual void onRequestEvicted(RequestId id);
 
     /**
+     * Notification that the engine recycled `slot`: request `id`
+     * left it (finished, drained, stolen or handed off), so any
+     * per-request state keyed by the slot must go. The default does
+     * nothing.
+     */
+    virtual void onSlotReleased(RequestSlot slot, RequestId id);
+
+    /**
      * Read-only estimate of request `id`'s final output length —
      * the introspection twin of the internal prediction, used by
      * the flight recorder and the prediction-audit counters.
@@ -197,6 +228,21 @@ class Scheduler
     virtual TokenCount peekPrediction(RequestId id,
                                       TokenCount generated_len,
                                       TokenCount max_new_tokens);
+
+    /**
+     * peekPrediction for the request in `slot`, plus the horizon
+     * the value holds to (see PredictionPeek). A caller re-peeks a
+     * request only when its length reaches the horizon, after
+     * onRequestFinished, or at a length it has not grown from; so a
+     * scheduler must pick a horizon no other call can cut short (a
+     * request whose next predict may create per-request state gets
+     * generated_len + 1). The default promises nothing past this
+     * length: peekPrediction with H = generated_len + 1.
+     */
+    virtual PredictionPeek peekWithHorizon(RequestSlot slot,
+                                           RequestId id,
+                                           TokenCount generated_len,
+                                           TokenCount max_new_tokens);
 
     /**
      * Estimated total memory load of this instance in tokens —

@@ -93,13 +93,29 @@ class SchedulingPolicy
     /** Routing-signal estimate (forwarded, see Scheduler). */
     virtual TokenCount estimateLoad(const SchedulerContext &ctx);
 
-    /** Read-only output-length estimate for tracing and the
-     *  prediction audit (see Scheduler::peekPrediction). */
+    /** Read-only output-length estimate for tracing (see
+     *  Scheduler::peekPrediction). */
     TokenCount peekPrediction(RequestId id, TokenCount generated_len,
                               TokenCount max_new_tokens)
     {
         return admission_->peekPrediction(id, generated_len,
                                           max_new_tokens);
+    }
+
+    /** The prediction audit's peek (see
+     *  Scheduler::peekWithHorizon). */
+    PredictionPeek peekWithHorizon(RequestSlot slot, RequestId id,
+                                   TokenCount generated_len,
+                                   TokenCount max_new_tokens)
+    {
+        return admission_->peekWithHorizon(slot, id, generated_len,
+                                           max_new_tokens);
+    }
+
+    /** Slot recycling (forwarded, see Scheduler::onSlotReleased). */
+    void onSlotReleased(RequestSlot slot, RequestId id)
+    {
+        admission_->onSlotReleased(slot, id);
     }
 
     /**

@@ -167,10 +167,16 @@ ServingEngine::allocRequest()
         request->migratedAdmit = false;
         request->hashes.clear();
         request->auditMark = 0;
+        request->predicted = 0;
+        request->predictedUntil = 0;
+        request->predictedEpoch = 0;
         return request;
     }
     requestSlab_.push_back(std::make_unique<EngineRequest>());
-    return requestSlab_.back().get();
+    EngineRequest *request = requestSlab_.back().get();
+    request->slot = makeSlot(
+        static_cast<std::uint32_t>(requestSlab_.size() - 1), 0);
+    return request;
 }
 
 void
@@ -180,6 +186,10 @@ ServingEngine::recycleRequest(EngineRequest *request)
     // recycling after a deferred-notify payload move still erases
     // the right map entry.
     requests_.erase(request->spec.id);
+    policy_->onSlotReleased(request->slot, request->spec.id);
+    request->slot =
+        makeSlot(slotIndex(request->slot),
+                 static_cast<std::uint32_t>(request->slot >> 32) + 1);
     requestFree_.push_back(request);
 }
 
@@ -264,7 +274,7 @@ ServingEngine::runningViewOf(const EngineRequest &request,
         request.generated,    request.spec.maxNewTokens,
         request.spec.outputLen, request.admitSeq,
         request.spec.cls, prefilling,
-        request.cachedPrefix};
+        request.cachedPrefix, request.slot};
 }
 
 std::span<const PrefixHash>
@@ -332,7 +342,7 @@ ServingEngine::cacheInsert(EngineRequest *request)
     const std::span<const PrefixHash> hashes =
         hashChain(*request, known);
     const std::vector<memory::BlockId> &table =
-        kv_.blockTable(spec.id);
+        kv_.blockTable(request->slot);
     // Full identified blocks are always a prefix of the block
     // table (the allocation covers prompt + at least one token).
     const std::size_t count = std::min(hashes.size(), table.size());
@@ -366,7 +376,7 @@ ServingEngine::buildContext()
             request->spec.id, request->spec.inputLen,
             request->generated, request->spec.maxNewTokens,
             request->arrival, request->spec.outputLen,
-            request->spec.cls, resident});
+            request->spec.cls, resident, request->slot});
     }
 
     core::SchedulerContext ctx;
@@ -384,58 +394,52 @@ ServingEngine::buildContext()
 bool
 ServingEngine::admitOne(EngineRequest *request)
 {
+    const RequestSlot slot = request->slot;
     if (request->swappedOut) {
         // Swap-in restores the KV exactly as it was evicted.
         const TokenCount tokens =
             request->spec.inputLen + request->generated;
-        if (!kv_.allocate(request->spec.id, tokens))
+        if (!kv_.allocate(slot, tokens))
             return false;
-        request->admitSeq = nextAdmitSeq_++;
         request->remainingPrompt = 0;
-        prefillPending_.push_back(request);
-        return true;
-    }
-    if (migratedResidentTokens(*request) > 0) {
+    } else if (migratedResidentTokens(*request) > 0) {
         // Disaggregated handoff: the KV of the whole prompt arrived
         // over the interconnect. Allocate it as private resident
         // memory; no prefill compute and no emission (the first
         // token was produced by the prefill pool).
-        if (!kv_.allocate(request->spec.id, request->spec.inputLen))
+        if (!kv_.allocate(slot, request->spec.inputLen))
             return false;
-        request->admitSeq = nextAdmitSeq_++;
         request->remainingPrompt = 0;
         request->migratedAdmit = true;
-        prefillPending_.push_back(request);
-        return true;
-    }
-    // Allocate prompt + recompute tokens + one slot for the token
-    // the prefill itself emits.
-    const TokenCount prompt =
-        request->spec.inputLen + request->generated;
-    const TokenCount tokens = prompt + 1;
-    if (prefixCache_ && !request->spec.segments.empty()) {
-        // Reuse every cached full block of the prompt: only the
-        // uncached suffix is allocated — and only it is prefilled.
-        matchScratch_.clear();
-        prefixCache_->match(promptHashes(*request), matchScratch_);
-        if (!kv_.allocateShared(request->spec.id, tokens,
-                                matchScratch_)) {
-            return false;
+    } else {
+        // Allocate prompt + recompute tokens + one slot for the
+        // token the prefill itself emits.
+        const TokenCount prompt =
+            request->spec.inputLen + request->generated;
+        const TokenCount tokens = prompt + 1;
+        if (prefixCache_ && !request->spec.segments.empty()) {
+            // Reuse every cached full block of the prompt: only the
+            // uncached suffix is allocated — and only it is
+            // prefilled.
+            matchScratch_.clear();
+            prefixCache_->match(promptHashes(*request),
+                                matchScratch_);
+            if (!kv_.allocateShared(slot, tokens, matchScratch_))
+                return false;
+            const TokenCount shared = kv_.requestSharedTokens(slot);
+            collector_.onPrefixLookup(prompt, shared);
+            request->cachedPrefix = shared;
+            request->remainingPrompt = prompt - shared;
+        } else {
+            if (!kv_.allocate(slot, tokens))
+                return false;
+            request->remainingPrompt = prompt;
         }
-        const TokenCount shared =
-            kv_.requestSharedTokens(request->spec.id);
-        collector_.onPrefixLookup(prompt, shared);
-        request->admitSeq = nextAdmitSeq_++;
-        request->cachedPrefix = shared;
-        request->remainingPrompt = prompt - shared;
-        prefillPending_.push_back(request);
-        return true;
     }
-    if (!kv_.allocate(request->spec.id, tokens))
-        return false;
     request->admitSeq = nextAdmitSeq_++;
-    request->remainingPrompt = prompt;
+    request->predictedUntil = 0;  // re-peek on (re)admission
     prefillPending_.push_back(request);
+    auditMembersChanged_ = true;
     return true;
 }
 
@@ -568,9 +572,12 @@ ServingEngine::finishRequest(EngineRequest *request)
     // session turns, the generated reply) before the references
     // drop: the next turn's prompt extends exactly this stream.
     cacheInsert(request);
-    kv_.release(request->spec.id);
+    kv_.release(request->slot);
     policy_->onRequestFinished(request->spec.id,
                                request->generated);
+    // The policy saw a new length: every cached prediction lapses.
+    ++predictionEpoch_;
+    auditMembersChanged_ = true;
     ++finished_;
     if (config_.warmupRequests > 0 &&
         finished_ == config_.warmupRequests) {
@@ -662,14 +669,13 @@ ServingEngine::evictRequest(RequestId id, bool reactive)
                     "eviction victim ", id, " is not decoding");
     EngineRequest *victim = *victim_it;
     running_.erase(victim_it);
-    std::erase(runningIds_, victim->spec.id);
+    auditMembersChanged_ = true;
 
-    const TokenCount victim_tokens =
-        kv_.requestTokens(victim->spec.id);
+    const TokenCount victim_tokens = kv_.requestTokens(victim->slot);
     // release() only drops references: blocks the prefix cache (or
     // another sharer) holds survive, so the victim's re-admission
     // can re-match its prefix instead of recomputing it.
-    kv_.release(victim->spec.id);
+    kv_.release(victim->slot);
     victim->evictions += 1;
     victim->remainingPrompt = 0;
     victim->cachedPrefix = 0;
@@ -711,33 +717,38 @@ ServingEngine::evictRequest(RequestId id, bool reactive)
 void
 ServingEngine::carryAuditMembers()
 {
-    // Members carry this step's `member` mark. A carried request
-    // survives only if it carries the mark (a departed request, or a
-    // recycled slab entry now queued or free, does not) and then
-    // flips it to `kept`, so no member is ever carried twice. Both
-    // batches always hold the same members.
+    // Members carry this reconcile's `member` mark. A carried entry
+    // survives only if its request carries the mark and still holds
+    // the slot it joined with (a departed request, or a recycled
+    // slab entry now queued, free or serving a newer request, does
+    // not), and then flips it to `kept`, so no member is ever
+    // carried twice. Both batches always hold the same members.
     const std::uint64_t member = ++auditEpoch_;
     const std::uint64_t kept = ++auditEpoch_;
     for (EngineRequest *request : running_)
         request->auditMark = member;
     for (EngineRequest *request : prefillPending_)
         request->auditMark = member;
-    std::erase_if(auditTrue_.requests, [&](EngineRequest *request) {
-        if (request->auditMark != member)
+    std::erase_if(auditTrue_.members, [&](const AuditMember &carried) {
+        EngineRequest *request = carried.request;
+        if (request->auditMark != member ||
+            request->slot != carried.slot) {
             return true;
+        }
         request->auditMark = kept;
         return false;
     });
-    std::erase_if(auditPredicted_.requests,
-                  [&](EngineRequest *request) {
-                      return request->auditMark != kept;
+    std::erase_if(auditPredicted_.members,
+                  [&](const AuditMember &carried) {
+                      return carried.request->auditMark != kept ||
+                          carried.request->slot != carried.slot;
                   });
     auto join = [&](EngineRequest *request) {
         if (request->auditMark == kept)
             return;
         request->auditMark = kept;
-        auditTrue_.requests.push_back(request);
-        auditPredicted_.requests.push_back(request);
+        auditTrue_.members.push_back({request, request->slot});
+        auditPredicted_.members.push_back({request, request->slot});
     };
     for (EngineRequest *request : running_)
         join(request);
@@ -750,41 +761,81 @@ ServingEngine::carriedPeak(AuditBatch &batch)
 {
     core::restoreRemainingOrder(
         std::span<core::BatchEntry>(batch.entries),
-        std::span<EngineRequest *>(batch.requests));
+        std::span<AuditMember>(batch.members));
     return core::sortedPeak(batch.entries);
 }
 
-TokenCount
-ServingEngine::trueFutureMemory()
+void
+ServingEngine::refreshPrediction(EngineRequest &request, bool force)
+{
+    if (!force && request.generated < request.predictedUntil &&
+        request.predictedEpoch == predictionEpoch_) {
+        return;
+    }
+    // Read-only peek: consumes no RNG and creates no sticky state.
+    const core::PredictionPeek peek = policy_->peekWithHorizon(
+        request.slot, request.spec.id, request.generated,
+        request.spec.maxNewTokens);
+    const TokenCount predicted =
+        std::max(peek.predicted, request.generated);
+    if (predicted != request.predicted)
+        auditPredictionChanged_ = true;
+    request.predicted = predicted;
+    request.predictedUntil = peek.horizon;
+    request.predictedEpoch = predictionEpoch_;
+}
+
+void
+ServingEngine::rescanTrue()
 {
     auditTrue_.entries.clear();
-    for (const EngineRequest *request : auditTrue_.requests) {
+    for (const AuditMember &member : auditTrue_.members) {
+        const EngineRequest *request = member.request;
         auditTrue_.entries.push_back(core::BatchEntry{
             request->spec.inputLen - request->cachedPrefix,
             request->generated,
             std::max(request->targetOutput(), request->generated)});
     }
-    return carriedPeak(auditTrue_);
+    auditTrue_.peak = carriedPeak(auditTrue_);
 }
 
-TokenCount
-ServingEngine::predictedFutureMemory()
+void
+ServingEngine::rescanPredicted()
 {
-    // Same batch as trueFutureMemory, but with the target lengths
-    // the scheduler believes in (read-only peek — consumes no RNG,
-    // inserts no sticky state).
+    // Same batch as the true audit, but with the target lengths the
+    // scheduler believes in. Decoding members were re-peeked as
+    // they advanced; prefill-pending ones have not grown, which a
+    // horizon does not cover, so they are peeked afresh.
+    for (EngineRequest *request : prefillPending_)
+        refreshPrediction(*request, true);
     auditPredicted_.entries.clear();
-    for (const EngineRequest *request : auditPredicted_.requests) {
-        const TokenCount predicted = std::max(
-            policy_->peekPrediction(request->spec.id,
-                                    request->generated,
-                                    request->spec.maxNewTokens),
-            request->generated);
+    for (const AuditMember &member : auditPredicted_.members) {
+        const EngineRequest *request = member.request;
         auditPredicted_.entries.push_back(core::BatchEntry{
             request->spec.inputLen - request->cachedPrefix,
-            request->generated, predicted});
+            request->generated,
+            std::max(request->predicted, request->generated)});
     }
-    return carriedPeak(auditPredicted_);
+    auditPredicted_.peak = carriedPeak(auditPredicted_);
+    auditPredictionChanged_ = false;
+}
+
+std::pair<TokenCount, TokenCount>
+ServingEngine::auditStep()
+{
+    // While the membership holds and every member decodes, the step
+    // just taken added one token to every member: P_i + i * r_i is
+    // unchanged for every i (DESIGN.md §8), so both carried peaks
+    // still hold unless a prediction moved.
+    if (auditMembersChanged_ || !prefillPending_.empty()) {
+        carryAuditMembers();
+        rescanTrue();
+        rescanPredicted();
+        auditMembersChanged_ = false;
+    } else if (auditPredictionChanged_) {
+        rescanPredicted();
+    }
+    return {auditTrue_.peak, auditPredicted_.peak};
 }
 
 void
@@ -796,7 +847,9 @@ ServingEngine::startDecoding(EngineRequest *request)
         trace_->begin(trace::TraceName::Decode, request->spec.id,
                       now_, request->generated);
     }
+    kv_.joinBatch(request->slot);
     running_.push_back(request);
+    auditMembersChanged_ = true;
 }
 
 void
@@ -894,18 +947,12 @@ ServingEngine::runStep()
         return true;
     });
 
-    runningIds_.clear();
-    for (const EngineRequest *request : running_)
-        runningIds_.push_back(request->spec.id);
-
-    // extendBatchByOne fuses the feasibility check with the
-    // per-request growth (one KV lookup per request per step); a
-    // false return changed nothing, and nothing between the passing
-    // call and the step body touches the KV manager, so applying
-    // the extends up front is byte-equivalent.
+    // The KV manager tracks the batch's block demand as members
+    // join, grow and leave, so the feasibility test is O(1); nothing
+    // between a passing test and the growth walk below touches the
+    // KV manager.
     Tick extra_stall = 0;
-    while (!running_.empty() &&
-           !kv_.extendBatchByOne(runningIds_)) {
+    while (!running_.empty() && !kv_.batchCanGrow()) {
         if (running_.size() == 1) {
             // A lone request that cannot extend would evict and
             // re-admit itself forever.
@@ -935,6 +982,7 @@ ServingEngine::runStep()
                             request->spec.id, now_, tokens);
         }
         swappedInScratch_.push_back(request);
+        auditMembersChanged_ = true;
         return true;
     });
 
@@ -958,10 +1006,14 @@ ServingEngine::runStep()
         }
     }
 
+    // Walk one: grow, advance, sum the batch KV, and re-peek the
+    // members whose cached prediction lapsed.
     TokenCount batch_kv = 0;
     for (EngineRequest *request : running_) {
+        kv_.growByOne(request->slot);
         request->generated += 1;
         batch_kv += request->spec.inputLen + request->generated;
+        refreshPrediction(*request, false);
     }
 
     const auto batch_size =
@@ -977,9 +1029,7 @@ ServingEngine::runStep()
     }
     now_ += duration;
     if (batch_size > 0) {
-        carryAuditMembers();
-        const TokenCount true_future = trueFutureMemory();
-        const TokenCount predicted_future = predictedFutureMemory();
+        const auto [true_future, predicted_future] = auditStep();
         collector_.onDecodeStep(batch_size, kv_.usedTokens(),
                                 true_future, predicted_future,
                                 now_, duration);
@@ -991,20 +1041,17 @@ ServingEngine::runStep()
     if (chunk_used > 0)
         collector_.onPrefill(chunk_used, duration);
 
-    // Emissions and completions.
+    // Walk two: emissions and completions.
     finishedScratch_.clear();
-    for (EngineRequest *request : running_)
-        recordEmission(*request, now_);
     std::erase_if(running_, [&](EngineRequest *request) {
-        if (request->generated >= request->targetOutput()) {
-            if (trace_ != nullptr)
-                trace_->end(trace::TraceName::Decode,
-                            request->spec.id, now_,
-                            request->generated);
-            finishedScratch_.push_back(request);
-            return true;
-        }
-        return false;
+        recordEmission(*request, now_);
+        if (request->generated < request->targetOutput())
+            return false;
+        if (trace_ != nullptr)
+            trace_->end(trace::TraceName::Decode, request->spec.id,
+                        now_, request->generated);
+        finishedScratch_.push_back(request);
+        return true;
     });
 
     // Requests whose prefill completed emit their first token and

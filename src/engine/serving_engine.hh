@@ -278,15 +278,31 @@ class ServingEngine : public workload::RequestSink
     }
 
   private:
-    /** Engine-side mutable request state. */
+    /** Engine-side mutable request state. The fields every decode
+     *  step reads for every member lead, next to the spec's
+     *  lengths, so a step touches few cache lines per member. */
     struct EngineRequest
     {
-        workload::RequestSpec spec;
+        /** Generation-tagged handle: the index is the slab
+         *  position, the generation moves on every recycle. Keys
+         *  the KV allocation and the policy's per-request state. */
+        RequestSlot slot = kInvalidSlot;
+
         TokenCount generated = 0;
-        Tick arrival = 0;
+
+        /** The audit's cached peek, max(peek, generated): it holds
+         *  while generated < predictedUntil (the peek's horizon) and
+         *  predictedEpoch is the engine's predictionEpoch_. */
+        TokenCount predicted = 0;
+        TokenCount predictedUntil = 0;
+        std::uint64_t predictedEpoch = 0;
+
         Tick firstToken = -1;
         Tick lastEmit = -1;
         Tick maxGap = 0;
+
+        workload::RequestSpec spec;
+        Tick arrival = 0;
         int evictions = 0;
 
         /** Admission order stamp for the eviction policy. */
@@ -426,35 +442,53 @@ class ServingEngine : public workload::RequestSink
     /** Complete a request and notify listeners. */
     void finishRequest(EngineRequest *request);
 
+    /** One carried audit member: the slot it held when it joined
+     *  (a slab entry taken over by a later request no longer
+     *  matches). */
+    struct AuditMember
+    {
+        EngineRequest *request = nullptr;
+        RequestSlot slot = kInvalidSlot;
+    };
+
     /**
      * One prediction-audit batch, carried across steps in its last
-     * Eq. 2 order: requests[i] is the request entries[i] describes.
+     * Eq. 2 order (members[i] is the request entries[i] describes),
+     * with the M* of its last scan.
      */
     struct AuditBatch
     {
-        std::vector<EngineRequest *> requests;
+        std::vector<AuditMember> members;
         std::vector<core::BatchEntry> entries;
+        TokenCount peak = 0;
     };
+
+    /**
+     * This step's true and predicted M* (DESIGN.md §8). A uniform
+     * decode step leaves every Eq. 3 term invariant, so the true M*
+     * is rescanned only after the membership changed or while a
+     * member is prefill-pending, and the predicted one also after a
+     * member's prediction changed.
+     */
+    std::pair<TokenCount, TokenCount> auditStep();
 
     /**
      * Bring both audit batches up to the current batch (running
      * plus prefill-pending): drop requests that left, append
      * requests that joined, keep survivors in their carried order.
-     * Only the order is carried — both audits recompute every entry
-     * from its request — so a recycled slab entry that takes over a
-     * departed request's place inherits nothing from it.
+     * Membership goes by slot, not by pointer, so a recycled slab
+     * entry that takes over a departed request's place joins as a
+     * new member.
      */
     void carryAuditMembers();
 
-    /** Exact future required memory with ground-truth lengths. */
-    TokenCount trueFutureMemory();
+    /** Re-peek `request`'s prediction when its cached one lapsed
+     *  (or unconditionally with `force`); flags a changed value. */
+    void refreshPrediction(EngineRequest &request, bool force);
 
-    /**
-     * The scheduler's own future-memory estimate for the current
-     * batch, via the read-only prediction peek (prediction audit;
-     * never consumes RNG or scheduler state).
-     */
-    TokenCount predictedFutureMemory();
+    /** Rescan the true / predicted batch from its requests. */
+    void rescanTrue();
+    void rescanPredicted();
 
     /** M* of a refreshed audit batch: restore its Eq. 2 order by
      *  insertion sort, then one scan (DESIGN.md §8). */
@@ -544,8 +578,10 @@ class ServingEngine : public workload::RequestSink
     /** Grab a recycled (or fresh) slab entry, reset to defaults. */
     EngineRequest *allocRequest();
 
-    /** Drop the map entry and return the slab entry to the free
-     *  list (field reset happens on reuse in allocRequest). */
+    /** Drop the map entry, release the slot (the policy drops its
+     *  per-request state; the handle's generation moves on) and
+     *  return the slab entry to the free list (field reset happens
+     *  on reuse in allocRequest). */
     void recycleRequest(EngineRequest *request);
 
     std::unordered_map<RequestId, EngineRequest *> requests_;
@@ -586,7 +622,6 @@ class ServingEngine : public workload::RequestSink
     core::SchedulingDecision decisionScratch_;
     std::vector<core::RunningView> runningViews_;
     std::vector<core::WaitingView> waitingViews_;
-    std::vector<RequestId> runningIds_;
     std::vector<RequestId> victimScratch_;
     std::vector<EngineRequest *> finishedScratch_;
     std::vector<EngineRequest *> swappedInScratch_;
@@ -595,8 +630,20 @@ class ServingEngine : public workload::RequestSink
     AuditBatch auditTrue_;
     AuditBatch auditPredicted_;
 
-    /** Source of audit membership marks (two per step). */
+    /** Source of audit membership marks (two per reconcile). */
     std::uint64_t auditEpoch_ = 0;
+
+    /** The audit batch changed since the last audit (a join, a
+     *  departure, or a pending member starting to decode). */
+    bool auditMembersChanged_ = true;
+
+    /** A member's cached prediction changed since the last
+     *  predicted rescan. */
+    bool auditPredictionChanged_ = true;
+
+    /** Bumped whenever the policy observes a finish: every cached
+     *  prediction lapses (see core::PredictionPeek). */
+    std::uint64_t predictionEpoch_ = 1;
 
     std::vector<memory::BlockId> matchScratch_;
     std::vector<PromptSegment> streamScratch_;

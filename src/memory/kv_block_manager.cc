@@ -109,14 +109,14 @@ KvBlockManager::dropRequestRef(BlockId block)
 }
 
 bool
-KvBlockManager::allocate(RequestId id, TokenCount num_tokens)
+KvBlockManager::allocate(RequestSlot slot, TokenCount num_tokens)
 {
     LIGHTLLM_ASSERT(num_tokens >= 0, "negative allocation");
-    return allocateShared(id, num_tokens, {});
+    return allocateShared(slot, num_tokens, {});
 }
 
 bool
-KvBlockManager::allocateShared(RequestId id, TokenCount num_tokens,
+KvBlockManager::allocateShared(RequestSlot slot, TokenCount num_tokens,
                                std::span<const BlockId> shared_prefix)
 {
     LIGHTLLM_ASSERT(num_tokens >= 0, "negative allocation");
@@ -125,10 +125,13 @@ KvBlockManager::allocateShared(RequestId id, TokenCount num_tokens,
     // Zero-token (and, with a prefix, fully-shared) allocations are
     // rejected: every allocation must end in a private block it can
     // write its next token into.
-    if (num_tokens <= shared_tokens)
+    if (num_tokens <= shared_tokens || slot == kInvalidSlot)
         return false;
-    if (tables_.count(id) > 0)
+    const std::uint32_t index = slotIndex(slot);
+    if (index < allocs_.size() &&
+        allocs_[index].owner != kInvalidSlot) {
         return false;
+    }
     const std::int64_t need =
         ceilDiv(num_tokens - shared_tokens, blockSize_);
 
@@ -143,7 +146,12 @@ KvBlockManager::allocateShared(RequestId id, TokenCount num_tokens,
         return false;
     }
 
-    Allocation &alloc = insertTable(id);
+    if (index >= allocs_.size())
+        allocs_.resize(static_cast<std::size_t>(index) + 1);
+    Allocation &alloc = allocs_[index];
+    alloc.owner = slot;
+    alloc.growing = false;
+    ++liveAllocations_;
     alloc.numTokens = num_tokens;
     alloc.sharedTokens = shared_tokens;
     alloc.blocks.reserve(shared_prefix.size() +
@@ -155,19 +163,8 @@ KvBlockManager::allocateShared(RequestId id, TokenCount num_tokens,
         alloc.blocks.push_back(takeFreeBlock(fill));
         remaining -= fill;
     }
+    alloc.last = alloc.blocks.back();
     return true;
-}
-
-KvBlockManager::Allocation &
-KvBlockManager::insertTable(RequestId id)
-{
-    if (spareTables_.empty())
-        return tables_.emplace(id, Allocation{}).first->second;
-    TableMap::node_type node = std::move(spareTables_.back());
-    spareTables_.pop_back();
-    node.key() = id;
-    node.mapped().blocks.clear();
-    return tables_.insert(std::move(node)).position->second;
 }
 
 std::int64_t
@@ -183,13 +180,18 @@ KvBlockManager::blocksForExtension(const Allocation &alloc,
 }
 
 bool
-KvBlockManager::extend(RequestId id, TokenCount num_tokens)
+KvBlockManager::extend(RequestSlot slot, TokenCount num_tokens)
 {
     LIGHTLLM_ASSERT(num_tokens >= 0, "negative extension");
-    auto it = tables_.find(id);
-    LIGHTLLM_ASSERT(it != tables_.end(),
-                    "extend of unknown request ", id);
-    return extendAlloc(it->second, num_tokens);
+    Allocation *alloc = find(slot);
+    LIGHTLLM_ASSERT(alloc != nullptr, "extend of unknown request slot ",
+                    slot);
+    const std::int64_t need_before = blocksForExtension(*alloc, 1);
+    if (!extendAlloc(*alloc, num_tokens))
+        return false;
+    if (alloc->growing)
+        batchNeed_ += blocksForExtension(*alloc, 1) - need_before;
+    return true;
 }
 
 bool
@@ -220,19 +222,25 @@ KvBlockManager::extendAlloc(Allocation &alloc, TokenCount num_tokens)
         alloc.blocks.push_back(takeFreeBlock(take));
         remaining -= take;
     }
+    alloc.last = alloc.blocks.back();
     alloc.numTokens += num_tokens;
     return true;
 }
 
 void
-KvBlockManager::release(RequestId id)
+KvBlockManager::release(RequestSlot slot)
 {
-    auto it = tables_.find(id);
-    if (it == tables_.end())
+    Allocation *alloc = find(slot);
+    if (alloc == nullptr)
         return;
-    for (BlockId block : it->second.blocks)
+    if (alloc->growing)
+        batchNeed_ -= blocksForExtension(*alloc, 1);
+    for (BlockId block : alloc->blocks)
         dropRequestRef(block);
-    spareTables_.push_back(tables_.extract(it));
+    alloc->blocks.clear();
+    alloc->owner = kInvalidSlot;
+    alloc->growing = false;
+    --liveAllocations_;
 }
 
 bool
@@ -244,40 +252,37 @@ KvBlockManager::canAllocate(TokenCount num_tokens) const
 
 bool
 KvBlockManager::canExtendBatchByOne(
-    const std::vector<RequestId> &ids) const
+    const std::vector<RequestSlot> &slots) const
 {
     std::int64_t blocks_needed = 0;
-    for (RequestId id : ids) {
-        const auto it = tables_.find(id);
-        LIGHTLLM_ASSERT(it != tables_.end(),
-                        "unknown request in batch: ", id);
-        blocks_needed += blocksForExtension(it->second, 1);
+    for (RequestSlot slot : slots) {
+        const Allocation *alloc = find(slot);
+        LIGHTLLM_ASSERT(alloc != nullptr,
+                        "unknown slot in batch: ", slot);
+        blocks_needed += blocksForExtension(*alloc, 1);
     }
     return blocks_needed <=
         freeBlocks() + (cache_ != nullptr ? cacheOnly_ : 0);
 }
 
-bool
-KvBlockManager::extendBatchByOne(const std::vector<RequestId> &ids)
+void
+KvBlockManager::joinBatch(RequestSlot slot)
 {
-    extendScratch_.clear();
-    std::int64_t blocks_needed = 0;
-    for (RequestId id : ids) {
-        const auto it = tables_.find(id);
-        LIGHTLLM_ASSERT(it != tables_.end(),
-                        "unknown request in batch: ", id);
-        blocks_needed += blocksForExtension(it->second, 1);
-        extendScratch_.push_back(&it->second);
-    }
-    if (blocks_needed >
-        freeBlocks() + (cache_ != nullptr ? cacheOnly_ : 0))
-        return false;
-    for (Allocation *alloc : extendScratch_) {
-        const bool ok = extendAlloc(*alloc, 1);
-        LIGHTLLM_ASSERT(ok,
-                        "batch extend failed after capacity check");
-    }
-    return true;
+    Allocation *alloc = find(slot);
+    LIGHTLLM_ASSERT(alloc != nullptr && !alloc->growing,
+                    "slot ", slot, " cannot join the decode batch");
+    alloc->growing = true;
+    batchNeed_ += blocksForExtension(*alloc, 1);
+}
+
+void
+KvBlockManager::growIntoNewBlock(Allocation &alloc)
+{
+    // A full last block: the fresh block holds one token, so the
+    // batch needs a block again next step only with one-token blocks.
+    const bool ok = extendAlloc(alloc, 1);
+    LIGHTLLM_ASSERT(ok, "batch growth failed after capacity check");
+    batchNeed_ += blocksForExtension(alloc, 1) - 1;
 }
 
 TokenCount
@@ -294,26 +299,26 @@ KvBlockManager::utilization() const
 }
 
 TokenCount
-KvBlockManager::requestTokens(RequestId id) const
+KvBlockManager::requestTokens(RequestSlot slot) const
 {
-    const auto it = tables_.find(id);
-    return it == tables_.end() ? 0 : it->second.numTokens;
+    const Allocation *alloc = find(slot);
+    return alloc == nullptr ? 0 : alloc->numTokens;
 }
 
 TokenCount
-KvBlockManager::requestSharedTokens(RequestId id) const
+KvBlockManager::requestSharedTokens(RequestSlot slot) const
 {
-    const auto it = tables_.find(id);
-    return it == tables_.end() ? 0 : it->second.sharedTokens;
+    const Allocation *alloc = find(slot);
+    return alloc == nullptr ? 0 : alloc->sharedTokens;
 }
 
 const std::vector<BlockId> &
-KvBlockManager::blockTable(RequestId id) const
+KvBlockManager::blockTable(RequestSlot slot) const
 {
-    const auto it = tables_.find(id);
-    LIGHTLLM_ASSERT(it != tables_.end(),
-                    "block table of unknown request ", id);
-    return it->second.blocks;
+    const Allocation *alloc = find(slot);
+    LIGHTLLM_ASSERT(alloc != nullptr,
+                    "block table of unknown slot ", slot);
+    return alloc->blocks;
 }
 
 std::int32_t

@@ -36,9 +36,9 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 
 namespace lightllm {
@@ -79,14 +79,22 @@ class KvBlockManager
     void attachPrefixCache(PrefixCache *cache) { cache_ = cache; }
 
     /**
-     * Allocate `num_tokens` slots for a new request.
+     * Allocate `num_tokens` slots for the request in `slot`.
+     *
+     * Allocations are keyed by the engine's generation-tagged
+     * request slot and live in a vector indexed by its slot index
+     * (dense: the engine's slab positions), so no lookup on the
+     * step path hashes. A stale handle (another
+     * generation of a slot index) names nothing: lookups through it
+     * find no allocation, release() ignores it, and allocating
+     * through it fails while the index is held.
      *
      * @return false (and allocate nothing) when `num_tokens` is not
      *         positive, the free list (plus reclaimable cached
      *         blocks) cannot cover the required blocks, or the
-     *         request already has an allocation.
+     *         slot index already holds an allocation.
      */
-    bool allocate(RequestId id, TokenCount num_tokens);
+    bool allocate(RequestSlot slot, TokenCount num_tokens);
 
     /**
      * Allocate with a shared prefix: each block of `shared_prefix`
@@ -97,10 +105,10 @@ class KvBlockManager
      * block.
      *
      * @return false (and change nothing) when the private suffix
-     *         cannot be covered or the request already has an
+     *         cannot be covered or the slot index already holds an
      *         allocation.
      */
-    bool allocateShared(RequestId id, TokenCount num_tokens,
+    bool allocateShared(RequestSlot slot, TokenCount num_tokens,
                         std::span<const BlockId> shared_prefix);
 
     /**
@@ -112,14 +120,15 @@ class KvBlockManager
      * @return false (and change nothing) when insufficient blocks
      *         remain.
      */
-    bool extend(RequestId id, TokenCount num_tokens);
+    bool extend(RequestSlot slot, TokenCount num_tokens);
 
     /**
      * Drop the request's references. Blocks whose last reference
      * this was return to the free list; blocks shared with other
-     * requests or retained by the prefix cache live on.
+     * requests or retained by the prefix cache live on. A stale or
+     * unknown slot is a no-op.
      */
-    void release(RequestId id);
+    void release(RequestSlot slot);
 
     /** True when `num_tokens` more slots could be allocated now
      *  (reclaimable cached blocks count as available). */
@@ -131,18 +140,37 @@ class KvBlockManager
      * per-step growth pattern of continuous batching.
      */
     bool canExtendBatchByOne(
-        const std::vector<RequestId> &ids) const;
+        const std::vector<RequestSlot> &slots) const;
+
+    // --- The decode batch ---------------------------------------------
+    //
+    // A continuous-batching step grows every decoding request by one
+    // token. The manager keeps the step's block demand (how many
+    // joined allocations have a full last block) up to date as
+    // allocations join, grow and leave, so the feasibility test is
+    // O(1) and the growth itself rides the engine's one walk over
+    // its batch.
+
+    /** The allocation in `slot` joins the decode batch. */
+    void joinBatch(RequestSlot slot);
 
     /**
-     * Fused feasibility check plus growth: when every request in
-     * `ids` can extend by one token (the canExtendBatchByOne test),
-     * apply extend(id, 1) to each in order and return true; when the
-     * batch cannot extend, change nothing and return false. State
-     * evolution is identical to the split check-then-extend
-     * sequence, at one hash lookup per request instead of two —
-     * this runs once per decode step on the serving hot path.
+     * True when every joined allocation can grow by one token now:
+     * canExtendBatchByOne over the joined set, in O(1).
      */
-    bool extendBatchByOne(const std::vector<RequestId> &ids);
+    bool
+    batchCanGrow() const
+    {
+        return batchNeed_ <=
+            freeBlocks() + (cache_ != nullptr ? cacheOnly_ : 0);
+    }
+
+    /**
+     * Grow a joined allocation by one token. Growing every joined
+     * allocation once, after batchCanGrow() held, never fails and
+     * evolves state exactly as extend(slot, 1) on each, in order.
+     */
+    void growByOne(RequestSlot slot);
 
     /**
      * Token slots currently pinned by requests. Physically shared
@@ -172,17 +200,17 @@ class KvBlockManager
     double utilization() const;
 
     /** Logical tokens allocated to one request (shared prefix
-     *  included); 0 if absent. */
-    TokenCount requestTokens(RequestId id) const;
+     *  included); 0 if absent or stale. */
+    TokenCount requestTokens(RequestSlot slot) const;
 
     /** Tokens of one request covered by shared prefix blocks. */
-    TokenCount requestSharedTokens(RequestId id) const;
+    TokenCount requestSharedTokens(RequestSlot slot) const;
 
     /** Block table of one request (for attention-kernel mapping). */
-    const std::vector<BlockId> &blockTable(RequestId id) const;
+    const std::vector<BlockId> &blockTable(RequestSlot slot) const;
 
     /** Number of live requests. */
-    std::size_t numRequests() const { return tables_.size(); }
+    std::size_t numRequests() const { return liveAllocations_; }
 
     // --- Reference bookkeeping (tests) -------------------------------
 
@@ -200,16 +228,27 @@ class KvBlockManager
 
     struct Allocation
     {
+        /** The handle holding this slot index; kInvalidSlot while
+         *  the entry is free. */
+        RequestSlot owner = kInvalidSlot;
+
+        /** Joined the decode batch (counted in batchNeed_). */
+        bool growing = false;
+
+        /** blocks.back(), kept here so a one-token growth reads no
+         *  block-table memory. */
+        BlockId last = -1;
+
         TokenCount numTokens = 0;
 
         /** Tokens covered by the shared full-block prefix. */
         TokenCount sharedTokens = 0;
 
-        /** [shared prefix blocks ..., private blocks ...]. */
+        /** [shared prefix blocks ..., private blocks ...]; the
+         *  vector keeps its capacity across the slot's requests, so
+         *  a warmed pool allocates nothing. */
         std::vector<BlockId> blocks;
     };
-
-    using TableMap = std::unordered_map<RequestId, Allocation>;
 
     /** Per-physical-block reference state. */
     struct BlockState
@@ -247,6 +286,26 @@ class KvBlockManager
     std::int64_t blocksForExtension(const Allocation &alloc,
                                     TokenCount extra) const;
 
+    /** The allocation `slot` names; null when absent or stale. */
+    Allocation *
+    find(RequestSlot slot)
+    {
+        const std::uint32_t index = slotIndex(slot);
+        if (index >= allocs_.size() || allocs_[index].owner != slot)
+            return nullptr;
+        return &allocs_[index];
+    }
+
+    const Allocation *
+    find(RequestSlot slot) const
+    {
+        return const_cast<KvBlockManager *>(this)->find(slot);
+    }
+
+    /** growByOne when the last block is full: takes a fresh block
+     *  (reclaiming if need be). */
+    void growIntoNewBlock(Allocation &alloc);
+
     /** extend() after the table lookup (shared with the fused
      *  batch path). */
     bool extendAlloc(Allocation &alloc, TokenCount num_tokens);
@@ -254,9 +313,6 @@ class KvBlockManager
     /** Grow the free list to `need` blocks, reclaiming LRU cached
      *  blocks if required. False when impossible. */
     bool ensureFreeBlocks(std::int64_t need);
-
-    /** A fresh (empty) table for `id`, reusing a spare node. */
-    Allocation &insertTable(RequestId id);
 
     /** Take one block off the free list for a new reference holding
      *  `tokens` slots. */
@@ -273,22 +329,44 @@ class KvBlockManager
     TokenCount capacityTokens_;
     std::vector<BlockId> freeList_;
     std::vector<BlockState> states_;
-    TableMap tables_;
+
+    /** Allocations by slot index. */
+    std::vector<Allocation> allocs_;
+    std::size_t liveAllocations_ = 0;
     TokenCount usedTokens_ = 0;
 
-    /** Released tables' map nodes, block vectors still allocated:
-     *  admissions reuse them, so a warmed pool allocates nothing. */
-    std::vector<TableMap::node_type> spareTables_;
+    /** Blocks the decode batch needs for its next token: joined
+     *  allocations whose last block is full. */
+    std::int64_t batchNeed_ = 0;
 
     /** Count of cached blocks with zero request references. */
     std::int64_t cacheOnly_ = 0;
 
-    /** Lookup scratch for extendBatchByOne (pointers into tables_
-     *  nodes, which are stable; valid only within one call). */
-    std::vector<Allocation *> extendScratch_;
-
     PrefixCache *cache_ = nullptr;
 };
+
+inline void
+KvBlockManager::growByOne(RequestSlot slot)
+{
+    Allocation *alloc = find(slot);
+    LIGHTLLM_ASSERT(alloc != nullptr && alloc->growing,
+                    "slot ", slot, " is not in the decode batch");
+    const TokenCount held =
+        static_cast<TokenCount>(alloc->blocks.size()) * blockSize_;
+    if (alloc->numTokens == held) {
+        growIntoNewBlock(*alloc);
+        return;
+    }
+    // Slack fill: the last block is always private (allocations end
+    // past their shared prefix by construction), as extend() checks.
+    BlockState &last = states_[static_cast<std::size_t>(alloc->last)];
+    LIGHTLLM_ASSERT(last.requestRefs == 1,
+                    "slack fill into a shared block");
+    ++last.heldTokens;
+    ++usedTokens_;
+    if (++alloc->numTokens == held)
+        ++batchNeed_;  // full again: the next step takes a block
+}
 
 } // namespace memory
 } // namespace lightllm

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "base/rng.hh"
 #include "core/history_window.hh"
@@ -243,6 +245,66 @@ TEST(LengthDistributionTest, MeanAndMax)
     const LengthDistribution dist({1, 2, 3, 4});
     EXPECT_DOUBLE_EQ(dist.meanLength(), 2.5);
     EXPECT_EQ(dist.maxLength(), 4);
+}
+
+/**
+ * Property: the tail mean kept from an exact integer total (plus
+ * integer prefix sums for proper tails) equals the formula it
+ * replaced — double prefix sums built left to right over the sorted
+ * values, mean = (sum_n - sum_lo) / (n - lo), llround — through long
+ * runs of incremental inserts and erases, including window-sized
+ * samples of large lengths and thresholds below, inside and past
+ * the recorded range.
+ */
+TEST(LengthDistributionTest, TailMeanMatchesDoublePrefixSumFormula)
+{
+    auto reference = [](std::vector<TokenCount> sorted,
+                        TokenCount greater_than, TokenCount fallback) {
+        std::sort(sorted.begin(), sorted.end());
+        std::vector<double> sums{0.0};
+        for (TokenCount value : sorted)
+            sums.push_back(sums.back() + static_cast<double>(value));
+        const auto lo = static_cast<std::size_t>(
+            std::upper_bound(sorted.begin(), sorted.end(),
+                             greater_than) -
+            sorted.begin());
+        if (lo == sorted.size())
+            return fallback;
+        const double sum = sums.back() - sums[lo];
+        return static_cast<TokenCount>(std::llround(
+            sum / static_cast<double>(sorted.size() - lo)));
+    };
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng(seed);
+        const TokenCount max_len = seed % 2 == 0 ? 600 : 4'000'000;
+        LengthDistribution dist;
+        std::vector<TokenCount> values;
+        for (int op = 0; op < 2500; ++op) {
+            if (values.size() > 1000 ||
+                (!values.empty() && rng.bernoulli(0.3))) {
+                const auto index = static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(
+                                          values.size()) - 1));
+                dist.eraseValue(values[index]);
+                values.erase(values.begin() +
+                             static_cast<std::ptrdiff_t>(index));
+            } else {
+                const TokenCount value = rng.uniformInt(0, max_len);
+                dist.insertValue(value);
+                values.push_back(value);
+            }
+            for (int probe = 0; probe < 3; ++probe) {
+                const TokenCount greater_than = probe == 0
+                    ? 0
+                    : rng.uniformInt(-1, max_len + 1);
+                ASSERT_EQ(dist.tailMean(greater_than, 777),
+                          reference(values, greater_than, 777))
+                    << "seed " << seed << " op " << op;
+            }
+        }
+        EXPECT_EQ(LengthDistribution(values).tailMean(0, 777),
+                  reference(values, 0, 777));
+    }
 }
 
 /**

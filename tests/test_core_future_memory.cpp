@@ -614,6 +614,163 @@ TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
 }
 
 /**
+ * The horizon contract (PredictionPeek), in every mode: a peek with
+ * horizon H at generated length g equals a fresh peek at every length
+ * in [g, H) — through slotted and id-only peeks alike, and across
+ * everything that is not a mutation of this request's prediction:
+ * other requests gaining sticky samples, predict() calls, and
+ * per-step draws. A finish observed (or the request's own first
+ * sample) starts a new horizon, which must hold again.
+ */
+TEST_P(IncrementalPeakProperty, HorizonHoldsInEveryMode)
+{
+    const std::uint64_t seed = GetParam();
+    constexpr TokenCount kCap = 900;
+    for (PredictionMode mode :
+         {PredictionMode::StickySample, PredictionMode::PerStepSample,
+          PredictionMode::TailMean, PredictionMode::TailQuantile}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        Rng rng(seed);
+        PastFutureParams params;
+        params.windowSize = 48;
+        params.predictionMode = mode;
+        params.seed = seed;
+        PastFutureScheduler scheduler(params);
+
+        struct Tracked
+        {
+            RequestSlot slot = kInvalidSlot;
+            RequestId id = 0;
+            TokenCount generated = 0;
+            PredictionPeek peek;
+            bool held = false;  // `peek` was taken and still holds
+        };
+        std::vector<Tracked> tracked(6);
+        for (std::size_t i = 0; i < tracked.size(); ++i) {
+            tracked[i].slot = makeSlot(static_cast<std::uint32_t>(i),
+                                       static_cast<std::uint32_t>(i));
+            tracked[i].id = static_cast<RequestId>(100 + i);
+        }
+        auto predict = [&](const Tracked &t) {
+            // predict() through the routing estimate (see
+            // PredictionsMatchInEveryMode).
+            WaitingView view;
+            view.id = t.id;
+            view.slot = t.slot;
+            view.generatedLen = t.generated;
+            view.maxNewTokens = kCap;
+            SchedulerContext ctx;
+            ctx.waiting = std::span<const WaitingView>(&view, 1);
+            scheduler.estimateLoad(ctx);
+        };
+
+        for (int op = 0; op < 1500; ++op) {
+            const auto dice = rng.uniformInt(0, 99);
+            Tracked &t = tracked[static_cast<std::size_t>(
+                rng.uniformInt(0, 5))];
+            if (dice < 8) {
+                scheduler.onRequestFinished(1'000'000 + op,
+                                            rng.uniformInt(1, 700));
+                for (Tracked &other : tracked)
+                    other.held = false;
+            } else if (dice < 30) {
+                // A sample for t (a new horizon if t had none).
+                const bool had = scheduler.stickySampleCount();
+                predict(t);
+                if (scheduler.stickySampleCount() != had)
+                    t.held = false;
+            } else if (dice < 50) {
+                t.generated +=
+                    rng.bernoulli(0.7) ? 1 : rng.uniformInt(0, 60);
+            } else {
+                const PredictionPeek fresh = scheduler.peekWithHorizon(
+                    t.slot, t.id, t.generated, kCap);
+                ASSERT_GT(fresh.horizon, t.generated);
+                ASSERT_EQ(fresh.predicted,
+                          scheduler.peekPrediction(t.id, t.generated,
+                                                   kCap))
+                    << "op " << op;
+                if (t.held && t.generated < t.peek.horizon) {
+                    ASSERT_EQ(fresh.predicted, t.peek.predicted)
+                        << "op " << op << ": a peek inside [g, H) "
+                        << "moved";
+                }
+                if (!t.held || t.generated >= t.peek.horizon) {
+                    t.peek = fresh;
+                    t.held = true;
+                }
+                // Every length up to the horizon, peeked ahead.
+                const TokenCount until =
+                    std::min(fresh.horizon, t.generated + 50);
+                for (TokenCount g = t.generated; g < until; ++g) {
+                    ASSERT_EQ(scheduler
+                                  .peekWithHorizon(t.slot, t.id, g,
+                                                   kCap)
+                                  .predicted,
+                              fresh.predicted)
+                        << "op " << op << " g " << g;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Sticky samples are keyed by generation-tagged slots: a released
+ * slot's handle names no sample once the next generation holds the
+ * index, a stale release leaves the holder's sample alone, and
+ * finishing or releasing leaves no sample behind.
+ */
+TEST(PastFutureSlotTest, StaleSlotNamesNoSample)
+{
+    PastFutureParams params;
+    params.windowSize = 16;
+    params.seed = 5;
+    PastFutureScheduler scheduler(params);
+    for (TokenCount length = 10; length <= 160; length += 10)
+        scheduler.onRequestFinished(900 + length, length);
+    const LengthDistribution dist(scheduler.history().snapshot());
+    Rng draws(params.seed);  // the scheduler's RNG, replayed
+    constexpr TokenCount kCap = 1000;
+    // predict() through the routing estimate of a one-request queue.
+    auto predict = [&](RequestSlot slot, RequestId id) {
+        WaitingView view;
+        view.id = id;
+        view.slot = slot;
+        view.maxNewTokens = kCap;
+        SchedulerContext ctx;
+        ctx.waiting = std::span<const WaitingView>(&view, 1);
+        return scheduler.estimateLoad(ctx);
+    };
+    const TokenCount mean = dist.tailMean(0, kCap);
+    const RequestSlot old_slot = makeSlot(2, 7);
+    const RequestSlot new_slot = makeSlot(2, 8);
+
+    const TokenCount old_sticky =
+        dist.sampleTailAt(draws.uniformDouble(), 0, kCap);
+    EXPECT_EQ(predict(old_slot, 1), old_sticky);
+    EXPECT_EQ(scheduler.peekPrediction(1, 0, kCap), old_sticky);
+    scheduler.onSlotReleased(old_slot, 1);
+    EXPECT_EQ(scheduler.stickySampleCount(), 0u);
+    const PredictionPeek gone =
+        scheduler.peekWithHorizon(old_slot, 1, 0, kCap);
+    EXPECT_EQ(gone.predicted, mean);
+    EXPECT_EQ(gone.horizon, 1);  // its next predict draws afresh
+
+    const TokenCount new_sticky =
+        dist.sampleTailAt(draws.uniformDouble(), 0, kCap);
+    EXPECT_EQ(predict(new_slot, 2), new_sticky);
+    EXPECT_EQ(scheduler.peekWithHorizon(old_slot, 2, 0, kCap).predicted,
+              mean);
+    scheduler.onSlotReleased(old_slot, 2);  // stale: no effect
+    EXPECT_EQ(scheduler.stickySampleCount(), 1u);
+    EXPECT_EQ(scheduler.peekWithHorizon(new_slot, 2, 0, kCap).predicted,
+              new_sticky);
+    scheduler.onRequestFinished(2, 50);  // by id: the slotted sample
+    EXPECT_EQ(scheduler.stickySampleCount(), 0u);
+}
+
+/**
  * Whole admission rounds against the copy-and-sort algorithm they
  * replaced: a reference replays the scheduler's RNG (sticky variates
  * and perturbation draws, in the same order), scores every trial by

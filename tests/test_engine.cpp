@@ -15,12 +15,15 @@
 
 #include "base/rng.hh"
 #include "core/future_memory.hh"
+#include "core/past_future_scheduler.hh"
 #include "core/scheduler_factory.hh"
 #include "engine/framework_profile.hh"
 #include "engine/serving_engine.hh"
 #include "engine/static_engine.hh"
 #include "metrics/sla.hh"
 #include "model/perf_model.hh"
+#include "sim/sim_context.hh"
+#include "trace/trace_recorder.hh"
 #include "test_fixtures.hh"
 #include "workload/datasets.hh"
 
@@ -342,25 +345,46 @@ TEST(ServingEngineTest, DeterministicAcrossRuns)
 }
 
 /**
- * Admission decorator that records every prediction peek, optionally
- * replacing the inner scheduler's prediction with a synthetic one
- * that jumps every 16 generated tokens. Without a trace attached the
- * engine peeks only in its prediction audit, so the peeks of one
- * stepOnce() are exactly the batch that step audited.
+ * Admission decorator that records every horizon peek the prediction
+ * audit makes (stamped with the trace position it happened at) and
+ * counts the finishes the policy observes. Its predictions are the
+ * inner scheduler's, or a synthetic function of (id, generated) that
+ * jumps every 16 generated tokens, up or down: `Jumpy` moves with
+ * every token (horizon generated + 1), `Blocky` holds within each
+ * 16-token block and says so through its horizon.
  */
 class PeekRecorder final : public core::Scheduler
 {
   public:
+    enum class Predictor
+    {
+        Inner,
+        Jumpy,
+        Blocky,
+    };
+
     struct Peek
     {
         RequestId id;
         TokenCount generated;
-        TokenCount predicted;
+        core::PredictionPeek peek;
+        std::size_t traceStamp;  // trace events recorded before it
     };
 
-    PeekRecorder(std::unique_ptr<core::Scheduler> inner, bool jumpy)
-        : inner_(std::move(inner)), jumpy_(jumpy)
+    PeekRecorder(std::unique_ptr<core::Scheduler> inner,
+                 Predictor predictor)
+        : inner_(std::move(inner)), predictor_(predictor)
     {
+    }
+
+    /** The synthetic prediction of a Jumpy / Blocky recorder. */
+    static TokenCount
+    synthetic(Predictor predictor, RequestId id, TokenCount generated)
+    {
+        const TokenCount jump = (id * 37 + generated / 16 * 11) % 200;
+        return predictor == Predictor::Jumpy
+            ? generated + jump
+            : (generated / 16 + 1) * 16 + jump;
     }
 
     void
@@ -387,59 +411,108 @@ class PeekRecorder final : public core::Scheduler
         inner_->onRequestEvicted(id);
     }
 
+    void
+    onSlotReleased(RequestSlot slot, RequestId id) override
+    {
+        inner_->onSlotReleased(slot, id);
+    }
+
     TokenCount
     peekPrediction(RequestId id, TokenCount generated_len,
                    TokenCount max_new_tokens) override
     {
-        // Jumps every 16 generated tokens, up or down.
-        const TokenCount jump =
-            (id * 37 + generated_len / 16 * 11) % 200;
-        const TokenCount predicted = jumpy_
-            ? generated_len + jump
-            : inner_->peekPrediction(id, generated_len,
-                                     max_new_tokens);
-        peeks.push_back(Peek{id, generated_len, predicted});
-        return predicted;
+        return predictor_ == Predictor::Inner
+            ? inner_->peekPrediction(id, generated_len, max_new_tokens)
+            : synthetic(predictor_, id, generated_len);
+    }
+
+    core::PredictionPeek
+    peekWithHorizon(RequestSlot slot, RequestId id,
+                    TokenCount generated_len,
+                    TokenCount max_new_tokens) override
+    {
+        core::PredictionPeek peek;
+        switch (predictor_) {
+          case Predictor::Inner:
+            peek = inner_->peekWithHorizon(slot, id, generated_len,
+                                           max_new_tokens);
+            break;
+          case Predictor::Jumpy:
+            peek = {synthetic(predictor_, id, generated_len),
+                    generated_len + 1};
+            break;
+          case Predictor::Blocky:
+            peek = {synthetic(predictor_, id, generated_len),
+                    (generated_len / 16 + 1) * 16};
+            break;
+        }
+        peeks.push_back(Peek{id, generated_len, peek,
+                             trace_ != nullptr ? trace_->ring().size()
+                                               : 0});
+        return peek;
     }
 
     std::string name() const override { return inner_->name(); }
+
+    void attachTrace(const trace::EngineTrace *trace) { trace_ = trace; }
 
     std::vector<Peek> peeks;
 
   private:
     std::unique_ptr<core::Scheduler> inner_;
-    bool jumpy_;
+    Predictor predictor_;
+    const trace::EngineTrace *trace_ = nullptr;
 };
 
 /**
  * The carried prediction audit against a from-scratch one, step by
- * step, while the request slab recycles. Two waves reuse the same
- * ids, so every second-wave request takes over a recycled
- * EngineRequest (and, under Past-Future, starts a fresh sticky
- * sample) while the audit slots may still point at the slab entry
- * from its previous life; evictions, swap-ins and split-fuse
- * prefill-pending entries reorder the carried batch.
+ * step (the true and predicted M* the flight recorder's step
+ * counters report), while the request slab recycles. The audited batch of every
+ * decode step is rebuilt from the flight recorder alone (requests
+ * with an open Prefill or Decode span, minus swap-ins still
+ * restoring; decoding members advance one token per step), never
+ * from the audit's own bookkeeping. The expected predictions are the
+ * synthetic functions themselves or, for the real scheduler, a peek
+ * it answered at or below the member's current length whose horizon
+ * still covers it with no finish observed since — the engine must
+ * have made one.
+ *
+ * Two waves reuse the same ids, so every second-wave request takes
+ * over a recycled EngineRequest (and, under Past-Future, starts a
+ * fresh sticky sample); the closed-loop variant resubmits from each
+ * completion, so a new request takes over the slab entry of one that
+ * finished a step earlier — a carry that trusted pointers would see
+ * an unchanged batch. Evictions, swap-ins and split-fuse
+ * prefill-pending members break the carried invariance.
  */
 TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
 {
+    using Predictor = PeekRecorder::Predictor;
     struct Variant
     {
         const char *name;
         SchedulerConfig scheduler;
-        bool jumpy;
+        Predictor predictor;
         bool splitFuse;
         EvictionMode mode;
+        bool closedLoop;
     };
     const Variant variants[] = {
         {"aggressive, jumpy predictions, split-fuse",
-         SchedulerConfig::aggressive(1.0), true, true,
-         EvictionMode::Recompute},
+         SchedulerConfig::aggressive(1.0), Predictor::Jumpy, true,
+         EvictionMode::Recompute, false},
         {"aggressive, jumpy predictions, swap",
-         SchedulerConfig::aggressive(1.0), true, false,
-         EvictionMode::Swap},
+         SchedulerConfig::aggressive(1.0), Predictor::Jumpy, false,
+         EvictionMode::Swap, false},
+        {"aggressive, blocky horizons, swap",
+         SchedulerConfig::aggressive(1.0), Predictor::Blocky, false,
+         EvictionMode::Swap, false},
         {"past-future, split-fuse",
-         SchedulerConfig::pastFutureDefault(0.0), false, true,
-         EvictionMode::Recompute},
+         SchedulerConfig::pastFutureDefault(0.0), Predictor::Inner,
+         true, EvictionMode::Recompute, false},
+        {"past-future, closed loop (slab takeover)",
+         SchedulerConfig::pastFutureDefault(0.0), Predictor::Inner,
+         false, EvictionMode::Recompute, true},
     };
     constexpr RequestId kWave = 48;
     for (const Variant &variant : variants) {
@@ -450,53 +523,159 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
         config.evictionMode = variant.mode;
         config.timeseriesInterval = 1;  // one point per decode step
         auto recorder = std::make_unique<PeekRecorder>(
-            core::makeScheduler(variant.scheduler), variant.jumpy);
+            core::makeScheduler(variant.scheduler), variant.predictor);
         PeekRecorder &recorded = *recorder;
-        ServingEngine engine(tinyPerf(2.0), std::move(recorder),
-                             config);
+        // The closed loop keeps a few clients on a roomy engine, so a
+        // resubmit is admitted the step after its predecessor left.
+        ServingEngine engine(tinyPerf(variant.closedLoop ? 8.0 : 2.0),
+                             std::move(recorder), config);
+        trace::EngineTrace trace(1, "engine", trace::TraceDetail::Steps,
+                                 1 << 17);
+        engine.attachTrace(&trace);
+        recorded.attachTrace(&trace);
 
         Rng rng(29);
         std::unordered_map<RequestId, RequestSpec> live;
+        auto make = [&](RequestId id) {
+            live[id] = makeRequest(id, rng.uniformInt(16, 300),
+                                   rng.uniformInt(1, 400), 600);
+            return live[id];
+        };
+        RequestId next_id = kWave;
+        if (variant.closedLoop) {
+            engine.setOnFinish([&](const RequestSpec &, Tick tick) {
+                if (next_id < 4 * kWave)
+                    engine.submitAt(make(next_id++), tick);
+            });
+        }
+
+        // The audited batch, rebuilt from the trace.
+        struct Member
+        {
+            TokenCount generated = 0;
+            bool decoding = false;
+        };
+        std::unordered_map<RequestId, Member> members;
+        std::unordered_map<RequestId, TokenCount> evicted_at;
+        std::size_t consumed = 0;
+        std::vector<std::size_t> finish_stamps;  // trace index of each
         std::vector<TokenCount> expected_true;
         std::vector<TokenCount> expected_predicted;
-        for (int wave = 0; wave < 2; ++wave) {
-            for (RequestId id = 0; id < kWave; ++id) {
-                live[id] = makeRequest(id, rng.uniformInt(16, 300),
-                                       rng.uniformInt(1, 400), 600);
-                engine.submitAt(live[id], engine.now() + id * 20'000);
+
+        auto predicted_for = [&](RequestId id, TokenCount generated,
+                                 std::size_t stamp) -> TokenCount {
+            if (variant.predictor != Predictor::Inner) {
+                return std::max(PeekRecorder::synthetic(
+                                    variant.predictor, id, generated),
+                                generated);
             }
+            for (auto it = recorded.peeks.rbegin();
+                 it != recorded.peeks.rend(); ++it) {
+                if (it->id != id || it->traceStamp > stamp)
+                    continue;
+                const bool finished_since =
+                    !finish_stamps.empty() &&
+                    finish_stamps.back() >= it->traceStamp;
+                if (finished_since || it->generated > generated ||
+                    generated >= it->peek.horizon) {
+                    break;
+                }
+                return std::max(it->peek.predicted, generated);
+            }
+            ADD_FAILURE() << "request " << id << " at " << generated
+                          << " tokens audited on a lapsed prediction";
+            return generated;
+        };
+        auto consume = [&] {
+            for (; consumed < trace.ring().size(); ++consumed) {
+                const trace::TraceEvent &event =
+                    trace.ring().at(consumed);
+                using trace::TraceName;
+                using trace::TracePhase;
+                const RequestId id = event.id;
+                if (event.name == TraceName::Prefill &&
+                    event.phase == TracePhase::Begin) {
+                    members[id] = Member{evicted_at[id], false};
+                } else if ((event.name == TraceName::Prefill ||
+                            event.name == TraceName::Decode) &&
+                           event.phase == TracePhase::End) {
+                    members.erase(id);
+                } else if (event.name == TraceName::SwapIn) {
+                    members.erase(id);  // restoring: not audited
+                } else if (event.name == TraceName::Decode &&
+                           event.phase == TracePhase::Begin) {
+                    members[id] = Member{event.arg0, true};
+                } else if (event.name == TraceName::Evict) {
+                    evicted_at[id] = event.arg1;
+                } else if (event.name == TraceName::Finish) {
+                    evicted_at.erase(id);  // the id may come back
+                    finish_stamps.push_back(consumed);
+                } else if (event.name == TraceName::BatchSize) {
+                    std::vector<core::BatchEntry> truth;
+                    std::vector<core::BatchEntry> predicted;
+                    std::int64_t decoding = 0;
+                    for (auto &[member_id, member] : members) {
+                        if (member.decoding) {
+                            member.generated += 1;
+                            ++decoding;
+                        }
+                        const RequestSpec &spec = live.at(member_id);
+                        truth.push_back(core::BatchEntry{
+                            spec.inputLen, member.generated,
+                            std::max(spec.effectiveOutputLen(),
+                                     member.generated)});
+                        predicted.push_back(core::BatchEntry{
+                            spec.inputLen, member.generated,
+                            predicted_for(member_id, member.generated,
+                                          consumed)});
+                    }
+                    ASSERT_EQ(decoding, event.arg0)
+                        << "the rebuilt batch lost a member";
+                    expected_true.push_back(
+                        core::futureRequiredMemory(truth));
+                    expected_predicted.push_back(
+                        core::futureRequiredMemory(predicted));
+                } else if (event.name == TraceName::KvFutureTrue) {
+                    ASSERT_EQ(event.arg0, expected_true.back())
+                        << "decode step " << expected_true.size();
+                } else if (event.name == TraceName::KvFuturePred) {
+                    ASSERT_EQ(event.arg0, expected_predicted.back())
+                        << "decode step " << expected_true.size();
+                }
+            }
+        };
+
+        if (variant.closedLoop) {
+            for (RequestId id = 0; id < 8; ++id)
+                engine.submitAt(make(id), 0);
+            next_id = 8;
+        }
+        for (int wave = 0; wave < 2 && !variant.closedLoop; ++wave) {
+            for (RequestId id = 0; id < kWave; ++id)
+                engine.submitAt(make(id), engine.now() + id * 20'000);
             const std::size_t done = engine.numFinished() +
                 static_cast<std::size_t>(kWave);
             while (engine.numFinished() < done) {
-                recorded.peeks.clear();
                 ASSERT_TRUE(engine.stepOnce());
-                if (recorded.peeks.empty())
-                    continue;
-                std::vector<core::BatchEntry> truth;
-                std::vector<core::BatchEntry> predicted;
-                for (const auto &peek : recorded.peeks) {
-                    const RequestSpec &spec = live.at(peek.id);
-                    truth.push_back(core::BatchEntry{
-                        spec.inputLen, peek.generated,
-                        std::max(spec.effectiveOutputLen(),
-                                 peek.generated)});
-                    predicted.push_back(core::BatchEntry{
-                        spec.inputLen, peek.generated,
-                        std::max(peek.predicted, peek.generated)});
-                }
-                expected_true.push_back(
-                    core::futureRequiredMemory(truth));
-                expected_predicted.push_back(
-                    core::futureRequiredMemory(predicted));
+                consume();
             }
         }
+        while (engine.stepOnce())
+            consume();
+        ASSERT_EQ(trace.ring().dropped(), 0u);
 
-        // The second wave ran entirely on recycled slab entries.
+        // The second wave (or every resubmission) ran on recycled
+        // slab entries.
         EXPECT_LE(engine.requestSlabSize(),
                   static_cast<std::size_t>(kWave));
         const auto report = engine.report();
-        if (variant.jumpy) {
+        if (variant.predictor != Predictor::Inner) {
             EXPECT_GT(report.evictionEvents, 0);
+        }
+        if (variant.closedLoop) {
+            EXPECT_EQ(report.numFinished,
+                      static_cast<std::size_t>(4 * kWave));
+            EXPECT_LE(engine.requestSlabSize(), 8u);
         }
         const double capacity =
             static_cast<double>(engine.capacityTokens());
@@ -513,6 +692,48 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
             error_sum += std::fabs(predicted - future);
         }
         EXPECT_DOUBLE_EQ(report.futureErrorAbsSum, error_sum);
+    }
+}
+
+/**
+ * A request that leaves an engine without finishing — drained,
+ * stolen — takes its sticky sample with it: the slot's release drops
+ * it, so the scheduler's per-request state is bounded by the
+ * requests it still holds. (Candidates a round rejects get samples
+ * too, so the queue always holds some.)
+ */
+TEST(ServingEngineStateTest, DepartingRequestsLeaveNoStickySample)
+{
+    for (const bool steal : {false, true}) {
+        SCOPED_TRACE(steal ? "stealQueued" : "drainQueued");
+        sim::SimContext context;
+        ServingEngine engine(
+            tinyPerf(2.0),
+            core::makeScheduler(
+                SchedulerConfig::pastFutureDefault(0.05)));
+        engine.attachContext(context);
+        constexpr RequestId kRequests = 40;
+        for (RequestId id = 0; id < kRequests; ++id)
+            engine.submitAt(makeRequest(id, 200, 300, 600), 0);
+        // Past the cold start: with a history, every candidate a
+        // round tests gets a sample.
+        while (engine.numFinished() < 4)
+            ASSERT_TRUE(context.runNext());
+        auto &scheduler =
+            dynamic_cast<core::PastFutureScheduler &>(
+                engine.scheduler());
+        // Queued requests hold samples (beyond those holding KV).
+        ASSERT_GT(scheduler.stickySampleCount(),
+                  engine.kvManager().numRequests());
+
+        const auto left = steal
+            ? engine.stealQueued(static_cast<std::size_t>(kRequests))
+            : engine.drainQueued();
+        ASSERT_FALSE(left.empty());
+        context.runToCompletion();
+        EXPECT_EQ(engine.numFinished() + left.size(),
+                  static_cast<std::size_t>(kRequests));
+        EXPECT_EQ(scheduler.stickySampleCount(), 0u);
     }
 }
 

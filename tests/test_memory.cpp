@@ -172,6 +172,105 @@ TEST(KvBlockManagerDeathTest, ExtendUnknownRequestPanics)
 }
 
 /**
+ * A slot handle outlives its request the way a sim::EventId outlives
+ * its event: once the index is released and handed to the next
+ * generation, the old handle names nothing.
+ */
+TEST(KvBlockManagerTest, StaleSlotIsRejected)
+{
+    KvBlockManager kv(1024, 16);
+    const RequestSlot old_slot = makeSlot(3, 0);
+    const RequestSlot new_slot = makeSlot(3, 1);
+    ASSERT_TRUE(kv.allocate(old_slot, 40));
+    kv.release(old_slot);
+    ASSERT_TRUE(kv.allocate(new_slot, 100));
+
+    EXPECT_EQ(kv.requestTokens(old_slot), 0);
+    EXPECT_EQ(kv.requestSharedTokens(old_slot), 0);
+    EXPECT_FALSE(kv.allocate(old_slot, 10));  // the index is held
+    kv.release(old_slot);                     // no-op
+    EXPECT_EQ(kv.usedTokens(), 100);
+    EXPECT_EQ(kv.requestTokens(new_slot), 100);
+    EXPECT_EQ(kv.numRequests(), 1u);
+    EXPECT_DEATH(kv.extend(old_slot, 1), "unknown request");
+    EXPECT_DEATH(kv.blockTable(old_slot), "unknown slot");
+
+    kv.release(new_slot);
+    EXPECT_EQ(kv.usedTokens(), 0);
+    EXPECT_FALSE(kv.allocate(kInvalidSlot, 10));
+}
+
+/**
+ * Property: the decode batch's O(1) feasibility test agrees with the
+ * per-request scan (canExtendBatchByOne over the joined slots)
+ * through random joins, batch growth, bulk extends and releases, and
+ * growing the batch evolves state exactly as extend(slot, 1) on each
+ * joined slot in order.
+ */
+TEST(KvBlockManagerTest, BatchDemandMatchesPerRequestScan)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed);
+        const TokenCount block = seed % 3 == 0 ? 1 : 16;
+        KvBlockManager kv(200 * block, block);
+        KvBlockManager mirror(200 * block, block);
+        std::vector<RequestSlot> joined;
+        std::vector<RequestSlot> idle;
+        std::uint32_t next_index = 0;
+        for (int op = 0; op < 3000; ++op) {
+            const auto dice = rng.uniformInt(0, 99);
+            if (dice < 25) {
+                // Fails on both while the index is held.
+                const RequestSlot slot = makeSlot(
+                    next_index++ % 64, static_cast<std::uint32_t>(op));
+                const TokenCount tokens = rng.uniformInt(1, 40);
+                const bool ok = kv.allocate(slot, tokens);
+                ASSERT_EQ(ok, mirror.allocate(slot, tokens));
+                if (ok)
+                    idle.push_back(slot);
+            } else if (dice < 40 && !idle.empty()) {
+                kv.joinBatch(idle.back());
+                joined.push_back(idle.back());
+                idle.pop_back();
+            } else if (dice < 50 && !joined.empty()) {
+                const auto index = static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(
+                                          joined.size()) - 1));
+                const TokenCount tokens = rng.uniformInt(1, 20);
+                ASSERT_EQ(kv.extend(joined[index], tokens),
+                          mirror.extend(joined[index], tokens));
+            } else if (dice < 65) {
+                std::vector<RequestSlot> &pool =
+                    rng.bernoulli(0.5) ? joined : idle;
+                if (pool.empty())
+                    continue;
+                const auto index = static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(
+                                          pool.size()) - 1));
+                kv.release(pool[index]);
+                mirror.release(pool[index]);
+                pool.erase(pool.begin() +
+                           static_cast<std::ptrdiff_t>(index));
+            } else {
+                const bool fits = kv.canExtendBatchByOne(joined);
+                ASSERT_EQ(kv.batchCanGrow(), fits)
+                    << "seed " << seed << " op " << op;
+                if (!fits)
+                    continue;
+                for (RequestSlot slot : joined) {
+                    kv.growByOne(slot);
+                    ASSERT_TRUE(mirror.extend(slot, 1));
+                }
+            }
+            ASSERT_EQ(kv.usedTokens(), mirror.usedTokens());
+            ASSERT_EQ(kv.freeBlocks(), mirror.freeBlocks());
+        }
+        for (RequestSlot slot : joined)
+            ASSERT_EQ(kv.blockTable(slot), mirror.blockTable(slot));
+    }
+}
+
+/**
  * Property: a random allocate/extend/release workload conserves
  * blocks exactly — used + free always equals total, and releasing
  * everything restores the initial state.

@@ -419,9 +419,9 @@ TEST(EngineAllocTest, WarmedStepsAndAdmissionRoundsAllocateNothing)
  * park them, inserts reuse reclaimed entries and hash-map nodes, and
  * allocations under pressure reclaim the least recently used parked
  * blocks — every structure (entry slab, parked heap, spare map
- * nodes, spare block tables) stays within its warmed capacity. Every
- * request runs the same lifecycle, so each recycled block table has
- * reached its final capacity after its first use.
+ * nodes, slot-indexed block tables) stays within its warmed
+ * capacity. Every request runs the same lifecycle, so each recycled
+ * block table has reached its final capacity after its first use.
  */
 TEST(PrefixCacheAllocTest, WarmedParkPinTouchReclaimCyclesAllocateNothing)
 {
@@ -443,10 +443,16 @@ TEST(PrefixCacheAllocTest, WarmedParkPinTouchReclaimCyclesAllocateNothing)
     }
     std::vector<memory::BlockId> matched;
     matched.reserve(8);
-    RequestId next_id = 0;
     std::int64_t explicit_reclaims = 0;
     constexpr int kConcurrent = 6;
 
+    // Request i of round r holds slot i in generation r: the slots
+    // recycle as an engine's do, so the slot-indexed block tables
+    // keep their warmed capacity.
+    auto slot = [](int r, int i) {
+        return makeSlot(static_cast<std::uint32_t>(i),
+                        static_cast<std::uint32_t>(r));
+    };
     auto round = [&](int r) {
         // Admit: match (touch, then pin parked blocks), allocate the
         // 64-token prompt plus a slot, publish the prompt blocks.
@@ -456,11 +462,11 @@ TEST(PrefixCacheAllocTest, WarmedParkPinTouchReclaimCyclesAllocateNothing)
                 kStreams;
             matched.clear();
             cache.match(prompt_hashes[s], matched);
-            ASSERT_TRUE(kv.allocateShared(next_id + i, 65, matched));
+            ASSERT_TRUE(kv.allocateShared(slot(r, i), 65, matched));
             cache.insert(
                 prompt_hashes[s],
                 std::span<const memory::BlockId>(
-                    kv.blockTable(next_id + i))
+                    kv.blockTable(slot(r, i)))
                     .first(prompt_hashes[s].size()));
         }
         // Decode: grow to 113 tokens (reclaiming under pressure),
@@ -469,18 +475,17 @@ TEST(PrefixCacheAllocTest, WarmedParkPinTouchReclaimCyclesAllocateNothing)
             const std::size_t s =
                 static_cast<std::size_t>(r * kConcurrent + i) %
                 kStreams;
-            ASSERT_TRUE(kv.extend(next_id + i, 48));
+            ASSERT_TRUE(kv.extend(slot(r, i), 48));
             cache.insert(
                 full_hashes[s],
                 std::span<const memory::BlockId>(
-                    kv.blockTable(next_id + i))
+                    kv.blockTable(slot(r, i)))
                     .first(full_hashes[s].size()));
         }
         explicit_reclaims += cache.reclaim(2);
         // Finish: park every cached block, free the rest.
         for (int i = 0; i < kConcurrent; ++i)
-            kv.release(next_id + i);
-        next_id += kConcurrent;
+            kv.release(slot(r, i));
     };
 
     for (int r = 0; r < 40; ++r)
