@@ -12,15 +12,16 @@
  *  - flat: both tenants through the flat FCFS waiting queue — the
  *    spike floods the queue and the victim waits behind it;
  *  - tree: both tenants through `--tenant-tree` (equal-weight DRR
- *    over per-tenant leaves, each throttled at its provisioned
- *    token rate) — the aggressor's backlog queues in its own
- *    subtree instead of saturating the machine, so the victim's
- *    subtree keeps solo-like service.
+ *    over per-tenant leaves, each rate-gated at its provisioned
+ *    token rate) — the aggressor's backlog queues in its own leaf
+ *    instead of saturating the machine, so the victim's leaf keeps
+ *    solo-like service.
  *
  * The claim BENCH_tenant_isolation.json pins: the tree keeps the
  * victim's p99 TTFT within 1.5x of solo while the flat queue lets
  * it degrade past 3x. A regression shows up as `tree_over_solo`
- * rising toward `flat_over_solo`.
+ * rising toward `flat_over_solo`; the bench exits non-zero when
+ * the claim fails, so the `tenant` ctest gate enforces it.
  */
 
 #include <algorithm>
@@ -132,12 +133,12 @@ runLineup(const IsolationScenario &scenario, bool with_aggressor,
     if (tenant_tree) {
         config.tenantTree = true;
         config.tenantSpec.numTenants = 2;
-        // Each tenant's subtree is throttled at its provisioned
+        // Each tenant's leaf is rate-gated at its provisioned
         // token rate (with one second of burst credit): the victim
         // never reaches its cap, while the aggressor's 10x spike
-        // queues in its own subtree instead of saturating KV
-        // memory. DRR alone shares the *service*; the throttler is
-        // what keeps the machine unsaturated for the victim.
+        // queues in its own leaf instead of saturating KV memory.
+        // DRR alone shares the *service*; the rate gate is what
+        // keeps the machine unsaturated for the victim.
         config.tenantSpec.tokensPerSecond = 3500.0;
         config.tenantSpec.burstTokens = 1200;
     }
@@ -244,13 +245,13 @@ main()
         solo_p99 > 0.0 ? flat_p99 / solo_p99 : 0.0;
     const double tree_over_solo =
         solo_p99 > 0.0 ? tree_p99 / solo_p99 : 0.0;
+    const bool tree_isolates =
+        tree_over_solo <= 1.5 && flat_over_solo > 3.0;
     rows.push_back(bench::JsonRow{
         {"lineup", "claim"},
         {"flat_over_solo", flat_over_solo},
         {"tree_over_solo", tree_over_solo},
-        {"tree_isolates",
-         (tree_over_solo <= 1.5 && flat_over_solo > 3.0) ? 1.0
-                                                         : 0.0},
+        {"tree_isolates", tree_isolates ? 1.0 : 0.0},
     });
     bench::writeJson("BENCH_tenant_isolation.json",
                      "tenant_isolation", rows);
@@ -263,5 +264,13 @@ main()
                  "fair-share subtree keeps serving the victim while "
                  "the aggressor's backlog drains at its own "
                  "share.\n";
+    if (!tree_isolates) {
+        std::cout << "ISOLATION CHECK FAILED: tree_over_solo "
+                  << formatDouble(tree_over_solo, 2)
+                  << " (must be <= 1.5), flat_over_solo "
+                  << formatDouble(flat_over_solo, 2)
+                  << " (must be > 3)\n";
+        return 1;
+    }
     return 0;
 }

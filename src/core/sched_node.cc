@@ -1,6 +1,7 @@
 #include "core/sched_node.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "base/logging.hh"
@@ -8,28 +9,63 @@
 namespace lightllm {
 namespace core {
 
-// --- Leaf ----------------------------------------------------------
-
-LeafSchedNode::LeafSchedNode(std::string name,
-                             const QueuePolicyConfig &queue,
-                             std::vector<base::TenantId> tenants)
-    : SchedNode(std::move(name)), queue_(makeQueuePolicy(queue)),
-      tenants_(std::move(tenants))
+SchedNode::SchedNode(const SchedNodeConfig &config)
+    : SchedNode(config, nullptr)
 {
 }
 
-void
-LeafSchedNode::enqueue(std::size_t index)
+SchedNode::SchedNode(const SchedNodeConfig &config, SchedNode *parent)
+    : name_(config.name), weight_(config.weight), parent_(parent),
+      rate_(config.tokensPerSecond),
+      burst_(static_cast<double>(config.burstTokens)),
+      credit_(static_cast<double>(config.burstTokens))
 {
-    LIGHTLLM_ASSERT(!sealed_,
-                    "leaf ", name(), " enqueued after ordering");
-    pending_.push_back(index);
+    LIGHTLLM_ASSERT(weight_ > 0.0, "node ", name_,
+                    " needs a positive weight");
+    LIGHTLLM_ASSERT(rate_ >= 0.0, "node ", name_,
+                    " rate must not be negative");
+    LIGHTLLM_ASSERT(rate_ == 0.0 || burst_ > 0.0, "node ", name_,
+                    " rate gate needs a positive burst");
+
+    SchedNode *root = this;
+    while (root->parent_ != nullptr)
+        root = root->parent_;
+    if (config.children.empty()) {
+        queue_ = makeQueuePolicy(config.queue);
+        tenants_ = config.tenants;
+        root->leaves_.push_back(this);
+        if (tenants_.empty() && root->catchAll_ == nullptr)
+            root->catchAll_ = this;
+        for (base::TenantId tenant : tenants_)
+            root->routes_.emplace(tenant, this);
+        return;
+    }
+    LIGHTLLM_ASSERT(config.tenants.empty(), "node ", name_,
+                    " has children, so only its leaves serve tenants");
+    children_.reserve(config.children.size());
+    for (const SchedNodeConfig &child : config.children)
+        children_.push_back(
+            std::unique_ptr<SchedNode>(new SchedNode(child, this)));
+}
+
+SchedNode &
+SchedNode::route(base::TenantId tenant) const
+{
+    LIGHTLLM_ASSERT(!leaves_.empty(), "route() on non-root ", name_);
+    auto it = routes_.find(tenant);
+    if (it != routes_.end())
+        return *it->second;
+    if (catchAll_ != nullptr)
+        return *catchAll_;
+    return *leaves_[tenant % leaves_.size()];
 }
 
 void
-LeafSchedNode::beginRound(const SchedulerContext &ctx)
+SchedNode::beginRound(const SchedulerContext &ctx)
 {
     ctx_ = &ctx;
+    for (auto &child : children_)
+        child->beginRound(ctx);
     pending_.clear();
     ordered_.clear();
     cursor_ = 0;
@@ -37,7 +73,74 @@ LeafSchedNode::beginRound(const SchedulerContext &ctx)
 }
 
 void
-LeafSchedNode::seal()
+SchedNode::enqueue(std::size_t index)
+{
+    LIGHTLLM_ASSERT(isLeaf() && !sealed_, "node ", name_,
+                    " enqueued while not an open leaf");
+    pending_.push_back(index);
+}
+
+SchedNode *
+SchedNode::peek(Tick now, bool force, std::size_t &index)
+{
+    SchedNode *leaf =
+        isLeaf() ? peekQueue(index) : peekChildren(now, force, index);
+    if (leaf == nullptr || rate_ == 0.0)
+        return leaf;
+    // Refill only once the subtree has a candidate. The candidate
+    // is eligible only when the bucket covers its prefill
+    // footprint, so tokens dequeued in any window of length W
+    // never exceed burst + rate*W.
+    refill(now);
+    const WaitingView &view = ctx_->waiting[index];
+    if (!force &&
+        credit_ < static_cast<double>(view.promptLen + view.generatedLen))
+        return nullptr;
+    return leaf;
+}
+
+SchedNode *
+SchedNode::peekQueue(std::size_t &index)
+{
+    if (!sealed_)
+        seal();
+    if (cursor_ >= ordered_.size())
+        return nullptr;
+    index = ordered_[cursor_];
+    return this;
+}
+
+SchedNode *
+SchedNode::peekChildren(Tick now, bool force, std::size_t &index)
+{
+    double min_runnable = std::numeric_limits<double>::infinity();
+    SchedNode *chosen = nullptr;
+    SchedNode *chosen_leaf = nullptr;
+    for (auto &child : children_) {
+        std::size_t candidate = 0;
+        SchedNode *leaf = child->peek(now, force, candidate);
+        if (leaf == nullptr) {
+            child->wasRunnable_ = false;
+            continue;
+        }
+        if (!child->wasRunnable_) {
+            child->vruntime_ = std::max(child->vruntime_, floor_);
+            child->wasRunnable_ = true;
+        }
+        min_runnable = std::min(min_runnable, child->vruntime_);
+        if (chosen == nullptr || child->vruntime_ < chosen->vruntime_) {
+            chosen = child.get();
+            chosen_leaf = leaf;
+            index = candidate;
+        }
+    }
+    if (chosen != nullptr)
+        floor_ = std::max(floor_, min_runnable);
+    return chosen_leaf;
+}
+
+void
+SchedNode::seal()
 {
     sealed_ = true;
     // The wrapped policy orders a leaf-local view of the queue;
@@ -58,498 +161,41 @@ LeafSchedNode::seal()
         ordered_.push_back(pending_[local_index]);
 }
 
-bool
-LeafSchedNode::peek(Tick, bool, std::size_t &index)
-{
-    if (!sealed_)
-        seal();
-    if (cursor_ >= ordered_.size())
-        return false;
-    index = ordered_[cursor_];
-    return true;
-}
-
 void
-LeafSchedNode::pop(Tick, TokenCount)
+SchedNode::pop(TokenCount cost)
 {
     LIGHTLLM_ASSERT(sealed_ && cursor_ < ordered_.size(),
-                    "pop without a preceding peek on leaf ",
-                    name());
+                    "pop without a preceding peek on leaf ", name_);
     ++cursor_;
-}
-
-bool
-LeafSchedNode::servesTenant(base::TenantId tenant) const
-{
-    if (tenants_.empty())
-        return true;  // catch-all
-    return std::find(tenants_.begin(), tenants_.end(), tenant) !=
-        tenants_.end();
+    charge(cost);
 }
 
 void
-LeafSchedNode::accountUsage(base::TenantId, TokenCount)
+SchedNode::charge(TokenCount tokens)
 {
+    const auto cost = static_cast<double>(tokens);
+    for (SchedNode *node = this; node != nullptr; node = node->parent_) {
+        node->vruntime_ += cost / node->weight_;
+        if (node->rate_ != 0.0)
+            node->credit_ -= cost;
+    }
 }
 
 void
-LeafSchedNode::onAdmitted(base::TenantId)
+SchedNode::finish(RequestId id, TokenCount output_len)
 {
-}
-
-void
-LeafSchedNode::onReleased(base::TenantId)
-{
-}
-
-void
-LeafSchedNode::onRequestFinished(base::TenantId, RequestId id,
-                                 TokenCount output_len)
-{
+    charge(output_len);
     queue_->onRequestFinished(id, output_len);
 }
 
 void
-LeafSchedNode::collectLeaves(std::vector<LeafSchedNode *> &out)
+SchedNode::refill(Tick now)
 {
-    out.push_back(this);
-}
-
-// --- Inner-node helpers --------------------------------------------
-
-namespace {
-
-/** Shared child bookkeeping for inner nodes. */
-class InnerSchedNode : public SchedNode
-{
-  public:
-    InnerSchedNode(std::string name,
-                   std::vector<std::unique_ptr<SchedNode>> children)
-        : SchedNode(std::move(name)),
-          children_(std::move(children))
-    {
-        LIGHTLLM_ASSERT(!children_.empty(), "inner node ",
-                        this->name(), " needs children");
+    if (now > lastRefill_) {
+        credit_ = std::min(
+            burst_, credit_ + rate_ * ticksToSeconds(now - lastRefill_));
     }
-
-    void
-    beginRound(const SchedulerContext &ctx) override
-    {
-        for (auto &child : children_)
-            child->beginRound(ctx);
-        lastPeeked_ = kNone;
-    }
-
-    bool
-    servesTenant(base::TenantId tenant) const override
-    {
-        return std::any_of(children_.begin(), children_.end(),
-                           [tenant](const auto &child) {
-                               return child->servesTenant(tenant);
-                           });
-    }
-
-    void
-    accountUsage(base::TenantId tenant, TokenCount tokens) override
-    {
-        for (auto &child : children_) {
-            if (child->servesTenant(tenant)) {
-                accountChild(*child, tokens);
-                child->accountUsage(tenant, tokens);
-                return;
-            }
-        }
-    }
-
-    void
-    onAdmitted(base::TenantId tenant) override
-    {
-        for (auto &child : children_) {
-            if (child->servesTenant(tenant)) {
-                child->onAdmitted(tenant);
-                return;
-            }
-        }
-    }
-
-    void
-    onReleased(base::TenantId tenant) override
-    {
-        for (auto &child : children_) {
-            if (child->servesTenant(tenant)) {
-                child->onReleased(tenant);
-                return;
-            }
-        }
-    }
-
-    void
-    onRequestFinished(base::TenantId tenant, RequestId id,
-                      TokenCount output_len) override
-    {
-        for (auto &child : children_) {
-            if (child->servesTenant(tenant)) {
-                child->onRequestFinished(tenant, id, output_len);
-                return;
-            }
-        }
-    }
-
-    void
-    collectLeaves(std::vector<LeafSchedNode *> &out) override
-    {
-        for (auto &child : children_)
-            child->collectLeaves(out);
-    }
-
-    void
-    pop(Tick now, TokenCount cost) override
-    {
-        LIGHTLLM_ASSERT(lastPeeked_ != kNone,
-                        "pop without a preceding peek on ", name());
-        const std::size_t child = lastPeeked_;
-        lastPeeked_ = kNone;
-        chargePop(child, cost);
-        children_[child]->pop(now, cost);
-    }
-
-  protected:
-    static constexpr std::size_t kNone =
-        std::numeric_limits<std::size_t>::max();
-
-    /** Hook: cross-round service charge for the serving child. */
-    virtual void accountChild(SchedNode &, TokenCount) {}
-
-    /** Hook: per-pop charge for the chosen child. */
-    virtual void chargePop(std::size_t, TokenCount) {}
-
-    std::vector<std::unique_ptr<SchedNode>> children_;
-    std::size_t lastPeeked_ = kNone;
-};
-
-/** Weighted fair queueing over children by vruntime. */
-class FairSchedNode final : public InnerSchedNode
-{
-  public:
-    FairSchedNode(std::string name,
-                  std::vector<std::unique_ptr<SchedNode>> children,
-                  std::vector<double> weights)
-        : InnerSchedNode(std::move(name), std::move(children)),
-          weights_(std::move(weights)),
-          vruntime_(children_.size(), 0.0),
-          wasRunnable_(children_.size(), false)
-    {
-        LIGHTLLM_ASSERT(weights_.size() == children_.size(),
-                        "fair node needs one weight per child");
-        for (double weight : weights_) {
-            LIGHTLLM_ASSERT(weight > 0.0,
-                            "fair weights must be positive");
-        }
-    }
-
-    bool
-    peek(Tick now, bool force, std::size_t &index) override
-    {
-        // Runnable children, and the wake-up clamp: a child that
-        // was idle re-enters at the ratcheted floor so it cannot
-        // spend credit hoarded while idle (CFS-style min_vruntime).
-        double min_runnable =
-            std::numeric_limits<double>::infinity();
-        std::size_t chosen = kNone;
-        std::size_t scratch = 0;
-        for (std::size_t i = 0; i < children_.size(); ++i) {
-            if (!children_[i]->peek(now, force, scratch)) {
-                wasRunnable_[i] = false;
-                continue;
-            }
-            if (!wasRunnable_[i]) {
-                vruntime_[i] = std::max(vruntime_[i], floor_);
-                wasRunnable_[i] = true;
-            }
-            min_runnable = std::min(min_runnable, vruntime_[i]);
-            if (chosen == kNone ||
-                vruntime_[i] < vruntime_[chosen]) {
-                chosen = i;
-            }
-        }
-        if (chosen == kNone)
-            return false;
-        floor_ = std::max(floor_, min_runnable);
-        const bool ok =
-            children_[chosen]->peek(now, force, index);
-        LIGHTLLM_ASSERT(ok, "fair child lost its candidate");
-        lastPeeked_ = chosen;
-        return true;
-    }
-
-  protected:
-    void
-    chargePop(std::size_t child, TokenCount cost) override
-    {
-        vruntime_[child] +=
-            static_cast<double>(cost) / weights_[child];
-    }
-
-    void
-    accountChild(SchedNode &child, TokenCount tokens) override
-    {
-        for (std::size_t i = 0; i < children_.size(); ++i) {
-            if (children_[i].get() == &child) {
-                vruntime_[i] +=
-                    static_cast<double>(tokens) / weights_[i];
-                return;
-            }
-        }
-    }
-
-  private:
-    std::vector<double> weights_;
-    std::vector<double> vruntime_;
-    std::vector<bool> wasRunnable_;
-    double floor_ = 0.0;
-};
-
-/** Strict priority over children (higher rank first). */
-class PrioritySchedNode final : public InnerSchedNode
-{
-  public:
-    PrioritySchedNode(
-        std::string name,
-        std::vector<std::unique_ptr<SchedNode>> children,
-        std::vector<int> ranks)
-        : InnerSchedNode(std::move(name), std::move(children)),
-          order_(children_.size())
-    {
-        LIGHTLLM_ASSERT(ranks.size() == children_.size(),
-                        "priority node needs one rank per child");
-        for (std::size_t i = 0; i < order_.size(); ++i)
-            order_[i] = i;
-        std::stable_sort(order_.begin(), order_.end(),
-                         [&ranks](std::size_t a, std::size_t b) {
-                             return ranks[a] > ranks[b];
-                         });
-    }
-
-    bool
-    peek(Tick now, bool force, std::size_t &index) override
-    {
-        for (std::size_t child : order_) {
-            if (children_[child]->peek(now, force, index)) {
-                lastPeeked_ = child;
-                return true;
-            }
-        }
-        return false;
-    }
-
-  private:
-    std::vector<std::size_t> order_;
-};
-
-/** Token-bucket rate limit over the sim clock. */
-class ThrottlerSchedNode final : public InnerSchedNode
-{
-  public:
-    ThrottlerSchedNode(
-        std::string name,
-        std::vector<std::unique_ptr<SchedNode>> children,
-        double tokens_per_second, TokenCount burst_tokens)
-        : InnerSchedNode(std::move(name), std::move(children)),
-          rate_(tokens_per_second),
-          burst_(static_cast<double>(burst_tokens)),
-          credit_(static_cast<double>(burst_tokens))
-    {
-        LIGHTLLM_ASSERT(children_.size() == 1,
-                        "throttler wraps exactly one child");
-        LIGHTLLM_ASSERT(rate_ > 0.0,
-                        "throttler rate must be positive");
-        LIGHTLLM_ASSERT(burst_ > 0.0,
-                        "throttler burst must be positive");
-    }
-
-    bool
-    peek(Tick now, bool force, std::size_t &index) override
-    {
-        if (!children_[0]->peek(now, force, index))
-            return false;
-        refill(now);
-        if (!force) {
-            // The candidate is eligible only when the bucket
-            // covers its prefill footprint, so tokens dequeued in
-            // any window of length W never exceed burst + rate*W.
-            const auto cost = static_cast<double>(cost_of(index));
-            if (credit_ < cost)
-                return false;
-        }
-        lastPeeked_ = 0;
-        return true;
-    }
-
-    void
-    beginRound(const SchedulerContext &ctx) override
-    {
-        InnerSchedNode::beginRound(ctx);
-        ctx_ = &ctx;
-    }
-
-  protected:
-    void
-    chargePop(std::size_t, TokenCount cost) override
-    {
-        credit_ -= static_cast<double>(cost);
-    }
-
-    void
-    accountChild(SchedNode &, TokenCount tokens) override
-    {
-        // Decode output is post-paid: the bucket may go negative,
-        // gating future dequeues until it refills.
-        credit_ -= static_cast<double>(tokens);
-    }
-
-  private:
-    TokenCount
-    cost_of(std::size_t index) const
-    {
-        const WaitingView &view = ctx_->waiting[index];
-        return view.promptLen + view.generatedLen;
-    }
-
-    void
-    refill(Tick now)
-    {
-        if (now > lastRefill_) {
-            credit_ = std::min(
-                burst_,
-                credit_ + rate_ * ticksToSeconds(now - lastRefill_));
-        }
-        lastRefill_ = std::max(lastRefill_, now);
-    }
-
-    double rate_;
-    double burst_;
-    double credit_;
-    Tick lastRefill_ = 0;
-    const SchedulerContext *ctx_ = nullptr;
-};
-
-/** Max admitted-but-unfinished requests in the subtree. */
-class SemaphoreSchedNode final : public InnerSchedNode
-{
-  public:
-    SemaphoreSchedNode(
-        std::string name,
-        std::vector<std::unique_ptr<SchedNode>> children,
-        std::size_t max_in_flight)
-        : InnerSchedNode(std::move(name), std::move(children)),
-          maxInFlight_(max_in_flight)
-    {
-        LIGHTLLM_ASSERT(children_.size() == 1,
-                        "semaphore wraps exactly one child");
-        LIGHTLLM_ASSERT(maxInFlight_ > 0,
-                        "semaphore limit must be positive");
-    }
-
-    bool
-    peek(Tick now, bool force, std::size_t &index) override
-    {
-        if (!force && inFlight_ + pendingPops_ >= maxInFlight_)
-            return false;
-        if (!children_[0]->peek(now, force, index))
-            return false;
-        lastPeeked_ = 0;
-        return true;
-    }
-
-    void
-    beginRound(const SchedulerContext &ctx) override
-    {
-        InnerSchedNode::beginRound(ctx);
-        pendingPops_ = 0;
-    }
-
-    void
-    onAdmitted(base::TenantId tenant) override
-    {
-        ++inFlight_;
-        if (pendingPops_ > 0)
-            --pendingPops_;
-        InnerSchedNode::onAdmitted(tenant);
-    }
-
-    void
-    onReleased(base::TenantId tenant) override
-    {
-        LIGHTLLM_ASSERT(inFlight_ > 0, "semaphore ", name(),
-                        " released below zero");
-        --inFlight_;
-        InnerSchedNode::onReleased(tenant);
-    }
-
-  protected:
-    void
-    chargePop(std::size_t, TokenCount) override
-    {
-        // Popped this round but onAdmitted not yet delivered:
-        // count it against the limit so one round cannot overshoot.
-        ++pendingPops_;
-    }
-
-  private:
-    std::size_t maxInFlight_;
-    std::size_t inFlight_ = 0;
-    std::size_t pendingPops_ = 0;
-};
-
-std::vector<std::unique_ptr<SchedNode>>
-buildChildren(const SchedNodeConfig &config)
-{
-    std::vector<std::unique_ptr<SchedNode>> children;
-    children.reserve(config.children.size());
-    for (const SchedNodeConfig &child : config.children)
-        children.push_back(makeSchedNode(child));
-    return children;
-}
-
-} // namespace
-
-std::unique_ptr<SchedNode>
-makeSchedNode(const SchedNodeConfig &config)
-{
-    switch (config.kind) {
-      case SchedNodeConfig::Kind::Leaf:
-        LIGHTLLM_ASSERT(config.children.empty(),
-                        "leaf ", config.name,
-                        " must not have children");
-        return std::make_unique<LeafSchedNode>(
-            config.name, config.queue, config.tenants);
-      case SchedNodeConfig::Kind::Fair: {
-        std::vector<double> weights;
-        weights.reserve(config.children.size());
-        for (const SchedNodeConfig &child : config.children)
-            weights.push_back(child.weight);
-        return std::make_unique<FairSchedNode>(
-            config.name, buildChildren(config),
-            std::move(weights));
-      }
-      case SchedNodeConfig::Kind::Priority: {
-        std::vector<int> ranks;
-        ranks.reserve(config.children.size());
-        for (const SchedNodeConfig &child : config.children)
-            ranks.push_back(child.priority);
-        return std::make_unique<PrioritySchedNode>(
-            config.name, buildChildren(config), std::move(ranks));
-      }
-      case SchedNodeConfig::Kind::Throttler:
-        return std::make_unique<ThrottlerSchedNode>(
-            config.name, buildChildren(config),
-            config.tokensPerSecond, config.burstTokens);
-      case SchedNodeConfig::Kind::Semaphore:
-        return std::make_unique<SemaphoreSchedNode>(
-            config.name, buildChildren(config),
-            config.maxInFlight);
-    }
-    panic("unknown scheduler node kind");
+    lastRefill_ = std::max(lastRefill_, now);
 }
 
 SchedNodeConfig
@@ -561,42 +207,18 @@ tenantFairTree(const TenantTreeSpec &spec,
     LIGHTLLM_ASSERT(tenants >= 1, "tenant tree needs >= 1 tenant");
 
     SchedNodeConfig root;
-    root.kind = SchedNodeConfig::Kind::Fair;
     root.name = "tenants";
-    root.children.reserve(tenants);
+    root.children.resize(tenants);
     for (std::size_t t = 0; t < tenants; ++t) {
-        SchedNodeConfig leaf;
-        leaf.kind = SchedNodeConfig::Kind::Leaf;
-        leaf.name = "tenant-" + std::to_string(t) + "-queue";
+        SchedNodeConfig &leaf = root.children[t];
+        leaf.name = "tenant-" + std::to_string(t);
+        leaf.weight = t < spec.weights.size() ? spec.weights[t] : 1.0;
+        leaf.tokensPerSecond = spec.tokensPerSecond;
+        leaf.burstTokens = spec.burstTokens > 0
+            ? spec.burstTokens
+            : static_cast<TokenCount>(std::ceil(spec.tokensPerSecond));
         leaf.queue = queue;
         leaf.tenants = {static_cast<base::TenantId>(t)};
-
-        SchedNodeConfig subtree = std::move(leaf);
-        if (spec.maxInFlight > 0) {
-            SchedNodeConfig semaphore;
-            semaphore.kind = SchedNodeConfig::Kind::Semaphore;
-            semaphore.name =
-                "tenant-" + std::to_string(t) + "-inflight";
-            semaphore.maxInFlight = spec.maxInFlight;
-            semaphore.children.push_back(std::move(subtree));
-            subtree = std::move(semaphore);
-        }
-        if (spec.tokensPerSecond > 0.0) {
-            SchedNodeConfig throttler;
-            throttler.kind = SchedNodeConfig::Kind::Throttler;
-            throttler.name =
-                "tenant-" + std::to_string(t) + "-rate";
-            throttler.tokensPerSecond = spec.tokensPerSecond;
-            throttler.burstTokens = spec.burstTokens > 0
-                ? spec.burstTokens
-                : static_cast<TokenCount>(spec.tokensPerSecond);
-            throttler.children.push_back(std::move(subtree));
-            subtree = std::move(throttler);
-        }
-        subtree.weight = t < spec.weights.size()
-            ? spec.weights[t]
-            : 1.0;
-        root.children.push_back(std::move(subtree));
     }
     return root;
 }

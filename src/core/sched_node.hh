@@ -1,31 +1,31 @@
 /**
  * @file
- * Composable scheduler-node tree over the waiting queue.
+ * Settings-driven scheduler-node tree over the waiting queue.
  *
  * The flat pipeline orders ctx.waiting with one QueuePolicy; this
  * tree composes orderings hierarchically, the mechanism ClickHouse
- * uses for workload isolation (FairPolicy / UnifiedSchedulerNode).
- * Inner nodes are disciplines, leaves hold requests:
+ * uses for workload isolation (UnifiedSchedulerNode configured by
+ * SchedulingSettings). There is one node type; its settings decide
+ * what it does:
  *
- *  - fair: weighted fair queueing over children by vruntime — each
- *    pop charges the chosen child cost / weight, and the child with
- *    the smallest virtual time runs next, so long-run service
+ *  - shape: a node without children is a leaf that wraps a
+ *    QueuePolicy, so fcfs / predicted-sjf / edf still order
+ *    requests *within* its tenants. A node with children picks
+ *    among them by weighted fair queueing over vruntime — each pop
+ *    charges the served child cost / weight, and the runnable child
+ *    with the smallest virtual time runs next, so long-run service
  *    shares converge to the weights under saturation;
- *  - priority: strict ordering — a child is served only when every
- *    higher-priority sibling has nothing eligible;
- *  - throttler: token-bucket rate limit over the sim clock (credit
- *    accrues at tokensPerSecond up to burstTokens; a candidate is
- *    eligible only when credit covers its cost, and decode usage is
- *    post-paid through accountUsage, driving credit negative);
- *  - semaphore: at most maxInFlight admitted-but-unfinished
- *    requests in the subtree;
- *  - leaf: wraps a QueuePolicy, so fcfs / predicted-sjf / edf still
- *    order requests *within* a tenant.
+ *  - rate: a node with tokensPerSecond > 0 gates its own subtree
+ *    with a token bucket over the sim clock (credit accrues at the
+ *    rate up to burstTokens; a candidate is eligible only when
+ *    credit covers its cost, and decode usage is post-paid through
+ *    charge(), driving credit negative).
  *
  * A round is: beginRound(ctx), route each waiting index to its
- * leaf (enqueue), then alternate peek / pop until the admission
- * policy rejects. Cross-round accounting (finish tokens, in-flight
- * release) is keyed by tenant and routed down the serving subtree.
+ * leaf (route().enqueue()), then alternate peek / pop until the
+ * admission policy rejects. Every charge — the pop of a candidate,
+ * and the decode output when it finishes — walks from the leaf
+ * that served the request up through its parents to the root.
  */
 
 #ifndef LIGHTLLM_CORE_SCHED_NODE_HH
@@ -33,6 +33,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "base/request_class.hh"
@@ -46,35 +47,18 @@ namespace core {
 /** Declarative description of one node (and its subtree). */
 struct SchedNodeConfig
 {
-    enum class Kind
-    {
-        Fair,
-        Priority,
-        Throttler,
-        Semaphore,
-        Leaf,
-    };
-
-    Kind kind = Kind::Leaf;
-
     /** Report / debug label. */
     std::string name = "node";
 
-    /** Service share under a fair parent (> 0). */
+    /** Service share under the parent (> 0). */
     double weight = 1.0;
 
-    /** Rank under a priority parent (higher = served first). */
-    int priority = 0;
-
-    /** Throttler: sustained token rate (tokens/sec; must be > 0
-     *  for a throttler node). */
+    /** Token-rate gate over the subtree (tokens/sec; 0 = none). */
     double tokensPerSecond = 0.0;
 
-    /** Throttler: bucket capacity (burst credit), tokens. */
+    /** Bucket capacity (burst credit), tokens; must be > 0 when
+     *  the node has a rate. */
     TokenCount burstTokens = 0;
-
-    /** Semaphore: max admitted-but-unfinished requests (> 0). */
-    std::size_t maxInFlight = 0;
 
     /** Leaf: the in-tenant ordering. */
     QueuePolicyConfig queue;
@@ -82,151 +66,154 @@ struct SchedNodeConfig
     /** Leaf: tenants routed to this leaf. Empty = catch-all. */
     std::vector<base::TenantId> tenants;
 
-    /** Inner nodes: subtrees (leaves must have none). */
+    /** Subtrees; none makes the node a leaf. */
     std::vector<SchedNodeConfig> children;
 };
 
-class LeafSchedNode;
-
-/** One node of the scheduler tree. */
+/** One node of the scheduler tree (and, built from a config, the
+ *  owner of its subtree). */
 class SchedNode
 {
   public:
-    explicit SchedNode(std::string name) : name_(std::move(name)) {}
-    virtual ~SchedNode() = default;
+    /**
+     * Build the tree described by `config`, with this node as the
+     * root. Fatal on malformed configs (non-positive weight,
+     * negative rate, rate without burst, tenants on a non-leaf).
+     */
+    explicit SchedNode(const SchedNodeConfig &config);
+
+    SchedNode(const SchedNode &) = delete;
+    SchedNode &operator=(const SchedNode &) = delete;
 
     const std::string &name() const { return name_; }
+    double weight() const { return weight_; }
+
+    /**
+     * The leaf serving `tenant`: the first leaf that lists it, else
+     * the first catch-all leaf, else a deterministic spill (tenant
+     * mod leaf count) so a misconfigured workload still schedules.
+     * Call on the root.
+     */
+    SchedNode &route(base::TenantId tenant) const;
 
     /** Reset per-round state down the subtree. The context stays
      *  alive for the whole round. */
-    virtual void beginRound(const SchedulerContext &ctx) = 0;
+    void beginRound(const SchedulerContext &ctx);
+
+    /** Leaf: queue one ctx.waiting index for the current round. */
+    void enqueue(std::size_t index);
 
     /**
      * Report the next candidate of the subtree as an index into
      * the round's ctx.waiting.
      *
-     * @param force Ignore throttler credit and semaphore limits —
-     *        the idle force-admit backstop, which must always find
-     *        a candidate when any leaf is non-empty.
-     * @return false when the subtree is empty or gated.
+     * @param force Ignore rate gates — the idle force-admit
+     *        backstop, which must always find a candidate when any
+     *        leaf is non-empty.
+     * @return The leaf holding the candidate; null when the subtree
+     *         is empty or gated.
      */
-    virtual bool peek(Tick now, bool force, std::size_t &index) = 0;
+    SchedNode *peek(Tick now, bool force, std::size_t &index);
 
     /**
-     * Pop the candidate the immediately preceding peek() reported,
-     * charging `cost` tokens (its prefill footprint) to fair
-     * vruntimes and throttler buckets on the path.
+     * Leaf: pop the candidate the immediately preceding peek()
+     * reported, charging `cost` tokens (its prefill footprint).
      */
-    virtual void pop(Tick now, TokenCount cost) = 0;
-
-    /** True when `tenant` routes into this subtree. */
-    virtual bool servesTenant(base::TenantId tenant) const = 0;
+    void pop(TokenCount cost);
 
     /**
-     * Charge `tokens` of completed service (decode output) for
-     * `tenant`: fair nodes advance the serving child's vruntime,
-     * throttlers post-pay the bucket (credit may go negative).
+     * Charge `tokens` of service to this node and every ancestor:
+     * each advances its vruntime by tokens / weight, and each rate
+     * gate spends the tokens from its bucket (credit may go
+     * negative).
      */
-    virtual void accountUsage(base::TenantId tenant,
-                              TokenCount tokens) = 0;
+    void charge(TokenCount tokens);
 
-    /** A request of `tenant` was admitted (semaphore acquire). */
-    virtual void onAdmitted(base::TenantId tenant) = 0;
-
-    /** A request of `tenant` finished or was evicted (release). */
-    virtual void onReleased(base::TenantId tenant) = 0;
-
-    /** Completion feed for leaf queue policies (SJF predictors). */
-    virtual void onRequestFinished(base::TenantId tenant,
-                                   RequestId id,
-                                   TokenCount output_len) = 0;
-
-    /** Collect the subtree's leaves in declaration order. */
-    virtual void collectLeaves(std::vector<LeafSchedNode *> &out) = 0;
+    /** Leaf: a request it served finished with `output_len`
+     *  tokens. Post-pays the decode through charge() and feeds the
+     *  queue policy (SJF predictors). */
+    void finish(RequestId id, TokenCount output_len);
 
   private:
-    std::string name_;
-};
+    SchedNode(const SchedNodeConfig &config, SchedNode *parent);
 
-/** Leaf: request holder ordered by a wrapped QueuePolicy. */
-class LeafSchedNode final : public SchedNode
-{
-  public:
-    LeafSchedNode(std::string name, const QueuePolicyConfig &queue,
-                  std::vector<base::TenantId> tenants);
+    bool isLeaf() const { return children_.empty(); }
 
-    /** Route one ctx.waiting index here for the current round. */
-    void enqueue(std::size_t index);
+    /** Leaf: the next candidate of the ordered queue. */
+    SchedNode *peekQueue(std::size_t &index);
 
-    const std::vector<base::TenantId> &tenants() const
-    {
-        return tenants_;
-    }
+    /** Inner: the next candidate of the child with the smallest
+     *  vruntime. */
+    SchedNode *peekChildren(Tick now, bool force, std::size_t &index);
 
-    void beginRound(const SchedulerContext &ctx) override;
-    bool peek(Tick now, bool force, std::size_t &index) override;
-    void pop(Tick now, TokenCount cost) override;
-    bool servesTenant(base::TenantId tenant) const override;
-    void accountUsage(base::TenantId tenant,
-                      TokenCount tokens) override;
-    void onAdmitted(base::TenantId tenant) override;
-    void onReleased(base::TenantId tenant) override;
-    void onRequestFinished(base::TenantId tenant, RequestId id,
-                           TokenCount output_len) override;
-    void collectLeaves(std::vector<LeafSchedNode *> &out) override;
-
-  private:
     /** Order pending_ with the queue policy (lazy, per round). */
     void seal();
 
+    /** Accrue bucket credit up to `now`. */
+    void refill(Tick now);
+
+    std::string name_;
+    double weight_;
+    SchedNode *parent_;
+    const SchedulerContext *ctx_ = nullptr;
+
+    /** Fair share under the parent. A child that was idle
+     *  re-enters at the parent's ratcheted floor so it cannot
+     *  spend credit hoarded while idle (CFS-style min_vruntime). */
+    double vruntime_ = 0.0;
+    bool wasRunnable_ = false;
+
+    /** Inner: subtrees and the vruntime floor over them. */
+    std::vector<std::unique_ptr<SchedNode>> children_;
+    double floor_ = 0.0;
+
+    /** Rate gate (rate_ == 0: none). */
+    double rate_;
+    double burst_;
+    double credit_;
+    Tick lastRefill_ = 0;
+
+    /** Leaf: the ordering and this round's queue. */
     std::unique_ptr<QueuePolicy> queue_;
     std::vector<base::TenantId> tenants_;
-
-    const SchedulerContext *ctx_ = nullptr;
     std::vector<std::size_t> pending_;
     std::vector<std::size_t> ordered_;
     std::size_t cursor_ = 0;
     bool sealed_ = false;
 
-    /** Scratch for the leaf-local ordering context. */
+    /** Leaf: scratch for the leaf-local ordering context. */
     std::vector<WaitingView> viewScratch_;
     std::vector<std::size_t> orderScratch_;
+
+    /** Root: the routing table route() reads. */
+    std::unordered_map<base::TenantId, SchedNode *> routes_;
+    SchedNode *catchAll_ = nullptr;
+    std::vector<SchedNode *> leaves_;
 };
 
-/**
- * Build a node tree from its declarative description.
- *
- * Fatal on malformed configs (inner node without children, leaf
- * with children, non-positive fair weight or throttle rate).
- */
-std::unique_ptr<SchedNode>
-makeSchedNode(const SchedNodeConfig &config);
-
-/** Canonical per-tenant subtree shape for the fair tenant tree. */
+/** Canonical per-tenant node shape for the fair tenant tree. */
 struct TenantTreeSpec
 {
     /** Per-tenant fair weights; index = tenant id. Tenants beyond
      *  the vector (or an empty vector) get weight 1.0. */
     std::vector<double> weights;
 
-    /** Number of tenant subtrees (>= 1). When weights is larger,
-     *  its size wins. */
+    /** Number of tenant nodes (>= 1). When weights is larger, its
+     *  size wins. */
     std::size_t numTenants = 1;
 
-    /** Per-tenant token-rate budget (0 = no throttler node). */
+    /** Per-tenant token-rate budget (0 = no rate gate). */
     double tokensPerSecond = 0.0;
 
-    /** Throttler burst credit (defaults to one second of rate). */
+    /** Rate-gate burst credit (defaults to one second of rate,
+     *  rounded up to whole tokens). */
     TokenCount burstTokens = 0;
-
-    /** Per-tenant in-flight cap (0 = no semaphore node). */
-    std::size_t maxInFlight = 0;
 };
 
 /**
- * Fair root over one subtree per tenant: fair(weight_t) →
- * [throttler] → [semaphore] → leaf(queue). The canonical tree the
- * --tenant-tree CLI path builds.
+ * Fair root over one leaf per tenant, each carrying the tenant's
+ * weight, the optional rate gate and the queue ordering. The
+ * canonical tree the --tenant-tree CLI path builds.
  */
 SchedNodeConfig tenantFairTree(const TenantTreeSpec &spec,
                                const QueuePolicyConfig &queue);

@@ -45,8 +45,9 @@ struct SchedulerConfig
     QueuePolicyConfig queue;
 
     /** Route the queue through a per-tenant scheduler-node tree
-     *  (fair root built from `tenantSpec`, `queue` ordering inside
-     *  each tenant). Off reproduces the flat pipeline bit-exactly. */
+     *  (fair root over one leaf per tenant built from `tenantSpec`:
+     *  weight, optional rate gate, `queue` ordering inside the
+     *  tenant). Off reproduces the flat pipeline bit-exactly. */
     bool tenantTree = false;
 
     /** Shape of the tenant tree when tenantTree is set. */

@@ -7,74 +7,29 @@
 namespace lightllm {
 namespace core {
 
-namespace {
-
-/** Map each tenant to the fair weight of the subtree serving it:
- *  the weight of the child under the nearest fair ancestor. */
-void
-collectWeights(const SchedNodeConfig &config, double inherited,
-               std::unordered_map<base::TenantId, double> &out)
-{
-    if (config.kind == SchedNodeConfig::Kind::Leaf) {
-        for (base::TenantId tenant : config.tenants)
-            out.emplace(tenant, inherited);
-        return;
-    }
-    const bool fair = config.kind == SchedNodeConfig::Kind::Fair;
-    for (const SchedNodeConfig &child : config.children)
-        collectWeights(child, fair ? child.weight : inherited, out);
-}
-
-} // namespace
-
 TreeSchedulingPolicy::TreeSchedulingPolicy(
     std::unique_ptr<Scheduler> admission,
     const SchedNodeConfig &tree)
-    : SchedulingPolicy(std::move(admission)),
-      root_(makeSchedNode(tree))
+    : SchedulingPolicy(std::move(admission)), root_(tree)
 {
-    root_->collectLeaves(leaves_);
-    LIGHTLLM_ASSERT(!leaves_.empty(), "tenant tree has no leaves");
-    for (LeafSchedNode *leaf : leaves_) {
-        if (leaf->tenants().empty() && catchAll_ == nullptr)
-            catchAll_ = leaf;
-        for (base::TenantId tenant : leaf->tenants())
-            leafOf_.emplace(tenant, leaf);
-    }
-    collectWeights(tree, 1.0, weightOf_);
-}
-
-LeafSchedNode *
-TreeSchedulingPolicy::leafFor(base::TenantId tenant) const
-{
-    auto it = leafOf_.find(tenant);
-    if (it != leafOf_.end())
-        return it->second;
-    if (catchAll_ != nullptr)
-        return catchAll_;
-    // Unknown tenant and no catch-all: deterministic spill so a
-    // misconfigured workload still schedules.
-    return leaves_[tenant % leaves_.size()];
 }
 
 double
 TreeSchedulingPolicy::tenantWeight(base::TenantId tenant) const
 {
-    auto it = weightOf_.find(tenant);
-    return it != weightOf_.end() ? it->second : 1.0;
+    return root_.route(tenant).weight();
 }
 
 void
 TreeSchedulingPolicy::commitAdmit(const SchedulerContext &ctx,
-                                  std::size_t index,
+                                  std::size_t index, SchedNode &leaf,
                                   SchedulingDecision &decision)
 {
     const WaitingView &candidate = ctx.waiting[index];
     // The pop charge is the candidate's prefill footprint; decode
-    // output is post-paid through accountUsage on finish.
-    root_->pop(ctx.now, candidate.promptLen + candidate.generatedLen);
-    root_->onAdmitted(candidate.cls.tenant);
-    tenantOf_[candidate.id] = candidate.cls.tenant;
+    // output is post-paid through finish().
+    leaf.pop(candidate.promptLen + candidate.generatedLen);
+    leafOf_[candidate.id] = &leaf;
     decision.admit.push_back(candidate.id);
 }
 
@@ -87,27 +42,27 @@ TreeSchedulingPolicy::decideInto(const SchedulerContext &ctx,
     if (ctx.waiting.empty())
         return;
 
-    root_->beginRound(ctx);
+    root_.beginRound(ctx);
     for (std::size_t i = 0; i < ctx.waiting.size(); ++i)
-        leafFor(ctx.waiting[i].cls.tenant)->enqueue(i);
+        root_.route(ctx.waiting[i].cls.tenant).enqueue(i);
 
     admission().beginAdmissionRound(ctx);
     std::size_t index = 0;
-    while (root_->peek(ctx.now, /*force=*/false, index)) {
+    while (SchedNode *leaf = root_.peek(ctx.now, /*force=*/false,
+                                        index)) {
         if (!admission().tryAdmit(ctx.waiting[index]))
             break;
-        commitAdmit(ctx, index, out);
+        commitAdmit(ctx, index, *leaf, out);
     }
 
     if (out.admit.empty() && ctx.running.empty()) {
         // Idle backstop, as on the flat path — but through the
-        // tree (force ignores throttler credit and semaphore
-        // limits) so the tree's accounting still sees the admit.
-        const bool found =
-            root_->peek(ctx.now, /*force=*/true, index);
-        LIGHTLLM_ASSERT(found,
+        // tree (force ignores rate gates) so the tree's accounting
+        // still sees the admit.
+        SchedNode *leaf = root_.peek(ctx.now, /*force=*/true, index);
+        LIGHTLLM_ASSERT(leaf != nullptr,
                         "tree lost the queue's requests");
-        commitAdmit(ctx, index, out);
+        commitAdmit(ctx, index, *leaf, out);
     }
 }
 
@@ -144,26 +99,11 @@ TreeSchedulingPolicy::onRequestFinished(RequestId id,
                                         TokenCount output_len)
 {
     SchedulingPolicy::onRequestFinished(id, output_len);
-    auto it = tenantOf_.find(id);
-    if (it == tenantOf_.end())
+    auto it = leafOf_.find(id);
+    if (it == leafOf_.end())
         return;
-    const base::TenantId tenant = it->second;
-    root_->accountUsage(tenant, output_len);
-    root_->onReleased(tenant);
-    root_->onRequestFinished(tenant, id, output_len);
-    tenantOf_.erase(it);
-}
-
-void
-TreeSchedulingPolicy::onRequestEvicted(RequestId id)
-{
-    SchedulingPolicy::onRequestEvicted(id);
-    auto it = tenantOf_.find(id);
-    if (it == tenantOf_.end())
-        return;
-    // Release the in-flight slot; the entry stays so a request
-    // evicted and re-admitted re-acquires under the same tenant.
-    root_->onReleased(it->second);
+    it->second->finish(id, output_len);
+    leafOf_.erase(it);
 }
 
 std::string

@@ -6,10 +6,12 @@
  * with one QueuePolicy" step with a SchedNode tree: each waiting
  * request is routed to its tenant's leaf, and the admission loop
  * alternates peek / tryAdmit / pop against the tree, so fair
- * weights, token-rate budgets and in-flight caps gate which tenant
- * supplies the next candidate. Admission feasibility itself is
- * unchanged — the same Scheduler policies (conservative,
- * aggressive, past-future, oracle) test each candidate.
+ * weights and token-rate budgets decide which tenant supplies the
+ * next candidate. Admission feasibility itself is unchanged — the
+ * same Scheduler policies (conservative, aggressive, past-future,
+ * oracle) test each candidate. The policy remembers the leaf that
+ * admitted each request, so the finish charge walks up from that
+ * leaf.
  *
  * Eviction stays on the shared victimOrder path, refined to be
  * fairness-aware: victims are ranked by their tenant's
@@ -50,31 +52,21 @@ class TreeSchedulingPolicy final : public SchedulingPolicy
                      std::vector<RequestId> &out) override;
     void onRequestFinished(RequestId id,
                            TokenCount output_len) override;
-    void onRequestEvicted(RequestId id) override;
     std::string name() const override;
 
-    /** Fair weight of `tenant` (for shedding / reports). */
+    /** Fair weight of `tenant`'s leaf (for shedding / reports). */
     double tenantWeight(base::TenantId tenant) const;
 
   private:
-    LeafSchedNode *leafFor(base::TenantId tenant) const;
-
-    /** Admit `index`, updating tree + tenant bookkeeping. */
+    /** Admit `index` from `leaf`, charging the tree. */
     void commitAdmit(const SchedulerContext &ctx, std::size_t index,
-                     SchedulingDecision &decision);
+                     SchedNode &leaf, SchedulingDecision &decision);
 
-    std::unique_ptr<SchedNode> root_;
-    std::vector<LeafSchedNode *> leaves_;
-    LeafSchedNode *catchAll_ = nullptr;
-    std::unordered_map<base::TenantId, LeafSchedNode *> leafOf_;
-    std::unordered_map<base::TenantId, double> weightOf_;
+    SchedNode root_;
 
-    /** Tenant of every request the tree has admitted (finish and
-     *  eviction notifications only carry the request id). */
-    std::unordered_map<RequestId, base::TenantId> tenantOf_;
-
-    /** Scratch reused across rounds. */
-    std::vector<RequestId> victimScratch_;
+    /** Leaf that admitted each unfinished request (finish
+     *  notifications only carry the request id). */
+    std::unordered_map<RequestId, SchedNode *> leafOf_;
 };
 
 } // namespace core

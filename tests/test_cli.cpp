@@ -784,5 +784,66 @@ INSTANTIATE_TEST_SUITE_P(
             info.param.topology;
     });
 
+/** One --tenant-tree run and the summary JSON it produced when
+ *  pinned. */
+struct TenantTreeCell
+{
+    const char *name;
+    std::vector<const char *> args;
+    std::size_t finished;
+    bool evicts;
+    std::uint64_t summaryHash;
+};
+
+class CliTenantTreeMatrix
+    : public ::testing::TestWithParam<TenantTreeCell>
+{};
+
+// The tenant tree orders candidates by weighted-fair vruntime and
+// re-ranks victims by each tenant's weight-normalised resident KV,
+// so the pinned bytes cover both: the zipf cell runs open-loop
+// through per-tenant EDF leaves, the weights cell fills the small
+// rtx4090 pool so the tree's victimOrder picks evictions.
+TEST_P(CliTenantTreeMatrix, SummaryBytesArePinned)
+{
+    const TenantTreeCell &cell = GetParam();
+    std::vector<const char *> args = {"--seed", "5", "--tenant-tree",
+                                      "--workload", "sharegpt"};
+    args.insert(args.end(), cell.args.begin(), cell.args.end());
+
+    cli::CliOptions options;
+    ASSERT_EQ(parse(args, options), "");
+    const cli::Scenario scenario = cli::assembleScenario(options);
+    const metrics::RunReport report = cli::runScenario(scenario);
+    std::ostringstream json;
+    metrics::writeSummaryJson(json, report, scenario.sla);
+
+    EXPECT_EQ(report.numFinished, cell.finished);
+    if (cell.evicts) {
+        EXPECT_GT(report.evictionEvents, 0);
+    }
+    EXPECT_EQ(fnv1a(json.str()), cell.summaryHash)
+        << std::hex << "0x" << fnv1a(json.str()) << "\n"
+        << json.str();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TenantTree, CliTenantTreeMatrix,
+    ::testing::Values(
+        TenantTreeCell{"zipf_edf",
+                       {"--tenants", "4", "--tenant-zipf", "1.0",
+                        "--queue-policy", "edf", "--requests", "64",
+                        "--rate", "8"},
+                       64, false, 0x608540dc124c3625ull},
+        TenantTreeCell{"weights_evicting",
+                       {"--tenants", "3", "--tenant-weights",
+                        "8,1,1", "--requests", "96", "--clients",
+                        "24", "--hardware", "rtx4090", "--scheduler",
+                        "aggressive"},
+                       96, true, 0x211f1263c5547f0dull}),
+    [](const ::testing::TestParamInfo<TenantTreeCell> &info) {
+        return std::string(info.param.name);
+    });
+
 } // namespace
 } // namespace lightllm

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the composable scheduler-node tree: leaf ordering,
- * fair-share convergence, token-rate throttling (the any-window
- * property), in-flight semaphores, the canonical tenant tree, the
- * tree-backed SchedulingPolicy, and the TenantMix workload knob.
+ * Tests for the settings-driven scheduler-node tree: leaf
+ * ordering, fair-share convergence, token-rate gates (the
+ * any-window property), the canonical tenant tree, the tree-backed
+ * SchedulingPolicy, and the TenantMix workload knob.
  */
 
 #include <gtest/gtest.h>
@@ -11,12 +11,17 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "core/conservative_scheduler.hh"
 #include "core/sched_node.hh"
 #include "core/scheduler_factory.hh"
 #include "core/tenant_tree_policy.hh"
+#include "engine/serving_engine.hh"
+#include "metrics/report_io.hh"
+#include "model/perf_model.hh"
+#include "workload/arrivals.hh"
 #include "workload/datasets.hh"
 #include "workload/tenant_mix.hh"
 
@@ -54,7 +59,6 @@ SchedNodeConfig
 leafConfig(const std::string &name, base::TenantId tenant)
 {
     SchedNodeConfig leaf;
-    leaf.kind = SchedNodeConfig::Kind::Leaf;
     leaf.name = name;
     leaf.tenants = {tenant};
     return leaf;
@@ -64,17 +68,9 @@ leafConfig(const std::string &name, base::TenantId tenant)
 void
 routeAll(SchedNode &root, const SchedulerContext &ctx)
 {
-    std::vector<LeafSchedNode *> leaves;
-    root.collectLeaves(leaves);
     root.beginRound(ctx);
-    for (std::size_t i = 0; i < ctx.waiting.size(); ++i) {
-        for (LeafSchedNode *leaf : leaves) {
-            if (leaf->servesTenant(ctx.waiting[i].cls.tenant)) {
-                leaf->enqueue(i);
-                break;
-            }
-        }
-    }
+    for (std::size_t i = 0; i < ctx.waiting.size(); ++i)
+        root.route(ctx.waiting[i].cls.tenant).enqueue(i);
 }
 
 TEST(LeafSchedNodeTest, WrapsQueuePolicyOverItsSubsetOnly)
@@ -84,7 +80,7 @@ TEST(LeafSchedNodeTest, WrapsQueuePolicyOverItsSubsetOnly)
     SchedNodeConfig config = leafConfig("leaf", 0);
     config.queue.kind = QueuePolicyKind::Edf;
     config.queue.ttftDeadline = 1000;
-    auto root = makeSchedNode(config);
+    auto root = std::make_unique<SchedNode>(config);
 
     std::vector<WaitingView> waiting = {
         waitingOf(10, 100, 0, /*arrival=*/300),
@@ -96,9 +92,9 @@ TEST(LeafSchedNodeTest, WrapsQueuePolicyOverItsSubsetOnly)
 
     std::vector<RequestId> popped;
     std::size_t index = 0;
-    while (root->peek(ctx.now, false, index)) {
+    while (SchedNode *leaf = root->peek(ctx.now, false, index)) {
         popped.push_back(ctx.waiting[index].id);
-        root->pop(ctx.now, ctx.waiting[index].promptLen);
+        leaf->pop(ctx.waiting[index].promptLen);
     }
     EXPECT_EQ(popped, (std::vector<RequestId>{11, 12, 10}));
 }
@@ -108,12 +104,11 @@ TEST(FairSchedNodeTest, ServiceSharesConvergeToWeights)
     // Property (satellite): under saturation, per-tenant service
     // converges to the configured 3:1 weights.
     SchedNodeConfig fair;
-    fair.kind = SchedNodeConfig::Kind::Fair;
     fair.children.push_back(leafConfig("a", 0));
     fair.children.push_back(leafConfig("b", 1));
     fair.children[0].weight = 3.0;
     fair.children[1].weight = 1.0;
-    auto root = makeSchedNode(fair);
+    auto root = std::make_unique<SchedNode>(fair);
 
     // Both tenants keep 200 equally sized requests queued.
     std::vector<WaitingView> waiting;
@@ -125,9 +120,10 @@ TEST(FairSchedNodeTest, ServiceSharesConvergeToWeights)
     std::map<base::TenantId, int> popsByTenant;
     std::size_t index = 0;
     for (int pops = 0; pops < 200; ++pops) {
-        ASSERT_TRUE(root->peek(ctx.now, false, index));
+        SchedNode *leaf = root->peek(ctx.now, false, index);
+        ASSERT_TRUE(leaf);
         popsByTenant[ctx.waiting[index].cls.tenant] += 1;
-        root->pop(ctx.now, ctx.waiting[index].promptLen);
+        leaf->pop(ctx.waiting[index].promptLen);
     }
     // 3:1 over 200 pops = 150 / 50, give or take start-up skew.
     EXPECT_NEAR(popsByTenant[0], 150, 2);
@@ -137,17 +133,16 @@ TEST(FairSchedNodeTest, ServiceSharesConvergeToWeights)
 TEST(FairSchedNodeTest, AccountUsagePenalisesTheServedTenant)
 {
     SchedNodeConfig fair;
-    fair.kind = SchedNodeConfig::Kind::Fair;
     fair.children.push_back(leafConfig("a", 0));
     fair.children.push_back(leafConfig("b", 1));
-    auto root = makeSchedNode(fair);
+    auto root = std::make_unique<SchedNode>(fair);
 
     std::vector<WaitingView> waiting = {
         waitingOf(0, 100, 0), waitingOf(1, 100, 1)};
     const SchedulerContext ctx = contextOf(waiting);
 
     // Tenant 0 ran a huge decode since the last round.
-    root->accountUsage(0, 100'000);
+    root->route(0).charge(100'000);
 
     routeAll(*root, ctx);
     std::size_t index = 0;
@@ -163,12 +158,10 @@ TEST(ThrottlerSchedNodeTest, NeverExceedsRateInAnyWindow)
     const TokenCount burst = 500;
     const TokenCount cost = 100;
 
-    SchedNodeConfig config;
-    config.kind = SchedNodeConfig::Kind::Throttler;
+    SchedNodeConfig config = leafConfig("leaf", 0);
     config.tokensPerSecond = rate;
     config.burstTokens = burst;
-    config.children.push_back(leafConfig("leaf", 0));
-    auto root = makeSchedNode(config);
+    auto root = std::make_unique<SchedNode>(config);
 
     // One greedy round every 50 ms for five simulated seconds.
     std::vector<std::pair<Tick, TokenCount>> dequeues;
@@ -180,8 +173,8 @@ TEST(ThrottlerSchedNodeTest, NeverExceedsRateInAnyWindow)
         const SchedulerContext ctx = contextOf(waiting, now);
         routeAll(*root, ctx);
         std::size_t index = 0;
-        while (root->peek(now, false, index)) {
-            root->pop(now, ctx.waiting[index].promptLen);
+        while (SchedNode *leaf = root->peek(now, false, index)) {
+            leaf->pop(ctx.waiting[index].promptLen);
             dequeues.emplace_back(now, cost);
         }
     }
@@ -204,15 +197,13 @@ TEST(ThrottlerSchedNodeTest, NeverExceedsRateInAnyWindow)
 
 TEST(ThrottlerSchedNodeTest, PostPaidUsageGatesLaterRounds)
 {
-    SchedNodeConfig config;
-    config.kind = SchedNodeConfig::Kind::Throttler;
+    SchedNodeConfig config = leafConfig("leaf", 0);
     config.tokensPerSecond = 100.0;
     config.burstTokens = 200;
-    config.children.push_back(leafConfig("leaf", 0));
-    auto root = makeSchedNode(config);
+    auto root = std::make_unique<SchedNode>(config);
 
     // A decode burst drives the bucket deep negative...
-    root->accountUsage(0, 10'000);
+    root->route(0).charge(10'000);
 
     std::vector<WaitingView> waiting = {waitingOf(0, 50, 0)};
     const SchedulerContext ctx = contextOf(waiting, 0);
@@ -223,51 +214,46 @@ TEST(ThrottlerSchedNodeTest, PostPaidUsageGatesLaterRounds)
     EXPECT_TRUE(root->peek(0, true, index));
 }
 
-TEST(SemaphoreSchedNodeTest, CapsInFlightUntilRelease)
-{
-    SchedNodeConfig config;
-    config.kind = SchedNodeConfig::Kind::Semaphore;
-    config.maxInFlight = 2;
-    config.children.push_back(leafConfig("leaf", 0));
-    auto root = makeSchedNode(config);
-
-    std::vector<WaitingView> waiting = {
-        waitingOf(0, 10, 0), waitingOf(1, 10, 0),
-        waitingOf(2, 10, 0)};
-    const SchedulerContext ctx = contextOf(waiting);
-    routeAll(*root, ctx);
-
-    std::size_t index = 0;
-    for (int i = 0; i < 2; ++i) {
-        ASSERT_TRUE(root->peek(0, false, index));
-        root->pop(0, 10);
-        root->onAdmitted(0);
-    }
-    EXPECT_FALSE(root->peek(0, false, index));
-    EXPECT_TRUE(root->peek(0, true, index));  // force backstop
-
-    root->onReleased(0);
-    EXPECT_TRUE(root->peek(0, false, index));
-}
-
 TEST(TenantFairTreeTest, BuildsOneGatedSubtreePerTenant)
 {
     TenantTreeSpec spec;
     spec.numTenants = 3;
     spec.tokensPerSecond = 1000.0;
-    spec.maxInFlight = 4;
     const SchedNodeConfig config =
         tenantFairTree(spec, QueuePolicyConfig{});
-    auto root = makeSchedNode(config);
+    auto root = std::make_unique<SchedNode>(config);
 
-    std::vector<LeafSchedNode *> leaves;
-    root->collectLeaves(leaves);
-    ASSERT_EQ(leaves.size(), 3u);
+    ASSERT_EQ(config.children.size(), 3u);
     for (base::TenantId t = 0; t < 3; ++t) {
-        EXPECT_TRUE(root->servesTenant(t));
-        EXPECT_TRUE(leaves[t]->servesTenant(t));
-        EXPECT_FALSE(leaves[t]->servesTenant((t + 1) % 3));
+        const SchedNodeConfig &leaf = config.children[t];
+        EXPECT_TRUE(leaf.children.empty());
+        EXPECT_EQ(leaf.tenants, std::vector<base::TenantId>{t});
+        EXPECT_EQ(leaf.tokensPerSecond, 1000.0);
+        EXPECT_EQ(root->route(t).name(), leaf.name);
+        EXPECT_NE(&root->route(t), &root->route((t + 1) % 3));
     }
+}
+
+TEST(TenantFairTreeTest, SubTokenRateGetsAOneTokenBurst)
+{
+    // One second of 0.5 tok/s truncates to a zero-token bucket,
+    // which a rate gate cannot hold; the default rounds up.
+    TenantTreeSpec spec;
+    spec.numTenants = 2;
+    spec.tokensPerSecond = 0.5;
+    const SchedNodeConfig config =
+        tenantFairTree(spec, QueuePolicyConfig{});
+    for (const SchedNodeConfig &leaf : config.children)
+        EXPECT_EQ(leaf.burstTokens, 1);
+
+    SchedulerConfig scheduler;
+    scheduler.tenantTree = true;
+    scheduler.tenantSpec = spec;
+    auto policy = makeSchedulingPolicy(scheduler);
+    std::vector<WaitingView> waiting = {waitingOf(4, 1, 1)};
+    const SchedulingDecision decision =
+        policy->decide(contextOf(waiting));
+    EXPECT_EQ(decision.admit, (std::vector<RequestId>{4}));
 }
 
 TEST(TreeSchedulingPolicyTest, DecideInterleavesTenantsFairly)
@@ -348,6 +334,30 @@ TEST(TreeSchedulingPolicyTest, VictimOrderShedsOverShareTenantFirst)
     EXPECT_EQ(victims, (std::vector<RequestId>{22, 20, 21}));
 }
 
+TEST(TreeSchedulingPolicyTest, FinishChargesTheLeafThatServedTheRequest)
+{
+    // A catch-all leaf declared before tenant 1's own leaf: tenant
+    // 1's finish charge must land on the leaf that admitted it,
+    // not on the first leaf that could serve the tenant.
+    SchedNodeConfig catch_all;
+    catch_all.name = "catch-all";
+    SchedNodeConfig tree;
+    tree.children = {catch_all, leafConfig("one", 1)};
+    TreeSchedulingPolicy policy(
+        std::make_unique<ConservativeScheduler>(), tree);
+
+    std::vector<WaitingView> first = {waitingOf(1, 10, 1)};
+    ASSERT_EQ(policy.decide(contextOf(first)).admit,
+              (std::vector<RequestId>{1}));
+    policy.onRequestFinished(1, 100'000);
+
+    // Tenant 1 just finished a huge decode: tenant 0 goes first.
+    std::vector<WaitingView> waiting = {waitingOf(2, 10, 0),
+                                        waitingOf(3, 10, 1)};
+    EXPECT_EQ(policy.decide(contextOf(waiting)).admit,
+              (std::vector<RequestId>{2, 3}));
+}
+
 TEST(TreeSchedulingPolicyTest, UnknownTenantFallsBackToSpill)
 {
     SchedulerConfig config;
@@ -361,6 +371,61 @@ TEST(TreeSchedulingPolicyTest, UnknownTenantFallsBackToSpill)
     const SchedulingDecision decision = policy->decide(ctx);
     ASSERT_EQ(decision.admit.size(), 1u);
     EXPECT_EQ(decision.admit.front(), 3u);
+}
+
+/** FNV-1a over the bytes of a rendered report. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+TEST(TreeSchedulingPolicyTest, ThrottledTwoTenantRunIsPinned)
+{
+    // The CLI never sets a token rate, so this is the one pinned
+    // end-to-end run of a rate-gated tree: a steady tenant 0 and a
+    // tenant 1 that bursts at 10x its rate, both rate-gated at 2000
+    // tok/s, on an engine whose small KV pool makes the burst
+    // queue. The summary bytes cover the bucket's refill/charge
+    // float arithmetic and the post-paid decode charges.
+    workload::Dataset steady = workload::makeUniformDataset(
+        "steady", 40, 128, 256, 32, 64, 64, 101);
+    workload::Dataset burst = workload::makeUniformDataset(
+        "burst", 160, 128, 256, 32, 64, 64, 202);
+    for (workload::RequestSpec &spec : burst.requests) {
+        spec.id += 40;
+        spec.cls.tenant = 1;
+    }
+
+    SchedulerConfig config = SchedulerConfig::pastFutureDefault(0.03);
+    config.pastFuture.seedOutputLen = 64;
+    config.tenantTree = true;
+    config.tenantSpec.numTenants = 2;
+    config.tenantSpec.tokensPerSecond = 2000.0;
+    config.tenantSpec.burstTokens = 800;
+
+    model::HardwareSpec hw = model::HardwareSpec::a100_80g();
+    hw.memBytesPerDevice = static_cast<ByteCount>(20e9);
+    engine::ServingEngine engine(
+        model::PerfModel(model::ModelSpec::llama2_7b(), hw),
+        makeSchedulingPolicy(config), engine::EngineConfig{});
+    workload::submitPoissonArrivals(steady, engine, 4.0, 7);
+    workload::submitPoissonArrivals(burst, engine, 40.0, 11,
+                                    secondsToTicks(4.0));
+    const metrics::RunReport report = engine.run();
+
+    std::ostringstream json;
+    metrics::writeSummaryJson(json, report,
+                              metrics::SlaSpec::small7b13b());
+    EXPECT_EQ(report.numFinished, 200u);
+    EXPECT_EQ(fnv1a(json.str()), 0x70f15720e81a48c7ull)
+        << std::hex << "0x" << fnv1a(json.str()) << "\n"
+        << json.str();
 }
 
 } // namespace

@@ -251,8 +251,9 @@ TEST(EventQueueHandleTest, RepeatedRecyclingKeepsHandlesDistinct)
     for (int i = 0; i < 1000; ++i) {
         const EventId id = queue.schedule(1, [](Tick) {});
         EXPECT_NE(id, previous);
-        if (previous != kInvalidEventId)
+        if (previous != kInvalidEventId) {
             EXPECT_FALSE(queue.pending(previous));
+        }
         EXPECT_TRUE(queue.pending(id));
         EXPECT_TRUE(queue.cancel(id));
         previous = id;
