@@ -8,7 +8,8 @@
  * latency printed for comparison: a Past-Future admission round at
  * batch 256 must stay 100x below the ~30-60 ms A100 decode step.
  * Also times the prefix cache's reclaim under a mostly pinned cache,
- * the KV bookkeeping a decode step pays when its pool runs dry.
+ * the KV bookkeeping a decode step pays when its pool runs dry, and
+ * one session turn's prefix-cache work (match, publish, release).
  */
 
 #include <benchmark/benchmark.h>
@@ -287,6 +288,94 @@ BM_PrefixCacheReclaim(benchmark::State &state)
         static_cast<double>(kv.reclaimableBlocks());
 }
 
+/**
+ * One session turn's prefix-cache work against a warmed cache. The 8
+ * turns of one session (a 512-token system prompt, then a 144-token
+ * user message and a 288-token reply per turn) cycle: each iteration
+ * admits the next turn — matches its prompt chain, allocates sharing
+ * the hits, publishes the prompt blocks as a completed prefill does
+ * — then grows it by its reply, publishes the whole chain as a
+ * finish does, and releases it. 64 other sessions' parked chains
+ * keep the hash index large. Items are chain blocks looked up or
+ * inserted, so the per-block index cost reads off directly.
+ */
+void
+BM_PrefixCacheSessionTurn(benchmark::State &state)
+{
+    constexpr TokenCount kBlock = 16;
+    constexpr int kTurns = 8;
+    constexpr TokenCount kSystem = 512;
+    constexpr TokenCount kUser = 144;
+    constexpr TokenCount kReply = 288;
+    constexpr std::uint64_t kOthers = 64;
+    constexpr TokenCount kTurnTokens = kUser + kReply;
+    constexpr TokenCount kSessionTokens =
+        kSystem + kTurns * kTurnTokens;
+    memory::KvBlockManager kv((kOthers + 2) * kSessionTokens, kBlock);
+    memory::PrefixCache cache(kv);
+    kv.attachPrefixCache(&cache);
+
+    auto conversation = [&](std::uint64_t session) {
+        std::vector<PromptSegment> stream{{1, kSystem}};
+        for (int t = 0; t < 2 * kTurns; ++t) {
+            const auto index = static_cast<std::uint64_t>(t);
+            stream.push_back(
+                PromptSegment{deriveContentKey(session, index, 0),
+                              t % 2 == 0 ? kUser : kReply});
+        }
+        return stream;
+    };
+
+    std::uint32_t generation = 0;
+    auto next_slot = [&]() { return makeSlot(0, generation++); };
+    for (std::uint64_t s = 1; s <= kOthers; ++s) {
+        const auto hashes =
+            blockHashChain(conversation(s), kBlock, kSessionTokens);
+        const RequestSlot slot = next_slot();
+        kv.allocate(slot, kSessionTokens);
+        cache.insert(hashes, kv.blockTable(slot));
+        kv.release(slot);
+    }
+
+    // Turn t's prompt chain (capped one short, as admission caps it)
+    // and its finished stream's chain.
+    const auto session = conversation(0);
+    std::vector<std::vector<PrefixHash>> prompt_hashes;
+    std::vector<std::vector<PrefixHash>> full_hashes;
+    for (int t = 0; t < kTurns; ++t) {
+        const TokenCount prompt = kSystem + t * kTurnTokens + kUser;
+        prompt_hashes.push_back(
+            blockHashChain(session, kBlock, prompt - 1));
+        full_hashes.push_back(
+            blockHashChain(session, kBlock, prompt + kReply));
+    }
+    std::vector<memory::BlockId> matched;
+    std::int64_t blocks = 0;
+    int turn = 0;
+    for (auto _ : state) {
+        const auto t = static_cast<std::size_t>(turn);
+        const TokenCount prompt =
+            kSystem + turn * kTurnTokens + kUser;
+        const auto &hashes = prompt_hashes[t];
+        const auto &full = full_hashes[t];
+        const RequestSlot slot = next_slot();
+        matched.clear();
+        benchmark::DoNotOptimize(cache.match(hashes, matched));
+        kv.allocateShared(slot, prompt + 1, matched);
+        const std::span<const memory::BlockId> table =
+            kv.blockTable(slot);
+        cache.insert(hashes, table.first(hashes.size()));
+        kv.extend(slot, kReply - 1);
+        cache.insert(full, kv.blockTable(slot));
+        kv.release(slot);
+        blocks += static_cast<std::int64_t>(2 * hashes.size() +
+                                            full.size());
+        turn = (turn + 1) % kTurns;
+    }
+    state.SetItemsProcessed(blocks);
+    state.counters["cached"] = static_cast<double>(cache.size());
+}
+
 } // namespace
 
 BENCHMARK(BM_PastFutureAdmissionRound)->Arg(16)->Arg(64)->Arg(256);
@@ -298,5 +387,6 @@ BENCHMARK(BM_TailSampleAt);
 BENCHMARK(BM_ReferenceDecodeIterationLatency)->Arg(64)->Arg(256);
 BENCHMARK(BM_CollectorDecodeStep);
 BENCHMARK(BM_PrefixCacheReclaim);
+BENCHMARK(BM_PrefixCacheSessionTurn);
 
 BENCHMARK_MAIN();

@@ -79,6 +79,19 @@ blockHashChain(std::span<const PromptSegment> segments,
     return hashes;
 }
 
+bool
+isSegmentPrefix(std::span<const PromptSegment> prefix,
+                std::span<const PromptSegment> stream)
+{
+    const auto same = [](const PromptSegment &a,
+                         const PromptSegment &b) {
+        return a.key == b.key && a.len == b.len;
+    };
+    return prefix.size() <= stream.size() &&
+        std::equal(prefix.begin(), prefix.end(), stream.begin(),
+                   same);
+}
+
 std::uint64_t
 deriveContentKey(std::uint64_t seed, std::uint64_t a, std::uint64_t b)
 {

@@ -67,6 +67,15 @@ void extendBlockHashChain(std::span<const PromptSegment> segments,
                           TokenCount max_tokens,
                           std::vector<PrefixHash> &hashes);
 
+/**
+ * True when `prefix` is a segment-wise prefix of `stream`: its
+ * segments equal (key and length) the first segments of `stream`.
+ * Then its tokens are the stream's first tokens, and its chain is a
+ * prefix of the stream's chain, at any block size.
+ */
+bool isSegmentPrefix(std::span<const PromptSegment> prefix,
+                     std::span<const PromptSegment> stream);
+
 /** Derive a fresh content key from a seed and two coordinates
  *  (SplitMix64 finalisation; never returns 0). */
 std::uint64_t deriveContentKey(std::uint64_t seed, std::uint64_t a,

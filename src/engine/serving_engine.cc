@@ -118,6 +118,7 @@ ServingEngine::deliverArrival(std::uint64_t token, Tick when)
     EngineRequest *raw = allocRequest();
     raw->spec = spec;
     raw->arrival = stamp;
+    inheritSessionChain(*raw);
     const bool inserted = requests_.emplace(spec.id, raw).second;
     LIGHTLLM_ASSERT(inserted, "duplicate request id ", spec.id);
     waiting_.push_back(raw);
@@ -288,8 +289,10 @@ ServingEngine::hashChain(EngineRequest &request, TokenCount cap)
     const auto full_blocks =
         static_cast<std::size_t>(cap / kv_.blockSize());
     if (request.hashes.size() < full_blocks) {
-        // The stream only grows (output is appended), so the chain
-        // held so far is a prefix of the one to this cap.
+        // The stream only grows (output is appended), and an
+        // inherited chain covers a segment-wise prefix of the
+        // prompt, so the chain held so far is a prefix of the one
+        // to this cap.
         streamScratch_.assign(spec.segments.begin(),
                               spec.segments.end());
         if (output > 0)
@@ -349,6 +352,66 @@ ServingEngine::cacheInsert(EngineRequest *request)
     prefixCache_->insert(
         hashes.first(count),
         std::span<const memory::BlockId>(table).first(count));
+}
+
+void
+ServingEngine::inheritSessionChain(EngineRequest &request)
+{
+    const workload::RequestSpec &spec = request.spec;
+    if (!prefixCache_ || spec.sessionKey == 0 ||
+        spec.segments.empty())
+        return;
+    const auto it = sessionChains_.find(spec.sessionKey);
+    if (it == sessionChains_.end())
+        return;
+    SessionChain &memo = it->second;
+    // A stale turn (the session's later turns ran elsewhere) still
+    // qualifies; a stream that diverged does not.
+    if (memo.stream.empty() ||
+        !isSegmentPrefix(memo.stream, spec.segments))
+        return;
+    // hashChain resumes past the inherited blocks; the request's
+    // emptied buffer goes back to the memo for the next hand-off.
+    request.hashes.swap(memo.hashes);
+    memo.stream.clear();
+}
+
+void
+ServingEngine::handOffSessionChain(EngineRequest &request)
+{
+    const workload::RequestSpec &spec = request.spec;
+    if (!prefixCache_ || spec.sessionKey == 0 ||
+        spec.segments.empty())
+        return;
+    // cacheInsert extended the chain over every full block of this
+    // stream: the prompt, then the reply when its content is named.
+    SessionChain &memo = sessionChains_[spec.sessionKey];
+    memo.stream.assign(spec.segments.begin(), spec.segments.end());
+    if (spec.outputKey != 0 && request.generated > 0) {
+        memo.stream.push_back(
+            PromptSegment{spec.outputKey, request.generated});
+    }
+    memo.hashes.swap(request.hashes);
+}
+
+std::vector<std::uint64_t>
+ServingEngine::heldSessionChains() const
+{
+    std::vector<std::uint64_t> sessions;
+    for (const auto &[session, memo] : sessionChains_) {
+        if (!memo.stream.empty())
+            sessions.push_back(session);
+    }
+    return sessions;
+}
+
+std::span<const PrefixHash>
+ServingEngine::sessionChain(std::uint64_t session) const
+{
+    const auto it = sessionChains_.find(session);
+    if (it == sessionChains_.end() || it->second.stream.empty())
+        return {};
+    return it->second.hashes;
 }
 
 core::SchedulerContext
@@ -572,6 +635,7 @@ ServingEngine::finishRequest(EngineRequest *request)
     // session turns, the generated reply) before the references
     // drop: the next turn's prompt extends exactly this stream.
     cacheInsert(request);
+    handOffSessionChain(*request);
     kv_.release(request->slot);
     policy_->onRequestFinished(request->spec.id,
                                request->generated);

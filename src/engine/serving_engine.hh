@@ -277,6 +277,14 @@ class ServingEngine : public workload::RequestSink
         return requestSlab_.size();
     }
 
+    /** Sessions whose last turn finished here holding a block-hash
+     *  chain the session's next turn may inherit (tests). */
+    std::vector<std::uint64_t> heldSessionChains() const;
+
+    /** The chain held for `session`; empty when none (tests). */
+    std::span<const PrefixHash>
+    sessionChain(std::uint64_t session) const;
+
   private:
     /** Engine-side mutable request state. The fields every decode
      *  step reads for every member lead, next to the spec's
@@ -325,7 +333,9 @@ class ServingEngine : public workload::RequestSink
 
         /** The request's block-hash chain (prefix-cache mode),
          *  extended in place as larger caps ask for more blocks:
-         *  no token of the request is folded twice. */
+         *  no token of the request is folded twice. A session turn
+         *  may start from the chain its previous turn left (see
+         *  inheritSessionChain). */
         std::vector<PrefixHash> hashes;
 
         /** Prediction-audit membership mark (see carryAuditMembers;
@@ -400,6 +410,20 @@ class ServingEngine : public workload::RequestSink
      *  identified (prompt, plus generated tokens when the spec
      *  names their content). No-op outside prefix-cache mode. */
     void cacheInsert(EngineRequest *request);
+
+    /**
+     * A session turn arrived: take the chain its session's last
+     * turn here left, provided that turn's stream is a
+     * segment-wise prefix of this turn's segments (so its hashes
+     * are this stream's first hashes). No-op outside prefix-cache
+     * mode.
+     */
+    void inheritSessionChain(EngineRequest &request);
+
+    /** A session turn finished: leave its stream and complete
+     *  chain for the session's next turn (after cacheInsert).
+     *  No-op outside prefix-cache mode. */
+    void handOffSessionChain(EngineRequest &request);
 
     /** Process all pending prefills as dedicated iterations. */
     void runPrefillPhase();
@@ -647,6 +671,20 @@ class ServingEngine : public workload::RequestSink
 
     std::vector<memory::BlockId> matchScratch_;
     std::vector<PromptSegment> streamScratch_;
+
+    /** A session's last finished turn here: its stream (prompt
+     *  segments, then the identified reply) and that stream's
+     *  block-hash chain. Empty once the next turn took it. */
+    struct SessionChain
+    {
+        std::vector<PromptSegment> stream;
+        std::vector<PrefixHash> hashes;
+    };
+
+    /** Chain memo by RequestSpec::sessionKey: at most one per
+     *  session that finished a turn here. Buffers are swapped, not
+     *  copied, between memo and requests. */
+    std::unordered_map<std::uint64_t, SessionChain> sessionChains_;
 };
 
 } // namespace engine

@@ -282,6 +282,21 @@ class KvBlockManager
      *  references it, it returns to the free list. */
     void dropCached(BlockId block);
 
+    /** Start loading `block`'s state (the prefix cache's insert
+     *  walks a block table ahead of its reads). */
+    void
+    prefetchState(BlockId block) const
+    {
+        __builtin_prefetch(&states_[static_cast<std::size_t>(block)]);
+    }
+
+    /** The prefix cache's entry for `block`, kNotCached if none. */
+    std::uint32_t
+    cacheEntry(BlockId block) const
+    {
+        return states_[static_cast<std::size_t>(block)].cacheEntry;
+    }
+
     /** Blocks needed to extend an allocation by `extra` tokens. */
     std::int64_t blocksForExtension(const Allocation &alloc,
                                     TokenCount extra) const;

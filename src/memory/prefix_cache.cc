@@ -5,7 +5,8 @@
 namespace lightllm {
 namespace memory {
 
-PrefixCache::PrefixCache(KvBlockManager &kv) : kv_(kv)
+PrefixCache::PrefixCache(KvBlockManager &kv)
+    : kv_(kv), index_(kInitialSlots)
 {
 }
 
@@ -13,8 +14,10 @@ PrefixCache::~PrefixCache()
 {
     // Orderly teardown keeps the manager's invariants intact even
     // when the cache dies first (engine member destruction order).
-    for (const auto &[hash, entry] : map_)
-        kv_.dropCached(entries_[entry].block);
+    for (const IndexSlot &slot : index_) {
+        if (slot.entry != kEmptySlot)
+            kv_.dropCached(entries_[slot.entry].block);
+    }
 }
 
 std::size_t
@@ -24,11 +27,12 @@ PrefixCache::match(std::span<const PrefixHash> hashes,
     ++lookups_;
     std::size_t matched = 0;
     for (const PrefixHash hash : hashes) {
-        const auto it = map_.find(hash);
-        if (it == map_.end())
+        prefetchHome(hashes, matched + kPrefetchAhead);
+        const EntryIndex entry = lookup(hash);
+        if (entry == kEmptySlot)
             break;
-        touch(it->second);
-        blocks_out.push_back(entries_[it->second].block);
+        touch(entry);
+        blocks_out.push_back(entries_[entry].block);
         ++matched;
     }
     hitBlocks_ += matched;
@@ -40,7 +44,8 @@ PrefixCache::peek(std::span<const PrefixHash> hashes) const
 {
     std::size_t matched = 0;
     for (const PrefixHash hash : hashes) {
-        if (map_.count(hash) == 0)
+        prefetchHome(hashes, matched + kPrefetchAhead);
+        if (lookup(hash) == kEmptySlot)
             break;
         ++matched;
     }
@@ -54,12 +59,23 @@ PrefixCache::insert(std::span<const PrefixHash> hashes,
     LIGHTLLM_ASSERT(hashes.size() == blocks.size(),
                     "hash/block span mismatch");
     for (std::size_t i = 0; i < hashes.size(); ++i) {
-        const auto it = map_.find(hashes[i]);
-        if (it != map_.end()) {
-            // Same content already cached (possibly under a
-            // different physical block prefilled concurrently);
-            // keep the incumbent, refresh its recency.
-            touch(it->second);
+        if (i + kPrefetchAhead < blocks.size())
+            kv_.prefetchState(blocks[i + kPrefetchAhead]);
+        // The block itself already cached under this hash (matched
+        // at admission, or published at prefill): its entry link is
+        // the index's answer, so refresh it without a probe.
+        const EntryIndex linked = kv_.cacheEntry(blocks[i]);
+        if (linked != KvBlockManager::kNotCached &&
+            entries_[linked].hash == hashes[i]) {
+            touch(linked);
+            continue;
+        }
+        const EntryIndex incumbent = lookup(hashes[i]);
+        if (incumbent != kEmptySlot) {
+            // Same content already cached under a different
+            // physical block prefilled concurrently; keep the
+            // incumbent, refresh its recency.
+            touch(incumbent);
             continue;
         }
         EntryIndex entry;
@@ -76,15 +92,7 @@ PrefixCache::insert(std::span<const PrefixHash> hashes,
         entries_[entry] =
             Entry{hashes[i], ++clock_, blocks[i], kPinned};
         kv_.retainCached(blocks[i], entry);
-        if (spareNodes_.empty()) {
-            map_.emplace(hashes[i], entry);
-        } else {
-            HashMap::node_type node = std::move(spareNodes_.back());
-            spareNodes_.pop_back();
-            node.key() = hashes[i];
-            node.mapped() = entry;
-            map_.insert(std::move(node));
-        }
+        indexInsert(hashes[i], entry);
     }
 }
 
@@ -94,8 +102,16 @@ PrefixCache::reclaim(std::int64_t count)
     std::int64_t reclaimed = 0;
     while (reclaimed < count && !parked_.empty()) {
         const EntryIndex entry = parked_.front().entry;
+        const std::uint64_t stamp = entries_[entry].stamp;
+        if (parked_.front().stamp != stamp) {
+            // Touched since keyed. Every key is at most its entry's
+            // stamp, so a current root is the true LRU block.
+            parked_.front().stamp = stamp;
+            siftDown(0);
+            continue;
+        }
         pin(entry);  // leave the heap
-        spareNodes_.push_back(map_.extract(entries_[entry].hash));
+        indexErase(entries_[entry].hash);
         freeEntries_.push_back(entry);
         kv_.dropCached(entries_[entry].block);
         ++reclaimed;
@@ -103,16 +119,62 @@ PrefixCache::reclaim(std::int64_t count)
     return reclaimed;
 }
 
-void
-PrefixCache::touch(EntryIndex entry)
+std::size_t
+PrefixCache::probe(PrefixHash hash) const
 {
-    Entry &record = entries_[entry];
-    record.stamp = ++clock_;
-    if (record.heapSlot != kPinned) {
-        // The newest stamp only ever moves a parked entry down.
-        parked_[record.heapSlot].stamp = record.stamp;
-        siftDown(record.heapSlot);
+    const std::size_t mask = index_.size() - 1;
+    std::size_t slot = indexHome(hash, index_.size());
+    while (index_[slot].entry != kEmptySlot &&
+           index_[slot].hash != hash)
+        slot = (slot + 1) & mask;
+    return slot;
+}
+
+void
+PrefixCache::indexInsert(PrefixHash hash, EntryIndex entry)
+{
+    if (2 * (indexed_ + 1) > index_.size()) {
+        // Double (rehashing every live slot), keeping load <= 1/2
+        // so probe runs stay short and an empty slot always ends
+        // one.
+        std::vector<IndexSlot> previous(2 * index_.size());
+        previous.swap(index_);
+        for (const IndexSlot &slot : previous) {
+            if (slot.entry != kEmptySlot)
+                index_[probe(slot.hash)] = slot;
+        }
     }
+    const std::size_t slot = probe(hash);
+    LIGHTLLM_ASSERT(index_[slot].entry == kEmptySlot,
+                    "hash indexed twice");
+    index_[slot] = IndexSlot{hash, entry};
+    ++indexed_;
+}
+
+void
+PrefixCache::indexErase(PrefixHash hash)
+{
+    const std::size_t mask = index_.size() - 1;
+    std::size_t hole = probe(hash);
+    LIGHTLLM_ASSERT(index_[hole].entry != kEmptySlot,
+                    "erasing an unindexed hash");
+    // Backward shift: walk the rest of the run and move back every
+    // slot whose home does not lie cyclically in (hole, next], so
+    // each remaining hash stays reachable from its home.
+    for (std::size_t next = (hole + 1) & mask;
+         index_[next].entry != kEmptySlot; next = (next + 1) & mask) {
+        const std::size_t want =
+            indexHome(index_[next].hash, index_.size());
+        const bool stays = hole <= next
+            ? hole < want && want <= next
+            : hole < want || want <= next;
+        if (stays)
+            continue;
+        index_[hole] = index_[next];
+        hole = next;
+    }
+    index_[hole] = IndexSlot{};
+    --indexed_;
 }
 
 void

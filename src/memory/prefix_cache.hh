@@ -24,15 +24,29 @@
  * reclaim pops the oldest parked blocks in O(log parked) instead of
  * walking every cached block past the request-pinned ones. The
  * order equals that walk's: both visit unreferenced blocks by
- * ascending last touch.
+ * ascending last touch. A touch only raises a stamp, so touching a
+ * parked block leaves its heap key behind as a lower bound; reclaim
+ * re-keys a stale root before trusting it, which pops in the same
+ * order while a matched block that is pinned right after (the
+ * admission path) never pays a sift.
+ *
+ * The hash -> entry index is one flat open-addressing table (power
+ * of two slots, linear probing from a Fibonacci-hashed home slot,
+ * backward-shift erase, doubling at half load): a probe reads one
+ * contiguous run instead of chasing a node per bucket, and erase
+ * leaves no tombstones, so a warmed table never allocates.
+ * Re-inserting a block that is already cached under the same hash
+ * (a finishing turn republishing the prompt blocks it matched)
+ * goes straight through the block's entry link in the manager and
+ * skips the index.
  */
 
 #ifndef LIGHTLLM_MEMORY_PREFIX_CACHE_HH
 #define LIGHTLLM_MEMORY_PREFIX_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "base/token_stream.hh"
@@ -75,7 +89,8 @@ class PrefixCache
      * prefilled concurrently keeps the original blocks, whose
      * recency is refreshed). Newly cached blocks are retained in the
      * manager; they must be live request blocks whose KV holds the
-     * hashed tokens.
+     * hashed tokens. A block already cached under its hash is
+     * refreshed through its entry link, without an index probe.
      */
     void insert(std::span<const PrefixHash> hashes,
                 std::span<const BlockId> blocks);
@@ -90,7 +105,23 @@ class PrefixCache
     std::int64_t reclaim(std::int64_t count);
 
     /** Cached blocks (parked or pinned). */
-    std::size_t size() const { return map_.size(); }
+    std::size_t size() const { return indexed_; }
+
+    /** Slots of the hash index: a power of two, at least twice
+     *  size(). */
+    std::size_t indexSlots() const { return index_.size(); }
+
+    /** Home slot of `hash` in an index of `slots` slots (a power of
+     *  two): the top bits of a Fibonacci multiply, so structured
+     *  keys (consecutive integers) spread too. Tests craft
+     *  colliding hashes with it. */
+    static std::size_t
+    indexHome(PrefixHash hash, std::size_t slots)
+    {
+        return static_cast<std::size_t>(
+            (hash * 0x9e3779b97f4a7c15ull) >>
+            (64 - std::countr_zero(slots)));
+    }
 
     /** Total match() calls and block-level hits (bench telemetry;
      *  request-level hit tokens live in the metrics collector). */
@@ -101,10 +132,20 @@ class PrefixCache
     friend class KvBlockManager;
 
     using EntryIndex = std::uint32_t;
-    using HashMap = std::unordered_map<PrefixHash, EntryIndex>;
 
     /** Entry::heapSlot of a block some request references. */
     static constexpr std::uint32_t kPinned = 0xffffffffu;
+
+    /** IndexSlot::entry of an empty index slot. */
+    static constexpr EntryIndex kEmptySlot = 0xffffffffu;
+
+    /** Index slots of a new cache (doubles from there). */
+    static constexpr std::size_t kInitialSlots = 64;
+
+    /** Chain walks (match, peek, insert) start loading this many
+     *  positions ahead: their lookups are independent, so the cache
+     *  misses overlap instead of queueing. */
+    static constexpr std::size_t kPrefetchAhead = 8;
 
     /** One cached block (a slot of the recycled entry slab). */
     struct Entry
@@ -120,7 +161,17 @@ class PrefixCache
         std::uint32_t heapSlot;
     };
 
-    /** Heap node: the key rides along so sifts stay in the heap. */
+    /** One slot of the flat hash index: the hash rides along so a
+     *  probe compares without touching the entry slab. */
+    struct IndexSlot
+    {
+        PrefixHash hash = 0;
+        EntryIndex entry = kEmptySlot;
+    };
+
+    /** Heap node: the key rides along so sifts stay in the heap.
+     *  It is the entry's stamp when parked or re-keyed, never above
+     *  its current stamp. */
     struct Parked
     {
         std::uint64_t stamp;
@@ -132,8 +183,41 @@ class PrefixCache
     void park(EntryIndex entry);
     void pin(EntryIndex entry);
 
-    /** Make `entry` the most recently used. */
-    void touch(EntryIndex entry);
+    /** Make `entry` the most recently used (O(1): a parked entry's
+     *  heap key goes stale until reclaim reaches it). */
+    void
+    touch(EntryIndex entry)
+    {
+        entries_[entry].stamp = ++clock_;
+    }
+
+    /** Index slot holding `hash`, or the empty slot ending its
+     *  probe run (the table is never full). */
+    std::size_t probe(PrefixHash hash) const;
+
+    /** Start loading the home slot of hashes[at], if any. */
+    void
+    prefetchHome(std::span<const PrefixHash> hashes,
+                 std::size_t at) const
+    {
+        if (at < hashes.size())
+            __builtin_prefetch(
+                &index_[indexHome(hashes[at], index_.size())]);
+    }
+
+    /** Entry cached under `hash`; kEmptySlot when absent. */
+    EntryIndex
+    lookup(PrefixHash hash) const
+    {
+        return index_[probe(hash)].entry;
+    }
+
+    /** Index a hash known to be absent, growing at half load. */
+    void indexInsert(PrefixHash hash, EntryIndex entry);
+
+    /** Remove an indexed hash, shifting its run's tail back so no
+     *  probe run is broken. */
+    void indexErase(PrefixHash hash);
 
     void placeAt(std::size_t slot, Parked node);
     void siftUp(std::size_t slot);
@@ -144,13 +228,16 @@ class PrefixCache
     std::vector<Entry> entries_;
     std::vector<EntryIndex> freeEntries_;
 
-    /** Parked entries, a min-heap on stamp (root = LRU). */
+    /** Parked entries, a min-heap on (possibly stale) keys; the
+     *  root is the LRU block once its key is current. */
     std::vector<Parked> parked_;
 
-    HashMap map_;
+    /** Flat open-addressing hash -> entry index: a power-of-two
+     *  table, at most half full. */
+    std::vector<IndexSlot> index_;
 
-    /** Nodes of reclaimed hashes, reused by insert(). */
-    std::vector<HashMap::node_type> spareNodes_;
+    /** Hashes in index_ (= cached blocks). */
+    std::size_t indexed_ = 0;
 
     std::uint64_t clock_ = 0;
 

@@ -741,7 +741,10 @@ class CliReclaimMatrix : public ::testing::TestWithParam<ReclaimCell>
 // small rtx4090 pool forces prefix-cache reclaims during decode,
 // evictions, and re-admissions that re-match cached blocks, so the
 // pinned bytes cover the LRU reclaim order and the hash chains of
-// evicted and re-admitted turns.
+// evicted and re-admitted turns. The round-robin fleet sends a
+// session's turns to different instances, so an engine's session
+// chain memo misses or holds an older turn; 7-token blocks put
+// block boundaries inside segments.
 TEST_P(CliReclaimMatrix, SummaryBytesArePinned)
 {
     const ReclaimCell &cell = GetParam();
@@ -755,6 +758,11 @@ TEST_P(CliReclaimMatrix, SummaryBytesArePinned)
     else if (topology == "fleet")
         args.insert(args.end(), {"--instances", "3", "--routing",
                                  "prefix-affinity"});
+    else if (topology == "round_robin")
+        args.insert(args.end(), {"--instances", "3", "--routing",
+                                 "round-robin"});
+    else if (topology == "block7")
+        args.insert(args.end(), {"--block-size", "7"});
 
     cli::CliOptions options;
     ASSERT_EQ(parse(args, options), "");
@@ -778,7 +786,10 @@ INSTANTIATE_TEST_SUITE_P(
         ReclaimCell{"recompute", "fleet", 0xacfd18c23d1dd253ull},
         ReclaimCell{"swap", "engine", 0x5af0cf9c2c719681ull},
         ReclaimCell{"swap", "split_fuse", 0xd7e2342d5fbe612aull},
-        ReclaimCell{"swap", "fleet", 0xd51918216e5136f7ull}),
+        ReclaimCell{"swap", "fleet", 0xd51918216e5136f7ull},
+        ReclaimCell{"recompute", "round_robin",
+                    0x948f864e1a32cfd2ull},
+        ReclaimCell{"swap", "block7", 0x33cc637bbb095577ull}),
     [](const ::testing::TestParamInfo<ReclaimCell> &info) {
         return std::string(info.param.eviction) + "_" +
             info.param.topology;

@@ -169,6 +169,135 @@ TEST(BlockHashChainTest, ResumesAsTheOutputSegmentGrows)
     }
 }
 
+// --- Session chain hand-off --------------------------------------
+
+/** A random conversation: a system prompt, then `turns` pairs of a
+ *  user message and a reply, each 1-60 tokens. */
+std::vector<PromptSegment>
+randomConversation(Rng &rng, int turns)
+{
+    std::vector<PromptSegment> conversation{PromptSegment{
+        1, static_cast<TokenCount>(rng.uniformInt(1, 80))}};
+    for (int t = 0; t < 2 * turns; ++t) {
+        conversation.push_back(PromptSegment{
+            static_cast<std::uint64_t>(100 + t),
+            static_cast<TokenCount>(rng.uniformInt(1, 60))});
+    }
+    return conversation;
+}
+
+/** Tokens of a segment stream. */
+TokenCount
+streamTokens(std::span<const PromptSegment> stream)
+{
+    TokenCount total = 0;
+    for (const PromptSegment &segment : stream)
+        total += segment.len;
+    return total;
+}
+
+TEST(SessionChainTest, InheritedChainResumesToTheChainFromScratch)
+{
+    // One engine's view of a session whose turns it serves only
+    // some of (the others run elsewhere): a turn inherits the chain
+    // the last turn served here finished with, grows it at the
+    // admission caps (one short of the prompt, plus any recomputed
+    // reply) and completes it over its finished stream, as the
+    // engine does. Every chain must equal the one from scratch.
+    for (const TokenCount block : {1, 7, 16}) {
+        Rng rng(static_cast<std::uint64_t>(block) * 131 + 5);
+        int inherited = 0;
+        for (int trial = 0; trial < 100; ++trial) {
+            const int turns = static_cast<int>(rng.uniformInt(2, 8));
+            const auto conversation = randomConversation(rng, turns);
+            std::vector<PromptSegment> memo_stream;
+            std::vector<PrefixHash> memo_chain;
+            for (int t = 0; t < turns; ++t) {
+                if (rng.uniformInt(0, 3) == 0)
+                    continue;  // this turn ran on another engine
+                const std::span<const PromptSegment> prompt =
+                    std::span(conversation)
+                        .first(static_cast<std::size_t>(2 * t + 2));
+                const PromptSegment reply =
+                    conversation[static_cast<std::size_t>(2 * t + 2)];
+                std::vector<PrefixHash> chain;
+                if (!memo_stream.empty() &&
+                    isSegmentPrefix(memo_stream, prompt)) {
+                    chain.swap(memo_chain);
+                    ++inherited;
+                }
+                std::vector<PromptSegment> stream(prompt.begin(),
+                                                  prompt.end());
+                // The first admission, recompute re-admissions with
+                // more of the reply, and prefill-time inserts.
+                for (TokenCount generated = 0;;) {
+                    const TokenCount cap =
+                        streamTokens(stream) - rng.uniformInt(0, 1);
+                    extendBlockHashChain(stream, block, cap, chain);
+                    const auto scratch =
+                        blockHashChain(stream, block, cap);
+                    ASSERT_GE(chain.size(), scratch.size());
+                    ASSERT_TRUE(std::equal(scratch.begin(),
+                                           scratch.end(),
+                                           chain.begin()))
+                        << "block " << block << " turn " << t;
+                    if (generated == reply.len)
+                        break;
+                    generated = std::min<TokenCount>(
+                        reply.len,
+                        generated + rng.uniformInt(1, reply.len));
+                    if (stream.size() == prompt.size())
+                        stream.push_back(
+                            PromptSegment{reply.key, generated});
+                    else
+                        stream.back().len = generated;
+                }
+                // The finish completes the chain over the stream.
+                extendBlockHashChain(stream, block,
+                                     streamTokens(stream), chain);
+                ASSERT_EQ(chain, blockHashChain(stream, block,
+                                                streamTokens(stream)))
+                    << "block " << block << " turn " << t;
+                memo_stream = stream;
+                memo_chain.swap(chain);
+            }
+        }
+        EXPECT_GT(inherited, 100) << "block " << block;
+    }
+}
+
+TEST(SessionChainTest, OnlySegmentWisePrefixesAreInherited)
+{
+    const std::vector<PromptSegment> next_turn{
+        {1, 64}, {100, 20}, {101, 30}, {102, 10}};
+    // The previous turn's stream: its prompt plus its 30-token reply.
+    const std::vector<PromptSegment> stored{{1, 64}, {100, 20},
+                                            {101, 30}};
+    EXPECT_TRUE(isSegmentPrefix(stored, next_turn));
+    EXPECT_TRUE(isSegmentPrefix(next_turn, next_turn));
+    EXPECT_TRUE(isSegmentPrefix({}, next_turn));
+
+    // A different reply length, even a token-wise prefix.
+    EXPECT_FALSE(isSegmentPrefix(
+        std::vector<PromptSegment>{{1, 64}, {100, 20}, {101, 29}},
+        next_turn));
+    EXPECT_FALSE(isSegmentPrefix(
+        std::vector<PromptSegment>{{1, 64}, {100, 20}, {101, 31}},
+        next_turn));
+    // A different key.
+    EXPECT_FALSE(isSegmentPrefix(
+        std::vector<PromptSegment>{{1, 64}, {100, 20}, {199, 30}},
+        next_turn));
+    // An extra segment.
+    std::vector<PromptSegment> longer = next_turn;
+    longer.push_back(PromptSegment{103, 5});
+    EXPECT_FALSE(isSegmentPrefix(longer, next_turn));
+    EXPECT_FALSE(isSegmentPrefix(
+        std::vector<PromptSegment>{{1, 64}, {100, 20}, {55, 4},
+                                   {101, 30}},
+        next_turn));
+}
+
 // --- Copy-on-write sharing in the block manager ------------------
 
 TEST(KvSharingTest, SharedBlocksCountPhysicallyOnce)
@@ -308,6 +437,152 @@ TEST(PrefixCacheTest, FirstInsertionWinsOnDuplicateContent)
     EXPECT_EQ(matched[0], kv.blockTable(1)[0]);
     // Request 2's identical blocks were not retained.
     EXPECT_FALSE(kv.isCached(kv.blockTable(2)[0]));
+}
+
+TEST(PrefixCacheTest, LinkedReinsertRefreshesLikeAProbe)
+{
+    KvBlockManager kv(128, 16);
+    PrefixCache cache(kv);
+    kv.attachPrefixCache(&cache);
+
+    const auto hashes_a =
+        blockHashChain(std::vector<PromptSegment>{{1, 32}}, 16, 32);
+    const auto hashes_b =
+        blockHashChain(std::vector<PromptSegment>{{2, 32}}, 16, 32);
+    ASSERT_TRUE(kv.allocate(1, 32));
+    ASSERT_TRUE(kv.allocate(2, 32));
+    cache.insert(hashes_a, kv.blockTable(1));
+    cache.insert(hashes_b, kv.blockTable(2));
+    kv.release(2);
+
+    // Request 1 republishes its own cached blocks (a finishing turn
+    // re-inserting the prompt it published at prefill): nothing new
+    // is cached, but A becomes the most recent, so B goes first.
+    cache.insert(hashes_a, kv.blockTable(1));
+    EXPECT_EQ(cache.size(), 4u);
+    kv.release(1);
+    EXPECT_EQ(cache.reclaim(2), 2);
+    EXPECT_EQ(cache.peek(hashes_a), 2u);
+    EXPECT_EQ(cache.peek(hashes_b), 0u);
+}
+
+/**
+ * The flat hash index under adversarial keys: the hashes of group 0
+ * all have the last slot as their home, in every table size, so
+ * their probe run wraps past the table end into slot 0 — the shared
+ * home of every group-1 hash. Inserts grow the table while that run
+ * wraps; LRU reclaims erase from the front and the middle of runs
+ * (matches reorder recency). After every step each live hash
+ * matches and each reclaimed one misses.
+ */
+TEST(PrefixCacheTest, FlatIndexSurvivesCollidingWrappedRuns)
+{
+    constexpr std::size_t kBlocks = 400;
+    constexpr std::size_t kLargest = 1024;  // beyond the last growth
+    KvBlockManager kv(static_cast<TokenCount>(kBlocks), 1);
+    PrefixCache cache(kv);
+    kv.attachPrefixCache(&cache);
+
+    // A hash's home in a smaller power-of-two table is its home in
+    // the largest one, scaled down; both targets stay put.
+    std::vector<std::vector<PrefixHash>> groups(2);
+    const std::size_t targets[2] = {kLargest - 1, 0};
+    for (PrefixHash candidate = 1;
+         groups[0].size() < kBlocks || groups[1].size() < kBlocks;
+         ++candidate) {
+        for (std::size_t g = 0; g < 2; ++g) {
+            if (groups[g].size() < kBlocks &&
+                PrefixCache::indexHome(candidate, kLargest) ==
+                    targets[g]) {
+                ASSERT_EQ(PrefixCache::indexHome(candidate, 64),
+                          g == 0 ? 63u : 0u);
+                groups[g].push_back(candidate);
+            }
+        }
+    }
+
+    // Reference recency: the cache stamps every insert and match.
+    std::map<PrefixHash, std::uint64_t> live;
+    std::vector<PrefixHash> reclaimed;
+    std::uint64_t clock = 0;
+    std::uint32_t generation = 0;
+    std::size_t next[2] = {0, 0};
+
+    auto check = [&](const char *step) {
+        ASSERT_EQ(cache.size(), live.size()) << step;
+        for (const auto &[hash, stamp] : live) {
+            ASSERT_EQ(cache.peek(std::span(&hash, 1)), 1u)
+                << step << ": live hash " << hash << " missing";
+        }
+        for (const PrefixHash hash : reclaimed) {
+            ASSERT_EQ(cache.peek(std::span(&hash, 1)), 0u)
+                << step << ": reclaimed hash " << hash << " matched";
+        }
+    };
+    // Cache `count` new hashes alternating between the groups, each
+    // on its own one-token block, then park them.
+    auto insert = [&](std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t g = i % 2;
+            const PrefixHash hash = groups[g][next[g]++];
+            const RequestSlot slot = makeSlot(0, generation++);
+            ASSERT_TRUE(kv.allocate(slot, 1));
+            cache.insert(std::span(&hash, 1), kv.blockTable(slot));
+            kv.release(slot);
+            live[hash] = ++clock;
+        }
+    };
+    // Reclaim the `count` least recently used hashes.
+    auto reclaim = [&](std::int64_t count) {
+        ASSERT_EQ(cache.reclaim(count), count);
+        for (std::int64_t i = 0; i < count; ++i) {
+            const auto oldest = std::min_element(
+                live.begin(), live.end(),
+                [](const auto &a, const auto &b) {
+                    return a.second < b.second;
+                });
+            reclaimed.push_back(oldest->first);
+            live.erase(oldest);
+        }
+    };
+    auto touch = [&](std::size_t g, std::size_t from,
+                     std::size_t count) {
+        std::vector<BlockId> matched;
+        for (std::size_t i = from; i < from + count; ++i) {
+            const PrefixHash hash = groups[g][i];
+            ASSERT_EQ(cache.match(std::span(&hash, 1), matched), 1u);
+            live[hash] = ++clock;
+        }
+    };
+
+    insert(30);  // one wrapped run of 30 in the 64-slot table
+    check("wrapped run");
+    EXPECT_EQ(cache.indexSlots(), 64u);
+    insert(20);  // grows to 128 while the run wraps
+    check("growth");
+    EXPECT_EQ(cache.indexSlots(), 128u);
+
+    // Make the first few of each group the newest: the LRU ones now
+    // sit in the middle of the run.
+    touch(0, 0, 4);
+    touch(1, 0, 4);
+    reclaim(6);
+    check("erase mid-run");
+    reclaim(10);
+    check("erase more");
+
+    insert(120);  // grows to 256 and 512 while runs wrap
+    check("regrowth");
+    EXPECT_EQ(cache.indexSlots(), 512u);
+    touch(0, 40, 10);
+    reclaim(50);
+    check("reclaim after regrowth");
+    insert(60);
+    check("refill");
+    reclaim(static_cast<std::int64_t>(live.size()));
+    check("empty");
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(kv.freeBlocks(), static_cast<std::int64_t>(kBlocks));
 }
 
 // --- Differential reclaim against the list-walk reference ---------
@@ -810,6 +1085,146 @@ TEST(EnginePrefixTest, SplitFusePrefillsOnlyUncachedSuffix)
     // Request 2 re-prefills only its uncached suffix: 128 + 16.
     EXPECT_EQ(report.prefixHitTokens, 112);
     EXPECT_EQ(report.totalPrefillTokens, 144);
+}
+
+/** A session turn: prompt `segments`, a named reply. */
+RequestSpec
+sessionTurn(RequestId id, std::vector<PromptSegment> segments,
+            std::uint64_t output_key, TokenCount output,
+            std::uint64_t session)
+{
+    RequestSpec spec = testfx::makeRequest(
+        id, streamTokens(segments), output, 4096);
+    spec.segments = std::move(segments);
+    spec.outputKey = output_key;
+    spec.sessionKey = session;
+    return spec;
+}
+
+TEST(EnginePrefixTest, SessionTurnInheritsOnlyAPrefixChain)
+{
+    // Turn 1 finishes and hands its chain to the session memo; a
+    // second turn takes it on arrival only when turn 1's stream
+    // (prompt, then its 30-token reply) is a segment-wise prefix of
+    // its prompt. Either way its final chain is the one from
+    // scratch, which the memo then holds.
+    const std::vector<PromptSegment> turn1{{1, 64}, {100, 20}};
+    const std::vector<PromptSegment> stored{{1, 64}, {100, 20},
+                                            {101, 30}};
+    struct Case
+    {
+        const char *name;
+        std::vector<PromptSegment> prompt;
+        std::uint64_t session;
+        bool inherits;
+    };
+    const std::vector<Case> cases{
+        {"next turn", {{1, 64}, {100, 20}, {101, 30}, {102, 10}}, 9,
+         true},
+        {"reply length", {{1, 64}, {100, 20}, {101, 29}, {102, 10}},
+         9, false},
+        {"reply key", {{1, 64}, {100, 20}, {191, 30}, {102, 10}}, 9,
+         false},
+        {"extra segment", {{1, 64}, {100, 20}}, 9, false},
+        {"other session", {{1, 64}, {100, 20}, {101, 30}, {102, 10}},
+         8, false},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        engine::EngineConfig config;
+        config.prefixCache = true;
+        engine::ServingEngine engine(
+            tinyPerf(8.0),
+            core::makeScheduler(SchedulerConfig::oracle()), config);
+        engine.submitAt(sessionTurn(1, turn1, 101, 30, 9), 0);
+        while (engine.numFinished() < 1)
+            ASSERT_TRUE(engine.stepOnce());
+        const auto chain1 = blockHashChain(stored, 16, 114);
+        ASSERT_EQ(chain1.size(), 7u);
+        ASSERT_TRUE(
+            std::ranges::equal(engine.sessionChain(9), chain1));
+
+        engine.submitAt(sessionTurn(2, c.prompt, 103, 12, c.session),
+                        engine.now());
+        ASSERT_TRUE(engine.stepOnce());  // delivers the arrival
+        EXPECT_EQ(engine.sessionChain(9).empty(), c.inherits);
+        while (engine.stepOnce()) {
+        }
+        ASSERT_EQ(engine.numFinished(), 2u);
+
+        std::vector<PromptSegment> stream2 = c.prompt;
+        stream2.push_back(PromptSegment{103, 12});
+        const auto chain2 =
+            blockHashChain(stream2, 16, streamTokens(stream2));
+        EXPECT_TRUE(std::ranges::equal(
+            engine.sessionChain(c.session), chain2));
+        if (c.session != 9) {
+            EXPECT_TRUE(
+                std::ranges::equal(engine.sessionChain(9), chain1));
+        }
+    }
+}
+
+TEST(EnginePrefixTest, SessionChainMemoHoldsOnePerFinishedSession)
+{
+    // Round-robin routing scatters every session's turns over the
+    // fleet, so an engine's memo goes stale and misses. After the
+    // run each engine holds exactly one chain per session that
+    // finished a turn there: the chain of the last such turn.
+    workload::SessionWorkloadConfig config;
+    config.numSessions = 12;
+    config.turnsPerSession = 5;
+    config.systemPromptTokens = 64;
+    config.seed = 3;
+
+    engine::EngineConfig engine_config;
+    engine_config.prefixCache = true;
+    std::vector<std::unique_ptr<engine::ServingEngine>> engines;
+    std::vector<const engine::ServingEngine *> views;
+    for (int i = 0; i < 3; ++i) {
+        engines.push_back(std::make_unique<engine::ServingEngine>(
+            tinyPerf(64.0),
+            core::makeScheduler(
+                SchedulerConfig::pastFutureDefault(0.03)),
+            engine_config));
+        views.push_back(engines.back().get());
+    }
+    cluster::ServingCluster fleet(std::move(engines),
+                                  cluster::RoutingPolicy::RoundRobin);
+    fleet.recordSubmissions(true);
+    workload::SessionGenerator sessions(config, fleet);
+    fleet.setOnFinish([&](const RequestSpec &spec, Tick tick) {
+        sessions.onRequestFinished(spec.id, tick);
+    });
+    sessions.start();
+    ASSERT_EQ(fleet.run().numFinished, 60u);
+
+    // The last turn of each session each instance served (a
+    // session's turns are submitted in order).
+    std::vector<std::map<std::uint64_t, RequestSpec>> last(3);
+    for (const auto &routed : fleet.submissionLog())
+        last[routed.instance][routed.spec.sessionKey] = routed.spec;
+    std::size_t hopped = 0;
+    for (std::size_t i = 0; i < 3; ++i) {
+        SCOPED_TRACE(::testing::Message() << "instance " << i);
+        std::vector<std::uint64_t> held =
+            views[i]->heldSessionChains();
+        std::sort(held.begin(), held.end());
+        EXPECT_EQ(std::adjacent_find(held.begin(), held.end()),
+                  held.end());
+        ASSERT_EQ(held.size(), last[i].size());
+        for (const auto &[session, spec] : last[i]) {
+            std::vector<PromptSegment> stream = spec.segments;
+            stream.push_back(
+                PromptSegment{spec.outputKey, spec.outputLen});
+            EXPECT_TRUE(std::ranges::equal(
+                views[i]->sessionChain(session),
+                blockHashChain(stream, 16, streamTokens(stream))));
+        }
+        hopped += last[i].size();
+    }
+    // Sessions really were split across instances.
+    EXPECT_GT(hopped, config.numSessions);
 }
 
 // --- Session workload --------------------------------------------
