@@ -128,7 +128,9 @@ runQueueChurn()
     }
     std::size_t rounds = 0;
     while (!state.queue.empty()) {
-        state.queue.runUntil(state.queue.nextTick());
+        const Tick tick = state.queue.nextTick();
+        while (!state.queue.empty() && state.queue.nextTick() == tick)
+            state.queue.runNext();
         if (++rounds % 16 == 0 && !state.queue.empty()) {
             for (std::size_t i = 0; i < handles.size(); ++i) {
                 handles[i] = state.queue.schedule(

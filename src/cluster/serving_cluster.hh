@@ -331,9 +331,9 @@ class ServingCluster : public workload::RequestSink
      * Every routing decision in order (empty unless
      * recordSubmissions(true) was set): which instance got which
      * request, and the tick its arrival fires. Replaying a single
-     * instance's log against a standalone engine reproduces that
-     * instance's co-simulated metrics exactly (the zero-skew
-     * property; see tests/test_cluster_exact.cpp).
+     * instance's log on a fresh engine (its own one-engine context)
+     * reproduces that instance's co-simulated metrics exactly (the
+     * zero-skew property; see tests/test_cluster_exact.cpp).
      */
     const std::vector<RoutedSubmission> &submissionLog() const
     {
@@ -413,8 +413,8 @@ class ServingCluster : public workload::RequestSink
     /** Drain-event body for instance `index`. */
     void drainNow(std::size_t index);
 
-    /** Clock + queue all instances are attached to: owned in the
-     *  standalone case, borrowed when co-simulating with sibling
+    /** Clock + queue all instances are attached to: owned by a
+     *  lone cluster, borrowed when co-simulating with sibling
      *  clusters on one context. */
     std::unique_ptr<sim::SimContext> ownedContext_;
     sim::SimContext *context_;

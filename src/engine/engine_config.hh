@@ -84,13 +84,27 @@ struct EngineConfig
     std::size_t warmupRequests = 0;
 };
 
-/** Stop conditions for a run. */
+/**
+ * Stop conditions for ServingEngine::run() / stepOnce(). Both are
+ * checked before each iteration, never inside one: an iteration in
+ * flight when a limit is reached completes, so the run's last
+ * iteration may end past maxTicks or finish several requests. Once
+ * a limit is reached no further event fires, so the finish
+ * notifications of that last iteration (setOnFinish) stay pending.
+ */
 struct RunLimits
 {
-    /** Stop after this many finished requests (0 = no limit). */
+    /** No iteration starts once this many requests have finished
+     *  (0 = no limit). */
     std::size_t maxFinishedRequests = 0;
 
-    /** Stop once the clock passes this tick (0 = no limit). */
+    /**
+     * No iteration starts at or after this tick (0 = no limit). An
+     * idle engine's clock moves to the next arrival's tick before
+     * the check, so an arrival landing in an idle gap after the
+     * limit still moves the clock, and the makespan, to its own
+     * tick.
+     */
     Tick maxTicks = 0;
 };
 

@@ -52,7 +52,6 @@ ServingEngine::attachContext(sim::SimContext &context)
     LIGHTLLM_ASSERT(requests_.empty() && pendingArrivals_.empty(),
                     "cannot attach a context after submissions");
     context_ = &context;
-    shared_ = true;
     ownedContext_.reset();
 }
 
@@ -67,11 +66,9 @@ ServingEngine::attachTrace(trace::EngineTrace *sink)
 void
 ServingEngine::submitAt(const workload::RequestSpec &spec, Tick arrival)
 {
-    // Standalone mode clamps to the engine clock (the only clock);
-    // actor mode clamps to the shared clock — the engine's own
-    // clock may legitimately be ahead of it mid-co-simulation.
-    const Tick when =
-        std::max(arrival, shared_ ? context_->now() : now_);
+    // Clamped to the context clock: the engine's own clock may
+    // legitimately be ahead of it (at its iteration's end).
+    const Tick when = std::max(arrival, context_->now());
     submitStamped(spec, when, when);
 }
 
@@ -88,8 +85,7 @@ ServingEngine::submitStamped(const workload::RequestSpec &spec,
                     spec.id, " would generate no tokens");
     LIGHTLLM_ASSERT(!draining_, "request ", spec.id,
                     " submitted to a draining engine");
-    const Tick when =
-        std::max(deliver, shared_ ? context_->now() : now_);
+    const Tick when = std::max(deliver, context_->now());
     LIGHTLLM_ASSERT(stamp >= 0 && stamp <= when, "request ",
                     spec.id, " arrival stamp ", stamp,
                     " after its delivery tick ", when);
@@ -130,8 +126,7 @@ ServingEngine::deliverArrival(std::uint64_t token, Tick when)
                                               spec.maxNewTokens),
                       spec.effectiveOutputLen());
     }
-    if (shared_)
-        wakeActor(when);
+    wakeActor(when);
 }
 
 void
@@ -223,12 +218,6 @@ ServingEngine::scaled(Tick duration) const
 }
 
 void
-ServingEngine::deliverArrivals()
-{
-    context_->queue().runUntil(now_);
-}
-
-void
 ServingEngine::wakeActor(Tick when)
 {
     // An iteration can never start before the engine finished its
@@ -245,7 +234,7 @@ ServingEngine::wakeActor(Tick when)
     if (start < stepTick_) {
         // An arrival landed before the idle-scheduled iteration:
         // pull the iteration forward so the engine reacts at the
-        // arrival tick, exactly as the self-clocked loop would.
+        // arrival tick.
         context_->reschedule(stepEvent_, start);
         stepTick_ = start;
     }
@@ -652,46 +641,37 @@ ServingEngine::finishRequest(EngineRequest *request)
         recycleRequest(request);
         return;
     }
-    if (shared_) {
-        // Defer the notification to the shared queue at the exact
-        // finish tick: listeners (router, clients, SLO monitors)
-        // then observe the completion in global event order rather
-        // than mid-way through this engine's iteration. One event
-        // carries both callbacks, record first. The payload (spec
-        // moved out of the dying request + record) parks in a
-        // recycled slab slot so the event lambda stays small enough
-        // for the queue's inline handler storage — the notify path
-        // allocates nothing in steady state.
-        std::size_t idx;
-        if (!notifyFree_.empty()) {
-            idx = notifyFree_.back();
-            notifyFree_.pop_back();
-        } else {
-            idx = notifySlab_.size();
-            notifySlab_.emplace_back();
-        }
-        DeferredNotify &note = notifySlab_[idx];
-        note.spec = std::move(request->spec);
-        note.record = record;
-        note.tick = now_;
-        recycleRequest(request);
-        context_->schedule(note.tick, [this, idx](Tick) {
-            // Re-index per use: the slab may have grown between
-            // capture and delivery.
-            if (onRecord_)
-                onRecord_(notifySlab_[idx].record);
-            if (onFinish_)
-                onFinish_(notifySlab_[idx].spec,
-                          notifySlab_[idx].tick);
-            notifyFree_.push_back(idx);
-        });
+    // Defer the notification to the context at the exact finish
+    // tick: listeners (router, clients, SLO monitors) then observe
+    // the completion in global event order rather than mid-way
+    // through this engine's iteration. One event carries both
+    // callbacks, record first. The payload (spec moved out of the
+    // dying request + record) parks in a recycled slab slot so the
+    // event lambda stays small enough for the queue's inline
+    // handler storage — the notify path allocates nothing in
+    // steady state.
+    std::size_t idx;
+    if (!notifyFree_.empty()) {
+        idx = notifyFree_.back();
+        notifyFree_.pop_back();
     } else {
-        if (onRecord_)
-            onRecord_(record);
-        if (onFinish_)
-            onFinish_(request->spec, now_);
-        recycleRequest(request);
+        idx = notifySlab_.size();
+        notifySlab_.emplace_back();
     }
+    DeferredNotify &note = notifySlab_[idx];
+    note.spec = std::move(request->spec);
+    note.record = record;
+    note.tick = now_;
+    recycleRequest(request);
+    context_->schedule(note.tick, [this, idx](Tick) {
+        // Re-index per use: the slab may have grown between capture
+        // and delivery.
+        if (onRecord_)
+            onRecord_(notifySlab_[idx].record);
+        if (onFinish_)
+            onFinish_(notifySlab_[idx].spec, notifySlab_[idx].tick);
+        notifyFree_.push_back(idx);
+    });
 }
 
 Tick
@@ -1160,21 +1140,31 @@ ServingEngine::iterateOnce()
 bool
 ServingEngine::stepOnce(const RunLimits &limits)
 {
-    LIGHTLLM_ASSERT(!shared_,
-                    "stepOnce is standalone-mode only; a shared "
-                    "SimContext drives attached engines");
+    LIGHTLLM_ASSERT(ownedContext_ != nullptr,
+                    "a shared SimContext drives attached engines");
+    // Checked before any delivery: a run its last iteration stopped
+    // delivers nothing more (no arrival joins the queue, or the
+    // trace, after the limit).
     if (limitsReached(limits))
         return false;
-    deliverArrivals();
-    if (running_.empty() && prefillPending_.empty() &&
-        waiting_.empty()) {
-        if (context_->queue().empty())
-            return false;  // drained
-        now_ = context_->queue().nextTick();
-        deliverArrivals();
-        return true;
+    // The owned context holds only this engine's events, so the
+    // one Step-class event is its next iteration: every delivery
+    // due before it fires first (an arrival on an idle engine
+    // schedules it).
+    sim::EventQueue &queue = context_->queue();
+    while (!queue.empty() &&
+           queue.peekHead().cls == sim::EventClass::Delivery) {
+        context_->runNext();
     }
-    iterateOnce();
+    if (queue.empty())
+        return false;  // drained
+    // The clock moves to the iteration's start tick before the
+    // limits are checked: an idle-gap arrival past maxTicks still
+    // stretches the makespan to its own tick.
+    now_ = std::max(now_, queue.peekHead().when);
+    if (limitsReached(limits))
+        return false;
+    context_->runNext();
     return true;
 }
 
@@ -1192,8 +1182,6 @@ ServingEngine::run(const RunLimits &limits)
 std::vector<ServingEngine::DrainedRequest>
 ServingEngine::drainQueued()
 {
-    LIGHTLLM_ASSERT(shared_,
-                    "drainQueued requires a shared SimContext");
     LIGHTLLM_ASSERT(!draining_, "engine drained twice");
     draining_ = true;
 
@@ -1249,8 +1237,6 @@ ServingEngine::drainQueued()
 std::vector<ServingEngine::DrainedRequest>
 ServingEngine::stealQueued(std::size_t max_requests)
 {
-    LIGHTLLM_ASSERT(shared_,
-                    "stealQueued requires a shared SimContext");
     LIGHTLLM_ASSERT(!draining_,
                     "cannot steal from a draining engine");
 

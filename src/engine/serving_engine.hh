@@ -18,17 +18,12 @@
  * Iteration durations come from the roofline PerfModel, which is the
  * simulation substitute for GPU execution (see DESIGN.md §1).
  *
- * The engine runs in one of two modes:
- *
- *  - Standalone (default): the engine owns a private SimContext
- *    holding only its arrival events and self-clocks through run()
- *    or stepOnce().
- *  - Event-driven actor: attachContext() places the engine on a
- *    shared SimContext. The engine then schedules its own
- *    iteration (Step) events on the shared queue and defers
- *    completion callbacks to Delivery events at their exact finish
- *    ticks, so a multi-instance cluster co-simulates exactly (see
- *    DESIGN.md §3).
+ * The engine is an actor on a SimContext: arrivals wake it through
+ * its own iteration (Step) events, and completion callbacks are
+ * deferred to Delivery events at their exact finish ticks. A new
+ * engine sits on a SimContext it owns, which run() and stepOnce()
+ * drive; attachContext() moves it onto a cluster's shared context,
+ * where every instance co-simulates exactly (see DESIGN.md §3).
  */
 
 #ifndef LIGHTLLM_ENGINE_SERVING_ENGINE_HH
@@ -98,16 +93,13 @@ class ServingEngine : public workload::RequestSink
     ServingEngine &operator=(const ServingEngine &) = delete;
 
     /**
-     * Switch to event-driven actor mode on a shared context. Must
-     * be called before any request is submitted; the caller keeps
-     * ownership of `context`, which must outlive the engine's
-     * simulation. run()/stepOnce() become unavailable — the context
-     * owner drives the simulation (SimContext::runToCompletion).
+     * Swap the owned context for a shared one. Must be called
+     * before any request is submitted; the caller keeps ownership
+     * of `context`, which must outlive the engine's simulation.
+     * run()/stepOnce() become unavailable — the context owner
+     * drives the simulation (SimContext::runToCompletion).
      */
     void attachContext(sim::SimContext &context);
-
-    /** True when attached to a shared SimContext. */
-    bool eventDriven() const { return shared_; }
 
     /**
      * Attach a flight-recorder sink (see trace/trace_recorder.hh);
@@ -136,8 +128,8 @@ class ServingEngine : public workload::RequestSink
                        Tick deliver, Tick stamp);
 
     /** Register a completion listener (e.g. the client pool).
-     *  In actor mode the callback fires as a Delivery event at the
-     *  exact finish tick, in global event order. */
+     *  The callback fires as a Delivery event at the exact finish
+     *  tick, in global event order. */
     void setOnFinish(FinishCallback callback);
 
     /** Register a latency-record listener (e.g. the cluster's SLO
@@ -146,21 +138,22 @@ class ServingEngine : public workload::RequestSink
     void setOnRecord(RecordCallback callback);
 
     /**
-     * Run the serving loop until the limits are hit or no work and
-     * no future arrivals remain. Standalone mode only.
+     * Drive the owned context with stepOnce() until it returns
+     * false (see RunLimits for where the limits stop it). Owned
+     * context only.
      *
      * @return The final metrics report.
      */
     metrics::RunReport run(const RunLimits &limits = {});
 
     /**
-     * Advance the engine by one iteration (arrival delivery +
-     * admissions + prefill/decode). Standalone mode only; kept as a
-     * thin adapter over the shared iteration body so single-engine
-     * runs stay bit-identical to the pre-SimContext engine.
+     * Fire the owned context's events up to and including the
+     * engine's next Step event: the deliveries due by then
+     * (arrivals, finish notifications), then at most one iteration
+     * (admissions + prefill/decode). Owned context only.
      *
      * @return false when nothing could be done (no work, no pending
-     *         arrivals, or the limits are reached).
+     *         events, or the limits are reached).
      */
     bool stepOnce(const RunLimits &limits = {});
 
@@ -182,8 +175,7 @@ class ServingEngine : public workload::RequestSink
      * not yet been admitted (queued requests plus cancelled
      * in-flight arrival events). Requests that already hold engine
      * state (admitted, prefilling, evicted-with-history) stay and
-     * finish here. Actor mode only; after draining, submitAt is a
-     * usage error.
+     * finish here. After draining, submitAt is a usage error.
      */
     std::vector<DrainedRequest> drainQueued();
 
@@ -194,7 +186,7 @@ class ServingEngine : public workload::RequestSink
      * head keeps its position here, so head-of-line semantics and
      * TTFT of the oldest work are unaffected; requests holding
      * engine state (admitted, evicted-with-history, swapped out)
-     * never move. The engine keeps running. Actor mode only.
+     * never move. The engine keeps running.
      */
     std::vector<DrainedRequest> stealQueued(std::size_t max_requests);
 
@@ -351,23 +343,19 @@ class ServingEngine : public workload::RequestSink
     };
 
     /** Arrival-event handler: move the pending request into the
-     *  wait queue, stamped with its recorded arrival. */
+     *  wait queue, stamped with its recorded arrival, and wake the
+     *  actor. */
     void deliverArrival(std::uint64_t token, Tick when);
 
-    /** Move due arrivals from the event queue into the wait queue
-     *  (standalone mode). */
-    void deliverArrivals();
-
     /** One engine iteration: admissions, the dedicated prefill
-     *  phase when split-fuse is off, then the step body. Shared by
-     *  stepOnce() and the actor-mode Step handler. */
+     *  phase when split-fuse is off, then the step body. */
     void iterateOnce();
 
-    /** Actor mode: ensure a Step event is scheduled no later than
+    /** Ensure a Step event is scheduled no later than
      *  max(now_, when). */
     void wakeActor(Tick when);
 
-    /** Actor-mode Step handler: run one iteration at `when`. */
+    /** Step handler: run one iteration at `when`. */
     void onStepEvent(Tick when);
 
     /** Ask the policy for a decision and execute it. */
@@ -559,16 +547,16 @@ class ServingEngine : public workload::RequestSink
      *  every hook reduces to this one branch. */
     trace::EngineTrace *trace_ = nullptr;
 
-    /** Private context in standalone mode; null when shared. */
+    /** The context the engine starts on; null once attachContext()
+     *  swapped in a shared one. */
     std::unique_ptr<sim::SimContext> ownedContext_;
 
     /** Context carrying this engine's events (owned or shared). */
     sim::SimContext *context_ = nullptr;
 
-    bool shared_ = false;
     bool draining_ = false;
 
-    /** Actor mode: the pending Step event, if any. */
+    /** The pending Step event, if any. */
     sim::EventId stepEvent_ = sim::kInvalidEventId;
     bool stepScheduled_ = false;
     Tick stepTick_ = 0;
@@ -625,11 +613,11 @@ class ServingEngine : public workload::RequestSink
     RecordCallback onRecord_;
 
     /**
-     * Parked payload of one deferred finish notification (actor
-     * mode). The spec is moved out of the dying request into a
-     * recycled slab slot, so the completion event only captures a
-     * slab index — small enough for the event queue's inline
-     * handler storage (see DESIGN.md §8).
+     * Parked payload of one deferred finish notification. The spec
+     * is moved out of the dying request into a recycled slab slot,
+     * so the completion event only captures a slab index — small
+     * enough for the event queue's inline handler storage (see
+     * DESIGN.md §8).
      */
     struct DeferredNotify
     {

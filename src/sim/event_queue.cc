@@ -183,31 +183,15 @@ EventQueue::extractNext()
     return handler;
 }
 
-std::size_t
-EventQueue::runUntil(Tick now)
-{
-    std::size_t fired = 0;
-    while (!heap_.empty() && heap_.front().when <= now) {
-        const HeapEntry top = heap_.front();
-        const std::uint32_t slot = slotIn(top.key);
-        // Move the handler out and release the slot before running
-        // so the handler may freely schedule new events (which may
-        // recycle this very slot or grow the arena).
-        EventHandler handler = std::move(handlers_[slot]);
-        removeAt(0);
-        releaseSlot(slot);
-        handler(top.when);
-        ++fired;
-    }
-    return fired;
-}
-
 Tick
 EventQueue::runNext()
 {
     LIGHTLLM_ASSERT(!heap_.empty(), "runNext on empty queue");
     const HeapEntry top = heap_.front();
     const std::uint32_t slot = slotIn(top.key);
+    // Move the handler out and release the slot before running so
+    // the handler may freely schedule new events (which may recycle
+    // this very slot or grow the arena).
     EventHandler handler = std::move(handlers_[slot]);
     removeAt(0);
     releaseSlot(slot);

@@ -7,10 +7,9 @@
  * engine iteration boundaries, drain triggers — is an event, and
  * events fire in (tick, class, insertion) order. Handles returned
  * by schedule() make events cancellable and reschedulable, which
- * the event-driven engine uses to pull its next-iteration event
- * earlier when an arrival lands on an idle instance, and the
- * cluster uses to claw back in-flight arrivals when an instance
- * drains.
+ * the engine uses to pull its next-iteration event earlier when an
+ * arrival lands on an idle instance, and the cluster uses to claw
+ * back in-flight arrivals when an instance drains.
  *
  * Implementation (DESIGN.md §8): an indexed binary min-heap of flat
  * POD entries over a free-list slot arena. Each pending event owns
@@ -233,9 +232,7 @@ constexpr EventId kInvalidEventId = 0;
  * Coarse ordering band among events at the same tick. Deliveries
  * (arrivals, completion notifications, drains) always fire before
  * engine iteration (Step) events at the same tick, so an iteration
- * starting at tick t observes every delivery stamped <= t — the
- * same visibility rule a self-clocked engine applies when it drains
- * its arrival queue before deciding an iteration.
+ * starting at tick t observes every delivery stamped <= t.
  */
 enum class EventClass : std::uint8_t
 {
@@ -319,14 +316,6 @@ class EventQueue
      * runNext() would release it. Requires !empty().
      */
     EventHandler extractNext();
-
-    /**
-     * Pop and run every event scheduled at tick <= now.
-     *
-     * @param now Upper bound (inclusive) on event ticks to fire.
-     * @return Number of events fired.
-     */
-    std::size_t runUntil(Tick now);
 
     /**
      * Pop and run exactly the earliest event; requires !empty().

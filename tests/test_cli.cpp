@@ -636,7 +636,12 @@ fnv1a(const std::string &bytes)
 }
 
 /** One {target x load generator} cell of runScenario and the summary
- *  JSON it produced when the matrix was introduced. */
+ *  JSON it produced when the cell was introduced. The engine target
+ *  also has run-limit cells: `idle_gap` stops at --max-seconds while
+ *  the engine idles until an arrival after the limit (the clock
+ *  jumps to that arrival, no iteration runs there), `max_requests`
+ *  stops a closed loop at --max-requests, and `warmup_limit` stops
+ *  a thinking closed loop at --max-seconds with --warmup set. */
 struct RunCell
 {
     const char *target;
@@ -684,6 +689,16 @@ TEST_P(CliRunMatrix, SummaryBytesArePinned)
             args.insert(args.end(), {"--clients", "4"});
         else if (load == "rate")
             args.insert(args.end(), {"--rate", "4"});
+        else if (load == "idle_gap")
+            args.insert(args.end(),
+                        {"--rate", "0.05", "--max-seconds", "100"});
+        else if (load == "max_requests")
+            args.insert(args.end(),
+                        {"--clients", "4", "--max-requests", "9"});
+        else if (load == "warmup_limit")
+            args.insert(args.end(),
+                        {"--clients", "2", "--think-time", "10",
+                         "--warmup", "3", "--max-seconds", "90"});
         else
             args.insert(args.end(),
                         {"--rate-schedule", "steps:6x2,2"});
@@ -711,6 +726,9 @@ INSTANTIATE_TEST_SUITE_P(
         RunCell{"engine", "schedule", 16, 0x95c448e9152f8d6cull},
         RunCell{"engine", "replay", 16, 0x14ec3dba20823aull},
         RunCell{"engine", "sessions", 12, 0x19651529318170a7ull},
+        RunCell{"engine", "idle_gap", 8, 0xfd0a6393b990df1cull},
+        RunCell{"engine", "max_requests", 9, 0x6b0c4e018118b421ull},
+        RunCell{"engine", "warmup_limit", 12, 0x63f42b08b3485b35ull},
         RunCell{"fleet", "closed", 16, 0xd6d86a5911ab496ull},
         RunCell{"fleet", "rate", 16, 0x870f201ed125ddcaull},
         RunCell{"fleet", "schedule", 16, 0x14948c72f226fe38ull},

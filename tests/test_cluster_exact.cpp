@@ -5,14 +5,14 @@
  *
  * The zero-skew property: a fleet co-simulated on one shared
  * SimContext must produce, for every instance, metrics identical to
- * a *serialized reference replay* — a standalone self-clocked
- * engine fed the exact (spec, arrival-tick) sequence the router
- * sent that instance. If the co-simulation leaked any cross-
- * instance state out of global event order (the old min-clock scan
- * allowed one iteration of causality skew and clamped arrival
- * ticks to the target's engine clock), the replay would diverge in
- * arrival stamps, admission order, and ultimately every latency
- * metric. Byte-level determinism of the whole fleet run is pinned
+ * a *serialized reference replay* — a fresh engine on its own
+ * one-engine SimContext, fed the exact (spec, arrival-tick)
+ * sequence the router sent that instance. If the co-simulation
+ * leaked any cross-instance state out of global event order (the
+ * old min-clock scan allowed one iteration of causality skew and
+ * clamped arrival ticks to the target's engine clock), the replay
+ * would diverge in arrival stamps, admission order, and ultimately
+ * every latency metric. Byte-level determinism of the whole fleet run is pinned
  * separately, via the CLI scenario path users actually invoke.
  */
 
@@ -38,7 +38,7 @@ using core::SchedulerConfig;
 using testfx::tinyPerf;
 using workload::RequestSpec;
 
-/** Compare a replayed standalone report against the co-simulated
+/** Compare a replayed one-engine report against the co-simulated
  *  per-instance report, field by field and record by record. */
 void
 expectIdenticalReports(const metrics::RunReport &replay,
@@ -74,7 +74,7 @@ struct InstanceSetup
 };
 
 /** Co-simulate a closed-loop fleet, then replay each instance's
- *  routed submissions on a standalone engine and demand equality. */
+ *  routed submissions on a one-engine context and demand equality. */
 void
 runExactnessScenario(const std::vector<InstanceSetup> &setups,
                      cluster::RoutingPolicy routing,

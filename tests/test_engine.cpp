@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -20,11 +21,13 @@
 #include "engine/framework_profile.hh"
 #include "engine/serving_engine.hh"
 #include "engine/static_engine.hh"
+#include "metrics/report_io.hh"
 #include "metrics/sla.hh"
 #include "model/perf_model.hh"
 #include "sim/sim_context.hh"
 #include "trace/trace_recorder.hh"
 #include "test_fixtures.hh"
+#include "workload/client_pool.hh"
 #include "workload/datasets.hh"
 
 namespace lightllm {
@@ -764,6 +767,107 @@ TEST(ServingEngineDeathTest, SecondRunPanics)
                              SchedulerConfig::oracle()));
     engine.run();
     EXPECT_DEATH(engine.run(), "single-run");
+}
+
+// --- Step/run equivalence ----------------------------------------------
+
+/** How a fresh engine is loaded and driven. */
+struct DriveCase
+{
+    const char *name;
+
+    /** Four closed-loop clients, or one arrival every 20 s (the
+     *  engine idles between them). */
+    bool closedLoop;
+
+    RunLimits limits;
+};
+
+/**
+ * Serve 24 ShareGPT requests under `drive`, through run(limits) or
+ * through a stepOnce(limits) loop. The stepped drive also checks
+ * that no call ran more than one iteration: with split-fuse off
+ * every iteration is exactly one decode step.
+ */
+metrics::RunReport
+driveEngine(const DriveCase &drive, bool stepped)
+{
+    ServingEngine engine(tinyPerf(32.0),
+                         core::makeScheduler(
+                             SchedulerConfig::pastFutureDefault(0.05)));
+    const workload::Dataset dataset = workload::makeShareGpt(24, 11);
+    workload::ClosedLoopClientPool clients(4, dataset, engine);
+    if (drive.closedLoop) {
+        engine.setOnFinish([&](const RequestSpec &spec, Tick tick) {
+            clients.onRequestFinished(spec.id, tick);
+        });
+        clients.start();
+    } else {
+        for (std::size_t i = 0; i < dataset.requests.size(); ++i) {
+            engine.submitAt(dataset.requests[i],
+                            static_cast<Tick>(i) * secondsToTicks(20.0));
+        }
+    }
+    if (!stepped)
+        return engine.run(drive.limits);
+    std::int64_t steps = 0;
+    std::size_t waiting = 0;
+    while (engine.stepOnce(drive.limits)) {
+        const std::int64_t after = engine.report().decodeSteps;
+        EXPECT_LE(after - steps, 1) << "one call ran two iterations";
+        steps = after;
+        waiting = engine.waitingSize();
+    }
+    // A limit its last iteration reached stops the run before any
+    // delivery (an idle-gap maxTicks stop still delivers the
+    // arrivals due by the tick the clock moved to).
+    if (drive.limits.maxFinishedRequests > 0) {
+        EXPECT_EQ(engine.waitingSize(), waiting)
+            << "a stopped run delivered arrivals";
+    }
+    return engine.report();
+}
+
+/** The contract a stepped driver (the traced benchmark pass) relies
+ *  on: a stepOnce(limits) loop reports the same bytes as run(). */
+TEST(StepRunEquivalenceTest, SteppedLoopReportsRunBytes)
+{
+    RunLimits max_finished;
+    max_finished.maxFinishedRequests = 10;
+    RunLimits idle_gap;
+    idle_gap.maxTicks = secondsToTicks(50.0);
+    const DriveCase cases[] = {
+        {"closed loop", true, {}},
+        {"open loop", false, {}},
+        {"max finished", true, max_finished},
+        {"idle-gap max ticks", false, idle_gap},
+    };
+    for (const DriveCase &drive : cases) {
+        SCOPED_TRACE(drive.name);
+        const metrics::RunReport run = driveEngine(drive, false);
+        const metrics::RunReport stepped = driveEngine(drive, true);
+        std::ostringstream run_json;
+        std::ostringstream stepped_json;
+        const auto sla = metrics::SlaSpec::small7b13b();
+        metrics::writeSummaryJson(run_json, run, sla);
+        metrics::writeSummaryJson(stepped_json, stepped, sla);
+        EXPECT_EQ(stepped_json.str(), run_json.str());
+    }
+}
+
+/** RunLimits::maxTicks: the requests arriving at 0, 20 and 40 s are
+ *  served; the one arriving at 60 s lands in an idle gap after the
+ *  50 s limit, so the clock (and makespan) moves to its tick but no
+ *  iteration admits it. */
+TEST(StepRunEquivalenceTest, IdleGapArrivalEndsTheMakespan)
+{
+    RunLimits limits;
+    limits.maxTicks = secondsToTicks(50.0);
+    const metrics::RunReport report =
+        driveEngine({"idle-gap max ticks", false, limits}, false);
+    EXPECT_EQ(report.numFinished, 3u);
+    EXPECT_EQ(report.prefillIterations, 3);
+    EXPECT_EQ(report.makespan, secondsToTicks(60.0));
 }
 
 // --- Static-batch baseline ---------------------------------------------

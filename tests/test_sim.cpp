@@ -15,6 +15,14 @@ namespace lightllm {
 namespace sim {
 namespace {
 
+/** Fire every pending event, including ones scheduled meanwhile. */
+void
+runAll(EventQueue &queue)
+{
+    while (!queue.empty())
+        queue.runNext();
+}
+
 TEST(EventQueueTest, StartsEmpty)
 {
     EventQueue queue;
@@ -29,7 +37,7 @@ TEST(EventQueueTest, FiresInTimeOrder)
     queue.schedule(30, [&](Tick) { order.push_back(3); });
     queue.schedule(10, [&](Tick) { order.push_back(1); });
     queue.schedule(20, [&](Tick) { order.push_back(2); });
-    queue.runUntil(100);
+    runAll(queue);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -39,18 +47,18 @@ TEST(EventQueueTest, EqualTicksFireInInsertionOrder)
     std::vector<int> order;
     for (int i = 0; i < 8; ++i)
         queue.schedule(5, [&order, i](Tick) { order.push_back(i); });
-    queue.runUntil(5);
+    runAll(queue);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueueTest, RunUntilIsInclusive)
+TEST(EventQueueTest, RunNextLeavesLaterTicksPending)
 {
     EventQueue queue;
     int fired = 0;
     queue.schedule(10, [&](Tick) { ++fired; });
     queue.schedule(11, [&](Tick) { ++fired; });
-    EXPECT_EQ(queue.runUntil(10), 1u);
+    EXPECT_EQ(queue.runNext(), 10);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(queue.nextTick(), 11);
 }
@@ -60,7 +68,7 @@ TEST(EventQueueTest, HandlerReceivesScheduledTick)
     EventQueue queue;
     Tick seen = -1;
     queue.schedule(42, [&](Tick when) { seen = when; });
-    queue.runUntil(100);
+    runAll(queue);
     EXPECT_EQ(seen, 42);
 }
 
@@ -72,11 +80,11 @@ TEST(EventQueueTest, HandlerMaySchedule)
         fired.push_back(when);
         queue.schedule(2, [&](Tick w2) { fired.push_back(w2); });
     });
-    queue.runUntil(5);
+    runAll(queue);
     EXPECT_EQ(fired, (std::vector<Tick>{1, 2}));
 }
 
-TEST(EventQueueTest, ChainedSchedulingPastHorizonStaysPending)
+TEST(EventQueueTest, ChainedLaterEventStaysPending)
 {
     EventQueue queue;
     int fired = 0;
@@ -84,7 +92,7 @@ TEST(EventQueueTest, ChainedSchedulingPastHorizonStaysPending)
         ++fired;
         queue.schedule(50, [&](Tick) { ++fired; });
     });
-    queue.runUntil(10);
+    EXPECT_EQ(queue.runNext(), 1);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(queue.size(), 1u);
     EXPECT_EQ(queue.nextTick(), 50);
@@ -109,7 +117,7 @@ TEST(EventQueueTest, ClearDropsEverything)
     queue.schedule(2, [&](Tick) { ++fired; });
     queue.clear();
     EXPECT_TRUE(queue.empty());
-    queue.runUntil(100);
+    runAll(queue);
     EXPECT_EQ(fired, 0);
 }
 
@@ -126,7 +134,7 @@ TEST(EventQueueHandleTest, CancelPreventsFiring)
     EXPECT_TRUE(queue.cancel(drop));
     EXPECT_FALSE(queue.pending(drop));
     EXPECT_TRUE(queue.pending(keep));
-    queue.runUntil(10);
+    runAll(queue);
     EXPECT_EQ(fired, 1);
 }
 
@@ -136,7 +144,7 @@ TEST(EventQueueHandleTest, CancelUnknownOrFiredReturnsFalse)
     EXPECT_FALSE(queue.cancel(kInvalidEventId));
     EXPECT_FALSE(queue.cancel(12345));
     const EventId id = queue.schedule(1, [](Tick) {});
-    queue.runUntil(1);
+    runAll(queue);
     EXPECT_FALSE(queue.cancel(id));
     EXPECT_FALSE(queue.pending(id));
 }
@@ -154,7 +162,7 @@ TEST(EventQueueHandleTest, RescheduleMovesEventBothDirections)
     EXPECT_TRUE(queue.reschedule(a, 30));
     EXPECT_EQ(queue.eventTick(a), 30);
     EXPECT_EQ(queue.eventTick(b), 5);
-    queue.runUntil(100);
+    runAll(queue);
     EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
 
@@ -168,7 +176,7 @@ TEST(EventQueueHandleTest, RescheduleResequencesBehindSameTick)
         queue.schedule(1, [&](Tick) { order.push_back(1); });
     queue.schedule(7, [&](Tick) { order.push_back(2); });
     EXPECT_TRUE(queue.reschedule(moved, 7));
-    queue.runUntil(7);
+    runAll(queue);
     EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
 
@@ -190,7 +198,7 @@ TEST(EventQueueHandleTest, HandlesSurviveHeavyChurn)
         EXPECT_TRUE(
             queue.reschedule(ids[i], 1000 + static_cast<Tick>(i)));
     }
-    queue.runUntil(5000);
+    runAll(queue);
     std::vector<Tick> sorted = fired;
     std::sort(sorted.begin(), sorted.end());
     EXPECT_EQ(fired, sorted);
@@ -217,7 +225,7 @@ TEST(EventQueueHandleTest, StaleHandleDoesNotAliasRecycledSlot)
     EXPECT_FALSE(queue.reschedule(stale, 1));
     EXPECT_TRUE(queue.pending(fresh));
     EXPECT_EQ(queue.eventTick(fresh), 7);
-    queue.runUntil(10);
+    runAll(queue);
     EXPECT_EQ(cancelled_fired, 0);
     EXPECT_EQ(fresh_fired, 1);
 }
@@ -227,7 +235,7 @@ TEST(EventQueueHandleTest, FiredHandleDoesNotAliasRecycledSlot)
     EventQueue queue;
     int fired = 0;
     const EventId spent = queue.schedule(1, [&](Tick) { ++fired; });
-    queue.runUntil(1);
+    runAll(queue);
     EXPECT_EQ(fired, 1);
     // Firing released the slot; the next schedule recycles it.
     int live_fired = 0;
@@ -238,7 +246,7 @@ TEST(EventQueueHandleTest, FiredHandleDoesNotAliasRecycledSlot)
     EXPECT_FALSE(queue.cancel(spent));
     EXPECT_FALSE(queue.reschedule(spent, 3));
     EXPECT_EQ(queue.eventTick(live), 9);
-    queue.runUntil(9);
+    runAll(queue);
     EXPECT_EQ(live_fired, 1);
 }
 
@@ -273,7 +281,7 @@ TEST(EventQueueClassTest, DeliveriesFireBeforeStepsAtEqualTicks)
                    EventClass::Step);
     queue.schedule(5, [&](Tick) { order.push_back(4); },
                    EventClass::Delivery);
-    queue.runUntil(5);
+    runAll(queue);
     // Tick 4 step first, then tick-5 deliveries in FIFO order,
     // then the tick-5 step.
     EXPECT_EQ(order, (std::vector<int>{3, 2, 4, 1}));

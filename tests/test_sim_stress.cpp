@@ -238,7 +238,12 @@ TEST(EventQueueStressTest, ChurnMatchesNaiveReferenceModel)
                     return a.seq < b.seq;
                 });
             fired_tags.clear();
-            EXPECT_EQ(queue.runUntil(horizon), due.size());
+            std::size_t fired = 0;
+            while (!queue.empty() && queue.nextTick() <= horizon) {
+                queue.runNext();
+                ++fired;
+            }
+            EXPECT_EQ(fired, due.size());
             ASSERT_EQ(fired_tags.size(), due.size());
             for (std::size_t i = 0; i < due.size(); ++i)
                 EXPECT_EQ(fired_tags[i], due[i].tag);
@@ -268,7 +273,8 @@ TEST(EventQueueAllocTest, WarmedScheduleFirePathIsAllocationFree)
         warm.push_back(queue.schedule(
             t + 1, [&fired](Tick) { ++fired; }));
     }
-    queue.runUntil(64);
+    while (!queue.empty())
+        queue.runNext();
     ASSERT_EQ(fired, 64u);
 
     const std::uint64_t heap_fallbacks_before =
@@ -289,7 +295,8 @@ TEST(EventQueueAllocTest, WarmedScheduleFirePathIsAllocationFree)
         for (int i = 1; i < 32; i += 4)
             queue.reschedule(ids[i], now + 3);
         now += 8;
-        queue.runUntil(now);
+        while (!queue.empty())
+            queue.runNext();
     }
 
     EXPECT_EQ(g_allocations, allocations_before)
@@ -528,7 +535,8 @@ TEST(EventQueueAllocTest, OversizedCallablesFallBackToHeap)
     queue.schedule(1, [big, &seen](Tick) { seen = big.payload[0]; });
     EXPECT_EQ(EventHandler::heapFallbackCount(),
               fallbacks_before + 1);
-    queue.runUntil(1);
+    while (!queue.empty())
+        queue.runNext();
     EXPECT_EQ(seen, 42);
 }
 

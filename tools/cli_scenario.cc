@@ -717,8 +717,8 @@ validateOptions(const CliOptions &options)
     if (options.simThreads > 1 && options.instances < 2 &&
         !options.autoscale && !options.disagg)
         return "--sim-threads needs a co-simulated fleet "
-               "(--instances >= 2, --autoscale, or --disagg); the "
-               "single-engine path is self-clocked";
+               "(--instances >= 2, --autoscale, or --disagg); a "
+               "lone engine has no fleet to shard";
     // Only a single engine's loop stops at run limits; a cluster
     // would silently ignore them.
     if ((options.instances > 1 || options.autoscale ||
@@ -1231,9 +1231,9 @@ runScenario(const Scenario &scenario,
     }
 
     if (scenario.fleetPerfs.empty()) {
-        // Single instance: the self-clocked engine path, kept
-        // bit-identical through the SimContext refactor (golden
-        // suite pins it).
+        // Single instance: the engine drives its own SimContext
+        // (the only path run limits apply to); a lone engine has
+        // no fleet to shard.
         const auto engine = make_engine(scenario.perf);
         if (recorder != nullptr)
             engine->attachTrace(recorder->createEngine("engine-0"));
