@@ -51,9 +51,9 @@ rankVictims(const SchedulerContext &ctx, Before before,
 } // namespace
 
 void
-QueuePolicy::victimOrder(const SchedulerContext &ctx,
-                         VictimOrder tie_break,
-                         std::vector<RequestId> &out) const
+admissionOrderVictims(const SchedulerContext &ctx,
+                      VictimOrder tie_break,
+                      std::vector<RequestId> &out)
 {
     rankVictims(ctx,
                 [tie_break](const RunningView &a,
@@ -64,21 +64,19 @@ QueuePolicy::victimOrder(const SchedulerContext &ctx,
 }
 
 void
+QueuePolicy::victimOrder(const SchedulerContext &ctx,
+                         VictimOrder tie_break,
+                         std::vector<RequestId> &out) const
+{
+    admissionOrderVictims(ctx, tie_break, out);
+}
+
+void
 QueuePolicy::onRequestFinished(RequestId, TokenCount)
 {
 }
 
 namespace {
-
-/** Reset `out` to the identity permutation over ctx.waiting. */
-void
-identityOrder(const SchedulerContext &ctx,
-              std::vector<std::size_t> &out)
-{
-    out.resize(ctx.waiting.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = i;
-}
 
 /** Queue order — Algorithm 1's baseline. */
 class FcfsQueuePolicy final : public QueuePolicy
@@ -91,10 +89,9 @@ class FcfsQueuePolicy final : public QueuePolicy
     }
 
     void
-    order(const SchedulerContext &ctx,
-          std::vector<std::size_t> &out) override
+    order(const SchedulerContext &,
+          std::vector<std::size_t> &) override
     {
-        identityOrder(ctx, out);
     }
 
     std::string
@@ -123,24 +120,23 @@ class PredictedSjfQueuePolicy final : public QueuePolicy
 
     void
     order(const SchedulerContext &ctx,
-          std::vector<std::size_t> &out) override
+          std::vector<std::size_t> &indices) override
     {
-        identityOrder(ctx, out);
         // Predicted remaining service: the recompute prefill the
         // request still owes (prompt + already-generated tokens)
         // plus its predicted remaining decode E[l | l > l_t] - l_t.
         // The prompt term is what differentiates fresh requests —
         // their conditional tails are identical, so a pure output
-        // prediction would collapse into FCFS. Ties keep queue
-        // order (stable sort).
+        // prediction would collapse into FCFS. Ties keep list
+        // order (stable sort). Keys are indexed by waiting index.
         keys_.resize(ctx.waiting.size());
-        for (std::size_t i = 0; i < ctx.waiting.size(); ++i) {
+        for (std::size_t i : indices) {
             const WaitingView &candidate = ctx.waiting[i];
             keys_[i] = candidate.promptLen +
                 predictor_.expectedOutput(candidate.generatedLen,
                                           candidate.maxNewTokens);
         }
-        std::stable_sort(out.begin(), out.end(),
+        std::stable_sort(indices.begin(), indices.end(),
                          [this](std::size_t a, std::size_t b) {
                              return keys_[a] < keys_[b];
                          });
@@ -182,11 +178,10 @@ class EdfQueuePolicy final : public QueuePolicy
 
     void
     order(const SchedulerContext &ctx,
-          std::vector<std::size_t> &out) override
+          std::vector<std::size_t> &indices) override
     {
-        identityOrder(ctx, out);
         std::stable_sort(
-            out.begin(), out.end(),
+            indices.begin(), indices.end(),
             [&ctx, this](std::size_t a, std::size_t b) {
                 return deadline(ctx.waiting[a]) <
                     deadline(ctx.waiting[b]);
@@ -231,10 +226,9 @@ class PriorityQueuePolicy final : public QueuePolicy
 
     void
     order(const SchedulerContext &ctx,
-          std::vector<std::size_t> &out) override
+          std::vector<std::size_t> &indices) override
     {
-        identityOrder(ctx, out);
-        std::stable_sort(out.begin(), out.end(),
+        std::stable_sort(indices.begin(), indices.end(),
                          [&ctx](std::size_t a, std::size_t b) {
                              return ctx.waiting[a].cls.priority >
                                  ctx.waiting[b].cls.priority;

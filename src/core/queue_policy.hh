@@ -4,7 +4,9 @@
  *
  * The scheduling pipeline separates *which order the queue is
  * considered in* (this file) from *whether each candidate fits in
- * memory* (the Scheduler admission round). Orderings:
+ * memory* (the Scheduler admission round). Each leaf of the
+ * pipeline's SchedNode tree wraps one policy and hands it the
+ * leaf's list of ctx.waiting indices to reorder in place. Orderings:
  *
  *  - FCFS: queue order, Algorithm 1's baseline (evicted requests
  *    re-queue at the front and so retain their head position);
@@ -86,12 +88,14 @@ class QueuePolicy
     virtual QueuePolicyKind kind() const = 0;
 
     /**
-     * Fill `out` with indices into ctx.waiting in the order
-     * admission should consider them. Must be a permutation of
-     * [0, ctx.waiting.size()) and deterministic.
+     * Reorder `indices` (distinct indices into ctx.waiting, any
+     * subset) in place into the order admission should consider
+     * them. Stable and deterministic: ties keep their order in
+     * `indices`, so ordering a subset equals ordering a copy of
+     * just those views and mapping the result back.
      */
     virtual void order(const SchedulerContext &ctx,
-                       std::vector<std::size_t> &out) = 0;
+                       std::vector<std::size_t> &indices) = 0;
 
     /**
      * Fill `out` with the ids of ctx.running ranked most-evictable
@@ -113,6 +117,14 @@ class QueuePolicy
     /** Human-readable policy name for reports. */
     virtual std::string name() const = 0;
 };
+
+/**
+ * Fill `out` with the ids of ctx.running ranked purely by admission
+ * order per `tie_break` — the default QueuePolicy::victimOrder.
+ */
+void admissionOrderVictims(const SchedulerContext &ctx,
+                           VictimOrder tie_break,
+                           std::vector<RequestId> &out);
 
 /** Instantiate the configured queue policy. */
 std::unique_ptr<QueuePolicy>

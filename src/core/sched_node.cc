@@ -10,11 +10,17 @@ namespace lightllm {
 namespace core {
 
 SchedNode::SchedNode(const SchedNodeConfig &config)
-    : SchedNode(config, nullptr)
+    : SchedNode(config, nullptr, nullptr)
 {
 }
 
-SchedNode::SchedNode(const SchedNodeConfig &config, SchedNode *parent)
+SchedNode::SchedNode(std::unique_ptr<QueuePolicy> queue)
+    : SchedNode(SchedNodeConfig{}, nullptr, std::move(queue))
+{
+}
+
+SchedNode::SchedNode(const SchedNodeConfig &config, SchedNode *parent,
+                     std::unique_ptr<QueuePolicy> queue)
     : name_(config.name), weight_(config.weight), parent_(parent),
       rate_(config.tokensPerSecond),
       burst_(static_cast<double>(config.burstTokens)),
@@ -31,7 +37,8 @@ SchedNode::SchedNode(const SchedNodeConfig &config, SchedNode *parent)
     while (root->parent_ != nullptr)
         root = root->parent_;
     if (config.children.empty()) {
-        queue_ = makeQueuePolicy(config.queue);
+        queue_ = queue != nullptr ? std::move(queue)
+                                  : makeQueuePolicy(config.queue);
         tenants_ = config.tenants;
         root->leaves_.push_back(this);
         if (tenants_.empty() && root->catchAll_ == nullptr)
@@ -45,7 +52,15 @@ SchedNode::SchedNode(const SchedNodeConfig &config, SchedNode *parent)
     children_.reserve(config.children.size());
     for (const SchedNodeConfig &child : config.children)
         children_.push_back(
-            std::unique_ptr<SchedNode>(new SchedNode(child, this)));
+            std::unique_ptr<SchedNode>(
+                new SchedNode(child, this, nullptr)));
+}
+
+const QueuePolicy &
+SchedNode::queue() const
+{
+    LIGHTLLM_ASSERT(isLeaf(), "queue() on inner node ", name_);
+    return *queue_;
 }
 
 SchedNode &
@@ -67,7 +82,6 @@ SchedNode::beginRound(const SchedulerContext &ctx)
     for (auto &child : children_)
         child->beginRound(ctx);
     pending_.clear();
-    ordered_.clear();
     cursor_ = 0;
     sealed_ = false;
 }
@@ -102,11 +116,13 @@ SchedNode::peek(Tick now, bool force, std::size_t &index)
 SchedNode *
 SchedNode::peekQueue(std::size_t &index)
 {
-    if (!sealed_)
-        seal();
-    if (cursor_ >= ordered_.size())
+    if (!sealed_) {
+        queue_->order(*ctx_, pending_);
+        sealed_ = true;
+    }
+    if (cursor_ >= pending_.size())
         return nullptr;
-    index = ordered_[cursor_];
+    index = pending_[cursor_];
     return this;
 }
 
@@ -140,31 +156,9 @@ SchedNode::peekChildren(Tick now, bool force, std::size_t &index)
 }
 
 void
-SchedNode::seal()
-{
-    sealed_ = true;
-    // The wrapped policy orders a leaf-local view of the queue;
-    // the permutation maps back to global waiting indices. The
-    // running span stays global: orderings only read it for
-    // context, not for queue membership.
-    viewScratch_.clear();
-    viewScratch_.reserve(pending_.size());
-    for (std::size_t index : pending_)
-        viewScratch_.push_back(ctx_->waiting[index]);
-    SchedulerContext local = *ctx_;
-    local.waiting = viewScratch_;
-    queue_->order(local, orderScratch_);
-    LIGHTLLM_ASSERT(orderScratch_.size() == pending_.size(),
-                    "leaf queue policy must permute its queue");
-    ordered_.reserve(pending_.size());
-    for (std::size_t local_index : orderScratch_)
-        ordered_.push_back(pending_[local_index]);
-}
-
-void
 SchedNode::pop(TokenCount cost)
 {
-    LIGHTLLM_ASSERT(sealed_ && cursor_ < ordered_.size(),
+    LIGHTLLM_ASSERT(sealed_ && cursor_ < pending_.size(),
                     "pop without a preceding peek on leaf ", name_);
     ++cursor_;
     charge(cost);

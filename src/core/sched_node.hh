@@ -1,29 +1,32 @@
 /**
  * @file
- * Settings-driven scheduler-node tree over the waiting queue.
+ * Settings-driven scheduler-node tree over the waiting queue — the
+ * ordering stage of the one scheduling pipeline (SchedulingPolicy).
  *
- * The flat pipeline orders ctx.waiting with one QueuePolicy; this
- * tree composes orderings hierarchically, the mechanism ClickHouse
- * uses for workload isolation (UnifiedSchedulerNode configured by
- * SchedulingSettings). There is one node type; its settings decide
- * what it does:
+ * The tree composes queue orderings hierarchically, the mechanism
+ * ClickHouse uses for workload isolation (UnifiedSchedulerNode
+ * configured by SchedulingSettings). There is one node type; its
+ * settings decide what it does:
  *
  *  - shape: a node without children is a leaf that wraps a
  *    QueuePolicy, so fcfs / predicted-sjf / edf still order
- *    requests *within* its tenants. A node with children picks
- *    among them by weighted fair queueing over vruntime — each pop
- *    charges the served child cost / weight, and the runnable child
- *    with the smallest virtual time runs next, so long-run service
- *    shares converge to the weights under saturation;
+ *    requests *within* its tenants. A flat pipeline is a root that
+ *    is itself such a leaf. A node with children picks among them
+ *    by weighted fair queueing over vruntime — each pop charges the
+ *    served child cost / weight, and the runnable child with the
+ *    smallest virtual time runs next, so long-run service shares
+ *    converge to the weights under saturation;
  *  - rate: a node with tokensPerSecond > 0 gates its own subtree
  *    with a token bucket over the sim clock (credit accrues at the
  *    rate up to burstTokens; a candidate is eligible only when
  *    credit covers its cost, and decode usage is post-paid through
  *    charge(), driving credit negative).
  *
- * A round is: beginRound(ctx), route each waiting index to its
- * leaf (route().enqueue()), then alternate peek / pop until the
- * admission policy rejects. Every charge — the pop of a candidate,
+ * A round is: beginRound(ctx), enqueue each waiting index into its
+ * leaf (route().enqueue(), or the root leaf directly), then
+ * alternate peek / pop until the admission policy rejects. A leaf
+ * orders its own list of ctx.waiting indices in place on its first
+ * peek. Every charge — the pop of a candidate,
  * and the decode output when it finishes — walks from the leaf
  * that served the request up through its parents to the root.
  */
@@ -82,11 +85,19 @@ class SchedNode
      */
     explicit SchedNode(const SchedNodeConfig &config);
 
+    /** A one-leaf tree wrapping `queue` (nullptr means FCFS): the
+     *  flat pipeline's root. */
+    explicit SchedNode(std::unique_ptr<QueuePolicy> queue);
+
     SchedNode(const SchedNode &) = delete;
     SchedNode &operator=(const SchedNode &) = delete;
 
     const std::string &name() const { return name_; }
     double weight() const { return weight_; }
+    bool isLeaf() const { return children_.empty(); }
+
+    /** Leaf: the in-tenant ordering. */
+    const QueuePolicy &queue() const;
 
     /**
      * The leaf serving `tenant`: the first leaf that lists it, else
@@ -135,19 +146,16 @@ class SchedNode
     void finish(RequestId id, TokenCount output_len);
 
   private:
-    SchedNode(const SchedNodeConfig &config, SchedNode *parent);
+    SchedNode(const SchedNodeConfig &config, SchedNode *parent,
+              std::unique_ptr<QueuePolicy> queue);
 
-    bool isLeaf() const { return children_.empty(); }
-
-    /** Leaf: the next candidate of the ordered queue. */
+    /** Leaf: the next candidate of the queue, which the first
+     *  peek of a round orders in place. */
     SchedNode *peekQueue(std::size_t &index);
 
     /** Inner: the next candidate of the child with the smallest
      *  vruntime. */
     SchedNode *peekChildren(Tick now, bool force, std::size_t &index);
-
-    /** Order pending_ with the queue policy (lazy, per round). */
-    void seal();
 
     /** Accrue bucket credit up to `now`. */
     void refill(Tick now);
@@ -173,17 +181,13 @@ class SchedNode
     double credit_;
     Tick lastRefill_ = 0;
 
-    /** Leaf: the ordering and this round's queue. */
+    /** Leaf: the ordering and this round's queue (ctx.waiting
+     *  indices, ordered in place once sealed). */
     std::unique_ptr<QueuePolicy> queue_;
     std::vector<base::TenantId> tenants_;
     std::vector<std::size_t> pending_;
-    std::vector<std::size_t> ordered_;
     std::size_t cursor_ = 0;
     bool sealed_ = false;
-
-    /** Leaf: scratch for the leaf-local ordering context. */
-    std::vector<WaitingView> viewScratch_;
-    std::vector<std::size_t> orderScratch_;
 
     /** Root: the routing table route() reads. */
     std::unordered_map<base::TenantId, SchedNode *> routes_;

@@ -4,7 +4,6 @@
 #include "core/aggressive_scheduler.hh"
 #include "core/conservative_scheduler.hh"
 #include "core/oracle_scheduler.hh"
-#include "core/tenant_tree_policy.hh"
 
 namespace lightllm {
 namespace core {
@@ -67,7 +66,7 @@ std::unique_ptr<SchedulingPolicy>
 makeSchedulingPolicy(const SchedulerConfig &config)
 {
     if (config.tenantTree) {
-        return std::make_unique<TreeSchedulingPolicy>(
+        return std::make_unique<SchedulingPolicy>(
             makeScheduler(config),
             tenantFairTree(config.tenantSpec, config.queue));
     }

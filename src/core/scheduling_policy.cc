@@ -1,5 +1,7 @@
 #include "core/scheduling_policy.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace lightllm {
@@ -8,12 +10,33 @@ namespace core {
 SchedulingPolicy::SchedulingPolicy(
     std::unique_ptr<Scheduler> admission,
     std::unique_ptr<QueuePolicy> queue)
-    : admission_(std::move(admission)), queue_(std::move(queue))
+    : admission_(std::move(admission)), root_(std::move(queue))
 {
     LIGHTLLM_ASSERT(admission_ != nullptr,
                     "scheduling policy needs an admission policy");
-    if (queue_ == nullptr)
-        queue_ = makeQueuePolicy(QueuePolicyConfig{});
+}
+
+SchedulingPolicy::SchedulingPolicy(
+    std::unique_ptr<Scheduler> admission,
+    const SchedNodeConfig &tree)
+    : admission_(std::move(admission)), root_(tree)
+{
+    LIGHTLLM_ASSERT(admission_ != nullptr,
+                    "scheduling policy needs an admission policy");
+}
+
+void
+SchedulingPolicy::admit(const SchedulerContext &ctx,
+                        std::size_t index, SchedNode &leaf,
+                        SchedulingDecision &out)
+{
+    const WaitingView &candidate = ctx.waiting[index];
+    // The pop charge is the candidate's prefill footprint; decode
+    // output is post-paid through finish().
+    leaf.pop(candidate.promptLen + candidate.generatedLen);
+    if (!root_.isLeaf())
+        leafOf_[candidate.id] = &leaf;
+    out.admit.push_back(candidate.id);
 }
 
 void
@@ -25,24 +48,35 @@ SchedulingPolicy::decideInto(const SchedulerContext &ctx,
     if (ctx.waiting.empty())
         return;
 
-    queue_->order(ctx, orderScratch_);
-    LIGHTLLM_ASSERT(orderScratch_.size() == ctx.waiting.size(),
-                    "queue policy must permute the whole queue");
+    root_.beginRound(ctx);
+    if (root_.isLeaf()) {
+        for (std::size_t i = 0; i < ctx.waiting.size(); ++i)
+            root_.enqueue(i);
+    } else {
+        for (std::size_t i = 0; i < ctx.waiting.size(); ++i)
+            root_.route(ctx.waiting[i].cls.tenant).enqueue(i);
+    }
 
     admission_->beginAdmissionRound(ctx);
-    for (std::size_t index : orderScratch_) {
-        const WaitingView &candidate = ctx.waiting[index];
-        if (!admission_->tryAdmit(candidate))
+    std::size_t index = 0;
+    while (SchedNode *leaf = root_.peek(ctx.now, /*force=*/false,
+                                        index)) {
+        if (!admission_->tryAdmit(ctx.waiting[index]))
             break;
-        out.admit.push_back(candidate.id);
+        admit(ctx, index, *leaf, out);
     }
 
     if (out.admit.empty() && ctx.running.empty()) {
         // The system is idle yet the policy refuses the head-of-
         // order request (e.g. conservative with prompt +
         // max_new_tokens beyond capacity). Real frameworks always
-        // run at least one request; force progress.
-        out.admit.push_back(ctx.waiting[orderScratch_.front()].id);
+        // run at least one request; force progress through the tree
+        // (force ignores rate gates) so its accounting sees the
+        // admit.
+        SchedNode *leaf = root_.peek(ctx.now, /*force=*/true, index);
+        LIGHTLLM_ASSERT(leaf != nullptr,
+                        "tree lost the queue's requests");
+        admit(ctx, index, *leaf, out);
     }
 }
 
@@ -53,9 +87,33 @@ SchedulingPolicy::victimOrder(const SchedulerContext &ctx,
 {
     LIGHTLLM_ASSERT(!ctx.running.empty(),
                     "victim ranking over an empty batch");
-    queue_->victimOrder(ctx, tie_break, out);
-    LIGHTLLM_ASSERT(out.size() == ctx.running.size(),
-                    "victim ranking must cover the whole batch");
+    if (root_.isLeaf()) {
+        root_.queue().victimOrder(ctx, tie_break, out);
+        LIGHTLLM_ASSERT(out.size() == ctx.running.size(),
+                        "victim ranking must cover the whole batch");
+        return;
+    }
+
+    // Within a tenant, victims rank by admission order.
+    admissionOrderVictims(ctx, tie_break, out);
+
+    // Weight-normalised resident KV per tenant; the most
+    // over-share tenant loses requests first.
+    std::unordered_map<base::TenantId, double> normalized;
+    std::unordered_map<RequestId, base::TenantId> tenantOfId;
+    for (const RunningView &view : ctx.running) {
+        const auto resident = static_cast<double>(
+            view.promptLen + view.generatedLen);
+        normalized[view.cls.tenant] +=
+            resident / root_.route(view.cls.tenant).weight();
+        tenantOfId.emplace(view.id, view.cls.tenant);
+    }
+    std::stable_sort(
+        out.begin(), out.end(),
+        [&](RequestId a, RequestId b) {
+            return normalized[tenantOfId[a]] >
+                normalized[tenantOfId[b]];
+        });
 }
 
 void
@@ -63,7 +121,15 @@ SchedulingPolicy::onRequestFinished(RequestId id,
                                     TokenCount output_len)
 {
     admission_->onRequestFinished(id, output_len);
-    queue_->onRequestFinished(id, output_len);
+    if (root_.isLeaf()) {
+        root_.finish(id, output_len);
+        return;
+    }
+    auto it = leafOf_.find(id);
+    if (it == leafOf_.end())
+        return;
+    it->second->finish(id, output_len);
+    leafOf_.erase(it);
 }
 
 void
@@ -81,9 +147,12 @@ SchedulingPolicy::estimateLoad(const SchedulerContext &ctx)
 std::string
 SchedulingPolicy::name() const
 {
-    if (queue_->kind() == QueuePolicyKind::Fcfs)
+    if (!root_.isLeaf())
+        return admission_->name() + "+tenant-tree";
+    const QueuePolicy &queue = root_.queue();
+    if (queue.kind() == QueuePolicyKind::Fcfs)
         return admission_->name();
-    return admission_->name() + "+" + queue_->name();
+    return admission_->name() + "+" + queue.name();
 }
 
 } // namespace core

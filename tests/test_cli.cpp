@@ -874,5 +874,110 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.name);
     });
 
+/** One {scheduler x queue policy} cell, flat or under a 8,1,1
+ *  tenant tree, and the summary JSON it produced when pinned. */
+struct PolicyCell
+{
+    const char *scheduler;
+    const char *queue;
+    bool tree;
+    bool evicts;
+    std::uint64_t summaryHash;
+};
+
+class CliPolicyMatrix : public ::testing::TestWithParam<PolicyCell>
+{};
+
+// Every admission policy under every queue ordering, on a pool
+// small enough that past-future and aggressive evict (all but the
+// past-future EDF tree cell, which does not evict at this seed).
+// The flat cells pin the queue's ordering and victim ranking and
+// the SJF predictor's finish feed; the tree cells pin per-tenant
+// ordering, victims ranked by admission order within a tenant, and
+// the finish charge through the leaf that admitted each request.
+TEST_P(CliPolicyMatrix, SummaryBytesArePinned)
+{
+    const PolicyCell &cell = GetParam();
+    std::vector<const char *> args = {
+        "--scheduler", cell.scheduler, "--queue-policy", cell.queue,
+        "--workload", "sharegpt", "--requests", "96", "--clients",
+        "24", "--hardware", "rtx4090", "--priority-mix", "0.7,0.3",
+        "--seed", "5"};
+    if (cell.tree)
+        args.insert(args.end(), {"--tenant-tree", "--tenants", "3",
+                                 "--tenant-weights", "8,1,1"});
+
+    cli::CliOptions options;
+    ASSERT_EQ(parse(args, options), "");
+    const cli::Scenario scenario = cli::assembleScenario(options);
+    const metrics::RunReport report = cli::runScenario(scenario);
+    std::ostringstream json;
+    metrics::writeSummaryJson(json, report, scenario.sla);
+
+    EXPECT_EQ(report.numFinished, 96u);
+    if (cell.evicts) {
+        EXPECT_GT(report.evictionEvents, 0);
+    }
+    EXPECT_EQ(fnv1a(json.str()), cell.summaryHash)
+        << std::hex << "0x" << fnv1a(json.str()) << "\n"
+        << json.str();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchedulerByQueue, CliPolicyMatrix,
+    ::testing::Values(
+        PolicyCell{"past_future", "fcfs", false, true,
+                   0x2add2132c55ee58ull},
+        PolicyCell{"past_future", "sjf", false, true,
+                   0x4aba381da43ed91bull},
+        PolicyCell{"past_future", "edf", false, true,
+                   0x92dc7fae3abdadf0ull},
+        PolicyCell{"past_future", "priority", false, true,
+                   0xf2fe2980974d1b4dull},
+        PolicyCell{"aggressive", "fcfs", false, true,
+                   0xfaa0a77cf3c65274ull},
+        PolicyCell{"aggressive", "sjf", false, true,
+                   0xb758712170a9661cull},
+        PolicyCell{"aggressive", "edf", false, true,
+                   0xe5006dece8e5d88ull},
+        PolicyCell{"aggressive", "priority", false, true,
+                   0xdc4485639847bc41ull},
+        PolicyCell{"conservative", "fcfs", false, false,
+                   0x599c25a2a850c861ull},
+        PolicyCell{"conservative", "sjf", false, false,
+                   0xee9203ab238228f2ull},
+        PolicyCell{"conservative", "edf", false, false,
+                   0x2245862ea9af2343ull},
+        PolicyCell{"conservative", "priority", false, false,
+                   0x7fd94f6bf94aea62ull},
+        PolicyCell{"oracle", "fcfs", false, false,
+                   0xc627c3bd9cb403d5ull},
+        PolicyCell{"oracle", "sjf", false, false,
+                   0xd959928b7724c17full},
+        PolicyCell{"oracle", "edf", false, false,
+                   0x293df2ab75a899d6ull},
+        PolicyCell{"oracle", "priority", false, false,
+                   0xd129bb055f2c015full},
+        PolicyCell{"past_future", "fcfs", true, true,
+                   0xbaf61d8becd7ba42ull},
+        PolicyCell{"past_future", "sjf", true, true,
+                   0xb540213fd9a99aebull},
+        PolicyCell{"past_future", "edf", true, false,
+                   0xd6be2e840d4159d5ull},
+        PolicyCell{"past_future", "priority", true, true,
+                   0xaf2b9859d4f62c24ull},
+        PolicyCell{"aggressive", "fcfs", true, true,
+                   0x211f1263c5547f0dull},
+        PolicyCell{"aggressive", "sjf", true, true,
+                   0x6d9aecc42017f861ull},
+        PolicyCell{"aggressive", "edf", true, true,
+                   0x2c399442800bbbcull},
+        PolicyCell{"aggressive", "priority", true, true,
+                   0xf9bc3534c1a2ef0cull}),
+    [](const ::testing::TestParamInfo<PolicyCell> &info) {
+        return std::string(info.param.tree ? "tree_" : "flat_") +
+            info.param.scheduler + "_" + info.param.queue;
+    });
+
 } // namespace
 } // namespace lightllm

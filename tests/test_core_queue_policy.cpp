@@ -79,12 +79,16 @@ struct ContextBuilder
     }
 };
 
+/** Order the whole queue: the identity index list, sorted in
+ *  place. */
 std::vector<std::size_t>
 orderOf(QueuePolicy &policy, const SchedulerContext &ctx)
 {
-    std::vector<std::size_t> out;
-    policy.order(ctx, out);
-    return out;
+    std::vector<std::size_t> indices(ctx.waiting.size());
+    for (std::size_t i = 0; i < indices.size(); ++i)
+        indices[i] = i;
+    policy.order(ctx, indices);
+    return indices;
 }
 
 // --- LengthPredictor --------------------------------------------------
@@ -253,6 +257,52 @@ TEST(QueuePolicyTest, PriorityOrdersClassesFcfsWithin)
     builder.addWaiting(3, 100, 200, 3, 2);
     EXPECT_EQ(orderOf(*policy, builder.context()),
               (std::vector<std::size_t>{1, 3, 2, 0}));
+}
+
+TEST(QueuePolicyTest, SubsetOrderMatchesOrderingCopiedViews)
+{
+    // A tree leaf orders its own index list in place. For every
+    // kind that must equal copying the subset's views into their
+    // own queue, ordering that, and mapping the permutation back.
+    // The queue has ties on every key (prompt, arrival, priority),
+    // so stability is what is checked.
+    ContextBuilder builder;
+    builder.addWaiting(0, 300, 4096, 50, 0);
+    builder.addWaiting(1, 100, 4096, 20, 1);
+    builder.addWaiting(2, 100, 4096, 20, 1);
+    builder.addWaiting(3, 200, 64, 10, 0);
+    builder.addWaiting(4, 100, 4096, 20, 1);
+    builder.addWaiting(5, 50, 4096, 40, 2);
+    builder.addWaiting(6, 300, 4096, 50, 0);
+    builder.addWaiting(7, 100, 4096, 0, 1, 30);
+    const SchedulerContext ctx = builder.context();
+    const std::vector<std::size_t> subset = {7, 6, 4, 2, 1, 0};
+
+    for (QueuePolicyKind kind :
+         {QueuePolicyKind::Fcfs, QueuePolicyKind::PredictedSjf,
+          QueuePolicyKind::Edf, QueuePolicyKind::Priority}) {
+        QueuePolicyConfig config;
+        config.kind = kind;
+        config.ttftDeadline = 40;
+        config.predictorWindow = 100;
+        auto policy = makeQueuePolicy(config);
+        for (int i = 0; i < 20; ++i)
+            policy->onRequestFinished(1000 + i, 40 + i);
+
+        std::vector<std::size_t> in_place = subset;
+        policy->order(ctx, in_place);
+
+        ContextBuilder local = builder;
+        local.waiting.clear();
+        for (std::size_t index : subset)
+            local.waiting.push_back(builder.waiting[index]);
+        std::vector<std::size_t> mapped;
+        for (std::size_t local_index :
+             orderOf(*policy, local.context()))
+            mapped.push_back(subset[local_index]);
+
+        EXPECT_EQ(in_place, mapped) << queuePolicyKindName(kind);
+    }
 }
 
 TEST(QueuePolicyTest, FactoryNamesAndParsing)

@@ -2,8 +2,9 @@
  * @file
  * Tests for the settings-driven scheduler-node tree: leaf
  * ordering, fair-share convergence, token-rate gates (the
- * any-window property), the canonical tenant tree, the tree-backed
- * SchedulingPolicy, and the TenantMix workload knob.
+ * any-window property), the canonical tenant tree, the
+ * SchedulingPolicy pipeline over a tenant tree, and the TenantMix
+ * workload knob.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,7 @@
 #include "core/conservative_scheduler.hh"
 #include "core/sched_node.hh"
 #include "core/scheduler_factory.hh"
-#include "core/tenant_tree_policy.hh"
+#include "core/scheduling_policy.hh"
 #include "engine/serving_engine.hh"
 #include "metrics/report_io.hh"
 #include "model/perf_model.hh"
@@ -256,7 +257,7 @@ TEST(TenantFairTreeTest, SubTokenRateGetsAOneTokenBurst)
     EXPECT_EQ(decision.admit, (std::vector<RequestId>{4}));
 }
 
-TEST(TreeSchedulingPolicyTest, DecideInterleavesTenantsFairly)
+TEST(TreePipelineTest, DecideInterleavesTenantsFairly)
 {
     SchedulerConfig config;
     config.tenantTree = true;
@@ -281,7 +282,7 @@ TEST(TreeSchedulingPolicyTest, DecideInterleavesTenantsFairly)
     EXPECT_EQ(decision.admit[3], 5u);
 }
 
-TEST(TreeSchedulingPolicyTest, IdleForceAdmitBypassesGates)
+TEST(TreePipelineTest, IdleForceAdmitBypassesGates)
 {
     // One tenant, throttled to nothing: an idle system must still
     // make progress through the tree (not the engine's flat
@@ -300,7 +301,7 @@ TEST(TreeSchedulingPolicyTest, IdleForceAdmitBypassesGates)
     EXPECT_EQ(decision.admit.front(), 7u);
 }
 
-TEST(TreeSchedulingPolicyTest, VictimOrderShedsOverShareTenantFirst)
+TEST(TreePipelineTest, VictimOrderShedsOverShareTenantFirst)
 {
     SchedulerConfig config;
     config.tenantTree = true;
@@ -334,7 +335,7 @@ TEST(TreeSchedulingPolicyTest, VictimOrderShedsOverShareTenantFirst)
     EXPECT_EQ(victims, (std::vector<RequestId>{22, 20, 21}));
 }
 
-TEST(TreeSchedulingPolicyTest, FinishChargesTheLeafThatServedTheRequest)
+TEST(TreePipelineTest, FinishChargesTheLeafThatServedTheRequest)
 {
     // A catch-all leaf declared before tenant 1's own leaf: tenant
     // 1's finish charge must land on the leaf that admitted it,
@@ -343,7 +344,7 @@ TEST(TreeSchedulingPolicyTest, FinishChargesTheLeafThatServedTheRequest)
     catch_all.name = "catch-all";
     SchedNodeConfig tree;
     tree.children = {catch_all, leafConfig("one", 1)};
-    TreeSchedulingPolicy policy(
+    SchedulingPolicy policy(
         std::make_unique<ConservativeScheduler>(), tree);
 
     std::vector<WaitingView> first = {waitingOf(1, 10, 1)};
@@ -358,7 +359,7 @@ TEST(TreeSchedulingPolicyTest, FinishChargesTheLeafThatServedTheRequest)
               (std::vector<RequestId>{2, 3}));
 }
 
-TEST(TreeSchedulingPolicyTest, UnknownTenantFallsBackToSpill)
+TEST(TreePipelineTest, UnknownTenantFallsBackToSpill)
 {
     SchedulerConfig config;
     config.tenantTree = true;
@@ -385,7 +386,7 @@ fnv1a(const std::string &bytes)
     return hash;
 }
 
-TEST(TreeSchedulingPolicyTest, ThrottledTwoTenantRunIsPinned)
+TEST(TreePipelineTest, ThrottledTwoTenantRunIsPinned)
 {
     // The CLI never sets a token rate, so this is the one pinned
     // end-to-end run of a rate-gated tree: a steady tenant 0 and a
