@@ -1,7 +1,8 @@
 /**
  * @file
- * Event-core speed suite: how many events per wall-clock second the
- * simulation core sustains, from the bare queue up to a full fleet.
+ * Event-core speed suite: how much simulated work per wall-clock
+ * second the simulation core sustains, from the bare queue up to a
+ * full fleet.
  *
  * Not a paper figure: this is the repo's perf gate for the hot path
  * rebuilt in DESIGN.md §8 (slot-arena event records, flat handle
@@ -9,12 +10,18 @@
  *
  *   queue_churn    pure EventQueue schedule/fire/cancel/reschedule
  *                  churn over a self-perpetuating population — no
- *                  engine, no model, just the arena and the heap.
- *   single_engine  one ServingEngine under closed-loop load; events
- *                  = decode steps + prefill iterations + 2 per
- *                  finished request (arrival + completion delivery).
+ *                  engine, no model, just the arena and the heap;
+ *                  its events are fired queue events.
+ *   single_engine  one ServingEngine under closed-loop load.
  *   fleet_128      128 Past-Future instances behind the
  *                  future-memory router on one shared queue.
+ *
+ * The two serving cases count report iterations, not fired events:
+ * "events" = decode steps + prefill iterations + 2 per finished
+ * request (its arrival and its completion delivery). A decode run
+ * (DESIGN.md §8) settles many decode steps per fired Step event, so
+ * this is a measure of simulated work that stays comparable across
+ * engine versions, while the fired-event count is far lower.
  *
  * Results land in BENCH_core_speed.json. When the
  * PFS_BENCH_ENFORCE_FLOOR environment variable is set (CI does this
@@ -169,7 +176,9 @@ runQueueChurn()
 
 // --- Cases 2 and 3: engine and fleet ------------------------------------
 
-/** Fired-event count of a completed serving run (see fleet_scale). */
+/** Report iterations of a completed serving run (decode steps,
+ *  prefill iterations, and each request's arrival and completion;
+ *  see fleet_scale): simulated work, not fired events. */
 double
 servedEvents(const metrics::RunReport &report)
 {

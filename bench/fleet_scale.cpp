@@ -168,9 +168,11 @@ runFleet(std::size_t instances, std::uint32_t threads)
     const auto wall = std::chrono::duration<double, std::milli>(
         std::chrono::steady_clock::now() - start);
 
-    // Arrivals + steps + completions all pass through the event
-    // core; what remains pending after a run to completion is zero,
-    // so the fired-event count is a clean per-run cost unit.
+    // Report iterations (decode steps, prefill iterations, each
+    // request's arrival and completion): a clean per-run cost unit
+    // of simulated work. It is not the fired-event count, which is
+    // far lower since a decode run settles many steps per Step
+    // event (DESIGN.md §8).
     const double events =
         static_cast<double>(report.decodeSteps) +
         static_cast<double>(report.prefillIterations) +

@@ -34,6 +34,14 @@ AggressiveScheduler::tryAdmit(const WaitingView &candidate)
     return true;
 }
 
+PredictionPeek
+AggressiveScheduler::peekWithHorizon(RequestSlot, RequestId,
+                                     TokenCount generated_len,
+                                     TokenCount max_new_tokens)
+{
+    return capPeek(generated_len, max_new_tokens);
+}
+
 std::string
 AggressiveScheduler::name() const
 {

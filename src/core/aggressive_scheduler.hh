@@ -33,6 +33,11 @@ class AggressiveScheduler : public Scheduler
 
     bool tryAdmit(const WaitingView &candidate) override;
 
+    /** The cap holds until the request reaches it (capPeek). */
+    PredictionPeek peekWithHorizon(RequestSlot slot, RequestId id,
+                                   TokenCount generated_len,
+                                   TokenCount max_new_tokens) override;
+
     std::string name() const override;
 
     double watermark() const { return watermark_; }

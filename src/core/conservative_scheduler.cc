@@ -43,6 +43,14 @@ ConservativeScheduler::tryAdmit(const WaitingView &candidate)
     return true;
 }
 
+PredictionPeek
+ConservativeScheduler::peekWithHorizon(RequestSlot, RequestId,
+                                       TokenCount generated_len,
+                                       TokenCount max_new_tokens)
+{
+    return capPeek(generated_len, max_new_tokens);
+}
+
 std::string
 ConservativeScheduler::name() const
 {

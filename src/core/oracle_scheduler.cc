@@ -54,6 +54,14 @@ OracleScheduler::tryAdmit(const WaitingView &candidate)
     return true;
 }
 
+PredictionPeek
+OracleScheduler::peekWithHorizon(RequestSlot, RequestId,
+                                 TokenCount generated_len,
+                                 TokenCount max_new_tokens)
+{
+    return capPeek(generated_len, max_new_tokens);
+}
+
 std::string
 OracleScheduler::name() const
 {

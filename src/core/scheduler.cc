@@ -46,6 +46,13 @@ Scheduler::peekPrediction(RequestId, TokenCount generated_len,
 }
 
 PredictionPeek
+capPeek(TokenCount generated_len, TokenCount max_new_tokens)
+{
+    return PredictionPeek{std::max(generated_len, max_new_tokens),
+                          std::max(generated_len + 1, max_new_tokens)};
+}
+
+PredictionPeek
 Scheduler::peekWithHorizon(RequestSlot, RequestId id,
                            TokenCount generated_len,
                            TokenCount max_new_tokens)

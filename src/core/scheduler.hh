@@ -128,10 +128,20 @@ struct PredictionPeek
      * Horizon H (> the peeked generated length l_t): until the
      * scheduler next observes a finished request, a peek at any
      * length in (l_t, H) the request grows to returns `predicted`.
-     * A request that has not grown is peeked afresh.
+     * A request that has not grown is peeked afresh. `predicted`
+     * must be at least H - 1, so max(predicted, length) holds too
+     * (the engine's decode runs rely on it and assert it).
      */
     TokenCount horizon = 0;
 };
+
+/**
+ * The peek of a scheduler without a predictor: the default
+ * peekPrediction, max(l_t, cap), which holds until the request
+ * reaches its cap, so H = max(l_t + 1, cap).
+ */
+PredictionPeek capPeek(TokenCount generated_len,
+                       TokenCount max_new_tokens);
 
 /** Everything a scheduler may inspect when deciding admissions. */
 struct SchedulerContext

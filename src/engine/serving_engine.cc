@@ -108,6 +108,10 @@ ServingEngine::deliverArrival(std::uint64_t token, Tick when)
     const auto pending_it = pendingArrivals_.find(token);
     LIGHTLLM_ASSERT(pending_it != pendingArrivals_.end(),
                     "arrival event for unknown token ", token);
+    // The queue is no longer empty: the step after the ones that
+    // started before `when` is a full iteration.
+    settleTo(when);
+    endRun();
     const workload::RequestSpec spec = pending_it->second.spec;
     const Tick stamp = pending_it->second.stamp;
     pendingArrivals_.erase(pending_it);
@@ -245,6 +249,8 @@ ServingEngine::onStepEvent(Tick when)
 {
     stepScheduled_ = false;
     stepEvent_ = sim::kInvalidEventId;
+    settleTo(when);
+    endRun();
     LIGHTLLM_ASSERT(when >= now_, "step event at ", when,
                     " behind engine clock ", now_);
     now_ = when;
@@ -252,7 +258,227 @@ ServingEngine::onStepEvent(Tick when)
         return;  // drained or spuriously woken; nothing to do
     iterateOnce();
     if (hasWork())
-        wakeActor(now_);
+        wakeActor(planRun());
+}
+
+Tick
+ServingEngine::planRun()
+{
+    if (!waiting_.empty() || !prefillPending_.empty() ||
+        running_.empty()) {
+        return now_;
+    }
+    DecodeRun &run = decodeRun_;
+    const auto batch = static_cast<TokenCount>(running_.size());
+    const TokenCount block = kv_.blockSize();
+    // One walk: the first finishing step (true lengths are known),
+    // the batch's KV tokens and its members' block phases.
+    TokenCount finish = std::numeric_limits<TokenCount>::max();
+    TokenCount batch_kv = 0;
+    run.phase.resize(running_.size());
+    run.phaseCount.assign(static_cast<std::size_t>(block), 0);
+    for (std::size_t i = 0; i < running_.size(); ++i) {
+        const EngineRequest *request = running_[i];
+        finish = std::min(finish,
+                          request->targetOutput() - request->generated);
+        batch_kv += request->spec.inputLen + request->generated;
+        run.phase[i] = static_cast<std::uint32_t>(
+            kv_.requestTokens(request->slot) % block);
+        ++run.phaseCount[run.phase[i]];
+    }
+    // Each crossing (see crossingPhase) takes a block off the free
+    // list or out of the reclaimable cache, so batchCanGrow() holds
+    // while the steps' crossings fit in what was available at the
+    // start.
+    const std::int64_t available =
+        kv_.freeBlocks() + kv_.reclaimableBlocks();
+    std::int64_t crossings = 0;
+    Tick tick = now_;
+    run.ends.clear();
+    for (TokenCount step = 1; step < finish; ++step) {
+        if (limits_.maxTicks > 0 && tick >= limits_.maxTicks)
+            break;
+        crossings += run.phaseCount[crossingPhase(step)];
+        if (crossings > available)
+            break;
+        tick += scaled(perf_.fusedStepLatency(batch,
+                                              batch_kv + batch * step,
+                                              0));
+        run.ends.push_back(tick);
+    }
+    LIGHTLLM_ASSERT((run.phaseCount[0] <= available) ==
+                        kv_.batchCanGrow(),
+                    "decode-run plan disagrees with batchCanGrow");
+    if (run.ends.empty())
+        return now_;
+
+    // A member re-peeks at the first step its length reaches the
+    // horizon, or at once when a finish moved the epoch.
+    run.lapseAt.resize(running_.size());
+    run.predicted.resize(running_.size());
+    run.nextLapse = std::numeric_limits<TokenCount>::max();
+    for (std::size_t i = 0; i < running_.size(); ++i) {
+        const EngineRequest *request = running_[i];
+        run.lapseAt[i] = request->predictedEpoch != predictionEpoch_
+            ? 1
+            : std::max<TokenCount>(
+                  1, request->predictedUntil - request->generated);
+        run.nextLapse = std::min(run.nextLapse, run.lapseAt[i]);
+        run.predicted[i] = request->predicted;
+        const std::size_t slab = slotIndex(request->slot);
+        if (slab >= run.memberOfSlab.size())
+            run.memberOfSlab.resize(slab + 1);
+        run.memberOfSlab[slab] = static_cast<std::uint32_t>(i);
+    }
+    run.start = now_;
+    run.settled = 0;
+    run.synced = 0;
+    run.kvLag = 0;
+    run.kvSynced.assign(running_.size(), 0);
+    return tick;
+}
+
+std::uint32_t
+ServingEngine::crossingPhase(TokenCount step) const
+{
+    // A member whose allocation held f tokens at the run's start is
+    // full before step s when (f + s - 1) % block == 0, and then
+    // takes a fresh block.
+    const TokenCount block = kv_.blockSize();
+    return static_cast<std::uint32_t>((block - (step - 1) % block) %
+                                      block);
+}
+
+void
+ServingEngine::settleStep()
+{
+    DecodeRun &run = decodeRun_;
+    const std::size_t step = ++run.settled;
+    const auto ahead = static_cast<TokenCount>(step - run.synced);
+    const auto batch = static_cast<std::int64_t>(running_.size());
+
+    // KV: the members whose allocation is full take a fresh block,
+    // in member order, catching up their deferred slack fills first
+    // — block ids and prefix-cache reclaims follow the stepwise
+    // order. The rest of the step's growth stays deferred.
+    const std::uint32_t phase =
+        crossingPhase(static_cast<TokenCount>(step));
+    for (std::size_t i = 0; i < running_.size(); ++i) {
+        if (run.phase[i] != phase)
+            continue;
+        const RequestSlot slot = running_[i]->slot;
+        const auto lag = static_cast<TokenCount>(step - run.kvSynced[i]);
+        kv_.growInSlack(slot, lag - 1);
+        kv_.growByOne(slot);
+        run.kvSynced[i] = step;
+        run.kvLag -= lag;
+    }
+    run.kvLag += batch;
+
+    // Lapsed predictions re-peek at this step's length. With the
+    // audit carried from an earlier step, the moved ones are written
+    // into its entries in place (see moveLapsedEntries).
+    const bool rescan = auditMembersChanged_ || auditPredictionChanged_;
+    bool moved = false;
+    if (run.nextLapse == static_cast<TokenCount>(step)) {
+        run.nextLapse = std::numeric_limits<TokenCount>::max();
+        for (std::size_t i = 0; i < running_.size(); ++i) {
+            if (run.lapseAt[i] == static_cast<TokenCount>(step)) {
+                EngineRequest &request = *running_[i];
+                const TokenCount generated = request.generated + ahead;
+                peekAt(request, generated);
+                // Between lapses the entry's l_hat, max(predicted,
+                // generated), must stay put: a peek holds at least to
+                // one token short of its horizon.
+                LIGHTLLM_ASSERT(
+                    request.predicted + 1 >= request.predictedUntil,
+                    "prediction ", request.predicted,
+                    " ends before its horizon ", request.predictedUntil);
+                moved = moved || request.predicted != run.predicted[i];
+                run.predicted[i] = request.predicted;
+                run.lapseAt[i] += request.predictedUntil - generated;
+            }
+            run.nextLapse = std::min(run.nextLapse, run.lapseAt[i]);
+        }
+    }
+
+    const Tick duration =
+        run.ends[step - 1] - (step == 1 ? run.start : run.ends[step - 2]);
+    now_ = run.ends[step - 1];
+    if (moved && !rescan)
+        moveLapsedEntries();
+    const auto [true_future, predicted_future] = auditStep(ahead);
+    const TokenCount used = kv_.usedTokens() + run.kvLag;
+    collector_.onDecodeStep(batch, used, true_future, predicted_future,
+                            now_, duration);
+    if (trace_ != nullptr && trace_->stepsEnabled()) {
+        traceStepCounters(batch, used, true_future, predicted_future);
+    }
+}
+
+void
+ServingEngine::moveLapsedEntries()
+{
+    // The carried entries lag their requests' lengths by one shared
+    // amount, which leaves every M_i unchanged, while each l_hat is
+    // the absolute max(predicted, generated): the run's predictions
+    // overwrite the entries' l_hat in place (one pass over the
+    // carried tags, no request reads), and one insertion-sort pass
+    // plus one scan rescore the batch.
+    const DecodeRun &run = decodeRun_;
+    for (std::size_t i = 0; i < auditPredicted_.members.size(); ++i) {
+        const std::uint32_t member = run.memberOfSlab[slotIndex(
+            auditPredicted_.members[i].slot)];
+        auditPredicted_.entries[i].predictedOutputLen =
+            run.predicted[member];
+    }
+    auditPredicted_.peak = carriedPeak(auditPredicted_);
+    auditPredictionChanged_ = false;
+}
+
+void
+ServingEngine::settleTo(Tick when)
+{
+    // now_ is the next planned step's start.
+    while (runPending() && now_ < when)
+        settleStep();
+}
+
+void
+ServingEngine::syncRun()
+{
+    DecodeRun &run = decodeRun_;
+    if (run.settled == run.synced)
+        return;
+    const std::size_t from = run.synced;
+    const std::size_t to = run.settled;
+    // Every member emitted at each settled step's end: the first
+    // gap is per member, the later ones are the step durations.
+    Tick widest = 0;
+    for (std::size_t i = from + 1; i < to; ++i)
+        widest = std::max(widest, run.ends[i] - run.ends[i - 1]);
+    for (std::size_t i = 0; i < running_.size(); ++i) {
+        EngineRequest &request = *running_[i];
+        // Slack fills only: a crossing would have placed the rest.
+        kv_.growInSlack(request.slot,
+                        static_cast<TokenCount>(to - run.kvSynced[i]));
+        run.kvSynced[i] = to;
+        request.generated += static_cast<TokenCount>(to - from);
+        recordEmission(request, run.ends[from]);
+        request.maxGap = std::max(request.maxGap, widest);
+        request.lastEmit = run.ends[to - 1];
+    }
+    run.kvLag = 0;
+    run.synced = to;
+}
+
+void
+ServingEngine::endRun()
+{
+    syncRun();
+    decodeRun_.ends.clear();
+    decodeRun_.settled = 0;
+    decodeRun_.synced = 0;
 }
 
 core::RunningView
@@ -816,12 +1042,17 @@ ServingEngine::refreshPrediction(EngineRequest &request, bool force)
         request.predictedEpoch == predictionEpoch_) {
         return;
     }
+    peekAt(request, request.generated);
+}
+
+void
+ServingEngine::peekAt(EngineRequest &request, TokenCount generated)
+{
     // Read-only peek: consumes no RNG and creates no sticky state.
     const core::PredictionPeek peek = policy_->peekWithHorizon(
-        request.slot, request.spec.id, request.generated,
+        request.slot, request.spec.id, generated,
         request.spec.maxNewTokens);
-    const TokenCount predicted =
-        std::max(peek.predicted, request.generated);
+    const TokenCount predicted = std::max(peek.predicted, generated);
     if (predicted != request.predicted)
         auditPredictionChanged_ = true;
     request.predicted = predicted;
@@ -830,7 +1061,7 @@ ServingEngine::refreshPrediction(EngineRequest &request, bool force)
 }
 
 void
-ServingEngine::rescanTrue()
+ServingEngine::rescanTrue(TokenCount ahead)
 {
     auditTrue_.entries.clear();
     for (const AuditMember &member : auditTrue_.members) {
@@ -838,13 +1069,14 @@ ServingEngine::rescanTrue()
         auditTrue_.entries.push_back(core::BatchEntry{
             request->spec.inputLen - request->cachedPrefix,
             request->generated,
-            std::max(request->targetOutput(), request->generated)});
+            std::max(request->targetOutput(),
+                     request->generated + ahead)});
     }
     auditTrue_.peak = carriedPeak(auditTrue_);
 }
 
 void
-ServingEngine::rescanPredicted()
+ServingEngine::rescanPredicted(TokenCount ahead)
 {
     // Same batch as the true audit, but with the target lengths the
     // scheduler believes in. Decoding members were re-peeked as
@@ -858,14 +1090,14 @@ ServingEngine::rescanPredicted()
         auditPredicted_.entries.push_back(core::BatchEntry{
             request->spec.inputLen - request->cachedPrefix,
             request->generated,
-            std::max(request->predicted, request->generated)});
+            std::max(request->predicted, request->generated + ahead)});
     }
     auditPredicted_.peak = carriedPeak(auditPredicted_);
     auditPredictionChanged_ = false;
 }
 
 std::pair<TokenCount, TokenCount>
-ServingEngine::auditStep()
+ServingEngine::auditStep(TokenCount ahead)
 {
     // While the membership holds and every member decodes, the step
     // just taken added one token to every member: P_i + i * r_i is
@@ -873,11 +1105,11 @@ ServingEngine::auditStep()
     // still hold unless a prediction moved.
     if (auditMembersChanged_ || !prefillPending_.empty()) {
         carryAuditMembers();
-        rescanTrue();
-        rescanPredicted();
+        rescanTrue(ahead);
+        rescanPredicted(ahead);
         auditMembersChanged_ = false;
     } else if (auditPredictionChanged_) {
-        rescanPredicted();
+        rescanPredicted(ahead);
     }
     return {auditTrue_.peak, auditPredicted_.peak};
 }
@@ -965,12 +1197,12 @@ ServingEngine::runPrefillPhase()
 
 void
 ServingEngine::traceStepCounters(std::int64_t batch_size,
+                                 TokenCount used_tokens,
                                  TokenCount true_future,
                                  TokenCount predicted_future)
 {
     trace_->counter(trace::TraceName::BatchSize, now_, batch_size);
-    trace_->counter(trace::TraceName::KvUsed, now_,
-                    kv_.usedTokens());
+    trace_->counter(trace::TraceName::KvUsed, now_, used_tokens);
     trace_->counter(trace::TraceName::KvFutureTrue, now_,
                     true_future);
     trace_->counter(trace::TraceName::KvFuturePred, now_,
@@ -1078,8 +1310,8 @@ ServingEngine::runStep()
                                 true_future, predicted_future,
                                 now_, duration);
         if (trace_ != nullptr && trace_->stepsEnabled()) {
-            traceStepCounters(batch_size, true_future,
-                              predicted_future);
+            traceStepCounters(batch_size, kv_.usedTokens(),
+                              true_future, predicted_future);
         }
     }
     if (chunk_used > 0)
@@ -1142,19 +1374,26 @@ ServingEngine::stepOnce(const RunLimits &limits)
 {
     LIGHTLLM_ASSERT(ownedContext_ != nullptr,
                     "a shared SimContext drives attached engines");
+    limits_ = limits;
     // Checked before any delivery: a run its last iteration stopped
     // delivers nothing more (no arrival joins the queue, or the
     // trace, after the limit).
     if (limitsReached(limits))
         return false;
     // The owned context holds only this engine's events, so the
-    // one Step-class event is its next iteration: every delivery
-    // due before it fires first (an arrival on an idle engine
-    // schedules it).
+    // one Step-class event is its next Step: every delivery due
+    // before the next iteration fires first (an arrival on an idle
+    // engine schedules the Step; one landing in a decode run ends
+    // the run and moves the Step to the next step's start, now_).
     sim::EventQueue &queue = context_->queue();
     while (!queue.empty() &&
-           queue.peekHead().cls == sim::EventClass::Delivery) {
+           queue.peekHead().cls == sim::EventClass::Delivery &&
+           (!runPending() || queue.peekHead().when <= now_)) {
         context_->runNext();
+    }
+    if (runPending()) {
+        settleStep();
+        return true;
     }
     if (queue.empty())
         return false;  // drained
@@ -1183,6 +1422,7 @@ std::vector<ServingEngine::DrainedRequest>
 ServingEngine::drainQueued()
 {
     LIGHTLLM_ASSERT(!draining_, "engine drained twice");
+    settleNow();
     draining_ = true;
 
     std::vector<DrainedRequest> redispatch;
@@ -1239,6 +1479,7 @@ ServingEngine::stealQueued(std::size_t max_requests)
 {
     LIGHTLLM_ASSERT(!draining_,
                     "cannot steal from a draining engine");
+    settleNow();
 
     std::vector<DrainedRequest> stolen;
     if (max_requests == 0 || waiting_.empty())
@@ -1289,9 +1530,33 @@ ServingEngine::stealQueued(std::size_t max_requests)
 }
 
 metrics::RunReport
-ServingEngine::report() const
+ServingEngine::report()
 {
+    settleNow();
     return collector_.finish(policy_->name(), now_);
+}
+
+Tick
+ServingEngine::now()
+{
+    settleNow();
+    return now_;
+}
+
+const memory::KvBlockManager &
+ServingEngine::kvManager()
+{
+    settleNow();
+    syncRun();
+    return kv_;
+}
+
+const memory::PrefixCache *
+ServingEngine::prefixCache()
+{
+    settleNow();
+    syncRun();
+    return prefixCache_.get();
 }
 
 bool
@@ -1302,9 +1567,11 @@ ServingEngine::hasWork() const
 }
 
 TokenCount
-ServingEngine::outstandingTokens() const
+ServingEngine::outstandingTokens()
 {
-    TokenCount total = kv_.usedTokens() + undeliveredTokens_;
+    settleNow();
+    TokenCount total =
+        kv_.usedTokens() + decodeRun_.kvLag + undeliveredTokens_;
     for (const EngineRequest *request : waiting_)
         total += request->spec.inputLen + request->generated;
     return total;
@@ -1313,6 +1580,8 @@ ServingEngine::outstandingTokens() const
 TokenCount
 ServingEngine::predictedLoadTokens()
 {
+    settleNow();
+    syncRun();
     const core::SchedulerContext ctx = buildContext();
     return policy_->estimateLoad(ctx) + undeliveredTokens_;
 }

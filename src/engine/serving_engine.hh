@@ -24,6 +24,18 @@
  * engine sits on a SimContext it owns, which run() and stepOnce()
  * drive; attachContext() moves it onto a cluster's shared context,
  * where every instance co-simulates exactly (see DESIGN.md §3).
+ *
+ * Steps pay per batch change, not per token (DESIGN.md §8,
+ * "Multi-step decode runs"): after an iteration that leaves the
+ * queue and the prefill list empty, the engine plans the quiet
+ * decode steps up to the next one that can change its batch and
+ * schedules one Step event there. Those steps are applied lazily —
+ * each one's tick, KV growth, prediction re-peeks and records are
+ * exact, but members' progress is written back only when something
+ * observes or changes the engine. Every public entry that reads
+ * state a run advances (clock, KV, member progress, metrics)
+ * settles the steps that started before the context's current
+ * tick first; an arrival also ends the run.
  */
 
 #ifndef LIGHTLLM_ENGINE_SERVING_ENGINE_HH
@@ -147,10 +159,11 @@ class ServingEngine : public workload::RequestSink
     metrics::RunReport run(const RunLimits &limits = {});
 
     /**
-     * Fire the owned context's events up to and including the
-     * engine's next Step event: the deliveries due by then
-     * (arrivals, finish notifications), then at most one iteration
-     * (admissions + prefill/decode). Owned context only.
+     * Advance the owned context by exactly one iteration: fire the
+     * deliveries due before it (arrivals, finish notifications),
+     * then settle the next planned step of a decode run, or fire
+     * the engine's next Step event (admissions + prefill/decode).
+     * Owned context only.
      *
      * @return false when nothing could be done (no work, no pending
      *         events, or the limits are reached).
@@ -194,9 +207,13 @@ class ServingEngine : public workload::RequestSink
     bool draining() const { return draining_; }
 
     /** Snapshot the metrics collected so far (cluster use). */
-    metrics::RunReport report() const;
+    metrics::RunReport report();
 
     // --- Introspection (tests, benches) ------------------------------
+    //
+    // A decode run holds the queues, the batch membership and the
+    // finished count fixed (anything that changes them ends it), so
+    // the accessors reading only those need not settle.
 
     /** True when any request is running, prefilling, or queued. */
     bool hasWork() const;
@@ -212,7 +229,7 @@ class ServingEngine : public workload::RequestSink
      * the prompts waiting to be admitted) — the "outstanding work"
      * signal for least-loaded routing.
      */
-    TokenCount outstandingTokens() const;
+    TokenCount outstandingTokens();
 
     /**
      * Scheduler-estimated future load in tokens: for the
@@ -232,18 +249,19 @@ class ServingEngine : public workload::RequestSink
      */
     TokenCount pendingPrefillTokens() const;
 
-    Tick now() const { return now_; }
+    Tick now();
     std::size_t runningSize() const { return running_.size(); }
     std::size_t waitingSize() const { return waiting_.size(); }
     std::size_t numFinished() const { return finished_; }
-    const memory::KvBlockManager &kvManager() const { return kv_; }
+    const memory::KvBlockManager &kvManager();
 
     /** The engine's prefix cache; null when disabled. */
-    const memory::PrefixCache *prefixCache() const
-    {
-        return prefixCache_.get();
-    }
+    const memory::PrefixCache *prefixCache();
     const model::PerfModel &perfModel() const { return perf_; }
+
+    /** The context carrying this engine's events: its own, or the
+     *  shared one attached (tests schedule probe events on it). */
+    sim::SimContext &context() { return *context_; }
     core::SchedulingPolicy &policy() { return *policy_; }
     core::Scheduler &scheduler() { return policy_->admission(); }
     TokenCount capacityTokens() const { return kv_.capacityTokens(); }
@@ -288,6 +306,9 @@ class ServingEngine : public workload::RequestSink
          *  the KV allocation and the policy's per-request state. */
         RequestSlot slot = kInvalidSlot;
 
+        /** Tokens generated; during a decode run this and the
+         *  emission ticks lag by the run's unsynced steps (see
+         *  syncRun). */
         TokenCount generated = 0;
 
         /** The audit's cached peek, max(peek, generated): it holds
@@ -355,8 +376,52 @@ class ServingEngine : public workload::RequestSink
      *  max(now_, when). */
     void wakeActor(Tick when);
 
-    /** Step handler: run one iteration at `when`. */
+    /** Step handler: finish the decode run ending at `when`, if
+     *  any, then run one iteration there and plan what follows. */
     void onStepEvent(Tick when);
+
+    /**
+     * Plan the quiet decode steps that follow the iteration just
+     * run: with an empty queue and prefill list, every step up to
+     * (not including) the first that finishes a member, fails
+     * batchCanGrow() or starts at or after the limits' maxTicks.
+     *
+     * @return The tick the next Step event belongs at: the run's
+     *         end, or now_ when nothing was planned.
+     */
+    Tick planRun();
+
+    /** True while planned steps remain unsettled. */
+    bool runPending() const
+    {
+        return decodeRun_.settled < decodeRun_.ends.size();
+    }
+
+    /** The phase whose members take a fresh block at `step`. */
+    std::uint32_t crossingPhase(TokenCount step) const;
+
+    /** Apply the next planned step: its KV block crossings,
+     *  prediction lapses, audit and step records. */
+    void settleStep();
+
+    /** Apply every planned step that started before `when`: what
+     *  an event at `when` sees (deliveries fire before steps at
+     *  equal ticks). */
+    void settleTo(Tick when);
+
+    /** settleTo the context's current tick. */
+    void settleNow() { settleTo(context_->now()); }
+
+    /** Write the settled steps into the members: generated count,
+     *  emission ticks and the deferred KV slack fills. */
+    void syncRun();
+
+    /** syncRun, then drop the plan's unsettled steps. */
+    void endRun();
+
+    /** Rescore the carried predicted audit after a decode-run step
+     *  moved some of the run's predictions. */
+    void moveLapsedEntries();
 
     /** Ask the policy for a decision and execute it. */
     void admitRequests();
@@ -480,9 +545,12 @@ class ServingEngine : public workload::RequestSink
      * decode step leaves every Eq. 3 term invariant, so the true M*
      * is rescanned only after the membership changed or while a
      * member is prefill-pending, and the predicted one also after a
-     * member's prediction changed.
+     * member's prediction changed. `ahead` is how many steps every
+     * decoding member's `generated` lags (a decode run's unsynced
+     * steps): rescans score the batch in that lagging frame, which
+     * shifts every Eq. 3 term's two parts by opposite amounts.
      */
-    std::pair<TokenCount, TokenCount> auditStep();
+    std::pair<TokenCount, TokenCount> auditStep(TokenCount ahead = 0);
 
     /**
      * Bring both audit batches up to the current batch (running
@@ -495,12 +563,17 @@ class ServingEngine : public workload::RequestSink
     void carryAuditMembers();
 
     /** Re-peek `request`'s prediction when its cached one lapsed
-     *  (or unconditionally with `force`); flags a changed value. */
+     *  (or unconditionally with `force`). */
     void refreshPrediction(EngineRequest &request, bool force);
 
-    /** Rescan the true / predicted batch from its requests. */
-    void rescanTrue();
-    void rescanPredicted();
+    /** Peek `request`'s prediction at `generated` tokens; flags a
+     *  changed value. */
+    void peekAt(EngineRequest &request, TokenCount generated);
+
+    /** Rescan the true / predicted batch from its requests, whose
+     *  `generated` lags by `ahead` steps. */
+    void rescanTrue(TokenCount ahead);
+    void rescanPredicted(TokenCount ahead);
 
     /** M* of a refreshed audit batch: restore its Eq. 2 order by
      *  insertion sort, then one scan (DESIGN.md §8). */
@@ -511,6 +584,7 @@ class ServingEngine : public workload::RequestSink
 
     /** Emit the per-iteration engine counters (detail >= steps). */
     void traceStepCounters(std::int64_t batch_size,
+                           TokenCount used_tokens,
                            TokenCount true_future,
                            TokenCount predicted_future);
 
@@ -555,6 +629,52 @@ class ServingEngine : public workload::RequestSink
     sim::SimContext *context_ = nullptr;
 
     bool draining_ = false;
+
+    /** The limits of the driving stepOnce() call (none on a shared
+     *  context); planRun stops at their maxTicks. */
+    RunLimits limits_;
+
+    /**
+     * A planned decode run (DESIGN.md §8): quiet steps over the
+     * running batch, whose membership holds for the whole run, so
+     * member i is running_[i]. Steps are numbered from 1; ends[s-1]
+     * is step s's end tick, the next step's start.
+     */
+    struct DecodeRun
+    {
+        std::vector<Tick> ends;
+        Tick start = 0;
+
+        /** Steps applied (now_ is the next one's start). */
+        std::size_t settled = 0;
+
+        /** Steps written into the members (syncRun). */
+        std::size_t synced = 0;
+
+        /** Settled growth tokens not yet placed in the KV manager:
+         *  kv_.usedTokens() + kvLag is the stepwise count. */
+        TokenCount kvLag = 0;
+
+        /** Per member: its allocation's fill at the run's start
+         *  modulo the block size; and the members per phase. */
+        std::vector<std::uint32_t> phase;
+        std::vector<std::int64_t> phaseCount;
+
+        /** Per member: the step its KV allocation is placed to. */
+        std::vector<std::size_t> kvSynced;
+
+        /** Per member: the step at which its cached prediction
+         *  lapses, and that prediction (max(peek, generated)). */
+        std::vector<TokenCount> lapseAt;
+        std::vector<TokenCount> predicted;
+
+        /** The earliest lapseAt. */
+        TokenCount nextLapse = 0;
+
+        /** Member index by request slab index (valid for members). */
+        std::vector<std::uint32_t> memberOfSlab;
+    };
+    DecodeRun decodeRun_;
 
     /** The pending Step event, if any. */
     sim::EventId stepEvent_ = sim::kInvalidEventId;

@@ -173,6 +173,13 @@ class KvBlockManager
     void growByOne(RequestSlot slot);
 
     /**
+     * Grow a joined allocation by `tokens` slots that fit in its
+     * last block: what `tokens` growByOne calls taking no block do,
+     * at once (a decode run's deferred growth, DESIGN.md §8).
+     */
+    void growInSlack(RequestSlot slot, TokenCount tokens);
+
+    /**
      * Token slots currently pinned by requests. Physically shared
      * blocks count once no matter how many requests reference them;
      * blocks held only by the prefix cache are reclaimable and do
@@ -381,6 +388,28 @@ KvBlockManager::growByOne(RequestSlot slot)
     ++usedTokens_;
     if (++alloc->numTokens == held)
         ++batchNeed_;  // full again: the next step takes a block
+}
+
+inline void
+KvBlockManager::growInSlack(RequestSlot slot, TokenCount tokens)
+{
+    Allocation *alloc = find(slot);
+    LIGHTLLM_ASSERT(alloc != nullptr && alloc->growing,
+                    "slot ", slot, " is not in the decode batch");
+    const TokenCount held =
+        static_cast<TokenCount>(alloc->blocks.size()) * blockSize_;
+    LIGHTLLM_ASSERT(tokens >= 0 && alloc->numTokens + tokens <= held,
+                    "growth of ", tokens, " overflows the last block");
+    if (tokens == 0)
+        return;
+    BlockState &last = states_[static_cast<std::size_t>(alloc->last)];
+    LIGHTLLM_ASSERT(last.requestRefs == 1,
+                    "slack fill into a shared block");
+    last.heldTokens += static_cast<std::int32_t>(tokens);
+    usedTokens_ += tokens;
+    alloc->numTokens += tokens;
+    if (alloc->numTokens == held)
+        ++batchNeed_;  // full: the next step takes a block
 }
 
 } // namespace memory

@@ -11,11 +11,14 @@
 
 #include "cli_scenario.hh"
 #include "metrics/report_io.hh"
+#include "test_fixtures.hh"
 #include "workload/datasets.hh"
 #include "workload/trace_io.hh"
 
 namespace lightllm {
 namespace {
+
+using testfx::fnv1a;
 
 std::string
 parse(std::vector<const char *> args, cli::CliOptions &options)
@@ -621,18 +624,6 @@ TEST(CliReport, TenantP99MatchesReportPercentile)
     EXPECT_EQ(tableValue(text, "p99_ttft_s"), "0.990");
     EXPECT_EQ(tableValue(text, "tenant0_p99_ttft_s"),
               tableValue(text, "p99_ttft_s"));
-}
-
-/** FNV-1a over the bytes of a rendered report. */
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
 }
 
 /** One {target x load generator} cell of runScenario and the summary

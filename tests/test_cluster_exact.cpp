@@ -18,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cli_scenario.hh"
@@ -35,6 +37,7 @@ namespace lightllm {
 namespace {
 
 using core::SchedulerConfig;
+using testfx::fnv1a;
 using testfx::tinyPerf;
 using workload::RequestSpec;
 
@@ -229,6 +232,38 @@ TEST(ClusterDeterminism, RepeatedFleetRunsAreByteIdentical)
     const std::string second = run_once();
     EXPECT_EQ(first, second);
     EXPECT_NE(first.find("Cluster(future-memory x4)"),
+              std::string::npos);
+}
+
+TEST(ClusterDeterminism, LeastOutstandingFleetMatchesStepwiseBytes)
+{
+    // Least-outstanding routing reads every instance's resident KV
+    // on every route, so each arrival settles every engine's decode
+    // run to its tick. The bytes must be the ones an engine firing
+    // one Step event per decode step wrote (pinned), on one thread
+    // and sharded over four.
+    auto run_once = [](std::size_t threads) {
+        cli::CliOptions options;
+        options.workload = "sharegpt";
+        options.requests = 480;
+        options.clients = 128;
+        options.seed = 19;
+        options.instances = 8;
+        options.routing = "least-outstanding";
+        options.simThreads = threads;
+        const cli::Scenario scenario =
+            cli::assembleScenario(options);
+        const metrics::RunReport report =
+            cli::runScenario(scenario);
+        std::ostringstream oss;
+        metrics::writeSummaryJson(oss, report, scenario.sla);
+        metrics::writeRequestsCsv(oss, report, scenario.sla);
+        return oss.str();
+    };
+    const std::string serial = run_once(1);
+    EXPECT_EQ(run_once(4), serial);
+    EXPECT_EQ(fnv1a(serial), 6683762347502836864ull);
+    EXPECT_NE(serial.find("Cluster(least-outstanding x8)"),
               std::string::npos);
 }
 

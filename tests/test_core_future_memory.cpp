@@ -9,14 +9,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "base/rng.hh"
+#include "core/aggressive_scheduler.hh"
+#include "core/conservative_scheduler.hh"
 #include "core/future_memory.hh"
 #include "core/length_distribution.hh"
 #include "core/length_predictor.hh"
+#include "core/oracle_scheduler.hh"
 #include "core/past_future_scheduler.hh"
 
 namespace lightllm {
@@ -768,6 +772,47 @@ TEST(PastFutureSlotTest, StaleSlotNamesNoSample)
               new_sticky);
     scheduler.onRequestFinished(2, 50);  // by id: the slotted sample
     EXPECT_EQ(scheduler.stickySampleCount(), 0u);
+}
+
+/**
+ * The predictor-free schedulers peek the cap, max(l_t, cap), which
+ * no finish or admission moves: the horizon reaches the cap, so a
+ * decoding request re-peeks at most once, and every length the
+ * request grows to before it returns the peeked value.
+ */
+TEST(CapPeekTest, HorizonHoldsToTheCap)
+{
+    constexpr TokenCount kCap = 300;
+    AggressiveScheduler aggressive;
+    ConservativeScheduler conservative;
+    OracleScheduler oracle;
+    for (Scheduler *scheduler : std::initializer_list<Scheduler *>{
+             &aggressive, &conservative, &oracle}) {
+        SCOPED_TRACE(scheduler->name());
+        for (const TokenCount g :
+             std::initializer_list<TokenCount>{0, 1, 17, 150, kCap - 1}) {
+            const PredictionPeek peek = scheduler->peekWithHorizon(
+                makeSlot(3, 1), 7, g, kCap);
+            EXPECT_EQ(peek.predicted, kCap);
+            EXPECT_EQ(peek.horizon, kCap);
+            for (TokenCount later = g; later < peek.horizon; ++later) {
+                ASSERT_EQ(scheduler->peekPrediction(7, later, kCap),
+                          peek.predicted)
+                    << "g " << g << " later " << later;
+            }
+            scheduler->onRequestFinished(8, 40);
+            EXPECT_EQ(scheduler->peekWithHorizon(makeSlot(3, 1), 7, g,
+                                                 kCap)
+                          .predicted,
+                      peek.predicted);
+        }
+        // Past the cap (a request can not get there, but the peek
+        // stays total): the length itself, holding for one token.
+        const PredictionPeek past =
+            scheduler->peekWithHorizon(kInvalidSlot, 7, kCap + 5, kCap);
+        EXPECT_EQ(past.predicted, kCap + 5);
+        EXPECT_EQ(past.horizon, kCap + 6);
+    }
 }
 
 /**

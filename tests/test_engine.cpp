@@ -35,6 +35,7 @@ namespace engine {
 namespace {
 
 using core::SchedulerConfig;
+using testfx::fnv1a;
 using testfx::makeRequest;
 using testfx::tinyPerf;
 using workload::RequestSpec;
@@ -868,6 +869,188 @@ TEST(StepRunEquivalenceTest, IdleGapArrivalEndsTheMakespan)
     EXPECT_EQ(report.numFinished, 3u);
     EXPECT_EQ(report.prefillIterations, 3);
     EXPECT_EQ(report.makespan, secondsToTicks(60.0));
+}
+
+// --- Decode runs under mid-run interference ------------------------------
+
+/**
+ * One seeded scenario: a prefix-cached engine (swap or recompute
+ * eviction, split-fuse or not, block size 1, 7 or 16, Past-Future
+ * or Aggressive admission under memory pressure) serving arrivals
+ * at random ticks — session turns sharing a system prompt, and
+ * migrated (disaggregated-handoff) requests — while probe events
+ * land at random ticks, mostly inside decode runs: they read
+ * outstandingTokens(), predictedLoadTokens(), pendingPrefillTokens(),
+ * kvManager(), report() and now(), steal queued work and re-submit
+ * it later, and finally drain the engine. Finish notifications,
+ * which land exactly where a run starts, read too, and a third of
+ * them send a follow-up request at once (a closed loop). With
+ * `shared` the engine sits on an outside context drained event by
+ * event (as a fleet's instances do), else a stepOnce() loop drives
+ * it. Returns everything the drive observed: every reading, then
+ * the summary JSON, the per-request CSV and the records' ticks.
+ */
+std::string
+probedDrive(std::uint64_t seed, bool shared)
+{
+    Rng rng(seed);
+    EngineConfig config;
+    const TokenCount block_sizes[] = {1, 7, 16};
+    config.blockSize = block_sizes[rng.uniformInt(0, 2)];
+    config.prefixCache = true;
+    config.evictionMode = seed % 2 == 0 ? EvictionMode::Swap
+                                        : EvictionMode::Recompute;
+    config.splitFuse = seed / 2 % 2 == 0;
+    config.splitFuseChunk = 96;
+    const SchedulerConfig scheduler = seed / 4 % 2 == 0
+        ? SchedulerConfig::pastFutureDefault(0.05)
+        : SchedulerConfig::aggressive(0.95);
+    // Slow memory: every KV token adds about a tick to a step, so
+    // the steps of a run differ and each gap is visible.
+    sim::SimContext outside;
+    ServingEngine engine(tinyPerf(2.0 + rng.uniformDouble(), 1e9),
+                         core::makeScheduler(scheduler), config);
+    if (shared)
+        engine.attachContext(outside);
+    sim::SimContext &context = engine.context();
+    std::ostringstream log;
+    auto read = [&]() {
+        log << " out " << engine.outstandingTokens() << " load "
+            << engine.predictedLoadTokens() << " prefill "
+            << engine.pendingPrefillTokens() << " kv "
+            << engine.kvManager().usedTokens() << " steps "
+            << engine.report().decodeSteps << " now " << engine.now();
+    };
+    RequestId follow_up = 1000;
+    engine.setOnFinish([&](const RequestSpec &spec, Tick tick) {
+        log << "finish " << spec.id << " @" << tick << ":";
+        read();
+        if (spec.id % 3 == 0 && !engine.draining()) {
+            engine.submitAt(
+                makeRequest(follow_up++, spec.inputLen,
+                            std::max<TokenCount>(2, spec.outputLen / 2),
+                            spec.maxNewTokens),
+                tick);
+        }
+        log << "\n";
+    });
+
+    constexpr std::uint64_t kSystemPrompt = 1;
+    constexpr int kRequests = 48;
+    for (int i = 0; i < kRequests; ++i) {
+        const auto id = static_cast<RequestId>(i + 1);
+        RequestSpec spec = makeRequest(id, rng.uniformInt(16, 300),
+                                       rng.uniformInt(2, 600),
+                                       rng.uniformInt(300, 500));
+        const auto kind = rng.uniformInt(0, 9);
+        if (kind < 5) {
+            // A session turn: the shared system prompt, then its own.
+            const TokenCount shared = std::min<TokenCount>(
+                64, spec.inputLen - 1);
+            const auto own = static_cast<std::uint64_t>(100 + id);
+            spec.segments = {PromptSegment{kSystemPrompt, shared},
+                             PromptSegment{own, spec.inputLen - shared}};
+            spec.sessionKey = 1 + id % 5;
+        } else if (kind < 7) {
+            spec.migratedPrefix = spec.inputLen;
+        }
+        // Two bursts: memory pressure, then a drained queue.
+        const Tick burst = i % 2 == 0 ? 0 : secondsToTicks(4.0);
+        engine.submitAt(spec,
+                        burst + rng.uniformInt(0, secondsToTicks(1.0)));
+    }
+
+    constexpr int kProbes = 120;
+    const Tick drain_at = secondsToTicks(8.0);
+    for (int i = 0; i < kProbes; ++i) {
+        const Tick at = i + 1 == kProbes
+            ? drain_at
+            : rng.uniformInt(0, drain_at - 1);
+        const auto kind = rng.uniformInt(0, 6);
+        const auto steal = static_cast<std::size_t>(rng.uniformInt(1, 3));
+        const Tick delay = rng.uniformInt(0, secondsToTicks(1.0));
+        context.schedule(at, [&, i, kind, steal, delay](Tick tick) {
+            log << "probe " << i << " @" << tick << ":";
+            if (i + 1 == kProbes) {
+                for (const auto &drained : engine.drainQueued())
+                    log << " drained " << drained.spec.id;
+            } else if (kind == 0) {
+                for (const auto &stolen : engine.stealQueued(steal)) {
+                    log << " stole " << stolen.spec.id;
+                    engine.submitStamped(stolen.spec, tick + delay,
+                                         stolen.arrivalStamp);
+                }
+            } else {
+                read();
+            }
+            log << "\n";
+        });
+    }
+
+    if (shared) {
+        context.runToCompletion();
+    } else {
+        while (engine.stepOnce()) {
+        }
+    }
+    const metrics::RunReport report = engine.report();
+    const auto sla = metrics::SlaSpec::small7b13b();
+    metrics::writeSummaryJson(log, report, sla);
+    metrics::writeRequestsCsv(log, report, sla);
+    // Every tick at full precision (the CSV rounds them).
+    for (const metrics::RequestRecord &record : report.requests) {
+        log << record.id << ' ' << record.arrival << ' '
+            << record.firstToken << ' ' << record.finish << ' '
+            << record.maxGap << ' ' << record.outputTokens << ' '
+            << record.evictions << '\n';
+    }
+    return log.str();
+}
+
+/**
+ * On a shared context a decode run costs one Step event and settles
+ * at the events that land in it; a stepOnce() loop settles one
+ * planned step per call. Both must observe exactly what an engine
+ * firing one Step event per decode step observed — the pinned
+ * hashes are that engine's.
+ */
+TEST(StepRunEquivalenceTest, RandomisedInterferenceMatchesStepwise)
+{
+    const std::pair<std::uint64_t, std::uint64_t> cases[] = {
+        {1, 10723176399151036463ull}, {2, 15836191800466266454ull},
+        {3, 7325822302415403870ull},  {4, 13969837677980682999ull},
+        {5, 8745503206270624569ull},  {6, 6786646529659092668ull},
+        {7, 14299833054585705123ull}, {8, 4169159873537137797ull},
+    };
+    for (const auto &[seed, pinned] : cases) {
+        SCOPED_TRACE(seed);
+        const std::string shared = probedDrive(seed, true);
+        const std::string stepped = probedDrive(seed, false);
+        EXPECT_EQ(stepped, shared);
+        EXPECT_EQ(fnv1a(shared), pinned);
+    }
+}
+
+/**
+ * Two requests decode together until the KV runs out mid-run; the
+ * newer one is evicted, and the older one decodes on alone over
+ * less KV, so its widest gap is the run's last step, which no later
+ * iteration matches. Pinned from the engine that fired one Step
+ * event per decode step.
+ */
+TEST(DecodeRunTest, WidestGapCanLieInsideARun)
+{
+    ServingEngine engine(tinyPerf(2.0, 1e8),
+                         core::makeScheduler(
+                             SchedulerConfig::aggressive(0.99)));
+    const TokenCount cap = engine.capacityTokens();
+    engine.submitAt(makeRequest(1, cap / 4, cap * 6 / 10), 0);
+    engine.submitAt(makeRequest(2, cap / 4, cap * 6 / 10), 0);
+    const metrics::RunReport report = engine.run();
+    ASSERT_EQ(report.requests.size(), 2u);
+    EXPECT_EQ(report.evictionEvents, 1);
+    EXPECT_EQ(report.requests[0].id, 1);
+    EXPECT_EQ(report.requests[0].maxGap, 25243);
 }
 
 // --- Static-batch baseline ---------------------------------------------

@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared test fixtures: the tiny synthetic platform and request
- * factory used by the engine, cluster, and exactness suites. One
+ * factory used by the engine, cluster, and exactness suites, and the
+ * hash the byte-pinning suites fold their outputs into. One
  * definition keeps every suite on the same platform — a drifted
  * copy would silently test different token capacities.
  */
@@ -9,15 +10,19 @@
 #ifndef LIGHTLLM_TESTS_TEST_FIXTURES_HH
 #define LIGHTLLM_TESTS_TEST_FIXTURES_HH
 
+#include <cstdint>
+#include <string>
+
 #include "model/perf_model.hh"
 #include "workload/request_spec.hh"
 
 namespace lightllm {
 namespace testfx {
 
-/** A small synthetic model so tests control token capacity. */
+/** A small synthetic model so tests control token capacity (and,
+ *  through the bandwidth, how much each KV token slows a step). */
 inline model::PerfModel
-tinyPerf(double mem_megabytes)
+tinyPerf(double mem_megabytes, double mem_bandwidth = 1e12)
 {
     model::ModelSpec spec;
     spec.name = "tiny";
@@ -32,7 +37,7 @@ tinyPerf(double mem_megabytes)
     hw.name = "tiny-gpu";
     hw.memBytesPerDevice =
         static_cast<ByteCount>(mem_megabytes * 1e6);
-    hw.memBandwidthPerDevice = 1e12;
+    hw.memBandwidthPerDevice = mem_bandwidth;
     hw.flopsPerDevice = 1e14;
     hw.hostLinkBandwidth = 25e9;
     return model::PerfModel(spec, hw);
@@ -49,6 +54,19 @@ makeRequest(RequestId id, TokenCount input, TokenCount output,
     spec.outputLen = output;
     spec.maxNewTokens = max_new;
     return spec;
+}
+
+/** FNV-1a over `bytes`: pins a rendered report or a drive's
+ *  observations in one number. */
+inline std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
 }
 
 } // namespace testfx

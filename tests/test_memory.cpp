@@ -271,6 +271,56 @@ TEST(KvBlockManagerTest, BatchDemandMatchesPerRequestScan)
 }
 
 /**
+ * growInSlack(slot, n) is n block-free growByOne calls at once: on
+ * random joined allocations it leaves the same usage, block tables
+ * and batch demand as extending a mirror token by token, and the
+ * next growth (into a fresh block when the slack ran out) still
+ * matches.
+ */
+TEST(KvBlockManagerTest, GrowInSlackEqualsRepeatedGrowth)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng(seed);
+        const TokenCount block = seed % 2 == 0 ? 7 : 16;
+        KvBlockManager kv(120 * block, block);
+        KvBlockManager mirror(120 * block, block);
+        std::vector<RequestSlot> joined;
+        for (std::uint32_t i = 0; i < 8; ++i) {
+            const RequestSlot slot = makeSlot(i, 1);
+            const TokenCount tokens = rng.uniformInt(1, 60);
+            ASSERT_TRUE(kv.allocate(slot, tokens));
+            ASSERT_TRUE(mirror.allocate(slot, tokens));
+            kv.joinBatch(slot);
+            joined.push_back(slot);
+        }
+        for (int op = 0; op < 400; ++op) {
+            const RequestSlot slot = joined[static_cast<std::size_t>(
+                rng.uniformInt(0, 7))];
+            const TokenCount slack =
+                static_cast<TokenCount>(kv.blockTable(slot).size()) *
+                    block -
+                kv.requestTokens(slot);
+            const TokenCount tokens = rng.uniformInt(0, slack);
+            kv.growInSlack(slot, tokens);
+            if (tokens > 0) {
+                ASSERT_TRUE(mirror.extend(slot, tokens));
+            }
+            if (rng.bernoulli(0.5) && kv.batchCanGrow()) {
+                kv.growByOne(slot);
+                ASSERT_TRUE(mirror.extend(slot, 1));
+            }
+            ASSERT_EQ(kv.usedTokens(), mirror.usedTokens());
+            ASSERT_EQ(kv.freeBlocks(), mirror.freeBlocks());
+            ASSERT_EQ(kv.requestTokens(slot),
+                      mirror.requestTokens(slot));
+            ASSERT_EQ(kv.blockTable(slot), mirror.blockTable(slot));
+            ASSERT_EQ(kv.batchCanGrow(),
+                      kv.canExtendBatchByOne(joined));
+        }
+    }
+}
+
+/**
  * Property: a random allocate/extend/release workload conserves
  * blocks exactly — used + free always equals total, and releasing
  * everything restores the initial state.

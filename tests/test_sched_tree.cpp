@@ -22,6 +22,7 @@
 #include "engine/serving_engine.hh"
 #include "metrics/report_io.hh"
 #include "model/perf_model.hh"
+#include "test_fixtures.hh"
 #include "workload/arrivals.hh"
 #include "workload/datasets.hh"
 #include "workload/tenant_mix.hh"
@@ -29,6 +30,8 @@
 namespace lightllm {
 namespace core {
 namespace {
+
+using testfx::fnv1a;
 
 /** Waiting view of `tokens` prompt tokens for `tenant`. */
 WaitingView
@@ -372,18 +375,6 @@ TEST(TreePipelineTest, UnknownTenantFallsBackToSpill)
     const SchedulingDecision decision = policy->decide(ctx);
     ASSERT_EQ(decision.admit.size(), 1u);
     EXPECT_EQ(decision.admit.front(), 3u);
-}
-
-/** FNV-1a over the bytes of a rendered report. */
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
 }
 
 TEST(TreePipelineTest, ThrottledTwoTenantRunIsPinned)
