@@ -18,8 +18,10 @@
  * high-water mark, so consecutive sweep points would just repeat
  * the largest earlier peak); the absolute peak is still reported
  * last. Results land in BENCH_fleet_scale.json (bench::writeJson)
- * so CI can archive every run; on Release CI runs with at least 8
- * cores, PFS_BENCH_ENFORCE_FLOOR pins the 8-thread speedup.
+ * so CI can archive every run. With PFS_BENCH_ENFORCE_FLOOR set, a
+ * full-mode run on at least 8 cores fails below a 2x 512-instance
+ * 8-thread speedup; smoke mode (PFS_BENCH_SMOKE, as CI runs it) has
+ * no 512-instance point, so the floor is never checked there.
  */
 
 #include <sys/resource.h>
@@ -275,7 +277,7 @@ main()
                   << cores << " cores available)\n";
     }
 
-    // Speedup floor, enforced on Release CI only (and only where
+    // Speedup floor, enforced on full-mode runs only (and only where
     // the machine can actually run 8 compute threads): generous
     // slack under the >=4x headline so scheduler jitter does not
     // flake the gate, while a serialization regression (windows

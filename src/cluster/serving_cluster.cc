@@ -669,15 +669,13 @@ ServingCluster::finalizeReport(Tick end_of_service)
     if (end_of_service < 0)
         end_of_service = lastFinishTick_;
 
-    // Merge per-instance reports.
-    std::vector<metrics::RunReport> reports;
-    reports.reserve(instances_.size());
+    // Merge per-instance reports, one live copy at a time.
+    metrics::ReportMerger merger(
+        "Cluster(" + std::string(routingPolicyName(policy_)) + " x" +
+        std::to_string(instances_.size()) + ")");
     for (const auto &instance : instances_)
-        reports.push_back(instance->report());
-    metrics::RunReport merged = metrics::mergeReports(
-        reports, "Cluster(" +
-                     std::string(routingPolicyName(policy_)) + " x" +
-                     std::to_string(instances_.size()) + ")");
+        merger.add(instance->report());
+    metrics::RunReport merged = merger.finish();
 
     // Instance-seconds: each instance costs from its provision tick
     // until it went idle after draining, or the end of service.

@@ -305,13 +305,12 @@ DisaggCluster::run()
 metrics::RunReport
 DisaggCluster::assembleReport()
 {
-    std::vector<metrics::RunReport> parts{prefillReport_,
-                                          decodeReport_};
-    metrics::RunReport merged = metrics::mergeReports(
-        parts,
-        "Disagg(P" +
-            std::to_string(prefillPool_->numInstances()) + "+D" +
-            std::to_string(decodePool_->numInstances()) + ")");
+    metrics::ReportMerger merger(
+        "Disagg(P" + std::to_string(prefillPool_->numInstances()) +
+        "+D" + std::to_string(decodePool_->numInstances()) + ")");
+    merger.add(prefillReport_);
+    merger.add(decodeReport_);
+    metrics::RunReport merged = merger.finish();
 
     // Reassemble end-to-end per-request records across the handoff.
     std::unordered_map<RequestId, const metrics::RequestRecord *>

@@ -30,13 +30,10 @@ KvBlockManager::KvBlockManager(TokenCount capacity_tokens,
                     "block size exceeds the 32-bit per-block fill");
     LIGHTLLM_ASSERT(capacity_tokens >= block_size_tokens,
                     "capacity smaller than one block");
-    const std::int64_t num_blocks = capacity_tokens / blockSize_;
-    capacityTokens_ = num_blocks * blockSize_;
-    freeList_.reserve(static_cast<std::size_t>(num_blocks));
-    // Populate descending so blocks are handed out in ascending order.
-    for (std::int64_t b = num_blocks - 1; b >= 0; --b)
-        freeList_.push_back(static_cast<BlockId>(b));
-    states_.resize(static_cast<std::size_t>(num_blocks));
+    numBlocks_ = capacity_tokens / blockSize_;
+    LIGHTLLM_ASSERT(numBlocks_ <= std::numeric_limits<BlockId>::max(),
+                    "block count exceeds the 32-bit block id");
+    capacityTokens_ = numBlocks_ * blockSize_;
 }
 
 bool
@@ -57,9 +54,17 @@ KvBlockManager::ensureFreeBlocks(std::int64_t need)
 BlockId
 KvBlockManager::takeFreeBlock(TokenCount tokens)
 {
-    LIGHTLLM_ASSERT(!freeList_.empty(), "free list exhausted");
-    const BlockId block = freeList_.back();
-    freeList_.pop_back();
+    BlockId block;
+    if (!freeList_.empty()) {
+        block = freeList_.back();
+        freeList_.pop_back();
+    } else {
+        // Past the watermark: the lowest id never handed out, which
+        // is what the eager [N-1 ... 0] stack would pop here too.
+        LIGHTLLM_ASSERT(handedOut() < numBlocks_, "free list exhausted");
+        block = static_cast<BlockId>(states_.size());
+        states_.emplace_back();
+    }
     BlockState &state = states_[static_cast<std::size_t>(block)];
     LIGHTLLM_ASSERT(state.requestRefs == 0 &&
                         state.cacheEntry == kNotCached,
@@ -203,7 +208,8 @@ KvBlockManager::extendAlloc(Allocation &alloc, TokenCount num_tokens)
 
     // Slack fill lands in the last block, which is always private
     // (allocations end past their shared prefix by construction):
-    // charge it there before taking fresh blocks.
+    // charge it there before taking fresh blocks, since a take past
+    // the watermark grows states_ and would leave `last` dangling.
     const TokenCount slack =
         static_cast<TokenCount>(alloc.blocks.size()) * blockSize_ -
         alloc.numTokens;
@@ -288,7 +294,7 @@ KvBlockManager::growIntoNewBlock(Allocation &alloc)
 TokenCount
 KvBlockManager::freeTokens() const
 {
-    return static_cast<TokenCount>(freeList_.size()) * blockSize_;
+    return freeBlocks() * blockSize_;
 }
 
 double
@@ -324,12 +330,16 @@ KvBlockManager::blockTable(RequestSlot slot) const
 std::int32_t
 KvBlockManager::requestRefs(BlockId block) const
 {
+    LIGHTLLM_ASSERT(block >= 0 && block < handedOut(),
+                    "block ", block, " was never handed out");
     return states_[static_cast<std::size_t>(block)].requestRefs;
 }
 
 bool
 KvBlockManager::isCached(BlockId block) const
 {
+    LIGHTLLM_ASSERT(block >= 0 && block < handedOut(),
+                    "block ", block, " was never handed out");
     return states_[static_cast<std::size_t>(block)].cacheEntry !=
         kNotCached;
 }

@@ -29,6 +29,17 @@
  * blockSize steps. Shared prefix blocks are always full, hence the
  * last block of any allocation is private and slack arithmetic is
  * unaffected by sharing.
+ *
+ * Lazy arena: block state materialises on first hand-out. Block ids
+ * [0, handedOut()) have a BlockState; the free list holds only
+ * released ones, and when it runs dry the next block is the lowest
+ * id never handed out (the watermark). That is exactly the block the
+ * eager stack [N-1 ... 0] (released blocks pushed on top) would pop,
+ * so block ids, and with them the prefix cache's reclaim order, are
+ * those of a pool built up front, while a pool costs memory in
+ * proportion to the blocks it ever held at once. A hand-out past the
+ * watermark grows the state table, so no BlockState reference may be
+ * held across takeFreeBlock().
  */
 
 #ifndef LIGHTLLM_MEMORY_KV_BLOCK_MANAGER_HH
@@ -188,14 +199,15 @@ class KvBlockManager
      */
     TokenCount usedTokens() const { return usedTokens_; }
 
-    /** Token slots on the free list (reclaimable cached blocks
+    /** Token slots in free blocks (reclaimable cached blocks
      *  excluded; see reclaimableBlocks()). */
     TokenCount freeTokens() const;
 
-    /** Blocks currently on the free list. */
+    /** Free blocks: released ones plus those never handed out. */
     std::int64_t freeBlocks() const
     {
-        return static_cast<std::int64_t>(freeList_.size());
+        return static_cast<std::int64_t>(freeList_.size()) +
+            (numBlocks_ - handedOut());
     }
 
     /** Cached blocks no request references (parked) — reclaimable
@@ -221,10 +233,12 @@ class KvBlockManager
 
     // --- Reference bookkeeping (tests) -------------------------------
 
-    /** Requests referencing `block` (cache retention excluded). */
+    /** Requests referencing `block` (cache retention excluded);
+     *  `block` must have been handed out. */
     std::int32_t requestRefs(BlockId block) const;
 
-    /** True when the prefix cache retains `block`. */
+    /** True when the prefix cache retains `block`, which must have
+     *  been handed out. */
     bool isCached(BlockId block) const;
 
   private:
@@ -336,8 +350,17 @@ class KvBlockManager
      *  blocks if required. False when impossible. */
     bool ensureFreeBlocks(std::int64_t need);
 
-    /** Take one block off the free list for a new reference holding
-     *  `tokens` slots. */
+    /** Blocks that have a BlockState: every id below is or was in
+     *  use. */
+    std::int64_t
+    handedOut() const
+    {
+        return static_cast<std::int64_t>(states_.size());
+    }
+
+    /** Take a free block for a new reference holding `tokens` slots:
+     *  the last released one, else the watermark block (growing
+     *  states_, which invalidates BlockState references). */
     BlockId takeFreeBlock(TokenCount tokens);
 
     /** Add a request reference to an existing (shared) block; a
@@ -349,7 +372,12 @@ class KvBlockManager
 
     TokenCount blockSize_;
     TokenCount capacityTokens_;
+    std::int64_t numBlocks_;
+
+    /** Released blocks only; never-used ids lie at the watermark. */
     std::vector<BlockId> freeList_;
+
+    /** State of blocks [0, handedOut()), grown on first hand-out. */
     std::vector<BlockState> states_;
 
     /** Allocations by slot index. */

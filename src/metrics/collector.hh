@@ -26,9 +26,10 @@ namespace metrics {
  * each collector belongs to exactly one engine, and an engine is
  * stepped only by the shard thread that owns it, so collection
  * needs no synchronization. The coordinator calls finish() and
- * mergeReports() only after the final window barrier, when every
- * shard thread has quiesced; merging iterates instances in index
- * order, so the merged report is independent of shard count.
+ * feeds each result to a ReportMerger only after the final window
+ * barrier, when every shard thread has quiesced; it adds instances
+ * in index order, so the merged report is independent of shard
+ * count.
  */
 class MetricsCollector
 {

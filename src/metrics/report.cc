@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "base/str_util.hh"
 #include "stats/percentile.hh"
@@ -206,61 +207,61 @@ RunReport::meanTpotSeconds() const
     return stats::mean(tpots);
 }
 
-RunReport
-mergeReports(const std::vector<RunReport> &reports, std::string name)
+ReportMerger::ReportMerger(std::string name)
 {
-    RunReport merged;
-    merged.schedulerName = std::move(name);
-    double consumed_weighted = 0.0;
-    double future_weighted = 0.0;
-    double batch_weighted = 0.0;
-    double total_steps = 0.0;
-    for (const auto &report : reports) {
-        merged.numFinished += report.numFinished;
-        merged.decodeSteps += report.decodeSteps;
-        merged.prefillIterations += report.prefillIterations;
-        merged.evictionEvents += report.evictionEvents;
-        merged.requestsEvicted += report.requestsEvicted;
-        merged.swapEvents += report.swapEvents;
-        merged.swappedTokens += report.swappedTokens;
-        merged.totalOutputTokens += report.totalOutputTokens;
-        merged.totalPrefillTokens += report.totalPrefillTokens;
-        merged.prefixLookups += report.prefixLookups;
-        merged.prefixPromptTokens += report.prefixPromptTokens;
-        merged.prefixHitTokens += report.prefixHitTokens;
-        merged.predictedEvictionSteps +=
-            report.predictedEvictionSteps;
-        merged.futureErrorAbsSum += report.futureErrorAbsSum;
-        for (std::size_t bin = 0;
-             bin < merged.futureErrorHistogram.size(); ++bin) {
-            merged.futureErrorHistogram[bin] +=
-                report.futureErrorHistogram[bin];
-        }
-        merged.shedRequests += report.shedRequests;
-        merged.offeredRequests += report.offeredRequests;
-        merged.instanceSeconds += report.instanceSeconds;
-        merged.instanceCost += report.instanceCost;
-        merged.scaleUpEvents += report.scaleUpEvents;
-        merged.scaleDownEvents += report.scaleDownEvents;
-        merged.peakInstances =
-            std::max(merged.peakInstances, report.peakInstances);
-        merged.makespan = std::max(merged.makespan, report.makespan);
-        const auto weight =
-            static_cast<double>(report.decodeSteps);
-        consumed_weighted += report.avgConsumedMemory * weight;
-        future_weighted += report.avgFutureRequired * weight;
-        batch_weighted += report.avgBatchSize * weight;
-        total_steps += weight;
-        merged.requests.insert(merged.requests.end(),
-                               report.requests.begin(),
-                               report.requests.end());
+    merged_.schedulerName = std::move(name);
+}
+
+void
+ReportMerger::add(const RunReport &report)
+{
+    merged_.numFinished += report.numFinished;
+    merged_.decodeSteps += report.decodeSteps;
+    merged_.prefillIterations += report.prefillIterations;
+    merged_.evictionEvents += report.evictionEvents;
+    merged_.requestsEvicted += report.requestsEvicted;
+    merged_.swapEvents += report.swapEvents;
+    merged_.swappedTokens += report.swappedTokens;
+    merged_.totalOutputTokens += report.totalOutputTokens;
+    merged_.totalPrefillTokens += report.totalPrefillTokens;
+    merged_.prefixLookups += report.prefixLookups;
+    merged_.prefixPromptTokens += report.prefixPromptTokens;
+    merged_.prefixHitTokens += report.prefixHitTokens;
+    merged_.predictedEvictionSteps += report.predictedEvictionSteps;
+    merged_.futureErrorAbsSum += report.futureErrorAbsSum;
+    for (std::size_t bin = 0; bin < merged_.futureErrorHistogram.size();
+         ++bin) {
+        merged_.futureErrorHistogram[bin] +=
+            report.futureErrorHistogram[bin];
     }
-    if (total_steps > 0.0) {
-        merged.avgConsumedMemory = consumed_weighted / total_steps;
-        merged.avgFutureRequired = future_weighted / total_steps;
-        merged.avgBatchSize = batch_weighted / total_steps;
+    merged_.shedRequests += report.shedRequests;
+    merged_.offeredRequests += report.offeredRequests;
+    merged_.instanceSeconds += report.instanceSeconds;
+    merged_.instanceCost += report.instanceCost;
+    merged_.scaleUpEvents += report.scaleUpEvents;
+    merged_.scaleDownEvents += report.scaleDownEvents;
+    merged_.peakInstances =
+        std::max(merged_.peakInstances, report.peakInstances);
+    merged_.makespan = std::max(merged_.makespan, report.makespan);
+    const auto weight = static_cast<double>(report.decodeSteps);
+    consumedWeighted_ += report.avgConsumedMemory * weight;
+    futureWeighted_ += report.avgFutureRequired * weight;
+    batchWeighted_ += report.avgBatchSize * weight;
+    totalSteps_ += weight;
+    merged_.requests.insert(merged_.requests.end(),
+                            report.requests.begin(),
+                            report.requests.end());
+}
+
+RunReport
+ReportMerger::finish()
+{
+    if (totalSteps_ > 0.0) {
+        merged_.avgConsumedMemory = consumedWeighted_ / totalSteps_;
+        merged_.avgFutureRequired = futureWeighted_ / totalSteps_;
+        merged_.avgBatchSize = batchWeighted_ / totalSteps_;
     }
-    return merged;
+    return std::move(merged_);
 }
 
 std::string

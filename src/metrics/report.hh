@@ -273,12 +273,33 @@ struct RunReport
 };
 
 /**
- * Merge per-instance reports into a cluster-level report: counts and
- * tokens are summed, request records concatenated, the makespan is
- * the maximum, and memory ratios are decode-step-weighted averages.
+ * Merges per-instance reports into a cluster-level report, one
+ * report at a time, so a fleet never holds every instance's copy at
+ * once: counts and tokens are summed, request records concatenated,
+ * the makespan is the maximum, and memory ratios are
+ * decode-step-weighted averages. Floating-point sums accumulate in
+ * add() order; fleets add their instances in index order, so the
+ * merged bytes do not depend on how the run was sharded.
  */
-RunReport mergeReports(const std::vector<RunReport> &reports,
-                       std::string name);
+class ReportMerger
+{
+  public:
+    /** @param name schedulerName of the merged report. */
+    explicit ReportMerger(std::string name);
+
+    /** Fold one instance report in. */
+    void add(const RunReport &report);
+
+    /** The merged report; the merger is spent afterwards. */
+    RunReport finish();
+
+  private:
+    RunReport merged_;
+    double consumedWeighted_ = 0.0;
+    double futureWeighted_ = 0.0;
+    double batchWeighted_ = 0.0;
+    double totalSteps_ = 0.0;
+};
 
 } // namespace metrics
 } // namespace lightllm

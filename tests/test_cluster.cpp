@@ -557,7 +557,7 @@ TEST(ReportIoTest, SummaryJsonContainsKeyFields)
     EXPECT_NE(text.find("\"scheduler\""), std::string::npos);
 }
 
-TEST(ReportIoTest, MergeReportsAggregates)
+TEST(ReportIoTest, ReportMergerAggregates)
 {
     metrics::RunReport a;
     a.numFinished = 2;
@@ -571,7 +571,10 @@ TEST(ReportIoTest, MergeReportsAggregates)
     b.totalOutputTokens = 70;
     b.makespan = 900;
     b.avgConsumedMemory = 0.9;
-    const auto merged = metrics::mergeReports({a, b}, "fleet");
+    metrics::ReportMerger merger("fleet");
+    merger.add(a);
+    merger.add(b);
+    const auto merged = merger.finish();
     EXPECT_EQ(merged.numFinished, 5u);
     EXPECT_EQ(merged.decodeSteps, 400);
     EXPECT_EQ(merged.totalOutputTokens, 120);

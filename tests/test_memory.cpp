@@ -5,12 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "base/rng.hh"
+#include "base/token_stream.hh"
+#include "list_walk_pool.hh"
 #include "memory/contiguous_allocator.hh"
 #include "memory/kv_block_manager.hh"
+#include "memory/prefix_cache.hh"
 
 namespace lightllm {
 namespace memory {
@@ -381,6 +391,220 @@ TEST_P(KvBlockManagerProperty, RandomWorkloadConservesBlocks)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KvBlockManagerProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+
+// --- Lazy arena against the eager free list -------------------------
+
+/**
+ * Property: the lazily materialised arena hands out exactly the
+ * blocks an eagerly filled free list would. Seeded random plain and
+ * prefix-shared admissions, extends, decode-batch joins with
+ * growByOne and growInSlack, releases, cache publishes and explicit
+ * reclaims run on the real manager and cache and on the eager
+ * list-walk reference (where growth is extend); tight pools keep
+ * reclaim under pressure, roomy ones keep the watermark well below
+ * capacity. After every operation every block table and every
+ * free/used/reclaimable count agrees.
+ */
+TEST(KvBlockManagerTest, LazyArenaMatchesEagerFreeList)
+{
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        Rng rng(seed);
+        const TokenCount block =
+            seed % 3 == 0 ? 1 : (seed % 3 == 1 ? 4 : 16);
+        const TokenCount capacity = (seed % 2 == 0 ? 48 : 400) * block;
+        KvBlockManager kv(capacity, block);
+        PrefixCache cache(kv);
+        kv.attachPrefixCache(&cache);
+        testfx::ListWalkPool ref(capacity, block);
+
+        // Streams sharing a few system prompts, so prefixes overlap.
+        std::vector<std::vector<PromptSegment>> streams;
+        for (std::uint64_t s = 0; s < 10; ++s) {
+            streams.push_back(
+                {PromptSegment{1 + s % 3, rng.uniformInt(2, 6) * block},
+                 PromptSegment{100 + s, rng.uniformInt(1, 10) * block}});
+        }
+        std::map<RequestSlot, std::size_t> stream_of;
+        std::vector<RequestSlot> idle;
+        std::vector<RequestSlot> joined;
+        std::uint32_t next_index = 0;
+        std::int64_t explicit_reclaims = 0;
+
+        auto pick = [&](const std::vector<RequestSlot> &pool) {
+            return static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(pool.size()) - 1));
+        };
+        auto admit = [&](bool shared) {
+            const RequestSlot slot = makeSlot(next_index++, 1);
+            const auto stream =
+                static_cast<std::size_t>(rng.uniformInt(0, 9));
+            const TokenCount tokens = rng.uniformInt(1, 20 * block);
+            std::vector<BlockId> got;
+            std::vector<BlockId> want;
+            if (shared) {
+                const auto hashes =
+                    blockHashChain(streams[stream], block, tokens - 1);
+                ASSERT_EQ(cache.match(hashes, got),
+                          ref.match(hashes, want));
+                ASSERT_EQ(got, want);
+            }
+            const bool ok = kv.allocateShared(slot, tokens, got);
+            ASSERT_EQ(ok, ref.allocateShared(slot, tokens, want));
+            if (ok) {
+                idle.push_back(slot);
+                stream_of[slot] = stream;
+            }
+        };
+
+        for (int op = 0; op < 1500; ++op) {
+            const auto dice = rng.uniformInt(0, 99);
+            if (dice < 15 || (idle.empty() && joined.empty())) {
+                admit(false);
+            } else if (dice < 30) {
+                admit(true);
+            } else if (dice < 40) {
+                std::vector<RequestSlot> &pool =
+                    idle.empty() ? joined : idle;
+                const RequestSlot slot = pool[pick(pool)];
+                const TokenCount tokens = rng.uniformInt(1, 3 * block);
+                ASSERT_EQ(kv.extend(slot, tokens),
+                          ref.extend(slot, tokens));
+            } else if (dice < 48 && !idle.empty()) {
+                const std::size_t at = pick(idle);
+                kv.joinBatch(idle[at]);
+                joined.push_back(idle[at]);
+                idle.erase(idle.begin() +
+                           static_cast<std::ptrdiff_t>(at));
+            } else if (dice < 58 && !joined.empty()) {
+                const bool fits = kv.canExtendBatchByOne(joined);
+                ASSERT_EQ(kv.batchCanGrow(), fits);
+                if (fits) {
+                    for (const RequestSlot slot : joined) {
+                        kv.growByOne(slot);
+                        ASSERT_TRUE(ref.extend(slot, 1));
+                    }
+                }
+            } else if (dice < 64 && !joined.empty()) {
+                const RequestSlot slot = joined[pick(joined)];
+                const TokenCount slack =
+                    static_cast<TokenCount>(kv.blockTable(slot).size()) *
+                        block -
+                    kv.requestTokens(slot);
+                const TokenCount tokens = rng.uniformInt(0, slack);
+                kv.growInSlack(slot, tokens);
+                if (tokens > 0) {
+                    ASSERT_TRUE(ref.extend(slot, tokens));
+                }
+            } else if (dice < 78) {
+                std::vector<RequestSlot> &pool =
+                    (rng.bernoulli(0.5) && !joined.empty()) ||
+                        idle.empty()
+                    ? joined
+                    : idle;
+                const std::size_t at = pick(pool);
+                kv.release(pool[at]);
+                ref.release(pool[at]);
+                stream_of.erase(pool[at]);
+                pool.erase(pool.begin() +
+                           static_cast<std::ptrdiff_t>(at));
+            } else if (dice < 92) {
+                // Publish the full blocks the request's stream covers.
+                std::vector<RequestSlot> &pool =
+                    idle.empty() ? joined : idle;
+                const RequestSlot slot = pool[pick(pool)];
+                const auto &table = kv.blockTable(slot);
+                const auto hashes = blockHashChain(
+                    streams[stream_of.at(slot)], block,
+                    kv.requestTokens(slot));
+                const std::size_t count =
+                    std::min(hashes.size(), table.size());
+                const std::vector<BlockId> blocks(
+                    table.begin(),
+                    table.begin() + static_cast<std::ptrdiff_t>(count));
+                cache.insert(std::span(hashes).first(count), blocks);
+                ref.insert(std::span(hashes).first(count), blocks);
+            } else {
+                const std::int64_t count = rng.uniformInt(0, 4);
+                const auto done =
+                    static_cast<std::int64_t>(ref.reclaim(count).size());
+                ASSERT_EQ(cache.reclaim(count), done);
+                explicit_reclaims += done;
+            }
+
+            ASSERT_EQ(kv.freeBlocks(), ref.freeBlocks()) << "op " << op;
+            ASSERT_EQ(kv.freeTokens(), ref.freeBlocks() * block)
+                << "op " << op;
+            ASSERT_EQ(kv.usedTokens(), ref.usedTokens()) << "op " << op;
+            ASSERT_EQ(kv.reclaimableBlocks(), ref.reclaimableBlocks())
+                << "op " << op;
+            for (const auto &[slot, stream] : stream_of) {
+                ASSERT_EQ(kv.blockTable(slot), ref.table(slot))
+                    << "op " << op << " slot " << slot;
+            }
+        }
+        // The run exercised explicit and pressure-driven reclaim.
+        EXPECT_GT(explicit_reclaims, 0);
+        if (seed % 2 == 0) {
+            EXPECT_GT(ref.reclaimed() - explicit_reclaims, 0);
+        }
+    }
+}
+
+/** Resident set size of this process in bytes (/proc/self/statm). */
+std::int64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::int64_t size_pages = 0;
+    std::int64_t resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages * static_cast<std::int64_t>(sysconf(_SC_PAGESIZE));
+}
+
+/**
+ * A pool costs memory for the blocks it has handed out, not for its
+ * capacity: 16 pools of 2^20 blocks each (about 256 MB of free list
+ * and block state if filled at construction) serving a small decode
+ * batch stay within a few MB of resident memory.
+ */
+TEST(KvBlockManagerTest, FootprintFollowsHandedOutBlocks)
+{
+#ifdef PFS_SANITIZED_BUILD
+    GTEST_SKIP() << "sanitizer shadow memory skews resident size";
+#endif
+    constexpr TokenCount kBlock = 16;
+    constexpr TokenCount kCapacity = (TokenCount{1} << 20) * kBlock;
+    const std::int64_t before = residentBytes();
+    ASSERT_GT(before, 0);
+
+    std::vector<std::unique_ptr<KvBlockManager>> pools;
+    for (int i = 0; i < 16; ++i) {
+        auto kv = std::make_unique<KvBlockManager>(kCapacity, kBlock);
+        for (std::uint32_t r = 0; r < 8; ++r) {
+            const RequestSlot slot = makeSlot(r, 1);
+            ASSERT_TRUE(kv->allocate(slot, 100 + 37 * r));
+            kv->joinBatch(slot);
+        }
+        for (int step = 0; step < 64; ++step) {
+            ASSERT_TRUE(kv->batchCanGrow());
+            for (std::uint32_t r = 0; r < 8; ++r)
+                kv->growByOne(makeSlot(r, 1));
+        }
+        std::int64_t held = 0;
+        for (std::uint32_t r = 0; r < 8; ++r) {
+            held += static_cast<std::int64_t>(
+                kv->blockTable(makeSlot(r, 1)).size());
+        }
+        ASSERT_EQ(kv->freeBlocks(), (std::int64_t{1} << 20) - held);
+        pools.push_back(std::move(kv));
+    }
+    const std::int64_t delta = residentBytes() - before;
+    EXPECT_LT(delta, std::int64_t{8} << 20)
+        << "resident delta " << delta << " bytes";
+    for (const auto &kv : pools)
+        EXPECT_EQ(kv->capacityTokens(), kCapacity);
+}
 
 TEST(ContiguousAllocatorTest, FirstFitPicksLowestOffset)
 {

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "base/rng.hh"
 #include "metrics/collector.hh"
 #include "metrics/report.hh"
 #include "metrics/sla.hh"
@@ -261,7 +265,10 @@ TEST(RunReportTest, MergePreservesPercentilesAndFleetCounters)
                                 secondsToTicks(5.0),
                                 secondsToTicks(0.4), 10));
 
-    const auto merged = mergeReports({a, b}, "fleet");
+    ReportMerger merger("fleet");
+    merger.add(a);
+    merger.add(b);
+    const auto merged = merger.finish();
     // Percentiles come from the concatenated records, so cluster
     // reports expose the same p50/p90 family as engines.
     EXPECT_DOUBLE_EQ(merged.p50TtftSeconds(), 1.0);
@@ -272,6 +279,188 @@ TEST(RunReportTest, MergePreservesPercentilesAndFleetCounters)
     EXPECT_EQ(merged.scaleUpEvents, 1);
     EXPECT_EQ(merged.scaleDownEvents, 2);
     EXPECT_EQ(merged.peakInstances, 3u);
+}
+
+/**
+ * Reference: the all-at-once merge fleets ran before the streaming
+ * merger, over a vector holding every instance's report.
+ */
+RunReport
+batchMerge(const std::vector<RunReport> &reports, std::string name)
+{
+    RunReport merged;
+    merged.schedulerName = std::move(name);
+    double consumed = 0.0;
+    double future = 0.0;
+    double batch = 0.0;
+    double steps = 0.0;
+    for (const auto &report : reports) {
+        merged.numFinished += report.numFinished;
+        merged.decodeSteps += report.decodeSteps;
+        merged.prefillIterations += report.prefillIterations;
+        merged.evictionEvents += report.evictionEvents;
+        merged.requestsEvicted += report.requestsEvicted;
+        merged.swapEvents += report.swapEvents;
+        merged.swappedTokens += report.swappedTokens;
+        merged.totalOutputTokens += report.totalOutputTokens;
+        merged.totalPrefillTokens += report.totalPrefillTokens;
+        merged.prefixLookups += report.prefixLookups;
+        merged.prefixPromptTokens += report.prefixPromptTokens;
+        merged.prefixHitTokens += report.prefixHitTokens;
+        merged.predictedEvictionSteps += report.predictedEvictionSteps;
+        merged.futureErrorAbsSum += report.futureErrorAbsSum;
+        for (std::size_t bin = 0;
+             bin < merged.futureErrorHistogram.size(); ++bin) {
+            merged.futureErrorHistogram[bin] +=
+                report.futureErrorHistogram[bin];
+        }
+        merged.shedRequests += report.shedRequests;
+        merged.offeredRequests += report.offeredRequests;
+        merged.instanceSeconds += report.instanceSeconds;
+        merged.instanceCost += report.instanceCost;
+        merged.scaleUpEvents += report.scaleUpEvents;
+        merged.scaleDownEvents += report.scaleDownEvents;
+        merged.peakInstances =
+            std::max(merged.peakInstances, report.peakInstances);
+        merged.makespan = std::max(merged.makespan, report.makespan);
+        const auto weight = static_cast<double>(report.decodeSteps);
+        consumed += report.avgConsumedMemory * weight;
+        future += report.avgFutureRequired * weight;
+        batch += report.avgBatchSize * weight;
+        steps += weight;
+        merged.requests.insert(merged.requests.end(),
+                               report.requests.begin(),
+                               report.requests.end());
+    }
+    if (steps > 0.0) {
+        merged.avgConsumedMemory = consumed / steps;
+        merged.avgFutureRequired = future / steps;
+        merged.avgBatchSize = batch / steps;
+    }
+    return merged;
+}
+
+/** An instance report with every merged field set at random. */
+RunReport
+randomInstanceReport(Rng &rng)
+{
+    RunReport report;
+    report.schedulerName = "instance";
+    report.decodeSteps = rng.bernoulli(0.2) ? 0 : rng.uniformInt(1, 5000);
+    report.prefillIterations = rng.uniformInt(0, 400);
+    report.evictionEvents = rng.uniformInt(0, 30);
+    report.requestsEvicted =
+        static_cast<std::size_t>(rng.uniformInt(0, 20));
+    report.swapEvents = rng.uniformInt(0, 9);
+    report.swappedTokens = rng.uniformInt(0, 9000);
+    report.totalOutputTokens = rng.uniformInt(0, 90000);
+    report.totalPrefillTokens = rng.uniformInt(0, 90000);
+    report.prefixLookups = rng.uniformInt(0, 50);
+    report.prefixPromptTokens = rng.uniformInt(0, 5000);
+    report.prefixHitTokens = rng.uniformInt(0, 5000);
+    report.makespan = rng.uniformInt(0, secondsToTicks(300.0));
+    report.avgConsumedMemory = rng.uniformDouble();
+    report.avgFutureRequired = 1.3 * rng.uniformDouble();
+    report.avgBatchSize = 64.0 * rng.uniformDouble();
+    report.predictedEvictionSteps = rng.uniformInt(0, 40);
+    report.futureErrorAbsSum = 17.0 * rng.uniformDouble();
+    for (auto &bin : report.futureErrorHistogram)
+        bin = rng.uniformInt(0, 100);
+    report.shedRequests = rng.uniformInt(0, 5);
+    report.offeredRequests = rng.uniformInt(5, 500);
+    report.instanceSeconds = 100.0 * rng.uniformDouble();
+    report.instanceCost = rng.uniformDouble() / 3.0;
+    report.scaleUpEvents = rng.uniformInt(0, 3);
+    report.scaleDownEvents = rng.uniformInt(0, 3);
+    report.peakInstances =
+        static_cast<std::size_t>(rng.uniformInt(0, 9));
+    const auto finished = rng.uniformInt(0, 6);
+    for (std::int64_t i = 0; i < finished; ++i) {
+        const Tick arrival = rng.uniformInt(0, secondsToTicks(50.0));
+        const Tick first =
+            arrival + rng.uniformInt(1, secondsToTicks(5.0));
+        RequestRecord r = record(
+            arrival, first, first + rng.uniformInt(0, secondsToTicks(9.0)),
+            rng.uniformInt(0, secondsToTicks(1.0)),
+            rng.uniformInt(1, 300));
+        r.id = rng.uniformInt(0, 1'000'000);
+        r.evictions = static_cast<int>(rng.uniformInt(0, 2));
+        report.requests.push_back(r);
+    }
+    report.numFinished = report.requests.size();
+    return report;
+}
+
+/**
+ * Feeding reports to ReportMerger one at a time, each a temporary
+ * gone before the next is built, equals the all-at-once merge field
+ * by field: integer sums, the error histogram, the float sums and
+ * the step-weighted averages bit for bit, and the record order.
+ */
+TEST(RunReportTest, ReportMergerEqualsBatchMerge)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        Rng rng(seed);
+        const auto count = static_cast<std::size_t>(
+            seed % 5 == 0 ? 0 : rng.uniformInt(1, 40));
+        std::vector<RunReport> reports;
+        for (std::size_t i = 0; i < count; ++i)
+            reports.push_back(randomInstanceReport(rng));
+        const RunReport want = batchMerge(reports, "fleet");
+
+        ReportMerger merger("fleet");
+        for (std::size_t i = 0; i < count; ++i)
+            merger.add(RunReport(reports[i]));
+        const RunReport got = merger.finish();
+
+        EXPECT_EQ(got.schedulerName, want.schedulerName);
+        EXPECT_EQ(got.numFinished, want.numFinished);
+        EXPECT_EQ(got.decodeSteps, want.decodeSteps);
+        EXPECT_EQ(got.prefillIterations, want.prefillIterations);
+        EXPECT_EQ(got.evictionEvents, want.evictionEvents);
+        EXPECT_EQ(got.requestsEvicted, want.requestsEvicted);
+        EXPECT_EQ(got.swapEvents, want.swapEvents);
+        EXPECT_EQ(got.swappedTokens, want.swappedTokens);
+        EXPECT_EQ(got.totalOutputTokens, want.totalOutputTokens);
+        EXPECT_EQ(got.totalPrefillTokens, want.totalPrefillTokens);
+        EXPECT_EQ(got.prefixLookups, want.prefixLookups);
+        EXPECT_EQ(got.prefixPromptTokens, want.prefixPromptTokens);
+        EXPECT_EQ(got.prefixHitTokens, want.prefixHitTokens);
+        EXPECT_EQ(got.makespan, want.makespan);
+        EXPECT_EQ(got.avgConsumedMemory, want.avgConsumedMemory);
+        EXPECT_EQ(got.avgFutureRequired, want.avgFutureRequired);
+        EXPECT_EQ(got.avgBatchSize, want.avgBatchSize);
+        EXPECT_EQ(got.predictedEvictionSteps,
+                  want.predictedEvictionSteps);
+        EXPECT_EQ(got.futureErrorAbsSum, want.futureErrorAbsSum);
+        EXPECT_EQ(got.futureErrorHistogram, want.futureErrorHistogram);
+        EXPECT_EQ(got.futureErrorMean(), want.futureErrorMean());
+        EXPECT_EQ(got.futureErrorP99(), want.futureErrorP99());
+        EXPECT_EQ(got.shedRequests, want.shedRequests);
+        EXPECT_EQ(got.offeredRequests, want.offeredRequests);
+        EXPECT_EQ(got.instanceSeconds, want.instanceSeconds);
+        EXPECT_EQ(got.instanceCost, want.instanceCost);
+        EXPECT_EQ(got.scaleUpEvents, want.scaleUpEvents);
+        EXPECT_EQ(got.scaleDownEvents, want.scaleDownEvents);
+        EXPECT_EQ(got.peakInstances, want.peakInstances);
+        EXPECT_FALSE(got.disaggregated);
+        EXPECT_TRUE(got.timeseries.empty());
+        ASSERT_EQ(got.requests.size(), want.requests.size());
+        for (std::size_t i = 0; i < got.requests.size(); ++i) {
+            EXPECT_EQ(got.requests[i].id, want.requests[i].id);
+            EXPECT_EQ(got.requests[i].arrival,
+                      want.requests[i].arrival);
+            EXPECT_EQ(got.requests[i].firstToken,
+                      want.requests[i].firstToken);
+            EXPECT_EQ(got.requests[i].finish, want.requests[i].finish);
+            EXPECT_EQ(got.requests[i].maxGap, want.requests[i].maxGap);
+            EXPECT_EQ(got.requests[i].outputTokens,
+                      want.requests[i].outputTokens);
+            EXPECT_EQ(got.requests[i].evictions,
+                      want.requests[i].evictions);
+        }
+    }
 }
 
 TEST(RunReportTest, SummaryMentionsKeyNumbers)
