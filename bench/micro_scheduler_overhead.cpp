@@ -7,13 +7,18 @@
  * at realistic batch sizes, with the modelled decode-iteration
  * latency printed for comparison: a Past-Future admission round at
  * batch 256 must stay 100x below the ~30-60 ms A100 decode step.
- * Also times the prefix cache's reclaim under a mostly pinned cache,
- * the KV bookkeeping a decode step pays when its pool runs dry, and
- * one session turn's prefix-cache work (match, publish, release).
+ * The ledger also splits one decode-run step and one engine admission
+ * round into their parts: the moved-only audit repair, the Eq. 2 sort
+ * of a trial batch, and a slotted StickySample round at o1_knee's
+ * batch of ~39. Also times the prefix cache's reclaim under a mostly
+ * pinned cache, the KV bookkeeping a decode step pays when its pool
+ * runs dry, and one session turn's prefix-cache work (match,
+ * publish, release).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -97,6 +102,32 @@ BM_PastFutureAdmissionRound(benchmark::State &state)
 }
 
 /**
+ * The round an engine runs: every request carries its slot, so the
+ * StickySample predictions resolve through the slot-indexed samples
+ * and their tail cursors, and the 8 trials' batches are sorted each
+ * round. Zero capacity rejects every candidate, so each round scores
+ * one candidate and the round state stays the same.
+ */
+void
+BM_PastFutureSlottedRound(benchmark::State &state)
+{
+    ContextFixture fixture(state.range(0), 8);
+    fixture.ctx.capacityTokens = 0;
+    for (std::size_t i = 0; i < fixture.running.size(); ++i)
+        fixture.running[i].slot =
+            makeSlot(static_cast<std::uint32_t>(i), 0);
+    for (std::size_t i = 0; i < fixture.waiting.size(); ++i) {
+        fixture.waiting[i].slot = makeSlot(
+            static_cast<std::uint32_t>(fixture.running.size() + i), 0);
+    }
+    auto scheduler = warmScheduler();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            scheduler.selectAdmissions(fixture.ctx));
+    }
+}
+
+/**
  * One feasibility test: every trial's M* with the candidate merged
  * into the round's sorted trial batch (no copy, no sort). Zero
  * capacity rejects every candidate, so the round state — and the
@@ -170,6 +201,90 @@ BM_AuditStep(benchmark::State &state)
             std::span<core::BatchEntry>(carried),
             std::span<std::size_t>(tags));
         benchmark::DoNotOptimize(core::sortedPeak(carried));
+    }
+}
+
+/**
+ * One decode-run step's audit repair: the predictions of about one
+ * member in eight move (o1_knee re-peeks ~7 of its ~39 members a
+ * step and ~3.5 of them move), each by a few tokens, so it seldom
+ * passes a neighbour (o1_knee: ~0.1 positions per move). Each moved
+ * entry slides to its Eq. 2 slot, then one scan takes M*; a rescan
+ * rewrites and re-sorts the whole carried batch instead
+ * (BM_AuditStep).
+ */
+void
+BM_MovedAuditStep(benchmark::State &state)
+{
+    ContextFixture fixture(state.range(0), 0);
+    std::vector<core::BatchEntry> carried = fixtureEntries(fixture);
+    core::sortByRemaining(carried);
+    std::vector<std::size_t> tags(carried.size());
+    std::vector<std::size_t> position(carried.size());
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+        tags[i] = i;
+        position[i] = i;
+    }
+    // The moves are drawn up front: the loop times the repair only.
+    struct Move
+    {
+        std::size_t tag;
+        TokenCount delta;
+    };
+    const std::size_t moves = std::max<std::size_t>(1, tags.size() / 8);
+    std::vector<Move> plan(4096);
+    Rng rng(29);
+    for (Move &move : plan) {
+        move.tag = static_cast<std::size_t>(rng.uniformInt(
+            0, static_cast<std::int64_t>(tags.size()) - 1));
+        move.delta = rng.uniformInt(-16, 16);
+    }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        for (std::size_t m = 0; m < moves; ++m) {
+            const Move &move = plan[next];
+            next = (next + 1) % plan.size();
+            const std::size_t at = position[move.tag];
+            core::BatchEntry &entry = carried[at];
+            entry.predictedOutputLen =
+                std::max(entry.generatedLen,
+                         entry.predictedOutputLen + move.delta);
+            core::slideToOrder(std::span<core::BatchEntry>(carried),
+                               std::span<std::size_t>(tags), at,
+                               [&](std::size_t moved, std::size_t i) {
+                                   position[moved] = i;
+                               });
+        }
+        benchmark::DoNotOptimize(core::sortedPeak(carried));
+    }
+}
+
+/**
+ * The Eq. 2 sort of one admission trial's batch (the 8 trials of a
+ * StickySample round each sort one): insertion sort below 32
+ * entries, radix passes from there. The loop cycles through 64
+ * batches, so a comparison sort cannot learn one input's branches.
+ */
+void
+BM_SortByRemaining(benchmark::State &state)
+{
+    std::vector<std::vector<core::BatchEntry>> batches(64);
+    Rng rng(31);
+    for (auto &batch : batches) {
+        for (std::int64_t i = 0; i < state.range(0); ++i) {
+            const TokenCount generated = rng.uniformInt(0, 1500);
+            batch.push_back(core::BatchEntry{
+                rng.uniformInt(64, 2048), generated,
+                generated + rng.uniformInt(1, 2000)});
+        }
+    }
+    std::vector<core::BatchEntry> scratch;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        scratch = batches[next];
+        next = (next + 1) % batches.size();
+        core::sortByRemaining(scratch);
+        benchmark::DoNotOptimize(scratch.data());
     }
 }
 
@@ -379,9 +494,12 @@ BM_PrefixCacheSessionTurn(benchmark::State &state)
 } // namespace
 
 BENCHMARK(BM_PastFutureAdmissionRound)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_PastFutureSlottedRound)->Arg(39);
 BENCHMARK(BM_PastFutureTryAdmit)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_FutureRequiredMemory)->Arg(16)->Arg(64)->Arg(256);
-BENCHMARK(BM_AuditStep)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_SortByRemaining)->Arg(18)->Arg(39)->Arg(256);
+BENCHMARK(BM_AuditStep)->Arg(16)->Arg(39)->Arg(64)->Arg(256);
+BENCHMARK(BM_MovedAuditStep)->Arg(39)->Arg(256);
 BENCHMARK(BM_DistributionRebuild)->Arg(1000)->Arg(5000);
 BENCHMARK(BM_TailSampleAt);
 BENCHMARK(BM_ReferenceDecodeIterationLatency)->Arg(64)->Arg(256);

@@ -32,7 +32,8 @@ class Rng
     /** Uniform double in [0, 1). */
     double uniformDouble();
 
-    /** Uniform integer in [lo, hi] (inclusive); requires lo <= hi. */
+    /** Integer in [lo, hi] (inclusive) by plain modulo, uniform up
+     *  to a bias below (hi - lo + 1) / 2^64; requires lo <= hi. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
     /** Standard normal via Box-Muller (cached spare). */

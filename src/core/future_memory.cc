@@ -1,7 +1,11 @@
 #include "core/future_memory.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "base/logging.hh"
 
@@ -9,6 +13,9 @@ namespace lightllm {
 namespace core {
 
 namespace {
+
+/** Batch size from which sortByRemaining radix-sorts. */
+constexpr std::size_t kRadixMinSize = 32;
 
 /** True when `a` precedes `b` in Eq. 2 order. */
 bool
@@ -95,7 +102,66 @@ scanPeak(std::span<const BatchEntry> sorted, const BatchEntry *extra,
 void
 sortByRemaining(std::span<BatchEntry> entries)
 {
-    std::sort(entries.begin(), entries.end(), longerRemaining);
+    const std::size_t n = entries.size();
+    if (n < kRadixMinSize) {
+        // Stable insertion sort: below a few dozen entries it beats
+        // both a comparison sort and the radix passes' fixed cost.
+        for (std::size_t i = 1; i < n; ++i) {
+            const TokenCount key = entries[i].remaining();
+            if (entries[i - 1].remaining() >= key)
+                continue;
+            const BatchEntry entry = entries[i];
+            std::size_t j = i;
+            for (; j > 0 && entries[j - 1].remaining() < key; --j)
+                entries[j] = entries[j - 1];
+            entries[j] = entry;
+        }
+        return;
+    }
+
+    // Stable LSD radix on key = max remaining - remaining, ascending
+    // (descending remaining). The difference is taken in unsigned
+    // arithmetic, so any int64 remaining, negative included, maps to
+    // an exact key. Digits are at most 8 bits, balanced across the
+    // passes the key's span needs: two 7-bit passes at the ~2^13
+    // span of a heavy-tailed batch.
+    TokenCount top = entries[0].remaining();
+    TokenCount bottom = top;
+    for (const BatchEntry &entry : entries) {
+        top = std::max(top, entry.remaining());
+        bottom = std::min(bottom, entry.remaining());
+    }
+    const auto key = [top](const BatchEntry &entry) {
+        return static_cast<std::uint64_t>(top) -
+            static_cast<std::uint64_t>(entry.remaining());
+    };
+    const int bits = std::bit_width(static_cast<std::uint64_t>(top) -
+                                    static_cast<std::uint64_t>(bottom));
+    const int passes = (bits + 7) / 8;
+    if (passes == 0)
+        return;  // every remaining is equal
+    const int digit = (bits + passes - 1) / passes;
+    const std::uint64_t mask = (std::uint64_t{1} << digit) - 1;
+
+    thread_local std::vector<BatchEntry> scratch;
+    scratch.resize(n);
+    BatchEntry *from = entries.data();
+    BatchEntry *to = scratch.data();
+    std::array<std::uint32_t, 256> offset;
+    for (int pass = 0; pass < passes; ++pass) {
+        const int shift = pass * digit;
+        std::fill_n(offset.begin(), mask + 1, 0);
+        for (std::size_t i = 0; i < n; ++i)
+            ++offset[(key(from[i]) >> shift) & mask];
+        std::uint32_t sum = 0;
+        for (std::uint64_t d = 0; d <= mask; ++d)
+            sum += std::exchange(offset[d], sum);
+        for (std::size_t i = 0; i < n; ++i)
+            to[offset[(key(from[i]) >> shift) & mask]++] = from[i];
+        std::swap(from, to);
+    }
+    if (from != entries.data())
+        std::copy(from, from + n, entries.data());
 }
 
 TokenCount

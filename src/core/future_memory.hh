@@ -65,14 +65,20 @@ struct BatchEntry
 };
 
 /**
- * Peak future memory M* (Eq. 4) of a batch; O(k log k).
- * Entries are reordered in place (descending remaining length).
+ * Peak future memory M* (Eq. 4) of a batch: sortByRemaining, then
+ * one scan. Entries are reordered in place (descending remaining
+ * length).
  * Returns 0 for an empty batch.
  */
 TokenCount futureRequiredMemory(std::vector<BatchEntry> &entries);
 
-/** Put `entries` in Eq. 2 order (descending remaining);
- *  O(k log k). */
+/**
+ * Put `entries` in Eq. 2 order (descending remaining), stably:
+ * equal remaining lengths keep their relative order. A batch of 32
+ * or more takes O(k) LSD radix passes over its key span (two at the
+ * ~2^13 spans of heavy-tailed batches); smaller ones an insertion
+ * sort.
+ */
 void sortByRemaining(std::span<BatchEntry> entries);
 
 /**
@@ -105,6 +111,40 @@ restoreRemainingOrder(std::span<BatchEntry> entries,
         entries[j] = entry;
         tags[j] = std::move(tag);
     }
+}
+
+/**
+ * Restore Eq. 2 order after entries[at] alone changed its remaining
+ * length: slide it past the entries it now out- or under-runs (equal
+ * ones stay where they are), moving tags with their entries, and
+ * call moved(tag, i) for each tag that lands at a new index i, the
+ * slid one's included when it moved. O(distance slid): a decode-run
+ * step repairs each moved prediction this way instead of re-sorting
+ * the batch.
+ */
+template <typename Tag, typename Moved>
+void
+slideToOrder(std::span<BatchEntry> entries, std::span<Tag> tags,
+             std::size_t at, Moved &&moved)
+{
+    const BatchEntry entry = entries[at];
+    Tag tag = std::move(tags[at]);
+    const TokenCount key = entry.remaining();
+    std::size_t i = at;
+    auto shift_from = [&](std::size_t from) {
+        entries[i] = entries[from];
+        tags[i] = std::move(tags[from]);
+        moved(tags[i], i);
+        i = from;
+    };
+    while (i > 0 && entries[i - 1].remaining() < key)
+        shift_from(i - 1);
+    while (i + 1 < entries.size() && entries[i + 1].remaining() > key)
+        shift_from(i + 1);
+    entries[i] = entry;
+    tags[i] = std::move(tag);
+    if (i != at)
+        moved(tags[i], i);
 }
 
 /**

@@ -21,6 +21,8 @@ void
 LengthPredictor::observe(TokenCount output_len)
 {
     const HistoryWindow::PushDelta delta = window_.push(output_len);
+    lastPush_ = LastPush{window_.version(), output_len, delta.removed,
+                         delta.hasRemoved};
     if (distributionValid_) {
         if (delta.hasRemoved)
             distribution_.eraseValue(delta.removed);

@@ -24,6 +24,7 @@
 #ifndef LIGHTLLM_CORE_LENGTH_PREDICTOR_HH
 #define LIGHTLLM_CORE_LENGTH_PREDICTOR_HH
 
+#include <cstdint>
 #include <span>
 
 #include "core/history_window.hh"
@@ -88,19 +89,30 @@ class LengthPredictor
 
     /**
      * distribution().tailStart(greater_than), through `cursor`: an
-     * O(1) forward walk when the cursor is current and greater_than
-     * has not decreased, a binary search otherwise. The result is
+     * O(1) forward walk when greater_than has not decreased and the
+     * cursor is current, or one observe() old (its start then moves
+     * by what that push added and displaced at or below the
+     * cursor's length); a binary search otherwise. The result is
      * the same either way; the cursor is updated to it.
      */
     std::size_t
     tailStart(TailCursor &cursor, TokenCount greater_than)
     {
         const LengthDistribution &dist = distribution();
-        const bool current = cursor.version == version() &&
-            greater_than >= cursor.after;
-        cursor.start = current
-            ? dist.tailStartFrom(cursor.start, greater_than)
-            : dist.tailStart(greater_than);
+        const bool forward = greater_than >= cursor.after;
+        if (forward && cursor.version == version()) {
+            cursor.start = dist.tailStartFrom(cursor.start, greater_than);
+        } else if (forward && cursor.version + 1 == version() &&
+                   lastPush_.version == version()) {
+            const std::size_t start = cursor.start +
+                (lastPush_.added <= cursor.after ? 1 : 0) -
+                (lastPush_.hasRemoved && lastPush_.removed <= cursor.after
+                     ? 1
+                     : 0);
+            cursor.start = dist.tailStartFrom(start, greater_than);
+        } else {
+            cursor.start = dist.tailStart(greater_than);
+        }
         cursor.version = version();
         cursor.after = greater_than;
         return cursor.start;
@@ -127,6 +139,18 @@ class LengthPredictor
     void rebuildDistribution();
 
     HistoryWindow window_;
+
+    /** The last observe(): the window version it produced, the
+     *  length it added and the one it displaced. */
+    struct LastPush
+    {
+        std::uint64_t version = ~std::uint64_t{0};
+        TokenCount added = 0;
+        TokenCount removed = 0;
+        bool hasRemoved = false;
+    };
+    LastPush lastPush_;
+
     LengthDistribution distribution_;
     /** distribution_ mirrors the window (false until first query
      *  and after seed(), which must rebuild from a snapshot). */

@@ -106,9 +106,20 @@ PastFutureScheduler::predict(RequestSlot slot, RequestId id,
                              TokenCount generated_len,
                              TokenCount max_new_tokens)
 {
+    std::size_t tail_start = 0;
+    return predict(slot, id, generated_len, max_new_tokens, tail_start);
+}
+
+TokenCount
+PastFutureScheduler::predict(RequestSlot slot, RequestId id,
+                             TokenCount generated_len,
+                             TokenCount max_new_tokens,
+                             std::size_t &tail_start)
+{
     const LengthDistribution &distribution =
         predictor_.distribution();
     TokenCount predicted = 0;
+    tail_start = 0;
     if (distribution.empty()) {
         predicted = max_new_tokens;
     } else {
@@ -118,22 +129,28 @@ PastFutureScheduler::predict(RequestSlot slot, RequestId id,
             // Quantile coupling: freeze u per request, evaluate the
             // current conditional tail at u. For fresh requests
             // l_t = 0 and the tail is the full distribution P(l).
-            predicted = stickyPrediction(sampleFor(slot, id),
-                                         generated_len,
-                                         max_new_tokens);
+            // The sample's cursor replaces the tail's binary search
+            // while the window is unchanged and l_t only grows.
+            StickySample &sample = sampleFor(slot, id);
+            tail_start = predictor_.tailStart(sample.tail, generated_len);
+            predicted = distribution.sampleTailFrom(sample.u, tail_start,
+                                                    max_new_tokens);
             break;
           }
           case PredictionMode::PerStepSample:
-            predicted = distribution.sampleTail(rng_, generated_len,
-                                                max_new_tokens);
+            tail_start = distribution.tailStart(generated_len);
+            predicted = distribution.sampleTailFrom(rng_, tail_start,
+                                                    max_new_tokens);
             break;
           case PredictionMode::TailMean:
-            predicted = distribution.tailMean(generated_len,
-                                              max_new_tokens);
+            tail_start = distribution.tailStart(generated_len);
+            predicted = distribution.tailMeanFrom(tail_start,
+                                                  max_new_tokens);
             break;
           case PredictionMode::TailQuantile:
-            predicted = distribution.tailQuantile(
-                generated_len, params_.tailQuantile, max_new_tokens);
+            tail_start = distribution.tailStart(generated_len);
+            predicted = distribution.tailQuantileFrom(
+                tail_start, params_.tailQuantile, max_new_tokens);
             break;
         }
     }
@@ -197,19 +214,6 @@ PastFutureScheduler::peekWithHorizon(RequestSlot slot, RequestId id,
 }
 
 TokenCount
-PastFutureScheduler::stickyPrediction(StickySample &sample,
-                                      TokenCount generated_len,
-                                      TokenCount max_new_tokens)
-{
-    // Same value as distribution().sampleTailAt(u, l_t, cap); the
-    // memo replaces its binary search with a forward walk while the
-    // window is unchanged and l_t only grows.
-    return predictor_.distribution().sampleTailFrom(
-        sample.u, predictor_.tailStart(sample.tail, generated_len),
-        max_new_tokens);
-}
-
-TokenCount
 PastFutureScheduler::samplePerturbed(std::size_t tail_start,
                                      TokenCount generated_len,
                                      TokenCount max_new_tokens)
@@ -255,23 +259,17 @@ PastFutureScheduler::beginAdmissionRound(const SchedulerContext &ctx)
     // One entry vector per trial; each trial independently draws
     // its own predictions for the running batch, then candidates
     // are appended incrementally as they are accepted. (With
-    // deterministic or sticky predictions there is exactly one
-    // trial and predictions are stable.) The per-trial vectors are
-    // cleared, not reassigned, so their capacity survives across
-    // rounds and steady-state admission allocates nothing.
+    // deterministic predictions there is exactly one trial.) The
+    // per-trial vectors are cleared, not reassigned, so their
+    // capacity survives across rounds and steady-state admission
+    // allocates nothing.
     const auto trials = static_cast<std::size_t>(trials_);
     if (trialEntries_.size() < trials)
         trialEntries_.resize(trials);
-    // Every perturbation trial redraws a request from the same
-    // conditional tail: find where each tail starts once.
-    tailStarts_.clear();
-    if (trials > 1) {
-        const LengthDistribution &distribution =
-            predictor_.distribution();
-        for (const auto &request : ctx.running)
-            tailStarts_.push_back(
-                distribution.tailStart(request.generatedLen));
-    }
+    // Trial 0 records where each request's conditional tail starts
+    // (a tail start draws no RNG), and every perturbation trial
+    // redraws the request from that same tail.
+    tailStarts_.resize(ctx.running.size());
     for (std::size_t t = 0; t < trials; ++t) {
         auto &entries = trialEntries_[t];
         entries.clear();
@@ -283,7 +281,8 @@ PastFutureScheduler::beginAdmissionRound(const SchedulerContext &ctx)
             // to probe the upside risk of the batch peak.
             const TokenCount predicted = t == 0
                 ? predict(request.slot, request.id,
-                          request.generatedLen, request.maxNewTokens)
+                          request.generatedLen, request.maxNewTokens,
+                          tailStarts_[i])
                 : samplePerturbed(tailStarts_[i],
                                   request.generatedLen,
                                   request.maxNewTokens);
@@ -305,13 +304,12 @@ PastFutureScheduler::tryAdmit(const WaitingView &candidate)
 {
     const auto trials = static_cast<std::size_t>(trials_);
     candidateEntries_.resize(trials);
-    const std::size_t tail_start = trials > 1
-        ? predictor_.distribution().tailStart(candidate.generatedLen)
-        : 0;
+    std::size_t tail_start = 0;
     for (std::size_t t = 0; t < trials; ++t) {
         const TokenCount predicted = t == 0
             ? predict(candidate.slot, candidate.id,
-                      candidate.generatedLen, candidate.maxNewTokens)
+                      candidate.generatedLen, candidate.maxNewTokens,
+                      tail_start)
             : samplePerturbed(tail_start, candidate.generatedLen,
                               candidate.maxNewTokens);
         // The recompute prefill re-materialises prompt +

@@ -198,6 +198,15 @@ class PastFutureScheduler : public Scheduler
                        TokenCount generated_len,
                        TokenCount max_new_tokens);
 
+    /** predict(), also setting `tail_start` to the conditional-tail
+     *  start it drew from, distribution().tailStart(generated_len)
+     *  (0 when the window is empty); StickySample mode finds it
+     *  through the request's sample cursor. */
+    TokenCount predict(RequestSlot slot, RequestId id,
+                       TokenCount generated_len,
+                       TokenCount max_new_tokens,
+                       std::size_t &tail_start);
+
     /** Fresh conditional-tail draw that bypasses the sticky map
      *  (perturbation trials of the admission check); `tail_start`
      *  is distribution().tailStart(generated_len). */
@@ -238,12 +247,6 @@ class PastFutureScheduler : public Scheduler
     /** Free a slotted sample entry (and its id index). */
     void dropSlotSample(SlotSample &entry);
 
-    /** The u-quantile of the conditional tail past `generated_len`
-     *  (StickySample mode; advances the sample's tail memo). */
-    TokenCount stickyPrediction(StickySample &sample,
-                                TokenCount generated_len,
-                                TokenCount max_new_tokens);
-
     PastFutureParams params_;
 
     /** The "past" half: window + cached distribution. */
@@ -273,7 +276,7 @@ class PastFutureScheduler : public Scheduler
     std::vector<std::vector<BatchEntry>> trialEntries_;
     std::vector<BatchEntry> candidateEntries_;
     /** Conditional-tail start of each running request this round
-     *  (perturbation trials only). */
+     *  (trial 0 sets it, the perturbation trials draw from it). */
     std::vector<std::size_t> tailStarts_;
     /** estimateFutureMemory scratch (routing/introspection path). */
     std::vector<BatchEntry> loadScratch_;

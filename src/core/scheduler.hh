@@ -18,6 +18,7 @@
 #define LIGHTLLM_CORE_SCHEDULER_HH
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 
@@ -162,6 +163,13 @@ struct SchedulerContext
      * must budget `overhead * batch_size` on top of Eq. 4's M*.
      */
     TokenCount perRequestOverhead = 0;
+
+    /**
+     * Admissions this round may make at most (the engine's batch
+     * cap less its active requests); the pipeline stops popping
+     * candidates there, so none past the room is scored or charged.
+     */
+    std::size_t admitRoom = std::numeric_limits<std::size_t>::max();
 
     /** Running batch, arbitrary order. */
     std::span<const RunningView> running;

@@ -59,14 +59,14 @@ SchedulingPolicy::decideInto(const SchedulerContext &ctx,
 
     admission_->beginAdmissionRound(ctx);
     std::size_t index = 0;
-    while (SchedNode *leaf = root_.peek(ctx.now, /*force=*/false,
-                                        index)) {
-        if (!admission_->tryAdmit(ctx.waiting[index]))
+    while (out.admit.size() < ctx.admitRoom) {
+        SchedNode *leaf = root_.peek(ctx.now, /*force=*/false, index);
+        if (leaf == nullptr || !admission_->tryAdmit(ctx.waiting[index]))
             break;
         admit(ctx, index, *leaf, out);
     }
 
-    if (out.admit.empty() && ctx.running.empty()) {
+    if (out.admit.empty() && ctx.running.empty() && ctx.admitRoom > 0) {
         // The system is idle yet the policy refuses the head-of-
         // order request (e.g. conservative with prompt +
         // max_new_tokens beyond capacity). Real frameworks always

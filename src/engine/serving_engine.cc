@@ -276,7 +276,7 @@ ServingEngine::planRun()
     TokenCount finish = std::numeric_limits<TokenCount>::max();
     TokenCount batch_kv = 0;
     run.phase.resize(running_.size());
-    run.phaseCount.assign(static_cast<std::size_t>(block), 0);
+    run.phaseStart.assign(static_cast<std::size_t>(block) + 1, 0);
     for (std::size_t i = 0; i < running_.size(); ++i) {
         const EngineRequest *request = running_[i];
         finish = std::min(finish,
@@ -284,9 +284,24 @@ ServingEngine::planRun()
         batch_kv += request->spec.inputLen + request->generated;
         run.phase[i] = static_cast<std::uint32_t>(
             kv_.requestTokens(request->slot) % block);
-        ++run.phaseCount[run.phase[i]];
+        ++run.phaseStart[run.phase[i] + 1];
     }
-    // Each crossing (see crossingPhase) takes a block off the free
+    // Lay the members out by phase, in member order within a phase,
+    // so a step's crossings take their blocks in stepwise order.
+    for (std::size_t p = 0; p < static_cast<std::size_t>(block); ++p)
+        run.phaseStart[p + 1] += run.phaseStart[p];
+    run.phaseMembers.resize(running_.size());
+    for (std::size_t i = 0; i < running_.size(); ++i)
+        run.phaseMembers[run.phaseStart[run.phase[i]]++] =
+            static_cast<std::uint32_t>(i);
+    for (std::size_t p = static_cast<std::size_t>(block); p > 0; --p)
+        run.phaseStart[p] = run.phaseStart[p - 1];
+    run.phaseStart[0] = 0;
+    auto phase_count = [&run](std::uint32_t p) {
+        return static_cast<std::int64_t>(run.phaseStart[p + 1] -
+                                         run.phaseStart[p]);
+    };
+    // Each crossing (see nextCrossing) takes a block off the free
     // list or out of the reclaimable cache, so batchCanGrow() holds
     // while the steps' crossings fit in what was available at the
     // start.
@@ -295,41 +310,43 @@ ServingEngine::planRun()
     std::int64_t crossings = 0;
     Tick tick = now_;
     run.ends.clear();
+    std::uint32_t phase = 0;  // step 1 crosses phase 0
     for (TokenCount step = 1; step < finish; ++step) {
         if (limits_.maxTicks > 0 && tick >= limits_.maxTicks)
             break;
-        crossings += run.phaseCount[crossingPhase(step)];
+        crossings += phase_count(phase);
         if (crossings > available)
             break;
         tick += scaled(perf_.fusedStepLatency(batch,
                                               batch_kv + batch * step,
                                               0));
         run.ends.push_back(tick);
+        phase = nextCrossing(phase);
     }
-    LIGHTLLM_ASSERT((run.phaseCount[0] <= available) ==
-                        kv_.batchCanGrow(),
+    LIGHTLLM_ASSERT((phase_count(0) <= available) == kv_.batchCanGrow(),
                     "decode-run plan disagrees with batchCanGrow");
     if (run.ends.empty())
         return now_;
 
     // A member re-peeks at the first step its length reaches the
     // horizon, or at once when a finish moved the epoch.
-    run.lapseAt.resize(running_.size());
-    run.predicted.resize(running_.size());
-    run.nextLapse = std::numeric_limits<TokenCount>::max();
+    run.lapseHead.clear();
+    run.lapseNext.resize(running_.size());
     for (std::size_t i = 0; i < running_.size(); ++i) {
         const EngineRequest *request = running_[i];
-        run.lapseAt[i] = request->predictedEpoch != predictionEpoch_
-            ? 1
-            : std::max<TokenCount>(
-                  1, request->predictedUntil - request->generated);
-        run.nextLapse = std::min(run.nextLapse, run.lapseAt[i]);
-        run.predicted[i] = request->predicted;
+        const auto member = static_cast<std::uint32_t>(i);
+        fileLapse(member,
+                  request->predictedEpoch != predictionEpoch_
+                      ? 1
+                      : std::max<TokenCount>(1, request->predictedUntil -
+                                                    request->generated));
         const std::size_t slab = slotIndex(request->slot);
         if (slab >= run.memberOfSlab.size())
             run.memberOfSlab.resize(slab + 1);
-        run.memberOfSlab[slab] = static_cast<std::uint32_t>(i);
+        run.memberOfSlab[slab] = member;
     }
+    run.auditPosValid = false;
+    run.crossing = 0;
     run.start = now_;
     run.settled = 0;
     run.synced = 0;
@@ -338,15 +355,30 @@ ServingEngine::planRun()
     return tick;
 }
 
+void
+ServingEngine::fileLapse(std::uint32_t member, TokenCount step)
+{
+    // The calendar grows to the latest lapse filed, which is
+    // usually far short of the run's last step.
+    DecodeRun &run = decodeRun_;
+    if (step > static_cast<TokenCount>(run.ends.size()))
+        return;
+    const auto at = static_cast<std::size_t>(step);
+    if (at >= run.lapseHead.size())
+        run.lapseHead.resize(at + 1, kNoMember);
+    run.lapseNext[member] = run.lapseHead[at];
+    run.lapseHead[at] = member;
+}
+
 std::uint32_t
-ServingEngine::crossingPhase(TokenCount step) const
+ServingEngine::nextCrossing(std::uint32_t phase) const
 {
     // A member whose allocation held f tokens at the run's start is
     // full before step s when (f + s - 1) % block == 0, and then
-    // takes a fresh block.
-    const TokenCount block = kv_.blockSize();
-    return static_cast<std::uint32_t>((block - (step - 1) % block) %
-                                      block);
+    // takes a fresh block: step 1 crosses phase 0, and each later
+    // step the phase one below its predecessor's, mod block.
+    return phase == 0 ? static_cast<std::uint32_t>(kv_.blockSize() - 1)
+                      : phase - 1;
 }
 
 void
@@ -361,11 +393,11 @@ ServingEngine::settleStep()
     // in member order, catching up their deferred slack fills first
     // — block ids and prefix-cache reclaims follow the stepwise
     // order. The rest of the step's growth stays deferred.
-    const std::uint32_t phase =
-        crossingPhase(static_cast<TokenCount>(step));
-    for (std::size_t i = 0; i < running_.size(); ++i) {
-        if (run.phase[i] != phase)
-            continue;
+    const std::uint32_t phase = run.crossing;
+    run.crossing = nextCrossing(phase);
+    for (std::uint32_t k = run.phaseStart[phase];
+         k < run.phaseStart[phase + 1]; ++k) {
+        const std::uint32_t i = run.phaseMembers[k];
         const RequestSlot slot = running_[i]->slot;
         const auto lag = static_cast<TokenCount>(step - run.kvSynced[i]);
         kv_.growInSlack(slot, lag - 1);
@@ -375,38 +407,41 @@ ServingEngine::settleStep()
     }
     run.kvLag += batch;
 
-    // Lapsed predictions re-peek at this step's length. With the
-    // audit carried from an earlier step, the moved ones are written
-    // into its entries in place (see moveLapsedEntries).
+    // The members filed at this step re-peek at its length (peeks
+    // are read-only, so their order does not matter) and are filed
+    // again at their new horizon. With the audit carried from an
+    // earlier step, the moved ones are repaired in place (see
+    // moveLapsedEntries).
     const bool rescan = auditMembersChanged_ || auditPredictionChanged_;
-    bool moved = false;
-    if (run.nextLapse == static_cast<TokenCount>(step)) {
-        run.nextLapse = std::numeric_limits<TokenCount>::max();
-        for (std::size_t i = 0; i < running_.size(); ++i) {
-            if (run.lapseAt[i] == static_cast<TokenCount>(step)) {
-                EngineRequest &request = *running_[i];
-                const TokenCount generated = request.generated + ahead;
-                peekAt(request, generated);
-                // Between lapses the entry's l_hat, max(predicted,
-                // generated), must stay put: a peek holds at least to
-                // one token short of its horizon.
-                LIGHTLLM_ASSERT(
-                    request.predicted + 1 >= request.predictedUntil,
-                    "prediction ", request.predicted,
-                    " ends before its horizon ", request.predictedUntil);
-                moved = moved || request.predicted != run.predicted[i];
-                run.predicted[i] = request.predicted;
-                run.lapseAt[i] += request.predictedUntil - generated;
-            }
-            run.nextLapse = std::min(run.nextLapse, run.lapseAt[i]);
-        }
+    for (std::uint32_t i = step < run.lapseHead.size()
+             ? run.lapseHead[step]
+             : kNoMember;
+         i != kNoMember;) {
+        const std::uint32_t next = run.lapseNext[i];
+        EngineRequest &request = *running_[i];
+        const TokenCount generated = request.generated + ahead;
+        const TokenCount before = request.predicted;
+        peekAt(request, generated);
+        // Between lapses the entry's l_hat, max(predicted,
+        // generated), must stay put: a peek holds at least to one
+        // token short of its horizon.
+        LIGHTLLM_ASSERT(request.predicted + 1 >= request.predictedUntil,
+                        "prediction ", request.predicted,
+                        " ends before its horizon ",
+                        request.predictedUntil);
+        if (request.predicted != before)
+            run.moved.push_back(i);
+        fileLapse(i, static_cast<TokenCount>(step) +
+                         request.predictedUntil - generated);
+        i = next;
     }
 
     const Tick duration =
         run.ends[step - 1] - (step == 1 ? run.start : run.ends[step - 2]);
     now_ = run.ends[step - 1];
-    if (moved && !rescan)
+    if (!run.moved.empty() && !rescan)
         moveLapsedEntries();
+    run.moved.clear();
     const auto [true_future, predicted_future] = auditStep(ahead);
     const TokenCount used = kv_.usedTokens() + run.kvLag;
     collector_.onDecodeStep(batch, used, true_future, predicted_future,
@@ -421,18 +456,41 @@ ServingEngine::moveLapsedEntries()
 {
     // The carried entries lag their requests' lengths by one shared
     // amount, which leaves every M_i unchanged, while each l_hat is
-    // the absolute max(predicted, generated): the run's predictions
-    // overwrite the entries' l_hat in place (one pass over the
-    // carried tags, no request reads), and one insertion-sort pass
-    // plus one scan rescore the batch.
-    const DecodeRun &run = decodeRun_;
-    for (std::size_t i = 0; i < auditPredicted_.members.size(); ++i) {
-        const std::uint32_t member = run.memberOfSlab[slotIndex(
-            auditPredicted_.members[i].slot)];
-        auditPredicted_.entries[i].predictedOutputLen =
-            run.predicted[member];
+    // the absolute max(predicted, generated): a moved member
+    // overwrites its own entry's l_hat and slides it to its Eq. 2
+    // slot past the entries it now out- or under-runs (the rest of
+    // the batch stays sorted), then one scan rescores the batch.
+    DecodeRun &run = decodeRun_;
+    std::vector<core::BatchEntry> &entries = auditPredicted_.entries;
+    std::vector<AuditMember> &members = auditPredicted_.members;
+    auto member_of = [&run](const AuditMember &tag) {
+        return run.memberOfSlab[slotIndex(tag.slot)];
+    };
+    if (!run.auditPosValid) {
+        // Without a rescan pending the audit holds exactly the run's
+        // members (joins and prefill-pending members flag one).
+        LIGHTLLM_ASSERT(members.size() == running_.size(),
+                        "carried audit of ", members.size(),
+                        " members over a run of ", running_.size());
+        run.auditPos.resize(running_.size());
+        for (std::size_t p = 0; p < members.size(); ++p) {
+            run.auditPos[member_of(members[p])] =
+                static_cast<std::uint32_t>(p);
+        }
+        run.auditPosValid = true;
     }
-    auditPredicted_.peak = carriedPeak(auditPredicted_);
+    for (const std::uint32_t member : run.moved) {
+        const std::size_t at = run.auditPos[member];
+        entries[at].predictedOutputLen = running_[member]->predicted;
+        core::slideToOrder(
+            std::span<core::BatchEntry>(entries),
+            std::span<AuditMember>(members), at,
+            [&](const AuditMember &tag, std::size_t i) {
+                run.auditPos[member_of(tag)] =
+                    static_cast<std::uint32_t>(i);
+            });
+    }
+    auditPredicted_.peak = core::sortedPeak(entries);
     auditPredictionChanged_ = false;
 }
 
@@ -664,9 +722,20 @@ ServingEngine::buildContext()
     // Block rounding wastes at most blockSize - 1 slots per request,
     // and admission allocates one extra slot for the prefill token.
     ctx.perRequestOverhead = kv_.blockSize();
+    ctx.admitRoom = admitRoom();
     ctx.running = runningViews_;
     ctx.waiting = waitingViews_;
     return ctx;
+}
+
+std::size_t
+ServingEngine::admitRoom() const
+{
+    if (config_.maxBatchSize == 0)
+        return std::numeric_limits<std::size_t>::max();
+    const std::size_t active = running_.size() + prefillPending_.size();
+    return config_.maxBatchSize > active ? config_.maxBatchSize - active
+                                         : 0;
 }
 
 bool
@@ -742,15 +811,11 @@ ServingEngine::admitRequests()
         eviction_stall += evictRequest(id, false);
     now_ += eviction_stall;
 
-    if (config_.maxBatchSize > 0) {
-        const std::size_t active =
-            running_.size() + prefillPending_.size();
-        const std::size_t room = config_.maxBatchSize > active
-            ? config_.maxBatchSize - active
-            : 0;
-        if (decision.admit.size() > room)
-            decision.admit.resize(room);
-    }
+    // The policy stopped at the room it was given; evictions only
+    // widen it.
+    LIGHTLLM_ASSERT(decision.admit.size() <= admitRoom(),
+                    "decision admits ", decision.admit.size(),
+                    " past the batch room ", admitRoom());
 
     if (decision.admit.empty() && running_.empty() &&
         prefillPending_.empty()) {
@@ -1094,6 +1159,7 @@ ServingEngine::rescanPredicted(TokenCount ahead)
     }
     auditPredicted_.peak = carriedPeak(auditPredicted_);
     auditPredictionChanged_ = false;
+    decodeRun_.auditPosValid = false;
 }
 
 std::pair<TokenCount, TokenCount>

@@ -397,8 +397,9 @@ class ServingEngine : public workload::RequestSink
         return decodeRun_.settled < decodeRun_.ends.size();
     }
 
-    /** The phase whose members take a fresh block at `step`. */
-    std::uint32_t crossingPhase(TokenCount step) const;
+    /** The phase whose members take a fresh block at the step
+     *  after one that crossed `phase`. */
+    std::uint32_t nextCrossing(std::uint32_t phase) const;
 
     /** Apply the next planned step: its KV block crossings,
      *  prediction lapses, audit and step records. */
@@ -420,8 +421,13 @@ class ServingEngine : public workload::RequestSink
     void endRun();
 
     /** Rescore the carried predicted audit after a decode-run step
-     *  moved some of the run's predictions. */
+     *  moved the predictions of the members in decodeRun_.moved:
+     *  each moved entry slides to its Eq. 2 slot, then one scan. */
     void moveLapsedEntries();
+
+    /** File `member` in the lapse calendar at `step`, unless the
+     *  run ends before it. */
+    void fileLapse(std::uint32_t member, TokenCount step);
 
     /** Ask the policy for a decision and execute it. */
     void admitRequests();
@@ -591,6 +597,10 @@ class ServingEngine : public workload::RequestSink
     /** Scheduler context over the current queues. */
     core::SchedulerContext buildContext();
 
+    /** Admissions the batch cap leaves room for (unbounded when
+     *  config_.maxBatchSize is 0). */
+    std::size_t admitRoom() const;
+
     /** Policy-facing view of one engine request. */
     static core::RunningView runningViewOf(
         const EngineRequest &request, bool prefilling);
@@ -656,24 +666,44 @@ class ServingEngine : public workload::RequestSink
         TokenCount kvLag = 0;
 
         /** Per member: its allocation's fill at the run's start
-         *  modulo the block size; and the members per phase. */
+         *  modulo the block size (planning scratch). */
         std::vector<std::uint32_t> phase;
-        std::vector<std::int64_t> phaseCount;
+
+        /** The members of each phase, in member order:
+         *  phaseMembers[phaseStart[p] .. phaseStart[p + 1]). */
+        std::vector<std::uint32_t> phaseStart;
+        std::vector<std::uint32_t> phaseMembers;
+
+        /** The phase crossing at the next step to settle. */
+        std::uint32_t crossing = 0;
 
         /** Per member: the step its KV allocation is placed to. */
         std::vector<std::size_t> kvSynced;
 
-        /** Per member: the step at which its cached prediction
-         *  lapses, and that prediction (max(peek, generated)). */
-        std::vector<TokenCount> lapseAt;
-        std::vector<TokenCount> predicted;
+        /**
+         * The lapse calendar: lapseHead[s] is the first member whose
+         * cached prediction lapses at step s, lapseNext[i] the next
+         * member lapsing at member i's step (kNoMember ends a list).
+         * A lapse past the run's last step is not filed; steps past
+         * the latest lapse filed have no head.
+         */
+        std::vector<std::uint32_t> lapseHead;
+        std::vector<std::uint32_t> lapseNext;
 
-        /** The earliest lapseAt. */
-        TokenCount nextLapse = 0;
+        /** Members whose prediction moved at the step being settled
+         *  (settleStep scratch). */
+        std::vector<std::uint32_t> moved;
+
+        /** Per member: its entry's index in the carried predicted
+         *  audit; built from memberOfSlab on first use after a
+         *  rescan reordered the entries. */
+        std::vector<std::uint32_t> auditPos;
+        bool auditPosValid = false;
 
         /** Member index by request slab index (valid for members). */
         std::vector<std::uint32_t> memberOfSlab;
     };
+    static constexpr std::uint32_t kNoMember = ~std::uint32_t{0};
     DecodeRun decodeRun_;
 
     /** The pending Step event, if any. */

@@ -12,7 +12,14 @@ PerfModel::PerfModel(ModelSpec model_spec, HardwareSpec hardware_spec,
                      PerfModelParams params)
     : model_(std::move(model_spec)),
       hardware_(std::move(hardware_spec)),
-      params_(params)
+      params_(params),
+      flopsPerToken_(model_.flopsPerToken()),
+      flopsPerSecond_(hardware_.effectiveFlops() *
+                      params_.prefillFlopEfficiency),
+      weightBytes_(static_cast<double>(model_.weightBytes())),
+      kvBytesPerToken_(static_cast<double>(model_.kvBytesPerToken())),
+      bytesPerSecond_(hardware_.effectiveBandwidth() *
+                      params_.bandwidthEfficiency)
 {
     const double usable =
         static_cast<double>(hardware_.totalMemBytes()) *
@@ -35,21 +42,16 @@ PerfModel::PerfModel(ModelSpec model_spec, HardwareSpec hardware_spec,
 double
 PerfModel::computeSeconds(TokenCount tokens) const
 {
-    const double flops =
-        model_.flopsPerToken() * static_cast<double>(tokens);
-    return flops /
-        (hardware_.effectiveFlops() * params_.prefillFlopEfficiency);
+    const double flops = flopsPerToken_ * static_cast<double>(tokens);
+    return flops / flopsPerSecond_;
 }
 
 double
 PerfModel::memorySeconds(TokenCount kv_tokens) const
 {
     const double bytes =
-        static_cast<double>(model_.weightBytes()) +
-        static_cast<double>(kv_tokens) *
-            static_cast<double>(model_.kvBytesPerToken());
-    return bytes /
-        (hardware_.effectiveBandwidth() * params_.bandwidthEfficiency);
+        weightBytes_ + static_cast<double>(kv_tokens) * kvBytesPerToken_;
+    return bytes / bytesPerSecond_;
 }
 
 Tick
@@ -64,8 +66,7 @@ PerfModel::prefillLatency(TokenCount prompt_tokens) const
     const double attn_flops = 4.0 * n * n *
         static_cast<double>(model_.numLayers) *
         static_cast<double>(model_.numHeads * model_.headDim);
-    const double attn = attn_flops /
-        (hardware_.effectiveFlops() * params_.prefillFlopEfficiency);
+    const double attn = attn_flops / flopsPerSecond_;
     const double weight_floor = memorySeconds(0);
     const double seconds =
         std::max(matmul + attn, weight_floor) +

@@ -109,6 +109,15 @@ class PerfModel
     ModelSpec model_;
     HardwareSpec hardware_;
     PerfModelParams params_;
+
+    // The roofline's constant factors, each computed once exactly as
+    // the latencies would (a decode run prices every planned step).
+    double flopsPerToken_;
+    double flopsPerSecond_;
+    double weightBytes_;
+    double kvBytesPerToken_;
+    double bytesPerSecond_;
+
     TokenCount tokenCapacity_ = 0;
 };
 

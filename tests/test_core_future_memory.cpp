@@ -366,6 +366,66 @@ TEST_P(IncrementalPeakProperty, MergedScanMatchesCopyAndSort)
     }
 }
 
+TEST_P(IncrementalPeakProperty, SortByRemainingMatchesStableSort)
+{
+    // sortByRemaining insertion-sorts small batches and radix-sorts
+    // from 32 entries: either way it must order a batch exactly as a
+    // stable comparison sort does, ties included, and so score the
+    // same M* alone and with a candidate merged in.
+    const std::uint64_t seed = GetParam();
+    Rng rng(seed);
+    const auto longer = [](const BatchEntry &a, const BatchEntry &b) {
+        return a.remaining() > b.remaining();
+    };
+    for (int trial = 0; trial < 60; ++trial) {
+        const std::vector<TokenCount> values =
+            remainingValues(rng, trial);
+        // Every fifth trial spreads some keys over 2^40 (more radix
+        // passes); every seventh gives some entries a negative
+        // remaining length, which sorts but fails the scan.
+        const bool wide = trial % 5 == 4;
+        const bool negative = trial % 7 == 6;
+        std::vector<BatchEntry> batch;
+        const auto batch_size = rng.uniformInt(0, 300);
+        for (std::int64_t i = 0; i < batch_size; ++i) {
+            BatchEntry entry = randomEntry(rng, values);
+            if (rng.bernoulli(0.1))
+                entry.predictedOutputLen = entry.generatedLen;
+            if (wide && rng.bernoulli(0.2)) {
+                entry.predictedOutputLen +=
+                    rng.uniformInt(0, TokenCount{1} << 40);
+            }
+            if (negative && rng.bernoulli(0.2)) {
+                entry.predictedOutputLen =
+                    entry.generatedLen - rng.uniformInt(1, 1000);
+            }
+            batch.push_back(entry);
+        }
+        std::vector<BatchEntry> expected = batch;
+        std::stable_sort(expected.begin(), expected.end(), longer);
+        std::vector<BatchEntry> sorted = batch;
+        sortByRemaining(sorted);
+        for (std::size_t i = 0; i < sorted.size(); ++i) {
+            ASSERT_TRUE(sorted[i].promptLen == expected[i].promptLen &&
+                        sorted[i].generatedLen ==
+                            expected[i].generatedLen &&
+                        sorted[i].predictedOutputLen ==
+                            expected[i].predictedOutputLen)
+                << "seed " << seed << " trial " << trial << " size "
+                << sorted.size() << " index " << i;
+        }
+        if (negative)
+            continue;
+        ASSERT_EQ(sortedPeak(sorted), sortedPeak(expected))
+            << "seed " << seed << " trial " << trial;
+        const BatchEntry candidate{rng.uniformInt(0, 400), 0,
+                                   drawRemaining(rng, values)};
+        ASSERT_EQ(mergedPeak(sorted, candidate),
+                  mergedPeak(expected, candidate))
+            << "seed " << seed << " trial " << trial;
+    }
+}
+
 TEST_P(IncrementalPeakProperty, CarriedOrderMatchesFreshSort)
 {
     const std::uint64_t seed = GetParam();

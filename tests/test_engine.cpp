@@ -11,6 +11,7 @@
 #include <cmath>
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -487,7 +488,11 @@ class PeekRecorder final : public core::Scheduler
  * completion, so a new request takes over the slab entry of one that
  * finished a step earlier — a carry that trusted pointers would see
  * an unchanged batch. Evictions, swap-ins and split-fuse
- * prefill-pending members break the carried invariance.
+ * prefill-pending members break the carried invariance. Block size 1
+ * puts the whole batch in every step's crossing bucket, and a wave
+ * submitted at one tick decodes in lockstep, so its blocky horizons
+ * crowd one lapse step and its moved predictions slide several Eq. 2
+ * positions at once.
  */
 TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
 {
@@ -500,6 +505,14 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
         bool splitFuse;
         EvictionMode mode;
         bool closedLoop;
+        double memMegabytes = 2.0;
+        TokenCount blockSize = 16;
+        /** Ticks between a wave's submissions. */
+        Tick arrivalGap = 20'000;
+        /** Least peaks the busiest lapse step must hold, and least
+         *  Eq. 2 positions one moved prediction must slide. */
+        std::size_t minSharedLapses = 0;
+        std::size_t minSlide = 0;
     };
     const Variant variants[] = {
         {"aggressive, jumpy predictions, split-fuse",
@@ -516,7 +529,18 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
          true, EvictionMode::Recompute, false},
         {"past-future, closed loop (slab takeover)",
          SchedulerConfig::pastFutureDefault(0.0), Predictor::Inner,
-         false, EvictionMode::Recompute, true},
+         false, EvictionMode::Recompute, true, 8.0},
+        // Every member's allocation fills every step: each step's
+        // crossing bucket holds the whole batch.
+        {"past-future, block size 1",
+         SchedulerConfig::pastFutureDefault(0.0), Predictor::Inner,
+         false, EvictionMode::Recompute, false, 2.0, 1},
+        // A wave admitted together decodes in lockstep, so blocky
+        // horizons lapse for the whole batch at one step, and the
+        // jumps move predictions past several others at once.
+        {"aggressive, blocky horizons, crowded lapse steps",
+         SchedulerConfig::aggressive(1.0), Predictor::Blocky, false,
+         EvictionMode::Recompute, false, 8.0, 16, 0, 8, 3},
     };
     constexpr RequestId kWave = 48;
     for (const Variant &variant : variants) {
@@ -525,13 +549,14 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
         config.splitFuse = variant.splitFuse;
         config.splitFuseChunk = 64;
         config.evictionMode = variant.mode;
+        config.blockSize = variant.blockSize;
         config.timeseriesInterval = 1;  // one point per decode step
         auto recorder = std::make_unique<PeekRecorder>(
             core::makeScheduler(variant.scheduler), variant.predictor);
         PeekRecorder &recorded = *recorder;
         // The closed loop keeps a few clients on a roomy engine, so a
         // resubmit is admitted the step after its predecessor left.
-        ServingEngine engine(tinyPerf(variant.closedLoop ? 8.0 : 2.0),
+        ServingEngine engine(tinyPerf(variant.memMegabytes),
                              std::move(recorder), config);
         trace::EngineTrace trace(1, "engine", trace::TraceDetail::Steps,
                                  1 << 17);
@@ -565,6 +590,11 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
         std::vector<std::size_t> finish_stamps;  // trace index of each
         std::vector<TokenCount> expected_true;
         std::vector<TokenCount> expected_predicted;
+        // Each member's l_hat and Eq. 2 rank (ties by id) at the
+        // previous step, and the farthest a moved one slid.
+        std::unordered_map<RequestId, std::pair<TokenCount, std::size_t>>
+            last_rank;
+        std::size_t max_slide = 0;
 
         auto predicted_for = [&](RequestId id, TokenCount generated,
                                  std::size_t stamp) -> TokenCount {
@@ -617,8 +647,10 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
                 } else if (event.name == TraceName::BatchSize) {
                     std::vector<core::BatchEntry> truth;
                     std::vector<core::BatchEntry> predicted;
+                    std::vector<RequestId> member_ids;
                     std::int64_t decoding = 0;
                     for (auto &[member_id, member] : members) {
+                        member_ids.push_back(member_id);
                         if (member.decoding) {
                             member.generated += 1;
                             ++decoding;
@@ -635,6 +667,31 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
                     }
                     ASSERT_EQ(decoding, event.arg0)
                         << "the rebuilt batch lost a member";
+                    // (-remaining, id, l_hat): Eq. 2 order, ties by id.
+                    std::vector<std::tuple<TokenCount, RequestId,
+                                           TokenCount>>
+                        order;
+                    for (std::size_t m = 0; m < predicted.size(); ++m) {
+                        order.emplace_back(-predicted[m].remaining(),
+                                           member_ids[m],
+                                           predicted[m].predictedOutputLen);
+                    }
+                    std::sort(order.begin(), order.end());
+                    std::unordered_map<RequestId,
+                                       std::pair<TokenCount, std::size_t>>
+                        ranks;
+                    for (std::size_t r = 0; r < order.size(); ++r) {
+                        const auto [key, id, l_hat] = order[r];
+                        const auto last = last_rank.find(id);
+                        if (last != last_rank.end() &&
+                            last->second.first != l_hat) {
+                            const std::size_t from = last->second.second;
+                            max_slide = std::max(
+                                max_slide, from > r ? from - r : r - from);
+                        }
+                        ranks[id] = {l_hat, r};
+                    }
+                    last_rank = std::move(ranks);
                     expected_true.push_back(
                         core::futureRequiredMemory(truth));
                     expected_predicted.push_back(
@@ -655,8 +712,10 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
             next_id = 8;
         }
         for (int wave = 0; wave < 2 && !variant.closedLoop; ++wave) {
-            for (RequestId id = 0; id < kWave; ++id)
-                engine.submitAt(make(id), engine.now() + id * 20'000);
+            for (RequestId id = 0; id < kWave; ++id) {
+                engine.submitAt(make(id),
+                                engine.now() + id * variant.arrivalGap);
+            }
             const std::size_t done = engine.numFinished() +
                 static_cast<std::size_t>(kWave);
             while (engine.numFinished() < done) {
@@ -696,6 +755,14 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
             error_sum += std::fabs(predicted - future);
         }
         EXPECT_DOUBLE_EQ(report.futureErrorAbsSum, error_sum);
+
+        // Peeks made within one step share a trace stamp.
+        std::unordered_map<std::size_t, std::size_t> per_stamp;
+        std::size_t max_shared = 0;
+        for (const PeekRecorder::Peek &peek : recorded.peeks)
+            max_shared = std::max(max_shared, ++per_stamp[peek.traceStamp]);
+        EXPECT_GE(max_shared, variant.minSharedLapses);
+        EXPECT_GE(max_slide, variant.minSlide);
     }
 }
 

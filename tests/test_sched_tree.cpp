@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -360,6 +361,43 @@ TEST(TreePipelineTest, FinishChargesTheLeafThatServedTheRequest)
                                         waitingOf(3, 10, 1)};
     EXPECT_EQ(policy.decide(contextOf(waiting)).admit,
               (std::vector<RequestId>{2, 3}));
+}
+
+TEST(TreePipelineTest, BatchCapChargesEachAdmissionOnce)
+{
+    // One request runs at a time. Each round may admit one, so the
+    // pipeline must stop there: a candidate popped past the room
+    // would be charged to its tenant without being admitted, and
+    // again on every later round it waits through. Charged once per
+    // admission, two tenants with equal requests alternate; charged
+    // per round, the tenant whose queue drains first falls behind
+    // on service and runs all its requests before the other's.
+    SchedulerConfig config = SchedulerConfig::aggressive(1.0);
+    config.tenantTree = true;
+    config.tenantSpec.numTenants = 2;
+    engine::EngineConfig engine_config;
+    engine_config.maxBatchSize = 1;
+    engine::ServingEngine engine(testfx::tinyPerf(8.0),
+                                 makeSchedulingPolicy(config),
+                                 engine_config);
+    // Queue order: all of tenant 0, then all of tenant 1.
+    for (RequestId id = 0; id < 6; ++id) {
+        workload::RequestSpec spec = testfx::makeRequest(id, 100, 10);
+        spec.cls.tenant = id < 3 ? 0 : 1;
+        engine.submitAt(spec, 0);
+    }
+    const metrics::RunReport report = engine.run();
+    ASSERT_EQ(report.numFinished, 6u);
+
+    std::vector<metrics::RequestRecord> records = report.requests;
+    std::sort(records.begin(), records.end(),
+              [](const auto &a, const auto &b) {
+                  return a.firstToken < b.firstToken;
+              });
+    std::vector<RequestId> order;
+    for (const metrics::RequestRecord &record : records)
+        order.push_back(record.id);
+    EXPECT_EQ(order, (std::vector<RequestId>{0, 3, 1, 4, 2, 5}));
 }
 
 TEST(TreePipelineTest, UnknownTenantFallsBackToSpill)
