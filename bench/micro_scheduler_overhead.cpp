@@ -9,11 +9,11 @@
  * batch 256 must stay 100x below the ~30-60 ms A100 decode step.
  * The ledger also splits one decode-run step and one engine admission
  * round into their parts: the moved-only audit repair, the Eq. 2 sort
- * of a trial batch, and a slotted StickySample round at o1_knee's
- * batch of ~39. Also times the prefix cache's reclaim under a mostly
- * pinned cache, the KV bookkeeping a decode step pays when its pool
- * runs dry, and one session turn's prefix-cache work (match,
- * publish, release).
+ * of a trial batch, a slotted StickySample round at o1_knee's batch
+ * of ~39 that builds its trials, and one the window bound decides.
+ * Also times the prefix cache's reclaim under a mostly pinned cache,
+ * the KV bookkeeping a decode step pays when its pool runs dry, and
+ * one session turn's prefix-cache work (match, publish, release).
  */
 
 #include <benchmark/benchmark.h>
@@ -101,18 +101,10 @@ BM_PastFutureAdmissionRound(benchmark::State &state)
     }
 }
 
-/**
- * The round an engine runs: every request carries its slot, so the
- * StickySample predictions resolve through the slot-indexed samples
- * and their tail cursors, and the 8 trials' batches are sorted each
- * round. Zero capacity rejects every candidate, so each round scores
- * one candidate and the round state stays the same.
- */
+/** Give every request of `fixture` an engine slot. */
 void
-BM_PastFutureSlottedRound(benchmark::State &state)
+assignSlots(ContextFixture &fixture)
 {
-    ContextFixture fixture(state.range(0), 8);
-    fixture.ctx.capacityTokens = 0;
     for (std::size_t i = 0; i < fixture.running.size(); ++i)
         fixture.running[i].slot =
             makeSlot(static_cast<std::uint32_t>(i), 0);
@@ -120,6 +112,41 @@ BM_PastFutureSlottedRound(benchmark::State &state)
         fixture.waiting[i].slot = makeSlot(
             static_cast<std::uint32_t>(fixture.running.size() + i), 0);
     }
+}
+
+/**
+ * The round an engine runs: every request carries its slot, so the
+ * StickySample predictions resolve through the slot-indexed samples
+ * and their tail cursors. Zero capacity defeats the window bound, so
+ * the round materialises its 8 trials' sorted batches at its first
+ * candidate and scores it exactly; the rejection keeps the round
+ * state the same from one iteration to the next.
+ */
+void
+BM_PastFutureSlottedRound(benchmark::State &state)
+{
+    ContextFixture fixture(state.range(0), 8);
+    fixture.ctx.capacityTokens = 0;
+    assignSlots(fixture);
+    auto scheduler = warmScheduler();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            scheduler.selectAdmissions(fixture.ctx));
+    }
+}
+
+/**
+ * A slotted round the window bound decides: capacity far above the
+ * batch's worst case admits all 8 candidates on the bound's sums, so
+ * the round draws its trials' raw values and builds no batch. The
+ * candidates hold their sticky samples from the first iteration on.
+ */
+void
+BM_PastFutureBoundRound(benchmark::State &state)
+{
+    ContextFixture fixture(state.range(0), 8);
+    fixture.ctx.capacityTokens = 10'000'000;
+    assignSlots(fixture);
     auto scheduler = warmScheduler();
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -130,8 +157,10 @@ BM_PastFutureSlottedRound(benchmark::State &state)
 /**
  * One feasibility test: every trial's M* with the candidate merged
  * into the round's sorted trial batch (no copy, no sort). Zero
- * capacity rejects every candidate, so the round state — and the
- * measured work — stays the same across iterations.
+ * capacity defeats the window bound, so the first call materialises
+ * the trials and every call is the exact test; the rejection keeps
+ * the round state — and the measured work — the same across
+ * iterations.
  */
 void
 BM_PastFutureTryAdmit(benchmark::State &state)
@@ -495,6 +524,7 @@ BM_PrefixCacheSessionTurn(benchmark::State &state)
 
 BENCHMARK(BM_PastFutureAdmissionRound)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_PastFutureSlottedRound)->Arg(39);
+BENCHMARK(BM_PastFutureBoundRound)->Arg(18)->Arg(39);
 BENCHMARK(BM_PastFutureTryAdmit)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_FutureRequiredMemory)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_SortByRemaining)->Arg(18)->Arg(39)->Arg(256);

@@ -217,11 +217,7 @@ ServingCluster::stealWork(std::size_t thief)
     // with the requests through the router.
     const auto stolen_batch = instances_[victim]->stealQueued(budget);
     for (const auto &stolen : stolen_batch) {
-        const auto it = charges_.find(stolen.spec.id);
-        if (it != charges_.end()) {
-            predictedLoad_[it->second.first] -= it->second.second;
-            charges_.erase(it);
-        }
+        releaseCharge(stolen.spec.id);
         routedTokens_[victim] -= stolen.spec.effectiveOutputLen();
         LIGHTLLM_ASSERT(inFlight_[victim] > 0,
                         "stolen request without an in-flight entry");
@@ -390,12 +386,7 @@ ServingCluster::handleFinish(std::size_t instance,
                              Tick tick)
 {
     routingPredictor_.observe(spec.effectiveOutputLen());
-    const auto it = charges_.find(spec.id);
-    if (it != charges_.end()) {
-        const auto [charged, charge] = it->second;
-        predictedLoad_[charged] -= charge;
-        charges_.erase(it);
-    }
+    releaseCharge(spec.id);
     LIGHTLLM_ASSERT(inFlight_[instance] > 0,
                     "finish without a routed request on instance ",
                     instance);
@@ -409,6 +400,15 @@ ServingCluster::handleFinish(std::size_t instance,
     }
     if (onFinish_)
         onFinish_(spec, tick);
+}
+
+void
+ServingCluster::releaseCharge(RequestId id)
+{
+    if (const Charge *charge = charges_.find(id)) {
+        predictedLoad_[charge->instance] -= charge->footprint;
+        charges_.erase(id);
+    }
 }
 
 TokenCount
@@ -573,7 +573,7 @@ ServingCluster::routeSubmission(const workload::RequestSpec &spec,
     ++inFlight_[index];
     if (policy_ == RoutingPolicy::FutureMemory) {
         predictedLoad_[index] += footprint;
-        charges_[spec.id] = std::make_pair(index, footprint);
+        charges_.insertOrAssign(spec.id, Charge{index, footprint});
     }
     if (recordSubmissions_) {
         // Mirror the engine's arrival clamp so the log records the
@@ -620,11 +620,7 @@ ServingCluster::drainNow(std::size_t index)
     // charges move with them: drop the drained instance's charge
     // first so re-routing re-charges the new target.
     for (const auto &drained : instances_[index]->drainQueued()) {
-        const auto it = charges_.find(drained.spec.id);
-        if (it != charges_.end()) {
-            predictedLoad_[it->second.first] -= it->second.second;
-            charges_.erase(it);
-        }
+        releaseCharge(drained.spec.id);
         // The drained instance never serves this work: take its
         // tokens back so tokenImbalance() reflects served load
         // (routedCounts_ intentionally keeps counting decisions).

@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "autoscale/autoscaler.hh"
+#include "base/flat_id_table.hh"
 #include "base/types.hh"
 #include "core/length_predictor.hh"
 #include "engine/serving_engine.hh"
@@ -400,6 +401,10 @@ class ServingCluster : public workload::RequestSink
     /** Router-side predicted footprint of a request. */
     TokenCount predictFootprint(const workload::RequestSpec &spec);
 
+    /** Take the request's FutureMemory charge (if any) back off
+     *  its instance's predicted load. */
+    void releaseCharge(RequestId id);
+
     /** Completion fan-in: bookkeeping + user callback. */
     void handleFinish(std::size_t instance,
                       const workload::RequestSpec &spec, Tick tick);
@@ -472,8 +477,13 @@ class ServingCluster : public workload::RequestSink
     // load charged to each instance.
     core::LengthPredictor routingPredictor_;
     std::vector<TokenCount> predictedLoad_;
-    std::unordered_map<RequestId,
-                       std::pair<std::size_t, TokenCount>> charges_;
+    /** One routed request's FutureMemory charge. */
+    struct Charge
+    {
+        std::size_t instance = 0;
+        TokenCount footprint = 0;
+    };
+    FlatIdTable<Charge> charges_;
 
     /** PrefixAffinity state: each session's home instance. */
     std::unordered_map<std::uint64_t, std::size_t> sessionHome_;

@@ -69,19 +69,6 @@ LengthDistribution::sampleTail(Rng &rng, TokenCount greater_than,
 }
 
 TokenCount
-LengthDistribution::sampleTailFrom(Rng &rng, std::size_t start,
-                                   TokenCount fallback) const
-{
-    if (start >= sorted_.size())
-        return fallback;
-    const auto lo = static_cast<std::int64_t>(start);
-    const auto hi = static_cast<std::int64_t>(sorted_.size()) - 1;
-    const auto index =
-        static_cast<std::size_t>(rng.uniformInt(lo, hi));
-    return sorted_[index];
-}
-
-TokenCount
 LengthDistribution::sampleTailAt(double u, TokenCount greater_than,
                                  TokenCount fallback) const
 {

@@ -18,6 +18,7 @@
 #define LIGHTLLM_CORE_LENGTH_DISTRIBUTION_HH
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "base/rng.hh"
@@ -93,9 +94,34 @@ class LengthDistribution
         return searchTailStart(start + 1, greater_than);
     }
 
-    /** sampleTail over the tail beginning at index `start`. */
-    TokenCount sampleTailFrom(Rng &rng, std::size_t start,
-                              TokenCount fallback) const;
+    /** sampleTail over the tail beginning at index `start`: one
+     *  nextU64() mapped by tailAtDraw when the tail is non-empty,
+     *  no draw (and `fallback`) when it is empty. */
+    TokenCount
+    sampleTailFrom(Rng &rng, std::size_t start,
+                   TokenCount fallback) const
+    {
+        if (start >= sorted_.size())
+            return fallback;
+        return tailAtDraw(rng.nextU64(), start);
+    }
+
+    /**
+     * The element of the non-empty tail beginning at index `start`
+     * that one raw 64-bit draw picks: sorted_[start + draw % (n -
+     * start)], the value Rng::uniformInt(start, n - 1) maps the same
+     * draw to. sampleTailFrom(Rng &) goes through it, so a caller
+     * that records raw draws and maps them later picks exactly what
+     * sampling at draw time would have.
+     */
+    TokenCount
+    tailAtDraw(std::uint64_t draw, std::size_t start) const
+    {
+        const auto tail_size =
+            static_cast<std::uint64_t>(sorted_.size() - start);
+        return sorted_[start +
+                       static_cast<std::size_t>(draw % tail_size)];
+    }
 
     /** sampleTailAt over the tail beginning at index `start`. */
     TokenCount

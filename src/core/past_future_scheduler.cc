@@ -34,9 +34,8 @@ PastFutureScheduler::onRequestFinished(RequestId id,
                                        TokenCount output_len)
 {
     predictor_.observe(output_len);
-    const auto it = slotOf_.find(id);
-    if (it != slotOf_.end())
-        dropSlotSample(bySlot_[slotIndex(it->second)]);
+    if (const RequestSlot *slot = slotOf_.find(id))
+        dropSlotSample(bySlot_[slotIndex(*slot)]);
     byId_.erase(id);
 }
 
@@ -51,9 +50,9 @@ PastFutureScheduler::onSlotReleased(RequestSlot slot, RequestId)
 void
 PastFutureScheduler::dropSlotSample(SlotSample &entry)
 {
-    const auto it = slotOf_.find(entry.id);
-    if (it != slotOf_.end() && it->second == entry.owner)
-        slotOf_.erase(it);
+    const RequestSlot *slot = slotOf_.find(entry.id);
+    if (slot != nullptr && *slot == entry.owner)
+        slotOf_.erase(entry.id);
     entry.owner = kInvalidSlot;
 }
 
@@ -61,9 +60,8 @@ PastFutureScheduler::StickySample *
 PastFutureScheduler::findSample(RequestSlot slot, RequestId id)
 {
     if (slot == kInvalidSlot) {
-        const auto slotted = slotOf_.find(id);
-        if (slotted != slotOf_.end())
-            slot = slotted->second;
+        if (const RequestSlot *slotted = slotOf_.find(id))
+            slot = *slotted;
         else {
             const auto it = byId_.find(id);
             return it == byId_.end() ? nullptr : &it->second;
@@ -96,7 +94,7 @@ PastFutureScheduler::sampleFor(RequestSlot slot, RequestId id)
         entry.owner = slot;
         entry.id = id;
         entry.sample = StickySample{rng_.uniformDouble(), {}};
-        slotOf_.insert_or_assign(id, slot);
+        slotOf_.insertOrAssign(id, slot);
     }
     return entry.sample;
 }
@@ -214,16 +212,16 @@ PastFutureScheduler::peekWithHorizon(RequestSlot slot, RequestId id,
 }
 
 TokenCount
-PastFutureScheduler::samplePerturbed(std::size_t tail_start,
-                                     TokenCount generated_len,
-                                     TokenCount max_new_tokens)
+PastFutureScheduler::perturbed(std::size_t tail_start,
+                               std::uint64_t draw,
+                               TokenCount generated_len,
+                               TokenCount max_new_tokens)
 {
     const LengthDistribution &distribution =
         predictor_.distribution();
-    TokenCount predicted = distribution.empty()
-        ? max_new_tokens
-        : distribution.sampleTailFrom(rng_, tail_start,
-                                      max_new_tokens);
+    TokenCount predicted = tail_start < distribution.size()
+        ? distribution.tailAtDraw(draw, tail_start)
+        : max_new_tokens;
     predicted = std::min(predicted, max_new_tokens);
     return std::max(predicted, generated_len);
 }
@@ -245,6 +243,63 @@ PastFutureScheduler::trialsFor(std::size_t batch_size) const
     return 1;
 }
 
+bool
+PastFutureScheduler::predictDraws(RequestSlot slot, RequestId id,
+                                  TokenCount generated_len)
+{
+    if (predictor_.distribution().empty())
+        return false;  // an empty window predicts the cap
+    switch (params_.predictionMode) {
+      case PredictionMode::StickySample:
+        // Mirrors sampleFor's lookup: no sample, one variate.
+        if (slot == kInvalidSlot)
+            return byId_.find(id) == byId_.end();
+        return slotIndex(slot) >= bySlot_.size() ||
+            bySlot_[slotIndex(slot)].owner != slot;
+      case PredictionMode::PerStepSample:
+        return generated_len < longest_;
+      case PredictionMode::TailMean:
+      case PredictionMode::TailQuantile:
+        return false;
+    }
+    return false;
+}
+
+TokenCount
+PastFutureScheduler::maxRemaining(TokenCount generated_len,
+                                  TokenCount max_new_tokens) const
+{
+    // Every mode predicts an element (or the mean) of the tail
+    // P(l | l > l_t), so at most the window's longest length, or
+    // the cap when the tail is empty; predict() then clamps to
+    // [l_t, cap].
+    const TokenCount ceiling = generated_len < longest_
+        ? std::min(max_new_tokens, longest_)
+        : max_new_tokens;
+    return std::max<TokenCount>(0, ceiling - generated_len);
+}
+
+bool
+PastFutureScheduler::boundFits(TokenCount resident, TokenCount growth,
+                               TokenCount overhead) const
+{
+    // Every trial peak lies in [L, L + R] (DESIGN.md §8): the
+    // worst-case rule's maximum and a single trial's peak are at
+    // most L + R, and a mean plus riskFactor standard deviations of
+    // values in that range is at most L + R + riskFactor * R / 2
+    // (Popoviciu). The exact test's double arithmetic can land a
+    // hair above the true estimate: 4 tokens cover the truncation
+    // and this comparison's rounding, the relative term the mean
+    // and deviation sums' rounding at any trial count below 2^18.
+    const double high = static_cast<double>(resident + growth);
+    double bound = high;
+    if (params_.predictionMode != PredictionMode::PerStepSample &&
+        trials_ > 1)
+        bound += params_.riskFactor * static_cast<double>(growth) / 2.0;
+    const double slack = 4.0 + std::ldexp(bound, -32);
+    return bound + slack <= static_cast<double>(limit_ - overhead);
+}
+
 void
 PastFutureScheduler::beginAdmissionRound(const SchedulerContext &ctx)
 {
@@ -253,48 +308,111 @@ PastFutureScheduler::beginAdmissionRound(const SchedulerContext &ctx)
         (1.0 - params_.reservedRatio));
     perRequestOverhead_ = ctx.perRequestOverhead;
     runningSize_ = ctx.running.size();
+    roundSize_ = ctx.running.size() + ctx.waiting.size();
     admitted_ = 0;
     trials_ = trialsFor(ctx.running.size());
+    longest_ = predictor_.distribution().maxLength();
+    roundVersion_ = predictor_.version();
+    materialised_ = false;
+    boundAdmitted_.clear();
+    draws_.clear();
 
-    // One entry vector per trial; each trial independently draws
-    // its own predictions for the running batch, then candidates
-    // are appended incrementally as they are accepted. (With
-    // deterministic predictions there is exactly one trial.) The
-    // per-trial vectors are cleared, not reassigned, so their
-    // capacity survives across rounds and steady-state admission
-    // allocates nothing.
+    // Trial 0 draws (sample-less StickySample requests, PerStepSample
+    // requests) happen here in member order, as building the trials
+    // now would; the rest wait for materialise(). The bound's sums
+    // need only lengths.
+    members_.resize(ctx.running.size());
+    boundResident_ = 0;
+    boundGrowth_ = 0;
+    std::size_t tails = 0;
+    for (std::size_t i = 0; i < ctx.running.size(); ++i) {
+        const RunningView &request = ctx.running[i];
+        PendingEntry &member = members_[i];
+        // Shared prefix blocks cost no private memory: charge the
+        // uncached prompt suffix only.
+        member = PendingEntry{request.slot, request.id,
+                              request.promptLen - request.cachedPrefixLen,
+                              request.generatedLen, request.maxNewTokens};
+        LIGHTLLM_ASSERT(request.generatedLen >= 0 &&
+                            member.promptLen + request.generatedLen >= 0,
+                        "negative resident footprint");
+        if (predictDraws(request.slot, request.id, request.generatedLen)) {
+            member.predicted =
+                predict(request.slot, request.id, request.generatedLen,
+                        request.maxNewTokens, member.tailStart);
+        }
+        boundResident_ += member.promptLen + request.generatedLen;
+        boundGrowth_ +=
+            maxRemaining(request.generatedLen, request.maxNewTokens);
+        if (request.generatedLen < longest_)
+            ++tails;
+    }
+    // Each perturbation trial redraws every request with a non-empty
+    // tail, trial-major: one raw value per draw, mapped when (if)
+    // the trials are built.
+    draws_.reserve((static_cast<std::size_t>(trials_) - 1) * tails);
+    for (int t = 1; t < trials_; ++t) {
+        for (const PendingEntry &member : members_) {
+            if (member.generatedLen < longest_)
+                draws_.push_back(rng_.nextU64());
+        }
+    }
+}
+
+void
+PastFutureScheduler::materialise()
+{
+    materialised_ = true;
     const auto trials = static_cast<std::size_t>(trials_);
     if (trialEntries_.size() < trials)
         trialEntries_.resize(trials);
-    // Trial 0 records where each request's conditional tail starts
-    // (a tail start draws no RNG), and every perturbation trial
-    // redraws the request from that same tail.
-    tailStarts_.resize(ctx.running.size());
+    // The per-trial vectors are cleared, not reassigned, so their
+    // capacity survives across rounds and steady-state admission
+    // allocates nothing.
     for (std::size_t t = 0; t < trials; ++t) {
-        auto &entries = trialEntries_[t];
-        entries.clear();
-        entries.reserve(ctx.running.size() + ctx.waiting.size());
-        for (std::size_t i = 0; i < ctx.running.size(); ++i) {
-            const RunningView &request = ctx.running[i];
-            // Trial 0 uses the official (sticky / per-step / point)
-            // predictions; perturbation trials redraw every request
-            // to probe the upside risk of the batch peak.
-            const TokenCount predicted = t == 0
-                ? predict(request.slot, request.id,
-                          request.generatedLen, request.maxNewTokens,
-                          tailStarts_[i])
-                : samplePerturbed(tailStarts_[i],
-                                  request.generatedLen,
-                                  request.maxNewTokens);
-            // Shared prefix blocks cost no private memory: charge
-            // the uncached prompt suffix only.
-            entries.push_back(BatchEntry{
-                request.promptLen - request.cachedPrefixLen,
-                request.generatedLen, predicted});
+        trialEntries_[t].clear();
+        trialEntries_[t].reserve(roundSize_);
+    }
+    // Trial 0: the official (sticky / per-step / point)
+    // predictions; the ones that draw nothing are made now.
+    for (PendingEntry &member : members_) {
+        if (member.predicted == kDeferred) {
+            member.predicted =
+                predict(member.slot, member.id, member.generatedLen,
+                        member.maxNewTokens, member.tailStart);
         }
-        // Sorted once per round: every candidate is then scored by
-        // a merged scan and committed by an ordered insert.
-        sortByRemaining(entries);
+        trialEntries_[0].push_back(BatchEntry{
+            member.promptLen, member.generatedLen, member.predicted});
+    }
+    // Perturbation trials redraw every request from its tail, in
+    // the order the draws were recorded.
+    std::size_t next = 0;
+    for (std::size_t t = 1; t < trials; ++t) {
+        for (const PendingEntry &member : members_) {
+            const bool tail = member.generatedLen < longest_;
+            trialEntries_[t].push_back(BatchEntry{
+                member.promptLen, member.generatedLen,
+                perturbed(member.tailStart, tail ? draws_[next++] : 0,
+                          member.generatedLen, member.maxNewTokens)});
+        }
+    }
+    // Sorted once per round: every candidate is then scored by a
+    // merged scan and committed by an ordered insert, the
+    // bound-admitted ones first, in admission order.
+    for (std::size_t t = 0; t < trials; ++t)
+        sortByRemaining(trialEntries_[t]);
+    for (const PendingEntry &admitted : boundAdmitted_) {
+        const bool tail = admitted.generatedLen < longest_;
+        insertSorted(trialEntries_[0],
+                     candidateEntry(admitted, admitted.predicted));
+        for (std::size_t t = 1; t < trials; ++t) {
+            const TokenCount predicted = perturbed(
+                admitted.tailStart,
+                tail ? draws_[admitted.firstDraw + t - 1] : 0,
+                admitted.generatedLen, admitted.maxNewTokens);
+            insertSorted(trialEntries_[t],
+                         candidateEntry(admitted, predicted));
+        }
     }
     peaks_.resize(trials);
 }
@@ -302,27 +420,58 @@ PastFutureScheduler::beginAdmissionRound(const SchedulerContext &ctx)
 bool
 PastFutureScheduler::tryAdmit(const WaitingView &candidate)
 {
+    LIGHTLLM_ASSERT(predictor_.version() == roundVersion_,
+                    "history window changed inside an admission round");
     const auto trials = static_cast<std::size_t>(trials_);
+    // The recompute prefill re-materialises prompt + generated
+    // tokens, so that is the candidate's resident footprint at
+    // admission — minus whatever prefix the cache already holds;
+    // the remainder is its future growth.
+    PendingEntry pending{candidate.slot, candidate.id,
+                         candidate.promptLen + candidate.generatedLen -
+                             candidate.cachedPrefixLen,
+                         candidate.generatedLen, candidate.maxNewTokens};
+    pending.predicted =
+        predict(candidate.slot, candidate.id, candidate.generatedLen,
+                candidate.maxNewTokens, pending.tailStart);
+    pending.firstDraw = draws_.size();
+    const bool tail = candidate.generatedLen < longest_;
+    if (tail) {
+        for (std::size_t t = 1; t < trials; ++t)
+            draws_.push_back(rng_.nextU64());
+    }
+
+    // Paged-allocator block rounding plus the admission slot.
+    const TokenCount overhead = perRequestOverhead_ *
+        static_cast<TokenCount>(runningSize_ + admitted_ + 1);
+    if (!materialised_) {
+        const TokenCount resident = boundResident_ + pending.promptLen;
+        const TokenCount growth = boundGrowth_ +
+            maxRemaining(candidate.generatedLen, candidate.maxNewTokens);
+        if (boundFits(resident, growth, overhead)) {
+            boundResident_ = resident;
+            boundGrowth_ = growth;
+            boundAdmitted_.push_back(pending);
+            ++boundAdmissions_;
+            ++admitted_;
+            return true;
+        }
+        materialise();
+    }
+
     candidateEntries_.resize(trials);
-    std::size_t tail_start = 0;
     for (std::size_t t = 0; t < trials; ++t) {
         const TokenCount predicted = t == 0
-            ? predict(candidate.slot, candidate.id,
-                      candidate.generatedLen, candidate.maxNewTokens,
-                      tail_start)
-            : samplePerturbed(tail_start, candidate.generatedLen,
-                              candidate.maxNewTokens);
-        // The recompute prefill re-materialises prompt +
-        // generated tokens, so that is the candidate's resident
-        // footprint at admission — minus whatever prefix the cache
-        // already holds; the remainder is its future growth.
-        candidateEntries_[t] = BatchEntry{
-            candidate.promptLen + candidate.generatedLen -
-                candidate.cachedPrefixLen,
-            0, predicted - candidate.generatedLen};
+            ? pending.predicted
+            : perturbed(pending.tailStart,
+                        tail ? draws_[pending.firstDraw + t - 1] : 0,
+                        candidate.generatedLen, candidate.maxNewTokens);
+        candidateEntries_[t] = candidateEntry(pending, predicted);
         peaks_[t] = static_cast<double>(
             mergedPeak(trialEntries_[t], candidateEntries_[t]));
     }
+    // An exact round maps each candidate's draws at once.
+    draws_.clear();
 
     // Aggregate the trial peaks. PerStepSample keeps the
     // paper's worst-case rule; StickySample uses the estimated
@@ -345,9 +494,6 @@ PastFutureScheduler::tryAdmit(const WaitingView &candidate)
         estimate = mean + params_.riskFactor * std::sqrt(variance);
     }
 
-    // Paged-allocator block rounding plus the admission slot.
-    const TokenCount overhead = perRequestOverhead_ *
-        static_cast<TokenCount>(runningSize_ + admitted_ + 1);
     if (static_cast<TokenCount>(estimate) + overhead > limit_)
         return false;
     for (std::size_t t = 0; t < trials; ++t)

@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/flat_id_table.hh"
 #include "base/rng.hh"
 #include "core/future_memory.hh"
 #include "core/length_predictor.hh"
@@ -103,6 +104,17 @@ struct PastFutureParams
      * mean + riskFactor * stddev of the trial peaks fits. This is a
      * variance-adaptive safety margin: negligible for narrow output
      * distributions, substantial for heavy-tailed ones.
+     *
+     * A round builds the trial batches only when it must: every
+     * trial peak lies in [L, L + R], where L is the batch's resident
+     * tokens and R its growth were every request to run to the
+     * longest length its tail allows, so a candidate for which
+     * L + R + riskFactor * R / 2 fits is admitted without scoring
+     * any trial. The redraws are recorded as raw generator outputs
+     * and replayed when a candidate first needs the exact test, so
+     * decisions and the generator stream are those of building
+     * every trial at round open (DESIGN.md §8, "Rounds the window
+     * bound decides").
      */
     int admissionTrials = 8;
 
@@ -179,6 +191,15 @@ class PastFutureScheduler : public Scheduler
 
     const PastFutureParams &params() const { return params_; }
 
+    /** tryAdmit calls the window bound admitted without building
+     *  or scoring a trial batch, since construction (tests pin that
+     *  light rounds take the bound and tight ones do not). */
+    std::uint64_t boundAdmissions() const { return boundAdmissions_; }
+
+    /** The prediction generator (tests: a copy's next draws pin the
+     *  stream without advancing it). */
+    const Rng &rng() const { return rng_; }
+
     /** Live sticky samples (tests: every departed request's sample
      *  must be gone). */
     std::size_t stickySampleCount() const
@@ -207,15 +228,37 @@ class PastFutureScheduler : public Scheduler
                        TokenCount max_new_tokens,
                        std::size_t &tail_start);
 
-    /** Fresh conditional-tail draw that bypasses the sticky map
-     *  (perturbation trials of the admission check); `tail_start`
-     *  is distribution().tailStart(generated_len). */
-    TokenCount samplePerturbed(std::size_t tail_start,
-                               TokenCount generated_len,
-                               TokenCount max_new_tokens);
+    /** A perturbation trial's prediction: the conditional tail at
+     *  `tail_start` picked by the raw draw `draw` (ignored when the
+     *  tail is empty), clamped as predict() clamps. */
+    TokenCount perturbed(std::size_t tail_start, std::uint64_t draw,
+                         TokenCount generated_len,
+                         TokenCount max_new_tokens);
+
+    /** Largest remaining length any trial can predict for a request
+     *  that has generated `generated_len` tokens (the R term of the
+     *  window bound). */
+    TokenCount maxRemaining(TokenCount generated_len,
+                            TokenCount max_new_tokens) const;
+
+    /** True when the window bound proves that a batch with L =
+     *  `resident` and R = `growth` passes the exact test. */
+    bool boundFits(TokenCount resident, TokenCount growth,
+                   TokenCount overhead) const;
+
+    /** Build and sort every trial batch from the recorded round
+     *  state and insert the bound-admitted candidates; the round
+     *  is exact from then on. */
+    void materialise();
 
     /** Trials to use for the given running-batch size. */
     int trialsFor(std::size_t batch_size) const;
+
+    /** True when predict() would draw for this request: a
+     *  StickySample request without a sample, or a PerStepSample
+     *  one with a non-empty tail. */
+    bool predictDraws(RequestSlot slot, RequestId id,
+                      TokenCount generated_len);
 
     /** One request's StickySample state. */
     struct StickySample
@@ -264,20 +307,78 @@ class PastFutureScheduler : public Scheduler
     /** Slot of each live slotted sample, by request id: serves
      *  callers that name a request by id alone (finish, wrappers
      *  forwarding peekPrediction). Touched once per request. */
-    std::unordered_map<RequestId, RequestSlot> slotOf_;
+    FlatIdTable<RequestSlot> slotOf_;
 
     /** Samples of requests predicted without a slot (schedulers
      *  driven outside an engine). */
     std::unordered_map<RequestId, StickySample> byId_;
 
-    // Admission-round state: one entry vector per trial (running
-    // batch predictions + incrementally committed candidates), each
-    // kept in Eq. 2 order so a candidate costs one merged scan.
+    /** Trial-0 prediction of a member not predicted yet. */
+    static constexpr TokenCount kDeferred = -1;
+
+    /** One request of the round whose trial entries are not built
+     *  yet: a running member, or a candidate the window bound
+     *  admitted. */
+    struct PendingEntry
+    {
+        RequestSlot slot = kInvalidSlot;
+        RequestId id = kInvalidRequestId;
+
+        /** Prompt tokens its trial entries charge: l_p net of the
+         *  shared prefix for a member; the whole recompute
+         *  footprint l_p + l_t net of it for a candidate, whose
+         *  entries count generation from zero. */
+        TokenCount promptLen = 0;
+
+        TokenCount generatedLen = 0;
+        TokenCount maxNewTokens = 0;
+
+        /** Trial-0 prediction, or kDeferred (a member whose
+         *  prediction draws nothing waits for materialise()). */
+        TokenCount predicted = kDeferred;
+
+        /** Conditional-tail start (valid once predicted). */
+        std::size_t tailStart = 0;
+
+        /** A candidate's first raw draw in draws_ (its draws are
+         *  consecutive); unused for members, whose draws are
+         *  trial-major. */
+        std::size_t firstDraw = 0;
+    };
+
+    /** A candidate's trial entry for output prediction `predicted`
+     *  (resident footprint, generation counted from zero). */
+    static BatchEntry
+    candidateEntry(const PendingEntry &pending, TokenCount predicted)
+    {
+        return BatchEntry{pending.promptLen, 0,
+                          predicted - pending.generatedLen};
+    }
+
+    // Admission-round state. Until a candidate needs the exact test
+    // the round keeps only the window bound's sums, its members and
+    // the raw perturbation draws; materialise() then builds one
+    // entry vector per trial (running batch predictions +
+    // incrementally committed candidates), each kept in Eq. 2 order
+    // so a candidate costs one merged scan.
+    std::vector<PendingEntry> members_;
+    std::vector<PendingEntry> boundAdmitted_;
+    /** Raw perturbation draws in generator order: the members'
+     *  trial-major at round open, then each candidate's. */
+    std::vector<std::uint64_t> draws_;
+    /** Window bound sums L (resident) and R (growth) over the
+     *  members and the bound-admitted candidates. */
+    TokenCount boundResident_ = 0;
+    TokenCount boundGrowth_ = 0;
+    /** Longest length in the window this round (0 when empty). */
+    TokenCount longest_ = 0;
+    /** Window version the round opened under. */
+    std::uint64_t roundVersion_ = 0;
+    bool materialised_ = false;
+    std::size_t roundSize_ = 0;
+    std::uint64_t boundAdmissions_ = 0;
     std::vector<std::vector<BatchEntry>> trialEntries_;
     std::vector<BatchEntry> candidateEntries_;
-    /** Conditional-tail start of each running request this round
-     *  (trial 0 sets it, the perturbation trials draw from it). */
-    std::vector<std::size_t> tailStarts_;
     /** estimateFutureMemory scratch (routing/introspection path). */
     std::vector<BatchEntry> loadScratch_;
     std::vector<double> peaks_;

@@ -1,6 +1,7 @@
 #include "core/scheduling_policy.hh"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "base/logging.hh"
 
@@ -35,7 +36,7 @@ SchedulingPolicy::admit(const SchedulerContext &ctx,
     // output is post-paid through finish().
     leaf.pop(candidate.promptLen + candidate.generatedLen);
     if (!root_.isLeaf())
-        leafOf_[candidate.id] = &leaf;
+        leafOf_.insertOrAssign(candidate.id, &leaf);
     out.admit.push_back(candidate.id);
 }
 
@@ -125,11 +126,11 @@ SchedulingPolicy::onRequestFinished(RequestId id,
         root_.finish(id, output_len);
         return;
     }
-    auto it = leafOf_.find(id);
-    if (it == leafOf_.end())
+    SchedNode **leaf = leafOf_.find(id);
+    if (leaf == nullptr)
         return;
-    it->second->finish(id, output_len);
-    leafOf_.erase(it);
+    (*leaf)->finish(id, output_len);
+    leafOf_.erase(id);
 }
 
 void

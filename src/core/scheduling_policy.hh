@@ -30,9 +30,9 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "base/flat_id_table.hh"
 #include "core/queue_policy.hh"
 #include "core/sched_node.hh"
 #include "core/scheduler.hh"
@@ -165,7 +165,7 @@ class SchedulingPolicy
 
     /** Tree: the leaf that admitted each unfinished request
      *  (finish notifications only carry the request id). */
-    std::unordered_map<RequestId, SchedNode *> leafOf_;
+    FlatIdTable<SchedNode *> leafOf_;
 };
 
 } // namespace core

@@ -98,28 +98,41 @@ ServingEngine::submitStamped(const workload::RequestSpec &spec,
         when, [this, token](Tick fire) {
             deliverArrival(token, fire);
         });
-    pendingArrivals_.emplace(token,
-                             PendingArrival{event, spec, stamp});
+    std::uint32_t entry;
+    if (arrivalFree_.empty()) {
+        entry = static_cast<std::uint32_t>(arrivalSlab_.size());
+        arrivalSlab_.emplace_back();
+    } else {
+        entry = arrivalFree_.back();
+        arrivalFree_.pop_back();
+    }
+    arrivalSlab_[entry].event = event;
+    arrivalSlab_[entry].spec = spec;
+    arrivalSlab_[entry].stamp = stamp;
+    pendingArrivals_.insert(token, entry);
 }
 
 void
 ServingEngine::deliverArrival(std::uint64_t token, Tick when)
 {
-    const auto pending_it = pendingArrivals_.find(token);
-    LIGHTLLM_ASSERT(pending_it != pendingArrivals_.end(),
+    const std::uint32_t *pending = pendingArrivals_.find(token);
+    LIGHTLLM_ASSERT(pending != nullptr,
                     "arrival event for unknown token ", token);
+    const std::uint32_t entry = *pending;
     // The queue is no longer empty: the step after the ones that
     // started before `when` is a full iteration.
     settleTo(when);
     endRun();
-    const workload::RequestSpec spec = pending_it->second.spec;
-    const Tick stamp = pending_it->second.stamp;
-    pendingArrivals_.erase(pending_it);
+    const workload::RequestSpec spec = arrivalSlab_[entry].spec;
+    const Tick stamp = arrivalSlab_[entry].stamp;
+    pendingArrivals_.erase(token);
+    arrivalFree_.push_back(entry);
     EngineRequest *raw = allocRequest();
     raw->spec = spec;
     raw->arrival = stamp;
     inheritSessionChain(*raw);
-    const bool inserted = requests_.emplace(spec.id, raw).second;
+    const bool inserted =
+        requests_.tryInsert(spec.id, slotIndex(raw->slot));
     LIGHTLLM_ASSERT(inserted, "duplicate request id ", spec.id);
     waiting_.push_back(raw);
     undeliveredTokens_ -= spec.inputLen;
@@ -1525,18 +1538,24 @@ ServingEngine::drainQueued()
     // (tokens increase in submission order).
     std::vector<std::pair<Tick, std::uint64_t>> pending;
     pending.reserve(pendingArrivals_.size());
-    for (const auto &[token, entry] : pendingArrivals_)
-        pending.emplace_back(context_->eventTick(entry.event),
-                             token);
+    pendingArrivals_.forEach([&](std::uint64_t token,
+                                 std::uint32_t entry) {
+        pending.emplace_back(
+            context_->eventTick(arrivalSlab_[entry].event), token);
+    });
     std::sort(pending.begin(), pending.end());
     for (const auto &[tick, token] : pending) {
-        const auto &entry = pendingArrivals_.at(token);
+        const PendingArrival &entry =
+            arrivalSlab_[*pendingArrivals_.find(token)];
         context_->cancel(entry.event);
         undeliveredTokens_ -= entry.spec.inputLen;
         redispatch.push_back(
             DrainedRequest{entry.spec, tick, entry.stamp});
     }
+    // A drained engine takes no further submissions.
     pendingArrivals_.clear();
+    arrivalSlab_.clear();
+    arrivalFree_.clear();
     return redispatch;
 }
 

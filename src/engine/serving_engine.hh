@@ -49,6 +49,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/flat_id_table.hh"
 #include "base/token_stream.hh"
 #include "base/types.hh"
 #include "core/future_memory.hh"
@@ -719,12 +720,17 @@ class ServingEngine : public workload::RequestSink
         Tick stamp;
     };
 
-    /** In-flight arrival events, keyed by submission token (not
-     *  request id: duplicate-id submissions must each deliver so
-     *  the duplicate check in deliverArrival can fire). */
-    std::unordered_map<std::uint64_t, PendingArrival>
-        pendingArrivals_;
+    /** In-flight arrival events: the slab index of each, keyed by
+     *  submission token (not request id: duplicate-id submissions
+     *  must each deliver so the duplicate check in deliverArrival
+     *  can fire). */
+    FlatIdTable<std::uint32_t> pendingArrivals_;
     std::uint64_t nextArrivalToken_ = 0;
+
+    /** Arrival slab: entries are recycled through arrivalFree_, so
+     *  a warmed engine's submit path allocates nothing. */
+    std::vector<PendingArrival> arrivalSlab_;
+    std::vector<std::uint32_t> arrivalFree_;
 
     /**
      * Per-request state slab: EngineRequest objects are allocated
@@ -740,13 +746,15 @@ class ServingEngine : public workload::RequestSink
     /** Grab a recycled (or fresh) slab entry, reset to defaults. */
     EngineRequest *allocRequest();
 
-    /** Drop the map entry, release the slot (the policy drops its
+    /** Drop the id entry, release the slot (the policy drops its
      *  per-request state; the handle's generation moves on) and
      *  return the slab entry to the free list (field reset happens
      *  on reuse in allocRequest). */
     void recycleRequest(EngineRequest *request);
 
-    std::unordered_map<RequestId, EngineRequest *> requests_;
+    /** Slab index of each live request, by id (the duplicate-id
+     *  check of deliverArrival). */
+    FlatIdTable<std::uint32_t> requests_;
     std::deque<EngineRequest *> waiting_;
     std::vector<EngineRequest *> prefillPending_;
     std::vector<EngineRequest *> running_;

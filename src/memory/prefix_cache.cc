@@ -14,10 +14,9 @@ PrefixCache::~PrefixCache()
 {
     // Orderly teardown keeps the manager's invariants intact even
     // when the cache dies first (engine member destruction order).
-    for (const IndexSlot &slot : index_) {
-        if (slot.entry != kEmptySlot)
-            kv_.dropCached(entries_[slot.entry].block);
-    }
+    index_.forEach([this](PrefixHash, EntryIndex entry) {
+        kv_.dropCached(entries_[entry].block);
+    });
 }
 
 std::size_t
@@ -92,7 +91,7 @@ PrefixCache::insert(std::span<const PrefixHash> hashes,
         entries_[entry] =
             Entry{hashes[i], ++clock_, blocks[i], kPinned};
         kv_.retainCached(blocks[i], entry);
-        indexInsert(hashes[i], entry);
+        index_.insert(hashes[i], entry);
     }
 }
 
@@ -111,70 +110,13 @@ PrefixCache::reclaim(std::int64_t count)
             continue;
         }
         pin(entry);  // leave the heap
-        indexErase(entries_[entry].hash);
+        const bool indexed = index_.erase(entries_[entry].hash);
+        LIGHTLLM_ASSERT(indexed, "erasing an unindexed hash");
         freeEntries_.push_back(entry);
         kv_.dropCached(entries_[entry].block);
         ++reclaimed;
     }
     return reclaimed;
-}
-
-std::size_t
-PrefixCache::probe(PrefixHash hash) const
-{
-    const std::size_t mask = index_.size() - 1;
-    std::size_t slot = indexHome(hash, index_.size());
-    while (index_[slot].entry != kEmptySlot &&
-           index_[slot].hash != hash)
-        slot = (slot + 1) & mask;
-    return slot;
-}
-
-void
-PrefixCache::indexInsert(PrefixHash hash, EntryIndex entry)
-{
-    if (2 * (indexed_ + 1) > index_.size()) {
-        // Double (rehashing every live slot), keeping load <= 1/2
-        // so probe runs stay short and an empty slot always ends
-        // one.
-        std::vector<IndexSlot> previous(2 * index_.size());
-        previous.swap(index_);
-        for (const IndexSlot &slot : previous) {
-            if (slot.entry != kEmptySlot)
-                index_[probe(slot.hash)] = slot;
-        }
-    }
-    const std::size_t slot = probe(hash);
-    LIGHTLLM_ASSERT(index_[slot].entry == kEmptySlot,
-                    "hash indexed twice");
-    index_[slot] = IndexSlot{hash, entry};
-    ++indexed_;
-}
-
-void
-PrefixCache::indexErase(PrefixHash hash)
-{
-    const std::size_t mask = index_.size() - 1;
-    std::size_t hole = probe(hash);
-    LIGHTLLM_ASSERT(index_[hole].entry != kEmptySlot,
-                    "erasing an unindexed hash");
-    // Backward shift: walk the rest of the run and move back every
-    // slot whose home does not lie cyclically in (hole, next], so
-    // each remaining hash stays reachable from its home.
-    for (std::size_t next = (hole + 1) & mask;
-         index_[next].entry != kEmptySlot; next = (next + 1) & mask) {
-        const std::size_t want =
-            indexHome(index_[next].hash, index_.size());
-        const bool stays = hole <= next
-            ? hole < want && want <= next
-            : hole < want || want <= next;
-        if (stays)
-            continue;
-        index_[hole] = index_[next];
-        hole = next;
-    }
-    index_[hole] = IndexSlot{};
-    --indexed_;
 }
 
 void

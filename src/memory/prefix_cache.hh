@@ -30,10 +30,10 @@
  * order while a matched block that is pinned right after (the
  * admission path) never pays a sift.
  *
- * The hash -> entry index is one flat open-addressing table (power
- * of two slots, linear probing from a Fibonacci-hashed home slot,
- * backward-shift erase, doubling at half load): a probe reads one
- * contiguous run instead of chasing a node per bucket, and erase
+ * The hash -> entry index is one FlatIdTable (base/flat_id_table.hh:
+ * power of two slots, linear probing from a Fibonacci-hashed home
+ * slot, backward-shift erase, doubling at half load): a probe reads
+ * one contiguous run instead of chasing a node per bucket, and erase
  * leaves no tombstones, so a warmed table never allocates.
  * Re-inserting a block that is already cached under the same hash
  * (a finishing turn republishing the prompt blocks it matched)
@@ -44,11 +44,11 @@
 #ifndef LIGHTLLM_MEMORY_PREFIX_CACHE_HH
 #define LIGHTLLM_MEMORY_PREFIX_CACHE_HH
 
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "base/flat_id_table.hh"
 #include "base/token_stream.hh"
 #include "base/types.hh"
 #include "memory/kv_block_manager.hh"
@@ -105,11 +105,11 @@ class PrefixCache
     std::int64_t reclaim(std::int64_t count);
 
     /** Cached blocks (parked or pinned). */
-    std::size_t size() const { return indexed_; }
+    std::size_t size() const { return index_.size(); }
 
     /** Slots of the hash index: a power of two, at least twice
      *  size(). */
-    std::size_t indexSlots() const { return index_.size(); }
+    std::size_t indexSlots() const { return index_.slots(); }
 
     /** Home slot of `hash` in an index of `slots` slots (a power of
      *  two): the top bits of a Fibonacci multiply, so structured
@@ -118,9 +118,7 @@ class PrefixCache
     static std::size_t
     indexHome(PrefixHash hash, std::size_t slots)
     {
-        return static_cast<std::size_t>(
-            (hash * 0x9e3779b97f4a7c15ull) >>
-            (64 - std::countr_zero(slots)));
+        return FlatIdTable<EntryIndex>::home(hash, slots);
     }
 
     /** Total match() calls and block-level hits (bench telemetry;
@@ -136,7 +134,7 @@ class PrefixCache
     /** Entry::heapSlot of a block some request references. */
     static constexpr std::uint32_t kPinned = 0xffffffffu;
 
-    /** IndexSlot::entry of an empty index slot. */
+    /** lookup() of an unindexed hash. */
     static constexpr EntryIndex kEmptySlot = 0xffffffffu;
 
     /** Index slots of a new cache (doubles from there). */
@@ -161,14 +159,6 @@ class PrefixCache
         std::uint32_t heapSlot;
     };
 
-    /** One slot of the flat hash index: the hash rides along so a
-     *  probe compares without touching the entry slab. */
-    struct IndexSlot
-    {
-        PrefixHash hash = 0;
-        EntryIndex entry = kEmptySlot;
-    };
-
     /** Heap node: the key rides along so sifts stay in the heap.
      *  It is the entry's stamp when parked or re-keyed, never above
      *  its current stamp. */
@@ -191,33 +181,22 @@ class PrefixCache
         entries_[entry].stamp = ++clock_;
     }
 
-    /** Index slot holding `hash`, or the empty slot ending its
-     *  probe run (the table is never full). */
-    std::size_t probe(PrefixHash hash) const;
-
     /** Start loading the home slot of hashes[at], if any. */
     void
     prefetchHome(std::span<const PrefixHash> hashes,
                  std::size_t at) const
     {
         if (at < hashes.size())
-            __builtin_prefetch(
-                &index_[indexHome(hashes[at], index_.size())]);
+            index_.prefetch(hashes[at]);
     }
 
     /** Entry cached under `hash`; kEmptySlot when absent. */
     EntryIndex
     lookup(PrefixHash hash) const
     {
-        return index_[probe(hash)].entry;
+        const EntryIndex *entry = index_.find(hash);
+        return entry != nullptr ? *entry : kEmptySlot;
     }
-
-    /** Index a hash known to be absent, growing at half load. */
-    void indexInsert(PrefixHash hash, EntryIndex entry);
-
-    /** Remove an indexed hash, shifting its run's tail back so no
-     *  probe run is broken. */
-    void indexErase(PrefixHash hash);
 
     void placeAt(std::size_t slot, Parked node);
     void siftUp(std::size_t slot);
@@ -232,12 +211,8 @@ class PrefixCache
      *  root is the LRU block once its key is current. */
     std::vector<Parked> parked_;
 
-    /** Flat open-addressing hash -> entry index: a power-of-two
-     *  table, at most half full. */
-    std::vector<IndexSlot> index_;
-
-    /** Hashes in index_ (= cached blocks). */
-    std::size_t indexed_ = 0;
+    /** Hash -> entry index; one hash per cached block. */
+    FlatIdTable<EntryIndex> index_;
 
     std::uint64_t clock_ = 0;
 

@@ -99,18 +99,18 @@ SessionGenerator::submitTurn(std::size_t index, Tick when)
     const RequestSpec &spec = session.turns[session.nextTurn];
     ++session.nextTurn;
     ++submitted_;
-    owner_.emplace(spec.id, index);
+    owner_.tryInsert(spec.id, index);
     sink_.submitAt(spec, when);
 }
 
 void
 SessionGenerator::onRequestFinished(RequestId id, Tick finish_tick)
 {
-    const auto it = owner_.find(id);
-    if (it == owner_.end())
+    const std::size_t *owner = owner_.find(id);
+    if (owner == nullptr)
         return;  // not ours (mixed workloads)
-    const std::size_t index = it->second;
-    owner_.erase(it);
+    const std::size_t index = *owner;
+    owner_.erase(id);
     submitTurn(index, finish_tick + config_.thinkTime);
 }
 

@@ -25,9 +25,9 @@
 #define LIGHTLLM_WORKLOAD_SESSION_GEN_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "base/flat_id_table.hh"
 #include "base/token_stream.hh"
 #include "base/types.hh"
 #include "workload/client_pool.hh"
@@ -126,7 +126,8 @@ class SessionGenerator
     SessionWorkloadConfig config_;
     RequestSink &sink_;
     std::vector<Session> sessions_;
-    std::unordered_map<RequestId, std::size_t> owner_;
+    /** Session index of each submitted, unfinished turn. */
+    FlatIdTable<std::size_t> owner_;
     std::size_t submitted_ = 0;
 };
 

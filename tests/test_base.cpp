@@ -1,13 +1,16 @@
 /**
  * @file
- * Unit tests for the base module: RNG, string helpers, tables.
+ * Unit tests for the base module: RNG, string helpers, tables, the
+ * flat id table.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 
+#include "base/flat_id_table.hh"
 #include "base/rng.hh"
 #include "base/str_util.hh"
 #include "base/table.hh"
@@ -239,6 +242,68 @@ TEST(TextTableDeathTest, RowArityMismatchPanics)
 {
     TextTable table({"a", "b"});
     EXPECT_DEATH(table.addRow({"only-one"}), "row has");
+}
+
+/**
+ * Random inserts, assignments and erases against std::map. Keys are
+ * drawn from a small range so runs collide and wrap, and half of
+ * them are crafted to share one home slot of the current table, so
+ * backward-shift erase is exercised inside long runs.
+ */
+TEST(FlatIdTableTest, MatchesOrderedMapUnderChurn)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed);
+        FlatIdTable<std::uint32_t> table(2);
+        std::map<std::uint64_t, std::uint32_t> reference;
+        for (int op = 0; op < 20000; ++op) {
+            std::uint64_t key = static_cast<std::uint64_t>(
+                rng.uniformInt(0, 300));
+            if (rng.bernoulli(0.5)) {
+                // A key whose home is slot 0 of the current table.
+                while (FlatIdTable<std::uint32_t>::home(
+                           key, table.slots()) != 0)
+                    ++key;
+            }
+            const auto value = static_cast<std::uint32_t>(op);
+            const int kind = static_cast<int>(rng.uniformInt(0, 3));
+            if (kind == 0) {
+                EXPECT_EQ(table.tryInsert(key, value),
+                          reference.emplace(key, value).second);
+            } else if (kind == 1) {
+                table.insertOrAssign(key, value);
+                reference[key] = value;
+            } else {
+                EXPECT_EQ(table.erase(key), reference.erase(key) == 1);
+            }
+            ASSERT_EQ(table.size(), reference.size());
+            ASSERT_GE(table.slots(), 2 * table.size());
+        }
+        for (std::uint64_t key = 0; key < 4096; ++key) {
+            const auto it = reference.find(key);
+            const std::uint32_t *found = table.find(key);
+            ASSERT_EQ(found != nullptr, it != reference.end()) << key;
+            if (found != nullptr) {
+                EXPECT_EQ(*found, it->second);
+            }
+        }
+        std::map<std::uint64_t, std::uint32_t> visited;
+        table.forEach([&](std::uint64_t key, std::uint32_t value) {
+            EXPECT_TRUE(visited.emplace(key, value).second);
+        });
+        EXPECT_EQ(visited, reference);
+        table.clear();
+        EXPECT_TRUE(table.empty());
+        for (const auto &[key, value] : reference)
+            EXPECT_EQ(table.find(key), nullptr);
+    }
+}
+
+TEST(FlatIdTableDeathTest, DuplicateInsertPanics)
+{
+    FlatIdTable<int> table;
+    table.insert(7, 1);
+    EXPECT_DEATH(table.insert(7, 2), "inserted twice");
 }
 
 } // namespace

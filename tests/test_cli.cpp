@@ -632,7 +632,10 @@ TEST(CliReport, TenantP99MatchesReportPercentile)
  *  the engine idles until an arrival after the limit (the clock
  *  jumps to that arrival, no iteration runs there), `max_requests`
  *  stops a closed loop at --max-requests, and `warmup_limit` stops
- *  a thinking closed loop at --max-seconds with --warmup set. */
+ *  a thinking closed loop at --max-seconds with --warmup set. Two
+ *  batch-cap cells stop admission rounds at the batch room:
+ *  `max_batch` (Past-Future on ShareGPT-o1 under --max-batch 16)
+ *  and `tenant_max_batch` (a 3-tenant tree under --max-batch 8). */
 struct RunCell
 {
     const char *target;
@@ -673,6 +676,15 @@ TEST_P(CliRunMatrix, SummaryBytesArePinned)
     } else if (load == "replay") {
         args.insert(args.end(),
                     {"--trace-replay", replay_path.c_str()});
+    } else if (load == "max_batch") {
+        args.insert(args.end(),
+                    {"--workload", "sharegpt-o1", "--requests", "40",
+                     "--clients", "24", "--max-batch", "16"});
+    } else if (load == "tenant_max_batch") {
+        args.insert(args.end(),
+                    {"--tenants", "3", "--tenant-tree", "--workload",
+                     "sharegpt", "--requests", "48", "--clients", "24",
+                     "--max-batch", "8"});
     } else {
         args.insert(args.end(),
                     {"--workload", "sharegpt", "--requests", "16"});
@@ -720,6 +732,9 @@ INSTANTIATE_TEST_SUITE_P(
         RunCell{"engine", "idle_gap", 8, 0xfd0a6393b990df1cull},
         RunCell{"engine", "max_requests", 9, 0x6b0c4e018118b421ull},
         RunCell{"engine", "warmup_limit", 12, 0x63f42b08b3485b35ull},
+        RunCell{"engine", "max_batch", 40, 0xbb2ff24f008de8f5ull},
+        RunCell{"engine", "tenant_max_batch", 48,
+                0xaa1302dda6fd50d9ull},
         RunCell{"fleet", "closed", 16, 0xd6d86a5911ab496ull},
         RunCell{"fleet", "rate", 16, 0x870f201ed125ddcaull},
         RunCell{"fleet", "schedule", 16, 0x14948c72f226fe38ull},

@@ -6,10 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <vector>
 
+#include "base/rng.hh"
 #include "core/aggressive_scheduler.hh"
 #include "core/conservative_scheduler.hh"
+#include "core/future_memory.hh"
+#include "core/length_distribution.hh"
+#include "core/length_predictor.hh"
 #include "core/oracle_scheduler.hh"
 #include "core/past_future_scheduler.hh"
 #include "core/scheduler_factory.hh"
@@ -446,6 +453,450 @@ INSTANTIATE_TEST_SUITE_P(
                       PredictionMode::PerStepSample,
                       PredictionMode::TailMean,
                       PredictionMode::TailQuantile));
+
+// --- Past-Future: rounds the window bound decides ---------------------
+
+/**
+ * The eager admission round the window bound replaced, kept as the
+ * reference: every trial batch is drawn and sorted at round open and
+ * every candidate is scored against all of them. Sticky samples are
+ * keyed by request id, which names the same sample as the slot an
+ * engine passes while every id keeps one slot.
+ */
+class EagerPastFuture
+{
+  public:
+    explicit EagerPastFuture(const PastFutureParams &params)
+        : params_(params), predictor_(params.windowSize),
+          rng_(params.seed)
+    {
+        if (params_.seedOutputLen > 0)
+            predictor_.seed(params_.seedOutputLen, params_.seedCount);
+        for (TokenCount length : params_.initialHistory)
+            predictor_.observe(length);
+    }
+
+    void
+    onRequestFinished(RequestId id, TokenCount output_len)
+    {
+        predictor_.observe(output_len);
+        samples_.erase(id);
+    }
+
+    void
+    beginAdmissionRound(const SchedulerContext &ctx)
+    {
+        limit_ = static_cast<TokenCount>(
+            static_cast<double>(ctx.capacityTokens) *
+            (1.0 - params_.reservedRatio));
+        overhead_ = ctx.perRequestOverhead;
+        runningSize_ = ctx.running.size();
+        admitted_ = 0;
+        trials_ = trialsFor(ctx.running.size());
+        trialEntries_.assign(trials_, {});
+        std::vector<std::size_t> tail_starts(ctx.running.size());
+        for (std::size_t t = 0; t < trials_; ++t) {
+            for (std::size_t i = 0; i < ctx.running.size(); ++i) {
+                const RunningView &request = ctx.running[i];
+                const TokenCount predicted = t == 0
+                    ? predict(request.id, request.generatedLen,
+                              request.maxNewTokens, tail_starts[i])
+                    : perturbed(tail_starts[i], request.generatedLen,
+                                request.maxNewTokens);
+                trialEntries_[t].push_back(BatchEntry{
+                    request.promptLen - request.cachedPrefixLen,
+                    request.generatedLen, predicted});
+            }
+            sortByRemaining(trialEntries_[t]);
+        }
+    }
+
+    bool
+    tryAdmit(const WaitingView &candidate)
+    {
+        std::vector<BatchEntry> entries(trials_);
+        peaks_.assign(trials_, 0.0);
+        std::size_t tail_start = 0;
+        for (std::size_t t = 0; t < trials_; ++t) {
+            const TokenCount predicted = t == 0
+                ? predict(candidate.id, candidate.generatedLen,
+                          candidate.maxNewTokens, tail_start)
+                : perturbed(tail_start, candidate.generatedLen,
+                            candidate.maxNewTokens);
+            entries[t] = BatchEntry{
+                candidate.promptLen + candidate.generatedLen -
+                    candidate.cachedPrefixLen,
+                0, predicted - candidate.generatedLen};
+            peaks_[t] = static_cast<double>(
+                mergedPeak(trialEntries_[t], entries[t]));
+        }
+        double estimate = 0.0;
+        if (params_.predictionMode == PredictionMode::PerStepSample) {
+            for (double peak : peaks_)
+                estimate = std::max(estimate, peak);
+        } else {
+            double mean = 0.0;
+            for (double peak : peaks_)
+                mean += peak;
+            mean /= static_cast<double>(peaks_.size());
+            double variance = 0.0;
+            for (double peak : peaks_)
+                variance += (peak - mean) * (peak - mean);
+            variance /= static_cast<double>(peaks_.size());
+            estimate = mean + params_.riskFactor * std::sqrt(variance);
+        }
+        const TokenCount overhead = overhead_ *
+            static_cast<TokenCount>(runningSize_ + admitted_ + 1);
+        if (static_cast<TokenCount>(estimate) + overhead > limit_)
+            return false;
+        for (std::size_t t = 0; t < trials_; ++t)
+            insertSorted(trialEntries_[t], entries[t]);
+        ++admitted_;
+        return true;
+    }
+
+    /** Trial peaks of the last tryAdmit. */
+    const std::vector<double> &peaks() const { return peaks_; }
+
+    TokenCount longest() { return predictor_.distribution().maxLength(); }
+
+    const Rng &rng() const { return rng_; }
+
+  private:
+    std::size_t
+    trialsFor(std::size_t batch_size) const
+    {
+        switch (params_.predictionMode) {
+          case PredictionMode::StickySample:
+            return static_cast<std::size_t>(params_.admissionTrials);
+          case PredictionMode::PerStepSample:
+            return batch_size < params_.smallBatchSize
+                ? static_cast<std::size_t>(params_.smallBatchTrials)
+                : 1;
+          default:
+            return 1;
+        }
+    }
+
+    TokenCount
+    predict(RequestId id, TokenCount generated, TokenCount max_new,
+            std::size_t &tail_start)
+    {
+        const LengthDistribution &distribution =
+            predictor_.distribution();
+        tail_start = 0;
+        TokenCount predicted = max_new;
+        if (!distribution.empty()) {
+            tail_start = distribution.tailStart(generated);
+            switch (params_.predictionMode) {
+              case PredictionMode::StickySample:
+              {
+                auto [it, inserted] = samples_.try_emplace(id);
+                if (inserted)
+                    it->second = rng_.uniformDouble();
+                predicted = distribution.sampleTailFrom(
+                    it->second, tail_start, max_new);
+                break;
+              }
+              case PredictionMode::PerStepSample:
+                predicted = distribution.sampleTailFrom(
+                    rng_, tail_start, max_new);
+                break;
+              case PredictionMode::TailMean:
+                predicted =
+                    distribution.tailMeanFrom(tail_start, max_new);
+                break;
+              case PredictionMode::TailQuantile:
+                predicted = distribution.tailQuantileFrom(
+                    tail_start, params_.tailQuantile, max_new);
+                break;
+            }
+        }
+        return std::max(std::min(predicted, max_new), generated);
+    }
+
+    TokenCount
+    perturbed(std::size_t tail_start, TokenCount generated,
+              TokenCount max_new)
+    {
+        const LengthDistribution &distribution =
+            predictor_.distribution();
+        const TokenCount predicted = distribution.empty()
+            ? max_new
+            : distribution.sampleTailFrom(rng_, tail_start, max_new);
+        return std::max(std::min(predicted, max_new), generated);
+    }
+
+    PastFutureParams params_;
+    LengthPredictor predictor_;
+    Rng rng_;
+    std::map<RequestId, double> samples_;
+    std::vector<std::vector<BatchEntry>> trialEntries_;
+    std::vector<double> peaks_;
+    TokenCount limit_ = 0;
+    TokenCount overhead_ = 0;
+    std::size_t runningSize_ = 0;
+    std::size_t admitted_ = 0;
+    std::size_t trials_ = 1;
+};
+
+/** Largest remaining length any trial can predict (the bound's R
+ *  term, written out independently of the scheduler). */
+TokenCount
+boundGrowth(TokenCount longest, TokenCount generated, TokenCount max_new)
+{
+    const TokenCount ceiling =
+        generated < longest ? std::min(max_new, longest) : max_new;
+    return std::max<TokenCount>(0, ceiling - generated);
+}
+
+/** The next 64 raw draws of a copy of `rng`. */
+std::vector<std::uint64_t>
+nextDraws(Rng rng)
+{
+    std::vector<std::uint64_t> draws(64);
+    for (auto &draw : draws)
+        draw = rng.nextU64();
+    return draws;
+}
+
+TEST(PastFutureBoundTest, TailDrawMatchesUniformIntIndex)
+{
+    // The one raw-draw mapping picks what uniformInt's index would.
+    Rng lengths(3);
+    std::vector<TokenCount> raw;
+    for (int i = 0; i < 97; ++i)
+        raw.push_back(lengths.uniformInt(1, 400));
+    const LengthDistribution distribution(raw);
+    std::vector<TokenCount> sorted = raw;
+    std::sort(sorted.begin(), sorted.end());
+    Rng a(11);
+    Rng b(11);
+    for (int i = 0; i < 2000; ++i) {
+        const auto start = static_cast<std::size_t>(i % 97);
+        const TokenCount drawn = distribution.sampleTailFrom(a, start, -1);
+        const auto index = static_cast<std::size_t>(b.uniformInt(
+            static_cast<std::int64_t>(start), 96));
+        ASSERT_EQ(drawn, sorted[index]);
+    }
+    EXPECT_EQ(distribution.sampleTailFrom(a, 97, -1), -1);
+    EXPECT_EQ(a.nextU64(), b.nextU64());  // an empty tail draws nothing
+}
+
+/**
+ * Seeded random rounds, each run through the scheduler and the eager
+ * reference side by side: every decision, and the generator's next
+ * 64 draws after every round, must agree, and every trial peak the
+ * reference scores must lie in [L, U] of the window bound. Covers
+ * the four prediction modes, empty windows, empty tails (l_t at or
+ * past the window's longest length), caps below the window's
+ * longest, sample-less running members, rounds where the bound fails
+ * after admitting k >= 1 candidates, riskFactor 0 and 3 and reserves
+ * of 3% and 30%.
+ */
+TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
+{
+    const PredictionMode modes[] = {
+        PredictionMode::StickySample, PredictionMode::PerStepSample,
+        PredictionMode::TailMean, PredictionMode::TailQuantile};
+    std::size_t empty_window_rounds = 0;
+    std::size_t empty_tail_members = 0;
+    std::size_t capped_members = 0;
+    std::size_t sampleless_members = 0;
+    std::size_t bound_then_exact = 0;
+    std::size_t bound_decided = 0;
+    std::size_t tests = 0;
+    for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+        Rng gen(seed * 7919);
+        PastFutureParams params;
+        params.predictionMode = modes[seed % 4];
+        params.windowSize = static_cast<std::size_t>(gen.uniformInt(8, 64));
+        params.riskFactor = seed % 3 == 0 ? 0.0 : 3.0;
+        params.reservedRatio = seed % 2 == 0 ? 0.03 : 0.3;
+        params.smallBatchSize = 8;
+        params.seed = seed;
+        PastFutureScheduler scheduler(params);
+        EagerPastFuture reference(params);
+
+        RequestId next_id = 1;
+        std::vector<RequestId> seen;  // ids that were candidates
+        for (int round = 0; round < 40; ++round) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " round " << round);
+            // Rounds 0-2 run on an empty window.
+            if (round >= 3) {
+                for (int f = gen.uniformInt(0, 3); f > 0; --f) {
+                    const RequestId id = seen.empty() || gen.bernoulli(0.5)
+                        ? next_id++
+                        : seen[static_cast<std::size_t>(gen.uniformInt(
+                              0, static_cast<std::int64_t>(seen.size()) -
+                                  1))];
+                    // Odd seeds keep a bimodal window, whose trials
+                    // spread widely enough that the exact estimate
+                    // can exceed L + R.
+                    const TokenCount length = seed % 2 == 1
+                        ? (gen.bernoulli(0.5) ? gen.uniformInt(1, 20)
+                                              : gen.uniformInt(250, 300))
+                        : gen.uniformInt(1, 300);
+                    scheduler.onRequestFinished(id, length);
+                    reference.onRequestFinished(id, length);
+                }
+            }
+            const TokenCount longest = reference.longest();
+            if (longest == 0)
+                ++empty_window_rounds;
+
+            std::vector<RunningView> running(static_cast<std::size_t>(
+                gen.uniformInt(0, gen.bernoulli(0.5) ? 3 : 20)));
+            for (RunningView &view : running) {
+                const bool known = !seen.empty() && gen.bernoulli(0.6);
+                view.id = known
+                    ? seen[static_cast<std::size_t>(gen.uniformInt(
+                          0, static_cast<std::int64_t>(seen.size()) - 1))]
+                    : next_id++;
+                if (!known)
+                    ++sampleless_members;
+                view.promptLen = gen.uniformInt(1, 300);
+                view.generatedLen = gen.uniformInt(0, 350);
+                view.maxNewTokens = gen.bernoulli(0.3)
+                    ? gen.uniformInt(1, 120)
+                    : gen.uniformInt(200, 1000);
+                view.cachedPrefixLen =
+                    gen.bernoulli(0.3) ? gen.uniformInt(0, view.promptLen) : 0;
+                view.slot = makeSlot(static_cast<std::uint32_t>(view.id), 0);
+                if (view.generatedLen >= longest)
+                    ++empty_tail_members;
+                if (view.maxNewTokens < longest)
+                    ++capped_members;
+            }
+            // A running id appears once per batch.
+            std::sort(running.begin(), running.end(),
+                      [](const RunningView &a, const RunningView &b) {
+                          return a.id < b.id;
+                      });
+            running.erase(std::unique(running.begin(), running.end(),
+                                      [](const RunningView &a,
+                                         const RunningView &b) {
+                                          return a.id == b.id;
+                                      }),
+                          running.end());
+            std::vector<WaitingView> waiting(
+                static_cast<std::size_t>(gen.uniformInt(1, 8)));
+            TokenCount demand = 0;
+            for (const RunningView &view : running) {
+                demand += view.promptLen + view.generatedLen +
+                    boundGrowth(longest, view.generatedLen,
+                                view.maxNewTokens);
+            }
+            for (WaitingView &view : waiting) {
+                view.id = next_id++;
+                view.promptLen = gen.uniformInt(1, 300);
+                view.generatedLen =
+                    gen.bernoulli(0.2) ? gen.uniformInt(1, 200) : 0;
+                view.maxNewTokens = gen.uniformInt(50, 1000);
+                view.cachedPrefixLen =
+                    gen.bernoulli(0.3) ? gen.uniformInt(0, view.promptLen) : 0;
+                view.slot = makeSlot(static_cast<std::uint32_t>(view.id), 0);
+                demand += view.promptLen + view.maxNewTokens;
+            }
+            SchedulerContext ctx;
+            // From below the batch's resident tokens to well above
+            // its worst case: both the bound and the exact test fire.
+            ctx.capacityTokens = gen.uniformInt(0, 2 * demand + 16);
+            ctx.perRequestOverhead = gen.bernoulli(0.5) ? 16 : 0;
+            ctx.running = running;
+            ctx.waiting = waiting;
+
+            const std::uint64_t bound_before = scheduler.boundAdmissions();
+            scheduler.beginAdmissionRound(ctx);
+            reference.beginAdmissionRound(ctx);
+            TokenCount low = 0;
+            TokenCount growth = 0;
+            for (const RunningView &view : running) {
+                low += view.promptLen - view.cachedPrefixLen +
+                    view.generatedLen;
+                growth += boundGrowth(longest, view.generatedLen,
+                                      view.maxNewTokens);
+            }
+            std::size_t round_bound = 0;
+            for (const WaitingView &view : waiting) {
+                const std::uint64_t before = scheduler.boundAdmissions();
+                const bool admitted = scheduler.tryAdmit(view);
+                const bool expected = reference.tryAdmit(view);
+                ASSERT_EQ(admitted, expected) << "candidate " << view.id;
+                ++tests;
+                const TokenCount resident = view.promptLen +
+                    view.generatedLen - view.cachedPrefixLen;
+                const TokenCount grows = boundGrowth(
+                    longest, view.generatedLen, view.maxNewTokens);
+                for (double peak : reference.peaks()) {
+                    EXPECT_GE(peak, static_cast<double>(low + resident));
+                    EXPECT_LE(peak, static_cast<double>(
+                                        low + resident + growth + grows));
+                }
+                if (scheduler.boundAdmissions() != before) {
+                    ++round_bound;
+                } else if (round_bound > 0) {
+                    ++bound_then_exact;
+                    round_bound = 0;  // count each round once
+                }
+                if (admitted) {
+                    low += resident;
+                    growth += grows;
+                }
+                seen.push_back(view.id);
+            }
+            bound_decided += scheduler.boundAdmissions() - bound_before;
+            ASSERT_EQ(nextDraws(scheduler.rng()),
+                      nextDraws(reference.rng()));
+        }
+    }
+    // The generator reached every case it claims to cover.
+    EXPECT_GT(empty_window_rounds, 0u);
+    EXPECT_GT(empty_tail_members, 0u);
+    EXPECT_GT(capped_members, 0u);
+    EXPECT_GT(sampleless_members, 0u);
+    EXPECT_GT(bound_then_exact, 20u);
+    EXPECT_GT(bound_decided, tests / 10);
+    EXPECT_LT(bound_decided, tests);
+}
+
+/** Light rounds take the bound on every test; at zero capacity no
+ *  test does (a change that always built the trials would pass every
+ *  byte-identity suite, so the fast path is pinned here). */
+TEST(PastFutureBoundTest, FastPathIsTaken)
+{
+    PastFutureParams params;
+    params.windowSize = 200;
+    params.seed = 5;
+    PastFutureScheduler scheduler(params);
+    Rng gen(17);
+    for (RequestId id = 0; id < 200; ++id)
+        scheduler.onRequestFinished(500000 + id, gen.uniformInt(20, 900));
+
+    ContextBuilder light;
+    light.capacity = 1'000'000;
+    light.overhead = 16;
+    for (int i = 0; i < 39; ++i) {
+        light.addRunning(gen.uniformInt(50, 500), gen.uniformInt(0, 800),
+                         2048, 0);
+        light.running.back().slot = makeSlot(static_cast<std::uint32_t>(i), 0);
+    }
+    for (int i = 0; i < 8; ++i)
+        light.addWaiting(gen.uniformInt(50, 500), 2048, 0);
+    for (int round = 0; round < 5; ++round) {
+        const std::uint64_t before = scheduler.boundAdmissions();
+        EXPECT_EQ(scheduler.selectAdmissions(light.context()), 8u);
+        EXPECT_EQ(scheduler.boundAdmissions() - before, 8u);
+    }
+
+    ContextBuilder full = light;
+    full.capacity = 0;
+    const std::uint64_t before = scheduler.boundAdmissions();
+    for (int round = 0; round < 5; ++round)
+        EXPECT_EQ(scheduler.selectAdmissions(full.context()), 0u);
+    EXPECT_EQ(scheduler.boundAdmissions(), before);
+}
 
 // --- Factory ----------------------------------------------------------
 
