@@ -19,6 +19,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "core/future_memory.hh"
 #include "core/length_distribution.hh"
 #include "core/past_future_scheduler.hh"
+#include "engine/prediction_audit.hh"
 #include "memory/kv_block_manager.hh"
 #include "memory/prefix_cache.hh"
 #include "metrics/collector.hh"
@@ -201,71 +203,95 @@ BM_FutureRequiredMemory(benchmark::State &state)
     }
 }
 
+/** Engine requests over the fixture's running batch, each in its
+ *  own slab entry, predicted at its true length. */
+std::vector<std::unique_ptr<engine::EngineRequest>>
+auditMembers(const ContextFixture &fixture)
+{
+    std::vector<std::unique_ptr<engine::EngineRequest>> members;
+    for (const auto &view : fixture.running) {
+        auto request = std::make_unique<engine::EngineRequest>();
+        request->slot =
+            makeSlot(static_cast<std::uint32_t>(members.size()), 0);
+        request->spec.inputLen = view.promptLen;
+        request->spec.outputLen = view.trueOutputLen;
+        request->spec.maxNewTokens = view.maxNewTokens;
+        request->generated = view.generatedLen;
+        request->predicted = view.trueOutputLen;
+        members.push_back(std::move(request));
+    }
+    return members;
+}
+
 /**
- * The engine's per-step audit: a batch carried in Eq. 2 order is
- * advanced one decode step (every request generates a token; a
- * finished one is replaced in place by a fresh join), its order
- * restored by insertion sort, and its M* taken in one scan.
+ * The engine's audit of a step after its batch changed
+ * (engine::PredictionAudit::step): every request generated a token
+ * and a finished one was replaced by a fresh join in its slab entry;
+ * both carried batches drop and append members, rewrite their
+ * entries, restore Eq. 2 order by insertion sort and take M* in one
+ * scan.
  */
 void
 BM_AuditStep(benchmark::State &state)
 {
     ContextFixture fixture(state.range(0), 0);
-    std::vector<core::BatchEntry> carried = fixtureEntries(fixture);
-    core::sortByRemaining(carried);
-    // The engine carries which request each entry describes.
-    std::vector<std::size_t> tags(carried.size());
-    for (std::size_t i = 0; i < tags.size(); ++i)
-        tags[i] = i;
+    const auto members = auditMembers(fixture);
+    std::vector<engine::EngineRequest *> batch;
+    for (const auto &member : members)
+        batch.push_back(member.get());
+    engine::PredictionAudit audit;
+    audit.step(batch, {}, 0);
     Rng rng(23);
     for (auto _ : state) {
-        for (core::BatchEntry &entry : carried) {
-            entry.generatedLen += 1;
-            if (entry.remaining() == 0) {
-                entry = core::BatchEntry{rng.uniformInt(64, 2048), 0,
-                                         rng.uniformInt(1, 2000)};
-            }
+        for (engine::EngineRequest *request : batch) {
+            request->generated += 1;
+            if (request->generated < request->targetOutput())
+                continue;
+            request->slot =
+                makeSlot(slotIndex(request->slot),
+                         static_cast<std::uint32_t>(request->slot >> 32) +
+                             1);
+            request->spec.inputLen = rng.uniformInt(64, 2048);
+            request->spec.outputLen = rng.uniformInt(1, 2000);
+            request->generated = 0;
+            request->predicted = request->spec.outputLen;
         }
-        core::restoreRemainingOrder(
-            std::span<core::BatchEntry>(carried),
-            std::span<std::size_t>(tags));
-        benchmark::DoNotOptimize(core::sortedPeak(carried));
+        audit.membersChanged();
+        benchmark::DoNotOptimize(audit.step(batch, {}, 0));
     }
 }
 
 /**
- * One decode-run step's audit repair: the predictions of about one
- * member in eight move (o1_knee re-peeks ~7 of its ~39 members a
- * step and ~3.5 of them move), each by a few tokens, so it seldom
- * passes a neighbour (o1_knee: ~0.1 positions per move). Each moved
- * entry slides to its Eq. 2 slot, then one scan takes M*; a rescan
- * rewrites and re-sorts the whole carried batch instead
- * (BM_AuditStep).
+ * One decode-run step's audit repair (engine::PredictionAudit::slide
+ * and step): the predictions of about one member in eight move
+ * (o1_knee re-peeks ~7 of its ~39 members a step and ~3.5 of them
+ * move), each by a few tokens, so it seldom passes a neighbour
+ * (o1_knee: ~0.1 positions per move). Each moved entry slides to its
+ * Eq. 2 slot, then one scan takes M*; a rescan rewrites and re-sorts
+ * the whole carried batch instead (BM_AuditStep).
  */
 void
 BM_MovedAuditStep(benchmark::State &state)
 {
     ContextFixture fixture(state.range(0), 0);
-    std::vector<core::BatchEntry> carried = fixtureEntries(fixture);
-    core::sortByRemaining(carried);
-    std::vector<std::size_t> tags(carried.size());
-    std::vector<std::size_t> position(carried.size());
-    for (std::size_t i = 0; i < tags.size(); ++i) {
-        tags[i] = i;
-        position[i] = i;
-    }
+    const auto members = auditMembers(fixture);
+    std::vector<engine::EngineRequest *> batch;
+    for (const auto &member : members)
+        batch.push_back(member.get());
+    engine::PredictionAudit audit;
+    audit.step(batch, {}, 0);
     // The moves are drawn up front: the loop times the repair only.
     struct Move
     {
-        std::size_t tag;
+        std::size_t member;
         TokenCount delta;
     };
-    const std::size_t moves = std::max<std::size_t>(1, tags.size() / 8);
+    const std::size_t moves = std::max<std::size_t>(1, batch.size() / 8);
     std::vector<Move> plan(4096);
     Rng rng(29);
     for (Move &move : plan) {
-        move.tag = static_cast<std::size_t>(rng.uniformInt(
-            0, static_cast<std::int64_t>(tags.size()) - 1));
+        move.member = static_cast<std::size_t>(rng.uniformInt(
+            0, static_cast<std::int64_t>(batch.size()) - 1));
         move.delta = rng.uniformInt(-16, 16);
     }
     std::size_t next = 0;
@@ -273,18 +299,12 @@ BM_MovedAuditStep(benchmark::State &state)
         for (std::size_t m = 0; m < moves; ++m) {
             const Move &move = plan[next];
             next = (next + 1) % plan.size();
-            const std::size_t at = position[move.tag];
-            core::BatchEntry &entry = carried[at];
-            entry.predictedOutputLen =
-                std::max(entry.generatedLen,
-                         entry.predictedOutputLen + move.delta);
-            core::slideToOrder(std::span<core::BatchEntry>(carried),
-                               std::span<std::size_t>(tags), at,
-                               [&](std::size_t moved, std::size_t i) {
-                                   position[moved] = i;
-                               });
+            engine::EngineRequest &request = *batch[move.member];
+            request.predicted = std::max(request.generated,
+                                         request.predicted + move.delta);
+            audit.slide(request);
         }
-        benchmark::DoNotOptimize(core::sortedPeak(carried));
+        benchmark::DoNotOptimize(audit.step(batch, {}, 0));
     }
 }
 

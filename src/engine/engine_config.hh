@@ -84,6 +84,15 @@ struct EngineConfig
     std::size_t warmupRequests = 0;
 };
 
+/** A modelled latency scaled by a time factor: rounded, >= 1 tick. */
+inline Tick
+scaleTicks(Tick duration, double time_factor)
+{
+    const auto ticks = static_cast<Tick>(
+        static_cast<double>(duration) * time_factor + 0.5);
+    return ticks > 1 ? ticks : 1;
+}
+
 /**
  * Stop conditions for ServingEngine::run() / stepOnce(). Both are
  * checked before each iteration, never inside one: an iteration in

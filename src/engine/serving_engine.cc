@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "base/logging.hh"
-#include "core/future_memory.hh"
 #include "trace/trace_recorder.hh"
 
 namespace lightllm {
@@ -19,7 +18,7 @@ ServingEngine::ServingEngine(
       kv_(perf_.tokenCapacity(), config.blockSize),
       collector_(kv_.capacityTokens(), config.timeseriesInterval),
       ownedContext_(std::make_unique<sim::SimContext>()),
-      context_(ownedContext_.get())
+      context_(ownedContext_.get()), chains_(config.blockSize)
 {
     LIGHTLLM_ASSERT(policy_ != nullptr,
                     "engine needs a scheduling policy");
@@ -90,9 +89,8 @@ ServingEngine::submitStamped(const workload::RequestSpec &spec,
                     spec.id, " arrival stamp ", stamp,
                     " after its delivery tick ", when);
     undeliveredTokens_ += spec.inputLen;
-    // The event captures only a token; the spec's single copy
-    // lives in pendingArrivals_ until delivery (or drain
-    // claw-back).
+    // The event captures only a token; the spec's single copy lives
+    // in the arrival slab until delivery (or drain claw-back).
     const std::uint64_t token = nextArrivalToken_++;
     const sim::EventId event = context_->schedule(
         when, [this, token](Tick fire) {
@@ -123,66 +121,37 @@ ServingEngine::deliverArrival(std::uint64_t token, Tick when)
     // started before `when` is a full iteration.
     settleTo(when);
     endRun();
-    const workload::RequestSpec spec = arrivalSlab_[entry].spec;
-    const Tick stamp = arrivalSlab_[entry].stamp;
+    EngineRequest *raw = allocRequest();
+    raw->spec = arrivalSlab_[entry].spec;
+    raw->arrival = arrivalSlab_[entry].stamp;
     pendingArrivals_.erase(token);
     arrivalFree_.push_back(entry);
-    EngineRequest *raw = allocRequest();
-    raw->spec = spec;
-    raw->arrival = stamp;
-    inheritSessionChain(*raw);
-    const bool inserted =
-        requests_.tryInsert(spec.id, slotIndex(raw->slot));
-    LIGHTLLM_ASSERT(inserted, "duplicate request id ", spec.id);
+    if (prefixCache_)
+        chains_.inherit(*raw);
+    const RequestId id = raw->spec.id;
+    const bool inserted = requests_.tryInsert(id, slotIndex(raw->slot));
+    LIGHTLLM_ASSERT(inserted, "duplicate request id ", id);
     waiting_.push_back(raw);
-    undeliveredTokens_ -= spec.inputLen;
-    if (trace_ != nullptr) {
-        trace_->begin(trace::TraceName::Queued, spec.id, when,
-                      spec.inputLen,
-                      policy_->peekPrediction(spec.id, 0,
-                                              spec.maxNewTokens),
-                      spec.effectiveOutputLen());
-    }
+    undeliveredTokens_ -= raw->spec.inputLen;
+    traceQueued(*raw, when);
     wakeActor(when);
 }
 
-void
-ServingEngine::setOnFinish(FinishCallback callback)
-{
-    onFinish_ = std::move(callback);
-}
-
-void
-ServingEngine::setOnRecord(RecordCallback callback)
-{
-    onRecord_ = std::move(callback);
-}
-
-ServingEngine::EngineRequest *
+EngineRequest *
 ServingEngine::allocRequest()
 {
     if (!requestFree_.empty()) {
         EngineRequest *request = requestFree_.back();
         requestFree_.pop_back();
-        // Reset to constructed defaults, keeping the hash vector's
-        // capacity (the one per-request allocation worth saving).
-        request->spec = workload::RequestSpec{};
-        request->generated = 0;
-        request->arrival = 0;
-        request->firstToken = -1;
-        request->lastEmit = -1;
-        request->maxGap = 0;
-        request->evictions = 0;
-        request->admitSeq = 0;
-        request->remainingPrompt = 0;
-        request->swappedOut = false;
-        request->cachedPrefix = 0;
-        request->migratedAdmit = false;
-        request->hashes.clear();
-        request->auditMark = 0;
-        request->predicted = 0;
-        request->predictedUntil = 0;
-        request->predictedEpoch = 0;
+        // Reset by value, keeping the slot handle recycleRequest
+        // bumped and the hash vector's capacity (the one
+        // per-request allocation worth saving).
+        const RequestSlot slot = request->slot;
+        std::vector<PrefixHash> hashes = std::move(request->hashes);
+        hashes.clear();
+        *request = EngineRequest{};
+        request->slot = slot;
+        request->hashes = std::move(hashes);
         return request;
     }
     requestSlab_.push_back(std::make_unique<EngineRequest>());
@@ -210,12 +179,10 @@ Tick
 ServingEngine::deliverySpawnFloor() const
 {
     // Every completion notification fires at the end tick of the
-    // iteration that produced it, and each phase advances the
-    // engine clock by at least one scaled minimal phase latency
-    // (scaled() floors at one tick). Take the minimum over every
-    // phase reachable under this engine's configuration, with the
-    // smallest arguments a phase can see: every latency is
-    // non-decreasing in each argument, so larger ones never win.
+    // iteration that produced it, and each phase advances the clock
+    // by at least one scaled minimal phase latency. Take the minimum
+    // over every phase this configuration reaches, at the smallest
+    // arguments (every latency is non-decreasing in each).
     Tick floor = scaled(perf_.prefillLatency(1));
     floor = std::min(floor, scaled(perf_.fusedStepLatency(1, 1, 0)));
     if (config_.splitFuse)
@@ -226,25 +193,16 @@ ServingEngine::deliverySpawnFloor() const
     return std::max<Tick>(1, floor);
 }
 
-Tick
-ServingEngine::scaled(Tick duration) const
-{
-    const auto scaled_ticks = static_cast<Tick>(
-        static_cast<double>(duration) * config_.timeFactor + 0.5);
-    return std::max<Tick>(1, scaled_ticks);
-}
-
 void
 ServingEngine::wakeActor(Tick when)
 {
     // An iteration can never start before the engine finished its
     // previous one, nor before the triggering event.
     const Tick start = std::max(now_, when);
-    if (!stepScheduled_) {
+    if (stepEvent_ == sim::kInvalidEventId) {
         stepEvent_ = context_->schedule(
             start, [this](Tick tick) { onStepEvent(tick); },
             sim::EventClass::Step);
-        stepScheduled_ = true;
         stepTick_ = start;
         return;
     }
@@ -260,7 +218,6 @@ ServingEngine::wakeActor(Tick when)
 void
 ServingEngine::onStepEvent(Tick when)
 {
-    stepScheduled_ = false;
     stepEvent_ = sim::kInvalidEventId;
     settleTo(when);
     endRun();
@@ -269,7 +226,10 @@ ServingEngine::onStepEvent(Tick when)
     now_ = when;
     if (!hasWork())
         return;  // drained or spuriously woken; nothing to do
-    iterateOnce();
+    admitRequests();
+    if (!config_.splitFuse && !prefillPending_.empty())
+        runPrefillPhase();
+    runStep();
     if (hasWork())
         wakeActor(planRun());
 }
@@ -281,160 +241,36 @@ ServingEngine::planRun()
         running_.empty()) {
         return now_;
     }
-    DecodeRun &run = decodeRun_;
-    const auto batch = static_cast<TokenCount>(running_.size());
-    const TokenCount block = kv_.blockSize();
-    // One walk: the first finishing step (true lengths are known),
-    // the batch's KV tokens and its members' block phases.
-    TokenCount finish = std::numeric_limits<TokenCount>::max();
-    TokenCount batch_kv = 0;
-    run.phase.resize(running_.size());
-    run.phaseStart.assign(static_cast<std::size_t>(block) + 1, 0);
-    for (std::size_t i = 0; i < running_.size(); ++i) {
-        const EngineRequest *request = running_[i];
-        finish = std::min(finish,
-                          request->targetOutput() - request->generated);
-        batch_kv += request->spec.inputLen + request->generated;
-        run.phase[i] = static_cast<std::uint32_t>(
-            kv_.requestTokens(request->slot) % block);
-        ++run.phaseStart[run.phase[i] + 1];
-    }
-    // Lay the members out by phase, in member order within a phase,
-    // so a step's crossings take their blocks in stepwise order.
-    for (std::size_t p = 0; p < static_cast<std::size_t>(block); ++p)
-        run.phaseStart[p + 1] += run.phaseStart[p];
-    run.phaseMembers.resize(running_.size());
-    for (std::size_t i = 0; i < running_.size(); ++i)
-        run.phaseMembers[run.phaseStart[run.phase[i]]++] =
-            static_cast<std::uint32_t>(i);
-    for (std::size_t p = static_cast<std::size_t>(block); p > 0; --p)
-        run.phaseStart[p] = run.phaseStart[p - 1];
-    run.phaseStart[0] = 0;
-    auto phase_count = [&run](std::uint32_t p) {
-        return static_cast<std::int64_t>(run.phaseStart[p + 1] -
-                                         run.phaseStart[p]);
-    };
-    // Each crossing (see nextCrossing) takes a block off the free
-    // list or out of the reclaimable cache, so batchCanGrow() holds
-    // while the steps' crossings fit in what was available at the
-    // start.
-    const std::int64_t available =
-        kv_.freeBlocks() + kv_.reclaimableBlocks();
-    std::int64_t crossings = 0;
-    Tick tick = now_;
-    run.ends.clear();
-    std::uint32_t phase = 0;  // step 1 crosses phase 0
-    for (TokenCount step = 1; step < finish; ++step) {
-        if (limits_.maxTicks > 0 && tick >= limits_.maxTicks)
-            break;
-        crossings += phase_count(phase);
-        if (crossings > available)
-            break;
-        tick += scaled(perf_.fusedStepLatency(batch,
-                                              batch_kv + batch * step,
-                                              0));
-        run.ends.push_back(tick);
-        phase = nextCrossing(phase);
-    }
-    LIGHTLLM_ASSERT((phase_count(0) <= available) == kv_.batchCanGrow(),
-                    "decode-run plan disagrees with batchCanGrow");
-    if (run.ends.empty())
-        return now_;
-
-    // A member re-peeks at the first step its length reaches the
-    // horizon, or at once when a finish moved the epoch.
-    run.lapseHead.clear();
-    run.lapseNext.resize(running_.size());
-    for (std::size_t i = 0; i < running_.size(); ++i) {
-        const EngineRequest *request = running_[i];
-        const auto member = static_cast<std::uint32_t>(i);
-        fileLapse(member,
-                  request->predictedEpoch != predictionEpoch_
-                      ? 1
-                      : std::max<TokenCount>(1, request->predictedUntil -
-                                                    request->generated));
-        const std::size_t slab = slotIndex(request->slot);
-        if (slab >= run.memberOfSlab.size())
-            run.memberOfSlab.resize(slab + 1);
-        run.memberOfSlab[slab] = member;
-    }
-    run.auditPosValid = false;
-    run.crossing = 0;
-    run.start = now_;
-    run.settled = 0;
-    run.synced = 0;
-    run.kvLag = 0;
-    run.kvSynced.assign(running_.size(), 0);
-    return tick;
-}
-
-void
-ServingEngine::fileLapse(std::uint32_t member, TokenCount step)
-{
-    // The calendar grows to the latest lapse filed, which is
-    // usually far short of the run's last step.
-    DecodeRun &run = decodeRun_;
-    if (step > static_cast<TokenCount>(run.ends.size()))
-        return;
-    const auto at = static_cast<std::size_t>(step);
-    if (at >= run.lapseHead.size())
-        run.lapseHead.resize(at + 1, kNoMember);
-    run.lapseNext[member] = run.lapseHead[at];
-    run.lapseHead[at] = member;
-}
-
-std::uint32_t
-ServingEngine::nextCrossing(std::uint32_t phase) const
-{
-    // A member whose allocation held f tokens at the run's start is
-    // full before step s when (f + s - 1) % block == 0, and then
-    // takes a fresh block: step 1 crosses phase 0, and each later
-    // step the phase one below its predecessor's, mod block.
-    return phase == 0 ? static_cast<std::uint32_t>(kv_.blockSize() - 1)
-                      : phase - 1;
+    return run_.plan(running_, kv_, perf_, config_.timeFactor, now_,
+                     limits_.maxTicks, predictionEpoch_);
 }
 
 void
 ServingEngine::settleStep()
 {
-    DecodeRun &run = decodeRun_;
-    const std::size_t step = ++run.settled;
-    const auto ahead = static_cast<TokenCount>(step - run.synced);
-    const auto batch = static_cast<std::int64_t>(running_.size());
-
+    const DecodeRun::Step step = run_.settle();
     // KV: the members whose allocation is full take a fresh block,
     // in member order, catching up their deferred slack fills first
     // — block ids and prefix-cache reclaims follow the stepwise
     // order. The rest of the step's growth stays deferred.
-    const std::uint32_t phase = run.crossing;
-    run.crossing = nextCrossing(phase);
-    for (std::uint32_t k = run.phaseStart[phase];
-         k < run.phaseStart[phase + 1]; ++k) {
-        const std::uint32_t i = run.phaseMembers[k];
+    for (const std::uint32_t i : step.crossings) {
         const RequestSlot slot = running_[i]->slot;
-        const auto lag = static_cast<TokenCount>(step - run.kvSynced[i]);
-        kv_.growInSlack(slot, lag - 1);
+        kv_.growInSlack(slot, run_.catchUp(i) - 1);
         kv_.growByOne(slot);
-        run.kvSynced[i] = step;
-        run.kvLag -= lag;
     }
-    run.kvLag += batch;
-
-    // The members filed at this step re-peek at its length (peeks
-    // are read-only, so their order does not matter) and are filed
+    // The lapsing members re-peek at this step's length (peeks are
+    // read-only, so their order does not matter) and are filed
     // again at their new horizon. With the audit carried from an
-    // earlier step, the moved ones are repaired in place (see
-    // moveLapsedEntries).
-    const bool rescan = auditMembersChanged_ || auditPredictionChanged_;
-    for (std::uint32_t i = step < run.lapseHead.size()
-             ? run.lapseHead[step]
-             : kNoMember;
-         i != kNoMember;) {
-        const std::uint32_t next = run.lapseNext[i];
+    // earlier step, a moved one is repaired in place.
+    for (const std::uint32_t i : step.lapses) {
         EngineRequest &request = *running_[i];
-        const TokenCount generated = request.generated + ahead;
-        const TokenCount before = request.predicted;
-        peekAt(request, generated);
+        const TokenCount generated = request.generated + step.ahead;
+        if (peekAt(request, generated)) {
+            if (audit_.rescanPending())
+                audit_.predictionChanged();
+            else
+                audit_.slide(request);
+        }
         // Between lapses the entry's l_hat, max(predicted,
         // generated), must stay put: a peek holds at least to one
         // token short of its horizon.
@@ -442,182 +278,21 @@ ServingEngine::settleStep()
                         "prediction ", request.predicted,
                         " ends before its horizon ",
                         request.predictedUntil);
-        if (request.predicted != before)
-            run.moved.push_back(i);
-        fileLapse(i, static_cast<TokenCount>(step) +
-                         request.predictedUntil - generated);
-        i = next;
+        run_.fileLapse(i, static_cast<TokenCount>(step.index) +
+                              request.predictedUntil - generated);
     }
-
-    const Tick duration =
-        run.ends[step - 1] - (step == 1 ? run.start : run.ends[step - 2]);
-    now_ = run.ends[step - 1];
-    if (!run.moved.empty() && !rescan)
-        moveLapsedEntries();
-    run.moved.clear();
-    const auto [true_future, predicted_future] = auditStep(ahead);
-    const TokenCount used = kv_.usedTokens() + run.kvLag;
-    collector_.onDecodeStep(batch, used, true_future, predicted_future,
-                            now_, duration);
-    if (trace_ != nullptr && trace_->stepsEnabled()) {
-        traceStepCounters(batch, used, true_future, predicted_future);
-    }
-}
-
-void
-ServingEngine::moveLapsedEntries()
-{
-    // The carried entries lag their requests' lengths by one shared
-    // amount, which leaves every M_i unchanged, while each l_hat is
-    // the absolute max(predicted, generated): a moved member
-    // overwrites its own entry's l_hat and slides it to its Eq. 2
-    // slot past the entries it now out- or under-runs (the rest of
-    // the batch stays sorted), then one scan rescores the batch.
-    DecodeRun &run = decodeRun_;
-    std::vector<core::BatchEntry> &entries = auditPredicted_.entries;
-    std::vector<AuditMember> &members = auditPredicted_.members;
-    auto member_of = [&run](const AuditMember &tag) {
-        return run.memberOfSlab[slotIndex(tag.slot)];
-    };
-    if (!run.auditPosValid) {
-        // Without a rescan pending the audit holds exactly the run's
-        // members (joins and prefill-pending members flag one).
-        LIGHTLLM_ASSERT(members.size() == running_.size(),
-                        "carried audit of ", members.size(),
-                        " members over a run of ", running_.size());
-        run.auditPos.resize(running_.size());
-        for (std::size_t p = 0; p < members.size(); ++p) {
-            run.auditPos[member_of(members[p])] =
-                static_cast<std::uint32_t>(p);
-        }
-        run.auditPosValid = true;
-    }
-    for (const std::uint32_t member : run.moved) {
-        const std::size_t at = run.auditPos[member];
-        entries[at].predictedOutputLen = running_[member]->predicted;
-        core::slideToOrder(
-            std::span<core::BatchEntry>(entries),
-            std::span<AuditMember>(members), at,
-            [&](const AuditMember &tag, std::size_t i) {
-                run.auditPos[member_of(tag)] =
-                    static_cast<std::uint32_t>(i);
-            });
-    }
-    auditPredicted_.peak = core::sortedPeak(entries);
-    auditPredictionChanged_ = false;
+    now_ = step.end;
+    recordDecodeStep(static_cast<std::int64_t>(running_.size()),
+                     kv_.usedTokens() + run_.kvLag(), step.duration,
+                     step.ahead);
 }
 
 void
 ServingEngine::settleTo(Tick when)
 {
     // now_ is the next planned step's start.
-    while (runPending() && now_ < when)
+    while (run_.pending() && now_ < when)
         settleStep();
-}
-
-void
-ServingEngine::syncRun()
-{
-    DecodeRun &run = decodeRun_;
-    if (run.settled == run.synced)
-        return;
-    const std::size_t from = run.synced;
-    const std::size_t to = run.settled;
-    // Every member emitted at each settled step's end: the first
-    // gap is per member, the later ones are the step durations.
-    Tick widest = 0;
-    for (std::size_t i = from + 1; i < to; ++i)
-        widest = std::max(widest, run.ends[i] - run.ends[i - 1]);
-    for (std::size_t i = 0; i < running_.size(); ++i) {
-        EngineRequest &request = *running_[i];
-        // Slack fills only: a crossing would have placed the rest.
-        kv_.growInSlack(request.slot,
-                        static_cast<TokenCount>(to - run.kvSynced[i]));
-        run.kvSynced[i] = to;
-        request.generated += static_cast<TokenCount>(to - from);
-        recordEmission(request, run.ends[from]);
-        request.maxGap = std::max(request.maxGap, widest);
-        request.lastEmit = run.ends[to - 1];
-    }
-    run.kvLag = 0;
-    run.synced = to;
-}
-
-void
-ServingEngine::endRun()
-{
-    syncRun();
-    decodeRun_.ends.clear();
-    decodeRun_.settled = 0;
-    decodeRun_.synced = 0;
-}
-
-core::RunningView
-ServingEngine::runningViewOf(const EngineRequest &request,
-                             bool prefilling)
-{
-    return core::RunningView{
-        request.spec.id,      request.spec.inputLen,
-        request.generated,    request.spec.maxNewTokens,
-        request.spec.outputLen, request.admitSeq,
-        request.spec.cls, prefilling,
-        request.cachedPrefix, request.slot};
-}
-
-std::span<const PrefixHash>
-ServingEngine::hashChain(EngineRequest &request, TokenCount cap)
-{
-    const workload::RequestSpec &spec = request.spec;
-    // Content-identified tokens: the prompt segments always; the
-    // generated output only when the spec names its content.
-    const TokenCount output =
-        spec.outputKey != 0 ? request.generated : 0;
-    const auto full_blocks =
-        static_cast<std::size_t>(cap / kv_.blockSize());
-    if (request.hashes.size() < full_blocks) {
-        // The stream only grows (output is appended), and an
-        // inherited chain covers a segment-wise prefix of the
-        // prompt, so the chain held so far is a prefix of the one
-        // to this cap.
-        streamScratch_.assign(spec.segments.begin(),
-                              spec.segments.end());
-        if (output > 0)
-            streamScratch_.push_back(
-                PromptSegment{spec.outputKey, output});
-        extendBlockHashChain(streamScratch_, kv_.blockSize(), cap,
-                             request.hashes);
-    }
-    // Shorter than full_blocks only when the stream ends before cap.
-    return std::span<const PrefixHash>(request.hashes)
-        .first(std::min(request.hashes.size(), full_blocks));
-}
-
-std::span<const PrefixHash>
-ServingEngine::promptHashes(EngineRequest &request)
-{
-    const workload::RequestSpec &spec = request.spec;
-    const TokenCount prompt = spec.inputLen + request.generated;
-    const TokenCount known = spec.outputKey != 0
-        ? prompt
-        : spec.inputLen;
-    // One short of the prompt: the final prompt token is always
-    // prefilled (it produces the logits for the first new token).
-    return hashChain(request, std::min(known, prompt - 1));
-}
-
-TokenCount
-ServingEngine::peekCachedPrefix(EngineRequest &request)
-{
-    // Swap-in restores the KV wholesale (admitOne allocates the
-    // full footprint privately), so schedulers must not discount a
-    // swapped-out candidate.
-    if (!prefixCache_ || request.spec.segments.empty() ||
-        request.swappedOut) {
-        return 0;
-    }
-    const auto matched = static_cast<TokenCount>(
-        prefixCache_->peek(promptHashes(request)));
-    return matched * kv_.blockSize();
 }
 
 void
@@ -629,7 +304,7 @@ ServingEngine::cacheInsert(EngineRequest *request)
     const TokenCount known = spec.inputLen +
         (spec.outputKey != 0 ? request->generated : 0);
     const std::span<const PrefixHash> hashes =
-        hashChain(*request, known);
+        chains_.hashChain(*request, known);
     const std::vector<memory::BlockId> &table =
         kv_.blockTable(request->slot);
     // Full identified blocks are always a prefix of the block
@@ -640,94 +315,20 @@ ServingEngine::cacheInsert(EngineRequest *request)
         std::span<const memory::BlockId>(table).first(count));
 }
 
-void
-ServingEngine::inheritSessionChain(EngineRequest &request)
-{
-    const workload::RequestSpec &spec = request.spec;
-    if (!prefixCache_ || spec.sessionKey == 0 ||
-        spec.segments.empty())
-        return;
-    const auto it = sessionChains_.find(spec.sessionKey);
-    if (it == sessionChains_.end())
-        return;
-    SessionChain &memo = it->second;
-    // A stale turn (the session's later turns ran elsewhere) still
-    // qualifies; a stream that diverged does not.
-    if (memo.stream.empty() ||
-        !isSegmentPrefix(memo.stream, spec.segments))
-        return;
-    // hashChain resumes past the inherited blocks; the request's
-    // emptied buffer goes back to the memo for the next hand-off.
-    request.hashes.swap(memo.hashes);
-    memo.stream.clear();
-}
-
-void
-ServingEngine::handOffSessionChain(EngineRequest &request)
-{
-    const workload::RequestSpec &spec = request.spec;
-    if (!prefixCache_ || spec.sessionKey == 0 ||
-        spec.segments.empty())
-        return;
-    // cacheInsert extended the chain over every full block of this
-    // stream: the prompt, then the reply when its content is named.
-    SessionChain &memo = sessionChains_[spec.sessionKey];
-    memo.stream.assign(spec.segments.begin(), spec.segments.end());
-    if (spec.outputKey != 0 && request.generated > 0) {
-        memo.stream.push_back(
-            PromptSegment{spec.outputKey, request.generated});
-    }
-    memo.hashes.swap(request.hashes);
-}
-
-std::vector<std::uint64_t>
-ServingEngine::heldSessionChains() const
-{
-    std::vector<std::uint64_t> sessions;
-    for (const auto &[session, memo] : sessionChains_) {
-        if (!memo.stream.empty())
-            sessions.push_back(session);
-    }
-    return sessions;
-}
-
-std::span<const PrefixHash>
-ServingEngine::sessionChain(std::uint64_t session) const
-{
-    const auto it = sessionChains_.find(session);
-    if (it == sessionChains_.end() || it->second.stream.empty())
-        return {};
-    return it->second.hashes;
-}
-
 core::SchedulerContext
-ServingEngine::buildContext()
+ServingEngine::buildContext(bool queues)
 {
+    auto view = [](const EngineRequest *request, bool prefilling) {
+        return core::RunningView{
+            request->spec.id,      request->spec.inputLen,
+            request->generated,    request->spec.maxNewTokens,
+            request->spec.outputLen, request->admitSeq,
+            request->spec.cls, prefilling,
+            request->cachedPrefix, request->slot};
+    };
     runningViews_.clear();
     for (const EngineRequest *request : running_)
-        runningViews_.push_back(runningViewOf(*request, false));
-    // Admitted-but-prefilling requests already hold KV memory and
-    // will generate; the scheduler must see them as part of the
-    // running batch (they are not eviction candidates, though).
-    for (const EngineRequest *request : prefillPending_)
-        runningViews_.push_back(runningViewOf(*request, true));
-
-    waitingViews_.clear();
-    for (EngineRequest *request : waiting_) {
-        // Migrated KV counts as a resident prefix: the dispatch
-        // gate of the handoff queue already reserved its memory on
-        // this instance, so the schedulers must not charge it
-        // again (and there is no prefill compute to budget for).
-        const TokenCount resident =
-            std::max(peekCachedPrefix(*request),
-                     migratedResidentTokens(*request));
-        waitingViews_.push_back(core::WaitingView{
-            request->spec.id, request->spec.inputLen,
-            request->generated, request->spec.maxNewTokens,
-            request->arrival, request->spec.outputLen,
-            request->spec.cls, resident, request->slot});
-    }
-
+        runningViews_.push_back(view(request, false));
     core::SchedulerContext ctx;
     ctx.now = now_;
     ctx.capacityTokens = kv_.capacityTokens();
@@ -735,9 +336,36 @@ ServingEngine::buildContext()
     // Block rounding wastes at most blockSize - 1 slots per request,
     // and admission allocates one extra slot for the prefill token.
     ctx.perRequestOverhead = kv_.blockSize();
-    ctx.admitRoom = admitRoom();
+    if (queues) {
+        // Admitted-but-prefilling requests already hold KV memory
+        // and will generate; the scheduler must see them as part of
+        // the running batch (they are not eviction candidates).
+        for (const EngineRequest *request : prefillPending_)
+            runningViews_.push_back(view(request, true));
+        waitingViews_.clear();
+        for (EngineRequest *request : waiting_) {
+            // Migrated KV counts as a resident prefix: the handoff
+            // queue's dispatch gate already reserved its memory
+            // here (and there is no prefill compute to budget for).
+            // So does the cached prefix (peeked: no LRU effect),
+            // except for a swap-in, which restores its KV wholesale.
+            TokenCount resident = request->migratedResident();
+            if (prefixCache_ && !request->spec.segments.empty() &&
+                !request->swappedOut) {
+                const auto blocks = static_cast<TokenCount>(
+                    prefixCache_->peek(chains_.promptHashes(*request)));
+                resident = std::max(resident, blocks * kv_.blockSize());
+            }
+            waitingViews_.push_back(core::WaitingView{
+                request->spec.id, request->spec.inputLen,
+                request->generated, request->spec.maxNewTokens,
+                request->arrival, request->spec.outputLen,
+                request->spec.cls, resident, request->slot});
+        }
+        ctx.admitRoom = admitRoom();
+        ctx.waiting = waitingViews_;
+    }
     ctx.running = runningViews_;
-    ctx.waiting = waitingViews_;
     return ctx;
 }
 
@@ -762,11 +390,10 @@ ServingEngine::admitOne(EngineRequest *request)
         if (!kv_.allocate(slot, tokens))
             return false;
         request->remainingPrompt = 0;
-    } else if (migratedResidentTokens(*request) > 0) {
-        // Disaggregated handoff: the KV of the whole prompt arrived
-        // over the interconnect. Allocate it as private resident
-        // memory; no prefill compute and no emission (the first
-        // token was produced by the prefill pool).
+    } else if (request->migratedResident() > 0) {
+        // Disaggregated handoff: the prompt's KV arrived over the
+        // interconnect; private resident memory, no prefill compute
+        // and no emission (the prefill pool made the first token).
         if (!kv_.allocate(slot, request->spec.inputLen))
             return false;
         request->remainingPrompt = 0;
@@ -779,10 +406,9 @@ ServingEngine::admitOne(EngineRequest *request)
         const TokenCount tokens = prompt + 1;
         if (prefixCache_ && !request->spec.segments.empty()) {
             // Reuse every cached full block of the prompt: only the
-            // uncached suffix is allocated — and only it is
-            // prefilled.
+            // uncached suffix is allocated and prefilled.
             matchScratch_.clear();
-            prefixCache_->match(promptHashes(*request),
+            prefixCache_->match(chains_.promptHashes(*request),
                                 matchScratch_);
             if (!kv_.allocateShared(slot, tokens, matchScratch_))
                 return false;
@@ -799,7 +425,7 @@ ServingEngine::admitOne(EngineRequest *request)
     request->admitSeq = nextAdmitSeq_++;
     request->predictedUntil = 0;  // re-peek on (re)admission
     prefillPending_.push_back(request);
-    auditMembersChanged_ = true;
+    audit_.membersChanged();
     return true;
 }
 
@@ -859,8 +485,17 @@ ServingEngine::admitRequests()
         }
         waiting_.erase(it);
         ++admitted;
-        if (trace_ != nullptr)
-            traceAdmit(*request);
+        if (trace_ == nullptr)
+            continue;
+        trace_->end(trace::TraceName::Queued, id, now_);
+        trace_->instant(
+            trace::TraceName::Admit, id, now_,
+            policy_->peekPrediction(id, request->generated,
+                                    request->spec.maxNewTokens),
+            request->spec.effectiveOutputLen(), now_ - request->arrival);
+        trace_->begin(trace::TraceName::Prefill, id, now_,
+                      request->remainingPrompt, request->cachedPrefix,
+                      kv_.usedTokens());
     }
     if (trace_ != nullptr && trace_->stepsEnabled()) {
         trace_->instant(
@@ -872,29 +507,15 @@ ServingEngine::admitRequests()
 }
 
 void
-ServingEngine::traceAdmit(const EngineRequest &request)
+ServingEngine::traceQueued(const EngineRequest &request, Tick at)
 {
-    const RequestId id = request.spec.id;
-    trace_->end(trace::TraceName::Queued, id, now_);
-    trace_->instant(
-        trace::TraceName::Admit, id, now_,
-        policy_->peekPrediction(id, request.generated,
-                                request.spec.maxNewTokens),
-        request.spec.effectiveOutputLen(), now_ - request.arrival);
-    trace_->begin(trace::TraceName::Prefill, id, now_,
-                  request.remainingPrompt, request.cachedPrefix,
-                  kv_.usedTokens());
-}
-
-void
-ServingEngine::recordEmission(EngineRequest &request, Tick tick)
-{
-    if (request.firstToken < 0)
-        request.firstToken = tick;
-    if (request.lastEmit >= 0)
-        request.maxGap = std::max(request.maxGap,
-                                  tick - request.lastEmit);
-    request.lastEmit = tick;
+    if (trace_ == nullptr)
+        return;
+    const workload::RequestSpec &spec = request.spec;
+    trace_->begin(trace::TraceName::Queued, spec.id, at, spec.inputLen,
+                  policy_->peekPrediction(spec.id, request.generated,
+                                          spec.maxNewTokens),
+                  spec.effectiveOutputLen());
 }
 
 void
@@ -928,13 +549,14 @@ ServingEngine::finishRequest(EngineRequest *request)
     // session turns, the generated reply) before the references
     // drop: the next turn's prompt extends exactly this stream.
     cacheInsert(request);
-    handOffSessionChain(*request);
+    if (prefixCache_)
+        chains_.handOff(*request);
     kv_.release(request->slot);
     policy_->onRequestFinished(request->spec.id,
                                request->generated);
     // The policy saw a new length: every cached prediction lapses.
     ++predictionEpoch_;
-    auditMembersChanged_ = true;
+    audit_.membersChanged();
     ++finished_;
     if (config_.warmupRequests > 0 &&
         finished_ == config_.warmupRequests) {
@@ -945,15 +567,11 @@ ServingEngine::finishRequest(EngineRequest *request)
         recycleRequest(request);
         return;
     }
-    // Defer the notification to the context at the exact finish
-    // tick: listeners (router, clients, SLO monitors) then observe
-    // the completion in global event order rather than mid-way
-    // through this engine's iteration. One event carries both
-    // callbacks, record first. The payload (spec moved out of the
-    // dying request + record) parks in a recycled slab slot so the
-    // event lambda stays small enough for the queue's inline
-    // handler storage — the notify path allocates nothing in
-    // steady state.
+    // Defer the notification to the exact finish tick: listeners
+    // (router, clients, SLO monitors) then observe the completion in
+    // global event order, not mid-way through this iteration. One
+    // event carries both callbacks, record first; the payload parks
+    // in a recycled slab slot (no steady-state allocation).
     std::size_t idx;
     if (!notifyFree_.empty()) {
         idx = notifyFree_.back();
@@ -987,16 +605,7 @@ ServingEngine::evictOne()
     // decoding batch only (prefilling requests are not evictable)
     // and let the queue policy rank candidates, tie-broken by the
     // engine-configured admission order.
-    runningViews_.clear();
-    for (const EngineRequest *request : running_)
-        runningViews_.push_back(runningViewOf(*request, false));
-    core::SchedulerContext ctx;
-    ctx.now = now_;
-    ctx.capacityTokens = kv_.capacityTokens();
-    ctx.usedTokens = kv_.usedTokens();
-    ctx.perRequestOverhead = kv_.blockSize();
-    ctx.running = runningViews_;
-
+    const core::SchedulerContext ctx = buildContext(false);
     const core::VictimOrder order =
         config_.evictionPolicy == EvictionPolicy::Lifo
         ? core::VictimOrder::NewestFirst
@@ -1017,7 +626,7 @@ ServingEngine::evictRequest(RequestId id, bool reactive)
                     "eviction victim ", id, " is not decoding");
     EngineRequest *victim = *victim_it;
     running_.erase(victim_it);
-    auditMembersChanged_ = true;
+    audit_.membersChanged();
 
     const TokenCount victim_tokens = kv_.requestTokens(victim->slot);
     // release() only drops references: blocks the prefix cache (or
@@ -1045,12 +654,7 @@ ServingEngine::evictRequest(RequestId id, bool reactive)
             trace_->instant(trace::TraceName::SwapOut, id, now_,
                             victim_tokens);
         }
-        trace_->begin(trace::TraceName::Queued, id, now_,
-                      victim->spec.inputLen,
-                      policy_->peekPrediction(
-                          id, victim->generated,
-                          victim->spec.maxNewTokens),
-                      victim->spec.effectiveOutputLen());
+        traceQueued(*victim, now_);
     }
 
     if (config_.evictionMode == EvictionMode::Swap) {
@@ -1062,68 +666,7 @@ ServingEngine::evictRequest(RequestId id, bool reactive)
     return 0;
 }
 
-void
-ServingEngine::carryAuditMembers()
-{
-    // Members carry this reconcile's `member` mark. A carried entry
-    // survives only if its request carries the mark and still holds
-    // the slot it joined with (a departed request, or a recycled
-    // slab entry now queued, free or serving a newer request, does
-    // not), and then flips it to `kept`, so no member is ever
-    // carried twice. Both batches always hold the same members.
-    const std::uint64_t member = ++auditEpoch_;
-    const std::uint64_t kept = ++auditEpoch_;
-    for (EngineRequest *request : running_)
-        request->auditMark = member;
-    for (EngineRequest *request : prefillPending_)
-        request->auditMark = member;
-    std::erase_if(auditTrue_.members, [&](const AuditMember &carried) {
-        EngineRequest *request = carried.request;
-        if (request->auditMark != member ||
-            request->slot != carried.slot) {
-            return true;
-        }
-        request->auditMark = kept;
-        return false;
-    });
-    std::erase_if(auditPredicted_.members,
-                  [&](const AuditMember &carried) {
-                      return carried.request->auditMark != kept ||
-                          carried.request->slot != carried.slot;
-                  });
-    auto join = [&](EngineRequest *request) {
-        if (request->auditMark == kept)
-            return;
-        request->auditMark = kept;
-        auditTrue_.members.push_back({request, request->slot});
-        auditPredicted_.members.push_back({request, request->slot});
-    };
-    for (EngineRequest *request : running_)
-        join(request);
-    for (EngineRequest *request : prefillPending_)
-        join(request);
-}
-
-TokenCount
-ServingEngine::carriedPeak(AuditBatch &batch)
-{
-    core::restoreRemainingOrder(
-        std::span<core::BatchEntry>(batch.entries),
-        std::span<AuditMember>(batch.members));
-    return core::sortedPeak(batch.entries);
-}
-
-void
-ServingEngine::refreshPrediction(EngineRequest &request, bool force)
-{
-    if (!force && request.generated < request.predictedUntil &&
-        request.predictedEpoch == predictionEpoch_) {
-        return;
-    }
-    peekAt(request, request.generated);
-}
-
-void
+bool
 ServingEngine::peekAt(EngineRequest &request, TokenCount generated)
 {
     // Read-only peek: consumes no RNG and creates no sticky state.
@@ -1131,66 +674,34 @@ ServingEngine::peekAt(EngineRequest &request, TokenCount generated)
         request.slot, request.spec.id, generated,
         request.spec.maxNewTokens);
     const TokenCount predicted = std::max(peek.predicted, generated);
-    if (predicted != request.predicted)
-        auditPredictionChanged_ = true;
+    const bool moved = predicted != request.predicted;
     request.predicted = predicted;
     request.predictedUntil = peek.horizon;
     request.predictedEpoch = predictionEpoch_;
+    return moved;
 }
 
 void
-ServingEngine::rescanTrue(TokenCount ahead)
+ServingEngine::recordDecodeStep(std::int64_t batch, TokenCount used,
+                                Tick duration, TokenCount ahead)
 {
-    auditTrue_.entries.clear();
-    for (const AuditMember &member : auditTrue_.members) {
-        const EngineRequest *request = member.request;
-        auditTrue_.entries.push_back(core::BatchEntry{
-            request->spec.inputLen - request->cachedPrefix,
-            request->generated,
-            std::max(request->targetOutput(),
-                     request->generated + ahead)});
-    }
-    auditTrue_.peak = carriedPeak(auditTrue_);
-}
-
-void
-ServingEngine::rescanPredicted(TokenCount ahead)
-{
-    // Same batch as the true audit, but with the target lengths the
-    // scheduler believes in. Decoding members were re-peeked as
-    // they advanced; prefill-pending ones have not grown, which a
-    // horizon does not cover, so they are peeked afresh.
+    // Prefill-pending members have not grown, which a horizon does
+    // not cover, so they are peeked afresh; they force a rescan.
     for (EngineRequest *request : prefillPending_)
-        refreshPrediction(*request, true);
-    auditPredicted_.entries.clear();
-    for (const AuditMember &member : auditPredicted_.members) {
-        const EngineRequest *request = member.request;
-        auditPredicted_.entries.push_back(core::BatchEntry{
-            request->spec.inputLen - request->cachedPrefix,
-            request->generated,
-            std::max(request->predicted, request->generated + ahead)});
-    }
-    auditPredicted_.peak = carriedPeak(auditPredicted_);
-    auditPredictionChanged_ = false;
-    decodeRun_.auditPosValid = false;
-}
-
-std::pair<TokenCount, TokenCount>
-ServingEngine::auditStep(TokenCount ahead)
-{
-    // While the membership holds and every member decodes, the step
-    // just taken added one token to every member: P_i + i * r_i is
-    // unchanged for every i (DESIGN.md §8), so both carried peaks
-    // still hold unless a prediction moved.
-    if (auditMembersChanged_ || !prefillPending_.empty()) {
-        carryAuditMembers();
-        rescanTrue(ahead);
-        rescanPredicted(ahead);
-        auditMembersChanged_ = false;
-    } else if (auditPredictionChanged_) {
-        rescanPredicted(ahead);
-    }
-    return {auditTrue_.peak, auditPredicted_.peak};
+        peekAt(*request, request->generated);
+    const auto [true_future, predicted_future] =
+        audit_.step(running_, prefillPending_, ahead);
+    collector_.onDecodeStep(batch, used, true_future, predicted_future,
+                            now_, duration);
+    if (trace_ == nullptr || !trace_->stepsEnabled())
+        return;
+    using trace::TraceName;
+    trace_->counter(TraceName::BatchSize, now_, batch);
+    trace_->counter(TraceName::KvUsed, now_, used);
+    trace_->counter(TraceName::KvFutureTrue, now_, true_future);
+    trace_->counter(TraceName::KvFuturePred, now_, predicted_future);
+    trace_->counter(TraceName::QueueDepth, now_,
+                    static_cast<std::int64_t>(waiting_.size()));
 }
 
 void
@@ -1204,15 +715,14 @@ ServingEngine::startDecoding(EngineRequest *request)
     }
     kv_.joinBatch(request->slot);
     running_.push_back(request);
-    auditMembersChanged_ = true;
+    audit_.membersChanged();
 }
 
 void
 ServingEngine::joinMigrated(EngineRequest *request)
 {
-    // Migrated KV is already resident: straight to the decode
-    // batch. The transfer cost was paid on the interconnect before
-    // dispatch, and the first token came from the prefill pool.
+    // Migrated KV is already resident (the transfer was paid before
+    // dispatch, the first token came from the prefill pool).
     request->migratedAdmit = false;
     if (trace_ != nullptr) {
         trace_->instant(trace::TraceName::Migrated, request->spec.id,
@@ -1226,7 +736,7 @@ ServingEngine::completePrefill(EngineRequest *request)
 {
     request->remainingPrompt = 0;
     request->generated += 1;
-    recordEmission(*request, now_);
+    request->recordEmission(now_);
     if (request->generated >= request->targetOutput()) {
         if (trace_ != nullptr)
             trace_->end(trace::TraceName::Prefill, request->spec.id,
@@ -1245,18 +755,9 @@ ServingEngine::runPrefillPhase()
 {
     for (EngineRequest *request : prefillPending_) {
         if (request->swappedOut) {
-            // Swap-in: restore the KV; no compute, no new token
-            // (the request resumes decoding from where it was).
-            const TokenCount tokens =
-                request->spec.inputLen + request->generated;
-            const Tick duration = scaled(perf_.swapLatency(tokens));
-            now_ += duration;
-            collector_.onSwap(tokens, duration);
-            request->swappedOut = false;
-            if (trace_ != nullptr) {
-                trace_->instant(trace::TraceName::SwapIn,
-                                request->spec.id, now_, tokens);
-            }
+            // Swap-in: no compute, no new token (the request
+            // resumes decoding from where it was).
+            swapIn(*request, true);
             startDecoding(request);
             continue;
         }
@@ -1274,20 +775,20 @@ ServingEngine::runPrefillPhase()
     prefillPending_.clear();
 }
 
-void
-ServingEngine::traceStepCounters(std::int64_t batch_size,
-                                 TokenCount used_tokens,
-                                 TokenCount true_future,
-                                 TokenCount predicted_future)
+Tick
+ServingEngine::swapIn(EngineRequest &request, bool advance)
 {
-    trace_->counter(trace::TraceName::BatchSize, now_, batch_size);
-    trace_->counter(trace::TraceName::KvUsed, now_, used_tokens);
-    trace_->counter(trace::TraceName::KvFutureTrue, now_,
-                    true_future);
-    trace_->counter(trace::TraceName::KvFuturePred, now_,
-                    predicted_future);
-    trace_->counter(trace::TraceName::QueueDepth, now_,
-                    static_cast<std::int64_t>(waiting_.size()));
+    const TokenCount tokens = request.spec.inputLen + request.generated;
+    const Tick cost = scaled(perf_.swapLatency(tokens));
+    if (advance)
+        now_ += cost;
+    collector_.onSwap(tokens, cost);
+    request.swappedOut = false;
+    if (trace_ != nullptr) {
+        trace_->instant(trace::TraceName::SwapIn, request.spec.id, now_,
+                        tokens);
+    }
+    return cost;
 }
 
 void
@@ -1302,10 +803,9 @@ ServingEngine::runStep()
         return true;
     });
 
-    // The KV manager tracks the batch's block demand as members
-    // join, grow and leave, so the feasibility test is O(1); nothing
-    // between a passing test and the growth walk below touches the
-    // KV manager.
+    // The KV manager tracks the batch's block demand, so this test
+    // is O(1); nothing between a passing test and the growth walk
+    // below touches the KV manager.
     Tick extra_stall = 0;
     while (!running_.empty() && !kv_.batchCanGrow()) {
         if (running_.size() == 1) {
@@ -1326,18 +826,9 @@ ServingEngine::runStep()
     std::erase_if(prefillPending_, [&](EngineRequest *request) {
         if (!request->swappedOut)
             return false;
-        const TokenCount tokens =
-            request->spec.inputLen + request->generated;
-        const Tick cost = scaled(perf_.swapLatency(tokens));
-        extra_stall += cost;
-        collector_.onSwap(tokens, cost);
-        request->swappedOut = false;
-        if (trace_ != nullptr) {
-            trace_->instant(trace::TraceName::SwapIn,
-                            request->spec.id, now_, tokens);
-        }
+        extra_stall += swapIn(*request, false);
         swappedInScratch_.push_back(request);
-        auditMembersChanged_ = true;
+        audit_.membersChanged();
         return true;
     });
 
@@ -1368,38 +859,31 @@ ServingEngine::runStep()
         kv_.growByOne(request->slot);
         request->generated += 1;
         batch_kv += request->spec.inputLen + request->generated;
-        refreshPrediction(*request, false);
+        if ((request->generated >= request->predictedUntil ||
+             request->predictedEpoch != predictionEpoch_) &&
+            peekAt(*request, request->generated)) {
+            audit_.predictionChanged();
+        }
     }
 
-    const auto batch_size =
-        static_cast<std::int64_t>(running_.size());
-    if (batch_size == 0 && chunk_used == 0 &&
-        swappedInScratch_.empty()) {
+    const auto batch_size = static_cast<std::int64_t>(running_.size());
+    if (batch_size == 0 && chunk_used == 0 && swappedInScratch_.empty())
         return;
-    }
     Tick duration = extra_stall;
     if (batch_size > 0 || chunk_used > 0) {
         duration += scaled(perf_.fusedStepLatency(
             batch_size, batch_kv, chunk_used));
     }
     now_ += duration;
-    if (batch_size > 0) {
-        const auto [true_future, predicted_future] = auditStep();
-        collector_.onDecodeStep(batch_size, kv_.usedTokens(),
-                                true_future, predicted_future,
-                                now_, duration);
-        if (trace_ != nullptr && trace_->stepsEnabled()) {
-            traceStepCounters(batch_size, kv_.usedTokens(),
-                              true_future, predicted_future);
-        }
-    }
+    if (batch_size > 0)
+        recordDecodeStep(batch_size, kv_.usedTokens(), duration, 0);
     if (chunk_used > 0)
         collector_.onPrefill(chunk_used, duration);
 
     // Walk two: emissions and completions.
     finishedScratch_.clear();
     std::erase_if(running_, [&](EngineRequest *request) {
-        recordEmission(*request, now_);
+        request->recordEmission(now_);
         if (request->generated < request->targetOutput())
             return false;
         if (trace_ != nullptr)
@@ -1430,22 +914,9 @@ ServingEngine::runStep()
 bool
 ServingEngine::limitsReached(const RunLimits &limits) const
 {
-    if (limits.maxFinishedRequests > 0 &&
-        finished_ >= limits.maxFinishedRequests) {
-        return true;
-    }
-    if (limits.maxTicks > 0 && now_ >= limits.maxTicks)
-        return true;
-    return false;
-}
-
-void
-ServingEngine::iterateOnce()
-{
-    admitRequests();
-    if (!config_.splitFuse && !prefillPending_.empty())
-        runPrefillPhase();
-    runStep();
+    return (limits.maxFinishedRequests > 0 &&
+            finished_ >= limits.maxFinishedRequests) ||
+        (limits.maxTicks > 0 && now_ >= limits.maxTicks);
 }
 
 bool
@@ -1455,22 +926,20 @@ ServingEngine::stepOnce(const RunLimits &limits)
                     "a shared SimContext drives attached engines");
     limits_ = limits;
     // Checked before any delivery: a run its last iteration stopped
-    // delivers nothing more (no arrival joins the queue, or the
-    // trace, after the limit).
+    // delivers nothing more (no arrival joins the queue or trace).
     if (limitsReached(limits))
         return false;
-    // The owned context holds only this engine's events, so the
-    // one Step-class event is its next Step: every delivery due
-    // before the next iteration fires first (an arrival on an idle
-    // engine schedules the Step; one landing in a decode run ends
-    // the run and moves the Step to the next step's start, now_).
+    // The owned context's one Step-class event is this engine's next
+    // Step: every delivery due before the next iteration fires first
+    // (an arrival on an idle engine schedules the Step; one landing
+    // in a decode run ends the run, moving the Step to now_).
     sim::EventQueue &queue = context_->queue();
     while (!queue.empty() &&
            queue.peekHead().cls == sim::EventClass::Delivery &&
-           (!runPending() || queue.peekHead().when <= now_)) {
+           (!run_.pending() || queue.peekHead().when <= now_)) {
         context_->runNext();
     }
-    if (runPending()) {
+    if (run_.pending()) {
         settleStep();
         return true;
     }
@@ -1491,7 +960,6 @@ ServingEngine::run(const RunLimits &limits)
 {
     LIGHTLLM_ASSERT(!ran_, "engine instances are single-run");
     ran_ = true;
-
     while (stepOnce(limits)) {
     }
     return report();
@@ -1505,32 +973,7 @@ ServingEngine::drainQueued()
     draining_ = true;
 
     std::vector<DrainedRequest> redispatch;
-
-    // Queued-but-never-admitted requests leave in queue order and
-    // re-enter a router immediately, carrying their original
-    // arrival stamps so TTFT keeps counting their pre-drain wait.
-    // Requests holding engine history (evicted or swapped out
-    // mid-flight) stay: their KV rebuild and emission records live
-    // here.
-    const Tick drain_tick = context_->now();
-    std::deque<EngineRequest *> keep;
-    for (EngineRequest *request : waiting_) {
-        if (request->generated > 0 || request->evictions > 0 ||
-            request->swappedOut) {
-            keep.push_back(request);
-            continue;
-        }
-        if (trace_ != nullptr) {
-            trace_->end(trace::TraceName::Queued,
-                        request->spec.id, drain_tick);
-            trace_->instant(trace::TraceName::Drained,
-                            request->spec.id, drain_tick);
-        }
-        redispatch.push_back(DrainedRequest{
-            request->spec, drain_tick, request->arrival});
-        recycleRequest(request);
-    }
-    waiting_ = std::move(keep);
+    handBackQueued(0, redispatch);
 
     // Claw back in-flight arrival events; they re-enter the router
     // at their original arrival ticks. Sorted by (tick, token) so
@@ -1566,52 +1009,45 @@ ServingEngine::stealQueued(std::size_t max_requests)
                     "cannot steal from a draining engine");
     settleNow();
 
+    // Tail to head: the thief takes the freshest backlog so the
+    // queue head (and its TTFT clock) stays put.
+    std::size_t from = waiting_.size();
+    for (std::size_t taken = 0; from > 0 && taken < max_requests;)
+        taken += waiting_[--from]->holdsHistory() ? 0 : 1;
     std::vector<DrainedRequest> stolen;
-    if (max_requests == 0 || waiting_.empty())
-        return stolen;
+    handBackQueued(from, stolen);
+    return stolen;
+}
 
-    // Tail-to-head scan: the thief takes the freshest backlog so
-    // the queue head (and its TTFT clock) stays put. Requests with
-    // engine history stay regardless, as in drainQueued().
-    std::vector<EngineRequest *> take;
-    for (auto it = waiting_.rbegin();
-         it != waiting_.rend() && take.size() < max_requests; ++it) {
+void
+ServingEngine::handBackQueued(std::size_t from,
+                              std::vector<DrainedRequest> &out)
+{
+    // Requests holding engine history (evicted or swapped out
+    // mid-flight) stay: their KV rebuild and emission records live
+    // here. The rest leave in queue order and re-enter a router
+    // now, carrying their original arrival stamps so TTFT keeps
+    // counting their wait here.
+    const auto first = std::stable_partition(
+        waiting_.begin() + static_cast<std::ptrdiff_t>(from),
+        waiting_.end(),
+        [](const EngineRequest *request) {
+            return request->holdsHistory();
+        });
+    const Tick tick = context_->now();
+    for (auto it = first; it != waiting_.end(); ++it) {
         EngineRequest *request = *it;
-        if (request->generated > 0 || request->evictions > 0 ||
-            request->swappedOut) {
-            continue;
-        }
-        take.push_back(request);
-    }
-    if (take.empty())
-        return stolen;
-
-    std::deque<EngineRequest *> keep;
-    for (EngineRequest *request : waiting_) {
-        if (std::find(take.begin(), take.end(), request) !=
-            take.end()) {
-            continue;
-        }
-        keep.push_back(request);
-    }
-    waiting_ = std::move(keep);
-
-    // Queue order (oldest first) for deterministic re-dispatch.
-    std::reverse(take.begin(), take.end());
-    const Tick steal_tick = context_->now();
-    stolen.reserve(take.size());
-    for (EngineRequest *request : take) {
         if (trace_ != nullptr) {
-            trace_->end(trace::TraceName::Queued,
-                        request->spec.id, steal_tick);
+            trace_->end(trace::TraceName::Queued, request->spec.id,
+                        tick);
             trace_->instant(trace::TraceName::Drained,
-                            request->spec.id, steal_tick);
+                            request->spec.id, tick);
         }
-        stolen.push_back(DrainedRequest{request->spec, steal_tick,
-                                        request->arrival});
+        out.push_back(
+            DrainedRequest{request->spec, tick, request->arrival});
         recycleRequest(request);
     }
-    return stolen;
+    waiting_.erase(first, waiting_.end());
 }
 
 metrics::RunReport
@@ -1644,19 +1080,12 @@ ServingEngine::prefixCache()
     return prefixCache_.get();
 }
 
-bool
-ServingEngine::hasWork() const
-{
-    return !running_.empty() || !prefillPending_.empty() ||
-        !waiting_.empty();
-}
-
 TokenCount
 ServingEngine::outstandingTokens()
 {
     settleNow();
     TokenCount total =
-        kv_.usedTokens() + decodeRun_.kvLag + undeliveredTokens_;
+        kv_.usedTokens() + run_.kvLag() + undeliveredTokens_;
     for (const EngineRequest *request : waiting_)
         total += request->spec.inputLen + request->generated;
     return total;
@@ -1672,16 +1101,6 @@ ServingEngine::predictedLoadTokens()
 }
 
 TokenCount
-ServingEngine::migratedResidentTokens(const EngineRequest &request)
-{
-    if (request.spec.migratedPrefix > 0 && request.generated == 0 &&
-        request.evictions == 0 && !request.swappedOut) {
-        return request.spec.migratedPrefix;
-    }
-    return 0;
-}
-
-TokenCount
 ServingEngine::pendingPrefillTokens() const
 {
     // In-flight arrivals are conservatively counted as full
@@ -1689,7 +1108,7 @@ ServingEngine::pendingPrefillTokens() const
     TokenCount total = undeliveredTokens_;
     for (const EngineRequest *request : waiting_) {
         total += request->spec.inputLen + request->generated -
-            migratedResidentTokens(*request);
+            request->migratedResident();
     }
     for (const EngineRequest *request : prefillPending_)
         total += request->remainingPrompt;
