@@ -1144,6 +1144,32 @@ TEST(StaticEngineTest, ExplicitBatchSizeIsUsed)
     EXPECT_NEAR(report.avgBatchSize, 4.0, 0.2);
 }
 
+/**
+ * The static-batch baseline's report bytes (summary JSON + request
+ * CSV), at the derived batch size and at a fixed one, pinned so a
+ * change to its KV bookkeeping cannot move Table 2's origin rows.
+ */
+TEST(StaticEngineTest, ReportBytesArePinned)
+{
+    const auto perf = tinyPerf(20.0);
+    const auto dataset = workload::makeTextVqaLike(64, 576, 3);
+    const auto sla = metrics::SlaSpec::small7b13b();
+    const std::pair<std::size_t, std::uint64_t> cases[] = {
+        {0, 17784609991413961195ull},
+        {4, 15620662653071586547ull},
+    };
+    for (const auto &[batch_size, pinned] : cases) {
+        SCOPED_TRACE(batch_size);
+        StaticEngineConfig config;
+        config.batchSize = batch_size;
+        const auto report = runStaticBatch(perf, dataset, config);
+        std::ostringstream bytes;
+        metrics::writeSummaryJson(bytes, report, sla);
+        metrics::writeRequestsCsv(bytes, report, sla);
+        EXPECT_EQ(fnv1a(bytes.str()), pinned);
+    }
+}
+
 TEST(StaticEngineTest, TimeFactorSlowsThroughput)
 {
     const auto perf = tinyPerf(20.0);
