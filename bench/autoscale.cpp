@@ -176,6 +176,7 @@ main()
         const FleetResult result =
             runFleet(scenario, lineup.instances, lineup.policy);
         const metrics::RunReport &report = result.report;
+        const auto digest = report.latencyDigest();
         const double attainment =
             report.ttftAttainment(scenario.sla);
         if (lineup.label == "static-max")
@@ -190,7 +191,7 @@ main()
             formatPercent(report.slaCompliantFraction(
                               scenario.sla),
                           2),
-            formatDouble(report.p99TtftSeconds(), 2),
+            formatDouble(digest.ttftPercentile(0.99), 2),
             formatDouble(report.instanceSeconds, 1),
             formatCount(static_cast<std::int64_t>(
                 report.peakInstances)),
@@ -203,9 +204,9 @@ main()
             {"ttft_attainment", attainment},
             {"sla_compliance",
              report.slaCompliantFraction(scenario.sla)},
-            {"p50_ttft_s", report.p50TtftSeconds()},
-            {"p90_ttft_s", report.p90TtftSeconds()},
-            {"p99_ttft_s", report.p99TtftSeconds()},
+            {"p50_ttft_s", digest.ttftPercentile(0.50)},
+            {"p90_ttft_s", digest.ttftPercentile(0.90)},
+            {"p99_ttft_s", digest.ttftPercentile(0.99)},
             {"goodput_tok_s",
              report.goodputTokensPerSec(scenario.sla)},
             {"instance_seconds", report.instanceSeconds},

@@ -73,7 +73,8 @@ metrics::RunReport
 runClosedLoop(const model::PerfModel &perf,
               core::SchedulerConfig scheduler_config,
               const workload::Dataset &dataset,
-              const ServeOptions &options)
+              const ServeOptions &options,
+              trace::EngineTrace *trace)
 {
     scheduler_config.pastFuture.seedOutputLen = dataset.maxNewTokens;
     scheduler_config.pastFuture.initialHistory = options.warmHistory;
@@ -83,6 +84,7 @@ runClosedLoop(const model::PerfModel &perf,
 
     engine::ServingEngine engine(
         perf, core::makeScheduler(scheduler_config), engine_config);
+    engine.attachTrace(trace);
     workload::ClosedLoopClientPool clients(options.numClients,
                                            dataset, engine);
     engine.setOnFinish(

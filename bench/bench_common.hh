@@ -17,6 +17,7 @@
 #include "metrics/report.hh"
 #include "metrics/sla.hh"
 #include "model/perf_model.hh"
+#include "trace/trace_recorder.hh"
 #include "workload/datasets.hh"
 
 namespace lightllm {
@@ -87,12 +88,14 @@ struct ServeOptions
     engine::EngineConfig engineConfig;
 };
 
-/** Run `dataset` on (perf, scheduler) with closed-loop clients. */
+/** Run `dataset` on (perf, scheduler) with closed-loop clients;
+ *  `trace` (may be null) records the engine's events. */
 metrics::RunReport
 runClosedLoop(const model::PerfModel &perf,
               core::SchedulerConfig scheduler_config,
               const workload::Dataset &dataset,
-              const ServeOptions &options);
+              const ServeOptions &options,
+              trace::EngineTrace *trace = nullptr);
 
 /** Output lengths of a dataset (warm history for its service). */
 std::vector<TokenCount> outputLengths(const workload::Dataset &ds);

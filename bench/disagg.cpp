@@ -199,13 +199,14 @@ main()
                   "colocated", colocated},
               {"disagg-2p2d", disaggregated}}) {
             const metrics::RunReport &report = result.report;
+            const auto digest = report.latencyDigest();
             table.addRow({
                 mix.label,
                 fleet,
                 formatDouble(report.goodputTokensPerSec(sla), 1),
                 formatPercent(report.slaCompliantFraction(sla), 2),
-                formatDouble(report.p99TtftSeconds(), 2),
-                formatDouble(report.p99MtpotSeconds(), 3),
+                formatDouble(digest.ttftPercentile(0.99), 2),
+                formatDouble(digest.mtpotPercentile(0.99), 3),
                 formatCount(report.shedRequests),
                 formatDouble(ticksToSeconds(report.makespan), 1),
             });
@@ -219,8 +220,8 @@ main()
                  report.goodputTokensPerSec(sla)},
                 {"sla_compliance",
                  report.slaCompliantFraction(sla)},
-                {"p99_ttft_s", report.p99TtftSeconds()},
-                {"p99_mtpot_s", report.p99MtpotSeconds()},
+                {"p99_ttft_s", digest.ttftPercentile(0.99)},
+                {"p99_mtpot_s", digest.mtpotPercentile(0.99)},
                 {"shed", static_cast<double>(report.shedRequests)},
                 {"makespan_s", ticksToSeconds(report.makespan)},
                 {"wall_ms", result.wallMillis},

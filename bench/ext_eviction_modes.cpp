@@ -73,7 +73,8 @@ main()
              formatPercent(report.evictedReqRatio(), 1),
              formatCount(report.swapEvents),
              formatCount(report.totalPrefillTokens),
-             formatDouble(report.p99MtpotSeconds(), 2)});
+             formatDouble(report.latencyDigest().mtpotPercentile(0.99),
+                          2)});
     }
     table.print(std::cout);
 

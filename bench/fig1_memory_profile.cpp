@@ -13,17 +13,47 @@
  * near-zero evictions.
  */
 
+#include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "base/str_util.hh"
 #include "base/table.hh"
 #include "bench_common.hh"
+#include "memory/kv_block_manager.hh"
+#include "trace/trace_recorder.hh"
 #include "workload/datasets.hh"
 
 using namespace lightllm;
 using namespace lightllm::bench;
 
 namespace {
+
+/** Every this many decode steps, one point of the time series. */
+constexpr std::size_t kSampleEvery = 25;
+
+/** Trace events retained per run; a run that overflows the ring
+ *  fails the bench rather than plot a truncated series. */
+constexpr std::size_t kTraceRing = std::size_t{1} << 20;
+
+/**
+ * The true future required memory M* in tokens at every
+ * kSampleEvery-th decode step: the flight recorder's per-step
+ * `kv_future_true` counters.
+ */
+std::vector<TokenCount>
+sampledFutureTokens(const trace::EngineTrace &sink)
+{
+    std::vector<TokenCount> series;
+    std::size_t step = 0;
+    for (std::size_t i = 0; i < sink.ring().size(); ++i) {
+        const trace::TraceEvent &event = sink.ring().at(i);
+        if (event.name == trace::TraceName::KvFutureTrue &&
+            ++step % kSampleEvery == 0)
+            series.push_back(event.arg0);
+    }
+    return series;
+}
 
 void
 profileDataset(const workload::Dataset &dataset,
@@ -48,13 +78,30 @@ profileDataset(const workload::Dataset &dataset,
         ServeOptions options;
         options.numClients = sizeClients(perf, dataset, 1.4);
         options.warmHistory = outputLengths(history);
-        options.engineConfig.timeseriesInterval = 25;
+        trace::TraceConfig trace_config;
+        trace_config.detail = trace::TraceDetail::Steps;
+        trace_config.ringCapacity = kTraceRing;
+        trace::TraceRecorder recorder(trace_config);
+        trace::EngineTrace *sink = recorder.createEngine(entry.label);
         const auto report = runClosedLoop(perf, entry.config,
-                                          dataset, options);
+                                          dataset, options, sink);
+        if (recorder.totalDropped() > 0) {
+            std::cerr << "fig1_memory_profile: " << entry.label
+                      << " overflowed the trace ring ("
+                      << recorder.totalDropped()
+                      << " events dropped)\n";
+            std::exit(1);
+        }
 
+        // The engine's KV capacity: whole blocks of the model's.
+        const double capacity = static_cast<double>(
+            memory::KvBlockManager(perf.tokenCapacity(),
+                                   options.engineConfig.blockSize)
+                .capacityTokens());
         // Downsample the future-required series to 12 points.
         std::string sparkline;
-        const auto &series = report.timeseries;
+        const std::vector<TokenCount> series =
+            sampledFutureTokens(*sink);
         const std::size_t samples = 12;
         for (std::size_t s = 0; s < samples && !series.empty();
              ++s) {
@@ -62,8 +109,9 @@ profileDataset(const workload::Dataset &dataset,
                 s * series.size() / samples;
             if (s > 0)
                 sparkline += " ";
-            sparkline += formatDouble(
-                series[index].futureRequiredRatio * 100.0, 0);
+            const double future =
+                static_cast<double>(series[index]) / capacity;
+            sparkline += formatDouble(future * 100.0, 0);
         }
 
         table.addRow({entry.label,

@@ -78,7 +78,8 @@ runSetup(const Setup &setup, bool equal_backends = false)
             if (goodput > best_goodput) {
                 best_goodput = goodput;
                 evicted_at_best = report.evictedReqRatio();
-                ttft_at_best = report.p99TtftSeconds();
+                ttft_at_best =
+                    report.latencyDigest().ttftPercentile(0.99);
             }
         }
         table.addRow(

@@ -397,12 +397,8 @@ void
 BM_CollectorDecodeStep(benchmark::State &state)
 {
     metrics::MetricsCollector collector(110'000);
-    Tick step = 0;
-    for (auto _ : state) {
-        ++step;
-        collector.onDecodeStep(64, 50'000, 80'000, 82'000,
-                               step * 40, 40);
-    }
+    for (auto _ : state)
+        collector.onDecodeStep(64, 50'000, 80'000, 82'000, 40);
     benchmark::DoNotOptimize(&collector);
 }
 

@@ -91,8 +91,8 @@ main()
     for (const std::size_t turns : turn_sweep) {
         const RunResult off = runSessions(turns, false);
         const RunResult on = runSessions(turns, true);
-        const double ttft_off = off.report.meanTtftSeconds();
-        const double ttft_on = on.report.meanTtftSeconds();
+        const double ttft_off = off.report.latencyDigest().meanTtft;
+        const double ttft_on = on.report.latencyDigest().meanTtft;
         table.addRow({
             formatCount(static_cast<std::int64_t>(turns)),
             formatDouble(ttft_off, 4),

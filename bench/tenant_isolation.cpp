@@ -233,7 +233,7 @@ main()
             {"aggressor_p99_ttft_s", aggressor_p99},
             {"finished",
              static_cast<double>(report.numFinished)},
-            {"p99_ttft_s", report.p99TtftSeconds()},
+            {"p99_ttft_s", report.latencyDigest().ttftPercentile(0.99)},
             {"throughput_tok_s", report.throughputTokensPerSec()},
             {"makespan_s", ticksToSeconds(report.makespan)},
             {"wall_ms", result.wallMillis},

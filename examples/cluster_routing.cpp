@@ -120,7 +120,9 @@ main()
                           0),
              formatDouble(
                  outcome.report.throughputTokensPerSec(), 0),
-             formatDouble(outcome.report.p99TtftSeconds(), 1),
+             formatDouble(
+                 outcome.report.latencyDigest().ttftPercentile(0.99),
+                 1),
              spread});
     }
     table.print(std::cout);

@@ -101,12 +101,13 @@ main()
         const auto report =
             serveCodeCompletion(row.config, row.splitFuse,
                                 num_clients);
+        const auto digest = report.latencyDigest();
         table.addRow(
             {row.label,
              formatDouble(report.goodputTokensPerSec(sla), 1),
-             formatDouble(report.p99TtftSeconds(), 2),
-             formatDouble(report.p99MtpotSeconds(), 2),
-             formatDouble(report.meanTpotSeconds() * 1e3, 1),
+             formatDouble(digest.ttftPercentile(0.99), 2),
+             formatDouble(digest.mtpotPercentile(0.99), 2),
+             formatDouble(digest.meanTpot * 1e3, 1),
              formatPercent(report.evictedReqRatio(), 1)});
     }
     table.print(std::cout);

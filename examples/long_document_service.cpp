@@ -105,12 +105,13 @@ main()
     for (const auto &row : rows) {
         const auto report =
             serveDocuments(row.config, row.splitFuse, arrival_rate);
+        const auto digest = report.latencyDigest();
         table.addRow(
             {row.label,
              formatDouble(report.goodputTokensPerSec(sla), 1),
              formatPercent(report.slaCompliantFraction(sla), 1),
-             formatDouble(report.p99TtftSeconds(), 2),
-             formatDouble(report.p99MtpotSeconds(), 2),
+             formatDouble(digest.ttftPercentile(0.99), 2),
+             formatDouble(digest.mtpotPercentile(0.99), 2),
              formatPercent(report.avgConsumedMemory, 1)});
         if (row.splitFuse)
             exported = report;

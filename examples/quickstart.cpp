@@ -87,11 +87,12 @@ main()
                      "Mem util"});
     for (const auto &config : configs) {
         const auto report = serveWith(config, dataset, num_clients);
+        const auto digest = report.latencyDigest();
         table.addRow({report.schedulerName,
                       formatDouble(report.goodputTokensPerSec(sla), 1),
                       formatDouble(report.throughputTokensPerSec(), 1),
-                      formatDouble(report.p99TtftSeconds(), 2),
-                      formatDouble(report.p99MtpotSeconds(), 2),
+                      formatDouble(digest.ttftPercentile(0.99), 2),
+                      formatDouble(digest.mtpotPercentile(0.99), 2),
                       formatPercent(report.evictedReqRatio(), 1),
                       formatPercent(report.avgConsumedMemory, 1)});
     }

@@ -71,10 +71,6 @@ struct EngineConfig
     /** Cap on concurrent running requests (0 = unlimited). */
     std::size_t maxBatchSize = 0;
 
-    /** Record a memory time-series sample every N decode steps
-     *  (0 disables; used by the Fig 1 bench). */
-    std::int64_t timeseriesInterval = 0;
-
     /**
      * Steady-state measurement: metrics collected before this many
      * requests have finished are discarded (0 = measure everything).

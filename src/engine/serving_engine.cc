@@ -16,7 +16,7 @@ ServingEngine::ServingEngine(
     : perf_(std::move(perf_model)), policy_(std::move(policy)),
       config_(config),
       kv_(perf_.tokenCapacity(), config.blockSize),
-      collector_(kv_.capacityTokens(), config.timeseriesInterval),
+      collector_(kv_.capacityTokens()),
       ownedContext_(std::make_unique<sim::SimContext>()),
       context_(ownedContext_.get()), chains_(config.blockSize)
 {
@@ -692,7 +692,7 @@ ServingEngine::recordDecodeStep(std::int64_t batch, TokenCount used,
     const auto [true_future, predicted_future] =
         audit_.step(running_, prefillPending_, ahead);
     collector_.onDecodeStep(batch, used, true_future, predicted_future,
-                            now_, duration);
+                            duration);
     if (trace_ == nullptr || !trace_->stepsEnabled())
         return;
     using trace::TraceName;

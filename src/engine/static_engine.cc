@@ -13,8 +13,6 @@ runStaticBatch(const model::PerfModel &perf,
                const workload::Dataset &dataset,
                const StaticEngineConfig &config)
 {
-    LIGHTLLM_ASSERT(config.timeFactor > 0.0,
-                    "time factor must be positive");
     const TokenCount capacity = perf.tokenCapacity();
 
     // Derive the batch size from the worst-case padded reservation.
@@ -28,14 +26,7 @@ runStaticBatch(const model::PerfModel &perf,
             std::max<TokenCount>(1, capacity / per_slot));
     }
 
-    memory::ContiguousAllocator arena(capacity);
     metrics::MetricsCollector collector(capacity);
-
-    auto scale = [&](Tick ticks) {
-        return std::max<Tick>(
-            1, static_cast<Tick>(static_cast<double>(ticks) *
-                                 config.timeFactor + 0.5));
-    };
 
     Tick now = 0;
     std::size_t next = 0;
@@ -54,20 +45,20 @@ runStaticBatch(const model::PerfModel &perf,
             batch_max_output = std::max(
                 batch_max_output, batch[i].effectiveOutputLen());
         }
+        // Every slot of a batch has the same width and all are
+        // released together, so the reservation is one product.
         const TokenCount slot =
             batch_max_prompt + dataset.maxNewTokens;
-        for (std::size_t i = 0; i < count; ++i) {
-            const bool ok =
-                arena.allocate(batch[i].id, slot);
-            LIGHTLLM_ASSERT(ok, "static batch does not fit: slot ",
-                            slot, " x ", count, " in ", capacity);
-        }
+        const TokenCount reserved =
+            slot * static_cast<TokenCount>(count);
+        LIGHTLLM_ASSERT(reserved <= capacity,
+                        "static batch does not fit: slot ", slot,
+                        " x ", count, " in ", capacity);
 
         // Prefill the padded batch (everyone pays the longest
         // prompt).
-        const Tick prefill = scale(
-            perf.prefillLatency(batch_max_prompt *
-                                static_cast<TokenCount>(count)));
+        const Tick prefill = perf.prefillLatency(
+            batch_max_prompt * static_cast<TokenCount>(count));
         now += prefill;
         collector.onPrefill(
             batch_max_prompt * static_cast<TokenCount>(count),
@@ -84,13 +75,12 @@ runStaticBatch(const model::PerfModel &perf,
             const TokenCount kv_tokens =
                 static_cast<TokenCount>(count) *
                 (batch_max_prompt + step);
-            const Tick duration = scale(perf.decodeLatency(
-                static_cast<std::int64_t>(count), kv_tokens));
+            const Tick duration = perf.decodeLatency(
+                static_cast<std::int64_t>(count), kv_tokens);
             now += duration;
-            collector.onDecodeStep(
-                static_cast<std::int64_t>(count),
-                arena.usedTokens(), arena.usedTokens(),
-                arena.usedTokens(), now, duration);
+            collector.onDecodeStep(static_cast<std::int64_t>(count),
+                                   reserved, reserved, reserved,
+                                   duration);
             for (std::size_t i = 0; i < count; ++i) {
                 if (batch[i].effectiveOutputLen() >= step) {
                     max_gap[i] = std::max(max_gap[i],
@@ -110,7 +100,6 @@ runStaticBatch(const model::PerfModel &perf,
             record.finish = last_emit[i];
             record.maxGap = max_gap[i];
             collector.onRequestFinished(record);
-            arena.release(batch[i].id);
         }
         next += count;
     }

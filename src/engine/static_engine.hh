@@ -17,7 +17,6 @@
 #define LIGHTLLM_ENGINE_STATIC_ENGINE_HH
 
 #include "base/types.hh"
-#include "memory/contiguous_allocator.hh"
 #include "metrics/report.hh"
 #include "model/perf_model.hh"
 #include "workload/datasets.hh"
@@ -34,9 +33,6 @@ struct StaticEngineConfig
      * capacity.
      */
     std::size_t batchSize = 0;
-
-    /** Latency multiplier (backend efficiency knob). */
-    double timeFactor = 1.0;
 };
 
 /**

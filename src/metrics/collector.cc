@@ -1,26 +1,28 @@
 #include "metrics/collector.hh"
 
 #include <cmath>
+#include <utility>
 
 #include "base/logging.hh"
 
 namespace lightllm {
 namespace metrics {
 
+MetricsCollector::MetricsCollector(TokenCount capacity_tokens)
+    : MetricsCollector(capacity_tokens, {})
+{
+}
+
 MetricsCollector::MetricsCollector(TokenCount capacity_tokens,
-                                   std::int64_t timeseries_interval)
-    : capacity_(capacity_tokens),
-      timeseriesInterval_(timeseries_interval)
+                                   std::vector<RequestRecord> slab)
+    : capacity_(capacity_tokens), requests_(std::move(slab))
 {
     LIGHTLLM_ASSERT(capacity_tokens > 0, "capacity must be positive");
-    LIGHTLLM_ASSERT(timeseries_interval >= 0,
-                    "negative timeseries interval");
     // Pre-reserve the record slab so steady-state collection stays
     // off the allocator until a run outgrows it (then the vector
-    // doubles as usual). resetMeasurement clears but keeps capacity.
-    requests_.reserve(kRecordSlabReserve);
-    if (timeseriesInterval_ > 0)
-        timeseries_.reserve(kTimeseriesReserve);
+    // doubles as usual). resetMeasurement hands the slab over.
+    if (requests_.capacity() < kRecordSlabReserve)
+        requests_.reserve(kRecordSlabReserve);
 }
 
 void
@@ -28,11 +30,11 @@ MetricsCollector::onDecodeStep(std::int64_t batch_size,
                                TokenCount used_tokens,
                                TokenCount true_future_tokens,
                                TokenCount predicted_future_tokens,
-                               Tick tick, Tick duration)
+                               Tick duration)
 {
     stepBuffer_[stepsBuffered_++] =
         StepRecord{batch_size, used_tokens, true_future_tokens,
-                   predicted_future_tokens, tick, duration};
+                   predicted_future_tokens, duration};
     if (stepsBuffered_ == kStepBatch)
         flushSteps();
 }
@@ -70,12 +72,6 @@ MetricsCollector::flushSteps()
         ++futureErrorHistogram_[bin];
         if (record.predictedFutureTokens > capacity_)
             ++predictedEvictionSteps_;
-
-        if (timeseriesInterval_ > 0 &&
-            decodeSteps_ % timeseriesInterval_ == 0) {
-            timeseries_.push_back(MemoryTimePoint{
-                record.tick, consumed, future, record.batchSize});
-        }
     }
     stepsBuffered_ = 0;
 }
@@ -121,39 +117,18 @@ MetricsCollector::onRequestFinished(const RequestRecord &record)
 void
 MetricsCollector::resetMeasurement(Tick now)
 {
+    // Reset by value, keeping only the record slab's capacity: a
+    // field added later cannot carry warm-up data past this point.
+    std::vector<RequestRecord> slab = std::move(requests_);
+    slab.clear();
+    *this = MetricsCollector(capacity_, std::move(slab));
     measureStart_ = now;
-    decodeSteps_ = 0;
-    prefillIterations_ = 0;
-    evictionEvents_ = 0;
-    requestsEvicted_ = 0;
-    totalOutputTokens_ = 0;
-    totalPrefillTokens_ = 0;
-    swapEvents_ = 0;
-    swappedTokens_ = 0;
-    prefixLookups_ = 0;
-    prefixPromptTokens_ = 0;
-    prefixHitTokens_ = 0;
-    consumedWeighted_ = 0.0;
-    futureWeighted_ = 0.0;
-    batchWeighted_ = 0.0;
-    decodeDuration_ = 0.0;
-    predictedEvictionSteps_ = 0;
-    futureErrorAbsSum_ = 0.0;
-    futureErrorHistogram_.fill(0);
-    stepsBuffered_ = 0;
-    requests_.clear();
-    timeseries_.clear();
 }
 
 RunReport
-MetricsCollector::finish(std::string scheduler_name,
-                         Tick makespan) const
+MetricsCollector::finish(std::string scheduler_name, Tick makespan)
 {
-    // Fold any still-buffered step records first. Logically const:
-    // flushing only moves buffered records into the aggregates
-    // they were always destined for, so a finish() snapshot equals
-    // the unbatched collector's at the same point.
-    const_cast<MetricsCollector *>(this)->flushSteps();
+    flushSteps();
     RunReport report;
     report.schedulerName = std::move(scheduler_name);
     report.numFinished = requests_.size();
@@ -179,7 +154,6 @@ MetricsCollector::finish(std::string scheduler_name,
         report.avgBatchSize = batchWeighted_ / decodeDuration_;
     }
     report.requests = requests_;
-    report.timeseries = timeseries_;
     return report;
 }
 

@@ -34,13 +34,8 @@ namespace metrics {
 class MetricsCollector
 {
   public:
-    /**
-     * @param capacity_tokens KV token capacity (ratio denominator).
-     * @param timeseries_interval Record a MemoryTimePoint every this
-     *        many decode steps (0 disables the time series).
-     */
-    explicit MetricsCollector(TokenCount capacity_tokens,
-                              std::int64_t timeseries_interval = 0);
+    /** @param capacity_tokens KV token capacity (ratio denominator). */
+    explicit MetricsCollector(TokenCount capacity_tokens);
 
     /**
      * One decode iteration completed.
@@ -58,13 +53,11 @@ class MetricsCollector
      * @param predicted_future_tokens The scheduler's read-only
      *        future-memory estimate for the same batch (prediction
      *        audit; pass used/true when no predictor exists).
-     * @param tick Simulation time at the end of the step.
      * @param duration Step duration in ticks.
      */
     void onDecodeStep(std::int64_t batch_size, TokenCount used_tokens,
                       TokenCount true_future_tokens,
-                      TokenCount predicted_future_tokens, Tick tick,
-                      Tick duration);
+                      TokenCount predicted_future_tokens, Tick duration);
 
     /** One prefill iteration (or split-fuse chunk) completed. */
     void onPrefill(TokenCount prompt_tokens, Tick duration);
@@ -92,8 +85,9 @@ class MetricsCollector
      */
     void resetMeasurement(Tick now);
 
-    /** Finalize into a report; `makespan` is the end-of-run tick. */
-    RunReport finish(std::string scheduler_name, Tick makespan) const;
+    /** Finalize into a report; `makespan` is the end-of-run tick.
+     *  Folds any buffered step records first. */
+    RunReport finish(std::string scheduler_name, Tick makespan);
 
     TokenCount capacityTokens() const { return capacity_; }
 
@@ -101,9 +95,6 @@ class MetricsCollector
     /** Records pre-reserved at construction (collection touches the
      *  allocator only when a run outgrows this slab). */
     static constexpr std::size_t kRecordSlabReserve = 1024;
-
-    /** Time-series points pre-reserved when sampling is on. */
-    static constexpr std::size_t kTimeseriesReserve = 256;
 
     /** Decode-step records folded per flush. */
     static constexpr std::size_t kStepBatch = 64;
@@ -115,16 +106,19 @@ class MetricsCollector
         TokenCount usedTokens;
         TokenCount trueFutureTokens;
         TokenCount predictedFutureTokens;
-        Tick tick;
         Tick duration;
     };
+
+    /** Fresh state over `slab`, a cleared record vector whose
+     *  capacity is kept (resetMeasurement's slab hand-over). */
+    MetricsCollector(TokenCount capacity_tokens,
+                     std::vector<RequestRecord> slab);
 
     /** Fold buffered step records into the aggregates (in record
      *  order, with the unbatched path's exact arithmetic). */
     void flushSteps();
 
     TokenCount capacity_;
-    std::int64_t timeseriesInterval_;
     Tick measureStart_ = 0;
 
     std::int64_t decodeSteps_ = 0;
@@ -150,11 +144,10 @@ class MetricsCollector
     std::array<std::int64_t, RunReport::kFutureErrorBins>
         futureErrorHistogram_{};
 
-    std::array<StepRecord, kStepBatch> stepBuffer_;
+    std::array<StepRecord, kStepBatch> stepBuffer_{};
     std::size_t stepsBuffered_ = 0;
 
     std::vector<RequestRecord> requests_;
-    std::vector<MemoryTimePoint> timeseries_;
 };
 
 } // namespace metrics

@@ -114,13 +114,22 @@ RunReport::latencyDigest() const
     LatencyDigest digest;
     digest.ttftSeconds.reserve(requests.size());
     digest.mtpotSeconds.reserve(requests.size());
-    digest.tpotSeconds.reserve(requests.size());
+    // The means sum in record order, before the sort: the printed
+    // mean's last digit depends on the summation order.
+    double ttft_sum = 0.0;
+    double tpot_sum = 0.0;
     for (const auto &record : requests) {
-        digest.ttftSeconds.push_back(
-            ticksToSeconds(record.ttft()));
+        const double ttft = ticksToSeconds(record.ttft());
+        digest.ttftSeconds.push_back(ttft);
         digest.mtpotSeconds.push_back(
             ticksToSeconds(record.maxGap));
-        digest.tpotSeconds.push_back(record.avgTpotSeconds());
+        ttft_sum += ttft;
+        tpot_sum += record.avgTpotSeconds();
+    }
+    if (!requests.empty()) {
+        const auto n = static_cast<double>(requests.size());
+        digest.meanTtft = ttft_sum / n;
+        digest.meanTpot = tpot_sum / n;
     }
     std::sort(digest.ttftSeconds.begin(),
               digest.ttftSeconds.end());
@@ -142,38 +151,6 @@ RunReport::LatencyDigest::mtpotPercentile(double q) const
 }
 
 double
-RunReport::LatencyDigest::meanTtft() const
-{
-    return stats::mean(ttftSeconds);
-}
-
-double
-RunReport::LatencyDigest::meanTpot() const
-{
-    return stats::mean(tpotSeconds);
-}
-
-double
-RunReport::ttftPercentileSeconds(double q) const
-{
-    std::vector<double> ttfts;
-    ttfts.reserve(requests.size());
-    for (const auto &record : requests)
-        ttfts.push_back(ticksToSeconds(record.ttft()));
-    return stats::percentile(std::move(ttfts), q);
-}
-
-double
-RunReport::mtpotPercentileSeconds(double q) const
-{
-    std::vector<double> gaps;
-    gaps.reserve(requests.size());
-    for (const auto &record : requests)
-        gaps.push_back(ticksToSeconds(record.maxGap));
-    return stats::percentile(std::move(gaps), q);
-}
-
-double
 RunReport::ttftAttainment(const SlaSpec &sla) const
 {
     if (requests.empty())
@@ -185,26 +162,6 @@ RunReport::ttftAttainment(const SlaSpec &sla) const
     }
     return static_cast<double>(met) /
         static_cast<double>(requests.size());
-}
-
-double
-RunReport::meanTtftSeconds() const
-{
-    std::vector<double> ttfts;
-    ttfts.reserve(requests.size());
-    for (const auto &record : requests)
-        ttfts.push_back(ticksToSeconds(record.ttft()));
-    return stats::mean(ttfts);
-}
-
-double
-RunReport::meanTpotSeconds() const
-{
-    std::vector<double> tpots;
-    tpots.reserve(requests.size());
-    for (const auto &record : requests)
-        tpots.push_back(record.avgTpotSeconds());
-    return stats::mean(tpots);
 }
 
 ReportMerger::ReportMerger(std::string name)

@@ -17,22 +17,6 @@
 namespace lightllm {
 namespace metrics {
 
-/** One sampled point of the memory time series (Fig 1). */
-struct MemoryTimePoint
-{
-    Tick tick = 0;
-
-    /** Currently consumed memory / capacity. */
-    double consumedRatio = 0.0;
-
-    /** True future required memory M* / capacity (> 1 predicts an
-     *  eviction). */
-    double futureRequiredRatio = 0.0;
-
-    /** Running batch size at the sample. */
-    std::int64_t batchSize = 0;
-};
-
 /** Everything measured during a run. */
 struct RunReport
 {
@@ -177,9 +161,6 @@ struct RunReport
     /** Per-request latency records. */
     std::vector<RequestRecord> requests;
 
-    /** Optional sampled memory time series. */
-    std::vector<MemoryTimePoint> timeseries;
-
     // --- Derived metrics --------------------------------------------
 
     /** Total output tokens per second over the makespan. */
@@ -205,11 +186,11 @@ struct RunReport
     double shedRate() const;
 
     /**
-     * Extract-once latency digest: per-request TTFT / MTPOT / TPOT
-     * sample vectors, the first two pre-sorted ascending, so
-     * consumers that need several quantiles of one report (summary
-     * lines, JSON writers, pool stats) extract each metric vector
-     * once instead of rebuilding and re-ranking it per percentile.
+     * Extract-once latency digest, the one way to read a report's
+     * latency percentiles and means: per-request TTFT and MTPOT
+     * sample vectors, pre-sorted ascending, so consumers that need
+     * several quantiles of one report (summary lines, JSON writers,
+     * tables, pool stats) extract and rank each metric once.
      */
     struct LatencyDigest
     {
@@ -219,50 +200,18 @@ struct RunReport
         /** Sorted ascending; seconds. */
         std::vector<double> mtpotSeconds;
 
-        /** Per-request average TPOT in seconds (unsorted). */
-        std::vector<double> tpotSeconds;
+        /** Mean TTFT and mean per-request average TPOT in seconds,
+         *  summed in record order (0 without records). */
+        double meanTtft = 0.0;
+        double meanTpot = 0.0;
 
+        /** Nearest-rank percentile (q in [0, 1]); 0 when empty. */
         double ttftPercentile(double q) const;
         double mtpotPercentile(double q) const;
-        double meanTtft() const;
-        double meanTpot() const;
     };
 
     /** Extract the latency digest (one pass over the records). */
     LatencyDigest latencyDigest() const;
-
-    /** TTFT percentile in seconds (nearest-rank; q in [0, 1]). */
-    double ttftPercentileSeconds(double q) const;
-
-    /** Largest-inter-token-gap (MTPOT) percentile in seconds. */
-    double mtpotPercentileSeconds(double q) const;
-
-    double p50TtftSeconds() const
-    {
-        return ttftPercentileSeconds(0.50);
-    }
-    double p90TtftSeconds() const
-    {
-        return ttftPercentileSeconds(0.90);
-    }
-    double p99TtftSeconds() const
-    {
-        return ttftPercentileSeconds(0.99);
-    }
-    double p50MtpotSeconds() const
-    {
-        return mtpotPercentileSeconds(0.50);
-    }
-    double p90MtpotSeconds() const
-    {
-        return mtpotPercentileSeconds(0.90);
-    }
-    double p99MtpotSeconds() const
-    {
-        return mtpotPercentileSeconds(0.99);
-    }
-    double meanTtftSeconds() const;
-    double meanTpotSeconds() const;
 
     /** Fraction of requests whose TTFT meets `sla.ttftLimit` (the
      *  autoscaling attainment target; MTPOT not considered). */

@@ -71,7 +71,7 @@ PerfModel::prefillLatency(TokenCount prompt_tokens) const
     const double seconds =
         std::max(matmul + attn, weight_floor) +
         params_.iterationOverheadSeconds;
-    return secondsToTicks(seconds * params_.timeFactor);
+    return secondsToTicks(seconds);
 }
 
 Tick
@@ -96,7 +96,7 @@ PerfModel::fusedStepLatency(std::int64_t batch_size,
         computeSeconds(batch_size + chunk_tokens);
     const double seconds =
         std::max(mem, compute) + params_.iterationOverheadSeconds;
-    return secondsToTicks(seconds * params_.timeFactor);
+    return secondsToTicks(seconds);
 }
 
 Tick
@@ -110,7 +110,7 @@ PerfModel::swapLatency(TokenCount kv_tokens) const
         static_cast<double>(hardware_.numDevices);
     const double seconds =
         bytes / bandwidth + 0.0005;  // transfer + launch overhead
-    return secondsToTicks(seconds * params_.timeFactor);
+    return secondsToTicks(seconds);
 }
 
 } // namespace model

@@ -45,9 +45,6 @@ struct PerfModelParams
 
     /** Fixed per-iteration overhead (kernel launches, python glue). */
     double iterationOverheadSeconds = 0.004;
-
-    /** Multiplier applied to all latencies (framework speed knob). */
-    double timeFactor = 1.0;
 };
 
 /** Latency and capacity model for one (model, hardware) pairing. */

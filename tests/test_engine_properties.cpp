@@ -180,7 +180,8 @@ TEST(OpenLoopIntegrationTest, BurstArrivalsQueueAndDrain)
     const auto report = engine.run();
     EXPECT_EQ(report.numFinished, 120u);
     // TTFT spread must reflect queueing order (non-trivial p99).
-    EXPECT_GT(report.p99TtftSeconds(), report.meanTtftSeconds());
+    const auto digest = report.latencyDigest();
+    EXPECT_GT(digest.ttftPercentile(0.99), digest.meanTtft);
 }
 
 } // namespace

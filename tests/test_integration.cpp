@@ -14,6 +14,7 @@
 #include "engine/static_engine.hh"
 #include "metrics/sla.hh"
 #include "model/perf_model.hh"
+#include "trace/trace_recorder.hh"
 #include "workload/client_pool.hh"
 #include "workload/datasets.hh"
 
@@ -285,28 +286,66 @@ TEST(IntegrationTest, FullPipelineIsDeterministic)
     EXPECT_DOUBLE_EQ(a.avgConsumedMemory, b.avgConsumedMemory);
 }
 
+/**
+ * The recorder's per-step counters are the memory time series
+ * (Fig. 1): sampled every 10th decode step, ticks rise, consumed
+ * memory stays within capacity and the true M* never falls below
+ * it.
+ */
 TEST(IntegrationTest, TimeseriesSamplesAreOrderedAndBounded)
 {
-    engine::EngineConfig config;
-    config.timeseriesInterval = 10;
     auto sched_config = SchedulerConfig::aggressive(0.99);
     engine::ServingEngine engine(a100_7b(),
-                                 core::makeScheduler(sched_config),
-                                 config);
+                                 core::makeScheduler(sched_config));
+    trace::EngineTrace trace(1, "engine", trace::TraceDetail::Steps,
+                             1 << 18);
+    engine.attachTrace(&trace);
     const auto dataset = workload::makeDistribution1(80, 24);
     for (const auto &spec : dataset.requests)
         engine.submitAt(spec, 0);
     const auto report = engine.run();
-    ASSERT_GT(report.timeseries.size(), 5u);
+    ASSERT_EQ(trace.ring().dropped(), 0u);
+
+    struct Point
+    {
+        Tick tick = 0;
+        std::int64_t batchSize = 0;
+        TokenCount used = 0;
+        TokenCount futureTrue = 0;
+    };
+    std::vector<Point> steps;
+    for (std::size_t i = 0; i < trace.ring().size(); ++i) {
+        const trace::TraceEvent &event = trace.ring().at(i);
+        if (event.phase != trace::TracePhase::Counter)
+            continue;
+        if (event.name == trace::TraceName::BatchSize)
+            steps.push_back(Point{event.tick, event.arg0});
+        else if (event.name == trace::TraceName::KvUsed)
+            steps.back().used = event.arg0;
+        else if (event.name == trace::TraceName::KvFutureTrue)
+            steps.back().futureTrue = event.arg0;
+    }
+    ASSERT_EQ(steps.size(), static_cast<std::size_t>(report.decodeSteps));
+
+    const double capacity =
+        static_cast<double>(engine.capacityTokens());
+    std::size_t samples = 0;
     Tick prev = -1;
-    for (const auto &point : report.timeseries) {
+    for (std::size_t step = 10; step <= steps.size(); step += 10) {
+        const Point &point = steps[step - 1];
+        ++samples;
         EXPECT_GT(point.tick, prev);
         prev = point.tick;
-        EXPECT_GE(point.consumedRatio, 0.0);
-        EXPECT_LE(point.consumedRatio, 1.0);
-        EXPECT_GE(point.futureRequiredRatio, point.consumedRatio);
+        const double consumed =
+            static_cast<double>(point.used) / capacity;
+        const double future =
+            static_cast<double>(point.futureTrue) / capacity;
+        EXPECT_GE(consumed, 0.0);
+        EXPECT_LE(consumed, 1.0);
+        EXPECT_GE(future, consumed);
         EXPECT_GT(point.batchSize, 0);
     }
+    EXPECT_GT(samples, 5u);
 }
 
 } // namespace

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <vector>
 
 #include "base/rng.hh"
 #include "metrics/collector.hh"
 #include "metrics/report.hh"
+#include "metrics/report_io.hh"
 #include "metrics/sla.hh"
 
 namespace lightllm {
@@ -83,8 +85,8 @@ TEST(CollectorTest, DurationWeightedMemoryAverages)
 {
     MetricsCollector collector(1000);
     // Step 1: 500/1000 used for 30 ticks; step 2: 900/1000 for 10.
-    collector.onDecodeStep(4, 500, 600, 600, 30, 30);
-    collector.onDecodeStep(4, 900, 950, 950, 40, 10);
+    collector.onDecodeStep(4, 500, 600, 600, 30);
+    collector.onDecodeStep(4, 900, 950, 950, 10);
     const auto report = collector.finish("test", 40);
     EXPECT_NEAR(report.avgConsumedMemory,
                 (0.5 * 30 + 0.9 * 10) / 40.0, 1e-12);
@@ -105,24 +107,14 @@ TEST(CollectorTest, EvictionCountsSplitFirstFromRepeat)
     EXPECT_EQ(report.requestsEvicted, 2u);
 }
 
-TEST(CollectorTest, TimeseriesRespectsInterval)
-{
-    MetricsCollector collector(1000, 2);
-    for (int step = 1; step <= 7; ++step)
-        collector.onDecodeStep(1, 100, 100, 100, step, 1);
-    const auto report = collector.finish("test", 7);
-    EXPECT_EQ(report.timeseries.size(), 3u);  // steps 2, 4, 6
-    EXPECT_EQ(report.timeseries[0].tick, 2);
-}
-
 TEST(CollectorTest, ResetMeasurementDiscardsHistory)
 {
     MetricsCollector collector(1000);
-    collector.onDecodeStep(2, 500, 500, 500, 10, 10);
+    collector.onDecodeStep(2, 500, 500, 500, 10);
     collector.onRequestFinished(record(0, 1, 2, 1, 100));
     collector.onEviction(true);
     collector.resetMeasurement(50);
-    collector.onDecodeStep(8, 800, 800, 800, 60, 10);
+    collector.onDecodeStep(8, 800, 800, 800, 10);
     collector.onRequestFinished(record(50, 60, 70, 1, 40));
     const auto report = collector.finish("test", 150);
     EXPECT_EQ(report.numFinished, 1u);
@@ -131,6 +123,108 @@ TEST(CollectorTest, ResetMeasurementDiscardsHistory)
     EXPECT_DOUBLE_EQ(report.avgBatchSize, 8.0);
     // Makespan excludes the warmup portion.
     EXPECT_EQ(report.makespan, 100);
+}
+
+/** Feeds a deterministic mix of every collector event; `offset`
+ *  shifts the record ticks. */
+void
+feedEvents(MetricsCollector &collector, std::uint64_t seed,
+           Tick offset, int steps)
+{
+    Rng rng(seed);
+    for (int i = 0; i < steps; ++i) {
+        const TokenCount used = rng.uniformInt(100, 900);
+        collector.onDecodeStep(rng.uniformInt(1, 32), used,
+                               used + rng.uniformInt(0, 300),
+                               used + rng.uniformInt(0, 600),
+                               rng.uniformInt(1, 50));
+        if (i % 7 == 0)
+            collector.onEviction(i % 14 == 0);
+        if (i % 11 == 0)
+            collector.onSwap(rng.uniformInt(16, 256), 10);
+        if (i % 5 == 0)
+            collector.onPrefill(rng.uniformInt(10, 500), 20);
+        if (i % 9 == 0)
+            collector.onPrefixLookup(200, rng.uniformInt(0, 200));
+        if (i % 3 == 0) {
+            const Tick first = offset + i + rng.uniformInt(1, 100);
+            RequestRecord r = record(offset + i, first, first + 400,
+                                     rng.uniformInt(1, 90),
+                                     rng.uniformInt(1, 60));
+            r.id = i;
+            r.inputLen = rng.uniformInt(10, 500);
+            r.evictions = i % 4;
+            collector.onRequestFinished(r);
+        }
+    }
+}
+
+/**
+ * A collector fed A, reset, then fed B equals a fresh collector fed
+ * only B: on every report field and on the JSON and CSV bytes. A
+ * leaves some steps buffered (100 = one folded batch of 64 + 36) so
+ * the reset must drop those too.
+ */
+TEST(CollectorTest, ResetEqualsFreshCollector)
+{
+    constexpr Tick kResetAt = 5000;
+    MetricsCollector reset(1000);
+    feedEvents(reset, 1, 0, 100);
+    reset.resetMeasurement(kResetAt);
+    feedEvents(reset, 2, kResetAt, 150);
+    const RunReport a = reset.finish("run", kResetAt + 9000);
+
+    MetricsCollector fresh(1000);
+    feedEvents(fresh, 2, kResetAt, 150);
+    const RunReport b = fresh.finish("run", 9000);
+
+    EXPECT_EQ(a.schedulerName, b.schedulerName);
+    EXPECT_EQ(a.numFinished, b.numFinished);
+    EXPECT_EQ(a.decodeSteps, b.decodeSteps);
+    EXPECT_EQ(a.prefillIterations, b.prefillIterations);
+    EXPECT_EQ(a.evictionEvents, b.evictionEvents);
+    EXPECT_EQ(a.requestsEvicted, b.requestsEvicted);
+    EXPECT_EQ(a.swapEvents, b.swapEvents);
+    EXPECT_EQ(a.swappedTokens, b.swappedTokens);
+    EXPECT_EQ(a.totalOutputTokens, b.totalOutputTokens);
+    EXPECT_EQ(a.totalPrefillTokens, b.totalPrefillTokens);
+    EXPECT_EQ(a.prefixLookups, b.prefixLookups);
+    EXPECT_EQ(a.prefixPromptTokens, b.prefixPromptTokens);
+    EXPECT_EQ(a.prefixHitTokens, b.prefixHitTokens);
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.avgConsumedMemory, b.avgConsumedMemory);
+    EXPECT_EQ(a.avgFutureRequired, b.avgFutureRequired);
+    EXPECT_EQ(a.avgBatchSize, b.avgBatchSize);
+    EXPECT_EQ(a.predictedEvictionSteps, b.predictedEvictionSteps);
+    EXPECT_EQ(a.futureErrorAbsSum, b.futureErrorAbsSum);
+    EXPECT_EQ(a.futureErrorHistogram, b.futureErrorHistogram);
+    ASSERT_EQ(a.requests.size(), b.requests.size());
+    for (std::size_t i = 0; i < a.requests.size(); ++i) {
+        const RequestRecord &x = a.requests[i];
+        const RequestRecord &y = b.requests[i];
+        EXPECT_EQ(x.id, y.id);
+        EXPECT_EQ(x.inputLen, y.inputLen);
+        EXPECT_EQ(x.outputTokens, y.outputTokens);
+        EXPECT_EQ(x.arrival, y.arrival);
+        EXPECT_EQ(x.firstToken, y.firstToken);
+        EXPECT_EQ(x.finish, y.finish);
+        EXPECT_EQ(x.maxGap, y.maxGap);
+        EXPECT_EQ(x.evictions, y.evictions);
+    }
+    // The streams are busy enough to exercise every field.
+    EXPECT_EQ(b.decodeSteps, 150);
+    EXPECT_GT(b.swapEvents, 0);
+    EXPECT_GT(b.prefixHitTokens, 0);
+    EXPECT_GT(b.requestsEvicted, 0u);
+
+    const SlaSpec sla = SlaSpec::small7b13b();
+    std::ostringstream bytes_a;
+    std::ostringstream bytes_b;
+    writeSummaryJson(bytes_a, a, sla);
+    writeRequestsCsv(bytes_a, a, sla);
+    writeSummaryJson(bytes_b, b, sla);
+    writeRequestsCsv(bytes_b, b, sla);
+    EXPECT_EQ(bytes_a.str(), bytes_b.str());
 }
 
 RunReport
@@ -180,7 +274,11 @@ TEST(RunReportTest, EmptyReportIsAllZero)
     EXPECT_DOUBLE_EQ(report.goodputTokensPerSec(sla), 0.0);
     EXPECT_DOUBLE_EQ(report.slaCompliantFraction(sla), 0.0);
     EXPECT_DOUBLE_EQ(report.evictedReqRatio(), 0.0);
-    EXPECT_DOUBLE_EQ(report.p99TtftSeconds(), 0.0);
+    const auto digest = report.latencyDigest();
+    EXPECT_DOUBLE_EQ(digest.ttftPercentile(0.99), 0.0);
+    EXPECT_DOUBLE_EQ(digest.mtpotPercentile(0.99), 0.0);
+    EXPECT_DOUBLE_EQ(digest.meanTtft, 0.0);
+    EXPECT_DOUBLE_EQ(digest.meanTpot, 0.0);
 }
 
 TEST(RunReportTest, P99UsesNearestRank)
@@ -192,7 +290,7 @@ TEST(RunReportTest, P99UsesNearestRank)
             record(0, secondsToTicks(static_cast<double>(i)),
                    secondsToTicks(200.0), secondsToTicks(0.1), 1));
     }
-    EXPECT_DOUBLE_EQ(report.p99TtftSeconds(), 99.0);
+    EXPECT_DOUBLE_EQ(report.latencyDigest().ttftPercentile(0.99), 99.0);
 }
 
 TEST(RunReportTest, PercentileFamilyIsConsistent)
@@ -205,14 +303,42 @@ TEST(RunReportTest, PercentileFamilyIsConsistent)
             secondsToTicks(200.0),
             secondsToTicks(static_cast<double>(i) / 10.0), 1));
     }
-    EXPECT_DOUBLE_EQ(report.p50TtftSeconds(), 50.0);
-    EXPECT_DOUBLE_EQ(report.p90TtftSeconds(), 90.0);
-    EXPECT_DOUBLE_EQ(report.p99TtftSeconds(), 99.0);
-    EXPECT_DOUBLE_EQ(report.p50MtpotSeconds(), 5.0);
-    EXPECT_DOUBLE_EQ(report.p90MtpotSeconds(), 9.0);
-    EXPECT_DOUBLE_EQ(report.p99MtpotSeconds(), 9.9);
-    EXPECT_LE(report.p50TtftSeconds(), report.p90TtftSeconds());
-    EXPECT_LE(report.p90TtftSeconds(), report.p99TtftSeconds());
+    const auto digest = report.latencyDigest();
+    EXPECT_DOUBLE_EQ(digest.ttftPercentile(0.50), 50.0);
+    EXPECT_DOUBLE_EQ(digest.ttftPercentile(0.90), 90.0);
+    EXPECT_DOUBLE_EQ(digest.ttftPercentile(0.99), 99.0);
+    EXPECT_DOUBLE_EQ(digest.mtpotPercentile(0.50), 5.0);
+    EXPECT_DOUBLE_EQ(digest.mtpotPercentile(0.90), 9.0);
+    EXPECT_DOUBLE_EQ(digest.mtpotPercentile(0.99), 9.9);
+    EXPECT_DOUBLE_EQ(digest.meanTtft, 50.5);
+}
+
+/**
+ * The digest's means sum in record order, not in the sorted order
+ * its percentile vectors hold: these three TTFTs round differently
+ * in the two orders, which moves a printed mean's last digit.
+ */
+TEST(RunReportTest, DigestMeansSumInRecordOrder)
+{
+    RunReport report;
+    const double ttfts[] = {0.1, 0.7, 0.3};
+    for (const double ttft : ttfts) {
+        report.requests.push_back(record(0, secondsToTicks(ttft),
+                                         secondsToTicks(5.0), 0, 11));
+    }
+    const double in_record_order =
+        ((0.0 + ttfts[0]) + ttfts[1]) + ttfts[2];
+    const double in_sorted_order =
+        ((0.0 + ttfts[0]) + ttfts[2]) + ttfts[1];
+    ASSERT_NE(in_record_order / 3.0, in_sorted_order / 3.0);
+    const auto digest = report.latencyDigest();
+    EXPECT_EQ(digest.meanTtft, in_record_order / 3.0);
+    double tpot_sum = 0.0;
+    for (const RequestRecord &r : report.requests)
+        tpot_sum += r.avgTpotSeconds();
+    EXPECT_EQ(digest.meanTpot, tpot_sum / 3.0);
+    EXPECT_DOUBLE_EQ(digest.ttftPercentile(0.0), 0.1);
+    EXPECT_DOUBLE_EQ(digest.ttftPercentile(1.0), 0.7);
 }
 
 TEST(RunReportTest, TtftAttainmentIgnoresMtpot)
@@ -271,8 +397,9 @@ TEST(RunReportTest, MergePreservesPercentilesAndFleetCounters)
     const auto merged = merger.finish();
     // Percentiles come from the concatenated records, so cluster
     // reports expose the same p50/p90 family as engines.
-    EXPECT_DOUBLE_EQ(merged.p50TtftSeconds(), 1.0);
-    EXPECT_DOUBLE_EQ(merged.p90TtftSeconds(), 3.0);
+    const auto digest = merged.latencyDigest();
+    EXPECT_DOUBLE_EQ(digest.ttftPercentile(0.50), 1.0);
+    EXPECT_DOUBLE_EQ(digest.ttftPercentile(0.90), 3.0);
     EXPECT_EQ(merged.shedRequests, 3);
     EXPECT_EQ(merged.offeredRequests, 15);
     EXPECT_DOUBLE_EQ(merged.instanceSeconds, 42.5);
@@ -445,7 +572,6 @@ TEST(RunReportTest, ReportMergerEqualsBatchMerge)
         EXPECT_EQ(got.scaleDownEvents, want.scaleDownEvents);
         EXPECT_EQ(got.peakInstances, want.peakInstances);
         EXPECT_FALSE(got.disaggregated);
-        EXPECT_TRUE(got.timeseries.empty());
         ASSERT_EQ(got.requests.size(), want.requests.size());
         for (std::size_t i = 0; i < got.requests.size(); ++i) {
             EXPECT_EQ(got.requests[i].id, want.requests[i].id);

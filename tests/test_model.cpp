@@ -165,20 +165,6 @@ TEST(PerfModelTest, FusedStepCostsAtLeastDecode)
                   secondsToTicks(0.001));
 }
 
-TEST(PerfModelTest, TimeFactorScalesLatency)
-{
-    PerfModelParams slow_params;
-    slow_params.timeFactor = 2.0;
-    const PerfModel fast(ModelSpec::llama2_7b(),
-                         HardwareSpec::a100_80g());
-    const PerfModel slow(ModelSpec::llama2_7b(),
-                         HardwareSpec::a100_80g(), slow_params);
-    EXPECT_NEAR(
-        static_cast<double>(slow.decodeLatency(16, 30'000)),
-        2.0 * static_cast<double>(fast.decodeLatency(16, 30'000)),
-        2.0);
-}
-
 /** Capacity must be positive and monotone in TP degree. */
 class TpCapacityProperty : public ::testing::TestWithParam<int>
 {};

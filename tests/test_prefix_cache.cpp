@@ -1087,7 +1087,8 @@ TEST(SessionGeneratorTest, PrefixCacheImprovesSessionTtft)
     ASSERT_EQ(on.numFinished, 24u);
     EXPECT_EQ(off.prefixHitTokens, 0);
     EXPECT_GT(on.prefixHitRate(), 0.5);
-    EXPECT_LT(on.meanTtftSeconds(), off.meanTtftSeconds());
+    EXPECT_LT(on.latencyDigest().meanTtft,
+              off.latencyDigest().meanTtft);
     EXPECT_LT(on.totalPrefillTokens, off.totalPrefillTokens);
     // Same generations either way: sharing changes memory and
     // prefill work, never the decoded tokens.

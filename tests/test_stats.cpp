@@ -10,7 +10,6 @@
 
 #include "base/rng.hh"
 #include "stats/histogram.hh"
-#include "stats/online_stats.hh"
 #include "stats/percentile.hh"
 #include "stats/similarity.hh"
 #include "stats/window_analysis.hh"
@@ -91,54 +90,6 @@ TEST(HistogramTest, ClearResets)
     hist.clear();
     EXPECT_EQ(hist.total(), 0);
     EXPECT_EQ(hist.counts()[0], 0);
-}
-
-TEST(OnlineStatsTest, MatchesDirectComputation)
-{
-    OnlineStats stats;
-    const std::vector<double> values{1.0, 2.0, 4.0, 8.0, 16.0};
-    double sum = 0.0;
-    for (double v : values) {
-        stats.add(v);
-        sum += v;
-    }
-    const double mean = sum / 5.0;
-    double var = 0.0;
-    for (double v : values)
-        var += (v - mean) * (v - mean);
-    var /= 5.0;
-    EXPECT_DOUBLE_EQ(stats.mean(), mean);
-    EXPECT_NEAR(stats.variance(), var, 1e-12);
-    EXPECT_DOUBLE_EQ(stats.min(), 1.0);
-    EXPECT_DOUBLE_EQ(stats.max(), 16.0);
-    EXPECT_EQ(stats.count(), 5);
-}
-
-TEST(OnlineStatsTest, EmptyIsZero)
-{
-    OnlineStats stats;
-    EXPECT_EQ(stats.count(), 0);
-    EXPECT_EQ(stats.mean(), 0.0);
-    EXPECT_EQ(stats.variance(), 0.0);
-}
-
-TEST(OnlineStatsTest, MergeEqualsSequential)
-{
-    Rng rng(3);
-    OnlineStats whole;
-    OnlineStats left;
-    OnlineStats right;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = rng.normal(5.0, 3.0);
-        whole.add(v);
-        (i < 400 ? left : right).add(v);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), whole.count());
-    EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(left.min(), whole.min());
-    EXPECT_DOUBLE_EQ(left.max(), whole.max());
 }
 
 TEST(PercentileTest, NearestRankSemantics)

@@ -1289,6 +1289,8 @@ emitReport(std::ostream &os, const CliOptions &options,
 {
     const metrics::SlaSpec &sla = scenario.sla;
     if (options.format == "table" || options.format == "both") {
+        const metrics::RunReport::LatencyDigest digest =
+            report.latencyDigest();
         TextTable table({"metric", "value"});
         table.addRow({"scheduler", report.schedulerName});
         table.addRow({"workload", scenario.dataset.name});
@@ -1308,19 +1310,19 @@ emitReport(std::ostream &os, const CliOptions &options,
                       formatPercent(
                           report.slaCompliantFraction(sla))});
         table.addRow({"mean_ttft_s",
-                      formatDouble(report.meanTtftSeconds(), 3)});
+                      formatDouble(digest.meanTtft, 3)});
         table.addRow({"p50_ttft_s",
-                      formatDouble(report.p50TtftSeconds(), 3)});
+                      formatDouble(digest.ttftPercentile(0.50), 3)});
         table.addRow({"p90_ttft_s",
-                      formatDouble(report.p90TtftSeconds(), 3)});
+                      formatDouble(digest.ttftPercentile(0.90), 3)});
         table.addRow({"p99_ttft_s",
-                      formatDouble(report.p99TtftSeconds(), 3)});
+                      formatDouble(digest.ttftPercentile(0.99), 3)});
         table.addRow({"p50_mtpot_s",
-                      formatDouble(report.p50MtpotSeconds(), 3)});
+                      formatDouble(digest.mtpotPercentile(0.50), 3)});
         table.addRow({"p90_mtpot_s",
-                      formatDouble(report.p90MtpotSeconds(), 3)});
+                      formatDouble(digest.mtpotPercentile(0.90), 3)});
         table.addRow({"p99_mtpot_s",
-                      formatDouble(report.p99MtpotSeconds(), 3)});
+                      formatDouble(digest.mtpotPercentile(0.99), 3)});
         table.addRow({"avg_batch_size",
                       formatDouble(report.avgBatchSize, 1)});
         table.addRow({"eviction_events",
