@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli_scenario.hh"
 #include "metrics/report_io.hh"
+#include "test_fixtures.hh"
 #include "trace/trace_event.hh"
 #include "trace/trace_recorder.hh"
 #include "trace/trace_ring.hh"
@@ -281,6 +283,76 @@ TEST(TraceRun, DisaggAttachCoversBothPools)
     const std::string json = chromeJson(recorder);
     expectValidChromeJson(json);
     EXPECT_GT(countOccurrences(json, "\"migrated\""), 0u);
+}
+
+/**
+ * The trace bytes at steps detail, pinned per scenario. Together the
+ * four scenarios emit every event name the engine writes: swap
+ * evictions and chunks under memory pressure, recompute evictions,
+ * a drain, and a disaggregated handoff.
+ */
+TEST(TraceRun, StepsDetailBytesArePinned)
+{
+    struct Cell
+    {
+        const char *name;
+        std::vector<const char *> args;
+        std::uint64_t jsonHash;
+        std::uint64_t csvHash;
+    };
+    const std::vector<Cell> cells = {
+        {"swap_split_fuse",
+         {"--workload", "sharegpt", "--requests", "64", "--rate", "40",
+          "--hardware", "rtx4090", "--scheduler", "aggressive",
+          "--eviction-mode", "swap", "--split-fuse", "--seed", "5"},
+         0x96dc386308819e4full, 0x5ed2bbcf0177f536ull},
+        {"recompute",
+         {"--workload", "sharegpt", "--requests", "64", "--rate", "40",
+          "--hardware", "rtx4090", "--scheduler", "aggressive",
+          "--seed", "5"},
+         0x454aac4401f75a4ull, 0x9dba601ef0f3d382ull},
+        {"fleet_drain",
+         {"--workload", "dist1", "--requests", "64", "--rate", "60",
+          "--instances", "2", "--drain-at", "1", "--seed", "5"},
+         0x7aff381c99ac7775ull, 0x89dd8ef179f62202ull},
+        {"disagg",
+         {"--workload", "dist1", "--requests", "24", "--rate", "40",
+          "--disagg", "--seed", "5"},
+         0xdbd7597d8ae908e4ull, 0xf3cfce34d2fe4d15ull},
+    };
+    using trace::TraceName;
+    const std::vector<TraceName> engine_names = {
+        TraceName::Queued,         TraceName::Admit,
+        TraceName::Prefill,        TraceName::Decode,
+        TraceName::AdmissionRound, TraceName::Chunk,
+        TraceName::Evict,          TraceName::SwapOut,
+        TraceName::SwapIn,         TraceName::Migrated,
+        TraceName::Drained,        TraceName::Finish,
+        TraceName::BatchSize,      TraceName::KvUsed,
+        TraceName::KvFutureTrue,   TraceName::KvFuturePred,
+        TraceName::QueueDepth};
+    std::vector<bool> seen(static_cast<std::size_t>(
+                               TraceName::MailboxCommit) + 1,
+                           false);
+    for (const Cell &cell : cells) {
+        SCOPED_TRACE(cell.name);
+        trace::TraceRecorder recorder(trace::TraceConfig{
+            trace::TraceDetail::Steps, 1 << 18});
+        cli::runScenario(smallScenario(cell.args), &recorder);
+        EXPECT_EQ(recorder.totalDropped(), 0u);
+        for (const trace::EngineTrace &sink : recorder.engines()) {
+            for (std::size_t i = 0; i < sink.ring().size(); ++i)
+                seen[static_cast<std::size_t>(sink.ring().at(i).name)] =
+                    true;
+        }
+        std::ostringstream csv;
+        recorder.writeRequestCsv(csv);
+        EXPECT_EQ(testfx::fnv1a(chromeJson(recorder)), cell.jsonHash);
+        EXPECT_EQ(testfx::fnv1a(csv.str()), cell.csvHash);
+    }
+    for (const TraceName name : engine_names)
+        EXPECT_TRUE(seen[static_cast<std::size_t>(name)])
+            << trace::traceName(name);
 }
 
 // --- CLI surface --------------------------------------------------
