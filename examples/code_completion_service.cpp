@@ -51,8 +51,7 @@ serveCodeCompletion(const core::SchedulerConfig &scheduler_config,
     }
 
     engine::EngineConfig engine_config;
-    engine_config.splitFuse = split_fuse;
-    engine_config.splitFuseChunk = 512;
+    engine_config.splitFuseChunk = split_fuse ? 512 : 0;
 
     engine::ServingEngine engine(
         perf, core::makeScheduler(config), engine_config);

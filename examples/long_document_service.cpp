@@ -58,8 +58,7 @@ serveDocuments(const core::SchedulerConfig &scheduler_config,
     }
 
     engine::EngineConfig engine_config;
-    engine_config.splitFuse = split_fuse;
-    engine_config.splitFuseChunk = 1024;
+    engine_config.splitFuseChunk = split_fuse ? 1024 : 0;
 
     engine::ServingEngine engine(
         perf, core::makeScheduler(config), engine_config);

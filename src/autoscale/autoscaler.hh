@@ -163,9 +163,6 @@ class AutoScaler
     void noteRouted(const base::RequestClass &cls,
                     TokenCount footprint, Tick now);
 
-    /** Windowed SLO summary ending at `now`. */
-    SloStats sloStats(Tick now) { return monitor_.stats(now); }
-
     const AutoscaleConfig &config() const { return config_; }
     const ScalePolicy &policy() const { return *policy_; }
     SloMonitor &monitor() { return monitor_; }

@@ -237,15 +237,6 @@ ServingCluster::routableInstances() const
 }
 
 std::size_t
-ServingCluster::warmingInstances() const
-{
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < instances_.size(); ++i)
-        count += (warming_[i] && !draining_[i]) ? 1 : 0;
-    return count;
-}
-
-std::size_t
 ServingCluster::nonDrainingInstances() const
 {
     std::size_t count = 0;

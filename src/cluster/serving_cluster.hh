@@ -241,9 +241,6 @@ class ServingCluster : public workload::RequestSink
     /** Instances accepting traffic (not draining, warm-up done). */
     std::size_t routableInstances() const;
 
-    /** Provisioned-but-cold instances. */
-    std::size_t warmingInstances() const;
-
     /** Instances not scheduled for retirement (warming included). */
     std::size_t nonDrainingInstances() const;
 
@@ -256,28 +253,6 @@ class ServingCluster : public workload::RequestSink
     {
         return offeredRequests_;
     }
-
-    /** Instance-seconds consumed over the run (valid after
-     *  run()): Σ per instance of alive time from provision to
-     *  retirement (or end of run). */
-    double instanceSeconds() const
-    {
-        return instanceSecondsTotal_;
-    }
-
-    /** Dollar cost of those instance-seconds at each instance's
-     *  platform rate (HardwareSpec::dollarsPerSecond); valid after
-     *  run() / finalizeReport(). */
-    double instanceCost() const { return instanceCostTotal_; }
-
-    std::int64_t scaleUpEvents() const { return scaleUpEvents_; }
-    std::int64_t scaleDownEvents() const
-    {
-        return scaleDownEvents_;
-    }
-
-    /** Largest concurrently alive fleet size seen. */
-    std::size_t peakInstances() const { return peakInstances_; }
 
     /**
      * Co-simulate all instances to completion and return the merged

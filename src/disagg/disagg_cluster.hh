@@ -170,18 +170,10 @@ class DisaggCluster : public workload::RequestSink
     {
         return migratedRequests_;
     }
-    std::int64_t migratedKvBytes() const
-    {
-        return migratedKvBytesTotal_;
-    }
     std::int64_t handoffShedRequests() const
     {
         return handoffShed_;
     }
-
-    /** Transfers completed but not yet dispatched (instantaneous
-     *  handoff queue depth; tests). */
-    std::size_t handoffDepthNow() const { return handoff_.size(); }
 
   private:
     /** Handoff state of one in-flight request. */

@@ -43,12 +43,11 @@ struct EngineConfig
     TokenCount blockSize = 16;
 
     /** Split-fuse / chunked prefill (DeepSpeed-MII FastGen style):
-     *  prefills are processed in chunks fused with decode steps so
-     *  the running batch never stalls on a long prompt. */
-    bool splitFuse = false;
-
-    /** Prompt tokens per fused chunk when splitFuse is on. */
-    TokenCount splitFuseChunk = 512;
+     *  prefills are processed in chunks of this many prompt tokens
+     *  fused with decode steps so the running batch never stalls on
+     *  a long prompt. 0 (the default) = off: prefills run as
+     *  dedicated iterations. */
+    TokenCount splitFuseChunk = 0;
 
     /**
      * Shared-prefix KV reuse (SGLang/vLLM-style radix prefix

@@ -8,7 +8,7 @@ FrameworkProfile::toEngineConfig() const
 {
     EngineConfig config;
     config.timeFactor = timeFactor;
-    config.splitFuse = splitFuse;
+    config.splitFuseChunk = splitFuse ? 512 : 0;
     return config;
 }
 

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "base/logging.hh"
-#include "trace/trace_recorder.hh"
 
 namespace lightllm {
 namespace engine {
@@ -16,7 +15,7 @@ ServingEngine::ServingEngine(
     : perf_(std::move(perf_model)), policy_(std::move(policy)),
       config_(config),
       kv_(perf_.tokenCapacity(), config.blockSize),
-      collector_(kv_.capacityTokens()),
+      observer_(kv_.capacityTokens(), *policy_),
       ownedContext_(std::make_unique<sim::SimContext>()),
       context_(ownedContext_.get()), chains_(config.blockSize)
 {
@@ -24,8 +23,6 @@ ServingEngine::ServingEngine(
                     "engine needs a scheduling policy");
     LIGHTLLM_ASSERT(config_.timeFactor > 0.0,
                     "time factor must be positive");
-    LIGHTLLM_ASSERT(!config_.splitFuse || config_.splitFuseChunk > 0,
-                    "split-fuse chunk must be positive");
     if (config_.prefixCache) {
         prefixCache_ = std::make_unique<memory::PrefixCache>(kv_);
         kv_.attachPrefixCache(prefixCache_.get());
@@ -59,7 +56,7 @@ ServingEngine::attachTrace(trace::EngineTrace *sink)
 {
     LIGHTLLM_ASSERT(requests_.empty() && pendingArrivals_.empty(),
                     "attach tracing before submissions");
-    trace_ = sink;
+    observer_.attach(sink);
 }
 
 void
@@ -133,7 +130,7 @@ ServingEngine::deliverArrival(std::uint64_t token, Tick when)
     LIGHTLLM_ASSERT(inserted, "duplicate request id ", id);
     waiting_.push_back(raw);
     undeliveredTokens_ -= raw->spec.inputLen;
-    traceQueued(*raw, when);
+    observer_.queued(*raw, when);
     wakeActor(when);
 }
 
@@ -185,7 +182,7 @@ ServingEngine::deliverySpawnFloor() const
     // arguments (every latency is non-decreasing in each).
     Tick floor = scaled(perf_.prefillLatency(1));
     floor = std::min(floor, scaled(perf_.fusedStepLatency(1, 1, 0)));
-    if (config_.splitFuse)
+    if (config_.splitFuseChunk > 0)
         floor =
             std::min(floor, scaled(perf_.fusedStepLatency(0, 0, 1)));
     if (config_.evictionMode == EvictionMode::Swap)
@@ -227,7 +224,7 @@ ServingEngine::onStepEvent(Tick when)
     if (!hasWork())
         return;  // drained or spuriously woken; nothing to do
     admitRequests();
-    if (!config_.splitFuse && !prefillPending_.empty())
+    if (config_.splitFuseChunk == 0 && !prefillPending_.empty())
         runPrefillPhase();
     runStep();
     if (hasWork())
@@ -413,7 +410,7 @@ ServingEngine::admitOne(EngineRequest *request)
             if (!kv_.allocateShared(slot, tokens, matchScratch_))
                 return false;
             const TokenCount shared = kv_.requestSharedTokens(slot);
-            collector_.onPrefixLookup(prompt, shared);
+            observer_.prefixLookup(prompt, shared);
             request->cachedPrefix = shared;
             request->remainingPrompt = prompt - shared;
         } else {
@@ -464,7 +461,7 @@ ServingEngine::admitRequests()
         decision.admit.push_back(waiting_.front()->spec.id);
     }
 
-    std::int64_t admitted = 0;
+    std::size_t admitted = 0;
     for (RequestId id : decision.admit) {
         const auto it = std::find_if(
             waiting_.begin(), waiting_.end(),
@@ -485,54 +482,15 @@ ServingEngine::admitRequests()
         }
         waiting_.erase(it);
         ++admitted;
-        if (trace_ == nullptr)
-            continue;
-        trace_->end(trace::TraceName::Queued, id, now_);
-        trace_->instant(
-            trace::TraceName::Admit, id, now_,
-            policy_->peekPrediction(id, request->generated,
-                                    request->spec.maxNewTokens),
-            request->spec.effectiveOutputLen(), now_ - request->arrival);
-        trace_->begin(trace::TraceName::Prefill, id, now_,
-                      request->remainingPrompt, request->cachedPrefix,
-                      kv_.usedTokens());
+        observer_.admitted(*request, now_, kv_.usedTokens());
     }
-    if (trace_ != nullptr && trace_->stepsEnabled()) {
-        trace_->instant(
-            trace::TraceName::AdmissionRound, kInvalidRequestId,
-            now_, admitted,
-            static_cast<std::int64_t>(decision.evict.size()),
-            static_cast<std::int64_t>(waiting_.size()));
-    }
-}
-
-void
-ServingEngine::traceQueued(const EngineRequest &request, Tick at)
-{
-    if (trace_ == nullptr)
-        return;
-    const workload::RequestSpec &spec = request.spec;
-    trace_->begin(trace::TraceName::Queued, spec.id, at, spec.inputLen,
-                  policy_->peekPrediction(spec.id, request.generated,
-                                          spec.maxNewTokens),
-                  spec.effectiveOutputLen());
+    observer_.admissionRound(now_, admitted, decision.evict.size(),
+                             waiting_.size());
 }
 
 void
 ServingEngine::finishRequest(EngineRequest *request)
 {
-    if (trace_ != nullptr) {
-        // Before the policy forgets the request: the peeked
-        // prediction still reflects the estimate the scheduler was
-        // operating under.
-        trace_->instant(
-            trace::TraceName::Finish, request->spec.id, now_,
-            request->generated,
-            policy_->peekPrediction(request->spec.id,
-                                    request->generated,
-                                    request->spec.maxNewTokens),
-            request->evictions);
-    }
     metrics::RequestRecord record;
     record.id = request->spec.id;
     record.cls = request->spec.cls;
@@ -543,7 +501,9 @@ ServingEngine::finishRequest(EngineRequest *request)
     record.finish = now_;
     record.maxGap = request->maxGap;
     record.evictions = request->evictions;
-    collector_.onRequestFinished(record);
+    // Before the policy forgets the request: a traced prediction
+    // still reflects the estimate the scheduler was operating under.
+    observer_.finished(*request, record);
 
     // Retain the request's identified full blocks (prompt and, for
     // session turns, the generated reply) before the references
@@ -560,7 +520,7 @@ ServingEngine::finishRequest(EngineRequest *request)
     ++finished_;
     if (config_.warmupRequests > 0 &&
         finished_ == config_.warmupRequests) {
-        collector_.resetMeasurement(now_);
+        observer_.warmupEnded(now_);
     }
 
     if (!onFinish_ && !onRecord_) {
@@ -636,34 +596,14 @@ ServingEngine::evictRequest(RequestId id, bool reactive)
     victim->evictions += 1;
     victim->remainingPrompt = 0;
     victim->cachedPrefix = 0;
-    collector_.onEviction(victim->evictions == 1);
+    victim->swappedOut = config_.evictionMode == EvictionMode::Swap;
     policy_->onRequestEvicted(victim->spec.id);
     // Back to the front of the queue; the KV is either rebuilt by a
     // future recompute prefill or restored by a swap-in.
     waiting_.push_front(victim);
-
-    if (trace_ != nullptr) {
-        const auto cause = static_cast<std::int64_t>(
-            reactive ? trace::EvictCause::Reactive
-                     : trace::EvictCause::Proactive);
-        trace_->end(trace::TraceName::Decode, id, now_,
-                    victim->generated);
-        trace_->instant(trace::TraceName::Evict, id, now_, cause,
-                        victim->generated, victim->evictions);
-        if (config_.evictionMode == EvictionMode::Swap) {
-            trace_->instant(trace::TraceName::SwapOut, id, now_,
-                            victim_tokens);
-        }
-        traceQueued(*victim, now_);
-    }
-
-    if (config_.evictionMode == EvictionMode::Swap) {
-        victim->swappedOut = true;
-        const Tick cost = scaled(perf_.swapLatency(victim_tokens));
-        collector_.onSwap(victim_tokens, cost);
-        return cost;
-    }
-    return 0;
+    observer_.evicted(*victim, now_, victim_tokens, reactive);
+    return victim->swappedOut ? scaled(perf_.swapLatency(victim_tokens))
+                              : 0;
 }
 
 bool
@@ -689,30 +629,15 @@ ServingEngine::recordDecodeStep(std::int64_t batch, TokenCount used,
     // not cover, so they are peeked afresh; they force a rescan.
     for (EngineRequest *request : prefillPending_)
         peekAt(*request, request->generated);
-    const auto [true_future, predicted_future] =
-        audit_.step(running_, prefillPending_, ahead);
-    collector_.onDecodeStep(batch, used, true_future, predicted_future,
-                            duration);
-    if (trace_ == nullptr || !trace_->stepsEnabled())
-        return;
-    using trace::TraceName;
-    trace_->counter(TraceName::BatchSize, now_, batch);
-    trace_->counter(TraceName::KvUsed, now_, used);
-    trace_->counter(TraceName::KvFutureTrue, now_, true_future);
-    trace_->counter(TraceName::KvFuturePred, now_, predicted_future);
-    trace_->counter(TraceName::QueueDepth, now_,
-                    static_cast<std::int64_t>(waiting_.size()));
+    observer_.step(batch, used,
+                   audit_.step(running_, prefillPending_, ahead),
+                   duration, now_, waiting_.size());
 }
 
 void
 ServingEngine::startDecoding(EngineRequest *request)
 {
-    if (trace_ != nullptr) {
-        trace_->end(trace::TraceName::Prefill, request->spec.id,
-                    now_);
-        trace_->begin(trace::TraceName::Decode, request->spec.id,
-                      now_, request->generated);
-    }
+    observer_.decoding(*request, now_);
     kv_.joinBatch(request->slot);
     running_.push_back(request);
     audit_.membersChanged();
@@ -724,10 +649,7 @@ ServingEngine::joinMigrated(EngineRequest *request)
     // Migrated KV is already resident (the transfer was paid before
     // dispatch, the first token came from the prefill pool).
     request->migratedAdmit = false;
-    if (trace_ != nullptr) {
-        trace_->instant(trace::TraceName::Migrated, request->spec.id,
-                        now_, request->spec.migratedPrefix);
-    }
+    observer_.migrated(*request, now_);
     startDecoding(request);
 }
 
@@ -738,9 +660,7 @@ ServingEngine::completePrefill(EngineRequest *request)
     request->generated += 1;
     request->recordEmission(now_);
     if (request->generated >= request->targetOutput()) {
-        if (trace_ != nullptr)
-            trace_->end(trace::TraceName::Prefill, request->spec.id,
-                        now_);
+        observer_.prefillEnded(*request, now_);
         return true;  // finishRequest does its own cacheInsert
     }
     // The freshly prefilled prompt blocks are now valid KV: publish
@@ -768,7 +688,7 @@ ServingEngine::runPrefillPhase()
         const Tick duration =
             scaled(perf_.prefillLatency(request->remainingPrompt));
         now_ += duration;
-        collector_.onPrefill(request->remainingPrompt, duration);
+        observer_.prefill(request->remainingPrompt);
         if (completePrefill(request))
             finishRequest(request);
     }
@@ -782,12 +702,8 @@ ServingEngine::swapIn(EngineRequest &request, bool advance)
     const Tick cost = scaled(perf_.swapLatency(tokens));
     if (advance)
         now_ += cost;
-    collector_.onSwap(tokens, cost);
     request.swappedOut = false;
-    if (trace_ != nullptr) {
-        trace_->instant(trace::TraceName::SwapIn, request.spec.id, now_,
-                        tokens);
-    }
+    observer_.swappedIn(request, now_, tokens);
     return cost;
 }
 
@@ -844,12 +760,8 @@ ServingEngine::runStep()
             request->remainingPrompt);
         request->remainingPrompt -= take;
         chunk_used += take;
-        if (take > 0 && trace_ != nullptr &&
-            trace_->stepsEnabled()) {
-            trace_->instant(trace::TraceName::Chunk,
-                            request->spec.id, now_, take,
-                            request->remainingPrompt);
-        }
+        if (take > 0)
+            observer_.chunk(*request, now_, take);
     }
 
     // Walk one: grow, advance, sum the batch KV, and re-peek the
@@ -878,7 +790,7 @@ ServingEngine::runStep()
     if (batch_size > 0)
         recordDecodeStep(batch_size, kv_.usedTokens(), duration, 0);
     if (chunk_used > 0)
-        collector_.onPrefill(chunk_used, duration);
+        observer_.prefill(chunk_used);
 
     // Walk two: emissions and completions.
     finishedScratch_.clear();
@@ -886,9 +798,7 @@ ServingEngine::runStep()
         request->recordEmission(now_);
         if (request->generated < request->targetOutput())
             return false;
-        if (trace_ != nullptr)
-            trace_->end(trace::TraceName::Decode, request->spec.id,
-                        now_, request->generated);
+        observer_.decodeEnded(*request, now_);
         finishedScratch_.push_back(request);
         return true;
     });
@@ -1037,12 +947,7 @@ ServingEngine::handBackQueued(std::size_t from,
     const Tick tick = context_->now();
     for (auto it = first; it != waiting_.end(); ++it) {
         EngineRequest *request = *it;
-        if (trace_ != nullptr) {
-            trace_->end(trace::TraceName::Queued, request->spec.id,
-                        tick);
-            trace_->instant(trace::TraceName::Drained,
-                            request->spec.id, tick);
-        }
+        observer_.drained(*request, tick);
         out.push_back(
             DrainedRequest{request->spec, tick, request->arrival});
         recycleRequest(request);
@@ -1054,7 +959,7 @@ metrics::RunReport
 ServingEngine::report()
 {
     settleNow();
-    return collector_.finish(policy_->name(), now_);
+    return observer_.report(policy_->name(), now_);
 }
 
 Tick

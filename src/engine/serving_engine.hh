@@ -33,8 +33,9 @@
  * metrics) settles the steps that started before the context's tick
  * first; an arrival also ends the run.
  *
- * The engine keeps the iteration skeleton, the request slab, the
- * queues and the observation calls (DESIGN.md §8, "Module map").
+ * The engine keeps the iteration skeleton, the request slab and the
+ * queues (DESIGN.md §8, "Module map"). It reports each event once,
+ * to its EngineObserver (metrics collector and trace sink).
  * DecodeRun, PredictionAudit (the per-step M* audit) and
  * SessionChainMemo (hash chains, session memo) take its requests as
  * spans and hand back member lists; the engine applies KV growth and
@@ -57,12 +58,12 @@
 #include "core/scheduling_policy.hh"
 #include "engine/decode_run.hh"
 #include "engine/engine_config.hh"
+#include "engine/engine_observer.hh"
 #include "engine/engine_request.hh"
 #include "engine/prediction_audit.hh"
 #include "engine/session_chain_memo.hh"
 #include "memory/kv_block_manager.hh"
 #include "memory/prefix_cache.hh"
-#include "metrics/collector.hh"
 #include "metrics/report.hh"
 #include "model/perf_model.hh"
 #include "sim/sim_context.hh"
@@ -70,11 +71,6 @@
 #include "workload/request_spec.hh"
 
 namespace lightllm {
-
-namespace trace {
-class EngineTrace;
-}
-
 namespace engine {
 
 /** Continuous-batching serving engine over the simulated substrate. */
@@ -119,8 +115,8 @@ class ServingEngine : public workload::RequestSink
     void attachContext(sim::SimContext &context);
 
     /**
-     * Attach a flight-recorder sink (see trace/trace_recorder.hh);
-     * nullptr detaches. Must be called before any request is
+     * Attach a flight-recorder sink (DESIGN.md §10); nullptr
+     * detaches. Must be called before any request is
      * submitted. Tracing is strictly read-only — an attached sink
      * never changes a single engine decision, so the resulting
      * RunReport is byte-identical to an untraced run (pinned by
@@ -366,8 +362,8 @@ class ServingEngine : public workload::RequestSink
     Tick swapIn(EngineRequest &request, bool advance);
 
     /** Record a decode step over `batch` members holding `used` KV
-     *  tokens: audit (members lag `ahead` steps), collector and the
-     *  trace's step counters. */
+     *  tokens: audit (members lag `ahead` steps), then the
+     *  observer's step event. */
     void recordDecodeStep(std::int64_t batch, TokenCount used,
                           Tick duration, TokenCount ahead);
 
@@ -403,9 +399,6 @@ class ServingEngine : public workload::RequestSink
      *  cache; true when the cached value changed. */
     bool peekAt(EngineRequest &request, TokenCount generated);
 
-    /** Trace `request` (re)joining the queue at `at`. */
-    void traceQueued(const EngineRequest &request, Tick at);
-
     /** Scheduler context over the decoding batch; with `queues`,
      *  also over the prefilling requests and the wait queue. */
     core::SchedulerContext buildContext(bool queues = true);
@@ -432,11 +425,9 @@ class ServingEngine : public workload::RequestSink
      *  while the manager is alive. */
     std::unique_ptr<memory::PrefixCache> prefixCache_;
 
-    metrics::MetricsCollector collector_;
-
-    /** Flight-recorder sink; null (the default) = tracing off and
-     *  every hook reduces to this one branch. */
-    trace::EngineTrace *trace_ = nullptr;
+    /** The metrics collector and the optional trace sink: every
+     *  event the engine reports goes through here. */
+    EngineObserver observer_;
 
     /** The context the engine starts on (null once attachContext()
      *  swapped in a shared one), and the one carrying its events. */

@@ -60,9 +60,8 @@ runStaticBatch(const model::PerfModel &perf,
         const Tick prefill = perf.prefillLatency(
             batch_max_prompt * static_cast<TokenCount>(count));
         now += prefill;
-        collector.onPrefill(
-            batch_max_prompt * static_cast<TokenCount>(count),
-            prefill);
+        collector.onPrefill(batch_max_prompt *
+                            static_cast<TokenCount>(count));
 
         std::vector<Tick> first_token(count, now);
         std::vector<Tick> last_emit(count, now);

@@ -23,7 +23,6 @@ std::size_t
 PrefixCache::match(std::span<const PrefixHash> hashes,
                    std::vector<BlockId> &blocks_out)
 {
-    ++lookups_;
     std::size_t matched = 0;
     for (const PrefixHash hash : hashes) {
         prefetchHome(hashes, matched + kPrefetchAhead);

@@ -121,9 +121,8 @@ class PrefixCache
         return FlatIdTable<EntryIndex>::home(hash, slots);
     }
 
-    /** Total match() calls and block-level hits (bench telemetry;
+    /** Block-level hits over every match() (bench telemetry;
      *  request-level hit tokens live in the metrics collector). */
-    std::uint64_t lookups() const { return lookups_; }
     std::uint64_t hitBlocks() const { return hitBlocks_; }
 
   private:
@@ -216,7 +215,6 @@ class PrefixCache
 
     std::uint64_t clock_ = 0;
 
-    std::uint64_t lookups_ = 0;
     std::uint64_t hitBlocks_ = 0;
 };
 

@@ -77,7 +77,7 @@ MetricsCollector::flushSteps()
 }
 
 void
-MetricsCollector::onPrefill(TokenCount prompt_tokens, Tick)
+MetricsCollector::onPrefill(TokenCount prompt_tokens)
 {
     ++prefillIterations_;
     totalPrefillTokens_ += prompt_tokens;
@@ -92,7 +92,7 @@ MetricsCollector::onEviction(bool first_eviction_of_request)
 }
 
 void
-MetricsCollector::onSwap(TokenCount tokens, Tick)
+MetricsCollector::onSwap(TokenCount tokens)
 {
     ++swapEvents_;
     swappedTokens_ += tokens;

@@ -60,13 +60,13 @@ class MetricsCollector
                       TokenCount predicted_future_tokens, Tick duration);
 
     /** One prefill iteration (or split-fuse chunk) completed. */
-    void onPrefill(TokenCount prompt_tokens, Tick duration);
+    void onPrefill(TokenCount prompt_tokens);
 
     /** A request was evicted from the running batch. */
     void onEviction(bool first_eviction_of_request);
 
     /** A KV swap transfer (either direction) of `tokens` slots. */
-    void onSwap(TokenCount tokens, Tick duration);
+    void onSwap(TokenCount tokens);
 
     /**
      * A prefix-cache lookup at admission: `prompt_tokens` were
@@ -88,8 +88,6 @@ class MetricsCollector
     /** Finalize into a report; `makespan` is the end-of-run tick.
      *  Folds any buffered step records first. */
     RunReport finish(std::string scheduler_name, Tick makespan);
-
-    TokenCount capacityTokens() const { return capacity_; }
 
   private:
     /** Records pre-reserved at construction (collection touches the

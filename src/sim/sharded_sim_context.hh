@@ -94,11 +94,6 @@ class ShardedSimContext
     /** The coordinator context (delivery queue + global clock). */
     SimContext &root() { return *root_; }
 
-    std::uint32_t shardCount() const
-    {
-        return static_cast<std::uint32_t>(shards_.size());
-    }
-
     /**
      * Pick the shard with the fewest live engines (ties keep the
      * lowest index — deterministic), count the newcomer against it,
@@ -122,9 +117,6 @@ class ShardedSimContext
      * autoscaler provisions a new engine).
      */
     void noteSpawnFloor(Tick floor);
-
-    /** Current conservative lookahead (ticks). */
-    Tick lookahead() const { return lookahead_; }
 
     /**
      * Attach per-shard profiler sinks (one for the coordinator,

@@ -116,18 +116,6 @@ eventTid(const TraceEvent &event)
     return event.id == kInvalidRequestId ? 0 : event.id + 1;
 }
 
-char
-phaseChar(TracePhase phase)
-{
-    switch (phase) {
-      case TracePhase::Begin: return 'B';
-      case TracePhase::End: return 'E';
-      case TracePhase::Instant: return 'i';
-      case TracePhase::Counter: return 'C';
-    }
-    return 'i';
-}
-
 } // namespace
 
 void
@@ -179,8 +167,9 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
               }
               case TracePhase::Instant:
               case TracePhase::Counter:
-                writer.event(phaseChar(event.phase), engine.pid(),
-                             tid, event.tick, event.name, &event);
+                writer.event(
+                    event.phase == TracePhase::Counter ? 'C' : 'i',
+                    engine.pid(), tid, event.tick, event.name, &event);
                 break;
             }
         }

@@ -1,173 +1,84 @@
 #include "trace/trace_recorder.hh"
 
+#include <iterator>
+
 #include "base/logging.hh"
 
 namespace lightllm {
 namespace trace {
 
+namespace {
+
+/** CLI spelling of each TraceDetail, in declaration order. */
+constexpr const char *kDetailNames[] = {"off", "requests", "steps",
+                                        "full"};
+
+/** One row per TraceName, in declaration order: the event's export
+ *  name and the keys of its three argument slots (nullptr = slot
+ *  unused). */
+struct NameRow
+{
+    const char *name;
+    const char *args[3];
+};
+
+constexpr NameRow kNames[] = {
+    {"queued", {"input_len", "predicted_output", "true_output"}},
+    {"prefill", {"prefill_tokens", "cached_prefix", "kv_used"}},
+    {"decode", {"generated", nullptr, nullptr}},
+    {"admit", {"predicted_output", "true_output", "queue_wait_us"}},
+    {"evict", {"cause", "generated", "eviction_no"}},
+    {"swap_out", {"tokens", nullptr, nullptr}},
+    {"swap_in", {"tokens", nullptr, nullptr}},
+    {"chunk", {"chunk_tokens", "remaining_prompt", nullptr}},
+    {"migrated", {"migrated_prefix", nullptr, nullptr}},
+    {"finish", {"generated", "predicted_output", "evictions"}},
+    {"drained", {nullptr, nullptr, nullptr}},
+    {"admission_round", {"admitted", "evicted", "queue_depth"}},
+    {"batch_size", {"value", nullptr, nullptr}},
+    {"kv_used", {"value", nullptr, nullptr}},
+    {"kv_future_true", {"value", nullptr, nullptr}},
+    {"kv_future_pred", {"value", nullptr, nullptr}},
+    {"queue_depth", {"value", nullptr, nullptr}},
+    {"shard_window", {"window_end_us", "staged_steps", "window_no"}},
+    {"shard_compute", {"steps", "compute_ns", "window_no"}},
+    {"shard_barrier", {"wait_ns", "window_no", nullptr}},
+    {"mailbox_commit", {"commits", "window_no", nullptr}},
+};
+static_assert(std::size(kNames) ==
+                  static_cast<std::size_t>(TraceName::MailboxCommit) + 1,
+              "one row per TraceName");
+
+} // namespace
+
 bool
 parseTraceDetail(const std::string &text, TraceDetail *out)
 {
-    if (text == "off")
-        *out = TraceDetail::Off;
-    else if (text == "requests")
-        *out = TraceDetail::Requests;
-    else if (text == "steps")
-        *out = TraceDetail::Steps;
-    else if (text == "full")
-        *out = TraceDetail::Full;
-    else
-        return false;
-    return true;
+    for (std::size_t i = 0; i < std::size(kDetailNames); ++i) {
+        if (text == kDetailNames[i]) {
+            *out = static_cast<TraceDetail>(i);
+            return true;
+        }
+    }
+    return false;
 }
 
 const char *
 traceDetailName(TraceDetail detail)
 {
-    switch (detail) {
-      case TraceDetail::Off: return "off";
-      case TraceDetail::Requests: return "requests";
-      case TraceDetail::Steps: return "steps";
-      case TraceDetail::Full: return "full";
-    }
-    return "off";
+    return kDetailNames[static_cast<std::size_t>(detail)];
 }
 
 const char *
 traceName(TraceName name)
 {
-    switch (name) {
-      case TraceName::Queued: return "queued";
-      case TraceName::Prefill: return "prefill";
-      case TraceName::Decode: return "decode";
-      case TraceName::Admit: return "admit";
-      case TraceName::Evict: return "evict";
-      case TraceName::SwapOut: return "swap_out";
-      case TraceName::SwapIn: return "swap_in";
-      case TraceName::Chunk: return "chunk";
-      case TraceName::Migrated: return "migrated";
-      case TraceName::Finish: return "finish";
-      case TraceName::Drained: return "drained";
-      case TraceName::AdmissionRound: return "admission_round";
-      case TraceName::BatchSize: return "batch_size";
-      case TraceName::KvUsed: return "kv_used";
-      case TraceName::KvFutureTrue: return "kv_future_true";
-      case TraceName::KvFuturePred: return "kv_future_pred";
-      case TraceName::QueueDepth: return "queue_depth";
-      case TraceName::ShardWindow: return "shard_window";
-      case TraceName::ShardCompute: return "shard_compute";
-      case TraceName::ShardBarrier: return "shard_barrier";
-      case TraceName::MailboxCommit: return "mailbox_commit";
-    }
-    return "unknown";
+    return kNames[static_cast<std::size_t>(name)].name;
 }
 
 const char *
 traceArgKey(TraceName name, int slot)
 {
-    // Three-slot key table per event; nullptr = slot unused.
-    static constexpr const char *kNone[3] = {nullptr, nullptr,
-                                             nullptr};
-    switch (name) {
-      case TraceName::Queued:
-      {
-        static constexpr const char *k[3] = {
-            "input_len", "predicted_output", "true_output"};
-        return k[slot];
-      }
-      case TraceName::Prefill:
-      {
-        static constexpr const char *k[3] = {
-            "prefill_tokens", "cached_prefix", "kv_used"};
-        return k[slot];
-      }
-      case TraceName::Decode:
-      {
-        static constexpr const char *k[3] = {"generated", nullptr,
-                                             nullptr};
-        return k[slot];
-      }
-      case TraceName::Admit:
-      {
-        static constexpr const char *k[3] = {
-            "predicted_output", "true_output", "queue_wait_us"};
-        return k[slot];
-      }
-      case TraceName::Evict:
-      {
-        static constexpr const char *k[3] = {
-            "cause", "generated", "eviction_no"};
-        return k[slot];
-      }
-      case TraceName::SwapOut:
-      case TraceName::SwapIn:
-      {
-        static constexpr const char *k[3] = {"tokens", nullptr,
-                                             nullptr};
-        return k[slot];
-      }
-      case TraceName::Chunk:
-      {
-        static constexpr const char *k[3] = {
-            "chunk_tokens", "remaining_prompt", nullptr};
-        return k[slot];
-      }
-      case TraceName::Migrated:
-      {
-        static constexpr const char *k[3] = {"migrated_prefix",
-                                             nullptr, nullptr};
-        return k[slot];
-      }
-      case TraceName::Finish:
-      {
-        static constexpr const char *k[3] = {
-            "generated", "predicted_output", "evictions"};
-        return k[slot];
-      }
-      case TraceName::Drained:
-        return kNone[slot];
-      case TraceName::AdmissionRound:
-      {
-        static constexpr const char *k[3] = {
-            "admitted", "evicted", "queue_depth"};
-        return k[slot];
-      }
-      case TraceName::BatchSize:
-      case TraceName::KvUsed:
-      case TraceName::KvFutureTrue:
-      case TraceName::KvFuturePred:
-      case TraceName::QueueDepth:
-      {
-        static constexpr const char *k[3] = {"value", nullptr,
-                                             nullptr};
-        return k[slot];
-      }
-      case TraceName::ShardWindow:
-      {
-        static constexpr const char *k[3] = {
-            "window_end_us", "staged_steps", "window_no"};
-        return k[slot];
-      }
-      case TraceName::ShardCompute:
-      {
-        static constexpr const char *k[3] = {
-            "steps", "compute_ns", "window_no"};
-        return k[slot];
-      }
-      case TraceName::ShardBarrier:
-      {
-        static constexpr const char *k[3] = {
-            "wait_ns", "window_no", nullptr};
-        return k[slot];
-      }
-      case TraceName::MailboxCommit:
-      {
-        static constexpr const char *k[3] = {
-            "commits", "window_no", nullptr};
-        return k[slot];
-      }
-    }
-    return kNone[slot];
+    return kNames[static_cast<std::size_t>(name)].args[slot];
 }
 
 TraceRecorder::TraceRecorder(TraceConfig config)

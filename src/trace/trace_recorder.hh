@@ -147,9 +147,6 @@ class TraceRecorder
   public:
     explicit TraceRecorder(TraceConfig config);
 
-    TraceDetail detail() const { return config_.detail; }
-    const TraceConfig &config() const { return config_; }
-
     /**
      * Attach a new engine sink; pid is assigned in call order
      * (deterministic: engines are created/adopted only on the

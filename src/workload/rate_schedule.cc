@@ -124,22 +124,6 @@ RateSchedule::maxRate() const
     return peak;
 }
 
-double
-RateSchedule::meanRate() const
-{
-    double weighted = 0.0;
-    double total = 0.0;
-    for (const RateSegment &segment : segments_) {
-        if (segment.durationSeconds <= 0.0)
-            continue;
-        weighted += segment.ratePerSecond * segment.durationSeconds;
-        total += segment.durationSeconds;
-    }
-    if (total <= 0.0)
-        return segments_.back().ratePerSecond;
-    return weighted / total;
-}
-
 std::string
 RateSchedule::describe() const
 {

@@ -83,10 +83,6 @@ class RateSchedule
     /** Largest segment rate (capacity-planning upper bound). */
     double maxRate() const;
 
-    /** Mean rate over the closed (finitely long) prefix; equals the
-     *  constant rate for a single open-ended segment. */
-    double meanRate() const;
-
     const std::vector<RateSegment> &segments() const
     {
         return segments_;

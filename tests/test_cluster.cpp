@@ -91,7 +91,6 @@ TEST(SwapEvictionTest, WorksUnderSplitFuse)
 {
     engine::EngineConfig config;
     config.evictionMode = engine::EvictionMode::Swap;
-    config.splitFuse = true;
     config.splitFuseChunk = 128;
     engine::ServingEngine engine(
         tinyPerf(1.2),

@@ -178,8 +178,7 @@ TEST(DisaggClusterTest, SplitFuseServesMigratedAdmissions)
     const auto run_with = [](bool prefill_split, bool decode_split) {
         const auto pool = [](bool split_fuse) {
             engine::EngineConfig config;
-            config.splitFuse = split_fuse;
-            config.splitFuseChunk = 32;
+            config.splitFuseChunk = split_fuse ? 32 : 0;
             std::vector<std::unique_ptr<engine::ServingEngine>> one;
             one.push_back(std::make_unique<engine::ServingEngine>(
                 tinyPerf(4.0),

@@ -224,8 +224,7 @@ TEST(ServingEngineTest, SplitFuseSmoothsRunningRequests)
     // prefill is chunked and A's worst gap shrinks.
     auto run_with = [&](bool split_fuse) {
         EngineConfig config;
-        config.splitFuse = split_fuse;
-        config.splitFuseChunk = 256;
+        config.splitFuseChunk = split_fuse ? 256 : 0;
         ServingEngine engine(tinyPerf(20.0),
                              core::makeScheduler(
                                  SchedulerConfig::aggressive(1.0)),
@@ -247,7 +246,6 @@ TEST(ServingEngineTest, SplitFuseSmoothsRunningRequests)
 TEST(ServingEngineTest, SplitFuseFinishesEveryone)
 {
     EngineConfig config;
-    config.splitFuse = true;
     config.splitFuseChunk = 128;
     ServingEngine engine(tinyPerf(8.0),
                          core::makeScheduler(
@@ -546,8 +544,7 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
     for (const Variant &variant : variants) {
         SCOPED_TRACE(variant.name);
         EngineConfig config;
-        config.splitFuse = variant.splitFuse;
-        config.splitFuseChunk = 64;
+        config.splitFuseChunk = variant.splitFuse ? 64 : 0;
         config.evictionMode = variant.mode;
         config.blockSize = variant.blockSize;
         auto recorder = std::make_unique<PeekRecorder>(
@@ -969,8 +966,7 @@ probedDrive(std::uint64_t seed, bool shared)
     config.prefixCache = true;
     config.evictionMode = seed % 2 == 0 ? EvictionMode::Swap
                                         : EvictionMode::Recompute;
-    config.splitFuse = seed / 2 % 2 == 0;
-    config.splitFuseChunk = 96;
+    config.splitFuseChunk = seed / 2 % 2 == 0 ? 96 : 0;
     const SchedulerConfig scheduler = seed / 4 % 2 == 0
         ? SchedulerConfig::pastFutureDefault(0.05)
         : SchedulerConfig::aggressive(0.95);
@@ -1198,7 +1194,7 @@ TEST(FrameworkProfileTest, ToEngineConfigCopiesKnobs)
 {
     const auto profile = FrameworkProfile::deepspeedMii();
     const auto config = profile.toEngineConfig();
-    EXPECT_EQ(config.splitFuse, profile.splitFuse);
+    EXPECT_EQ(config.splitFuseChunk, profile.splitFuse ? 512 : 0);
     EXPECT_DOUBLE_EQ(config.timeFactor, profile.timeFactor);
 }
 

@@ -74,8 +74,7 @@ TEST_P(EngineInvariantProperty, RunSatisfiesInvariants)
         GetParam();
 
     engine::EngineConfig engine_config;
-    engine_config.splitFuse = split_fuse;
-    engine_config.splitFuseChunk = 96;
+    engine_config.splitFuseChunk = split_fuse ? 96 : 0;
     engine_config.evictionMode = evict_mode;
     engine_config.evictionPolicy = evict_policy;
 

@@ -141,9 +141,9 @@ feedEvents(MetricsCollector &collector, std::uint64_t seed,
         if (i % 7 == 0)
             collector.onEviction(i % 14 == 0);
         if (i % 11 == 0)
-            collector.onSwap(rng.uniformInt(16, 256), 10);
+            collector.onSwap(rng.uniformInt(16, 256));
         if (i % 5 == 0)
-            collector.onPrefill(rng.uniformInt(10, 500), 20);
+            collector.onPrefill(rng.uniformInt(10, 500));
         if (i % 9 == 0)
             collector.onPrefixLookup(200, rng.uniformInt(0, 200));
         if (i % 3 == 0) {

@@ -852,7 +852,6 @@ TEST(EnginePrefixTest, SplitFusePrefillsOnlyUncachedSuffix)
 {
     engine::EngineConfig config;
     config.prefixCache = true;
-    config.splitFuse = true;
     config.splitFuseChunk = 32;
     engine::ServingEngine engine(
         tinyPerf(8.0),

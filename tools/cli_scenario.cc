@@ -311,7 +311,7 @@ makeEngineConfig(const CliOptions &options)
 {
     engine::EngineConfig config;
     config.blockSize = options.blockSize;
-    config.splitFuse = options.splitFuse;
+    config.splitFuseChunk = options.splitFuse ? 512 : 0;
     config.maxBatchSize = options.maxBatchSize;
     config.warmupRequests = options.warmupRequests;
 
