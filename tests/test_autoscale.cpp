@@ -159,6 +159,18 @@ TEST(ReactivePolicyTest, HysteresisSeparatesUpAndDown)
               0);
 }
 
+TEST(ReactivePolicyTest, HysteresisFloorRisesWithATargetAboveIt)
+{
+    // A 0.99 target lifts the shrink threshold from 0.98 to 0.99, so
+    // a lightly loaded fleet at 0.985 holds. Too few samples to grow
+    // keeps the scale-up branch out of the way.
+    const auto policy = autoscale::makeScalePolicy("reactive", 0.99);
+    ASSERT_NE(policy, nullptr);
+    const auto fleet = fleetOf(3, 10'000, 1'000, 1'000);
+    EXPECT_EQ(policy->decide(fleet, sloWith(0.985, 3)), 0);
+    EXPECT_EQ(policy->decide(fleet, sloWith(1.0)), -1);
+}
+
 TEST(PredictivePolicyTest, ProvisionsOnForecastBeforeViolations)
 {
     autoscale::PredictiveFutureMemoryPolicy policy(
