@@ -120,9 +120,8 @@ sizeClients(const model::PerfModel &perf,
 }
 
 std::vector<SchedulerLineup>
-figure7Lineup(const workload::Dataset &warm_source)
+figure7Lineup()
 {
-    (void)warm_source;
     return {
         {"Conservative", core::SchedulerConfig::conservative()},
         {"Aggressive (watermark=99%)",

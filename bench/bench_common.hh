@@ -116,8 +116,7 @@ struct SchedulerLineup
 };
 
 /** Conservative / Aggressive(99%) / Past-Future(5%) as in Fig 7. */
-std::vector<SchedulerLineup>
-figure7Lineup(const workload::Dataset &warm_source);
+std::vector<SchedulerLineup> figure7Lineup();
 
 } // namespace bench
 } // namespace lightllm

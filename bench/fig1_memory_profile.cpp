@@ -68,8 +68,7 @@ profileDataset(const workload::Dataset &dataset,
               << formatDouble(dataset.meanOutputLen(), 0)
               << " tokens)\n\n";
 
-    const std::vector<SchedulerLineup> lineup =
-        figure7Lineup(history);
+    const std::vector<SchedulerLineup> lineup = figure7Lineup();
 
     TextTable table({"Scheduler", "Consumed memory",
                      "Future required", "Evicted reqs",

@@ -68,7 +68,7 @@ sweepDataset(const ModelSetup &setup, const std::string &name,
     }
     TextTable table(headers);
 
-    for (const auto &entry : figure7Lineup(history)) {
+    for (const auto &entry : figure7Lineup()) {
         std::vector<std::string> row{entry.label};
         for (double fraction : load_fractions) {
             double goodput_sum = 0.0;

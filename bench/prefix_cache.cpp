@@ -47,7 +47,8 @@ runSessions(std::size_t turns, bool cache_on)
 
     auto scheduler_config =
         core::SchedulerConfig::pastFutureDefault(0.03);
-    scheduler_config.pastFuture.seedOutputLen = config.maxNewTokens;
+    scheduler_config.pastFuture.seedOutputLen =
+        workload::kSessionMaxNewTokens;
 
     engine::EngineConfig engine_config;
     engine_config.prefixCache = cache_on;

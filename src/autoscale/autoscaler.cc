@@ -9,6 +9,14 @@
 namespace lightllm {
 namespace autoscale {
 
+namespace {
+
+/** SLO monitor window; also the time constant of the tenant-usage
+ *  decay behind fairness-aware shedding. */
+constexpr Tick kMonitorWindow = secondsToTicks(60.0);
+
+} // namespace
+
 const char *
 shedPolicyName(ShedPolicy policy)
 {
@@ -37,7 +45,7 @@ parseShedPolicy(std::string_view name, ShedPolicy &out)
 AutoScaler::AutoScaler(const AutoscaleConfig &config,
                        std::unique_ptr<ScalePolicy> policy)
     : config_(config), policy_(std::move(policy)),
-      monitor_(config.sla, config.monitorWindow),
+      monitor_(config.sla, kMonitorWindow),
       lastScaleDown_(std::numeric_limits<Tick>::min() / 2)
 {
     LIGHTLLM_ASSERT(policy_ != nullptr, "autoscaler needs a policy");
@@ -165,7 +173,7 @@ AutoScaler::decayedUsage(const TenantUsage &usage, Tick now) const
         return usage.tokens;
     const double windows =
         static_cast<double>(now - usage.lastUpdate) /
-        static_cast<double>(config_.monitorWindow);
+        static_cast<double>(kMonitorWindow);
     return usage.tokens * std::exp(-windows);
 }
 

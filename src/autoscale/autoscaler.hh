@@ -81,9 +81,6 @@ struct AutoscaleConfig
      *  limited beyond the control interval). */
     Tick downCooldown = secondsToTicks(30.0);
 
-    /** SLO monitor window. */
-    Tick monitorWindow = secondsToTicks(60.0);
-
     /** Attainment target driving both policies. */
     double sloTarget = 0.9;
 
@@ -94,15 +91,6 @@ struct AutoscaleConfig
 
     /** Outstanding-to-capacity bound of ShedPolicy::Overload. */
     double shedFactor = 1.5;
-
-    /**
-     * Work stealing at provision-complete: a freshly warmed
-     * instance pulls up to this many queued (never-admitted)
-     * requests from the most-backlogged peer and re-routes them,
-     * so new capacity helps the existing backlog instead of only
-     * future arrivals. 0 = off (legacy).
-     */
-    std::size_t stealOnWarm = 0;
 
     /**
      * Per-tenant traffic shares (index = tenant id) making
@@ -164,8 +152,6 @@ class AutoScaler
                     TokenCount footprint, Tick now);
 
     const AutoscaleConfig &config() const { return config_; }
-    const ScalePolicy &policy() const { return *policy_; }
-    SloMonitor &monitor() { return monitor_; }
 
   private:
     /** Exponentially decayed token usage of one tenant. */

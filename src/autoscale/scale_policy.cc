@@ -8,6 +8,33 @@
 namespace lightllm {
 namespace autoscale {
 
+namespace {
+
+// Reactive controller.
+
+/** Lowest shrink threshold: shrink only when attainment is at least
+ *  max(this, target). */
+constexpr double kDownAttainmentFloor = 0.98;
+
+/** ...and the fleet minus one instance would sit below this
+ *  outstanding/capacity utilisation. */
+constexpr double kDownUtilisation = 0.5;
+
+/** Violation evidence needed before reacting. */
+constexpr std::size_t kMinSamples = 8;
+
+// Predictive controller.
+
+/** Fill target: provision so forecast demand stays below this
+ *  fraction of ready capacity. */
+constexpr double kHeadroom = 0.85;
+
+/** Shrink when forecast demand fits in this fraction of the
+ *  headroom-adjusted capacity of one fewer instance. */
+constexpr double kDownFraction = 0.6;
+
+} // namespace
+
 std::size_t
 FleetSnapshot::nonDrainingCount() const
 {
@@ -68,16 +95,12 @@ FleetSnapshot::outstandingTokens() const
     return total;
 }
 
-ReactiveThresholdPolicy::ReactiveThresholdPolicy(
-    ReactivePolicyConfig config)
-    : config_(config)
+ReactiveThresholdPolicy::ReactiveThresholdPolicy(double slo_target)
+    : sloTarget_(slo_target),
+      downAttainment_(std::max(kDownAttainmentFloor, slo_target))
 {
-    LIGHTLLM_ASSERT(config_.sloTarget > 0.0 &&
-                        config_.sloTarget <= 1.0,
+    LIGHTLLM_ASSERT(sloTarget_ > 0.0 && sloTarget_ <= 1.0,
                     "slo target must be in (0, 1]");
-    LIGHTLLM_ASSERT(config_.downAttainment >= config_.sloTarget,
-                    "scale-down attainment below the target would "
-                    "flap");
 }
 
 int
@@ -87,14 +110,13 @@ ReactiveThresholdPolicy::decide(const FleetSnapshot &fleet,
     const std::size_t n = fleet.nonDrainingCount();
 
     // Threshold up: observed attainment fell below the target.
-    if (slo.samples >= config_.minSamples &&
-        slo.attainment < config_.sloTarget) {
+    if (slo.samples >= kMinSamples && slo.attainment < sloTarget_) {
         return 1;
     }
 
     // Hysteresis down: comfortably attaining *and* the shrunk fleet
     // would still be lightly loaded (projected on mean capacity).
-    if (n > 1 && slo.attainment >= config_.downAttainment) {
+    if (n > 1 && slo.attainment >= downAttainment_) {
         const double mean_capacity =
             static_cast<double>(fleet.readyCapacityTokens()) /
             static_cast<double>(n);
@@ -103,22 +125,10 @@ ReactiveThresholdPolicy::decide(const FleetSnapshot &fleet,
         const double utilisation_after =
             static_cast<double>(fleet.outstandingTokens()) /
             std::max(capacity_after, 1.0);
-        if (utilisation_after < config_.downUtilisation)
+        if (utilisation_after < kDownUtilisation)
             return -1;
     }
     return 0;
-}
-
-PredictiveFutureMemoryPolicy::PredictiveFutureMemoryPolicy(
-    PredictivePolicyConfig config)
-    : config_(config)
-{
-    LIGHTLLM_ASSERT(config_.headroom > 0.0 &&
-                        config_.headroom <= 1.0,
-                    "headroom must be in (0, 1]");
-    LIGHTLLM_ASSERT(config_.downFraction > 0.0 &&
-                        config_.downFraction < 1.0,
-                    "down fraction must be in (0, 1)");
 }
 
 int
@@ -143,8 +153,7 @@ PredictiveFutureMemoryPolicy::decide(const FleetSnapshot &fleet,
         static_cast<double>(fleet.predictedLoadTokens());
 
     // Instances needed so demand fits under the headroom target.
-    const double per_instance =
-        config_.headroom * mean_capacity;
+    const double per_instance = kHeadroom * mean_capacity;
     const std::size_t needed = static_cast<std::size_t>(
         std::max(1.0, std::ceil(demand / per_instance)));
 
@@ -156,8 +165,8 @@ PredictiveFutureMemoryPolicy::decide(const FleetSnapshot &fleet,
 
     // Shrink once the forecast fits comfortably in one fewer
     // instance — but never while the SLO is actually suffering.
-    if (n > 1 && slo.attainment >= config_.sloTarget &&
-        demand < config_.downFraction * per_instance *
+    if (n > 1 && slo.attainment >= sloTarget_ &&
+        demand < kDownFraction * per_instance *
                      static_cast<double>(n - 1)) {
         return -1;
     }
@@ -167,19 +176,11 @@ PredictiveFutureMemoryPolicy::decide(const FleetSnapshot &fleet,
 std::unique_ptr<ScalePolicy>
 makeScalePolicy(std::string_view name, double slo_target)
 {
-    if (name == "reactive") {
-        ReactivePolicyConfig config;
-        config.sloTarget = slo_target;
-        config.downAttainment =
-            std::max(config.downAttainment, slo_target);
-        return std::make_unique<ReactiveThresholdPolicy>(config);
-    }
-    if (name == "predictive") {
-        PredictivePolicyConfig config;
-        config.sloTarget = slo_target;
+    if (name == "reactive")
+        return std::make_unique<ReactiveThresholdPolicy>(slo_target);
+    if (name == "predictive")
         return std::make_unique<PredictiveFutureMemoryPolicy>(
-            config);
-    }
+            slo_target);
     return nullptr;
 }
 

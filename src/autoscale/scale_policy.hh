@@ -116,76 +116,51 @@ class ScalePolicy
                        const SloStats &slo) = 0;
 };
 
-/** Tunables of the reactive threshold controller. */
-struct ReactivePolicyConfig
-{
-    /** Attainment target; below it the fleet grows. */
-    double sloTarget = 0.9;
-
-    /** Hysteresis: shrink only when attainment is at least this. */
-    double downAttainment = 0.98;
-
-    /** ...and the fleet minus one instance would sit below this
-     *  outstanding/capacity utilisation. */
-    double downUtilisation = 0.5;
-
-    /** Violation evidence needed before reacting. */
-    std::size_t minSamples = 8;
-};
-
 /** Threshold + hysteresis feedback controller. */
 class ReactiveThresholdPolicy : public ScalePolicy
 {
   public:
-    explicit ReactiveThresholdPolicy(ReactivePolicyConfig config);
+    /** `slo_target` in (0, 1]: below it the fleet grows. The shrink
+     *  threshold is max(0.98, slo_target), so the hysteresis band
+     *  never inverts. */
+    explicit ReactiveThresholdPolicy(double slo_target);
 
     std::string_view name() const override { return "reactive"; }
 
     int decide(const FleetSnapshot &fleet,
                const SloStats &slo) override;
 
-    const ReactivePolicyConfig &config() const { return config_; }
-
   private:
-    ReactivePolicyConfig config_;
-};
+    /** Attainment target; below it the fleet grows. */
+    double sloTarget_;
 
-/** Tunables of the predictive future-memory controller. */
-struct PredictivePolicyConfig
-{
-    /** Fill target: provision so forecast demand stays below this
-     *  fraction of ready capacity. */
-    double headroom = 0.85;
-
-    /** Shrink when forecast demand fits in this fraction of the
-     *  headroom-adjusted capacity of one fewer instance. */
-    double downFraction = 0.6;
-
-    /** Never shrink while windowed attainment is below target. */
-    double sloTarget = 0.9;
+    /** Hysteresis: shrink only when attainment is at least this. */
+    double downAttainment_;
 };
 
 /** Fleet-wide future-memory (Eqs. 2-4) feed-forward controller. */
 class PredictiveFutureMemoryPolicy : public ScalePolicy
 {
   public:
-    explicit PredictiveFutureMemoryPolicy(
-        PredictivePolicyConfig config);
+    /** `slo_target`: never shrink while windowed attainment is
+     *  below it. */
+    explicit PredictiveFutureMemoryPolicy(double slo_target)
+        : sloTarget_(slo_target)
+    {
+    }
 
     std::string_view name() const override { return "predictive"; }
 
     int decide(const FleetSnapshot &fleet,
                const SloStats &slo) override;
 
-    const PredictivePolicyConfig &config() const { return config_; }
-
   private:
-    PredictivePolicyConfig config_;
+    double sloTarget_;
 };
 
 /**
- * Build a policy by CLI name ("reactive" | "predictive") with its
- * defaults, overriding each config's sloTarget with `slo_target`.
+ * Build a policy by CLI name ("reactive" | "predictive") for the
+ * attainment target `slo_target`.
  *
  * @return nullptr for an unknown name.
  */

@@ -70,9 +70,6 @@ class SloMonitor
      */
     SloStats stats(Tick now);
 
-    const metrics::SlaSpec &sla() const { return sla_; }
-    Tick window() const { return window_; }
-
   private:
     struct Sample
     {

@@ -182,49 +182,8 @@ ServingCluster::provisionInstance(Tick warmup_delay)
     context_->schedule(context_->now() + warmup_delay,
                       [this, index](Tick) {
                           warming_[index] = false;
-                          stealWork(index);
                       });
     return index;
-}
-
-void
-ServingCluster::stealWork(std::size_t thief)
-{
-    if (!autoscaler_)
-        return;
-    const std::size_t budget = autoscaler_->config().stealOnWarm;
-    if (budget == 0 || draining_[thief])
-        return;
-
-    // Most-backlogged routable peer (queued, never-admitted
-    // requests only — admitted work cannot move).
-    std::size_t victim = instances_.size();
-    std::size_t depth = 0;
-    for (std::size_t i = 0; i < instances_.size(); ++i) {
-        if (i == thief || !routable(i))
-            continue;
-        const std::size_t waiting = instances_[i]->waitingSize();
-        if (waiting > depth) {
-            depth = waiting;
-            victim = i;
-        }
-    }
-    if (victim == instances_.size())
-        return;
-
-    // Same bookkeeping unwind as drainNow(): the victim never
-    // serves this work, so its charges and in-flight entries move
-    // with the requests through the router.
-    const auto stolen_batch = instances_[victim]->stealQueued(budget);
-    for (const auto &stolen : stolen_batch) {
-        releaseCharge(stolen.spec.id);
-        routedTokens_[victim] -= stolen.spec.effectiveOutputLen();
-        LIGHTLLM_ASSERT(inFlight_[victim] > 0,
-                        "stolen request without an in-flight entry");
-        --inFlight_[victim];
-        routeSubmission(stolen.spec, stolen.redispatchAt,
-                        stolen.arrivalStamp);
-    }
 }
 
 std::size_t

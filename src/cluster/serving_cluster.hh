@@ -384,12 +384,6 @@ class ServingCluster : public workload::RequestSink
     void handleFinish(std::size_t instance,
                       const workload::RequestSpec &spec, Tick tick);
 
-    /** Work stealing at warm-up completion: instance `thief`
-     *  pulls queued requests from the most-backlogged peer and
-     *  re-dispatches them through the router (no-op unless
-     *  AutoscaleConfig::stealOnWarm is set). */
-    void stealWork(std::size_t thief);
-
     /** Drain-event body for instance `index`. */
     void drainNow(std::size_t index);
 

@@ -40,8 +40,6 @@ class AggressiveScheduler : public Scheduler
 
     std::string name() const override;
 
-    double watermark() const { return watermark_; }
-
   private:
     double watermark_;
 

@@ -39,8 +39,6 @@ class ConservativeScheduler : public Scheduler
 
     std::string name() const override;
 
-    double overcommit() const { return overcommit_; }
-
   private:
     double overcommit_;
 

@@ -33,6 +33,10 @@
 namespace lightllm {
 namespace core {
 
+/** Entries a cold-start seed writes into a predictor's window (the
+ *  Past-Future scheduler and the predicted-SJF queue policy). */
+inline constexpr std::size_t kColdStartSeedCount = 32;
+
 /** History window plus a lazily rebuilt length distribution. */
 class LengthPredictor
 {

@@ -16,15 +16,10 @@ PastFutureScheduler::PastFutureScheduler(PastFutureParams params)
     LIGHTLLM_ASSERT(params_.reservedRatio >= 0.0 &&
                         params_.reservedRatio < 1.0,
                     "reserved ratio must be in [0, 1)");
-    LIGHTLLM_ASSERT(params_.smallBatchTrials >= 1,
-                    "need at least one sampling trial");
-    LIGHTLLM_ASSERT(params_.tailQuantile > 0.0 &&
-                        params_.tailQuantile <= 1.0,
-                    "tail quantile must be in (0, 1]");
     LIGHTLLM_ASSERT(params_.riskFactor >= 0.0,
                     "risk factor must be non-negative");
     if (params_.seedOutputLen > 0)
-        predictor_.seed(params_.seedOutputLen, params_.seedCount);
+        predictor_.seed(params_.seedOutputLen, kColdStartSeedCount);
     for (TokenCount length : params_.initialHistory)
         predictor_.observe(length);
 }
@@ -148,7 +143,7 @@ PastFutureScheduler::predict(RequestSlot slot, RequestId id,
           case PredictionMode::TailQuantile:
             tail_start = distribution.tailStart(generated_len);
             predicted = distribution.tailQuantileFrom(
-                tail_start, params_.tailQuantile, max_new_tokens);
+                tail_start, kTailQuantile, max_new_tokens);
             break;
         }
     }
@@ -195,7 +190,7 @@ PastFutureScheduler::peekWithHorizon(RequestSlot slot, RequestId id,
             predicted = params_.predictionMode ==
                     PredictionMode::TailQuantile
                 ? distribution.tailQuantileFrom(
-                      start, params_.tailQuantile, max_new_tokens)
+                      start, kTailQuantile, max_new_tokens)
                 : distribution.tailMeanFrom(start, max_new_tokens);
         }
         horizon = std::min(
@@ -234,7 +229,7 @@ PastFutureScheduler::trialsFor(std::size_t batch_size) const
         return params_.admissionTrials;
       case PredictionMode::PerStepSample:
         return batch_size < params_.smallBatchSize
-            ? params_.smallBatchTrials
+            ? kSmallBatchTrials
             : 1;
       case PredictionMode::TailMean:
       case PredictionMode::TailQuantile:

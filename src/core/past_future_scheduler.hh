@@ -64,6 +64,13 @@ enum class PredictionMode
     TailQuantile,
 };
 
+/** Tail quantile used by PredictionMode::TailQuantile. */
+inline constexpr double kTailQuantile = 0.85;
+
+/** Sampling trials for small batches (max M* across trials;
+ *  PerStepSample mode only). */
+inline constexpr int kSmallBatchTrials = 4;
+
 /** Tunables of the Past-Future scheduler. */
 struct PastFutureParams
 {
@@ -73,19 +80,14 @@ struct PastFutureParams
     /** Output-length prediction mode (see PredictionMode). */
     PredictionMode predictionMode = PredictionMode::StickySample;
 
-    /** Tail quantile used by PredictionMode::TailQuantile. */
-    double tailQuantile = 0.85;
-
     /** Fraction of capacity held back for prediction error
      *  (Table 1 evaluates 3%, 5%, 10%). */
     double reservedRatio = 0.03;
 
-    /** Cold-start: seed the window with this output length
-     *  (normally the service's max_new_tokens; 0 disables). */
+    /** Cold-start: seed the window with kColdStartSeedCount
+     *  entries of this output length (normally the service's
+     *  max_new_tokens; 0 disables). */
     TokenCount seedOutputLen = 0;
-
-    /** Number of seeded entries at cold start. */
-    std::size_t seedCount = 32;
 
     /**
      * Warm-start: pre-populate the window with these observed output
@@ -125,10 +127,6 @@ struct PastFutureParams
     /** Below this running-batch size sampling is repeated
      *  (PerStepSample mode only — §4's small-batch rule). */
     std::size_t smallBatchSize = 16;
-
-    /** Sampling trials for small batches (max M* across trials;
-     *  PerStepSample mode only). */
-    int smallBatchTrials = 4;
 
     /** RNG seed for prediction sampling. */
     std::uint64_t seed = 0x9afeull;
@@ -188,8 +186,6 @@ class PastFutureScheduler : public Scheduler
      * tests, and the Fig 1 bench.
      */
     TokenCount estimateFutureMemory(const SchedulerContext &ctx);
-
-    const PastFutureParams &params() const { return params_; }
 
     /** tryAdmit calls the window bound admitted without building
      *  or scoring a trial batch, since construction (tests pin that

@@ -109,7 +109,7 @@ class PredictedSjfQueuePolicy final : public QueuePolicy
         : predictor_(config.predictorWindow)
     {
         if (config.seedOutputLen > 0)
-            predictor_.seed(config.seedOutputLen, config.seedCount);
+            predictor_.seed(config.seedOutputLen, kColdStartSeedCount);
     }
 
     QueuePolicyKind

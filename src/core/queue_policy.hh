@@ -47,8 +47,9 @@ enum class QueuePolicyKind
     Priority,
 };
 
-/** Tie-break direction for eviction-victim ranking (maps the
- *  engine's LIFO/FIFO eviction config into the core layer). */
+/** Tie-break direction for eviction-victim ranking: the engine's
+ *  eviction policy (`--eviction-policy` lifo = NewestFirst, fifo =
+ *  OldestFirst). */
 enum class VictimOrder
 {
     /** Most recently admitted first (vLLM-style recompute). */
@@ -69,9 +70,6 @@ struct QueuePolicyConfig
     /** Predicted-SJF: cold-start seed length (0 disables), as for
      *  the Past-Future scheduler's window. */
     TokenCount seedOutputLen = 0;
-
-    /** Predicted-SJF: number of seeded entries at cold start. */
-    std::size_t seedCount = 32;
 
     /** EDF: base TTFT budget; a request's deadline is arrival +
      *  ttftDeadline / 2^priority (higher classes get tighter

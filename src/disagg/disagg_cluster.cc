@@ -267,7 +267,7 @@ DisaggCluster::controlTick(Tick when)
     // A freshly warmed decode instance may unblock the handoff.
     tryDispatch(when);
     if (!quiescent()) {
-        context_.schedule(when + config_.controlInterval,
+        context_.schedule(when + controlInterval_,
                           [this](Tick tick) { controlTick(tick); });
     }
 }
@@ -284,8 +284,17 @@ DisaggCluster::run()
             "the decode pool must not shed at the router (the "
             "bounded handoff queue is the shed point)");
     }
-    if (prefillPool_->autoscaler() || decodePool_->autoscaler()) {
-        context_.schedule(config_.controlInterval, [this](Tick tick) {
+    const autoscale::AutoScaler *prefill = prefillPool_->autoscaler();
+    const autoscale::AutoScaler *decode = decodePool_->autoscaler();
+    if (prefill || decode) {
+        controlInterval_ =
+            (prefill ? prefill : decode)->config().controlInterval;
+        LIGHTLLM_ASSERT(!prefill || !decode ||
+                            decode->config().controlInterval ==
+                                controlInterval_,
+                        "elastic pools share one control tick and "
+                        "must agree on its interval");
+        context_.schedule(controlInterval_, [this](Tick tick) {
             controlTick(tick);
         });
     }

@@ -74,9 +74,6 @@ struct DisaggConfig
     /** Handoff queue bound; a completed transfer that finds the
      *  queue full is dropped (backpressure by rejection). */
     std::size_t handoffDepth = 64;
-
-    /** Period of the per-pool autoscale control loops. */
-    Tick controlInterval = secondsToTicks(2.0);
 };
 
 /** KV bytes migrated for a request holding `kv_tokens` token slots
@@ -210,7 +207,8 @@ class DisaggCluster : public workload::RequestSink
     void finishUser(const workload::RequestSpec &original, Tick tick);
 
     /** Two-pool control tick: one controlOnce() per elastic pool,
-     *  rescheduled until every offered request is accounted for. */
+     *  rescheduled every controlInterval_ until every offered
+     *  request is accounted for. */
     void controlTick(Tick when);
 
     /** All offered requests finished, shed at the router, or shed
@@ -234,6 +232,10 @@ class DisaggCluster : public workload::RequestSink
 
     std::unique_ptr<cluster::ServingCluster> prefillPool_;
     std::unique_ptr<cluster::ServingCluster> decodePool_;
+
+    /** Period of the two-pool control tick: the elastic pools'
+     *  AutoscaleConfig::controlInterval, which must agree. */
+    Tick controlInterval_ = 0;
 
     FinishCallback onFinish_;
     bool ran_ = false;

@@ -9,19 +9,10 @@
 #include <cstdint>
 
 #include "base/types.hh"
+#include "core/queue_policy.hh"
 
 namespace lightllm {
 namespace engine {
-
-/** Which running request is evicted first on memory exhaustion. */
-enum class EvictionPolicy
-{
-    /** Most recently admitted first (vLLM-style recompute). */
-    Lifo,
-
-    /** Oldest admission first. */
-    Fifo,
-};
 
 /** What happens to an evicted request's KV cache (§2.4/§6: evicted
  *  requests need "recomputation or swapping"). */
@@ -63,7 +54,9 @@ struct EngineConfig
      *  between frameworks (< 1 is faster than the reference). */
     double timeFactor = 1.0;
 
-    EvictionPolicy evictionPolicy = EvictionPolicy::Lifo;
+    /** Which running request is evicted first on memory
+     *  exhaustion, among those the queue policy ranks equal. */
+    core::VictimOrder evictionPolicy = core::VictimOrder::NewestFirst;
 
     EvictionMode evictionMode = EvictionMode::Recompute;
 

@@ -566,11 +566,7 @@ ServingEngine::evictOne()
     // and let the queue policy rank candidates, tie-broken by the
     // engine-configured admission order.
     const core::SchedulerContext ctx = buildContext(false);
-    const core::VictimOrder order =
-        config_.evictionPolicy == EvictionPolicy::Lifo
-        ? core::VictimOrder::NewestFirst
-        : core::VictimOrder::OldestFirst;
-    policy_->victimOrder(ctx, order, victimScratch_);
+    policy_->victimOrder(ctx, config_.evictionPolicy, victimScratch_);
     return evictRequest(victimScratch_.front(), true);
 }
 

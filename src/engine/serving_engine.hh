@@ -197,11 +197,11 @@ class ServingEngine : public workload::RequestSink
     /**
      * Hand back up to `max_requests` never-admitted requests from
      * the *tail* of the waiting queue for re-dispatch elsewhere
-     * (work stealing onto a freshly warmed instance). The queue
-     * head keeps its position here, so head-of-line semantics and
-     * TTFT of the oldest work are unaffected; requests holding
-     * engine state (admitted, evicted-with-history, swapped out)
-     * never move. The engine keeps running.
+     * (work stealing). The queue head keeps its position here, so
+     * head-of-line semantics and TTFT of the oldest work are
+     * unaffected; requests holding engine state (admitted,
+     * evicted-with-history, swapped out) never move. The engine
+     * keeps running.
      */
     std::vector<DrainedRequest> stealQueued(std::size_t max_requests);
 

@@ -8,26 +8,45 @@
 namespace lightllm {
 namespace model {
 
-PerfModel::PerfModel(ModelSpec model_spec, HardwareSpec hardware_spec,
-                     PerfModelParams params)
+namespace {
+
+// Efficiency constants of the roofline model.
+
+/** Fraction of device memory usable after allocator overheads. */
+constexpr double kUsableMemFraction = 0.92;
+
+/** Activation / workspace reserve as a fraction of weights. */
+constexpr double kActivationReserveFraction = 0.08;
+
+/** Achievable fraction of peak bandwidth in decode kernels. */
+constexpr double kBandwidthEfficiency = 0.85;
+
+/** Achievable fraction of peak FLOPs in prefill (MFU). */
+constexpr double kPrefillFlopEfficiency = 0.55;
+
+/** Fixed per-iteration overhead (kernel launches, python glue). */
+constexpr double kIterationOverheadSeconds = 0.004;
+
+} // namespace
+
+PerfModel::PerfModel(ModelSpec model_spec, HardwareSpec hardware_spec)
     : model_(std::move(model_spec)),
       hardware_(std::move(hardware_spec)),
-      params_(params),
       flopsPerToken_(model_.flopsPerToken()),
       flopsPerSecond_(hardware_.effectiveFlops() *
-                      params_.prefillFlopEfficiency),
+                      kPrefillFlopEfficiency),
       weightBytes_(static_cast<double>(model_.weightBytes())),
       kvBytesPerToken_(static_cast<double>(model_.kvBytesPerToken())),
       bytesPerSecond_(hardware_.effectiveBandwidth() *
-                      params_.bandwidthEfficiency)
+                      kBandwidthEfficiency)
 {
     const double usable =
         static_cast<double>(hardware_.totalMemBytes()) *
-        params_.usableMemFraction;
+        kUsableMemFraction;
     const double weights =
         static_cast<double>(model_.weightBytes());
     const double reserve =
-        weights * params_.activationReserveFraction;
+        weights * kActivationReserveFraction;
     const double kv_budget = usable - weights - reserve;
     if (kv_budget <= 0) {
         fatal("model ", model_.name, " does not fit on ",
@@ -70,7 +89,7 @@ PerfModel::prefillLatency(TokenCount prompt_tokens) const
     const double weight_floor = memorySeconds(0);
     const double seconds =
         std::max(matmul + attn, weight_floor) +
-        params_.iterationOverheadSeconds;
+        kIterationOverheadSeconds;
     return secondsToTicks(seconds);
 }
 
@@ -95,7 +114,7 @@ PerfModel::fusedStepLatency(std::int64_t batch_size,
     const double compute =
         computeSeconds(batch_size + chunk_tokens);
     const double seconds =
-        std::max(mem, compute) + params_.iterationOverheadSeconds;
+        std::max(mem, compute) + kIterationOverheadSeconds;
     return secondsToTicks(seconds);
 }
 

@@ -28,31 +28,11 @@
 namespace lightllm {
 namespace model {
 
-/** Tunable efficiency constants of the roofline model. */
-struct PerfModelParams
-{
-    /** Fraction of device memory usable after allocator overheads. */
-    double usableMemFraction = 0.92;
-
-    /** Activation / workspace reserve as a fraction of weights. */
-    double activationReserveFraction = 0.08;
-
-    /** Achievable fraction of peak bandwidth in decode kernels. */
-    double bandwidthEfficiency = 0.85;
-
-    /** Achievable fraction of peak FLOPs in prefill (MFU). */
-    double prefillFlopEfficiency = 0.55;
-
-    /** Fixed per-iteration overhead (kernel launches, python glue). */
-    double iterationOverheadSeconds = 0.004;
-};
-
 /** Latency and capacity model for one (model, hardware) pairing. */
 class PerfModel
 {
   public:
-    PerfModel(ModelSpec model_spec, HardwareSpec hardware_spec,
-              PerfModelParams params = {});
+    PerfModel(ModelSpec model_spec, HardwareSpec hardware_spec);
 
     /**
      * KV-cache token capacity: usable memory minus weights and
@@ -91,7 +71,6 @@ class PerfModel
 
     const ModelSpec &modelSpec() const { return model_; }
     const HardwareSpec &hardwareSpec() const { return hardware_; }
-    const PerfModelParams &params() const { return params_; }
 
     /** Weight bytes of the model (convenience passthrough). */
     ByteCount weightBytes() const { return model_.weightBytes(); }
@@ -105,7 +84,6 @@ class PerfModel
 
     ModelSpec model_;
     HardwareSpec hardware_;
-    PerfModelParams params_;
 
     // The roofline's constant factors, each computed once exactly as
     // the latencies would (a decode run prices every planned step).

@@ -55,7 +55,6 @@ class Histogram
     void clear();
 
     std::int64_t binWidth() const { return binWidth_; }
-    std::size_t numBins() const { return counts_.size(); }
 
   private:
     std::int64_t binWidth_;

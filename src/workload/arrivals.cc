@@ -7,13 +7,6 @@
 namespace lightllm {
 namespace workload {
 
-Tick
-staggeredStart(Tick now, std::size_t index, Tick ramp_interval)
-{
-    LIGHTLLM_ASSERT(ramp_interval >= 0, "negative ramp interval");
-    return now + static_cast<Tick>(index) * ramp_interval;
-}
-
 void
 submitPoissonArrivals(const Dataset &dataset, RequestSink &sink,
                       double rate_per_second, std::uint64_t seed,

@@ -1,14 +1,11 @@
 /**
  * @file
- * Shared arrival-generation helpers for workload drivers.
+ * Open-loop arrival helpers for workload drivers.
  *
- * Every load generator needs the same two pieces of timing logic:
- * the staggered cohort start (closed-loop clients and sessions ramp
- * their members `ramp_interval` apart to avoid a synchronized burst
- * at t = 0) and open-loop Poisson submission. Both live here so
- * ClosedLoopClientPool, SessionGenerator, and the time-varying
- * RateSchedule driver integrate through one helper instead of
- * re-implementing the arithmetic.
+ * Poisson, time-varying RateSchedule and measured-trace submission
+ * all schedule a whole dataset up front, independent of service
+ * progress; they live here so the drivers share one implementation
+ * of the arrival arithmetic.
  */
 
 #ifndef LIGHTLLM_WORKLOAD_ARRIVALS_HH
@@ -24,14 +21,6 @@ namespace lightllm {
 namespace workload {
 
 class RequestSink;
-
-/**
- * Start tick of the index-th member of a staggered cohort: `now`
- * plus `index * ramp_interval`. The one place the ramp arithmetic
- * lives (closed-loop clients, sessions).
- */
-Tick staggeredStart(Tick now, std::size_t index,
-                    Tick ramp_interval);
 
 /**
  * Open-loop Poisson submission: the whole dataset is scheduled up

@@ -1,7 +1,6 @@
 #include "workload/client_pool.hh"
 
 #include "base/logging.hh"
-#include "workload/arrivals.hh"
 
 namespace lightllm {
 namespace workload {
@@ -9,23 +8,21 @@ namespace workload {
 ClosedLoopClientPool::ClosedLoopClientPool(std::size_t num_clients,
                                            const Dataset &dataset,
                                            RequestSink &sink,
-                                           Tick think_time,
-                                           Tick ramp_interval)
+                                           Tick think_time)
     : numClients_(num_clients), dataset_(dataset), sink_(sink),
-      thinkTime_(think_time), rampInterval_(ramp_interval)
+      thinkTime_(think_time)
 {
     LIGHTLLM_ASSERT(num_clients > 0, "need at least one client");
     LIGHTLLM_ASSERT(think_time >= 0, "negative think time");
-    LIGHTLLM_ASSERT(ramp_interval >= 0, "negative ramp interval");
 }
 
 void
-ClosedLoopClientPool::start(Tick now)
+ClosedLoopClientPool::start()
 {
     const std::size_t initial =
         std::min(numClients_, dataset_.requests.size());
     for (std::size_t c = 0; c < initial; ++c)
-        submitNext(staggeredStart(now, c, rampInterval_));
+        submitNext(0);
 }
 
 void

@@ -35,19 +35,18 @@ class RequestSink
  *
  * Each client submits one request; when the engine reports that
  * request finished, the client waits `think_time` and submits the
- * next unsent dataset request. Start times are staggered by
- * `ramp_interval` to avoid a synchronized burst at t = 0.
+ * next unsent dataset request. Every client sends its first
+ * request at tick 0.
  */
 class ClosedLoopClientPool
 {
   public:
     ClosedLoopClientPool(std::size_t num_clients,
                          const Dataset &dataset, RequestSink &sink,
-                         Tick think_time = 0,
-                         Tick ramp_interval = 0);
+                         Tick think_time = 0);
 
-    /** Submit the initial per-client requests. */
-    void start(Tick now = 0);
+    /** Submit the initial per-client requests at tick 0. */
+    void start();
 
     /**
      * Notify the pool that a request finished; the owning client
@@ -72,7 +71,6 @@ class ClosedLoopClientPool
     const Dataset &dataset_;
     RequestSink &sink_;
     Tick thinkTime_;
-    Tick rampInterval_;
     std::size_t nextIndex_ = 0;
 };
 

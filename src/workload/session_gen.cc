@@ -4,10 +4,22 @@
 
 #include "base/logging.hh"
 #include "base/rng.hh"
-#include "workload/arrivals.hh"
 
 namespace lightllm {
 namespace workload {
+
+namespace {
+
+/** Per-turn user message length, uniform in [lo, hi]. */
+constexpr TokenCount kUserTokensLo = 32;
+constexpr TokenCount kUserTokensHi = 256;
+
+/** Per-turn ground-truth reply length, uniform in [lo, hi]
+ *  (capped by kSessionMaxNewTokens). */
+constexpr TokenCount kOutputTokensLo = 64;
+constexpr TokenCount kOutputTokensHi = 512;
+
+} // namespace
 
 SessionGenerator::SessionGenerator(
     const SessionWorkloadConfig &config, RequestSink &sink)
@@ -19,15 +31,6 @@ SessionGenerator::SessionGenerator(
                     "need at least one turn per session");
     LIGHTLLM_ASSERT(config_.systemPromptTokens >= 1,
                     "system prompt cannot be empty");
-    LIGHTLLM_ASSERT(config_.userTokensLo >= 1 &&
-                        config_.userTokensLo <= config_.userTokensHi,
-                    "bad user-token range");
-    LIGHTLLM_ASSERT(config_.outputTokensLo >= 1 &&
-                        config_.outputTokensLo <=
-                            config_.outputTokensHi,
-                    "bad output-token range");
-    LIGHTLLM_ASSERT(config_.maxNewTokens >= 1,
-                    "max_new_tokens must be positive");
 
     // One system-prompt identity shared by the whole service.
     const std::uint64_t system_key =
@@ -45,17 +48,17 @@ SessionGenerator::SessionGenerator(
         TokenCount history_tokens = config_.systemPromptTokens;
 
         for (std::size_t t = 0; t < config_.turnsPerSession; ++t) {
-            const TokenCount user_len = rng.uniformInt(
-                config_.userTokensLo, config_.userTokensHi);
+            const TokenCount user_len =
+                rng.uniformInt(kUserTokensLo, kUserTokensHi);
             const TokenCount output_len =
-                std::min(rng.uniformInt(config_.outputTokensLo,
-                                        config_.outputTokensHi),
-                         config_.maxNewTokens);
+                std::min(rng.uniformInt(kOutputTokensLo,
+                                        kOutputTokensHi),
+                         kSessionMaxNewTokens);
 
             RequestSpec spec;
             spec.id = static_cast<RequestId>(
                 s * config_.turnsPerSession + t);
-            spec.maxNewTokens = config_.maxNewTokens;
+            spec.maxNewTokens = kSessionMaxNewTokens;
             spec.outputLen = output_len;
             spec.cls = base::RequestClass{};
             spec.sessionKey =
@@ -84,10 +87,10 @@ SessionGenerator::SessionGenerator(
 }
 
 void
-SessionGenerator::start(Tick now)
+SessionGenerator::start()
 {
     for (std::size_t s = 0; s < sessions_.size(); ++s)
-        submitTurn(s, staggeredStart(now, s, config_.rampInterval));
+        submitTurn(s, 0);
 }
 
 void

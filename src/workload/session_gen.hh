@@ -36,6 +36,9 @@
 namespace lightllm {
 namespace workload {
 
+/** Generation cap shared by every session turn. */
+inline constexpr TokenCount kSessionMaxNewTokens = 1024;
+
 /** Shape of a multi-turn session workload. */
 struct SessionWorkloadConfig
 {
@@ -48,23 +51,8 @@ struct SessionWorkloadConfig
     /** Shared system prompt prepended to every request. */
     TokenCount systemPromptTokens = 512;
 
-    /** Per-turn user message length, uniform in [lo, hi]. */
-    TokenCount userTokensLo = 32;
-    TokenCount userTokensHi = 256;
-
-    /** Per-turn ground-truth reply length, uniform in [lo, hi]
-     *  (capped by maxNewTokens). */
-    TokenCount outputTokensLo = 64;
-    TokenCount outputTokensHi = 512;
-
-    /** Generation cap shared by every turn. */
-    TokenCount maxNewTokens = 1024;
-
     /** Pause between a turn finishing and the next being sent. */
     Tick thinkTime = 0;
-
-    /** Session start stagger (session i starts at i * ramp). */
-    Tick rampInterval = 0;
 
     std::uint64_t seed = 42;
 };
@@ -82,8 +70,8 @@ class SessionGenerator
     SessionGenerator(const SessionWorkloadConfig &config,
                      RequestSink &sink);
 
-    /** Submit every session's first turn. */
-    void start(Tick now = 0);
+    /** Submit every session's first turn at tick 0. */
+    void start();
 
     /**
      * Notify the generator that a request finished; the owning

@@ -58,9 +58,11 @@ makeConversationTrace(std::size_t n, std::uint64_t seed,
 }
 
 Trace
-makeApiTrace(std::size_t n, std::uint64_t seed,
-             std::size_t regime_len)
+makeApiTrace(std::size_t n, std::uint64_t seed)
 {
+    // Requests between re-rolls of the task-type weights.
+    constexpr std::size_t kRegimeLen = 4000;
+
     Trace trace;
     trace.name = "api";
     trace.records.reserve(n);
@@ -102,7 +104,7 @@ makeApiTrace(std::size_t n, std::uint64_t seed,
     reroll_weights();
 
     for (std::size_t i = 0; i < n; ++i) {
-        if (i > 0 && i % regime_len == 0)
+        if (i > 0 && i % kRegimeLen == 0)
             reroll_weights();
         double pick = rng.uniformDouble();
         int type_index = 3;

@@ -58,12 +58,11 @@ Trace makeConversationTrace(std::size_t n, std::uint64_t seed,
 
 /**
  * API service (BurstGPT-API analogue): a 4-component mixture of task
- * types whose weights are re-rolled every `regime_len` requests, so
- * the global distribution varies over long horizons while adjacent
+ * types whose weights are re-rolled every 4000 requests, so the
+ * global distribution varies over long horizons while adjacent
  * windows remain similar.
  */
-Trace makeApiTrace(std::size_t n, std::uint64_t seed,
-                   std::size_t regime_len = 4000);
+Trace makeApiTrace(std::size_t n, std::uint64_t seed);
 
 /** Code-completion service: short, stable outputs, longer prompts. */
 Trace makeCodeCompletionTrace(std::size_t n, std::uint64_t seed);

@@ -207,7 +207,7 @@ TEST(CliAssemble, SessionScenarioWiresThrough)
               secondsToTicks(1.5));
     // Scheduler cold-start seeding follows the session cap.
     EXPECT_EQ(scenario.schedulerConfig.pastFuture.seedOutputLen,
-              scenario.sessionConfig.maxNewTokens);
+              workload::kSessionMaxNewTokens);
 }
 
 TEST(CliAssemble, BuildsPastFutureScenario)

@@ -613,7 +613,7 @@ TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
             if (!dist.empty()) {
                 if (mode == PredictionMode::TailQuantile) {
                     predicted = dist.tailQuantile(
-                        t.generated, params.tailQuantile, kCap);
+                        t.generated, kTailQuantile, kCap);
                 } else if (mode == PredictionMode::StickySample &&
                            (t.hasU || !peek)) {
                     predicted =

@@ -303,7 +303,6 @@ TEST(PastFutureSchedulerTest, SeedMakesColdStartConservative)
 {
     PastFutureParams params = testParams();
     params.seedOutputLen = 4096;
-    params.seedCount = 32;
     PastFutureScheduler scheduler(params);
     ContextBuilder builder;
     builder.capacity = 10000;
@@ -318,7 +317,6 @@ TEST(PastFutureSchedulerTest, InitialHistoryWarmStart)
 {
     PastFutureParams params = testParams();
     params.seedOutputLen = 4096;
-    params.seedCount = 32;
     params.initialHistory.assign(100, 20);
     PastFutureScheduler scheduler(params);
     ContextBuilder builder;
@@ -471,7 +469,7 @@ class EagerPastFuture
           rng_(params.seed)
     {
         if (params_.seedOutputLen > 0)
-            predictor_.seed(params_.seedOutputLen, params_.seedCount);
+            predictor_.seed(params_.seedOutputLen, kColdStartSeedCount);
         for (TokenCount length : params_.initialHistory)
             predictor_.observe(length);
     }
@@ -571,7 +569,7 @@ class EagerPastFuture
             return static_cast<std::size_t>(params_.admissionTrials);
           case PredictionMode::PerStepSample:
             return batch_size < params_.smallBatchSize
-                ? static_cast<std::size_t>(params_.smallBatchTrials)
+                ? static_cast<std::size_t>(kSmallBatchTrials)
                 : 1;
           default:
             return 1;
@@ -608,7 +606,7 @@ class EagerPastFuture
                 break;
               case PredictionMode::TailQuantile:
                 predicted = distribution.tailQuantileFrom(
-                    tail_start, params_.tailQuantile, max_new);
+                    tail_start, kTailQuantile, max_new);
                 break;
             }
         }

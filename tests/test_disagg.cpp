@@ -14,6 +14,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "autoscale/scale_policy.hh"
 #include "cluster/serving_cluster.hh"
 #include "core/scheduler_factory.hh"
 #include "disagg/disagg_cluster.hh"
@@ -276,6 +277,29 @@ TEST(DisaggClusterTest, DecodeDrainUnwindsChargesAndFinishesAll)
                       secondsToTicks(0.001));
         EXPECT_EQ(record.outputTokens, 30);
     }
+}
+
+// --- Autoscale cadence ---------------------------------------------------
+
+TEST(DisaggClusterDeathTest, ElasticPoolsMustAgreeOnTheControlInterval)
+{
+    // One periodic event drives both pools' control loops, so it
+    // has one period: the pools' AutoscaleConfig::controlInterval.
+    DisaggCluster cluster(makeEngines(1), makeEngines(1),
+                          tinyConfig());
+    autoscale::AutoscaleConfig config;
+    config.sla = metrics::SlaSpec{secondsToTicks(2.0),
+                                  secondsToTicks(1.0)};
+    for (cluster::ServingCluster *pool :
+         {&cluster.prefillPool(), &cluster.decodePool()}) {
+        pool->setInstanceFactory(
+            [] { return std::move(makeEngines(1).front()); });
+        pool->enableAutoscale(
+            config, autoscale::makeScalePolicy("reactive", 0.9));
+        config.controlInterval = secondsToTicks(1.0);
+    }
+    cluster.submitAt(makeRequest(0, 80, 30), 0);
+    EXPECT_DEATH(cluster.run(), "must agree on its interval");
 }
 
 // --- Cost axis -----------------------------------------------------------

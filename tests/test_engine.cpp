@@ -146,7 +146,7 @@ TEST(ServingEngineTest, EvictionRecomputeCompletesRequests)
 TEST(ServingEngineTest, LifoEvictsMostRecentlyAdmitted)
 {
     EngineConfig config;
-    config.evictionPolicy = EvictionPolicy::Lifo;
+    config.evictionPolicy = core::VictimOrder::NewestFirst;
     ServingEngine engine(tinyPerf(1.2),
                          core::makeScheduler(
                              SchedulerConfig::aggressive(1.0)),
@@ -167,7 +167,7 @@ TEST(ServingEngineTest, LifoEvictsMostRecentlyAdmitted)
 TEST(ServingEngineTest, FifoEvictsOldestAdmission)
 {
     EngineConfig config;
-    config.evictionPolicy = EvictionPolicy::Fifo;
+    config.evictionPolicy = core::VictimOrder::OldestFirst;
     ServingEngine engine(tinyPerf(1.2),
                          core::makeScheduler(
                              SchedulerConfig::aggressive(1.0)),

@@ -23,8 +23,8 @@ namespace lightllm {
 namespace {
 
 using core::SchedulerKind;
+using core::VictimOrder;
 using engine::EvictionMode;
-using engine::EvictionPolicy;
 
 model::PerfModel
 smallPerf()
@@ -62,7 +62,7 @@ configFor(SchedulerKind kind)
 }
 
 using Combo = std::tuple<SchedulerKind, bool, EvictionMode,
-                         EvictionPolicy>;
+                         VictimOrder>;
 
 class EngineInvariantProperty
     : public ::testing::TestWithParam<Combo>
@@ -141,8 +141,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Bool(),
         ::testing::Values(EvictionMode::Recompute,
                           EvictionMode::Swap),
-        ::testing::Values(EvictionPolicy::Lifo,
-                          EvictionPolicy::Fifo)));
+        ::testing::Values(VictimOrder::NewestFirst,
+                          VictimOrder::OldestFirst)));
 
 TEST(OpenLoopIntegrationTest, PoissonArrivalsAreServed)
 {

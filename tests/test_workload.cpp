@@ -329,23 +329,9 @@ TEST(ClientPoolTest, StartSubmitsOnePerClient)
     const auto dataset = makeDistribution1(100, 20);
     RecordingSink sink;
     ClosedLoopClientPool pool(8, dataset, sink);
-    pool.start(0);
+    pool.start();
     EXPECT_EQ(sink.submissions.size(), 8u);
     EXPECT_EQ(pool.numSubmitted(), 8u);
-}
-
-TEST(ClientPoolTest, RampStaggersStarts)
-{
-    const auto dataset = makeDistribution1(100, 21);
-    RecordingSink sink;
-    ClosedLoopClientPool pool(4, dataset, sink, 0,
-                              secondsToTicks(1.0));
-    pool.start(0);
-    ASSERT_EQ(sink.submissions.size(), 4u);
-    for (std::size_t c = 0; c < 4; ++c) {
-        EXPECT_EQ(sink.submissions[c].second,
-                  static_cast<Tick>(c) * secondsToTicks(1.0));
-    }
 }
 
 TEST(ClientPoolTest, FinishTriggersNextWithThinkTime)
@@ -354,7 +340,7 @@ TEST(ClientPoolTest, FinishTriggersNextWithThinkTime)
     RecordingSink sink;
     ClosedLoopClientPool pool(2, dataset, sink,
                               secondsToTicks(3.0));
-    pool.start(0);
+    pool.start();
     pool.onRequestFinished(0, secondsToTicks(10.0));
     ASSERT_EQ(sink.submissions.size(), 3u);
     EXPECT_EQ(sink.submissions[2].second, secondsToTicks(13.0));
@@ -365,7 +351,7 @@ TEST(ClientPoolTest, ExhaustionStopsSubmissions)
     const auto dataset = makeDistribution1(3, 23);
     RecordingSink sink;
     ClosedLoopClientPool pool(2, dataset, sink);
-    pool.start(0);
+    pool.start();
     EXPECT_EQ(sink.submissions.size(), 2u);
     pool.onRequestFinished(0, 100);
     EXPECT_TRUE(pool.exhausted());
@@ -378,7 +364,7 @@ TEST(ClientPoolTest, MoreClientsThanRequests)
     const auto dataset = makeDistribution1(2, 24);
     RecordingSink sink;
     ClosedLoopClientPool pool(10, dataset, sink);
-    pool.start(0);
+    pool.start();
     EXPECT_EQ(sink.submissions.size(), 2u);
 }
 
@@ -411,7 +397,7 @@ TEST(DatasetIoTest, CsvRoundTripPreservesEverySpecField)
 
     Dataset dataset;
     dataset.name = "sessions";
-    dataset.maxNewTokens = config.maxNewTokens;
+    dataset.maxNewTokens = kSessionMaxNewTokens;
     for (std::size_t s = 0; s < config.numSessions; ++s) {
         for (std::size_t t = 0; t < config.turnsPerSession; ++t)
             dataset.requests.push_back(sessions.turnSpec(s, t));
@@ -688,13 +674,6 @@ TEST(RateScheduleTest, ZeroRateSegmentPausesArrivals)
         EXPECT_FALSE(seconds >= 10.0 && seconds < 30.0)
             << "arrival inside the dead window at " << seconds;
     }
-}
-
-TEST(ArrivalsTest, StaggeredStartArithmetic)
-{
-    EXPECT_EQ(staggeredStart(100, 0, 7), 100);
-    EXPECT_EQ(staggeredStart(100, 3, 7), 121);
-    EXPECT_EQ(staggeredStart(0, 5, 0), 0);
 }
 
 } // namespace

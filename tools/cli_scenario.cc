@@ -206,9 +206,9 @@ constexpr Named<model::HardwareSpec (*)()> kHardware[] = {
 constexpr Named<bool> kPrefixCacheModes[] = {{"on", true},
                                               {"off", false}};
 
-constexpr Named<engine::EvictionPolicy> kEvictionPolicies[] = {
-    {"lifo", engine::EvictionPolicy::Lifo},
-    {"fifo", engine::EvictionPolicy::Fifo},
+constexpr Named<core::VictimOrder> kEvictionPolicies[] = {
+    {"lifo", core::VictimOrder::NewestFirst},
+    {"fifo", core::VictimOrder::OldestFirst},
 };
 
 constexpr Named<engine::EvictionMode> kEvictionModes[] = {
@@ -880,7 +880,7 @@ assembleScenario(const CliOptions &options)
         dataset.name = "sessions(" +
             std::to_string(options.sessions) + "x" +
             std::to_string(options.turns) + ")";
-        dataset.maxNewTokens = session_config.maxNewTokens;
+        dataset.maxNewTokens = workload::kSessionMaxNewTokens;
     } else {
         // textvqa's vision prefix follows the selected model
         // (Qwen-VL uses 256 image tokens, LLaVA 576); text-only
