@@ -299,6 +299,68 @@ TEST(CliAssemble, TextVqaImageTokensFollowModel)
               llava.dataset.meanInputLen());
 }
 
+/** FNV-1a of the dataset `assembleScenario` builds for a workload
+ *  name: the name, the cap, and each request's id and lengths. */
+std::uint64_t
+workloadStreamHash(const char *workload, const char *seed)
+{
+    cli::CliOptions options;
+    // 4100 requests cross the API trace's first regime re-roll.
+    EXPECT_EQ(parse({"--workload", workload, "--seed", seed,
+                     "--requests", "4100"},
+                    options),
+              "");
+    const workload::Dataset dataset =
+        cli::assembleScenario(options).dataset;
+    std::ostringstream bytes;
+    bytes << dataset.name << '\n' << dataset.maxNewTokens << '\n';
+    for (const workload::RequestSpec &spec : dataset.requests) {
+        bytes << spec.id << ',' << spec.inputLen << ','
+              << spec.outputLen << ',' << spec.maxNewTokens << '\n';
+    }
+    return fnv1a(bytes.str());
+}
+
+TEST(CliAssemble, WorkloadStreamsArePinned)
+{
+    struct Pin
+    {
+        const char *workload;
+        std::uint64_t seed42;
+        std::uint64_t seed7;
+    };
+    const Pin pins[] = {
+        {"sharegpt", 0x36f489f954086d89ull,
+         0x9366588fbe101684ull},
+        {"sharegpt-o1", 0x13aaec11f5f61ed3ull,
+         0xceb0fea5966dc2b3ull},
+        {"dist1", 0x528e4e806b8197dfull,
+         0xd6e1def4ee8413f9ull},
+        {"dist2", 0x975baf88104f5d6dull,
+         0x8bfcd9f54b8bccc6ull},
+        {"dist3", 0xf6eec57c2d248d6eull,
+         0x166ae164a2d7557eull},
+        {"textvqa", 0xd87be77e156b6e8cull,
+         0x1557caa7e04be3d6ull},
+        {"trace-conversation", 0x2d387c7b8b374136ull,
+         0x98097ffe7dd4fd4full},
+        {"trace-api", 0xba1e6a2959a05682ull,
+         0x75bd12ab3d6ca710ull},
+        {"trace-code", 0xefb9ad08206f9673ull,
+         0x462a4fc0e7f2cbe6ull},
+        {"trace-longdoc", 0xc403588f5b09d40eull,
+         0xc49e70f2dc543291ull},
+    };
+    for (const Pin &pin : pins) {
+        EXPECT_EQ(workloadStreamHash(pin.workload, "42"), pin.seed42)
+            << pin.workload << " seed 42: 0x" << std::hex
+            << workloadStreamHash(pin.workload, "42");
+        EXPECT_EQ(workloadStreamHash(pin.workload, "7"), pin.seed7)
+            << pin.workload << " seed 7: 0x" << std::hex
+            << workloadStreamHash(pin.workload, "7");
+    }
+}
+
 TEST(CliAssemble, RejectsUnknownNames)
 {
     cli::CliOptions options;
