@@ -95,16 +95,6 @@ runClosedLoop(const model::PerfModel &perf,
     return engine.run();
 }
 
-std::vector<TokenCount>
-outputLengths(const workload::Dataset &dataset)
-{
-    std::vector<TokenCount> lengths;
-    lengths.reserve(dataset.requests.size());
-    for (const auto &request : dataset.requests)
-        lengths.push_back(request.effectiveOutputLen());
-    return lengths;
-}
-
 std::size_t
 sizeClients(const model::PerfModel &perf,
             const workload::Dataset &dataset, double fraction)

@@ -97,9 +97,6 @@ runClosedLoop(const model::PerfModel &perf,
               const ServeOptions &options,
               trace::EngineTrace *trace = nullptr);
 
-/** Output lengths of a dataset (warm history for its service). */
-std::vector<TokenCount> outputLengths(const workload::Dataset &ds);
-
 /**
  * Client count that loads the system to `fraction` of its steady
  * concurrency capacity (capacity tokens / mean resident footprint).

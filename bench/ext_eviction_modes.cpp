@@ -63,7 +63,7 @@ main()
     for (const auto &row : rows) {
         ServeOptions options;
         options.numClients = sizeClients(perf, dataset, 0.95);
-        options.warmHistory = outputLengths(history);
+        options.warmHistory = history.effectiveOutputLens();
         options.engineConfig.evictionMode = row.mode;
         const auto report =
             runClosedLoop(perf, row.scheduler, dataset, options);

@@ -76,7 +76,7 @@ profileDataset(const workload::Dataset &dataset,
     for (const auto &entry : lineup) {
         ServeOptions options;
         options.numClients = sizeClients(perf, dataset, 1.4);
-        options.warmHistory = outputLengths(history);
+        options.warmHistory = history.effectiveOutputLens();
         trace::TraceConfig trace_config;
         trace_config.detail = trace::TraceDetail::Steps;
         trace_config.ringCapacity = kTraceRing;

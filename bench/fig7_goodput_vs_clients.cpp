@@ -84,7 +84,7 @@ sweepDataset(const ModelSetup &setup, const std::string &name,
                 ServeOptions options;
                 options.numClients =
                     sizeClients(perf, dataset, fraction);
-                options.warmHistory = outputLengths(history);
+                options.warmHistory = history.effectiveOutputLens();
                 const auto report = runClosedLoop(
                     perf, entry.config, dataset, options);
                 goodput_sum +=

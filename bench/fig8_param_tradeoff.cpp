@@ -113,7 +113,7 @@ main()
         ServeOptions options;
         options.numClients = sizeClients(perf, mixed, 1.3);
         options.warmupRequests = smokeSize(150, 0);
-        options.warmHistory = outputLengths(history);
+        options.warmHistory = history.effectiveOutputLens();
         const auto report =
             runClosedLoop(perf, point.config, mixed, options);
         table.addRow({point.family, point.parameter,

@@ -66,7 +66,7 @@ runSetup(const Setup &setup, bool equal_backends = false)
             ServeOptions options;
             options.numClients =
                 sizeClients(reference, dataset, fraction);
-            options.warmHistory = outputLengths(history);
+            options.warmHistory = history.effectiveOutputLens();
             options.engineConfig = profile.toEngineConfig();
             const auto report =
                 runClosedLoop(reference, profile.scheduler, dataset,

@@ -69,7 +69,7 @@ runDataset(const std::string &title, const workload::Dataset &dataset,
         ServeOptions options;
         options.numClients = sizeClients(perf, dataset, 1.5);
         options.warmupRequests = smokeSize(150, 0);
-        options.warmHistory = outputLengths(history);
+        options.warmHistory = history.effectiveOutputLens();
         const auto report =
             runClosedLoop(perf, row.config, dataset, options);
         table.addRow({row.label,

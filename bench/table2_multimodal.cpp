@@ -54,7 +54,7 @@ main()
         // offline throughput measurement (all requests queued).
         ServeOptions options;
         options.numClients = dataset.requests.size();
-        options.warmHistory = outputLengths(history);
+        options.warmHistory = history.effectiveOutputLens();
         const auto lightllm = runClosedLoop(
             perf, core::SchedulerConfig::pastFutureDefault(0.05),
             dataset, options);

@@ -124,10 +124,8 @@ main(int argc, char **argv)
         };
     for (auto &[label, config] : configs) {
         config.pastFuture.seedOutputLen = dataset.maxNewTokens;
-        for (const auto &request : history.requests) {
-            config.pastFuture.initialHistory.push_back(
-                request.effectiveOutputLen());
-        }
+        config.pastFuture.initialHistory =
+            history.effectiveOutputLens();
         std::vector<std::string> row{label};
         for (double target : {0.90, 0.95, 0.99}) {
             row.push_back(std::to_string(

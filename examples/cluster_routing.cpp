@@ -46,10 +46,9 @@ routeWith(cluster::RoutingPolicy policy,
         core::SchedulerConfig::pastFutureDefault(0.05);
     scheduler_config.pastFuture.seedOutputLen =
         dataset.maxNewTokens;
-    for (const auto &request : history.requests) {
-        scheduler_config.pastFuture.initialHistory.push_back(
-            request.effectiveOutputLen());
-    }
+    const std::vector<TokenCount> warm =
+        history.effectiveOutputLens();
+    scheduler_config.pastFuture.initialHistory = warm;
 
     std::vector<std::unique_ptr<engine::ServingEngine>> instances;
     const std::vector<model::HardwareSpec> fleet_hw = {
@@ -64,10 +63,7 @@ routeWith(cluster::RoutingPolicy policy,
             perf, core::makeScheduler(scheduler_config)));
     }
     cluster::ServingCluster fleet(std::move(instances), policy);
-    std::vector<TokenCount> warm_lengths;
-    for (const auto &request : history.requests)
-        warm_lengths.push_back(request.effectiveOutputLen());
-    fleet.warmRoutingHistory(warm_lengths);
+    fleet.warmRoutingHistory(warm);
 
     workload::ClosedLoopClientPool clients(num_clients, dataset,
                                            fleet);

@@ -24,7 +24,6 @@
 #include "model/perf_model.hh"
 #include "workload/client_pool.hh"
 #include "workload/trace_gen.hh"
-#include "workload/trace_io.hh"
 
 using namespace lightllm;
 
@@ -38,17 +37,13 @@ serveCodeCompletion(const core::SchedulerConfig &scheduler_config,
                           model::HardwareSpec::a100_80g());
 
     // Synthesize the service trace (in production this would be
-    // readTraceCsvFile over real logs) and convert it to requests.
-    const auto trace = workload::makeCodeCompletionTrace(500, 17);
-    const auto dataset = workload::traceToDataset(trace, 512);
+    // readDatasetCsvFile over real logs).
+    const auto dataset = workload::makeCodeCompletionTrace(500, 17);
     const auto history = workload::makeCodeCompletionTrace(1000, 18);
 
     core::SchedulerConfig config = scheduler_config;
     config.pastFuture.seedOutputLen = dataset.maxNewTokens;
-    for (const auto &record : history.records) {
-        config.pastFuture.initialHistory.push_back(
-            std::min<TokenCount>(record.outputLen, 512));
-    }
+    config.pastFuture.initialHistory = history.effectiveOutputLens();
 
     engine::EngineConfig engine_config;
     engine_config.splitFuseChunk = split_fuse ? 512 : 0;

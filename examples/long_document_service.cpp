@@ -31,7 +31,6 @@
 #include "workload/arrivals.hh"
 #include "workload/client_pool.hh"
 #include "workload/trace_gen.hh"
-#include "workload/trace_io.hh"
 
 using namespace lightllm;
 
@@ -46,16 +45,12 @@ serveDocuments(const core::SchedulerConfig &scheduler_config,
         model::ModelSpec::llama2_13b(),
         model::HardwareSpec::a100_80g().withTensorParallel(2));
 
-    const auto trace = workload::makeLongDocTrace(300, 23);
-    const auto dataset = workload::traceToDataset(trace, 2048);
+    const auto dataset = workload::makeLongDocTrace(300, 23);
     const auto history = workload::makeLongDocTrace(1000, 24);
 
     core::SchedulerConfig config = scheduler_config;
     config.pastFuture.seedOutputLen = dataset.maxNewTokens;
-    for (const auto &record : history.records) {
-        config.pastFuture.initialHistory.push_back(
-            std::min<TokenCount>(record.outputLen, 2048));
-    }
+    config.pastFuture.initialHistory = history.effectiveOutputLens();
 
     engine::EngineConfig engine_config;
     engine_config.splitFuseChunk = split_fuse ? 1024 : 0;

@@ -39,11 +39,8 @@ serveWith(const core::SchedulerConfig &scheduler_config,
     // history predictive).
     core::SchedulerConfig config = scheduler_config;
     config.pastFuture.seedOutputLen = dataset.maxNewTokens;
-    const auto warm = workload::makeShareGptO1(1000, 7);
-    for (const auto &request : warm.requests) {
-        config.pastFuture.initialHistory.push_back(
-            request.effectiveOutputLen());
-    }
+    config.pastFuture.initialHistory =
+        workload::makeShareGptO1(1000, 7).effectiveOutputLens();
 
     engine::ServingEngine engine(perf, core::makeScheduler(config));
 

@@ -3,14 +3,14 @@
  * Trace analysis walkthrough: should you trust recent history to
  * predict output lengths on *your* service?
  *
- * Feeds a service trace (synthetic here; swap in readTraceCsvFile
- * for production logs) through the Figure 3/4 window-similarity
+ * Feeds a service trace (synthetic by default, or a dataset CSV of
+ * production logs) through the Figure 3/4 window-similarity
  * analysis and reports whether the adjacent-window property the
  * Past-Future scheduler relies on holds, plus a suggested history
- * window size. Also round-trips the trace through the CSV format as
- * a demonstration of the I/O API.
+ * window size. The synthetic trace is also written out in the
+ * dataset CSV format, the same file `pfs_cli --trace-replay` reads.
  *
- * Usage: trace_analysis [path/to/trace.csv]
+ * Usage: trace_analysis [path/to/dataset.csv]
  */
 
 #include <filesystem>
@@ -27,10 +27,10 @@ using namespace lightllm;
 int
 main(int argc, char **argv)
 {
-    workload::Trace trace;
+    workload::Dataset trace;
     if (argc > 1) {
-        trace = workload::readTraceCsvFile(argv[1]);
-        std::cout << "Loaded " << trace.records.size()
+        trace = workload::readDatasetCsvFile(argv[1]);
+        std::cout << "Loaded " << trace.requests.size()
                   << " requests from " << argv[1] << "\n\n";
     } else {
         // Demo: a mixed API service with regime shifts, the hardest
@@ -39,10 +39,10 @@ main(int argc, char **argv)
         const auto path =
             std::filesystem::temp_directory_path() /
             "lightllm_demo_trace.csv";
-        workload::writeTraceCsvFile(path.string(), trace);
+        workload::writeDatasetCsvFile(path.string(), trace);
         std::cout << "No trace given; synthesized an API-style "
                      "trace of "
-                  << trace.records.size()
+                  << trace.requests.size()
                   << " requests (CSV copy at " << path.string()
                   << ")\n\n";
     }

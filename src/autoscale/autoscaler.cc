@@ -96,13 +96,6 @@ AutoScaler::evaluate(const FleetSnapshot &fleet)
 
 bool
 AutoScaler::shouldShed(const FleetSnapshot &fleet,
-                       TokenCount footprint) const
-{
-    return shouldShed(fleet, footprint, base::RequestClass{});
-}
-
-bool
-AutoScaler::shouldShed(const FleetSnapshot &fleet,
                        TokenCount footprint,
                        const base::RequestClass &cls) const
 {

@@ -124,20 +124,12 @@ class AutoScaler
     int evaluate(const FleetSnapshot &fleet);
 
     /**
-     * Shed-or-queue decision for a new arrival whose predicted
-     * resident footprint is `footprint` tokens. Tenant-blind:
-     * equivalent to the class-aware overload with a
-     * default-constructed RequestClass.
-     */
-    bool shouldShed(const FleetSnapshot &fleet,
-                    TokenCount footprint) const;
-
-    /**
-     * Class-aware shed-or-queue decision. Under overload with
-     * configured tenantShares, only the tenants at or over their
-     * share of recent routed work are shed (most over share
-     * first); without shares every arrival sheds, the legacy
-     * behaviour.
+     * Shed-or-queue decision for a new arrival of class `cls` whose
+     * predicted resident footprint is `footprint` tokens. Under
+     * overload with configured tenantShares, only the tenants at or
+     * over their share of recent routed work are shed (most over
+     * share first); without shares every arrival sheds, whatever
+     * its class.
      */
     bool shouldShed(const FleetSnapshot &fleet, TokenCount footprint,
                     const base::RequestClass &cls) const;

@@ -49,13 +49,5 @@ mean(const std::vector<double> &samples)
     return sum / static_cast<double>(samples.size());
 }
 
-double
-maxValue(const std::vector<double> &samples)
-{
-    if (samples.empty())
-        return 0.0;
-    return *std::max_element(samples.begin(), samples.end());
-}
-
 } // namespace stats
 } // namespace lightllm

@@ -30,9 +30,6 @@ double percentileSorted(const std::vector<double> &sorted, double q);
 /** Arithmetic mean; 0 for an empty set. */
 double mean(const std::vector<double> &samples);
 
-/** Maximum; 0 for an empty set. */
-double maxValue(const std::vector<double> &samples);
-
 } // namespace stats
 } // namespace lightllm
 

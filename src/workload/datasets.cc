@@ -1,10 +1,9 @@
 #include "workload/datasets.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/logging.hh"
-#include "base/rng.hh"
-#include "workload/length_sampler.hh"
 
 namespace lightllm {
 namespace workload {
@@ -40,32 +39,47 @@ Dataset::totalOutputTokens() const
     return sum;
 }
 
-namespace {
-
-/** Draw n requests from input/output samplers. */
-Dataset
-sampleDataset(const std::string &name, std::size_t n,
-              const LengthSampler &input_sampler,
-              const LengthSampler &output_sampler,
-              TokenCount max_new_tokens, std::uint64_t seed)
+std::vector<TokenCount>
+Dataset::outputLens() const
 {
-    Dataset dataset;
-    dataset.name = name;
-    dataset.maxNewTokens = max_new_tokens;
-    dataset.requests.reserve(n);
-    Rng rng(seed);
-    for (std::size_t i = 0; i < n; ++i) {
-        RequestSpec spec;
-        spec.id = static_cast<RequestId>(i);
-        spec.inputLen = input_sampler.sample(rng);
-        spec.outputLen = output_sampler.sample(rng);
-        spec.maxNewTokens = max_new_tokens;
-        dataset.requests.push_back(spec);
-    }
-    return dataset;
+    std::vector<TokenCount> lens;
+    lens.reserve(requests.size());
+    for (const auto &request : requests)
+        lens.push_back(request.outputLen);
+    return lens;
 }
 
-} // namespace
+std::vector<TokenCount>
+Dataset::effectiveOutputLens() const
+{
+    std::vector<TokenCount> lens;
+    lens.reserve(requests.size());
+    for (const auto &request : requests)
+        lens.push_back(request.effectiveOutputLen());
+    return lens;
+}
+
+TokenCount
+clampedLogNormal(Rng &rng, double mu, double sigma, TokenCount lo,
+                 TokenCount hi)
+{
+    const auto value = static_cast<TokenCount>(
+        std::llround(rng.logNormal(mu, sigma)));
+    return std::clamp(value, lo, hi);
+}
+
+std::size_t
+drawShare(Rng &rng, std::span<const double> shares, double total)
+{
+    const double draw = rng.uniformDouble() * total;
+    double cumulative = 0.0;
+    for (std::size_t i = 0; i < shares.size(); ++i) {
+        cumulative += shares[i];
+        if (draw < cumulative)
+            return i;
+    }
+    return shares.size() - 1;
+}
 
 Dataset
 makeUniformDataset(const std::string &name, std::size_t n,
@@ -73,10 +87,12 @@ makeUniformDataset(const std::string &name, std::size_t n,
                    TokenCount out_lo, TokenCount out_hi,
                    TokenCount max_new_tokens, std::uint64_t seed)
 {
-    const UniformLengthSampler input(in_lo, in_hi);
-    const UniformLengthSampler output(out_lo, out_hi);
-    return sampleDataset(name, n, input, output, max_new_tokens,
-                         seed);
+    return sampleDataset(
+        name, n, max_new_tokens, seed,
+        [=](Rng &rng, std::size_t, RequestSpec &spec) {
+            spec.inputLen = rng.uniformInt(in_lo, in_hi);
+            spec.outputLen = rng.uniformInt(out_lo, out_hi);
+        });
 }
 
 Dataset
@@ -105,11 +121,14 @@ makeShareGpt(std::size_t n, std::uint64_t seed)
 {
     // Chat prompts: median ~250 input tokens, outputs median ~280
     // with a wide spread, capped by max_new_tokens = 2048 (§5.4).
-    const LogNormalLengthSampler input(std::log(250.0), 1.0, 16,
-                                       4096);
-    const LogNormalLengthSampler output(std::log(280.0), 0.9, 8,
-                                        8192);
-    return sampleDataset("ShareGPT", n, input, output, 2048, seed);
+    return sampleDataset(
+        "ShareGPT", n, 2048, seed,
+        [](Rng &rng, std::size_t, RequestSpec &spec) {
+            spec.inputLen =
+                clampedLogNormal(rng, std::log(250.0), 1.0, 16, 4096);
+            spec.outputLen =
+                clampedLogNormal(rng, std::log(280.0), 0.9, 8, 8192);
+        });
 }
 
 Dataset
@@ -118,12 +137,14 @@ makeShareGptO1(std::size_t n, std::uint64_t seed)
     // Chain-of-thought serving: the o1-preview responses are long
     // and heavy-tailed. Parameters chosen so the sampled averages
     // match the paper's caption (input ~381, output ~2160).
-    const LogNormalLengthSampler input(std::log(270.0), 0.85, 16,
-                                       4096);
-    const LogNormalLengthSampler output(std::log(1750.0), 0.62, 128,
-                                        8192);
-    return sampleDataset("ShareGPT-o1", n, input, output, 8192,
-                         seed);
+    return sampleDataset(
+        "ShareGPT-o1", n, 8192, seed,
+        [](Rng &rng, std::size_t, RequestSpec &spec) {
+            spec.inputLen = clampedLogNormal(rng, std::log(270.0),
+                                             0.85, 16, 4096);
+            spec.outputLen = clampedLogNormal(rng, std::log(1750.0),
+                                              0.62, 128, 8192);
+        });
 }
 
 Dataset
@@ -131,22 +152,13 @@ makeTextVqaLike(std::size_t n, TokenCount image_tokens,
                 std::uint64_t seed)
 {
     LIGHTLLM_ASSERT(image_tokens >= 0, "negative image tokens");
-    Dataset dataset;
-    dataset.name = "TextVQA-like";
-    dataset.maxNewTokens = 256;
-    dataset.requests.reserve(n);
-    Rng rng(seed);
-    const UniformLengthSampler question(16, 96);
-    const LogNormalLengthSampler answer(std::log(24.0), 0.8, 2, 256);
-    for (std::size_t i = 0; i < n; ++i) {
-        RequestSpec spec;
-        spec.id = static_cast<RequestId>(i);
-        spec.inputLen = image_tokens + question.sample(rng);
-        spec.outputLen = answer.sample(rng);
-        spec.maxNewTokens = dataset.maxNewTokens;
-        dataset.requests.push_back(spec);
-    }
-    return dataset;
+    return sampleDataset(
+        "TextVQA-like", n, 256, seed,
+        [=](Rng &rng, std::size_t, RequestSpec &spec) {
+            spec.inputLen = image_tokens + rng.uniformInt(16, 96);
+            spec.outputLen =
+                clampedLogNormal(rng, std::log(24.0), 0.8, 2, 256);
+        });
 }
 
 Dataset
@@ -181,19 +193,9 @@ assignPriorityMix(Dataset &dataset, std::span<const double> shares,
     LIGHTLLM_ASSERT(total > 0.0, "priority shares must not all be 0");
 
     Rng rng(seed);
-    for (RequestSpec &spec : dataset.requests) {
-        const double draw = rng.uniformDouble() * total;
-        double cumulative = 0.0;
-        int priority = static_cast<int>(shares.size()) - 1;
-        for (std::size_t p = 0; p < shares.size(); ++p) {
-            cumulative += shares[p];
-            if (draw < cumulative) {
-                priority = static_cast<int>(p);
-                break;
-            }
-        }
-        spec.cls.priority = priority;
-    }
+    for (RequestSpec &spec : dataset.requests)
+        spec.cls.priority =
+            static_cast<int>(drawShare(rng, shares, total));
 }
 
 } // namespace workload

@@ -19,8 +19,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "base/rng.hh"
 #include "base/types.hh"
 #include "workload/request_spec.hh"
 
@@ -42,7 +44,56 @@ struct Dataset
 
     /** Sum of effective output tokens. */
     TokenCount totalOutputTokens() const;
+
+    /** Ground-truth output lengths (EOS positions), uncapped: what
+     *  the Figure 3/4 window analysis reads. */
+    std::vector<TokenCount> outputLens() const;
+
+    /** Effective output lengths: the service history a scheduler
+     *  warm-starts from. */
+    std::vector<TokenCount> effectiveOutputLens() const;
 };
+
+/** A log-normal length exp(N(mu, sigma)), rounded to the nearest
+ *  token and clamped into [lo, hi]. */
+TokenCount clampedLogNormal(Rng &rng, double mu, double sigma,
+                            TokenCount lo, TokenCount hi);
+
+/**
+ * The loop behind every synthetic dataset: `n` requests with ids
+ * 0..n-1 and generation cap `max_new_tokens`, drawn in id order from
+ * one Rng seeded with `seed`. `draw(rng, i, spec)` sets request i's
+ * inputLen and outputLen; it is a template callable, so each draw is
+ * a direct call.
+ */
+template <typename Draw>
+Dataset
+sampleDataset(std::string name, std::size_t n,
+              TokenCount max_new_tokens, std::uint64_t seed,
+              Draw &&draw)
+{
+    Dataset dataset;
+    dataset.name = std::move(name);
+    dataset.maxNewTokens = max_new_tokens;
+    dataset.requests.reserve(n);
+    Rng rng(seed);
+    for (std::size_t i = 0; i < n; ++i) {
+        RequestSpec spec;
+        spec.id = static_cast<RequestId>(i);
+        draw(rng, i, spec);
+        spec.maxNewTokens = max_new_tokens;
+        dataset.requests.push_back(spec);
+    }
+    return dataset;
+}
+
+/**
+ * An i.i.d. categorical draw: the first index whose running sum of
+ * `shares` exceeds a uniform draw in [0, total), else the last.
+ * `total` is the shares' sum.
+ */
+std::size_t drawShare(Rng &rng, std::span<const double> shares,
+                      double total);
 
 /** Uniform input/output dataset with explicit ranges. */
 Dataset makeUniformDataset(const std::string &name, std::size_t n,

@@ -43,16 +43,7 @@ assignTenantMix(Dataset &dataset, const TenantMix &mix,
     const std::size_t tiers = std::max<std::size_t>(mix.sloTiers, 1);
     Rng rng(seed);
     for (RequestSpec &spec : dataset.requests) {
-        const double draw = rng.uniformDouble() * total;
-        double cumulative = 0.0;
-        std::size_t tenant = shares.size() - 1;
-        for (std::size_t t = 0; t < shares.size(); ++t) {
-            cumulative += shares[t];
-            if (draw < cumulative) {
-                tenant = t;
-                break;
-            }
-        }
+        const std::size_t tenant = drawShare(rng, shares, total);
         spec.cls.tenant = static_cast<base::TenantId>(tenant);
         spec.cls.sloTier = static_cast<int>(tenant % tiers);
     }

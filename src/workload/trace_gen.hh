@@ -1,11 +1,11 @@
 /**
  * @file
- * Synthetic request-trace generators for the Figure 3/4 analysis.
+ * Synthetic service traces for the Figure 3/4 analysis.
  *
  * The paper analyses six production trace datasets (BurstGPT
  * conversation and API, three in-house services, Mooncake). Those
  * logs are not redistributable, so each generator below synthesizes
- * a trace with the *structural* property the paper reports for its
+ * a dataset with the *structural* property the paper reports for its
  * counterpart:
  *
  *  - single-service traces (conversation, code completion, long
@@ -14,47 +14,29 @@
  *  - API / hybrid traces: a mixture of task types whose weights
  *    shift in regimes over long horizons — adjacent windows stay
  *    similar while distant windows diverge.
+ *
+ * Each trace is a Dataset with ids 0..n-1 and the generation cap its
+ * service is served with: 512 for code completion, 2048 for the
+ * rest. The window analysis reads the uncapped `outputLens()`.
  */
 
 #ifndef LIGHTLLM_WORKLOAD_TRACE_GEN_HH
 #define LIGHTLLM_WORKLOAD_TRACE_GEN_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "base/types.hh"
+#include "workload/datasets.hh"
 
 namespace lightllm {
 namespace workload {
-
-/** One request observation in a service trace. */
-struct TraceRecord
-{
-    /** Task-type label (which mixture component produced it). */
-    int taskType = 0;
-
-    TokenCount inputLen = 0;
-    TokenCount outputLen = 0;
-};
-
-/** A named synthetic trace. */
-struct Trace
-{
-    std::string name;
-    std::vector<TraceRecord> records;
-
-    /** Output lengths only, for distribution analysis. */
-    std::vector<std::int64_t> outputLens() const;
-};
 
 /**
  * Conversation service (BurstGPT-conv / in-house dialog analogue):
  * log-normal outputs whose location parameter drifts slowly and
  * sinusoidally.
  */
-Trace makeConversationTrace(std::size_t n, std::uint64_t seed,
-                            double drift_amplitude = 0.25);
+Dataset makeConversationTrace(std::size_t n, std::uint64_t seed);
 
 /**
  * API service (BurstGPT-API analogue): a 4-component mixture of task
@@ -62,24 +44,24 @@ Trace makeConversationTrace(std::size_t n, std::uint64_t seed,
  * global distribution varies over long horizons while adjacent
  * windows remain similar.
  */
-Trace makeApiTrace(std::size_t n, std::uint64_t seed);
+Dataset makeApiTrace(std::size_t n, std::uint64_t seed);
 
 /** Code-completion service: short, stable outputs, longer prompts. */
-Trace makeCodeCompletionTrace(std::size_t n, std::uint64_t seed);
+Dataset makeCodeCompletionTrace(std::size_t n, std::uint64_t seed);
 
 /** Long-document analysis (Mooncake analogue): very long prompts,
  *  medium outputs, stable distribution. */
-Trace makeLongDocTrace(std::size_t n, std::uint64_t seed);
+Dataset makeLongDocTrace(std::size_t n, std::uint64_t seed);
 
 /** Second in-house dialog service with a different length profile. */
-Trace makeAssistantTrace(std::size_t n, std::uint64_t seed);
+Dataset makeAssistantTrace(std::size_t n, std::uint64_t seed);
 
 /** Multimodal conversation service (image prefix + dialog). */
-Trace makeMultimodalChatTrace(std::size_t n, std::uint64_t seed);
+Dataset makeMultimodalChatTrace(std::size_t n, std::uint64_t seed);
 
 /** The full set of six traces analysed in Figure 3. */
-std::vector<Trace> makeFigure3Traces(std::size_t n,
-                                     std::uint64_t seed);
+std::vector<Dataset> makeFigure3Traces(std::size_t n,
+                                       std::uint64_t seed);
 
 } // namespace workload
 } // namespace lightllm

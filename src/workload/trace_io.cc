@@ -12,75 +12,6 @@ namespace lightllm {
 namespace workload {
 
 void
-writeTraceCsv(std::ostream &os, const Trace &trace)
-{
-    os << "task_type,input_len,output_len\n";
-    for (const auto &record : trace.records) {
-        os << record.taskType << ',' << record.inputLen << ','
-           << record.outputLen << '\n';
-    }
-}
-
-void
-writeTraceCsvFile(const std::string &path, const Trace &trace)
-{
-    std::ofstream file(path);
-    if (!file)
-        fatal("cannot open trace file for writing: ", path);
-    writeTraceCsv(file, trace);
-    if (!file)
-        fatal("error while writing trace file: ", path);
-}
-
-Trace
-readTraceCsv(std::istream &is, const std::string &name)
-{
-    Trace trace;
-    trace.name = name;
-    std::string line;
-    std::size_t line_number = 0;
-    while (std::getline(is, line)) {
-        ++line_number;
-        const std::string_view trimmed = trimString(line);
-        if (trimmed.empty())
-            continue;
-        if (line_number == 1 &&
-            trimmed.find("task_type") != std::string_view::npos) {
-            continue;  // header
-        }
-        const auto fields = splitString(trimmed, ',');
-        if (fields.size() != 3) {
-            fatal("trace ", name, " line ", line_number,
-                  ": expected 3 fields, got ", fields.size());
-        }
-        TraceRecord record;
-        try {
-            record.taskType = std::stoi(fields[0]);
-            record.inputLen = std::stoll(fields[1]);
-            record.outputLen = std::stoll(fields[2]);
-        } catch (const std::exception &) {
-            fatal("trace ", name, " line ", line_number,
-                  ": non-integer field");
-        }
-        if (record.inputLen < 0 || record.outputLen < 0) {
-            fatal("trace ", name, " line ", line_number,
-                  ": negative length");
-        }
-        trace.records.push_back(record);
-    }
-    return trace;
-}
-
-Trace
-readTraceCsvFile(const std::string &path)
-{
-    std::ifstream file(path);
-    if (!file)
-        fatal("cannot open trace file: ", path);
-    return readTraceCsv(file, path);
-}
-
-void
 writeDatasetCsv(std::ostream &os, const Dataset &dataset)
 {
     // The arrival column appears only when some request carries a
@@ -183,15 +114,11 @@ readDatasetCsv(std::istream &is, const std::string &name)
         }
         const auto fields = splitString(trimmed, ',');
         // 11 fields with the arrival_us trace-replay column, 10
-        // since the tenant/slo_tier columns; 8 accepts the
-        // pre-tenant schema (both classes default to 0).
-        if (fields.size() != 11 && fields.size() != 10 &&
-            fields.size() != 8) {
+        // without it.
+        if (fields.size() != 11 && fields.size() != 10) {
             fatal("dataset ", name, " line ", line_number,
-                  ": expected 11, 10, or legacy 8 fields, got ",
-                  fields.size());
+                  ": expected 11 or 10 fields, got ", fields.size());
         }
-        const bool legacy = fields.size() == 8;
         const bool arrivals = fields.size() == 11;
         RequestSpec spec;
         spec.id = parseIntField(fields[0], name, line_number);
@@ -202,33 +129,28 @@ readDatasetCsv(std::istream &is, const std::string &name)
             parseIntField(fields[3], name, line_number);
         spec.cls.priority = static_cast<int>(
             parseIntField(fields[4], name, line_number));
-        std::size_t next = 5;
-        if (!legacy) {
-            spec.cls.tenant = static_cast<base::TenantId>(
-                parseIntField(fields[next++], name, line_number));
-            spec.cls.sloTier = static_cast<int>(
-                parseIntField(fields[next++], name, line_number));
-        }
-        spec.sessionKey =
-            parseHexField(fields[next++], name, line_number);
-        spec.outputKey =
-            parseHexField(fields[next++], name, line_number);
+        spec.cls.tenant = static_cast<base::TenantId>(
+            parseIntField(fields[5], name, line_number));
+        spec.cls.sloTier = static_cast<int>(
+            parseIntField(fields[6], name, line_number));
+        spec.sessionKey = parseHexField(fields[7], name, line_number);
+        spec.outputKey = parseHexField(fields[8], name, line_number);
         if (spec.inputLen < 0 || spec.outputLen < 0 ||
             spec.maxNewTokens < 0) {
             fatal("dataset ", name, " line ", line_number,
                   ": negative length");
         }
         if (arrivals) {
-            spec.arrivalTick = parseIntField(fields[next + 1], name,
-                                             line_number);
+            spec.arrivalTick =
+                parseIntField(fields[10], name, line_number);
             if (spec.arrivalTick < -1) {
                 fatal("dataset ", name, " line ", line_number,
                       ": bad arrival_us (use -1 for none)");
             }
         }
-        if (!fields[next].empty()) {
+        if (!fields[9].empty()) {
             for (const std::string &entry :
-                 splitString(fields[next], '|')) {
+                 splitString(fields[9], '|')) {
                 const auto colon = entry.find(':');
                 if (colon == std::string::npos) {
                     fatal("dataset ", name, " line ", line_number,
@@ -260,27 +182,6 @@ readDatasetCsvFile(const std::string &path)
     if (!file)
         fatal("cannot open dataset file: ", path);
     return readDatasetCsv(file, path);
-}
-
-Dataset
-traceToDataset(const Trace &trace, TokenCount max_new_tokens)
-{
-    LIGHTLLM_ASSERT(max_new_tokens > 0,
-                    "max_new_tokens must be positive");
-    Dataset dataset;
-    dataset.name = trace.name;
-    dataset.maxNewTokens = max_new_tokens;
-    dataset.requests.reserve(trace.records.size());
-    RequestId next_id = 0;
-    for (const auto &record : trace.records) {
-        RequestSpec spec;
-        spec.id = next_id++;
-        spec.inputLen = record.inputLen;
-        spec.outputLen = record.outputLen;
-        spec.maxNewTokens = max_new_tokens;
-        dataset.requests.push_back(spec);
-    }
-    return dataset;
 }
 
 } // namespace workload

@@ -1,13 +1,11 @@
 /**
  * @file
- * CSV persistence for traces and datasets.
+ * CSV persistence for datasets: the one request file format.
  *
  * Lets users replay their own production traces through the
- * simulator (the paper's workflow with BurstGPT/Mooncake logs) and
- * lets the benchmark harnesses dump the exact workloads they used.
- *
- * Format: a header line `task_type,input_len,output_len` followed by
- * one integer triple per request.
+ * simulator (the paper's workflow with BurstGPT/Mooncake logs,
+ * `pfs_cli --trace-replay`) and lets the benchmark harnesses dump
+ * the exact workloads they used.
  */
 
 #ifndef LIGHTLLM_WORKLOAD_TRACE_IO_HH
@@ -17,37 +15,18 @@
 #include <string>
 
 #include "workload/datasets.hh"
-#include "workload/trace_gen.hh"
 
 namespace lightllm {
 namespace workload {
 
-/** Write a trace as CSV. */
-void writeTraceCsv(std::ostream &os, const Trace &trace);
-
-/** Write a trace to a file; fatal() on I/O failure. */
-void writeTraceCsvFile(const std::string &path, const Trace &trace);
-
-/** Parse a CSV trace; fatal() on malformed content. */
-Trace readTraceCsv(std::istream &is, const std::string &name);
-
-/** Read a CSV trace from a file; fatal() on I/O failure. */
-Trace readTraceCsvFile(const std::string &path);
-
-/**
- * Convert a trace into a runnable dataset: each record becomes a
- * request with the given generation cap.
- */
-Dataset traceToDataset(const Trace &trace,
-                       TokenCount max_new_tokens);
-
 /**
  * Write a dataset as CSV with the full RequestSpec: header
- * `id,input_len,output_len,max_new_tokens,priority,session_key,
- * output_key,segments`, one row per request. The content-identity
- * fields added with the shared-prefix subsystem round-trip exactly:
- * keys are hexadecimal, and `segments` is a `key:len` list joined
- * by '|' (empty for content-less requests).
+ * `id,input_len,output_len,max_new_tokens,priority,tenant,slo_tier,
+ * session_key,output_key,segments` (plus `arrival_us` when some
+ * request carries a measured arrival), one row per request. The
+ * content-identity fields added with the shared-prefix subsystem
+ * round-trip exactly: keys are hexadecimal, and `segments` is a
+ * `key:len` list joined by '|' (empty for content-less requests).
  */
 void writeDatasetCsv(std::ostream &os, const Dataset &dataset);
 

@@ -266,19 +266,23 @@ TEST(AutoScalerTest, ShedsOnlyAtMaxScaleWithNothingWarming)
 
     // Below max scale: more capacity can come — queue, don't shed.
     EXPECT_FALSE(
-        scaler.shouldShed(fleetOf(1, 10'000, 50'000, 0), 100));
+        scaler.shouldShed(fleetOf(1, 10'000, 50'000, 0), 100,
+                          base::RequestClass{}));
     // At max scale and over the bound: shed.
     EXPECT_TRUE(
-        scaler.shouldShed(fleetOf(2, 10'000, 25'000, 0), 100));
+        scaler.shouldShed(fleetOf(2, 10'000, 25'000, 0), 100,
+                          base::RequestClass{}));
     // At max scale under the bound (5k outstanding per instance
     // against the 20k fleet bound): queue.
     EXPECT_FALSE(
-        scaler.shouldShed(fleetOf(2, 10'000, 5'000, 0), 100));
+        scaler.shouldShed(fleetOf(2, 10'000, 5'000, 0), 100,
+                          base::RequestClass{}));
     // A warming instance means capacity is on the way.
     auto warming = fleetOf(2, 10'000, 25'000, 0);
     warming.instances[1].routable = false;
     warming.instances[1].warming = true;
-    EXPECT_FALSE(scaler.shouldShed(warming, 100));
+    EXPECT_FALSE(
+        scaler.shouldShed(warming, 100, base::RequestClass{}));
 }
 
 TEST(AutoScalerTest, FairnessAwareSheddingTargetsOverShareTenants)
@@ -317,8 +321,8 @@ TEST(AutoScalerTest, NeverPolicyNeverSheds)
 {
     autoscale::AutoScaler scaler(testConfig(1, 1),
                                  std::make_unique<FixedPolicy>(0));
-    EXPECT_FALSE(scaler.shouldShed(
-        fleetOf(1, 1'000, 1'000'000, 0), 1'000));
+    EXPECT_FALSE(scaler.shouldShed(fleetOf(1, 1'000, 1'000'000, 0),
+                                   1'000, base::RequestClass{}));
 }
 
 TEST(ShedPolicyTest, NamesRoundTrip)

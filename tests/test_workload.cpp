@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for workload synthesis: samplers, datasets, traces, clients.
+ * Tests for workload synthesis: length draws, datasets, traces,
+ * clients.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,6 @@
 #include "workload/arrivals.hh"
 #include "workload/client_pool.hh"
 #include "workload/datasets.hh"
-#include "workload/length_sampler.hh"
 #include "workload/rate_schedule.hh"
 #include "workload/session_gen.hh"
 #include "workload/trace_gen.hh"
@@ -25,34 +25,14 @@ namespace lightllm {
 namespace workload {
 namespace {
 
-TEST(LengthSamplerTest, ConstantAlwaysSame)
-{
-    Rng rng(1);
-    const ConstantLengthSampler sampler(42);
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(sampler.sample(rng), 42);
-}
-
-TEST(LengthSamplerTest, UniformStaysInRange)
-{
-    Rng rng(2);
-    const UniformLengthSampler sampler(100, 200);
-    for (int i = 0; i < 5000; ++i) {
-        const auto value = sampler.sample(rng);
-        EXPECT_GE(value, 100);
-        EXPECT_LE(value, 200);
-    }
-}
-
-TEST(LengthSamplerTest, LogNormalClampedToBounds)
+TEST(LengthDrawTest, ClampedLogNormalHitsBothBounds)
 {
     Rng rng(3);
-    const LogNormalLengthSampler sampler(std::log(100.0), 2.0, 50,
-                                         400);
     bool hit_lo = false;
     bool hit_hi = false;
     for (int i = 0; i < 5000; ++i) {
-        const auto value = sampler.sample(rng);
+        const auto value =
+            clampedLogNormal(rng, std::log(100.0), 2.0, 50, 400);
         EXPECT_GE(value, 50);
         EXPECT_LE(value, 400);
         hit_lo |= value == 50;
@@ -61,32 +41,6 @@ TEST(LengthSamplerTest, LogNormalClampedToBounds)
     // With sigma 2.0 both clamp bounds must be exercised.
     EXPECT_TRUE(hit_lo);
     EXPECT_TRUE(hit_hi);
-}
-
-TEST(LengthSamplerTest, MixtureRespectsWeights)
-{
-    Rng rng(4);
-    MixtureLengthSampler sampler({
-        {0.9, std::make_shared<ConstantLengthSampler>(1)},
-        {0.1, std::make_shared<ConstantLengthSampler>(1000)},
-    });
-    int big = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) {
-        if (sampler.sample(rng) == 1000)
-            ++big;
-    }
-    EXPECT_NEAR(static_cast<double>(big) / n, 0.1, 0.01);
-}
-
-TEST(LengthSamplerTest, EmpiricalOnlyEmitsRecordedValues)
-{
-    Rng rng(5);
-    const EmpiricalLengthSampler sampler({7, 11, 13});
-    for (int i = 0; i < 100; ++i) {
-        const auto value = sampler.sample(rng);
-        EXPECT_TRUE(value == 7 || value == 11 || value == 13);
-    }
 }
 
 TEST(DatasetTest, Distribution1MatchesPaperRanges)
@@ -191,8 +145,24 @@ TEST(TraceGenTest, Figure3SetHasSixNamedTraces)
     const auto traces = makeFigure3Traces(3000, 11);
     ASSERT_EQ(traces.size(), 6u);
     for (const auto &trace : traces) {
-        EXPECT_EQ(trace.records.size(), 3000u);
+        EXPECT_EQ(trace.requests.size(), 3000u);
         EXPECT_FALSE(trace.name.empty());
+    }
+}
+
+TEST(TraceGenTest, TracesCarryTheirServingCap)
+{
+    // Ids 0..n-1, every request capped at the service's cap: 512
+    // for code completion, 2048 for the rest.
+    const auto traces = makeFigure3Traces(50, 19);
+    const TokenCount caps[] = {2048, 2048, 2048, 2048, 512, 2048};
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+        EXPECT_EQ(traces[t].maxNewTokens, caps[t]) << traces[t].name;
+        for (std::size_t i = 0; i < traces[t].requests.size(); ++i) {
+            EXPECT_EQ(traces[t].requests[i].id,
+                      static_cast<RequestId>(i));
+            EXPECT_EQ(traces[t].requests[i].maxNewTokens, caps[t]);
+        }
     }
 }
 
@@ -220,10 +190,10 @@ TEST(TraceGenTest, CodeCompletionHasShortOutputsLongInputs)
     const auto trace = makeCodeCompletionTrace(2000, 14);
     double in_sum = 0.0;
     double out_sum = 0.0;
-    for (const auto &record : trace.records) {
-        in_sum += static_cast<double>(record.inputLen);
-        out_sum += static_cast<double>(record.outputLen);
-        EXPECT_LE(record.outputLen, 512);
+    for (const auto &request : trace.requests) {
+        in_sum += static_cast<double>(request.inputLen);
+        out_sum += static_cast<double>(request.outputLen);
+        EXPECT_LE(request.outputLen, 512);
     }
     EXPECT_GT(in_sum / 2000.0, 5.0 * out_sum / 2000.0);
 }
@@ -231,84 +201,7 @@ TEST(TraceGenTest, CodeCompletionHasShortOutputsLongInputs)
 TEST(TraceGenTest, LongDocTraceHasVeryLongInputs)
 {
     const auto trace = makeLongDocTrace(1000, 15);
-    double in_sum = 0.0;
-    for (const auto &record : trace.records)
-        in_sum += static_cast<double>(record.inputLen);
-    EXPECT_GT(in_sum / 1000.0, 4000.0);
-}
-
-TEST(TraceGenTest, ApiTaskTypesAllAppear)
-{
-    const auto trace = makeApiTrace(8000, 16);
-    bool seen[4] = {false, false, false, false};
-    for (const auto &record : trace.records)
-        seen[record.taskType] = true;
-    EXPECT_TRUE(seen[0] && seen[1] && seen[2] && seen[3]);
-}
-
-TEST(TraceIoTest, CsvRoundTrip)
-{
-    const auto trace = makeApiTrace(500, 17);
-    std::stringstream buffer;
-    writeTraceCsv(buffer, trace);
-    const auto loaded = readTraceCsv(buffer, "roundtrip");
-    ASSERT_EQ(loaded.records.size(), trace.records.size());
-    for (std::size_t i = 0; i < trace.records.size(); ++i) {
-        EXPECT_EQ(loaded.records[i].taskType,
-                  trace.records[i].taskType);
-        EXPECT_EQ(loaded.records[i].inputLen,
-                  trace.records[i].inputLen);
-        EXPECT_EQ(loaded.records[i].outputLen,
-                  trace.records[i].outputLen);
-    }
-}
-
-TEST(TraceIoTest, FileRoundTrip)
-{
-    const auto trace = makeConversationTrace(100, 18);
-    const auto path = std::filesystem::temp_directory_path() /
-        "lightllm_trace_test.csv";
-    writeTraceCsvFile(path.string(), trace);
-    const auto loaded = readTraceCsvFile(path.string());
-    EXPECT_EQ(loaded.records.size(), 100u);
-    std::filesystem::remove(path);
-}
-
-TEST(TraceIoTest, SkipsHeaderAndBlankLines)
-{
-    std::stringstream buffer(
-        "task_type,input_len,output_len\n\n1,10,20\n\n2,30,40\n");
-    const auto trace = readTraceCsv(buffer, "test");
-    ASSERT_EQ(trace.records.size(), 2u);
-    EXPECT_EQ(trace.records[1].outputLen, 40);
-}
-
-TEST(TraceIoDeathTest, MalformedLineIsFatal)
-{
-    std::stringstream buffer("1,2\n");
-    EXPECT_EXIT(readTraceCsv(buffer, "bad"),
-                ::testing::ExitedWithCode(1), "expected 3 fields");
-}
-
-TEST(TraceIoDeathTest, NonIntegerFieldIsFatal)
-{
-    std::stringstream buffer("a,b,c\n");
-    EXPECT_EXIT(readTraceCsv(buffer, "bad"),
-                ::testing::ExitedWithCode(1), "non-integer");
-}
-
-TEST(TraceIoTest, TraceToDatasetCopiesLengths)
-{
-    const auto trace = makeCodeCompletionTrace(50, 19);
-    const auto dataset = traceToDataset(trace, 512);
-    ASSERT_EQ(dataset.requests.size(), 50u);
-    EXPECT_EQ(dataset.maxNewTokens, 512);
-    for (std::size_t i = 0; i < 50; ++i) {
-        EXPECT_EQ(dataset.requests[i].inputLen,
-                  trace.records[i].inputLen);
-        EXPECT_EQ(dataset.requests[i].outputLen,
-                  trace.records[i].outputLen);
-    }
+    EXPECT_GT(trace.meanInputLen(), 4000.0);
 }
 
 /** Minimal sink capturing submissions. */
@@ -454,21 +347,15 @@ TEST(DatasetIoTest, CsvRoundTripPlainDatasetAndFile)
     }
 }
 
-TEST(DatasetIoTest, LegacyEightFieldRowsStillParse)
+TEST(DatasetIoTest, SkipsHeaderAndBlankLines)
 {
-    // Pre-tenant CSVs lack the tenant/slo_tier columns; both
-    // default to 0 and the remaining fields keep their meaning.
-    std::stringstream legacy(
-        "id,input_len,output_len,max_new_tokens,priority,"
-        "session_key,output_key,segments\n"
-        "0,10,20,100,2,ab,cd,\n");
-    const Dataset loaded = readDatasetCsv(legacy, "legacy");
-    ASSERT_EQ(loaded.requests.size(), 1u);
-    EXPECT_EQ(loaded.requests[0].cls.priority, 2);
-    EXPECT_EQ(loaded.requests[0].cls.tenant, 0u);
-    EXPECT_EQ(loaded.requests[0].cls.sloTier, 0);
-    EXPECT_EQ(loaded.requests[0].sessionKey, 0xabu);
-    EXPECT_EQ(loaded.requests[0].outputKey, 0xcdu);
+    std::stringstream buffer(
+        "id,input_len,output_len,max_new_tokens,priority,tenant,"
+        "slo_tier,session_key,output_key,segments\n\n"
+        "0,10,20,100,0,0,0,0,0,\n\n1,30,40,100,0,0,0,0,0,\n");
+    const Dataset loaded = readDatasetCsv(buffer, "test");
+    ASSERT_EQ(loaded.requests.size(), 2u);
+    EXPECT_EQ(loaded.requests[1].outputLen, 40);
 }
 
 TEST(DatasetIoDeathTest, MalformedDatasetRowsAreFatal)
@@ -476,11 +363,18 @@ TEST(DatasetIoDeathTest, MalformedDatasetRowsAreFatal)
     std::stringstream missing("1,2,3\n");
     EXPECT_EXIT(readDatasetCsv(missing, "bad"),
                 ::testing::ExitedWithCode(1),
-                "expected 11, 10, or legacy 8 fields");
+                "expected 11 or 10 fields");
     std::stringstream segment(
         "0,10,20,100,0,3,1,0,0,deadbeef-512\n");
     EXPECT_EXIT(readDatasetCsv(segment, "bad"),
                 ::testing::ExitedWithCode(1), "segment");
+}
+
+TEST(DatasetIoDeathTest, NonIntegerFieldIsFatal)
+{
+    std::stringstream buffer("0,a,20,100,0,0,0,0,0,\n");
+    EXPECT_EXIT(readDatasetCsv(buffer, "bad"),
+                ::testing::ExitedWithCode(1), "non-integer");
 }
 
 TEST(DatasetIoTest, ArrivalColumnRoundTripsWhenPresent)

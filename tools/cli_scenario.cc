@@ -129,8 +129,6 @@ textOnly(std::size_t n, std::uint64_t seed, TokenCount)
     return Make(n, seed);
 }
 
-using workload::traceToDataset;
-
 constexpr Named<workload::Dataset (*)(
     std::size_t n, std::uint64_t seed, TokenCount image_tokens)>
     kWorkloads[] = {
@@ -143,25 +141,10 @@ constexpr Named<workload::Dataset (*)(
      [](std::size_t n, std::uint64_t seed, TokenCount image_tokens) {
          return workload::makeTextVqaLike(n, image_tokens, seed);
      }},
-    {"trace-conversation",
-     [](std::size_t n, std::uint64_t seed, TokenCount) {
-         return traceToDataset(
-             workload::makeConversationTrace(n, seed), 2048);
-     }},
-    {"trace-api",
-     [](std::size_t n, std::uint64_t seed, TokenCount) {
-         return traceToDataset(workload::makeApiTrace(n, seed), 2048);
-     }},
-    {"trace-code",
-     [](std::size_t n, std::uint64_t seed, TokenCount) {
-         return traceToDataset(
-             workload::makeCodeCompletionTrace(n, seed), 512);
-     }},
-    {"trace-longdoc",
-     [](std::size_t n, std::uint64_t seed, TokenCount) {
-         return traceToDataset(workload::makeLongDocTrace(n, seed),
-                               2048);
-     }},
+    {"trace-conversation", textOnly<workload::makeConversationTrace>},
+    {"trace-api", textOnly<workload::makeApiTrace>},
+    {"trace-code", textOnly<workload::makeCodeCompletionTrace>},
+    {"trace-longdoc", textOnly<workload::makeLongDocTrace>},
 };
 
 using core::SchedulerConfig;
