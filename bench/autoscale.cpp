@@ -26,67 +26,40 @@
 
 #include <chrono>
 #include <iostream>
-#include <memory>
 #include <vector>
 
-#include "autoscale/autoscaler.hh"
-#include "autoscale/scale_policy.hh"
 #include "base/str_util.hh"
 #include "base/table.hh"
 #include "bench_common.hh"
-#include "cluster/serving_cluster.hh"
-#include "core/scheduler_factory.hh"
-#include "engine/serving_engine.hh"
-#include "model/perf_model.hh"
-#include "workload/arrivals.hh"
-#include "workload/datasets.hh"
-#include "workload/rate_schedule.hh"
 
 using namespace lightllm;
 
 namespace {
 
-struct SpikeScenario
+/**
+ * The spike as pfs_cli flags: `--workload sharegpt --requests 2400
+ * --rate-schedule spike:4,28,40,60` on Past-Future (3%) A100s, with
+ * an autoscaled fleet between 2 and 6 instances and an 8 s cold
+ * start (smoke: 400 requests, a smaller spike, 1-4 instances, 4 s).
+ */
+cli::CliOptions
+spikeOptions()
 {
-    workload::Dataset dataset;
-    workload::RateSchedule schedule =
-        workload::RateSchedule::constant(1.0);
-    metrics::SlaSpec sla;
-    std::size_t minInstances = 2;
-    std::size_t maxInstances = 6;
-    Tick provisionDelay = secondsToTicks(8.0);
-    double sloTarget = 0.9;
-};
-
-SpikeScenario
-makeScenario()
-{
-    SpikeScenario scenario;
-    const std::size_t requests = bench::smokeSize(2400, 400);
-    scenario.dataset = workload::makeShareGpt(requests, 42);
-    scenario.sla = metrics::SlaSpec::small7b13b();
+    cli::CliOptions options;
+    options.workload = "sharegpt";
+    options.requests = bench::smokeSize(2400, 400);
     if (bench::smokeMode()) {
-        scenario.schedule =
-            workload::RateSchedule::spike(3.0, 30.0, 10.0, 15.0);
-        scenario.minInstances = 1;
-        scenario.maxInstances = 4;
-        scenario.provisionDelay = secondsToTicks(4.0);
+        options.rateSchedule = "spike:3,30,10,15";
+        options.minInstances = 1;
+        options.maxInstances = 4;
+        options.provisionDelaySeconds = 4.0;
     } else {
-        scenario.schedule =
-            workload::RateSchedule::spike(4.0, 28.0, 40.0, 60.0);
+        options.rateSchedule = "spike:4,28,40,60";
+        options.minInstances = 2;
+        options.maxInstances = 6;
+        options.provisionDelaySeconds = 8.0;
     }
-    return scenario;
-}
-
-std::unique_ptr<engine::ServingEngine>
-makeInstance(const SpikeScenario &scenario)
-{
-    auto config = core::SchedulerConfig::pastFutureDefault(0.03);
-    config.pastFuture.seedOutputLen = scenario.dataset.maxNewTokens;
-    return std::make_unique<engine::ServingEngine>(
-        model::PerfModel(model::ModelSpec::llama2_7b(),
-                         model::HardwareSpec::a100_80g()),
-        core::makeSchedulingPolicy(config), engine::EngineConfig{});
+    return options;
 }
 
 struct FleetResult
@@ -96,41 +69,26 @@ struct FleetResult
 };
 
 /**
- * Serve the scenario's arrival sequence on a fleet of
- * `initial_instances`; `policy_name` empty means a static fleet.
+ * Serve the spike on a fleet of `instances`; `policy` empty means a
+ * static fleet, otherwise `--autoscale --scale-policy policy`.
  */
 FleetResult
-runFleet(const SpikeScenario &scenario,
-         std::size_t initial_instances,
-         const std::string &policy_name)
+runFleet(cli::CliOptions options, std::size_t instances,
+         const std::string &policy)
 {
-    std::vector<std::unique_ptr<engine::ServingEngine>> engines;
-    engines.reserve(initial_instances);
-    for (std::size_t i = 0; i < initial_instances; ++i)
-        engines.push_back(makeInstance(scenario));
-    cluster::ServingCluster fleet(
-        std::move(engines), cluster::RoutingPolicy::FutureMemory);
-
-    if (!policy_name.empty()) {
-        fleet.setInstanceFactory(
-            [&scenario]() { return makeInstance(scenario); });
-        autoscale::AutoscaleConfig config;
-        config.minInstances = scenario.minInstances;
-        config.maxInstances = scenario.maxInstances;
-        config.provisionDelay = scenario.provisionDelay;
-        config.sloTarget = scenario.sloTarget;
-        config.sla = scenario.sla;
-        auto policy = autoscale::makeScalePolicy(
-            policy_name, scenario.sloTarget);
-        fleet.enableAutoscale(config, std::move(policy));
-    }
-
-    workload::submitScheduledArrivals(scenario.dataset, fleet,
-                                      scenario.schedule, 42);
+    options.instances = instances;
+    options.autoscale = !policy.empty();
+    if (options.autoscale)
+        options.scalePolicy = policy;
+    cli::Scenario scenario = cli::assembleScenario(options);
+    // A static fleet of one is still a fleet (its report counts
+    // instance-seconds); no flag builds a one-instance cluster.
+    if (scenario.fleetPerfs.empty())
+        scenario.fleetPerfs.push_back(scenario.perf);
 
     const auto start = std::chrono::steady_clock::now();
     FleetResult result;
-    result.report = fleet.run();
+    result.report = cli::runScenario(scenario);
     result.wallMillis = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start)
                             .count();
@@ -145,11 +103,13 @@ main()
     std::cout << "# Autoscale: SLA attainment vs instance-seconds "
                  "under a 7x traffic spike\n\n";
 
-    const SpikeScenario scenario = makeScenario();
-    std::cout << "schedule: " << scenario.schedule.describe()
+    const cli::CliOptions options = spikeOptions();
+    const cli::Scenario scenario = cli::assembleScenario(options);
+    const double slo_target = options.scaleSloTarget;
+    std::cout << "schedule: " << scenario.rateSchedule.describe()
               << ", " << scenario.dataset.requests.size()
               << " requests, target "
-              << formatPercent(scenario.sloTarget, 0)
+              << formatPercent(slo_target, 0)
               << " TTFT attainment\n\n";
 
     struct Lineup
@@ -159,10 +119,10 @@ main()
         std::string policy;  // empty = static
     };
     const std::vector<Lineup> lineups{
-        {"static-min", scenario.minInstances, ""},
-        {"static-max", scenario.maxInstances, ""},
-        {"reactive", scenario.minInstances, "reactive"},
-        {"predictive", scenario.minInstances, "predictive"},
+        {"static-min", options.minInstances, ""},
+        {"static-max", options.maxInstances, ""},
+        {"reactive", options.minInstances, "reactive"},
+        {"predictive", options.minInstances, "predictive"},
     };
 
     TextTable table({"fleet", "ttft_attainment", "sla_compliance",
@@ -174,7 +134,7 @@ main()
     double predictive_attainment = 0.0;
     for (const Lineup &lineup : lineups) {
         const FleetResult result =
-            runFleet(scenario, lineup.instances, lineup.policy);
+            runFleet(options, lineup.instances, lineup.policy);
         const metrics::RunReport &report = result.report;
         const auto digest = report.latencyDigest();
         const double attainment =
@@ -224,9 +184,9 @@ main()
 
     rows.push_back(bench::JsonRow{
         {"fleet", "claim"},
-        {"slo_target", scenario.sloTarget},
+        {"slo_target", slo_target},
         {"predictive_meets_target",
-         predictive_attainment >= scenario.sloTarget ? 1.0 : 0.0},
+         predictive_attainment >= slo_target ? 1.0 : 0.0},
         {"predictive_vs_static_max_cost",
          static_max_cost > 0.0 ? predictive_cost / static_max_cost
                                : 0.0},
@@ -236,7 +196,7 @@ main()
         << "\nWrote BENCH_autoscale.json ("
         << (bench::smokeMode() ? "smoke" : "full")
         << " mode). Reading: predictive should meet the "
-        << formatPercent(scenario.sloTarget, 0)
+        << formatPercent(slo_target, 0)
         << " TTFT-attainment target with instance_seconds "
            "measurably below static-max (its forecasts buy the "
            "cold start back); reactive shows what detecting "

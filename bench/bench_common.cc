@@ -7,8 +7,6 @@
 #include <limits>
 
 #include "base/logging.hh"
-#include "engine/serving_engine.hh"
-#include "workload/client_pool.hh"
 
 namespace lightllm {
 namespace bench {
@@ -69,32 +67,6 @@ writeJson(const std::string &path, const std::string &name,
         fatal("error while writing bench result file: ", path);
 }
 
-metrics::RunReport
-runClosedLoop(const model::PerfModel &perf,
-              core::SchedulerConfig scheduler_config,
-              const workload::Dataset &dataset,
-              const ServeOptions &options,
-              trace::EngineTrace *trace)
-{
-    scheduler_config.pastFuture.seedOutputLen = dataset.maxNewTokens;
-    scheduler_config.pastFuture.initialHistory = options.warmHistory;
-
-    engine::EngineConfig engine_config = options.engineConfig;
-    engine_config.warmupRequests = options.warmupRequests;
-
-    engine::ServingEngine engine(
-        perf, core::makeScheduler(scheduler_config), engine_config);
-    engine.attachTrace(trace);
-    workload::ClosedLoopClientPool clients(options.numClients,
-                                           dataset, engine);
-    engine.setOnFinish(
-        [&](const workload::RequestSpec &spec, Tick tick) {
-            clients.onRequestFinished(spec.id, tick);
-        });
-    clients.start();
-    return engine.run();
-}
-
 std::size_t
 sizeClients(const model::PerfModel &perf,
             const workload::Dataset &dataset, double fraction)
@@ -109,15 +81,28 @@ sizeClients(const model::PerfModel &perf,
     return static_cast<std::size_t>(std::max(1.0, clients));
 }
 
+cli::CliOptions
+schedulerOptions(const std::string &name,
+                 double cli::CliOptions::*parameter, double value)
+{
+    cli::CliOptions options;
+    options.scheduler = name;
+    if (parameter != nullptr)
+        options.*parameter = value;
+    return options;
+}
+
 std::vector<SchedulerLineup>
 figure7Lineup()
 {
     return {
-        {"Conservative", core::SchedulerConfig::conservative()},
+        {"Conservative", schedulerOptions("conservative")},
         {"Aggressive (watermark=99%)",
-         core::SchedulerConfig::aggressive(0.99)},
+         schedulerOptions("aggressive", &cli::CliOptions::watermark,
+                          0.99)},
         {"Past-Future (ours)",
-         core::SchedulerConfig::pastFutureDefault(0.05)},
+         schedulerOptions("past_future",
+                          &cli::CliOptions::reservedRatio, 0.05)},
     };
 }
 

@@ -1,8 +1,13 @@
 /**
  * @file
- * Shared harness pieces for the paper-reproduction benches: a
- * closed-loop serve runner, scheduler warm-start helpers, and load
- * sizing heuristics.
+ * Shared harness pieces for the benches: smoke-mode sweep sizing,
+ * the BENCH_*.json writer, load sizing, and the paper's scheduler
+ * line-up.
+ *
+ * Every bench that serves requests runs what `pfs_cli` runs: it
+ * describes each cell as cli::CliOptions, assembles it with
+ * cli::assembleScenario and runs it with cli::runScenario (see
+ * cli_scenario.hh).
  */
 
 #ifndef LIGHTLLM_BENCH_BENCH_COMMON_HH
@@ -12,12 +17,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/scheduler_factory.hh"
-#include "engine/engine_config.hh"
-#include "metrics/report.hh"
-#include "metrics/sla.hh"
+#include "cli_scenario.hh"
 #include "model/perf_model.hh"
-#include "trace/trace_recorder.hh"
 #include "workload/datasets.hh"
 
 namespace lightllm {
@@ -73,30 +74,6 @@ using JsonRow = std::vector<std::pair<std::string, JsonValue>>;
 void writeJson(const std::string &path, const std::string &name,
                const std::vector<JsonRow> &rows);
 
-/** One closed-loop serving run. */
-struct ServeOptions
-{
-    std::size_t numClients = 32;
-
-    /** Discard metrics until this many requests finished. */
-    std::size_t warmupRequests = 0;
-
-    /** Output lengths used to warm the Past-Future history window
-     *  (a previous traffic window of the same service). */
-    std::vector<TokenCount> warmHistory;
-
-    engine::EngineConfig engineConfig;
-};
-
-/** Run `dataset` on (perf, scheduler) with closed-loop clients;
- *  `trace` (may be null) records the engine's events. */
-metrics::RunReport
-runClosedLoop(const model::PerfModel &perf,
-              core::SchedulerConfig scheduler_config,
-              const workload::Dataset &dataset,
-              const ServeOptions &options,
-              trace::EngineTrace *trace = nullptr);
-
 /**
  * Client count that loads the system to `fraction` of its steady
  * concurrency capacity (capacity tokens / mean resident footprint).
@@ -105,11 +82,21 @@ std::size_t sizeClients(const model::PerfModel &perf,
                         const workload::Dataset &dataset,
                         double fraction);
 
-/** The paper's standard scheduler line-up for a dataset. */
+/**
+ * Options selecting `--scheduler name`, with one of its parameter
+ * flags (`&cli::CliOptions::reservedRatio`, `::watermark` or
+ * `::overcommit`) set to `value`; other fields keep their defaults.
+ */
+cli::CliOptions schedulerOptions(
+    const std::string &name,
+    double cli::CliOptions::*parameter = nullptr, double value = 0.0);
+
+/** One scheduler of a paper line-up, as the pfs_cli scheduler
+ *  flags that select it. */
 struct SchedulerLineup
 {
     std::string label;
-    core::SchedulerConfig config;
+    cli::CliOptions options;
 };
 
 /** Conservative / Aggressive(99%) / Past-Future(5%) as in Fig 7. */

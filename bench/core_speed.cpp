@@ -16,6 +16,9 @@
  *   fleet_128      128 Past-Future instances behind the
  *                  future-memory router on one shared queue.
  *
+ * The two serving cases are `pfs_cli` scenarios, run through
+ * cli::runScenario and timed without their assembly.
+ *
  * The two serving cases count report iterations, not fired events:
  * "events" = decode steps + prefill iterations + 2 per finished
  * request (its arrival and its completion delivery). A decode run
@@ -33,19 +36,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "base/str_util.hh"
 #include "base/table.hh"
 #include "bench_common.hh"
-#include "cluster/serving_cluster.hh"
-#include "core/scheduler_factory.hh"
-#include "engine/serving_engine.hh"
-#include "model/perf_model.hh"
 #include "sim/event_queue.hh"
-#include "workload/client_pool.hh"
-#include "workload/datasets.hh"
 
 using namespace lightllm;
 
@@ -187,30 +184,33 @@ servedEvents(const metrics::RunReport &report)
         2.0 * static_cast<double>(report.numFinished);
 }
 
+/** Run `options`; returns the report and the run's wall-clock
+ *  milliseconds (assembly excluded). */
+std::pair<metrics::RunReport, double>
+timedRun(const cli::CliOptions &options)
+{
+    const cli::Scenario scenario = cli::assembleScenario(options);
+    const auto start = std::chrono::steady_clock::now();
+    metrics::RunReport report = cli::runScenario(scenario);
+    const auto wall = std::chrono::duration<double, std::milli>(
+        std::chrono::steady_clock::now() - start);
+    return {std::move(report), wall.count()};
+}
+
 CaseResult
 runSingleEngine()
 {
     const std::size_t requests = bench::smokeSize(4096, 256);
-    const auto dataset = workload::makeShareGpt(requests, 42);
-
-    auto config = core::SchedulerConfig::pastFutureDefault(0.05);
-    config.pastFuture.seedOutputLen = dataset.maxNewTokens;
-
-    const model::PerfModel perf(model::ModelSpec::llama2_7b(),
-                                model::HardwareSpec::a100_80g());
-    bench::ServeOptions options;
-    options.numClients = bench::smokeSize(64, 24);
-
-    const auto start = std::chrono::steady_clock::now();
-    const auto report =
-        bench::runClosedLoop(perf, config, dataset, options);
-    const auto wall = std::chrono::duration<double, std::milli>(
-        std::chrono::steady_clock::now() - start);
+    cli::CliOptions options;
+    options.requests = requests;
+    options.reservedRatio = 0.05;
+    options.clients = bench::smokeSize(64, 24);
+    const auto [report, wall_ms] = timedRun(options);
 
     CaseResult result;
     result.name = "single_engine";
     result.events = servedEvents(report);
-    result.wallMillis = wall.count();
+    result.wallMillis = wall_ms;
     result.eventsPerSec = rate(result.events, result.wallMillis);
     result.row = bench::JsonRow{
         {"case", "single_engine"},
@@ -231,39 +231,17 @@ runFleet()
     // 128-instance configuration the acceptance target names.
     const std::size_t instances = bench::smokeSize(128, 8);
     const std::size_t requests = 96 * instances;
-    const std::size_t clients = 24 * instances;
-    const auto dataset = workload::makeShareGpt(requests, 42);
-
-    auto config = core::SchedulerConfig::pastFutureDefault(0.05);
-    config.pastFuture.seedOutputLen = dataset.maxNewTokens;
-
-    const model::PerfModel perf(model::ModelSpec::llama2_7b(),
-                                model::HardwareSpec::a100_80g());
-    std::vector<std::unique_ptr<engine::ServingEngine>> engines;
-    engines.reserve(instances);
-    for (std::size_t i = 0; i < instances; ++i) {
-        engines.push_back(std::make_unique<engine::ServingEngine>(
-            perf, core::makeScheduler(config)));
-    }
-    cluster::ServingCluster fleet(
-        std::move(engines), cluster::RoutingPolicy::FutureMemory);
-
-    workload::ClosedLoopClientPool pool(clients, dataset, fleet);
-    fleet.setOnFinish(
-        [&](const workload::RequestSpec &spec, Tick tick) {
-            pool.onRequestFinished(spec.id, tick);
-        });
-
-    const auto start = std::chrono::steady_clock::now();
-    pool.start();
-    const auto report = fleet.run();
-    const auto wall = std::chrono::duration<double, std::milli>(
-        std::chrono::steady_clock::now() - start);
+    cli::CliOptions options;
+    options.instances = instances;
+    options.requests = requests;
+    options.clients = 24 * instances;
+    options.reservedRatio = 0.05;
+    const auto [report, wall_ms] = timedRun(options);
 
     CaseResult result;
     result.name = "fleet_128";
     result.events = servedEvents(report);
-    result.wallMillis = wall.count();
+    result.wallMillis = wall_ms;
     result.eventsPerSec = rate(result.events, result.wallMillis);
     result.row = bench::JsonRow{
         {"case", "fleet_128"},

@@ -27,7 +27,6 @@
 
 #include <chrono>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,13 +34,6 @@
 #include "base/str_util.hh"
 #include "base/table.hh"
 #include "bench_common.hh"
-#include "cluster/serving_cluster.hh"
-#include "core/scheduler_factory.hh"
-#include "disagg/disagg_cluster.hh"
-#include "engine/serving_engine.hh"
-#include "model/perf_model.hh"
-#include "workload/arrivals.hh"
-#include "workload/datasets.hh"
 
 using namespace lightllm;
 
@@ -97,71 +89,26 @@ makeMixDataset(const Mix &mix, std::size_t requests,
     return dataset;
 }
 
-std::unique_ptr<engine::ServingEngine>
-makeInstance(const workload::Dataset &dataset)
-{
-    auto config = core::SchedulerConfig::pastFutureDefault(0.03);
-    config.pastFuture.seedOutputLen = dataset.maxNewTokens;
-    return std::make_unique<engine::ServingEngine>(
-        model::PerfModel(model::ModelSpec::llama2_7b(),
-                         model::HardwareSpec::a100_80g()),
-        core::makeSchedulingPolicy(config), engine::EngineConfig{});
-}
-
 struct RunResult
 {
     metrics::RunReport report;
+    metrics::SlaSpec sla;
     double wallMillis = 0.0;
 };
 
+/** Serve `dataset` as Poisson arrivals at `rate` (seed 42) on the
+ *  fleet `options` describes. */
 RunResult
-runColocated(const workload::Dataset &dataset, double rate,
-             std::size_t instances)
+runFleet(cli::CliOptions options, const workload::Dataset &dataset,
+         double rate)
 {
-    std::vector<std::unique_ptr<engine::ServingEngine>> engines;
-    engines.reserve(instances);
-    for (std::size_t i = 0; i < instances; ++i)
-        engines.push_back(makeInstance(dataset));
-    cluster::ServingCluster fleet(
-        std::move(engines), cluster::RoutingPolicy::FutureMemory);
-    workload::submitPoissonArrivals(dataset, fleet, rate, 42);
+    options.poissonRate = rate;
+    const cli::Scenario scenario =
+        cli::assembleScenario(options, dataset);
     const auto start = std::chrono::steady_clock::now();
     RunResult result;
-    result.report = fleet.run();
-    result.wallMillis = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() -
-                            start)
-                            .count();
-    return result;
-}
-
-RunResult
-runDisagg(const workload::Dataset &dataset, double rate,
-          std::size_t prefill_instances,
-          std::size_t decode_instances)
-{
-    const model::ModelSpec model = model::ModelSpec::llama2_7b();
-    const model::HardwareSpec hardware =
-        model::HardwareSpec::a100_80g();
-    std::vector<std::unique_ptr<engine::ServingEngine>> prefill;
-    for (std::size_t i = 0; i < prefill_instances; ++i)
-        prefill.push_back(makeInstance(dataset));
-    std::vector<std::unique_ptr<engine::ServingEngine>> decode;
-    for (std::size_t i = 0; i < decode_instances; ++i)
-        decode.push_back(makeInstance(dataset));
-
-    disagg::DisaggConfig config;
-    config.kvBytesPerToken = model.kvBytesPerToken();
-    config.blockSize = 16;
-    config.linkBandwidth = hardware.interconnectBandwidth;
-    config.transferLatency =
-        secondsToTicks(hardware.interconnectLatency);
-    disagg::DisaggCluster cluster(std::move(prefill),
-                                  std::move(decode), config);
-    workload::submitPoissonArrivals(dataset, cluster, rate, 42);
-    const auto start = std::chrono::steady_clock::now();
-    RunResult result;
-    result.report = cluster.run();
+    result.report = cli::runScenario(scenario);
+    result.sla = scenario.sla;
     result.wallMillis = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() -
                             start)
@@ -178,8 +125,16 @@ main()
                  "disaggregation vs a colocated fleet\n\n";
 
     const std::size_t requests = bench::smokeSize(1200, 160);
-    const metrics::SlaSpec sla = metrics::SlaSpec::small7b13b();
     const std::vector<Mix> mixes = makeMixes();
+    // `--instances 4` and `--disagg --prefill-instances 2
+    // --decode-instances 2` (the A100's NVLink-class interconnect),
+    // Past-Future (3%) Llama-2-7B throughout.
+    cli::CliOptions colocated_fleet;
+    colocated_fleet.instances = 4;
+    cli::CliOptions disagg_fleet;
+    disagg_fleet.disagg = true;
+    disagg_fleet.prefillInstances = 2;
+    disagg_fleet.decodeInstances = 2;
 
     TextTable table({"mix", "fleet", "goodput_tok_s",
                      "sla_compliance", "p99_ttft_s", "p99_mtpot_s",
@@ -190,15 +145,16 @@ main()
         const workload::Dataset dataset =
             makeMixDataset(mix, requests, 42 + mix.inputLo);
         const RunResult colocated =
-            runColocated(dataset, mix.ratePerSecond, 4);
+            runFleet(colocated_fleet, dataset, mix.ratePerSecond);
         const RunResult disaggregated =
-            runDisagg(dataset, mix.ratePerSecond, 2, 2);
+            runFleet(disagg_fleet, dataset, mix.ratePerSecond);
 
         for (const auto &[fleet, result] :
              {std::pair<const char *, const RunResult &>{
                   "colocated", colocated},
               {"disagg-2p2d", disaggregated}}) {
             const metrics::RunReport &report = result.report;
+            const metrics::SlaSpec &sla = result.sla;
             const auto digest = report.latencyDigest();
             table.addRow({
                 mix.label,
@@ -238,8 +194,9 @@ main()
         }
 
         const bool disagg_wins =
-            disaggregated.report.goodputTokensPerSec(sla) >
-            colocated.report.goodputTokensPerSec(sla);
+            disaggregated.report.goodputTokensPerSec(
+                disaggregated.sla) >
+            colocated.report.goodputTokensPerSec(colocated.sla);
         auto &side = disagg_wins ? wins : losses;
         if (!side.empty())
             side += '+';

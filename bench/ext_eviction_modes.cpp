@@ -17,7 +17,6 @@
 #include "base/str_util.hh"
 #include "base/table.hh"
 #include "bench_common.hh"
-#include "metrics/sla.hh"
 
 using namespace lightllm;
 using namespace lightllm::bench;
@@ -28,53 +27,45 @@ main()
     std::cout << "# Extension: eviction handling - recompute vs "
                  "swap (Llama-2-7B / A100-80G, Distribution-1)\n\n";
 
-    const auto dataset =
-        workload::makeDistribution1(smokeSize(600, 60), 61);
-    const auto history =
-        workload::makeDistribution1(smokeSize(1000, 120), 62);
-    model::PerfModel perf(model::ModelSpec::llama2_7b(),
-                          model::HardwareSpec::a100_80g());
-    const auto sla = metrics::SlaSpec::small7b13b();
+    const std::vector<TokenCount> history =
+        workload::makeDistribution1(smokeSize(1000, 120), 62)
+            .effectiveOutputLens();
 
-    struct Row
-    {
-        std::string label;
-        core::SchedulerConfig scheduler;
-        engine::EvictionMode mode;
-    };
-    const std::vector<Row> rows = {
-        {"Aggressive(99%) + recompute",
-         core::SchedulerConfig::aggressive(0.99),
-         engine::EvictionMode::Recompute},
-        {"Aggressive(99%) + swap",
-         core::SchedulerConfig::aggressive(0.99),
-         engine::EvictionMode::Swap},
-        {"Past-Future(5%) + recompute",
-         core::SchedulerConfig::pastFutureDefault(0.05),
-         engine::EvictionMode::Recompute},
-        {"Past-Future(5%) + swap",
-         core::SchedulerConfig::pastFutureDefault(0.05),
-         engine::EvictionMode::Swap},
+    using O = cli::CliOptions;
+    const std::vector<SchedulerLineup> schedulers = {
+        {"Aggressive(99%)",
+         schedulerOptions("aggressive", &O::watermark, 0.99)},
+        {"Past-Future(5%)",
+         schedulerOptions("past_future", &O::reservedRatio, 0.05)},
     };
 
     TextTable table({"Configuration", "Goodput tok/s", "Evicted",
                      "Swap transfers", "Prefill tokens",
                      "p99 MTPOT s"});
-    for (const auto &row : rows) {
-        ServeOptions options;
-        options.numClients = sizeClients(perf, dataset, 0.95);
-        options.warmHistory = history.effectiveOutputLens();
-        options.engineConfig.evictionMode = row.mode;
-        const auto report =
-            runClosedLoop(perf, row.scheduler, dataset, options);
-        table.addRow(
-            {row.label,
-             formatDouble(report.goodputTokensPerSec(sla), 0),
-             formatPercent(report.evictedReqRatio(), 1),
-             formatCount(report.swapEvents),
-             formatCount(report.totalPrefillTokens),
-             formatDouble(report.latencyDigest().mtpotPercentile(0.99),
-                          2)});
+    for (const SchedulerLineup &scheduler : schedulers) {
+        for (const char *mode : {"recompute", "swap"}) {
+            cli::CliOptions cell = scheduler.options;
+            cell.workload = "dist1";
+            cell.requests = smokeSize(600, 60);
+            cell.seed = 61;
+            cell.evictionMode = mode;
+            cli::Scenario scenario = cli::assembleScenario(cell);
+            scenario.clients =
+                sizeClients(scenario.perf, scenario.dataset, 0.95);
+            scenario.schedulerConfig.pastFuture.initialHistory =
+                history;
+            const auto report = cli::runScenario(scenario);
+            table.addRow(
+                {scheduler.label + " + " + mode,
+                 formatDouble(report.goodputTokensPerSec(scenario.sla),
+                              0),
+                 formatPercent(report.evictedReqRatio(), 1),
+                 formatCount(report.swapEvents),
+                 formatCount(report.totalPrefillTokens),
+                 formatDouble(
+                     report.latencyDigest().mtpotPercentile(0.99),
+                     2)});
+        }
     }
     table.print(std::cout);
 

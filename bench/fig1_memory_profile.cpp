@@ -22,7 +22,6 @@
 #include "bench_common.hh"
 #include "memory/kv_block_manager.hh"
 #include "trace/trace_recorder.hh"
-#include "workload/datasets.hh"
 
 using namespace lightllm;
 using namespace lightllm::bench;
@@ -55,12 +54,22 @@ sampledFutureTokens(const trace::EngineTrace &sink)
     return series;
 }
 
+/** One panel: `requests` of --workload at --seed `seed`, warmed by
+ *  a history window drawn at seed + 1. */
 void
-profileDataset(const workload::Dataset &dataset,
-               const workload::Dataset &history)
+profileDataset(const std::string &workload, std::size_t requests,
+               std::uint64_t seed)
 {
-    model::PerfModel perf(model::ModelSpec::llama2_7b(),
-                          model::HardwareSpec::a100_80g());
+    cli::CliOptions options;
+    options.workload = workload;
+    options.requests = smokeSize(1000, 120);
+    options.seed = seed + 1;
+    const std::vector<TokenCount> history =
+        cli::assembleScenario(options).dataset.effectiveOutputLens();
+    options.requests = requests;
+    options.seed = seed;
+    const workload::Dataset dataset =
+        cli::assembleScenario(options).dataset;
 
     std::cout << "### " << dataset.name << " (mean input "
               << formatDouble(dataset.meanInputLen(), 0)
@@ -68,22 +77,23 @@ profileDataset(const workload::Dataset &dataset,
               << formatDouble(dataset.meanOutputLen(), 0)
               << " tokens)\n\n";
 
-    const std::vector<SchedulerLineup> lineup = figure7Lineup();
-
     TextTable table({"Scheduler", "Consumed memory",
                      "Future required", "Evicted reqs",
                      "Timeline (future required, 12 samples)"});
-    for (const auto &entry : lineup) {
-        ServeOptions options;
-        options.numClients = sizeClients(perf, dataset, 1.4);
-        options.warmHistory = history.effectiveOutputLens();
+    for (const auto &entry : figure7Lineup()) {
+        cli::CliOptions cell = entry.options;
+        cell.workload = workload;
+        cell.requests = requests;
+        cell.seed = seed;
+        cli::Scenario scenario = cli::assembleScenario(cell);
+        scenario.clients =
+            sizeClients(scenario.perf, scenario.dataset, 1.4);
+        scenario.schedulerConfig.pastFuture.initialHistory = history;
         trace::TraceConfig trace_config;
         trace_config.detail = trace::TraceDetail::Steps;
         trace_config.ringCapacity = kTraceRing;
         trace::TraceRecorder recorder(trace_config);
-        trace::EngineTrace *sink = recorder.createEngine(entry.label);
-        const auto report = runClosedLoop(perf, entry.config,
-                                          dataset, options, sink);
+        const auto report = cli::runScenario(scenario, &recorder);
         if (recorder.totalDropped() > 0) {
             std::cerr << "fig1_memory_profile: " << entry.label
                       << " overflowed the trace ring ("
@@ -94,13 +104,13 @@ profileDataset(const workload::Dataset &dataset,
 
         // The engine's KV capacity: whole blocks of the model's.
         const double capacity = static_cast<double>(
-            memory::KvBlockManager(perf.tokenCapacity(),
-                                   options.engineConfig.blockSize)
+            memory::KvBlockManager(scenario.perf.tokenCapacity(),
+                                   scenario.engineConfig.blockSize)
                 .capacityTokens());
         // Downsample the future-required series to 12 points.
         std::string sparkline;
         const std::vector<TokenCount> series =
-            sampledFutureTokens(*sink);
+            sampledFutureTokens(recorder.engines().front());
         const std::size_t samples = 12;
         for (std::size_t s = 0; s < samples && !series.empty();
              ++s) {
@@ -131,15 +141,12 @@ main()
     std::cout << "# Figure 1: memory behaviour of request "
                  "schedulers (Llama-2-7B, A100-80G)\n\n";
     const std::size_t n = smokeSize(700, 60);
-    const std::size_t history_n = smokeSize(1000, 120);
 
     // Prefill-heavy panel (left in the paper).
-    profileDataset(workload::makeDistribution3(n, 301),
-                   workload::makeDistribution3(history_n, 302));
+    profileDataset("dist3", n, 301);
 
     // Decode-heavy panel (right in the paper).
-    profileDataset(workload::makeDistribution1(n, 303),
-                   workload::makeDistribution1(history_n, 304));
+    profileDataset("dist1", n, 303);
 
     std::cout << "Reading: 'Future required' > 100% means the "
                  "running batch is guaranteed to outgrow memory "

@@ -17,42 +17,60 @@
  * so the x-axis is expressed as a load fraction).
  */
 
-#include <functional>
 #include <iostream>
 #include <utility>
 
 #include "base/str_util.hh"
 #include "base/table.hh"
 #include "bench_common.hh"
-#include "metrics/sla.hh"
 
 using namespace lightllm;
 using namespace lightllm::bench;
 
 namespace {
 
+/** A model on its platform, as pfs_cli flags; the SLA follows the
+ *  model size (7B/13B vs 70B) as on the CLI. */
 struct ModelSetup
 {
     std::string label;
-    model::ModelSpec model;
-    model::HardwareSpec hardware;
-    metrics::SlaSpec sla;
+    std::string model;
+    int tensorParallel;
 };
 
-using DatasetMaker =
-    std::function<workload::Dataset(std::size_t, std::uint64_t)>;
+/** A dataset panel: its title and --workload name. */
+struct DatasetPanel
+{
+    std::string title;
+    std::string workload;
+};
 
 void
-sweepDataset(const ModelSetup &setup, const std::string &name,
-             const DatasetMaker &make,
+sweepDataset(const ModelSetup &setup, const DatasetPanel &panel,
              std::vector<bench::JsonRow> &rows)
 {
-    const model::PerfModel perf(setup.model, setup.hardware);
+    // One cell: `requests` of the panel's workload at `seed` on the
+    // setup's model, under the scheduler flags in `options`.
+    const auto assemble = [&](cli::CliOptions options,
+                              std::size_t requests,
+                              std::uint64_t seed) {
+        options.model = setup.model;
+        options.tensorParallel = setup.tensorParallel;
+        options.workload = panel.workload;
+        options.requests = requests;
+        options.seed = seed;
+        return cli::assembleScenario(options);
+    };
     const std::size_t n_requests = smokeSize(400, 48);
-    const auto reference = make(n_requests, 1001);
-    const auto history = make(smokeSize(1000, 120), 2002);
+    // Sweep points are labelled from the fixed reference dataset
+    // (replica 0's), not whichever replica happened to run last.
+    const cli::Scenario reference = assemble({}, n_requests, 1001);
+    const std::vector<TokenCount> history =
+        assemble({}, smokeSize(1000, 120), 2002)
+            .dataset.effectiveOutputLens();
 
-    std::cout << "## " << setup.label << " - " << name << "\n\n";
+    std::cout << "## " << setup.label << " - " << panel.title
+              << "\n\n";
 
     const std::vector<double> load_fractions = smokeTruncate(
         std::vector<double>{0.2, 0.4, 0.6, 0.75, 0.85, 1.0, 1.2},
@@ -63,7 +81,9 @@ sweepDataset(const ModelSetup &setup, const std::string &name,
     for (double fraction : load_fractions) {
         headers.push_back(
             "load " + formatDouble(fraction, 2) + " (n=" +
-            std::to_string(sizeClients(perf, reference, fraction)) +
+            std::to_string(sizeClients(reference.perf,
+                                       reference.dataset,
+                                       fraction)) +
             ")");
     }
     TextTable table(headers);
@@ -72,29 +92,24 @@ sweepDataset(const ModelSetup &setup, const std::string &name,
         std::vector<std::string> row{entry.label};
         for (double fraction : load_fractions) {
             double goodput_sum = 0.0;
-            // Label the sweep point like the table header does —
-            // from the fixed reference dataset, not whichever
-            // replica happened to run last.
-            const std::size_t clients =
-                sizeClients(perf, reference, fraction);
+            const std::size_t clients = sizeClients(
+                reference.perf, reference.dataset, fraction);
             for (int replica = 0; replica < replicas; ++replica) {
-                const auto dataset =
-                    make(n_requests,
-                         1001 + static_cast<std::uint64_t>(replica));
-                ServeOptions options;
-                options.numClients =
-                    sizeClients(perf, dataset, fraction);
-                options.warmHistory = history.effectiveOutputLens();
-                const auto report = runClosedLoop(
-                    perf, entry.config, dataset, options);
-                goodput_sum +=
-                    report.goodputTokensPerSec(setup.sla);
+                cli::Scenario scenario = assemble(
+                    entry.options, n_requests,
+                    1001 + static_cast<std::uint64_t>(replica));
+                scenario.clients = sizeClients(
+                    scenario.perf, scenario.dataset, fraction);
+                scenario.schedulerConfig.pastFuture.initialHistory =
+                    history;
+                goodput_sum += cli::runScenario(scenario)
+                                   .goodputTokensPerSec(scenario.sla);
             }
             const double goodput = goodput_sum / replicas;
             row.push_back(formatDouble(goodput, 0));
             rows.push_back(bench::JsonRow{
                 {"model", setup.label},
-                {"dataset", name},
+                {"dataset", panel.title},
                 {"scheduler", entry.label},
                 {"load_fraction", fraction},
                 {"clients", static_cast<double>(clients)},
@@ -117,47 +132,26 @@ main()
 
     const std::vector<ModelSetup> setups = smokeTruncate(
         std::vector<ModelSetup>{
-            {"Llama-2-7B-Chat / A100-80G",
-             model::ModelSpec::llama2_7b(),
-             model::HardwareSpec::a100_80g(),
-             metrics::SlaSpec::small7b13b()},
-            {"Llama-2-13B-Chat / A100-80G",
-             model::ModelSpec::llama2_13b(),
-             model::HardwareSpec::a100_80g(),
-             metrics::SlaSpec::small7b13b()},
-            {"Llama-2-70B-Chat / 4x A100-80G (NVLink)",
-             model::ModelSpec::llama2_70b(),
-             model::HardwareSpec::a100_80g().withTensorParallel(4),
-             metrics::SlaSpec::large70b()},
+            {"Llama-2-7B-Chat / A100-80G", "llama2-7b", 1},
+            {"Llama-2-13B-Chat / A100-80G", "llama2-13b", 1},
+            {"Llama-2-70B-Chat / 4x A100-80G (NVLink)", "llama2-70b",
+             4},
         },
         1);
 
-    const std::vector<std::pair<std::string, DatasetMaker>>
-        datasets = smokeTruncate(
-            std::vector<std::pair<std::string, DatasetMaker>>{
-                {"ShareGPT-o1",
-                 [](std::size_t n, std::uint64_t seed) {
-                     return workload::makeShareGptO1(n, seed);
-                 }},
-                {"Distribution-1 (decode-heavy)",
-                 [](std::size_t n, std::uint64_t seed) {
-                     return workload::makeDistribution1(n, seed);
-                 }},
-                {"Distribution-2 (balanced)",
-                 [](std::size_t n, std::uint64_t seed) {
-                     return workload::makeDistribution2(n, seed);
-                 }},
-                {"Distribution-3 (prefill-heavy)",
-                 [](std::size_t n, std::uint64_t seed) {
-                     return workload::makeDistribution3(n, seed);
-                 }},
-            },
-            1);
+    const std::vector<DatasetPanel> panels = smokeTruncate(
+        std::vector<DatasetPanel>{
+            {"ShareGPT-o1", "sharegpt-o1"},
+            {"Distribution-1 (decode-heavy)", "dist1"},
+            {"Distribution-2 (balanced)", "dist2"},
+            {"Distribution-3 (prefill-heavy)", "dist3"},
+        },
+        1);
 
     std::vector<bench::JsonRow> rows;
     for (const auto &setup : setups)
-        for (const auto &[name, make] : datasets)
-            sweepDataset(setup, name, make, rows);
+        for (const auto &panel : panels)
+            sweepDataset(setup, panel, rows);
 
     bench::writeJson("BENCH_fig7_goodput.json", "fig7_goodput",
                      rows);

@@ -13,6 +13,8 @@
  */
 
 #include <iostream>
+#include <optional>
+#include <utility>
 
 #include "base/str_util.hh"
 #include "base/table.hh"
@@ -23,20 +25,15 @@ using namespace lightllm::bench;
 
 namespace {
 
+/** One sweep point: its scheduler flags, plus the prediction mode
+ *  of the ablation rows (no flag selects it). */
 struct Point
 {
     std::string family;
     std::string parameter;
-    core::SchedulerConfig config;
+    cli::CliOptions options;
+    std::optional<core::PredictionMode> mode = std::nullopt;
 };
-
-core::SchedulerConfig
-pastFutureMode(double reserved, core::PredictionMode mode)
-{
-    auto config = core::SchedulerConfig::pastFutureDefault(reserved);
-    config.pastFuture.predictionMode = mode;
-    return config;
-}
 
 } // namespace
 
@@ -56,47 +53,45 @@ main()
     const auto history =
         workload::makeShareGptO1(smokeSize(1000, 120), 85);
 
-    model::PerfModel perf(model::ModelSpec::llama2_7b(),
-                          model::HardwareSpec::a100_80g());
-
+    using O = cli::CliOptions;
     std::vector<Point> points;
-    points.push_back({"Theoretical optimum", "-",
-                      core::SchedulerConfig::oracle()});
+    points.push_back(
+        {"Theoretical optimum", "-", schedulerOptions("oracle")});
     for (double reserved : {0.03, 0.05, 0.10, 0.15, 0.20}) {
         points.push_back({"Past-Future (ours)",
                           "reserved=" + formatPercent(reserved, 0),
-                          core::SchedulerConfig::pastFutureDefault(
-                              reserved)});
+                          schedulerOptions("past_future",
+                                           &O::reservedRatio,
+                                           reserved)});
     }
     for (double watermark : {0.99, 0.95, 0.90, 0.80, 0.70, 0.60}) {
         points.push_back({"Aggressive",
                           "watermark=" + formatPercent(watermark, 0),
-                          core::SchedulerConfig::aggressive(
-                              watermark)});
+                          schedulerOptions("aggressive",
+                                           &O::watermark, watermark)});
     }
     for (double overcommit : {1.00, 1.10, 1.22, 1.50, 1.80, 2.20}) {
         points.push_back({"Conservative",
                           "overcommit=" +
                               formatPercent(overcommit, 0),
-                          core::SchedulerConfig::conservative(
-                              overcommit)});
+                          schedulerOptions("conservative",
+                                           &O::overcommit,
+                                           overcommit)});
     }
     // Prediction-mode ablation (DESIGN.md §4): why coupled sampling
     // is the default.
-    points.push_back({"PF ablation: per-step sampling",
-                      "reserved=5%",
-                      pastFutureMode(
-                          0.05,
-                          core::PredictionMode::PerStepSample)});
-    points.push_back({"PF ablation: tail-mean point est.",
-                      "reserved=5%",
-                      pastFutureMode(0.05,
-                                     core::PredictionMode::TailMean)});
-    points.push_back({"PF ablation: tail-quantile point est.",
-                      "reserved=5%",
-                      pastFutureMode(
-                          0.05,
-                          core::PredictionMode::TailQuantile)});
+    for (const auto &[family, mode] :
+         {std::pair{"PF ablation: per-step sampling",
+                    core::PredictionMode::PerStepSample},
+          {"PF ablation: tail-mean point est.",
+           core::PredictionMode::TailMean},
+          {"PF ablation: tail-quantile point est.",
+           core::PredictionMode::TailQuantile}}) {
+        points.push_back({family, "reserved=5%",
+                          schedulerOptions("past_future",
+                                           &O::reservedRatio, 0.05),
+                          mode});
+    }
 
     points = smokeTruncate(std::move(points), 4);
 
@@ -110,12 +105,17 @@ main()
         }
         previous_family = point.family;
 
-        ServeOptions options;
-        options.numClients = sizeClients(perf, mixed, 1.3);
+        cli::CliOptions options = point.options;
         options.warmupRequests = smokeSize(150, 0);
-        options.warmHistory = history.effectiveOutputLens();
-        const auto report =
-            runClosedLoop(perf, point.config, mixed, options);
+        cli::Scenario scenario = cli::assembleScenario(options, mixed);
+        scenario.clients =
+            sizeClients(scenario.perf, scenario.dataset, 1.3);
+        scenario.schedulerConfig.pastFuture.initialHistory =
+            history.effectiveOutputLens();
+        if (point.mode)
+            scenario.schedulerConfig.pastFuture.predictionMode =
+                *point.mode;
+        const auto report = cli::runScenario(scenario);
         table.addRow({point.family, point.parameter,
                       formatCount(report.decodeSteps),
                       formatPercent(report.evictedReqRatio(), 2),

@@ -13,33 +13,57 @@
  * scheduler wins goodput on every row.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "base/str_util.hh"
 #include "base/table.hh"
 #include "bench_common.hh"
-#include "engine/framework_profile.hh"
-#include "metrics/sla.hh"
 
 using namespace lightllm;
 using namespace lightllm::bench;
 
 namespace {
 
+/**
+ * One serving framework as a point in configuration space: the
+ * admission policy it ships (a pfs_cli scheduler at its default
+ * parameter), whether it uses split-fuse chunked prefill, and how
+ * its backend speed compares (timeFactor). Speed factors are rough
+ * relative efficiencies of the December-2023 versions the paper
+ * benchmarked (TensorRT-LLM fastest static backend; TGI's Python
+ * serving layer slowest); the goodput ordering is driven by the
+ * scheduler, and the sensitivity section sets every factor to 1.
+ */
+struct Framework
+{
+    const char *name;
+    const char *scheduler;
+    bool splitFuse;
+    double timeFactor;
+};
+
+/** The five frameworks in the paper's Figure 9 order. */
+constexpr Framework kFrameworks[] = {
+    {"TGI", "conservative", false, 1.10},
+    {"vLLM", "aggressive", false, 0.95},
+    {"DeepSpeed-MII", "conservative", true, 1.0},
+    {"TensorRT-LLM", "conservative", false, 0.80},
+    {"LightLLM", "past_future", false, 0.90},
+};
+
+/** A model on its platform, as pfs_cli flags. */
 struct Setup
 {
     std::string label;
-    model::ModelSpec model;
-    model::HardwareSpec hardware;
-    metrics::SlaSpec sla;
+    std::string model;
+    std::string hardware;
+    int tensorParallel;
 };
 
 void
 runSetup(const Setup &setup, bool equal_backends = false)
 {
-    const model::PerfModel reference(setup.model, setup.hardware);
-    const auto dataset =
-        workload::makeShareGpt(smokeSize(500, 48), 91);
     const auto history =
         workload::makeShareGpt(smokeSize(1000, 120), 92);
 
@@ -51,9 +75,21 @@ runSetup(const Setup &setup, bool equal_backends = false)
     TextTable table({"Framework", "Scheduler", "Max throughput",
                      "Goodput (SLA)", "Evicted", "p99 TTFT s"});
 
-    for (auto profile : engine::FrameworkProfile::all()) {
-        if (equal_backends)
-            profile.timeFactor = 1.0;
+    for (const Framework &framework : kFrameworks) {
+        cli::CliOptions options;
+        options.model = setup.model;
+        options.hardware = setup.hardware;
+        options.tensorParallel = setup.tensorParallel;
+        options.workload = "sharegpt";
+        options.requests = smokeSize(500, 48);
+        options.seed = 91;
+        options.scheduler = framework.scheduler;
+        options.splitFuse = framework.splitFuse;
+        cli::Scenario scenario = cli::assembleScenario(options);
+        scenario.schedulerConfig.pastFuture.initialHistory =
+            history.effectiveOutputLens();
+        scenario.engineConfig.timeFactor =
+            equal_backends ? 1.0 : framework.timeFactor;
         // Each framework runs at two load levels; report the best
         // observed throughput and the best observed goodput (the
         // paper's dashed and solid bars).
@@ -63,18 +99,13 @@ runSetup(const Setup &setup, bool equal_backends = false)
         double ttft_at_best = 0.0;
         for (double fraction :
              smokeTruncate(std::vector<double>{0.8, 1.2}, 1)) {
-            ServeOptions options;
-            options.numClients =
-                sizeClients(reference, dataset, fraction);
-            options.warmHistory = history.effectiveOutputLens();
-            options.engineConfig = profile.toEngineConfig();
-            const auto report =
-                runClosedLoop(reference, profile.scheduler, dataset,
-                              options);
+            scenario.clients =
+                sizeClients(scenario.perf, scenario.dataset, fraction);
+            const auto report = cli::runScenario(scenario);
             best_throughput = std::max(
                 best_throughput, report.throughputTokensPerSec());
             const double goodput =
-                report.goodputTokensPerSec(setup.sla);
+                report.goodputTokensPerSec(scenario.sla);
             if (goodput > best_goodput) {
                 best_goodput = goodput;
                 evicted_at_best = report.evictedReqRatio();
@@ -83,8 +114,8 @@ runSetup(const Setup &setup, bool equal_backends = false)
             }
         }
         table.addRow(
-            {profile.name,
-             core::schedulerKindName(profile.scheduler.kind),
+            {framework.name,
+             core::schedulerKindName(scenario.schedulerConfig.kind),
              formatDouble(best_throughput, 0),
              formatDouble(best_goodput, 0),
              formatPercent(evicted_at_best, 1),
@@ -103,49 +134,25 @@ main()
                  "frameworks and hardware (ShareGPT, "
                  "max_new_tokens=2048)\n\n";
 
-    std::vector<Setup> setups;
-    // 7B row: single-GPU platforms.
-    for (const auto &hw :
-         {model::HardwareSpec::a100_80g(), model::HardwareSpec::h800(),
-          model::HardwareSpec::rtx4090(), model::HardwareSpec::a30()}) {
-        setups.push_back({"Llama-2-7B-Chat / " + hw.name,
-                          model::ModelSpec::llama2_7b(), hw,
-                          metrics::SlaSpec::small7b13b()});
-    }
-    // 13B row: A100/H800 single GPU; 4090 and A30 need 2-way TP.
-    setups.push_back({"Llama-2-13B-Chat / A100-80G",
-                      model::ModelSpec::llama2_13b(),
-                      model::HardwareSpec::a100_80g(),
-                      metrics::SlaSpec::small7b13b()});
-    setups.push_back({"Llama-2-13B-Chat / H800",
-                      model::ModelSpec::llama2_13b(),
-                      model::HardwareSpec::h800(),
-                      metrics::SlaSpec::small7b13b()});
-    setups.push_back({"Llama-2-13B-Chat / RTX-4090 x2",
-                      model::ModelSpec::llama2_13b(),
-                      model::HardwareSpec::rtx4090()
-                          .withTensorParallel(2),
-                      metrics::SlaSpec::small7b13b()});
-    setups.push_back({"Llama-2-13B-Chat / A30 x2",
-                      model::ModelSpec::llama2_13b(),
-                      model::HardwareSpec::a30().withTensorParallel(2),
-                      metrics::SlaSpec::small7b13b()});
-    // 70B row.
-    setups.push_back({"Llama-2-70B-Chat / A100-80G x4",
-                      model::ModelSpec::llama2_70b(),
-                      model::HardwareSpec::a100_80g()
-                          .withTensorParallel(4),
-                      metrics::SlaSpec::large70b()});
-    setups.push_back({"Llama-2-70B-Chat / H800 x4",
-                      model::ModelSpec::llama2_70b(),
-                      model::HardwareSpec::h800()
-                          .withTensorParallel(4),
-                      metrics::SlaSpec::large70b()});
-    setups.push_back({"Llama-2-70B-Chat / RTX-4090 x8",
-                      model::ModelSpec::llama2_70b(),
-                      model::HardwareSpec::rtx4090()
-                          .withTensorParallel(8),
-                      metrics::SlaSpec::large70b()});
+    std::vector<Setup> setups = {
+        // 7B row: single-GPU platforms.
+        {"Llama-2-7B-Chat / A100-80G", "llama2-7b", "a100-80g", 1},
+        {"Llama-2-7B-Chat / H800", "llama2-7b", "h800", 1},
+        {"Llama-2-7B-Chat / RTX-4090", "llama2-7b", "rtx4090", 1},
+        {"Llama-2-7B-Chat / A30", "llama2-7b", "a30", 1},
+        // 13B row: A100/H800 single GPU; 4090 and A30 need 2-way TP.
+        {"Llama-2-13B-Chat / A100-80G", "llama2-13b", "a100-80g", 1},
+        {"Llama-2-13B-Chat / H800", "llama2-13b", "h800", 1},
+        {"Llama-2-13B-Chat / RTX-4090 x2", "llama2-13b", "rtx4090",
+         2},
+        {"Llama-2-13B-Chat / A30 x2", "llama2-13b", "a30", 2},
+        // 70B row.
+        {"Llama-2-70B-Chat / A100-80G x4", "llama2-70b", "a100-80g",
+         4},
+        {"Llama-2-70B-Chat / H800 x4", "llama2-70b", "h800", 4},
+        {"Llama-2-70B-Chat / RTX-4090 x8", "llama2-70b", "rtx4090",
+         8},
+    };
 
     setups = smokeTruncate(std::move(setups), 1);
 

@@ -20,10 +20,6 @@
 #include "base/str_util.hh"
 #include "base/table.hh"
 #include "bench_common.hh"
-#include "core/scheduler_factory.hh"
-#include "engine/serving_engine.hh"
-#include "model/perf_model.hh"
-#include "workload/session_gen.hh"
 
 using namespace lightllm;
 
@@ -35,39 +31,22 @@ struct RunResult
     double wallMillis = 0.0;
 };
 
+/** `pfs_cli --sessions N --turns T --think-time 0.5
+ *  --prefix-cache on|off` at the defaults (Past-Future 3%,
+ *  512-token system prompt, seed 42). */
 RunResult
 runSessions(std::size_t turns, bool cache_on)
 {
-    workload::SessionWorkloadConfig config;
-    config.numSessions = bench::smokeSize(48, 8);
-    config.turnsPerSession = turns;
-    config.systemPromptTokens = 512;
-    config.thinkTime = secondsToTicks(0.5);
-    config.seed = 42;
-
-    auto scheduler_config =
-        core::SchedulerConfig::pastFutureDefault(0.03);
-    scheduler_config.pastFuture.seedOutputLen =
-        workload::kSessionMaxNewTokens;
-
-    engine::EngineConfig engine_config;
-    engine_config.prefixCache = cache_on;
-
-    engine::ServingEngine engine(
-        model::PerfModel(model::ModelSpec::llama2_7b(),
-                         model::HardwareSpec::a100_80g()),
-        core::makeScheduler(scheduler_config), engine_config);
-
-    workload::SessionGenerator sessions(config, engine);
-    engine.setOnFinish(
-        [&](const workload::RequestSpec &spec, Tick tick) {
-            sessions.onRequestFinished(spec.id, tick);
-        });
+    cli::CliOptions options;
+    options.sessions = bench::smokeSize(48, 8);
+    options.turns = turns;
+    options.thinkSeconds = 0.5;
+    options.prefixCache = cache_on ? "on" : "off";
+    const cli::Scenario scenario = cli::assembleScenario(options);
 
     const auto start = std::chrono::steady_clock::now();
-    sessions.start();
     RunResult result;
-    result.report = engine.run();
+    result.report = cli::runScenario(scenario);
     result.wallMillis = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start)
                             .count();

@@ -26,52 +26,61 @@ using namespace lightllm::bench;
 
 namespace {
 
-struct Row
-{
-    std::string label;
-    core::SchedulerConfig config;
-};
-
+/** One dataset panel: `workload` at --seed `seed`, warmed by a
+ *  history window drawn at seed + 1. */
 void
-runDataset(const std::string &title, const workload::Dataset &dataset,
-           const workload::Dataset &history, double conservative_oc,
+runDataset(const std::string &title, const std::string &workload,
+           std::uint64_t seed, double conservative_oc,
            std::vector<bench::JsonRow> &json_rows)
 {
-    model::PerfModel perf(model::ModelSpec::llama2_7b(),
-                          model::HardwareSpec::a100_80g());
+    cli::CliOptions history_options;
+    history_options.workload = workload;
+    history_options.requests = smokeSize(1000, 120);
+    history_options.seed = seed + 1;
+    const std::vector<TokenCount> history =
+        cli::assembleScenario(history_options)
+            .dataset.effectiveOutputLens();
 
     std::cout << "## " << title << "\n\n";
 
-    const std::vector<Row> rows = smokeTruncate(std::vector<Row>{
-        {"Theoretical optimum", core::SchedulerConfig::oracle()},
-        {"Past-Future (reserved=3%)",
-         core::SchedulerConfig::pastFutureDefault(0.03)},
-        {"Past-Future (reserved=5%)",
-         core::SchedulerConfig::pastFutureDefault(0.05)},
-        {"Past-Future (reserved=10%)",
-         core::SchedulerConfig::pastFutureDefault(0.10)},
-        {"Aggressive (watermark=99%)",
-         core::SchedulerConfig::aggressive(0.99)},
-        {"Aggressive (watermark=95%)",
-         core::SchedulerConfig::aggressive(0.95)},
-        {"Aggressive (watermark=90%)",
-         core::SchedulerConfig::aggressive(0.90)},
-        {"Conservative (no overcommit)",
-         core::SchedulerConfig::conservative(1.0)},
-        {"Conservative (overcommit=" +
-             formatPercent(conservative_oc, 0) + ")",
-         core::SchedulerConfig::conservative(conservative_oc)},
-    }, 3);
+    using O = cli::CliOptions;
+    const std::vector<SchedulerLineup> rows = smokeTruncate(
+        std::vector<SchedulerLineup>{
+            {"Theoretical optimum", schedulerOptions("oracle")},
+            {"Past-Future (reserved=3%)",
+             schedulerOptions("past_future", &O::reservedRatio, 0.03)},
+            {"Past-Future (reserved=5%)",
+             schedulerOptions("past_future", &O::reservedRatio, 0.05)},
+            {"Past-Future (reserved=10%)",
+             schedulerOptions("past_future", &O::reservedRatio, 0.10)},
+            {"Aggressive (watermark=99%)",
+             schedulerOptions("aggressive", &O::watermark, 0.99)},
+            {"Aggressive (watermark=95%)",
+             schedulerOptions("aggressive", &O::watermark, 0.95)},
+            {"Aggressive (watermark=90%)",
+             schedulerOptions("aggressive", &O::watermark, 0.90)},
+            {"Conservative (no overcommit)",
+             schedulerOptions("conservative", &O::overcommit, 1.0)},
+            {"Conservative (overcommit=" +
+                 formatPercent(conservative_oc, 0) + ")",
+             schedulerOptions("conservative", &O::overcommit,
+                              conservative_oc)},
+        },
+        3);
 
     TextTable table({"Method", "Decoding steps", "Consumed memory",
                      "Future required", "Evicted reqs"});
     for (const auto &row : rows) {
-        ServeOptions options;
-        options.numClients = sizeClients(perf, dataset, 1.5);
+        cli::CliOptions options = row.options;
+        options.workload = workload;
+        options.requests = smokeSize(1000, 80);
+        options.seed = seed;
         options.warmupRequests = smokeSize(150, 0);
-        options.warmHistory = history.effectiveOutputLens();
-        const auto report =
-            runClosedLoop(perf, row.config, dataset, options);
+        cli::Scenario scenario = cli::assembleScenario(options);
+        scenario.clients =
+            sizeClients(scenario.perf, scenario.dataset, 1.5);
+        scenario.schedulerConfig.pastFuture.initialHistory = history;
+        const auto report = cli::runScenario(scenario);
         table.addRow({row.label,
                       formatCount(report.decodeSteps),
                       formatPercent(report.avgConsumedMemory, 2),
@@ -99,20 +108,10 @@ main()
     std::cout << "# Table 1: scheduler ablation on Llama-2-7B-Chat "
                  "/ A100-80G\n\n";
 
-    const std::size_t n = smokeSize(1000, 80);
-    const std::size_t history_n = smokeSize(1000, 120);
     std::vector<bench::JsonRow> rows;
-    runDataset("Distribution-1 (decode-heavy)",
-               workload::makeDistribution1(n, 11),
-               workload::makeDistribution1(history_n, 12), 1.5,
-               rows);
-    runDataset("Distribution-2 (balanced)",
-               workload::makeDistribution2(n, 13),
-               workload::makeDistribution2(history_n, 14), 1.25,
-               rows);
-    runDataset("Distribution-3 (prefill-heavy)",
-               workload::makeDistribution3(n, 15),
-               workload::makeDistribution3(history_n, 16), 1.5,
+    runDataset("Distribution-1 (decode-heavy)", "dist1", 11, 1.5, rows);
+    runDataset("Distribution-2 (balanced)", "dist2", 13, 1.25, rows);
+    runDataset("Distribution-3 (prefill-heavy)", "dist3", 15, 1.5,
                rows);
 
     bench::writeJson("BENCH_table1_ablation.json", "table1_ablation",

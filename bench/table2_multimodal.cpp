@@ -31,15 +31,26 @@ main()
     TextTable table({"Model", "Origin (static batch) tok/s",
                      "LightLLM (Past-Future) tok/s", "Speedup"});
 
-    for (const auto &spec :
-         {model::ModelSpec::qwenVlChat(), model::ModelSpec::llava15_7b(),
-          model::ModelSpec::llava15_13b()}) {
-        const model::PerfModel perf(spec,
-                                    model::HardwareSpec::a100_80g());
-        const auto dataset = workload::makeTextVqaLike(
-            smokeSize(1500, 120), spec.imageTokens, 71);
-        const auto history = workload::makeTextVqaLike(
-            smokeSize(1000, 120), spec.imageTokens, 72);
+    for (const char *model : {"qwen-vl-chat", "llava15-7b",
+                              "llava15-13b"}) {
+        // LightLLM: continuous batching + Past-Future scheduler,
+        // offline throughput measurement (all requests queued). The
+        // textvqa image prefix follows the model.
+        cli::CliOptions options = schedulerOptions(
+            "past_future", &cli::CliOptions::reservedRatio, 0.05);
+        options.model = model;
+        options.workload = "textvqa";
+        options.requests = smokeSize(1000, 120);
+        options.seed = 72;
+        const std::vector<TokenCount> history =
+            cli::assembleScenario(options)
+                .dataset.effectiveOutputLens();
+        options.requests = smokeSize(1500, 120);
+        options.seed = 71;
+        cli::Scenario scenario = cli::assembleScenario(options);
+        scenario.clients = scenario.dataset.requests.size();
+        scenario.schedulerConfig.pastFuture.initialHistory = history;
+        const auto lightllm = cli::runScenario(scenario);
 
         // Origin: HF-style static batching over contiguous memory.
         // Batch size 32 mirrors the modest batches the original
@@ -47,22 +58,14 @@ main()
         // decode-until-slowest far longer and flatter the baseline).
         engine::StaticEngineConfig origin_config;
         origin_config.batchSize = 32;
-        const auto origin =
-            engine::runStaticBatch(perf, dataset, origin_config);
-
-        // LightLLM: continuous batching + Past-Future scheduler,
-        // offline throughput measurement (all requests queued).
-        ServeOptions options;
-        options.numClients = dataset.requests.size();
-        options.warmHistory = history.effectiveOutputLens();
-        const auto lightllm = runClosedLoop(
-            perf, core::SchedulerConfig::pastFutureDefault(0.05),
-            dataset, options);
+        const auto origin = engine::runStaticBatch(
+            scenario.perf, scenario.dataset, origin_config);
 
         const double origin_tput = origin.throughputTokensPerSec();
         const double lightllm_tput =
             lightllm.throughputTokensPerSec();
-        table.addRow({spec.name, formatDouble(origin_tput, 2),
+        table.addRow({scenario.perf.modelSpec().name,
+                      formatDouble(origin_tput, 2),
                       formatDouble(lightllm_tput, 2),
                       formatDouble(lightllm_tput / origin_tput, 2) +
                           "x"});

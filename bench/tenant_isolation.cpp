@@ -37,6 +37,7 @@
 #include "engine/serving_engine.hh"
 #include "metrics/report.hh"
 #include "model/perf_model.hh"
+#include "stats/percentile.hh"
 #include "workload/arrivals.hh"
 #include "workload/datasets.hh"
 
@@ -98,22 +99,19 @@ benchPerf()
     return model::PerfModel(model::ModelSpec::llama2_7b(), hw);
 }
 
-/** TTFT percentile in seconds over one tenant's requests. */
+/** Nearest-rank TTFT percentile `q` in seconds over one tenant's
+ *  requests (the same rank LatencyDigest::ttftPercentile uses). */
 double
 tenantTtftSeconds(const metrics::RunReport &report,
-                  base::TenantId tenant, std::size_t percent)
+                  base::TenantId tenant, double q)
 {
-    std::vector<Tick> samples;
+    std::vector<double> samples;
     for (const metrics::RequestRecord &record : report.requests) {
         if (record.cls.tenant == tenant)
-            samples.push_back(record.ttft());
+            samples.push_back(ticksToSeconds(record.ttft()));
     }
-    if (samples.empty())
-        return 0.0;
     std::sort(samples.begin(), samples.end());
-    const std::size_t rank = std::min(
-        samples.size() - 1, (samples.size() * percent) / 100);
-    return ticksToSeconds(samples[rank]);
+    return stats::percentileSorted(samples, q);
 }
 
 struct IsolationResult
@@ -160,7 +158,7 @@ runLineup(const IsolationScenario &scenario, bool with_aggressor,
     result.wallMillis = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start)
                             .count();
-    result.victimP99 = tenantTtftSeconds(result.report, 0, 99);
+    result.victimP99 = tenantTtftSeconds(result.report, 0, 0.99);
     return result;
 }
 
@@ -210,9 +208,9 @@ main()
             flat_p99 = result.victimP99;
         if (lineup.label == "tree")
             tree_p99 = result.victimP99;
-        const double victim_p50 = tenantTtftSeconds(report, 0, 50);
-        const double victim_p90 = tenantTtftSeconds(report, 0, 90);
-        const double aggressor_p99 = tenantTtftSeconds(report, 1, 99);
+        const double victim_p50 = tenantTtftSeconds(report, 0, 0.50);
+        const double victim_p90 = tenantTtftSeconds(report, 0, 0.90);
+        const double aggressor_p99 = tenantTtftSeconds(report, 1, 0.99);
         table.addRow({
             lineup.label,
             report.schedulerName,

@@ -432,6 +432,65 @@ TEST(CliAssemble, QueuePolicyAndPriorityMixWireThrough)
     }
 }
 
+TEST(CliAssemble, AssemblesAroundCallerDataset)
+{
+    // A dataset no --workload name makes: ShareGPT requests under a
+    // 300-token service cap.
+    workload::Dataset dataset = workload::makeShareGpt(64, 42);
+    dataset.name = "capped";
+    dataset.maxNewTokens = 300;
+
+    cli::CliOptions options;
+    ASSERT_EQ(parse({"--requests", "64", "--seed", "42",
+                     "--priority-mix", "0.5,0.5"},
+                    options),
+              "");
+    const cli::Scenario scenario =
+        cli::assembleScenario(options, dataset);
+
+    // Served as given.
+    EXPECT_EQ(scenario.dataset.name, "capped");
+    EXPECT_EQ(scenario.dataset.maxNewTokens, 300);
+    ASSERT_EQ(scenario.dataset.requests.size(),
+              dataset.requests.size());
+    for (std::size_t i = 0; i < dataset.requests.size(); ++i) {
+        const workload::RequestSpec &served =
+            scenario.dataset.requests[i];
+        EXPECT_EQ(served.id, dataset.requests[i].id);
+        EXPECT_EQ(served.inputLen, dataset.requests[i].inputLen);
+        EXPECT_EQ(served.outputLen, dataset.requests[i].outputLen);
+        EXPECT_EQ(served.maxNewTokens,
+                  dataset.requests[i].maxNewTokens);
+    }
+
+    // The cold start seeds from the caller's cap.
+    EXPECT_EQ(scenario.schedulerConfig.pastFuture.seedOutputLen, 300);
+    EXPECT_EQ(scenario.schedulerConfig.queue.seedOutputLen, 300);
+
+    // --priority-mix draws the classes the flag path draws over the
+    // same requests.
+    const cli::Scenario flag = cli::assembleScenario(options);
+    ASSERT_EQ(flag.dataset.requests.size(), 64u);
+    std::size_t high = 0;
+    for (std::size_t i = 0; i < 64; ++i) {
+        EXPECT_EQ(scenario.dataset.requests[i].cls.priority,
+                  flag.dataset.requests[i].cls.priority);
+        high += scenario.dataset.requests[i].cls.priority == 1 ? 1 : 0;
+    }
+    EXPECT_GT(high, 0u);
+    EXPECT_LT(high, 64u);
+
+    // Options that name their own dataset cannot take the caller's.
+    cli::CliOptions sessions;
+    sessions.sessions = 4;
+    EXPECT_THROW(cli::assembleScenario(sessions, dataset),
+                 std::invalid_argument);
+    cli::CliOptions replay;
+    replay.traceReplay = "requests.csv";
+    EXPECT_THROW(cli::assembleScenario(replay, dataset),
+                 std::invalid_argument);
+}
+
 TEST(CliParse, TenantFlagValidation)
 {
     cli::CliOptions options;

@@ -19,7 +19,6 @@
 #include "core/future_memory.hh"
 #include "core/past_future_scheduler.hh"
 #include "core/scheduler_factory.hh"
-#include "engine/framework_profile.hh"
 #include "engine/serving_engine.hh"
 #include "engine/static_engine.hh"
 #include "metrics/report_io.hh"
@@ -1166,36 +1165,6 @@ TEST(StaticEngineTest, ReportBytesArePinned)
         metrics::writeRequestsCsv(bytes, report, sla);
         EXPECT_EQ(fnv1a(bytes.str()), pinned);
     }
-}
-
-// --- Framework profiles --------------------------------------------------
-
-TEST(FrameworkProfileTest, AllFiveFrameworks)
-{
-    const auto profiles = FrameworkProfile::all();
-    ASSERT_EQ(profiles.size(), 5u);
-    EXPECT_EQ(profiles[0].name, "TGI");
-    EXPECT_EQ(profiles[4].name, "LightLLM");
-}
-
-TEST(FrameworkProfileTest, SchedulerKindsMatchThePaper)
-{
-    EXPECT_EQ(FrameworkProfile::vllm().scheduler.kind,
-              core::SchedulerKind::Aggressive);
-    EXPECT_EQ(FrameworkProfile::tgi().scheduler.kind,
-              core::SchedulerKind::Conservative);
-    EXPECT_EQ(FrameworkProfile::lightllm().scheduler.kind,
-              core::SchedulerKind::PastFuture);
-    EXPECT_TRUE(FrameworkProfile::deepspeedMii().splitFuse);
-    EXPECT_LT(FrameworkProfile::tensorrtLlm().timeFactor, 1.0);
-}
-
-TEST(FrameworkProfileTest, ToEngineConfigCopiesKnobs)
-{
-    const auto profile = FrameworkProfile::deepspeedMii();
-    const auto config = profile.toEngineConfig();
-    EXPECT_EQ(config.splitFuseChunk, profile.splitFuse ? 512 : 0);
-    EXPECT_DOUBLE_EQ(config.timeFactor, profile.timeFactor);
 }
 
 } // namespace

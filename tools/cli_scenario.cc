@@ -835,21 +835,22 @@ printCliUsage(std::ostream &os)
     }
 }
 
-Scenario
-assembleScenario(const CliOptions &options)
-{
-    // Programmatic callers skip parseCliArgs; hold them to the same
-    // cross-flag rules.
-    if (const std::string error = validateOptions(options);
-        !error.empty())
-        throw std::invalid_argument(error);
+namespace {
 
+/**
+ * The assembly both assembleScenario overloads share, around a
+ * dataset already built (the options were validated): the priority
+ * and tenant mixes, cold-start seeding from the dataset's cap, and
+ * every non-workload setting.
+ */
+Scenario
+assembleAround(const CliOptions &options, workload::Dataset dataset)
+{
     const model::ModelSpec model_spec =
         lookup(kModels, options.model, "model")();
 
-    workload::Dataset dataset;
-    workload::SessionWorkloadConfig session_config;
     const bool session_mode = options.sessions > 0;
+    workload::SessionWorkloadConfig session_config;
     if (session_mode) {
         session_config.numSessions = options.sessions;
         session_config.turnsPerSession = options.turns;
@@ -858,63 +859,31 @@ assembleScenario(const CliOptions &options)
         session_config.thinkTime =
             secondsToTicks(options.thinkSeconds);
         session_config.seed = options.seed;
-        // The dataset stands in for naming and generation caps so
-        // the scheduler-seeding path below is shared.
-        dataset.name = "sessions(" +
-            std::to_string(options.sessions) + "x" +
-            std::to_string(options.turns) + ")";
-        dataset.maxNewTokens = workload::kSessionMaxNewTokens;
-    } else {
-        // textvqa's vision prefix follows the selected model
-        // (Qwen-VL uses 256 image tokens, LLaVA 576); text-only
-        // models fall back to the LLaVA-sized prefix.
-        const TokenCount image_tokens =
-            model_spec.imageTokens > 0 ? model_spec.imageTokens
-                                       : 576;
-        if (!options.traceReplay.empty()) {
-            dataset =
-                workload::readDatasetCsvFile(options.traceReplay);
-            for (const workload::RequestSpec &spec :
-                 dataset.requests) {
-                if (spec.arrivalTick < 0) {
-                    throw std::invalid_argument(
-                        "--trace-replay dataset " +
-                        options.traceReplay + ": request " +
-                        std::to_string(spec.id) +
-                        " has no arrival_us timestamp");
-                }
-            }
-        } else {
-            dataset = lookup(kWorkloads, options.workload,
-                             "workload")(options.requests,
-                                         options.seed, image_tokens);
-        }
+    }
 
-        std::vector<double> shares;
-        if (!options.priorityMix.empty()) {
-            if (!parseShares(options.priorityMix, 0.0, shares)) {
-                throw std::invalid_argument("bad priority mix: " +
-                                            options.priorityMix);
-            }
-            workload::assignPriorityMix(
-                dataset, shares,
-                options.seed ^ 0x9e3779b97f4a7c15ull);
+    std::vector<double> shares;
+    if (!options.priorityMix.empty()) {
+        if (!parseShares(options.priorityMix, 0.0, shares)) {
+            throw std::invalid_argument("bad priority mix: " +
+                                        options.priorityMix);
         }
+        workload::assignPriorityMix(
+            dataset, shares, options.seed ^ 0x9e3779b97f4a7c15ull);
+    }
 
-        if (options.tenants > 0) {
-            // A distinct seed stream so the tenant draw composes
-            // with (not perturbs) the priority draw.
-            workload::assignTenantMix(
-                dataset, makeTenantMix(options),
-                options.seed ^ 0x517cc1b727220a95ull);
-        }
+    if (options.tenants > 0) {
+        // A distinct seed stream so the tenant draw composes with
+        // (not perturbs) the priority draw.
+        workload::assignTenantMix(
+            dataset, makeTenantMix(options),
+            options.seed ^ 0x517cc1b727220a95ull);
     }
 
     const metrics::SlaSpec sla = makeSla(options, model_spec);
 
     core::SchedulerConfig scheduler_config =
         lookup(kSchedulers, options.scheduler, "scheduler")(options);
-    // Cold-start seeding with the service cap, as the benches do.
+    // Cold-start seeding with the dataset's service cap.
     scheduler_config.pastFuture.seedOutputLen = dataset.maxNewTokens;
     if (!core::parseQueuePolicyKind(options.queuePolicy,
                                     scheduler_config.queue.kind)) {
@@ -1067,6 +1036,62 @@ assembleScenario(const CliOptions &options)
             scenario.traceLimit = options.traceLimit;
     }
     return scenario;
+}
+
+} // namespace
+
+Scenario
+assembleScenario(const CliOptions &options)
+{
+    // Programmatic callers skip parseCliArgs; hold them to the same
+    // cross-flag rules.
+    if (const std::string error = validateOptions(options);
+        !error.empty())
+        throw std::invalid_argument(error);
+
+    workload::Dataset dataset;
+    if (options.sessions > 0) {
+        // The dataset stands in for naming and generation caps so
+        // the scheduler-seeding path is shared.
+        dataset.name = "sessions(" +
+            std::to_string(options.sessions) + "x" +
+            std::to_string(options.turns) + ")";
+        dataset.maxNewTokens = workload::kSessionMaxNewTokens;
+    } else if (!options.traceReplay.empty()) {
+        dataset = workload::readDatasetCsvFile(options.traceReplay);
+        for (const workload::RequestSpec &spec : dataset.requests) {
+            if (spec.arrivalTick < 0) {
+                throw std::invalid_argument(
+                    "--trace-replay dataset " + options.traceReplay +
+                    ": request " + std::to_string(spec.id) +
+                    " has no arrival_us timestamp");
+            }
+        }
+    } else {
+        // textvqa's vision prefix follows the selected model
+        // (Qwen-VL uses 256 image tokens, LLaVA 576); text-only
+        // models fall back to the LLaVA-sized prefix.
+        const TokenCount image_tokens =
+            lookup(kModels, options.model, "model")().imageTokens;
+        dataset = lookup(kWorkloads, options.workload, "workload")(
+            options.requests, options.seed,
+            image_tokens > 0 ? image_tokens : 576);
+    }
+    return assembleAround(options, std::move(dataset));
+}
+
+Scenario
+assembleScenario(const CliOptions &options, workload::Dataset dataset)
+{
+    if (options.sessions > 0 || !options.traceReplay.empty()) {
+        throw std::invalid_argument(
+            "--sessions and --trace-replay name their own dataset; "
+            "a caller's dataset replaces --workload/--requests");
+    }
+    if (const std::string error = validateOptions(options);
+        !error.empty())
+        throw std::invalid_argument(error);
+    return assembleAround(options, std::move(dataset));
 }
 
 metrics::RunReport

@@ -1,12 +1,15 @@
 /**
  * @file
- * Scenario assembly for the `pfs` command-line runner.
+ * Scenario assembly: the one run path of `pfs_cli`, the benches and
+ * `perf/`.
  *
- * The benches hard-code their workload / scheduler / engine / SLA
- * combinations; this header exposes the same composition as data so
- * one binary can be pointed at any scenario from flags. Parsing and
- * assembly are separated from main() so tests can cover the
- * flag-to-config path without spawning a process.
+ * A scenario (workload, scheduler, engine, fleet, SLA) is described
+ * as CliOptions, assembled with assembleScenario and run with
+ * runScenario. `pfs_cli` fills the options from flags; a bench fills
+ * them per cell and patches the assembled Scenario only for what no
+ * flag expresses (a warm history, a client count sized from the
+ * dataset). Parsing and assembly are separated from main() so tests
+ * can cover the flag-to-config path without spawning a process.
  */
 
 #ifndef LIGHTLLM_TOOLS_CLI_SCENARIO_HH
@@ -309,6 +312,19 @@ struct Scenario
  *         enforces (programmatic callers skip the parse).
  */
 Scenario assembleScenario(const CliOptions &options);
+
+/**
+ * As above, but serve `dataset` in place of the one --workload and
+ * --requests would generate: a dataset no workload name makes (a
+ * concatenation, a synthetic mix). The priority and tenant mixes
+ * apply to it, and the schedulers seed their cold start from its
+ * cap, as on the flag path.
+ *
+ * @throws std::invalid_argument as above, and when the options name
+ *         their own dataset (--sessions, --trace-replay).
+ */
+Scenario assembleScenario(const CliOptions &options,
+                          workload::Dataset dataset);
 
 /** Run the scenario's simulation to completion. When the scenario
  *  enables tracing, a recorder is created for the run and the trace
