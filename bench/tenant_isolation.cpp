@@ -3,7 +3,7 @@
  * Victim-tenant p99 TTFT under a 10x noisy-neighbor spike.
  *
  * Not a paper figure: this pins the isolation property of the
- * scheduler-node tree (DESIGN.md §6). A well-behaved victim tenant
+ * per-tenant queues (DESIGN.md §6). A well-behaved victim tenant
  * streams steady traffic; midway through, an aggressor tenant
  * bursts the same request shape at 10x the victim's rate. Three
  * runs serve the identical arrival sequences on one engine:
@@ -12,9 +12,9 @@
  *  - flat: both tenants through the flat FCFS waiting queue — the
  *    spike floods the queue and the victim waits behind it;
  *  - tree: both tenants through `--tenant-tree` (equal-weight DRR
- *    over per-tenant leaves, each rate-gated at its provisioned
- *    token rate) — the aggressor's backlog queues in its own leaf
- *    instead of saturating the machine, so the victim's leaf keeps
+ *    over per-tenant queues, each rate-gated at its provisioned
+ *    token rate) — the aggressor's backlog waits in its own queue
+ *    instead of saturating the machine, so the victim's queue keeps
  *    solo-like service.
  *
  * The claim BENCH_tenant_isolation.json pins: the tree keeps the
@@ -131,10 +131,10 @@ runLineup(const IsolationScenario &scenario, bool with_aggressor,
     if (tenant_tree) {
         config.tenantTree = true;
         config.tenantSpec.numTenants = 2;
-        // Each tenant's leaf is rate-gated at its provisioned
+        // Each tenant's queue is rate-gated at its provisioned
         // token rate (with one second of burst credit): the victim
         // never reaches its cap, while the aggressor's 10x spike
-        // queues in its own leaf instead of saturating KV memory.
+        // waits in its own queue instead of saturating KV memory.
         // DRR alone shares the *service*; the rate gate is what
         // keeps the machine unsaturated for the victim.
         config.tenantSpec.tokensPerSecond = 3500.0;

@@ -182,8 +182,8 @@ class PastFutureScheduler : public Scheduler
 
     /**
      * Predicted future required memory M* of the current running
-     * batch alone (no admissions) — exposed for introspection,
-     * tests, and the Fig 1 bench.
+     * batch alone (no admissions): the batch half of
+     * estimateLoad, and exposed for tests.
      */
     TokenCount estimateFutureMemory(const SchedulerContext &ctx);
 

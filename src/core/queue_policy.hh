@@ -4,9 +4,9 @@
  *
  * The scheduling pipeline separates *which order the queue is
  * considered in* (this file) from *whether each candidate fits in
- * memory* (the Scheduler admission round). Each leaf of the
- * pipeline's SchedNode tree wraps one policy and hands it the
- * leaf's list of ctx.waiting indices to reorder in place. Orderings:
+ * memory* (the Scheduler admission round). Each tenant queue of
+ * the pipeline wraps one policy and hands it the queue's list of
+ * ctx.waiting indices to reorder in place. Orderings:
  *
  *  - FCFS: queue order, Algorithm 1's baseline (evicted requests
  *    re-queue at the front and so retain their head position);

@@ -67,8 +67,7 @@ makeSchedulingPolicy(const SchedulerConfig &config)
 {
     if (config.tenantTree) {
         return std::make_unique<SchedulingPolicy>(
-            makeScheduler(config),
-            tenantFairTree(config.tenantSpec, config.queue));
+            makeScheduler(config), config.tenantSpec, config.queue);
     }
     return std::make_unique<SchedulingPolicy>(
         makeScheduler(config), makeQueuePolicy(config.queue));

@@ -11,7 +11,6 @@
 
 #include "core/past_future_scheduler.hh"
 #include "core/queue_policy.hh"
-#include "core/sched_node.hh"
 #include "core/scheduler.hh"
 #include "core/scheduling_policy.hh"
 
@@ -44,13 +43,13 @@ struct SchedulerConfig
     /** Queue-ordering policy (FCFS reproduces the seed pipeline). */
     QueuePolicyConfig queue;
 
-    /** Route the queue through a per-tenant scheduler-node tree
-     *  (fair root over one leaf per tenant built from `tenantSpec`:
-     *  weight, optional rate gate, `queue` ordering inside the
-     *  tenant). Off reproduces the flat pipeline bit-exactly. */
+    /** Split the queue into one fair-share queue per tenant, built
+     *  from `tenantSpec` (weight, optional rate gate, `queue`
+     *  ordering inside the tenant). Off reproduces the flat
+     *  pipeline bit-exactly. */
     bool tenantTree = false;
 
-    /** Shape of the tenant tree when tenantTree is set. */
+    /** Shape of the tenant queues when tenantTree is set. */
     TenantTreeSpec tenantSpec;
 
     // Convenience named constructors for the paper's configurations.

@@ -1,6 +1,8 @@
 #include "core/scheduling_policy.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "base/logging.hh"
@@ -11,32 +13,122 @@ namespace core {
 SchedulingPolicy::SchedulingPolicy(
     std::unique_ptr<Scheduler> admission,
     std::unique_ptr<QueuePolicy> queue)
-    : admission_(std::move(admission)), root_(std::move(queue))
+    : admission_(std::move(admission)), queues_(1)
 {
     LIGHTLLM_ASSERT(admission_ != nullptr,
                     "scheduling policy needs an admission policy");
+    queues_.front().policy =
+        queue != nullptr ? std::move(queue) : makeQueuePolicy({});
 }
 
 SchedulingPolicy::SchedulingPolicy(
-    std::unique_ptr<Scheduler> admission,
-    const SchedNodeConfig &tree)
-    : admission_(std::move(admission)), root_(tree)
+    std::unique_ptr<Scheduler> admission, const TenantTreeSpec &spec,
+    const QueuePolicyConfig &queue)
+    : admission_(std::move(admission)),
+      queues_(std::max(spec.numTenants, spec.weights.size())),
+      tenantTree_(true)
 {
     LIGHTLLM_ASSERT(admission_ != nullptr,
                     "scheduling policy needs an admission policy");
+    LIGHTLLM_ASSERT(!queues_.empty(), "tenant tree needs >= 1 tenant");
+    const double burst = spec.burstTokens > 0
+        ? static_cast<double>(spec.burstTokens)
+        : std::ceil(spec.tokensPerSecond);
+    for (std::size_t t = 0; t < queues_.size(); ++t) {
+        TenantQueue &q = queues_[t];
+        q.policy = makeQueuePolicy(queue);
+        q.weight = t < spec.weights.size() ? spec.weights[t] : 1.0;
+        q.rate = spec.tokensPerSecond;
+        q.burst = burst;
+        q.credit = burst;
+        LIGHTLLM_ASSERT(q.weight > 0.0, "tenant ", t,
+                        " needs a positive weight");
+        LIGHTLLM_ASSERT(q.rate >= 0.0, "tenant ", t,
+                        " rate must not be negative");
+        LIGHTLLM_ASSERT(q.rate == 0.0 || q.burst > 0.0, "tenant ", t,
+                        " rate gate needs a positive burst");
+    }
+}
+
+bool
+SchedulingPolicy::peekQueue(const SchedulerContext &ctx,
+                            TenantQueue &queue, bool force,
+                            std::size_t &index)
+{
+    if (queue.cursor >= queue.pending.size())
+        return false;
+    index = queue.pending[queue.cursor];
+    if (queue.rate == 0.0)
+        return true;
+    // Refill only once the queue has a candidate. The candidate is
+    // eligible only when the bucket covers its prefill footprint,
+    // so tokens dequeued in any window of length W never exceed
+    // burst + rate*W.
+    if (ctx.now > queue.lastRefill) {
+        queue.credit = std::min(
+            queue.burst,
+            queue.credit +
+                queue.rate * ticksToSeconds(ctx.now - queue.lastRefill));
+    }
+    queue.lastRefill = std::max(queue.lastRefill, ctx.now);
+    const WaitingView &view = ctx.waiting[index];
+    return force ||
+        queue.credit >= static_cast<double>(view.promptLen +
+                                            view.generatedLen);
+}
+
+SchedulingPolicy::TenantQueue *
+SchedulingPolicy::peek(const SchedulerContext &ctx, bool force,
+                       std::size_t &index)
+{
+    if (queues_.size() == 1) {
+        TenantQueue &only = queues_.front();
+        return peekQueue(ctx, only, force, index) ? &only : nullptr;
+    }
+    double min_runnable = std::numeric_limits<double>::infinity();
+    TenantQueue *chosen = nullptr;
+    for (TenantQueue &queue : queues_) {
+        std::size_t candidate = 0;
+        if (!peekQueue(ctx, queue, force, candidate)) {
+            queue.wasRunnable = false;
+            continue;
+        }
+        if (!queue.wasRunnable) {
+            queue.vruntime = std::max(queue.vruntime, floor_);
+            queue.wasRunnable = true;
+        }
+        min_runnable = std::min(min_runnable, queue.vruntime);
+        if (chosen == nullptr || queue.vruntime < chosen->vruntime) {
+            chosen = &queue;
+            index = candidate;
+        }
+    }
+    if (chosen != nullptr)
+        floor_ = std::max(floor_, min_runnable);
+    return chosen;
+}
+
+void
+SchedulingPolicy::charge(TenantQueue &queue, TokenCount tokens)
+{
+    const auto cost = static_cast<double>(tokens);
+    queue.vruntime += cost / queue.weight;
+    if (queue.rate != 0.0)
+        queue.credit -= cost;
 }
 
 void
 SchedulingPolicy::admit(const SchedulerContext &ctx,
-                        std::size_t index, SchedNode &leaf,
+                        std::size_t index, TenantQueue &queue,
                         SchedulingDecision &out)
 {
     const WaitingView &candidate = ctx.waiting[index];
     // The pop charge is the candidate's prefill footprint; decode
-    // output is post-paid through finish().
-    leaf.pop(candidate.promptLen + candidate.generatedLen);
-    if (!root_.isLeaf())
-        leafOf_.insertOrAssign(candidate.id, &leaf);
+    // output is post-paid through onRequestFinished().
+    ++queue.cursor;
+    charge(queue, candidate.promptLen + candidate.generatedLen);
+    if (tenantTree_)
+        queueOfId_.insertOrAssign(candidate.id, &queue);
     out.admit.push_back(candidate.id);
 }
 
@@ -49,35 +141,45 @@ SchedulingPolicy::decideInto(const SchedulerContext &ctx,
     if (ctx.waiting.empty())
         return;
 
-    root_.beginRound(ctx);
-    if (root_.isLeaf()) {
+    for (TenantQueue &queue : queues_) {
+        queue.pending.clear();
+        queue.cursor = 0;
+    }
+    if (queues_.size() == 1) {
+        std::vector<std::size_t> &pending = queues_.front().pending;
         for (std::size_t i = 0; i < ctx.waiting.size(); ++i)
-            root_.enqueue(i);
+            pending.push_back(i);
     } else {
         for (std::size_t i = 0; i < ctx.waiting.size(); ++i)
-            root_.route(ctx.waiting[i].cls.tenant).enqueue(i);
+            queueOf(ctx.waiting[i].cls.tenant).pending.push_back(i);
     }
 
     admission_->beginAdmissionRound(ctx);
+    if (ctx.admitRoom == 0)
+        return;
+    for (TenantQueue &queue : queues_)
+        queue.policy->order(ctx, queue.pending);
+
     std::size_t index = 0;
     while (out.admit.size() < ctx.admitRoom) {
-        SchedNode *leaf = root_.peek(ctx.now, /*force=*/false, index);
-        if (leaf == nullptr || !admission_->tryAdmit(ctx.waiting[index]))
+        TenantQueue *queue = peek(ctx, /*force=*/false, index);
+        if (queue == nullptr ||
+            !admission_->tryAdmit(ctx.waiting[index]))
             break;
-        admit(ctx, index, *leaf, out);
+        admit(ctx, index, *queue, out);
     }
 
-    if (out.admit.empty() && ctx.running.empty() && ctx.admitRoom > 0) {
+    if (out.admit.empty() && ctx.running.empty()) {
         // The system is idle yet the policy refuses the head-of-
         // order request (e.g. conservative with prompt +
         // max_new_tokens beyond capacity). Real frameworks always
-        // run at least one request; force progress through the tree
-        // (force ignores rate gates) so its accounting sees the
-        // admit.
-        SchedNode *leaf = root_.peek(ctx.now, /*force=*/true, index);
-        LIGHTLLM_ASSERT(leaf != nullptr,
-                        "tree lost the queue's requests");
-        admit(ctx, index, *leaf, out);
+        // run at least one request; force progress through the
+        // queues (force ignores rate gates) so their accounting
+        // sees the admit.
+        TenantQueue *queue = peek(ctx, /*force=*/true, index);
+        LIGHTLLM_ASSERT(queue != nullptr,
+                        "tenant queues lost the waiting requests");
+        admit(ctx, index, *queue, out);
     }
 }
 
@@ -88,8 +190,8 @@ SchedulingPolicy::victimOrder(const SchedulerContext &ctx,
 {
     LIGHTLLM_ASSERT(!ctx.running.empty(),
                     "victim ranking over an empty batch");
-    if (root_.isLeaf()) {
-        root_.queue().victimOrder(ctx, tie_break, out);
+    if (!tenantTree_) {
+        queue().victimOrder(ctx, tie_break, out);
         LIGHTLLM_ASSERT(out.size() == ctx.running.size(),
                         "victim ranking must cover the whole batch");
         return;
@@ -106,7 +208,7 @@ SchedulingPolicy::victimOrder(const SchedulerContext &ctx,
         const auto resident = static_cast<double>(
             view.promptLen + view.generatedLen);
         normalized[view.cls.tenant] +=
-            resident / root_.route(view.cls.tenant).weight();
+            resident / queueOf(view.cls.tenant).weight;
         tenantOfId.emplace(view.id, view.cls.tenant);
     }
     std::stable_sort(
@@ -122,15 +224,16 @@ SchedulingPolicy::onRequestFinished(RequestId id,
                                     TokenCount output_len)
 {
     admission_->onRequestFinished(id, output_len);
-    if (root_.isLeaf()) {
-        root_.finish(id, output_len);
-        return;
+    TenantQueue *queue = &queues_.front();
+    if (tenantTree_) {
+        TenantQueue **admitting = queueOfId_.find(id);
+        if (admitting == nullptr)
+            return;
+        queue = *admitting;
+        queueOfId_.erase(id);
     }
-    SchedNode **leaf = leafOf_.find(id);
-    if (leaf == nullptr)
-        return;
-    (*leaf)->finish(id, output_len);
-    leafOf_.erase(id);
+    charge(*queue, output_len);
+    queue->policy->onRequestFinished(id, output_len);
 }
 
 void
@@ -148,12 +251,11 @@ SchedulingPolicy::estimateLoad(const SchedulerContext &ctx)
 std::string
 SchedulingPolicy::name() const
 {
-    if (!root_.isLeaf())
+    if (tenantTree_)
         return admission_->name() + "+tenant-tree";
-    const QueuePolicy &queue = root_.queue();
-    if (queue.kind() == QueuePolicyKind::Fcfs)
+    if (queue().kind() == QueuePolicyKind::Fcfs)
         return admission_->name();
-    return admission_->name() + "+" + queue.name();
+    return admission_->name() + "+" + queue().name();
 }
 
 } // namespace core

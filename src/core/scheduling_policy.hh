@@ -1,20 +1,23 @@
 /**
  * @file
- * The scheduling pipeline: context → scheduler-node tree →
- * admission policy → decision.
+ * The scheduling pipeline: context → tenant queues → admission
+ * policy → decision.
  *
- * A SchedulingPolicy composes a SchedNode tree (which order the
- * waiting queue is considered in) with a Scheduler (whether each
+ * A SchedulingPolicy composes a table of tenant queues (which order
+ * the waiting queue is considered in) with a Scheduler (whether each
  * candidate fits in memory) and produces an explicit
  * SchedulingDecision. The engine is the executor: it validates and
  * applies the decision with its recompute/swap mechanics.
  *
- * There is one pipeline shape. A flat policy is a tree whose root
- * is itself a leaf wrapping one QueuePolicy; a tenant tree is a
- * fair root over per-tenant leaves built from a SchedNodeConfig.
- * Either way a round enqueues the waiting indices into the leaves,
- * each leaf orders its index list in place, and admission walks the
- * tree peek → tryAdmit → pop until the first reject.
+ * There is one pipeline shape. A flat policy is one queue wrapping
+ * one QueuePolicy; a tenant tree is one queue per tenant built from
+ * a TenantTreeSpec, each with a fair-share weight, an optional
+ * token-rate gate and its own QueuePolicy. Either way a round puts
+ * each waiting index into its tenant's queue, each queue orders its
+ * index list in place, and admission takes candidates peek →
+ * tryAdmit → pop until the first reject. With several queues the
+ * runnable queue with the smallest virtual time serves next
+ * (weighted fair queueing, DESIGN.md §6).
  *
  * With the FCFS queue policy the flat pipeline is a compatibility
  * adapter: it emits exactly the FCFS-prefix decisions the seed's
@@ -34,19 +37,37 @@
 
 #include "base/flat_id_table.hh"
 #include "core/queue_policy.hh"
-#include "core/sched_node.hh"
 #include "core/scheduler.hh"
 #include "core/scheduling_decision.hh"
 
 namespace lightllm {
 namespace core {
 
+/** Shape of the per-tenant queue table (`--tenant-tree`). */
+struct TenantTreeSpec
+{
+    /** Per-tenant fair weights; index = tenant id. Tenants beyond
+     *  the vector (or an empty vector) get weight 1.0. */
+    std::vector<double> weights;
+
+    /** Number of tenant queues (>= 1). When weights is larger, its
+     *  size wins. */
+    std::size_t numTenants = 1;
+
+    /** Per-tenant token-rate budget (0 = no rate gate). */
+    double tokensPerSecond = 0.0;
+
+    /** Rate-gate burst credit (defaults to one second of rate,
+     *  rounded up to whole tokens). */
+    TokenCount burstTokens = 0;
+};
+
 /** Queue ordering + memory feasibility → scheduling decisions. */
 class SchedulingPolicy
 {
   public:
     /**
-     * Flat pipeline: the root is one leaf wrapping `queue`.
+     * Flat pipeline: one queue wrapping `queue`.
      *
      * @param admission Memory-feasibility policy (owned).
      * @param queue Queue-ordering policy (owned); nullptr means
@@ -56,23 +77,25 @@ class SchedulingPolicy
                      std::unique_ptr<QueuePolicy> queue = nullptr);
 
     /**
-     * Tree pipeline: the root is built from `tree`, whose leaves
-     * carry the per-tenant queue orderings. A config without
-     * children is a one-leaf tree, i.e. a flat pipeline.
+     * Tenant tree: one queue per tenant of `spec`, each with the
+     * tenant's weight, the spec's rate gate and a `queue`
+     * ordering. Fatal on a non-positive weight, a negative rate or
+     * a rate without a positive burst.
      */
     SchedulingPolicy(std::unique_ptr<Scheduler> admission,
-                     const SchedNodeConfig &tree);
+                     const TenantTreeSpec &spec,
+                     const QueuePolicyConfig &queue);
 
     virtual ~SchedulingPolicy() = default;
 
     /**
-     * One scheduling round: route the queue into the tree's
-     * leaves, then feasibility-test candidates in the order the
-     * tree yields them (stopping at the first reject — head-of-line
-     * semantics under the chosen order), and emit the admissions.
-     * When the system is idle (empty running batch) and nothing
-     * fits, the tree's next candidate is force-admitted (rate gates
-     * ignored) so the engine always makes progress, as real
+     * One scheduling round: put the waiting requests into their
+     * tenants' queues, then feasibility-test candidates in the
+     * order the queues yield them (stopping at the first reject —
+     * head-of-line semantics under the chosen order), and emit the
+     * admissions. When the system is idle (empty running batch) and
+     * nothing fits, the next candidate is force-admitted (rate
+     * gates ignored) so the engine always makes progress, as real
      * frameworks do.
      *
      * `out` is reset before filling; callers reuse one decision
@@ -98,7 +121,7 @@ class SchedulingPolicy
      * A flat policy ranks with its queue policy's victimOrder,
      * whose front is bit-exact with the historical first-minimal
      * scan. A tree ranks by admission order within a tenant
-     * (whatever its leaves' queue policies), then moves the tenants
+     * (whatever its queues' policies), then moves the tenants
      * most over their weight-normalised share of resident KV to the
      * front.
      */
@@ -106,8 +129,8 @@ class SchedulingPolicy
                              VictimOrder tie_break,
                              std::vector<RequestId> &out);
 
-    /** Completion feed: admission history, then the leaf that
-     *  served the request (decode charge + SJF predictor). */
+    /** Completion feed: admission history, then the queue that
+     *  admitted the request (decode charge + SJF predictor). */
     void onRequestFinished(RequestId id, TokenCount output_len);
 
     /** Eviction notification (forwarded to the admission policy). */
@@ -152,20 +175,75 @@ class SchedulingPolicy
     Scheduler &admission() { return *admission_; }
 
     /** The flat pipeline's queue policy (a tree has one per
-     *  leaf). */
-    const QueuePolicy &queue() const { return root_.queue(); }
+     *  tenant). */
+    const QueuePolicy &queue() const { return *queues_.front().policy; }
 
   private:
-    /** Admit ctx.waiting[index] from `leaf`, charging the tree. */
+    /** One tenant's queue: its ordering, fair share and rate gate,
+     *  and this round's ctx.waiting indices. */
+    struct TenantQueue
+    {
+        std::unique_ptr<QueuePolicy> policy;
+        double weight = 1.0;
+
+        /** Rate gate (rate == 0: none): credit accrues at `rate`
+         *  tokens/s up to `burst`; decode is post-paid, so credit
+         *  may go negative. */
+        double rate = 0.0;
+        double burst = 0.0;
+        double credit = 0.0;
+        Tick lastRefill = 0;
+
+        /** Fair share among the queues. A queue that was idle
+         *  re-enters at the ratcheted floor so it cannot spend
+         *  credit hoarded while idle (CFS-style min_vruntime). */
+        double vruntime = 0.0;
+        bool wasRunnable = false;
+
+        std::vector<std::size_t> pending;
+        std::size_t cursor = 0;
+    };
+
+    /** The queue serving `tenant`: its own, or the spill queue
+     *  tenant mod N. */
+    TenantQueue &
+    queueOf(base::TenantId tenant)
+    {
+        return queues_[tenant % queues_.size()];
+    }
+
+    /**
+     * The queue holding the next candidate (its index into
+     * ctx.waiting in `index`): the only queue, or the runnable one
+     * with the smallest vruntime, lowest index on ties. Null when
+     * every queue is empty or gated; `force` ignores rate gates.
+     */
+    TenantQueue *peek(const SchedulerContext &ctx, bool force,
+                      std::size_t &index);
+
+    /** Whether `queue` has a candidate its gate lets through. */
+    static bool peekQueue(const SchedulerContext &ctx,
+                          TenantQueue &queue, bool force,
+                          std::size_t &index);
+
+    /** Charge `tokens` of service to `queue`: vruntime advances by
+     *  tokens / weight and a rate gate spends them. */
+    static void charge(TenantQueue &queue, TokenCount tokens);
+
+    /** Admit ctx.waiting[index] from `queue`, charging it. */
     void admit(const SchedulerContext &ctx, std::size_t index,
-               SchedNode &leaf, SchedulingDecision &out);
+               TenantQueue &queue, SchedulingDecision &out);
 
     std::unique_ptr<Scheduler> admission_;
-    SchedNode root_;
+    std::vector<TenantQueue> queues_;
+    bool tenantTree_ = false;
 
-    /** Tree: the leaf that admitted each unfinished request
+    /** Ratcheting vruntime floor a waking queue is clamped up to. */
+    double floor_ = 0.0;
+
+    /** Tree: the queue that admitted each unfinished request
      *  (finish notifications only carry the request id). */
-    FlatIdTable<SchedNode *> leafOf_;
+    FlatIdTable<TenantQueue *> queueOfId_;
 };
 
 } // namespace core

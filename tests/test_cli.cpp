@@ -1021,7 +1021,7 @@ class CliPolicyMatrix : public ::testing::TestWithParam<PolicyCell>
 // The flat cells pin the queue's ordering and victim ranking and
 // the SJF predictor's finish feed; the tree cells pin per-tenant
 // ordering, victims ranked by admission order within a tenant, and
-// the finish charge through the leaf that admitted each request.
+// the finish charge through the queue that admitted each request.
 TEST_P(CliPolicyMatrix, SummaryBytesArePinned)
 {
     const PolicyCell &cell = GetParam();

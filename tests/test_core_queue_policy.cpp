@@ -261,7 +261,7 @@ TEST(QueuePolicyTest, PriorityOrdersClassesFcfsWithin)
 
 TEST(QueuePolicyTest, SubsetOrderMatchesOrderingCopiedViews)
 {
-    // A tree leaf orders its own index list in place. For every
+    // A tenant queue orders its own index list in place. For every
     // kind that must equal copying the subset's views into their
     // own queue, ordering that, and mapping the permutation back.
     // The queue has ties on every key (prompt, arrival, priority),

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the settings-driven scheduler-node tree: leaf
+ * Tests for the scheduling pipeline's tenant queues: per-tenant
  * ordering, fair-share convergence, token-rate gates (the
- * any-window property), the canonical tenant tree, the
+ * any-window property), the TenantTreeSpec shape, the
  * SchedulingPolicy pipeline over a tenant tree, and the TenantMix
  * workload knob.
  */
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/conservative_scheduler.hh"
-#include "core/sched_node.hh"
 #include "core/scheduler_factory.hh"
 #include "core/scheduling_policy.hh"
 #include "engine/serving_engine.hh"
@@ -60,113 +59,138 @@ contextOf(const std::vector<WaitingView> &waiting, Tick now = 0)
     return ctx;
 }
 
-SchedNodeConfig
-leafConfig(const std::string &name, base::TenantId tenant)
+/** `ctx` with one (empty) running request, so a round that admits
+ *  nothing does not fall back on the idle force-admit. */
+SchedulerContext
+busy(SchedulerContext ctx)
 {
-    SchedNodeConfig leaf;
-    leaf.name = name;
-    leaf.tenants = {tenant};
-    return leaf;
+    static const std::vector<RunningView> one(1);
+    ctx.running = one;
+    return ctx;
 }
 
-/** Route every waiting index of `ctx` into the tree's leaves. */
-void
-routeAll(SchedNode &root, const SchedulerContext &ctx)
+/** Tenant queues built from `spec` over ample-capacity admission,
+ *  so candidates are admitted in exactly the queues' order. */
+std::unique_ptr<SchedulingPolicy>
+tenantQueues(const TenantTreeSpec &spec,
+             const QueuePolicyConfig &queue = QueuePolicyConfig{})
 {
-    root.beginRound(ctx);
-    for (std::size_t i = 0; i < ctx.waiting.size(); ++i)
-        root.route(ctx.waiting[i].cls.tenant).enqueue(i);
+    return std::make_unique<SchedulingPolicy>(
+        std::make_unique<ConservativeScheduler>(), spec, queue);
 }
 
-TEST(LeafSchedNodeTest, WrapsQueuePolicyOverItsSubsetOnly)
+/** Tenant tree over `tenants` equal-weight tenants. */
+TenantTreeSpec
+tenantsOf(std::size_t tenants)
 {
-    // EDF leaf: ordering is by arrival even though the enqueue
-    // order is reversed.
-    SchedNodeConfig config = leafConfig("leaf", 0);
-    config.queue.kind = QueuePolicyKind::Edf;
-    config.queue.ttftDeadline = 1000;
-    auto root = std::make_unique<SchedNode>(config);
+    TenantTreeSpec spec;
+    spec.numTenants = tenants;
+    return spec;
+}
+
+TEST(TenantQueueTest, OrdersItsTenantWithItsQueuePolicy)
+{
+    // EDF queues: tenant 0's requests come out by arrival even
+    // though they are queued in reverse, and tenant 1's earlier
+    // request does not take a place in tenant 0's order.
+    QueuePolicyConfig edf;
+    edf.kind = QueuePolicyKind::Edf;
+    edf.ttftDeadline = 1000;
+    auto policy = tenantQueues(tenantsOf(2), edf);
 
     std::vector<WaitingView> waiting = {
         waitingOf(10, 100, 0, /*arrival=*/300),
         waitingOf(11, 100, 0, /*arrival=*/100),
+        waitingOf(20, 100, 1, /*arrival=*/50),
         waitingOf(12, 100, 0, /*arrival=*/200),
     };
-    const SchedulerContext ctx = contextOf(waiting);
-    routeAll(*root, ctx);
-
-    std::vector<RequestId> popped;
-    std::size_t index = 0;
-    while (SchedNode *leaf = root->peek(ctx.now, false, index)) {
-        popped.push_back(ctx.waiting[index].id);
-        leaf->pop(ctx.waiting[index].promptLen);
-    }
-    EXPECT_EQ(popped, (std::vector<RequestId>{11, 12, 10}));
+    const SchedulingDecision decision =
+        policy->decide(contextOf(waiting));
+    ASSERT_EQ(decision.admit.size(), 4u);
+    std::vector<RequestId> tenant0;
+    std::copy_if(decision.admit.begin(), decision.admit.end(),
+                 std::back_inserter(tenant0),
+                 [](RequestId id) { return id != 20; });
+    EXPECT_EQ(tenant0, (std::vector<RequestId>{11, 12, 10}));
 }
 
-TEST(FairSchedNodeTest, ServiceSharesConvergeToWeights)
+TEST(FairQueueTest, ServiceSharesConvergeToWeights)
 {
-    // Property (satellite): under saturation, per-tenant service
-    // converges to the configured 3:1 weights.
-    SchedNodeConfig fair;
-    fair.children.push_back(leafConfig("a", 0));
-    fair.children.push_back(leafConfig("b", 1));
-    fair.children[0].weight = 3.0;
-    fair.children[1].weight = 1.0;
-    auto root = std::make_unique<SchedNode>(fair);
+    // Property: under saturation, per-tenant service converges to
+    // the configured 3:1 weights.
+    TenantTreeSpec spec;
+    spec.weights = {3.0, 1.0};
+    auto policy = tenantQueues(spec);
 
     // Both tenants keep 200 equally sized requests queued.
     std::vector<WaitingView> waiting;
     for (RequestId id = 0; id < 400; ++id)
         waiting.push_back(waitingOf(id, 100, id % 2));
-    const SchedulerContext ctx = contextOf(waiting);
-    routeAll(*root, ctx);
+    SchedulerContext ctx = contextOf(waiting);
+    ctx.admitRoom = 200;
 
+    const SchedulingDecision decision = policy->decide(ctx);
+    ASSERT_EQ(decision.admit.size(), 200u);
     std::map<base::TenantId, int> popsByTenant;
-    std::size_t index = 0;
-    for (int pops = 0; pops < 200; ++pops) {
-        SchedNode *leaf = root->peek(ctx.now, false, index);
-        ASSERT_TRUE(leaf);
-        popsByTenant[ctx.waiting[index].cls.tenant] += 1;
-        leaf->pop(ctx.waiting[index].promptLen);
-    }
+    for (RequestId id : decision.admit)
+        popsByTenant[id % 2] += 1;
     // 3:1 over 200 pops = 150 / 50, give or take start-up skew.
     EXPECT_NEAR(popsByTenant[0], 150, 2);
     EXPECT_NEAR(popsByTenant[1], 50, 2);
 }
 
-TEST(FairSchedNodeTest, AccountUsagePenalisesTheServedTenant)
+TEST(FairQueueTest, ChargedTenantYields)
 {
-    SchedNodeConfig fair;
-    fair.children.push_back(leafConfig("a", 0));
-    fair.children.push_back(leafConfig("b", 1));
-    auto root = std::make_unique<SchedNode>(fair);
+    auto policy = tenantQueues(tenantsOf(2));
+
+    // Tenant 0 ran a huge decode since the last round.
+    std::vector<WaitingView> first = {waitingOf(9, 100, 0)};
+    ASSERT_EQ(policy->decide(contextOf(first)).admit,
+              (std::vector<RequestId>{9}));
+    policy->onRequestFinished(9, 100'000);
 
     std::vector<WaitingView> waiting = {
         waitingOf(0, 100, 0), waitingOf(1, 100, 1)};
-    const SchedulerContext ctx = contextOf(waiting);
-
-    // Tenant 0 ran a huge decode since the last round.
-    root->route(0).charge(100'000);
-
-    routeAll(*root, ctx);
-    std::size_t index = 0;
-    ASSERT_TRUE(root->peek(ctx.now, false, index));
-    EXPECT_EQ(ctx.waiting[index].cls.tenant, 1u);
+    SchedulerContext ctx = contextOf(waiting);
+    ctx.admitRoom = 1;
+    EXPECT_EQ(policy->decide(ctx).admit, (std::vector<RequestId>{1}));
 }
 
-TEST(ThrottlerSchedNodeTest, NeverExceedsRateInAnyWindow)
+TEST(FairQueueTest, WakingTenantStartsAtTheFloor)
 {
-    // Property (satellite): tokens dequeued inside any window
-    // [t1, t2] never exceed burst + rate * (t2 - t1).
+    // Tenant 0 is served alone up to vruntime 1000 (the floor
+    // ratchets to 900, its vruntime at the last pick). When tenant
+    // 1 wakes it is clamped up to 900 and alternates with tenant 0
+    // from there, instead of spending 1000 tokens of credit banked
+    // while idle.
+    auto policy = tenantQueues(tenantsOf(2));
+
+    std::vector<WaitingView> alone;
+    for (RequestId id = 0; id < 10; ++id)
+        alone.push_back(waitingOf(id, 100, 0));
+    ASSERT_EQ(policy->decide(contextOf(alone)).admit.size(), 10u);
+
+    std::vector<WaitingView> waiting;
+    for (RequestId id = 10; id < 14; ++id)
+        waiting.push_back(waitingOf(id, 100, 0));
+    for (RequestId id = 20; id < 24; ++id)
+        waiting.push_back(waitingOf(id, 100, 1));
+    EXPECT_EQ(policy->decide(contextOf(waiting)).admit,
+              (std::vector<RequestId>{20, 10, 21, 11, 22, 12, 23, 13}));
+}
+
+TEST(RateGateTest, NeverExceedsRateInAnyWindow)
+{
+    // Property: tokens dequeued inside any window [t1, t2] never
+    // exceed burst + rate * (t2 - t1).
     const double rate = 1000.0;  // tokens per second
     const TokenCount burst = 500;
     const TokenCount cost = 100;
 
-    SchedNodeConfig config = leafConfig("leaf", 0);
-    config.tokensPerSecond = rate;
-    config.burstTokens = burst;
-    auto root = std::make_unique<SchedNode>(config);
+    TenantTreeSpec spec;
+    spec.tokensPerSecond = rate;
+    spec.burstTokens = burst;
+    auto policy = tenantQueues(spec);
 
     // One greedy round every 50 ms for five simulated seconds.
     std::vector<std::pair<Tick, TokenCount>> dequeues;
@@ -175,13 +199,10 @@ TEST(ThrottlerSchedNodeTest, NeverExceedsRateInAnyWindow)
         std::vector<WaitingView> waiting;
         for (RequestId id = 0; id < 64; ++id)
             waiting.push_back(waitingOf(id, cost, 0));
-        const SchedulerContext ctx = contextOf(waiting, now);
-        routeAll(*root, ctx);
-        std::size_t index = 0;
-        while (SchedNode *leaf = root->peek(now, false, index)) {
-            leaf->pop(ctx.waiting[index].promptLen);
+        const SchedulingDecision decision =
+            policy->decide(busy(contextOf(waiting, now)));
+        for (std::size_t i = 0; i < decision.admit.size(); ++i)
             dequeues.emplace_back(now, cost);
-        }
     }
     ASSERT_FALSE(dequeues.empty());
 
@@ -200,65 +221,56 @@ TEST(ThrottlerSchedNodeTest, NeverExceedsRateInAnyWindow)
     }
 }
 
-TEST(ThrottlerSchedNodeTest, PostPaidUsageGatesLaterRounds)
+TEST(RateGateTest, PostPaidUsageGatesLaterRounds)
 {
-    SchedNodeConfig config = leafConfig("leaf", 0);
-    config.tokensPerSecond = 100.0;
-    config.burstTokens = 200;
-    auto root = std::make_unique<SchedNode>(config);
+    TenantTreeSpec spec;
+    spec.tokensPerSecond = 100.0;
+    spec.burstTokens = 200;
+    auto policy = tenantQueues(spec);
 
     // A decode burst drives the bucket deep negative...
-    root->route(0).charge(10'000);
+    std::vector<WaitingView> first = {waitingOf(5, 50, 0)};
+    ASSERT_EQ(policy->decide(busy(contextOf(first))).admit,
+              (std::vector<RequestId>{5}));
+    policy->onRequestFinished(5, 10'000);
 
     std::vector<WaitingView> waiting = {waitingOf(0, 50, 0)};
-    const SchedulerContext ctx = contextOf(waiting, 0);
-    routeAll(*root, ctx);
-    std::size_t index = 0;
-    EXPECT_FALSE(root->peek(0, false, index));
+    EXPECT_TRUE(policy->decide(busy(contextOf(waiting))).admit.empty());
     // ...but the idle force-admit backstop still gets a candidate.
-    EXPECT_TRUE(root->peek(0, true, index));
+    EXPECT_EQ(policy->decide(contextOf(waiting)).admit,
+              (std::vector<RequestId>{0}));
 }
 
-TEST(TenantFairTreeTest, BuildsOneGatedSubtreePerTenant)
+TEST(TenantTreeSpecTest, GatesEachTenantSeparately)
 {
-    TenantTreeSpec spec;
-    spec.numTenants = 3;
+    // Three tenants at 1000 tok/s, burst defaulting to one second
+    // of rate: tenant 0 spends its own bucket on one 600-token
+    // request, while tenants 1 and 2 still have theirs (a
+    // 1000-token request fits a full default burst exactly).
+    TenantTreeSpec spec = tenantsOf(3);
     spec.tokensPerSecond = 1000.0;
-    const SchedNodeConfig config =
-        tenantFairTree(spec, QueuePolicyConfig{});
-    auto root = std::make_unique<SchedNode>(config);
+    auto policy = tenantQueues(spec);
 
-    ASSERT_EQ(config.children.size(), 3u);
-    for (base::TenantId t = 0; t < 3; ++t) {
-        const SchedNodeConfig &leaf = config.children[t];
-        EXPECT_TRUE(leaf.children.empty());
-        EXPECT_EQ(leaf.tenants, std::vector<base::TenantId>{t});
-        EXPECT_EQ(leaf.tokensPerSecond, 1000.0);
-        EXPECT_EQ(root->route(t).name(), leaf.name);
-        EXPECT_NE(&root->route(t), &root->route((t + 1) % 3));
-    }
+    std::vector<WaitingView> waiting = {
+        waitingOf(0, 600, 0), waitingOf(1, 600, 0),
+        waitingOf(2, 600, 1), waitingOf(3, 1000, 2)};
+    EXPECT_EQ(policy->decide(busy(contextOf(waiting))).admit,
+              (std::vector<RequestId>{0, 2, 3}));
 }
 
-TEST(TenantFairTreeTest, SubTokenRateGetsAOneTokenBurst)
+TEST(TenantTreeSpecTest, SubTokenRateGetsAOneTokenBurst)
 {
     // One second of 0.5 tok/s truncates to a zero-token bucket,
-    // which a rate gate cannot hold; the default rounds up.
-    TenantTreeSpec spec;
-    spec.numTenants = 2;
+    // which a rate gate cannot hold; the default rounds up to one
+    // token, so a 1-token request passes and a 2-token one waits.
+    TenantTreeSpec spec = tenantsOf(2);
     spec.tokensPerSecond = 0.5;
-    const SchedNodeConfig config =
-        tenantFairTree(spec, QueuePolicyConfig{});
-    for (const SchedNodeConfig &leaf : config.children)
-        EXPECT_EQ(leaf.burstTokens, 1);
+    auto policy = tenantQueues(spec);
 
-    SchedulerConfig scheduler;
-    scheduler.tenantTree = true;
-    scheduler.tenantSpec = spec;
-    auto policy = makeSchedulingPolicy(scheduler);
-    std::vector<WaitingView> waiting = {waitingOf(4, 1, 1)};
-    const SchedulingDecision decision =
-        policy->decide(contextOf(waiting));
-    EXPECT_EQ(decision.admit, (std::vector<RequestId>{4}));
+    std::vector<WaitingView> waiting = {waitingOf(5, 2, 0),
+                                        waitingOf(4, 1, 1)};
+    EXPECT_EQ(policy->decide(busy(contextOf(waiting))).admit,
+              (std::vector<RequestId>{4}));
 }
 
 TEST(TreePipelineTest, DecideInterleavesTenantsFairly)
@@ -339,27 +351,25 @@ TEST(TreePipelineTest, VictimOrderShedsOverShareTenantFirst)
     EXPECT_EQ(victims, (std::vector<RequestId>{22, 20, 21}));
 }
 
-TEST(TreePipelineTest, FinishChargesTheLeafThatServedTheRequest)
+TEST(TreePipelineTest, FinishChargesTheQueueThatAdmittedTheRequest)
 {
-    // A catch-all leaf declared before tenant 1's own leaf: tenant
-    // 1's finish charge must land on the leaf that admitted it,
-    // not on the first leaf that could serve the tenant.
-    SchedNodeConfig catch_all;
-    catch_all.name = "catch-all";
-    SchedNodeConfig tree;
-    tree.children = {catch_all, leafConfig("one", 1)};
-    SchedulingPolicy policy(
-        std::make_unique<ConservativeScheduler>(), tree);
+    // Tenant 3 has no queue of its own and spills into queue 1 (3
+    // mod 2). Its finish charge must land on queue 1, which
+    // admitted it; charged nowhere or to queue 0, queue 1 would
+    // stay behind queue 0's 100-token pop and tenant 1 would go
+    // first.
+    auto policy = tenantQueues(tenantsOf(2));
 
-    std::vector<WaitingView> first = {waitingOf(1, 10, 1)};
-    ASSERT_EQ(policy.decide(contextOf(first)).admit,
-              (std::vector<RequestId>{1}));
-    policy.onRequestFinished(1, 100'000);
+    std::vector<WaitingView> first = {waitingOf(1, 10, 3),
+                                      waitingOf(0, 100, 0)};
+    ASSERT_EQ(policy->decide(contextOf(first)).admit,
+              (std::vector<RequestId>{0, 1}));
+    policy->onRequestFinished(1, 100'000);
 
-    // Tenant 1 just finished a huge decode: tenant 0 goes first.
+    // Queue 1 just finished a huge decode: tenant 0 goes first.
     std::vector<WaitingView> waiting = {waitingOf(2, 10, 0),
                                         waitingOf(3, 10, 1)};
-    EXPECT_EQ(policy.decide(contextOf(waiting)).admit,
+    EXPECT_EQ(policy->decide(contextOf(waiting)).admit,
               (std::vector<RequestId>{2, 3}));
 }
 
@@ -407,7 +417,8 @@ TEST(TreePipelineTest, UnknownTenantFallsBackToSpill)
     config.tenantSpec.numTenants = 2;
     auto policy = makeSchedulingPolicy(config);
 
-    // Tenant 7 has no leaf; the request must still schedule.
+    // Tenant 7 has no queue of its own; the request must still
+    // schedule through the spill queue.
     std::vector<WaitingView> waiting = {waitingOf(3, 10, 7)};
     const SchedulerContext ctx = contextOf(waiting);
     const SchedulingDecision decision = policy->decide(ctx);
