@@ -53,12 +53,8 @@ AutoScaler::AutoScaler(const AutoscaleConfig &config,
                     "min instances must be at least 1");
     LIGHTLLM_ASSERT(config_.minInstances <= config_.maxInstances,
                     "min instances exceeds max instances");
-    LIGHTLLM_ASSERT(config_.controlInterval > 0,
-                    "control interval must be positive");
     LIGHTLLM_ASSERT(config_.provisionDelay >= 0,
                     "provision delay cannot be negative");
-    LIGHTLLM_ASSERT(config_.shedFactor > 0.0,
-                    "shed factor must be positive");
 }
 
 void
@@ -86,7 +82,7 @@ AutoScaler::evaluate(const FleetSnapshot &fleet)
     if (delta < 0) {
         // One retirement per cooldown: a lull must not dismantle
         // the fleet faster than a spike can rebuild it.
-        if (fleet.now - lastScaleDown_ < config_.downCooldown)
+        if (fleet.now - lastScaleDown_ < kDownCooldown)
             return 0;
         lastScaleDown_ = fleet.now;
         return -1;
@@ -107,7 +103,7 @@ AutoScaler::shouldShed(const FleetSnapshot &fleet,
         fleet.warmingCount() > 0) {
         return false;
     }
-    const double bound = config_.shedFactor *
+    const double bound = kShedFactor *
         static_cast<double>(fleet.readyCapacityTokens());
     if (static_cast<double>(fleet.outstandingTokens() + footprint) <=
         bound) {

@@ -47,7 +47,7 @@ enum class ShedPolicy
     /**
      * At max scale with nothing warming, reject a new request when
      * the fleet's outstanding work (plus this request) exceeds
-     * `shedFactor` x ready capacity. Bounded queues, explicit
+     * kShedFactor x ready capacity. Bounded queues, explicit
      * rejections, surviving requests keep their deadlines. A shed
      * request gets no completion callback — the model is an
      * open-loop client receiving a rejection, so drivers that wait
@@ -63,6 +63,16 @@ const char *shedPolicyName(ShedPolicy policy);
 /** Inverse of shedPolicyName; false when `name` is unknown. */
 bool parseShedPolicy(std::string_view name, ShedPolicy &out);
 
+/** Control tick period. */
+constexpr Tick kControlInterval = secondsToTicks(2.0);
+
+/** Minimum spacing between scale-downs (scale-up is not rate
+ *  limited beyond the control interval). */
+constexpr Tick kDownCooldown = secondsToTicks(30.0);
+
+/** Outstanding-to-capacity bound of ShedPolicy::Overload. */
+constexpr double kShedFactor = 1.5;
+
 /** Control-loop configuration. */
 struct AutoscaleConfig
 {
@@ -74,13 +84,6 @@ struct AutoscaleConfig
      *  this long after the scale-up decision. */
     Tick provisionDelay = secondsToTicks(10.0);
 
-    /** Control tick period. */
-    Tick controlInterval = secondsToTicks(2.0);
-
-    /** Minimum spacing between scale-downs (scale-up is not rate
-     *  limited beyond the control interval). */
-    Tick downCooldown = secondsToTicks(30.0);
-
     /** Attainment target driving both policies. */
     double sloTarget = 0.9;
 
@@ -88,9 +91,6 @@ struct AutoscaleConfig
     metrics::SlaSpec sla;
 
     ShedPolicy shedPolicy = ShedPolicy::Never;
-
-    /** Outstanding-to-capacity bound of ShedPolicy::Overload. */
-    double shedFactor = 1.5;
 
     /**
      * Per-tenant traffic shares (index = tenant id) making

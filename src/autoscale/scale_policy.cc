@@ -45,15 +45,6 @@ FleetSnapshot::nonDrainingCount() const
 }
 
 std::size_t
-FleetSnapshot::routableCount() const
-{
-    std::size_t count = 0;
-    for (const InstanceSnapshot &instance : instances)
-        count += instance.routable ? 1 : 0;
-    return count;
-}
-
-std::size_t
 FleetSnapshot::warmingCount() const
 {
     std::size_t count = 0;

@@ -43,12 +43,10 @@
 namespace lightllm {
 namespace autoscale {
 
-/** Router-visible state of one instance at a control tick. */
+/** Router-visible state of one instance at a control tick. An
+ *  instance neither warming nor draining accepts traffic. */
 struct InstanceSnapshot
 {
-    /** Accepting traffic (not draining, warm-up complete). */
-    bool routable = false;
-
     /** Provisioned but still cold-starting. */
     bool warming = false;
 
@@ -58,18 +56,12 @@ struct InstanceSnapshot
     /** KV capacity in token slots. */
     TokenCount capacityTokens = 0;
 
-    /** Physically allocated KV tokens. */
-    TokenCount usedTokens = 0;
-
     /** Resident + queued footprint (current load). */
     TokenCount outstandingTokens = 0;
 
     /** Scheduler-forecast future load: predicted peak memory of the
      *  running batch plus predicted footprints of the queue. */
     TokenCount predictedLoadTokens = 0;
-
-    std::size_t waiting = 0;
-    std::size_t running = 0;
 };
 
 /** Fleet state handed to scale policies. */
@@ -81,9 +73,6 @@ struct FleetSnapshot
     /** Instances that are not draining (warming included: their
      *  capacity is already paid for and on the way). */
     std::size_t nonDrainingCount() const;
-
-    /** Instances currently accepting traffic. */
-    std::size_t routableCount() const;
 
     std::size_t warmingCount() const;
 

@@ -1,10 +1,6 @@
 #include "autoscale/slo_monitor.hh"
 
-#include <algorithm>
-#include <vector>
-
 #include "base/logging.hh"
-#include "stats/percentile.hh"
 
 namespace lightllm {
 namespace autoscale {
@@ -23,66 +19,28 @@ SloMonitor::observe(const metrics::RequestRecord &record)
     LIGHTLLM_ASSERT(samples_.empty() ||
                         record.finish >= samples_.back().finish,
                     "completions must arrive in time order");
-    Sample sample;
-    sample.finish = record.finish;
-    sample.ttft = record.ttft();
-    sample.ttftOk = record.ttft() < sla_.ttftLimit;
-    sample.mtpotOk = record.maxGap < sla_.mtpotLimit;
-    sample.outputTokens = record.outputTokens;
-    samples_.push_back(sample);
-
-    ttftViolations_ += sample.ttftOk ? 0 : 1;
-    mtpotViolations_ += sample.mtpotOk ? 0 : 1;
-    if (sample.ttftOk && sample.mtpotOk) {
-        ++compliant_;
-        compliantTokens_ += sample.outputTokens;
-    }
-}
-
-void
-SloMonitor::evictBefore(Tick cutoff)
-{
-    while (!samples_.empty() && samples_.front().finish < cutoff) {
-        const Sample &sample = samples_.front();
-        ttftViolations_ -= sample.ttftOk ? 0 : 1;
-        mtpotViolations_ -= sample.mtpotOk ? 0 : 1;
-        if (sample.ttftOk && sample.mtpotOk) {
-            --compliant_;
-            compliantTokens_ -= sample.outputTokens;
-        }
-        samples_.pop_front();
-    }
+    const bool compliant = record.ttft() < sla_.ttftLimit &&
+        record.maxGap < sla_.mtpotLimit;
+    samples_.push_back(Sample{record.finish, compliant});
+    compliant_ += compliant ? 1 : 0;
 }
 
 SloStats
 SloMonitor::stats(Tick now)
 {
-    evictBefore(now - window_);
+    // Drop the samples that fell out of the window ending at `now`.
+    while (!samples_.empty() &&
+           samples_.front().finish < now - window_) {
+        compliant_ -= samples_.front().compliant ? 1 : 0;
+        samples_.pop_front();
+    }
 
     SloStats out;
     out.samples = samples_.size();
-    if (out.samples == 0)
-        return out;
-
-    const double n = static_cast<double>(out.samples);
-    out.ttftViolationRate =
-        static_cast<double>(ttftViolations_) / n;
-    out.mtpotViolationRate =
-        static_cast<double>(mtpotViolations_) / n;
-    out.attainment = static_cast<double>(compliant_) / n;
-
-    // The window may not be fully elapsed yet at the start of a run.
-    const double window_seconds =
-        ticksToSeconds(std::min<Tick>(window_, std::max<Tick>(
-                                                   now, 1)));
-    out.goodputTokensPerSec =
-        static_cast<double>(compliantTokens_) / window_seconds;
-
-    std::vector<double> ttfts;
-    ttfts.reserve(samples_.size());
-    for (const Sample &sample : samples_)
-        ttfts.push_back(ticksToSeconds(sample.ttft));
-    out.p99TtftSeconds = stats::percentile(std::move(ttfts), 0.99);
+    if (out.samples > 0) {
+        out.attainment = static_cast<double>(compliant_) /
+            static_cast<double>(out.samples);
+    }
     return out;
 }
 

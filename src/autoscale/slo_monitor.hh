@@ -8,8 +8,8 @@
  * `window` ticks (the same recent-history philosophy as the
  * scheduler's past window, see stats/window_analysis: recent
  * behaviour predicts the immediate future far better than the global
- * aggregate) and reduces it on demand to violation rates, attainment
- * and goodput. Scale policies read these numbers each control tick.
+ * aggregate) and reduces it on demand to its attainment. Scale
+ * policies read that number each control tick.
  */
 
 #ifndef LIGHTLLM_AUTOSCALE_SLO_MONITOR_HH
@@ -29,12 +29,6 @@ struct SloStats
     /** Completions inside the window. */
     std::size_t samples = 0;
 
-    /** Fraction of windowed requests violating the TTFT limit. */
-    double ttftViolationRate = 0.0;
-
-    /** Fraction violating the MTPOT limit. */
-    double mtpotViolationRate = 0.0;
-
     /**
      * Fraction meeting both limits. Defaults to 1.0 with no
      * samples: an idle service has no evidence of trouble, and
@@ -42,16 +36,9 @@ struct SloStats
      * violations.
      */
     double attainment = 1.0;
-
-    /** Output tokens of compliant windowed requests per windowed
-     *  second (the paper's goodput, restricted to the window). */
-    double goodputTokensPerSec = 0.0;
-
-    /** p99 TTFT over the windowed completions, seconds. */
-    double p99TtftSeconds = 0.0;
 };
 
-/** Sliding-window TTFT/MTPOT violation tracker. */
+/** Sliding-window TTFT/MTPOT attainment tracker. */
 class SloMonitor
 {
   public:
@@ -74,24 +61,15 @@ class SloMonitor
     struct Sample
     {
         Tick finish;
-        Tick ttft;
-        bool ttftOk;
-        bool mtpotOk;
-        TokenCount outputTokens;
+        bool compliant;
     };
-
-    /** Drop samples that fell out of the window ending at `now`. */
-    void evictBefore(Tick cutoff);
 
     metrics::SlaSpec sla_;
     Tick window_;
     std::deque<Sample> samples_;
 
-    // Running sums over the deque so stats() is O(evicted + p99).
-    std::size_t ttftViolations_ = 0;
-    std::size_t mtpotViolations_ = 0;
+    /** Compliant samples in the deque, so stats() is O(evicted). */
     std::size_t compliant_ = 0;
-    TokenCount compliantTokens_ = 0;
 };
 
 } // namespace autoscale

@@ -251,19 +251,16 @@ ServingCluster::snapshot()
     snap.instances.reserve(instances_.size());
     for (std::size_t i = 0; i < instances_.size(); ++i) {
         autoscale::InstanceSnapshot instance;
-        instance.routable = routable(i);
         instance.warming = warming_[i] && !draining_[i];
         instance.draining = draining_[i];
         instance.capacityTokens =
             instances_[i]->capacityTokens();
-        instance.usedTokens =
-            instances_[i]->kvManager().usedTokens();
         instance.outstandingTokens =
             instances_[i]->outstandingTokens();
+        // estimateLoad may draw sticky samples: keep this call
+        // order, it fixes the report bytes.
         instance.predictedLoadTokens =
             instances_[i]->predictedLoadTokens();
-        instance.waiting = instances_[i]->waitingSize();
-        instance.running = instances_[i]->runningSize();
         snap.instances.push_back(instance);
     }
     return snap;
@@ -311,9 +308,8 @@ ServingCluster::controlTick(Tick when)
         shedRequests_ + static_cast<std::int64_t>(finished) ==
             offeredRequests_;
     if (!context_->empty() && !quiescent) {
-        context_->schedule(
-            when + autoscaler_->config().controlInterval,
-            [this](Tick tick) { controlTick(tick); });
+        context_->schedule(when + autoscale::kControlInterval,
+                           [this](Tick tick) { controlTick(tick); });
     }
 }
 
@@ -596,9 +592,8 @@ ServingCluster::run()
 
     // Start the autoscale control loop one interval in.
     if (autoscaler_) {
-        context_->schedule(
-            autoscaler_->config().controlInterval,
-            [this](Tick tick) { controlTick(tick); });
+        context_->schedule(autoscale::kControlInterval,
+                           [this](Tick tick) { controlTick(tick); });
     }
 
     // Exact co-simulation: every arrival, iteration boundary,

@@ -197,7 +197,7 @@ class ServingCluster : public workload::RequestSink
     /**
      * Attach the SLA → capacity control loop: completion records
      * feed the scaler's SLO monitor, and a control event every
-     * `config.controlInterval` evaluates the policy and executes
+     * autoscale::kControlInterval evaluates the policy and executes
      * provisions / drains / sheds. Must precede run(); requires an
      * instance factory; the initial fleet must lie inside
      * [minInstances, maxInstances].

@@ -195,28 +195,5 @@ insertSorted(std::vector<BatchEntry> &sorted,
                   candidate);
 }
 
-std::vector<TokenCount>
-futureMemoryProfile(std::vector<BatchEntry> &entries)
-{
-    for (const auto &entry : entries)
-        validate(entry);
-    sortByRemaining(entries);
-
-    std::vector<TokenCount> profile;
-    profile.reserve(entries.size());
-    TokenCount prefix_resident = 0;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        const BatchEntry &entry = entries[i];
-        prefix_resident += entry.promptLen + entry.generatedLen;
-        profile.push_back(prefix_resident +
-                          entry.remaining() *
-                              static_cast<TokenCount>(i + 1));
-    }
-    // Eq. 3 indexes from the longest-remaining request; completion
-    // order is the reverse (the smallest remaining finishes first).
-    std::reverse(profile.begin(), profile.end());
-    return profile;
-}
-
 } // namespace core
 } // namespace lightllm

@@ -167,16 +167,6 @@ TokenCount mergedPeak(std::span<const BatchEntry> sorted,
 void insertSorted(std::vector<BatchEntry> &sorted,
                   const BatchEntry &candidate);
 
-/**
- * Full occupancy-at-completion profile {M_1 ... M_k} (Eq. 3) in
- * completion order (earliest finisher first), useful for
- * introspection and for the memory time-series benches. Entries are
- * reordered in place. Unlike M*, the profile's values inside a tie
- * block depend on the tie order.
- */
-std::vector<TokenCount>
-futureMemoryProfile(std::vector<BatchEntry> &entries);
-
 } // namespace core
 } // namespace lightllm
 

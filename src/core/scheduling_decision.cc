@@ -11,7 +11,7 @@ validateDecision(const SchedulingDecision &decision,
 {
     // Saturated engines produce empty decisions most iterations;
     // skip the membership sets entirely then.
-    if (decision.empty())
+    if (decision.admit.empty())
         return "";
 
     std::unordered_set<RequestId> waiting_ids;
@@ -20,7 +20,7 @@ validateDecision(const SchedulingDecision &decision,
         waiting_ids.insert(view.id);
 
     std::unordered_set<RequestId> seen;
-    seen.reserve(decision.admit.size() + decision.evict.size());
+    seen.reserve(decision.admit.size());
     for (RequestId id : decision.admit) {
         if (!waiting_ids.contains(id)) {
             return "admit id " + std::to_string(id) +
@@ -28,28 +28,6 @@ validateDecision(const SchedulingDecision &decision,
         }
         if (!seen.insert(id).second) {
             return "admit id " + std::to_string(id) +
-                " appears more than once";
-        }
-    }
-
-    for (RequestId id : decision.evict) {
-        const RunningView *found = nullptr;
-        for (const auto &view : ctx.running) {
-            if (view.id == id) {
-                found = &view;
-                break;
-            }
-        }
-        if (found == nullptr) {
-            return "evict id " + std::to_string(id) +
-                " is not in the running batch";
-        }
-        if (found->prefilling) {
-            return "evict id " + std::to_string(id) +
-                " is still prefilling";
-        }
-        if (!seen.insert(id).second) {
-            return "evict id " + std::to_string(id) +
                 " appears more than once";
         }
     }

@@ -5,11 +5,11 @@
  * The seed API returned an admission *count*, which can only express
  * "admit an FCFS prefix of the queue". A SchedulingDecision names
  * the requests instead, so policies can admit from any queue
- * position (SJF, EDF, priority classes) and proactively pick
- * eviction victims. The engine is the executor: it validates the
- * decision against the context it handed out, applies the evictions
- * (recompute or swap mechanics), then the admissions in the given
- * order.
+ * position (SJF, EDF, priority classes). The engine is the
+ * executor: it validates the decision against the context it handed
+ * out, then applies the admissions in the given order. Eviction is
+ * not part of a decision: it happens only when a decode step cannot
+ * grow the KV, with victims ranked by SchedulingPolicy::victimOrder.
  */
 
 #ifndef LIGHTLLM_CORE_SCHEDULING_DECISION_HH
@@ -23,29 +23,17 @@
 namespace lightllm {
 namespace core {
 
-/** One iteration's scheduling actions, by request id. */
+/** One round's admissions, by request id. */
 struct SchedulingDecision
 {
     /** Waiting-queue requests to admit, in admission order. */
     std::vector<RequestId> admit;
-
-    /** Running requests to evict before admitting (proactive
-     *  victims; must be decoding, not prefilling). */
-    std::vector<RequestId> evict;
-
-    bool
-    empty() const
-    {
-        return admit.empty() && evict.empty();
-    }
 };
 
 /**
  * Check a decision against the context it was made from.
  *
- * Valid means: admit ids are distinct members of ctx.waiting, evict
- * ids are distinct members of ctx.running, no evicted request is
- * still prefilling, and no id appears in both lists.
+ * Valid means: admit ids are distinct members of ctx.waiting.
  *
  * @return Empty string when valid, otherwise a diagnostic naming
  *         the offending id.

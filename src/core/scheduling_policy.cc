@@ -137,7 +137,6 @@ SchedulingPolicy::decideInto(const SchedulerContext &ctx,
                              SchedulingDecision &out)
 {
     out.admit.clear();
-    out.evict.clear();
     if (ctx.waiting.empty())
         return;
 

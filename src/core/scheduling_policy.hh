@@ -6,8 +6,8 @@
  * A SchedulingPolicy composes a table of tenant queues (which order
  * the waiting queue is considered in) with a Scheduler (whether each
  * candidate fits in memory) and produces an explicit
- * SchedulingDecision. The engine is the executor: it validates and
- * applies the decision with its recompute/swap mechanics.
+ * SchedulingDecision of admissions. The engine is the executor: it
+ * validates and applies the decision.
  *
  * There is one pipeline shape. A flat policy is one queue wrapping
  * one QueuePolicy; a tenant tree is one queue per tenant built from

@@ -181,7 +181,7 @@ DisaggCluster::decodeRoomFor(TokenCount kv_tokens)
         std::numeric_limits<TokenCount>::min();
     TokenCount best_capacity = 0;
     for (const auto &instance : snap.instances) {
-        if (!instance.routable)
+        if (instance.warming || instance.draining)
             continue;
         best_capacity =
             std::max(best_capacity, instance.capacityTokens);
@@ -267,7 +267,7 @@ DisaggCluster::controlTick(Tick when)
     // A freshly warmed decode instance may unblock the handoff.
     tryDispatch(when);
     if (!quiescent()) {
-        context_.schedule(when + controlInterval_,
+        context_.schedule(when + autoscale::kControlInterval,
                           [this](Tick tick) { controlTick(tick); });
     }
 }
@@ -284,19 +284,9 @@ DisaggCluster::run()
             "the decode pool must not shed at the router (the "
             "bounded handoff queue is the shed point)");
     }
-    const autoscale::AutoScaler *prefill = prefillPool_->autoscaler();
-    const autoscale::AutoScaler *decode = decodePool_->autoscaler();
-    if (prefill || decode) {
-        controlInterval_ =
-            (prefill ? prefill : decode)->config().controlInterval;
-        LIGHTLLM_ASSERT(!prefill || !decode ||
-                            decode->config().controlInterval ==
-                                controlInterval_,
-                        "elastic pools share one control tick and "
-                        "must agree on its interval");
-        context_.schedule(controlInterval_, [this](Tick tick) {
-            controlTick(tick);
-        });
+    if (prefillPool_->autoscaler() || decodePool_->autoscaler()) {
+        context_.schedule(autoscale::kControlInterval,
+                          [this](Tick tick) { controlTick(tick); });
     }
     context_.runToCompletion();
     LIGHTLLM_ASSERT(quiescent(),

@@ -207,8 +207,8 @@ class DisaggCluster : public workload::RequestSink
     void finishUser(const workload::RequestSpec &original, Tick tick);
 
     /** Two-pool control tick: one controlOnce() per elastic pool,
-     *  rescheduled every controlInterval_ until every offered
-     *  request is accounted for. */
+     *  rescheduled every autoscale::kControlInterval until every
+     *  offered request is accounted for. */
     void controlTick(Tick when);
 
     /** All offered requests finished, shed at the router, or shed
@@ -232,10 +232,6 @@ class DisaggCluster : public workload::RequestSink
 
     std::unique_ptr<cluster::ServingCluster> prefillPool_;
     std::unique_ptr<cluster::ServingCluster> decodePool_;
-
-    /** Period of the two-pool control tick: the elastic pools'
-     *  AutoscaleConfig::controlInterval, which must agree. */
-    Tick controlInterval_ = 0;
 
     FinishCallback onFinish_;
     bool ran_ = false;

@@ -5,14 +5,13 @@ namespace engine {
 
 void
 EngineObserver::evicted(const EngineRequest &victim, Tick now,
-                        TokenCount tokens, bool reactive)
+                        TokenCount tokens)
 {
     collector_.onEviction(victim.evictions == 1);
     if (trace_ != nullptr) {
         const RequestId id = victim.spec.id;
-        const auto cause = static_cast<std::int64_t>(
-            reactive ? trace::EvictCause::Reactive
-                     : trace::EvictCause::Proactive);
+        const auto cause =
+            static_cast<std::int64_t>(trace::EvictCause::Reactive);
         trace_->end(Name::Decode, id, now, victim.generated);
         trace_->instant(Name::Evict, id, now, cause, victim.generated,
                         victim.evictions);

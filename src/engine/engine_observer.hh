@@ -85,15 +85,14 @@ class EngineObserver
                       request.cachedPrefix, kv_used);
     }
 
-    /** An admission round ended, `waiting` requests still queued. */
+    /** An admission round ended, `waiting` requests still queued.
+     *  The schema's `evicted` arg stays 0: rounds only admit. */
     void
-    admissionRound(Tick now, std::size_t admitted, std::size_t evicted,
-                   std::size_t waiting)
+    admissionRound(Tick now, std::size_t admitted, std::size_t waiting)
     {
         if (steps_) {
             trace_->instant(Name::AdmissionRound, kInvalidRequestId, now,
-                            static_cast<std::int64_t>(admitted),
-                            static_cast<std::int64_t>(evicted),
+                            static_cast<std::int64_t>(admitted), 0,
                             static_cast<std::int64_t>(waiting));
         }
     }
@@ -152,11 +151,11 @@ class EngineObserver
                         static_cast<std::int64_t>(waiting));
     }
 
-    /** `victim` left the batch for the queue front, releasing
-     *  `tokens` of KV; `reactive`: a step could not grow, otherwise
-     *  a decision evicted it. A swap-mode victim is swappedOut. */
+    /** A step could not grow, so `victim` left the batch for the
+     *  queue front, releasing `tokens` of KV. A swap-mode victim is
+     *  swappedOut. */
     void evicted(const EngineRequest &victim, Tick now,
-                 TokenCount tokens, bool reactive);
+                 TokenCount tokens);
 
     /** `request`'s `tokens` of KV came back from the host. */
     void swappedIn(const EngineRequest &request, Tick now,

@@ -440,26 +440,14 @@ ServingEngine::admitRequests()
     if (!error.empty())
         fatal("invalid scheduling decision: ", error);
 
-    // Proactive evictions first: they free the memory the
-    // admissions below were planned against.
-    Tick eviction_stall = 0;
-    for (RequestId id : decision.evict)
-        eviction_stall += evictRequest(id, false);
-    now_ += eviction_stall;
-
-    // The policy stopped at the room it was given; evictions only
-    // widen it.
     LIGHTLLM_ASSERT(decision.admit.size() <= admitRoom(),
                     "decision admits ", decision.admit.size(),
                     " past the batch room ", admitRoom());
-
-    if (decision.admit.empty() && running_.empty() &&
-        prefillPending_.empty()) {
-        // Backstop for custom policies: the built-in pipeline
-        // already force-admits its head-of-order request when the
-        // system is idle (see SchedulingPolicy::decide).
-        decision.admit.push_back(waiting_.front()->spec.id);
-    }
+    // An idle engine must make progress: the pipeline force-admits
+    // its head-of-order request when nothing fits.
+    LIGHTLLM_ASSERT(!decision.admit.empty() || !running_.empty() ||
+                        !prefillPending_.empty(),
+                    "an idle admission round admitted nothing");
 
     std::size_t admitted = 0;
     for (RequestId id : decision.admit) {
@@ -484,8 +472,7 @@ ServingEngine::admitRequests()
         ++admitted;
         observer_.admitted(*request, now_, kv_.usedTokens());
     }
-    observer_.admissionRound(now_, admitted, decision.evict.size(),
-                             waiting_.size());
+    observer_.admissionRound(now_, admitted, waiting_.size());
 }
 
 void
@@ -567,12 +554,7 @@ ServingEngine::evictOne()
     // engine-configured admission order.
     const core::SchedulerContext ctx = buildContext(false);
     policy_->victimOrder(ctx, config_.evictionPolicy, victimScratch_);
-    return evictRequest(victimScratch_.front(), true);
-}
-
-Tick
-ServingEngine::evictRequest(RequestId id, bool reactive)
-{
+    const RequestId id = victimScratch_.front();
     const auto victim_it = std::find_if(
         running_.begin(), running_.end(),
         [id](const EngineRequest *request) {
@@ -597,7 +579,7 @@ ServingEngine::evictRequest(RequestId id, bool reactive)
     // Back to the front of the queue; the KV is either rebuilt by a
     // future recompute prefill or restored by a swap-in.
     waiting_.push_front(victim);
-    observer_.evicted(*victim, now_, victim_tokens, reactive);
+    observer_.evicted(*victim, now_, victim_tokens);
     return victim->swappedOut ? scaled(perf_.swapLatency(victim_tokens))
                               : 0;
 }

@@ -5,9 +5,8 @@
  * Reproduces the iteration-level serving loop of LightLLM/ORCA-style
  * frameworks: each iteration the scheduling policy is shown the
  * running batch and the waiting queue and emits a SchedulingDecision
- * (which requests to admit, in which order, and any proactive
- * eviction victims); the engine validates and executes it (prefill,
- * then one decode step over the batch). Every request's tokens are
+ * (which requests to admit, in which order); the engine validates
+ * and executes it (prefill, then one decode step over the batch). Every request's tokens are
  * timestamped so TTFT/TPOT/MTPOT and goodput can be evaluated
  * exactly. Memory is managed by the paged KV block manager; when a
  * decode step cannot allocate the next token slots, the policy picks
@@ -379,12 +378,10 @@ class ServingEngine : public workload::RequestSink
     bool completePrefill(EngineRequest *request);
 
     /** Evict the running request the policy ranks first (over the
-     *  configured LIFO/FIFO tie-break), or request `id` as a
-     *  decision's proactive eviction (`reactive` false: the trace
-     *  cause). Returns the stall charged to the iteration: the
-     *  swap-out transfer (recompute pays at re-prefill). */
+     *  configured LIFO/FIFO tie-break). Returns the stall charged to
+     *  the iteration: the swap-out transfer (recompute pays at
+     *  re-prefill). */
     Tick evictOne();
-    Tick evictRequest(RequestId id, bool reactive);
 
     /** Complete a request and notify listeners. */
     void finishRequest(EngineRequest *request);

@@ -134,12 +134,10 @@ struct TraceEvent
     TracePhase phase = TracePhase::Instant;
 };
 
-/** Eviction causes recorded in Evict instants (arg0). */
+/** Eviction causes recorded in Evict instants (arg0). Eviction is
+ *  reactive only; the value keeps the schema's historical code. */
 enum class EvictCause : std::int64_t
 {
-    /** Scheduler decided the eviction at an admission round. */
-    Proactive = 0,
-
     /** The decode step could not extend the batch's KV. */
     Reactive = 1,
 };

@@ -92,6 +92,10 @@ TEST(CliParse, RejectsOutOfDomainValues)
         {"--instances", "2", "--drain-at", "nan"},
         {"--tp", "4294967296"},
         {"--ttft-limit", "inf"},
+        // Positive, but 0 ticks: 0 means "unset" for these three.
+        {"--autoscale", "--ttft-limit", "1e-7"},
+        {"--autoscale", "--mtpot-limit", "1e-7"},
+        {"--max-seconds", "1e-7"},
     };
     for (const auto &args : cases) {
         cli::CliOptions options;
@@ -107,6 +111,8 @@ TEST(CliParse, RejectsOutOfDomainValues)
         {"--reserved-ratio", "0"},
         {"--watermark", "1"},
         {"--autoscale", "--scale-slo-target", "1"},
+        {"--ttft-limit", "1e-6"},
+        {"--max-seconds", "0"},
     };
     for (const auto &args : boundaries) {
         cli::CliOptions options;
@@ -397,6 +403,32 @@ TEST(CliAssemble, RejectsUnknownNames)
     options.priorityMix = "0,0";
     EXPECT_THROW(cli::assembleScenario(options),
                  std::invalid_argument);
+}
+
+TEST(CliAssemble, RejectsBlockLargerThanKvCapacity)
+{
+    // Such a block once panicked inside the KV block manager; the
+    // assembly now names the flag and the capacity, alone or in a
+    // fleet.
+    cli::CliOptions options;
+    options.requests = 8;
+    const TokenCount capacity =
+        cli::assembleScenario(options).perf.tokenCapacity();
+    options.blockSize = capacity;
+    EXPECT_NO_THROW(cli::assembleScenario(options));
+    for (const std::size_t instances : {1, 2}) {
+        options.instances = instances;
+        options.blockSize = capacity + 1;
+        try {
+            cli::assembleScenario(options);
+            ADD_FAILURE() << instances << " instances: accepted";
+        } catch (const std::invalid_argument &error) {
+            EXPECT_EQ(std::string(error.what()),
+                      "--block-size " + std::to_string(capacity + 1) +
+                          " exceeds the KV capacity of " +
+                          std::to_string(capacity) + " tokens");
+        }
+    }
 }
 
 TEST(CliAssemble, QueuePolicyAndPriorityMixWireThrough)

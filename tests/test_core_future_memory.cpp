@@ -122,16 +122,6 @@ TEST(FutureMemoryDeathTest, UnsortedBatchPanics)
     EXPECT_DEATH(sortedPeak(unsorted), "descending-remaining");
 }
 
-TEST(FutureMemoryTest, ProfileIsInCompletionOrder)
-{
-    std::vector<BatchEntry> entries{{10, 0, 4}, {20, 0, 2}};
-    const auto profile = futureMemoryProfile(entries);
-    ASSERT_EQ(profile.size(), 2u);
-    // Earliest completion first: B at 34, then A at 14.
-    EXPECT_EQ(profile[0], 34);
-    EXPECT_EQ(profile[1], 14);
-}
-
 TEST(FutureMemoryDeathTest, PredictionBelowGeneratedPanics)
 {
     std::vector<BatchEntry> entries{{10, 20, 5}};

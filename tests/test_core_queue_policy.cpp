@@ -343,10 +343,8 @@ TEST(DecisionValidationTest, AcceptsWellFormedDecision)
     const SchedulerContext ctx = validationContext(builder);
     SchedulingDecision decision;
     decision.admit = {2, 1};
-    decision.evict = {10};
     EXPECT_EQ(validateDecision(decision, ctx), "");
-    EXPECT_FALSE(decision.empty());
-    EXPECT_TRUE(SchedulingDecision{}.empty());
+    EXPECT_EQ(validateDecision(SchedulingDecision{}, ctx), "");
 }
 
 TEST(DecisionValidationTest, RejectsUnknownAdmitId)
@@ -364,33 +362,6 @@ TEST(DecisionValidationTest, RejectsDuplicateAdmitId)
     const SchedulerContext ctx = validationContext(builder);
     SchedulingDecision decision;
     decision.admit = {1, 2, 1};
-    EXPECT_NE(validateDecision(decision, ctx), "");
-}
-
-TEST(DecisionValidationTest, RejectsEvictOutsideRunningBatch)
-{
-    ContextBuilder builder;
-    const SchedulerContext ctx = validationContext(builder);
-    SchedulingDecision decision;
-    decision.evict = {1};  // waiting, not running
-    EXPECT_NE(validateDecision(decision, ctx), "");
-}
-
-TEST(DecisionValidationTest, RejectsEvictingPrefillingRequest)
-{
-    ContextBuilder builder;
-    const SchedulerContext ctx = validationContext(builder);
-    SchedulingDecision decision;
-    decision.evict = {11};
-    EXPECT_NE(validateDecision(decision, ctx), "");
-}
-
-TEST(DecisionValidationTest, RejectsDuplicateEvictId)
-{
-    ContextBuilder builder;
-    const SchedulerContext ctx = validationContext(builder);
-    SchedulingDecision decision;
-    decision.evict = {10, 10};
     EXPECT_NE(validateDecision(decision, ctx), "");
 }
 
@@ -421,7 +392,6 @@ TEST(SchedulingPolicyTest, FcfsDecisionMatchesPrefixCount)
     ASSERT_EQ(decision.admit.size(), count);
     for (std::size_t i = 0; i < count; ++i)
         EXPECT_EQ(decision.admit[i], ctx.waiting[i].id);
-    EXPECT_TRUE(decision.evict.empty());
     EXPECT_EQ(validateDecision(decision, ctx), "");
 }
 
@@ -476,7 +446,7 @@ TEST(SchedulingPolicyTest, EmptyQueueYieldsEmptyDecision)
     auto pipeline = makePipeline(QueuePolicyKind::Fcfs);
     ContextBuilder builder;
     builder.addRunning(10, 100, 5, 200, 1);
-    EXPECT_TRUE(pipeline->decide(builder.context()).empty());
+    EXPECT_TRUE(pipeline->decide(builder.context()).admit.empty());
 }
 
 std::vector<RequestId>

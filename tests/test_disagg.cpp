@@ -14,6 +14,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "autoscale/autoscaler.hh"
 #include "autoscale/scale_policy.hh"
 #include "cluster/serving_cluster.hh"
 #include "core/scheduler_factory.hh"
@@ -281,25 +282,57 @@ TEST(DisaggClusterTest, DecodeDrainUnwindsChargesAndFinishesAll)
 
 // --- Autoscale cadence ---------------------------------------------------
 
-TEST(DisaggClusterDeathTest, ElasticPoolsMustAgreeOnTheControlInterval)
+/** Records the tick of every control decision; never resizes. */
+class TickLog final : public autoscale::ScalePolicy
 {
-    // One periodic event drives both pools' control loops, so it
-    // has one period: the pools' AutoscaleConfig::controlInterval.
+  public:
+    explicit TickLog(std::vector<Tick> &ticks) : ticks_(ticks) {}
+
+    std::string_view name() const override { return "tick-log"; }
+
+    int
+    decide(const autoscale::FleetSnapshot &fleet,
+           const autoscale::SloStats &) override
+    {
+        ticks_.push_back(fleet.now);
+        return 0;
+    }
+
+  private:
+    std::vector<Tick> &ticks_;
+};
+
+TEST(DisaggClusterTest, ElasticPoolsShareOneControlTick)
+{
+    // One periodic event drives both pools' control loops, every
+    // autoscale::kControlInterval.
     DisaggCluster cluster(makeEngines(1), makeEngines(1),
                           tinyConfig());
     autoscale::AutoscaleConfig config;
     config.sla = metrics::SlaSpec{secondsToTicks(2.0),
                                   secondsToTicks(1.0)};
-    for (cluster::ServingCluster *pool :
-         {&cluster.prefillPool(), &cluster.decodePool()}) {
-        pool->setInstanceFactory(
-            [] { return std::move(makeEngines(1).front()); });
-        pool->enableAutoscale(
-            config, autoscale::makeScalePolicy("reactive", 0.9));
-        config.controlInterval = secondsToTicks(1.0);
+    std::vector<Tick> prefill_ticks;
+    std::vector<Tick> decode_ticks;
+    cluster.prefillPool().setInstanceFactory(
+        [] { return std::move(makeEngines(1).front()); });
+    cluster.prefillPool().enableAutoscale(
+        config, std::make_unique<TickLog>(prefill_ticks));
+    cluster.decodePool().setInstanceFactory(
+        [] { return std::move(makeEngines(1).front()); });
+    cluster.decodePool().enableAutoscale(
+        config, std::make_unique<TickLog>(decode_ticks));
+    for (RequestId id = 0; id < 6; ++id) {
+        cluster.submitAt(makeRequest(id, 80, 30),
+                         secondsToTicks(static_cast<double>(id)));
     }
-    cluster.submitAt(makeRequest(0, 80, 30), 0);
-    EXPECT_DEATH(cluster.run(), "must agree on its interval");
+    cluster.run();
+
+    ASSERT_GE(prefill_ticks.size(), 2u);
+    EXPECT_EQ(prefill_ticks, decode_ticks);
+    for (std::size_t i = 0; i < prefill_ticks.size(); ++i) {
+        EXPECT_EQ(prefill_ticks[i], static_cast<Tick>(i + 1) *
+                                        autoscale::kControlInterval);
+    }
 }
 
 // --- Cost axis -----------------------------------------------------------

@@ -835,6 +835,35 @@ TEST(ServingEngineDeathTest, SecondRunPanics)
     EXPECT_DEATH(engine.run(), "single-run");
 }
 
+/** A policy that admits nothing, even on an idle engine. */
+class RefusingPolicy final : public core::SchedulingPolicy
+{
+  public:
+    RefusingPolicy()
+        : SchedulingPolicy(
+              core::makeScheduler(SchedulerConfig::oracle()))
+    {
+    }
+
+    void
+    decideInto(const core::SchedulerContext &,
+               core::SchedulingDecision &out) override
+    {
+        out.admit.clear();
+    }
+};
+
+TEST(ServingEngineDeathTest, IdleRoundThatAdmitsNothingPanics)
+{
+    // The pipeline force-admits on an idle round; a policy that
+    // refuses anyway would stall the engine, so the engine asserts
+    // rather than overriding the decision.
+    ServingEngine engine(tinyPerf(8.0),
+                         std::make_unique<RefusingPolicy>());
+    engine.submitAt(makeRequest(1, 10, 5), 0);
+    EXPECT_DEATH(engine.run(), "idle admission round admitted nothing");
+}
+
 // --- Step/run equivalence ----------------------------------------------
 
 /** How a fresh engine is loaded and driven. */

@@ -137,7 +137,6 @@ class LegacyPrefixPolicy : public core::SchedulingPolicy
                core::SchedulingDecision &out) override
     {
         out.admit.clear();
-        out.evict.clear();
         if (ctx.waiting.empty())
             return;
         std::size_t count = admission().selectAdmissions(ctx);

@@ -325,7 +325,8 @@ isOneOf(std::string_view words, std::string_view text)
  * The values a flag accepts: numbers in [min, max] (integers must
  * also fit their field), or with `shares` set, a share list whose
  * entries are at least `min`; with `closed` set, only the flag's
- * choices.
+ * choices; with `wholeTick` set, seconds that are 0 (unset) or
+ * round to at least one tick.
  */
 struct Domain
 {
@@ -333,6 +334,7 @@ struct Domain
     double max = std::numeric_limits<double>::infinity();
     bool shares = false;
     bool closed = false;
+    bool wholeTick = false;
 };
 
 constexpr Domain kPositive{.min = 1};
@@ -342,6 +344,10 @@ constexpr Domain kPositive{.min = 1};
  *  bound still fits. */
 constexpr Domain kSeconds{
     .max = ticksToSeconds(std::numeric_limits<Tick>::max() / 2)};
+
+/** Seconds where 0 means unset, so a positive value must not round
+ *  to 0 ticks (an SLA limit of 0, or no run limit at all). */
+constexpr Domain kTickSeconds{.max = kSeconds.max, .wholeTick = true};
 
 /** One command-line flag: parsing, --help and the audit read it. */
 struct Flag
@@ -389,7 +395,9 @@ store(const Flag &flag, const char *text, CliOptions &options)
     } else if constexpr (std::is_floating_point_v<T>) {
         double value = 0.0;
         if (!parseDouble(text, value) || value < domain.min ||
-            value > domain.max)
+            value > domain.max ||
+            (domain.wholeTick && value > 0.0 &&
+             secondsToTicks(value) == 0))
             return false;
         slot = value;
     } else {
@@ -534,9 +542,9 @@ constexpr Flag kFlags[] = {
      "without limit"},
     {"SLA (defaults follow the paper, by model size):",
      "--ttft-limit", "S", store<&O::ttftLimitSeconds>,
-     "TTFT limit, seconds", kSeconds},
+     "TTFT limit, seconds", kTickSeconds},
     {nullptr, "--mtpot-limit", "S", store<&O::mtpotLimitSeconds>,
-     "max time-per-output-token, seconds", kSeconds},
+     "max time-per-output-token, seconds", kTickSeconds},
     {"Engine:", "--block-size", "N", store<&O::blockSize>,
      "KV block size (default 16)", kPositive},
     {nullptr, "--prefix-cache", "M", store<&O::prefixCache>,
@@ -557,7 +565,7 @@ constexpr Flag kFlags[] = {
      store<&O::maxFinishedRequests>,
      "stop after N finished requests"},
     {nullptr, "--max-seconds", "S", store<&O::maxSimSeconds>,
-     "stop after S simulated seconds", kSeconds},
+     "stop after S simulated seconds", kTickSeconds},
     {nullptr, "--format", "F", store<&O::format>, "(default table)",
      {.closed = true},
      [] { return std::string("table | json | both"); }},
@@ -995,6 +1003,21 @@ assembleAround(const CliOptions &options, workload::Dataset dataset)
             scenario.drainAt = std::max<Tick>(
                 1, secondsToTicks(options.drainAtSeconds));
         }
+    }
+    // Every engine's KV arena must hold one block. A fleet builds
+    // from fleetPerfs; a lone engine, the disagg pools and
+    // autoscale clones from the base platform.
+    TokenCount capacity =
+        scenario.fleetPerfs.empty() || options.autoscale
+        ? scenario.perf.tokenCapacity()
+        : std::numeric_limits<TokenCount>::max();
+    for (const model::PerfModel &perf : scenario.fleetPerfs)
+        capacity = std::min(capacity, perf.tokenCapacity());
+    if (options.blockSize > capacity) {
+        throw std::invalid_argument(
+            "--block-size " + std::to_string(options.blockSize) +
+            " exceeds the KV capacity of " + std::to_string(capacity) +
+            " tokens");
     }
     scenario.tenants = options.tenants;
     scenario.traceReplay = !options.traceReplay.empty();
