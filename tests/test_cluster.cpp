@@ -10,13 +10,16 @@
 #include <algorithm>
 #include <sstream>
 
+#include "autoscale/scale_policy.hh"
 #include "cluster/serving_cluster.hh"
 #include "core/scheduler_factory.hh"
 #include "engine/serving_engine.hh"
 #include "metrics/report_io.hh"
 #include "metrics/sla.hh"
 #include "model/perf_model.hh"
+#include "sim/sim_context.hh"
 #include "test_fixtures.hh"
+#include "workload/arrivals.hh"
 #include "workload/client_pool.hh"
 #include "workload/datasets.hh"
 
@@ -304,6 +307,47 @@ TEST(ClusterTest, LeastOutstandingBreaksTiesByLowestIndex)
     EXPECT_EQ(log[1].instance, 1u);
     EXPECT_EQ(log[2].instance, 2u);
     fleet->run();
+}
+
+TEST(ClusterTest, StaticFleetsRouteAtSubmissionElasticAtArrival)
+{
+    // Under open-loop load a static fleet places every request when
+    // it is submitted, before the first event fires; an elastic
+    // fleet defers each placement to its arrival tick.
+    const auto dataset = workload::makeShareGpt(16, 5);
+    for (const bool elastic : {false, true}) {
+        sim::SimContext context;
+        std::vector<std::unique_ptr<engine::ServingEngine>> engines;
+        for (std::size_t i = 0; i < 2; ++i) {
+            engines.push_back(std::make_unique<engine::ServingEngine>(
+                tinyPerf(8.0),
+                core::makeScheduler(SchedulerConfig::oracle())));
+        }
+        cluster::ServingCluster fleet(
+            std::move(engines), cluster::RoutingPolicy::FutureMemory,
+            context);
+        fleet.recordSubmissions(true);
+        if (elastic) {
+            fleet.setInstanceFactory([] {
+                return std::make_unique<engine::ServingEngine>(
+                    tinyPerf(8.0),
+                    core::makeScheduler(SchedulerConfig::oracle()));
+            });
+            autoscale::AutoscaleConfig config;
+            config.minInstances = 2;
+            config.maxInstances = 2;
+            config.sla = metrics::SlaSpec::small7b13b();
+            fleet.enableAutoscale(
+                config, autoscale::makeScalePolicy("reactive", 0.9));
+        }
+        workload::submitPoissonArrivals(dataset, fleet, 4.0, 5);
+        EXPECT_EQ(fleet.submissionLog().size(), elastic ? 0u : 16u)
+            << "elastic=" << elastic;
+        const auto report = fleet.run();
+        EXPECT_EQ(report.numFinished, 16u);
+        EXPECT_EQ(fleet.submissionLog().size(), 16u)
+            << "elastic=" << elastic;
+    }
 }
 
 TEST(ClusterTest, FutureMemoryAccountingDrainsToZero)
