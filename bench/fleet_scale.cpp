@@ -134,35 +134,27 @@ runFleet(std::size_t instances, std::uint32_t threads)
                     perf, core::makeScheduler(config)));
         }
 
-        // threads == 1 is the classic cluster-owned single-queue
-        // loop; K > 1 shards the engines across a hub enrolled on
-        // an external root context (the CLI's --sim-threads path).
+        // threads == 1 is the single-queue loop; K > 1 shards the
+        // engines across a hub enrolled on the root (the CLI's
+        // --sim-threads path).
         sim::SimContext root;
         std::unique_ptr<sim::ShardedSimContext> hub;
         if (threads > 1) {
             hub = std::make_unique<sim::ShardedSimContext>(root,
                                                            threads);
         }
-        std::unique_ptr<cluster::ServingCluster> fleet;
-        if (hub) {
-            fleet = std::make_unique<cluster::ServingCluster>(
-                std::move(engines),
-                cluster::RoutingPolicy::FutureMemory, root);
-        } else {
-            fleet = std::make_unique<cluster::ServingCluster>(
-                std::move(engines),
-                cluster::RoutingPolicy::FutureMemory);
-        }
+        cluster::ServingCluster fleet(
+            std::move(engines), cluster::RoutingPolicy::FutureMemory,
+            root);
 
-        workload::ClosedLoopClientPool pool(clients, dataset,
-                                            *fleet);
-        fleet->setOnFinish(
+        workload::ClosedLoopClientPool pool(clients, dataset, fleet);
+        fleet.setOnFinish(
             [&](const workload::RequestSpec &spec, Tick tick) {
                 pool.onRequestFinished(spec.id, tick);
             });
 
         pool.start();
-        report = fleet->run();
+        report = fleet.run();
         // Sample while the fleet (engines, KV managers, event
         // arenas) is still alive — this point's true footprint.
         rss_after = currentRssMb();

@@ -365,7 +365,7 @@ BM_TailSampleAt(benchmark::State &state)
         if (u >= 1.0)
             u -= 1.0;
         benchmark::DoNotOptimize(
-            dist.sampleTailAt(u, 1000, 4096));
+            dist.sampleTailFrom(u, dist.tailStart(1000), 4096));
     }
 }
 

@@ -62,7 +62,8 @@ routeWith(cluster::RoutingPolicy policy,
         instances.push_back(std::make_unique<engine::ServingEngine>(
             perf, core::makeScheduler(scheduler_config)));
     }
-    cluster::ServingCluster fleet(std::move(instances), policy);
+    sim::SimContext context;
+    cluster::ServingCluster fleet(std::move(instances), policy, context);
     fleet.warmRoutingHistory(warm);
 
     workload::ClosedLoopClientPool clients(num_clients, dataset,

@@ -47,20 +47,6 @@ parseRoutingPolicy(std::string_view name, RoutingPolicy &out)
 
 ServingCluster::ServingCluster(
     std::vector<std::unique_ptr<engine::ServingEngine>> instances,
-    RoutingPolicy policy)
-    : ownedContext_(std::make_unique<sim::SimContext>()),
-      context_(ownedContext_.get()), policy_(policy),
-      routingPredictor_(1000)
-{
-    LIGHTLLM_ASSERT(!instances.empty(),
-                    "cluster needs at least one instance");
-    for (auto &instance : instances)
-        adoptInstance(std::move(instance));
-    peakInstances_ = instances_.size();
-}
-
-ServingCluster::ServingCluster(
-    std::vector<std::unique_ptr<engine::ServingEngine>> instances,
     RoutingPolicy policy, sim::SimContext &context)
     : context_(&context), policy_(policy), routingPredictor_(1000)
 {

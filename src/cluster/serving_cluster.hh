@@ -21,9 +21,9 @@
  *    proposal end to end: the same distribution that drives
  *    admission drives placement.
  *
- * The fleet is an exact co-simulation: the cluster owns one
- * sim::SimContext, every engine runs as an event-driven actor on
- * it, and all interactions (arrivals, completions, drains,
+ * The fleet is an exact co-simulation: the cluster borrows one
+ * sim::SimContext from the code that runs it, every engine runs as
+ * an event-driven actor on it, and all interactions (arrivals, completions, drains,
  * iteration boundaries) fire in global time order. There is no
  * causality skew — the router never observes an instance's
  * future — and heterogeneous fleets (HardwareSpec / timeFactor)
@@ -135,20 +135,16 @@ class ServingCluster : public workload::RequestSink
 
     /**
      * @param instances Engines to route across (>= 1); the cluster
-     *        takes ownership, attaches every engine to its shared
-     *        SimContext, and installs its own finish fan-in.
+     *        takes ownership, attaches every engine to `context`,
+     *        and installs its own finish fan-in.
      * @param policy Routing policy.
-     */
-    ServingCluster(
-        std::vector<std::unique_ptr<engine::ServingEngine>> instances,
-        RoutingPolicy policy);
-
-    /**
-     * Same, but co-simulating on an externally owned context —
-     * several clusters (e.g. the prefill and decode pools of a
-     * disagg::DisaggCluster) share one clock and event queue. The
-     * caller drives the event loop and calls finalizeReport()
-     * itself instead of run().
+     * @param context Clock + event queue the fleet borrows from
+     *        whoever runs the scenario (which may enroll it in a
+     *        sim::ShardedSimContext first). Several clusters may
+     *        share one — the prefill and decode pools of a
+     *        disagg::DisaggCluster do — in which case their owner
+     *        drives the loop and calls finalizeReport() on each
+     *        instead of run().
      */
     ServingCluster(
         std::vector<std::unique_ptr<engine::ServingEngine>> instances,
@@ -255,7 +251,7 @@ class ServingCluster : public workload::RequestSink
     }
 
     /**
-     * Co-simulate all instances to completion and return the merged
+     * Run the borrowed context to completion and return the merged
      * report (per-instance reports remain available).
      */
     metrics::RunReport run();
@@ -274,8 +270,9 @@ class ServingCluster : public workload::RequestSink
     /**
      * Merge the per-instance reports and settle the cost ledgers
      * (instance-seconds, instance-cost, shed/offered counters).
-     * run() calls this after the event loop drains; external-
-     * context callers call it directly once the shared loop is dry.
+     * run() calls this after the event loop drains; the owner of
+     * a context several clusters share calls it directly once the
+     * shared loop is dry.
      *
      * @param end_of_service Absolute tick at which still-alive
      *        instances stop costing; -1 = the last completion seen
@@ -322,9 +319,6 @@ class ServingCluster : public workload::RequestSink
     {
         return predictedLoad_;
     }
-
-    /** The shared simulation context (tests / instrumentation). */
-    sim::SimContext &context() { return *context_; }
 
     /**
      * Shard executing instance `index`'s engine when the shared
@@ -387,10 +381,7 @@ class ServingCluster : public workload::RequestSink
     /** Drain-event body for instance `index`. */
     void drainNow(std::size_t index);
 
-    /** Clock + queue all instances are attached to: owned by a
-     *  lone cluster, borrowed when co-simulating with sibling
-     *  clusters on one context. */
-    std::unique_ptr<sim::SimContext> ownedContext_;
+    /** Borrowed clock + queue all instances are attached to. */
     sim::SimContext *context_;
 
     std::vector<std::unique_ptr<engine::ServingEngine>> instances_;

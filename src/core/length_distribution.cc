@@ -52,29 +52,6 @@ LengthDistribution::ensureSums() const
     sumsDirty_ = false;
 }
 
-TokenCount
-LengthDistribution::sample(Rng &rng) const
-{
-    LIGHTLLM_ASSERT(!sorted_.empty(), "sample from empty distribution");
-    const auto index = static_cast<std::size_t>(rng.uniformInt(
-        0, static_cast<std::int64_t>(sorted_.size()) - 1));
-    return sorted_[index];
-}
-
-TokenCount
-LengthDistribution::sampleTail(Rng &rng, TokenCount greater_than,
-                               TokenCount fallback) const
-{
-    return sampleTailFrom(rng, tailStart(greater_than), fallback);
-}
-
-TokenCount
-LengthDistribution::sampleTailAt(double u, TokenCount greater_than,
-                                 TokenCount fallback) const
-{
-    return sampleTailFrom(u, tailStart(greater_than), fallback);
-}
-
 std::size_t
 LengthDistribution::tailStart(TokenCount greater_than) const
 {
@@ -102,18 +79,6 @@ LengthDistribution::searchTailStart(std::size_t start,
                              static_cast<std::ptrdiff_t>(start),
                          sorted_.end(), greater_than) -
         sorted_.begin());
-}
-
-double
-LengthDistribution::probGreater(TokenCount x) const
-{
-    if (sorted_.empty())
-        return 0.0;
-    const auto first =
-        std::upper_bound(sorted_.begin(), sorted_.end(), x);
-    const auto count = std::distance(first, sorted_.end());
-    return static_cast<double>(count) /
-        static_cast<double>(sorted_.size());
 }
 
 TokenCount
@@ -145,13 +110,6 @@ LengthDistribution::tailMeanFrom(std::size_t start,
 }
 
 TokenCount
-LengthDistribution::tailQuantile(TokenCount greater_than, double q,
-                                 TokenCount fallback) const
-{
-    return tailQuantileFrom(tailStart(greater_than), q, fallback);
-}
-
-TokenCount
 LengthDistribution::tailQuantileFrom(std::size_t lo, double q,
                                      TokenCount fallback) const
 {
@@ -167,34 +125,9 @@ LengthDistribution::tailQuantileFrom(std::size_t lo, double q,
 }
 
 TokenCount
-LengthDistribution::quantile(double q) const
-{
-    if (sorted_.empty())
-        return 0;
-    q = std::clamp(q, 0.0, 1.0);
-    const auto n = static_cast<double>(sorted_.size());
-    std::size_t rank =
-        static_cast<std::size_t>(std::ceil(q * n));
-    if (rank == 0)
-        rank = 1;
-    return sorted_[rank - 1];
-}
-
-TokenCount
 LengthDistribution::maxLength() const
 {
     return sorted_.empty() ? 0 : sorted_.back();
-}
-
-double
-LengthDistribution::meanLength() const
-{
-    if (sorted_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (TokenCount value : sorted_)
-        sum += static_cast<double>(value);
-    return sum / static_cast<double>(sorted_.size());
 }
 
 } // namespace core

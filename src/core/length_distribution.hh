@@ -3,15 +3,13 @@
  * Empirical output-length distribution P(l) (Eq. 1) with sampling.
  *
  * P(l) = C(l, L_h) / w over the history window L_h. The scheduler
- * needs two draws:
+ * draws from the conditional tail P(l | l > l_t) of a request that
+ * has generated l_t tokens (l_t = 0 for a queued request: the tail
+ * is all of P(l)) — the paper's per-step resampling that keeps
+ * predictions ahead of reality.
  *
- *  - for queued requests, a sample from P(l);
- *  - for running requests that have already generated l_t tokens, a
- *    sample from the conditional tail P(l | l > l_t) — the paper's
- *    per-step resampling that keeps predictions ahead of reality.
- *
- * Lengths are kept sorted so tail sampling is a binary search plus a
- * uniform pick.
+ * Lengths are kept sorted, so a tail is the suffix starting at
+ * tailStart(l_t) and every query takes that start index.
  */
 
 #ifndef LIGHTLLM_CORE_LENGTH_DISTRIBUTION_HH
@@ -51,29 +49,6 @@ class LengthDistribution
     bool empty() const { return sorted_.empty(); }
     std::size_t size() const { return sorted_.size(); }
 
-    /** Draw from P(l); requires a non-empty distribution. */
-    TokenCount sample(Rng &rng) const;
-
-    /**
-     * Draw from the conditional tail P(l | l > greater_than).
-     * Returns `fallback` when no recorded length exceeds
-     * `greater_than` (the request has outlived all history — the
-     * safe prediction is the generation cap).
-     */
-    TokenCount sampleTail(Rng &rng, TokenCount greater_than,
-                          TokenCount fallback) const;
-
-    /**
-     * Inverse-CDF evaluation of the conditional tail: the element at
-     * uniform position u in [0, 1) of P(l | l > greater_than). With
-     * u ~ Uniform this is distributed exactly as sampleTail, but a
-     * *fixed* u yields a deterministic, monotone update as
-     * greater_than grows (quantile coupling). Returns `fallback`
-     * when the tail is empty.
-     */
-    TokenCount sampleTailAt(double u, TokenCount greater_than,
-                            TokenCount fallback) const;
-
     /**
      * Start index of the conditional tail P(l | l > greater_than):
      * the number of recorded lengths <= greater_than.
@@ -94,9 +69,12 @@ class LengthDistribution
         return searchTailStart(start + 1, greater_than);
     }
 
-    /** sampleTail over the tail beginning at index `start`: one
-     *  nextU64() mapped by tailAtDraw when the tail is non-empty,
-     *  no draw (and `fallback`) when it is empty. */
+    /**
+     * Draw from the tail beginning at index `start`: one nextU64()
+     * mapped by tailAtDraw when the tail is non-empty, no draw and
+     * `fallback` when it is empty (the request has outlived all
+     * history — the safe prediction is the generation cap).
+     */
     TokenCount
     sampleTailFrom(Rng &rng, std::size_t start,
                    TokenCount fallback) const
@@ -123,7 +101,13 @@ class LengthDistribution
                        static_cast<std::size_t>(draw % tail_size)];
     }
 
-    /** sampleTailAt over the tail beginning at index `start`. */
+    /**
+     * Inverse-CDF evaluation of the tail beginning at index `start`:
+     * its element at uniform position u in [0, 1). With u ~ Uniform
+     * this is distributed as the Rng draw above, but a *fixed* u
+     * yields a deterministic, monotone update as the tail shrinks
+     * (quantile coupling). `fallback` when the tail is empty.
+     */
     TokenCount
     sampleTailFrom(double u, std::size_t start,
                    TokenCount fallback) const
@@ -149,9 +133,6 @@ class LengthDistribution
         return start < sorted_.size() ? sorted_[start] : fallback;
     }
 
-    /** Fraction of recorded lengths strictly greater than x. */
-    double probGreater(TokenCount x) const;
-
     /**
      * Mean of the conditional tail E[l | l > greater_than]; returns
      * `fallback` when no recorded length exceeds `greater_than`.
@@ -164,27 +145,14 @@ class LengthDistribution
                             TokenCount fallback) const;
 
     /**
-     * Quantile q (nearest rank) of the conditional tail
-     * P(l | l > greater_than); `fallback` when the tail is empty.
+     * Quantile q (nearest rank) of the tail beginning at index
+     * `start`; `fallback` when the tail is empty.
      */
-    TokenCount tailQuantile(TokenCount greater_than, double q,
-                            TokenCount fallback) const;
-
-    /** tailQuantile over the tail beginning at index `start`. */
     TokenCount tailQuantileFrom(std::size_t start, double q,
                                 TokenCount fallback) const;
 
-    /**
-     * Smallest recorded length at or above quantile q in [0, 1]
-     * (nearest rank); 0 when empty.
-     */
-    TokenCount quantile(double q) const;
-
     /** Largest recorded length; 0 when empty. */
     TokenCount maxLength() const;
-
-    /** Mean recorded length; 0 when empty. */
-    double meanLength() const;
 
   private:
     /** The out-of-line half of tailStartFrom: every recorded length

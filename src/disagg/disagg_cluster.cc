@@ -35,8 +35,8 @@ DisaggCluster::DisaggCluster(
         prefill_instances,
     std::vector<std::unique_ptr<engine::ServingEngine>>
         decode_instances,
-    DisaggConfig config, std::uint32_t sim_threads)
-    : config_(config)
+    DisaggConfig config, sim::SimContext &context)
+    : config_(config), context_(context)
 {
     LIGHTLLM_ASSERT(config_.kvBytesPerToken > 0,
                     "disagg config needs the model's KV bytes per "
@@ -49,14 +49,6 @@ DisaggCluster::DisaggCluster(
     LIGHTLLM_ASSERT(config_.handoffDepth >= 1,
                     "handoff queue needs room for at least one "
                     "transfer");
-    LIGHTLLM_ASSERT(sim_threads >= 1, "need at least one sim thread");
-    // Enroll before the pools adopt their engines: adoption is what
-    // places each engine on a shard. Both pools share one hub, so
-    // shard balancing spans the whole disaggregated fleet.
-    if (sim_threads > 1) {
-        hub_ = std::make_unique<sim::ShardedSimContext>(context_,
-                                                        sim_threads);
-    }
     prefillPool_ = std::make_unique<cluster::ServingCluster>(
         std::move(prefill_instances),
         cluster::RoutingPolicy::PrefillLoad, context_);
@@ -86,8 +78,6 @@ DisaggCluster::attachTrace(trace::TraceRecorder *recorder)
     // mirrors the pool construction order above.
     prefillPool_->setTraceRecorder(recorder, "prefill");
     decodePool_->setTraceRecorder(recorder, "decode");
-    if (hub_)
-        hub_->attachTrace(recorder);
 }
 
 void

@@ -4,7 +4,8 @@
  *
  * Mooncake/DistServe-style deployment: the fleet splits into a
  * *prefill pool* and a *decode pool*, each a cluster::ServingCluster
- * co-simulating on one shared sim::SimContext. A request's life:
+ * co-simulating on one sim::SimContext the caller owns. A request's
+ * life:
  *
  *  1. The prefill pool serves a one-token sub-request (the full
  *     prompt, maxNewTokens = 1). Its completion is the request's
@@ -49,7 +50,6 @@
 #include "cluster/serving_cluster.hh"
 #include "engine/serving_engine.hh"
 #include "metrics/report.hh"
-#include "sim/sharded_sim_context.hh"
 #include "sim/sim_context.hh"
 #include "workload/client_pool.hh"
 
@@ -87,7 +87,7 @@ Tick migrationTransferTicks(const DisaggConfig &config,
                             TokenCount kv_tokens);
 
 /** A prefill pool and a decode pool joined by a KV-migration
- *  handoff queue, co-simulating on one shared context. */
+ *  handoff queue, co-simulating on one borrowed context. */
 class DisaggCluster : public workload::RequestSink
 {
   public:
@@ -99,10 +99,10 @@ class DisaggCluster : public workload::RequestSink
      * @param decode_instances Engines of the decode pool (>= 1);
      *        routed by RoutingPolicy::FutureMemory.
      * @param config Interconnect + handoff parameters.
-     * @param sim_threads Compute threads for the co-simulation.
-     *        1 (default) runs the classic single-queue loop; K > 1
-     *        shards both pools' engines across a ShardedSimContext
-     *        (bit-identical results, see DESIGN.md §9). Handoffs
+     * @param context Clock + event queue both pools borrow. When
+     *        the caller has enrolled it in a sim::ShardedSimContext,
+     *        both pools' engines shard across that one hub
+     *        (bit-identical results, see DESIGN.md §9); handoffs
      *        between pools are Delivery events on the coordinator
      *        and cross shard boundaries transparently.
      */
@@ -111,7 +111,7 @@ class DisaggCluster : public workload::RequestSink
             prefill_instances,
         std::vector<std::unique_ptr<engine::ServingEngine>>
             decode_instances,
-        DisaggConfig config, std::uint32_t sim_threads = 1);
+        DisaggConfig config, sim::SimContext &context);
 
     /** Submit an end-user request: it prefills in the prefill pool
      *  and (when more than one token is wanted) migrates into the
@@ -132,14 +132,11 @@ class DisaggCluster : public workload::RequestSink
     cluster::ServingCluster &prefillPool() { return *prefillPool_; }
     cluster::ServingCluster &decodePool() { return *decodePool_; }
 
-    /** The shared simulation context. */
-    sim::SimContext &context() { return context_; }
-
     /**
      * Attach a flight recorder to the whole disaggregated system:
      * prefill-pool engines get sinks labelled `prefill-<i>`, decode
-     * engines `decode-<i>`, and (when sharded) the co-sim hub gets
-     * its per-shard profiler sinks. Call before any submission.
+     * engines `decode-<i>`. Call before any submission; a caller
+     * running a sharded hub attaches the hub's sinks after these.
      */
     void attachTrace(trace::TraceRecorder *recorder);
 
@@ -221,14 +218,8 @@ class DisaggCluster : public workload::RequestSink
 
     DisaggConfig config_;
 
-    /** Shared clock + event queue (declared before the pools that
-     *  borrow it). */
-    sim::SimContext context_;
-
-    /** Optional sharded executor enrolling context_ as its root;
-     *  declared after context_ (detaches on destruction) and before
-     *  the pools (their engines attach to its shards). */
-    std::unique_ptr<sim::ShardedSimContext> hub_;
+    /** Borrowed clock + event queue both pools share. */
+    sim::SimContext &context_;
 
     std::unique_ptr<cluster::ServingCluster> prefillPool_;
     std::unique_ptr<cluster::ServingCluster> decodePool_;

@@ -350,14 +350,14 @@ tinyEngine()
 }
 
 cluster::ServingCluster
-makeFleet(std::size_t instances)
+makeFleet(sim::SimContext &context, std::size_t instances)
 {
     std::vector<std::unique_ptr<engine::ServingEngine>> engines;
     for (std::size_t i = 0; i < instances; ++i)
         engines.push_back(tinyEngine());
     return cluster::ServingCluster(
         std::move(engines),
-        cluster::RoutingPolicy::LeastOutstandingTokens);
+        cluster::RoutingPolicy::LeastOutstandingTokens, context);
 }
 
 workload::Dataset
@@ -376,7 +376,8 @@ tinyDataset(std::size_t n, TokenCount input = 32,
 
 TEST(ClusterLifecycleTest, GrowsToMaxAndRoutesToNewInstances)
 {
-    auto fleet = makeFleet(1);
+    sim::SimContext context;
+    auto fleet = makeFleet(context, 1);
     fleet.setInstanceFactory(tinyEngine);
     fleet.enableAutoscale(testConfig(1, 3),
                           std::make_unique<FixedPolicy>(1));
@@ -402,7 +403,8 @@ TEST(ClusterLifecycleTest, GrowsToMaxAndRoutesToNewInstances)
 
 TEST(ClusterLifecycleTest, WarmupGatesRouting)
 {
-    auto fleet = makeFleet(1);
+    sim::SimContext context;
+    auto fleet = makeFleet(context, 1);
     fleet.setInstanceFactory(tinyEngine);
     auto config = testConfig(1, 2);
     // Cold start far longer than the traffic: the provisioned
@@ -425,7 +427,8 @@ TEST(ClusterLifecycleTest, ScaleDownNeverDropsBelowMinInstances)
     // Regression for the --min-instances floor: a policy that
     // always wants to shrink must stop at the floor, not drain the
     // fleet to nothing.
-    auto fleet = makeFleet(4);
+    sim::SimContext context;
+    auto fleet = makeFleet(context, 4);
     fleet.setInstanceFactory(tinyEngine);
     fleet.enableAutoscale(testConfig(2, 4),
                           std::make_unique<FixedPolicy>(-1));
@@ -444,7 +447,8 @@ TEST(ClusterLifecycleTest, ScaleDownNeverDropsBelowMinInstances)
 
 TEST(ClusterLifecycleTest, StaticFleetInstanceSecondsIsSizeTimesMakespan)
 {
-    auto fleet = makeFleet(3);
+    sim::SimContext context;
+    auto fleet = makeFleet(context, 3);
     const auto dataset = tinyDataset(60);
     workload::submitPoissonArrivals(dataset, fleet, 40.0, 3);
     const auto report = fleet.run();
@@ -461,7 +465,8 @@ TEST(ClusterLifecycleTest, OverloadAtMaxScaleDegradesToRejections)
     // Max scale, overload shedding: a burst far beyond capacity
     // must bound the queue by rejecting, and every accepted
     // request must still finish.
-    auto fleet = makeFleet(1);
+    sim::SimContext context;
+    auto fleet = makeFleet(context, 1);
     fleet.setInstanceFactory(tinyEngine);
     auto config = testConfig(1, 1);
     config.shedPolicy = autoscale::ShedPolicy::Overload;
@@ -486,7 +491,8 @@ TEST(ClusterLifecycleTest, OverloadAtMaxScaleDegradesToRejections)
 
 TEST(ClusterLifecycleTest, SnapshotReflectsFleetState)
 {
-    auto fleet = makeFleet(2);
+    sim::SimContext context;
+    auto fleet = makeFleet(context, 2);
     auto snap = fleet.snapshot();
     ASSERT_EQ(snap.instances.size(), 2u);
     EXPECT_EQ(snap.nonDrainingCount(), 2u);
@@ -497,7 +503,8 @@ TEST(ClusterLifecycleTest, SnapshotReflectsFleetState)
 
 TEST(ClusterDrainDeathTest, LastUndrainedInstanceIsNamed)
 {
-    auto fleet = makeFleet(2);
+    sim::SimContext context;
+    auto fleet = makeFleet(context, 2);
     fleet.scheduleDrain(0, 1);
     fleet.scheduleDrain(1, 2);
     const auto dataset = tinyDataset(4);

@@ -120,6 +120,29 @@ TEST(CliParse, RejectsOutOfDomainValues)
     }
 }
 
+TEST(CliParse, RejectsWarmupOnFleets)
+{
+    // Warmup is counted per engine: a fleet would drop N requests
+    // per instance, and the two disagg pools would drop different
+    // ones. Like the run limits, it is single-instance only.
+    const std::vector<std::vector<const char *>> cases = {
+        {"--instances", "2", "--warmup", "40"},
+        {"--instances", "4", "--warmup", "1"},
+        {"--autoscale", "--warmup", "40"},
+        {"--disagg", "--rate", "5", "--warmup", "40"},
+        {"--disagg", "--rate", "5", "--warmup", "1"},
+    };
+    for (const auto &args : cases) {
+        cli::CliOptions options;
+        const std::string error = parse(args, options);
+        EXPECT_NE(error.find("--warmup is single-instance only"),
+                  std::string::npos)
+            << args[0] << ": " << error;
+    }
+    cli::CliOptions single;
+    EXPECT_EQ(parse({"--warmup", "40"}, single), "");
+}
+
 TEST(CliParse, BooleanFlagTakesNoValue)
 {
     cli::CliOptions options;
@@ -403,6 +426,58 @@ TEST(CliAssemble, RejectsUnknownNames)
     options.priorityMix = "0,0";
     EXPECT_THROW(cli::assembleScenario(options),
                  std::invalid_argument);
+}
+
+TEST(CliAssemble, RejectsWarmupTheRunNeverFinishes)
+{
+    // The run finishes the dataset, or --sessions x --turns, or
+    // --max-requests when that is fewer; the warmup must leave at
+    // least one of them measured.
+    struct Case
+    {
+        std::vector<const char *> args;
+        bool accepted;
+    };
+    const std::vector<Case> cases = {
+        {{"--requests", "10", "--warmup", "1000"}, false},
+        {{"--requests", "10", "--warmup", "10"}, false},
+        {{"--requests", "10", "--warmup", "9"}, true},
+        {{"--sessions", "2", "--turns", "3", "--warmup", "6"}, false},
+        {{"--sessions", "2", "--turns", "3", "--warmup", "5"}, true},
+        {{"--requests", "10", "--max-requests", "4", "--warmup",
+          "4"},
+         false},
+        {{"--requests", "10", "--max-requests", "4", "--warmup",
+          "3"},
+         true},
+    };
+    for (const Case &c : cases) {
+        cli::CliOptions options;
+        ASSERT_EQ(parse(c.args, options), "");
+        if (c.accepted) {
+            EXPECT_NO_THROW(cli::assembleScenario(options))
+                << c.args[c.args.size() - 1];
+            continue;
+        }
+        try {
+            cli::assembleScenario(options);
+            ADD_FAILURE() << "accepted --warmup "
+                          << c.args[c.args.size() - 1];
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find("--warmup"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+
+    // A caller's dataset sets the bound too.
+    cli::CliOptions options;
+    options.warmupRequests = 5;
+    EXPECT_THROW(cli::assembleScenario(
+                     options, workload::makeShareGpt(5, 1)),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(cli::assembleScenario(
+        options, workload::makeShareGpt(6, 1)));
 }
 
 TEST(CliAssemble, RejectsBlockLargerThanKvCapacity)

@@ -171,7 +171,8 @@ TEST(StepApiTest, PredictedLoadUsesSchedulerEstimate)
 // --- Cluster routing ------------------------------------------------------
 
 std::unique_ptr<cluster::ServingCluster>
-makeCluster(std::size_t instances, cluster::RoutingPolicy policy,
+makeCluster(sim::SimContext &context, std::size_t instances,
+            cluster::RoutingPolicy policy,
             SchedulerConfig scheduler_config,
             double mem_megabytes = 4.0)
 {
@@ -182,12 +183,14 @@ makeCluster(std::size_t instances, cluster::RoutingPolicy policy,
             core::makeScheduler(scheduler_config)));
     }
     return std::make_unique<cluster::ServingCluster>(
-        std::move(engines), policy);
+        std::move(engines), policy, context);
 }
 
 TEST(ClusterTest, RoundRobinSpreadsRequestsEvenly)
 {
-    auto fleet = makeCluster(4, cluster::RoutingPolicy::RoundRobin,
+    sim::SimContext context;
+    auto fleet = makeCluster(context, 4,
+                             cluster::RoutingPolicy::RoundRobin,
                              SchedulerConfig::oracle());
     for (RequestId id = 0; id < 40; ++id)
         fleet->submitAt(makeRequest(id, 50, 20), 0);
@@ -199,7 +202,9 @@ TEST(ClusterTest, RoundRobinSpreadsRequestsEvenly)
 
 TEST(ClusterTest, MergedReportConservesTokens)
 {
-    auto fleet = makeCluster(3, cluster::RoutingPolicy::RoundRobin,
+    sim::SimContext context;
+    auto fleet = makeCluster(context, 3,
+                             cluster::RoutingPolicy::RoundRobin,
                              SchedulerConfig::oracle());
     TokenCount expected = 0;
     for (RequestId id = 0; id < 30; ++id) {
@@ -216,8 +221,9 @@ TEST(ClusterTest, LeastOutstandingAvoidsTheLoadedInstance)
 {
     // Pre-load instance 0 via round-robin-free direct submission,
     // then check the router sends the next requests elsewhere.
+    sim::SimContext context;
     auto fleet = makeCluster(
-        2, cluster::RoutingPolicy::LeastOutstandingTokens,
+        context, 2, cluster::RoutingPolicy::LeastOutstandingTokens,
         SchedulerConfig::oracle());
     // First request goes to some instance; the second must go to
     // the other one because the first is now loaded.
@@ -244,7 +250,8 @@ TEST(ClusterTest, FutureMemoryRoutingBalancesHeavyTails)
             config.pastFuture.initialHistory.push_back(
                 request.effectiveOutputLen());
         }
-        auto fleet = makeCluster(4, policy, config, 16.0);
+        sim::SimContext context;
+        auto fleet = makeCluster(context, 4, policy, config, 16.0);
         workload::ClosedLoopClientPool clients(16, dataset, *fleet);
         fleet->setOnFinish(
             [&](const RequestSpec &spec, Tick tick) {
@@ -293,8 +300,9 @@ TEST(ClusterTest, ParseRoutingPolicyRoundTrips)
 
 TEST(ClusterTest, LeastOutstandingBreaksTiesByLowestIndex)
 {
+    sim::SimContext context;
     auto fleet = makeCluster(
-        3, cluster::RoutingPolicy::LeastOutstandingTokens,
+        context, 3, cluster::RoutingPolicy::LeastOutstandingTokens,
         SchedulerConfig::oracle());
     fleet->recordSubmissions(true);
     // Idle fleet: every submission loads the lowest-index instance
@@ -352,7 +360,9 @@ TEST(ClusterTest, StaticFleetsRouteAtSubmissionElasticAtArrival)
 
 TEST(ClusterTest, FutureMemoryAccountingDrainsToZero)
 {
-    auto fleet = makeCluster(2, cluster::RoutingPolicy::FutureMemory,
+    sim::SimContext context;
+    auto fleet = makeCluster(context, 2,
+                             cluster::RoutingPolicy::FutureMemory,
                              SchedulerConfig::oracle());
     // With a warmed router history the predicted charge equals the
     // predictor's footprint: prompt + conditional expected output.
@@ -384,7 +394,9 @@ TEST(ClusterTest, FutureMemoryChargesTrackEveryCompletion)
     // many completion events; after the run the router must carry
     // zero residual predicted load on every instance.
     const auto dataset = workload::makeShareGpt(60, 5);
-    auto fleet = makeCluster(3, cluster::RoutingPolicy::FutureMemory,
+    sim::SimContext context;
+    auto fleet = makeCluster(context, 3,
+                             cluster::RoutingPolicy::FutureMemory,
                              SchedulerConfig::oracle(), 8.0);
     workload::ClosedLoopClientPool clients(12, dataset, *fleet);
     fleet->setOnFinish(
@@ -401,7 +413,9 @@ TEST(ClusterTest, FutureMemoryChargesTrackEveryCompletion)
 TEST(ClusterTest, MergedReportEqualsPerInstanceSums)
 {
     const auto dataset = workload::makeShareGptO1(80, 9);
-    auto fleet = makeCluster(4, cluster::RoutingPolicy::FutureMemory,
+    sim::SimContext context;
+    auto fleet = makeCluster(context, 4,
+                             cluster::RoutingPolicy::FutureMemory,
                              SchedulerConfig::oracle(), 16.0);
     workload::ClosedLoopClientPool clients(24, dataset, *fleet);
     fleet->setOnFinish(
@@ -448,9 +462,10 @@ TEST(ClusterTest, HeterogeneousCapacityBiasesLeastOutstanding)
     engines.push_back(std::make_unique<engine::ServingEngine>(
         tinyPerf(4.0),
         core::makeScheduler(SchedulerConfig::oracle())));
+    sim::SimContext context;
     cluster::ServingCluster fleet(
         std::move(engines),
-        cluster::RoutingPolicy::LeastOutstandingTokens);
+        cluster::RoutingPolicy::LeastOutstandingTokens, context);
 
     const auto dataset = workload::makeShareGpt(60, 3);
     workload::ClosedLoopClientPool clients(16, dataset, fleet);
@@ -478,9 +493,10 @@ TEST(ClusterTest, HeterogeneousSpeedShiftsClosedLoopTraffic)
     engines.push_back(std::make_unique<engine::ServingEngine>(
         tinyPerf(8.0),
         core::makeScheduler(SchedulerConfig::oracle()), slow));
+    sim::SimContext context;
     cluster::ServingCluster fleet(
         std::move(engines),
-        cluster::RoutingPolicy::LeastOutstandingTokens);
+        cluster::RoutingPolicy::LeastOutstandingTokens, context);
 
     const auto dataset = workload::makeShareGpt(60, 13);
     workload::ClosedLoopClientPool clients(8, dataset, fleet);
@@ -500,7 +516,9 @@ TEST(ClusterTest, HeterogeneousSpeedShiftsClosedLoopTraffic)
 
 TEST(ClusterDrainTest, DrainRedispatchesQueuedWorkAndFleetFinishes)
 {
-    auto fleet = makeCluster(3, cluster::RoutingPolicy::RoundRobin,
+    sim::SimContext context;
+    auto fleet = makeCluster(context, 3,
+                             cluster::RoutingPolicy::RoundRobin,
                              SchedulerConfig::oracle());
     fleet->recordSubmissions(true);
     // Prompts sized so an instance's round-robin share cannot be
@@ -545,7 +563,9 @@ TEST(ClusterDrainTest, DrainRedispatchesQueuedWorkAndFleetFinishes)
 
 TEST(ClusterDrainTest, DrainClawsBackInFlightArrivals)
 {
-    auto fleet = makeCluster(2, cluster::RoutingPolicy::RoundRobin,
+    sim::SimContext context;
+    auto fleet = makeCluster(context, 2,
+                             cluster::RoutingPolicy::RoundRobin,
                              SchedulerConfig::oracle());
     // Two future arrivals routed before the drain fires: round-robin
     // sends one to each instance; instance 0's must be cancelled and

@@ -92,7 +92,8 @@ runExactnessScenario(const std::vector<InstanceSetup> &setups,
             setup.perf, core::makeScheduler(scheduler_config),
             setup.config));
     }
-    cluster::ServingCluster fleet(std::move(engines), routing);
+    sim::SimContext context;
+    cluster::ServingCluster fleet(std::move(engines), routing, context);
     fleet.recordSubmissions(true);
     workload::ClosedLoopClientPool pool(clients, dataset, fleet);
     fleet.setOnFinish(
@@ -180,8 +181,9 @@ TEST(ClusterExactness, DrainSparesNonDrainedInstanceTimelines)
     std::vector<std::unique_ptr<engine::ServingEngine>> engines;
     for (int i = 0; i < 3; ++i)
         engines.push_back(make_engine());
+    sim::SimContext context;
     cluster::ServingCluster fleet(
-        std::move(engines), cluster::RoutingPolicy::RoundRobin);
+        std::move(engines), cluster::RoutingPolicy::RoundRobin, context);
     fleet.recordSubmissions(true);
     workload::ClosedLoopClientPool pool(24, dataset, fleet);
     fleet.setOnFinish(

@@ -110,17 +110,22 @@ TEST(LengthDistributionTest, EmptyBehaviour)
     const LengthDistribution dist;
     EXPECT_TRUE(dist.empty());
     EXPECT_EQ(dist.maxLength(), 0);
-    EXPECT_EQ(dist.quantile(0.5), 0);
-    EXPECT_DOUBLE_EQ(dist.probGreater(0), 0.0);
-    EXPECT_DOUBLE_EQ(dist.meanLength(), 0.0);
+    // Every tail of an empty window is empty: each query falls back.
+    EXPECT_EQ(dist.tailStart(0), 0u);
+    Rng rng(1);
+    EXPECT_EQ(dist.sampleTailFrom(rng, dist.tailStart(0), 777), 777);
+    EXPECT_EQ(dist.tailQuantileFrom(dist.tailStart(0), 0.5, 0), 0);
+    EXPECT_EQ(dist.tailMeanFrom(dist.tailStart(0), 0), 0);
 }
 
 TEST(LengthDistributionTest, SampleOnlyRecordedValues)
 {
+    // The tail above 0 is the whole of P(l).
     Rng rng(1);
     const LengthDistribution dist({5, 10, 15});
     for (int i = 0; i < 100; ++i) {
-        const auto value = dist.sample(rng);
+        const auto value =
+            dist.sampleTailFrom(rng, dist.tailStart(0), 999);
         EXPECT_TRUE(value == 5 || value == 10 || value == 15);
     }
 }
@@ -132,7 +137,7 @@ TEST(LengthDistributionTest, SampleIsUniformOverWindow)
     int counts[5] = {};
     const int n = 40000;
     for (int i = 0; i < n; ++i)
-        counts[dist.sample(rng)] += 1;
+        counts[dist.sampleTailFrom(rng, dist.tailStart(0), 0)] += 1;
     for (int v = 1; v <= 4; ++v)
         EXPECT_NEAR(static_cast<double>(counts[v]) / n, 0.25, 0.01);
 }
@@ -142,7 +147,8 @@ TEST(LengthDistributionTest, TailSampleExceedsThreshold)
     Rng rng(3);
     const LengthDistribution dist({10, 20, 30, 40, 50});
     for (int i = 0; i < 200; ++i) {
-        const auto value = dist.sampleTail(rng, 25, 999);
+        const auto value =
+            dist.sampleTailFrom(rng, dist.tailStart(25), 999);
         EXPECT_GT(value, 25);
         EXPECT_NE(value, 999);
     }
@@ -152,8 +158,9 @@ TEST(LengthDistributionTest, TailSampleFallsBackWhenEmpty)
 {
     Rng rng(4);
     const LengthDistribution dist({10, 20});
-    EXPECT_EQ(dist.sampleTail(rng, 20, 777), 777);
-    EXPECT_EQ(dist.sampleTail(rng, 100, 777), 777);
+    EXPECT_EQ(dist.sampleTailFrom(rng, dist.tailStart(20), 777), 777);
+    EXPECT_EQ(dist.sampleTailFrom(rng, dist.tailStart(100), 777),
+              777);
 }
 
 TEST(LengthDistributionTest, TailSampleThresholdIsStrict)
@@ -162,22 +169,26 @@ TEST(LengthDistributionTest, TailSampleThresholdIsStrict)
     const LengthDistribution dist({10, 20});
     // Elements strictly greater than 10: only 20.
     for (int i = 0; i < 20; ++i)
-        EXPECT_EQ(dist.sampleTail(rng, 10, 777), 20);
+        EXPECT_EQ(dist.sampleTailFrom(rng, dist.tailStart(10), 777),
+                  20);
 }
 
-TEST(LengthDistributionTest, SampleTailAtIsQuantileOfTail)
+TEST(LengthDistributionTest, InverseCdfIsQuantileOfTail)
 {
     const LengthDistribution dist({10, 20, 30, 40});
-    EXPECT_EQ(dist.sampleTailAt(0.0, 0, 999), 10);
-    EXPECT_EQ(dist.sampleTailAt(0.99, 0, 999), 40);
-    EXPECT_EQ(dist.sampleTailAt(0.5, 0, 999), 30);
+    const auto at = [&](double u, TokenCount threshold) {
+        return dist.sampleTailFrom(u, dist.tailStart(threshold), 999);
+    };
+    EXPECT_EQ(at(0.0, 0), 10);
+    EXPECT_EQ(at(0.99, 0), 40);
+    EXPECT_EQ(at(0.5, 0), 30);
     // Tail above 20 is {30, 40}.
-    EXPECT_EQ(dist.sampleTailAt(0.0, 20, 999), 30);
-    EXPECT_EQ(dist.sampleTailAt(0.6, 20, 999), 40);
-    EXPECT_EQ(dist.sampleTailAt(0.0, 40, 999), 999);
+    EXPECT_EQ(at(0.0, 20), 30);
+    EXPECT_EQ(at(0.6, 20), 40);
+    EXPECT_EQ(at(0.0, 40), 999);
 }
 
-TEST(LengthDistributionTest, SampleTailAtMonotoneInThreshold)
+TEST(LengthDistributionTest, InverseCdfMonotoneInThreshold)
 {
     // Quantile coupling requires: for fixed u, the prediction never
     // decreases as the request generates more tokens.
@@ -185,8 +196,8 @@ TEST(LengthDistributionTest, SampleTailAtMonotoneInThreshold)
     for (double u : {0.0, 0.3, 0.7, 0.99}) {
         TokenCount previous = 0;
         for (TokenCount threshold = 0; threshold <= 80; ++threshold) {
-            const auto value =
-                dist.sampleTailAt(u, threshold, 1000);
+            const auto value = dist.sampleTailFrom(
+                u, dist.tailStart(threshold), 1000);
             EXPECT_GE(value, previous)
                 << "u=" << u << " threshold=" << threshold;
             previous = value;
@@ -194,24 +205,26 @@ TEST(LengthDistributionTest, SampleTailAtMonotoneInThreshold)
     }
 }
 
-TEST(LengthDistributionTest, SampleTailAtMonotoneInU)
+TEST(LengthDistributionTest, InverseCdfMonotoneInU)
 {
     const LengthDistribution dist({5, 9, 13, 20, 21, 34, 55, 80});
     TokenCount previous = 0;
     for (double u = 0.0; u < 1.0; u += 0.05) {
-        const auto value = dist.sampleTailAt(u, 10, 1000);
+        const auto value =
+            dist.sampleTailFrom(u, dist.tailStart(10), 1000);
         EXPECT_GE(value, previous);
         previous = value;
     }
 }
 
-TEST(LengthDistributionTest, ProbGreaterCountsStrictly)
+TEST(LengthDistributionTest, TailStartCountsStrictly)
 {
+    // The tail above x holds the lengths strictly greater than x.
     const LengthDistribution dist({10, 20, 20, 30});
-    EXPECT_DOUBLE_EQ(dist.probGreater(9), 1.0);
-    EXPECT_DOUBLE_EQ(dist.probGreater(10), 0.75);
-    EXPECT_DOUBLE_EQ(dist.probGreater(20), 0.25);
-    EXPECT_DOUBLE_EQ(dist.probGreater(30), 0.0);
+    EXPECT_EQ(dist.tailStart(9), 0u);
+    EXPECT_EQ(dist.tailStart(10), 1u);
+    EXPECT_EQ(dist.tailStart(20), 3u);
+    EXPECT_EQ(dist.tailStart(30), 4u);
 }
 
 TEST(LengthDistributionTest, TailMeanMatchesHandComputation)
@@ -226,25 +239,30 @@ TEST(LengthDistributionTest, TailMeanMatchesHandComputation)
 TEST(LengthDistributionTest, TailQuantileMatchesHandComputation)
 {
     const LengthDistribution dist({10, 20, 30, 40});
-    EXPECT_EQ(dist.tailQuantile(0, 0.5, 999), 20);
-    EXPECT_EQ(dist.tailQuantile(0, 1.0, 999), 40);
-    EXPECT_EQ(dist.tailQuantile(20, 0.5, 999), 30);
-    EXPECT_EQ(dist.tailQuantile(40, 0.5, 999), 999);
+    const auto at = [&](TokenCount threshold, double q) {
+        return dist.tailQuantileFrom(dist.tailStart(threshold), q,
+                                     999);
+    };
+    EXPECT_EQ(at(0, 0.5), 20);
+    EXPECT_EQ(at(0, 1.0), 40);
+    EXPECT_EQ(at(20, 0.5), 30);
+    EXPECT_EQ(at(40, 0.5), 999);
 }
 
 TEST(LengthDistributionTest, QuantileNearestRank)
 {
+    // Quantiles of the whole window: the tail above 0.
     const LengthDistribution dist({10, 20, 30, 40, 50});
-    EXPECT_EQ(dist.quantile(0.0), 10);
-    EXPECT_EQ(dist.quantile(0.5), 30);
-    EXPECT_EQ(dist.quantile(1.0), 50);
+    EXPECT_EQ(dist.tailQuantileFrom(dist.tailStart(0), 0.0, 0), 10);
+    EXPECT_EQ(dist.tailQuantileFrom(dist.tailStart(0), 0.5, 0), 30);
+    EXPECT_EQ(dist.tailQuantileFrom(dist.tailStart(0), 1.0, 0), 50);
 }
 
 TEST(LengthDistributionTest, MeanAndMax)
 {
-    const LengthDistribution dist({1, 2, 3, 4});
-    EXPECT_DOUBLE_EQ(dist.meanLength(), 2.5);
-    EXPECT_EQ(dist.maxLength(), 4);
+    const LengthDistribution dist({1, 2, 4, 5});
+    EXPECT_EQ(dist.tailMeanFrom(dist.tailStart(0), 0), 3);
+    EXPECT_EQ(dist.maxLength(), 5);
 }
 
 /**
@@ -308,8 +326,9 @@ TEST(LengthDistributionTest, TailMeanMatchesDoublePrefixSumFormula)
 }
 
 /**
- * Property: with u ~ Uniform, sampleTailAt reproduces the same law
- * as uniform tail sampling (the coupling is distribution-exact).
+ * Property: with u ~ Uniform, the inverse-CDF sampleTailFrom
+ * reproduces the same law as the Rng draw over the same tail (the
+ * coupling is distribution-exact).
  */
 class CouplingLawProperty
     : public ::testing::TestWithParam<TokenCount>
@@ -322,16 +341,17 @@ TEST_P(CouplingLawProperty, MatchesDirectTailSampling)
     for (TokenCount v = 1; v <= 100; ++v)
         values.push_back(v);
     const LengthDistribution dist(values);
+    const std::size_t start = dist.tailStart(threshold);
 
     Rng rng(123);
     double coupled_sum = 0.0;
     double direct_sum = 0.0;
     const int n = 100000;
     for (int i = 0; i < n; ++i) {
-        coupled_sum += static_cast<double>(dist.sampleTailAt(
-            rng.uniformDouble(), threshold, 0));
+        coupled_sum += static_cast<double>(
+            dist.sampleTailFrom(rng.uniformDouble(), start, 0));
         direct_sum += static_cast<double>(
-            dist.sampleTail(rng, threshold, 0));
+            dist.sampleTailFrom(rng, start, 0));
     }
     EXPECT_NEAR(coupled_sum / n, direct_sum / n,
                 1.0 + 0.01 * static_cast<double>(threshold));

@@ -602,12 +602,13 @@ TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
             TokenCount predicted = kCap;
             if (!dist.empty()) {
                 if (mode == PredictionMode::TailQuantile) {
-                    predicted = dist.tailQuantile(
-                        t.generated, kTailQuantile, kCap);
+                    predicted = dist.tailQuantileFrom(
+                        dist.tailStart(t.generated), kTailQuantile,
+                        kCap);
                 } else if (mode == PredictionMode::StickySample &&
                            (t.hasU || !peek)) {
-                    predicted =
-                        dist.sampleTailAt(t.u, t.generated, kCap);
+                    predicted = dist.sampleTailFrom(
+                        t.u, dist.tailStart(t.generated), kCap);
                 } else {
                     predicted = dist.tailMean(t.generated, kCap);
                 }
@@ -800,8 +801,8 @@ TEST(PastFutureSlotTest, StaleSlotNamesNoSample)
     const RequestSlot old_slot = makeSlot(2, 7);
     const RequestSlot new_slot = makeSlot(2, 8);
 
-    const TokenCount old_sticky =
-        dist.sampleTailAt(draws.uniformDouble(), 0, kCap);
+    const TokenCount old_sticky = dist.sampleTailFrom(
+        draws.uniformDouble(), dist.tailStart(0), kCap);
     EXPECT_EQ(predict(old_slot, 1), old_sticky);
     EXPECT_EQ(scheduler.peekPrediction(1, 0, kCap), old_sticky);
     scheduler.onSlotReleased(old_slot, 1);
@@ -811,8 +812,8 @@ TEST(PastFutureSlotTest, StaleSlotNamesNoSample)
     EXPECT_EQ(gone.predicted, mean);
     EXPECT_EQ(gone.horizon, 1);  // its next predict draws afresh
 
-    const TokenCount new_sticky =
-        dist.sampleTailAt(draws.uniformDouble(), 0, kCap);
+    const TokenCount new_sticky = dist.sampleTailFrom(
+        draws.uniformDouble(), dist.tailStart(0), kCap);
     EXPECT_EQ(predict(new_slot, 2), new_sticky);
     EXPECT_EQ(scheduler.peekWithHorizon(old_slot, 2, 0, kCap).predicted,
               mean);
@@ -927,11 +928,14 @@ TEST_P(IncrementalPeakProperty, AdmissionMatchesCopyAndSortReference)
             if (inserted)
                 it->second = draws.uniformDouble();
             return clamp_prediction(
-                dist.sampleTailAt(it->second, g, kCap), g);
+                dist.sampleTailFrom(it->second, dist.tailStart(g),
+                                    kCap),
+                g);
         };
         auto perturbed = [&](TokenCount g) {
             return clamp_prediction(
-                dist.sampleTail(draws, g, kCap), g);
+                dist.sampleTailFrom(draws, dist.tailStart(g), kCap),
+                g);
         };
 
         scheduler.beginAdmissionRound(ctx);

@@ -96,8 +96,9 @@ TEST(DisaggMathTest, TransferTimeSerializesOverTheLink)
 
 TEST(DisaggClusterTest, EveryRequestMigratesAndFinishes)
 {
+    sim::SimContext context;
     DisaggCluster cluster(makeEngines(2), makeEngines(2),
-                          tinyConfig());
+                          tinyConfig(), context);
     std::unordered_map<RequestId, TokenCount> expected_output;
     for (RequestId id = 0; id < 30; ++id) {
         const auto spec = makeRequest(id, 60, 20 + id % 5);
@@ -133,8 +134,9 @@ TEST(DisaggClusterTest, EveryRequestMigratesAndFinishes)
 
 TEST(DisaggClusterTest, SingleTokenRequestsFinishInPrefillPool)
 {
+    sim::SimContext context;
     DisaggCluster cluster(makeEngines(1), makeEngines(1),
-                          tinyConfig());
+                          tinyConfig(), context);
     for (RequestId id = 0; id < 8; ++id)
         cluster.submitAt(makeRequest(id, 50, 1), 0);
     const auto report = cluster.run();
@@ -149,8 +151,9 @@ TEST(DisaggClusterTest, SingleTokenRequestsFinishInPrefillPool)
 TEST(DisaggClusterTest, RerunIsByteIdentical)
 {
     const auto run_once = []() {
+        sim::SimContext context;
         DisaggCluster cluster(makeEngines(2), makeEngines(2),
-                              tinyConfig());
+                              tinyConfig(), context);
         for (RequestId id = 0; id < 40; ++id) {
             cluster.submitAt(
                 makeRequest(id, 50 + (id % 7) * 30, 10 + id % 9),
@@ -188,8 +191,9 @@ TEST(DisaggClusterTest, SplitFuseServesMigratedAdmissions)
                 config));
             return one;
         };
+        sim::SimContext context;
         DisaggCluster cluster(pool(prefill_split), pool(decode_split),
-                              tinyConfig());
+                              tinyConfig(), context);
         for (RequestId id = 0; id < 24; ++id) {
             const Tick arrival = id < 8
                 ? static_cast<Tick>(id) * secondsToTicks(5.0)
@@ -231,8 +235,9 @@ TEST(DisaggClusterTest, HandoffOverflowShedsAtTheBound)
     // full queue must be dropped, not buffered without bound.
     auto config = tinyConfig();
     config.handoffDepth = 1;
+    sim::SimContext context;
     DisaggCluster cluster(makeEngines(2), makeEngines(1, 0.5),
-                          config);
+                          config, context);
     const std::int64_t offered = 24;
     for (RequestId id = 0; id < offered; ++id)
         cluster.submitAt(makeRequest(id, 100, 40), 0);
@@ -254,8 +259,9 @@ TEST(DisaggClusterTest, HandoffOverflowShedsAtTheBound)
 
 TEST(DisaggClusterTest, DecodeDrainUnwindsChargesAndFinishesAll)
 {
+    sim::SimContext context;
     DisaggCluster cluster(makeEngines(1), makeEngines(2),
-                          tinyConfig());
+                          tinyConfig(), context);
     // Arrivals spread across the drain tick so migrations are in
     // flight (transfers take >= 2 ms) when decode instance 0 goes
     // away; its admitted-but-unfinished migrations re-dispatch to
@@ -306,8 +312,9 @@ TEST(DisaggClusterTest, ElasticPoolsShareOneControlTick)
 {
     // One periodic event drives both pools' control loops, every
     // autoscale::kControlInterval.
+    sim::SimContext context;
     DisaggCluster cluster(makeEngines(1), makeEngines(1),
-                          tinyConfig());
+                          tinyConfig(), context);
     autoscale::AutoscaleConfig config;
     config.sla = metrics::SlaSpec{secondsToTicks(2.0),
                                   secondsToTicks(1.0)};
@@ -352,8 +359,9 @@ TEST(DisaggCostTest, InstanceCostIsAliveSecondsTimesRate)
     const double rate = 2.5;
     std::vector<std::unique_ptr<engine::ServingEngine>> engines =
         makeEngines(3, 4.0, rate);
+    sim::SimContext context;
     cluster::ServingCluster fleet(
-        std::move(engines), cluster::RoutingPolicy::RoundRobin);
+        std::move(engines), cluster::RoutingPolicy::RoundRobin, context);
     for (RequestId id = 0; id < 30; ++id)
         fleet.submitAt(makeRequest(id, 60, 20), 0);
     const auto report = fleet.run();
@@ -368,8 +376,9 @@ TEST(DisaggCostTest, InstanceCostIsAliveSecondsTimesRate)
 TEST(DisaggCostTest, MergedDisaggCostCoversBothPools)
 {
     const double rate = 1.25;
+    sim::SimContext context;
     DisaggCluster cluster(makeEngines(1, 4.0, rate),
-                          makeEngines(2, 4.0, rate), tinyConfig());
+                          makeEngines(2, 4.0, rate), tinyConfig(), context);
     for (RequestId id = 0; id < 12; ++id)
         cluster.submitAt(makeRequest(id, 60, 15), 0);
     const auto report = cluster.run();

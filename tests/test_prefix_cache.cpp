@@ -969,8 +969,10 @@ TEST(EnginePrefixTest, SessionChainMemoHoldsOnePerFinishedSession)
             engine_config));
         views.push_back(engines.back().get());
     }
+    sim::SimContext context;
     cluster::ServingCluster fleet(std::move(engines),
-                                  cluster::RoutingPolicy::RoundRobin);
+                                  cluster::RoutingPolicy::RoundRobin,
+                                  context);
     fleet.recordSubmissions(true);
     workload::SessionGenerator sessions(config, fleet);
     fleet.setOnFinish([&](const RequestSpec &spec, Tick tick) {
@@ -1125,8 +1127,10 @@ TEST(PrefixAffinityTest, SessionsStickToTheirHomeInstance)
                 SchedulerConfig::pastFutureDefault(0.03)),
             engine_config));
     }
+    sim::SimContext context;
     cluster::ServingCluster fleet(
-        std::move(engines), cluster::RoutingPolicy::PrefixAffinity);
+        std::move(engines), cluster::RoutingPolicy::PrefixAffinity,
+        context);
     fleet.recordSubmissions(true);
 
     workload::SessionGenerator sessions(config, fleet);

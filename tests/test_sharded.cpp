@@ -255,8 +255,16 @@ TEST(ShardedPlacement, DisaggPoolsShareOneHubAcrossShards)
     config.kvBytesPerToken = 1024;
 
     const auto run_once = [&](std::uint32_t threads) {
+        // The test owns the clock, as the CLI's run path does, and
+        // enrolls it in the hub before the pools adopt their
+        // engines.
+        sim::SimContext root;
+        std::unique_ptr<sim::ShardedSimContext> hub;
+        if (threads > 1)
+            hub = std::make_unique<sim::ShardedSimContext>(root,
+                                                           threads);
         disagg::DisaggCluster cluster(make_pool(2), make_pool(2),
-                                      config, threads);
+                                      config, root);
         if (threads > 1) {
             std::set<std::uint32_t> shards;
             for (std::size_t i = 0; i < 2; ++i) {

@@ -8,7 +8,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -560,7 +559,8 @@ constexpr Flag kFlags[] = {
     {nullptr, "--eviction-mode", "M", store<&O::evictionMode>,
      nullptr, {}, namesOf<kEvictionModes>},
     {nullptr, "--warmup", "N", store<&O::warmupRequests>,
-     "discard metrics of first N requests"},
+     "discard metrics of first N requests (single instance only; N "
+     "must be below the requests the run finishes)"},
     {"Run limits / output:", "--max-requests", "N",
      store<&O::maxFinishedRequests>,
      "stop after N finished requests"},
@@ -711,13 +711,19 @@ validateOptions(const CliOptions &options)
                "(--instances >= 2, --autoscale, or --disagg); a "
                "lone engine has no fleet to shard";
     // Only a single engine's loop stops at run limits; a cluster
-    // would silently ignore them.
-    if ((options.instances > 1 || options.autoscale ||
-         options.disagg) &&
-        (options.maxFinishedRequests > 0 ||
-         options.maxSimSeconds > 0.0)) {
-        return "run limits (--max-requests/--max-seconds) are "
-               "single-instance only";
+    // would silently ignore them. Warmup is counted per engine, so
+    // a fleet would drop N requests per instance (and the two disagg
+    // pools different ones).
+    if (options.instances > 1 || options.autoscale ||
+        options.disagg) {
+        if (options.maxFinishedRequests > 0 ||
+            options.maxSimSeconds > 0.0)
+            return "run limits (--max-requests/--max-seconds) are "
+                   "single-instance only";
+        if (options.warmupRequests > 0)
+            return "--warmup is single-instance only (each engine "
+                   "of a fleet would discard its own first N "
+                   "requests)";
     }
     if (options.drainAtSeconds > 0.0 && options.instances < 2)
         return "--drain-at needs --instances >= 2 to re-dispatch";
@@ -867,6 +873,22 @@ assembleAround(const CliOptions &options, workload::Dataset dataset)
         session_config.thinkTime =
             secondsToTicks(options.thinkSeconds);
         session_config.seed = options.seed;
+    }
+
+    // A warmup that swallows every request the run finishes would
+    // leave them all reported as measured.
+    if (options.warmupRequests > 0) {
+        std::size_t finishes = session_mode
+            ? options.sessions * options.turns
+            : dataset.requests.size();
+        if (options.maxFinishedRequests > 0)
+            finishes = std::min(finishes, options.maxFinishedRequests);
+        if (options.warmupRequests >= finishes) {
+            throw std::invalid_argument(
+                "--warmup " + std::to_string(options.warmupRequests) +
+                " must be below the " + std::to_string(finishes) +
+                " requests the run finishes");
+        }
     }
 
     std::vector<double> shares;
@@ -1229,9 +1251,35 @@ runScenario(const Scenario &scenario,
         pool.enableAutoscale(config, std::move(policy));
     };
 
+    if (!scenario.disagg && scenario.fleetPerfs.empty()) {
+        // Single instance: the engine drives its own SimContext
+        // (the only path run limits apply to); a lone engine has
+        // no fleet to shard.
+        const auto engine = make_engine(scenario.perf);
+        if (recorder != nullptr)
+            engine->attachTrace(recorder->createEngine("engine-0"));
+        return driveLoad(
+            scenario, *engine,
+            [&](auto callback) { engine->setOnFinish(callback); },
+            [&]() { return engine->run(scenario.limits); });
+    }
+
+    // A fleet borrows the run's clock. With --sim-threads K > 1 the
+    // root is enrolled in a sharded executor before the fleet is
+    // built: adoption (inside the cluster ctor) is what places each
+    // engine on a worker shard. Its trace sinks follow the fleet's,
+    // so the trace's pid layout is the same at every K.
+    sim::SimContext root;
+    std::unique_ptr<sim::ShardedSimContext> hub;
+    if (scenario.simThreads > 1) {
+        hub = std::make_unique<sim::ShardedSimContext>(
+            root, scenario.simThreads);
+    }
+
     if (scenario.disagg) {
         // Disaggregated fleet: the pools differ only in routing and
-        // in the work the DisaggCluster hands them.
+        // in the work the DisaggCluster hands them. One hub spans
+        // both pools, so shard balancing covers the whole fleet.
         std::vector<std::unique_ptr<engine::ServingEngine>> prefill;
         for (std::size_t i = 0; i < scenario.prefillInstances; ++i)
             prefill.push_back(make_clone());
@@ -1241,10 +1289,12 @@ runScenario(const Scenario &scenario,
 
         disagg::DisaggCluster cluster(std::move(prefill),
                                       std::move(decode),
-                                      scenario.disaggConfig,
-                                      scenario.simThreads);
-        if (recorder != nullptr)
+                                      scenario.disaggConfig, root);
+        if (recorder != nullptr) {
             cluster.attachTrace(recorder);
+            if (hub)
+                hub->attachTrace(recorder);
+        }
         if (scenario.autoscale) {
             // Two independent control loops. The decode pool never
             // sheds at admission: the bounded handoff queue is the
@@ -1261,43 +1311,14 @@ runScenario(const Scenario &scenario,
             [&]() { return cluster.run(); });
     }
 
-    if (scenario.fleetPerfs.empty()) {
-        // Single instance: the engine drives its own SimContext
-        // (the only path run limits apply to); a lone engine has
-        // no fleet to shard.
-        const auto engine = make_engine(scenario.perf);
-        if (recorder != nullptr)
-            engine->attachTrace(recorder->createEngine("engine-0"));
-        return driveLoad(
-            scenario, *engine,
-            [&](auto callback) { engine->setOnFinish(callback); },
-            [&]() { return engine->run(scenario.limits); });
-    }
-
-    // Fleet: engines co-simulate exactly on the cluster's shared
-    // SimContext; the router places every request.
+    // Fleet: engines co-simulate exactly on the shared context; the
+    // router places every request.
     std::vector<std::unique_ptr<engine::ServingEngine>> engines;
     engines.reserve(scenario.fleetPerfs.size());
     for (const model::PerfModel &perf : scenario.fleetPerfs)
         engines.push_back(make_engine(perf));
-    // With --sim-threads K > 1 the fleet borrows an external root
-    // context enrolled in a sharded executor; adoption (inside the
-    // cluster ctor) then places each engine on a worker shard. The
-    // default K = 1 keeps the cluster-owned single-queue loop.
-    sim::SimContext shardedRoot;
-    std::unique_ptr<sim::ShardedSimContext> hub;
-    if (scenario.simThreads > 1) {
-        hub = std::make_unique<sim::ShardedSimContext>(
-            shardedRoot, scenario.simThreads);
-    }
-    std::optional<cluster::ServingCluster> fleetStorage;
-    if (hub) {
-        fleetStorage.emplace(std::move(engines), scenario.routing,
-                             shardedRoot);
-    } else {
-        fleetStorage.emplace(std::move(engines), scenario.routing);
-    }
-    cluster::ServingCluster &fleet = *fleetStorage;
+    cluster::ServingCluster fleet(std::move(engines), scenario.routing,
+                                  root);
     if (recorder != nullptr) {
         fleet.setTraceRecorder(recorder);
         if (hub)
