@@ -17,31 +17,6 @@ constexpr Tick kMonitorWindow = secondsToTicks(60.0);
 
 } // namespace
 
-const char *
-shedPolicyName(ShedPolicy policy)
-{
-    switch (policy) {
-      case ShedPolicy::Never:
-        return "never";
-      case ShedPolicy::Overload:
-        return "overload";
-    }
-    return "unknown";
-}
-
-bool
-parseShedPolicy(std::string_view name, ShedPolicy &out)
-{
-    for (const ShedPolicy policy :
-         {ShedPolicy::Never, ShedPolicy::Overload}) {
-        if (name == shedPolicyName(policy)) {
-            out = policy;
-            return true;
-        }
-    }
-    return false;
-}
-
 AutoScaler::AutoScaler(const AutoscaleConfig &config,
                        std::unique_ptr<ScalePolicy> policy)
     : config_(config), policy_(std::move(policy)),

@@ -24,7 +24,6 @@
 #define LIGHTLLM_AUTOSCALE_AUTOSCALER_HH
 
 #include <memory>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -56,12 +55,6 @@ enum class ShedPolicy
      */
     Overload,
 };
-
-/** Human-readable shed policy label. */
-const char *shedPolicyName(ShedPolicy policy);
-
-/** Inverse of shedPolicyName; false when `name` is unknown. */
-bool parseShedPolicy(std::string_view name, ShedPolicy &out);
 
 /** Control tick period. */
 constexpr Tick kControlInterval = secondsToTicks(2.0);

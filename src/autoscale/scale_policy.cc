@@ -164,16 +164,5 @@ PredictiveFutureMemoryPolicy::decide(const FleetSnapshot &fleet,
     return 0;
 }
 
-std::unique_ptr<ScalePolicy>
-makeScalePolicy(std::string_view name, double slo_target)
-{
-    if (name == "reactive")
-        return std::make_unique<ReactiveThresholdPolicy>(slo_target);
-    if (name == "predictive")
-        return std::make_unique<PredictiveFutureMemoryPolicy>(
-            slo_target);
-    return nullptr;
-}
-
 } // namespace autoscale
 } // namespace lightllm

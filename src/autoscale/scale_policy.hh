@@ -33,7 +33,6 @@
 #define LIGHTLLM_AUTOSCALE_SCALE_POLICY_HH
 
 #include <cstddef>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -146,15 +145,6 @@ class PredictiveFutureMemoryPolicy : public ScalePolicy
   private:
     double sloTarget_;
 };
-
-/**
- * Build a policy by CLI name ("reactive" | "predictive") for the
- * attainment target `slo_target`.
- *
- * @return nullptr for an unknown name.
- */
-std::unique_ptr<ScalePolicy>
-makeScalePolicy(std::string_view name, double slo_target);
 
 } // namespace autoscale
 } // namespace lightllm

@@ -13,6 +13,7 @@
 #define LIGHTLLM_BASE_TYPES_HH
 
 #include <cstdint>
+#include <limits>
 
 namespace lightllm {
 
@@ -76,6 +77,12 @@ ticksToSeconds(Tick ticks)
     return static_cast<double>(ticks) /
         static_cast<double>(kTicksPerSecond);
 }
+
+/** The longest span a run takes, in seconds: half of Tick's range,
+ *  so secondsToTicks cannot overflow, and one such span added to a
+ *  clock below the same bound still fits. */
+inline constexpr double kMaxSpanSeconds =
+    ticksToSeconds(std::numeric_limits<Tick>::max() / 2);
 
 } // namespace lightllm
 

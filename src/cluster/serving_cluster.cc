@@ -28,23 +28,6 @@ routingPolicyName(RoutingPolicy policy)
     return "unknown";
 }
 
-bool
-parseRoutingPolicy(std::string_view name, RoutingPolicy &out)
-{
-    for (const RoutingPolicy policy :
-         {RoutingPolicy::RoundRobin,
-          RoutingPolicy::LeastOutstandingTokens,
-          RoutingPolicy::FutureMemory,
-          RoutingPolicy::PrefixAffinity,
-          RoutingPolicy::PrefillLoad}) {
-        if (name == routingPolicyName(policy)) {
-            out = policy;
-            return true;
-        }
-    }
-    return false;
-}
-
 ServingCluster::ServingCluster(
     std::vector<std::unique_ptr<engine::ServingEngine>> instances,
     RoutingPolicy policy, sim::SimContext &context)

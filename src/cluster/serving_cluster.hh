@@ -54,7 +54,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -104,13 +103,6 @@ enum class RoutingPolicy
 
 /** Human-readable policy label. */
 const char *routingPolicyName(RoutingPolicy policy);
-
-/**
- * Inverse of routingPolicyName.
- *
- * @return false when `name` is not a policy label (out untouched).
- */
-bool parseRoutingPolicy(std::string_view name, RoutingPolicy &out);
 
 /** A fleet of serving engines behind one request router. */
 class ServingCluster : public workload::RequestSink

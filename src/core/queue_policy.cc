@@ -277,37 +277,5 @@ makeQueuePolicy(const QueuePolicyConfig &config)
     panic("unknown queue policy kind");
 }
 
-const char *
-queuePolicyKindName(QueuePolicyKind kind)
-{
-    switch (kind) {
-      case QueuePolicyKind::Fcfs:
-        return "fcfs";
-      case QueuePolicyKind::PredictedSjf:
-        return "sjf";
-      case QueuePolicyKind::Edf:
-        return "edf";
-      case QueuePolicyKind::Priority:
-        return "priority";
-    }
-    return "unknown";
-}
-
-bool
-parseQueuePolicyKind(const std::string &text, QueuePolicyKind &out)
-{
-    if (text == "fcfs")
-        out = QueuePolicyKind::Fcfs;
-    else if (text == "sjf")
-        out = QueuePolicyKind::PredictedSjf;
-    else if (text == "edf")
-        out = QueuePolicyKind::Edf;
-    else if (text == "priority")
-        out = QueuePolicyKind::Priority;
-    else
-        return false;
-    return true;
-}
-
 } // namespace core
 } // namespace lightllm

@@ -128,17 +128,6 @@ void admissionOrderVictims(const SchedulerContext &ctx,
 std::unique_ptr<QueuePolicy>
 makeQueuePolicy(const QueuePolicyConfig &config);
 
-/** Short lowercase label for the kind ("fcfs", "sjf", ...). */
-const char *queuePolicyKindName(QueuePolicyKind kind);
-
-/**
- * Parse a lowercase label into a kind.
- *
- * @return false when `text` names no known policy.
- */
-bool parseQueuePolicyKind(const std::string &text,
-                          QueuePolicyKind &out);
-
 } // namespace core
 } // namespace lightllm
 

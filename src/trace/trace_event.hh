@@ -27,7 +27,6 @@
 #define LIGHTLLM_TRACE_TRACE_EVENT_HH
 
 #include <cstdint>
-#include <string>
 
 #include "base/types.hh"
 
@@ -54,12 +53,6 @@ enum class TraceDetail : std::uint8_t
      *  barrier-wait, mailbox commits) for the sharded co-sim. */
     Full,
 };
-
-/** Parse a CLI spelling; returns false on an unknown name. */
-bool parseTraceDetail(const std::string &text, TraceDetail *out);
-
-/** CLI spelling of a detail level. */
-const char *traceDetailName(TraceDetail detail);
 
 /** Chrome trace-event phase of an event. */
 enum class TracePhase : std::uint8_t

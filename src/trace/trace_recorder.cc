@@ -9,10 +9,6 @@ namespace trace {
 
 namespace {
 
-/** CLI spelling of each TraceDetail, in declaration order. */
-constexpr const char *kDetailNames[] = {"off", "requests", "steps",
-                                        "full"};
-
 /** One row per TraceName, in declaration order: the event's export
  *  name and the keys of its three argument slots (nullptr = slot
  *  unused). */
@@ -50,24 +46,6 @@ static_assert(std::size(kNames) ==
               "one row per TraceName");
 
 } // namespace
-
-bool
-parseTraceDetail(const std::string &text, TraceDetail *out)
-{
-    for (std::size_t i = 0; i < std::size(kDetailNames); ++i) {
-        if (text == kDetailNames[i]) {
-            *out = static_cast<TraceDetail>(i);
-            return true;
-        }
-    }
-    return false;
-}
-
-const char *
-traceDetailName(TraceDetail detail)
-{
-    return kDetailNames[static_cast<std::size_t>(detail)];
-}
 
 const char *
 traceName(TraceName name)

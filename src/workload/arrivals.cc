@@ -1,5 +1,8 @@
 #include "workload/arrivals.hh"
 
+#include <sstream>
+#include <stdexcept>
+
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "workload/client_pool.hh"
@@ -72,8 +75,15 @@ submitScheduledArrivals(const Dataset &dataset, RequestSink &sink,
                 continue;
             }
             t += gap;
-            sink.submitAt(spec,
-                          start + secondsToTicks(t));
+            if (!(t <= kMaxSpanSeconds)) {
+                std::ostringstream error;
+                error << "arrival rate " << rate << "/s places request "
+                      << spec.id << " at " << t
+                      << " s, past the simulated clock's "
+                      << kMaxSpanSeconds << " s range";
+                throw std::invalid_argument(error.str());
+            }
+            sink.submitAt(spec, start + secondsToTicks(t));
             break;
         }
     }

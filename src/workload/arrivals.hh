@@ -26,7 +26,8 @@ class RequestSink;
  * Open-loop Poisson submission: the whole dataset is scheduled up
  * front with exponential inter-arrival gaps at `rate` requests per
  * second, independent of service progress. Equivalent to a
- * constant RateSchedule (and implemented as one).
+ * constant RateSchedule (and implemented as one), so it throws
+ * as submitScheduledArrivals does.
  */
 void submitPoissonArrivals(const Dataset &dataset, RequestSink &sink,
                            double rate_per_second,
@@ -40,6 +41,11 @@ void submitPoissonArrivals(const Dataset &dataset, RequestSink &sink,
  * boundary (exact by memorylessness). Zero-rate segments are skipped
  * to their end. Scheduling is done up front, like
  * submitPoissonArrivals.
+ *
+ * @throws std::invalid_argument naming the arrival rate when an
+ *         arrival falls past kMaxSpanSeconds (a rate so low
+ *         the clock cannot hold its arrivals); the requests placed
+ *         before it stay submitted.
  */
 void submitScheduledArrivals(const Dataset &dataset,
                              RequestSink &sink,

@@ -153,11 +153,10 @@ TEST(ReactivePolicyTest, HysteresisFloorRisesWithATargetAboveIt)
     // A 0.99 target lifts the shrink threshold from 0.98 to 0.99, so
     // a lightly loaded fleet at 0.985 holds. Too few samples to grow
     // keeps the scale-up branch out of the way.
-    const auto policy = autoscale::makeScalePolicy("reactive", 0.99);
-    ASSERT_NE(policy, nullptr);
+    autoscale::ReactiveThresholdPolicy policy(0.99);
     const auto fleet = fleetOf(3, 10'000, 1'000, 1'000);
-    EXPECT_EQ(policy->decide(fleet, sloWith(0.985, 3)), 0);
-    EXPECT_EQ(policy->decide(fleet, sloWith(1.0)), -1);
+    EXPECT_EQ(policy.decide(fleet, sloWith(0.985, 3)), 0);
+    EXPECT_EQ(policy.decide(fleet, sloWith(1.0)), -1);
 }
 
 TEST(PredictivePolicyTest, ProvisionsOnForecastBeforeViolations)
@@ -310,33 +309,6 @@ TEST(AutoScalerTest, NeverPolicyNeverSheds)
                                  std::make_unique<FixedPolicy>(0));
     EXPECT_FALSE(scaler.shouldShed(fleetOf(1, 1'000, 1'000'000, 0),
                                    1'000, base::RequestClass{}));
-}
-
-TEST(ShedPolicyTest, NamesRoundTrip)
-{
-    for (const autoscale::ShedPolicy policy :
-         {autoscale::ShedPolicy::Never,
-          autoscale::ShedPolicy::Overload}) {
-        autoscale::ShedPolicy parsed;
-        ASSERT_TRUE(autoscale::parseShedPolicy(
-            autoscale::shedPolicyName(policy), parsed));
-        EXPECT_EQ(parsed, policy);
-    }
-    autoscale::ShedPolicy parsed;
-    EXPECT_FALSE(autoscale::parseShedPolicy("sometimes", parsed));
-}
-
-TEST(ScalePolicyFactoryTest, BuildsBothAndRejectsUnknown)
-{
-    const auto reactive =
-        autoscale::makeScalePolicy("reactive", 0.8);
-    ASSERT_NE(reactive, nullptr);
-    EXPECT_EQ(reactive->name(), "reactive");
-    const auto predictive =
-        autoscale::makeScalePolicy("predictive", 0.8);
-    ASSERT_NE(predictive, nullptr);
-    EXPECT_EQ(predictive->name(), "predictive");
-    EXPECT_EQ(autoscale::makeScalePolicy("psychic", 0.8), nullptr);
 }
 
 // --- Cluster lifecycle -----------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -187,6 +188,110 @@ TEST(CliParse, UsageDocumentsEveryRegisteredFlag)
         EXPECT_NE(std::find(names.begin(), names.end(), flag),
                   names.end())
             << flag << " missing from cliFlagNames()";
+    }
+}
+
+/** `text` with every run of spaces and newlines squeezed to one
+ *  space: the `tr -s ' \n' ' '` form of the usage text. */
+std::string
+squeezed(const std::string &text)
+{
+    std::string out;
+    for (const char c : text) {
+        const char s = c == '\n' ? ' ' : c;
+        if (s != ' ' || out.empty() || out.back() != ' ')
+            out += s;
+    }
+    return out;
+}
+
+TEST(CliParse, EveryNameFlagChecksItsTable)
+{
+    // A name flag accepts exactly its table: parsing rejects any
+    // other name with the list --help prints, and every listed name
+    // parses and assembles (with the flags that gate it).
+    struct NameFlag
+    {
+        const char *flag;
+        std::vector<const char *> names;
+        std::vector<const char *> gate;
+    };
+    const NameFlag cases[] = {
+        {"--workload",
+         {"sharegpt", "sharegpt-o1", "dist1", "dist2", "dist3",
+          "textvqa", "trace-conversation", "trace-api", "trace-code",
+          "trace-longdoc"},
+         {}},
+        {"--scheduler",
+         {"past_future", "aggressive", "conservative", "oracle"},
+         {}},
+        {"--queue-policy", {"fcfs", "sjf", "edf", "priority"}, {}},
+        {"--model",
+         {"llama2-7b", "llama2-13b", "llama2-70b", "qwen-vl-chat",
+          "llava15-7b", "llava15-13b"},
+         {"--tp", "4"}},
+        {"--hardware", {"a100-80g", "h800", "rtx4090", "a30"}, {}},
+        {"--routing",
+         {"round-robin", "least-outstanding", "future-memory",
+          "prefix-affinity", "prefill-load"},
+         {"--instances", "2"}},
+        {"--scale-policy", {"reactive", "predictive"},
+         {"--autoscale"}},
+        {"--shed-policy", {"never", "overload"},
+         {"--autoscale", "--rate", "5"}},
+        {"--prefix-cache", {"on", "off"}, {}},
+        {"--eviction-policy", {"lifo", "fifo"}, {}},
+        {"--eviction-mode", {"recompute", "swap"}, {}},
+        {"--format", {"table", "json", "both"}, {}},
+        {"--trace-detail", {"off", "requests", "steps", "full"},
+         {"--trace-out", "trace.json"}},
+    };
+    std::ostringstream usage;
+    cli::printCliUsage(usage);
+    const std::string help = usage.str();
+
+    for (const NameFlag &c : cases) {
+        std::string names;
+        for (const char *name : c.names)
+            names += std::string(names.empty() ? "" : " | ") + name;
+
+        cli::CliOptions rejected;
+        EXPECT_EQ(parse({c.flag, "nope"}, rejected),
+                  std::string("bad value for ") + c.flag +
+                      ": nope (use " + names + ")");
+
+        // The flag's --help entry opens with the same list, right
+        // after its metavar.
+        const std::size_t entry =
+            help.find(std::string("\n  ") + c.flag + " ");
+        ASSERT_NE(entry, std::string::npos) << c.flag;
+        const std::string text = squeezed(help.substr(entry + 3));
+        const std::size_t list = text.find(' ', text.find(' ') + 1) + 1;
+        EXPECT_EQ(text.compare(list, names.size(), names), 0)
+            << text.substr(0, list + names.size());
+
+        for (const char *name : c.names) {
+            std::vector<const char *> args = c.gate;
+            args.insert(args.end(), {c.flag, name, "--requests", "8"});
+            cli::CliOptions options;
+            ASSERT_EQ(parse(args, options), "") << c.flag << " " << name;
+            try {
+                const cli::Scenario scenario =
+                    cli::assembleScenario(options);
+                if (std::string(c.flag) == "--routing") {
+                    EXPECT_STREQ(
+                        cluster::routingPolicyName(scenario.routing),
+                        name);
+                }
+                if (std::string(c.flag) == "--scale-policy") {
+                    EXPECT_EQ(scenario.scalePolicy(0.9)->name(),
+                              name);
+                }
+            } catch (const std::exception &error) {
+                ADD_FAILURE() << c.flag << " " << name << ": "
+                              << error.what();
+            }
+        }
     }
 }
 
@@ -506,6 +611,37 @@ TEST(CliAssemble, RejectsBlockLargerThanKvCapacity)
     }
 }
 
+TEST(CliAssemble, RejectsLinkTooSlowForTheClock)
+{
+    // Such a link once scheduled a migration past the Tick range and
+    // aborted the run. The slowest transfer, one decode engine's
+    // whole KV plus the link latency, must stay within the bound of
+    // every seconds flag.
+    cli::CliOptions options;
+    ASSERT_EQ(parse({"--disagg", "--rate", "5", "--requests", "8"},
+                    options),
+              "");
+    const cli::Scenario scenario = cli::assembleScenario(options);
+    const double bytes = static_cast<double>(disagg::migrationBytes(
+        scenario.disaggConfig, scenario.perf.tokenCapacity()));
+    const double seconds =
+        kMaxSpanSeconds -
+        ticksToSeconds(scenario.disaggConfig.transferLatency);
+    const double slowest_gbps = bytes / seconds / 1e9;
+
+    options.linkGbps = slowest_gbps * 1.01;
+    EXPECT_NO_THROW(cli::assembleScenario(options));
+    options.linkGbps = slowest_gbps * 0.99;
+    try {
+        cli::assembleScenario(options);
+        ADD_FAILURE() << "accepted --link-gbps " << options.linkGbps;
+    } catch (const std::invalid_argument &error) {
+        EXPECT_EQ(std::string(error.what()).rfind("--link-gbps ", 0),
+                  0u)
+            << error.what();
+    }
+}
+
 TEST(CliAssemble, QueuePolicyAndPriorityMixWireThrough)
 {
     cli::CliOptions options;
@@ -743,7 +879,8 @@ TEST(CliAssemble, AutoscaleScenarioWiresThrough)
               "");
     const cli::Scenario scenario = cli::assembleScenario(options);
     EXPECT_TRUE(scenario.autoscale);
-    EXPECT_EQ(scenario.scalePolicyName, "predictive");
+    ASSERT_NE(scenario.scalePolicy, nullptr);
+    EXPECT_EQ(scenario.scalePolicy(0.85)->name(), "predictive");
     EXPECT_EQ(scenario.autoscaleConfig.maxInstances, 3u);
     EXPECT_EQ(scenario.autoscaleConfig.provisionDelay,
               secondsToTicks(2.5));

@@ -279,25 +279,6 @@ TEST(ClusterTest, PolicyNames)
                  "future-memory");
 }
 
-TEST(ClusterTest, ParseRoutingPolicyRoundTrips)
-{
-    for (const auto policy :
-         {cluster::RoutingPolicy::RoundRobin,
-          cluster::RoutingPolicy::LeastOutstandingTokens,
-          cluster::RoutingPolicy::FutureMemory}) {
-        cluster::RoutingPolicy parsed =
-            cluster::RoutingPolicy::RoundRobin;
-        ASSERT_TRUE(cluster::parseRoutingPolicy(
-            cluster::routingPolicyName(policy), parsed));
-        EXPECT_EQ(parsed, policy);
-    }
-    cluster::RoutingPolicy untouched =
-        cluster::RoutingPolicy::FutureMemory;
-    EXPECT_FALSE(cluster::parseRoutingPolicy("nope", untouched));
-    EXPECT_FALSE(cluster::parseRoutingPolicy("", untouched));
-    EXPECT_EQ(untouched, cluster::RoutingPolicy::FutureMemory);
-}
-
 TEST(ClusterTest, LeastOutstandingBreaksTiesByLowestIndex)
 {
     sim::SimContext context;
@@ -346,7 +327,9 @@ TEST(ClusterTest, StaticFleetsRouteAtSubmissionElasticAtArrival)
             config.maxInstances = 2;
             config.sla = metrics::SlaSpec::small7b13b();
             fleet.enableAutoscale(
-                config, autoscale::makeScalePolicy("reactive", 0.9));
+                config,
+                std::make_unique<autoscale::ReactiveThresholdPolicy>(
+                    0.9));
         }
         workload::submitPoissonArrivals(dataset, fleet, 4.0, 5);
         EXPECT_EQ(fleet.submissionLog().size(), elastic ? 0u : 16u)

@@ -301,28 +301,9 @@ TEST(QueuePolicyTest, SubsetOrderMatchesOrderingCopiedViews)
              orderOf(*policy, local.context()))
             mapped.push_back(subset[local_index]);
 
-        EXPECT_EQ(in_place, mapped) << queuePolicyKindName(kind);
+        EXPECT_EQ(in_place, mapped)
+            << "kind " << static_cast<int>(kind);
     }
-}
-
-TEST(QueuePolicyTest, FactoryNamesAndParsing)
-{
-    EXPECT_STREQ(queuePolicyKindName(QueuePolicyKind::Fcfs), "fcfs");
-    EXPECT_STREQ(queuePolicyKindName(QueuePolicyKind::PredictedSjf),
-                 "sjf");
-    EXPECT_STREQ(queuePolicyKindName(QueuePolicyKind::Edf), "edf");
-    EXPECT_STREQ(queuePolicyKindName(QueuePolicyKind::Priority),
-                 "priority");
-    for (QueuePolicyKind kind :
-         {QueuePolicyKind::Fcfs, QueuePolicyKind::PredictedSjf,
-          QueuePolicyKind::Edf, QueuePolicyKind::Priority}) {
-        QueuePolicyKind parsed = QueuePolicyKind::Fcfs;
-        EXPECT_TRUE(
-            parseQueuePolicyKind(queuePolicyKindName(kind), parsed));
-        EXPECT_EQ(parsed, kind);
-    }
-    QueuePolicyKind parsed = QueuePolicyKind::Fcfs;
-    EXPECT_FALSE(parseQueuePolicyKind("bogus", parsed));
 }
 
 // --- Decision validation ----------------------------------------------

@@ -1098,16 +1098,6 @@ TEST(SessionGeneratorTest, PrefixCacheImprovesSessionTtft)
 
 // --- Prefix-affinity routing -------------------------------------
 
-TEST(PrefixAffinityTest, ParseRoundTrip)
-{
-    cluster::RoutingPolicy policy;
-    ASSERT_TRUE(cluster::parseRoutingPolicy("prefix-affinity",
-                                            policy));
-    EXPECT_EQ(policy, cluster::RoutingPolicy::PrefixAffinity);
-    EXPECT_STREQ(cluster::routingPolicyName(policy),
-                 "prefix-affinity");
-}
-
 TEST(PrefixAffinityTest, SessionsStickToTheirHomeInstance)
 {
     workload::SessionWorkloadConfig config;

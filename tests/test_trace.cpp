@@ -48,22 +48,6 @@ TEST(TraceRing, OverwritesOldestAndCountsDrops)
                   static_cast<std::int64_t>(6 + i));
 }
 
-TEST(TraceDetail, ParsesEveryLevelAndRejectsJunk)
-{
-    trace::TraceDetail detail = trace::TraceDetail::Full;
-    ASSERT_TRUE(trace::parseTraceDetail("off", &detail));
-    EXPECT_EQ(detail, trace::TraceDetail::Off);
-    ASSERT_TRUE(trace::parseTraceDetail("requests", &detail));
-    EXPECT_EQ(detail, trace::TraceDetail::Requests);
-    ASSERT_TRUE(trace::parseTraceDetail("steps", &detail));
-    EXPECT_EQ(detail, trace::TraceDetail::Steps);
-    ASSERT_TRUE(trace::parseTraceDetail("full", &detail));
-    EXPECT_EQ(detail, trace::TraceDetail::Full);
-    EXPECT_FALSE(trace::parseTraceDetail("verbose", &detail));
-    EXPECT_STREQ(trace::traceDetailName(trace::TraceDetail::Steps),
-                 "steps");
-}
-
 TEST(TraceRecorder, SinkCreationFollowsDetail)
 {
     trace::TraceRecorder off(trace::TraceConfig{

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 
 #include "base/rng.hh"
 #include "stats/window_analysis.hh"
@@ -568,6 +569,40 @@ TEST(RateScheduleTest, ZeroRateSegmentPausesArrivals)
         EXPECT_FALSE(seconds >= 10.0 && seconds < 30.0)
             << "arrival inside the dead window at " << seconds;
     }
+}
+
+TEST(RateScheduleTest, ArrivalsPastTheClockRangeAreRejected)
+{
+    // At 1e-300/s the first gap is ~1e300 s: converting it to ticks
+    // once wrapped to a negative arrival, and the sink ran the
+    // whole dataset as one burst at tick 0.
+    const auto dataset = makeDistribution1(8, 3);
+    RecordingSink sink;
+    try {
+        submitScheduledArrivals(dataset, sink,
+                                RateSchedule::constant(1e-300), 42);
+        ADD_FAILURE() << "accepted a 1e-300/s arrival rate";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_EQ(std::string(error.what()).rfind(
+                      "arrival rate 1e-300/s places request 0 at ", 0),
+                  0u)
+            << error.what();
+    }
+    EXPECT_TRUE(sink.submissions.empty());
+
+    // A dead segment past the range stops the schedule there; the
+    // arrivals before it stay submitted.
+    RecordingSink paused;
+    EXPECT_THROW(submitScheduledArrivals(
+                     makeDistribution1(200, 6), paused,
+                     RateSchedule::steps({RateSegment{5.0, 10.0},
+                                          RateSegment{0.0, 1e13},
+                                          RateSegment{5.0, 0.0}}),
+                     7),
+                 std::invalid_argument);
+    EXPECT_FALSE(paused.submissions.empty());
+    for (const auto &[id, tick] : paused.submissions)
+        EXPECT_LT(ticksToSeconds(tick), 10.0);
 }
 
 } // namespace

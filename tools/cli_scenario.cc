@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/logging.hh"
 #include "base/str_util.hh"
 #include "base/table.hh"
 #include "engine/serving_engine.hh"
@@ -87,7 +86,7 @@ parseShares(const std::string &text, double min,
     return total > 0.0;
 }
 
-/** A name the CLI resolves at assembly, and what it maps to. */
+/** A name a flag accepts, and what it maps to. */
 template <typename T>
 struct Named
 {
@@ -96,29 +95,46 @@ struct Named
 };
 
 /** The value of `name` in `table`; throws naming `what` when the
- *  name is unknown. */
+ *  name is unknown (parsing rejects it first, but programmatic
+ *  callers skip the parse). */
 template <typename T, std::size_t N>
 T
-lookup(const Named<T> (&table)[N], const std::string &name,
+lookup(const Named<T> (&table)[N], std::string_view name,
        const char *what)
 {
     for (const Named<T> &entry : table)
         if (name == entry.name)
             return entry.value;
     throw std::invalid_argument(std::string("unknown ") + what +
-                                ": " + name);
+                                ": " + std::string(name));
 }
 
-/** "a | b | c": the names of `Table`, for --help. */
-template <const auto &Table>
-std::string
-namesOf()
+/** A flag's name table, whatever its value type. */
+struct NameTable
 {
-    std::string names;
-    for (const auto &entry : Table)
-        names += std::string(names.empty() ? "" : " | ") + entry.name;
-    return names;
-}
+    /** Whether `text` is one of the names; allocation-free, since
+     *  parsing checks every name flag. */
+    bool (*contains)(std::string_view text);
+
+    /** "a | b | c", for --help and the error hint. */
+    std::string (*list)();
+};
+
+/** The NameTable of the `Named` table `Table`. */
+template <const auto &Table>
+constexpr NameTable kNameTable{
+    [](std::string_view text) {
+        for (const auto &entry : Table)
+            if (text == entry.name)
+                return true;
+        return false;
+    },
+    [] {
+        std::string names;
+        for (const auto &entry : Table)
+            names += std::string(names.empty() ? "" : " | ") + entry.name;
+        return names;
+    }};
 
 /** A text-only dataset generator as a kWorkloads maker. */
 template <workload::Dataset (*Make)(std::size_t, std::uint64_t)>
@@ -196,6 +212,53 @@ constexpr Named<core::VictimOrder> kEvictionPolicies[] = {
 constexpr Named<engine::EvictionMode> kEvictionModes[] = {
     {"recompute", engine::EvictionMode::Recompute},
     {"swap", engine::EvictionMode::Swap},
+};
+
+constexpr Named<core::QueuePolicyKind> kQueuePolicies[] = {
+    {"fcfs", core::QueuePolicyKind::Fcfs},
+    {"sjf", core::QueuePolicyKind::PredictedSjf},
+    {"edf", core::QueuePolicyKind::Edf},
+    {"priority", core::QueuePolicyKind::Priority},
+};
+
+constexpr Named<cluster::RoutingPolicy> kRoutingPolicies[] = {
+    {"round-robin", cluster::RoutingPolicy::RoundRobin},
+    {"least-outstanding", cluster::RoutingPolicy::LeastOutstandingTokens},
+    {"future-memory", cluster::RoutingPolicy::FutureMemory},
+    {"prefix-affinity", cluster::RoutingPolicy::PrefixAffinity},
+    {"prefill-load", cluster::RoutingPolicy::PrefillLoad},
+};
+
+/** A ScalePolicyFactory over the policy's public constructor. */
+template <typename Policy>
+std::unique_ptr<autoscale::ScalePolicy>
+buildScalePolicy(double slo_target)
+{
+    return std::make_unique<Policy>(slo_target);
+}
+
+constexpr Named<ScalePolicyFactory> kScalePolicies[] = {
+    {"reactive", buildScalePolicy<autoscale::ReactiveThresholdPolicy>},
+    {"predictive", buildScalePolicy<autoscale::PredictiveFutureMemoryPolicy>},
+};
+
+constexpr Named<autoscale::ShedPolicy> kShedPolicies[] = {
+    {"never", autoscale::ShedPolicy::Never},
+    {"overload", autoscale::ShedPolicy::Overload},
+};
+
+constexpr Named<trace::TraceDetail> kTraceDetails[] = {
+    {"off", trace::TraceDetail::Off},
+    {"requests", trace::TraceDetail::Requests},
+    {"steps", trace::TraceDetail::Steps},
+    {"full", trace::TraceDetail::Full},
+};
+
+/** The report sections a --format prints: {table, JSON}. */
+constexpr Named<std::pair<bool, bool>> kFormats[] = {
+    {"table", {true, false}},
+    {"json", {false, true}},
+    {"both", {true, true}},
 };
 
 model::HardwareSpec
@@ -306,47 +369,27 @@ makeEngineConfig(const CliOptions &options)
     return config;
 }
 
-/** Whether `text` is one of `words` ("a | b | c"). */
-bool
-isOneOf(std::string_view words, std::string_view text)
-{
-    for (;;) {
-        const std::size_t bar = words.find(" | ");
-        if (words.substr(0, bar) == text)
-            return true;
-        if (bar == std::string_view::npos)
-            return false;
-        words.remove_prefix(bar + 3);
-    }
-}
-
 /**
  * The values a flag accepts: numbers in [min, max] (integers must
  * also fit their field), or with `shares` set, a share list whose
- * entries are at least `min`; with `closed` set, only the flag's
- * choices; with `wholeTick` set, seconds that are 0 (unset) or
- * round to at least one tick.
+ * entries are at least `min`; with `wholeTick` set, seconds that
+ * are 0 (unset) or round to at least one tick.
  */
 struct Domain
 {
     double min = 0.0;
     double max = std::numeric_limits<double>::infinity();
     bool shares = false;
-    bool closed = false;
     bool wholeTick = false;
 };
 
 constexpr Domain kPositive{.min = 1};
 
-/** Seconds stop at half of Tick's range: secondsToTicks cannot
- *  overflow, and one such delay added to a clock below the same
- *  bound still fits. */
-constexpr Domain kSeconds{
-    .max = ticksToSeconds(std::numeric_limits<Tick>::max() / 2)};
+constexpr Domain kSeconds{.max = kMaxSpanSeconds};
 
 /** Seconds where 0 means unset, so a positive value must not round
  *  to 0 ticks (an SLA limit of 0, or no run limit at all). */
-constexpr Domain kTickSeconds{.max = kSeconds.max, .wholeTick = true};
+constexpr Domain kTickSeconds{.max = kMaxSpanSeconds, .wholeTick = true};
 
 /** One command-line flag: parsing, --help and the audit read it. */
 struct Flag
@@ -366,10 +409,10 @@ struct Flag
     const char *help;
     Domain domain = {};
 
-    /** The accepted names ("a | b"), listed ahead of the help text;
-     *  checked while parsing only in a closed domain, else by
-     *  assembly. */
-    std::string (*choices)() = nullptr;
+    /** The flag's name table, if its value is a name: parsing
+     *  accepts only its names, and --help lists them ahead of the
+     *  help text. */
+    const NameTable *names = nullptr;
 
     /** Short spelling, if any. */
     const char *alias = nullptr;
@@ -387,7 +430,7 @@ store(const Flag &flag, const char *text, CliOptions &options)
         slot = true;
     } else if constexpr (std::is_same_v<T, std::string>) {
         std::vector<double> shares;
-        if ((domain.closed && !isOneOf(flag.choices(), text)) ||
+        if ((flag.names != nullptr && !flag.names->contains(text)) ||
             (domain.shares && !parseShares(text, domain.min, shares)))
             return false;
         slot = text;
@@ -417,7 +460,7 @@ using O = CliOptions;
 /** Every flag pfs_cli accepts, in --help order. */
 constexpr Flag kFlags[] = {
     {"Workload:", "--workload", "NAME", store<&O::workload>, nullptr,
-     {}, namesOf<kWorkloads>},
+     {}, &kNameTable<kWorkloads>},
     {nullptr, "--requests", "N", store<&O::requests>,
      "dataset size (default 512)", kPositive},
     {nullptr, "--seed", "N", store<&O::seed>,
@@ -447,7 +490,7 @@ constexpr Flag kFlags[] = {
      store<&O::systemPromptTokens>,
      "shared system prompt length (512)", kPositive},
     {"Scheduler:", "--scheduler", "NAME", store<&O::scheduler>,
-     nullptr, {}, namesOf<kSchedulers>},
+     nullptr, {}, &kNameTable<kSchedulers>},
     {nullptr, "--reserved-ratio", "F", store<&O::reservedRatio>,
      "past_future reserve (default 0.03)", {.max = kBelowOne}},
     {nullptr, "--window-size", "N", store<&O::windowSize>,
@@ -457,7 +500,8 @@ constexpr Flag kFlags[] = {
     {nullptr, "--overcommit", "F", store<&O::overcommit>,
      "conservative multiplier (default 1.0)", {.min = kAboveZero}},
     {nullptr, "--queue-policy", "P", store<&O::queuePolicy>,
-     "fcfs | sjf | edf | priority (queue ordering; default fcfs)"},
+     "(queue ordering; default fcfs)", {},
+     &kNameTable<kQueuePolicies>},
     {nullptr, "--priority-mix", "L", store<&O::priorityMix>, "class "
      "shares, lowest first, e.g. 0.8,0.2 = 20% priority-1 requests",
      {.shares = true}},
@@ -476,18 +520,18 @@ constexpr Flag kFlags[] = {
      "overload shedding fairness-aware). Off = flat bit-exact "
      "pipeline"},
     {"Platform:", "--model", "NAME", store<&O::model>, nullptr, {},
-     namesOf<kModels>},
+     &kNameTable<kModels>},
     {nullptr, "--hardware", "NAME", store<&O::hardware>, nullptr, {},
-     namesOf<kHardware>},
+     &kNameTable<kHardware>},
     {nullptr, "--tp", "N", store<&O::tensorParallel>,
      "tensor-parallel degree (default 1)", kPositive},
     {"Fleet (exact event-driven co-simulation when N > 1):",
      "--instances", "N", store<&O::instances>,
      "fleet size (default 1)", kPositive},
-    {nullptr, "--routing", "P", store<&O::routing>, "round-robin | "
-     "least-outstanding | future-memory (the default) | "
-     "prefix-affinity (sticky sessions: turns follow their cached "
-     "prefix)"},
+    {nullptr, "--routing", "P", store<&O::routing>, "(default "
+     "future-memory; prefix-affinity: sticky sessions, turns follow "
+     "their cached prefix; prefill-load: least pending prefill "
+     "work)", {}, &kNameTable<kRoutingPolicies>},
     {nullptr, "--platform-mix", "L", store<&O::platformMix>,
      "per-instance hardware, name[:count] entries summing to N, e.g. "
      "a100-80g:2,a30:2 (default: --hardware everywhere)"},
@@ -530,15 +574,16 @@ constexpr Flag kFlags[] = {
      store<&O::provisionDelaySeconds>, "cold-start delay before a "
      "new instance joins the router (10)", kSeconds},
     {nullptr, "--scale-policy", "P", store<&O::scalePolicy>,
-     "reactive (threshold+hysteresis on observed attainment) | "
-     "predictive (fleet-wide future-memory forecast, the default)"},
+     "(default predictive): reactive is threshold+hysteresis on "
+     "observed attainment, predictive the fleet-wide future-memory "
+     "forecast", {}, &kNameTable<kScalePolicies>},
     {nullptr, "--scale-slo-target", "F", store<&O::scaleSloTarget>,
      "attainment target in (0, 1] (default 0.9)",
      {.min = kAboveZero, .max = 1}},
-    {nullptr, "--shed-policy", "P", store<&O::shedPolicy>, "never "
-     "(default) | overload: at max scale, reject arrivals that would "
+    {nullptr, "--shed-policy", "P", store<&O::shedPolicy>, "(default "
+     "never); overload: at max scale, reject arrivals that would "
      "push outstanding work past the shed bound instead of queueing "
-     "without limit"},
+     "without limit", {}, &kNameTable<kShedPolicies>},
     {"SLA (defaults follow the paper, by model size):",
      "--ttft-limit", "S", store<&O::ttftLimitSeconds>,
      "TTFT limit, seconds", kTickSeconds},
@@ -549,15 +594,15 @@ constexpr Flag kFlags[] = {
     {nullptr, "--prefix-cache", "M", store<&O::prefixCache>,
      "(default off): shared-prefix KV reuse with copy-on-write "
      "blocks; admission charges and prefills only the uncached "
-     "prompt suffix", {.closed = true}, namesOf<kPrefixCacheModes>},
+     "prompt suffix", {}, &kNameTable<kPrefixCacheModes>},
     {nullptr, "--split-fuse", nullptr, store<&O::splitFuse>,
      "enable chunked prefill"},
     {nullptr, "--max-batch", "N", store<&O::maxBatchSize>,
      "running-batch cap (0 = unlimited)"},
     {nullptr, "--eviction-policy", "P", store<&O::evictionPolicy>,
-     nullptr, {}, namesOf<kEvictionPolicies>},
+     nullptr, {}, &kNameTable<kEvictionPolicies>},
     {nullptr, "--eviction-mode", "M", store<&O::evictionMode>,
-     nullptr, {}, namesOf<kEvictionModes>},
+     nullptr, {}, &kNameTable<kEvictionModes>},
     {nullptr, "--warmup", "N", store<&O::warmupRequests>,
      "discard metrics of first N requests (single instance only; N "
      "must be below the requests the run finishes)"},
@@ -567,8 +612,7 @@ constexpr Flag kFlags[] = {
     {nullptr, "--max-seconds", "S", store<&O::maxSimSeconds>,
      "stop after S simulated seconds", kTickSeconds},
     {nullptr, "--format", "F", store<&O::format>, "(default table)",
-     {.closed = true},
-     [] { return std::string("table | json | both"); }},
+     {}, &kNameTable<kFormats>},
     {nullptr, "--csv", "PATH", store<&O::csvPath>,
      "also write per-request CSV"},
     {"Flight recorder (read-only: the RunReport is byte-identical "
@@ -576,17 +620,24 @@ constexpr Flag kFlags[] = {
      store<&O::traceOut>, "write a Chrome trace-event JSON (open in "
      "Perfetto / chrome://tracing) plus a per-request timeline at "
      "PATH.requests.csv"},
-    {nullptr, "--trace-detail", "L", store<&O::traceDetail>, "off | "
-     "requests (lifecycle spans and decision instants; the default "
-     "when --trace-out is set) | steps (+ per- iteration engine "
-     "counters) | full (+ per-shard wall-clock profiling under "
-     "--sim-threads)"},
+    {nullptr, "--trace-detail", "L", store<&O::traceDetail>,
+     "(requests: lifecycle spans and decision instants, the default "
+     "when --trace-out is set; steps: + per-iteration engine "
+     "counters; full: + per-shard wall-clock profiling under "
+     "--sim-threads)", {}, &kNameTable<kTraceDetails>},
     {nullptr, "--trace-limit", "N", store<&O::traceLimit>, "per-sink "
      "event ring capacity (default 65536); the oldest events drop "
      "when a ring wraps", kPositive},
     {nullptr, "--help", nullptr, store<&O::showHelp>,
      "show this reference", {}, nullptr, "-h"},
 };
+
+/** A disagg pool's starting size: 0 (unset) means one instance. */
+std::size_t
+poolSize(std::size_t instances)
+{
+    return instances == 0 ? 1 : instances;
+}
 
 /** Rules that span flags; single-flag domains live in the rows. */
 std::string
@@ -667,12 +718,8 @@ validateOptions(const CliOptions &options)
         if (options.minInstances > options.maxInstances)
             return "--min-instances exceeds --max-instances";
         if (options.disagg) {
-            const std::size_t prefill =
-                options.prefillInstances == 0
-                ? 1 : options.prefillInstances;
-            const std::size_t decode =
-                options.decodeInstances == 0
-                ? 1 : options.decodeInstances;
+            const std::size_t prefill = poolSize(options.prefillInstances);
+            const std::size_t decode = poolSize(options.decodeInstances);
             if (prefill < options.minInstances ||
                 prefill > options.maxInstances ||
                 decode < options.minInstances ||
@@ -735,16 +782,9 @@ validateOptions(const CliOptions &options)
         return "--routing needs --instances >= 2 or --autoscale "
                "(a single static instance has nothing to route "
                "across)";
-    if (!options.traceDetail.empty()) {
-        trace::TraceDetail detail = trace::TraceDetail::Off;
-        if (!trace::parseTraceDetail(options.traceDetail, &detail))
-            return "bad value for --trace-detail: " +
-                options.traceDetail +
-                " (use off | requests | steps | full)";
-        if (detail != trace::TraceDetail::Off &&
-            options.traceOut.empty())
-            return "--trace-detail needs --trace-out";
-    }
+    if (!options.traceDetail.empty() && options.traceDetail != "off" &&
+        options.traceOut.empty())
+        return "--trace-detail needs --trace-out";
     if (options.traceLimit > 0 && options.traceOut.empty())
         return "--trace-limit needs --trace-out";
     return "";
@@ -816,8 +856,8 @@ parseCliArgs(int argc, const char *const *argv, CliOptions &options)
             value = argv[++i];
         }
         if (!flag->set(*flag, boolean ? "" : value, options)) {
-            const std::string hint = flag->domain.closed
-                ? " (use " + flag->choices() + ")" : "";
+            const std::string hint = flag->names != nullptr
+                ? " (use " + flag->names->list() + ")" : "";
             return "bad value for " + std::string(arg) + ": " +
                 value + hint;
         }
@@ -843,7 +883,7 @@ printCliUsage(std::ostream &os)
             lead += std::string(" ") + flag.metavar;
         // printWrapped collapses the spaces of absent parts.
         const std::string text =
-            (flag.choices != nullptr ? flag.choices() : "") + " " +
+            (flag.names != nullptr ? flag.names->list() : "") + " " +
             (flag.help != nullptr ? flag.help : "");
         printWrapped(os, std::move(lead), kHelpColumn, text);
     }
@@ -901,12 +941,12 @@ assembleAround(const CliOptions &options, workload::Dataset dataset)
             dataset, shares, options.seed ^ 0x9e3779b97f4a7c15ull);
     }
 
+    const workload::TenantMix tenant_mix = makeTenantMix(options);
     if (options.tenants > 0) {
         // A distinct seed stream so the tenant draw composes with
         // (not perturbs) the priority draw.
         workload::assignTenantMix(
-            dataset, makeTenantMix(options),
-            options.seed ^ 0x517cc1b727220a95ull);
+            dataset, tenant_mix, options.seed ^ 0x517cc1b727220a95ull);
     }
 
     const metrics::SlaSpec sla = makeSla(options, model_spec);
@@ -915,11 +955,8 @@ assembleAround(const CliOptions &options, workload::Dataset dataset)
         lookup(kSchedulers, options.scheduler, "scheduler")(options);
     // Cold-start seeding with the dataset's service cap.
     scheduler_config.pastFuture.seedOutputLen = dataset.maxNewTokens;
-    if (!core::parseQueuePolicyKind(options.queuePolicy,
-                                    scheduler_config.queue.kind)) {
-        throw std::invalid_argument("unknown queue policy: " +
-                                    options.queuePolicy);
-    }
+    scheduler_config.queue.kind =
+        lookup(kQueuePolicies, options.queuePolicy, "queue policy");
     scheduler_config.queue.predictorWindow = options.windowSize;
     scheduler_config.queue.seedOutputLen = dataset.maxNewTokens;
     // EDF deadlines follow the scenario's TTFT SLA.
@@ -931,7 +968,7 @@ assembleAround(const CliOptions &options, workload::Dataset dataset)
         scheduler_config.tenantTree = true;
         scheduler_config.tenantSpec.numTenants = options.tenants;
         scheduler_config.tenantSpec.weights =
-            workload::tenantTreeWeights(makeTenantMix(options));
+            workload::tenantTreeWeights(tenant_mix);
     }
 
     engine::RunLimits limits;
@@ -977,32 +1014,20 @@ assembleAround(const CliOptions &options, workload::Dataset dataset)
             secondsToTicks(options.provisionDelaySeconds);
         config.sloTarget = options.scaleSloTarget;
         config.sla = sla;
-        if (!autoscale::parseShedPolicy(options.shedPolicy,
-                                        config.shedPolicy)) {
-            throw std::invalid_argument("unknown shed policy: " +
-                                        options.shedPolicy);
-        }
+        config.shedPolicy =
+            lookup(kShedPolicies, options.shedPolicy, "shed policy");
         if (options.tenants > 0) {
             // Fairness-aware shedding: under overload the tenants
             // over their traffic share absorb the rejections.
-            config.tenantShares = makeTenantMix(options).shares();
+            config.tenantShares = tenant_mix.shares();
         }
-        // Validate the policy name here so a typo fails before the
-        // simulation, not inside it.
-        if (autoscale::makeScalePolicy(options.scalePolicy,
-                                       config.sloTarget) ==
-            nullptr) {
-            throw std::invalid_argument("unknown scale policy: " +
-                                        options.scalePolicy);
-        }
-        scenario.scalePolicyName = options.scalePolicy;
+        scenario.scalePolicy =
+            lookup(kScalePolicies, options.scalePolicy, "scale policy");
     }
 
-    if (!options.routing.empty() &&
-        !cluster::parseRoutingPolicy(options.routing,
-                                     scenario.routing)) {
-        throw std::invalid_argument("unknown routing policy: " +
-                                    options.routing);
+    if (!options.routing.empty()) {
+        scenario.routing = lookup(kRoutingPolicies, options.routing,
+                                  "routing policy");
     }
     if ((options.instances > 1 || options.autoscale) &&
         !options.disagg) {
@@ -1048,10 +1073,8 @@ assembleAround(const CliOptions &options, workload::Dataset dataset)
 
     if (options.disagg) {
         scenario.disagg = true;
-        scenario.prefillInstances = options.prefillInstances == 0
-            ? 1 : options.prefillInstances;
-        scenario.decodeInstances = options.decodeInstances == 0
-            ? 1 : options.decodeInstances;
+        scenario.prefillInstances = poolSize(options.prefillInstances);
+        scenario.decodeInstances = poolSize(options.decodeInstances);
         disagg::DisaggConfig &config = scenario.disaggConfig;
         config.kvBytesPerToken = model_spec.kvBytesPerToken();
         config.blockSize = scenario.engineConfig.blockSize;
@@ -1066,17 +1089,29 @@ assembleAround(const CliOptions &options, workload::Dataset dataset)
             : hardware.interconnectLatency);
         if (options.handoffDepth > 0)
             config.handoffDepth = options.handoffDepth;
+        // The slowest transfer, one decode engine's whole KV plus
+        // the fixed latency, must land inside the clock's range.
+        const TokenCount kv = scenario.perf.tokenCapacity();
+        if (static_cast<double>(disagg::migrationBytes(config, kv)) /
+                    config.linkBandwidth +
+                ticksToSeconds(config.transferLatency) >
+            kMaxSpanSeconds) {
+            std::ostringstream error;
+            error << "--link-gbps " << config.linkBandwidth / 1e9
+                  << " is too slow: moving one decode engine's " << kv
+                  << "-token KV takes past the " << kMaxSpanSeconds
+                  << " s clock bound";
+            throw std::invalid_argument(error.str());
+        }
     }
 
     if (!options.traceOut.empty()) {
         scenario.traceOut = options.traceOut;
-        const std::string detail = options.traceDetail.empty()
-            ? "requests" : options.traceDetail;
-        if (!trace::parseTraceDetail(detail,
-                                     &scenario.traceDetail)) {
-            throw std::invalid_argument("unknown trace detail: " +
-                                        detail);
-        }
+        scenario.traceDetail = lookup(
+            kTraceDetails,
+            options.traceDetail.empty() ? "requests"
+                                        : options.traceDetail,
+            "trace detail");
         if (options.traceLimit > 0)
             scenario.traceLimit = options.traceLimit;
     }
@@ -1195,16 +1230,21 @@ driveLoad(const Scenario &scenario, workload::RequestSink &sink,
         workload::submitTraceArrivals(scenario.dataset, sink);
         return run();
     }
-    if (scenario.hasRateSchedule) {
-        workload::submitScheduledArrivals(scenario.dataset, sink,
-                                          scenario.rateSchedule,
-                                          scenario.seed);
-        return run();
-    }
-    if (scenario.poissonRate > 0.0) {
-        workload::submitPoissonArrivals(scenario.dataset, sink,
-                                        scenario.poissonRate,
-                                        scenario.seed);
+    if (scenario.hasRateSchedule || scenario.poissonRate > 0.0) {
+        // Poisson arrivals are a constant schedule.
+        const bool scheduled = scenario.hasRateSchedule;
+        try {
+            workload::submitScheduledArrivals(
+                scenario.dataset, sink,
+                scheduled ? scenario.rateSchedule
+                          : workload::RateSchedule::constant(
+                                scenario.poissonRate),
+                scenario.seed);
+        } catch (const std::invalid_argument &error) {
+            throw std::invalid_argument(
+                (scheduled ? "--rate-schedule: " : "--rate: ") +
+                std::string(error.what()));
+        }
         return run();
     }
     workload::ClosedLoopClientPool clients(
@@ -1244,11 +1284,8 @@ runScenario(const Scenario &scenario,
         pool.setInstanceFactory(make_clone);
         autoscale::AutoscaleConfig config = scenario.autoscaleConfig;
         config.shedPolicy = shed;
-        auto policy = autoscale::makeScalePolicy(
-            scenario.scalePolicyName, config.sloTarget);
-        LIGHTLLM_ASSERT(policy != nullptr,
-                        "scale policy validated at assembly");
-        pool.enableAutoscale(config, std::move(policy));
+        pool.enableAutoscale(config,
+                             scenario.scalePolicy(config.sloTarget));
     };
 
     if (!scenario.disagg && scenario.fleetPerfs.empty()) {
@@ -1340,117 +1377,82 @@ emitReport(std::ostream &os, const CliOptions &options,
            const metrics::RunReport &report)
 {
     const metrics::SlaSpec &sla = scenario.sla;
-    if (options.format == "table" || options.format == "both") {
+    const auto [print_table, print_json] =
+        lookup(kFormats, options.format, "format");
+    if (print_table) {
         const metrics::RunReport::LatencyDigest digest =
             report.latencyDigest();
         TextTable table({"metric", "value"});
-        table.addRow({"scheduler", report.schedulerName});
-        table.addRow({"workload", scenario.dataset.name});
-        table.addRow({"finished",
-                      formatCount(static_cast<std::int64_t>(
-                          report.numFinished))});
-        table.addRow({"makespan_s",
-                      formatDouble(ticksToSeconds(report.makespan),
-                                   2)});
-        table.addRow({"throughput_tok_s",
-                      formatDouble(report.throughputTokensPerSec(),
-                                   1)});
-        table.addRow({"goodput_tok_s",
-                      formatDouble(report.goodputTokensPerSec(sla),
-                                   1)});
-        table.addRow({"sla_compliance",
-                      formatPercent(
-                          report.slaCompliantFraction(sla))});
-        table.addRow({"mean_ttft_s",
-                      formatDouble(digest.meanTtft, 3)});
-        table.addRow({"p50_ttft_s",
-                      formatDouble(digest.ttftPercentile(0.50), 3)});
-        table.addRow({"p90_ttft_s",
-                      formatDouble(digest.ttftPercentile(0.90), 3)});
-        table.addRow({"p99_ttft_s",
-                      formatDouble(digest.ttftPercentile(0.99), 3)});
-        table.addRow({"p50_mtpot_s",
-                      formatDouble(digest.mtpotPercentile(0.50), 3)});
-        table.addRow({"p90_mtpot_s",
-                      formatDouble(digest.mtpotPercentile(0.90), 3)});
-        table.addRow({"p99_mtpot_s",
-                      formatDouble(digest.mtpotPercentile(0.99), 3)});
-        table.addRow({"avg_batch_size",
-                      formatDouble(report.avgBatchSize, 1)});
-        table.addRow({"eviction_events",
-                      formatCount(report.evictionEvents)});
-        table.addRow({"avg_consumed_mem",
-                      formatPercent(report.avgConsumedMemory)});
+        const auto row = [&table](std::string metric,
+                                  std::string value) {
+            table.addRow({std::move(metric), std::move(value)});
+        };
+        const auto count = [](auto n) {
+            return formatCount(static_cast<std::int64_t>(n));
+        };
+        const auto seconds = [](double s) { return formatDouble(s, 3); };
+        row("scheduler", report.schedulerName);
+        row("workload", scenario.dataset.name);
+        row("finished", count(report.numFinished));
+        row("makespan_s",
+            formatDouble(ticksToSeconds(report.makespan), 2));
+        row("throughput_tok_s",
+            formatDouble(report.throughputTokensPerSec(), 1));
+        row("goodput_tok_s",
+            formatDouble(report.goodputTokensPerSec(sla), 1));
+        row("sla_compliance",
+            formatPercent(report.slaCompliantFraction(sla)));
+        row("mean_ttft_s", seconds(digest.meanTtft));
+        row("p50_ttft_s", seconds(digest.ttftPercentile(0.50)));
+        row("p90_ttft_s", seconds(digest.ttftPercentile(0.90)));
+        row("p99_ttft_s", seconds(digest.ttftPercentile(0.99)));
+        row("p50_mtpot_s", seconds(digest.mtpotPercentile(0.50)));
+        row("p90_mtpot_s", seconds(digest.mtpotPercentile(0.90)));
+        row("p99_mtpot_s", seconds(digest.mtpotPercentile(0.99)));
+        row("avg_batch_size", formatDouble(report.avgBatchSize, 1));
+        row("eviction_events", count(report.evictionEvents));
+        row("avg_consumed_mem", formatPercent(report.avgConsumedMemory));
         if (scenario.engineConfig.prefixCache) {
-            table.addRow({"prefix_hit_rate",
-                          formatPercent(report.prefixHitRate())});
-            table.addRow({"prefix_hit_tokens",
-                          formatCount(report.prefixHitTokens)});
+            row("prefix_hit_rate", formatPercent(report.prefixHitRate()));
+            row("prefix_hit_tokens", count(report.prefixHitTokens));
         }
+        const auto instance_rows = [&] {
+            row("instance_seconds",
+                formatDouble(report.instanceSeconds, 1));
+            row("instance_cost", formatDouble(report.instanceCost, 4));
+        };
         if (scenario.autoscale) {
-            table.addRow({"shed_requests",
-                          formatCount(report.shedRequests)});
-            table.addRow({"shed_rate",
-                          formatPercent(report.shedRate())});
-            table.addRow({"instance_seconds",
-                          formatDouble(report.instanceSeconds,
-                                       1)});
-            table.addRow({"instance_cost",
-                          formatDouble(report.instanceCost, 4)});
-            table.addRow({"peak_instances",
-                          formatCount(static_cast<std::int64_t>(
-                              report.peakInstances))});
-            table.addRow({"scale_up_events",
-                          formatCount(report.scaleUpEvents)});
-            table.addRow({"scale_down_events",
-                          formatCount(report.scaleDownEvents)});
+            row("shed_requests", count(report.shedRequests));
+            row("shed_rate", formatPercent(report.shedRate()));
+            instance_rows();
+            row("peak_instances", count(report.peakInstances));
+            row("scale_up_events", count(report.scaleUpEvents));
+            row("scale_down_events", count(report.scaleDownEvents));
         }
         if (report.disaggregated) {
-            if (!scenario.autoscale) {
-                table.addRow({"instance_seconds",
-                              formatDouble(report.instanceSeconds,
-                                           1)});
-                table.addRow({"instance_cost",
-                              formatDouble(report.instanceCost,
-                                           4)});
+            if (!scenario.autoscale)
+                instance_rows();
+            for (const auto &[pool, summary] :
+                 {std::pair{"prefill_pool", &report.prefillPool},
+                  std::pair{"decode_pool", &report.decodePool}}) {
+                const std::string prefix = pool;
+                row(prefix + "_finished", count(summary->finished));
+                row(prefix + "_p99_ttft_s",
+                    seconds(summary->p99TtftSeconds));
+                row(prefix + "_p99_mtpot_s",
+                    seconds(summary->p99MtpotSeconds));
             }
-            table.addRow({"prefill_pool_finished",
-                          formatCount(static_cast<std::int64_t>(
-                              report.prefillPool.finished))});
-            table.addRow({"prefill_pool_p99_ttft_s",
-                          formatDouble(
-                              report.prefillPool.p99TtftSeconds,
-                              3)});
-            table.addRow({"prefill_pool_p99_mtpot_s",
-                          formatDouble(
-                              report.prefillPool.p99MtpotSeconds,
-                              3)});
-            table.addRow({"decode_pool_finished",
-                          formatCount(static_cast<std::int64_t>(
-                              report.decodePool.finished))});
-            table.addRow({"decode_pool_p99_ttft_s",
-                          formatDouble(
-                              report.decodePool.p99TtftSeconds,
-                              3)});
-            table.addRow({"decode_pool_p99_mtpot_s",
-                          formatDouble(
-                              report.decodePool.p99MtpotSeconds,
-                              3)});
-            table.addRow({"handoff_queue_p99_s",
-                          formatDouble(
-                              report.handoffQueueP99Seconds, 3)});
-            table.addRow({"migrated_kv_bytes",
-                          formatCount(report.migratedKvBytes)});
-            table.addRow({"migrated_requests",
-                          formatCount(report.migratedRequests)});
-            table.addRow({"handoff_shed_requests",
-                          formatCount(report.handoffShedRequests)});
+            row("handoff_queue_p99_s",
+                seconds(report.handoffQueueP99Seconds));
+            row("migrated_kv_bytes", count(report.migratedKvBytes));
+            row("migrated_requests", count(report.migratedRequests));
+            row("handoff_shed_requests",
+                count(report.handoffShedRequests));
         }
         if (scenario.tenants > 0) {
             // Per-tenant breakdown keyed by the records' scheduling
             // class; tenants with no finished requests print 0.
-            std::vector<std::vector<double>> ttfts(
-                scenario.tenants);
+            std::vector<std::vector<double>> ttfts(scenario.tenants);
             for (const metrics::RequestRecord &record :
                  report.requests) {
                 if (record.cls.tenant < scenario.tenants) {
@@ -1461,21 +1463,16 @@ emitReport(std::ostream &os, const CliOptions &options,
             for (std::size_t t = 0; t < scenario.tenants; ++t) {
                 auto &samples = ttfts[t];
                 std::sort(samples.begin(), samples.end());
-                const double p99 =
-                    stats::percentileSorted(samples, 0.99);
-                const std::string prefix =
-                    "tenant" + std::to_string(t);
-                table.addRow({prefix + "_finished",
-                              formatCount(static_cast<std::int64_t>(
-                                  samples.size()))});
-                table.addRow({prefix + "_p99_ttft_s",
-                              formatDouble(p99, 3)});
+                const std::string prefix = "tenant" + std::to_string(t);
+                row(prefix + "_finished", count(samples.size()));
+                row(prefix + "_p99_ttft_s",
+                    seconds(stats::percentileSorted(samples, 0.99)));
             }
         }
         table.print(os);
         os << report.summary(sla) << "\n";
     }
-    if (options.format == "json" || options.format == "both")
+    if (print_json)
         metrics::writeSummaryJson(os, report, sla);
     if (!options.csvPath.empty())
         metrics::writeRequestsCsvFile(options.csvPath, report, sla);

@@ -17,8 +17,8 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
-
 #include <vector>
 
 #include "autoscale/autoscaler.hh"
@@ -44,8 +44,11 @@ namespace cli {
  * Adding a flag takes the field here plus one row of the flag table
  * (`kFlags` in cli_scenario.cc): name, metavar, --help section and
  * text, `store<&CliOptions::field>`, and the field's value domain.
- * Parsing, --help and cliFlagNames() all read that row; only a rule
- * spanning several flags needs code, in the cross-flag validation.
+ * A flag whose value is a name also needs its `Named` table, which
+ * the row points at: parsing accepts only the table's names, --help
+ * lists them, and assembly looks the name up. Parsing, --help and
+ * cliFlagNames() all read that row; only a rule spanning several
+ * flags needs code, in the cross-flag validation.
  */
 struct CliOptions
 {
@@ -62,8 +65,8 @@ struct CliOptions
     std::size_t turns = 4;
     TokenCount systemPromptTokens = 512;
 
-    /** Shared-prefix KV reuse: "on" | "off" (default off — the
-     *  bit-exact legacy path). */
+    /** Shared-prefix KV reuse (default off, the bit-exact legacy
+     *  path). */
     std::string prefixCache = "off";
 
     // Load generation: closed-loop clients by default; a positive
@@ -140,8 +143,8 @@ struct CliOptions
     double linkGbps = 0.0;
     double linkLatencySeconds = -1.0;
 
-    /** Routing policy name (see cluster::parseRoutingPolicy);
-     *  empty = future-memory. Only meaningful with instances > 1. */
+    /** Routing policy name (see --help); empty = future-memory.
+     *  Only meaningful with instances > 1 or autoscale. */
     std::string routing;
 
     /** Comma-separated per-instance hardware, each `name[:count]`
@@ -161,14 +164,14 @@ struct CliOptions
     /** Cold-start delay of a provisioned instance, seconds. */
     double provisionDelaySeconds = 10.0;
 
-    /** Scale policy name: "reactive" | "predictive". */
+    /** Scale policy name. */
     std::string scalePolicy = "predictive";
 
     /** TTFT/MTPOT attainment target the controller defends. */
     double scaleSloTarget = 0.9;
 
-    /** Overload admission control at max scale: "never" |
-     *  "overload" (see autoscale::ShedPolicy). */
+    /** Overload admission control at max scale (see
+     *  autoscale::ShedPolicy). */
     std::string shedPolicy = "never";
 
     // SLA: 0 means "derive from model size" (paper defaults).
@@ -199,8 +202,8 @@ struct CliOptions
      *  a per-request timeline also lands at PATH.requests.csv. */
     std::string traceOut;
 
-    /** Capture level: off | requests | steps | full. Empty defaults
-     *  to "requests" when --trace-out is set. */
+    /** Capture level; empty defaults to "requests" when
+     *  --trace-out is set. */
     std::string traceDetail;
 
     /** Ring capacity per sink, in events (0 = the 65536 default). */
@@ -230,6 +233,10 @@ void printCliUsage(std::ostream &os);
  * printCliUsage's output.
  */
 std::vector<std::string> cliFlagNames();
+
+/** Builds a scale policy defending an attainment target. */
+using ScalePolicyFactory =
+    std::unique_ptr<autoscale::ScalePolicy> (*)(double slo_target);
 
 /** A fully assembled, runnable scenario. */
 struct Scenario
@@ -274,7 +281,9 @@ struct Scenario
      *  one). */
     bool autoscale = false;
     autoscale::AutoscaleConfig autoscaleConfig = {};
-    std::string scalePolicyName = {};
+
+    /** The --scale-policy; set with autoscale. */
+    ScalePolicyFactory scalePolicy = nullptr;
 
     /** Tenant count of the workload (0 = single tenant); gates the
      *  per-tenant report breakdown. */
