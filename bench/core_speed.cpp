@@ -5,7 +5,7 @@
  * full fleet.
  *
  * Not a paper figure: this is the repo's perf gate for the hot path
- * rebuilt in DESIGN.md §8 (slot-arena event records, flat handle
+ * described in DESIGN.md §8 (slot-arena event records, flat handle
  * index, zero-alloc schedule/fire). Three cases, coarse to fine:
  *
  *   queue_churn    pure EventQueue schedule/fire/cancel/reschedule

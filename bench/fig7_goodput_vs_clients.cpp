@@ -12,9 +12,10 @@
  * reaches the highest goodput and degrades most gracefully.
  *
  * Client counts are sized relative to each configuration's token
- * capacity (see DESIGN.md: the simulated A100 reaches its queueing
- * wall at smaller absolute client counts than the paper's testbed,
- * so the x-axis is expressed as a load fraction).
+ * capacity (see DESIGN.md §1, "How the benches map to the paper":
+ * the simulated A100 reaches its queueing wall at smaller absolute
+ * client counts than the paper's testbed, so the x-axis is expressed
+ * as a load fraction).
  */
 
 #include <iostream>

@@ -3,7 +3,7 @@
  * Figure 8 reproduction: evicted-requests (%) vs decoding steps for
  * different scheduler parameterisations on a varying-distribution
  * load (ShareGPT-o1 followed by Distribution-1, -2, -3, matching
- * §5.3), plus the prediction-mode ablation called out in DESIGN.md.
+ * §5.3), plus the prediction-mode ablation (DESIGN.md §1).
  *
  * Expected shape (paper): conservative (overcommit sweep) and
  * aggressive (watermark sweep) trace Pareto-dominated curves — to
@@ -78,8 +78,8 @@ main()
                                            &O::overcommit,
                                            overcommit)});
     }
-    // Prediction-mode ablation (DESIGN.md §4): why coupled sampling
-    // is the default.
+    // Prediction-mode ablation (DESIGN.md §2, "Past-Future
+    // admission"): why coupled sampling is the default.
     for (const auto &[family, mode] :
          {std::pair{"PF ablation: per-step sampling",
                     core::PredictionMode::PerStepSample},

@@ -32,8 +32,9 @@ namespace {
  * its backend speed compares (timeFactor). Speed factors are rough
  * relative efficiencies of the December-2023 versions the paper
  * benchmarked (TensorRT-LLM fastest static backend; TGI's Python
- * serving layer slowest); the goodput ordering is driven by the
- * scheduler, and the sensitivity section sets every factor to 1.
+ * serving layer slowest; DESIGN.md §1); the goodput ordering is
+ * driven by the scheduler, and the sensitivity section sets every
+ * factor to 1.
  */
 struct Framework
 {

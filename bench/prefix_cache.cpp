@@ -3,11 +3,11 @@
  * Prefix-cache effectiveness on multi-turn session traffic.
  *
  * Not a paper figure: this seeds the perf trajectory of the
- * shared-prefix KV subsystem (PR 4). For a session workload —
- * shared system prompt, history-prepended prompts — the radix
- * prefix cache should turn most of each turn's prefill into block
- * reuse: mean TTFT and total prefilled tokens drop while hit rate
- * climbs with conversation depth. Each sweep point runs the
+ * shared-prefix KV subsystem (DESIGN.md §4). For a session
+ * workload — shared system prompt, history-prepended prompts — the
+ * radix prefix cache should turn most of each turn's prefill into
+ * block reuse: mean TTFT and total prefilled tokens drop while hit
+ * rate climbs with conversation depth. Each sweep point runs the
  * identical workload with the cache off and on; rows land in
  * BENCH_prefix_cache.json so CI archives every run and a regression
  * shows up as a shrinking ttft_speedup at the same depth.

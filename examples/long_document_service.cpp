@@ -116,7 +116,11 @@ main()
     // analysis (plotting, regression tracking).
     const auto csv_path = std::filesystem::temp_directory_path() /
         "lightllm_longdoc_requests.csv";
-    metrics::writeRequestsCsvFile(csv_path.string(), exported, sla);
+    if (!metrics::writeRequestsCsvFile(csv_path.string(), exported,
+                                       sla)) {
+        std::cerr << "cannot write " << csv_path.string() << "\n";
+        return 1;
+    }
     std::cout << "\nPer-request records written to "
               << csv_path.string() << "\nSummary:\n";
     metrics::writeSummaryJson(std::cout, exported, sla);

@@ -85,7 +85,7 @@ AutoScaler::shouldShed(const FleetSnapshot &fleet,
         return false;
     }
     if (config_.tenantShares.empty())
-        return true;  // tenant-blind legacy shedding
+        return true;  // tenant-blind shedding
 
     // Fairness-aware: reject only arrivals of tenants at or over
     // their configured share of recent routed work, so the noisy

@@ -39,8 +39,8 @@ namespace autoscale {
 /** What happens to arrivals the fleet cannot absorb at max scale. */
 enum class ShedPolicy
 {
-    /** Queue everything (legacy behaviour; queues may grow without
-     *  bound under sustained overload). */
+    /** Queue everything (queues may grow without bound under
+     *  sustained overload). */
     Never,
 
     /**
@@ -91,7 +91,7 @@ struct AutoscaleConfig
      * arrivals from tenants at or over their share of recent
      * routed work are rejected, so a noisy neighbour sheds first
      * while in-share tenants keep queueing. Empty = tenant-blind
-     * legacy shedding. Tenants beyond the vector get the mean
+     * shedding. Tenants beyond the vector get the mean
      * share.
      */
     std::vector<double> tenantShares;

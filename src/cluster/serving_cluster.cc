@@ -439,7 +439,8 @@ ServingCluster::submitAt(const workload::RequestSpec &spec,
     const Tick when = std::max(arrival, context_->now());
     ++offeredRequests_;
     if (!autoscaler_) {
-        // Legacy path (bit-exact): route at submission time.
+        // A static fleet routes at submission time (pinned by
+        // ClusterTest.StaticFleetsRouteAtSubmissionElasticAtArrival).
         routeSubmission(spec, when, when);
         return;
     }

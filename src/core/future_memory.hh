@@ -23,7 +23,7 @@
  * same for every tie order. Callers may therefore keep a batch in
  * any Eq. 2 order across calls — carried from the previous decode
  * step, or with a candidate merged in — and score it with one O(k)
- * scan instead of a copy and a sort (DESIGN.md §8).
+ * scan instead of a copy and a sort (DESIGN.md §2).
  */
 
 #ifndef LIGHTLLM_CORE_FUTURE_MEMORY_HH

@@ -278,7 +278,7 @@ bool
 PastFutureScheduler::boundFits(TokenCount resident, TokenCount growth,
                                TokenCount overhead) const
 {
-    // Every trial peak lies in [L, L + R] (DESIGN.md §8): the
+    // Every trial peak lies in [L, L + R] (DESIGN.md §2): the
     // worst-case rule's maximum and a single trial's peak are at
     // most L + R, and a mean plus riskFactor standard deviations of
     // values in that range is at most L + R + riskFactor * R / 2

@@ -115,8 +115,8 @@ struct PastFutureParams
      * any trial. The redraws are recorded as raw generator outputs
      * and replayed when a candidate first needs the exact test, so
      * decisions and the generator stream are those of building
-     * every trial at round open (DESIGN.md §8, "Rounds the window
-     * bound decides").
+     * every trial at round open (DESIGN.md §2, "Past-Future
+     * admission").
      */
     int admissionTrials = 8;
 

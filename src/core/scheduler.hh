@@ -63,7 +63,8 @@ struct RunningView
      * Prompt tokens resident in *shared* prefix-cache blocks. They
      * cost no private memory, so memory-exact policies charge
      * promptLen - cachedPrefixLen for this request's resident
-     * prompt (0 when prefix caching is off — the seed arithmetic).
+     * prompt (0 when prefix caching is off, so the charge is
+     * promptLen).
      * After an eviction the shared prefix can also cover generated
      * tokens, so it may exceed promptLen (never promptLen +
      * generatedLen).

@@ -40,7 +40,8 @@ struct SchedulerConfig
     /** Past-Future tunables. */
     PastFutureParams pastFuture;
 
-    /** Queue-ordering policy (FCFS reproduces the seed pipeline). */
+    /** Queue-ordering policy (FCFS admits the count-based FCFS
+     *  prefix; test_scheduling_golden pins it). */
     QueuePolicyConfig queue;
 
     /** Split the queue into one fair-share queue per tenant, built

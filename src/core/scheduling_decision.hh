@@ -2,10 +2,11 @@
  * @file
  * The scheduler's output: an explicit decision object.
  *
- * The seed API returned an admission *count*, which can only express
- * "admit an FCFS prefix of the queue". A SchedulingDecision names
- * the requests instead, so policies can admit from any queue
- * position (SJF, EDF, priority classes). The engine is the
+ * A SchedulingDecision names the requests to admit, not a count
+ * (which could only express "admit an FCFS prefix of the queue"),
+ * so policies can admit from any queue position (SJF, EDF, priority
+ * classes); under FCFS it is the count path's prefix
+ * (LegacyLockstep in test_scheduling_golden). The engine is the
  * executor: it validates the decision against the context it handed
  * out, then applies the admissions in the given order. Eviction is
  * not part of a decision: it happens only when a decode step cannot

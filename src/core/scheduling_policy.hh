@@ -19,13 +19,13 @@
  * runnable queue with the smallest virtual time serves next
  * (weighted fair queueing, DESIGN.md §6).
  *
- * With the FCFS queue policy the flat pipeline is a compatibility
- * adapter: it emits exactly the FCFS-prefix decisions the seed's
- * count-based API produced (same candidates tested in the same
- * order, so even the Past-Future scheduler's RNG consumption is
- * bit-identical), which is what keeps every paper figure
- * reproducible. See DESIGN.md §2 for the pipeline walk-through and
- * a worked EDF example.
+ * With the FCFS queue policy the flat pipeline emits exactly the
+ * FCFS-prefix decisions of a count-based admission API (same
+ * candidates tested in the same order, so even the Past-Future
+ * scheduler's RNG consumption is bit-identical); the goldens and
+ * the count-path lockstep of test_scheduling_golden pin this. See
+ * DESIGN.md §2 for the pipeline walk-through and a worked EDF
+ * example.
  */
 
 #ifndef LIGHTLLM_CORE_SCHEDULING_POLICY_HH

@@ -46,7 +46,8 @@ struct EngineConfig
      * prompt against previously prefilled blocks, allocates and
      * prefills only the uncached suffix, and finished requests'
      * full blocks stay cached (LRU-reclaimed under memory
-     * pressure). Off by default — the bit-exact legacy path.
+     * pressure). Off by default; off, no prefix path runs, and the
+     * golden suites pin that path's bytes.
      */
     bool prefixCache = false;
 

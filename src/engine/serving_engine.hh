@@ -91,9 +91,9 @@ class ServingEngine : public workload::RequestSink
                   EngineConfig config = {});
 
     /**
-     * Compatibility adapter: wraps `scheduler` in a SchedulingPolicy
-     * with the FCFS queue policy, which reproduces the seed's
-     * count-based FCFS-prefix admissions bit-identically.
+     * Wraps `scheduler` in a SchedulingPolicy with the FCFS queue
+     * policy, which admits the FCFS prefix a count-based API would
+     * (pinned by test_scheduling_golden).
      */
     ServingEngine(model::PerfModel perf_model,
                   std::unique_ptr<core::Scheduler> scheduler,

@@ -12,15 +12,16 @@
  * occupancy (what the paper's equations reason about) from
  * block-level occupancy (what actually limits allocation).
  *
- * Sharing model (PR 4): every physical block is reference-counted.
- * A request may be admitted with a *shared prefix* — a run of full
- * blocks already holding the identical tokens (same system prompt,
- * same conversation history), provided by the prefix cache. Shared
- * blocks are never written again by sharers (a request only appends
- * past its prefix, so divergence allocates fresh blocks — classic
- * copy-on-write with the write window always past the shared
- * region). release() decrements instead of freeing: a block returns
- * to the free list only when no request and no cache entry holds it.
+ * Sharing model (DESIGN.md §4): every physical block is
+ * reference-counted. A request may be admitted with a *shared
+ * prefix* — a run of full blocks already holding the identical
+ * tokens (same system prompt, same conversation history), provided
+ * by the prefix cache. Shared blocks are never written again by
+ * sharers (a request only appends past its prefix, so divergence
+ * allocates fresh blocks — classic copy-on-write with the write
+ * window always past the shared region). release() decrements
+ * instead of freeing: a block returns to the free list only when no
+ * request and no cache entry holds it.
  *
  * Growth accounting: extend() first fills the slack in the
  * allocation's last block (slack = blocks * blockSize - numTokens)
@@ -195,7 +196,8 @@ class KvBlockManager
      * blocks count once no matter how many requests reference them;
      * blocks held only by the prefix cache are reclaimable and do
      * not count. Without sharing this equals the sum of per-request
-     * logical tokens (the seed semantics).
+     * logical tokens, the accounting the cache-off golden suites
+     * (test_scheduling_golden) pin.
      */
     TokenCount usedTokens() const { return usedTokens_; }
 

@@ -3,7 +3,6 @@
 #include <fstream>
 #include <ostream>
 
-#include "base/logging.hh"
 #include "base/str_util.hh"
 
 namespace lightllm {
@@ -26,16 +25,15 @@ writeRequestsCsv(std::ostream &os, const RunReport &report,
     }
 }
 
-void
+bool
 writeRequestsCsvFile(const std::string &path, const RunReport &report,
                      const SlaSpec &sla)
 {
     std::ofstream file(path);
     if (!file)
-        fatal("cannot open report file for writing: ", path);
+        return false;
     writeRequestsCsv(file, report, sla);
-    if (!file)
-        fatal("error while writing report file: ", path);
+    return static_cast<bool>(file);
 }
 
 void

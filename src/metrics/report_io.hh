@@ -24,8 +24,9 @@ namespace metrics {
 void writeRequestsCsv(std::ostream &os, const RunReport &report,
                       const SlaSpec &sla);
 
-/** writeRequestsCsv to a file; fatal() on I/O failure. */
-void writeRequestsCsvFile(const std::string &path,
+/** writeRequestsCsv to a file; false when the file cannot be
+ *  opened or written. */
+bool writeRequestsCsvFile(const std::string &path,
                           const RunReport &report,
                           const SlaSpec &sla);
 

@@ -11,8 +11,9 @@
  * memorylessness). Builders cover the three shapes the autoscaling
  * scenarios need:
  *
- *  - constant: the legacy single-rate process (bit-identical to
- *    submitPoissonArrivals for the same seed);
+ *  - constant: one rate, bit-identical to submitPoissonArrivals
+ *    for the same seed (pinned by RateScheduleTest's
+ *    ConstantMatchesPoissonBitExactly);
  *  - spike: a base rate with a burst window at `peak` — the flash
  *    crowd a reactive controller chases and a predictive one should
  *    absorb;

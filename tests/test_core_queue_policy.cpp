@@ -396,6 +396,35 @@ TEST(SchedulingPolicyTest, SjfAdmitsShortJobFromBehind)
     EXPECT_TRUE(fcfs->decide(ctx).admit.empty());
 }
 
+TEST(SchedulingPolicyTest, EdfAdmitsTheEarliestDeadlineUnderPressure)
+{
+    // DESIGN.md §2's worked example. Capacity 1000 with 400
+    // committed, conservative admission, a 10 s EDF budget. The
+    // deadlines are A 11 s, B 3 + 10/2 = 8 s (class 1), C 14 s, so
+    // EDF tests B (650 fits), then A (650 + 650 > 1000) and stops.
+    // FCFS tests A first (400 + 650 > 1000) and admits nothing.
+    QueuePolicyConfig edf;
+    edf.kind = QueuePolicyKind::Edf;
+    edf.ttftDeadline = secondsToTicks(10.0);
+    SchedulingPolicy pipeline(
+        std::make_unique<ConservativeScheduler>(1.0),
+        makeQueuePolicy(edf));
+    ContextBuilder builder;
+    builder.addRunning(10, 200, 0, 200, 1);
+    builder.addWaiting(0, 300, 350, secondsToTicks(1.0), 0);  // A
+    builder.addWaiting(1, 100, 150, secondsToTicks(3.0), 1);  // B
+    builder.addWaiting(2, 100, 100, secondsToTicks(4.0), 0);  // C
+    const SchedulerContext ctx = builder.context();
+
+    auto order = makeQueuePolicy(edf);
+    EXPECT_EQ(orderOf(*order, ctx),
+              (std::vector<std::size_t>{1, 0, 2}));
+    EXPECT_EQ(pipeline.decide(ctx).admit,
+              (std::vector<RequestId>{1}));
+    EXPECT_TRUE(makePipeline(QueuePolicyKind::Fcfs)->decide(ctx)
+                    .admit.empty());
+}
+
 TEST(SchedulingPolicyTest, ForcesProgressWhenIdle)
 {
     auto pipeline = makePipeline(QueuePolicyKind::Fcfs);

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/conservative_scheduler.hh"
@@ -177,6 +178,46 @@ TEST(FairQueueTest, WakingTenantStartsAtTheFloor)
         waiting.push_back(waitingOf(id, 100, 1));
     EXPECT_EQ(policy->decide(contextOf(waiting)).admit,
               (std::vector<RequestId>{20, 10, 21, 11, 22, 12, 23, 13}));
+}
+
+TEST(FairQueueTest, TwoTenantPopsFollowTheVirtualClock)
+{
+    // DESIGN.md §6's worked example: weights 3:1, every pop charges
+    // 100 tokens, ties go to the lower tenant index.
+    TenantTreeSpec spec;
+    spec.weights = {3.0, 1.0};
+    auto policy = tenantQueues(spec);
+    RequestId next_id = 0;
+    std::vector<WaitingView> waiting;  // the context views it
+    const auto queued = [&](std::size_t a, std::size_t b) {
+        waiting.clear();
+        for (std::size_t i = 0; i < a; ++i)
+            waiting.push_back(waitingOf(next_id++, 100, 0));
+        for (std::size_t i = 0; i < b; ++i)
+            waiting.push_back(waitingOf(1000 + next_id++, 100, 1));
+        return contextOf(waiting);
+    };
+    const auto tenants = [](const SchedulingDecision &decision) {
+        std::string out;
+        for (RequestId id : decision.admit)
+            out += id >= 1000 ? 'B' : 'A';
+        return out;
+    };
+
+    SchedulerContext ctx = queued(8, 8);
+    ctx.admitRoom = 8;
+    EXPECT_EQ(tenants(policy->decide(ctx)), "ABAAABAA");
+
+    // B's queue empties at vruntime 200; A pops alone 54 times, to
+    // 2000, and the floor follows it to 1966.7 (A at its last pick).
+    ctx = queued(54, 0);
+    ASSERT_EQ(policy->decide(ctx).admit.size(), 54u);
+
+    // B wakes at the floor, not at 200: it is served once, then A
+    // twice, instead of eighteen B pops of banked catch-up.
+    ctx = queued(8, 8);
+    ctx.admitRoom = 3;
+    EXPECT_EQ(tenants(policy->decide(ctx)), "BAA");
 }
 
 TEST(RateGateTest, NeverExceedsRateInAnyWindow)

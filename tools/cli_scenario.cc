@@ -1474,8 +1474,12 @@ emitReport(std::ostream &os, const CliOptions &options,
     }
     if (print_json)
         metrics::writeSummaryJson(os, report, sla);
-    if (!options.csvPath.empty())
-        metrics::writeRequestsCsvFile(options.csvPath, report, sla);
+    if (!options.csvPath.empty() &&
+        !metrics::writeRequestsCsvFile(options.csvPath, report,
+                                       sla)) {
+        throw std::runtime_error("cannot write report file: " +
+                                 options.csvPath);
+    }
 }
 
 } // namespace cli

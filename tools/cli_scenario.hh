@@ -65,8 +65,7 @@ struct CliOptions
     std::size_t turns = 4;
     TokenCount systemPromptTokens = 512;
 
-    /** Shared-prefix KV reuse (default off, the bit-exact legacy
-     *  path). */
+    /** Shared-prefix KV reuse (default off: no prefix path runs). */
     std::string prefixCache = "off";
 
     // Load generation: closed-loop clients by default; a positive
@@ -99,7 +98,7 @@ struct CliOptions
     // Multi-tenant composition and the tenant scheduler tree.
 
     /** Number of tenants drawing the workload's requests (0 =
-     *  single-tenant legacy; ids are 0..N-1). */
+     *  untagged, every request in tenant 0; ids are 0..N-1). */
     std::size_t tenants = 0;
 
     /** Zipf exponent of the tenant traffic shares (0 = uniform). */
@@ -349,7 +348,8 @@ metrics::RunReport runScenario(const Scenario &scenario);
 metrics::RunReport runScenario(const Scenario &scenario,
                                trace::TraceRecorder *recorder);
 
-/** Render the report per options.format / options.csvPath. */
+/** Render the report per options.format / options.csvPath; throws
+ *  std::runtime_error when the CSV file cannot be written. */
 void emitReport(std::ostream &os, const CliOptions &options,
                 const Scenario &scenario,
                 const metrics::RunReport &report);
