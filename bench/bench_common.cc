@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <limits>
 
 #include "base/logging.hh"
@@ -28,9 +29,9 @@ void
 writeJson(const std::string &path, const std::string &name,
           const std::vector<JsonRow> &rows)
 {
+    // A file that failed to open stays failed, so the one check
+    // after the last write covers opening and writing.
     std::ofstream file(path);
-    if (!file)
-        fatal("cannot open bench result file for writing: ", path);
     file.precision(std::numeric_limits<double>::max_digits10);
     file << "{\n  \"bench\": \"" << name << "\",\n"
          << "  \"smoke\": " << (smokeMode() ? "true" : "false")
@@ -63,8 +64,11 @@ writeJson(const std::string &path, const std::string &name,
         file << (r + 1 < rows.size() ? "},\n" : "}\n");
     }
     file << "  ]\n}\n";
-    if (!file)
-        fatal("error while writing bench result file: ", path);
+    if (!file) {
+        std::cerr << name << ": cannot write bench result file: "
+                  << path << "\n";
+        std::exit(1);
+    }
 }
 
 std::size_t

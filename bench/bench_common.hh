@@ -68,8 +68,9 @@ using JsonRow = std::vector<std::pair<std::string, JsonValue>>;
  * Write a bench result file CI can archive:
  * `{"bench": <name>, "smoke": <bool>, "rows": [{...}, ...]}`.
  * Numbers are emitted with enough precision to round-trip; label
- * strings are quoted (and must not need escaping). Fatal on I/O
- * failure.
+ * strings are quoted (and must not need escaping). On an I/O
+ * failure it prints `<name>: cannot write bench result file: <path>`
+ * and exits 1.
  */
 void writeJson(const std::string &path, const std::string &name,
                const std::vector<JsonRow> &rows);

@@ -13,6 +13,7 @@
  * Usage: trace_analysis [path/to/dataset.csv]
  */
 
+#include <exception>
 #include <filesystem>
 #include <iostream>
 
@@ -29,7 +30,13 @@ main(int argc, char **argv)
 {
     workload::Dataset trace;
     if (argc > 1) {
-        trace = workload::readDatasetCsvFile(argv[1]);
+        // A malformed row throws, naming the file and line.
+        try {
+            trace = workload::readDatasetCsvFile(argv[1]);
+        } catch (const std::exception &error) {
+            std::cerr << "trace_analysis: " << error.what() << "\n";
+            return 1;
+        }
         std::cout << "Loaded " << trace.requests.size()
                   << " requests from " << argv[1] << "\n\n";
     } else {
@@ -39,7 +46,11 @@ main(int argc, char **argv)
         const auto path =
             std::filesystem::temp_directory_path() /
             "lightllm_demo_trace.csv";
-        workload::writeDatasetCsvFile(path.string(), trace);
+        if (!workload::writeDatasetCsvFile(path.string(), trace)) {
+            std::cerr << "trace_analysis: cannot write "
+                      << path.string() << "\n";
+            return 1;
+        }
         std::cout << "No trace given; synthesized an API-style "
                      "trace of "
                   << trace.requests.size()

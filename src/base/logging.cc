@@ -7,29 +7,10 @@ namespace lightllm {
 namespace detail {
 
 void
-panicImpl(const char *, int, const std::string &msg)
+panicImpl(const std::string &msg)
 {
     std::cerr << "panic: " << msg << std::endl;
     std::abort();
-}
-
-void
-fatalImpl(const char *, int, const std::string &msg)
-{
-    std::cerr << "fatal: " << msg << std::endl;
-    std::exit(1);
-}
-
-void
-warnImpl(const std::string &msg)
-{
-    std::cerr << "warn: " << msg << std::endl;
-}
-
-void
-informImpl(const std::string &msg)
-{
-    std::cerr << "info: " << msg << std::endl;
 }
 
 } // namespace detail

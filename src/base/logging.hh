@@ -1,13 +1,16 @@
 /**
  * @file
- * gem5-style status and error reporting.
+ * The library's two error conventions.
  *
- * panic()  — an internal invariant was violated (library bug);
- *            aborts so a debugger/core dump can inspect the state.
- * fatal()  — the simulation cannot continue due to a user error
- *            (bad configuration, invalid arguments); exits cleanly.
- * warn()   — something is suspicious but the run can continue.
- * inform() — normal operating status for the user.
+ * Bad outside input — a flag value, a config, a dataset row, a
+ * request the platform can never serve — throws
+ * std::invalid_argument (an I/O failure throws std::runtime_error).
+ * The library never exits: a program decides what an error ends
+ * (`pfs_cli` prints `pfs_cli: <message>` and exits 1).
+ *
+ * A broken internal invariant (a library bug) calls panic(), which
+ * aborts so a debugger or core dump can inspect the state;
+ * LIGHTLLM_ASSERT panics unless its condition holds.
  */
 
 #ifndef LIGHTLLM_BASE_LOGGING_HH
@@ -17,8 +20,6 @@
 #include <string>
 
 namespace lightllm {
-
-namespace detail {
 
 /** Concatenate arbitrary streamable arguments into one string. */
 template <typename... Args>
@@ -30,12 +31,9 @@ concat(Args &&...args)
     return oss.str();
 }
 
-[[noreturn]] void panicImpl(const char *file, int line,
-                            const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
+namespace detail {
+
+[[noreturn]] void panicImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -44,31 +42,7 @@ template <typename... Args>
 [[noreturn]] void
 panic(Args &&...args)
 {
-    detail::panicImpl("", 0, detail::concat(std::forward<Args>(args)...));
-}
-
-/** Exit with a message; use for unrecoverable user errors. */
-template <typename... Args>
-[[noreturn]] void
-fatal(Args &&...args)
-{
-    detail::fatalImpl("", 0, detail::concat(std::forward<Args>(args)...));
-}
-
-/** Emit a non-fatal warning to stderr. */
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    detail::warnImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Emit an informational message to stderr. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::concat(std::forward<Args>(args)...));
+    detail::panicImpl(concat(std::forward<Args>(args)...));
 }
 
 /** panic() unless the given condition holds. */
@@ -76,7 +50,7 @@ inform(Args &&...args)
     do {                                                                 \
         if (!(cond)) {                                                   \
             ::lightllm::panic("assertion failed: ", #cond, " ",          \
-                              ::lightllm::detail::concat(__VA_ARGS__));  \
+                              ::lightllm::concat(__VA_ARGS__));          \
         }                                                                \
     } while (0)
 

@@ -78,11 +78,13 @@ ticksToSeconds(Tick ticks)
         static_cast<double>(kTicksPerSecond);
 }
 
-/** The longest span a run takes, in seconds: half of Tick's range,
- *  so secondsToTicks cannot overflow, and one such span added to a
- *  clock below the same bound still fits. */
+/** The longest span a run takes, in ticks and in seconds: half of
+ *  Tick's range, so secondsToTicks cannot overflow, and one such
+ *  span added to a clock below the same bound still fits. */
+inline constexpr Tick kMaxSpanTicks =
+    std::numeric_limits<Tick>::max() / 2;
 inline constexpr double kMaxSpanSeconds =
-    ticksToSeconds(std::numeric_limits<Tick>::max() / 2);
+    ticksToSeconds(kMaxSpanTicks);
 
 } // namespace lightllm
 

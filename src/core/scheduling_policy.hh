@@ -79,7 +79,7 @@ class SchedulingPolicy
     /**
      * Tenant tree: one queue per tenant of `spec`, each with the
      * tenant's weight, the spec's rate gate and a `queue`
-     * ordering. Fatal on a non-positive weight, a negative rate or
+     * ordering. Panics on a non-positive weight, a negative rate or
      * a rate without a positive burst.
      */
     SchedulingPolicy(std::unique_ptr<Scheduler> admission,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "base/logging.hh"
@@ -180,9 +181,10 @@ DisaggCluster::decodeRoomFor(TokenCount kv_tokens)
                                  instance.outstandingTokens);
     }
     if (kv_tokens > best_capacity) {
-        fatal("migrated KV of ", kv_tokens,
-              " tokens exceeds every decode instance's capacity "
-              "of ", best_capacity, " tokens");
+        throw std::invalid_argument(concat(
+            "migrated KV of ", kv_tokens,
+            " tokens exceeds every decode instance's capacity of ",
+            best_capacity, " tokens"));
     }
     return best_room - inFlightDispatchTokens_ >= kv_tokens;
 }

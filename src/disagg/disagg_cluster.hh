@@ -146,6 +146,8 @@ class DisaggCluster : public workload::RequestSink
      * (arrival + TTFT from prefill, completion + migration gap from
      * decode), pool ledgers merged, and the disagg section
      * (per-pool p99s, handoff p99 wait, migrated bytes) filled in.
+     * @throws std::invalid_argument when a migrated KV exceeds every
+     *         decode instance's capacity.
      */
     metrics::RunReport run();
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 #include "base/logging.hh"
 
@@ -437,8 +438,8 @@ ServingEngine::admitRequests()
     policy_->decideInto(ctx, decision);
 
     const std::string error = core::validateDecision(decision, ctx);
-    if (!error.empty())
-        fatal("invalid scheduling decision: ", error);
+    LIGHTLLM_ASSERT(error.empty(), "invalid scheduling decision: ",
+                    error);
 
     LIGHTLLM_ASSERT(decision.admit.size() <= admitRoom(),
                     "decision admits ", decision.admit.size(),
@@ -461,10 +462,11 @@ ServingEngine::admitRequests()
         EngineRequest *request = *it;
         if (!admitOne(request)) {
             if (running_.empty() && prefillPending_.empty()) {
-                fatal("request ", request->spec.id, " (prompt ",
-                      request->spec.inputLen + request->generated,
-                      " tokens) cannot fit in capacity ",
-                      kv_.capacityTokens());
+                throw std::invalid_argument(concat(
+                    "request ", request->spec.id, " (prompt ",
+                    request->spec.inputLen + request->generated,
+                    " tokens) cannot fit in capacity ",
+                    kv_.capacityTokens()));
             }
             break;
         }
@@ -705,11 +707,10 @@ ServingEngine::runStep()
         if (running_.size() == 1) {
             // A lone request that cannot extend would evict and
             // re-admit itself forever.
-            fatal("request ", running_.front()->spec.id,
-                  " outgrew the KV capacity of ",
-                  kv_.capacityTokens(),
-                  " tokens; raise capacity or lower "
-                  "max_new_tokens");
+            throw std::invalid_argument(concat(
+                "request ", running_.front()->spec.id,
+                " outgrew the KV capacity of ", kv_.capacityTokens(),
+                " tokens; raise capacity or lower max_new_tokens"));
         }
         extra_stall += evictOne();
     }

@@ -32,6 +32,9 @@
  * metrics) settles the steps that started before the context's tick
  * first; an arrival also ends the run.
  *
+ * A request the KV can never hold throws std::invalid_argument from
+ * the Step that meets it (so from run(), stepOnce() or a fleet run).
+ *
  * The engine keeps the iteration skeleton, the request slab and the
  * queues (DESIGN.md §8, "Module map"). It reports each event once,
  * to its EngineObserver (metrics collector and trace sink).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "base/logging.hh"
 
@@ -49,9 +50,10 @@ PerfModel::PerfModel(ModelSpec model_spec, HardwareSpec hardware_spec)
         weights * kActivationReserveFraction;
     const double kv_budget = usable - weights - reserve;
     if (kv_budget <= 0) {
-        fatal("model ", model_.name, " does not fit on ",
-              hardware_.name, ": weights ", model_.weightBytes(),
-              " B vs usable ", usable, " B");
+        throw std::invalid_argument(concat(
+            "model ", model_.name, " does not fit on ",
+            hardware_.name, ": weights ", model_.weightBytes(),
+            " B vs usable ", usable, " B"));
     }
     tokenCapacity_ = static_cast<TokenCount>(
         kv_budget / static_cast<double>(model_.kvBytesPerToken()));

@@ -32,6 +32,8 @@ namespace model {
 class PerfModel
 {
   public:
+    /** @throws std::invalid_argument when the model's weights leave
+     *          no KV budget on the hardware. */
     PerfModel(ModelSpec model_spec, HardwareSpec hardware_spec);
 
     /**

@@ -38,6 +38,7 @@ ShardedSimContext::ShardedSimContext(SimContext &root,
     liveEngines_.assign(shards, 0);
     runLists_.resize(shards);
     mailboxes_.resize(shards);
+    stepErrors_.resize(shards);
 
     // The construction/setup phase is turn 0: submissions made
     // before the first event fires stamp as ops of one pre-run
@@ -129,7 +130,7 @@ ShardedSimContext::scheduleDeliveryFromShard(std::uint32_t shard,
         // Coordinator phase (setup, or inside a delivery handler):
         // commit straight to the root queue — calls are already in
         // global order. Tag the handle so the member context routes
-        // cancel/reschedule/pending/eventTick back here.
+        // cancel/reschedule/eventTick back here.
         LIGHTLLM_ASSERT(when >= root_->now_,
                         "cannot schedule a delivery at tick ", when,
                         " in the past of the shared clock ",
@@ -241,15 +242,6 @@ ShardedSimContext::allEmpty() const
     return true;
 }
 
-std::size_t
-ShardedSimContext::totalSize() const
-{
-    std::size_t total = root_->queue_.size();
-    for (const auto &shard : shards_)
-        total += shard->queue_.size();
-    return total;
-}
-
 void
 ShardedSimContext::runWindow(Tick start_tick, Tick root_bound)
 {
@@ -277,9 +269,7 @@ ShardedSimContext::runWindow(Tick start_tick, Tick root_bound)
         const std::size_t staged = stageWindow();
         if (staged == 0)
             break;
-        inWindow_ = true;
         executeStaged();
-        inWindow_ = false;
         steps_ += staged;
         staged_total += staged;
     }
@@ -343,6 +333,7 @@ ShardedSimContext::executeStaged()
 {
     const std::uint32_t helpers =
         static_cast<std::uint32_t>(workers_.size());
+    inWindow_ = true;
     if (helpers > 0) {
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -356,6 +347,19 @@ ShardedSimContext::executeStaged()
         std::unique_lock<std::mutex> lock(mu_);
         doneCv_.wait(lock, [this] { return remaining_ == 0; });
     }
+    inWindow_ = false;
+
+    // Every shard has reached the barrier, so no step still runs.
+    // Of this round's throws, the lowest turn is the one-thread
+    // run's first (a step a later round would re-stage never runs).
+    StepError first;
+    for (StepError &slot : stepErrors_) {
+        if (slot.error && (!first.error || slot.turn < first.turn))
+            first = slot;
+        slot = StepError{};
+    }
+    if (first.error)
+        std::rethrow_exception(first.error);
 }
 
 void
@@ -375,7 +379,13 @@ ShardedSimContext::runShard(std::uint32_t index)
         shard.now_ = step.when;
         tlCursor_ = Cursor{step.turn, 0};
         tlParent_ = Parent{step.when, step.stampTurn, step.stampOp};
-        step.handler(step.when);
+        try {
+            step.handler(step.when);
+        } catch (...) {
+            stepErrors_[index] =
+                StepError{step.turn, std::current_exception()};
+            break;
+        }
     }
     if (sink != nullptr && !runLists_[index].empty()) {
         const auto compute_ns =

@@ -45,6 +45,12 @@
  * window barrier, sorted by (parent tick, parent stamp, op-index):
  * the order in which the single-threaded run would have made those
  * schedule calls.
+ *
+ * A step that throws (an engine meeting a request it can never
+ * serve) ends its shard's run list; the other shards finish theirs,
+ * and after the barrier the coordinator rethrows the exception of
+ * the lowest turn, the first the single-threaded run meets, so a
+ * failing run fails with the same message at every K.
  */
 
 #ifndef LIGHTLLM_SIM_SHARDED_SIM_CONTEXT_HH
@@ -52,6 +58,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -143,9 +150,6 @@ class ShardedSimContext
     /** True when the root and every shard queue are empty. */
     bool allEmpty() const;
 
-    /** Pending events across the root and every shard queue. */
-    std::size_t totalSize() const;
-
     /** Coordinator-fired deliveries so far (stats/bench). */
     std::uint64_t deliveriesFired() const { return deliveries_; }
 
@@ -218,10 +222,11 @@ class ShardedSimContext
     std::size_t stageWindow();
 
     /** Execute the staged run lists on the shard threads (barrier
-     *  on return). */
+     *  on return), then rethrow the lowest-turn step exception. */
     void executeStaged();
 
-    /** Execute shard `index`'s staged run list (on its thread). */
+    /** Execute shard `index`'s staged run list (on its thread); a
+     *  step that throws stops it and lands in stepErrors_[index]. */
     void runShard(std::uint32_t index);
 
     /** Commit all mailboxes to the root queue in deterministic
@@ -242,8 +247,18 @@ class ShardedSimContext
     Tick windowEnd_ = 0;
     std::uint64_t turnCounter_ = 0;
 
+    /** The exception a shard's step threw, and that step's turn. */
+    struct StepError
+    {
+        std::uint64_t turn = 0;
+        std::exception_ptr error;
+    };
+
     std::vector<std::vector<WindowStep>> runLists_;
     std::vector<std::vector<MailboxEntry>> mailboxes_;
+    /** One slot per shard; each shard thread writes only its own,
+     *  before the barrier. */
+    std::vector<StepError> stepErrors_;
     /** (shard, index-in-run-list) pairs, sorted for turn assignment
      *  / mailbox commit; reused across windows. */
     std::vector<std::pair<std::uint32_t, std::uint32_t>> order_;

@@ -84,14 +84,6 @@ SimContext::reschedule(EventId id, Tick when)
     return queue_.reschedule(id, when);
 }
 
-bool
-SimContext::pending(EventId id) const
-{
-    if (isMember() && (id & kRoutedDeliveryBit) != 0)
-        return hub_->root().queue_.pending(id & ~kRoutedDeliveryBit);
-    return queue_.pending(id);
-}
-
 Tick
 SimContext::eventTick(EventId id) const
 {
@@ -108,14 +100,6 @@ SimContext::empty() const
     if (isRoot())
         return hub_->allEmpty();
     return queue_.empty();
-}
-
-std::size_t
-SimContext::size() const
-{
-    if (isRoot())
-        return hub_->totalSize();
-    return queue_.size();
 }
 
 void

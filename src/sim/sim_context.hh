@@ -24,7 +24,7 @@
  *    Delivery-class event of the simulation (arrivals, completion
  *    notifications, drains, autoscale control, disagg handoffs) —
  *    the cross-shard traffic — and its run entry points
- *    (runNext/runToCompletion/empty/size) delegate to the hub so
+ *    (runNext/runToCompletion/empty) delegate to the hub so
  *    existing drivers (`ServingCluster::run`, the autoscaler's
  *    quiescence check) work unchanged.
  *  - *shard member*: a per-shard context engines attach to. Its
@@ -32,8 +32,8 @@
  *    schedules are routed to the hub, which commits them to the
  *    root queue in deterministic global order. Handles returned
  *    for routed deliveries carry a tag bit so cancel(),
- *    reschedule(), pending(), and eventTick() transparently reach
- *    the root queue.
+ *    reschedule() and eventTick() transparently reach the root
+ *    queue.
  */
 
 #ifndef LIGHTLLM_SIM_SIM_CONTEXT_HH
@@ -78,17 +78,11 @@ class SimContext
     /** Move a pending event to `when` (>= now()). */
     bool reschedule(EventId id, Tick when);
 
-    /** True while the event has not fired and was not cancelled. */
-    bool pending(EventId id) const;
-
-    /** Scheduled tick of a pending event; requires pending(id). */
+    /** Scheduled tick of a pending event (EventQueue::pending). */
     Tick eventTick(EventId id) const;
 
     /** True when no events remain (across all shards for a root). */
     bool empty() const;
-
-    /** Number of pending events (across all shards for a root). */
-    std::size_t size() const;
 
     /**
      * Fire the earliest pending event, advancing the clock to its

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <fstream>
 #include <ostream>
-#include <sstream>
+#include <stdexcept>
+#include <unordered_set>
 
 #include "base/logging.hh"
 #include "base/str_util.hh"
@@ -47,52 +48,63 @@ writeDatasetCsv(std::ostream &os, const Dataset &dataset)
     os << std::dec;
 }
 
-void
+bool
 writeDatasetCsvFile(const std::string &path, const Dataset &dataset)
 {
     std::ofstream file(path);
     if (!file)
-        fatal("cannot open dataset file for writing: ", path);
+        return false;
     writeDatasetCsv(file, dataset);
-    if (!file)
-        fatal("error while writing dataset file: ", path);
+    return static_cast<bool>(file);
 }
 
 namespace {
 
-std::uint64_t
-parseHexField(const std::string &field, const std::string &name,
-              std::size_t line_number)
+/** One row of a dataset CSV: its errors name the dataset and line. */
+struct Row
 {
-    try {
-        std::size_t used = 0;
-        const std::uint64_t value = std::stoull(field, &used, 16);
-        if (used != field.size())
-            fatal("dataset ", name, " line ", line_number,
-                  ": trailing junk in hex field '", field, "'");
-        return value;
-    } catch (const std::exception &) {
-        fatal("dataset ", name, " line ", line_number,
-              ": bad hex field '", field, "'");
-    }
-}
+    const std::string &name;
+    std::size_t line;
 
-std::int64_t
-parseIntField(const std::string &field, const std::string &name,
-              std::size_t line_number)
-{
-    try {
-        std::size_t used = 0;
-        const std::int64_t value = std::stoll(field, &used);
-        if (used != field.size())
-            fatal("dataset ", name, " line ", line_number,
-                  ": trailing junk in field '", field, "'");
-        return value;
-    } catch (const std::exception &) {
-        fatal("dataset ", name, " line ", line_number,
-              ": non-integer field '", field, "'");
+    template <typename... Args>
+    [[noreturn]] void
+    fail(Args &&...args) const
+    {
+        throw std::invalid_argument(concat(
+            "dataset ", name, " line ", line, ": ",
+            std::forward<Args>(args)...));
     }
-}
+
+    std::uint64_t
+    hex(const std::string &field) const
+    {
+        std::size_t used = 0;
+        std::uint64_t value = 0;
+        try {
+            value = std::stoull(field, &used, 16);
+        } catch (const std::exception &) {
+            fail("bad hex field '", field, "'");
+        }
+        if (used != field.size())
+            fail("trailing junk in hex field '", field, "'");
+        return value;
+    }
+
+    std::int64_t
+    integer(const std::string &field) const
+    {
+        std::size_t used = 0;
+        std::int64_t value = 0;
+        try {
+            value = std::stoll(field, &used);
+        } catch (const std::exception &) {
+            fail("non-integer field '", field, "'");
+        }
+        if (used != field.size())
+            fail("trailing junk in field '", field, "'");
+        return value;
+    }
+};
 
 } // namespace
 
@@ -101,6 +113,7 @@ readDatasetCsv(std::istream &is, const std::string &name)
 {
     Dataset dataset;
     dataset.name = name;
+    std::unordered_set<RequestId> ids;
     std::string line;
     std::size_t line_number = 0;
     while (std::getline(is, line)) {
@@ -112,59 +125,54 @@ readDatasetCsv(std::istream &is, const std::string &name)
             trimmed.find("input_len") != std::string_view::npos) {
             continue;  // header
         }
+        const Row row{name, line_number};
         const auto fields = splitString(trimmed, ',');
         // 11 fields with the arrival_us trace-replay column, 10
         // without it.
-        if (fields.size() != 11 && fields.size() != 10) {
-            fatal("dataset ", name, " line ", line_number,
-                  ": expected 11 or 10 fields, got ", fields.size());
-        }
-        const bool arrivals = fields.size() == 11;
+        if (fields.size() != 11 && fields.size() != 10)
+            row.fail("expected 11 or 10 fields, got ", fields.size());
         RequestSpec spec;
-        spec.id = parseIntField(fields[0], name, line_number);
-        spec.inputLen = parseIntField(fields[1], name, line_number);
-        spec.outputLen =
-            parseIntField(fields[2], name, line_number);
-        spec.maxNewTokens =
-            parseIntField(fields[3], name, line_number);
-        spec.cls.priority = static_cast<int>(
-            parseIntField(fields[4], name, line_number));
-        spec.cls.tenant = static_cast<base::TenantId>(
-            parseIntField(fields[5], name, line_number));
-        spec.cls.sloTier = static_cast<int>(
-            parseIntField(fields[6], name, line_number));
-        spec.sessionKey = parseHexField(fields[7], name, line_number);
-        spec.outputKey = parseHexField(fields[8], name, line_number);
-        if (spec.inputLen < 0 || spec.outputLen < 0 ||
-            spec.maxNewTokens < 0) {
-            fatal("dataset ", name, " line ", line_number,
-                  ": negative length");
+        spec.id = row.integer(fields[0]);
+        spec.inputLen = row.integer(fields[1]);
+        spec.outputLen = row.integer(fields[2]);
+        spec.maxNewTokens = row.integer(fields[3]);
+        spec.cls.priority = static_cast<int>(row.integer(fields[4]));
+        spec.cls.tenant =
+            static_cast<base::TenantId>(row.integer(fields[5]));
+        spec.cls.sloTier = static_cast<int>(row.integer(fields[6]));
+        spec.sessionKey = row.hex(fields[7]);
+        spec.outputKey = row.hex(fields[8]);
+        // The engine serves only rows that make these checks pass.
+        if (spec.id < 0)
+            row.fail("negative request id ", spec.id);
+        if (!ids.insert(spec.id).second)
+            row.fail("duplicate request id ", spec.id);
+        if (spec.inputLen < 1 || spec.outputLen < 1 ||
+            spec.maxNewTokens < 1) {
+            row.fail("input_len, output_len and max_new_tokens must "
+                     "be at least 1");
         }
-        if (arrivals) {
-            spec.arrivalTick =
-                parseIntField(fields[10], name, line_number);
-            if (spec.arrivalTick < -1) {
-                fatal("dataset ", name, " line ", line_number,
-                      ": bad arrival_us (use -1 for none)");
+        if (fields.size() == 11) {
+            spec.arrivalTick = row.integer(fields[10]);
+            if (spec.arrivalTick < -1)
+                row.fail("bad arrival_us (use -1 for none)");
+            if (spec.arrivalTick > kMaxSpanTicks) {
+                row.fail("arrival_us ", spec.arrivalTick,
+                         " is past the simulated clock's ",
+                         kMaxSpanSeconds, " s range");
             }
         }
         if (!fields[9].empty()) {
             for (const std::string &entry :
                  splitString(fields[9], '|')) {
                 const auto colon = entry.find(':');
-                if (colon == std::string::npos) {
-                    fatal("dataset ", name, " line ", line_number,
-                          ": segment without ':' separator");
-                }
+                if (colon == std::string::npos)
+                    row.fail("segment without ':' separator");
                 PromptSegment segment;
-                segment.key = parseHexField(entry.substr(0, colon),
-                                            name, line_number);
-                segment.len = parseIntField(
-                    entry.substr(colon + 1), name, line_number);
-                if (segment.len <= 0) {
-                    fatal("dataset ", name, " line ", line_number,
-                          ": non-positive segment length");
-                }
+                segment.key = row.hex(entry.substr(0, colon));
+                segment.len = row.integer(entry.substr(colon + 1));
+                if (segment.len <= 0)
+                    row.fail("non-positive segment length");
                 spec.segments.push_back(segment);
             }
         }
@@ -180,7 +188,7 @@ readDatasetCsvFile(const std::string &path)
 {
     std::ifstream file(path);
     if (!file)
-        fatal("cannot open dataset file: ", path);
+        throw std::runtime_error("cannot open dataset file: " + path);
     return readDatasetCsv(file, path);
 }
 

@@ -30,18 +30,26 @@ namespace workload {
  */
 void writeDatasetCsv(std::ostream &os, const Dataset &dataset);
 
-/** writeDatasetCsv to a file; fatal() on I/O failure. */
-void writeDatasetCsvFile(const std::string &path,
+/** writeDatasetCsv to a file; false when the file cannot be
+ *  opened or written. */
+bool writeDatasetCsvFile(const std::string &path,
                          const Dataset &dataset);
 
 /**
- * Parse a dataset CSV; fatal() on malformed content. The dataset's
- * name is `name`; its generation cap is the maximum per-request
- * max_new_tokens (0 for an empty dataset).
+ * Parse a dataset CSV. The dataset's name is `name`; its generation
+ * cap is the maximum per-request max_new_tokens (0 for an empty
+ * dataset).
+ *
+ * @throws std::invalid_argument naming the dataset and line of a
+ *         malformed row, or of a row no engine can serve: a
+ *         negative or repeated id, an input_len, output_len or
+ *         max_new_tokens below 1, or an arrival_us past
+ *         kMaxSpanSeconds.
  */
 Dataset readDatasetCsv(std::istream &is, const std::string &name);
 
-/** Read a dataset CSV from a file; fatal() on I/O failure. */
+/** Read a dataset CSV from a file (named by its path).
+ *  @throws std::runtime_error when the file cannot be opened. */
 Dataset readDatasetCsvFile(const std::string &path);
 
 } // namespace workload

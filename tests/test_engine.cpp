@@ -11,6 +11,7 @@
 #include <cmath>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -806,14 +807,14 @@ TEST(ServingEngineStateTest, DepartingRequestsLeaveNoStickySample)
     }
 }
 
-TEST(ServingEngineDeathTest, OversizedRequestIsFatal)
+TEST(ServingEngineTest, OversizedRequestThrows)
 {
     ServingEngine engine(tinyPerf(1.2),
                          core::makeScheduler(
                              SchedulerConfig::oracle()));
     engine.submitAt(makeRequest(1, 5000, 10), 0);
-    EXPECT_EXIT(engine.run(), ::testing::ExitedWithCode(1),
-                "cannot fit");
+    EXPECT_TRUE(testfx::throwsWith<std::invalid_argument>(
+        [&] { engine.run(); }, "cannot fit"));
 }
 
 TEST(ServingEngineDeathTest, DuplicateRequestIdPanics)

@@ -1,14 +1,17 @@
 /**
  * @file
  * Shared test fixtures: the tiny synthetic platform and request
- * factory used by the engine, cluster, and exactness suites, and the
- * hash the byte-pinning suites fold their outputs into. One
+ * factory used by the engine, cluster, and exactness suites, the
+ * hash the byte-pinning suites fold their outputs into, and the
+ * check that a call throws a diagnosis. One
  * definition keeps every suite on the same platform — a drifted
  * copy would silently test different token capacities.
  */
 
 #ifndef LIGHTLLM_TESTS_TEST_FIXTURES_HH
 #define LIGHTLLM_TESTS_TEST_FIXTURES_HH
+
+#include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
@@ -67,6 +70,25 @@ fnv1a(const std::string &bytes)
         hash *= 0x100000001b3ull;
     }
     return hash;
+}
+
+/** Success when `call` throws an `E` whose message contains
+ *  `substring`; a failure says what happened instead. */
+template <typename E, typename F>
+::testing::AssertionResult
+throwsWith(F &&call, const std::string &substring)
+{
+    try {
+        call();
+    } catch (const E &error) {
+        const std::string message = error.what();
+        if (message.find(substring) != std::string::npos)
+            return ::testing::AssertionSuccess();
+        return ::testing::AssertionFailure()
+            << "message '" << message << "' lacks '" << substring
+            << "'";
+    }
+    return ::testing::AssertionFailure() << "nothing was thrown";
 }
 
 } // namespace testfx

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "model/hardware_spec.hh"
 #include "model/model_spec.hh"
 #include "model/perf_model.hh"
+#include "test_fixtures.hh"
 
 namespace lightllm {
 namespace model {
@@ -87,9 +90,12 @@ TEST(PerfModelTest, BiggerModelHasSmallerCapacity)
 
 TEST(PerfModelTest, SeventyBillionFitsOnlyWithTensorParallel)
 {
-    EXPECT_DEATH(PerfModel(ModelSpec::llama2_70b(),
-                           HardwareSpec::a100_80g()),
-                 "does not fit");
+    EXPECT_TRUE(testfx::throwsWith<std::invalid_argument>(
+        [] {
+            PerfModel(ModelSpec::llama2_70b(),
+                      HardwareSpec::a100_80g());
+        },
+        "does not fit"));
     const PerfModel tp4(ModelSpec::llama2_70b(),
                         HardwareSpec::a100_80g()
                             .withTensorParallel(4));

@@ -22,6 +22,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -292,6 +293,33 @@ TEST(ShardedPlacement, DisaggPoolsShareOneHubAcrossShards)
         return oss.str();
     };
     EXPECT_EQ(run_once(1), run_once(3));
+}
+
+TEST(ShardedExecutor, StepExceptionIsTheSerialOneAtEveryThreadCount)
+{
+    // Request 3 routes round-robin to instance 1, which runs on a
+    // worker thread at two threads; no instance can hold its
+    // prompt, so the admission Step that meets it throws there. The
+    // coordinator rethrows it after the window barrier, with the
+    // message a one-thread run gives.
+    auto dataset = workload::makeShareGpt(16, 5);
+    dataset.requests[3].inputLen = 1'000'000;
+    const auto message = [&](std::uint32_t threads) {
+        HubFleet harness(2, threads);
+        EXPECT_EQ(harness.fleet->instanceShard(1), threads - 1);
+        try {
+            harness.runClosedLoop(dataset, 4);
+        } catch (const std::invalid_argument &error) {
+            return std::string(error.what());
+        }
+        return std::string("nothing was thrown");
+    };
+    const std::string serial = message(1);
+    EXPECT_NE(serial.find("request 3 (prompt 1000000 tokens) cannot "
+                          "fit in capacity "),
+              std::string::npos)
+        << serial;
+    EXPECT_EQ(message(2), serial);
 }
 
 TEST(ShardedExecutor, SpawnFloorIsPositiveAndHonest)

@@ -14,6 +14,7 @@
 
 #include "base/rng.hh"
 #include "stats/window_analysis.hh"
+#include "test_fixtures.hh"
 #include "workload/arrivals.hh"
 #include "workload/client_pool.hh"
 #include "workload/datasets.hh"
@@ -25,6 +26,8 @@
 namespace lightllm {
 namespace workload {
 namespace {
+
+using testfx::throwsWith;
 
 TEST(LengthDrawTest, ClampedLogNormalHitsBothBounds)
 {
@@ -334,7 +337,7 @@ TEST(DatasetIoTest, CsvRoundTripPlainDatasetAndFile)
     assignPriorityMix(dataset, std::vector<double>{0.7, 0.3}, 5);
     const auto path = std::filesystem::temp_directory_path() /
         "lightllm_dataset_test.csv";
-    writeDatasetCsvFile(path.string(), dataset);
+    ASSERT_TRUE(writeDatasetCsvFile(path.string(), dataset));
     const Dataset loaded = readDatasetCsvFile(path.string());
     std::filesystem::remove(path);
 
@@ -359,23 +362,83 @@ TEST(DatasetIoTest, SkipsHeaderAndBlankLines)
     EXPECT_EQ(loaded.requests[1].outputLen, 40);
 }
 
-TEST(DatasetIoDeathTest, MalformedDatasetRowsAreFatal)
+/** Success when parsing `rows` as dataset "bad" throws a message
+ *  containing `message`. */
+::testing::AssertionResult
+rowsThrow(const std::string &rows, const std::string &message)
 {
-    std::stringstream missing("1,2,3\n");
-    EXPECT_EXIT(readDatasetCsv(missing, "bad"),
-                ::testing::ExitedWithCode(1),
-                "expected 11 or 10 fields");
-    std::stringstream segment(
-        "0,10,20,100,0,3,1,0,0,deadbeef-512\n");
-    EXPECT_EXIT(readDatasetCsv(segment, "bad"),
-                ::testing::ExitedWithCode(1), "segment");
+    std::stringstream buffer(rows);
+    return throwsWith<std::invalid_argument>(
+        [&] { readDatasetCsv(buffer, "bad"); }, message);
 }
 
-TEST(DatasetIoDeathTest, NonIntegerFieldIsFatal)
+TEST(DatasetIoTest, MalformedDatasetRowsThrow)
 {
-    std::stringstream buffer("0,a,20,100,0,0,0,0,0,\n");
-    EXPECT_EXIT(readDatasetCsv(buffer, "bad"),
-                ::testing::ExitedWithCode(1), "non-integer");
+    EXPECT_TRUE(rowsThrow("1,2,3\n", "expected 11 or 10 fields"));
+    EXPECT_TRUE(
+        rowsThrow("0,10,20,100,0,3,1,0,0,deadbeef-512\n", "segment"));
+}
+
+TEST(DatasetIoTest, NonIntegerFieldThrows)
+{
+    EXPECT_TRUE(rowsThrow("0,a,20,100,0,0,0,0,0,\n", "non-integer"));
+    // The trailing-junk check runs outside the parse's own catch,
+    // so its message survives.
+    EXPECT_TRUE(rowsThrow("0,10x,20,100,0,0,0,0,0,\n",
+                          "dataset bad line 1: trailing junk in "
+                          "field '10x'"));
+}
+
+TEST(DatasetIoTest, RowsNoEngineCanServeThrow)
+{
+    // Each of these rows once reached the engine, whose submission
+    // assertions aborted the run.
+    const std::string lengths =
+        "input_len, output_len and max_new_tokens must be at least 1";
+    EXPECT_TRUE(rowsThrow("-1,10,20,100,0,0,0,0,0,\n",
+                          "dataset bad line 1: negative request "
+                          "id -1"));
+    EXPECT_TRUE(rowsThrow("-7,10,20,100,0,0,0,0,0,\n",
+                          "negative request id -7"));
+    EXPECT_TRUE(rowsThrow("0,10,20,100,0,0,0,0,0,\n"
+                          "0,10,20,100,0,0,0,0,0,\n",
+                          "dataset bad line 2: duplicate request "
+                          "id 0"));
+    EXPECT_TRUE(rowsThrow("0,0,20,100,0,0,0,0,0,\n", lengths));
+    EXPECT_TRUE(rowsThrow("0,10,20,0,0,0,0,0,0,\n", lengths));
+    EXPECT_TRUE(rowsThrow("0,10,0,100,0,0,0,0,0,\n", lengths));
+}
+
+TEST(DatasetIoTest, FileErrorsAreReported)
+{
+    const std::string missing =
+        (std::filesystem::temp_directory_path() / "no_such_dir" /
+         "dataset.csv")
+            .string();
+    EXPECT_FALSE(writeDatasetCsvFile(missing, makeShareGpt(2, 1)));
+    EXPECT_TRUE(throwsWith<std::runtime_error>(
+        [&] { readDatasetCsvFile(missing); },
+        "cannot open dataset file: " + missing));
+}
+
+TEST(DatasetIoTest, ArrivalPastTheClockRangeThrows)
+{
+    // The last arrival the clock can hold parses; one tick more, or
+    // an arrival that wrapped the tick sum, is rejected.
+    const std::string row = "0,10,20,100,0,0,0,0,0,,";
+    const std::string last = std::to_string(kMaxSpanTicks);
+    std::stringstream fits(row + last + "\n");
+    EXPECT_EQ(readDatasetCsv(fits, "ok").requests[0].arrivalTick,
+              kMaxSpanTicks);
+    EXPECT_TRUE(rowsThrow(row + std::to_string(kMaxSpanTicks + 1) +
+                              "\n",
+                          "is past the simulated clock's"));
+    EXPECT_TRUE(rowsThrow(row + "9000000000000000000\n",
+                          "dataset bad line 1: arrival_us "
+                          "9000000000000000000 is past the simulated "
+                          "clock's"));
+    EXPECT_TRUE(rowsThrow(row + "9223372036854775000\n",
+                          "arrival_us 9223372036854775000 is past"));
 }
 
 TEST(DatasetIoTest, ArrivalColumnRoundTripsWhenPresent)
