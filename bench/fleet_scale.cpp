@@ -131,7 +131,7 @@ runFleet(std::size_t instances, std::uint32_t threads)
         for (std::size_t i = 0; i < instances; ++i) {
             engines.push_back(
                 std::make_unique<engine::ServingEngine>(
-                    perf, core::makeScheduler(config)));
+                    perf, core::makeSchedulingPolicy(config)));
         }
 
         // threads == 1 is the single-queue loop; K > 1 shards the

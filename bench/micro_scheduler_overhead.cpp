@@ -9,8 +9,9 @@
  * batch 256 must stay 100x below the ~30-60 ms A100 decode step.
  * The ledger also splits one decode-run step and one engine admission
  * round into their parts: the moved-only audit repair, the Eq. 2 sort
- * of a trial batch, a slotted StickySample round at o1_knee's batch
- * of ~39 that builds its trials, and one the window bound decides.
+ * of a trial batch, the engine's decideInto round (slotted,
+ * StickySample) that builds its trials, at o1_knee's batch of ~39
+ * among others, and one the window bound decides.
  * Also times the prefix cache's reclaim under a mostly pinned cache,
  * the KV bookkeeping a decode step pays when its pool runs dry, and
  * one session turn's prefix-cache work (match, publish, release).
@@ -28,6 +29,7 @@
 #include "core/future_memory.hh"
 #include "core/length_distribution.hh"
 #include "core/past_future_scheduler.hh"
+#include "core/scheduling_policy.hh"
 #include "engine/prediction_audit.hh"
 #include "memory/kv_block_manager.hh"
 #include "memory/prefix_cache.hh"
@@ -39,12 +41,14 @@ using namespace lightllm;
 namespace {
 
 /** Build a scheduler context over `batch` running requests and a
- *  short waiting queue, backed by persistent storage. */
+ *  short waiting queue, backed by persistent storage. Every request
+ *  holds an engine slot, as the engine's views do. */
 struct ContextFixture
 {
     explicit ContextFixture(std::int64_t batch, std::int64_t queue)
     {
         Rng rng(7);
+        std::uint32_t slot = 0;
         for (std::int64_t i = 0; i < batch; ++i) {
             core::RunningView view;
             view.id = i;
@@ -53,6 +57,7 @@ struct ContextFixture
             view.maxNewTokens = 4096;
             view.trueOutputLen =
                 view.generatedLen + rng.uniformInt(1, 2000);
+            view.slot = makeSlot(slot++, 0);
             running.push_back(view);
         }
         for (std::int64_t i = 0; i < queue; ++i) {
@@ -61,6 +66,7 @@ struct ContextFixture
             view.promptLen = rng.uniformInt(64, 2048);
             view.maxNewTokens = 4096;
             view.trueOutputLen = rng.uniformInt(1, 2000);
+            view.slot = makeSlot(slot++, 0);
             waiting.push_back(view);
         }
         ctx.capacityTokens = 110'000;
@@ -77,70 +83,58 @@ struct ContextFixture
     core::SchedulerContext ctx;
 };
 
-core::PastFutureScheduler
+std::unique_ptr<core::PastFutureScheduler>
 warmScheduler()
 {
     core::PastFutureParams params;
     params.windowSize = 1000;
-    core::PastFutureScheduler scheduler(params);
+    auto scheduler =
+        std::make_unique<core::PastFutureScheduler>(params);
     Rng rng(13);
     for (RequestId id = 0; id < 1000; ++id) {
-        scheduler.onRequestFinished(
+        scheduler->onRequestFinished(
             1'000'000 + id,
             static_cast<TokenCount>(rng.logNormal(7.0, 0.6)));
     }
     return scheduler;
 }
 
+/** Time the engine's call: one SchedulingPolicy::decideInto round
+ *  over `fixture`, a warm Past-Future scheduler behind the FCFS
+ *  queue. */
+void
+timeAdmissionRounds(benchmark::State &state,
+                    const ContextFixture &fixture)
+{
+    core::SchedulingPolicy policy(warmScheduler());
+    core::SchedulingDecision decision;
+    for (auto _ : state) {
+        policy.decideInto(fixture.ctx, decision);
+        benchmark::DoNotOptimize(decision.admit.data());
+    }
+}
+
+/**
+ * The round an engine runs when the window bound cannot decide:
+ * every request carries its slot, so the StickySample predictions
+ * resolve through the slot-indexed samples and their tail cursors.
+ * Zero capacity defeats the window bound, so the round materialises
+ * its 8 trials' sorted batches at its first candidate and scores it
+ * exactly; the rejection keeps the round state the same from one
+ * iteration to the next.
+ */
 void
 BM_PastFutureAdmissionRound(benchmark::State &state)
 {
     ContextFixture fixture(state.range(0), 8);
-    auto scheduler = warmScheduler();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            scheduler.selectAdmissions(fixture.ctx));
-    }
-}
-
-/** Give every request of `fixture` an engine slot. */
-void
-assignSlots(ContextFixture &fixture)
-{
-    for (std::size_t i = 0; i < fixture.running.size(); ++i)
-        fixture.running[i].slot =
-            makeSlot(static_cast<std::uint32_t>(i), 0);
-    for (std::size_t i = 0; i < fixture.waiting.size(); ++i) {
-        fixture.waiting[i].slot = makeSlot(
-            static_cast<std::uint32_t>(fixture.running.size() + i), 0);
-    }
-}
-
-/**
- * The round an engine runs: every request carries its slot, so the
- * StickySample predictions resolve through the slot-indexed samples
- * and their tail cursors. Zero capacity defeats the window bound, so
- * the round materialises its 8 trials' sorted batches at its first
- * candidate and scores it exactly; the rejection keeps the round
- * state the same from one iteration to the next.
- */
-void
-BM_PastFutureSlottedRound(benchmark::State &state)
-{
-    ContextFixture fixture(state.range(0), 8);
     fixture.ctx.capacityTokens = 0;
-    assignSlots(fixture);
-    auto scheduler = warmScheduler();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            scheduler.selectAdmissions(fixture.ctx));
-    }
+    timeAdmissionRounds(state, fixture);
 }
 
 /**
- * A slotted round the window bound decides: capacity far above the
- * batch's worst case admits all 8 candidates on the bound's sums, so
- * the round draws its trials' raw values and builds no batch. The
+ * A round the window bound decides: capacity far above the batch's
+ * worst case admits all 8 candidates on the bound's sums, so the
+ * round draws its trials' raw values and builds no batch. The
  * candidates hold their sticky samples from the first iteration on.
  */
 void
@@ -148,12 +142,7 @@ BM_PastFutureBoundRound(benchmark::State &state)
 {
     ContextFixture fixture(state.range(0), 8);
     fixture.ctx.capacityTokens = 10'000'000;
-    assignSlots(fixture);
-    auto scheduler = warmScheduler();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            scheduler.selectAdmissions(fixture.ctx));
-    }
+    timeAdmissionRounds(state, fixture);
 }
 
 /**
@@ -170,10 +159,10 @@ BM_PastFutureTryAdmit(benchmark::State &state)
     ContextFixture fixture(state.range(0), 1);
     fixture.ctx.capacityTokens = 0;
     auto scheduler = warmScheduler();
-    scheduler.beginAdmissionRound(fixture.ctx);
+    scheduler->beginAdmissionRound(fixture.ctx);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            scheduler.tryAdmit(fixture.waiting.front()));
+            scheduler->tryAdmit(fixture.waiting.front()));
     }
 }
 
@@ -538,8 +527,8 @@ BM_PrefixCacheSessionTurn(benchmark::State &state)
 
 } // namespace
 
-BENCHMARK(BM_PastFutureAdmissionRound)->Arg(16)->Arg(64)->Arg(256);
-BENCHMARK(BM_PastFutureSlottedRound)->Arg(39);
+BENCHMARK(BM_PastFutureAdmissionRound)
+    ->Arg(16)->Arg(39)->Arg(64)->Arg(256);
 BENCHMARK(BM_PastFutureBoundRound)->Arg(18)->Arg(39);
 BENCHMARK(BM_PastFutureTryAdmit)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_FutureRequiredMemory)->Arg(16)->Arg(64)->Arg(256);

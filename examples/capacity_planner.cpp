@@ -37,7 +37,7 @@ complianceAt(const model::PerfModel &perf,
              const metrics::SlaSpec &sla, std::size_t clients)
 {
     engine::ServingEngine engine(
-        perf, core::makeScheduler(scheduler_config));
+        perf, core::makeSchedulingPolicy(scheduler_config));
     workload::ClosedLoopClientPool pool(clients, dataset, engine);
     engine.setOnFinish(
         [&](const workload::RequestSpec &spec, Tick tick) {

@@ -60,7 +60,7 @@ routeWith(cluster::RoutingPolicy policy,
     for (const auto &hw : fleet_hw) {
         model::PerfModel perf(model::ModelSpec::llama2_7b(), hw);
         instances.push_back(std::make_unique<engine::ServingEngine>(
-            perf, core::makeScheduler(scheduler_config)));
+            perf, core::makeSchedulingPolicy(scheduler_config)));
     }
     sim::SimContext context;
     cluster::ServingCluster fleet(std::move(instances), policy, context);

@@ -49,7 +49,7 @@ serveCodeCompletion(const core::SchedulerConfig &scheduler_config,
     engine_config.splitFuseChunk = split_fuse ? 512 : 0;
 
     engine::ServingEngine engine(
-        perf, core::makeScheduler(config), engine_config);
+        perf, core::makeSchedulingPolicy(config), engine_config);
     workload::ClosedLoopClientPool clients(num_clients, dataset,
                                            engine);
     engine.setOnFinish(

@@ -56,7 +56,7 @@ serveDocuments(const core::SchedulerConfig &scheduler_config,
     engine_config.splitFuseChunk = split_fuse ? 1024 : 0;
 
     engine::ServingEngine engine(
-        perf, core::makeScheduler(config), engine_config);
+        perf, core::makeSchedulingPolicy(config), engine_config);
     workload::submitPoissonArrivals(dataset, engine,
                                     arrival_rate_per_s, 67);
     return engine.run();

@@ -42,7 +42,8 @@ serveWith(const core::SchedulerConfig &scheduler_config,
     config.pastFuture.initialHistory =
         workload::makeShareGptO1(1000, 7).effectiveOutputLens();
 
-    engine::ServingEngine engine(perf, core::makeScheduler(config));
+    engine::ServingEngine engine(perf,
+                                 core::makeSchedulingPolicy(config));
 
     workload::ClosedLoopClientPool clients(num_clients, dataset,
                                            engine);

@@ -31,7 +31,6 @@ PastFutureScheduler::onRequestFinished(RequestId id,
     predictor_.observe(output_len);
     if (const RequestSlot *slot = slotOf_.find(id))
         dropSlotSample(bySlot_[slotIndex(*slot)]);
-    byId_.erase(id);
 }
 
 void
@@ -55,12 +54,10 @@ PastFutureScheduler::StickySample *
 PastFutureScheduler::findSample(RequestSlot slot, RequestId id)
 {
     if (slot == kInvalidSlot) {
-        if (const RequestSlot *slotted = slotOf_.find(id))
-            slot = *slotted;
-        else {
-            const auto it = byId_.find(id);
-            return it == byId_.end() ? nullptr : &it->second;
-        }
+        const RequestSlot *slotted = slotOf_.find(id);
+        if (slotted == nullptr)
+            return nullptr;
+        slot = *slotted;
     }
     const std::uint32_t index = slotIndex(slot);
     if (index >= bySlot_.size() || bySlot_[index].owner != slot)
@@ -71,12 +68,8 @@ PastFutureScheduler::findSample(RequestSlot slot, RequestId id)
 PastFutureScheduler::StickySample &
 PastFutureScheduler::sampleFor(RequestSlot slot, RequestId id)
 {
-    if (slot == kInvalidSlot) {
-        auto [it, inserted] = byId_.try_emplace(id);
-        if (inserted)
-            it->second.u = rng_.uniformDouble();
-        return it->second;
-    }
+    LIGHTLLM_ASSERT(slot != kInvalidSlot, "request ", id,
+                    " needs a slot for its sticky sample");
     const std::uint32_t index = slotIndex(slot);
     if (index >= bySlot_.size())
         bySlot_.resize(static_cast<std::size_t>(index) + 1);
@@ -239,7 +232,7 @@ PastFutureScheduler::trialsFor(std::size_t batch_size) const
 }
 
 bool
-PastFutureScheduler::predictDraws(RequestSlot slot, RequestId id,
+PastFutureScheduler::predictDraws(RequestSlot slot,
                                   TokenCount generated_len)
 {
     if (predictor_.distribution().empty())
@@ -247,8 +240,6 @@ PastFutureScheduler::predictDraws(RequestSlot slot, RequestId id,
     switch (params_.predictionMode) {
       case PredictionMode::StickySample:
         // Mirrors sampleFor's lookup: no sample, one variate.
-        if (slot == kInvalidSlot)
-            return byId_.find(id) == byId_.end();
         return slotIndex(slot) >= bySlot_.size() ||
             bySlot_[slotIndex(slot)].owner != slot;
       case PredictionMode::PerStepSample:
@@ -331,7 +322,7 @@ PastFutureScheduler::beginAdmissionRound(const SchedulerContext &ctx)
         LIGHTLLM_ASSERT(request.generatedLen >= 0 &&
                             member.promptLen + request.generatedLen >= 0,
                         "negative resident footprint");
-        if (predictDraws(request.slot, request.id, request.generatedLen)) {
+        if (predictDraws(request.slot, request.generatedLen)) {
             member.predicted =
                 predict(request.slot, request.id, request.generatedLen,
                         request.maxNewTokens, member.tailStart);
@@ -498,7 +489,7 @@ PastFutureScheduler::tryAdmit(const WaitingView &candidate)
 }
 
 TokenCount
-PastFutureScheduler::estimateFutureMemory(const SchedulerContext &ctx)
+PastFutureScheduler::estimateLoad(const SchedulerContext &ctx)
 {
     loadScratch_.clear();
     loadScratch_.reserve(ctx.running.size());
@@ -509,13 +500,7 @@ PastFutureScheduler::estimateFutureMemory(const SchedulerContext &ctx)
             predict(request.slot, request.id,
                     request.generatedLen, request.maxNewTokens)});
     }
-    return futureRequiredMemory(loadScratch_);
-}
-
-TokenCount
-PastFutureScheduler::estimateLoad(const SchedulerContext &ctx)
-{
-    TokenCount total = estimateFutureMemory(ctx);
+    TokenCount total = futureRequiredMemory(loadScratch_);
     for (const auto &candidate : ctx.waiting) {
         total += candidate.promptLen - candidate.cachedPrefixLen +
             predict(candidate.slot, candidate.id,

@@ -22,7 +22,6 @@
 #define LIGHTLLM_CORE_PAST_FUTURE_SCHEDULER_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "base/flat_id_table.hh"
@@ -174,18 +173,12 @@ class PastFutureScheduler : public Scheduler
                                    TokenCount generated_len,
                                    TokenCount max_new_tokens) override;
 
-    /** Predicted future peak of the batch plus predicted footprints
-     *  of the queue (cross-instance routing signal). */
+    /** Predicted future required memory M* of the running batch
+     *  (no admissions) plus the predicted footprints of the queue
+     *  (cross-instance routing signal). */
     TokenCount estimateLoad(const SchedulerContext &ctx) override;
 
     std::string name() const override;
-
-    /**
-     * Predicted future required memory M* of the current running
-     * batch alone (no admissions): the batch half of
-     * estimateLoad, and exposed for tests.
-     */
-    TokenCount estimateFutureMemory(const SchedulerContext &ctx);
 
     /** tryAdmit calls the window bound admitted without building
      *  or scoring a trial batch, since construction (tests pin that
@@ -198,10 +191,7 @@ class PastFutureScheduler : public Scheduler
 
     /** Live sticky samples (tests: every departed request's sample
      *  must be gone). */
-    std::size_t stickySampleCount() const
-    {
-        return slotOf_.size() + byId_.size();
-    }
+    std::size_t stickySampleCount() const { return slotOf_.size(); }
 
     /** Observed historical window (for tests / introspection). */
     const HistoryWindow &history() const
@@ -253,8 +243,7 @@ class PastFutureScheduler : public Scheduler
     /** True when predict() would draw for this request: a
      *  StickySample request without a sample, or a PerStepSample
      *  one with a non-empty tail. */
-    bool predictDraws(RequestSlot slot, RequestId id,
-                      TokenCount generated_len);
+    bool predictDraws(RequestSlot slot, TokenCount generated_len);
 
     /** One request's StickySample state. */
     struct StickySample
@@ -280,7 +269,7 @@ class PastFutureScheduler : public Scheduler
     StickySample *findSample(RequestSlot slot, RequestId id);
 
     /** The request's sample, drawing a fresh variate when it has
-     *  none. */
+     *  none; the request must have a slot. */
     StickySample &sampleFor(RequestSlot slot, RequestId id);
 
     /** Free a slotted sample entry (and its id index). */
@@ -300,14 +289,10 @@ class PastFutureScheduler : public Scheduler
      */
     std::vector<SlotSample> bySlot_;
 
-    /** Slot of each live slotted sample, by request id: serves
-     *  callers that name a request by id alone (finish, wrappers
-     *  forwarding peekPrediction). Touched once per request. */
+    /** Slot of each live sample, by request id: serves callers
+     *  that name a request by id alone (finish, wrappers forwarding
+     *  peekPrediction). Touched once per request. */
     FlatIdTable<RequestSlot> slotOf_;
-
-    /** Samples of requests predicted without a slot (schedulers
-     *  driven outside an engine). */
-    std::unordered_map<RequestId, StickySample> byId_;
 
     /** Trial-0 prediction of a member not predicted yet. */
     static constexpr TokenCount kDeferred = -1;
@@ -375,7 +360,7 @@ class PastFutureScheduler : public Scheduler
     std::uint64_t boundAdmissions_ = 0;
     std::vector<std::vector<BatchEntry>> trialEntries_;
     std::vector<BatchEntry> candidateEntries_;
-    /** estimateFutureMemory scratch (routing/introspection path). */
+    /** estimateLoad scratch (routing path). */
     std::vector<BatchEntry> loadScratch_;
     std::vector<double> peaks_;
     TokenCount limit_ = 0;

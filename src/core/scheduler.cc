@@ -5,21 +5,6 @@
 namespace lightllm {
 namespace core {
 
-std::size_t
-Scheduler::selectAdmissions(const SchedulerContext &ctx)
-{
-    if (ctx.waiting.empty())
-        return 0;  // nothing to decide; skip the prediction work
-    beginAdmissionRound(ctx);
-    std::size_t admitted = 0;
-    for (const auto &candidate : ctx.waiting) {
-        if (!tryAdmit(candidate))
-            break;
-        ++admitted;
-    }
-    return admitted;
-}
-
 void
 Scheduler::onRequestFinished(RequestId, TokenCount)
 {

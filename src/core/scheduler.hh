@@ -10,8 +10,8 @@
  * dictates (see scheduling_policy.hh). Each accepted candidate is
  * committed into the round's running state so later tests see it as
  * admitted. Algorithm 1's FCFS-prefix semantics — walk S_q in order
- * and stop at the first request that does not fit — is recovered by
- * the selectAdmissions() helper.
+ * and stop at the first request that does not fit — is the FCFS
+ * queue policy's round.
  */
 
 #ifndef LIGHTLLM_CORE_SCHEDULER_HH
@@ -71,8 +71,9 @@ struct RunningView
      */
     TokenCount cachedPrefixLen = 0;
 
-    /** The engine's handle of this request's state (kInvalidSlot
-     *  outside an engine); keys per-request scheduler state. */
+    /** The engine's handle of this request's state; keys
+     *  per-request scheduler state (a Past-Future StickySample
+     *  prediction asserts it is set). */
     RequestSlot slot = kInvalidSlot;
 };
 
@@ -115,8 +116,9 @@ struct WaitingView
      */
     TokenCount cachedPrefixLen = 0;
 
-    /** The engine's handle of this request's state (kInvalidSlot
-     *  outside an engine); keys per-request scheduler state. */
+    /** The engine's handle of this request's state; keys
+     *  per-request scheduler state (a Past-Future StickySample
+     *  prediction asserts it is set). */
     RequestSlot slot = kInvalidSlot;
 };
 
@@ -207,14 +209,6 @@ class Scheduler
     virtual bool tryAdmit(const WaitingView &candidate) = 0;
 
     /**
-     * Number of requests to admit from the front of ctx.waiting
-     * (0 admits nothing) — Algorithm 1's FCFS-prefix semantics,
-     * expressed over the round API: walk the queue in order and
-     * stop at the first candidate that does not fit.
-     */
-    std::size_t selectAdmissions(const SchedulerContext &ctx);
-
-    /**
      * Notification that request `id` finished with `output_len`
      * generated tokens (feeds the historical distribution).
      */
@@ -234,8 +228,10 @@ class Scheduler
 
     /**
      * Read-only estimate of request `id`'s final output length —
-     * the introspection twin of the internal prediction, used by
-     * the flight recorder and the prediction-audit counters.
+     * the introspection twin of the internal prediction, for
+     * callers that name a request by id alone; the default
+     * peekWithHorizon, which the flight recorder and the prediction
+     * audit call, answers with it.
      * Implementations MUST NOT mutate observable scheduler state
      * (no RNG draws, no per-request bookkeeping), so calling this
      * any number of times leaves a run bit-identical to one that

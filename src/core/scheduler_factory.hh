@@ -1,7 +1,10 @@
 /**
  * @file
- * Construction of schedulers from a declarative configuration,
- * used by the engine builder, the benches, and the examples.
+ * Construction of scheduling policies from a declarative
+ * configuration. An engine takes the whole pipeline,
+ * makeSchedulingPolicy; makeScheduler builds the admission policy
+ * alone, for callers that wrap it (a decorator, a policy of their
+ * own) before handing it to a SchedulingPolicy.
  */
 
 #ifndef LIGHTLLM_CORE_SCHEDULER_FACTORY_HH
@@ -61,7 +64,8 @@ struct SchedulerConfig
     static SchedulerConfig oracle();
 };
 
-/** Instantiate the configured admission scheduler alone. */
+/** Instantiate the configured admission scheduler alone (no queue
+ *  policy or tenant tree: the caller wraps it). */
 std::unique_ptr<Scheduler> makeScheduler(const SchedulerConfig &config);
 
 /** Instantiate the full pipeline: admission + queue policy. */

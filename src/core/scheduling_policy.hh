@@ -20,10 +20,11 @@
  * (weighted fair queueing, DESIGN.md §6).
  *
  * With the FCFS queue policy the flat pipeline emits exactly the
- * FCFS-prefix decisions of a count-based admission API (same
+ * FCFS-prefix decisions of a count-based admission walk (same
  * candidates tested in the same order, so even the Past-Future
  * scheduler's RNG consumption is bit-identical); the goldens and
- * the count-path lockstep of test_scheduling_golden pin this. See
+ * the count-path lockstep of test_scheduling_golden, against the
+ * reference walk in tests/test_fixtures.hh, pin this. See
  * DESIGN.md §2 for the pipeline walk-through and a worked EDF
  * example.
  */
@@ -105,15 +106,6 @@ class SchedulingPolicy
     virtual void decideInto(const SchedulerContext &ctx,
                             SchedulingDecision &out);
 
-    /** Convenience wrapper over decideInto for one-shot callers. */
-    SchedulingDecision
-    decide(const SchedulerContext &ctx)
-    {
-        SchedulingDecision decision;
-        decideInto(ctx, decision);
-        return decision;
-    }
-
     /**
      * Reactive eviction: fill `out` with ctx.running (all entries
      * must be evictable, i.e. not prefilling) ranked most-evictable
@@ -139,17 +131,8 @@ class SchedulingPolicy
     /** Routing-signal estimate (forwarded, see Scheduler). */
     TokenCount estimateLoad(const SchedulerContext &ctx);
 
-    /** Read-only output-length estimate for tracing (see
-     *  Scheduler::peekPrediction). */
-    TokenCount peekPrediction(RequestId id, TokenCount generated_len,
-                              TokenCount max_new_tokens)
-    {
-        return admission_->peekPrediction(id, generated_len,
-                                          max_new_tokens);
-    }
-
-    /** The prediction audit's peek (see
-     *  Scheduler::peekWithHorizon). */
+    /** The prediction peek of the audit and the flight recorder
+     *  (see Scheduler::peekWithHorizon). */
     PredictionPeek peekWithHorizon(RequestSlot slot, RequestId id,
                                    TokenCount generated_len,
                                    TokenCount max_new_tokens)

@@ -208,8 +208,11 @@ class EngineObserver
     TokenCount
     peek(const EngineRequest &request)
     {
-        return policy_.peekPrediction(request.spec.id, request.generated,
-                                      request.spec.maxNewTokens);
+        return policy_
+            .peekWithHorizon(request.slot, request.spec.id,
+                             request.generated,
+                             request.spec.maxNewTokens)
+            .predicted;
     }
 
     metrics::MetricsCollector collector_;

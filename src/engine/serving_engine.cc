@@ -30,16 +30,6 @@ ServingEngine::ServingEngine(
     }
 }
 
-ServingEngine::ServingEngine(model::PerfModel perf_model,
-                             std::unique_ptr<core::Scheduler> scheduler,
-                             EngineConfig config)
-    : ServingEngine(std::move(perf_model),
-                    std::make_unique<core::SchedulingPolicy>(
-                        std::move(scheduler)),
-                    config)
-{
-}
-
 ServingEngine::~ServingEngine() = default;
 
 void

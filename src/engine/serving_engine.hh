@@ -88,18 +88,13 @@ class ServingEngine : public workload::RequestSink
     using RecordCallback =
         std::function<void(const metrics::RequestRecord &)>;
 
-    /** Full pipeline: admission policy + queue-ordering policy. */
-    ServingEngine(model::PerfModel perf_model,
-                  std::unique_ptr<core::SchedulingPolicy> policy,
-                  EngineConfig config = {});
-
     /**
-     * Wraps `scheduler` in a SchedulingPolicy with the FCFS queue
-     * policy, which admits the FCFS prefix a count-based API would
-     * (pinned by test_scheduling_golden).
+     * An engine executing `policy`'s decisions: build it with
+     * core::makeSchedulingPolicy, or wrap a hand-built scheduler in
+     * a flat SchedulingPolicy (nullptr queue: FCFS).
      */
     ServingEngine(model::PerfModel perf_model,
-                  std::unique_ptr<core::Scheduler> scheduler,
+                  std::unique_ptr<core::SchedulingPolicy> policy,
                   EngineConfig config = {});
 
     ~ServingEngine() override;

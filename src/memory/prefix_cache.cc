@@ -33,7 +33,6 @@ PrefixCache::match(std::span<const PrefixHash> hashes,
         blocks_out.push_back(entries_[entry].block);
         ++matched;
     }
-    hitBlocks_ += matched;
     return matched;
 }
 

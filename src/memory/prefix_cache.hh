@@ -121,10 +121,6 @@ class PrefixCache
         return FlatIdTable<EntryIndex>::home(hash, slots);
     }
 
-    /** Block-level hits over every match() (bench telemetry;
-     *  request-level hit tokens live in the metrics collector). */
-    std::uint64_t hitBlocks() const { return hitBlocks_; }
-
   private:
     friend class KvBlockManager;
 
@@ -214,8 +210,6 @@ class PrefixCache
     FlatIdTable<EntryIndex> index_;
 
     std::uint64_t clock_ = 0;
-
-    std::uint64_t hitBlocks_ = 0;
 };
 
 } // namespace memory

@@ -318,7 +318,7 @@ tinyEngine()
 {
     return std::make_unique<engine::ServingEngine>(
         tinyPerf(8.0),
-        core::makeScheduler(core::SchedulerConfig::oracle()));
+        core::makeSchedulingPolicy(core::SchedulerConfig::oracle()));
 }
 
 cluster::ServingCluster
@@ -490,7 +490,7 @@ TEST(EngineRecordCallbackTest, DeliversTheLatencyRecord)
 {
     engine::ServingEngine engine(
         tinyPerf(8.0),
-        core::makeScheduler(core::SchedulerConfig::oracle()));
+        core::makeSchedulingPolicy(core::SchedulerConfig::oracle()));
     std::vector<metrics::RequestRecord> records;
     engine.setOnRecord(
         [&](const metrics::RequestRecord &rec) {

@@ -12,6 +12,8 @@
 
 #include "cli_scenario.hh"
 #include "metrics/report_io.hh"
+#include "model/hardware_spec.hh"
+#include "model/model_spec.hh"
 #include "test_fixtures.hh"
 #include "workload/datasets.hh"
 #include "workload/trace_io.hh"
@@ -901,6 +903,46 @@ TEST(CliAssemble, AutoscaleScenarioWiresThrough)
     options.rateSchedule = "spike:bogus";
     EXPECT_THROW(cli::assembleScenario(options),
                  std::invalid_argument);
+}
+
+TEST(CliAssemble, DisaggScenarioWiresThrough)
+{
+    cli::CliOptions options;
+    ASSERT_EQ(parse({"--disagg", "--prefill-instances", "2",
+                     "--decode-instances", "3", "--handoff-depth", "5",
+                     "--link-gbps", "12.5", "--link-latency", "0.25",
+                     "--model", "llama2-13b", "--block-size", "32"},
+                    options),
+              "");
+    const cli::Scenario set = cli::assembleScenario(options);
+    EXPECT_TRUE(set.disagg);
+    EXPECT_EQ(set.prefillInstances, 2u);
+    EXPECT_EQ(set.decodeInstances, 3u);
+    EXPECT_EQ(set.disaggConfig.handoffDepth, 5u);
+    EXPECT_DOUBLE_EQ(set.disaggConfig.linkBandwidth, 12.5e9);
+    EXPECT_EQ(set.disaggConfig.transferLatency, secondsToTicks(0.25));
+    EXPECT_EQ(set.disaggConfig.kvBytesPerToken,
+              model::ModelSpec::llama2_13b().kvBytesPerToken());
+    EXPECT_EQ(set.disaggConfig.blockSize, 32);
+
+    // Unset, the link follows the hardware's interconnect profile,
+    // the handoff queue is 64 deep and each pool has one instance.
+    cli::CliOptions defaults;
+    ASSERT_EQ(parse({"--disagg", "--hardware", "rtx4090"}, defaults),
+              "");
+    const cli::Scenario profile = cli::assembleScenario(defaults);
+    const model::HardwareSpec rtx4090 = model::HardwareSpec::rtx4090();
+    EXPECT_EQ(profile.prefillInstances, 1u);
+    EXPECT_EQ(profile.decodeInstances, 1u);
+    EXPECT_DOUBLE_EQ(profile.disaggConfig.linkBandwidth,
+                     rtx4090.interconnectBandwidth);
+    EXPECT_EQ(profile.disaggConfig.transferLatency,
+              secondsToTicks(rtx4090.interconnectLatency));
+    EXPECT_EQ(profile.disaggConfig.handoffDepth, 64u);
+    EXPECT_EQ(profile.disaggConfig.kvBytesPerToken,
+              model::ModelSpec::llama2_7b().kvBytesPerToken());
+    EXPECT_EQ(profile.disaggConfig.blockSize,
+              profile.engineConfig.blockSize);
 }
 
 TEST(CliRun, TinyAutoscaleScenarioEndToEnd)

@@ -39,7 +39,7 @@ TEST(SwapEvictionTest, SwappedRequestsComplete)
     config.evictionMode = engine::EvictionMode::Swap;
     engine::ServingEngine engine(
         tinyPerf(1.2),
-        core::makeScheduler(SchedulerConfig::aggressive(1.0)),
+        core::makeSchedulingPolicy(SchedulerConfig::aggressive(1.0)),
         config);
     engine.submitAt(makeRequest(1, 300, 300, 600), 0);
     engine.submitAt(makeRequest(2, 300, 300, 600), 0);
@@ -57,7 +57,7 @@ TEST(SwapEvictionTest, RecomputeModeNeverSwaps)
 {
     engine::ServingEngine engine(
         tinyPerf(1.2),
-        core::makeScheduler(SchedulerConfig::aggressive(1.0)));
+        core::makeSchedulingPolicy(SchedulerConfig::aggressive(1.0)));
     engine.submitAt(makeRequest(1, 300, 300, 600), 0);
     engine.submitAt(makeRequest(2, 300, 300, 600), 0);
     const auto report = engine.run();
@@ -74,7 +74,8 @@ TEST(SwapEvictionTest, SwapAvoidsRecomputePrefills)
         config.evictionMode = mode;
         engine::ServingEngine engine(
             tinyPerf(1.2),
-            core::makeScheduler(SchedulerConfig::aggressive(1.0)),
+            core::makeSchedulingPolicy(
+                SchedulerConfig::aggressive(1.0)),
             config);
         engine.submitAt(makeRequest(1, 300, 300, 600), 0);
         engine.submitAt(makeRequest(2, 300, 300, 600), 0);
@@ -97,7 +98,7 @@ TEST(SwapEvictionTest, WorksUnderSplitFuse)
     config.splitFuseChunk = 128;
     engine::ServingEngine engine(
         tinyPerf(1.2),
-        core::makeScheduler(SchedulerConfig::aggressive(1.0)),
+        core::makeSchedulingPolicy(SchedulerConfig::aggressive(1.0)),
         config);
     engine.submitAt(makeRequest(1, 300, 300, 600), 0);
     engine.submitAt(makeRequest(2, 300, 300, 600), 0);
@@ -114,7 +115,7 @@ TEST(StepApiTest, StepOnceMatchesRun)
     auto build = [&]() {
         auto engine = std::make_unique<engine::ServingEngine>(
             tinyPerf(8.0),
-            core::makeScheduler(SchedulerConfig::oracle()));
+            core::makeSchedulingPolicy(SchedulerConfig::oracle()));
         for (RequestId id = 0; id < 5; ++id)
             engine->submitAt(makeRequest(id, 50, 20 + id), 0);
         return engine;
@@ -133,7 +134,7 @@ TEST(StepApiTest, StepOnceReturnsFalseWhenDrained)
 {
     engine::ServingEngine engine(
         tinyPerf(8.0),
-        core::makeScheduler(SchedulerConfig::oracle()));
+        core::makeSchedulingPolicy(SchedulerConfig::oracle()));
     EXPECT_FALSE(engine.stepOnce());
     engine.submitAt(makeRequest(1, 10, 2), 0);
     EXPECT_TRUE(engine.stepOnce());
@@ -147,7 +148,7 @@ TEST(StepApiTest, OutstandingTokensTracksQueue)
 {
     engine::ServingEngine engine(
         tinyPerf(8.0),
-        core::makeScheduler(SchedulerConfig::oracle()));
+        core::makeSchedulingPolicy(SchedulerConfig::oracle()));
     EXPECT_EQ(engine.outstandingTokens(), 0);
     engine.submitAt(makeRequest(1, 100, 10), 0);
     engine.stepOnce();  // deliver + admit + prefill + decode
@@ -161,7 +162,7 @@ TEST(StepApiTest, PredictedLoadUsesSchedulerEstimate)
     auto config = SchedulerConfig::pastFutureDefault(0.05);
     config.pastFuture.initialHistory.assign(200, 400);
     engine::ServingEngine engine(tinyPerf(8.0),
-                                 core::makeScheduler(config));
+                                 core::makeSchedulingPolicy(config));
     engine.submitAt(makeRequest(1, 100, 300, 500), 0);
     engine.stepOnce();
     EXPECT_GT(engine.predictedLoadTokens(),
@@ -180,7 +181,7 @@ makeCluster(sim::SimContext &context, std::size_t instances,
     for (std::size_t i = 0; i < instances; ++i) {
         engines.push_back(std::make_unique<engine::ServingEngine>(
             tinyPerf(mem_megabytes),
-            core::makeScheduler(scheduler_config)));
+            core::makeSchedulingPolicy(scheduler_config)));
     }
     return std::make_unique<cluster::ServingCluster>(
         std::move(engines), policy, context);
@@ -309,8 +310,8 @@ TEST(ClusterTest, StaticFleetsRouteAtSubmissionElasticAtArrival)
         std::vector<std::unique_ptr<engine::ServingEngine>> engines;
         for (std::size_t i = 0; i < 2; ++i) {
             engines.push_back(std::make_unique<engine::ServingEngine>(
-                tinyPerf(8.0),
-                core::makeScheduler(SchedulerConfig::oracle())));
+                tinyPerf(8.0), core::makeSchedulingPolicy(
+                                   SchedulerConfig::oracle())));
         }
         cluster::ServingCluster fleet(
             std::move(engines), cluster::RoutingPolicy::FutureMemory,
@@ -319,8 +320,8 @@ TEST(ClusterTest, StaticFleetsRouteAtSubmissionElasticAtArrival)
         if (elastic) {
             fleet.setInstanceFactory([] {
                 return std::make_unique<engine::ServingEngine>(
-                    tinyPerf(8.0),
-                    core::makeScheduler(SchedulerConfig::oracle()));
+                    tinyPerf(8.0), core::makeSchedulingPolicy(
+                                       SchedulerConfig::oracle()));
             });
             autoscale::AutoscaleConfig config;
             config.minInstances = 2;
@@ -441,10 +442,10 @@ TEST(ClusterTest, HeterogeneousCapacityBiasesLeastOutstanding)
     std::vector<std::unique_ptr<engine::ServingEngine>> engines;
     engines.push_back(std::make_unique<engine::ServingEngine>(
         tinyPerf(16.0),
-        core::makeScheduler(SchedulerConfig::oracle())));
+        core::makeSchedulingPolicy(SchedulerConfig::oracle())));
     engines.push_back(std::make_unique<engine::ServingEngine>(
         tinyPerf(4.0),
-        core::makeScheduler(SchedulerConfig::oracle())));
+        core::makeSchedulingPolicy(SchedulerConfig::oracle())));
     sim::SimContext context;
     cluster::ServingCluster fleet(
         std::move(engines),
@@ -472,10 +473,10 @@ TEST(ClusterTest, HeterogeneousSpeedShiftsClosedLoopTraffic)
     std::vector<std::unique_ptr<engine::ServingEngine>> engines;
     engines.push_back(std::make_unique<engine::ServingEngine>(
         tinyPerf(8.0),
-        core::makeScheduler(SchedulerConfig::oracle())));
+        core::makeSchedulingPolicy(SchedulerConfig::oracle())));
     engines.push_back(std::make_unique<engine::ServingEngine>(
         tinyPerf(8.0),
-        core::makeScheduler(SchedulerConfig::oracle()), slow));
+        core::makeSchedulingPolicy(SchedulerConfig::oracle()), slow));
     sim::SimContext context;
     cluster::ServingCluster fleet(
         std::move(engines),
@@ -571,7 +572,7 @@ TEST(ReportIoTest, RequestsCsvHasHeaderAndRows)
 {
     engine::ServingEngine engine(
         tinyPerf(8.0),
-        core::makeScheduler(SchedulerConfig::oracle()));
+        core::makeSchedulingPolicy(SchedulerConfig::oracle()));
     for (RequestId id = 0; id < 3; ++id)
         engine.submitAt(makeRequest(id, 30, 5), 0);
     const auto report = engine.run();
@@ -590,7 +591,7 @@ TEST(ReportIoTest, SummaryJsonContainsKeyFields)
 {
     engine::ServingEngine engine(
         tinyPerf(8.0),
-        core::makeScheduler(SchedulerConfig::oracle()));
+        core::makeSchedulingPolicy(SchedulerConfig::oracle()));
     engine.submitAt(makeRequest(1, 30, 5), 0);
     const auto report = engine.run();
 

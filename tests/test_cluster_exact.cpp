@@ -89,7 +89,7 @@ runExactnessScenario(const std::vector<InstanceSetup> &setups,
     std::vector<std::unique_ptr<engine::ServingEngine>> engines;
     for (const InstanceSetup &setup : setups) {
         engines.push_back(std::make_unique<engine::ServingEngine>(
-            setup.perf, core::makeScheduler(scheduler_config),
+            setup.perf, core::makeSchedulingPolicy(scheduler_config),
             setup.config));
     }
     sim::SimContext context;
@@ -111,7 +111,8 @@ runExactnessScenario(const std::vector<InstanceSetup> &setups,
 
     for (std::size_t i = 0; i < setups.size(); ++i) {
         engine::ServingEngine solo(
-            setups[i].perf, core::makeScheduler(scheduler_config),
+            setups[i].perf,
+            core::makeSchedulingPolicy(scheduler_config),
             setups[i].config);
         std::size_t routed = 0;
         for (const auto &sub : fleet.submissionLog()) {
@@ -176,7 +177,7 @@ TEST(ClusterExactness, DrainSparesNonDrainedInstanceTimelines)
     config.pastFuture.seedOutputLen = dataset.maxNewTokens;
     auto make_engine = [&]() {
         return std::make_unique<engine::ServingEngine>(
-            tinyPerf(6.0), core::makeScheduler(config));
+            tinyPerf(6.0), core::makeSchedulingPolicy(config));
     };
     std::vector<std::unique_ptr<engine::ServingEngine>> engines;
     for (int i = 0; i < 3; ++i)
@@ -197,7 +198,7 @@ TEST(ClusterExactness, DrainSparesNonDrainedInstanceTimelines)
 
     for (std::size_t i = 1; i < 3; ++i) {
         engine::ServingEngine solo(tinyPerf(6.0),
-                                   core::makeScheduler(config));
+                                   core::makeSchedulingPolicy(config));
         for (const auto &sub : fleet.submissionLog()) {
             if (sub.instance == i)
                 solo.submitStamped(sub.spec, sub.when, sub.stamp);

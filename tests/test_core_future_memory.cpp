@@ -585,14 +585,18 @@ TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
 
         struct Tracked
         {
+            RequestSlot slot = kInvalidSlot;
             RequestId id = 0;
             TokenCount generated = 0;
             bool hasU = false;
             double u = 0.0;
         };
         std::vector<Tracked> tracked(6);
-        for (std::size_t i = 0; i < tracked.size(); ++i)
+        for (std::size_t i = 0; i < tracked.size(); ++i) {
+            tracked[i].slot =
+                makeSlot(static_cast<std::uint32_t>(i), 0);
             tracked[i].id = static_cast<RequestId>(i + 1);
+        }
 
         // From-scratch reference of predict (peek = false) and
         // peekPrediction (peek = true).
@@ -649,6 +653,7 @@ TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
                 }
                 WaitingView view;
                 view.id = t.id;
+                view.slot = t.slot;
                 view.generatedLen = t.generated;
                 view.maxNewTokens = kCap;
                 SchedulerContext ctx;
@@ -826,6 +831,41 @@ TEST(PastFutureSlotTest, StaleSlotNamesNoSample)
 }
 
 /**
+ * Sticky samples have one key, the engine's slot: a StickySample
+ * round that must draw a sample for a slot-less view, running member
+ * or candidate, panics instead of keeping it under the request id.
+ */
+TEST(PastFutureSlotDeathTest, StickySampleNeedsASlot)
+{
+    PastFutureParams params;
+    params.windowSize = 16;
+    PastFutureScheduler scheduler(params);
+    for (TokenCount length = 10; length <= 160; length += 10)
+        scheduler.onRequestFinished(900 + length, length);
+
+    RunningView member;
+    member.id = 1;
+    member.promptLen = 10;
+    member.generatedLen = 5;
+    member.maxNewTokens = 1000;
+    WaitingView candidate;
+    candidate.id = 2;
+    candidate.promptLen = 10;
+    candidate.maxNewTokens = 1000;
+    SchedulerContext ctx;
+    ctx.capacityTokens = 100'000;
+    ctx.running = std::span<const RunningView>(&member, 1);
+    ctx.waiting = std::span<const WaitingView>(&candidate, 1);
+    EXPECT_DEATH(scheduler.beginAdmissionRound(ctx),
+                 "request 1 needs a slot");
+
+    member.slot = makeSlot(0, 0);
+    scheduler.beginAdmissionRound(ctx);
+    EXPECT_DEATH(scheduler.tryAdmit(candidate),
+                 "request 2 needs a slot");
+}
+
+/**
  * The predictor-free schedulers peek the cap, max(l_t, cap), which
  * no finish or admission moves: the horizon reaches the cap, so a
  * decoding request re-peeks at most once, and every length the
@@ -902,6 +942,8 @@ TEST_P(IncrementalPeakProperty, AdmissionMatchesCopyAndSortReference)
         for (std::size_t i = 0; i < running.size(); ++i) {
             RunningView &view = running[i];
             view.id = round * 100 + static_cast<RequestId>(i);
+            view.slot =
+                makeSlot(static_cast<std::uint32_t>(view.id), 0);
             view.promptLen = rng.uniformInt(1, 200);
             view.cachedPrefixLen = rng.uniformInt(0, view.promptLen);
             view.generatedLen = rng.uniformInt(0, 250);
@@ -911,6 +953,8 @@ TEST_P(IncrementalPeakProperty, AdmissionMatchesCopyAndSortReference)
         for (std::size_t j = 0; j < waiting.size(); ++j) {
             WaitingView &view = waiting[j];
             view.id = round * 100 + 50 + static_cast<RequestId>(j);
+            view.slot =
+                makeSlot(static_cast<std::uint32_t>(view.id), 0);
             view.promptLen = rng.uniformInt(1, 200);
             view.generatedLen =
                 rng.bernoulli(0.5) ? rng.uniformInt(1, 250) : 0;

@@ -16,6 +16,7 @@
 #include "core/scheduler_factory.hh"
 #include "core/scheduling_decision.hh"
 #include "core/scheduling_policy.hh"
+#include "test_fixtures.hh"
 
 namespace lightllm {
 namespace core {
@@ -348,12 +349,12 @@ TEST(DecisionValidationTest, RejectsDuplicateAdmitId)
 
 // --- SchedulingPolicy composition -------------------------------------
 
-std::unique_ptr<SchedulingPolicy>
+std::unique_ptr<testfx::OneShotPolicy>
 makePipeline(QueuePolicyKind kind)
 {
     QueuePolicyConfig queue;
     queue.kind = kind;
-    return std::make_unique<SchedulingPolicy>(
+    return std::make_unique<testfx::OneShotPolicy>(
         std::make_unique<ConservativeScheduler>(1.0),
         makeQueuePolicy(queue));
 }
@@ -369,7 +370,7 @@ TEST(SchedulingPolicyTest, FcfsDecisionMatchesPrefixCount)
     const SchedulerContext ctx = builder.context();
 
     const SchedulingDecision decision = pipeline->decide(ctx);
-    const std::size_t count = reference.selectAdmissions(ctx);
+    const std::size_t count = testfx::selectAdmissions(reference, ctx);
     ASSERT_EQ(decision.admit.size(), count);
     for (std::size_t i = 0; i < count; ++i)
         EXPECT_EQ(decision.admit[i], ctx.waiting[i].id);
@@ -406,7 +407,7 @@ TEST(SchedulingPolicyTest, EdfAdmitsTheEarliestDeadlineUnderPressure)
     QueuePolicyConfig edf;
     edf.kind = QueuePolicyKind::Edf;
     edf.ttftDeadline = secondsToTicks(10.0);
-    SchedulingPolicy pipeline(
+    testfx::OneShotPolicy pipeline(
         std::make_unique<ConservativeScheduler>(1.0),
         makeQueuePolicy(edf));
     ContextBuilder builder;

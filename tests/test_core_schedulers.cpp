@@ -20,12 +20,16 @@
 #include "core/oracle_scheduler.hh"
 #include "core/past_future_scheduler.hh"
 #include "core/scheduler_factory.hh"
+#include "test_fixtures.hh"
 
 namespace lightllm {
 namespace core {
 namespace {
 
-/** Convenience builder for contexts over value vectors. */
+using testfx::selectAdmissions;
+
+/** Convenience builder for contexts over value vectors; every
+ *  request gets its own slot, as an engine's views do. */
 struct ContextBuilder
 {
     TokenCount capacity = 1000;
@@ -44,6 +48,7 @@ struct ContextBuilder
         view.generatedLen = generated;
         view.maxNewTokens = max_new;
         view.trueOutputLen = true_out;
+        view.slot = nextSlot();
         running.push_back(view);
         used += prompt + generated;
         return *this;
@@ -59,8 +64,16 @@ struct ContextBuilder
         view.generatedLen = generated;
         view.maxNewTokens = max_new;
         view.trueOutputLen = true_out;
+        view.slot = nextSlot();
         waiting.push_back(view);
         return *this;
+    }
+
+    RequestSlot
+    nextSlot() const
+    {
+        const std::size_t index = running.size() + waiting.size();
+        return makeSlot(static_cast<std::uint32_t>(index), 0);
     }
 
     SchedulerContext
@@ -86,7 +99,7 @@ TEST(ConservativeSchedulerTest, AdmitsWhileWorstCaseFits)
     ContextBuilder builder;
     for (int i = 0; i < 5; ++i)
         builder.addWaiting(100, 200, 50);
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 3u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 3u);
 }
 
 TEST(ConservativeSchedulerTest, RunningCommitmentCounts)
@@ -99,7 +112,7 @@ TEST(ConservativeSchedulerTest, RunningCommitmentCounts)
     builder.addWaiting(100, 200, 50);
     builder.addWaiting(100, 200, 50);
     // 600 committed; one more 300 fits, the second does not.
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 1u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 1u);
 }
 
 TEST(ConservativeSchedulerTest, IgnoresActualOutputLengths)
@@ -110,7 +123,7 @@ TEST(ConservativeSchedulerTest, IgnoresActualOutputLengths)
     ContextBuilder builder;
     for (int i = 0; i < 10; ++i)
         builder.addWaiting(100, 900, 1);
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 1u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 1u);
 }
 
 TEST(ConservativeSchedulerTest, OvercommitScalesCapacity)
@@ -120,7 +133,7 @@ TEST(ConservativeSchedulerTest, OvercommitScalesCapacity)
     for (int i = 0; i < 6; ++i)
         builder.addWaiting(100, 200, 50);
     // Limit 1500: 5 x 300 fit.
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 5u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 5u);
 }
 
 TEST(ConservativeSchedulerTest, StopsAtFirstReject)
@@ -130,7 +143,7 @@ TEST(ConservativeSchedulerTest, StopsAtFirstReject)
     ContextBuilder builder;
     builder.addWaiting(900, 200, 50);  // does not fit
     builder.addWaiting(10, 10, 5);     // would fit, but behind
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 0u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 0u);
 }
 
 TEST(ConservativeSchedulerTest, NameReflectsOvercommit)
@@ -150,7 +163,7 @@ TEST(AggressiveSchedulerTest, AdmitsOnCurrentFootprintOnly)
     ContextBuilder builder;
     for (int i = 0; i < 12; ++i)
         builder.addWaiting(100, 4096, 2000);
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 9u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 9u);
 }
 
 TEST(AggressiveSchedulerTest, UsedTokensReduceBudget)
@@ -161,7 +174,7 @@ TEST(AggressiveSchedulerTest, UsedTokensReduceBudget)
     for (int i = 0; i < 8; ++i)
         builder.addWaiting(100, 4096, 2000);
     // limit 900 - used 500 = 400 -> 4 prompts.
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 4u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 4u);
 }
 
 TEST(AggressiveSchedulerTest, RecomputeFootprintIncludesGenerated)
@@ -172,7 +185,7 @@ TEST(AggressiveSchedulerTest, RecomputeFootprintIncludesGenerated)
     builder.addWaiting(100, 4096, 2000);
     // First needs 950, second 100: both fit in 1000 exactly... the
     // second does not (950 + 100 > 1000).
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 1u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 1u);
 }
 
 TEST(AggressiveSchedulerTest, WatermarkBoundsAreValidated)
@@ -192,10 +205,10 @@ TEST(OracleSchedulerTest, UsesTrueLengthsExactly)
     // requests with prompts 10/20 and true outputs 4/2 peak at 34.
     builder.addWaiting(10, 100, 4);
     builder.addWaiting(20, 100, 2);
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 2u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 2u);
 
     builder.capacity = 33;  // one token short
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 1u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 1u);
 }
 
 TEST(OracleSchedulerTest, AccountsPerRequestOverhead)
@@ -208,7 +221,7 @@ TEST(OracleSchedulerTest, AccountsPerRequestOverhead)
     builder.addWaiting(20, 100, 2);
     // Peak 34 + 2 requests x 8 overhead > 34: only one admitted
     // (peak 14 + 8 <= 34).
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 1u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 1u);
 }
 
 TEST(OracleSchedulerTest, CapsTrueOutputAtMaxNewTokens)
@@ -218,7 +231,7 @@ TEST(OracleSchedulerTest, CapsTrueOutputAtMaxNewTokens)
     builder.capacity = 120;
     // True output 500 but cap 100: peak = 10 + 100 = 110 <= 120.
     builder.addWaiting(10, 100, 500);
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 1u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 1u);
 }
 
 TEST(OracleSchedulerTest, EmptyQueueShortCircuits)
@@ -226,7 +239,7 @@ TEST(OracleSchedulerTest, EmptyQueueShortCircuits)
     OracleScheduler scheduler;
     ContextBuilder builder;
     builder.addRunning(10, 5, 100, 50);
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 0u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 0u);
 }
 
 // --- Past-Future ------------------------------------------------------
@@ -260,7 +273,7 @@ TEST(PastFutureSchedulerTest, ColdStartWithoutSeedUsesMaxNewTokens)
     builder.capacity = 1000;
     for (int i = 0; i < 5; ++i)
         builder.addWaiting(100, 200, 50);
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 3u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 3u);
 }
 
 TEST(PastFutureSchedulerTest, LearnsShortOutputsFromHistory)
@@ -275,7 +288,7 @@ TEST(PastFutureSchedulerTest, LearnsShortOutputsFromHistory)
         builder.addWaiting(100, 4096, 20);
     // Each request peaks around 120; staggering aside, at least 6
     // should fit (vs 0 for conservative with max_new 4096).
-    EXPECT_GE(scheduler.selectAdmissions(builder.context()), 6u);
+    EXPECT_GE(selectAdmissions(scheduler, builder.context()), 6u);
 }
 
 TEST(PastFutureSchedulerTest, ReservedRatioShrinksAdmissions)
@@ -292,9 +305,9 @@ TEST(PastFutureSchedulerTest, ReservedRatioShrinksAdmissions)
     for (int i = 0; i < 10; ++i)
         builder.addWaiting(100, 200, 100);
     const auto generous =
-        no_reserve.selectAdmissions(builder.context());
+        selectAdmissions(no_reserve, builder.context());
     const auto cautious =
-        big_reserve.selectAdmissions(builder.context());
+        selectAdmissions(big_reserve, builder.context());
     EXPECT_LT(cautious, generous);
     EXPECT_GE(cautious, 1u);
 }
@@ -310,7 +323,7 @@ TEST(PastFutureSchedulerTest, SeedMakesColdStartConservative)
         builder.addWaiting(100, 4096, 20);
     // Predictions are 4096 -> ~2 requests (peak ~4196 each, with
     // staggering the formula admits at most a few).
-    EXPECT_LE(scheduler.selectAdmissions(builder.context()), 4u);
+    EXPECT_LE(selectAdmissions(scheduler, builder.context()), 4u);
 }
 
 TEST(PastFutureSchedulerTest, InitialHistoryWarmStart)
@@ -324,7 +337,7 @@ TEST(PastFutureSchedulerTest, InitialHistoryWarmStart)
     for (int i = 0; i < 10; ++i)
         builder.addWaiting(100, 4096, 20);
     // Warm history (outputs ~20) overrides the max_new seed.
-    EXPECT_GE(scheduler.selectAdmissions(builder.context()), 6u);
+    EXPECT_GE(selectAdmissions(scheduler, builder.context()), 6u);
 }
 
 TEST(PastFutureSchedulerTest, TailPredictionRespectsGeneratedLength)
@@ -340,9 +353,10 @@ TEST(PastFutureSchedulerTest, TailPredictionRespectsGeneratedLength)
     builder.capacity = 10000;
     builder.addRunning(50, 80, 4096, 100);
     builder.addWaiting(50, 4096, 20);
-    scheduler.selectAdmissions(builder.context());
-    const auto estimate =
-        scheduler.estimateFutureMemory(builder.context());
+    selectAdmissions(scheduler, builder.context());
+    SchedulerContext batch = builder.context();
+    batch.waiting = {};
+    const auto estimate = scheduler.estimateLoad(batch);
     // Peak >= running resident (130) + remaining to at least 100.
     EXPECT_GE(estimate, 150);
 }
@@ -354,8 +368,7 @@ TEST(PastFutureSchedulerTest, EstimateCoversResidentMemory)
     ContextBuilder builder;
     builder.addRunning(100, 10, 200, 50);
     builder.addRunning(200, 20, 200, 50);
-    const auto estimate =
-        scheduler.estimateFutureMemory(builder.context());
+    const auto estimate = scheduler.estimateLoad(builder.context());
     EXPECT_GE(estimate, 330);
 }
 
@@ -371,7 +384,7 @@ TEST(PastFutureSchedulerTest, WindowIsFifoBounded)
     builder.capacity = 1000;
     for (int i = 0; i < 10; ++i)
         builder.addWaiting(100, 4096, 20);
-    EXPECT_GE(scheduler.selectAdmissions(builder.context()), 6u);
+    EXPECT_GE(selectAdmissions(scheduler, builder.context()), 6u);
 }
 
 TEST(PastFutureSchedulerTest, DeterministicGivenSeed)
@@ -386,8 +399,8 @@ TEST(PastFutureSchedulerTest, DeterministicGivenSeed)
         builder.addRunning(100, 10, 300, 70);
         for (int i = 0; i < 12; ++i)
             builder.addWaiting(80, 300, 60);
-        EXPECT_EQ(a.selectAdmissions(builder.context()),
-                  b.selectAdmissions(builder.context()));
+        EXPECT_EQ(selectAdmissions(a, builder.context()),
+                  selectAdmissions(b, builder.context()));
     }
 }
 
@@ -396,7 +409,7 @@ TEST(PastFutureSchedulerTest, EmptyQueueDoesNoWork)
     PastFutureScheduler scheduler(testParams());
     ContextBuilder builder;
     builder.addRunning(100, 10, 300, 70);
-    EXPECT_EQ(scheduler.selectAdmissions(builder.context()), 0u);
+    EXPECT_EQ(selectAdmissions(scheduler, builder.context()), 0u);
 }
 
 TEST(PastFutureSchedulerTest, PerRequestOverheadShrinksAdmissions)
@@ -412,10 +425,10 @@ TEST(PastFutureSchedulerTest, PerRequestOverheadShrinksAdmissions)
     for (int i = 0; i < 10; ++i)
         builder.addWaiting(100, 200, 100);
     const auto base =
-        no_overhead.selectAdmissions(builder.context());
+        selectAdmissions(no_overhead, builder.context());
     builder.overhead = 64;
     const auto padded =
-        with_overhead.selectAdmissions(builder.context());
+        selectAdmissions(with_overhead, builder.context());
     EXPECT_LT(padded, base);
 }
 
@@ -437,7 +450,7 @@ TEST_P(PredictionModeProperty, AdmitsWithinCapacity)
     for (int i = 0; i < 30; ++i)
         builder.addWaiting(50, 200, 50);
     const auto admitted =
-        scheduler.selectAdmissions(builder.context());
+        selectAdmissions(scheduler, builder.context());
     EXPECT_GE(admitted, 1u);
     // Sanity upper bound: resident-at-peak of admitted requests
     // cannot exceed capacity under the scheduler's own model
@@ -884,7 +897,7 @@ TEST(PastFutureBoundTest, FastPathIsTaken)
         light.addWaiting(gen.uniformInt(50, 500), 2048, 0);
     for (int round = 0; round < 5; ++round) {
         const std::uint64_t before = scheduler.boundAdmissions();
-        EXPECT_EQ(scheduler.selectAdmissions(light.context()), 8u);
+        EXPECT_EQ(selectAdmissions(scheduler, light.context()), 8u);
         EXPECT_EQ(scheduler.boundAdmissions() - before, 8u);
     }
 
@@ -892,7 +905,7 @@ TEST(PastFutureBoundTest, FastPathIsTaken)
     full.capacity = 0;
     const std::uint64_t before = scheduler.boundAdmissions();
     for (int round = 0; round < 5; ++round)
-        EXPECT_EQ(scheduler.selectAdmissions(full.context()), 0u);
+        EXPECT_EQ(selectAdmissions(scheduler, full.context()), 0u);
     EXPECT_EQ(scheduler.boundAdmissions(), before);
 }
 

@@ -64,7 +64,7 @@ makeEngines(std::size_t count, double mem_megabytes = 4.0,
     for (std::size_t i = 0; i < count; ++i) {
         engines.push_back(std::make_unique<engine::ServingEngine>(
             pricedPerf(mem_megabytes, dollars_per_second),
-            core::makeScheduler(SchedulerConfig::oracle())));
+            core::makeSchedulingPolicy(SchedulerConfig::oracle())));
     }
     return engines;
 }
@@ -187,7 +187,7 @@ TEST(DisaggClusterTest, SplitFuseServesMigratedAdmissions)
             std::vector<std::unique_ptr<engine::ServingEngine>> one;
             one.push_back(std::make_unique<engine::ServingEngine>(
                 tinyPerf(4.0),
-                core::makeScheduler(SchedulerConfig::oracle()),
+                core::makeSchedulingPolicy(SchedulerConfig::oracle()),
                 config));
             return one;
         };

@@ -44,7 +44,7 @@ using workload::RequestSpec;
 TEST(ServingEngineTest, SingleRequestLifecycle)
 {
     ServingEngine engine(tinyPerf(8.0),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::oracle()));
     engine.submitAt(makeRequest(1, 100, 5), 0);
     const auto report = engine.run();
@@ -67,7 +67,7 @@ TEST(ServingEngineTest, SingleRequestLifecycle)
 TEST(ServingEngineTest, MaxNewTokensCapsGeneration)
 {
     ServingEngine engine(tinyPerf(8.0),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::oracle()));
     engine.submitAt(makeRequest(1, 50, 1000, 10), 0);
     const auto report = engine.run();
@@ -78,7 +78,7 @@ TEST(ServingEngineTest, MaxNewTokensCapsGeneration)
 TEST(ServingEngineTest, ArrivalTimeIsHonoured)
 {
     ServingEngine engine(tinyPerf(8.0),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::oracle()));
     const Tick arrival = secondsToTicks(5.0);
     engine.submitAt(makeRequest(1, 10, 3), arrival);
@@ -94,7 +94,7 @@ TEST(ServingEngineTest, TtftIncludesQueueingDelay)
     // Capacity ~1000 tokens: the second large request must wait for
     // the first to finish under the conservative policy.
     ServingEngine engine(tinyPerf(1.2),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::conservative()));
     engine.submitAt(makeRequest(1, 300, 100, 400), 0);
     engine.submitAt(makeRequest(2, 300, 100, 400), 0);
@@ -112,7 +112,7 @@ TEST(ServingEngineTest, TtftIncludesQueueingDelay)
 TEST(ServingEngineTest, ConcurrentRequestsBatchTogether)
 {
     ServingEngine engine(tinyPerf(8.0),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::oracle()));
     for (RequestId id = 0; id < 4; ++id)
         engine.submitAt(makeRequest(id, 50, 20), 0);
@@ -129,7 +129,7 @@ TEST(ServingEngineTest, EvictionRecomputeCompletesRequests)
     // aggressive policy admits both, so one must be evicted and
     // recomputed, and both must still finish with full outputs.
     ServingEngine engine(tinyPerf(1.2),  // ~1000 tokens
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::aggressive(1.0)));
     engine.submitAt(makeRequest(1, 300, 300, 600), 0);
     engine.submitAt(makeRequest(2, 300, 300, 600), 0);
@@ -148,7 +148,7 @@ TEST(ServingEngineTest, LifoEvictsMostRecentlyAdmitted)
     EngineConfig config;
     config.evictionPolicy = core::VictimOrder::NewestFirst;
     ServingEngine engine(tinyPerf(1.2),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::aggressive(1.0)),
                          config);
     engine.submitAt(makeRequest(1, 300, 300, 600), 0);
@@ -169,7 +169,7 @@ TEST(ServingEngineTest, FifoEvictsOldestAdmission)
     EngineConfig config;
     config.evictionPolicy = core::VictimOrder::OldestFirst;
     ServingEngine engine(tinyPerf(1.2),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::aggressive(1.0)),
                          config);
     engine.submitAt(makeRequest(1, 300, 300, 600), 0);
@@ -184,7 +184,7 @@ TEST(ServingEngineTest, FifoEvictsOldestAdmission)
 TEST(ServingEngineTest, EvictionStallShowsInMaxGap)
 {
     ServingEngine engine(tinyPerf(1.2),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::aggressive(1.0)));
     engine.submitAt(makeRequest(1, 300, 300, 600), 0);
     engine.submitAt(makeRequest(2, 300, 300, 600), 0);
@@ -207,7 +207,7 @@ TEST(ServingEngineTest, MaxBatchSizeCapsConcurrency)
     EngineConfig config;
     config.maxBatchSize = 2;
     ServingEngine engine(tinyPerf(8.0),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::aggressive(1.0)),
                          config);
     for (RequestId id = 0; id < 6; ++id)
@@ -226,7 +226,7 @@ TEST(ServingEngineTest, SplitFuseSmoothsRunningRequests)
         EngineConfig config;
         config.splitFuseChunk = split_fuse ? 256 : 0;
         ServingEngine engine(tinyPerf(20.0),
-                             core::makeScheduler(
+                             core::makeSchedulingPolicy(
                                  SchedulerConfig::aggressive(1.0)),
                              config);
         engine.submitAt(makeRequest(1, 50, 400, 500), 0);
@@ -248,7 +248,7 @@ TEST(ServingEngineTest, SplitFuseFinishesEveryone)
     EngineConfig config;
     config.splitFuseChunk = 128;
     ServingEngine engine(tinyPerf(8.0),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::aggressive(0.95)),
                          config);
     for (RequestId id = 0; id < 8; ++id)
@@ -265,7 +265,7 @@ TEST(ServingEngineTest, ForcedAdmissionBreaksPolicyDeadlock)
     // but an idle engine must make progress (real frameworks always
     // run batch size 1).
     ServingEngine engine(tinyPerf(1.2),  // ~1000 tokens
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::conservative()));
     engine.submitAt(makeRequest(1, 500, 100, 4096), 0);
     const auto report = engine.run();
@@ -277,7 +277,7 @@ TEST(ServingEngineTest, WarmupDiscardsEarlyRequests)
     EngineConfig config;
     config.warmupRequests = 3;
     ServingEngine engine(tinyPerf(8.0),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::oracle()),
                          config);
     for (RequestId id = 0; id < 8; ++id)
@@ -293,7 +293,7 @@ TEST(ServingEngineTest, RunLimitsStopEarly)
     RunLimits limits;
     limits.maxFinishedRequests = 2;
     ServingEngine engine(tinyPerf(8.0),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::oracle()));
     // Staggered output lengths so completions never coincide.
     for (RequestId id = 0; id < 10; ++id)
@@ -306,7 +306,7 @@ TEST(ServingEngineTest, RunLimitsStopEarly)
 TEST(ServingEngineTest, FinishCallbackFires)
 {
     ServingEngine engine(tinyPerf(8.0),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::oracle()));
     std::vector<RequestId> finished;
     Tick last_tick = -1;
@@ -328,7 +328,7 @@ TEST(ServingEngineTest, DeterministicAcrossRuns)
     auto run_once = [&]() {
         ServingEngine engine(
             tinyPerf(8.0),
-            core::makeScheduler(
+            core::makeSchedulingPolicy(
                 SchedulerConfig::pastFutureDefault(0.05)));
         const auto dataset = workload::makeShareGpt(60, 5);
         for (const auto &spec : dataset.requests)
@@ -553,7 +553,9 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
         // The closed loop keeps a few clients on a roomy engine, so a
         // resubmit is admitted the step after its predecessor left.
         ServingEngine engine(tinyPerf(variant.memMegabytes),
-                             std::move(recorder), config);
+                             std::make_unique<core::SchedulingPolicy>(
+                                 std::move(recorder)),
+                             config);
         trace::EngineTrace trace(1, "engine", trace::TraceDetail::Steps,
                                  1 << 17);
         engine.attachTrace(&trace);
@@ -779,7 +781,7 @@ TEST(ServingEngineStateTest, DepartingRequestsLeaveNoStickySample)
         sim::SimContext context;
         ServingEngine engine(
             tinyPerf(2.0),
-            core::makeScheduler(
+            core::makeSchedulingPolicy(
                 SchedulerConfig::pastFutureDefault(0.05)));
         engine.attachContext(context);
         constexpr RequestId kRequests = 40;
@@ -810,7 +812,7 @@ TEST(ServingEngineStateTest, DepartingRequestsLeaveNoStickySample)
 TEST(ServingEngineTest, OversizedRequestThrows)
 {
     ServingEngine engine(tinyPerf(1.2),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::oracle()));
     engine.submitAt(makeRequest(1, 5000, 10), 0);
     EXPECT_TRUE(testfx::throwsWith<std::invalid_argument>(
@@ -820,7 +822,7 @@ TEST(ServingEngineTest, OversizedRequestThrows)
 TEST(ServingEngineDeathTest, DuplicateRequestIdPanics)
 {
     ServingEngine engine(tinyPerf(8.0),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::oracle()));
     engine.submitAt(makeRequest(1, 10, 5), 0);
     engine.submitAt(makeRequest(1, 10, 5), 0);
@@ -830,7 +832,7 @@ TEST(ServingEngineDeathTest, DuplicateRequestIdPanics)
 TEST(ServingEngineDeathTest, SecondRunPanics)
 {
     ServingEngine engine(tinyPerf(8.0),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::oracle()));
     engine.run();
     EXPECT_DEATH(engine.run(), "single-run");
@@ -889,7 +891,7 @@ metrics::RunReport
 driveEngine(const DriveCase &drive, bool stepped)
 {
     ServingEngine engine(tinyPerf(32.0),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::pastFutureDefault(0.05)));
     const workload::Dataset dataset = workload::makeShareGpt(24, 11);
     workload::ClosedLoopClientPool clients(4, dataset, engine);
@@ -1003,7 +1005,8 @@ probedDrive(std::uint64_t seed, bool shared)
     // the steps of a run differ and each gap is visible.
     sim::SimContext outside;
     ServingEngine engine(tinyPerf(2.0 + rng.uniformDouble(), 1e9),
-                         core::makeScheduler(scheduler), config);
+                         core::makeSchedulingPolicy(scheduler),
+                         config);
     if (shared)
         engine.attachContext(outside);
     sim::SimContext &context = engine.context();
@@ -1135,7 +1138,7 @@ TEST(StepRunEquivalenceTest, RandomisedInterferenceMatchesStepwise)
 TEST(DecodeRunTest, WidestGapCanLieInsideARun)
 {
     ServingEngine engine(tinyPerf(2.0, 1e8),
-                         core::makeScheduler(
+                         core::makeSchedulingPolicy(
                              SchedulerConfig::aggressive(0.99)));
     const TokenCount cap = engine.capacityTokens();
     engine.submitAt(makeRequest(1, cap / 4, cap * 6 / 10), 0);

@@ -85,7 +85,7 @@ TEST_P(EngineInvariantProperty, RunSatisfiesInvariants)
         static_cast<std::uint64_t>(std::get<0>(GetParam())) * 7 + 1);
 
     engine::ServingEngine engine(
-        smallPerf(), core::makeScheduler(configFor(kind)),
+        smallPerf(), core::makeSchedulingPolicy(configFor(kind)),
         engine_config);
     workload::ClosedLoopClientPool clients(24, dataset, engine);
     engine.setOnFinish(
@@ -150,7 +150,7 @@ TEST(OpenLoopIntegrationTest, PoissonArrivalsAreServed)
                           model::HardwareSpec::a100_80g());
     engine::ServingEngine engine(
         perf,
-        core::makeScheduler(
+        core::makeSchedulingPolicy(
             core::SchedulerConfig::pastFutureDefault(0.05)));
     const auto dataset = workload::makeShareGpt(150, 71);
     workload::submitPoissonArrivals(dataset, engine, 2.0, 99);
@@ -170,7 +170,7 @@ TEST(OpenLoopIntegrationTest, BurstArrivalsQueueAndDrain)
                           model::HardwareSpec::a100_80g());
     engine::ServingEngine engine(
         perf,
-        core::makeScheduler(
+        core::makeSchedulingPolicy(
             core::SchedulerConfig::pastFutureDefault(0.05)));
     const auto dataset = workload::makeShareGpt(120, 73);
     // Everything arrives at once: a burst far above service rate.

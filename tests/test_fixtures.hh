@@ -2,8 +2,10 @@
  * @file
  * Shared test fixtures: the tiny synthetic platform and request
  * factory used by the engine, cluster, and exactness suites, the
- * hash the byte-pinning suites fold their outputs into, and the
- * check that a call throws a diagnosis. One
+ * hash the byte-pinning suites fold their outputs into, the check
+ * that a call throws a diagnosis, and the count-based FCFS-prefix
+ * reference and one-shot round the scheduling suites drive a
+ * scheduler or policy with. One
  * definition keeps every suite on the same platform — a drifted
  * copy would silently test different token capacities.
  */
@@ -16,6 +18,9 @@
 #include <cstdint>
 #include <string>
 
+#include "core/scheduler.hh"
+#include "core/scheduling_decision.hh"
+#include "core/scheduling_policy.hh"
 #include "model/perf_model.hh"
 #include "workload/request_spec.hh"
 
@@ -90,6 +95,45 @@ throwsWith(F &&call, const std::string &substring)
     }
     return ::testing::AssertionFailure() << "nothing was thrown";
 }
+
+/**
+ * Number of requests to admit from the front of ctx.waiting (0
+ * admits nothing) — Algorithm 1's FCFS-prefix semantics over the
+ * round API: walk the queue in order and stop at the first candidate
+ * that does not fit. The reference the flat FCFS pipeline's
+ * decisions are checked against.
+ */
+inline std::size_t
+selectAdmissions(core::Scheduler &scheduler,
+                 const core::SchedulerContext &ctx)
+{
+    if (ctx.waiting.empty())
+        return 0;  // nothing to decide; skip the prediction work
+    scheduler.beginAdmissionRound(ctx);
+    std::size_t admitted = 0;
+    for (const auto &candidate : ctx.waiting) {
+        if (!scheduler.tryAdmit(candidate))
+            break;
+        ++admitted;
+    }
+    return admitted;
+}
+
+/** A SchedulingPolicy whose decide() runs one round into a fresh
+ *  decision, for suites that inspect single rounds. */
+class OneShotPolicy : public core::SchedulingPolicy
+{
+  public:
+    using SchedulingPolicy::SchedulingPolicy;
+
+    core::SchedulingDecision
+    decide(const core::SchedulerContext &ctx)
+    {
+        core::SchedulingDecision decision;
+        decideInto(ctx, decision);
+        return decision;
+    }
+};
 
 } // namespace testfx
 } // namespace lightllm

@@ -37,7 +37,7 @@ serve(const workload::Dataset &dataset, SchedulerConfig config,
 {
     config.pastFuture.seedOutputLen = dataset.maxNewTokens;
     engine::ServingEngine engine(a100_7b(),
-                                 core::makeScheduler(config));
+                                 core::makeSchedulingPolicy(config));
     workload::ClosedLoopClientPool clients(num_clients, dataset,
                                            engine);
     engine.setOnFinish(
@@ -262,7 +262,7 @@ TEST(IntegrationTest, ContinuousBatchingBeatsStaticOnMultimodal)
     auto config = SchedulerConfig::pastFutureDefault(0.05);
     config.pastFuture.seedOutputLen = dataset.maxNewTokens;
     engine::ServingEngine engine(perf,
-                                 core::makeScheduler(config));
+                                 core::makeSchedulingPolicy(config));
     for (const auto &spec : dataset.requests)
         engine.submitAt(spec, 0);
     const auto lightllm = engine.run();
@@ -295,8 +295,8 @@ TEST(IntegrationTest, FullPipelineIsDeterministic)
 TEST(IntegrationTest, TimeseriesSamplesAreOrderedAndBounded)
 {
     auto sched_config = SchedulerConfig::aggressive(0.99);
-    engine::ServingEngine engine(a100_7b(),
-                                 core::makeScheduler(sched_config));
+    engine::ServingEngine engine(
+        a100_7b(), core::makeSchedulingPolicy(sched_config));
     trace::EngineTrace trace(1, "engine", trace::TraceDetail::Steps,
                              1 << 18);
     engine.attachTrace(&trace);

@@ -745,7 +745,7 @@ TEST(EnginePrefixTest, LaterSamePrefixAdmissionHitsCache)
     config.prefixCache = true;
     engine::ServingEngine engine(
         tinyPerf(8.0),
-        core::makeScheduler(SchedulerConfig::oracle()), config);
+        core::makeSchedulingPolicy(SchedulerConfig::oracle()), config);
 
     engine.submitAt(taggedRequest(1, 77, 64, 8), 0);
     engine.submitAt(taggedRequest(2, 77, 64, 8),
@@ -769,7 +769,7 @@ TEST(EnginePrefixTest, DifferentContentNeverMatches)
     config.prefixCache = true;
     engine::ServingEngine engine(
         tinyPerf(8.0),
-        core::makeScheduler(SchedulerConfig::oracle()), config);
+        core::makeSchedulingPolicy(SchedulerConfig::oracle()), config);
 
     engine.submitAt(taggedRequest(1, 77, 64, 8), 0);
     engine.submitAt(taggedRequest(2, 78, 64, 8),
@@ -791,7 +791,7 @@ TEST(EnginePrefixTest, EvictedSharerDecrefsAndRematchesOnReadmit)
     config.prefixCache = true;
     engine::ServingEngine engine(
         tinyPerf(1.0),  // 672-token pool
-        core::makeScheduler(SchedulerConfig::aggressive(1.0)),
+        core::makeSchedulingPolicy(SchedulerConfig::aggressive(1.0)),
         config);
 
     engine.submitAt(taggedRequest(1, 77, 64, 500, 500), 0);
@@ -829,7 +829,7 @@ TEST(EnginePrefixTest, ReadmittedTurnSharesItsOwnCachedReply)
     config.prefixCache = true;
     engine::ServingEngine engine(
         tinyPerf(1.0),  // 672-token pool
-        core::makeScheduler(SchedulerConfig::aggressive(1.0)),
+        core::makeSchedulingPolicy(SchedulerConfig::aggressive(1.0)),
         config);
 
     for (RequestId id = 1; id <= 2; ++id) {
@@ -855,7 +855,7 @@ TEST(EnginePrefixTest, SplitFusePrefillsOnlyUncachedSuffix)
     config.splitFuseChunk = 32;
     engine::ServingEngine engine(
         tinyPerf(8.0),
-        core::makeScheduler(SchedulerConfig::oracle()), config);
+        core::makeSchedulingPolicy(SchedulerConfig::oracle()), config);
 
     engine.submitAt(taggedRequest(1, 77, 128, 8), 0);
     engine.submitAt(taggedRequest(2, 77, 128, 8),
@@ -915,7 +915,8 @@ TEST(EnginePrefixTest, SessionTurnInheritsOnlyAPrefixChain)
         config.prefixCache = true;
         engine::ServingEngine engine(
             tinyPerf(8.0),
-            core::makeScheduler(SchedulerConfig::oracle()), config);
+            core::makeSchedulingPolicy(SchedulerConfig::oracle()),
+            config);
         engine.submitAt(sessionTurn(1, turn1, 101, 30, 9), 0);
         while (engine.numFinished() < 1)
             ASSERT_TRUE(engine.stepOnce());
@@ -964,7 +965,7 @@ TEST(EnginePrefixTest, SessionChainMemoHoldsOnePerFinishedSession)
     for (int i = 0; i < 3; ++i) {
         engines.push_back(std::make_unique<engine::ServingEngine>(
             tinyPerf(64.0),
-            core::makeScheduler(
+            core::makeSchedulingPolicy(
                 SchedulerConfig::pastFutureDefault(0.03)),
             engine_config));
         views.push_back(engines.back().get());
@@ -1070,7 +1071,7 @@ TEST(SessionGeneratorTest, PrefixCacheImprovesSessionTtft)
         engine_config.prefixCache = cache_on;
         engine::ServingEngine engine(
             tinyPerf(64.0),
-            core::makeScheduler(
+            core::makeSchedulingPolicy(
                 SchedulerConfig::pastFutureDefault(0.03)),
             engine_config);
         workload::SessionGenerator sessions(config, engine);
@@ -1113,7 +1114,7 @@ TEST(PrefixAffinityTest, SessionsStickToTheirHomeInstance)
     for (int i = 0; i < 3; ++i) {
         engines.push_back(std::make_unique<engine::ServingEngine>(
             tinyPerf(64.0),
-            core::makeScheduler(
+            core::makeSchedulingPolicy(
                 SchedulerConfig::pastFutureDefault(0.03)),
             engine_config));
     }

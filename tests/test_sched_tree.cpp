@@ -72,11 +72,11 @@ busy(SchedulerContext ctx)
 
 /** Tenant queues built from `spec` over ample-capacity admission,
  *  so candidates are admitted in exactly the queues' order. */
-std::unique_ptr<SchedulingPolicy>
+std::unique_ptr<testfx::OneShotPolicy>
 tenantQueues(const TenantTreeSpec &spec,
              const QueuePolicyConfig &queue = QueuePolicyConfig{})
 {
-    return std::make_unique<SchedulingPolicy>(
+    return std::make_unique<testfx::OneShotPolicy>(
         std::make_unique<ConservativeScheduler>(), spec, queue);
 }
 
@@ -319,7 +319,8 @@ TEST(TreePipelineTest, DecideInterleavesTenantsFairly)
     SchedulerConfig config;
     config.tenantTree = true;
     config.tenantSpec.numTenants = 2;
-    auto policy = makeSchedulingPolicy(config);
+    auto policy = std::make_unique<testfx::OneShotPolicy>(
+        makeScheduler(config), config.tenantSpec, config.queue);
     EXPECT_NE(policy->name().find("tenant-tree"), std::string::npos);
 
     // Queue order is all of tenant 0 first; fair dequeue must
@@ -349,7 +350,8 @@ TEST(TreePipelineTest, IdleForceAdmitBypassesGates)
     config.tenantSpec.numTenants = 1;
     config.tenantSpec.tokensPerSecond = 0.001;
     config.tenantSpec.burstTokens = 1;
-    auto policy = makeSchedulingPolicy(config);
+    auto policy = std::make_unique<testfx::OneShotPolicy>(
+        makeScheduler(config), config.tenantSpec, config.queue);
 
     std::vector<WaitingView> waiting = {waitingOf(7, 500, 0)};
     const SchedulerContext ctx = contextOf(waiting);
@@ -456,7 +458,8 @@ TEST(TreePipelineTest, UnknownTenantFallsBackToSpill)
     SchedulerConfig config;
     config.tenantTree = true;
     config.tenantSpec.numTenants = 2;
-    auto policy = makeSchedulingPolicy(config);
+    auto policy = std::make_unique<testfx::OneShotPolicy>(
+        makeScheduler(config), config.tenantSpec, config.queue);
 
     // Tenant 7 has no queue of its own; the request must still
     // schedule through the spill queue.

@@ -14,7 +14,8 @@
  *     consumption depends on every admission test performed.
  *
  *  2. Lockstep: a LegacyPrefixPolicy re-implements the seed's
- *     count-then-prefix semantics on top of selectAdmissions();
+ *     count-then-prefix semantics on top of the
+ *     testfx::selectAdmissions() reference;
  *     engines driven by it and by the real pipeline must produce
  *     identical per-request records.
  *
@@ -30,6 +31,7 @@
 #include "cli_scenario.hh"
 #include "core/scheduling_policy.hh"
 #include "engine/serving_engine.hh"
+#include "test_fixtures.hh"
 #include "workload/client_pool.hh"
 
 namespace lightllm {
@@ -139,7 +141,7 @@ class LegacyPrefixPolicy : public core::SchedulingPolicy
         out.admit.clear();
         if (ctx.waiting.empty())
             return;
-        std::size_t count = admission().selectAdmissions(ctx);
+        std::size_t count = testfx::selectAdmissions(admission(), ctx);
         if (count == 0 && ctx.running.empty())
             count = 1;  // the seed engine's forced progress
         count = std::min(count, ctx.waiting.size());

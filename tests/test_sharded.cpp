@@ -181,7 +181,7 @@ struct HubFleet
     {
         auto config = core::SchedulerConfig::pastFutureDefault(0.05);
         return std::make_unique<engine::ServingEngine>(
-            tinyPerf(8.0), core::makeScheduler(config));
+            tinyPerf(8.0), core::makeSchedulingPolicy(config));
     }
 
     metrics::RunReport

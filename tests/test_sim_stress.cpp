@@ -320,7 +320,7 @@ TEST(EngineAllocTest, SubmitPathReusesRequestSlab)
     const auto dataset = workload::makeShareGpt(400, 13);
     engine::ServingEngine engine(
         testfx::tinyPerf(32.0),
-        core::makeScheduler(
+        core::makeSchedulingPolicy(
             core::SchedulerConfig::pastFutureDefault(0.05)));
 
     // Open-loop arrivals spaced so concurrency stays far below the
@@ -381,7 +381,7 @@ TEST(EngineAllocTest, WarmedStepsAndAdmissionRoundsAllocateNothing)
     config.blockSize = 1024;
     engine::ServingEngine engine(
         testfx::tinyPerf(32.0),
-        core::makeScheduler(
+        core::makeSchedulingPolicy(
             core::SchedulerConfig::pastFutureDefault(0.05)),
         config);
     Lcg rng(0xa11c);
@@ -451,6 +451,7 @@ TEST(PrefixCacheAllocTest, WarmedParkPinTouchReclaimCyclesAllocateNothing)
     std::vector<memory::BlockId> matched;
     matched.reserve(8);
     std::int64_t explicit_reclaims = 0;
+    std::uint64_t hit_blocks = 0;
     constexpr int kConcurrent = 6;
 
     // Request i of round r holds slot i in generation r: the slots
@@ -468,7 +469,7 @@ TEST(PrefixCacheAllocTest, WarmedParkPinTouchReclaimCyclesAllocateNothing)
                 static_cast<std::size_t>(r * kConcurrent + i) %
                 kStreams;
             matched.clear();
-            cache.match(prompt_hashes[s], matched);
+            hit_blocks += cache.match(prompt_hashes[s], matched);
             ASSERT_TRUE(kv.allocateShared(slot(r, i), 65, matched));
             cache.insert(
                 prompt_hashes[s],
@@ -499,14 +500,14 @@ TEST(PrefixCacheAllocTest, WarmedParkPinTouchReclaimCyclesAllocateNothing)
         round(r);
     ASSERT_GT(kv.reclaimableBlocks(), 0);
     const std::size_t cached_before = cache.size();
-    const std::uint64_t hits_before = cache.hitBlocks();
+    const std::uint64_t hits_before = hit_blocks;
     explicit_reclaims = 0;
     const std::uint64_t allocations_before = g_allocations;
     for (int r = 40; r < 120; ++r)
         round(r);
     EXPECT_EQ(g_allocations, allocations_before)
         << "a warmed park/pin/touch/reclaim cycle allocated";
-    EXPECT_GT(cache.hitBlocks(), hits_before);
+    EXPECT_GT(hit_blocks, hits_before);
     EXPECT_GT(explicit_reclaims, 0);
     EXPECT_EQ(cache.size(), cached_before);
     EXPECT_EQ(kv.usedTokens(), 0);
