@@ -7,8 +7,9 @@
 #
 # The pins file holds one `<bench> <output> <sha256>` line per
 # pinned output, where <output> is `stdout` or a BENCH_*.json name.
-# JSON is hashed with every `wall*` and `events_per_sec` value
-# dropped, so only simulated results are pinned. SKIP_STDOUT is for
+# JSON is hashed with every `wall*`, `events_per_sec`,
+# `sim_req_per_sec`, `rss_delta_mb` and `peak_rss_mb` value dropped,
+# so only simulated results are pinned. SKIP_STDOUT is for
 # a bench whose printed table carries wall time.
 
 cmake_minimum_required(VERSION 3.20)
@@ -47,7 +48,7 @@ foreach(line IN LISTS pin_lines)
         endif()
         file(READ "${WORKDIR}/${output}" content)
         string(REGEX REPLACE
-            ", \"(wall[A-Za-z_]*|events_per_sec)\": [^,}]*" ""
+            ", \"(wall[A-Za-z_]*|events_per_sec|sim_req_per_sec|rss_delta_mb|peak_rss_mb)\": [^,}]*" ""
             content "${content}")
     endif()
     string(SHA256 actual "${content}")
