@@ -7,7 +7,9 @@
  * Every bench that serves requests runs what `pfs_cli` runs: it
  * describes each cell as cli::CliOptions, assembles it with
  * cli::assembleScenario and runs it with cli::runScenario (see
- * cli_scenario.hh).
+ * cli_scenario.hh). The one exception is bench/tenant_isolation,
+ * which keeps its own engines: its two Poisson streams, 20 GB A100
+ * and rate gate would all be patches on an assembled Scenario.
  */
 
 #ifndef LIGHTLLM_BENCH_BENCH_COMMON_HH

@@ -8,29 +8,40 @@
  * instances behind the future-memory router, proportional
  * closed-loop load) shows the shared event core's cost staying
  * near-flat as the fleet grows. The thread axis re-runs the large
- * fleets under `sim::ShardedSimContext` (DESIGN.md §9) — results
+ * fleets sharded over `--sim-threads` (DESIGN.md §9) — results
  * are bit-identical to the single-threaded rows, so the only
  * deltas worth reading are wall-clock ones. The headline is the
  * 512-instance speedup at 8 threads.
  *
- * Memory per point is sampled as a *delta* of the current resident
- * set around each run (getrusage's ru_maxrss is a process-lifetime
- * high-water mark, so consecutive sweep points would just repeat
- * the largest earlier peak); the absolute peak is still reported
- * last. Results land in BENCH_fleet_scale.json (bench::writeJson)
- * so CI can archive every run. With PFS_BENCH_ENFORCE_FLOOR set, a
- * full-mode run on at least 8 cores fails below a 2x 512-instance
- * 8-thread speedup; smoke mode (PFS_BENCH_SMOKE, as CI runs it) has
- * no 512-instance point, so the floor is never checked there.
+ * Each point is a pfs_cli cell (cli::CliOptions through
+ * cli::assembleScenario -> cli::runScenario): ShareGPT at seed 42,
+ * llama2-7b on an A100-80G, Past-Future at a 5% reserve, closed-loop
+ * clients behind the future-memory router. The 1-instance point is
+ * the lone engine `pfs_cli --instances 1` runs.
+ *
+ * Memory per point is the growth of the resident high-water mark
+ * over the point's run: the mark is reset to the current resident
+ * set before the run (writing 5 to /proc/self/clear_refs) and read
+ * back from VmHWM after it, so each point reports its own footprint
+ * although the fleet is gone by the time it is read. Where the reset
+ * fails the delta is the growth of the process high-water, which
+ * stays 0 until a point outgrows every earlier one; the process
+ * peak is reported too. Results land in BENCH_fleet_scale.json
+ * (bench::writeJson) so CI can archive every run. With
+ * PFS_BENCH_ENFORCE_FLOOR set, a full-mode run on at least 8 cores
+ * fails below a 2x 512-instance 8-thread speedup; smoke mode
+ * (PFS_BENCH_SMOKE, as CI runs it) has no 512-instance point, so
+ * the floor is never checked there.
  */
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,14 +49,6 @@
 #include "base/str_util.hh"
 #include "base/table.hh"
 #include "bench_common.hh"
-#include "cluster/serving_cluster.hh"
-#include "core/scheduler_factory.hh"
-#include "engine/serving_engine.hh"
-#include "model/perf_model.hh"
-#include "sim/sharded_sim_context.hh"
-#include "sim/sim_context.hh"
-#include "workload/client_pool.hh"
-#include "workload/datasets.hh"
 
 using namespace lightllm;
 
@@ -69,14 +72,28 @@ struct ScalePoint
     double simReqPerSec;
     double eventsPerSec;
     double rssDeltaMb;
-    double peakRssMb;
+
+    /** Highest resident high-water mark read around the run; the
+     *  process peak is the running max over the sweep. */
+    double highWaterMb;
 };
 
-/** Process high-water resident set in MiB (monotone over the
- *  process lifetime — useful only as the sweep's final summary). */
+/**
+ * Resident high-water mark in MiB: VmHWM from /proc/self/status,
+ * or getrusage's process-lifetime peak where /proc is unavailable.
+ */
 double
-peakRssMb()
+highWaterMb()
 {
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        long long kib = 0;
+        if (key == "VmHWM:" && status >> kib)
+            return static_cast<double>(kib) / 1024.0;
+        status.ignore(std::numeric_limits<std::streamsize>::max(),
+                      '\n');
+    }
     struct rusage usage
     {
     };
@@ -84,24 +101,14 @@ peakRssMb()
     return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-/**
- * Current resident set in MiB from /proc/self/statm, which — unlike
- * ru_maxrss — goes back down when a sweep point's fleet is torn
- * down, so per-point deltas are meaningful. Falls back to the
- * monotone peak where /proc is unavailable.
- */
-double
-currentRssMb()
+/** Reset the resident high-water mark to the current resident set;
+ *  false where the kernel refuses the write. */
+bool
+resetHighWater()
 {
-    std::ifstream statm("/proc/self/statm");
-    long long pages_total = 0;
-    long long pages_resident = 0;
-    if (statm >> pages_total >> pages_resident) {
-        const long long page_size = sysconf(_SC_PAGESIZE);
-        return static_cast<double>(pages_resident) *
-            static_cast<double>(page_size) / (1024.0 * 1024.0);
-    }
-    return peakRssMb();
+    std::ofstream clear_refs("/proc/self/clear_refs");
+    clear_refs << "5" << std::flush;
+    return static_cast<bool>(clear_refs);
 }
 
 ScalePoint
@@ -110,57 +117,22 @@ runFleet(std::size_t instances, std::uint32_t threads)
     // Load scales with the fleet so per-instance pressure stays
     // constant: the sweep isolates the cost of the shared event
     // core, not a shifting operating point.
-    const std::size_t requests =
-        bench::smokeSize(192, 24) * instances;
-    const std::size_t clients = 24 * instances;
-    const auto dataset = workload::makeShareGpt(requests, 42);
+    cli::CliOptions options;
+    options.instances = instances;
+    options.requests = bench::smokeSize(192, 24) * instances;
+    options.clients = 24 * instances;
+    options.reservedRatio = 0.05;
+    options.simThreads = threads;
+    const cli::Scenario scenario = cli::assembleScenario(options);
 
-    auto config = core::SchedulerConfig::pastFutureDefault(0.05);
-    config.pastFuture.seedOutputLen = dataset.maxNewTokens;
-
-    const model::PerfModel perf(model::ModelSpec::llama2_7b(),
-                                model::HardwareSpec::a100_80g());
-
-    const double rss_before = currentRssMb();
-    double rss_after = 0.0;
+    const double high_before = highWaterMb();
+    const double rss_base =
+        resetHighWater() ? highWaterMb() : high_before;
     const auto start = std::chrono::steady_clock::now();
-    metrics::RunReport report;
-    {
-        std::vector<std::unique_ptr<engine::ServingEngine>> engines;
-        engines.reserve(instances);
-        for (std::size_t i = 0; i < instances; ++i) {
-            engines.push_back(
-                std::make_unique<engine::ServingEngine>(
-                    perf, core::makeSchedulingPolicy(config)));
-        }
-
-        // threads == 1 is the single-queue loop; K > 1 shards the
-        // engines across a hub enrolled on the root (the CLI's
-        // --sim-threads path).
-        sim::SimContext root;
-        std::unique_ptr<sim::ShardedSimContext> hub;
-        if (threads > 1) {
-            hub = std::make_unique<sim::ShardedSimContext>(root,
-                                                           threads);
-        }
-        cluster::ServingCluster fleet(
-            std::move(engines), cluster::RoutingPolicy::FutureMemory,
-            root);
-
-        workload::ClosedLoopClientPool pool(clients, dataset, fleet);
-        fleet.setOnFinish(
-            [&](const workload::RequestSpec &spec, Tick tick) {
-                pool.onRequestFinished(spec.id, tick);
-            });
-
-        pool.start();
-        report = fleet.run();
-        // Sample while the fleet (engines, KV managers, event
-        // arenas) is still alive — this point's true footprint.
-        rss_after = currentRssMb();
-    }
+    const metrics::RunReport report = cli::runScenario(scenario);
     const auto wall = std::chrono::duration<double, std::milli>(
         std::chrono::steady_clock::now() - start);
+    const double high_after = highWaterMb();
 
     // Report iterations (decode steps, prefill iterations, each
     // request's arrival and completion): a clean per-run cost unit
@@ -175,7 +147,7 @@ runFleet(std::size_t instances, std::uint32_t threads)
     ScalePoint point;
     point.instances = instances;
     point.threads = threads;
-    point.requests = requests;
+    point.requests = options.requests;
     point.finished = report.numFinished;
     point.makespanSeconds = ticksToSeconds(report.makespan);
     point.wallMillis = wall.count();
@@ -185,8 +157,8 @@ runFleet(std::size_t instances, std::uint32_t threads)
         : 0.0;
     point.eventsPerSec =
         wall.count() > 0.0 ? events / (wall.count() / 1e3) : 0.0;
-    point.rssDeltaMb = rss_after - rss_before;
-    point.peakRssMb = peakRssMb();
+    point.rssDeltaMb = high_after - rss_base;
+    point.highWaterMb = std::max(high_before, high_after);
     return point;
 }
 
@@ -218,9 +190,11 @@ main()
     std::vector<bench::JsonRow> rows;
     double base512 = 0.0;
     double sharded512 = 0.0;
+    double peak_rss_mb = 0.0;
     for (const SweepSpec &spec : sweep) {
         const ScalePoint point =
             runFleet(spec.instances, spec.threads);
+        peak_rss_mb = std::max(peak_rss_mb, point.highWaterMb);
         if (point.instances == 512 && point.threads == 1)
             base512 = point.eventsPerSec;
         if (point.instances == 512 && point.threads == 8)
@@ -245,7 +219,7 @@ main()
             {"sim_req_per_sec", point.simReqPerSec},
             {"events_per_sec", point.eventsPerSec},
             {"rss_delta_mb", point.rssDeltaMb},
-            {"peak_rss_mb", point.peakRssMb},
+            {"peak_rss_mb", peak_rss_mb},
         });
     }
     table.print(std::cout);
@@ -258,8 +232,8 @@ main()
                  "flat along the instance axis if the event core "
                  "scales, and climb along the thread axis; "
                  "rss_delta_mb is each point's own footprint "
-                 "(current-RSS delta around the run, not the "
-                 "monotone process peak) and should grow linearly "
+                 "(growth of the resident high-water mark over the "
+                 "run, reset before it) and should grow linearly "
                  "with the fleet.\n";
 
     const unsigned cores = std::thread::hardware_concurrency();

@@ -101,25 +101,18 @@ ServingCluster::setTraceRecorder(trace::TraceRecorder *recorder,
 }
 
 void
-ServingCluster::setInstanceFactory(InstanceFactory factory)
-{
-    LIGHTLLM_ASSERT(factory != nullptr, "null instance factory");
-    factory_ = std::move(factory);
-}
-
-void
 ServingCluster::enableAutoscale(
     const autoscale::AutoscaleConfig &config,
-    std::unique_ptr<autoscale::ScalePolicy> policy)
+    std::unique_ptr<autoscale::ScalePolicy> policy,
+    InstanceFactory factory)
 {
     LIGHTLLM_ASSERT(!ran_, "enableAutoscale must precede run()");
     LIGHTLLM_ASSERT(offeredRequests_ == 0,
                     "enableAutoscale must precede submissions "
                     "(routing defers to arrival ticks only for "
                     "elastic fleets)");
-    LIGHTLLM_ASSERT(factory_ != nullptr,
-                    "autoscaling needs an instance factory "
-                    "(setInstanceFactory)");
+    LIGHTLLM_ASSERT(factory != nullptr,
+                    "autoscaling needs an instance factory");
     LIGHTLLM_ASSERT(instances_.size() >= config.minInstances &&
                         instances_.size() <= config.maxInstances,
                     "initial fleet of ", instances_.size(),
@@ -127,16 +120,16 @@ ServingCluster::enableAutoscale(
                     config.maxInstances, "]");
     autoscaler_ = std::make_unique<autoscale::AutoScaler>(
         config, std::move(policy));
+    factory_ = std::move(factory);
 }
 
 std::size_t
-ServingCluster::provisionInstance(Tick warmup_delay)
+ServingCluster::provisionInstance(
+    std::unique_ptr<engine::ServingEngine> engine, Tick warmup_delay)
 {
-    LIGHTLLM_ASSERT(factory_ != nullptr,
-                    "provisioning needs an instance factory");
     LIGHTLLM_ASSERT(warmup_delay >= 0, "negative warm-up delay");
     const std::size_t index = instances_.size();
-    adoptInstance(factory_());
+    adoptInstance(std::move(engine));
     warming_[index] = true;
     ++scaleUpEvents_;
 
@@ -236,7 +229,7 @@ ServingCluster::snapshot()
 }
 
 void
-ServingCluster::controlOnce(Tick)
+ServingCluster::controlOnce()
 {
     LIGHTLLM_ASSERT(autoscaler_ != nullptr,
                     "controlOnce requires autoscaling");
@@ -248,8 +241,8 @@ ServingCluster::controlOnce(Tick)
         for (int i = 0; i < delta; ++i) {
             if (nonDrainingInstances() >= max_size)
                 break;
-            provisionInstance(autoscaler_->config()
-                                  .provisionDelay);
+            provisionInstance(factory_(),
+                              autoscaler_->config().provisionDelay);
         }
     } else if (delta < 0) {
         retireInstance(autoscaler_->config().minInstances);
@@ -259,7 +252,7 @@ ServingCluster::controlOnce(Tick)
 void
 ServingCluster::controlTick(Tick when)
 {
-    controlOnce(when);
+    controlOnce();
 
     // Keep ticking while anything can still happen. The fleet is
     // quiescent once every offered request finished (or was shed)

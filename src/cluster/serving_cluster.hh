@@ -35,16 +35,16 @@
  * router for re-dispatch, and finishes the requests that already
  * hold engine state.
  *
- * With an instance factory and an autoscale::AutoScaler attached,
- * the fleet becomes elastic (DESIGN.md §5): a periodic control
- * event snapshots the fleet, the scale policy proposes a size, and
- * the cluster executes it — provisionInstance() creates an engine
- * that joins the router only after a configurable cold-start delay,
- * scale-down retires the least-loaded instance through the drain
- * path, and at max scale the shed policy may reject overflow
- * arrivals instead of queueing them without bound. Instance-seconds
- * are accounted per instance (provision to retirement/end) as the
- * cost axis every attainment number is traded against.
+ * enableAutoscale() makes the fleet elastic (DESIGN.md §5): a
+ * periodic control event snapshots the fleet, the scale policy
+ * proposes a size, and the cluster executes it — scale-up adopts an
+ * engine from the instance factory that joins the router only after
+ * a configurable cold-start delay, scale-down retires the
+ * least-loaded instance through the drain path, and at max scale
+ * the shed policy may reject overflow arrivals instead of queueing
+ * them without bound. Instance-seconds are accounted per instance
+ * (provision to retirement/end) as the cost axis every attainment
+ * number is traded against.
  */
 
 #ifndef LIGHTLLM_CLUSTER_SERVING_CLUSTER_HH
@@ -178,21 +178,20 @@ class ServingCluster : public workload::RequestSink
     using InstanceFactory =
         std::function<std::unique_ptr<engine::ServingEngine>()>;
 
-    /** Install the engine builder scale-up uses. Must be set before
-     *  enableAutoscale(). */
-    void setInstanceFactory(InstanceFactory factory);
-
     /**
      * Attach the SLA → capacity control loop: completion records
      * feed the scaler's SLO monitor, and a control event every
      * autoscale::kControlInterval evaluates the policy and executes
-     * provisions / drains / sheds. Must precede run(); requires an
-     * instance factory; the initial fleet must lie inside
+     * provisions / drains / sheds. Must precede run() and every
+     * submission; the initial fleet must lie inside
      * [minInstances, maxInstances].
+     *
+     * @param factory Builds each engine scale-up provisions.
      */
     void enableAutoscale(const autoscale::AutoscaleConfig &config,
                          std::unique_ptr<autoscale::ScalePolicy>
-                             policy);
+                             policy,
+                         InstanceFactory factory);
 
     /** The attached scaler (null when autoscaling is off). */
     const autoscale::AutoScaler *autoscaler() const
@@ -201,14 +200,16 @@ class ServingCluster : public workload::RequestSink
     }
 
     /**
-     * Provision one instance now: the engine joins the fleet
-     * immediately (events, metrics) but becomes routable only after
+     * Provision `engine` now: it joins the fleet immediately
+     * (events, metrics) but becomes routable only after
      * `warmup_delay` ticks — the cold-start window during which its
-     * cost is already accruing. Requires an instance factory.
+     * cost is already accruing.
      *
      * @return Index of the new instance.
      */
-    std::size_t provisionInstance(Tick warmup_delay);
+    std::size_t
+    provisionInstance(std::unique_ptr<engine::ServingEngine> engine,
+                      Tick warmup_delay);
 
     /**
      * Retire one instance through the drain path: the least-loaded
@@ -249,7 +250,7 @@ class ServingCluster : public workload::RequestSink
     metrics::RunReport run();
 
     /**
-     * One autoscale control decision at `when`: snapshot the fleet,
+     * One autoscale control decision now: snapshot the fleet,
      * evaluate the scale policy, and execute the resulting
      * provisions / retirement. Unlike the internal control loop
      * this never reschedules itself — an external driver (the
@@ -257,7 +258,7 @@ class ServingCluster : public workload::RequestSink
      * cadence and the termination condition. Requires autoscaling
      * to be enabled.
      */
-    void controlOnce(Tick when);
+    void controlOnce();
 
     /**
      * Merge the per-instance reports and settle the cost ledgers

@@ -246,6 +246,21 @@ DisaggCluster::quiescent() const
 }
 
 void
+DisaggCluster::enableAutoscale(
+    const autoscale::AutoscaleConfig &config,
+    std::unique_ptr<autoscale::ScalePolicy> prefill_policy,
+    std::unique_ptr<autoscale::ScalePolicy> decode_policy,
+    const cluster::ServingCluster::InstanceFactory &factory)
+{
+    prefillPool_->enableAutoscale(config, std::move(prefill_policy),
+                                  factory);
+    autoscale::AutoscaleConfig decode_config = config;
+    decode_config.shedPolicy = autoscale::ShedPolicy::Never;
+    decodePool_->enableAutoscale(decode_config,
+                                 std::move(decode_policy), factory);
+}
+
+void
 DisaggCluster::controlTick(Tick when)
 {
     // One decision per elastic pool per tick: the pools share the
@@ -253,9 +268,9 @@ DisaggCluster::controlTick(Tick when)
     // pool's completions and snapshots, so prefill-heavy traffic
     // grows the prefill pool and decode-heavy the decode pool.
     if (prefillPool_->autoscaler())
-        prefillPool_->controlOnce(when);
+        prefillPool_->controlOnce();
     if (decodePool_->autoscaler())
-        decodePool_->controlOnce(when);
+        decodePool_->controlOnce();
     // A freshly warmed decode instance may unblock the handoff.
     tryDispatch(when);
     if (!quiescent()) {

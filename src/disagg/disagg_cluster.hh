@@ -125,10 +125,24 @@ class DisaggCluster : public workload::RequestSink
      *  plug in here unchanged. */
     void setOnFinish(FinishCallback callback);
 
-    /** The pools, for pre-run wiring (autoscale via
-     *  setInstanceFactory/enableAutoscale, drains, history
-     *  warming). A decode-pool autoscaler must keep
-     *  ShedPolicy::Never — the handoff bound is the shed point. */
+    /**
+     * Turn on both pools' control loops: the prefill pool with
+     * `config`, the decode pool with `config` at ShedPolicy::Never
+     * — the bounded handoff queue is the pipeline's only rejection
+     * point, so a request that paid for prefill and migration is
+     * served.
+     *
+     * @param factory Builds each engine either pool provisions.
+     */
+    void enableAutoscale(
+        const autoscale::AutoscaleConfig &config,
+        std::unique_ptr<autoscale::ScalePolicy> prefill_policy,
+        std::unique_ptr<autoscale::ScalePolicy> decode_policy,
+        const cluster::ServingCluster::InstanceFactory &factory);
+
+    /** The pools, for pre-run wiring (drains, history warming).
+     *  A caller that turns on a pool's autoscaling itself keeps
+     *  the decode pool at ShedPolicy::Never — run() checks it. */
     cluster::ServingCluster &prefillPool() { return *prefillPool_; }
     cluster::ServingCluster &decodePool() { return *decodePool_; }
 

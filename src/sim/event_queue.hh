@@ -38,6 +38,10 @@
 #include <utility>
 #include <vector>
 
+#if !defined(__SIZEOF_INT128__)
+#error "sim/event_queue.hh needs a compiler with unsigned __int128"
+#endif
+
 #include "base/types.hh"
 
 namespace lightllm {
@@ -361,7 +365,6 @@ class EventQueue
         return static_cast<std::uint32_t>(key & kSlotMask);
     }
 
-#if defined(__SIZEOF_INT128__)
     /**
      * An entry's position in the total event order as one scalar,
      * (when << 64) | key: sift loops compare ranks with a single
@@ -379,28 +382,6 @@ class EventQueue
                 << 64) |
             e.key;
     }
-#else
-    /** Two-word fallback rank for compilers without __int128. */
-    struct OrderKey
-    {
-        std::uint64_t hi;
-        std::uint64_t lo;
-
-        bool
-        operator<(const OrderKey &o) const
-        {
-            if (hi != o.hi)
-                return hi < o.hi;
-            return lo < o.lo;
-        }
-    };
-
-    static OrderKey
-    orderKey(const HeapEntry &e)
-    {
-        return {static_cast<std::uint64_t>(e.when), e.key};
-    }
-#endif
 
     static bool
     earlier(const HeapEntry &a, const HeapEntry &b)

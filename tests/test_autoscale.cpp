@@ -350,9 +350,8 @@ TEST(ClusterLifecycleTest, GrowsToMaxAndRoutesToNewInstances)
 {
     sim::SimContext context;
     auto fleet = makeFleet(context, 1);
-    fleet.setInstanceFactory(tinyEngine);
     fleet.enableAutoscale(testConfig(1, 3),
-                          std::make_unique<FixedPolicy>(1));
+                          std::make_unique<FixedPolicy>(1), tinyEngine);
 
     // 400 arrivals over ~8 s: enough control ticks to reach max.
     const auto dataset = tinyDataset(400);
@@ -377,13 +376,12 @@ TEST(ClusterLifecycleTest, WarmupGatesRouting)
 {
     sim::SimContext context;
     auto fleet = makeFleet(context, 1);
-    fleet.setInstanceFactory(tinyEngine);
     auto config = testConfig(1, 2);
     // Cold start far longer than the traffic: the provisioned
     // instance must never receive any of it.
     config.provisionDelay = secondsToTicks(500.0);
-    fleet.enableAutoscale(config,
-                          std::make_unique<FixedPolicy>(1));
+    fleet.enableAutoscale(config, std::make_unique<FixedPolicy>(1),
+                          tinyEngine);
 
     const auto dataset = tinyDataset(100);
     workload::submitPoissonArrivals(dataset, fleet, 50.0, 7);
@@ -401,9 +399,8 @@ TEST(ClusterLifecycleTest, ScaleDownNeverDropsBelowMinInstances)
     // fleet to nothing.
     sim::SimContext context;
     auto fleet = makeFleet(context, 4);
-    fleet.setInstanceFactory(tinyEngine);
     fleet.enableAutoscale(testConfig(2, 4),
-                          std::make_unique<FixedPolicy>(-1));
+                          std::make_unique<FixedPolicy>(-1), tinyEngine);
 
     // Arrivals span more than two cooldowns, so the shrink would
     // pass the floor without it.
@@ -439,11 +436,10 @@ TEST(ClusterLifecycleTest, OverloadAtMaxScaleDegradesToRejections)
     // request must still finish.
     sim::SimContext context;
     auto fleet = makeFleet(context, 1);
-    fleet.setInstanceFactory(tinyEngine);
     auto config = testConfig(1, 1);
     config.shedPolicy = autoscale::ShedPolicy::Overload;
-    fleet.enableAutoscale(config,
-                          std::make_unique<FixedPolicy>(0));
+    fleet.enableAutoscale(config, std::make_unique<FixedPolicy>(0),
+                          tinyEngine);
 
     const auto dataset = tinyDataset(400, 200, 8);
     workload::submitPoissonArrivals(dataset, fleet, 5000.0, 13);

@@ -318,11 +318,6 @@ TEST(ClusterTest, StaticFleetsRouteAtSubmissionElasticAtArrival)
             context);
         fleet.recordSubmissions(true);
         if (elastic) {
-            fleet.setInstanceFactory([] {
-                return std::make_unique<engine::ServingEngine>(
-                    tinyPerf(8.0), core::makeSchedulingPolicy(
-                                       SchedulerConfig::oracle()));
-            });
             autoscale::AutoscaleConfig config;
             config.minInstances = 2;
             config.maxInstances = 2;
@@ -330,7 +325,12 @@ TEST(ClusterTest, StaticFleetsRouteAtSubmissionElasticAtArrival)
             fleet.enableAutoscale(
                 config,
                 std::make_unique<autoscale::ReactiveThresholdPolicy>(
-                    0.9));
+                    0.9),
+                [] {
+                    return std::make_unique<engine::ServingEngine>(
+                        tinyPerf(8.0), core::makeSchedulingPolicy(
+                                           SchedulerConfig::oracle()));
+                });
         }
         workload::submitPoissonArrivals(dataset, fleet, 4.0, 5);
         EXPECT_EQ(fleet.submissionLog().size(), elastic ? 0u : 16u)

@@ -320,14 +320,10 @@ TEST(DisaggClusterTest, ElasticPoolsShareOneControlTick)
                                   secondsToTicks(1.0)};
     std::vector<Tick> prefill_ticks;
     std::vector<Tick> decode_ticks;
-    cluster.prefillPool().setInstanceFactory(
+    cluster.enableAutoscale(
+        config, std::make_unique<TickLog>(prefill_ticks),
+        std::make_unique<TickLog>(decode_ticks),
         [] { return std::move(makeEngines(1).front()); });
-    cluster.prefillPool().enableAutoscale(
-        config, std::make_unique<TickLog>(prefill_ticks));
-    cluster.decodePool().setInstanceFactory(
-        [] { return std::move(makeEngines(1).front()); });
-    cluster.decodePool().enableAutoscale(
-        config, std::make_unique<TickLog>(decode_ticks));
     for (RequestId id = 0; id < 6; ++id) {
         cluster.submitAt(makeRequest(id, 80, 30),
                          secondsToTicks(static_cast<double>(id)));
@@ -340,6 +336,50 @@ TEST(DisaggClusterTest, ElasticPoolsShareOneControlTick)
         EXPECT_EQ(prefill_ticks[i], static_cast<Tick>(i + 1) *
                                         autoscale::kControlInterval);
     }
+}
+
+TEST(DisaggClusterTest, ElasticSetupKeepsDecodeRouterShedFree)
+{
+    // One call turns on both loops: the prefill pool keeps the
+    // configured Overload shedding, the decode pool is set to Never
+    // — the handoff queue is its only shed point. A spike into one
+    // tiny decode instance behind a one-slot handoff queue then
+    // sheds at the handoff, never at the decode router.
+    auto disagg_config = tinyConfig();
+    disagg_config.handoffDepth = 1;
+    sim::SimContext context;
+    DisaggCluster cluster(makeEngines(2), makeEngines(1, 0.5),
+                          disagg_config, context);
+    autoscale::AutoscaleConfig config;
+    config.minInstances = 1;
+    config.maxInstances = 2;
+    config.sla = metrics::SlaSpec{secondsToTicks(2.0),
+                                  secondsToTicks(1.0)};
+    config.shedPolicy = autoscale::ShedPolicy::Overload;
+    std::vector<Tick> prefill_ticks;
+    std::vector<Tick> decode_ticks;
+    cluster.enableAutoscale(
+        config, std::make_unique<TickLog>(prefill_ticks),
+        std::make_unique<TickLog>(decode_ticks),
+        [] { return std::move(makeEngines(1).front()); });
+    ASSERT_NE(cluster.prefillPool().autoscaler(), nullptr);
+    ASSERT_NE(cluster.decodePool().autoscaler(), nullptr);
+    EXPECT_EQ(cluster.prefillPool().autoscaler()->config().shedPolicy,
+              autoscale::ShedPolicy::Overload);
+    EXPECT_EQ(cluster.decodePool().autoscaler()->config().shedPolicy,
+              autoscale::ShedPolicy::Never);
+
+    const std::int64_t offered = 24;
+    for (RequestId id = 0; id < offered; ++id)
+        cluster.submitAt(makeRequest(id, 100, 40), 0);
+    const auto report = cluster.run();
+
+    EXPECT_GT(cluster.handoffShedRequests(), 0);
+    EXPECT_EQ(cluster.decodePool().shedRequests(), 0);
+    EXPECT_EQ(static_cast<std::int64_t>(report.numFinished) +
+                  cluster.handoffShedRequests() +
+                  cluster.prefillPool().shedRequests(),
+              offered);
 }
 
 // --- Cost axis -----------------------------------------------------------

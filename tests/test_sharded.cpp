@@ -219,11 +219,10 @@ TEST(ShardedPlacement, ProvisionLandsOnShardFreedByDrain)
     // least-loaded shard — while instance 1's queued requests are
     // re-dispatching across shard boundaries.
     HubFleet harness(3, 2);
-    harness.fleet->setInstanceFactory(
-        [] { return HubFleet::makeEngine(); });
     harness.fleet->scheduleDrain(1, secondsToTicks(0.5));
     harness.root.schedule(secondsToTicks(1.0), [&](Tick) {
-        harness.fleet->provisionInstance(secondsToTicks(0.1));
+        harness.fleet->provisionInstance(HubFleet::makeEngine(),
+                                         secondsToTicks(0.1));
     });
 
     const auto dataset = workload::makeShareGpt(64, 11);

@@ -1279,13 +1279,8 @@ runScenario(const Scenario &scenario,
     const auto make_clone = [&]() {
         return make_engine(scenario.perf);
     };
-    const auto enable_autoscale = [&](cluster::ServingCluster &pool,
-                                      autoscale::ShedPolicy shed) {
-        pool.setInstanceFactory(make_clone);
-        autoscale::AutoscaleConfig config = scenario.autoscaleConfig;
-        config.shedPolicy = shed;
-        pool.enableAutoscale(config,
-                             scenario.scalePolicy(config.sloTarget));
+    const auto scale_policy = [&scenario]() {
+        return scenario.scalePolicy(scenario.autoscaleConfig.sloTarget);
     };
 
     if (!scenario.disagg && scenario.fleetPerfs.empty()) {
@@ -1333,14 +1328,9 @@ runScenario(const Scenario &scenario,
                 hub->attachTrace(recorder);
         }
         if (scenario.autoscale) {
-            // Two independent control loops. The decode pool never
-            // sheds at admission: the bounded handoff queue is the
-            // pipeline's only rejection point, so a request that
-            // paid for prefill and migration is served.
-            enable_autoscale(cluster.prefillPool(),
-                             scenario.autoscaleConfig.shedPolicy);
-            enable_autoscale(cluster.decodePool(),
-                             autoscale::ShedPolicy::Never);
+            cluster.enableAutoscale(scenario.autoscaleConfig,
+                                    scale_policy(), scale_policy(),
+                                    make_clone);
         }
         return driveLoad(
             scenario, cluster,
@@ -1363,8 +1353,10 @@ runScenario(const Scenario &scenario,
     }
     if (scenario.drainAt > 0)
         fleet.scheduleDrain(0, scenario.drainAt);
-    if (scenario.autoscale)
-        enable_autoscale(fleet, scenario.autoscaleConfig.shedPolicy);
+    if (scenario.autoscale) {
+        fleet.enableAutoscale(scenario.autoscaleConfig, scale_policy(),
+                              make_clone);
+    }
     return driveLoad(
         scenario, fleet,
         [&](auto callback) { fleet.setOnFinish(callback); },

@@ -128,7 +128,7 @@ struct CliOptions
 
     /** Compute threads for fleet/disagg co-simulation (default 1 =
      *  the classic single-queue loop; K > 1 shards the engines
-     *  across a ShardedSimContext with bit-identical results). */
+     *  across K threads with bit-identical results, DESIGN.md §9). */
     std::size_t simThreads = 1;
 
     // Disaggregated prefill/decode serving (src/disagg). The knobs
