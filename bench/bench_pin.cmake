@@ -10,7 +10,9 @@
 # JSON is hashed with every `wall*`, `events_per_sec`,
 # `sim_req_per_sec`, `rss_delta_mb` and `peak_rss_mb` value dropped,
 # so only simulated results are pinned. SKIP_STDOUT is for
-# a bench whose printed table carries wall time.
+# a bench whose printed table carries wall time. The program runs
+# with TMPDIR set to WORKDIR, and WORKDIR is replaced by `<workdir>`
+# in its stdout before hashing, so a printed temp path is stable.
 
 cmake_minimum_required(VERSION 3.20)
 
@@ -23,6 +25,7 @@ endforeach()
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(ENV{PFS_BENCH_SMOKE} 1)
+set(ENV{TMPDIR} "${WORKDIR}")
 execute_process(COMMAND "${BENCH}"
     WORKING_DIRECTORY "${WORKDIR}"
     OUTPUT_VARIABLE printed
@@ -30,6 +33,7 @@ execute_process(COMMAND "${BENCH}"
 if(NOT status EQUAL 0)
     message(FATAL_ERROR "${NAME} exited with ${status}")
 endif()
+string(REPLACE "${WORKDIR}" "<workdir>" printed "${printed}")
 
 file(STRINGS "${PINS}" pin_lines REGEX "^${NAME} ")
 set(checked 0)
