@@ -51,6 +51,7 @@ routeWith(cluster::RoutingPolicy policy,
     scheduler_config.pastFuture.initialHistory = warm;
 
     std::vector<std::unique_ptr<engine::ServingEngine>> instances;
+    std::vector<const engine::ServingEngine *> engines;
     const std::vector<model::HardwareSpec> fleet_hw = {
         model::HardwareSpec::a100_80g(),
         model::HardwareSpec::a100_80g(),
@@ -61,6 +62,7 @@ routeWith(cluster::RoutingPolicy policy,
         model::PerfModel perf(model::ModelSpec::llama2_7b(), hw);
         instances.push_back(std::make_unique<engine::ServingEngine>(
             perf, core::makeSchedulingPolicy(scheduler_config)));
+        engines.push_back(instances.back().get());
     }
     sim::SimContext context;
     cluster::ServingCluster fleet(std::move(instances), policy, context);
@@ -76,7 +78,10 @@ routeWith(cluster::RoutingPolicy policy,
 
     Outcome outcome;
     outcome.report = fleet.run();
-    outcome.routedCounts = fleet.routedCounts();
+    // Nothing drains, so every request routed to an instance
+    // finishes there.
+    for (const engine::ServingEngine *engine : engines)
+        outcome.routedCounts.push_back(engine->numFinished());
     return outcome;
 }
 

@@ -15,6 +15,7 @@
 
 #include <exception>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 
 #include "base/str_util.hh"
@@ -46,7 +47,9 @@ main(int argc, char **argv)
         const auto path =
             std::filesystem::temp_directory_path() /
             "lightllm_demo_trace.csv";
-        if (!workload::writeDatasetCsvFile(path.string(), trace)) {
+        std::ofstream file(path);
+        workload::writeDatasetCsv(file, trace);
+        if (!file) {
             std::cerr << "trace_analysis: cannot write "
                       << path.string() << "\n";
             return 1;

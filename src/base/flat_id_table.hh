@@ -58,9 +58,6 @@ class FlatIdTable
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    /** Slot count: a power of two, at least twice size(). */
-    std::size_t slots() const { return slots_.size(); }
-
     /** The value stored under `key`; null when absent. */
     Value *
     find(Key key)

@@ -35,13 +35,6 @@ struct RequestClass
     TenantId tenant = 0;
     int priority = 0;
     int sloTier = 0;
-
-    friend bool
-    operator==(const RequestClass &a, const RequestClass &b)
-    {
-        return a.tenant == b.tenant && a.priority == b.priority &&
-               a.sloTier == b.sloTier;
-    }
 };
 
 } // namespace base

@@ -110,16 +110,4 @@ Rng::exponential(double rate)
     return -std::log(u) / rate;
 }
 
-bool
-Rng::bernoulli(double p)
-{
-    return uniformDouble() < p;
-}
-
-Rng
-Rng::split()
-{
-    return Rng(nextU64());
-}
-
 } // namespace lightllm

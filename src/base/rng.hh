@@ -48,9 +48,6 @@ class Rng
     /** Exponential with the given rate (mean 1/rate). */
     double exponential(double rate);
 
-    /** Bernoulli trial with probability p of returning true. */
-    bool bernoulli(double p);
-
     /** Uniformly pick an element index of a non-empty span. */
     template <typename T>
     std::size_t
@@ -60,9 +57,6 @@ class Rng
         return static_cast<std::size_t>(
             uniformInt(0, static_cast<std::int64_t>(values.size()) - 1));
     }
-
-    /** Derive an independent child generator (for sub-components). */
-    Rng split();
 
   private:
     std::uint64_t s_[4];

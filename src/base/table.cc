@@ -1,7 +1,6 @@
 #include "base/table.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "base/logging.hh"
 
@@ -64,14 +63,6 @@ TextTable::print(std::ostream &os) const
         else
             print_line(row);
     }
-}
-
-std::string
-TextTable::toString() const
-{
-    std::ostringstream oss;
-    print(oss);
-    return oss.str();
 }
 
 } // namespace lightllm

@@ -29,9 +29,6 @@ class TextTable
     /** Render the table to a stream. */
     void print(std::ostream &os) const;
 
-    /** Render the table to a string. */
-    std::string toString() const;
-
   private:
     std::vector<std::string> headers_;
     // A row with no cells encodes a separator.

@@ -78,7 +78,6 @@ ServingCluster::adoptInstance(
     instances_.push_back(std::move(engine));
     draining_.push_back(false);
     warming_.push_back(false);
-    routedCounts_.push_back(0);
     routedTokens_.push_back(0);
     predictedLoad_.push_back(0);
     inFlight_.push_back(0);
@@ -285,7 +284,8 @@ void
 ServingCluster::warmRoutingHistory(
     std::span<const TokenCount> lengths)
 {
-    routingPredictor_.warm(lengths);
+    for (TokenCount length : lengths)
+        routingPredictor_.observe(length);
 }
 
 void
@@ -329,14 +329,11 @@ ServingCluster::predictFootprint(const workload::RequestSpec &spec)
 }
 
 void
-ServingCluster::recordSubmissions(bool enabled)
+ServingCluster::recordSubmissions(std::vector<RoutedSubmission> *log)
 {
-    std::size_t routed = 0;
-    for (std::size_t count : routedCounts_)
-        routed += count;
-    LIGHTLLM_ASSERT(routed == 0,
+    LIGHTLLM_ASSERT(offeredRequests_ == 0,
                     "recordSubmissions must precede submissions");
-    recordSubmissions_ = enabled;
+    submissionLog_ = log;
 }
 
 std::size_t
@@ -477,17 +474,16 @@ ServingCluster::routeSubmission(const workload::RequestSpec &spec,
         : 0;
     const std::size_t index =
         pickInstance(footprint, spec.sessionKey);
-    routedCounts_[index] += 1;
     routedTokens_[index] += spec.effectiveOutputLen();
     ++inFlight_[index];
     if (policy_ == RoutingPolicy::FutureMemory) {
         predictedLoad_[index] += footprint;
         charges_.insertOrAssign(spec.id, Charge{index, footprint});
     }
-    if (recordSubmissions_) {
+    if (submissionLog_ != nullptr) {
         // Mirror the engine's arrival clamp so the log records the
         // tick the arrival event actually fires.
-        submissionLog_.push_back(RoutedSubmission{
+        submissionLog_->push_back(RoutedSubmission{
             index, spec, std::max(deliver, context_->now()), stamp});
     }
     instances_[index]->submitStamped(spec, deliver, stamp);
@@ -531,8 +527,7 @@ ServingCluster::drainNow(std::size_t index)
     for (const auto &drained : instances_[index]->drainQueued()) {
         releaseCharge(drained.spec.id);
         // The drained instance never serves this work: take its
-        // tokens back so tokenImbalance() reflects served load
-        // (routedCounts_ intentionally keeps counting decisions).
+        // tokens back so tokenImbalance() reflects served load.
         routedTokens_[index] -= drained.spec.effectiveOutputLen();
         LIGHTLLM_ASSERT(inFlight_[index] > 0,
                         "drained request without an in-flight "
@@ -572,6 +567,12 @@ ServingCluster::finalizeReport(Tick end_of_service)
 {
     if (end_of_service < 0)
         end_of_service = lastFinishTick_;
+    // Every routed request finished, and its FutureMemory charge
+    // with it.
+    LIGHTLLM_ASSERT(
+        std::all_of(predictedLoad_.begin(), predictedLoad_.end(),
+                    [](TokenCount load) { return load == 0; }),
+        "router charges outlived their requests");
 
     // Merge per-instance reports, one live copy at a time.
     metrics::ReportMerger merger(
@@ -605,13 +606,6 @@ ServingCluster::finalizeReport(Tick end_of_service)
     merged.scaleDownEvents = scaleDownEvents_;
     merged.peakInstances = peakInstances_;
     return merged;
-}
-
-metrics::RunReport
-ServingCluster::instanceReport(std::size_t index) const
-{
-    LIGHTLLM_ASSERT(index < instances_.size(), "bad instance index");
-    return instances_[index]->report();
 }
 
 double

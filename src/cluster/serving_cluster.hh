@@ -236,13 +236,6 @@ class ServingCluster : public workload::RequestSink
     /** Requests rejected by overload shedding so far. */
     std::int64_t shedRequests() const { return shedRequests_; }
 
-    /** New requests offered to the router (shed + accepted;
-     *  re-dispatches excluded). */
-    std::int64_t offeredRequests() const
-    {
-        return offeredRequests_;
-    }
-
     /**
      * Run the borrowed context to completion and return the merged
      * report (per-instance reports remain available).
@@ -274,44 +267,20 @@ class ServingCluster : public workload::RequestSink
     metrics::RunReport finalizeReport(Tick end_of_service = -1);
 
     std::size_t numInstances() const { return instances_.size(); }
-
-    /** Per-instance report (after run()). */
-    metrics::RunReport instanceReport(std::size_t index) const;
-
-    /** Routing decisions per instance (re-dispatched requests count
-     *  on every instance they were routed to). */
-    const std::vector<std::size_t> &routedCounts() const
-    {
-        return routedCounts_;
-    }
+    RoutingPolicy routingPolicy() const { return policy_; }
 
     /**
-     * Opt into recording the submission log. Off by default — the
-     * log grows by one entry (including a RequestSpec copy) per
-     * routing decision, which long traces cannot afford. Must be
-     * enabled before the first submission.
+     * Append every routing decision, in order, to `log` (null stops
+     * recording): which instance got which request, and the tick
+     * its arrival fires. Off by default — the log grows by one
+     * entry (including a RequestSpec copy) per routing decision,
+     * which long traces cannot afford. Must precede the first
+     * submission. Replaying a single instance's log on a fresh
+     * engine (its own one-engine context) reproduces that
+     * instance's co-simulated metrics exactly (the zero-skew
+     * property; see tests/test_cluster_exact.cpp).
      */
-    void recordSubmissions(bool enabled);
-
-    /**
-     * Every routing decision in order (empty unless
-     * recordSubmissions(true) was set): which instance got which
-     * request, and the tick its arrival fires. Replaying a single
-     * instance's log on a fresh engine (its own one-engine context)
-     * reproduces that instance's co-simulated metrics exactly (the
-     * zero-skew property; see tests/test_cluster_exact.cpp).
-     */
-    const std::vector<RoutedSubmission> &submissionLog() const
-    {
-        return submissionLog_;
-    }
-
-    /** Router-predicted in-flight load per instance (FutureMemory
-     *  accounting; zero after every routed request finished). */
-    const std::vector<TokenCount> &predictedLoads() const
-    {
-        return predictedLoad_;
-    }
+    void recordSubmissions(std::vector<RoutedSubmission> *log);
 
     /**
      * Shard executing instance `index`'s engine when the shared
@@ -383,10 +352,8 @@ class ServingCluster : public workload::RequestSink
     std::vector<bool> draining_;
     /** Executing shard per instance (all 0 without a hub). */
     std::vector<std::uint32_t> shardOf_;
-    std::vector<std::size_t> routedCounts_;
     std::vector<TokenCount> routedTokens_;
-    bool recordSubmissions_ = false;
-    std::vector<RoutedSubmission> submissionLog_;
+    std::vector<RoutedSubmission> *submissionLog_ = nullptr;
     FinishCallback onFinish_;
     bool ran_ = false;
 

@@ -60,13 +60,6 @@ class HistoryWindow
      */
     PushDelta push(TokenCount output_len);
 
-    /** Number of recorded lengths (<= capacity). */
-    std::size_t size() const { return size_; }
-
-    bool empty() const { return size_ == 0; }
-
-    std::size_t capacity() const { return ring_.size(); }
-
     /**
      * Monotonic counter bumped on every mutation; lets consumers
      * cache derived structures (the sorted distribution) and rebuild

@@ -31,13 +31,6 @@ LengthPredictor::observe(TokenCount output_len)
 }
 
 void
-LengthPredictor::warm(std::span<const TokenCount> lengths)
-{
-    for (TokenCount length : lengths)
-        observe(length);
-}
-
-void
 LengthPredictor::rebuildDistribution()
 {
     distribution_ = LengthDistribution(window_.snapshot());

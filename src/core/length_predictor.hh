@@ -25,7 +25,6 @@
 #define LIGHTLLM_CORE_LENGTH_PREDICTOR_HH
 
 #include <cstdint>
-#include <span>
 
 #include "core/history_window.hh"
 #include "core/length_distribution.hh"
@@ -49,12 +48,6 @@ class LengthPredictor
 
     /** Record the output length of a finished request. */
     void observe(TokenCount output_len);
-
-    /** Warm-start with previously observed output lengths. */
-    void warm(std::span<const TokenCount> lengths);
-
-    /** The underlying window (tests / introspection). */
-    const HistoryWindow &window() const { return window_; }
 
     /**
      * The distribution over the current window contents, built on

@@ -180,11 +180,6 @@ class PastFutureScheduler : public Scheduler
 
     std::string name() const override;
 
-    /** tryAdmit calls the window bound admitted without building
-     *  or scoring a trial batch, since construction (tests pin that
-     *  light rounds take the bound and tight ones do not). */
-    std::uint64_t boundAdmissions() const { return boundAdmissions_; }
-
     /** The prediction generator (tests: a copy's next draws pin the
      *  stream without advancing it). */
     const Rng &rng() const { return rng_; }
@@ -192,12 +187,6 @@ class PastFutureScheduler : public Scheduler
     /** Live sticky samples (tests: every departed request's sample
      *  must be gone). */
     std::size_t stickySampleCount() const { return slotOf_.size(); }
-
-    /** Observed historical window (for tests / introspection). */
-    const HistoryWindow &history() const
-    {
-        return predictor_.window();
-    }
 
   private:
     /** Draw/look up a prediction for (request, generated, cap). */
@@ -357,7 +346,6 @@ class PastFutureScheduler : public Scheduler
     std::uint64_t roundVersion_ = 0;
     bool materialised_ = false;
     std::size_t roundSize_ = 0;
-    std::uint64_t boundAdmissions_ = 0;
     std::vector<std::vector<BatchEntry>> trialEntries_;
     std::vector<BatchEntry> candidateEntries_;
     /** estimateLoad scratch (routing path). */

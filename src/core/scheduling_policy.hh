@@ -155,8 +155,6 @@ class SchedulingPolicy
      */
     std::string name() const;
 
-    Scheduler &admission() { return *admission_; }
-
     /** The flat pipeline's queue policy (a tree has one per
      *  tenant). */
     const QueuePolicy &queue() const { return *queues_.front().policy; }

@@ -32,12 +32,12 @@ migrationTransferTicks(const DisaggConfig &config,
 }
 
 DisaggCluster::DisaggCluster(
-    std::vector<std::unique_ptr<engine::ServingEngine>>
-        prefill_instances,
-    std::vector<std::unique_ptr<engine::ServingEngine>>
-        decode_instances,
+    std::unique_ptr<cluster::ServingCluster> prefill_pool,
+    std::unique_ptr<cluster::ServingCluster> decode_pool,
     DisaggConfig config, sim::SimContext &context)
-    : config_(config), context_(context)
+    : config_(config), context_(context),
+      prefillPool_(std::move(prefill_pool)),
+      decodePool_(std::move(decode_pool))
 {
     LIGHTLLM_ASSERT(config_.kvBytesPerToken > 0,
                     "disagg config needs the model's KV bytes per "
@@ -50,12 +50,12 @@ DisaggCluster::DisaggCluster(
     LIGHTLLM_ASSERT(config_.handoffDepth >= 1,
                     "handoff queue needs room for at least one "
                     "transfer");
-    prefillPool_ = std::make_unique<cluster::ServingCluster>(
-        std::move(prefill_instances),
-        cluster::RoutingPolicy::PrefillLoad, context_);
-    decodePool_ = std::make_unique<cluster::ServingCluster>(
-        std::move(decode_instances),
-        cluster::RoutingPolicy::FutureMemory, context_);
+    LIGHTLLM_ASSERT(prefillPool_->routingPolicy() ==
+                            cluster::RoutingPolicy::PrefillLoad &&
+                        decodePool_->routingPolicy() ==
+                            cluster::RoutingPolicy::FutureMemory,
+                    "disagg pools route by prefill load and future "
+                    "memory");
     prefillPool_->setOnFinish(
         [this](const workload::RequestSpec &spec, Tick tick) {
             handlePrefillFinish(spec, tick);
@@ -302,31 +302,34 @@ DisaggCluster::run()
 
     // Both pools' cost clocks stop at the end of service — the last
     // user-visible completion anywhere.
-    prefillReport_ =
+    const metrics::RunReport prefill_report =
         prefillPool_->finalizeReport(lastUserFinishTick_);
-    decodeReport_ = decodePool_->finalizeReport(lastUserFinishTick_);
-    return assembleReport();
+    const metrics::RunReport decode_report =
+        decodePool_->finalizeReport(lastUserFinishTick_);
+    return assembleReport(prefill_report, decode_report);
 }
 
 metrics::RunReport
-DisaggCluster::assembleReport()
+DisaggCluster::assembleReport(
+    const metrics::RunReport &prefill_report,
+    const metrics::RunReport &decode_report)
 {
     metrics::ReportMerger merger(
         "Disagg(P" + std::to_string(prefillPool_->numInstances()) +
         "+D" + std::to_string(decodePool_->numInstances()) + ")");
-    merger.add(prefillReport_);
-    merger.add(decodeReport_);
+    merger.add(prefill_report);
+    merger.add(decode_report);
     metrics::RunReport merged = merger.finish();
 
     // Reassemble end-to-end per-request records across the handoff.
     std::unordered_map<RequestId, const metrics::RequestRecord *>
         prefill_records;
-    for (const auto &record : prefillReport_.requests)
+    for (const auto &record : prefill_report.requests)
         prefill_records.emplace(record.id, &record);
 
     std::vector<metrics::RequestRecord> combined;
-    combined.reserve(prefillReport_.requests.size());
-    for (const auto &decode : decodeReport_.requests) {
+    combined.reserve(prefill_report.requests.size());
+    for (const auto &decode : decode_report.requests) {
         const auto it = prefill_records.find(decode.id);
         LIGHTLLM_ASSERT(it != prefill_records.end(),
                         "decode-side record ", decode.id,
@@ -347,7 +350,7 @@ DisaggCluster::assembleReport()
         combined.push_back(record);
         prefill_records.erase(it);
     }
-    for (const auto &record : prefillReport_.requests) {
+    for (const auto &record : prefill_report.requests) {
         if (prefill_records.find(record.id) ==
             prefill_records.end()) {
             continue;  // paired above
@@ -364,18 +367,18 @@ DisaggCluster::assembleReport()
     // Pool-level sums double-count the pipeline: offered is what
     // the users submitted, shed adds the handoff drops.
     merged.offeredRequests = offered_;
-    merged.shedRequests = prefillReport_.shedRequests +
-        decodeReport_.shedRequests + handoffShed_;
+    merged.shedRequests = prefill_report.shedRequests +
+        decode_report.shedRequests + handoffShed_;
 
     merged.disaggregated = true;
-    const auto prefillDigest = prefillReport_.latencyDigest();
-    const auto decodeDigest = decodeReport_.latencyDigest();
+    const auto prefillDigest = prefill_report.latencyDigest();
+    const auto decodeDigest = decode_report.latencyDigest();
     merged.prefillPool = metrics::RunReport::PoolStats{
-        prefillReport_.numFinished,
+        prefill_report.numFinished,
         prefillDigest.ttftPercentile(0.99),
         prefillDigest.mtpotPercentile(0.99)};
     merged.decodePool = metrics::RunReport::PoolStats{
-        decodeReport_.numFinished,
+        decode_report.numFinished,
         decodeDigest.ttftPercentile(0.99),
         decodeDigest.mtpotPercentile(0.99)};
     merged.handoffQueueP99Seconds =

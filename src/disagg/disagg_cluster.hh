@@ -94,23 +94,25 @@ class DisaggCluster : public workload::RequestSink
     using FinishCallback = engine::ServingEngine::FinishCallback;
 
     /**
-     * @param prefill_instances Engines of the prefill pool (>= 1);
-     *        routed by RoutingPolicy::PrefillLoad.
-     * @param decode_instances Engines of the decode pool (>= 1);
-     *        routed by RoutingPolicy::FutureMemory.
+     * @param prefill_pool The prefill pool, routed by
+     *        RoutingPolicy::PrefillLoad; the cluster takes ownership
+     *        and installs its own finish fan-in.
+     * @param decode_pool The decode pool, routed by
+     *        RoutingPolicy::FutureMemory. A caller that turns on a
+     *        pool's autoscaling itself keeps the decode pool at
+     *        ShedPolicy::Never — run() checks it.
      * @param config Interconnect + handoff parameters.
-     * @param context Clock + event queue both pools borrow. When
-     *        the caller has enrolled it in a sim::ShardedSimContext,
-     *        both pools' engines shard across that one hub
-     *        (bit-identical results, see DESIGN.md §9); handoffs
-     *        between pools are Delivery events on the coordinator
-     *        and cross shard boundaries transparently.
+     * @param context Clock + event queue both pools borrow (build
+     *        the pools on it, prefill first). When the caller has
+     *        enrolled it in a sim::ShardedSimContext, both pools'
+     *        engines shard across that one hub (bit-identical
+     *        results, see DESIGN.md §9); handoffs between pools are
+     *        Delivery events on the coordinator and cross shard
+     *        boundaries transparently.
      */
     DisaggCluster(
-        std::vector<std::unique_ptr<engine::ServingEngine>>
-            prefill_instances,
-        std::vector<std::unique_ptr<engine::ServingEngine>>
-            decode_instances,
+        std::unique_ptr<cluster::ServingCluster> prefill_pool,
+        std::unique_ptr<cluster::ServingCluster> decode_pool,
         DisaggConfig config, sim::SimContext &context);
 
     /** Submit an end-user request: it prefills in the prefill pool
@@ -140,12 +142,6 @@ class DisaggCluster : public workload::RequestSink
         std::unique_ptr<autoscale::ScalePolicy> decode_policy,
         const cluster::ServingCluster::InstanceFactory &factory);
 
-    /** The pools, for pre-run wiring (drains, history warming).
-     *  A caller that turns on a pool's autoscaling itself keeps
-     *  the decode pool at ShedPolicy::Never — run() checks it. */
-    cluster::ServingCluster &prefillPool() { return *prefillPool_; }
-    cluster::ServingCluster &decodePool() { return *decodePool_; }
-
     /**
      * Attach a flight recorder to the whole disaggregated system:
      * prefill-pool engines get sinks labelled `prefill-<i>`, decode
@@ -164,26 +160,6 @@ class DisaggCluster : public workload::RequestSink
      *         decode instance's capacity.
      */
     metrics::RunReport run();
-
-    /** Pool reports (valid after run()). */
-    const metrics::RunReport &prefillReport() const
-    {
-        return prefillReport_;
-    }
-    const metrics::RunReport &decodeReport() const
-    {
-        return decodeReport_;
-    }
-
-    std::int64_t offeredRequests() const { return offered_; }
-    std::int64_t migratedRequests() const
-    {
-        return migratedRequests_;
-    }
-    std::int64_t handoffShedRequests() const
-    {
-        return handoffShed_;
-    }
 
   private:
     /** Handoff state of one in-flight request. */
@@ -229,8 +205,11 @@ class DisaggCluster : public workload::RequestSink
      *  dispatch retry could affect. */
     bool quiescent() const;
 
-    /** Combined per-request records + disagg report section. */
-    metrics::RunReport assembleReport();
+    /** Combined per-request records + disagg report section, from
+     *  the two pools' reports. */
+    metrics::RunReport
+    assembleReport(const metrics::RunReport &prefill_report,
+                   const metrics::RunReport &decode_report);
 
     DisaggConfig config_;
 
@@ -265,9 +244,6 @@ class DisaggCluster : public workload::RequestSink
 
     /** Handoff waits (transfer complete → dispatch), seconds. */
     std::vector<double> handoffWaits_;
-
-    metrics::RunReport prefillReport_;
-    metrics::RunReport decodeReport_;
 };
 
 } // namespace disagg

@@ -931,13 +931,6 @@ ServingEngine::report()
     return observer_.report(policy_->name(), now_);
 }
 
-Tick
-ServingEngine::now()
-{
-    settleNow();
-    return now_;
-}
-
 const memory::KvBlockManager &
 ServingEngine::kvManager()
 {

@@ -202,9 +202,6 @@ class ServingEngine : public workload::RequestSink
      */
     std::vector<DrainedRequest> stealQueued(std::size_t max_requests);
 
-    /** True once drainQueued() was called. */
-    bool draining() const { return draining_; }
-
     /** Snapshot the metrics collected so far (cluster use). */
     metrics::RunReport report();
 
@@ -253,9 +250,6 @@ class ServingEngine : public workload::RequestSink
      */
     TokenCount pendingPrefillTokens() const;
 
-    Tick now();
-    std::size_t runningSize() const { return running_.size(); }
-    std::size_t waitingSize() const { return waiting_.size(); }
     std::size_t numFinished() const { return finished_; }
     const memory::KvBlockManager &kvManager();
 
@@ -266,8 +260,6 @@ class ServingEngine : public workload::RequestSink
     /** The context carrying this engine's events: its own, or the
      *  shared one attached (tests schedule probe events on it). */
     sim::SimContext &context() { return *context_; }
-    core::SchedulingPolicy &policy() { return *policy_; }
-    core::Scheduler &scheduler() { return policy_->admission(); }
     TokenCount capacityTokens() const { return kv_.capacityTokens(); }
 
     /**
@@ -280,20 +272,8 @@ class ServingEngine : public workload::RequestSink
      */
     Tick deliverySpawnFloor() const;
 
-    /** EngineRequest slots ever allocated: bounded by the peak
-     *  concurrent request count, not the total served (tests). */
-    std::size_t requestSlabSize() const
-    {
-        return requestSlab_.size();
-    }
-
-    /** Sessions holding a chain their next turn may inherit, and
-     *  the chain held for one (tests; see SessionChainMemo). */
-    std::vector<std::uint64_t>
-    heldSessionChains() const
-    {
-        return chains_.held();
-    }
+    /** The chain a session's next turn may inherit; empty when none
+     *  is held (tests; see SessionChainMemo). */
     std::span<const PrefixHash>
     sessionChain(std::uint64_t session) const
     {

@@ -79,17 +79,6 @@ SessionChainMemo::handOff(EngineRequest &request)
     memo.hashes.swap(request.hashes);
 }
 
-std::vector<std::uint64_t>
-SessionChainMemo::held() const
-{
-    std::vector<std::uint64_t> sessions;
-    for (const auto &[session, memo] : chains_) {
-        if (!memo.stream.empty())
-            sessions.push_back(session);
-    }
-    return sessions;
-}
-
 std::span<const PrefixHash>
 SessionChainMemo::chain(std::uint64_t session) const
 {

@@ -52,9 +52,7 @@ class SessionChainMemo
      *  full identified block: hold stream and chain for the next. */
     void handOff(EngineRequest &request);
 
-    /** Sessions holding a chain; the chain held for one (empty when
-     *  none). */
-    std::vector<std::uint64_t> held() const;
+    /** The chain held for a session (empty when none). */
     std::span<const PrefixHash> chain(std::uint64_t session) const;
 
   private:

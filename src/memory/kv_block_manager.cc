@@ -249,28 +249,6 @@ KvBlockManager::release(RequestSlot slot)
     --liveAllocations_;
 }
 
-bool
-KvBlockManager::canAllocate(TokenCount num_tokens) const
-{
-    return ceilDiv(num_tokens, blockSize_) <=
-        freeBlocks() + (cache_ != nullptr ? cacheOnly_ : 0);
-}
-
-bool
-KvBlockManager::canExtendBatchByOne(
-    const std::vector<RequestSlot> &slots) const
-{
-    std::int64_t blocks_needed = 0;
-    for (RequestSlot slot : slots) {
-        const Allocation *alloc = find(slot);
-        LIGHTLLM_ASSERT(alloc != nullptr,
-                        "unknown slot in batch: ", slot);
-        blocks_needed += blocksForExtension(*alloc, 1);
-    }
-    return blocks_needed <=
-        freeBlocks() + (cache_ != nullptr ? cacheOnly_ : 0);
-}
-
 void
 KvBlockManager::joinBatch(RequestSlot slot)
 {
@@ -289,19 +267,6 @@ KvBlockManager::growIntoNewBlock(Allocation &alloc)
     const bool ok = extendAlloc(alloc, 1);
     LIGHTLLM_ASSERT(ok, "batch growth failed after capacity check");
     batchNeed_ += blocksForExtension(alloc, 1) - 1;
-}
-
-TokenCount
-KvBlockManager::freeTokens() const
-{
-    return freeBlocks() * blockSize_;
-}
-
-double
-KvBlockManager::utilization() const
-{
-    return static_cast<double>(usedTokens_) /
-        static_cast<double>(capacityTokens_);
 }
 
 TokenCount
@@ -333,15 +298,6 @@ KvBlockManager::requestRefs(BlockId block) const
     LIGHTLLM_ASSERT(block >= 0 && block < handedOut(),
                     "block ", block, " was never handed out");
     return states_[static_cast<std::size_t>(block)].requestRefs;
-}
-
-bool
-KvBlockManager::isCached(BlockId block) const
-{
-    LIGHTLLM_ASSERT(block >= 0 && block < handedOut(),
-                    "block ", block, " was never handed out");
-    return states_[static_cast<std::size_t>(block)].cacheEntry !=
-        kNotCached;
 }
 
 void

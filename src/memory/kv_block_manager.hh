@@ -142,18 +142,6 @@ class KvBlockManager
      */
     void release(RequestSlot slot);
 
-    /** True when `num_tokens` more slots could be allocated now
-     *  (reclaimable cached blocks count as available). */
-    bool canAllocate(TokenCount num_tokens) const;
-
-    /**
-     * True when every request in a batch can extend by one token.
-     * Slack in last blocks is considered, so this is exact for the
-     * per-step growth pattern of continuous batching.
-     */
-    bool canExtendBatchByOne(
-        const std::vector<RequestSlot> &slots) const;
-
     // --- The decode batch ---------------------------------------------
     //
     // A continuous-batching step grows every decoding request by one
@@ -167,8 +155,9 @@ class KvBlockManager
     void joinBatch(RequestSlot slot);
 
     /**
-     * True when every joined allocation can grow by one token now:
-     * canExtendBatchByOne over the joined set, in O(1).
+     * True when every joined allocation can grow by one token now,
+     * counting the slack in last blocks (exact for the per-step
+     * growth of continuous batching), in O(1).
      */
     bool
     batchCanGrow() const
@@ -201,10 +190,6 @@ class KvBlockManager
      */
     TokenCount usedTokens() const { return usedTokens_; }
 
-    /** Token slots in free blocks (reclaimable cached blocks
-     *  excluded; see reclaimableBlocks()). */
-    TokenCount freeTokens() const;
-
     /** Free blocks: released ones plus those never handed out. */
     std::int64_t freeBlocks() const
     {
@@ -216,9 +201,6 @@ class KvBlockManager
      *  on demand, least recently used first, by the attached prefix
      *  cache. */
     std::int64_t reclaimableBlocks() const { return cacheOnly_; }
-
-    /** Token-level utilization in [0, 1]. */
-    double utilization() const;
 
     /** Logical tokens allocated to one request (shared prefix
      *  included); 0 if absent or stale. */
@@ -238,10 +220,6 @@ class KvBlockManager
     /** Requests referencing `block` (cache retention excluded);
      *  `block` must have been handed out. */
     std::int32_t requestRefs(BlockId block) const;
-
-    /** True when the prefix cache retains `block`, which must have
-     *  been handed out. */
-    bool isCached(BlockId block) const;
 
   private:
     friend class PrefixCache;

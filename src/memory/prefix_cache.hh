@@ -107,20 +107,6 @@ class PrefixCache
     /** Cached blocks (parked or pinned). */
     std::size_t size() const { return index_.size(); }
 
-    /** Slots of the hash index: a power of two, at least twice
-     *  size(). */
-    std::size_t indexSlots() const { return index_.slots(); }
-
-    /** Home slot of `hash` in an index of `slots` slots (a power of
-     *  two): the top bits of a Fibonacci multiply, so structured
-     *  keys (consecutive integers) spread too. Tests craft
-     *  colliding hashes with it. */
-    static std::size_t
-    indexHome(PrefixHash hash, std::size_t slots)
-    {
-        return FlatIdTable<EntryIndex>::home(hash, slots);
-    }
-
   private:
     friend class KvBlockManager;
 

@@ -74,9 +74,6 @@ class PerfModel
     const ModelSpec &modelSpec() const { return model_; }
     const HardwareSpec &hardwareSpec() const { return hardware_; }
 
-    /** Weight bytes of the model (convenience passthrough). */
-    ByteCount weightBytes() const { return model_.weightBytes(); }
-
   private:
     /** Compute-bound seconds to push `tokens` through the model. */
     double computeSeconds(TokenCount tokens) const;

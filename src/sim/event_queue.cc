@@ -199,13 +199,5 @@ EventQueue::runNext()
     return top.when;
 }
 
-void
-EventQueue::clear()
-{
-    for (const HeapEntry &entry : heap_)
-        releaseSlot(slotIn(entry.key));
-    heap_.clear();
-}
-
 } // namespace sim
 } // namespace lightllm

@@ -20,7 +20,7 @@
  * map on any path. Slots are recycled through a free list, and an
  * EventId carries the slot's generation so a stale handle held
  * across recycling can never alias a newer event: cancel(),
- * reschedule(), pending(), and eventTick() are O(1) array lookups
+ * reschedule() and eventTick() are O(1) array lookups
  * (plus an O(log n) sift where the heap changes). In steady state —
  * once the arena and heap have grown to the simulation's high-water
  * pending count — scheduling and firing events performs zero heap
@@ -30,7 +30,6 @@
 #ifndef LIGHTLLM_SIM_EVENT_QUEUE_HH
 #define LIGHTLLM_SIM_EVENT_QUEUE_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -54,8 +53,7 @@ namespace sim {
  * event hot path: callables up to kInlineSize bytes live inside
  * the handler object itself (libstdc++'s std::function only
  * inlines 16 bytes, so even a [this, token] capture allocates).
- * Larger callables fall back to a heap allocation, counted by
- * heapFallbackCount() so tests can pin which paths stay inline.
+ * Larger callables fall back to a heap allocation.
  */
 class EventHandler
 {
@@ -91,10 +89,6 @@ class EventHandler
             *reinterpret_cast<void **>(storage_) =
                 new Fn(std::forward<F>(fn));
             ops_ = &heapOps<Fn>;
-            // Relaxed: a diagnostic counter, not a synchronization
-            // point — sharded simulations construct handlers from
-            // several shard threads at once.
-            heapFallbacks_.fetch_add(1, std::memory_order_relaxed);
         }
     }
 
@@ -122,9 +116,6 @@ class EventHandler
         ops_->invoke(storage_, when);
     }
 
-    /** True when a callable is held. */
-    explicit operator bool() const { return ops_ != nullptr; }
-
     /** Destroy the held callable, leaving the handler empty. */
     void
     reset()
@@ -134,17 +125,6 @@ class EventHandler
                 ops_->destroy(storage_);
             ops_ = nullptr;
         }
-    }
-
-    /**
-     * Process-wide count of callables that exceeded the inline
-     * buffer and heap-allocated (test hook for the zero-alloc
-     * contract on the schedule/fire path).
-     */
-    static std::uint64_t
-    heapFallbackCount()
-    {
-        return heapFallbacks_.load(std::memory_order_relaxed);
     }
 
   private:
@@ -212,8 +192,6 @@ class EventHandler
     alignas(std::max_align_t) unsigned char storage_[kInlineSize];
     const Ops *ops_ = nullptr;
     bool trivial_ = false;
-
-    static inline std::atomic<std::uint64_t> heapFallbacks_{0};
 };
 
 /**
@@ -221,9 +199,9 @@ class EventHandler
  *
  * Layout: low 32 bits hold `slot + 1` (the arena slot the event
  * occupies), high 32 bits hold the slot's generation at schedule
- * time. Every release of a slot (fire, cancel, clear) bumps its
+ * time. Every release of a slot (fire or cancel) bumps its
  * generation, so a stale handle kept across slot recycling fails
- * the generation check in pending()/cancel()/reschedule() instead
+ * the generation check in cancel()/reschedule() instead
  * of aliasing the newer event now occupying the slot. A single
  * slot would need 2^32 recycles for a stale handle to collide.
  */
@@ -277,15 +255,8 @@ class EventQueue
      */
     bool reschedule(EventId id, Tick when);
 
-    /**
-     * True while the event has not fired and was not cancelled.
-     * O(1): decodes the handle's slot and compares generations, so
-     * a stale handle whose slot now hosts a newer event reports
-     * false rather than aliasing it.
-     */
-    bool pending(EventId id) const { return slotOf(id) != kNoSlot; }
-
-    /** Scheduled tick of a pending event; requires pending(id). */
+    /** Scheduled tick of a pending event (one that has not fired
+     *  and was not cancelled). */
     Tick eventTick(EventId id) const;
 
     /** True when no events remain. */
@@ -327,9 +298,6 @@ class EventQueue
      * @return The tick at which the event fired.
      */
     Tick runNext();
-
-    /** Drop all pending events (arena capacity is retained). */
-    void clear();
 
   private:
     /**
@@ -381,12 +349,6 @@ class EventQueue
                     static_cast<std::uint64_t>(e.when))
                 << 64) |
             e.key;
-    }
-
-    static bool
-    earlier(const HeapEntry &a, const HeapEntry &b)
-    {
-        return orderKey(a) < orderKey(b);
     }
 
     /** Decode + validate a handle; kNoSlot when unknown/stale. */

@@ -44,29 +44,5 @@ Histogram::normalized() const
     return probs;
 }
 
-std::int64_t
-Histogram::quantile(double q) const
-{
-    if (total_ == 0)
-        return 0;
-    q = std::clamp(q, 0.0, 1.0);
-    const double target = q * static_cast<double>(total_);
-    double cumulative = 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        cumulative += static_cast<double>(counts_[i]);
-        if (cumulative >= target) {
-            return static_cast<std::int64_t>(i + 1) * binWidth_;
-        }
-    }
-    return static_cast<std::int64_t>(counts_.size()) * binWidth_;
-}
-
-void
-Histogram::clear()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    total_ = 0;
-}
-
 } // namespace stats
 } // namespace lightllm

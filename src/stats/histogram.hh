@@ -35,26 +35,8 @@ class Histogram
     /** Record a sample with an integer weight. */
     void add(std::int64_t value, std::int64_t weight);
 
-    /** Total weight recorded. */
-    std::int64_t total() const { return total_; }
-
-    /** Raw per-bin counts. */
-    const std::vector<std::int64_t> &counts() const { return counts_; }
-
     /** Counts normalized to probabilities; all zeros when empty. */
     std::vector<double> normalized() const;
-
-    /**
-     * Smallest value v such that at least `q` fraction of the recorded
-     * weight lies in bins at or below v's bin (upper bin edge).
-     * Returns 0 for an empty histogram.
-     */
-    std::int64_t quantile(double q) const;
-
-    /** Reset all counts. */
-    void clear();
-
-    std::int64_t binWidth() const { return binWidth_; }
 
   private:
     std::int64_t binWidth_;

@@ -52,8 +52,6 @@ class TraceRing
     /** Events overwritten because the ring was full. */
     std::uint64_t dropped() const { return dropped_; }
 
-    std::size_t capacity() const { return events_.size(); }
-
     /**
      * The i-th retained event in recording order (0 = oldest
      * survivor). Valid only after the writer has quiesced.

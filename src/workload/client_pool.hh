@@ -54,9 +54,6 @@ class ClosedLoopClientPool
      */
     void onRequestFinished(RequestId id, Tick finish_tick);
 
-    /** Requests handed to the sink so far. */
-    std::size_t numSubmitted() const { return nextIndex_; }
-
     /** True when every dataset request has been submitted. */
     bool exhausted() const
     {

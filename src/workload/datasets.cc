@@ -30,15 +30,6 @@ Dataset::meanOutputLen() const
     return sum / static_cast<double>(requests.size());
 }
 
-TokenCount
-Dataset::totalOutputTokens() const
-{
-    TokenCount sum = 0;
-    for (const auto &request : requests)
-        sum += request.effectiveOutputLen();
-    return sum;
-}
-
 std::vector<TokenCount>
 Dataset::outputLens() const
 {

@@ -42,9 +42,6 @@ struct Dataset
     /** Mean effective output length over all requests. */
     double meanOutputLen() const;
 
-    /** Sum of effective output tokens. */
-    TokenCount totalOutputTokens() const;
-
     /** Ground-truth output lengths (EOS positions), uncapped: what
      *  the Figure 3/4 window analysis reads. */
     std::vector<TokenCount> outputLens() const;

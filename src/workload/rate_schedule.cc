@@ -101,29 +101,6 @@ RateSchedule::diurnal(double base, double amplitude,
     return RateSchedule(std::move(segments));
 }
 
-double
-RateSchedule::rateAt(double t_seconds) const
-{
-    double start = 0.0;
-    for (const RateSegment &segment : segments_) {
-        if (segment.durationSeconds <= 0.0)
-            return segment.ratePerSecond;  // open-ended tail
-        if (t_seconds < start + segment.durationSeconds)
-            return segment.ratePerSecond;
-        start += segment.durationSeconds;
-    }
-    return segments_.back().ratePerSecond;
-}
-
-double
-RateSchedule::maxRate() const
-{
-    double peak = 0.0;
-    for (const RateSegment &segment : segments_)
-        peak = std::max(peak, segment.ratePerSecond);
-    return peak;
-}
-
 std::string
 RateSchedule::describe() const
 {

@@ -78,12 +78,6 @@ class RateSchedule
                                 std::size_t steps_per_period = 24,
                                 std::size_t cycles = 1);
 
-    /** Intensity at `t_seconds` (>= 0). */
-    double rateAt(double t_seconds) const;
-
-    /** Largest segment rate (capacity-planning upper bound). */
-    double maxRate() const;
-
     const std::vector<RateSegment> &segments() const
     {
         return segments_;

@@ -101,7 +101,6 @@ SessionGenerator::submitTurn(std::size_t index, Tick when)
         return;
     const RequestSpec &spec = session.turns[session.nextTurn];
     ++session.nextTurn;
-    ++submitted_;
     owner_.tryInsert(spec.id, index);
     sink_.submitAt(spec, when);
 }
@@ -115,16 +114,6 @@ SessionGenerator::onRequestFinished(RequestId id, Tick finish_tick)
     const std::size_t index = *owner;
     owner_.erase(id);
     submitTurn(index, finish_tick + config_.thinkTime);
-}
-
-const RequestSpec &
-SessionGenerator::turnSpec(std::size_t session,
-                           std::size_t turn) const
-{
-    LIGHTLLM_ASSERT(session < sessions_.size(), "bad session index");
-    LIGHTLLM_ASSERT(turn < sessions_[session].turns.size(),
-                    "bad turn index");
-    return sessions_[session].turns[turn];
 }
 
 } // namespace workload

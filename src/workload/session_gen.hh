@@ -79,27 +79,6 @@ class SessionGenerator
      */
     void onRequestFinished(RequestId id, Tick finish_tick);
 
-    /** Requests handed to the sink so far. */
-    std::size_t numSubmitted() const { return submitted_; }
-
-    /** Total requests the workload will produce. */
-    std::size_t totalRequests() const
-    {
-        return config_.numSessions * config_.turnsPerSession;
-    }
-
-    /** True when every turn has been submitted. */
-    bool exhausted() const
-    {
-        return submitted_ >= totalRequests();
-    }
-
-    /** The fully materialised spec of one turn (tests, benches). */
-    const RequestSpec &turnSpec(std::size_t session,
-                                std::size_t turn) const;
-
-    const SessionWorkloadConfig &config() const { return config_; }
-
   private:
     struct Session
     {
@@ -116,7 +95,6 @@ class SessionGenerator
     std::vector<Session> sessions_;
     /** Session index of each submitted, unfinished turn. */
     FlatIdTable<std::size_t> owner_;
-    std::size_t submitted_ = 0;
 };
 
 } // namespace workload

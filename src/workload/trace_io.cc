@@ -48,16 +48,6 @@ writeDatasetCsv(std::ostream &os, const Dataset &dataset)
     os << std::dec;
 }
 
-bool
-writeDatasetCsvFile(const std::string &path, const Dataset &dataset)
-{
-    std::ofstream file(path);
-    if (!file)
-        return false;
-    writeDatasetCsv(file, dataset);
-    return static_cast<bool>(file);
-}
-
 namespace {
 
 /** One row of a dataset CSV: its errors name the dataset and line. */
@@ -180,6 +170,9 @@ readDatasetCsv(std::istream &is, const std::string &name)
             std::max(dataset.maxNewTokens, spec.maxNewTokens);
         dataset.requests.push_back(std::move(spec));
     }
+    if (dataset.requests.empty())
+        throw std::invalid_argument("dataset " + name +
+                                    " has no requests");
     return dataset;
 }
 

@@ -30,21 +30,16 @@ namespace workload {
  */
 void writeDatasetCsv(std::ostream &os, const Dataset &dataset);
 
-/** writeDatasetCsv to a file; false when the file cannot be
- *  opened or written. */
-bool writeDatasetCsvFile(const std::string &path,
-                         const Dataset &dataset);
-
 /**
  * Parse a dataset CSV. The dataset's name is `name`; its generation
- * cap is the maximum per-request max_new_tokens (0 for an empty
- * dataset).
+ * cap is the maximum per-request max_new_tokens.
  *
  * @throws std::invalid_argument naming the dataset and line of a
  *         malformed row, or of a row no engine can serve: a
  *         negative or repeated id, an input_len, output_len or
  *         max_new_tokens below 1, or an arrival_us past
- *         kMaxSpanSeconds.
+ *         kMaxSpanSeconds; or naming the dataset when it holds no
+ *         request (empty, or a header alone).
  */
 Dataset readDatasetCsv(std::istream &is, const std::string &name);
 

@@ -352,6 +352,8 @@ TEST(ClusterLifecycleTest, GrowsToMaxAndRoutesToNewInstances)
     auto fleet = makeFleet(context, 1);
     fleet.enableAutoscale(testConfig(1, 3),
                           std::make_unique<FixedPolicy>(1), tinyEngine);
+    testfx::RoutedLog log;
+    fleet.recordSubmissions(&log);
 
     // 400 arrivals over ~8 s: enough control ticks to reach max.
     const auto dataset = tinyDataset(400);
@@ -363,8 +365,9 @@ TEST(ClusterLifecycleTest, GrowsToMaxAndRoutesToNewInstances)
     EXPECT_EQ(report.peakInstances, 3u);
     EXPECT_EQ(report.scaleUpEvents, 2);
     // Warmed-up instances actually took traffic.
-    EXPECT_GT(fleet.routedCounts()[1], 0u);
-    EXPECT_GT(fleet.routedCounts()[2], 0u);
+    const auto counts = testfx::routedCounts(log, 3);
+    EXPECT_GT(counts[1], 0u);
+    EXPECT_GT(counts[2], 0u);
     // Elastic fleets cost less than peak-sized static ones.
     EXPECT_GT(report.instanceSeconds,
               ticksToSeconds(report.makespan));
@@ -382,6 +385,8 @@ TEST(ClusterLifecycleTest, WarmupGatesRouting)
     config.provisionDelay = secondsToTicks(500.0);
     fleet.enableAutoscale(config, std::make_unique<FixedPolicy>(1),
                           tinyEngine);
+    testfx::RoutedLog log;
+    fleet.recordSubmissions(&log);
 
     const auto dataset = tinyDataset(100);
     workload::submitPoissonArrivals(dataset, fleet, 50.0, 7);
@@ -389,7 +394,7 @@ TEST(ClusterLifecycleTest, WarmupGatesRouting)
 
     EXPECT_EQ(report.numFinished, 100u);
     ASSERT_EQ(fleet.numInstances(), 2u);
-    EXPECT_EQ(fleet.routedCounts()[1], 0u);
+    EXPECT_EQ(testfx::routedCounts(log, 2)[1], 0u);
 }
 
 TEST(ClusterLifecycleTest, ScaleDownNeverDropsBelowMinInstances)

@@ -175,13 +175,16 @@ std::unique_ptr<cluster::ServingCluster>
 makeCluster(sim::SimContext &context, std::size_t instances,
             cluster::RoutingPolicy policy,
             SchedulerConfig scheduler_config,
-            double mem_megabytes = 4.0)
+            double mem_megabytes = 4.0,
+            std::vector<engine::ServingEngine *> *views = nullptr)
 {
     std::vector<std::unique_ptr<engine::ServingEngine>> engines;
     for (std::size_t i = 0; i < instances; ++i) {
         engines.push_back(std::make_unique<engine::ServingEngine>(
             tinyPerf(mem_megabytes),
             core::makeSchedulingPolicy(scheduler_config)));
+        if (views != nullptr)
+            views->push_back(engines.back().get());
     }
     return std::make_unique<cluster::ServingCluster>(
         std::move(engines), policy, context);
@@ -193,11 +196,13 @@ TEST(ClusterTest, RoundRobinSpreadsRequestsEvenly)
     auto fleet = makeCluster(context, 4,
                              cluster::RoutingPolicy::RoundRobin,
                              SchedulerConfig::oracle());
+    testfx::RoutedLog log;
+    fleet->recordSubmissions(&log);
     for (RequestId id = 0; id < 40; ++id)
         fleet->submitAt(makeRequest(id, 50, 20), 0);
     const auto report = fleet->run();
     EXPECT_EQ(report.numFinished, 40u);
-    for (std::size_t count : fleet->routedCounts())
+    for (std::size_t count : testfx::routedCounts(log, 4))
         EXPECT_EQ(count, 10u);
 }
 
@@ -226,11 +231,13 @@ TEST(ClusterTest, LeastOutstandingAvoidsTheLoadedInstance)
     auto fleet = makeCluster(
         context, 2, cluster::RoutingPolicy::LeastOutstandingTokens,
         SchedulerConfig::oracle());
+    testfx::RoutedLog log;
+    fleet->recordSubmissions(&log);
     // First request goes to some instance; the second must go to
     // the other one because the first is now loaded.
     fleet->submitAt(makeRequest(1, 500, 200), 0);
     fleet->submitAt(makeRequest(2, 500, 200), 0);
-    const auto &counts = fleet->routedCounts();
+    const auto counts = testfx::routedCounts(log, 2);
     EXPECT_EQ(counts[0], 1u);
     EXPECT_EQ(counts[1], 1u);
     fleet->run();
@@ -286,12 +293,12 @@ TEST(ClusterTest, LeastOutstandingBreaksTiesByLowestIndex)
     auto fleet = makeCluster(
         context, 3, cluster::RoutingPolicy::LeastOutstandingTokens,
         SchedulerConfig::oracle());
-    fleet->recordSubmissions(true);
+    testfx::RoutedLog log;
+    fleet->recordSubmissions(&log);
     // Idle fleet: every submission loads the lowest-index instance
     // among the still-empty ones, giving the order 0, 1, 2.
     for (RequestId id = 0; id < 3; ++id)
         fleet->submitAt(makeRequest(id, 100, 10), 0);
-    const auto &log = fleet->submissionLog();
     ASSERT_EQ(log.size(), 3u);
     EXPECT_EQ(log[0].instance, 0u);
     EXPECT_EQ(log[1].instance, 1u);
@@ -316,7 +323,8 @@ TEST(ClusterTest, StaticFleetsRouteAtSubmissionElasticAtArrival)
         cluster::ServingCluster fleet(
             std::move(engines), cluster::RoutingPolicy::FutureMemory,
             context);
-        fleet.recordSubmissions(true);
+        testfx::RoutedLog log;
+        fleet.recordSubmissions(&log);
         if (elastic) {
             autoscale::AutoscaleConfig config;
             config.minInstances = 2;
@@ -333,11 +341,11 @@ TEST(ClusterTest, StaticFleetsRouteAtSubmissionElasticAtArrival)
                 });
         }
         workload::submitPoissonArrivals(dataset, fleet, 4.0, 5);
-        EXPECT_EQ(fleet.submissionLog().size(), elastic ? 0u : 16u)
+        EXPECT_EQ(log.size(), elastic ? 0u : 16u)
             << "elastic=" << elastic;
         const auto report = fleet.run();
         EXPECT_EQ(report.numFinished, 16u);
-        EXPECT_EQ(fleet.submissionLog().size(), 16u)
+        EXPECT_EQ(log.size(), 16u)
             << "elastic=" << elastic;
     }
 }
@@ -348,35 +356,30 @@ TEST(ClusterTest, FutureMemoryAccountingDrainsToZero)
     auto fleet = makeCluster(context, 2,
                              cluster::RoutingPolicy::FutureMemory,
                              SchedulerConfig::oracle());
-    // With a warmed router history the predicted charge equals the
-    // predictor's footprint: prompt + conditional expected output.
+    testfx::RoutedLog log;
+    fleet->recordSubmissions(&log);
     const std::vector<TokenCount> history(200, 40);
     fleet->warmRoutingHistory(history);
-    core::LengthPredictor reference(1000);
-    reference.warm(history);
 
     fleet->submitAt(makeRequest(1, 100, 30, 500), 0);
-    const TokenCount charge1 = reference.predictFootprint(100, 500);
-    EXPECT_EQ(fleet->predictedLoads()[0] +
-                  fleet->predictedLoads()[1],
-              charge1);
     fleet->submitAt(makeRequest(2, 100, 30, 500), 0);
-    // The second request lands on the other (uncharged) instance.
-    EXPECT_GT(fleet->predictedLoads()[0], 0);
-    EXPECT_GT(fleet->predictedLoads()[1], 0);
+    // The first request's charge sends the second to the other
+    // (uncharged) instance.
+    ASSERT_EQ(log.size(), 2u);
+    EXPECT_NE(log[0].instance, log[1].instance);
 
+    // Completion events release every charge: the merged report
+    // asserts the router carries no residual predicted load.
     const auto report = fleet->run();
     EXPECT_EQ(report.numFinished, 2u);
-    // Completion events released every charge.
-    EXPECT_EQ(fleet->predictedLoads()[0], 0);
-    EXPECT_EQ(fleet->predictedLoads()[1], 0);
 }
 
 TEST(ClusterTest, FutureMemoryChargesTrackEveryCompletion)
 {
     // Closed-loop traffic: charges accumulate and release across
     // many completion events; after the run the router must carry
-    // zero residual predicted load on every instance.
+    // zero residual predicted load on every instance, which the
+    // merged report asserts.
     const auto dataset = workload::makeShareGpt(60, 5);
     sim::SimContext context;
     auto fleet = makeCluster(context, 3,
@@ -390,17 +393,17 @@ TEST(ClusterTest, FutureMemoryChargesTrackEveryCompletion)
     clients.start();
     const auto report = fleet->run();
     EXPECT_EQ(report.numFinished, 60u);
-    for (TokenCount load : fleet->predictedLoads())
-        EXPECT_EQ(load, 0);
 }
 
 TEST(ClusterTest, MergedReportEqualsPerInstanceSums)
 {
     const auto dataset = workload::makeShareGptO1(80, 9);
     sim::SimContext context;
+    std::vector<engine::ServingEngine *> instances;
     auto fleet = makeCluster(context, 4,
                              cluster::RoutingPolicy::FutureMemory,
-                             SchedulerConfig::oracle(), 16.0);
+                             SchedulerConfig::oracle(), 16.0,
+                             &instances);
     workload::ClosedLoopClientPool clients(24, dataset, *fleet);
     fleet->setOnFinish(
         [&](const RequestSpec &spec, Tick tick) {
@@ -416,7 +419,7 @@ TEST(ClusterTest, MergedReportEqualsPerInstanceSums)
     std::size_t records = 0;
     Tick makespan = 0;
     for (std::size_t i = 0; i < fleet->numInstances(); ++i) {
-        const auto report = fleet->instanceReport(i);
+        const auto report = instances[i]->report();
         finished += report.numFinished;
         decode_steps += report.decodeSteps;
         prefills += report.prefillIterations;
@@ -450,6 +453,8 @@ TEST(ClusterTest, HeterogeneousCapacityBiasesLeastOutstanding)
     cluster::ServingCluster fleet(
         std::move(engines),
         cluster::RoutingPolicy::LeastOutstandingTokens, context);
+    testfx::RoutedLog log;
+    fleet.recordSubmissions(&log);
 
     const auto dataset = workload::makeShareGpt(60, 3);
     workload::ClosedLoopClientPool clients(16, dataset, fleet);
@@ -460,7 +465,8 @@ TEST(ClusterTest, HeterogeneousCapacityBiasesLeastOutstanding)
     clients.start();
     const auto report = fleet.run();
     EXPECT_EQ(report.numFinished, 60u);
-    EXPECT_GT(fleet.routedCounts()[0], fleet.routedCounts()[1]);
+    const auto counts = testfx::routedCounts(log, 2);
+    EXPECT_GT(counts[0], counts[1]);
 }
 
 TEST(ClusterTest, HeterogeneousSpeedShiftsClosedLoopTraffic)
@@ -477,10 +483,13 @@ TEST(ClusterTest, HeterogeneousSpeedShiftsClosedLoopTraffic)
     engines.push_back(std::make_unique<engine::ServingEngine>(
         tinyPerf(8.0),
         core::makeSchedulingPolicy(SchedulerConfig::oracle()), slow));
+    engine::ServingEngine &slow_engine = *engines.back();
     sim::SimContext context;
     cluster::ServingCluster fleet(
         std::move(engines),
         cluster::RoutingPolicy::LeastOutstandingTokens, context);
+    testfx::RoutedLog log;
+    fleet.recordSubmissions(&log);
 
     const auto dataset = workload::makeShareGpt(60, 13);
     workload::ClosedLoopClientPool clients(8, dataset, fleet);
@@ -491,9 +500,10 @@ TEST(ClusterTest, HeterogeneousSpeedShiftsClosedLoopTraffic)
     clients.start();
     const auto report = fleet.run();
     EXPECT_EQ(report.numFinished, 60u);
-    EXPECT_GT(fleet.routedCounts()[0], fleet.routedCounts()[1]);
+    const auto counts = testfx::routedCounts(log, 2);
+    EXPECT_GT(counts[0], counts[1]);
     // The fast instance also retires its share sooner per request.
-    EXPECT_GT(fleet.instanceReport(1).makespan, 0);
+    EXPECT_GT(slow_engine.report().makespan, 0);
 }
 
 // --- Drain ---------------------------------------------------------------
@@ -504,7 +514,8 @@ TEST(ClusterDrainTest, DrainRedispatchesQueuedWorkAndFleetFinishes)
     auto fleet = makeCluster(context, 3,
                              cluster::RoutingPolicy::RoundRobin,
                              SchedulerConfig::oracle());
-    fleet->recordSubmissions(true);
+    testfx::RoutedLog log;
+    fleet->recordSubmissions(&log);
     // Prompts sized so an instance's round-robin share cannot be
     // admitted in one go — a queue must exist at the drain tick.
     for (RequestId id = 0; id < 30; ++id)
@@ -519,7 +530,6 @@ TEST(ClusterDrainTest, DrainRedispatchesQueuedWorkAndFleetFinishes)
     // Re-dispatches append to the log; none may target instance 0
     // at or after the drain tick (initial submissions land at 0,
     // re-dispatches at the drain tick 1).
-    const auto &log = fleet->submissionLog();
     EXPECT_GT(log.size(), 30u);
     std::size_t redispatched = 0;
     for (const auto &sub : log) {
@@ -548,9 +558,11 @@ TEST(ClusterDrainTest, DrainRedispatchesQueuedWorkAndFleetFinishes)
 TEST(ClusterDrainTest, DrainClawsBackInFlightArrivals)
 {
     sim::SimContext context;
+    std::vector<engine::ServingEngine *> instances;
     auto fleet = makeCluster(context, 2,
                              cluster::RoutingPolicy::RoundRobin,
-                             SchedulerConfig::oracle());
+                             SchedulerConfig::oracle(), 4.0,
+                             &instances);
     // Two future arrivals routed before the drain fires: round-robin
     // sends one to each instance; instance 0's must be cancelled and
     // re-dispatched to instance 1 without ever touching instance 0.
@@ -559,8 +571,8 @@ TEST(ClusterDrainTest, DrainClawsBackInFlightArrivals)
     fleet->scheduleDrain(0, 100);
     const auto report = fleet->run();
     EXPECT_EQ(report.numFinished, 2u);
-    EXPECT_EQ(fleet->instanceReport(0).numFinished, 0u);
-    EXPECT_EQ(fleet->instanceReport(1).numFinished, 2u);
+    EXPECT_EQ(instances[0]->numFinished(), 0u);
+    EXPECT_EQ(instances[1]->numFinished(), 2u);
     // The clawed-back arrival kept its original arrival tick.
     for (const auto &record : report.requests)
         EXPECT_EQ(record.arrival, 5000);

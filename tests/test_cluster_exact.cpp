@@ -87,14 +87,17 @@ runExactnessScenario(const std::vector<InstanceSetup> &setups,
                      bool expect_evictions = false)
 {
     std::vector<std::unique_ptr<engine::ServingEngine>> engines;
+    std::vector<engine::ServingEngine *> instances;
     for (const InstanceSetup &setup : setups) {
         engines.push_back(std::make_unique<engine::ServingEngine>(
             setup.perf, core::makeSchedulingPolicy(scheduler_config),
             setup.config));
+        instances.push_back(engines.back().get());
     }
     sim::SimContext context;
     cluster::ServingCluster fleet(std::move(engines), routing, context);
-    fleet.recordSubmissions(true);
+    testfx::RoutedLog routed_log;
+    fleet.recordSubmissions(&routed_log);
     workload::ClosedLoopClientPool pool(clients, dataset, fleet);
     fleet.setOnFinish(
         [&](const RequestSpec &spec, Tick tick) {
@@ -115,7 +118,7 @@ runExactnessScenario(const std::vector<InstanceSetup> &setups,
             core::makeSchedulingPolicy(scheduler_config),
             setups[i].config);
         std::size_t routed = 0;
-        for (const auto &sub : fleet.submissionLog()) {
+        for (const auto &sub : routed_log) {
             if (sub.instance != i)
                 continue;
             solo.submitStamped(sub.spec, sub.when, sub.stamp);
@@ -123,8 +126,7 @@ runExactnessScenario(const std::vector<InstanceSetup> &setups,
         }
         ASSERT_GT(routed, 0u) << "instance " << i
                               << " received no traffic";
-        expectIdenticalReports(solo.run(), fleet.instanceReport(i),
-                               i);
+        expectIdenticalReports(solo.run(), instances[i]->report(), i);
     }
 }
 
@@ -180,12 +182,16 @@ TEST(ClusterExactness, DrainSparesNonDrainedInstanceTimelines)
             tinyPerf(6.0), core::makeSchedulingPolicy(config));
     };
     std::vector<std::unique_ptr<engine::ServingEngine>> engines;
-    for (int i = 0; i < 3; ++i)
+    std::vector<engine::ServingEngine *> instances;
+    for (int i = 0; i < 3; ++i) {
         engines.push_back(make_engine());
+        instances.push_back(engines.back().get());
+    }
     sim::SimContext context;
     cluster::ServingCluster fleet(
         std::move(engines), cluster::RoutingPolicy::RoundRobin, context);
-    fleet.recordSubmissions(true);
+    testfx::RoutedLog routed_log;
+    fleet.recordSubmissions(&routed_log);
     workload::ClosedLoopClientPool pool(24, dataset, fleet);
     fleet.setOnFinish(
         [&](const RequestSpec &spec, Tick tick) {
@@ -199,12 +205,11 @@ TEST(ClusterExactness, DrainSparesNonDrainedInstanceTimelines)
     for (std::size_t i = 1; i < 3; ++i) {
         engine::ServingEngine solo(tinyPerf(6.0),
                                    core::makeSchedulingPolicy(config));
-        for (const auto &sub : fleet.submissionLog()) {
+        for (const auto &sub : routed_log) {
             if (sub.instance == i)
                 solo.submitStamped(sub.spec, sub.when, sub.stamp);
         }
-        expectIdenticalReports(solo.run(), fleet.instanceReport(i),
-                               i);
+        expectIdenticalReports(solo.run(), instances[i]->report(), i);
     }
 }
 

@@ -13,21 +13,24 @@
 #include "base/rng.hh"
 #include "core/history_window.hh"
 #include "core/length_distribution.hh"
+#include "test_fixtures.hh"
 
 namespace lightllm {
 namespace core {
 namespace {
 
+using testfx::bernoulli;
+
 TEST(HistoryWindowTest, GrowsUntilCapacity)
 {
     HistoryWindow window(3);
-    EXPECT_TRUE(window.empty());
+    EXPECT_TRUE(window.snapshot().empty());
     window.push(1);
     window.push(2);
-    EXPECT_EQ(window.size(), 2u);
+    EXPECT_EQ(window.snapshot().size(), 2u);
     window.push(3);
     window.push(4);
-    EXPECT_EQ(window.size(), 3u);
+    EXPECT_EQ(window.snapshot().size(), 3u);
 }
 
 TEST(HistoryWindowTest, EvictsOldestFirst)
@@ -63,7 +66,7 @@ TEST(HistoryWindowTest, SeedFillsRequestedCount)
 {
     HistoryWindow window(100);
     window.seed(4096, 32);
-    EXPECT_EQ(window.size(), 32u);
+    EXPECT_EQ(window.snapshot().size(), 32u);
     for (TokenCount value : window.snapshot())
         EXPECT_EQ(value, 4096);
 }
@@ -72,7 +75,7 @@ TEST(HistoryWindowTest, SeedClampsToCapacity)
 {
     HistoryWindow window(8);
     window.seed(100, 32);
-    EXPECT_EQ(window.size(), 8u);
+    EXPECT_EQ(window.snapshot().size(), 8u);
 }
 
 TEST(HistoryWindowTest, RealPushesReplaceSeedsFirst)
@@ -82,7 +85,7 @@ TEST(HistoryWindowTest, RealPushesReplaceSeedsFirst)
     window.push(10);
     window.push(20);
     // Window still holds 4 entries: 2 real, 2 remaining seeds.
-    EXPECT_EQ(window.size(), 4u);
+    EXPECT_EQ(window.snapshot().size(), 4u);
     auto snapshot = window.snapshot();
     std::sort(snapshot.begin(), snapshot.end());
     EXPECT_EQ(snapshot,
@@ -95,7 +98,7 @@ TEST(HistoryWindowTest, RealPushesReplaceSeedsFirst)
     EXPECT_EQ(snapshot, (std::vector<TokenCount>{10, 20, 30, 40}));
     // Further pushes append normally.
     window.push(50);
-    EXPECT_EQ(window.size(), 5u);
+    EXPECT_EQ(window.snapshot().size(), 5u);
 }
 
 TEST(HistoryWindowDeathTest, SeedOnNonEmptyPanics)
@@ -299,7 +302,7 @@ TEST(LengthDistributionTest, TailMeanMatchesDoublePrefixSumFormula)
         std::vector<TokenCount> values;
         for (int op = 0; op < 2500; ++op) {
             if (values.size() > 1000 ||
-                (!values.empty() && rng.bernoulli(0.3))) {
+                (!values.empty() && bernoulli(rng, 0.3))) {
                 const auto index = static_cast<std::size_t>(
                     rng.uniformInt(0, static_cast<std::int64_t>(
                                           values.size()) - 1));

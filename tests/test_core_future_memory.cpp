@@ -22,10 +22,13 @@
 #include "core/length_predictor.hh"
 #include "core/oracle_scheduler.hh"
 #include "core/past_future_scheduler.hh"
+#include "test_fixtures.hh"
 
 namespace lightllm {
 namespace core {
 namespace {
+
+using testfx::bernoulli;
 
 TEST(FutureMemoryTest, EmptyBatchIsZero)
 {
@@ -303,7 +306,7 @@ randomEntry(Rng &rng, const std::vector<TokenCount> &values)
 {
     BatchEntry entry;
     entry.generatedLen = rng.uniformInt(0, 300);
-    entry.promptLen = rng.bernoulli(0.2)
+    entry.promptLen = bernoulli(rng, 0.2)
         ? rng.uniformInt(-entry.generatedLen, 0)
         : rng.uniformInt(1, 400);
     entry.predictedOutputLen =
@@ -345,7 +348,7 @@ TEST_P(IncrementalPeakProperty, MergedScanMatchesCopyAndSort)
             ASSERT_EQ(mergedPeak(sorted, candidate), expected)
                 << "seed " << seed << " trial " << trial
                 << " candidate " << c;
-            if (rng.bernoulli(0.5)) {
+            if (bernoulli(rng, 0.5)) {
                 insertSorted(sorted, candidate);
                 batch.push_back(candidate);
                 ASSERT_EQ(sortedPeak(sorted), expected)
@@ -379,13 +382,13 @@ TEST_P(IncrementalPeakProperty, SortByRemainingMatchesStableSort)
         const auto batch_size = rng.uniformInt(0, 300);
         for (std::int64_t i = 0; i < batch_size; ++i) {
             BatchEntry entry = randomEntry(rng, values);
-            if (rng.bernoulli(0.1))
+            if (bernoulli(rng, 0.1))
                 entry.predictedOutputLen = entry.generatedLen;
-            if (wide && rng.bernoulli(0.2)) {
+            if (wide && bernoulli(rng, 0.2)) {
                 entry.predictedOutputLen +=
                     rng.uniformInt(0, TokenCount{1} << 40);
             }
-            if (negative && rng.bernoulli(0.2)) {
+            if (negative && bernoulli(rng, 0.2)) {
                 entry.predictedOutputLen =
                     entry.generatedLen - rng.uniformInt(1, 1000);
             }
@@ -445,10 +448,10 @@ TEST_P(IncrementalPeakProperty, CarriedOrderMatchesFreshSort)
             batch.push_back(Member{next_id++, entry.promptLen,
                                    entry.generatedLen,
                                    entry.predictedOutputLen,
-                                   rng.bernoulli(0.3)});
+                                   bernoulli(rng, 0.3)});
         }
         // Evictions.
-        if (!batch.empty() && rng.bernoulli(0.1)) {
+        if (!batch.empty() && bernoulli(rng, 0.1)) {
             const auto victim =
                 rng.uniformInt(0, std::ssize(batch) - 1);
             batch.erase(batch.begin() +
@@ -456,7 +459,7 @@ TEST_P(IncrementalPeakProperty, CarriedOrderMatchesFreshSort)
         }
         // Prediction jumps, up or down (never below generated).
         for (Member &member : batch) {
-            if (rng.bernoulli(0.05)) {
+            if (bernoulli(rng, 0.05)) {
                 member.predicted = member.generated +
                     drawRemaining(rng, values);
             }
@@ -514,7 +517,7 @@ TEST_P(IncrementalPeakProperty, CarriedOrderMatchesFreshSort)
         // complete; finished requests leave.
         for (Member &member : batch) {
             if (member.prefilling)
-                member.prefilling = !rng.bernoulli(0.3);
+                member.prefilling = !bernoulli(rng, 0.3);
             else
                 member.generated += 1;
             member.predicted =
@@ -532,17 +535,22 @@ TEST_P(IncrementalPeakProperty, TailCursorMatchesUpperBound)
     const std::uint64_t seed = GetParam();
     Rng rng(seed);
     LengthPredictor predictor(64);
-    if (seed % 2 == 0)
+    HistoryWindow mirror(64);  // the predictor's window
+    if (seed % 2 == 0) {
         predictor.seed(2048, 16);
+        mirror.seed(2048, 16);
+    }
     std::vector<LengthPredictor::TailCursor> cursors(8);
     std::vector<TokenCount> generated(8, 0);
 
     for (int op = 0; op < 5000; ++op) {
-        if (rng.bernoulli(0.1)) {
+        if (bernoulli(rng, 0.1)) {
             // Few distinct values: the window holds long tie runs.
-            predictor.observe(rng.bernoulli(0.5)
-                                  ? rng.uniformInt(1, 8) * 50
-                                  : rng.uniformInt(1, 600));
+            const TokenCount length = bernoulli(rng, 0.5)
+                ? rng.uniformInt(1, 8) * 50
+                : rng.uniformInt(1, 600);
+            predictor.observe(length);
+            mirror.push(length);
             continue;
         }
         const auto k = static_cast<std::size_t>(rng.uniformInt(0, 7));
@@ -553,8 +561,7 @@ TEST_P(IncrementalPeakProperty, TailCursorMatchesUpperBound)
             generated[k] += rng.uniformInt(0, 400);  // long jump
         else
             generated[k] = rng.uniformInt(0, generated[k]);  // down
-        std::vector<TokenCount> window =
-            predictor.window().snapshot();
+        std::vector<TokenCount> window = mirror.snapshot();
         std::sort(window.begin(), window.end());
         const auto expected = static_cast<std::size_t>(
             std::upper_bound(window.begin(), window.end(),
@@ -579,6 +586,8 @@ TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
         params.predictionMode = mode;
         params.seed = seed;
         PastFutureScheduler scheduler(params);
+        // The scheduler's window, mirrored from what it observes.
+        HistoryWindow window(params.windowSize);
         // Replays the scheduler's sticky draws (its RNG feeds only
         // first-sight variates here: no admission round runs).
         Rng draws(params.seed);
@@ -601,8 +610,7 @@ TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
         // From-scratch reference of predict (peek = false) and
         // peekPrediction (peek = true).
         auto reference = [&](const Tracked &t, bool peek) {
-            const LengthDistribution dist(
-                scheduler.history().snapshot());
+            const LengthDistribution dist(window.snapshot());
             TokenCount predicted = kCap;
             if (!dist.empty()) {
                 if (mode == PredictionMode::TailQuantile) {
@@ -625,11 +633,13 @@ TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
             Tracked &t = tracked[static_cast<std::size_t>(
                 rng.uniformInt(0, 5))];
             if (dice < 15) {
-                scheduler.onRequestFinished(1'000'000 + op,
-                                            rng.uniformInt(1, 800));
+                const TokenCount length = rng.uniformInt(1, 800);
+                scheduler.onRequestFinished(1'000'000 + op, length);
+                window.push(length);
             } else if (dice < 20) {
                 // The request finishes; its id comes back fresh.
                 scheduler.onRequestFinished(t.id, t.generated + 1);
+                window.push(t.generated + 1);
                 t.generated = 0;
                 t.hasU = false;
             } else if (dice < 50) {
@@ -647,7 +657,7 @@ TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
                 // load is exactly the candidate's prediction. (An
                 // empty window predicts the cap and draws nothing.)
                 if (mode == PredictionMode::StickySample && !t.hasU &&
-                    !scheduler.history().empty()) {
+                    !window.snapshot().empty()) {
                     t.u = draws.uniformDouble();
                     t.hasU = true;
                 }
@@ -741,7 +751,7 @@ TEST_P(IncrementalPeakProperty, HorizonHoldsInEveryMode)
                     t.held = false;
             } else if (dice < 50) {
                 t.generated +=
-                    rng.bernoulli(0.7) ? 1 : rng.uniformInt(0, 60);
+                    bernoulli(rng, 0.7) ? 1 : rng.uniformInt(0, 60);
             } else {
                 const PredictionPeek fresh = scheduler.peekWithHorizon(
                     t.slot, t.id, t.generated, kCap);
@@ -787,9 +797,12 @@ TEST(PastFutureSlotTest, StaleSlotNamesNoSample)
     params.windowSize = 16;
     params.seed = 5;
     PastFutureScheduler scheduler(params);
-    for (TokenCount length = 10; length <= 160; length += 10)
+    std::vector<TokenCount> window;
+    for (TokenCount length = 10; length <= 160; length += 10) {
         scheduler.onRequestFinished(900 + length, length);
-    const LengthDistribution dist(scheduler.history().snapshot());
+        window.push_back(length);
+    }
+    const LengthDistribution dist(window);
     Rng draws(params.seed);  // the scheduler's RNG, replayed
     constexpr TokenCount kCap = 1000;
     // predict() through the routing estimate of a one-request queue.
@@ -923,10 +936,13 @@ TEST_P(IncrementalPeakProperty, AdmissionMatchesCopyAndSortReference)
     params.windowSize = 64;
     params.seed = seed;
     PastFutureScheduler scheduler(params);
+    // The scheduler's window, mirrored from what it observes.
+    HistoryWindow window(params.windowSize);
     RequestId observed = 1'000'000;  // ids of requests seen finishing
     for (int i = 0; i < 64; ++i) {
-        scheduler.onRequestFinished(observed++,
-                                    rng.uniformInt(1, 300));
+        const TokenCount length = rng.uniformInt(1, 300);
+        scheduler.onRequestFinished(observed++, length);
+        window.push(length);
     }
 
     Rng draws(params.seed);  // the scheduler's RNG, replayed
@@ -957,7 +973,7 @@ TEST_P(IncrementalPeakProperty, AdmissionMatchesCopyAndSortReference)
                 makeSlot(static_cast<std::uint32_t>(view.id), 0);
             view.promptLen = rng.uniformInt(1, 200);
             view.generatedLen =
-                rng.bernoulli(0.5) ? rng.uniformInt(1, 250) : 0;
+                bernoulli(rng, 0.5) ? rng.uniformInt(1, 250) : 0;
             view.maxNewTokens = kCap;
         }
         SchedulerContext ctx;
@@ -966,7 +982,7 @@ TEST_P(IncrementalPeakProperty, AdmissionMatchesCopyAndSortReference)
         ctx.running = running;
         ctx.waiting = waiting;
 
-        const LengthDistribution dist(scheduler.history().snapshot());
+        const LengthDistribution dist(window.snapshot());
         auto predict = [&](RequestId id, TokenCount g) {
             auto [it, inserted] = sticky.try_emplace(id, 0.0);
             if (inserted)
@@ -1042,8 +1058,9 @@ TEST_P(IncrementalPeakProperty, AdmissionMatchesCopyAndSortReference)
         // The window moves between rounds.
         const auto finished = rng.uniformInt(0, 3);
         for (std::int64_t k = 0; k < finished; ++k) {
-            scheduler.onRequestFinished(observed++,
-                                        rng.uniformInt(1, 300));
+            const TokenCount length = rng.uniformInt(1, 300);
+            scheduler.onRequestFinished(observed++, length);
+            window.push(length);
         }
     }
     EXPECT_GT(decisions[0], 0) << "seed " << seed;

@@ -130,13 +130,13 @@ TEST(LengthPredictorTest, WarmAndSeedFeedTheWindow)
     predictor.seed(4096, 4);
     // Warm history replaces seed placeholders before the ring
     // grows, so the cold-start seed washes out first.
-    const std::vector<TokenCount> history{10, 20, 30};
-    predictor.warm(history);
-    EXPECT_EQ(predictor.window().size(), 4u);
+    for (const TokenCount length : {10, 20, 30})
+        predictor.observe(length);
+    EXPECT_EQ(predictor.distribution().size(), 4u);
     predictor.observe(40);
-    EXPECT_EQ(predictor.window().size(), 4u);
+    EXPECT_EQ(predictor.distribution().size(), 4u);
     predictor.observe(50);
-    EXPECT_EQ(predictor.window().size(), 5u);
+    EXPECT_EQ(predictor.distribution().size(), 5u);
 }
 
 // --- Queue orderings --------------------------------------------------

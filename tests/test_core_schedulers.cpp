@@ -26,6 +26,7 @@ namespace lightllm {
 namespace core {
 namespace {
 
+using testfx::bernoulli;
 using testfx::selectAdmissions;
 
 /** Convenience builder for contexts over value vectors; every
@@ -569,6 +570,29 @@ class EagerPastFuture
     /** Trial peaks of the last tryAdmit. */
     const std::vector<double> &peaks() const { return peaks_; }
 
+    /**
+     * Whether the window bound (DESIGN.md §2) admits the next
+     * candidate without scoring trials, given the round's resident
+     * tokens L and remaining growth R with it: L + R, plus
+     * riskFactor * R / 2 when the trials' mean and spread are
+     * scored, plus the rounding slack, fits under the limit. Call
+     * before tryAdmit.
+     */
+    bool
+    boundFits(TokenCount resident, TokenCount growth) const
+    {
+        const TokenCount overhead = overhead_ *
+            static_cast<TokenCount>(runningSize_ + admitted_ + 1);
+        double bound = static_cast<double>(resident + growth);
+        if (params_.predictionMode != PredictionMode::PerStepSample &&
+            trials_ > 1)
+            bound += params_.riskFactor *
+                static_cast<double>(growth) / 2.0;
+        const double slack = 4.0 + std::ldexp(bound, -32);
+        return bound + slack <=
+            static_cast<double>(limit_ - overhead);
+    }
+
     TokenCount longest() { return predictor_.distribution().maxLength(); }
 
     const Rng &rng() const { return rng_; }
@@ -737,7 +761,8 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
             // Rounds 0-2 run on an empty window.
             if (round >= 3) {
                 for (int f = gen.uniformInt(0, 3); f > 0; --f) {
-                    const RequestId id = seen.empty() || gen.bernoulli(0.5)
+                    const RequestId id =
+                        seen.empty() || bernoulli(gen, 0.5)
                         ? next_id++
                         : seen[static_cast<std::size_t>(gen.uniformInt(
                               0, static_cast<std::int64_t>(seen.size()) -
@@ -746,8 +771,8 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
                     // spread widely enough that the exact estimate
                     // can exceed L + R.
                     const TokenCount length = seed % 2 == 1
-                        ? (gen.bernoulli(0.5) ? gen.uniformInt(1, 20)
-                                              : gen.uniformInt(250, 300))
+                        ? (bernoulli(gen, 0.5) ? gen.uniformInt(1, 20)
+                                               : gen.uniformInt(250, 300))
                         : gen.uniformInt(1, 300);
                     scheduler.onRequestFinished(id, length);
                     reference.onRequestFinished(id, length);
@@ -758,9 +783,10 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
                 ++empty_window_rounds;
 
             std::vector<RunningView> running(static_cast<std::size_t>(
-                gen.uniformInt(0, gen.bernoulli(0.5) ? 3 : 20)));
+                gen.uniformInt(0, bernoulli(gen, 0.5) ? 3 : 20)));
             for (RunningView &view : running) {
-                const bool known = !seen.empty() && gen.bernoulli(0.6);
+                const bool known =
+                    !seen.empty() && bernoulli(gen, 0.6);
                 view.id = known
                     ? seen[static_cast<std::size_t>(gen.uniformInt(
                           0, static_cast<std::int64_t>(seen.size()) - 1))]
@@ -769,11 +795,12 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
                     ++sampleless_members;
                 view.promptLen = gen.uniformInt(1, 300);
                 view.generatedLen = gen.uniformInt(0, 350);
-                view.maxNewTokens = gen.bernoulli(0.3)
+                view.maxNewTokens = bernoulli(gen, 0.3)
                     ? gen.uniformInt(1, 120)
                     : gen.uniformInt(200, 1000);
-                view.cachedPrefixLen =
-                    gen.bernoulli(0.3) ? gen.uniformInt(0, view.promptLen) : 0;
+                view.cachedPrefixLen = bernoulli(gen, 0.3)
+                    ? gen.uniformInt(0, view.promptLen)
+                    : 0;
                 view.slot = makeSlot(static_cast<std::uint32_t>(view.id), 0);
                 if (view.generatedLen >= longest)
                     ++empty_tail_members;
@@ -803,10 +830,11 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
                 view.id = next_id++;
                 view.promptLen = gen.uniformInt(1, 300);
                 view.generatedLen =
-                    gen.bernoulli(0.2) ? gen.uniformInt(1, 200) : 0;
+                    bernoulli(gen, 0.2) ? gen.uniformInt(1, 200) : 0;
                 view.maxNewTokens = gen.uniformInt(50, 1000);
-                view.cachedPrefixLen =
-                    gen.bernoulli(0.3) ? gen.uniformInt(0, view.promptLen) : 0;
+                view.cachedPrefixLen = bernoulli(gen, 0.3)
+                    ? gen.uniformInt(0, view.promptLen)
+                    : 0;
                 view.slot = makeSlot(static_cast<std::uint32_t>(view.id), 0);
                 demand += view.promptLen + view.maxNewTokens;
             }
@@ -814,11 +842,10 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
             // From below the batch's resident tokens to well above
             // its worst case: both the bound and the exact test fire.
             ctx.capacityTokens = gen.uniformInt(0, 2 * demand + 16);
-            ctx.perRequestOverhead = gen.bernoulli(0.5) ? 16 : 0;
+            ctx.perRequestOverhead = bernoulli(gen, 0.5) ? 16 : 0;
             ctx.running = running;
             ctx.waiting = waiting;
 
-            const std::uint64_t bound_before = scheduler.boundAdmissions();
             scheduler.beginAdmissionRound(ctx);
             reference.beginAdmissionRound(ctx);
             TokenCount low = 0;
@@ -830,23 +857,30 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
                                       view.maxNewTokens);
             }
             std::size_t round_bound = 0;
+            // The bound decides until its first miss; every later
+            // candidate of the round is scored against the trials.
+            bool bound_open = true;
             for (const WaitingView &view : waiting) {
-                const std::uint64_t before = scheduler.boundAdmissions();
-                const bool admitted = scheduler.tryAdmit(view);
-                const bool expected = reference.tryAdmit(view);
-                ASSERT_EQ(admitted, expected) << "candidate " << view.id;
-                ++tests;
                 const TokenCount resident = view.promptLen +
                     view.generatedLen - view.cachedPrefixLen;
                 const TokenCount grows = boundGrowth(
                     longest, view.generatedLen, view.maxNewTokens);
+                bound_open = bound_open &&
+                    reference.boundFits(low + resident,
+                                        growth + grows);
+                const bool admitted = scheduler.tryAdmit(view);
+                const bool expected = reference.tryAdmit(view);
+                ASSERT_EQ(admitted, expected) << "candidate " << view.id;
+                ++tests;
                 for (double peak : reference.peaks()) {
                     EXPECT_GE(peak, static_cast<double>(low + resident));
                     EXPECT_LE(peak, static_cast<double>(
                                         low + resident + growth + grows));
                 }
-                if (scheduler.boundAdmissions() != before) {
+                if (bound_open) {
+                    EXPECT_TRUE(admitted) << "candidate " << view.id;
                     ++round_bound;
+                    ++bound_decided;
                 } else if (round_bound > 0) {
                     ++bound_then_exact;
                     round_bound = 0;  // count each round once
@@ -857,7 +891,6 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
                 }
                 seen.push_back(view.id);
             }
-            bound_decided += scheduler.boundAdmissions() - bound_before;
             ASSERT_EQ(nextDraws(scheduler.rng()),
                       nextDraws(reference.rng()));
         }
@@ -872,18 +905,55 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
     EXPECT_LT(bound_decided, tests);
 }
 
-/** Light rounds take the bound on every test; at zero capacity no
- *  test does (a change that always built the trials would pass every
- *  byte-identity suite, so the fast path is pinned here). */
+/** Window-bound decisions of one reference round over `ctx`: the
+ *  leading candidates whose L + R bound fits, each admitted. */
+std::size_t
+boundDecisions(EagerPastFuture &reference,
+               const SchedulerContext &ctx)
+{
+    const TokenCount longest = reference.longest();
+    reference.beginAdmissionRound(ctx);
+    TokenCount low = 0;
+    TokenCount growth = 0;
+    for (const RunningView &view : ctx.running) {
+        low += view.promptLen - view.cachedPrefixLen +
+            view.generatedLen;
+        growth += boundGrowth(longest, view.generatedLen,
+                              view.maxNewTokens);
+    }
+    std::size_t decided = 0;
+    for (const WaitingView &view : ctx.waiting) {
+        const TokenCount resident =
+            view.promptLen + view.generatedLen - view.cachedPrefixLen;
+        const TokenCount grows = boundGrowth(
+            longest, view.generatedLen, view.maxNewTokens);
+        if (!reference.boundFits(low + resident, growth + grows))
+            break;
+        EXPECT_TRUE(reference.tryAdmit(view));
+        low += resident;
+        growth += grows;
+        ++decided;
+    }
+    return decided;
+}
+
+/** Light rounds fit the window bound on every test, so the scheduler
+ *  admits them without building trials; at zero capacity no test
+ *  does. (Taking the bound changes no decision, so no byte-identity
+ *  suite sees it; BM_PastFutureBoundRound times it.) */
 TEST(PastFutureBoundTest, FastPathIsTaken)
 {
     PastFutureParams params;
     params.windowSize = 200;
     params.seed = 5;
     PastFutureScheduler scheduler(params);
+    EagerPastFuture reference(params);
     Rng gen(17);
-    for (RequestId id = 0; id < 200; ++id)
-        scheduler.onRequestFinished(500000 + id, gen.uniformInt(20, 900));
+    for (RequestId id = 0; id < 200; ++id) {
+        const TokenCount length = gen.uniformInt(20, 900);
+        scheduler.onRequestFinished(500000 + id, length);
+        reference.onRequestFinished(500000 + id, length);
+    }
 
     ContextBuilder light;
     light.capacity = 1'000'000;
@@ -896,17 +966,16 @@ TEST(PastFutureBoundTest, FastPathIsTaken)
     for (int i = 0; i < 8; ++i)
         light.addWaiting(gen.uniformInt(50, 500), 2048, 0);
     for (int round = 0; round < 5; ++round) {
-        const std::uint64_t before = scheduler.boundAdmissions();
         EXPECT_EQ(selectAdmissions(scheduler, light.context()), 8u);
-        EXPECT_EQ(scheduler.boundAdmissions() - before, 8u);
+        EXPECT_EQ(boundDecisions(reference, light.context()), 8u);
     }
 
     ContextBuilder full = light;
     full.capacity = 0;
-    const std::uint64_t before = scheduler.boundAdmissions();
-    for (int round = 0; round < 5; ++round)
+    for (int round = 0; round < 5; ++round) {
         EXPECT_EQ(selectAdmissions(scheduler, full.context()), 0u);
-    EXPECT_EQ(scheduler.boundAdmissions(), before);
+        EXPECT_EQ(boundDecisions(reference, full.context()), 0u);
+    }
 }
 
 // --- Factory ----------------------------------------------------------

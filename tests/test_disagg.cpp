@@ -69,6 +69,29 @@ makeEngines(std::size_t count, double mem_megabytes = 4.0,
     return engines;
 }
 
+/** The two pools a DisaggCluster joins, built prefill first (the
+ *  order DisaggCluster documents) and routed as it expects. */
+struct Pools
+{
+    std::unique_ptr<cluster::ServingCluster> prefill;
+    std::unique_ptr<cluster::ServingCluster> decode;
+};
+
+Pools
+makePools(std::vector<std::unique_ptr<engine::ServingEngine>> prefill,
+          std::vector<std::unique_ptr<engine::ServingEngine>> decode,
+          sim::SimContext &context)
+{
+    Pools pools;
+    pools.prefill = std::make_unique<cluster::ServingCluster>(
+        std::move(prefill), cluster::RoutingPolicy::PrefillLoad,
+        context);
+    pools.decode = std::make_unique<cluster::ServingCluster>(
+        std::move(decode), cluster::RoutingPolicy::FutureMemory,
+        context);
+    return pools;
+}
+
 // --- Interconnect math --------------------------------------------------
 
 TEST(DisaggMathTest, MigrationMovesWholeBlocks)
@@ -97,8 +120,10 @@ TEST(DisaggMathTest, TransferTimeSerializesOverTheLink)
 TEST(DisaggClusterTest, EveryRequestMigratesAndFinishes)
 {
     sim::SimContext context;
-    DisaggCluster cluster(makeEngines(2), makeEngines(2),
-                          tinyConfig(), context);
+    Pools pools = makePools(makeEngines(2), makeEngines(2), context);
+    DisaggCluster cluster(std::move(pools.prefill),
+                          std::move(pools.decode), tinyConfig(),
+                          context);
     std::unordered_map<RequestId, TokenCount> expected_output;
     for (RequestId id = 0; id < 30; ++id) {
         const auto spec = makeRequest(id, 60, 20 + id % 5);
@@ -108,9 +133,9 @@ TEST(DisaggClusterTest, EveryRequestMigratesAndFinishes)
     const auto report = cluster.run();
 
     EXPECT_EQ(report.numFinished, 30u);
-    EXPECT_EQ(cluster.offeredRequests(), 30);
-    EXPECT_EQ(cluster.migratedRequests(), 30);
-    EXPECT_EQ(cluster.handoffShedRequests(), 0);
+    EXPECT_EQ(report.offeredRequests, 30);
+    EXPECT_EQ(report.migratedRequests, 30);
+    EXPECT_EQ(report.handoffShedRequests, 0);
     EXPECT_TRUE(report.disaggregated);
     EXPECT_EQ(report.prefillPool.finished, 30u);
     EXPECT_EQ(report.decodePool.finished, 30u);
@@ -135,13 +160,15 @@ TEST(DisaggClusterTest, EveryRequestMigratesAndFinishes)
 TEST(DisaggClusterTest, SingleTokenRequestsFinishInPrefillPool)
 {
     sim::SimContext context;
-    DisaggCluster cluster(makeEngines(1), makeEngines(1),
-                          tinyConfig(), context);
+    Pools pools = makePools(makeEngines(1), makeEngines(1), context);
+    DisaggCluster cluster(std::move(pools.prefill),
+                          std::move(pools.decode), tinyConfig(),
+                          context);
     for (RequestId id = 0; id < 8; ++id)
         cluster.submitAt(makeRequest(id, 50, 1), 0);
     const auto report = cluster.run();
     EXPECT_EQ(report.numFinished, 8u);
-    EXPECT_EQ(cluster.migratedRequests(), 0);
+    EXPECT_EQ(report.migratedRequests, 0);
     EXPECT_EQ(report.migratedKvBytes, 0);
     EXPECT_EQ(report.decodePool.finished, 0u);
     for (const auto &record : report.requests)
@@ -152,8 +179,11 @@ TEST(DisaggClusterTest, RerunIsByteIdentical)
 {
     const auto run_once = []() {
         sim::SimContext context;
-        DisaggCluster cluster(makeEngines(2), makeEngines(2),
-                              tinyConfig(), context);
+        Pools pools =
+            makePools(makeEngines(2), makeEngines(2), context);
+        DisaggCluster cluster(std::move(pools.prefill),
+                              std::move(pools.decode), tinyConfig(),
+                              context);
         for (RequestId id = 0; id < 40; ++id) {
             cluster.submitAt(
                 makeRequest(id, 50 + (id % 7) * 30, 10 + id % 9),
@@ -192,8 +222,11 @@ TEST(DisaggClusterTest, SplitFuseServesMigratedAdmissions)
             return one;
         };
         sim::SimContext context;
-        DisaggCluster cluster(pool(prefill_split), pool(decode_split),
-                              tinyConfig(), context);
+        Pools pools = makePools(pool(prefill_split),
+                                pool(decode_split), context);
+        DisaggCluster cluster(std::move(pools.prefill),
+                              std::move(pools.decode), tinyConfig(),
+                              context);
         for (RequestId id = 0; id < 24; ++id) {
             const Tick arrival = id < 8
                 ? static_cast<Tick>(id) * secondsToTicks(5.0)
@@ -236,16 +269,16 @@ TEST(DisaggClusterTest, HandoffOverflowShedsAtTheBound)
     auto config = tinyConfig();
     config.handoffDepth = 1;
     sim::SimContext context;
-    DisaggCluster cluster(makeEngines(2), makeEngines(1, 0.5),
-                          config, context);
+    Pools pools =
+        makePools(makeEngines(2), makeEngines(1, 0.5), context);
+    DisaggCluster cluster(std::move(pools.prefill),
+                          std::move(pools.decode), config, context);
     const std::int64_t offered = 24;
     for (RequestId id = 0; id < offered; ++id)
         cluster.submitAt(makeRequest(id, 100, 40), 0);
     const auto report = cluster.run();
 
-    EXPECT_GT(cluster.handoffShedRequests(), 0);
-    EXPECT_EQ(report.handoffShedRequests,
-              cluster.handoffShedRequests());
+    EXPECT_GT(report.handoffShedRequests, 0);
     // Every offered request is accounted for: finished or shed, and
     // shed requests leave no end-to-end record.
     EXPECT_EQ(static_cast<std::int64_t>(report.numFinished) +
@@ -260,8 +293,11 @@ TEST(DisaggClusterTest, HandoffOverflowShedsAtTheBound)
 TEST(DisaggClusterTest, DecodeDrainUnwindsChargesAndFinishesAll)
 {
     sim::SimContext context;
-    DisaggCluster cluster(makeEngines(1), makeEngines(2),
-                          tinyConfig(), context);
+    Pools pools = makePools(makeEngines(1), makeEngines(2), context);
+    cluster::ServingCluster &decode_pool = *pools.decode;
+    DisaggCluster cluster(std::move(pools.prefill),
+                          std::move(pools.decode), tinyConfig(),
+                          context);
     // Arrivals spread across the drain tick so migrations are in
     // flight (transfers take >= 2 ms) when decode instance 0 goes
     // away; its admitted-but-unfinished migrations re-dispatch to
@@ -269,15 +305,14 @@ TEST(DisaggClusterTest, DecodeDrainUnwindsChargesAndFinishesAll)
     for (RequestId id = 0; id < 20; ++id)
         cluster.submitAt(makeRequest(id, 80, 30),
                          id * secondsToTicks(0.001));
-    cluster.decodePool().scheduleDrain(0, secondsToTicks(0.01));
+    decode_pool.scheduleDrain(0, secondsToTicks(0.01));
     const auto report = cluster.run();
 
     EXPECT_EQ(report.numFinished, 20u);
-    EXPECT_EQ(cluster.handoffShedRequests(), 0);
-    // The drained instance serves nothing after the drain tick and
-    // the future-memory ledger carries no residue.
-    for (TokenCount load : cluster.decodePool().predictedLoads())
-        EXPECT_EQ(load, 0);
+    EXPECT_EQ(report.handoffShedRequests, 0);
+    // The drained instance serves nothing after the drain tick (the
+    // merged report asserts the future-memory ledger carries no
+    // residue).
     for (const auto &record : report.requests) {
         EXPECT_EQ(record.arrival,
                   static_cast<Tick>(record.id) *
@@ -313,8 +348,10 @@ TEST(DisaggClusterTest, ElasticPoolsShareOneControlTick)
     // One periodic event drives both pools' control loops, every
     // autoscale::kControlInterval.
     sim::SimContext context;
-    DisaggCluster cluster(makeEngines(1), makeEngines(1),
-                          tinyConfig(), context);
+    Pools pools = makePools(makeEngines(1), makeEngines(1), context);
+    DisaggCluster cluster(std::move(pools.prefill),
+                          std::move(pools.decode), tinyConfig(),
+                          context);
     autoscale::AutoscaleConfig config;
     config.sla = metrics::SlaSpec{secondsToTicks(2.0),
                                   secondsToTicks(1.0)};
@@ -348,8 +385,13 @@ TEST(DisaggClusterTest, ElasticSetupKeepsDecodeRouterShedFree)
     auto disagg_config = tinyConfig();
     disagg_config.handoffDepth = 1;
     sim::SimContext context;
-    DisaggCluster cluster(makeEngines(2), makeEngines(1, 0.5),
-                          disagg_config, context);
+    Pools pools =
+        makePools(makeEngines(2), makeEngines(1, 0.5), context);
+    cluster::ServingCluster &prefill_pool = *pools.prefill;
+    cluster::ServingCluster &decode_pool = *pools.decode;
+    DisaggCluster cluster(std::move(pools.prefill),
+                          std::move(pools.decode), disagg_config,
+                          context);
     autoscale::AutoscaleConfig config;
     config.minInstances = 1;
     config.maxInstances = 2;
@@ -362,11 +404,11 @@ TEST(DisaggClusterTest, ElasticSetupKeepsDecodeRouterShedFree)
         config, std::make_unique<TickLog>(prefill_ticks),
         std::make_unique<TickLog>(decode_ticks),
         [] { return std::move(makeEngines(1).front()); });
-    ASSERT_NE(cluster.prefillPool().autoscaler(), nullptr);
-    ASSERT_NE(cluster.decodePool().autoscaler(), nullptr);
-    EXPECT_EQ(cluster.prefillPool().autoscaler()->config().shedPolicy,
+    ASSERT_NE(prefill_pool.autoscaler(), nullptr);
+    ASSERT_NE(decode_pool.autoscaler(), nullptr);
+    EXPECT_EQ(prefill_pool.autoscaler()->config().shedPolicy,
               autoscale::ShedPolicy::Overload);
-    EXPECT_EQ(cluster.decodePool().autoscaler()->config().shedPolicy,
+    EXPECT_EQ(decode_pool.autoscaler()->config().shedPolicy,
               autoscale::ShedPolicy::Never);
 
     const std::int64_t offered = 24;
@@ -374,11 +416,11 @@ TEST(DisaggClusterTest, ElasticSetupKeepsDecodeRouterShedFree)
         cluster.submitAt(makeRequest(id, 100, 40), 0);
     const auto report = cluster.run();
 
-    EXPECT_GT(cluster.handoffShedRequests(), 0);
-    EXPECT_EQ(cluster.decodePool().shedRequests(), 0);
+    EXPECT_GT(report.handoffShedRequests, 0);
+    EXPECT_EQ(decode_pool.shedRequests(), 0);
     EXPECT_EQ(static_cast<std::int64_t>(report.numFinished) +
-                  cluster.handoffShedRequests() +
-                  cluster.prefillPool().shedRequests(),
+                  report.handoffShedRequests +
+                  prefill_pool.shedRequests(),
               offered);
 }
 
@@ -417,8 +459,11 @@ TEST(DisaggCostTest, MergedDisaggCostCoversBothPools)
 {
     const double rate = 1.25;
     sim::SimContext context;
-    DisaggCluster cluster(makeEngines(1, 4.0, rate),
-                          makeEngines(2, 4.0, rate), tinyConfig(), context);
+    Pools pools = makePools(makeEngines(1, 4.0, rate),
+                            makeEngines(2, 4.0, rate), context);
+    DisaggCluster cluster(std::move(pools.prefill),
+                          std::move(pools.decode), tinyConfig(),
+                          context);
     for (RequestId id = 0; id < 12; ++id)
         cluster.submitAt(makeRequest(id, 60, 15), 0);
     const auto report = cluster.run();
@@ -426,10 +471,14 @@ TEST(DisaggCostTest, MergedDisaggCostCoversBothPools)
     EXPECT_GT(report.instanceCost, 0.0);
     EXPECT_NEAR(report.instanceCost, report.instanceSeconds * rate,
                 1e-9 * report.instanceSeconds);
-    EXPECT_NEAR(report.instanceCost,
-                cluster.prefillReport().instanceCost +
-                    cluster.decodeReport().instanceCost,
-                1e-12);
+    // Both pools' three instances are alive from tick 0 to the end of
+    // service, the last completion.
+    Tick end_of_service = 0;
+    for (const auto &record : report.requests)
+        end_of_service = std::max(end_of_service, record.finish);
+    EXPECT_NEAR(report.instanceSeconds,
+                3.0 * ticksToSeconds(end_of_service),
+                1e-9 * report.instanceSeconds);
 }
 
 } // namespace

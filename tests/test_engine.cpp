@@ -550,11 +550,14 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
         auto recorder = std::make_unique<PeekRecorder>(
             core::makeScheduler(variant.scheduler), variant.predictor);
         PeekRecorder &recorded = *recorder;
+        auto watch = std::make_unique<testfx::SlabWatch>(
+            std::move(recorder));
+        const testfx::SlabWatch &slab = *watch;
         // The closed loop keeps a few clients on a roomy engine, so a
         // resubmit is admitted the step after its predecessor left.
         ServingEngine engine(tinyPerf(variant.memMegabytes),
                              std::make_unique<core::SchedulingPolicy>(
-                                 std::move(recorder)),
+                                 std::move(watch)),
                              config);
         trace::EngineTrace trace(1, "engine", trace::TraceDetail::Steps,
                                  1 << 17);
@@ -712,7 +715,8 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
         for (int wave = 0; wave < 2 && !variant.closedLoop; ++wave) {
             for (RequestId id = 0; id < kWave; ++id) {
                 engine.submitAt(make(id),
-                                engine.now() + id * variant.arrivalGap);
+                                engine.report().makespan +
+                                    id * variant.arrivalGap);
             }
             const std::size_t done = engine.numFinished() +
                 static_cast<std::size_t>(kWave);
@@ -727,8 +731,7 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
 
         // The second wave (or every resubmission) ran on recycled
         // slab entries.
-        EXPECT_LE(engine.requestSlabSize(),
-                  static_cast<std::size_t>(kWave));
+        EXPECT_LE(slab.slabEntries, static_cast<std::size_t>(kWave));
         const auto report = engine.report();
         if (variant.predictor != Predictor::Inner) {
             EXPECT_GT(report.evictionEvents, 0);
@@ -736,7 +739,7 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
         if (variant.closedLoop) {
             EXPECT_EQ(report.numFinished,
                       static_cast<std::size_t>(4 * kWave));
-            EXPECT_LE(engine.requestSlabSize(), 8u);
+            EXPECT_LE(slab.slabEntries, 8u);
         }
         // One M* counter per decode step the report counts, each
         // equal to the from-scratch M* in tokens.
@@ -779,10 +782,14 @@ TEST(ServingEngineStateTest, DepartingRequestsLeaveNoStickySample)
     for (const bool steal : {false, true}) {
         SCOPED_TRACE(steal ? "stealQueued" : "drainQueued");
         sim::SimContext context;
-        ServingEngine engine(
-            tinyPerf(2.0),
-            core::makeSchedulingPolicy(
-                SchedulerConfig::pastFutureDefault(0.05)));
+        auto admission = core::makeScheduler(
+            SchedulerConfig::pastFutureDefault(0.05));
+        const auto &scheduler =
+            dynamic_cast<const core::PastFutureScheduler &>(
+                *admission);
+        ServingEngine engine(tinyPerf(2.0),
+                             std::make_unique<core::SchedulingPolicy>(
+                                 std::move(admission)));
         engine.attachContext(context);
         constexpr RequestId kRequests = 40;
         for (RequestId id = 0; id < kRequests; ++id)
@@ -791,9 +798,6 @@ TEST(ServingEngineStateTest, DepartingRequestsLeaveNoStickySample)
         // round tests gets a sample.
         while (engine.numFinished() < 4)
             ASSERT_TRUE(context.runNext());
-        auto &scheduler =
-            dynamic_cast<core::PastFutureScheduler &>(
-                engine.scheduler());
         // Queued requests hold samples (beyond those holding KV).
         ASSERT_GT(scheduler.stickySampleCount(),
                   engine.kvManager().numRequests());
@@ -893,6 +897,12 @@ driveEngine(const DriveCase &drive, bool stepped)
     ServingEngine engine(tinyPerf(32.0),
                          core::makeSchedulingPolicy(
                              SchedulerConfig::pastFutureDefault(0.05)));
+    // A stepped drive traces: every delivered arrival records its
+    // queue span (tracing leaves the report's bytes alone).
+    trace::EngineTrace trace(1, "engine",
+                             trace::TraceDetail::Requests, 1 << 16);
+    if (stepped)
+        engine.attachTrace(&trace);
     const workload::Dataset dataset = workload::makeShareGpt(24, 11);
     workload::ClosedLoopClientPool clients(4, dataset, engine);
     if (drive.closedLoop) {
@@ -909,18 +919,19 @@ driveEngine(const DriveCase &drive, bool stepped)
     if (!stepped)
         return engine.run(drive.limits);
     std::int64_t steps = 0;
-    std::size_t waiting = 0;
+    std::size_t events = 0;
     while (engine.stepOnce(drive.limits)) {
         const std::int64_t after = engine.report().decodeSteps;
         EXPECT_LE(after - steps, 1) << "one call ran two iterations";
         steps = after;
-        waiting = engine.waitingSize();
+        events = trace.ring().size();
     }
     // A limit its last iteration reached stops the run before any
     // delivery (an idle-gap maxTicks stop still delivers the
     // arrivals due by the tick the clock moved to).
     if (drive.limits.maxFinishedRequests > 0) {
-        EXPECT_EQ(engine.waitingSize(), waiting)
+        EXPECT_EQ(trace.ring().dropped(), 0u);
+        EXPECT_EQ(trace.ring().size(), events)
             << "a stopped run delivered arrivals";
     }
     return engine.report();
@@ -1015,14 +1026,18 @@ probedDrive(std::uint64_t seed, bool shared)
         log << " out " << engine.outstandingTokens() << " load "
             << engine.predictedLoadTokens() << " prefill "
             << engine.pendingPrefillTokens() << " kv "
-            << engine.kvManager().usedTokens() << " steps "
-            << engine.report().decodeSteps << " now " << engine.now();
+            << engine.kvManager().usedTokens();
+        // The settled clock: the makespan of a run with no warmup.
+        const metrics::RunReport report = engine.report();
+        log << " steps " << report.decodeSteps << " now "
+            << report.makespan;
     };
     RequestId follow_up = 1000;
+    bool drained = false;  // the last probe drains the engine
     engine.setOnFinish([&](const RequestSpec &spec, Tick tick) {
         log << "finish " << spec.id << " @" << tick << ":";
         read();
-        if (spec.id % 3 == 0 && !engine.draining()) {
+        if (spec.id % 3 == 0 && !drained) {
             engine.submitAt(
                 makeRequest(follow_up++, spec.inputLen,
                             std::max<TokenCount>(2, spec.outputLen / 2),
@@ -1069,8 +1084,9 @@ probedDrive(std::uint64_t seed, bool shared)
         context.schedule(at, [&, i, kind, steal, delay](Tick tick) {
             log << "probe " << i << " @" << tick << ":";
             if (i + 1 == kProbes) {
-                for (const auto &drained : engine.drainQueued())
-                    log << " drained " << drained.spec.id;
+                drained = true;
+                for (const auto &request : engine.drainQueued())
+                    log << " drained " << request.spec.id;
             } else if (kind == 0) {
                 for (const auto &stolen : engine.stealQueued(steal)) {
                     log << " stole " << stolen.spec.id;
@@ -1159,7 +1175,7 @@ TEST(StaticEngineTest, ProcessesWholeDataset)
     const auto report = runStaticBatch(perf, dataset);
     EXPECT_EQ(report.numFinished, 64u);
     EXPECT_EQ(report.totalOutputTokens,
-              dataset.totalOutputTokens());
+              testfx::totalOutputTokens(dataset));
     EXPECT_GT(report.throughputTokensPerSec(), 0.0);
 }
 

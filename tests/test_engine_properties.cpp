@@ -18,6 +18,7 @@
 #include "workload/arrivals.hh"
 #include "workload/client_pool.hh"
 #include "workload/datasets.hh"
+#include "test_fixtures.hh"
 
 namespace lightllm {
 namespace {
@@ -98,7 +99,8 @@ TEST_P(EngineInvariantProperty, RunSatisfiesInvariants)
     // Conservation: every request finishes exactly once with its
     // full output; all KV memory is returned.
     EXPECT_EQ(report.numFinished, dataset.requests.size());
-    EXPECT_EQ(report.totalOutputTokens, dataset.totalOutputTokens());
+    EXPECT_EQ(report.totalOutputTokens,
+              testfx::totalOutputTokens(dataset));
     EXPECT_EQ(engine.kvManager().usedTokens(), 0);
     EXPECT_EQ(engine.kvManager().numRequests(), 0u);
 

@@ -5,7 +5,10 @@
  * hash the byte-pinning suites fold their outputs into, the check
  * that a call throws a diagnosis, and the count-based FCFS-prefix
  * reference and one-shot round the scheduling suites drive a
- * scheduler or policy with. One
+ * scheduler or policy with, and the readers of public state that
+ * only tests need (a Bernoulli draw, a dataset's output total, a
+ * rate schedule's rate at a time, KV headroom, a fleet's routing
+ * decisions per instance, an engine's request-slab size). One
  * definition keeps every suite on the same platform — a drifted
  * copy would silently test different token capacities.
  */
@@ -15,14 +18,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "base/rng.hh"
+#include "cluster/serving_cluster.hh"
 #include "core/scheduler.hh"
 #include "core/scheduling_decision.hh"
 #include "core/scheduling_policy.hh"
+#include "memory/kv_block_manager.hh"
 #include "model/perf_model.hh"
+#include "workload/datasets.hh"
+#include "workload/rate_schedule.hh"
 #include "workload/request_spec.hh"
+#include "workload/session_gen.hh"
 
 namespace lightllm {
 namespace testfx {
@@ -49,6 +61,132 @@ tinyPerf(double mem_megabytes, double mem_bandwidth = 1e12)
     hw.flopsPerDevice = 1e14;
     hw.hostLinkBandwidth = 25e9;
     return model::PerfModel(spec, hw);
+}
+
+/** A Bernoulli trial with probability p: one uniform draw. */
+inline bool
+bernoulli(Rng &rng, double p)
+{
+    return rng.uniformDouble() < p;
+}
+
+/** Sum of the dataset's effective output tokens. */
+inline TokenCount
+totalOutputTokens(const workload::Dataset &dataset)
+{
+    TokenCount sum = 0;
+    for (const auto &request : dataset.requests)
+        sum += request.effectiveOutputLen();
+    return sum;
+}
+
+/** The schedule's intensity at `t_seconds` (>= 0), read from its
+ *  segments: an open-ended segment holds forever, and past the last
+ *  timed one the last rate holds. */
+inline double
+rateAt(const workload::RateSchedule &schedule, double t_seconds)
+{
+    double start = 0.0;
+    for (const workload::RateSegment &segment : schedule.segments()) {
+        if (segment.durationSeconds <= 0.0 ||
+            t_seconds < start + segment.durationSeconds)
+            return segment.ratePerSecond;
+        start += segment.durationSeconds;
+    }
+    return schedule.segments().back().ratePerSecond;
+}
+
+/** The schedule's largest segment rate. */
+inline double
+maxRate(const workload::RateSchedule &schedule)
+{
+    double peak = 0.0;
+    for (const workload::RateSegment &segment : schedule.segments())
+        peak = std::max(peak, segment.ratePerSecond);
+    return peak;
+}
+
+/** Whether `tokens` more slots could be allocated now: free blocks
+ *  plus the prefix cache's reclaimable ones. */
+inline bool
+canAllocate(const memory::KvBlockManager &kv, TokenCount tokens)
+{
+    return (tokens + kv.blockSize() - 1) / kv.blockSize() <=
+        kv.freeBlocks() + kv.reclaimableBlocks();
+}
+
+/** The per-request reference for KvBlockManager::batchCanGrow:
+ *  whether every request in `slots` can extend by one token, each
+ *  whose last block is full taking one more block. */
+inline bool
+canExtendBatchByOne(const memory::KvBlockManager &kv,
+                    const std::vector<RequestSlot> &slots)
+{
+    std::int64_t blocks_needed = 0;
+    for (const RequestSlot slot : slots) {
+        const auto held =
+            static_cast<TokenCount>(kv.blockTable(slot).size()) *
+            kv.blockSize();
+        if (kv.requestTokens(slot) == held)
+            ++blocks_needed;
+    }
+    return blocks_needed <= kv.freeBlocks() + kv.reclaimableBlocks();
+}
+
+/** Token slots in free blocks (reclaimable cached ones excluded). */
+inline TokenCount
+freeTokens(const memory::KvBlockManager &kv)
+{
+    return kv.freeBlocks() * kv.blockSize();
+}
+
+/** Token-level utilization in [0, 1]. */
+inline double
+utilization(const memory::KvBlockManager &kv)
+{
+    return static_cast<double>(kv.usedTokens()) /
+        static_cast<double>(kv.capacityTokens());
+}
+
+/** A fleet's submission log (ServingCluster::recordSubmissions). */
+using RoutedLog =
+    std::vector<cluster::ServingCluster::RoutedSubmission>;
+
+/** Routing decisions per instance in a fleet's submission log
+ *  (a re-dispatched request counts on every instance it went to). */
+inline std::vector<std::size_t>
+routedCounts(const RoutedLog &log, std::size_t instances)
+{
+    std::vector<std::size_t> counts(instances, 0);
+    for (const auto &routed : log)
+        ++counts[routed.instance];
+    return counts;
+}
+
+/** Every turn a session workload submits, session-major (turn t of
+ *  session s at s * turnsPerSession + t): the generator runs to
+ *  completion with each turn finishing as soon as it is sent. */
+inline std::vector<workload::RequestSpec>
+sessionTurns(const workload::SessionWorkloadConfig &config)
+{
+    struct Recorder : workload::RequestSink
+    {
+        std::vector<workload::RequestSpec> turns;
+        void
+        submitAt(const workload::RequestSpec &spec, Tick) override
+        {
+            turns.push_back(spec);
+        }
+    } sink;
+    workload::SessionGenerator generator(config, sink);
+    generator.start();
+    for (std::size_t i = 0; i < sink.turns.size(); ++i)
+        generator.onRequestFinished(sink.turns[i].id, 0);
+    std::sort(sink.turns.begin(), sink.turns.end(),
+              [](const auto &a, const auto &b) {
+                  return a.id < b.id;
+              });
+    return sink.turns;
 }
 
 /** A request spec with explicit lengths (EOS at `output`). */
@@ -135,7 +273,96 @@ class OneShotPolicy : public core::SchedulingPolicy
     }
 };
 
+/**
+ * Admission-policy decorator that forwards every call and reads the
+ * engine's request-slab size: one past the highest slot index
+ * released (every request releases its slot when it leaves).
+ */
+class SlabWatch : public core::Scheduler
+{
+  public:
+    explicit SlabWatch(std::unique_ptr<core::Scheduler> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    void
+    beginAdmissionRound(const core::SchedulerContext &ctx) override
+    {
+        inner_->beginAdmissionRound(ctx);
+    }
+
+    bool
+    tryAdmit(const core::WaitingView &candidate) override
+    {
+        return inner_->tryAdmit(candidate);
+    }
+
+    void
+    onRequestFinished(RequestId id, TokenCount output_len) override
+    {
+        inner_->onRequestFinished(id, output_len);
+    }
+
+    void
+    onRequestEvicted(RequestId id) override
+    {
+        inner_->onRequestEvicted(id);
+    }
+
+    void
+    onSlotReleased(RequestSlot slot, RequestId id) override
+    {
+        slabEntries = std::max<std::size_t>(slabEntries,
+                                            slotIndex(slot) + 1);
+        inner_->onSlotReleased(slot, id);
+    }
+
+    TokenCount
+    peekPrediction(RequestId id, TokenCount generated_len,
+                   TokenCount max_new_tokens) override
+    {
+        return inner_->peekPrediction(id, generated_len,
+                                      max_new_tokens);
+    }
+
+    core::PredictionPeek
+    peekWithHorizon(RequestSlot slot, RequestId id,
+                    TokenCount generated_len,
+                    TokenCount max_new_tokens) override
+    {
+        return inner_->peekWithHorizon(slot, id, generated_len,
+                                       max_new_tokens);
+    }
+
+    TokenCount
+    estimateLoad(const core::SchedulerContext &ctx) override
+    {
+        return inner_->estimateLoad(ctx);
+    }
+
+    std::string name() const override { return inner_->name(); }
+
+    /** Slab entries seen so far. */
+    std::size_t slabEntries = 0;
+
+  private:
+    std::unique_ptr<core::Scheduler> inner_;
+};
+
 } // namespace testfx
+
+namespace base {
+
+/** Field-wise equality, so tests compare classes with EXPECT_EQ. */
+inline bool
+operator==(const RequestClass &a, const RequestClass &b)
+{
+    return a.tenant == b.tenant && a.priority == b.priority &&
+        a.sloTier == b.sloTier;
+}
+
+} // namespace base
 } // namespace lightllm
 
 #endif // LIGHTLLM_TESTS_TEST_FIXTURES_HH

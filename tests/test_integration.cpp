@@ -17,6 +17,7 @@
 #include "trace/trace_recorder.hh"
 #include "workload/client_pool.hh"
 #include "workload/datasets.hh"
+#include "test_fixtures.hh"
 
 namespace lightllm {
 namespace {
@@ -81,7 +82,7 @@ TEST(IntegrationTest, OutputTokensAreConserved)
           SchedulerConfig::oracle()}) {
         const auto report = serve(dataset, config, 24);
         EXPECT_EQ(report.totalOutputTokens,
-                  dataset.totalOutputTokens())
+                  testfx::totalOutputTokens(dataset))
             << report.schedulerName;
     }
 }

@@ -20,10 +20,13 @@
 #include "list_walk_pool.hh"
 #include "memory/kv_block_manager.hh"
 #include "memory/prefix_cache.hh"
+#include "test_fixtures.hh"
 
 namespace lightllm {
 namespace memory {
 namespace {
+
+using testfx::bernoulli;
 
 TEST(KvBlockManagerTest, CapacityRoundsDownToBlocks)
 {
@@ -155,23 +158,24 @@ TEST(KvBlockManagerTest, CanExtendBatchAccountsSlack)
     ASSERT_TRUE(kv.allocate(3, 10));  // 6 tokens slack
     // Requests 2 and 3 can grow within slack; request 1 needs a new
     // block but none are free.
-    EXPECT_FALSE(kv.canExtendBatchByOne({1, 2, 3}));
-    EXPECT_TRUE(kv.canExtendBatchByOne({2, 3}));
+    EXPECT_FALSE(testfx::canExtendBatchByOne(kv, {1, 2, 3}));
+    EXPECT_TRUE(testfx::canExtendBatchByOne(kv, {2, 3}));
 }
 
 TEST(KvBlockManagerTest, CanAllocateMatchesAllocate)
 {
     KvBlockManager kv(64, 16);
     ASSERT_TRUE(kv.allocate(1, 40));  // 3 blocks
-    EXPECT_TRUE(kv.canAllocate(16));
-    EXPECT_FALSE(kv.canAllocate(17));
+    EXPECT_TRUE(testfx::canAllocate(kv, 16));
+    EXPECT_FALSE(testfx::canAllocate(kv, 17));
 }
 
 TEST(KvBlockManagerTest, UtilizationIsTokenLevel)
 {
     KvBlockManager kv(100, 10);
     ASSERT_TRUE(kv.allocate(1, 25));
-    EXPECT_DOUBLE_EQ(kv.utilization(), 0.25);
+    // 25 tokens held, not the 30 slots of its three blocks.
+    EXPECT_EQ(kv.usedTokens(), 25);
 }
 
 TEST(KvBlockManagerDeathTest, ExtendUnknownRequestPanics)
@@ -250,7 +254,7 @@ TEST(KvBlockManagerTest, BatchDemandMatchesPerRequestScan)
                           mirror.extend(joined[index], tokens));
             } else if (dice < 65) {
                 std::vector<RequestSlot> &pool =
-                    rng.bernoulli(0.5) ? joined : idle;
+                    bernoulli(rng, 0.5) ? joined : idle;
                 if (pool.empty())
                     continue;
                 const auto index = static_cast<std::size_t>(
@@ -261,7 +265,8 @@ TEST(KvBlockManagerTest, BatchDemandMatchesPerRequestScan)
                 pool.erase(pool.begin() +
                            static_cast<std::ptrdiff_t>(index));
             } else {
-                const bool fits = kv.canExtendBatchByOne(joined);
+                const bool fits =
+                    testfx::canExtendBatchByOne(kv, joined);
                 ASSERT_EQ(kv.batchCanGrow(), fits)
                     << "seed " << seed << " op " << op;
                 if (!fits)
@@ -314,7 +319,7 @@ TEST(KvBlockManagerTest, GrowInSlackEqualsRepeatedGrowth)
             if (tokens > 0) {
                 ASSERT_TRUE(mirror.extend(slot, tokens));
             }
-            if (rng.bernoulli(0.5) && kv.batchCanGrow()) {
+            if (bernoulli(rng, 0.5) && kv.batchCanGrow()) {
                 kv.growByOne(slot);
                 ASSERT_TRUE(mirror.extend(slot, 1));
             }
@@ -324,7 +329,7 @@ TEST(KvBlockManagerTest, GrowInSlackEqualsRepeatedGrowth)
                       mirror.requestTokens(slot));
             ASSERT_EQ(kv.blockTable(slot), mirror.blockTable(slot));
             ASSERT_EQ(kv.batchCanGrow(),
-                      kv.canExtendBatchByOne(joined));
+                      testfx::canExtendBatchByOne(kv, joined));
         }
     }
 }
@@ -476,7 +481,8 @@ TEST(KvBlockManagerTest, LazyArenaMatchesEagerFreeList)
                 idle.erase(idle.begin() +
                            static_cast<std::ptrdiff_t>(at));
             } else if (dice < 58 && !joined.empty()) {
-                const bool fits = kv.canExtendBatchByOne(joined);
+                const bool fits =
+                    testfx::canExtendBatchByOne(kv, joined);
                 ASSERT_EQ(kv.batchCanGrow(), fits);
                 if (fits) {
                     for (const RequestSlot slot : joined) {
@@ -497,7 +503,7 @@ TEST(KvBlockManagerTest, LazyArenaMatchesEagerFreeList)
                 }
             } else if (dice < 78) {
                 std::vector<RequestSlot> &pool =
-                    (rng.bernoulli(0.5) && !joined.empty()) ||
+                    (bernoulli(rng, 0.5) && !joined.empty()) ||
                         idle.empty()
                     ? joined
                     : idle;
@@ -532,7 +538,8 @@ TEST(KvBlockManagerTest, LazyArenaMatchesEagerFreeList)
             }
 
             ASSERT_EQ(kv.freeBlocks(), ref.freeBlocks()) << "op " << op;
-            ASSERT_EQ(kv.freeTokens(), ref.freeBlocks() * block)
+            ASSERT_EQ(testfx::freeTokens(kv),
+                      ref.freeBlocks() * block)
                 << "op " << op;
             ASSERT_EQ(kv.usedTokens(), ref.usedTokens()) << "op " << op;
             ASSERT_EQ(kv.reclaimableBlocks(), ref.reclaimableBlocks())
@@ -618,7 +625,7 @@ TEST(AllocatorComparisonTest, PagingDefeatsFragmentation)
         ASSERT_TRUE(kv.allocate(id, 160));
     for (RequestId id = 0; id < 10; id += 2)
         kv.release(id);
-    EXPECT_EQ(kv.freeTokens(), 800);
+    EXPECT_EQ(testfx::freeTokens(kv), 800);
     ASSERT_TRUE(kv.allocate(100, 600));
     // 38 blocks from 10-block holes: at least four of them.
     std::vector<BlockId> holes;

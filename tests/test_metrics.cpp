@@ -15,10 +15,13 @@
 #include "metrics/report.hh"
 #include "metrics/report_io.hh"
 #include "metrics/sla.hh"
+#include "test_fixtures.hh"
 
 namespace lightllm {
 namespace metrics {
 namespace {
+
+using testfx::bernoulli;
 
 RequestRecord
 record(Tick arrival, Tick first, Tick finish, Tick max_gap,
@@ -473,7 +476,8 @@ randomInstanceReport(Rng &rng)
 {
     RunReport report;
     report.schedulerName = "instance";
-    report.decodeSteps = rng.bernoulli(0.2) ? 0 : rng.uniformInt(1, 5000);
+    report.decodeSteps =
+        bernoulli(rng, 0.2) ? 0 : rng.uniformInt(1, 5000);
     report.prefillIterations = rng.uniformInt(0, 400);
     report.evictionEvents = rng.uniformInt(0, 30);
     report.requestsEvicted =

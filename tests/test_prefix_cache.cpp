@@ -13,6 +13,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -361,7 +362,7 @@ TEST(PrefixCacheTest, ReleaseParksCachedBlocksUntilReclaim)
 
     // ...and a big allocation reclaims the parked blocks: 8 blocks
     // are available even though only 4 are on the free list.
-    EXPECT_TRUE(kv.canAllocate(128));
+    EXPECT_TRUE(testfx::canAllocate(kv, 128));
     ASSERT_TRUE(kv.allocate(2, 128));
     EXPECT_EQ(cache.size(), 0u);  // all reclaimed
     kv.release(2);
@@ -386,7 +387,7 @@ TEST(PrefixCacheTest, ReclaimSkipsRequestReferencedBlocks)
 
     // 4 free blocks remain; a 5-block allocation must fail while
     // the cached blocks are pinned by request 1.
-    EXPECT_FALSE(kv.canAllocate(80));
+    EXPECT_FALSE(testfx::canAllocate(kv, 80));
     EXPECT_FALSE(kv.allocate(2, 80));
 
     kv.release(1);
@@ -437,8 +438,13 @@ TEST(PrefixCacheTest, FirstInsertionWinsOnDuplicateContent)
     std::vector<BlockId> matched;
     ASSERT_EQ(cache.match(hashes, matched), 2u);
     EXPECT_EQ(matched[0], kv.blockTable(1)[0]);
-    // Request 2's identical blocks were not retained.
-    EXPECT_FALSE(kv.isCached(kv.blockTable(2)[0]));
+    // Request 2's identical blocks were not retained: releasing it
+    // frees them instead of parking them in the cache.
+    const std::int64_t free_before = kv.freeBlocks();
+    const std::int64_t parked_before = kv.reclaimableBlocks();
+    kv.release(2);
+    EXPECT_EQ(kv.freeBlocks(), free_before + 2);
+    EXPECT_EQ(kv.reclaimableBlocks(), parked_before);
 }
 
 TEST(PrefixCacheTest, LinkedReinsertRefreshesLikeAProbe)
@@ -487,6 +493,7 @@ TEST(PrefixCacheTest, FlatIndexSurvivesCollidingWrappedRuns)
 
     // A hash's home in a smaller power-of-two table is its home in
     // the largest one, scaled down; both targets stay put.
+    using Index = FlatIdTable<std::uint32_t>;  // the cache's index
     std::vector<std::vector<PrefixHash>> groups(2);
     const std::size_t targets[2] = {kLargest - 1, 0};
     for (PrefixHash candidate = 1;
@@ -494,9 +501,8 @@ TEST(PrefixCacheTest, FlatIndexSurvivesCollidingWrappedRuns)
          ++candidate) {
         for (std::size_t g = 0; g < 2; ++g) {
             if (groups[g].size() < kBlocks &&
-                PrefixCache::indexHome(candidate, kLargest) ==
-                    targets[g]) {
-                ASSERT_EQ(PrefixCache::indexHome(candidate, 64),
+                Index::home(candidate, kLargest) == targets[g]) {
+                ASSERT_EQ(Index::home(candidate, 64),
                           g == 0 ? 63u : 0u);
                 groups[g].push_back(candidate);
             }
@@ -557,12 +563,14 @@ TEST(PrefixCacheTest, FlatIndexSurvivesCollidingWrappedRuns)
         }
     };
 
+    // The index starts at 64 slots and doubles past half load, so
+    // its size pins its slot count.
     insert(30);  // one wrapped run of 30 in the 64-slot table
     check("wrapped run");
-    EXPECT_EQ(cache.indexSlots(), 64u);
+    EXPECT_EQ(cache.size(), 30u);  // at most 32: 64 slots
     insert(20);  // grows to 128 while the run wraps
     check("growth");
-    EXPECT_EQ(cache.indexSlots(), 128u);
+    EXPECT_EQ(cache.size(), 50u);  // 33 to 64: 128 slots
 
     // Make the first few of each group the newest: the LRU ones now
     // sit in the middle of the run.
@@ -575,7 +583,7 @@ TEST(PrefixCacheTest, FlatIndexSurvivesCollidingWrappedRuns)
 
     insert(120);  // grows to 256 and 512 while runs wrap
     check("regrowth");
-    EXPECT_EQ(cache.indexSlots(), 512u);
+    EXPECT_EQ(cache.size(), 154u);  // 129 to 256: 512 slots
     touch(0, 40, 10);
     reclaim(50);
     check("reclaim after regrowth");
@@ -926,7 +934,7 @@ TEST(EnginePrefixTest, SessionTurnInheritsOnlyAPrefixChain)
             std::ranges::equal(engine.sessionChain(9), chain1));
 
         engine.submitAt(sessionTurn(2, c.prompt, 103, 12, c.session),
-                        engine.now());
+                        engine.report().makespan);
         ASSERT_TRUE(engine.stepOnce());  // delivers the arrival
         EXPECT_EQ(engine.sessionChain(9).empty(), c.inherits);
         while (engine.stepOnce()) {
@@ -974,7 +982,8 @@ TEST(EnginePrefixTest, SessionChainMemoHoldsOnePerFinishedSession)
     cluster::ServingCluster fleet(std::move(engines),
                                   cluster::RoutingPolicy::RoundRobin,
                                   context);
-    fleet.recordSubmissions(true);
+    testfx::RoutedLog routed_log;
+    fleet.recordSubmissions(&routed_log);
     workload::SessionGenerator sessions(config, fleet);
     fleet.setOnFinish([&](const RequestSpec &spec, Tick tick) {
         sessions.onRequestFinished(spec.id, tick);
@@ -985,16 +994,22 @@ TEST(EnginePrefixTest, SessionChainMemoHoldsOnePerFinishedSession)
     // The last turn of each session each instance served (a
     // session's turns are submitted in order).
     std::vector<std::map<std::uint64_t, RequestSpec>> last(3);
-    for (const auto &routed : fleet.submissionLog())
+    std::set<std::uint64_t> session_keys;
+    for (const auto &routed : routed_log) {
         last[routed.instance][routed.spec.sessionKey] = routed.spec;
+        session_keys.insert(routed.spec.sessionKey);
+    }
     std::size_t hopped = 0;
     for (std::size_t i = 0; i < 3; ++i) {
         SCOPED_TRACE(::testing::Message() << "instance " << i);
-        std::vector<std::uint64_t> held =
-            views[i]->heldSessionChains();
-        std::sort(held.begin(), held.end());
-        EXPECT_EQ(std::adjacent_find(held.begin(), held.end()),
-                  held.end());
+        // The sessions holding a chain here (one chain each).
+        std::vector<std::uint64_t> held;
+        for (const std::uint64_t session : session_keys) {
+            if (!views[i]->sessionChain(session).empty())
+                held.push_back(session);
+        }
+        for (const std::uint64_t session : held)
+            EXPECT_EQ(last[i].count(session), 1u) << session;
         ASSERT_EQ(held.size(), last[i].size());
         for (const auto &[session, spec] : last[i]) {
             std::vector<PromptSegment> stream = spec.segments;
@@ -1020,15 +1035,11 @@ TEST(SessionGeneratorTest, TurnsExtendTheSameStream)
     config.systemPromptTokens = 100;
     config.seed = 7;
 
-    struct NullSink : workload::RequestSink
-    {
-        void submitAt(const RequestSpec &, Tick) override {}
-    } sink;
-    workload::SessionGenerator sessions(config, sink);
-
-    const RequestSpec &t0 = sessions.turnSpec(0, 0);
-    const RequestSpec &t1 = sessions.turnSpec(0, 1);
-    const RequestSpec &other = sessions.turnSpec(1, 0);
+    const std::vector<RequestSpec> turns =
+        testfx::sessionTurns(config);
+    const RequestSpec &t0 = turns[0];
+    const RequestSpec &t1 = turns[1];
+    const RequestSpec &other = turns[3];
 
     // Turn 0: system prompt + user message.
     ASSERT_EQ(t0.segments.size(), 2u);
@@ -1051,7 +1062,7 @@ TEST(SessionGeneratorTest, TurnsExtendTheSameStream)
     EXPECT_EQ(other.segments[0].key, t0.segments[0].key);
     EXPECT_NE(other.segments[1].key, t0.segments[1].key);
     EXPECT_NE(other.sessionKey, t0.sessionKey);
-    EXPECT_EQ(sessions.totalRequests(), 6u);
+    EXPECT_EQ(turns.size(), 6u);
 }
 
 TEST(SessionGeneratorTest, PrefixCacheImprovesSessionTtft)
@@ -1122,7 +1133,8 @@ TEST(PrefixAffinityTest, SessionsStickToTheirHomeInstance)
     cluster::ServingCluster fleet(
         std::move(engines), cluster::RoutingPolicy::PrefixAffinity,
         context);
-    fleet.recordSubmissions(true);
+    testfx::RoutedLog routed_log;
+    fleet.recordSubmissions(&routed_log);
 
     workload::SessionGenerator sessions(config, fleet);
     fleet.setOnFinish([&](const RequestSpec &spec, Tick tick) {
@@ -1134,7 +1146,7 @@ TEST(PrefixAffinityTest, SessionsStickToTheirHomeInstance)
 
     // Every turn of a session lands on the session's home.
     std::unordered_map<std::uint64_t, std::size_t> home;
-    for (const auto &routed : fleet.submissionLog()) {
+    for (const auto &routed : routed_log) {
         ASSERT_NE(routed.spec.sessionKey, 0u);
         const auto [it, inserted] = home.emplace(
             routed.spec.sessionKey, routed.instance);

@@ -130,7 +130,7 @@ class LegacyPrefixPolicy : public core::SchedulingPolicy
   public:
     explicit LegacyPrefixPolicy(
         std::unique_ptr<core::Scheduler> scheduler)
-        : SchedulingPolicy(std::move(scheduler))
+        : LegacyPrefixPolicy(scheduler.get(), std::move(scheduler))
     {
     }
 
@@ -141,13 +141,24 @@ class LegacyPrefixPolicy : public core::SchedulingPolicy
         out.admit.clear();
         if (ctx.waiting.empty())
             return;
-        std::size_t count = testfx::selectAdmissions(admission(), ctx);
+        std::size_t count =
+            testfx::selectAdmissions(*admission_, ctx);
         if (count == 0 && ctx.running.empty())
             count = 1;  // the seed engine's forced progress
         count = std::min(count, ctx.waiting.size());
         for (std::size_t i = 0; i < count; ++i)
             out.admit.push_back(ctx.waiting[i].id);
     }
+
+  private:
+    LegacyPrefixPolicy(core::Scheduler *admission,
+                       std::unique_ptr<core::Scheduler> &&owned)
+        : SchedulingPolicy(std::move(owned)), admission_(admission)
+    {
+    }
+
+    /** The admission policy the base owns. */
+    core::Scheduler *admission_;
 };
 
 metrics::RunReport

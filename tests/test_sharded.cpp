@@ -263,15 +263,20 @@ TEST(ShardedPlacement, DisaggPoolsShareOneHubAcrossShards)
         if (threads > 1)
             hub = std::make_unique<sim::ShardedSimContext>(root,
                                                            threads);
-        disagg::DisaggCluster cluster(make_pool(2), make_pool(2),
-                                      config, root);
+        // Prefill pool first: adoption order places engines.
+        auto prefill = std::make_unique<cluster::ServingCluster>(
+            make_pool(2), cluster::RoutingPolicy::PrefillLoad, root);
+        auto decode = std::make_unique<cluster::ServingCluster>(
+            make_pool(2), cluster::RoutingPolicy::FutureMemory, root);
+        const cluster::ServingCluster &prefill_pool = *prefill;
+        const cluster::ServingCluster &decode_pool = *decode;
+        disagg::DisaggCluster cluster(
+            std::move(prefill), std::move(decode), config, root);
         if (threads > 1) {
             std::set<std::uint32_t> shards;
             for (std::size_t i = 0; i < 2; ++i) {
-                shards.insert(
-                    cluster.prefillPool().instanceShard(i));
-                shards.insert(
-                    cluster.decodePool().instanceShard(i));
+                shards.insert(prefill_pool.instanceShard(i));
+                shards.insert(decode_pool.instanceShard(i));
             }
             // All three shards host engines, so migrations must
             // cross shard boundaries.
@@ -285,7 +290,7 @@ TEST(ShardedPlacement, DisaggPoolsShareOneHubAcrossShards)
             });
         pool.start();
         const metrics::RunReport report = cluster.run();
-        EXPECT_GT(cluster.migratedRequests(), 0);
+        EXPECT_GT(report.migratedRequests, 0);
         std::ostringstream oss;
         metrics::writeSummaryJson(oss, report, metrics::SlaSpec{});
         metrics::writeRequestsCsv(oss, report, metrics::SlaSpec{});

@@ -109,18 +109,6 @@ TEST(EventQueueTest, RunNextPopsExactlyOne)
     EXPECT_EQ(queue.size(), 1u);
 }
 
-TEST(EventQueueTest, ClearDropsEverything)
-{
-    EventQueue queue;
-    int fired = 0;
-    queue.schedule(1, [&](Tick) { ++fired; });
-    queue.schedule(2, [&](Tick) { ++fired; });
-    queue.clear();
-    EXPECT_TRUE(queue.empty());
-    runAll(queue);
-    EXPECT_EQ(fired, 0);
-}
-
 // --- Cancellable / reschedulable handles --------------------------------
 
 TEST(EventQueueHandleTest, CancelPreventsFiring)
@@ -130,10 +118,10 @@ TEST(EventQueueHandleTest, CancelPreventsFiring)
     const EventId keep = queue.schedule(5, [&](Tick) { ++fired; });
     const EventId drop =
         queue.schedule(3, [&](Tick) { fired += 100; });
-    EXPECT_TRUE(queue.pending(drop));
+    EXPECT_EQ(queue.eventTick(drop), 3);
     EXPECT_TRUE(queue.cancel(drop));
-    EXPECT_FALSE(queue.pending(drop));
-    EXPECT_TRUE(queue.pending(keep));
+    EXPECT_FALSE(queue.reschedule(drop, 4));
+    EXPECT_EQ(queue.eventTick(keep), 5);
     runAll(queue);
     EXPECT_EQ(fired, 1);
 }
@@ -146,7 +134,7 @@ TEST(EventQueueHandleTest, CancelUnknownOrFiredReturnsFalse)
     const EventId id = queue.schedule(1, [](Tick) {});
     runAll(queue);
     EXPECT_FALSE(queue.cancel(id));
-    EXPECT_FALSE(queue.pending(id));
+    EXPECT_FALSE(queue.reschedule(id, 2));
 }
 
 TEST(EventQueueHandleTest, RescheduleMovesEventBothDirections)
@@ -220,10 +208,8 @@ TEST(EventQueueHandleTest, StaleHandleDoesNotAliasRecycledSlot)
     const EventId fresh =
         queue.schedule(7, [&](Tick) { ++fresh_fired; });
     EXPECT_NE(stale, fresh);
-    EXPECT_FALSE(queue.pending(stale));
     EXPECT_FALSE(queue.cancel(stale));
     EXPECT_FALSE(queue.reschedule(stale, 1));
-    EXPECT_TRUE(queue.pending(fresh));
     EXPECT_EQ(queue.eventTick(fresh), 7);
     runAll(queue);
     EXPECT_EQ(cancelled_fired, 0);
@@ -242,7 +228,6 @@ TEST(EventQueueHandleTest, FiredHandleDoesNotAliasRecycledSlot)
     const EventId live =
         queue.schedule(9, [&](Tick) { ++live_fired; });
     EXPECT_NE(spent, live);
-    EXPECT_FALSE(queue.pending(spent));
     EXPECT_FALSE(queue.cancel(spent));
     EXPECT_FALSE(queue.reschedule(spent, 3));
     EXPECT_EQ(queue.eventTick(live), 9);
@@ -260,9 +245,9 @@ TEST(EventQueueHandleTest, RepeatedRecyclingKeepsHandlesDistinct)
         const EventId id = queue.schedule(1, [](Tick) {});
         EXPECT_NE(id, previous);
         if (previous != kInvalidEventId) {
-            EXPECT_FALSE(queue.pending(previous));
+            EXPECT_FALSE(queue.reschedule(previous, 2));
         }
-        EXPECT_TRUE(queue.pending(id));
+        EXPECT_EQ(queue.eventTick(id), 1);
         EXPECT_TRUE(queue.cancel(id));
         previous = id;
     }

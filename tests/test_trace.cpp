@@ -37,8 +37,11 @@ makeEvent(Tick tick, std::int64_t a0)
 TEST(TraceRing, OverwritesOldestAndCountsDrops)
 {
     trace::TraceRing ring(4);
-    EXPECT_EQ(ring.capacity(), 4u);
-    for (std::int64_t i = 0; i < 10; ++i)
+    // Four fit without a drop; the next six overwrite.
+    for (std::int64_t i = 0; i < 4; ++i)
+        ring.push(makeEvent(i, i));
+    EXPECT_EQ(ring.dropped(), 0u);
+    for (std::int64_t i = 4; i < 10; ++i)
         ring.push(makeEvent(i, i));
     EXPECT_EQ(ring.size(), 4u);
     EXPECT_EQ(ring.dropped(), 6u);

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -228,7 +229,6 @@ TEST(ClientPoolTest, StartSubmitsOnePerClient)
     ClosedLoopClientPool pool(8, dataset, sink);
     pool.start();
     EXPECT_EQ(sink.submissions.size(), 8u);
-    EXPECT_EQ(pool.numSubmitted(), 8u);
 }
 
 TEST(ClientPoolTest, FinishTriggersNextWithThinkTime)
@@ -289,16 +289,10 @@ TEST(DatasetIoTest, CsvRoundTripPreservesEverySpecField)
     config.numSessions = 4;
     config.turnsPerSession = 3;
     config.seed = 7;
-    RecordingSink ignore;
-    SessionGenerator sessions(config, ignore);
-
     Dataset dataset;
     dataset.name = "sessions";
     dataset.maxNewTokens = kSessionMaxNewTokens;
-    for (std::size_t s = 0; s < config.numSessions; ++s) {
-        for (std::size_t t = 0; t < config.turnsPerSession; ++t)
-            dataset.requests.push_back(sessions.turnSpec(s, t));
-    }
+    dataset.requests = testfx::sessionTurns(config);
     dataset.requests[1].cls.priority = 2;
     dataset.requests[2].cls.tenant = 17;
     dataset.requests[2].cls.sloTier = 1;
@@ -337,7 +331,11 @@ TEST(DatasetIoTest, CsvRoundTripPlainDatasetAndFile)
     assignPriorityMix(dataset, std::vector<double>{0.7, 0.3}, 5);
     const auto path = std::filesystem::temp_directory_path() /
         "lightllm_dataset_test.csv";
-    ASSERT_TRUE(writeDatasetCsvFile(path.string(), dataset));
+    {
+        std::ofstream file(path);
+        writeDatasetCsv(file, dataset);
+        ASSERT_TRUE(file);
+    }
     const Dataset loaded = readDatasetCsvFile(path.string());
     std::filesystem::remove(path);
 
@@ -377,6 +375,12 @@ TEST(DatasetIoTest, MalformedDatasetRowsThrow)
     EXPECT_TRUE(rowsThrow("1,2,3\n", "expected 11 or 10 fields"));
     EXPECT_TRUE(
         rowsThrow("0,10,20,100,0,3,1,0,0,deadbeef-512\n", "segment"));
+    // No request at all: an empty file, or a header alone.
+    EXPECT_TRUE(rowsThrow("", "dataset bad has no requests"));
+    EXPECT_TRUE(rowsThrow("id,input_len,output_len,max_new_tokens,"
+                          "priority,tenant,slo_tier,session_key,"
+                          "output_key,segments\n",
+                          "dataset bad has no requests"));
 }
 
 TEST(DatasetIoTest, NonIntegerFieldThrows)
@@ -415,7 +419,6 @@ TEST(DatasetIoTest, FileErrorsAreReported)
         (std::filesystem::temp_directory_path() / "no_such_dir" /
          "dataset.csv")
             .string();
-    EXPECT_FALSE(writeDatasetCsvFile(missing, makeShareGpt(2, 1)));
     EXPECT_TRUE(throwsWith<std::runtime_error>(
         [&] { readDatasetCsvFile(missing); },
         "cannot open dataset file: " + missing));
@@ -509,22 +512,22 @@ TEST(RateScheduleTest, SpikeShapeAndRateAt)
 {
     const auto schedule = RateSchedule::spike(4.0, 20.0, 30.0,
                                               10.0);
-    EXPECT_DOUBLE_EQ(schedule.rateAt(0.0), 4.0);
-    EXPECT_DOUBLE_EQ(schedule.rateAt(29.9), 4.0);
-    EXPECT_DOUBLE_EQ(schedule.rateAt(30.0), 20.0);
-    EXPECT_DOUBLE_EQ(schedule.rateAt(39.9), 20.0);
-    EXPECT_DOUBLE_EQ(schedule.rateAt(40.0), 4.0);
-    EXPECT_DOUBLE_EQ(schedule.rateAt(1e6), 4.0);
-    EXPECT_DOUBLE_EQ(schedule.maxRate(), 20.0);
+    EXPECT_DOUBLE_EQ(testfx::rateAt(schedule, 0.0), 4.0);
+    EXPECT_DOUBLE_EQ(testfx::rateAt(schedule, 29.9), 4.0);
+    EXPECT_DOUBLE_EQ(testfx::rateAt(schedule, 30.0), 20.0);
+    EXPECT_DOUBLE_EQ(testfx::rateAt(schedule, 39.9), 20.0);
+    EXPECT_DOUBLE_EQ(testfx::rateAt(schedule, 40.0), 4.0);
+    EXPECT_DOUBLE_EQ(testfx::rateAt(schedule, 1e6), 4.0);
+    EXPECT_DOUBLE_EQ(testfx::maxRate(schedule), 20.0);
 }
 
 TEST(RateScheduleTest, StepsGetImplicitOpenEndedTail)
 {
     const auto schedule = RateSchedule::steps(
         {RateSegment{2.0, 10.0}, RateSegment{6.0, 5.0}});
-    EXPECT_DOUBLE_EQ(schedule.rateAt(12.0), 6.0);
+    EXPECT_DOUBLE_EQ(testfx::rateAt(schedule, 12.0), 6.0);
     // The final closed segment's rate holds forever.
-    EXPECT_DOUBLE_EQ(schedule.rateAt(1e9), 6.0);
+    EXPECT_DOUBLE_EQ(testfx::rateAt(schedule, 1e9), 6.0);
     EXPECT_EQ(schedule.segments().size(), 3u);
 }
 
@@ -545,20 +548,21 @@ TEST(RateScheduleTest, ParseAllKindsAndErrors)
     RateSchedule schedule = RateSchedule::constant(1.0);
     std::string error;
     EXPECT_TRUE(parseRateSchedule("const:5.5", schedule, error));
-    EXPECT_DOUBLE_EQ(schedule.rateAt(0.0), 5.5);
+    EXPECT_DOUBLE_EQ(testfx::rateAt(schedule, 0.0), 5.5);
 
     EXPECT_TRUE(
         parseRateSchedule("steps:4x30,20x10,4", schedule, error));
-    EXPECT_DOUBLE_EQ(schedule.rateAt(35.0), 20.0);
-    EXPECT_DOUBLE_EQ(schedule.rateAt(100.0), 4.0);
+    EXPECT_DOUBLE_EQ(testfx::rateAt(schedule, 35.0), 20.0);
+    EXPECT_DOUBLE_EQ(testfx::rateAt(schedule, 100.0), 4.0);
 
     EXPECT_TRUE(
         parseRateSchedule("spike:4,20,30,10", schedule, error));
-    EXPECT_DOUBLE_EQ(schedule.rateAt(31.0), 20.0);
+    EXPECT_DOUBLE_EQ(testfx::rateAt(schedule, 31.0), 20.0);
 
     EXPECT_TRUE(
         parseRateSchedule("diurnal:2,1,60,12", schedule, error));
-    EXPECT_GT(schedule.rateAt(15.0), 2.0);  // first half peak
+    // First half peak.
+    EXPECT_GT(testfx::rateAt(schedule, 15.0), 2.0);
 
     EXPECT_FALSE(parseRateSchedule("5", schedule, error));
     EXPECT_FALSE(parseRateSchedule("const:0", schedule, error));

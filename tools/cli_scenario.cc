@@ -818,15 +818,6 @@ printWrapped(std::ostream &os, std::string line, std::size_t indent,
 
 } // namespace
 
-std::vector<std::string>
-cliFlagNames()
-{
-    std::vector<std::string> names;
-    for (const Flag &flag : kFlags)
-        names.push_back(flag.name);
-    return names;
-}
-
 std::string
 parseCliArgs(int argc, const char *const *argv, CliOptions &options)
 {
@@ -1319,8 +1310,15 @@ runScenario(const Scenario &scenario,
         for (std::size_t i = 0; i < scenario.decodeInstances; ++i)
             decode.push_back(make_clone());
 
-        disagg::DisaggCluster cluster(std::move(prefill),
-                                      std::move(decode),
+        // Prefill first: adoption order places engines on shards.
+        auto prefill_pool = std::make_unique<cluster::ServingCluster>(
+            std::move(prefill), cluster::RoutingPolicy::PrefillLoad,
+            root);
+        auto decode_pool = std::make_unique<cluster::ServingCluster>(
+            std::move(decode), cluster::RoutingPolicy::FutureMemory,
+            root);
+        disagg::DisaggCluster cluster(std::move(prefill_pool),
+                                      std::move(decode_pool),
                                       scenario.disaggConfig, root);
         if (recorder != nullptr) {
             cluster.attachTrace(recorder);

@@ -46,9 +46,9 @@ namespace cli {
  * text, `store<&CliOptions::field>`, and the field's value domain.
  * A flag whose value is a name also needs its `Named` table, which
  * the row points at: parsing accepts only the table's names, --help
- * lists them, and assembly looks the name up. Parsing, --help and
- * cliFlagNames() all read that row; only a rule spanning several
- * flags needs code, in the cross-flag validation.
+ * lists them, and assembly looks the name up. Parsing and --help
+ * both read that row; only a rule spanning several flags needs
+ * code, in the cross-flag validation.
  */
 struct CliOptions
 {
@@ -225,13 +225,6 @@ std::string parseCliArgs(int argc, const char *const *argv,
 
 /** Flag reference printed by --help. */
 void printCliUsage(std::ostream &os);
-
-/**
- * Every flag parseCliArgs accepts (valued and boolean alike), for
- * the usage-completeness audit: each name must appear in
- * printCliUsage's output.
- */
-std::vector<std::string> cliFlagNames();
 
 /** Builds a scale policy defending an attainment target. */
 using ScalePolicyFactory =
