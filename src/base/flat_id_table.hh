@@ -58,6 +58,9 @@ class FlatIdTable
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
+    /** Slot count: a power of two, at least twice size(). */
+    std::size_t slots() const { return slots_.size(); }
+
     /** The value stored under `key`; null when absent. */
     Value *
     find(Key key)
@@ -88,7 +91,7 @@ class FlatIdTable
         std::size_t at = probe(key);
         if (slots_[at].used)
             return false;
-        if (2 * (size_ + 1) > slots_.size()) {
+        if (2 * (size_ + 1) > slots()) {
             grow();
             at = probe(key);
         }

@@ -484,7 +484,8 @@ ServingCluster::routeSubmission(const workload::RequestSpec &spec,
         // Mirror the engine's arrival clamp so the log records the
         // tick the arrival event actually fires.
         submissionLog_->push_back(RoutedSubmission{
-            index, spec, std::max(deliver, context_->now()), stamp});
+            index, spec, std::max(deliver, context_->now()), stamp,
+            footprint});
     }
     instances_[index]->submitStamped(spec, deliver, stamp);
 }

@@ -123,6 +123,10 @@ class ServingCluster : public workload::RequestSink
          *  for drain re-dispatches, which keep their original
          *  arrival stamp). */
         Tick stamp;
+
+        /** Predicted footprint charged to the instance
+         *  (RoutingPolicy::FutureMemory; 0 otherwise). */
+        TokenCount footprint;
     };
 
     /**
@@ -267,7 +271,6 @@ class ServingCluster : public workload::RequestSink
     metrics::RunReport finalizeReport(Tick end_of_service = -1);
 
     std::size_t numInstances() const { return instances_.size(); }
-    RoutingPolicy routingPolicy() const { return policy_; }
 
     /**
      * Append every routing decision, in order, to `log` (null stops
@@ -281,18 +284,6 @@ class ServingCluster : public workload::RequestSink
      * property; see tests/test_cluster_exact.cpp).
      */
     void recordSubmissions(std::vector<RoutedSubmission> *log);
-
-    /**
-     * Shard executing instance `index`'s engine when the shared
-     * context coordinates a ShardedSimContext; 0 in single-threaded
-     * runs. Placement is least-loaded at adoption time (live, i.e.
-     * non-drained, engines per shard) and never observable in
-     * reports — tests use this to pin ownership migration.
-     */
-    std::uint32_t instanceShard(std::size_t index) const
-    {
-        return shardOf_[index];
-    }
 
     /**
      * Imbalance of routed output tokens across instances:

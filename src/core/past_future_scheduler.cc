@@ -438,6 +438,7 @@ PastFutureScheduler::tryAdmit(const WaitingView &candidate)
             boundResident_ = resident;
             boundGrowth_ = growth;
             boundAdmitted_.push_back(pending);
+            ++boundAdmissions_;
             ++admitted_;
             return true;
         }

@@ -180,6 +180,11 @@ class PastFutureScheduler : public Scheduler
 
     std::string name() const override;
 
+    /** tryAdmit calls the window bound admitted without building
+     *  or scoring a trial batch, since construction (tests pin that
+     *  light rounds take the bound and tight ones do not). */
+    std::uint64_t boundAdmissions() const { return boundAdmissions_; }
+
     /** The prediction generator (tests: a copy's next draws pin the
      *  stream without advancing it). */
     const Rng &rng() const { return rng_; }
@@ -346,6 +351,7 @@ class PastFutureScheduler : public Scheduler
     std::uint64_t roundVersion_ = 0;
     bool materialised_ = false;
     std::size_t roundSize_ = 0;
+    std::uint64_t boundAdmissions_ = 0;
     std::vector<std::vector<BatchEntry>> trialEntries_;
     std::vector<BatchEntry> candidateEntries_;
     /** estimateLoad scratch (routing path). */

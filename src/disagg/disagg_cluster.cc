@@ -32,12 +32,12 @@ migrationTransferTicks(const DisaggConfig &config,
 }
 
 DisaggCluster::DisaggCluster(
-    std::unique_ptr<cluster::ServingCluster> prefill_pool,
-    std::unique_ptr<cluster::ServingCluster> decode_pool,
+    std::vector<std::unique_ptr<engine::ServingEngine>>
+        prefill_instances,
+    std::vector<std::unique_ptr<engine::ServingEngine>>
+        decode_instances,
     DisaggConfig config, sim::SimContext &context)
-    : config_(config), context_(context),
-      prefillPool_(std::move(prefill_pool)),
-      decodePool_(std::move(decode_pool))
+    : config_(config), context_(context)
 {
     LIGHTLLM_ASSERT(config_.kvBytesPerToken > 0,
                     "disagg config needs the model's KV bytes per "
@@ -50,12 +50,12 @@ DisaggCluster::DisaggCluster(
     LIGHTLLM_ASSERT(config_.handoffDepth >= 1,
                     "handoff queue needs room for at least one "
                     "transfer");
-    LIGHTLLM_ASSERT(prefillPool_->routingPolicy() ==
-                            cluster::RoutingPolicy::PrefillLoad &&
-                        decodePool_->routingPolicy() ==
-                            cluster::RoutingPolicy::FutureMemory,
-                    "disagg pools route by prefill load and future "
-                    "memory");
+    prefillPool_ = std::make_unique<cluster::ServingCluster>(
+        std::move(prefill_instances),
+        cluster::RoutingPolicy::PrefillLoad, context_);
+    decodePool_ = std::make_unique<cluster::ServingCluster>(
+        std::move(decode_instances),
+        cluster::RoutingPolicy::FutureMemory, context_);
     prefillPool_->setOnFinish(
         [this](const workload::RequestSpec &spec, Tick tick) {
             handlePrefillFinish(spec, tick);

@@ -44,6 +44,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "base/types.hh"
@@ -94,25 +95,23 @@ class DisaggCluster : public workload::RequestSink
     using FinishCallback = engine::ServingEngine::FinishCallback;
 
     /**
-     * @param prefill_pool The prefill pool, routed by
-     *        RoutingPolicy::PrefillLoad; the cluster takes ownership
-     *        and installs its own finish fan-in.
-     * @param decode_pool The decode pool, routed by
-     *        RoutingPolicy::FutureMemory. A caller that turns on a
-     *        pool's autoscaling itself keeps the decode pool at
-     *        ShedPolicy::Never — run() checks it.
+     * @param prefill_instances Engines of the prefill pool (>= 1);
+     *        routed by RoutingPolicy::PrefillLoad.
+     * @param decode_instances Engines of the decode pool (>= 1);
+     *        routed by RoutingPolicy::FutureMemory.
      * @param config Interconnect + handoff parameters.
-     * @param context Clock + event queue both pools borrow (build
-     *        the pools on it, prefill first). When the caller has
-     *        enrolled it in a sim::ShardedSimContext, both pools'
-     *        engines shard across that one hub (bit-identical
-     *        results, see DESIGN.md §9); handoffs between pools are
-     *        Delivery events on the coordinator and cross shard
-     *        boundaries transparently.
+     * @param context Clock + event queue both pools borrow. When
+     *        the caller has enrolled it in a sim::ShardedSimContext,
+     *        both pools' engines shard across that one hub
+     *        (bit-identical results, see DESIGN.md §9); handoffs
+     *        between pools are Delivery events on the coordinator
+     *        and cross shard boundaries transparently.
      */
     DisaggCluster(
-        std::unique_ptr<cluster::ServingCluster> prefill_pool,
-        std::unique_ptr<cluster::ServingCluster> decode_pool,
+        std::vector<std::unique_ptr<engine::ServingEngine>>
+            prefill_instances,
+        std::vector<std::unique_ptr<engine::ServingEngine>>
+            decode_instances,
         DisaggConfig config, sim::SimContext &context);
 
     /** Submit an end-user request: it prefills in the prefill pool
@@ -141,6 +140,16 @@ class DisaggCluster : public workload::RequestSink
         std::unique_ptr<autoscale::ScalePolicy> prefill_policy,
         std::unique_ptr<autoscale::ScalePolicy> decode_policy,
         const cluster::ServingCluster::InstanceFactory &factory);
+
+    /** The prefill and decode pools, for pre-run wiring (drains,
+     *  history warming). A caller that turns on a pool's
+     *  autoscaling itself keeps the decode pool at
+     *  ShedPolicy::Never — run() checks it. */
+    std::pair<cluster::ServingCluster &, cluster::ServingCluster &>
+    pools()
+    {
+        return {*prefillPool_, *decodePool_};
+    }
 
     /**
      * Attach a flight recorder to the whole disaggregated system:

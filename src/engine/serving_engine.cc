@@ -939,14 +939,6 @@ ServingEngine::kvManager()
     return kv_;
 }
 
-const memory::PrefixCache *
-ServingEngine::prefixCache()
-{
-    settleNow();
-    syncRun();
-    return prefixCache_.get();
-}
-
 TokenCount
 ServingEngine::outstandingTokens()
 {

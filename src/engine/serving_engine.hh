@@ -252,9 +252,6 @@ class ServingEngine : public workload::RequestSink
 
     std::size_t numFinished() const { return finished_; }
     const memory::KvBlockManager &kvManager();
-
-    /** The engine's prefix cache; null when disabled. */
-    const memory::PrefixCache *prefixCache();
     const model::PerfModel &perfModel() const { return perf_; }
 
     /** The context carrying this engine's events: its own, or the

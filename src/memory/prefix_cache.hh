@@ -107,6 +107,10 @@ class PrefixCache
     /** Cached blocks (parked or pinned). */
     std::size_t size() const { return index_.size(); }
 
+    /** Slots of the hash index: a power of two, at least twice
+     *  size(). */
+    std::size_t indexSlots() const { return index_.slots(); }
+
   private:
     friend class KvBlockManager;
 

@@ -156,9 +156,6 @@ class ShardedSimContext
     /** Window-executed steps so far (stats/bench). */
     std::uint64_t stepsFired() const { return steps_; }
 
-    /** Parallel windows executed so far (stats/bench). */
-    std::uint64_t windowsRun() const { return windows_; }
-
   private:
     friend class SimContext;
 

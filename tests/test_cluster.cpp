@@ -358,10 +358,17 @@ TEST(ClusterTest, FutureMemoryAccountingDrainsToZero)
                              SchedulerConfig::oracle());
     testfx::RoutedLog log;
     fleet->recordSubmissions(&log);
+    // With a warmed router history the predicted charge equals the
+    // predictor's footprint: prompt + conditional expected output.
     const std::vector<TokenCount> history(200, 40);
     fleet->warmRoutingHistory(history);
+    core::LengthPredictor reference(1000);
+    for (TokenCount length : history)
+        reference.observe(length);
 
     fleet->submitAt(makeRequest(1, 100, 30, 500), 0);
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].footprint, reference.predictFootprint(100, 500));
     fleet->submitAt(makeRequest(2, 100, 30, 500), 0);
     // The first request's charge sends the second to the other
     // (uncharged) instance.

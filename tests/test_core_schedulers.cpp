@@ -570,29 +570,6 @@ class EagerPastFuture
     /** Trial peaks of the last tryAdmit. */
     const std::vector<double> &peaks() const { return peaks_; }
 
-    /**
-     * Whether the window bound (DESIGN.md §2) admits the next
-     * candidate without scoring trials, given the round's resident
-     * tokens L and remaining growth R with it: L + R, plus
-     * riskFactor * R / 2 when the trials' mean and spread are
-     * scored, plus the rounding slack, fits under the limit. Call
-     * before tryAdmit.
-     */
-    bool
-    boundFits(TokenCount resident, TokenCount growth) const
-    {
-        const TokenCount overhead = overhead_ *
-            static_cast<TokenCount>(runningSize_ + admitted_ + 1);
-        double bound = static_cast<double>(resident + growth);
-        if (params_.predictionMode != PredictionMode::PerStepSample &&
-            trials_ > 1)
-            bound += params_.riskFactor *
-                static_cast<double>(growth) / 2.0;
-        const double slack = 4.0 + std::ldexp(bound, -32);
-        return bound + slack <=
-            static_cast<double>(limit_ - overhead);
-    }
-
     TokenCount longest() { return predictor_.distribution().maxLength(); }
 
     const Rng &rng() const { return rng_; }
@@ -846,6 +823,7 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
             ctx.running = running;
             ctx.waiting = waiting;
 
+            const std::uint64_t bound_before = scheduler.boundAdmissions();
             scheduler.beginAdmissionRound(ctx);
             reference.beginAdmissionRound(ctx);
             TokenCount low = 0;
@@ -857,30 +835,23 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
                                       view.maxNewTokens);
             }
             std::size_t round_bound = 0;
-            // The bound decides until its first miss; every later
-            // candidate of the round is scored against the trials.
-            bool bound_open = true;
             for (const WaitingView &view : waiting) {
-                const TokenCount resident = view.promptLen +
-                    view.generatedLen - view.cachedPrefixLen;
-                const TokenCount grows = boundGrowth(
-                    longest, view.generatedLen, view.maxNewTokens);
-                bound_open = bound_open &&
-                    reference.boundFits(low + resident,
-                                        growth + grows);
+                const std::uint64_t before = scheduler.boundAdmissions();
                 const bool admitted = scheduler.tryAdmit(view);
                 const bool expected = reference.tryAdmit(view);
                 ASSERT_EQ(admitted, expected) << "candidate " << view.id;
                 ++tests;
+                const TokenCount resident = view.promptLen +
+                    view.generatedLen - view.cachedPrefixLen;
+                const TokenCount grows = boundGrowth(
+                    longest, view.generatedLen, view.maxNewTokens);
                 for (double peak : reference.peaks()) {
                     EXPECT_GE(peak, static_cast<double>(low + resident));
                     EXPECT_LE(peak, static_cast<double>(
                                         low + resident + growth + grows));
                 }
-                if (bound_open) {
-                    EXPECT_TRUE(admitted) << "candidate " << view.id;
+                if (scheduler.boundAdmissions() != before) {
                     ++round_bound;
-                    ++bound_decided;
                 } else if (round_bound > 0) {
                     ++bound_then_exact;
                     round_bound = 0;  // count each round once
@@ -891,6 +862,7 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
                 }
                 seen.push_back(view.id);
             }
+            bound_decided += scheduler.boundAdmissions() - bound_before;
             ASSERT_EQ(nextDraws(scheduler.rng()),
                       nextDraws(reference.rng()));
         }
@@ -905,55 +877,18 @@ TEST(PastFutureBoundTest, RoundsMatchEagerTrials)
     EXPECT_LT(bound_decided, tests);
 }
 
-/** Window-bound decisions of one reference round over `ctx`: the
- *  leading candidates whose L + R bound fits, each admitted. */
-std::size_t
-boundDecisions(EagerPastFuture &reference,
-               const SchedulerContext &ctx)
-{
-    const TokenCount longest = reference.longest();
-    reference.beginAdmissionRound(ctx);
-    TokenCount low = 0;
-    TokenCount growth = 0;
-    for (const RunningView &view : ctx.running) {
-        low += view.promptLen - view.cachedPrefixLen +
-            view.generatedLen;
-        growth += boundGrowth(longest, view.generatedLen,
-                              view.maxNewTokens);
-    }
-    std::size_t decided = 0;
-    for (const WaitingView &view : ctx.waiting) {
-        const TokenCount resident =
-            view.promptLen + view.generatedLen - view.cachedPrefixLen;
-        const TokenCount grows = boundGrowth(
-            longest, view.generatedLen, view.maxNewTokens);
-        if (!reference.boundFits(low + resident, growth + grows))
-            break;
-        EXPECT_TRUE(reference.tryAdmit(view));
-        low += resident;
-        growth += grows;
-        ++decided;
-    }
-    return decided;
-}
-
-/** Light rounds fit the window bound on every test, so the scheduler
- *  admits them without building trials; at zero capacity no test
- *  does. (Taking the bound changes no decision, so no byte-identity
- *  suite sees it; BM_PastFutureBoundRound times it.) */
+/** Light rounds take the bound on every test; at zero capacity no
+ *  test does (a change that always built the trials would pass every
+ *  byte-identity suite, so the fast path is pinned here). */
 TEST(PastFutureBoundTest, FastPathIsTaken)
 {
     PastFutureParams params;
     params.windowSize = 200;
     params.seed = 5;
     PastFutureScheduler scheduler(params);
-    EagerPastFuture reference(params);
     Rng gen(17);
-    for (RequestId id = 0; id < 200; ++id) {
-        const TokenCount length = gen.uniformInt(20, 900);
-        scheduler.onRequestFinished(500000 + id, length);
-        reference.onRequestFinished(500000 + id, length);
-    }
+    for (RequestId id = 0; id < 200; ++id)
+        scheduler.onRequestFinished(500000 + id, gen.uniformInt(20, 900));
 
     ContextBuilder light;
     light.capacity = 1'000'000;
@@ -966,16 +901,17 @@ TEST(PastFutureBoundTest, FastPathIsTaken)
     for (int i = 0; i < 8; ++i)
         light.addWaiting(gen.uniformInt(50, 500), 2048, 0);
     for (int round = 0; round < 5; ++round) {
+        const std::uint64_t before = scheduler.boundAdmissions();
         EXPECT_EQ(selectAdmissions(scheduler, light.context()), 8u);
-        EXPECT_EQ(boundDecisions(reference, light.context()), 8u);
+        EXPECT_EQ(scheduler.boundAdmissions() - before, 8u);
     }
 
     ContextBuilder full = light;
     full.capacity = 0;
-    for (int round = 0; round < 5; ++round) {
+    const std::uint64_t before = scheduler.boundAdmissions();
+    for (int round = 0; round < 5; ++round)
         EXPECT_EQ(selectAdmissions(scheduler, full.context()), 0u);
-        EXPECT_EQ(boundDecisions(reference, full.context()), 0u);
-    }
+    EXPECT_EQ(scheduler.boundAdmissions(), before);
 }
 
 // --- Factory ----------------------------------------------------------

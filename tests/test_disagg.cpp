@@ -69,29 +69,6 @@ makeEngines(std::size_t count, double mem_megabytes = 4.0,
     return engines;
 }
 
-/** The two pools a DisaggCluster joins, built prefill first (the
- *  order DisaggCluster documents) and routed as it expects. */
-struct Pools
-{
-    std::unique_ptr<cluster::ServingCluster> prefill;
-    std::unique_ptr<cluster::ServingCluster> decode;
-};
-
-Pools
-makePools(std::vector<std::unique_ptr<engine::ServingEngine>> prefill,
-          std::vector<std::unique_ptr<engine::ServingEngine>> decode,
-          sim::SimContext &context)
-{
-    Pools pools;
-    pools.prefill = std::make_unique<cluster::ServingCluster>(
-        std::move(prefill), cluster::RoutingPolicy::PrefillLoad,
-        context);
-    pools.decode = std::make_unique<cluster::ServingCluster>(
-        std::move(decode), cluster::RoutingPolicy::FutureMemory,
-        context);
-    return pools;
-}
-
 // --- Interconnect math --------------------------------------------------
 
 TEST(DisaggMathTest, MigrationMovesWholeBlocks)
@@ -120,10 +97,8 @@ TEST(DisaggMathTest, TransferTimeSerializesOverTheLink)
 TEST(DisaggClusterTest, EveryRequestMigratesAndFinishes)
 {
     sim::SimContext context;
-    Pools pools = makePools(makeEngines(2), makeEngines(2), context);
-    DisaggCluster cluster(std::move(pools.prefill),
-                          std::move(pools.decode), tinyConfig(),
-                          context);
+    DisaggCluster cluster(makeEngines(2), makeEngines(2),
+                          tinyConfig(), context);
     std::unordered_map<RequestId, TokenCount> expected_output;
     for (RequestId id = 0; id < 30; ++id) {
         const auto spec = makeRequest(id, 60, 20 + id % 5);
@@ -160,10 +135,8 @@ TEST(DisaggClusterTest, EveryRequestMigratesAndFinishes)
 TEST(DisaggClusterTest, SingleTokenRequestsFinishInPrefillPool)
 {
     sim::SimContext context;
-    Pools pools = makePools(makeEngines(1), makeEngines(1), context);
-    DisaggCluster cluster(std::move(pools.prefill),
-                          std::move(pools.decode), tinyConfig(),
-                          context);
+    DisaggCluster cluster(makeEngines(1), makeEngines(1),
+                          tinyConfig(), context);
     for (RequestId id = 0; id < 8; ++id)
         cluster.submitAt(makeRequest(id, 50, 1), 0);
     const auto report = cluster.run();
@@ -179,11 +152,8 @@ TEST(DisaggClusterTest, RerunIsByteIdentical)
 {
     const auto run_once = []() {
         sim::SimContext context;
-        Pools pools =
-            makePools(makeEngines(2), makeEngines(2), context);
-        DisaggCluster cluster(std::move(pools.prefill),
-                              std::move(pools.decode), tinyConfig(),
-                              context);
+        DisaggCluster cluster(makeEngines(2), makeEngines(2),
+                              tinyConfig(), context);
         for (RequestId id = 0; id < 40; ++id) {
             cluster.submitAt(
                 makeRequest(id, 50 + (id % 7) * 30, 10 + id % 9),
@@ -222,11 +192,8 @@ TEST(DisaggClusterTest, SplitFuseServesMigratedAdmissions)
             return one;
         };
         sim::SimContext context;
-        Pools pools = makePools(pool(prefill_split),
-                                pool(decode_split), context);
-        DisaggCluster cluster(std::move(pools.prefill),
-                              std::move(pools.decode), tinyConfig(),
-                              context);
+        DisaggCluster cluster(pool(prefill_split), pool(decode_split),
+                              tinyConfig(), context);
         for (RequestId id = 0; id < 24; ++id) {
             const Tick arrival = id < 8
                 ? static_cast<Tick>(id) * secondsToTicks(5.0)
@@ -269,10 +236,8 @@ TEST(DisaggClusterTest, HandoffOverflowShedsAtTheBound)
     auto config = tinyConfig();
     config.handoffDepth = 1;
     sim::SimContext context;
-    Pools pools =
-        makePools(makeEngines(2), makeEngines(1, 0.5), context);
-    DisaggCluster cluster(std::move(pools.prefill),
-                          std::move(pools.decode), config, context);
+    DisaggCluster cluster(makeEngines(2), makeEngines(1, 0.5),
+                          config, context);
     const std::int64_t offered = 24;
     for (RequestId id = 0; id < offered; ++id)
         cluster.submitAt(makeRequest(id, 100, 40), 0);
@@ -293,11 +258,9 @@ TEST(DisaggClusterTest, HandoffOverflowShedsAtTheBound)
 TEST(DisaggClusterTest, DecodeDrainUnwindsChargesAndFinishesAll)
 {
     sim::SimContext context;
-    Pools pools = makePools(makeEngines(1), makeEngines(2), context);
-    cluster::ServingCluster &decode_pool = *pools.decode;
-    DisaggCluster cluster(std::move(pools.prefill),
-                          std::move(pools.decode), tinyConfig(),
-                          context);
+    DisaggCluster cluster(makeEngines(1), makeEngines(2),
+                          tinyConfig(), context);
+    cluster::ServingCluster &decode_pool = cluster.pools().second;
     // Arrivals spread across the drain tick so migrations are in
     // flight (transfers take >= 2 ms) when decode instance 0 goes
     // away; its admitted-but-unfinished migrations re-dispatch to
@@ -348,10 +311,8 @@ TEST(DisaggClusterTest, ElasticPoolsShareOneControlTick)
     // One periodic event drives both pools' control loops, every
     // autoscale::kControlInterval.
     sim::SimContext context;
-    Pools pools = makePools(makeEngines(1), makeEngines(1), context);
-    DisaggCluster cluster(std::move(pools.prefill),
-                          std::move(pools.decode), tinyConfig(),
-                          context);
+    DisaggCluster cluster(makeEngines(1), makeEngines(1),
+                          tinyConfig(), context);
     autoscale::AutoscaleConfig config;
     config.sla = metrics::SlaSpec{secondsToTicks(2.0),
                                   secondsToTicks(1.0)};
@@ -385,13 +346,9 @@ TEST(DisaggClusterTest, ElasticSetupKeepsDecodeRouterShedFree)
     auto disagg_config = tinyConfig();
     disagg_config.handoffDepth = 1;
     sim::SimContext context;
-    Pools pools =
-        makePools(makeEngines(2), makeEngines(1, 0.5), context);
-    cluster::ServingCluster &prefill_pool = *pools.prefill;
-    cluster::ServingCluster &decode_pool = *pools.decode;
-    DisaggCluster cluster(std::move(pools.prefill),
-                          std::move(pools.decode), disagg_config,
-                          context);
+    DisaggCluster cluster(makeEngines(2), makeEngines(1, 0.5),
+                          disagg_config, context);
+    auto [prefill_pool, decode_pool] = cluster.pools();
     autoscale::AutoscaleConfig config;
     config.minInstances = 1;
     config.maxInstances = 2;
@@ -459,11 +416,8 @@ TEST(DisaggCostTest, MergedDisaggCostCoversBothPools)
 {
     const double rate = 1.25;
     sim::SimContext context;
-    Pools pools = makePools(makeEngines(1, 4.0, rate),
-                            makeEngines(2, 4.0, rate), context);
-    DisaggCluster cluster(std::move(pools.prefill),
-                          std::move(pools.decode), tinyConfig(),
-                          context);
+    DisaggCluster cluster(makeEngines(1, 4.0, rate),
+                          makeEngines(2, 4.0, rate), tinyConfig(), context);
     for (RequestId id = 0; id < 12; ++id)
         cluster.submitAt(makeRequest(id, 60, 15), 0);
     const auto report = cluster.run();

@@ -417,6 +417,8 @@ class PeekRecorder final : public core::Scheduler
     void
     onSlotReleased(RequestSlot slot, RequestId id) override
     {
+        slabEntries = std::max<std::size_t>(slabEntries,
+                                            slotIndex(slot) + 1);
         inner_->onSlotReleased(slot, id);
     }
 
@@ -460,6 +462,11 @@ class PeekRecorder final : public core::Scheduler
     void attachTrace(const trace::EngineTrace *trace) { trace_ = trace; }
 
     std::vector<Peek> peeks;
+
+    /** The engine's request-slab size so far: one past the highest
+     *  slot index released (every request releases its slot when it
+     *  leaves). */
+    std::size_t slabEntries = 0;
 
   private:
     std::unique_ptr<core::Scheduler> inner_;
@@ -550,14 +557,11 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
         auto recorder = std::make_unique<PeekRecorder>(
             core::makeScheduler(variant.scheduler), variant.predictor);
         PeekRecorder &recorded = *recorder;
-        auto watch = std::make_unique<testfx::SlabWatch>(
-            std::move(recorder));
-        const testfx::SlabWatch &slab = *watch;
         // The closed loop keeps a few clients on a roomy engine, so a
         // resubmit is admitted the step after its predecessor left.
         ServingEngine engine(tinyPerf(variant.memMegabytes),
                              std::make_unique<core::SchedulingPolicy>(
-                                 std::move(watch)),
+                                 std::move(recorder)),
                              config);
         trace::EngineTrace trace(1, "engine", trace::TraceDetail::Steps,
                                  1 << 17);
@@ -731,7 +735,8 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
 
         // The second wave (or every resubmission) ran on recycled
         // slab entries.
-        EXPECT_LE(slab.slabEntries, static_cast<std::size_t>(kWave));
+        EXPECT_LE(recorded.slabEntries,
+                  static_cast<std::size_t>(kWave));
         const auto report = engine.report();
         if (variant.predictor != Predictor::Inner) {
             EXPECT_GT(report.evictionEvents, 0);
@@ -739,7 +744,7 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
         if (variant.closedLoop) {
             EXPECT_EQ(report.numFinished,
                       static_cast<std::size_t>(4 * kWave));
-            EXPECT_LE(slab.slabEntries, 8u);
+            EXPECT_LE(recorded.slabEntries, 8u);
         }
         // One M* counter per decode step the report counts, each
         // equal to the from-scratch M* in tokens.
@@ -768,6 +773,36 @@ TEST(ServingEngineStateTest, RecycledRequestsInheritNoAuditState)
         EXPECT_GE(max_shared, variant.minSharedLapses);
         EXPECT_GE(max_slide, variant.minSlide);
     }
+}
+
+/**
+ * The request slab grows to the workload's concurrency high-water
+ * mark, not to the requests served: open-loop arrivals spaced so
+ * concurrency stays low reuse recycled slots (a per-arrival
+ * allocation regression reaches all 400). The allocations of this
+ * run are counted by
+ * EngineAllocTest.SubmitPathReusesRequestSlab.
+ */
+TEST(ServingEngineStateTest, RequestSlabTracksPeakConcurrency)
+{
+    const auto dataset = workload::makeShareGpt(400, 13);
+    auto recorder = std::make_unique<PeekRecorder>(
+        core::makeScheduler(SchedulerConfig::pastFutureDefault(0.05)),
+        PeekRecorder::Predictor::Inner);
+    const PeekRecorder &recorded = *recorder;
+    ServingEngine engine(tinyPerf(32.0),
+                         std::make_unique<core::SchedulingPolicy>(
+                             std::move(recorder)));
+    Tick arrival = 0;
+    for (const auto &spec : dataset.requests) {
+        engine.submitAt(spec, arrival);
+        arrival += 100000;
+    }
+    const auto report = engine.run();
+    ASSERT_EQ(report.numFinished, dataset.requests.size());
+    EXPECT_LT(recorded.slabEntries, dataset.requests.size() / 2)
+        << "request slots are not being recycled";
+    EXPECT_GT(recorded.slabEntries, 0u);
 }
 
 /**

@@ -8,7 +8,7 @@
  * scheduler or policy with, and the readers of public state that
  * only tests need (a Bernoulli draw, a dataset's output total, a
  * rate schedule's rate at a time, KV headroom, a fleet's routing
- * decisions per instance, an engine's request-slab size). One
+ * decisions per instance). One
  * definition keeps every suite on the same platform — a drifted
  * copy would silently test different token capacities.
  */
@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -271,83 +270,6 @@ class OneShotPolicy : public core::SchedulingPolicy
         decideInto(ctx, decision);
         return decision;
     }
-};
-
-/**
- * Admission-policy decorator that forwards every call and reads the
- * engine's request-slab size: one past the highest slot index
- * released (every request releases its slot when it leaves).
- */
-class SlabWatch : public core::Scheduler
-{
-  public:
-    explicit SlabWatch(std::unique_ptr<core::Scheduler> inner)
-        : inner_(std::move(inner))
-    {
-    }
-
-    void
-    beginAdmissionRound(const core::SchedulerContext &ctx) override
-    {
-        inner_->beginAdmissionRound(ctx);
-    }
-
-    bool
-    tryAdmit(const core::WaitingView &candidate) override
-    {
-        return inner_->tryAdmit(candidate);
-    }
-
-    void
-    onRequestFinished(RequestId id, TokenCount output_len) override
-    {
-        inner_->onRequestFinished(id, output_len);
-    }
-
-    void
-    onRequestEvicted(RequestId id) override
-    {
-        inner_->onRequestEvicted(id);
-    }
-
-    void
-    onSlotReleased(RequestSlot slot, RequestId id) override
-    {
-        slabEntries = std::max<std::size_t>(slabEntries,
-                                            slotIndex(slot) + 1);
-        inner_->onSlotReleased(slot, id);
-    }
-
-    TokenCount
-    peekPrediction(RequestId id, TokenCount generated_len,
-                   TokenCount max_new_tokens) override
-    {
-        return inner_->peekPrediction(id, generated_len,
-                                      max_new_tokens);
-    }
-
-    core::PredictionPeek
-    peekWithHorizon(RequestSlot slot, RequestId id,
-                    TokenCount generated_len,
-                    TokenCount max_new_tokens) override
-    {
-        return inner_->peekWithHorizon(slot, id, generated_len,
-                                       max_new_tokens);
-    }
-
-    TokenCount
-    estimateLoad(const core::SchedulerContext &ctx) override
-    {
-        return inner_->estimateLoad(ctx);
-    }
-
-    std::string name() const override { return inner_->name(); }
-
-    /** Slab entries seen so far. */
-    std::size_t slabEntries = 0;
-
-  private:
-    std::unique_ptr<core::Scheduler> inner_;
 };
 
 } // namespace testfx

@@ -35,6 +35,7 @@
 #include "sim/sharded_sim_context.hh"
 #include "sim/sim_context.hh"
 #include "test_fixtures.hh"
+#include "trace/trace_recorder.hh"
 #include "workload/client_pool.hh"
 #include "workload/datasets.hh"
 
@@ -156,6 +157,20 @@ TEST(ShardedDeterminism, RepeatedShardedRunsAreByteIdentical)
     EXPECT_EQ(first, second);
 }
 
+/** The shard of `hub` (`shards` shards) whose member context
+ *  `engine` runs on. */
+std::uint32_t
+shardOf(sim::ShardedSimContext &hub, std::uint32_t shards,
+        engine::ServingEngine &engine)
+{
+    for (std::uint32_t s = 0; s < shards; ++s) {
+        if (&hub.shardContext(s) == &engine.context())
+            return s;
+    }
+    ADD_FAILURE() << "the engine runs on no shard of the hub";
+    return shards;
+}
+
 /** Closed-loop fleet harness on an explicit hub, for tests that
  *  need to observe shard placement directly. */
 struct HubFleet
@@ -163,17 +178,30 @@ struct HubFleet
     sim::SimContext root;
     std::unique_ptr<sim::ShardedSimContext> hub;
     std::unique_ptr<cluster::ServingCluster> fleet;
+    std::uint32_t threads;
+    /** The fleet's engines, in instance order. */
+    std::vector<engine::ServingEngine *> instances;
 
-    HubFleet(std::size_t instances, std::uint32_t threads)
+    HubFleet(std::size_t count, std::uint32_t threads)
+        : threads(threads)
     {
         hub = std::make_unique<sim::ShardedSimContext>(root,
                                                        threads);
         std::vector<std::unique_ptr<engine::ServingEngine>> engines;
-        for (std::size_t i = 0; i < instances; ++i)
+        for (std::size_t i = 0; i < count; ++i) {
             engines.push_back(makeEngine());
+            instances.push_back(engines.back().get());
+        }
         fleet = std::make_unique<cluster::ServingCluster>(
             std::move(engines),
             cluster::RoutingPolicy::RoundRobin, root);
+    }
+
+    /** The shard executing instance `index`'s engine. */
+    std::uint32_t
+    instanceShard(std::size_t index)
+    {
+        return shardOf(*hub, threads, *instances.at(index));
     }
 
     static std::unique_ptr<engine::ServingEngine>
@@ -204,11 +232,11 @@ TEST(ShardedPlacement, AdoptionBalancesShardsLeastLoaded)
     // Five engines over two shards: least-live placement with
     // lowest-index ties alternates 0,1,0,1,0.
     HubFleet harness(5, 2);
-    EXPECT_EQ(harness.fleet->instanceShard(0), 0u);
-    EXPECT_EQ(harness.fleet->instanceShard(1), 1u);
-    EXPECT_EQ(harness.fleet->instanceShard(2), 0u);
-    EXPECT_EQ(harness.fleet->instanceShard(3), 1u);
-    EXPECT_EQ(harness.fleet->instanceShard(4), 0u);
+    EXPECT_EQ(harness.instanceShard(0), 0u);
+    EXPECT_EQ(harness.instanceShard(1), 1u);
+    EXPECT_EQ(harness.instanceShard(2), 0u);
+    EXPECT_EQ(harness.instanceShard(3), 1u);
+    EXPECT_EQ(harness.instanceShard(4), 0u);
 }
 
 TEST(ShardedPlacement, ProvisionLandsOnShardFreedByDrain)
@@ -219,9 +247,15 @@ TEST(ShardedPlacement, ProvisionLandsOnShardFreedByDrain)
     // least-loaded shard — while instance 1's queued requests are
     // re-dispatching across shard boundaries.
     HubFleet harness(3, 2);
+    // The hub's profiler samples record each window it runs.
+    trace::TraceRecorder recorder(
+        trace::TraceConfig{trace::TraceDetail::Full, 1 << 12});
+    harness.hub->attachTrace(&recorder);
     harness.fleet->scheduleDrain(1, secondsToTicks(0.5));
     harness.root.schedule(secondsToTicks(1.0), [&](Tick) {
-        harness.fleet->provisionInstance(HubFleet::makeEngine(),
+        auto engine = HubFleet::makeEngine();
+        harness.instances.push_back(engine.get());
+        harness.fleet->provisionInstance(std::move(engine),
                                          secondsToTicks(0.1));
     });
 
@@ -229,11 +263,18 @@ TEST(ShardedPlacement, ProvisionLandsOnShardFreedByDrain)
     const auto merged = harness.runClosedLoop(dataset, 24);
     EXPECT_EQ(merged.numFinished, dataset.requests.size());
     ASSERT_EQ(harness.fleet->numInstances(), 4u);
-    EXPECT_EQ(harness.fleet->instanceShard(3), 1u);
+    EXPECT_EQ(harness.instanceShard(3), 1u);
 
     // The windowed executor actually ran: engine steps fired inside
     // windows, deliveries on the coordinator.
-    EXPECT_GT(harness.hub->windowsRun(), 0u);
+    const trace::TraceRing &coordinator =
+        recorder.shards().front().ring();
+    std::size_t windows = 0;
+    for (std::size_t i = 0; i < coordinator.size(); ++i) {
+        if (coordinator.at(i).name == trace::TraceName::ShardWindow)
+            ++windows;
+    }
+    EXPECT_GT(windows, 0u);
     EXPECT_GT(harness.hub->stepsFired(), 0u);
     EXPECT_GT(harness.hub->deliveriesFired(), 0u);
 }
@@ -245,10 +286,13 @@ TEST(ShardedPlacement, DisaggPoolsShareOneHubAcrossShards)
     // as {0, 1} and {2, 0}: the prefill->decode handoff for any
     // request served by prefill instance 0 and decode instance 0
     // crosses 0 -> 2.
-    const auto make_pool = [](std::size_t n) {
+    std::vector<engine::ServingEngine *> engines;
+    const auto make_pool = [&](std::size_t n) {
         std::vector<std::unique_ptr<engine::ServingEngine>> pool;
-        for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t i = 0; i < n; ++i) {
             pool.push_back(HubFleet::makeEngine());
+            engines.push_back(pool.back().get());
+        }
         return pool;
     };
     disagg::DisaggConfig config;
@@ -263,21 +307,13 @@ TEST(ShardedPlacement, DisaggPoolsShareOneHubAcrossShards)
         if (threads > 1)
             hub = std::make_unique<sim::ShardedSimContext>(root,
                                                            threads);
-        // Prefill pool first: adoption order places engines.
-        auto prefill = std::make_unique<cluster::ServingCluster>(
-            make_pool(2), cluster::RoutingPolicy::PrefillLoad, root);
-        auto decode = std::make_unique<cluster::ServingCluster>(
-            make_pool(2), cluster::RoutingPolicy::FutureMemory, root);
-        const cluster::ServingCluster &prefill_pool = *prefill;
-        const cluster::ServingCluster &decode_pool = *decode;
-        disagg::DisaggCluster cluster(
-            std::move(prefill), std::move(decode), config, root);
+        engines.clear();
+        disagg::DisaggCluster cluster(make_pool(2), make_pool(2),
+                                      config, root);
         if (threads > 1) {
             std::set<std::uint32_t> shards;
-            for (std::size_t i = 0; i < 2; ++i) {
-                shards.insert(prefill_pool.instanceShard(i));
-                shards.insert(decode_pool.instanceShard(i));
-            }
+            for (engine::ServingEngine *engine : engines)
+                shards.insert(shardOf(*hub, threads, *engine));
             // All three shards host engines, so migrations must
             // cross shard boundaries.
             EXPECT_EQ(shards.size(), 3u);
@@ -310,7 +346,7 @@ TEST(ShardedExecutor, StepExceptionIsTheSerialOneAtEveryThreadCount)
     dataset.requests[3].inputLen = 1'000'000;
     const auto message = [&](std::uint32_t threads) {
         HubFleet harness(2, threads);
-        EXPECT_EQ(harness.fleet->instanceShard(1), threads - 1);
+        EXPECT_EQ(harness.instanceShard(1), threads - 1);
         try {
             harness.runClosedLoop(dataset, 4);
         } catch (const std::invalid_argument &error) {

@@ -1310,15 +1310,8 @@ runScenario(const Scenario &scenario,
         for (std::size_t i = 0; i < scenario.decodeInstances; ++i)
             decode.push_back(make_clone());
 
-        // Prefill first: adoption order places engines on shards.
-        auto prefill_pool = std::make_unique<cluster::ServingCluster>(
-            std::move(prefill), cluster::RoutingPolicy::PrefillLoad,
-            root);
-        auto decode_pool = std::make_unique<cluster::ServingCluster>(
-            std::move(decode), cluster::RoutingPolicy::FutureMemory,
-            root);
-        disagg::DisaggCluster cluster(std::move(prefill_pool),
-                                      std::move(decode_pool),
+        disagg::DisaggCluster cluster(std::move(prefill),
+                                      std::move(decode),
                                       scenario.disaggConfig, root);
         if (recorder != nullptr) {
             cluster.attachTrace(recorder);
