@@ -24,7 +24,6 @@
  * its `instance_seconds` approaching static-max's.
  */
 
-#include <chrono>
 #include <iostream>
 #include <vector>
 
@@ -62,17 +61,11 @@ spikeOptions()
     return options;
 }
 
-struct FleetResult
-{
-    metrics::RunReport report;
-    double wallMillis = 0.0;
-};
-
 /**
  * Serve the spike on a fleet of `instances`; `policy` empty means a
  * static fleet, otherwise `--autoscale --scale-policy policy`.
  */
-FleetResult
+bench::TimedRun
 runFleet(cli::CliOptions options, std::size_t instances,
          const std::string &policy)
 {
@@ -85,14 +78,7 @@ runFleet(cli::CliOptions options, std::size_t instances,
     // instance-seconds); no flag builds a one-instance cluster.
     if (scenario.fleetPerfs.empty())
         scenario.fleetPerfs.push_back(scenario.perf);
-
-    const auto start = std::chrono::steady_clock::now();
-    FleetResult result;
-    result.report = cli::runScenario(scenario);
-    result.wallMillis = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    return result;
+    return bench::timedRun(scenario);
 }
 
 } // namespace
@@ -133,7 +119,7 @@ main()
     double predictive_cost = 0.0;
     double predictive_attainment = 0.0;
     for (const Lineup &lineup : lineups) {
-        const FleetResult result =
+        const bench::TimedRun result =
             runFleet(options, lineup.instances, lineup.policy);
         const metrics::RunReport &report = result.report;
         const auto digest = report.latencyDigest();
@@ -191,11 +177,10 @@ main()
          static_max_cost > 0.0 ? predictive_cost / static_max_cost
                                : 0.0},
     });
-    bench::writeJson("BENCH_autoscale.json", "autoscale", rows);
+    std::cout << "\n";
+    bench::writeJson("autoscale", rows);
     std::cout
-        << "\nWrote BENCH_autoscale.json ("
-        << (bench::smokeMode() ? "smoke" : "full")
-        << " mode). Reading: predictive should meet the "
+        << ". Reading: predictive should meet the "
         << formatPercent(slo_target, 0)
         << " TTFT-attainment target with instance_seconds "
            "measurably below static-max (its forecasts buy the "

@@ -1,6 +1,7 @@
 #include "bench_common.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -26,9 +27,9 @@ smokeSize(std::size_t full, std::size_t smoke)
 }
 
 void
-writeJson(const std::string &path, const std::string &name,
-          const std::vector<JsonRow> &rows)
+writeJson(const std::string &name, const std::vector<JsonRow> &rows)
 {
+    const std::string path = "BENCH_" + name + ".json";
     // A file that failed to open stays failed, so the one check
     // after the last write covers opening and writing.
     std::ofstream file(path);
@@ -69,20 +70,55 @@ writeJson(const std::string &path, const std::string &name,
                   << path << "\n";
         std::exit(1);
     }
+    std::cout << "Wrote " << path << " ("
+              << (smokeMode() ? "smoke" : "full") << " mode)";
 }
 
-std::size_t
-sizeClients(const model::PerfModel &perf,
-            const workload::Dataset &dataset, double fraction)
+cli::Scenario
+paperCell(const cli::CliOptions &options, std::uint64_t warm_seed,
+          double load, const workload::Dataset *dataset)
 {
-    // Mean resident footprint of an in-flight request is its prompt
-    // plus about half its final output.
-    const double resident =
-        dataset.meanInputLen() + dataset.meanOutputLen() / 2.0;
-    const double capacity =
-        static_cast<double>(perf.tokenCapacity());
-    const double clients = fraction * capacity / resident;
-    return static_cast<std::size_t>(std::max(1.0, clients));
+    cli::Scenario scenario = dataset != nullptr
+        ? cli::assembleScenario(options, *dataset)
+        : cli::assembleScenario(options);
+    cli::CliOptions warm = options;
+    warm.requests = smokeSize(1000, 120);
+    warm.seed = warm_seed;
+    scenario.schedulerConfig.pastFuture.initialHistory =
+        cli::assembleScenario(warm).dataset.effectiveOutputLens();
+    if (load > 0.0) {
+        // Mean resident footprint of an in-flight request is its
+        // prompt plus about half its final output.
+        const double resident = scenario.dataset.meanInputLen() +
+            scenario.dataset.meanOutputLen() / 2.0;
+        const double clients = load *
+            static_cast<double>(scenario.perf.tokenCapacity()) /
+            resident;
+        scenario.clients =
+            static_cast<std::size_t>(std::max(1.0, clients));
+    }
+    return scenario;
+}
+
+TimedRun
+timedRun(const cli::Scenario &scenario,
+         trace::TraceRecorder *recorder)
+{
+    const auto start = std::chrono::steady_clock::now();
+    TimedRun run;
+    run.report = cli::runScenario(scenario, recorder);
+    run.wallMillis = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    return run;
+}
+
+double
+servedEvents(const metrics::RunReport &report)
+{
+    return static_cast<double>(report.decodeSteps) +
+        static_cast<double>(report.prefillIterations) +
+        2.0 * static_cast<double>(report.numFinished);
 }
 
 cli::CliOptions

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared harness pieces for the benches: smoke-mode sweep sizing,
- * the BENCH_*.json writer, load sizing, and the paper's scheduler
- * line-up.
+ * the BENCH_*.json writer, a paper cell's warm window and load
+ * sizing, run timing, and the paper's scheduler line-up.
  *
  * Every bench that serves requests runs what `pfs_cli` runs: it
  * describes each cell as cli::CliOptions, assembles it with
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "cli_scenario.hh"
-#include "model/perf_model.hh"
 #include "workload/datasets.hh"
 
 namespace lightllm {
@@ -67,23 +66,52 @@ struct JsonValue
 using JsonRow = std::vector<std::pair<std::string, JsonValue>>;
 
 /**
- * Write a bench result file CI can archive:
+ * Write a bench result file CI can archive, `BENCH_<name>.json`:
  * `{"bench": <name>, "smoke": <bool>, "rows": [{...}, ...]}`.
  * Numbers are emitted with enough precision to round-trip; label
- * strings are quoted (and must not need escaping). On an I/O
- * failure it prints `<name>: cannot write bench result file: <path>`
- * and exits 1.
+ * strings are quoted (and must not need escaping). Then prints
+ * `Wrote BENCH_<name>.json (<smoke|full> mode)` with no line end;
+ * the caller finishes the line. On an I/O failure it prints
+ * `<name>: cannot write bench result file: <path>` and exits 1.
  */
-void writeJson(const std::string &path, const std::string &name,
+void writeJson(const std::string &name,
                const std::vector<JsonRow> &rows);
 
 /**
- * Client count that loads the system to `fraction` of its steady
- * concurrency capacity (capacity tokens / mean resident footprint).
+ * One paper cell: `options` assembled (around `dataset` in place of
+ * --workload's requests when one is given), with the Past-Future
+ * window warmed by the effective output lengths of 1000 requests
+ * (smoke: 120) of --workload drawn at `warm_seed` — the paper's
+ * steady state, where `pfs_cli` starts cold. The draw keeps every
+ * other option of the cell (model, hardware, tensor parallelism).
+ * A positive `load` sets clients = max(1, load × token capacity /
+ * (mean input + mean output / 2)), the in-flight footprint of a
+ * request; 0 keeps --clients.
  */
-std::size_t sizeClients(const model::PerfModel &perf,
-                        const workload::Dataset &dataset,
-                        double fraction);
+cli::Scenario paperCell(const cli::CliOptions &options,
+                        std::uint64_t warm_seed, double load = 0.0,
+                        const workload::Dataset *dataset = nullptr);
+
+/** A run's report and its wall-clock milliseconds. */
+struct TimedRun
+{
+    metrics::RunReport report;
+    double wallMillis = 0.0;
+};
+
+/** cli::runScenario(scenario, recorder), timed (assembly is the
+ *  caller's and excluded). */
+TimedRun timedRun(const cli::Scenario &scenario,
+                  trace::TraceRecorder *recorder = nullptr);
+
+/**
+ * Simulated work of a completed serving run: decode steps, prefill
+ * iterations, and each request's arrival and completion. It is not
+ * the fired-event count, which is far lower since a decode run
+ * settles many steps per Step event (DESIGN.md §8), so it stays
+ * comparable across engine versions.
+ */
+double servedEvents(const metrics::RunReport &report);
 
 /**
  * Options selecting `--scheduler name`, with one of its parameter

@@ -36,7 +36,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <utility>
 #include <vector>
 
 #include "base/str_util.hh"
@@ -173,30 +172,6 @@ runQueueChurn()
 
 // --- Cases 2 and 3: engine and fleet ------------------------------------
 
-/** Report iterations of a completed serving run (decode steps,
- *  prefill iterations, and each request's arrival and completion;
- *  see fleet_scale): simulated work, not fired events. */
-double
-servedEvents(const metrics::RunReport &report)
-{
-    return static_cast<double>(report.decodeSteps) +
-        static_cast<double>(report.prefillIterations) +
-        2.0 * static_cast<double>(report.numFinished);
-}
-
-/** Run `options`; returns the report and the run's wall-clock
- *  milliseconds (assembly excluded). */
-std::pair<metrics::RunReport, double>
-timedRun(const cli::CliOptions &options)
-{
-    const cli::Scenario scenario = cli::assembleScenario(options);
-    const auto start = std::chrono::steady_clock::now();
-    metrics::RunReport report = cli::runScenario(scenario);
-    const auto wall = std::chrono::duration<double, std::milli>(
-        std::chrono::steady_clock::now() - start);
-    return {std::move(report), wall.count()};
-}
-
 CaseResult
 runSingleEngine()
 {
@@ -205,11 +180,12 @@ runSingleEngine()
     options.requests = requests;
     options.reservedRatio = 0.05;
     options.clients = bench::smokeSize(64, 24);
-    const auto [report, wall_ms] = timedRun(options);
+    const auto [report, wall_ms] =
+        bench::timedRun(cli::assembleScenario(options));
 
     CaseResult result;
     result.name = "single_engine";
-    result.events = servedEvents(report);
+    result.events = bench::servedEvents(report);
     result.wallMillis = wall_ms;
     result.eventsPerSec = rate(result.events, result.wallMillis);
     result.row = bench::JsonRow{
@@ -236,11 +212,12 @@ runFleet()
     options.requests = requests;
     options.clients = 24 * instances;
     options.reservedRatio = 0.05;
-    const auto [report, wall_ms] = timedRun(options);
+    const auto [report, wall_ms] =
+        bench::timedRun(cli::assembleScenario(options));
 
     CaseResult result;
     result.name = "fleet_128";
-    result.events = servedEvents(report);
+    result.events = bench::servedEvents(report);
     result.wallMillis = wall_ms;
     result.eventsPerSec = rate(result.events, result.wallMillis);
     result.row = bench::JsonRow{
@@ -282,10 +259,9 @@ main()
     }
     table.print(std::cout);
 
-    bench::writeJson("BENCH_core_speed.json", "core_speed", rows);
-    std::cout << "\nWrote BENCH_core_speed.json ("
-              << (bench::smokeMode() ? "smoke" : "full")
-              << " mode).\n";
+    std::cout << "\n";
+    bench::writeJson("core_speed", rows);
+    std::cout << ".\n";
 
     const char *enforce = std::getenv("PFS_BENCH_ENFORCE_FLOOR");
     if (enforce != nullptr && *enforce != '\0') {

@@ -25,12 +25,10 @@
  * and the claim row reports which side each mix lands on.
  */
 
-#include <chrono>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "base/rng.hh"
 #include "base/str_util.hh"
 #include "base/table.hh"
 #include "bench_common.hh"
@@ -68,32 +66,10 @@ makeMixes()
     return mixes;
 }
 
-workload::Dataset
-makeMixDataset(const Mix &mix, std::size_t requests,
-               std::uint64_t seed)
-{
-    Rng rng(seed);
-    workload::Dataset dataset;
-    dataset.name = mix.label;
-    dataset.maxNewTokens = mix.outputHi;
-    dataset.requests.reserve(requests);
-    for (RequestId id = 0;
-         id < static_cast<RequestId>(requests); ++id) {
-        workload::RequestSpec spec;
-        spec.id = id;
-        spec.inputLen = rng.uniformInt(mix.inputLo, mix.inputHi);
-        spec.outputLen = rng.uniformInt(mix.outputLo, mix.outputHi);
-        spec.maxNewTokens = mix.outputHi;
-        dataset.requests.push_back(spec);
-    }
-    return dataset;
-}
-
 struct RunResult
 {
-    metrics::RunReport report;
+    bench::TimedRun run;
     metrics::SlaSpec sla;
-    double wallMillis = 0.0;
 };
 
 /** Serve `dataset` as Poisson arrivals at `rate` (seed 42) on the
@@ -105,15 +81,7 @@ runFleet(cli::CliOptions options, const workload::Dataset &dataset,
     options.poissonRate = rate;
     const cli::Scenario scenario =
         cli::assembleScenario(options, dataset);
-    const auto start = std::chrono::steady_clock::now();
-    RunResult result;
-    result.report = cli::runScenario(scenario);
-    result.sla = scenario.sla;
-    result.wallMillis = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() -
-                            start)
-                            .count();
-    return result;
+    return {bench::timedRun(scenario), scenario.sla};
 }
 
 } // namespace
@@ -143,7 +111,10 @@ main()
     std::string wins, losses;
     for (const Mix &mix : mixes) {
         const workload::Dataset dataset =
-            makeMixDataset(mix, requests, 42 + mix.inputLo);
+            workload::makeUniformDataset(
+                mix.label, requests, mix.inputLo, mix.inputHi,
+                mix.outputLo, mix.outputHi, mix.outputHi,
+                42 + mix.inputLo);
         const RunResult colocated =
             runFleet(colocated_fleet, dataset, mix.ratePerSecond);
         const RunResult disaggregated =
@@ -153,7 +124,7 @@ main()
              {std::pair<const char *, const RunResult &>{
                   "colocated", colocated},
               {"disagg-2p2d", disaggregated}}) {
-            const metrics::RunReport &report = result.report;
+            const metrics::RunReport &report = result.run.report;
             const metrics::SlaSpec &sla = result.sla;
             const auto digest = report.latencyDigest();
             table.addRow({
@@ -180,7 +151,7 @@ main()
                 {"p99_mtpot_s", digest.mtpotPercentile(0.99)},
                 {"shed", static_cast<double>(report.shedRequests)},
                 {"makespan_s", ticksToSeconds(report.makespan)},
-                {"wall_ms", result.wallMillis},
+                {"wall_ms", result.run.wallMillis},
             };
             if (report.disaggregated) {
                 row.emplace_back(
@@ -194,9 +165,9 @@ main()
         }
 
         const bool disagg_wins =
-            disaggregated.report.goodputTokensPerSec(
+            disaggregated.run.report.goodputTokensPerSec(
                 disaggregated.sla) >
-            colocated.report.goodputTokensPerSec(colocated.sla);
+            colocated.run.report.goodputTokensPerSec(colocated.sla);
         auto &side = disagg_wins ? wins : losses;
         if (!side.empty())
             side += '+';
@@ -211,11 +182,10 @@ main()
         {"disagg_loses_mixes", losses.empty() ? "none" : losses},
         {"disagg_wins_some_mix", wins.empty() ? 0.0 : 1.0},
     });
-    bench::writeJson("BENCH_disagg.json", "disagg", rows);
+    std::cout << "\n";
+    bench::writeJson("disagg", rows);
     std::cout
-        << "\nWrote BENCH_disagg.json ("
-        << (bench::smokeMode() ? "smoke" : "full")
-        << " mode). Reading: disagg should win goodput where "
+        << ". Reading: disagg should win goodput where "
            "prompts dominate (decode batches keep their cadence "
            "through prefill bursts) and lose where outputs "
            "dominate (half the fleet idles while every request "

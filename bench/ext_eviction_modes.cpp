@@ -27,10 +27,6 @@ main()
     std::cout << "# Extension: eviction handling - recompute vs "
                  "swap (Llama-2-7B / A100-80G, Distribution-1)\n\n";
 
-    const std::vector<TokenCount> history =
-        workload::makeDistribution1(smokeSize(1000, 120), 62)
-            .effectiveOutputLens();
-
     using O = cli::CliOptions;
     const std::vector<SchedulerLineup> schedulers = {
         {"Aggressive(99%)",
@@ -49,11 +45,7 @@ main()
             cell.requests = smokeSize(600, 60);
             cell.seed = 61;
             cell.evictionMode = mode;
-            cli::Scenario scenario = cli::assembleScenario(cell);
-            scenario.clients =
-                sizeClients(scenario.perf, scenario.dataset, 0.95);
-            scenario.schedulerConfig.pastFuture.initialHistory =
-                history;
+            const cli::Scenario scenario = paperCell(cell, 62, 0.95);
             const auto report = cli::runScenario(scenario);
             table.addRow(
                 {scheduler.label + " + " + mode,

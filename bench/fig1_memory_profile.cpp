@@ -62,10 +62,6 @@ profileDataset(const std::string &workload, std::size_t requests,
 {
     cli::CliOptions options;
     options.workload = workload;
-    options.requests = smokeSize(1000, 120);
-    options.seed = seed + 1;
-    const std::vector<TokenCount> history =
-        cli::assembleScenario(options).dataset.effectiveOutputLens();
     options.requests = requests;
     options.seed = seed;
     const workload::Dataset dataset =
@@ -85,10 +81,7 @@ profileDataset(const std::string &workload, std::size_t requests,
         cell.workload = workload;
         cell.requests = requests;
         cell.seed = seed;
-        cli::Scenario scenario = cli::assembleScenario(cell);
-        scenario.clients =
-            sizeClients(scenario.perf, scenario.dataset, 1.4);
-        scenario.schedulerConfig.pastFuture.initialHistory = history;
+        const cli::Scenario scenario = paperCell(cell, seed + 1, 1.4);
         trace::TraceConfig trace_config;
         trace_config.detail = trace::TraceDetail::Steps;
         trace_config.ringCapacity = kTraceRing;

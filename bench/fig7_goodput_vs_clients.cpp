@@ -50,25 +50,18 @@ void
 sweepDataset(const ModelSetup &setup, const DatasetPanel &panel,
              std::vector<bench::JsonRow> &rows)
 {
-    // One cell: `requests` of the panel's workload at `seed` on the
-    // setup's model, under the scheduler flags in `options`.
-    const auto assemble = [&](cli::CliOptions options,
-                              std::size_t requests,
-                              std::uint64_t seed) {
+    // One cell: the panel's workload at `seed` on the setup's model,
+    // under the scheduler flags in `options`, warmed at seed 2002 and
+    // loaded to `fraction`.
+    const auto cell = [&](cli::CliOptions options, std::uint64_t seed,
+                          double fraction) {
         options.model = setup.model;
         options.tensorParallel = setup.tensorParallel;
         options.workload = panel.workload;
-        options.requests = requests;
+        options.requests = smokeSize(400, 48);
         options.seed = seed;
-        return cli::assembleScenario(options);
+        return paperCell(options, 2002, fraction);
     };
-    const std::size_t n_requests = smokeSize(400, 48);
-    // Sweep points are labelled from the fixed reference dataset
-    // (replica 0's), not whichever replica happened to run last.
-    const cli::Scenario reference = assemble({}, n_requests, 1001);
-    const std::vector<TokenCount> history =
-        assemble({}, smokeSize(1000, 120), 2002)
-            .dataset.effectiveOutputLens();
 
     std::cout << "## " << setup.label << " - " << panel.title
               << "\n\n";
@@ -78,31 +71,29 @@ sweepDataset(const ModelSetup &setup, const DatasetPanel &panel,
         2);
     const int replicas = smokeMode() ? 1 : 3;
 
+    // Sweep points are labelled from the fixed reference dataset
+    // (replica 0's), not whichever replica happened to run last.
+    std::vector<std::size_t> reference_clients;
     std::vector<std::string> headers{"Scheduler"};
     for (double fraction : load_fractions) {
-        headers.push_back(
-            "load " + formatDouble(fraction, 2) + " (n=" +
-            std::to_string(sizeClients(reference.perf,
-                                       reference.dataset,
-                                       fraction)) +
-            ")");
+        reference_clients.push_back(cell({}, 1001, fraction).clients);
+        headers.push_back("load " + formatDouble(fraction, 2) +
+                          " (n=" +
+                          std::to_string(reference_clients.back()) +
+                          ")");
     }
     TextTable table(headers);
 
     for (const auto &entry : figure7Lineup()) {
         std::vector<std::string> row{entry.label};
-        for (double fraction : load_fractions) {
+        for (std::size_t f = 0; f < load_fractions.size(); ++f) {
+            const double fraction = load_fractions[f];
             double goodput_sum = 0.0;
-            const std::size_t clients = sizeClients(
-                reference.perf, reference.dataset, fraction);
             for (int replica = 0; replica < replicas; ++replica) {
-                cli::Scenario scenario = assemble(
-                    entry.options, n_requests,
-                    1001 + static_cast<std::uint64_t>(replica));
-                scenario.clients = sizeClients(
-                    scenario.perf, scenario.dataset, fraction);
-                scenario.schedulerConfig.pastFuture.initialHistory =
-                    history;
+                const cli::Scenario scenario = cell(
+                    entry.options,
+                    1001 + static_cast<std::uint64_t>(replica),
+                    fraction);
                 goodput_sum += cli::runScenario(scenario)
                                    .goodputTokensPerSec(scenario.sla);
             }
@@ -113,7 +104,8 @@ sweepDataset(const ModelSetup &setup, const DatasetPanel &panel,
                 {"dataset", panel.title},
                 {"scheduler", entry.label},
                 {"load_fraction", fraction},
-                {"clients", static_cast<double>(clients)},
+                {"clients",
+                 static_cast<double>(reference_clients[f])},
                 {"goodput_tok_s", goodput},
             });
         }
@@ -154,11 +146,8 @@ main()
         for (const auto &panel : panels)
             sweepDataset(setup, panel, rows);
 
-    bench::writeJson("BENCH_fig7_goodput.json", "fig7_goodput",
-                     rows);
-    std::cout << "Wrote BENCH_fig7_goodput.json ("
-              << (smokeMode() ? "smoke" : "full") << " mode).\n"
-                 "Reading: goodput counts only tokens of requests "
+    bench::writeJson("fig7_goodput", rows);
+    std::cout << ".\nReading: goodput counts only tokens of requests "
                  "meeting the SLA (7B/13B: TTFT < 10 s, MTPOT < "
                  "1.5 s; 70B: 15 s / 5 s).\n";
     return 0;

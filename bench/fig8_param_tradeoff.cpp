@@ -50,8 +50,6 @@ main()
          workload::makeDistribution1(part, 82),
          workload::makeDistribution2(part, 83),
          workload::makeDistribution3(part, 84)});
-    const auto history =
-        workload::makeShareGptO1(smokeSize(1000, 120), 85);
 
     using O = cli::CliOptions;
     std::vector<Point> points;
@@ -105,13 +103,12 @@ main()
         }
         previous_family = point.family;
 
+        // The window is warmed from ShareGPT-o1, the mix's first
+        // part.
         cli::CliOptions options = point.options;
+        options.workload = "sharegpt-o1";
         options.warmupRequests = smokeSize(150, 0);
-        cli::Scenario scenario = cli::assembleScenario(options, mixed);
-        scenario.clients =
-            sizeClients(scenario.perf, scenario.dataset, 1.3);
-        scenario.schedulerConfig.pastFuture.initialHistory =
-            history.effectiveOutputLens();
+        cli::Scenario scenario = paperCell(options, 85, 1.3, &mixed);
         if (point.mode)
             scenario.schedulerConfig.pastFuture.predictionMode =
                 *point.mode;

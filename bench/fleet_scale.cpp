@@ -37,7 +37,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -128,21 +127,9 @@ runFleet(std::size_t instances, std::uint32_t threads)
     const double high_before = highWaterMb();
     const double rss_base =
         resetHighWater() ? highWaterMb() : high_before;
-    const auto start = std::chrono::steady_clock::now();
-    const metrics::RunReport report = cli::runScenario(scenario);
-    const auto wall = std::chrono::duration<double, std::milli>(
-        std::chrono::steady_clock::now() - start);
+    const auto [report, wall_ms] = bench::timedRun(scenario);
     const double high_after = highWaterMb();
-
-    // Report iterations (decode steps, prefill iterations, each
-    // request's arrival and completion): a clean per-run cost unit
-    // of simulated work. It is not the fired-event count, which is
-    // far lower since a decode run settles many steps per Step
-    // event (DESIGN.md §8).
-    const double events =
-        static_cast<double>(report.decodeSteps) +
-        static_cast<double>(report.prefillIterations) +
-        2.0 * static_cast<double>(report.numFinished);
+    const double events = bench::servedEvents(report);
 
     ScalePoint point;
     point.instances = instances;
@@ -150,13 +137,12 @@ runFleet(std::size_t instances, std::uint32_t threads)
     point.requests = options.requests;
     point.finished = report.numFinished;
     point.makespanSeconds = ticksToSeconds(report.makespan);
-    point.wallMillis = wall.count();
-    point.simReqPerSec = wall.count() > 0.0
-        ? static_cast<double>(report.numFinished) /
-            (wall.count() / 1e3)
+    point.wallMillis = wall_ms;
+    point.simReqPerSec = wall_ms > 0.0
+        ? static_cast<double>(report.numFinished) / (wall_ms / 1e3)
         : 0.0;
     point.eventsPerSec =
-        wall.count() > 0.0 ? events / (wall.count() / 1e3) : 0.0;
+        wall_ms > 0.0 ? events / (wall_ms / 1e3) : 0.0;
     point.rssDeltaMb = high_after - rss_base;
     point.highWaterMb = std::max(high_before, high_after);
     return point;
@@ -224,10 +210,9 @@ main()
     }
     table.print(std::cout);
 
-    bench::writeJson("BENCH_fleet_scale.json", "fleet_scale", rows);
-    std::cout << "\nWrote BENCH_fleet_scale.json ("
-              << (bench::smokeMode() ? "smoke" : "full")
-              << " mode). Reading: sim_req_per_sec is wall-clock "
+    std::cout << "\n";
+    bench::writeJson("fleet_scale", rows);
+    std::cout << ". Reading: sim_req_per_sec is wall-clock "
                  "simulation throughput; events_per_sec should stay "
                  "flat along the instance axis if the event core "
                  "scales, and climb along the thread axis; "

@@ -13,7 +13,6 @@
  * shows up as a shrinking ttft_speedup at the same depth.
  */
 
-#include <chrono>
 #include <iostream>
 #include <vector>
 
@@ -25,16 +24,10 @@ using namespace lightllm;
 
 namespace {
 
-struct RunResult
-{
-    metrics::RunReport report;
-    double wallMillis = 0.0;
-};
-
 /** `pfs_cli --sessions N --turns T --think-time 0.5
  *  --prefix-cache on|off` at the defaults (Past-Future 3%,
  *  512-token system prompt, seed 42). */
-RunResult
+bench::TimedRun
 runSessions(std::size_t turns, bool cache_on)
 {
     cli::CliOptions options;
@@ -42,15 +35,7 @@ runSessions(std::size_t turns, bool cache_on)
     options.turns = turns;
     options.thinkSeconds = 0.5;
     options.prefixCache = cache_on ? "on" : "off";
-    const cli::Scenario scenario = cli::assembleScenario(options);
-
-    const auto start = std::chrono::steady_clock::now();
-    RunResult result;
-    result.report = cli::runScenario(scenario);
-    result.wallMillis = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    return result;
+    return bench::timedRun(cli::assembleScenario(options));
 }
 
 } // namespace
@@ -69,8 +54,8 @@ main()
                      "prefill_tok_off", "prefill_tok_on"});
     std::vector<bench::JsonRow> rows;
     for (const std::size_t turns : turn_sweep) {
-        const RunResult off = runSessions(turns, false);
-        const RunResult on = runSessions(turns, true);
+        const bench::TimedRun off = runSessions(turns, false);
+        const bench::TimedRun on = runSessions(turns, true);
         const double ttft_off = off.report.latencyDigest().meanTtft;
         const double ttft_on = on.report.latencyDigest().meanTtft;
         table.addRow({
@@ -104,11 +89,9 @@ main()
     }
     table.print(std::cout);
 
-    bench::writeJson("BENCH_prefix_cache.json", "prefix_cache",
-                     rows);
-    std::cout << "\nWrote BENCH_prefix_cache.json ("
-              << (bench::smokeMode() ? "smoke" : "full")
-              << " mode). Reading: hit_rate is the fraction of "
+    std::cout << "\n";
+    bench::writeJson("prefix_cache", rows);
+    std::cout << ". Reading: hit_rate is the fraction of "
                  "prompt tokens served from cached blocks; it (and "
                  "ttft_speedup) should grow with conversation depth "
                  "because later turns re-prefill only their newest "

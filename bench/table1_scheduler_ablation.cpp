@@ -33,14 +33,6 @@ runDataset(const std::string &title, const std::string &workload,
            std::uint64_t seed, double conservative_oc,
            std::vector<bench::JsonRow> &json_rows)
 {
-    cli::CliOptions history_options;
-    history_options.workload = workload;
-    history_options.requests = smokeSize(1000, 120);
-    history_options.seed = seed + 1;
-    const std::vector<TokenCount> history =
-        cli::assembleScenario(history_options)
-            .dataset.effectiveOutputLens();
-
     std::cout << "## " << title << "\n\n";
 
     using O = cli::CliOptions;
@@ -76,11 +68,8 @@ runDataset(const std::string &title, const std::string &workload,
         options.requests = smokeSize(1000, 80);
         options.seed = seed;
         options.warmupRequests = smokeSize(150, 0);
-        cli::Scenario scenario = cli::assembleScenario(options);
-        scenario.clients =
-            sizeClients(scenario.perf, scenario.dataset, 1.5);
-        scenario.schedulerConfig.pastFuture.initialHistory = history;
-        const auto report = cli::runScenario(scenario);
+        const auto report =
+            cli::runScenario(paperCell(options, seed + 1, 1.5));
         table.addRow({row.label,
                       formatCount(report.decodeSteps),
                       formatPercent(report.avgConsumedMemory, 2),
@@ -114,11 +103,8 @@ main()
     runDataset("Distribution-3 (prefill-heavy)", "dist3", 15, 1.5,
                rows);
 
-    bench::writeJson("BENCH_table1_ablation.json", "table1_ablation",
-                     rows);
-    std::cout << "Wrote BENCH_table1_ablation.json ("
-              << (smokeMode() ? "smoke" : "full") << " mode).\n"
-                 "Reading: fewer decoding steps means larger "
+    bench::writeJson("table1_ablation", rows);
+    std::cout << ".\nReading: fewer decoding steps means larger "
                  "batches per step (better throughput); evicted "
                  "reqs is eviction events / finished requests and "
                  "can exceed 100% when requests bounce repeatedly.\n";

@@ -40,16 +40,10 @@ main()
             "past_future", &cli::CliOptions::reservedRatio, 0.05);
         options.model = model;
         options.workload = "textvqa";
-        options.requests = smokeSize(1000, 120);
-        options.seed = 72;
-        const std::vector<TokenCount> history =
-            cli::assembleScenario(options)
-                .dataset.effectiveOutputLens();
         options.requests = smokeSize(1500, 120);
+        options.clients = options.requests;
         options.seed = 71;
-        cli::Scenario scenario = cli::assembleScenario(options);
-        scenario.clients = scenario.dataset.requests.size();
-        scenario.schedulerConfig.pastFuture.initialHistory = history;
+        const cli::Scenario scenario = paperCell(options, 72);
         const auto lightllm = cli::runScenario(scenario);
 
         // Origin: HF-style static batching over contiguous memory.

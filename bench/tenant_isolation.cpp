@@ -251,11 +251,9 @@ main()
         {"tree_over_solo", tree_over_solo},
         {"tree_isolates", tree_isolates ? 1.0 : 0.0},
     });
-    bench::writeJson("BENCH_tenant_isolation.json",
-                     "tenant_isolation", rows);
-    std::cout << "\nWrote BENCH_tenant_isolation.json ("
-              << (bench::smokeMode() ? "smoke" : "full")
-              << " mode). Reading: the flat queue lets the spike "
+    std::cout << "\n";
+    bench::writeJson("tenant_isolation", rows);
+    std::cout << ". Reading: the flat queue lets the spike "
                  "inflate the victim's p99 TTFT past 3x its solo "
                  "baseline (flat_over_solo), while the tenant tree "
                  "holds it within 1.5x (tree_over_solo) — the "

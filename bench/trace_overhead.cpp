@@ -15,9 +15,10 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,54 +65,34 @@ struct ConfigResult
 };
 
 /** Minimum wall-clock of kRepeats runs (min rejects scheduler and
- *  frequency noise better than the mean). */
+ *  frequency noise better than the mean), recorded at `detail`;
+ *  no detail runs untraced. */
 ConfigResult
 runConfig(const cli::Scenario &scenario, const std::string &name,
-          trace::TraceDetail detail)
+          std::optional<trace::TraceDetail> detail)
 {
     ConfigResult result;
     result.name = name;
-    double best = 0.0;
     for (int rep = 0; rep < kRepeats; ++rep) {
-        trace::TraceRecorder recorder(
-            trace::TraceConfig{detail, 1 << 16});
-        const auto start = std::chrono::steady_clock::now();
-        cli::runScenario(scenario, &recorder);
+        std::unique_ptr<trace::TraceRecorder> recorder;
+        if (detail) {
+            recorder = std::make_unique<trace::TraceRecorder>(
+                trace::TraceConfig{*detail, 1 << 16});
+        }
         const double wall =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        best = rep == 0 ? wall : std::min(best, wall);
-        if (rep == 0) {
-            double retained = 0.0;
+            bench::timedRun(scenario, recorder.get()).wallMillis;
+        result.wallMillisMin =
+            rep == 0 ? wall : std::min(result.wallMillisMin, wall);
+        if (rep == 0 && recorder) {
             for (const trace::EngineTrace &sink :
-                 recorder.engines())
-                retained += static_cast<double>(sink.ring().size());
-            result.eventsRetained = retained;
+                 recorder->engines()) {
+                result.eventsRetained +=
+                    static_cast<double>(sink.ring().size());
+            }
             result.eventsDropped =
-                static_cast<double>(recorder.totalDropped());
+                static_cast<double>(recorder->totalDropped());
         }
     }
-    result.wallMillisMin = best;
-    return result;
-}
-
-ConfigResult
-runBaseline(const cli::Scenario &scenario)
-{
-    ConfigResult result;
-    result.name = "untraced";
-    double best = 0.0;
-    for (int rep = 0; rep < kRepeats; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        cli::runScenario(scenario, nullptr);
-        const double wall =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        best = rep == 0 ? wall : std::min(best, wall);
-    }
-    result.wallMillisMin = best;
     return result;
 }
 
@@ -125,7 +106,8 @@ main()
 
     const cli::Scenario scenario = benchScenario();
 
-    ConfigResult baseline = runBaseline(scenario);
+    const ConfigResult baseline =
+        runConfig(scenario, "untraced", std::nullopt);
     std::vector<ConfigResult> results = {
         baseline,
         runConfig(scenario, "off", trace::TraceDetail::Off),
@@ -162,11 +144,9 @@ main()
     }
     table.print(std::cout);
 
-    bench::writeJson("BENCH_trace_overhead.json", "trace_overhead",
-                     rows);
-    std::cout << "\nWrote BENCH_trace_overhead.json ("
-              << (bench::smokeMode() ? "smoke" : "full")
-              << " mode).\n";
+    std::cout << "\n";
+    bench::writeJson("trace_overhead", rows);
+    std::cout << ".\n";
 
     const char *enforce = std::getenv("PFS_BENCH_ENFORCE_FLOOR");
     if (enforce != nullptr && *enforce != '\0') {

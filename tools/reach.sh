@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Program-caller scan: every lightllm:: function that src/'s archives
-# or tools/libpfs_cli_lib.a define must be kept by a program (pfs_cli,
-# a bench binary or perf/'s pfs_perf) or be named, with a reason, in
-# tools/reach_allow.txt (at most 15 entries, each still unreached);
-# tests and examples do not count as callers.
+# Program-caller scan: every lightllm:: function that src/'s archives,
+# tools/libpfs_cli_lib.a or bench/libpfs_bench_common.a define must be
+# kept by a program (pfs_cli, a bench binary or perf/'s pfs_perf) or be
+# named, with a reason, in tools/reach_allow.txt (at most 15 entries,
+# each still unreached); tests and examples do not count as callers.
 #
 #   tools/reach.sh [build-dir]        # default: <repo>/build-reach
 # Builds at -O0 with one section per function and links programs with
@@ -42,8 +42,8 @@ done
 [[ ${#programs[@]} -eq 19 ]] ||
     { echo "reach: expected 19 programs, found ${#programs[@]}" >&2; exit 2; }
 
-comm -23 <(names "$out"/tree/src/libpfs_*.a "$out/tree/tools/libpfs_cli_lib.a") \
-    <(names "${programs[@]}") >"$out/unreached.txt"
+comm -23 <(names "$out"/tree/src/libpfs_*.a "$out/tree/tools/libpfs_cli_lib.a" \
+    "$out/tree/bench/libpfs_bench_common.a") <(names "${programs[@]}") >"$out/unreached.txt"
 sed -E 's/[[:space:]]+#.*//; /^(#|$)/d' "$root/tools/reach_allow.txt" |
     sort -u >"$out/allowed.txt"
 status=0
