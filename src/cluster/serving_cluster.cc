@@ -31,7 +31,7 @@ routingPolicyName(RoutingPolicy policy)
 ServingCluster::ServingCluster(
     std::vector<std::unique_ptr<engine::ServingEngine>> instances,
     RoutingPolicy policy, sim::SimContext &context)
-    : context_(&context), policy_(policy), routingPredictor_(1000)
+    : context_(&context), policy_(policy), routingPredictor_(core::kPaperWindowSize)
 {
     LIGHTLLM_ASSERT(!instances.empty(),
                     "cluster needs at least one instance");

@@ -1,71 +1,73 @@
 /**
  * @file
- * Shared "past" component: history window + cached empirical
- * distribution + point-estimate predictions.
+ * The "past" of Eq. 1: the output lengths of the last w finished
+ * requests, their sorted empirical distribution, and the point
+ * estimates built on it.
  *
- * Three consumers run the same past-window machinery: the
- * Past-Future scheduler (admission, Eq. 1), the cluster router's
- * FutureMemory policy (placement, §7), and the predicted-SJF queue
- * policy (ordering). This class owns the window, rebuilds the
- * sorted distribution lazily (keyed on the window's version
- * counter), and exposes the point estimates the router and queue
- * policies need. Sampling consumers (the Past-Future scheduler's
+ * Three consumers run the same past window: the Past-Future
+ * scheduler (admission, Eq. 1), the cluster router's FutureMemory
+ * policy (placement, §7), and the predicted-SJF queue policy
+ * (ordering). This class is the window's one owner: it keeps the
+ * FIFO ring, the cold-start seed (§4), and the sorted distribution,
+ * which every observation updates with one erase and one insert
+ * (O(w) memmove, no sort). The sorted vector and its prefix sums
+ * depend only on the multiset of window values, so the result is
+ * bit-identical to building a LengthDistribution from the window's
+ * contents. Sampling consumers (the Past-Future scheduler's
  * sticky/per-step draws) reach through distribution() for the full
  * LengthDistribution API.
- *
- * Once materialised, the distribution is maintained incrementally:
- * each observation removes the displaced window entry and inserts
- * the new one in sorted position (O(w) memmove, no sort, no
- * allocation), which is bit-identical to a full rebuild because the
- * sorted vector and its prefix sums depend only on the multiset of
- * window values.
  */
 
 #ifndef LIGHTLLM_CORE_LENGTH_PREDICTOR_HH
 #define LIGHTLLM_CORE_LENGTH_PREDICTOR_HH
 
 #include <cstdint>
+#include <vector>
 
-#include "core/history_window.hh"
+#include "base/types.hh"
 #include "core/length_distribution.hh"
 
 namespace lightllm {
 namespace core {
 
-/** Entries a cold-start seed writes into a predictor's window (the
- *  Past-Future scheduler and the predicted-SJF queue policy). */
+/** The paper's window size w of Eq. 1 (§4). */
+inline constexpr std::size_t kPaperWindowSize = 1000;
+
+/** Placeholders a cold-start seed writes into a predictor's window
+ *  (clamped to the window size). */
 inline constexpr std::size_t kColdStartSeedCount = 32;
 
-/** History window plus a lazily rebuilt length distribution. */
+/** Past window of output lengths plus its sorted distribution. */
 class LengthPredictor
 {
   public:
-    /** @param window_size Window size w of Eq. 1 (> 0). */
-    explicit LengthPredictor(std::size_t window_size);
-
-    /** Cold-start seeding (see HistoryWindow::seed). */
-    void seed(TokenCount value, std::size_t count);
-
-    /** Record the output length of a finished request. */
-    void observe(TokenCount output_len);
+    /**
+     * @param window_size Window size w of Eq. 1 (> 0).
+     * @param seed_len Cold-start length (normally the service's
+     *        max_new_tokens; 0 seeds nothing): the window starts
+     *        with min(kColdStartSeedCount, w) placeholders of it.
+     *        Real observations replace placeholders before the ring
+     *        evicts any of them, so the seed washes out after that
+     *        many finished requests ("updated quickly", §4).
+     */
+    explicit LengthPredictor(std::size_t window_size,
+                             TokenCount seed_len = 0);
 
     /**
-     * The distribution over the current window contents, built on
-     * first use and kept in sync incrementally by observe().
+     * Record the output length of a finished request: it replaces
+     * a seed placeholder while any remain, else the oldest entry
+     * once the window is full.
      */
-    const LengthDistribution &
-    distribution()
+    void observe(TokenCount output_len);
+
+    /** The distribution over the current window contents. */
+    const LengthDistribution &distribution() const
     {
-        if (!distributionValid_)
-            rebuildDistribution();
         return distribution_;
     }
 
-    /**
-     * Version of the distribution's contents: changes on every
-     * observe(), warm() and seed() (the window's version counter).
-     */
-    std::uint64_t version() const { return window_.version(); }
+    /** Version of the window's contents: bumped by every observe(). */
+    std::uint64_t version() const { return version_; }
 
     /**
      * A memoised conditional-tail start for one request: valid for
@@ -93,24 +95,24 @@ class LengthPredictor
      * the same either way; the cursor is updated to it.
      */
     std::size_t
-    tailStart(TailCursor &cursor, TokenCount greater_than)
+    tailStart(TailCursor &cursor, TokenCount greater_than) const
     {
-        const LengthDistribution &dist = distribution();
         const bool forward = greater_than >= cursor.after;
-        if (forward && cursor.version == version()) {
-            cursor.start = dist.tailStartFrom(cursor.start, greater_than);
-        } else if (forward && cursor.version + 1 == version() &&
-                   lastPush_.version == version()) {
+        if (forward && cursor.version == version_) {
+            cursor.start =
+                distribution_.tailStartFrom(cursor.start, greater_than);
+        } else if (forward && cursor.version + 1 == version_ &&
+                   lastPush_.version == version_) {
             const std::size_t start = cursor.start +
                 (lastPush_.added <= cursor.after ? 1 : 0) -
                 (lastPush_.hasRemoved && lastPush_.removed <= cursor.after
                      ? 1
                      : 0);
-            cursor.start = dist.tailStartFrom(start, greater_than);
+            cursor.start = distribution_.tailStartFrom(start, greater_than);
         } else {
-            cursor.start = dist.tailStart(greater_than);
+            cursor.start = distribution_.tailStart(greater_than);
         }
-        cursor.version = version();
+        cursor.version = version_;
         cursor.after = greater_than;
         return cursor.start;
     }
@@ -122,23 +124,32 @@ class LengthPredictor
      * empty or the request has outlived all recorded history.
      */
     TokenCount expectedOutput(TokenCount generated_len,
-                              TokenCount max_new_tokens);
+                              TokenCount max_new_tokens) const;
 
     /**
      * Predicted resident footprint of a fresh request:
      * prompt + expected output (the router's placement charge).
      */
     TokenCount predictFootprint(TokenCount input_len,
-                                TokenCount max_new_tokens);
+                                TokenCount max_new_tokens) const;
 
   private:
-    /** Build distribution_ from a window snapshot. */
-    void rebuildDistribution();
+    std::size_t capacity_;
 
-    HistoryWindow window_;
+    /** Real observations in arrival order until the ring is full,
+     *  then overwritten oldest-first at head_. */
+    std::vector<TokenCount> ring_;
+    std::size_t head_ = 0;
 
-    /** The last observe(): the window version it produced, the
-     *  length it added and the one it displaced. */
+    /** The cold-start length and the placeholders of it still in
+     *  the window (ring_.size() + seeds_ <= capacity_). */
+    TokenCount seedLen_;
+    std::size_t seeds_;
+
+    std::uint64_t version_ = 0;
+
+    /** The last observe(): the version it produced, the length it
+     *  added and the one it displaced. */
     struct LastPush
     {
         std::uint64_t version = ~std::uint64_t{0};
@@ -149,9 +160,6 @@ class LengthPredictor
     LastPush lastPush_;
 
     LengthDistribution distribution_;
-    /** distribution_ mirrors the window (false until first query
-     *  and after seed(), which must rebuild from a snapshot). */
-    bool distributionValid_ = false;
 };
 
 } // namespace core

@@ -10,7 +10,8 @@ namespace lightllm {
 namespace core {
 
 PastFutureScheduler::PastFutureScheduler(PastFutureParams params)
-    : params_(params), predictor_(params.windowSize),
+    : params_(params),
+      predictor_(params.windowSize, params.seedOutputLen),
       rng_(params.seed)
 {
     LIGHTLLM_ASSERT(params_.reservedRatio >= 0.0 &&
@@ -18,8 +19,6 @@ PastFutureScheduler::PastFutureScheduler(PastFutureParams params)
                     "reserved ratio must be in [0, 1)");
     LIGHTLLM_ASSERT(params_.riskFactor >= 0.0,
                     "risk factor must be non-negative");
-    if (params_.seedOutputLen > 0)
-        predictor_.seed(params_.seedOutputLen, kColdStartSeedCount);
     for (TokenCount length : params_.initialHistory)
         predictor_.observe(length);
 }

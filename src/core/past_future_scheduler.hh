@@ -73,8 +73,8 @@ inline constexpr int kSmallBatchTrials = 4;
 /** Tunables of the Past-Future scheduler. */
 struct PastFutureParams
 {
-    /** History window size w of Eq. 1 (the paper uses 1000). */
-    std::size_t windowSize = 1000;
+    /** History window size w of Eq. 1. */
+    std::size_t windowSize = kPaperWindowSize;
 
     /** Output-length prediction mode (see PredictionMode). */
     PredictionMode predictionMode = PredictionMode::StickySample;

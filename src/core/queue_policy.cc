@@ -106,10 +106,8 @@ class PredictedSjfQueuePolicy final : public QueuePolicy
 {
   public:
     explicit PredictedSjfQueuePolicy(const QueuePolicyConfig &config)
-        : predictor_(config.predictorWindow)
+        : predictor_(config.predictorWindow, config.seedOutputLen)
     {
-        if (config.seedOutputLen > 0)
-            predictor_.seed(config.seedOutputLen, kColdStartSeedCount);
     }
 
     QueuePolicyKind

@@ -65,7 +65,7 @@ struct QueuePolicyConfig
     QueuePolicyKind kind = QueuePolicyKind::Fcfs;
 
     /** Predicted-SJF: past-window size of the length predictor. */
-    std::size_t predictorWindow = 1000;
+    std::size_t predictorWindow = kPaperWindowSize;
 
     /** Predicted-SJF: cold-start seed length (0 disables), as for
      *  the Past-Future scheduler's window. */

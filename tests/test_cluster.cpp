@@ -362,7 +362,7 @@ TEST(ClusterTest, FutureMemoryAccountingDrainsToZero)
     // predictor's footprint: prompt + conditional expected output.
     const std::vector<TokenCount> history(200, 40);
     fleet->warmRoutingHistory(history);
-    core::LengthPredictor reference(1000);
+    core::LengthPredictor reference(core::kPaperWindowSize);
     for (TokenCount length : history)
         reference.observe(length);
 

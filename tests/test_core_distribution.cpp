@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the "past" half of the scheduler: the history window
- * and the empirical output-length distribution (Eq. 1).
+ * Tests for the "past" half of the scheduler: the length
+ * predictor's window and the empirical output-length distribution
+ * (Eq. 1).
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +12,8 @@
 #include <vector>
 
 #include "base/rng.hh"
-#include "core/history_window.hh"
 #include "core/length_distribution.hh"
+#include "core/length_predictor.hh"
 #include "test_fixtures.hh"
 
 namespace lightllm {
@@ -21,91 +22,135 @@ namespace {
 
 using testfx::bernoulli;
 
-TEST(HistoryWindowTest, GrowsUntilCapacity)
+/** The predictor's window contents, read from its distribution
+ *  (sorted). */
+std::vector<TokenCount>
+windowContents(const LengthPredictor &predictor)
 {
-    HistoryWindow window(3);
-    EXPECT_TRUE(window.snapshot().empty());
-    window.push(1);
-    window.push(2);
-    EXPECT_EQ(window.snapshot().size(), 2u);
-    window.push(3);
-    window.push(4);
-    EXPECT_EQ(window.snapshot().size(), 3u);
+    const LengthDistribution &dist = predictor.distribution();
+    std::vector<TokenCount> values;
+    for (std::size_t i = 0; i < dist.size(); ++i)
+        values.push_back(dist.tailMin(i, -1));
+    return values;
 }
 
-TEST(HistoryWindowTest, EvictsOldestFirst)
+TEST(LengthPredictorTest, GrowsUntilCapacity)
 {
-    HistoryWindow window(3);
+    LengthPredictor predictor(3);
+    EXPECT_TRUE(predictor.distribution().empty());
+    predictor.observe(1);
+    predictor.observe(2);
+    EXPECT_EQ(predictor.distribution().size(), 2u);
+    predictor.observe(3);
+    predictor.observe(4);
+    EXPECT_EQ(predictor.distribution().size(), 3u);
+}
+
+TEST(LengthPredictorTest, EvictsOldestFirst)
+{
+    LengthPredictor predictor(3);
     for (TokenCount value : {1, 2, 3, 4})
-        window.push(value);
-    auto snapshot = window.snapshot();
-    std::sort(snapshot.begin(), snapshot.end());
-    EXPECT_EQ(snapshot, (std::vector<TokenCount>{2, 3, 4}));
+        predictor.observe(value);
+    EXPECT_EQ(windowContents(predictor),
+              (std::vector<TokenCount>{2, 3, 4}));
+    predictor.observe(1);
+    EXPECT_EQ(windowContents(predictor),
+              (std::vector<TokenCount>{1, 3, 4}));
 }
 
-TEST(HistoryWindowTest, VersionBumpsOnEveryPush)
+TEST(LengthPredictorTest, VersionBumpsOnEveryObservation)
 {
-    HistoryWindow window(4);
-    const auto v0 = window.version();
-    window.push(5);
-    EXPECT_GT(window.version(), v0);
+    LengthPredictor predictor(4);
+    const auto v0 = predictor.version();
+    predictor.observe(5);
+    const auto v1 = predictor.version();
+    EXPECT_GT(v1, v0);
+    predictor.observe(5);
+    EXPECT_GT(predictor.version(), v1);
 }
 
-TEST(HistoryWindowTest, SnapshotBeforeWrapOnlyValidEntries)
+TEST(LengthPredictorTest, ContentsBeforeWrapAreOnlyObservations)
 {
-    HistoryWindow window(10);
-    window.push(7);
-    window.push(8);
-    const auto snapshot = window.snapshot();
-    ASSERT_EQ(snapshot.size(), 2u);
-    EXPECT_EQ(snapshot[0], 7);
-    EXPECT_EQ(snapshot[1], 8);
+    LengthPredictor predictor(10);
+    predictor.observe(8);
+    predictor.observe(7);
+    EXPECT_EQ(windowContents(predictor),
+              (std::vector<TokenCount>{7, 8}));
 }
 
-TEST(HistoryWindowTest, SeedFillsRequestedCount)
+TEST(LengthPredictorTest, SeedFillsColdStartCount)
 {
-    HistoryWindow window(100);
-    window.seed(4096, 32);
-    EXPECT_EQ(window.snapshot().size(), 32u);
-    for (TokenCount value : window.snapshot())
-        EXPECT_EQ(value, 4096);
+    const LengthPredictor predictor(100, 4096);
+    EXPECT_EQ(windowContents(predictor),
+              std::vector<TokenCount>(kColdStartSeedCount, 4096));
+    EXPECT_TRUE(LengthPredictor(100).distribution().empty());
 }
 
-TEST(HistoryWindowTest, SeedClampsToCapacity)
+TEST(LengthPredictorTest, SeedClampsToCapacity)
 {
-    HistoryWindow window(8);
-    window.seed(100, 32);
-    EXPECT_EQ(window.snapshot().size(), 8u);
+    const LengthPredictor predictor(8, 100);
+    EXPECT_EQ(windowContents(predictor),
+              std::vector<TokenCount>(8, 100));
 }
 
-TEST(HistoryWindowTest, RealPushesReplaceSeedsFirst)
+TEST(LengthPredictorTest, ObservationsReplaceSeedsFirst)
 {
-    HistoryWindow window(100);
-    window.seed(4096, 4);
-    window.push(10);
-    window.push(20);
-    // Window still holds 4 entries: 2 real, 2 remaining seeds.
-    EXPECT_EQ(window.snapshot().size(), 4u);
-    auto snapshot = window.snapshot();
-    std::sort(snapshot.begin(), snapshot.end());
-    EXPECT_EQ(snapshot,
-              (std::vector<TokenCount>{10, 20, 4096, 4096}));
-    window.push(30);
-    window.push(40);
-    // All seeds gone after `seedCount` real completions.
-    snapshot = window.snapshot();
-    std::sort(snapshot.begin(), snapshot.end());
-    EXPECT_EQ(snapshot, (std::vector<TokenCount>{10, 20, 30, 40}));
-    // Further pushes append normally.
-    window.push(50);
-    EXPECT_EQ(window.snapshot().size(), 5u);
+    constexpr std::size_t kHalf = kColdStartSeedCount / 2;
+    LengthPredictor predictor(100, 4096);
+    std::vector<TokenCount> observed;
+    for (std::size_t i = 0; i < kHalf; ++i) {
+        observed.push_back(static_cast<TokenCount>(10 * (i + 1)));
+        predictor.observe(observed.back());
+    }
+    // The window still holds kColdStartSeedCount entries: half
+    // observed, half remaining seeds.
+    std::vector<TokenCount> expected = observed;
+    expected.insert(expected.end(), kColdStartSeedCount - kHalf, 4096);
+    EXPECT_EQ(windowContents(predictor), expected);
+    for (std::size_t i = kHalf; i < kColdStartSeedCount; ++i) {
+        observed.push_back(static_cast<TokenCount>(10 * (i + 1)));
+        predictor.observe(observed.back());
+    }
+    // Every seed is gone after kColdStartSeedCount observations.
+    EXPECT_EQ(windowContents(predictor), observed);
+    // Further observations grow the window normally.
+    predictor.observe(5000);
+    EXPECT_EQ(predictor.distribution().size(), kColdStartSeedCount + 1);
 }
 
-TEST(HistoryWindowDeathTest, SeedOnNonEmptyPanics)
+TEST(LengthPredictorTest, SeedsWashOutBeforeAnyEviction)
 {
-    HistoryWindow window(4);
-    window.push(1);
-    EXPECT_DEATH(window.seed(10, 2), "non-empty");
+    // A seeded window of 40: the 32 seeds go first, then the ring
+    // evicts its oldest observation, never a later one.
+    LengthPredictor predictor(40, 4096);
+    testfx::FifoWindow reference(40, 4096);
+    for (TokenCount value = 1; value <= 100; ++value) {
+        predictor.observe(value);
+        reference.push(value);
+        std::vector<TokenCount> expected = reference.contents();
+        std::sort(expected.begin(), expected.end());
+        ASSERT_EQ(windowContents(predictor), expected) << value;
+    }
+    EXPECT_EQ(windowContents(predictor).front(), 61);
+}
+
+TEST(LengthPredictorTest, EmptyWindowFallsBackToCap)
+{
+    LengthPredictor predictor(100);
+    EXPECT_EQ(predictor.expectedOutput(0, 4096), 4096);
+    EXPECT_EQ(predictor.predictFootprint(500, 4096), 4596);
+}
+
+TEST(LengthPredictorTest, ExpectedOutputIsCappedTailMean)
+{
+    LengthPredictor predictor(100);
+    for (int i = 0; i < 50; ++i)
+        predictor.observe(100);
+    EXPECT_EQ(predictor.expectedOutput(0, 4096), 100);
+    // The cap binds when the tail mean exceeds it.
+    EXPECT_EQ(predictor.expectedOutput(0, 60), 60);
+    // A request that outlived all history gets the cap.
+    EXPECT_EQ(predictor.expectedOutput(200, 4096), 4096);
 }
 
 TEST(LengthDistributionTest, EmptyBehaviour)

@@ -534,12 +534,10 @@ TEST_P(IncrementalPeakProperty, TailCursorMatchesUpperBound)
 {
     const std::uint64_t seed = GetParam();
     Rng rng(seed);
-    LengthPredictor predictor(64);
-    HistoryWindow mirror(64);  // the predictor's window
-    if (seed % 2 == 0) {
-        predictor.seed(2048, 16);
-        mirror.seed(2048, 16);
-    }
+    // Even seeds start from a cold-start seed.
+    const TokenCount seed_len = seed % 2 == 0 ? 2048 : 0;
+    LengthPredictor predictor(64, seed_len);
+    testfx::FifoWindow mirror(64, seed_len);  // the predictor's window
     std::vector<LengthPredictor::TailCursor> cursors(8);
     std::vector<TokenCount> generated(8, 0);
 
@@ -561,7 +559,7 @@ TEST_P(IncrementalPeakProperty, TailCursorMatchesUpperBound)
             generated[k] += rng.uniformInt(0, 400);  // long jump
         else
             generated[k] = rng.uniformInt(0, generated[k]);  // down
-        std::vector<TokenCount> window = mirror.snapshot();
+        std::vector<TokenCount> window = mirror.contents();
         std::sort(window.begin(), window.end());
         const auto expected = static_cast<std::size_t>(
             std::upper_bound(window.begin(), window.end(),
@@ -587,7 +585,7 @@ TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
         params.seed = seed;
         PastFutureScheduler scheduler(params);
         // The scheduler's window, mirrored from what it observes.
-        HistoryWindow window(params.windowSize);
+        testfx::FifoWindow window(params.windowSize);
         // Replays the scheduler's sticky draws (its RNG feeds only
         // first-sight variates here: no admission round runs).
         Rng draws(params.seed);
@@ -610,7 +608,7 @@ TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
         // From-scratch reference of predict (peek = false) and
         // peekPrediction (peek = true).
         auto reference = [&](const Tracked &t, bool peek) {
-            const LengthDistribution dist(window.snapshot());
+            const LengthDistribution dist(window.contents());
             TokenCount predicted = kCap;
             if (!dist.empty()) {
                 if (mode == PredictionMode::TailQuantile) {
@@ -657,7 +655,7 @@ TEST_P(IncrementalPeakProperty, PredictionsMatchInEveryMode)
                 // load is exactly the candidate's prediction. (An
                 // empty window predicts the cap and draws nothing.)
                 if (mode == PredictionMode::StickySample && !t.hasU &&
-                    !window.snapshot().empty()) {
+                    !window.contents().empty()) {
                     t.u = draws.uniformDouble();
                     t.hasU = true;
                 }
@@ -937,7 +935,7 @@ TEST_P(IncrementalPeakProperty, AdmissionMatchesCopyAndSortReference)
     params.seed = seed;
     PastFutureScheduler scheduler(params);
     // The scheduler's window, mirrored from what it observes.
-    HistoryWindow window(params.windowSize);
+    testfx::FifoWindow window(params.windowSize);
     RequestId observed = 1'000'000;  // ids of requests seen finishing
     for (int i = 0; i < 64; ++i) {
         const TokenCount length = rng.uniformInt(1, 300);
@@ -982,7 +980,7 @@ TEST_P(IncrementalPeakProperty, AdmissionMatchesCopyAndSortReference)
         ctx.running = running;
         ctx.waiting = waiting;
 
-        const LengthDistribution dist(window.snapshot());
+        const LengthDistribution dist(window.contents());
         auto predict = [&](RequestId id, TokenCount g) {
             auto [it, inserted] = sticky.try_emplace(id, 0.0);
             if (inserted)

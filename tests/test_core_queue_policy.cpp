@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the decision-based scheduling pipeline: queue
- * orderings, decision validation, victim ranking, the shared length
- * predictor, and the SchedulingPolicy composition — all over
+ * orderings, decision validation, victim ranking and the
+ * SchedulingPolicy composition — all over
  * crafted contexts (no engine involved).
  */
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/conservative_scheduler.hh"
-#include "core/length_predictor.hh"
 #include "core/queue_policy.hh"
 #include "core/scheduler_factory.hh"
 #include "core/scheduling_decision.hh"
@@ -90,53 +89,6 @@ orderOf(QueuePolicy &policy, const SchedulerContext &ctx)
         indices[i] = i;
     policy.order(ctx, indices);
     return indices;
-}
-
-// --- LengthPredictor --------------------------------------------------
-
-TEST(LengthPredictorTest, EmptyWindowFallsBackToCap)
-{
-    LengthPredictor predictor(100);
-    EXPECT_EQ(predictor.expectedOutput(0, 4096), 4096);
-    EXPECT_EQ(predictor.predictFootprint(500, 4096), 4596);
-}
-
-TEST(LengthPredictorTest, ExpectedOutputIsCappedTailMean)
-{
-    LengthPredictor predictor(100);
-    for (int i = 0; i < 50; ++i)
-        predictor.observe(100);
-    EXPECT_EQ(predictor.expectedOutput(0, 4096), 100);
-    // The cap binds when the tail mean exceeds it.
-    EXPECT_EQ(predictor.expectedOutput(0, 60), 60);
-    // A request that outlived all history gets the cap.
-    EXPECT_EQ(predictor.expectedOutput(200, 4096), 4096);
-}
-
-TEST(LengthPredictorTest, DistributionRebuildsOnlyOnChange)
-{
-    LengthPredictor predictor(100);
-    predictor.observe(10);
-    const LengthDistribution *first = &predictor.distribution();
-    EXPECT_EQ(first, &predictor.distribution());
-    EXPECT_EQ(predictor.distribution().size(), 1u);
-    predictor.observe(20);
-    EXPECT_EQ(predictor.distribution().size(), 2u);
-}
-
-TEST(LengthPredictorTest, WarmAndSeedFeedTheWindow)
-{
-    LengthPredictor predictor(100);
-    predictor.seed(4096, 4);
-    // Warm history replaces seed placeholders before the ring
-    // grows, so the cold-start seed washes out first.
-    for (const TokenCount length : {10, 20, 30})
-        predictor.observe(length);
-    EXPECT_EQ(predictor.distribution().size(), 4u);
-    predictor.observe(40);
-    EXPECT_EQ(predictor.distribution().size(), 4u);
-    predictor.observe(50);
-    EXPECT_EQ(predictor.distribution().size(), 5u);
 }
 
 // --- Queue orderings --------------------------------------------------

@@ -479,11 +479,10 @@ class EagerPastFuture
 {
   public:
     explicit EagerPastFuture(const PastFutureParams &params)
-        : params_(params), predictor_(params.windowSize),
+        : params_(params),
+          predictor_(params.windowSize, params.seedOutputLen),
           rng_(params.seed)
     {
-        if (params_.seedOutputLen > 0)
-            predictor_.seed(params_.seedOutputLen, kColdStartSeedCount);
         for (TokenCount length : params_.initialHistory)
             predictor_.observe(length);
     }

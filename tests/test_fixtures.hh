@@ -5,7 +5,8 @@
  * hash the byte-pinning suites fold their outputs into, the check
  * that a call throws a diagnosis, and the count-based FCFS-prefix
  * reference and one-shot round the scheduling suites drive a
- * scheduler or policy with, and the readers of public state that
+ * scheduler or policy with, a from-scratch model of the Eq. 1 past
+ * window, and the readers of public state that
  * only tests need (a Bernoulli draw, a dataset's output total, a
  * rate schedule's rate at a time, KV headroom, a fleet's routing
  * decisions per instance). One
@@ -20,11 +21,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "base/rng.hh"
 #include "cluster/serving_cluster.hh"
+#include "core/length_predictor.hh"
 #include "core/scheduler.hh"
 #include "core/scheduling_decision.hh"
 #include "core/scheduling_policy.hh"
@@ -68,6 +71,52 @@ bernoulli(Rng &rng, double p)
 {
     return rng.uniformDouble() < p;
 }
+
+/**
+ * The Eq. 1 past window modelled from scratch, sharing no code with
+ * core::LengthPredictor: a deque of observed lengths plus a count of
+ * cold-start placeholders (min(kColdStartSeedCount, w) of them when
+ * seed_len > 0), which observations replace before the deque drops
+ * its oldest entry. The from-scratch references build their
+ * LengthDistribution from contents().
+ */
+class FifoWindow
+{
+  public:
+    explicit FifoWindow(std::size_t capacity, TokenCount seed_len = 0)
+        : capacity_(capacity), seedLen_(seed_len),
+          seeds_(seed_len > 0
+                     ? std::min(capacity, core::kColdStartSeedCount)
+                     : 0)
+    {
+    }
+
+    void
+    push(TokenCount length)
+    {
+        if (seeds_ > 0)
+            --seeds_;
+        else if (observed_.size() == capacity_)
+            observed_.pop_front();
+        observed_.push_back(length);
+    }
+
+    /** The window's lengths, unordered. */
+    std::vector<TokenCount>
+    contents() const
+    {
+        std::vector<TokenCount> values(observed_.begin(),
+                                       observed_.end());
+        values.insert(values.end(), seeds_, seedLen_);
+        return values;
+    }
+
+  private:
+    std::size_t capacity_;
+    TokenCount seedLen_;
+    std::size_t seeds_;
+    std::deque<TokenCount> observed_;
+};
 
 /** Sum of the dataset's effective output tokens. */
 inline TokenCount

@@ -85,7 +85,7 @@ struct CliOptions
     double overcommit = 1.0;
     double watermark = 0.95;
     double reservedRatio = 0.03;
-    std::size_t windowSize = 1000;
+    std::size_t windowSize = core::kPaperWindowSize;
 
     // Queue ordering and priority classes.
     std::string queuePolicy = "fcfs";
