@@ -4,11 +4,13 @@
  * legacy JSON importer) and a per-request CSV timeline.
  *
  * Ring wraparound means a ring may start mid-span: an End whose
- * Begin was overwritten is skipped, a Begin arriving while the same
- * track still has an open span first synthesizes the missing End,
- * and spans still open when the ring ends are closed at the last
- * observed tick — so the emitted JSON always has matched B/E pairs
- * (pinned by test_trace).
+ * Begin was overwritten is skipped, and spans still open when the
+ * ring ends (requests in flight when the run stopped) are closed at
+ * the last observed tick — so the emitted JSON always has matched
+ * B/E pairs (pinned by test_trace). A Begin never finds its track's
+ * span open: a request's spans on one engine are sequential, and a
+ * ring drops its oldest events first, so the End before a surviving
+ * Begin survived too.
  */
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include <string>
 #include <utility>
 
+#include "base/logging.hh"
 #include "trace/trace_recorder.hh"
 
 namespace lightllm {
@@ -142,15 +145,10 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
             switch (event.phase) {
               case TracePhase::Begin:
               {
-                auto [it, inserted] =
-                    open.try_emplace(event.id, event.name);
-                if (!inserted) {
-                    // The matching End was overwritten by the ring;
-                    // close the stale span so B/E stay paired.
-                    writer.event('E', engine.pid(), tid,
-                                 event.tick, it->second, nullptr);
-                    it->second = event.name;
-                }
+                const bool inserted =
+                    open.try_emplace(event.id, event.name).second;
+                LIGHTLLM_ASSERT(inserted, "request ", event.id,
+                                " begins a span inside an open one");
                 writer.event('B', engine.pid(), tid, event.tick,
                              event.name, &event);
                 break;

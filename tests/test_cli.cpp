@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -146,6 +147,72 @@ TEST(CliParse, RejectsWarmupOnFleets)
     }
     cli::CliOptions single;
     EXPECT_EQ(parse({"--warmup", "40"}, single), "");
+}
+
+TEST(CliParse, CrossFlagRulesNameTheConflict)
+{
+    // Each validateOptions rule that spans flags, reached by the
+    // smallest command line that breaks it alone.
+    struct Case
+    {
+        std::vector<const char *> args;
+        const char *message;
+    };
+    const std::vector<Case> cases = {
+        {{"--trace-replay", "r.csv", "--sessions", "4"},
+         "--trace-replay replays a recorded dataset; exclusive with "
+         "--sessions"},
+        {{"--trace-replay", "r.csv", "--rate", "5"},
+         "--trace-replay replays measured arrivals; exclusive with "
+         "--rate"},
+        {{"--trace-replay", "r.csv", "--rate-schedule", "const:5"},
+         "exclusive with --rate-schedule"},
+        {{"--disagg", "--sessions", "4"},
+         "--disagg serves dataset workloads; --sessions is not "
+         "supported"},
+        {{"--disagg", "--instances", "2"},
+         "--disagg sizes the fleet with"},
+        {{"--disagg", "--routing", "least-outstanding"},
+         "--disagg fixes routing"},
+        {{"--disagg", "--platform-mix", "a30"},
+         "--platform-mix is colocated-fleet only"},
+        {{"--disagg", "--drain-at", "5"},
+         "drain a disagg pool programmatically"},
+        {{"--prefill-instances", "2"},
+         "--prefill-instances needs --disagg"},
+        {{"--decode-instances", "2"},
+         "--decode-instances needs --disagg"},
+        {{"--handoff-depth", "8"}, "--handoff-depth needs --disagg"},
+        {{"--link-gbps", "10"}, "--link-gbps needs --disagg"},
+        {{"--link-latency", "0"}, "--link-latency needs --disagg"},
+        {{"--autoscale", "--min-instances", "0"},
+         "--min-instances must be at least 1"},
+        {{"--autoscale", "--disagg", "--rate", "5",
+          "--prefill-instances", "9", "--max-instances", "4"},
+         "--prefill-instances/--decode-instances must start inside "
+         "[--min-instances, --max-instances]"},
+        {{"--autoscale", "--disagg", "--rate", "5", "--min-instances",
+          "2", "--prefill-instances", "2"},
+         "--prefill-instances/--decode-instances must start inside "
+         "[--min-instances, --max-instances]"},
+        {{"--autoscale", "--instances", "2", "--drain-at", "5"},
+         "--drain-at composes with static fleets; --autoscale "
+         "manages drains itself"},
+        {{"--sim-threads", "2"},
+         "--sim-threads needs a co-simulated fleet"},
+        {{"--drain-at", "5"},
+         "--drain-at needs --instances >= 2 to re-dispatch"},
+        {{"--platform-mix", "a30"},
+         "--platform-mix needs --instances >= 2"},
+        {{"--routing", "least-outstanding"},
+         "--routing needs --instances >= 2 or --autoscale"},
+    };
+    for (const Case &c : cases) {
+        cli::CliOptions options;
+        const std::string error = parse(c.args, options);
+        EXPECT_NE(error.find(c.message), std::string::npos)
+            << c.message << " -> " << error;
+    }
 }
 
 TEST(CliParse, BooleanFlagTakesNoValue)
@@ -420,6 +487,14 @@ TEST(CliAssemble, SlaDefaultsFollowModelSize)
               "");
     EXPECT_EQ(cli::assembleScenario(custom).sla.ttftLimit,
               secondsToTicks(2.5));
+
+    cli::CliOptions mtpot;
+    ASSERT_EQ(parse({"--mtpot-limit", "0.25", "--requests", "8"},
+                    mtpot),
+              "");
+    const metrics::SlaSpec sla = cli::assembleScenario(mtpot).sla;
+    EXPECT_EQ(sla.mtpotLimit, secondsToTicks(0.25));
+    EXPECT_EQ(sla.ttftLimit, metrics::SlaSpec::small7b13b().ttftLimit);
 }
 
 TEST(CliAssemble, TextVqaImageTokensFollowModel)
@@ -651,6 +726,63 @@ TEST(CliAssemble, RejectsLinkTooSlowForTheClock)
         EXPECT_EQ(std::string(error.what()).rfind("--link-gbps ", 0),
                   0u)
             << error.what();
+    }
+}
+
+TEST(CliAssemble, RejectsInputTheFlagsCannotCheck)
+{
+    // Values parsing accepts that only assembly can judge: a
+    // platform mix against --instances, a replayed row's arrival,
+    // and (from a programmatic caller) a tenant weight list.
+    const std::string no_arrival =
+        ::testing::TempDir() + "cli_replay_no_arrival.csv";
+    {
+        std::ofstream replay(no_arrival);
+        replay << "id,input_len,output_len,max_new_tokens,priority,"
+                  "tenant,slo_tier,session_key,output_key,segments\n"
+                  "7,10,20,100,0,0,0,0,0,\n";
+    }
+    struct Case
+    {
+        std::vector<const char *> args;
+        std::string message;
+    };
+    const std::vector<Case> cases = {
+        {{"--instances", "2", "--platform-mix", "a30:0"},
+         "bad platform mix: a30:0"},
+        {{"--instances", "2", "--platform-mix", "a30,:1"},
+         "bad platform mix: a30,:1"},
+        {{"--instances", "2", "--platform-mix", "a30:3"},
+         "platform mix names more than the 2 --instances"},
+        {{"--instances", "3", "--platform-mix", "a30,a100-80g"},
+         "platform mix names 2 instances but --instances is 3"},
+        {{"--trace-replay", no_arrival.c_str()},
+         "--trace-replay dataset " + no_arrival +
+             ": request 7 has no arrival_us timestamp"},
+    };
+    for (const Case &c : cases) {
+        cli::CliOptions options;
+        ASSERT_EQ(parse(c.args, options), "") << c.message;
+        try {
+            cli::assembleScenario(options);
+            ADD_FAILURE() << "accepted: " << c.message;
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find(c.message),
+                      std::string::npos)
+                << c.message << " -> " << error.what();
+        }
+    }
+
+    // Parsing rejects such a list (a share domain); assembly
+    // rejects it from a caller that skips parsing.
+    cli::CliOptions weights;
+    weights.tenants = 2;
+    weights.tenantWeights = "1,x";
+    try {
+        cli::assembleScenario(weights);
+        ADD_FAILURE() << "accepted --tenant-weights 1,x";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_STREQ(error.what(), "bad tenant weights: 1,x");
     }
 }
 
@@ -1015,6 +1147,112 @@ tableValue(const std::string &text, const std::string &metric)
             return value;
     }
     return "";
+}
+
+TEST(CliRun, CsvHasOneRowPerFinishedRequest)
+{
+    const std::string path = ::testing::TempDir() + "cli_requests.csv";
+    std::remove(path.c_str());
+    cli::CliOptions options;
+    ASSERT_EQ(parse({"--requests", "12", "--clients", "4", "--workload",
+                     "dist1", "--format", "json", "--csv",
+                     path.c_str()},
+                    options),
+              "");
+    const cli::Scenario scenario = cli::assembleScenario(options);
+    const metrics::RunReport report = cli::runScenario(scenario);
+    ASSERT_EQ(report.numFinished, 12u);
+    std::ostringstream out;
+    cli::emitReport(out, options, scenario, report);
+
+    std::ifstream csv(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(csv, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 1 + report.numFinished);
+    EXPECT_EQ(lines[0].rfind("id,input_len,output_tokens,", 0), 0u)
+        << lines[0];
+    for (std::size_t i = 1; i < lines.size(); ++i)
+        EXPECT_EQ(lines[i].find("id"), std::string::npos) << lines[i];
+}
+
+/** The rendered --format table report of a run of `args`. */
+std::string
+runTable(std::vector<const char *> args)
+{
+    args.insert(args.end(), {"--format", "table"});
+    cli::CliOptions options;
+    EXPECT_EQ(parse(args, options), "");
+    const cli::Scenario scenario = cli::assembleScenario(options);
+    std::ostringstream out;
+    cli::emitReport(out, options, scenario, cli::runScenario(scenario));
+    return out.str();
+}
+
+TEST(CliReport, TableGainsEachSubsystemsRows)
+{
+    // Each subsystem adds its rows only when it is on; a report
+    // without them prints none.
+    const std::vector<std::string> prefix_rows = {"prefix_hit_rate",
+                                                  "prefix_hit_tokens"};
+    const std::vector<std::string> autoscale_rows = {
+        "shed_requests", "shed_rate", "peak_instances",
+        "scale_up_events", "scale_down_events"};
+    const std::vector<std::string> instance_rows = {"instance_seconds",
+                                                    "instance_cost"};
+    const std::vector<std::string> disagg_rows = {
+        "prefill_pool_finished", "prefill_pool_p99_ttft_s",
+        "prefill_pool_p99_mtpot_s", "decode_pool_finished",
+        "decode_pool_p99_ttft_s", "decode_pool_p99_mtpot_s",
+        "handoff_queue_p99_s", "migrated_kv_bytes",
+        "migrated_requests", "handoff_shed_requests"};
+    const auto has_rows = [](const std::string &text,
+                             const std::vector<std::string> &rows,
+                             bool present) {
+        for (const std::string &row : rows)
+            EXPECT_EQ(!tableValue(text, row).empty(), present) << row;
+    };
+
+    const std::string plain =
+        runTable({"--requests", "8", "--clients", "4"});
+    has_rows(plain, prefix_rows, false);
+    has_rows(plain, autoscale_rows, false);
+    has_rows(plain, instance_rows, false);
+    has_rows(plain, disagg_rows, false);
+
+    const std::string sessions = runTable(
+        {"--sessions", "2", "--turns", "2", "--prefix-cache", "on"});
+    has_rows(sessions, prefix_rows, true);
+    EXPECT_NE(tableValue(sessions, "prefix_hit_tokens"), "0");
+
+    const std::string autoscaled =
+        runTable({"--autoscale", "--max-instances", "2", "--requests",
+                  "16", "--rate", "8"});
+    has_rows(autoscaled, autoscale_rows, true);
+    has_rows(autoscaled, instance_rows, true);
+    has_rows(autoscaled, disagg_rows, false);
+
+    const std::string disagg =
+        runTable({"--disagg", "--requests", "8", "--rate", "5"});
+    has_rows(disagg, disagg_rows, true);
+    has_rows(disagg, instance_rows, true);
+    has_rows(disagg, autoscale_rows, false);
+    EXPECT_EQ(tableValue(disagg, "migrated_requests"), "8");
+
+    // Both at once: the instance rows print once.
+    const std::string both = runTable({"--disagg", "--autoscale",
+                                       "--requests", "8", "--rate",
+                                       "5"});
+    has_rows(both, disagg_rows, true);
+    has_rows(both, autoscale_rows, true);
+    const auto occurrences = [&both](const std::string &needle) {
+        std::size_t n = 0;
+        for (std::size_t at = both.find(needle);
+             at != std::string::npos; at = both.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(occurrences(" instance_seconds "), 1u);
 }
 
 TEST(CliReport, TenantP99MatchesReportPercentile)

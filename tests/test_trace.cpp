@@ -9,6 +9,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -251,6 +254,72 @@ TEST(TraceRun, TinyRingWrapsWithoutBreakingExport)
     // Wraparound orphans span halves; the exporter must still emit
     // balanced, well-formed JSON.
     expectValidChromeJson(chromeJson(recorder));
+}
+
+TEST(TraceRun, RunLimitClosesInFlightSpansAtTheLastTick)
+{
+    // --max-requests stops the run with requests still queued or
+    // running. The export closes each one's open span at the last
+    // tick the ring saw (an E without args), so B/E stay paired.
+    const cli::Scenario scenario = smallScenario(
+        {"--workload", "dist1", "--requests", "64", "--rate", "40",
+         "--max-requests", "8"});
+    trace::TraceRecorder recorder(trace::TraceConfig{
+        trace::TraceDetail::Requests, 1 << 14});
+    const metrics::RunReport report =
+        cli::runScenario(scenario, &recorder);
+    ASSERT_EQ(report.numFinished, 8u);
+    ASSERT_EQ(recorder.totalDropped(), 0u);
+    const std::string json = chromeJson(recorder);
+    expectValidChromeJson(json);
+
+    std::set<std::int64_t> finished;
+    for (const metrics::RequestRecord &record : report.requests)
+        finished.insert(record.id + 1);  // the request's tid
+    const std::regex event(
+        R"re(\{"ph":"([BEiC])","pid":\d+,"tid":(\d+),"ts":(\d+))re");
+    std::map<std::int64_t, bool> open;  // by request tid
+    std::map<std::int64_t, Tick> closed_at_end;
+    Tick last_tick = 0;
+    std::istringstream lines(json);
+    for (std::string line; std::getline(lines, line);) {
+        std::smatch match;
+        if (!std::regex_search(line, match, event))
+            continue;
+        const std::int64_t tid = std::stoll(match[2]);
+        const Tick ts = std::stoll(match[3]);
+        if (match[1] == "i" || match[1] == "C") {
+            last_tick = std::max(last_tick, ts);
+            continue;
+        }
+        ASSERT_NE(tid, 0) << line;
+        if (match[1] == "B") {
+            ASSERT_FALSE(open[tid]) << line;
+            open[tid] = true;
+            last_tick = std::max(last_tick, ts);
+            continue;
+        }
+        ASSERT_TRUE(open[tid]) << line;
+        open[tid] = false;
+        if (line.find("\"args\"") == std::string::npos)
+            closed_at_end[tid] = ts;
+        else
+            last_tick = std::max(last_tick, ts);
+    }
+
+    std::set<std::int64_t> in_flight;
+    for (const auto &[tid, still_open] : open) {
+        EXPECT_FALSE(still_open) << tid;
+        if (!finished.contains(tid))
+            in_flight.insert(tid);
+    }
+    EXPECT_GT(in_flight.size(), 0u);
+    std::set<std::int64_t> closed;
+    for (const auto &[tid, ts] : closed_at_end) {
+        closed.insert(tid);
+        EXPECT_EQ(ts, last_tick) << tid;
+    }
+    EXPECT_EQ(closed, in_flight);
 }
 
 TEST(TraceRun, DisaggAttachCoversBothPools)
