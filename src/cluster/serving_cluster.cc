@@ -31,7 +31,8 @@ routingPolicyName(RoutingPolicy policy)
 ServingCluster::ServingCluster(
     std::vector<std::unique_ptr<engine::ServingEngine>> instances,
     RoutingPolicy policy, sim::SimContext &context)
-    : context_(&context), policy_(policy), routingPredictor_(core::kPaperWindowSize)
+    : context_(&context), policy_(policy),
+      routingPredictor_(core::kPaperWindowSize)
 {
     LIGHTLLM_ASSERT(!instances.empty(),
                     "cluster needs at least one instance");
