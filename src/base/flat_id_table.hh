@@ -83,21 +83,30 @@ class FlatIdTable
         __builtin_prefetch(&slots_[home(key, slots_.size())]);
     }
 
-    /** Store `value` under `key` unless the key is present.
-     *  @return Whether it was stored. */
-    bool
-    tryInsert(Key key, Value value)
+    /** Store `value` under `key` unless the key is present, in one
+     *  probe. @return The value stored under `key` (valid until the
+     *  next insert or erase) and whether it was just stored. */
+    std::pair<Value *, bool>
+    insertOrFind(Key key, Value value)
     {
         std::size_t at = probe(key);
         if (slots_[at].used)
-            return false;
+            return {&slots_[at].value, false};
         if (2 * (size_ + 1) > slots()) {
             grow();
             at = probe(key);
         }
         slots_[at] = Slot{key, std::move(value), true};
         ++size_;
-        return true;
+        return {&slots_[at].value, true};
+    }
+
+    /** Store `value` under `key` unless the key is present.
+     *  @return Whether it was stored. */
+    bool
+    tryInsert(Key key, Value value)
+    {
+        return insertOrFind(key, std::move(value)).second;
     }
 
     /** Store `value` under `key`, which must be absent. */

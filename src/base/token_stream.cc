@@ -20,13 +20,19 @@ mix64(std::uint64_t value)
     return value;
 }
 
-/** Fold one token (content key + position within its segment). */
+/** Fold one run: `len` tokens of the segment with content `key`,
+ *  starting `offset` tokens into it. Key, offset and length all
+ *  enter the fold, so the runs of a block name exactly its tokens. */
 PrefixHash
-foldToken(PrefixHash hash, std::uint64_t key, TokenCount offset)
+foldRun(PrefixHash hash, std::uint64_t key, TokenCount offset,
+        TokenCount len)
 {
-    return mix64(hash ^ mix64(key + 0x9e3779b97f4a7c15ull *
-                                        static_cast<std::uint64_t>(
-                                            offset + 1)));
+    return mix64(hash ^
+                 mix64(key +
+                       0x9e3779b97f4a7c15ull *
+                           static_cast<std::uint64_t>(offset + 1) +
+                       0xd1b54a32d192ed03ull *
+                           static_cast<std::uint64_t>(len)));
 }
 
 } // namespace
@@ -56,9 +62,13 @@ extendBlockHashChain(std::span<const PromptSegment> segments,
         LIGHTLLM_ASSERT(segment.len > 0,
                         "empty prompt segment");
         const TokenCount end = std::min(start + segment.len, limit);
-        for (; position < end; ++position) {
-            hash = foldToken(hash, segment.key, position - start);
-            if (position + 1 == boundary) {
+        // One fold per run of the segment inside one block.
+        while (position < end) {
+            const TokenCount run_end = std::min(end, boundary);
+            hash = foldRun(hash, segment.key, position - start,
+                           run_end - position);
+            position = run_end;
+            if (position == boundary) {
                 hashes.push_back(hash);
                 boundary += block_size_tokens;
             }

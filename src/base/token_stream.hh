@@ -14,6 +14,13 @@
  * blocks 0..i. Equal chain hashes at block i imply equal first
  * (i+1)*block_size tokens, which is the invariant the radix prefix
  * cache (memory::PrefixCache) is built on.
+ *
+ * The fold is per *run*: the part of one segment inside one block,
+ * keyed by (segment key, offset into the segment, length). Token t
+ * of a stream is (key of its segment, t's offset into it), and a
+ * segment's first token has offset 0, so two streams agree on a
+ * block's tokens exactly when they agree on its runs: a block costs
+ * one fold per segment it touches, not one per token.
  */
 
 #ifndef LIGHTLLM_BASE_TOKEN_STREAM_HH
@@ -60,7 +67,7 @@ blockHashChain(std::span<const PromptSegment> segments,
  * max_tokens) whenever that is at least as long. The running hash
  * at a block boundary is the hash emitted there, so resuming needs
  * only hashes.back() and the position hashes.size() * block size;
- * every token is folded at most once over a growing stream.
+ * every block run is folded at most once over a growing stream.
  */
 void extendBlockHashChain(std::span<const PromptSegment> segments,
                           TokenCount block_size_tokens,

@@ -492,7 +492,6 @@ class ServingEngine : public workload::RequestSink
     std::vector<RequestId> victimScratch_;
     std::vector<EngineRequest *> finishedScratch_;
     std::vector<EngineRequest *> swappedInScratch_;
-    std::vector<memory::BlockId> matchScratch_;
 
     /** The prediction audit over running_ + prefillPending_. */
     PredictionAudit audit_;

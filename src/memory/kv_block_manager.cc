@@ -67,7 +67,7 @@ KvBlockManager::takeFreeBlock(TokenCount tokens)
     }
     BlockState &state = states_[static_cast<std::size_t>(block)];
     LIGHTLLM_ASSERT(state.requestRefs == 0 &&
-                        state.cacheEntry == kNotCached,
+                        state.cacheMark == kNotCached,
                     "free-list block ", block, " still referenced");
     state.requestRefs = 1;
     state.heldTokens = static_cast<std::int32_t>(tokens);
@@ -80,7 +80,7 @@ KvBlockManager::addRequestRef(BlockId block)
 {
     BlockState &state = states_[static_cast<std::size_t>(block)];
     LIGHTLLM_ASSERT(state.requestRefs > 0 ||
-                        state.cacheEntry != kNotCached,
+                        state.cacheMark != kNotCached,
                     "sharing an unreferenced block ", block);
     if (state.requestRefs == 0) {
         // A reclaimable cache-only block rejoins the working set.
@@ -89,7 +89,7 @@ KvBlockManager::addRequestRef(BlockId block)
         state.heldTokens = static_cast<std::int32_t>(blockSize_);
         usedTokens_ += blockSize_;
         --cacheOnly_;
-        cache_->pin(state.cacheEntry);
+        cache_->pin(block);
     }
     ++state.requestRefs;
 }
@@ -105,9 +105,9 @@ KvBlockManager::dropRequestRef(BlockId block)
         return;
     usedTokens_ -= state.heldTokens;
     state.heldTokens = 0;
-    if (state.cacheEntry != kNotCached) {
+    if (state.cacheMark != kNotCached) {
         ++cacheOnly_;  // parked: reclaimable, not free
-        cache_->park(state.cacheEntry);
+        cache_->park(block);
         return;
     }
     freeList_.push_back(block);
@@ -123,6 +123,15 @@ KvBlockManager::allocate(RequestSlot slot, TokenCount num_tokens)
 bool
 KvBlockManager::allocateShared(RequestSlot slot, TokenCount num_tokens,
                                std::span<const BlockId> shared_prefix)
+{
+    return allocateShared(slot, num_tokens, shared_prefix, 0, 0);
+}
+
+bool
+KvBlockManager::allocateShared(RequestSlot slot, TokenCount num_tokens,
+                               std::span<const BlockId> shared_prefix,
+                               std::uint64_t refresh_base,
+                               std::size_t refresh_count)
 {
     LIGHTLLM_ASSERT(num_tokens >= 0, "negative allocation");
     const TokenCount shared_tokens =
@@ -143,11 +152,12 @@ KvBlockManager::allocateShared(RequestSlot slot, TokenCount num_tokens,
     // Hold the shared blocks before covering the private suffix:
     // an LRU reclaim triggered below must not steal a matched
     // cache-only block out from under this allocation.
-    for (const BlockId block : shared_prefix)
-        addRequestRef(block);
+    for (std::size_t i = 0; i < shared_prefix.size(); ++i) {
+        prefetchWalk(shared_prefix, i);
+        addRequestRef(shared_prefix[i]);
+    }
     if (!ensureFreeBlocks(need)) {
-        for (const BlockId block : shared_prefix)
-            dropRequestRef(block);
+        dropRefs(shared_prefix, refresh_base, refresh_count);
         return false;
     }
 
@@ -159,6 +169,8 @@ KvBlockManager::allocateShared(RequestSlot slot, TokenCount num_tokens,
     ++liveAllocations_;
     alloc.numTokens = num_tokens;
     alloc.sharedTokens = shared_tokens;
+    alloc.refreshBase = refresh_base;
+    alloc.refreshCount = refresh_count;
     alloc.blocks.reserve(shared_prefix.size() +
                          static_cast<std::size_t>(need));
     alloc.blocks.assign(shared_prefix.begin(), shared_prefix.end());
@@ -241,12 +253,62 @@ KvBlockManager::release(RequestSlot slot)
         return;
     if (alloc->growing)
         batchNeed_ -= blocksForExtension(*alloc, 1);
-    for (BlockId block : alloc->blocks)
-        dropRequestRef(block);
+    dropRefs(alloc->blocks, alloc->refreshBase, alloc->refreshCount);
+    alloc->refreshCount = 0;
     alloc->blocks.clear();
     alloc->owner = kInvalidSlot;
     alloc->growing = false;
     --liveAllocations_;
+}
+
+void
+KvBlockManager::dropRefs(std::span<const BlockId> blocks,
+                         std::uint64_t base, std::size_t deferred)
+{
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        prefetchWalk(blocks, i);
+        // The deferred refresh lands before the reference drops: a
+        // block this drop parks parks under its eager stamp.
+        if (i < deferred) {
+            LIGHTLLM_ASSERT(states_[static_cast<std::size_t>(blocks[i])]
+                                    .cacheMark != kNotCached,
+                            "deferred refresh of uncached block ",
+                            blocks[i]);
+            cache_->foldStamp(blocks[i], base + i + 1);
+        }
+        dropRequestRef(blocks[i]);
+    }
+}
+
+void
+KvBlockManager::detachPrefixCache()
+{
+    for (std::size_t block = 0; block < states_.size(); ++block) {
+        BlockState &state = states_[block];
+        if (state.cacheMark == kNotCached)
+            continue;
+        state.cacheMark = kNotCached;
+        if (state.requestRefs == 0) {
+            --cacheOnly_;
+            freeList_.push_back(static_cast<BlockId>(block));
+        }
+    }
+    cache_ = nullptr;
+}
+
+void
+KvBlockManager::deferRefresh(RequestSlot slot, std::uint64_t base,
+                             std::size_t count)
+{
+    Allocation *alloc = find(slot);
+    LIGHTLLM_ASSERT(alloc != nullptr, "deferring a refresh of unknown slot ",
+                    slot);
+    LIGHTLLM_ASSERT(count <= alloc->blocks.size(),
+                    "deferred refresh past the block table");
+    for (std::size_t i = count; i < alloc->refreshCount; ++i)
+        cache_->foldStamp(alloc->blocks[i], alloc->refreshBase + i + 1);
+    alloc->refreshBase = base;
+    alloc->refreshCount = count;
 }
 
 void
@@ -298,31 +360,6 @@ KvBlockManager::requestRefs(BlockId block) const
     LIGHTLLM_ASSERT(block >= 0 && block < handedOut(),
                     "block ", block, " was never handed out");
     return states_[static_cast<std::size_t>(block)].requestRefs;
-}
-
-void
-KvBlockManager::retainCached(BlockId block, std::uint32_t entry)
-{
-    BlockState &state = states_[static_cast<std::size_t>(block)];
-    LIGHTLLM_ASSERT(state.cacheEntry == kNotCached,
-                    "block ", block, " retained twice");
-    LIGHTLLM_ASSERT(state.requestRefs > 0,
-                    "caching a free block ", block);
-    LIGHTLLM_ASSERT(entry != kNotCached, "invalid cache entry");
-    state.cacheEntry = entry;
-}
-
-void
-KvBlockManager::dropCached(BlockId block)
-{
-    BlockState &state = states_[static_cast<std::size_t>(block)];
-    LIGHTLLM_ASSERT(state.cacheEntry != kNotCached,
-                    "dropping uncached block ", block);
-    state.cacheEntry = kNotCached;
-    if (state.requestRefs == 0) {
-        --cacheOnly_;
-        freeList_.push_back(block);
-    }
 }
 
 } // namespace memory

@@ -85,8 +85,8 @@ class KvBlockManager
      * list alone cannot cover a request. The manager tells the
      * cache when a cached block loses its last request reference
      * (parked) or gains its first (pinned), so the cache indexes
-     * exactly the reclaimable blocks. The cache must outlive the
-     * manager's use of it.
+     * exactly the reclaimable blocks. A cache detaches itself when
+     * it is destroyed (detachPrefixCache).
      */
     void attachPrefixCache(PrefixCache *cache) { cache_ = cache; }
 
@@ -224,7 +224,7 @@ class KvBlockManager
   private:
     friend class PrefixCache;
 
-    /** BlockState::cacheEntry of a block the cache does not hold. */
+    /** BlockState::cacheMark of a block the cache does not hold. */
     static constexpr std::uint32_t kNotCached = 0xffffffffu;
 
     struct Allocation
@@ -245,6 +245,12 @@ class KvBlockManager
         /** Tokens covered by the shared full-block prefix. */
         TokenCount sharedTokens = 0;
 
+        /** The prefix cache's deferred refresh (PrefixCache::
+         *  insertHeld): release raises the stamp of blocks[i], for
+         *  i < refreshCount, to at least refreshBase + i + 1. */
+        std::uint64_t refreshBase = 0;
+        std::size_t refreshCount = 0;
+
         /** [shared prefix blocks ..., private blocks ...]; the
          *  vector keeps its capacity across the slot's requests, so
          *  a warmed pool allocates nothing. */
@@ -263,39 +269,69 @@ class KvBlockManager
          *  blockSize, hence 32 bits). */
         std::int32_t heldTokens = 0;
 
-        /** The prefix cache's entry for the block, kNotCached when
-         *  the cache does not retain it. */
-        std::uint32_t cacheEntry = kNotCached;
+        /** kNotCached when the prefix cache does not retain the
+         *  block; otherwise the cache's park mark for it (pinned, or
+         *  where in its parked set the block waits). */
+        std::uint32_t cacheMark = kNotCached;
     };
 
   public:
     /** Bytes of per-block state (tests pin that the prefix cache's
-     *  entry index did not grow it). */
+     *  park mark did not grow it). */
     static constexpr std::size_t kBlockStateBytes = sizeof(BlockState);
 
   private:
     /** The prefix cache retains `block` (must be live, not yet
-     *  cached) under its entry `entry`: the block will survive
-     *  request release as reclaimable. */
-    void retainCached(BlockId block, std::uint32_t entry);
+     *  cached) with park mark `mark`: the block will survive request
+     *  release as reclaimable. */
+    void retainCached(BlockId block, std::uint32_t mark);
 
     /** The prefix cache stops retaining `block`; if no request
      *  references it, it returns to the free list. */
     void dropCached(BlockId block);
 
-    /** Start loading `block`'s state (the prefix cache's insert
-     *  walks a block table ahead of its reads). */
-    void
-    prefetchState(BlockId block) const
-    {
-        __builtin_prefetch(&states_[static_cast<std::size_t>(block)]);
-    }
+    /** allocateShared() whose first `refresh_count` blocks carry a
+     *  deferred refresh from `refresh_base` (PrefixCache::
+     *  allocateMatched); a failed allocation folds it in before the
+     *  blocks drop their new reference. */
+    bool allocateShared(RequestSlot slot, TokenCount num_tokens,
+                        std::span<const BlockId> shared_prefix,
+                        std::uint64_t refresh_base,
+                        std::size_t refresh_count);
 
-    /** The prefix cache's entry for `block`, kNotCached if none. */
-    std::uint32_t
-    cacheEntry(BlockId block) const
+    /** Drop one request reference from each of `blocks`, folding in
+     *  the deferred refresh of the first `deferred` (position i to
+     *  stamp base + i + 1) before it. */
+    void dropRefs(std::span<const BlockId> blocks, std::uint64_t base,
+                  std::size_t deferred);
+
+    /** The attached prefix cache is going away: every block it
+     *  retains is dropped (freed when no request holds it), and the
+     *  manager runs without a cache from here. */
+    void detachPrefixCache();
+
+    /** Defer the refresh of the first `count` blocks of the live
+     *  allocation in `slot` to its release, position i to stamp
+     *  base + i + 1; a deferral it held past `count` lands now. */
+    void deferRefresh(RequestSlot slot, std::uint64_t base,
+                      std::size_t count);
+
+    /** Positions a walk over a block table (release, a shared
+     *  allocation, the prefix cache's insert) loads ahead, the block
+     *  state and the cache's record at once, so the misses overlap
+     *  instead of queueing. */
+    static constexpr std::size_t kWalkAhead = 16;
+
+    /** Start loading what the walk over `blocks` at position `at`
+     *  reads later (defined in memory/prefix_cache.hh). */
+    void prefetchWalk(std::span<const BlockId> blocks,
+                      std::size_t at) const;
+
+    /** The park mark of `block` (BlockState::cacheMark). */
+    std::uint32_t &
+    cacheMark(BlockId block)
     {
-        return states_[static_cast<std::size_t>(block)].cacheEntry;
+        return states_[static_cast<std::size_t>(block)].cacheMark;
     }
 
     /** Blocks needed to extend an allocation by `extra` tokens. */
@@ -418,6 +454,31 @@ KvBlockManager::growInSlack(RequestSlot slot, TokenCount tokens)
     alloc->numTokens += tokens;
     if (alloc->numTokens == held)
         ++batchNeed_;  // full: the next step takes a block
+}
+
+inline void
+KvBlockManager::retainCached(BlockId block, std::uint32_t mark)
+{
+    BlockState &state = states_[static_cast<std::size_t>(block)];
+    LIGHTLLM_ASSERT(state.cacheMark == kNotCached,
+                    "block ", block, " retained twice");
+    LIGHTLLM_ASSERT(state.requestRefs > 0,
+                    "caching a free block ", block);
+    LIGHTLLM_ASSERT(mark != kNotCached, "invalid park mark");
+    state.cacheMark = mark;
+}
+
+inline void
+KvBlockManager::dropCached(BlockId block)
+{
+    BlockState &state = states_[static_cast<std::size_t>(block)];
+    LIGHTLLM_ASSERT(state.cacheMark != kNotCached,
+                    "dropping uncached block ", block);
+    state.cacheMark = kNotCached;
+    if (state.requestRefs == 0) {
+        --cacheOnly_;
+        freeList_.push_back(block);
+    }
 }
 
 } // namespace memory

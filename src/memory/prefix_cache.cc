@@ -1,52 +1,106 @@
 #include "memory/prefix_cache.hh"
 
+#include <bit>
+
 #include "base/logging.hh"
 
 namespace lightllm {
 namespace memory {
 
-PrefixCache::PrefixCache(KvBlockManager &kv)
-    : kv_(kv), index_(kInitialSlots)
+PrefixCache::PrefixCache(KvBlockManager &kv, std::size_t index_slots)
+    : kv_(kv), index_(index_slots)
 {
+    // Live nodes never outnumber the pool's blocks, so sliding them
+    // to the front frees at least half of twice that.
+    const std::int64_t blocks = kv.capacityTokens() / kv.blockSize();
+    LIGHTLLM_ASSERT(2 * blocks < kStale,
+                    "block pool too large for the parked FIFO");
+    fifoCapacity_ = static_cast<std::uint32_t>(2 * blocks);
+    fifo_.reset(new BlockId[fifoCapacity_]);
+    records_.reset(new Record[static_cast<std::size_t>(blocks)]);
+}
+
+std::size_t
+PrefixCache::poolIndexSlots(const KvBlockManager &kv)
+{
+    return std::bit_ceil(
+        static_cast<std::size_t>(2 * (kv.capacityTokens() / kv.blockSize())));
 }
 
 PrefixCache::~PrefixCache()
 {
-    // Orderly teardown keeps the manager's invariants intact even
-    // when the cache dies first (engine member destruction order).
-    index_.forEach([this](PrefixHash, EntryIndex entry) {
-        kv_.dropCached(entries_[entry].block);
-    });
+    kv_.detachPrefixCache();
+}
+
+const PrefixCache::PeekMemo *
+PrefixCache::heldPeek(std::span<const PrefixHash> hashes) const
+{
+    if (hashes.empty())
+        return nullptr;
+    for (const PeekMemo &memo : peeked_) {
+        if (memo.size == hashes.size() && memo.last == hashes.back() &&
+            memo.membership == membership_)
+            return &memo;
+    }
+    return nullptr;
+}
+
+void
+PrefixCache::collect(std::span<const PrefixHash> hashes,
+                     std::vector<BlockId> &blocks_out) const
+{
+    if (const PeekMemo *memo = heldPeek(hashes)) {
+        blocks_out.assign(memo->blocks.begin(), memo->blocks.end());
+        return;
+    }
+    blocks_out.clear();
+    for (const PrefixHash hash : hashes) {
+        prefetchHome(hashes, blocks_out.size() + kPrefetchAhead);
+        const BlockId block = lookup(hash);
+        if (block == kNone)
+            break;
+        blocks_out.push_back(block);
+    }
 }
 
 std::size_t
 PrefixCache::match(std::span<const PrefixHash> hashes,
                    std::vector<BlockId> &blocks_out)
 {
-    std::size_t matched = 0;
-    for (const PrefixHash hash : hashes) {
-        prefetchHome(hashes, matched + kPrefetchAhead);
-        const EntryIndex entry = lookup(hash);
-        if (entry == kEmptySlot)
-            break;
-        touch(entry);
-        blocks_out.push_back(entries_[entry].block);
-        ++matched;
+    collect(hashes, matched_);
+    for (const BlockId block : matched_) {
+        touch(block, ++clock_);
+        blocks_out.push_back(block);
     }
-    return matched;
+    return matched_.size();
 }
 
 std::size_t
 PrefixCache::peek(std::span<const PrefixHash> hashes) const
 {
-    std::size_t matched = 0;
-    for (const PrefixHash hash : hashes) {
-        prefetchHome(hashes, matched + kPrefetchAhead);
-        if (lookup(hash) == kEmptySlot)
-            break;
-        ++matched;
-    }
-    return matched;
+    if (const PeekMemo *memo = heldPeek(hashes))
+        return memo->blocks.size();
+    PeekMemo &memo = peeked_[nextPeek_];
+    nextPeek_ = (nextPeek_ + 1) % kPeeksKept;
+    collect(hashes, memo.blocks);
+    memo.size = hashes.size();
+    memo.last = hashes.empty() ? 0 : hashes.back();
+    memo.membership = membership_;
+    return memo.blocks.size();
+}
+
+std::int64_t
+PrefixCache::allocateMatched(RequestSlot slot, TokenCount tokens,
+                             std::span<const PrefixHash> hashes)
+{
+    collect(hashes, matched_);
+    // The stamps match() would give, held back for the release.
+    const std::uint64_t base = clock_;
+    clock_ += matched_.size();
+    if (!kv_.allocateShared(slot, tokens, matched_, base,
+                            matched_.size()))
+        return -1;
+    return static_cast<std::int64_t>(matched_.size());
 }
 
 void
@@ -55,89 +109,161 @@ PrefixCache::insert(std::span<const PrefixHash> hashes,
 {
     LIGHTLLM_ASSERT(hashes.size() == blocks.size(),
                     "hash/block span mismatch");
-    for (std::size_t i = 0; i < hashes.size(); ++i) {
-        if (i + kPrefetchAhead < blocks.size())
-            kv_.prefetchState(blocks[i + kPrefetchAhead]);
+    const std::uint64_t base = clock_;
+    clock_ += hashes.size();
+    insertFrom(hashes, blocks, 0, base);
+}
+
+std::size_t
+PrefixCache::insertHeld(RequestSlot slot,
+                        std::span<const PrefixHash> hashes,
+                        std::size_t linked)
+{
+    const std::span<const BlockId> blocks =
+        std::span<const BlockId>(kv_.blockTable(slot))
+            .first(hashes.size());
+    LIGHTLLM_ASSERT(linked <= hashes.size(),
+                    "linked run past the inserted chain");
+    const std::uint64_t base = clock_;
+    clock_ += hashes.size();
+    kv_.deferRefresh(slot, base, linked);
+    return insertFrom(hashes, blocks, linked, base);
+}
+
+std::size_t
+PrefixCache::insertFrom(std::span<const PrefixHash> hashes,
+                        std::span<const BlockId> blocks,
+                        std::size_t from, std::uint64_t base)
+{
+    std::size_t run = from;
+    for (std::size_t i = from; i < hashes.size(); ++i) {
+        kv_.prefetchWalk(blocks, i);
+        prefetchHome(hashes, i + kPrefetchAhead);
+        const BlockId block = blocks[i];
+        const std::uint64_t stamp = base + i + 1;
         // The block itself already cached under this hash (matched
-        // at admission, or published at prefill): its entry link is
-        // the index's answer, so refresh it without a probe.
-        const EntryIndex linked = kv_.cacheEntry(blocks[i]);
-        if (linked != KvBlockManager::kNotCached &&
-            entries_[linked].hash == hashes[i]) {
-            touch(linked);
+        // at admission, or published at prefill): refresh it
+        // without a probe.
+        if (kv_.cacheMark(block) != KvBlockManager::kNotCached &&
+            records_[static_cast<std::size_t>(block)].hash ==
+                hashes[i]) {
+            touch(block, stamp);
+            run += run == i;
             continue;
         }
-        const EntryIndex incumbent = lookup(hashes[i]);
-        if (incumbent != kEmptySlot) {
+        // One probe: a miss stores the block in place.
+        const auto [present, fresh] =
+            index_.insertOrFind(hashes[i], block);
+        if (!fresh) {
             // Same content already cached under a different
             // physical block prefilled concurrently; keep the
             // incumbent, refresh its recency.
-            touch(incumbent);
+            touch(*present, stamp);
             continue;
         }
-        EntryIndex entry;
-        if (freeEntries_.empty()) {
-            entry = static_cast<EntryIndex>(entries_.size());
-            LIGHTLLM_ASSERT(entry != KvBlockManager::kNotCached,
-                            "entry slab overflow");
-            entries_.emplace_back();
-        } else {
-            entry = freeEntries_.back();
-            freeEntries_.pop_back();
-        }
         // A live request holds the block, so it starts pinned.
-        entries_[entry] =
-            Entry{hashes[i], ++clock_, blocks[i], kPinned};
-        kv_.retainCached(blocks[i], entry);
-        index_.insert(hashes[i], entry);
+        kv_.retainCached(block, kPinned);
+        records_[static_cast<std::size_t>(block)] =
+            Record{hashes[i], stamp};
+        ++membership_;
+        run += run == i;
     }
+    return run;
 }
 
 std::int64_t
 PrefixCache::reclaim(std::int64_t count)
 {
     std::int64_t reclaimed = 0;
-    while (reclaimed < count && !parked_.empty()) {
-        const EntryIndex entry = parked_.front().entry;
-        const std::uint64_t stamp = entries_[entry].stamp;
-        if (parked_.front().stamp != stamp) {
-            // Touched since keyed. Every key is at most its entry's
-            // stamp, so a current root is the true LRU block.
-            parked_.front().stamp = stamp;
-            siftDown(0);
-            continue;
-        }
-        pin(entry);  // leave the heap
-        const bool indexed = index_.erase(entries_[entry].hash);
+    while (reclaimed < count) {
+        const BlockId block = unparkOldest();
+        if (block == kNone)
+            break;
+        const bool indexed = index_.erase(
+            records_[static_cast<std::size_t>(block)].hash);
         LIGHTLLM_ASSERT(indexed, "erasing an unindexed hash");
-        freeEntries_.push_back(entry);
-        kv_.dropCached(entries_[entry].block);
+        kv_.dropCached(block);
+        ++membership_;
         ++reclaimed;
     }
     return reclaimed;
 }
 
-void
-PrefixCache::park(EntryIndex entry)
+BlockId
+PrefixCache::unparkOldest()
 {
-    LIGHTLLM_ASSERT(entries_[entry].heapSlot == kPinned,
-                    "parking a parked cache entry");
-    parked_.push_back(Parked{entries_[entry].stamp, entry});
-    siftUp(parked_.size() - 1);
+    // The FIFO front: step over tombstones, re-file a touched block
+    // under its current stamp.
+    while (fifoHead_ != fifoTail_) {
+        const BlockId block = fifo_[fifoHead_];
+        if (block != kNone && !(kv_.cacheMark(block) & kStale))
+            break;
+        ++fifoHead_;
+        if (block != kNone) {
+            kv_.cacheMark(block) = kPinned;
+            park(block);
+        }
+    }
+    // The heap root: re-key a touched one. Every key is at most its
+    // block's stamp, so a current root is the heap's oldest.
+    while (!heap_.empty()) {
+        const std::uint64_t stamp =
+            records_[static_cast<std::size_t>(heap_.front().block)]
+                .stamp;
+        if (heap_.front().stamp == stamp)
+            break;
+        heap_.front().stamp = stamp;
+        siftDown(0);
+    }
+    const bool fifo = fifoHead_ != fifoTail_;
+    if (!fifo && heap_.empty())
+        return kNone;
+    if (fifo &&
+        (heap_.empty() ||
+         records_[static_cast<std::size_t>(fifo_[fifoHead_])].stamp <
+             heap_.front().stamp)) {
+        const BlockId block = fifo_[fifoHead_++];
+        kv_.cacheMark(block) = kPinned;
+        return block;
+    }
+    const BlockId block = heap_.front().block;
+    pin(block);
+    return block;
 }
 
 void
-PrefixCache::pin(EntryIndex entry)
+PrefixCache::compactFifo()
 {
-    const std::size_t slot = entries_[entry].heapSlot;
-    LIGHTLLM_ASSERT(slot != kPinned, "pinning a pinned cache entry");
-    entries_[entry].heapSlot = kPinned;
-    const Parked last = parked_.back();
-    parked_.pop_back();
-    if (slot == parked_.size())
+    std::uint32_t out = 0;
+    for (std::uint32_t at = fifoHead_; at < fifoTail_; ++at) {
+        const BlockId block = fifo_[at];
+        if (block == kNone)
+            continue;
+        std::uint32_t &mark = kv_.cacheMark(block);
+        mark = out | (mark & kStale);
+        fifo_[out++] = block;
+    }
+    LIGHTLLM_ASSERT(out < fifoCapacity_, "parked FIFO overflow");
+    fifoHead_ = 0;
+    fifoTail_ = out;
+}
+
+void
+PrefixCache::heapPush(Parked node)
+{
+    heap_.push_back(node);
+    siftUp(heap_.size() - 1);
+}
+
+void
+PrefixCache::heapRemove(std::size_t slot)
+{
+    const Parked last = heap_.back();
+    heap_.pop_back();
+    if (slot == heap_.size())
         return;  // it was the last node
     placeAt(slot, last);
-    if (slot > 0 && parked_[(slot - 1) / 2].stamp > last.stamp)
+    if (slot > 0 && heap_[(slot - 1) / 2].stamp > last.stamp)
         siftUp(slot);
     else
         siftDown(slot);
@@ -146,19 +272,20 @@ PrefixCache::pin(EntryIndex entry)
 void
 PrefixCache::placeAt(std::size_t slot, Parked node)
 {
-    parked_[slot] = node;
-    entries_[node.entry].heapSlot = static_cast<std::uint32_t>(slot);
+    heap_[slot] = node;
+    kv_.cacheMark(node.block) =
+        kInHeap | static_cast<std::uint32_t>(slot);
 }
 
 void
 PrefixCache::siftUp(std::size_t slot)
 {
-    const Parked node = parked_[slot];
+    const Parked node = heap_[slot];
     while (slot > 0) {
         const std::size_t parent = (slot - 1) / 2;
-        if (parked_[parent].stamp <= node.stamp)
+        if (heap_[parent].stamp <= node.stamp)
             break;
-        placeAt(slot, parked_[parent]);
+        placeAt(slot, heap_[parent]);
         slot = parent;
     }
     placeAt(slot, node);
@@ -167,18 +294,18 @@ PrefixCache::siftUp(std::size_t slot)
 void
 PrefixCache::siftDown(std::size_t slot)
 {
-    const Parked node = parked_[slot];
-    const std::size_t size = parked_.size();
+    const Parked node = heap_[slot];
+    const std::size_t size = heap_.size();
     for (;;) {
         std::size_t child = 2 * slot + 1;
         if (child >= size)
             break;
         if (child + 1 < size &&
-            parked_[child + 1].stamp < parked_[child].stamp)
+            heap_[child + 1].stamp < heap_[child].stamp)
             ++child;
-        if (node.stamp <= parked_[child].stamp)
+        if (node.stamp <= heap_[child].stamp)
             break;
-        placeAt(slot, parked_[child]);
+        placeAt(slot, heap_[child]);
         slot = child;
     }
     placeAt(slot, node);

@@ -18,37 +18,65 @@
  * capacity; it only recycles otherwise-idle blocks.
  *
  * Recency is a monotonically increasing stamp, assigned at every
- * match, new insert and incumbent refresh. The manager reports each
- * cached block's 0<->1 request-reference transitions (park / pin),
- * and only parked blocks sit in a min-heap keyed by stamp, so a
- * reclaim pops the oldest parked blocks in O(log parked) instead of
- * walking every cached block past the request-pinned ones. The
- * order equals that walk's: both visit unreferenced blocks by
- * ascending last touch. A touch only raises a stamp, so touching a
- * parked block leaves its heap key behind as a lower bound; reclaim
- * re-keys a stale root before trusting it, which pops in the same
- * order while a matched block that is pinned right after (the
- * admission path) never pays a sift.
+ * match, new insert and incumbent refresh; a walk reserves one stamp
+ * per position, so position i of a chain gets the reserved base +
+ * i + 1. The manager reports each cached block's 0<->1
+ * request-reference transitions (park / pin), and only parked blocks
+ * sit in the parked set, so a reclaim takes the oldest parked blocks
+ * without walking every cached block past the request-pinned ones.
+ * The order equals that walk's: both visit unreferenced blocks by
+ * ascending last touch.
  *
- * The hash -> entry index is one FlatIdTable (base/flat_id_table.hh:
- * power of two slots, linear probing from a Fibonacci-hashed home
- * slot, backward-shift erase, doubling at half load): a probe reads
- * one contiguous run instead of chasing a node per bucket, and erase
- * leaves no tombstones, so a warmed table never allocates.
- * Re-inserting a block that is already cached under the same hash
- * (a finishing turn republishing the prompt blocks it matched)
- * goes straight through the block's entry link in the manager and
- * skips the index.
+ * The parked set is a stamp-ordered FIFO with lazy deletion. A
+ * released block parks with the newest stamp in nearly every case,
+ * so park appends at the tail; a park older than the tail goes to a
+ * small indexed min-heap instead. Pin overwrites the block's FIFO
+ * node with a tombstone, which reclaim steps over at the front. A
+ * touch only raises a stamp, so touching a parked block marks its
+ * FIFO node stale; reclaim re-files a stale front under its current
+ * stamp before trusting it, and takes the smaller of the FIFO front
+ * and the heap root (whose stale key it re-keys the same way). The
+ * FIFO lives in one array sized once, at twice the pool's blocks:
+ * when the tail reaches its end the live nodes slide to the front,
+ * which frees at least half of it, so a warmed cache never
+ * allocates.
+ *
+ * Deferred refresh. The engine's walks over a live request's own
+ * blocks (allocateMatched, insertHeld) skip the refresh of every
+ * block the request holds linked (cached under its hash): the
+ * blocks it matched, and those an earlier insert published. The
+ * request's allocation keeps the reserved stamps, and
+ * KvBlockManager::release folds them in, stamp = max(stamp, base +
+ * i + 1), in the walk it already makes, on finish and eviction
+ * alike. A held block is pinned, and a pinned block's stamp is read
+ * only once it parks, which is after every holder's release (a
+ * failed allocation's rollback folds before it parks too): so every
+ * stamp is the eager one whenever it is read.
+ *
+ * Per-block cache state is indexed by block id: the hash and stamp
+ * here, the park mark in the manager's block state (the word that
+ * says whether the cache holds the block), so pin and park touch
+ * the block state they already read. The hash -> block index is one
+ * FlatIdTable (base/flat_id_table.hh: power of two slots, linear
+ * probing from a Fibonacci-hashed home slot, backward-shift erase,
+ * doubling at half load): a probe reads one contiguous run instead
+ * of chasing a node per bucket, and erase leaves no tombstones, so a
+ * warmed table never allocates. A fresh insert costs one probe; a
+ * block already cached under its hash is recognised through its own
+ * state, without a probe.
  */
 
 #ifndef LIGHTLLM_MEMORY_PREFIX_CACHE_HH
 #define LIGHTLLM_MEMORY_PREFIX_CACHE_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "base/flat_id_table.hh"
+#include "base/logging.hh"
 #include "base/token_stream.hh"
 #include "base/types.hh"
 #include "memory/kv_block_manager.hh"
@@ -60,13 +88,27 @@ namespace memory {
 class PrefixCache
 {
   public:
+    /** Index slots of a cache built without a size (doubles from
+     *  there). */
+    static constexpr std::size_t kInitialSlots = 64;
+
     /** @param kv Block pool the cached blocks belong to; the
-     *        manager must outlive the cache. */
-    explicit PrefixCache(KvBlockManager &kv);
+     *        manager must outlive the cache.
+     *  @param index_slots Initial slots of the hash index (a power
+     *        of two >= 2, doubling at half load from there);
+     *        poolIndexSlots(kv) is one it never outgrows. */
+    explicit PrefixCache(KvBlockManager &kv,
+                         std::size_t index_slots = kInitialSlots);
+
+    /** Index slots that hold every block of `kv`'s pool at half
+     *  load: a cache built with them never rehashes. */
+    static std::size_t poolIndexSlots(const KvBlockManager &kv);
 
     PrefixCache(const PrefixCache &) = delete;
     PrefixCache &operator=(const PrefixCache &) = delete;
 
+    /** Drops every block it holds (KvBlockManager::
+     *  detachPrefixCache). */
     ~PrefixCache();
 
     /**
@@ -80,8 +122,22 @@ class PrefixCache
                       std::vector<BlockId> &blocks_out);
 
     /** Longest cached prefix length in blocks, with no LRU effect
-     *  (load forecasting must not disturb reclamation order). */
+     *  (load forecasting must not disturb reclamation order). The
+     *  walk is kept: a match of the same chain, with no block
+     *  cached or reclaimed since, reuses it instead of probing. */
     std::size_t peek(std::span<const PrefixHash> hashes) const;
+
+    /**
+     * match() and KvBlockManager::allocateShared() in one: allocate
+     * `tokens` slots to `slot`, sharing the longest cached prefix of
+     * `hashes`. The allocation holds the matched blocks, so their
+     * touch is deferred to its release (see the file comment); if
+     * the allocation fails, the touch lands before they park again.
+     *
+     * @return Blocks shared, or -1 when the allocation failed.
+     */
+    std::int64_t allocateMatched(RequestSlot slot, TokenCount tokens,
+                                 std::span<const PrefixHash> hashes);
 
     /**
      * Cache `blocks[i]` under `hashes[i]` for every position not
@@ -90,10 +146,25 @@ class PrefixCache
      * recency is refreshed). Newly cached blocks are retained in the
      * manager; they must be live request blocks whose KV holds the
      * hashed tokens. A block already cached under its hash is
-     * refreshed through its entry link, without an index probe.
+     * refreshed without an index probe. Every position is refreshed
+     * now.
      */
     void insert(std::span<const PrefixHash> hashes,
                 std::span<const BlockId> blocks);
+
+    /**
+     * insert() over the first hashes.size() blocks of the live
+     * allocation in `slot`, whose first `linked` blocks are already
+     * cached under hashes[0..linked): their refresh is deferred to
+     * the allocation's release, replacing any deferral it held.
+     *
+     * @return The leading run of positions now cached under their
+     *         hash with the allocation's own block: the `linked` of
+     *         the allocation's next insertHeld.
+     */
+    std::size_t insertHeld(RequestSlot slot,
+                           std::span<const PrefixHash> hashes,
+                           std::size_t linked);
 
     /**
      * Hand up to `count` least-recently-used parked blocks (no
@@ -114,56 +185,79 @@ class PrefixCache
   private:
     friend class KvBlockManager;
 
-    using EntryIndex = std::uint32_t;
+    /** Park mark (KvBlockManager's BlockState::cacheMark) of a
+     *  cached block some request references. Every other mark of a
+     *  cached block is kInHeap | its heap position, or its FIFO
+     *  position with kStale once touched there. */
+    static constexpr std::uint32_t kPinned = 0xfffffffeu;
 
-    /** Entry::heapSlot of a block some request references. */
-    static constexpr std::uint32_t kPinned = 0xffffffffu;
+    /** Park mark flag: parked in the heap. */
+    static constexpr std::uint32_t kInHeap = 0x80000000u;
 
-    /** lookup() of an unindexed hash. */
-    static constexpr EntryIndex kEmptySlot = 0xffffffffu;
+    /** Park mark flag: parked in the FIFO and touched since (its
+     *  node's key is below its stamp). */
+    static constexpr std::uint32_t kStale = 0x40000000u;
 
-    /** Index slots of a new cache (doubles from there). */
-    static constexpr std::size_t kInitialSlots = 64;
+    /** lookup() of an unindexed hash; a FIFO node whose block was
+     *  pinned since it parked. */
+    static constexpr BlockId kNone = -1;
+
 
     /** Chain walks (match, peek, insert) start loading this many
      *  positions ahead: their lookups are independent, so the cache
      *  misses overlap instead of queueing. */
     static constexpr std::size_t kPrefetchAhead = 8;
 
-    /** One cached block (a slot of the recycled entry slab). */
-    struct Entry
+    /** A cached block's content hash and last touch (larger is more
+     *  recent); indexed by block id, meaningful while cached. */
+    struct Record
     {
         PrefixHash hash;
-
-        /** Last touch; larger is more recent. */
         std::uint64_t stamp;
-
-        BlockId block;
-
-        /** Position in parked_, or kPinned. */
-        std::uint32_t heapSlot;
     };
 
     /** Heap node: the key rides along so sifts stay in the heap.
-     *  It is the entry's stamp when parked or re-keyed, never above
+     *  It is the block's stamp when parked or re-keyed, never above
      *  its current stamp. */
     struct Parked
     {
         std::uint64_t stamp;
-        EntryIndex entry;
+        BlockId block;
     };
 
-    /** Manager callbacks: the entry's block lost its last request
+    /** Manager callbacks: the cached block lost its last request
      *  reference (park) or gained its first (pin). */
-    void park(EntryIndex entry);
-    void pin(EntryIndex entry);
+    void park(BlockId block);
+    void pin(BlockId block);
 
-    /** Make `entry` the most recently used (O(1): a parked entry's
-     *  heap key goes stale until reclaim reaches it). */
+    /** Give `block` the stamp `stamp` (above its current one): a
+     *  FIFO-parked block's node goes stale until reclaim reaches
+     *  it, a heap-parked one's key likewise. */
     void
-    touch(EntryIndex entry)
+    touch(BlockId block, std::uint64_t stamp)
     {
-        entries_[entry].stamp = ++clock_;
+        records_[static_cast<std::size_t>(block)].stamp = stamp;
+        std::uint32_t &mark = kv_.cacheMark(block);
+        if (mark < kStale)
+            mark |= kStale;
+    }
+
+    /** A deferred refresh lands (KvBlockManager::release): the block
+     *  is held, so its stamp is only raised. */
+    void
+    foldStamp(BlockId block, std::uint64_t stamp)
+    {
+        std::uint64_t &current =
+            records_[static_cast<std::size_t>(block)].stamp;
+        if (current < stamp)
+            current = stamp;
+    }
+
+    /** Start loading `block`'s record. */
+    void
+    prefetchRecord(BlockId block) const
+    {
+        __builtin_prefetch(&records_[static_cast<std::size_t>(block)]);
     }
 
     /** Start loading the home slot of hashes[at], if any. */
@@ -175,32 +269,140 @@ class PrefixCache
             index_.prefetch(hashes[at]);
     }
 
-    /** Entry cached under `hash`; kEmptySlot when absent. */
-    EntryIndex
+    /** Block cached under `hash`; kNone when absent. */
+    BlockId
     lookup(PrefixHash hash) const
     {
-        const EntryIndex *entry = index_.find(hash);
-        return entry != nullptr ? *entry : kEmptySlot;
+        const BlockId *block = index_.find(hash);
+        return block != nullptr ? *block : kNone;
     }
 
+    struct PeekMemo;
+
+    /** A kept peek of `hashes` that still holds (no block cached or
+     *  reclaimed since it walked); null when none does. */
+    const PeekMemo *heldPeek(std::span<const PrefixHash> hashes) const;
+
+    /** The longest cached prefix of `hashes` into `blocks_out`
+     *  (replacing its contents), with no touch; a held peek's walk
+     *  when there is one. */
+    void collect(std::span<const PrefixHash> hashes,
+                 std::vector<BlockId> &blocks_out) const;
+
+    /** The insert walk from position `from`, position i stamped
+     *  base + i + 1; returns the leading linked run from `from`. */
+    std::size_t insertFrom(std::span<const PrefixHash> hashes,
+                           std::span<const BlockId> blocks,
+                           std::size_t from, std::uint64_t base);
+
+    /** Remove the least recently used parked block from the parked
+     *  set; kNone when none is parked. */
+    BlockId unparkOldest();
+
+    /** Slide the FIFO's live nodes to the front of its array. */
+    void compactFifo();
+
+    void heapPush(Parked node);
+    void heapRemove(std::size_t slot);
     void placeAt(std::size_t slot, Parked node);
     void siftUp(std::size_t slot);
     void siftDown(std::size_t slot);
 
     KvBlockManager &kv_;
 
-    std::vector<Entry> entries_;
-    std::vector<EntryIndex> freeEntries_;
+    /** Records of the pool's blocks; a record's page is first
+     *  touched when its block is first cached. */
+    std::unique_ptr<Record[]> records_;
 
-    /** Parked entries, a min-heap on (possibly stale) keys; the
-     *  root is the LRU block once its key is current. */
-    std::vector<Parked> parked_;
+    /** The FIFO: blocks in [fifoHead_, fifoTail_) of an array of
+     *  fifoCapacity_, parked in ascending key order, or kNone. */
+    std::unique_ptr<BlockId[]> fifo_;
+    std::uint32_t fifoCapacity_;
+    std::uint32_t fifoHead_ = 0;
+    std::uint32_t fifoTail_ = 0;
 
-    /** Hash -> entry index; one hash per cached block. */
-    FlatIdTable<EntryIndex> index_;
+    /** Key of the newest FIFO node: a park may append only above. */
+    std::uint64_t fifoNewest_ = 0;
+
+    /** Parks older than the FIFO tail, a min-heap on (possibly
+     *  stale) keys. */
+    std::vector<Parked> heap_;
+
+    /** Hash -> block; one hash per cached block. */
+    FlatIdTable<BlockId> index_;
+
+    /** Bumped whenever a hash joins or leaves the index. */
+    std::uint64_t membership_ = 0;
+
+    /** A peek's walk: the chain's length and last hash (which commits
+     *  to the whole chain), the membership it saw and the blocks it
+     *  found. */
+    struct PeekMemo
+    {
+        std::size_t size = 0;
+        PrefixHash last = 0;
+        std::uint64_t membership = ~std::uint64_t{0};
+        std::vector<BlockId> blocks;
+    };
+
+    /** Peeks kept: an admission round peeks every waiting request
+     *  before it matches the admitted ones. */
+    static constexpr std::size_t kPeeksKept = 8;
+
+    /** The last kPeeksKept peeks, the oldest at nextPeek_. */
+    mutable std::array<PeekMemo, kPeeksKept> peeked_;
+    mutable std::size_t nextPeek_ = 0;
+
+    /** allocateMatched's matched blocks. */
+    std::vector<BlockId> matched_;
 
     std::uint64_t clock_ = 0;
 };
+
+inline void
+PrefixCache::park(BlockId block)
+{
+    std::uint32_t &mark = kv_.cacheMark(block);
+    LIGHTLLM_ASSERT(mark == kPinned, "parking a parked block ", block);
+    const std::uint64_t stamp =
+        records_[static_cast<std::size_t>(block)].stamp;
+    if (fifoHead_ == fifoTail_) {
+        fifoHead_ = fifoTail_ = 0;  // empty: restart at the front
+    } else if (stamp < fifoNewest_) {
+        heapPush(Parked{stamp, block});
+        return;
+    }
+    if (fifoTail_ == fifoCapacity_)
+        compactFifo();
+    mark = fifoTail_;
+    fifo_[fifoTail_++] = block;
+    fifoNewest_ = stamp;
+}
+
+inline void
+PrefixCache::pin(BlockId block)
+{
+    std::uint32_t &mark = kv_.cacheMark(block);
+    const std::uint32_t at = mark;
+    LIGHTLLM_ASSERT(at != kPinned, "pinning a pinned block ", block);
+    mark = kPinned;
+    if (at & kInHeap)
+        heapRemove(at & ~kInHeap);
+    else
+        fifo_[at & ~kStale] = kNone;  // reclaim steps over it
+}
+
+inline void
+KvBlockManager::prefetchWalk(std::span<const BlockId> blocks,
+                             std::size_t at) const
+{
+    if (at + kWalkAhead >= blocks.size())
+        return;
+    const BlockId block = blocks[at + kWalkAhead];
+    __builtin_prefetch(&states_[static_cast<std::size_t>(block)]);
+    if (cache_ != nullptr)
+        cache_->prefetchRecord(block);
+}
 
 } // namespace memory
 } // namespace lightllm

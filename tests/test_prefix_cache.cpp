@@ -172,6 +172,101 @@ TEST(BlockHashChainTest, ResumesAsTheOutputSegmentGrows)
     }
 }
 
+// The chain folds each run (one segment's part of one block) once,
+// keyed by (key, offset into the segment, length).
+
+TEST(BlockHashChainTest, BlockSpanningManySegmentsCommitsToEach)
+{
+    // One 16-token block over four segments.
+    const std::vector<PromptSegment> stream{
+        {3, 5}, {4, 4}, {5, 2}, {6, 5}, {7, 16}};
+    const auto base = blockHashChain(stream, 16, 32);
+    ASSERT_EQ(base.size(), 2u);
+    EXPECT_EQ(base, blockHashChain(stream, 16, 32));
+    // Any one run of the block changing (key or boundary) changes
+    // it and every later block.
+    for (std::size_t s = 0; s < 4; ++s) {
+        std::vector<PromptSegment> other = stream;
+        other[s].key += 100;
+        const auto changed = blockHashChain(other, 16, 32);
+        EXPECT_NE(changed[0], base[0]) << "segment " << s;
+        EXPECT_NE(changed[1], base[1]) << "segment " << s;
+    }
+    std::vector<PromptSegment> moved = stream;
+    moved[1].len += 1;  // the boundary of runs 2 and 3 moves
+    moved[2].len -= 1;
+    EXPECT_NE(blockHashChain(moved, 16, 32)[0], base[0]);
+    // Resuming inside the block folds the same runs.
+    std::vector<PrefixHash> resumed;
+    for (const TokenCount cap : {7, 15, 16, 20, 32}) {
+        extendBlockHashChain(stream, 16, cap, resumed);
+        EXPECT_EQ(resumed, blockHashChain(stream, 16, cap))
+            << "cap " << cap;
+    }
+}
+
+TEST(BlockHashChainTest, SameKeyAtAnotherOffsetHashesDifferently)
+{
+    // Block 2 is key 9's tokens 8..15 in `one`, and the first 8
+    // tokens of a second key-9 segment in `two`: same key, same
+    // length, another offset. Blocks 0 and 1 hold the same tokens.
+    const std::vector<PromptSegment> one{{1, 8}, {9, 24}};
+    const std::vector<PromptSegment> two{{1, 8}, {9, 8}, {9, 16}};
+    const auto a = blockHashChain(one, 8, 32);
+    const auto b = blockHashChain(two, 8, 32);
+    ASSERT_EQ(a.size(), 4u);
+    ASSERT_EQ(b.size(), 4u);
+    EXPECT_EQ(a[0], b[0]);
+    EXPECT_EQ(a[1], b[1]);
+    EXPECT_NE(a[2], b[2]);
+    EXPECT_NE(a[3], b[3]);
+}
+
+TEST(BlockHashChainTest, BlockSizeOneHashesEveryToken)
+{
+    const std::vector<PromptSegment> stream{{3, 3}, {4, 2}, {3, 3}};
+    const auto hashes = blockHashChain(stream, 1, 8);
+    ASSERT_EQ(hashes.size(), 8u);
+    const std::set<PrefixHash> distinct(hashes.begin(), hashes.end());
+    EXPECT_EQ(distinct.size(), 8u);
+    // A token-identical prefix shares exactly its hashes.
+    const std::vector<PromptSegment> prefix{{3, 3}, {4, 1}};
+    const auto shorter = blockHashChain(prefix, 1, 8);
+    ASSERT_EQ(shorter.size(), 4u);
+    EXPECT_TRUE(std::equal(shorter.begin(), shorter.end(),
+                           hashes.begin()));
+    std::vector<PrefixHash> resumed;
+    for (TokenCount cap = 0; cap <= 8; ++cap) {
+        extendBlockHashChain(stream, 1, cap, resumed);
+        ASSERT_EQ(resumed, blockHashChain(stream, 1, cap))
+            << "cap " << cap;
+    }
+}
+
+TEST(BlockHashChainTest, RunLongerThanABlockSplitsAtEveryBoundary)
+{
+    // A 40-token segment over 16-token blocks: runs of 16, 16 and
+    // (under a cap of 48) 8 tokens of the same key.
+    const std::vector<PromptSegment> stream{{5, 40}, {6, 8}};
+    const auto hashes = blockHashChain(stream, 16, 48);
+    ASSERT_EQ(hashes.size(), 3u);
+    EXPECT_NE(hashes[0], hashes[1]);
+    EXPECT_NE(hashes[1], hashes[2]);
+    // The same key split into two segments at a block boundary
+    // restarts its offsets: other tokens, other hashes from there.
+    const std::vector<PromptSegment> split{{5, 16}, {5, 24}, {6, 8}};
+    const auto other = blockHashChain(split, 16, 48);
+    EXPECT_EQ(other[0], hashes[0]);
+    EXPECT_NE(other[1], hashes[1]);
+    // Resuming in the middle of the long run.
+    std::vector<PrefixHash> resumed;
+    for (const TokenCount cap : {16, 20, 32, 40, 47, 48}) {
+        extendBlockHashChain(stream, 16, cap, resumed);
+        EXPECT_EQ(resumed, blockHashChain(stream, 16, cap))
+            << "cap " << cap;
+    }
+}
+
 // --- Session chain hand-off --------------------------------------
 
 /** A random conversation: a system prompt, then `turns` pairs of a
@@ -729,6 +824,168 @@ TEST(PrefixCacheTest, ReclaimMatchesListWalkReference)
         EXPECT_GT(explicit_reclaims, 0);
         EXPECT_GT(ref.reclaimed() - explicit_reclaims, 0);
         EXPECT_GT(failed_after_match, 0);
+    }
+}
+
+/**
+ * The engine's deferred refresh against the eager reference: random
+ * admissions through allocateMatched (whose touches wait for the
+ * release, or land at once when the allocation fails), swap-in
+ * admissions with no sharing, decode growth, publications through
+ * insertHeld carrying the linked run the engine carries (prefill
+ * and finish inserts), releases (finish, swap or recompute
+ * eviction) and explicit reclaims, on a small pool under constant
+ * pressure. The list-walk reference touches every matched block and
+ * refreshes every inserted position at once, as insert() does; the
+ * manager and cache must agree with it on every counter, every block
+ * table and every reclaimed block id after every operation.
+ */
+TEST(PrefixCacheTest, DeferredRefreshMatchesEagerReference)
+{
+    constexpr TokenCount kBlock = 4;
+    constexpr TokenCount kCapacity = 64 * kBlock;
+    constexpr RequestId kProbe = 1'000'000;
+
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        Rng rng(seed + 100);
+        KvBlockManager kv(kCapacity, kBlock);
+        PrefixCache cache(kv);
+        kv.attachPrefixCache(&cache);
+        ListWalkPool ref(kCapacity, kBlock);
+
+        std::vector<std::vector<PromptSegment>> streams;
+        for (std::uint64_t s = 0; s < 12; ++s) {
+            streams.push_back(
+                {PromptSegment{1 + s % 3, rng.uniformInt(4, 24)},
+                 PromptSegment{100 + s, rng.uniformInt(1, 40)},
+                 PromptSegment{200 + s, rng.uniformInt(1, 40)}});
+        }
+        struct Live
+        {
+            RequestId id;
+            std::size_t stream;
+            /** The engine's EngineRequest::linkedPrefix. */
+            std::size_t linked;
+        };
+        std::vector<Live> live;
+        RequestId next_id = 1;
+        std::int64_t explicit_reclaims = 0;
+        int failed_after_match = 0;
+        std::size_t deferred = 0;
+
+        auto pick = [&]() -> Live & {
+            return live[static_cast<std::size_t>(
+                rng.uniformInt(0, live.size() - 1))];
+        };
+
+        for (int op = 0; op < 2000; ++op) {
+            const auto dice = rng.uniformInt(0, 99);
+            if (dice < 30 || live.empty()) {
+                // Admission: match one token short of the prompt and
+                // allocate it plus a slot, as the engine does.
+                const auto stream = static_cast<std::size_t>(
+                    rng.uniformInt(0, 11));
+                const TokenCount prompt = rng.uniformInt(1, 72);
+                const auto hashes = blockHashChain(
+                    streams[stream], kBlock, prompt - 1);
+                const RequestId id = next_id++;
+                const std::int64_t got =
+                    cache.allocateMatched(id, prompt + 1, hashes);
+                std::vector<BlockId> want;
+                ref.match(hashes, want);
+                const bool ok =
+                    ref.allocateShared(id, prompt + 1, want);
+                ASSERT_EQ(got >= 0, ok);
+                if (ok) {
+                    ASSERT_EQ(static_cast<std::size_t>(got),
+                              want.size());
+                    live.push_back(Live{id, stream, want.size()});
+                } else if (!want.empty()) {
+                    ++failed_after_match;
+                }
+            } else if (dice < 38) {
+                // Swap-in: the KV comes back whole, nothing shared.
+                const TokenCount tokens = rng.uniformInt(1, 72);
+                const RequestId id = next_id++;
+                const bool ok = kv.allocate(id, tokens);
+                ASSERT_EQ(ok, ref.allocateShared(id, tokens, {}));
+                if (ok) {
+                    live.push_back(Live{
+                        id,
+                        static_cast<std::size_t>(rng.uniformInt(0, 11)),
+                        0});
+                }
+            } else if (dice < 58) {
+                const Live &request = pick();
+                const TokenCount tokens = rng.uniformInt(1, 3 * kBlock);
+                ASSERT_EQ(kv.extend(request.id, tokens),
+                          ref.extend(request.id, tokens));
+            } else if (dice < 80) {
+                // A prefill or finish insert over the full blocks the
+                // request's stream covers.
+                Live &request = pick();
+                const std::vector<BlockId> table =
+                    kv.blockTable(request.id);
+                const auto hashes = blockHashChain(
+                    streams[request.stream], kBlock,
+                    kv.requestTokens(request.id));
+                const std::size_t count =
+                    std::min(hashes.size(), table.size());
+                ASSERT_LE(request.linked, count);
+                deferred += request.linked;
+                request.linked = cache.insertHeld(
+                    request.id, std::span(hashes).first(count),
+                    request.linked);
+                ref.insert(std::span(hashes).first(count),
+                           std::span(table).first(count));
+            } else if (dice < 92) {
+                // Finish or eviction: the references drop.
+                const auto at = static_cast<std::size_t>(
+                    rng.uniformInt(0, live.size() - 1));
+                kv.release(live[at].id);
+                ref.release(live[at].id);
+                live.erase(live.begin() +
+                           static_cast<std::ptrdiff_t>(at));
+            } else {
+                const std::int64_t count = rng.uniformInt(0, 4);
+                const std::vector<BlockId> want = ref.reclaim(count);
+                ASSERT_EQ(cache.reclaim(count),
+                          static_cast<std::int64_t>(want.size()));
+                explicit_reclaims +=
+                    static_cast<std::int64_t>(want.size());
+                if (!want.empty()) {
+                    // The free list is LIFO: a probe allocation of
+                    // exactly the reclaimed blocks takes them back in
+                    // reverse reclaim order.
+                    const auto tokens =
+                        static_cast<TokenCount>(want.size()) * kBlock;
+                    ASSERT_TRUE(kv.allocate(kProbe, tokens));
+                    ASSERT_TRUE(ref.allocateShared(kProbe, tokens, {}));
+                    const std::vector<BlockId> reversed(want.rbegin(),
+                                                        want.rend());
+                    ASSERT_EQ(kv.blockTable(kProbe), reversed);
+                    kv.release(kProbe);
+                    ref.release(kProbe);
+                }
+            }
+            ASSERT_EQ(kv.freeBlocks(), ref.freeBlocks()) << "op " << op;
+            ASSERT_EQ(kv.reclaimableBlocks(), ref.reclaimableBlocks())
+                << "op " << op;
+            ASSERT_EQ(kv.usedTokens(), ref.usedTokens()) << "op " << op;
+            ASSERT_EQ(cache.size(), ref.size()) << "op " << op;
+            for (const Live &request : live) {
+                ASSERT_EQ(kv.blockTable(request.id),
+                          ref.table(request.id))
+                    << "op " << op << " request " << request.id;
+            }
+        }
+        // Every deferred path ran: held refreshes, failed matched
+        // admissions and both kinds of reclaim.
+        EXPECT_GT(deferred, 0u);
+        EXPECT_GT(failed_after_match, 0);
+        EXPECT_GT(explicit_reclaims, 0);
+        EXPECT_GT(ref.reclaimed() - explicit_reclaims, 0);
     }
 }
 
