@@ -267,8 +267,8 @@ KvBlockManager::dropRefs(std::span<const BlockId> blocks,
 {
     for (std::size_t i = 0; i < blocks.size(); ++i) {
         prefetchWalk(blocks, i);
-        // The deferred refresh lands before the reference drops: a
-        // block this drop parks parks under its eager stamp.
+        // The deferred refresh lands before the reference drops, so
+        // a block parked by this drop carries its eager stamp.
         if (i < deferred) {
             LIGHTLLM_ASSERT(states_[static_cast<std::size_t>(blocks[i])]
                                     .cacheMark != kNotCached,
@@ -301,8 +301,8 @@ KvBlockManager::deferRefresh(RequestSlot slot, std::uint64_t base,
                              std::size_t count)
 {
     Allocation *alloc = find(slot);
-    LIGHTLLM_ASSERT(alloc != nullptr, "deferring a refresh of unknown slot ",
-                    slot);
+    LIGHTLLM_ASSERT(alloc != nullptr,
+                    "deferring a refresh of unknown slot ", slot);
     LIGHTLLM_ASSERT(count <= alloc->blocks.size(),
                     "deferred refresh past the block table");
     for (std::size_t i = count; i < alloc->refreshCount; ++i)
@@ -360,6 +360,31 @@ KvBlockManager::requestRefs(BlockId block) const
     LIGHTLLM_ASSERT(block >= 0 && block < handedOut(),
                     "block ", block, " was never handed out");
     return states_[static_cast<std::size_t>(block)].requestRefs;
+}
+
+void
+KvBlockManager::retainCached(BlockId block, std::uint32_t mark)
+{
+    BlockState &state = states_[static_cast<std::size_t>(block)];
+    LIGHTLLM_ASSERT(state.cacheMark == kNotCached,
+                    "block ", block, " retained twice");
+    LIGHTLLM_ASSERT(state.requestRefs > 0,
+                    "caching a free block ", block);
+    LIGHTLLM_ASSERT(mark != kNotCached, "invalid park mark");
+    state.cacheMark = mark;
+}
+
+void
+KvBlockManager::dropCached(BlockId block)
+{
+    BlockState &state = states_[static_cast<std::size_t>(block)];
+    LIGHTLLM_ASSERT(state.cacheMark != kNotCached,
+                    "dropping uncached block ", block);
+    state.cacheMark = kNotCached;
+    if (state.requestRefs == 0) {
+        --cacheOnly_;
+        freeList_.push_back(block);
+    }
 }
 
 } // namespace memory

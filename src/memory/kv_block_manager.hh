@@ -245,16 +245,17 @@ class KvBlockManager
         /** Tokens covered by the shared full-block prefix. */
         TokenCount sharedTokens = 0;
 
-        /** The prefix cache's deferred refresh (PrefixCache::
-         *  insertHeld): release raises the stamp of blocks[i], for
-         *  i < refreshCount, to at least refreshBase + i + 1. */
-        std::uint64_t refreshBase = 0;
-        std::size_t refreshCount = 0;
-
         /** [shared prefix blocks ..., private blocks ...]; the
          *  vector keeps its capacity across the slot's requests, so
          *  a warmed pool allocates nothing. */
         std::vector<BlockId> blocks;
+
+        /** The prefix cache's deferred refresh (PrefixCache::
+         *  insertHeld), after the fields a decode step reads: release
+         *  raises the stamp of blocks[i], for i < refreshCount, to at
+         *  least refreshBase + i + 1. */
+        std::uint64_t refreshBase = 0;
+        std::size_t refreshCount = 0;
     };
 
     /** Per-physical-block reference state. */
@@ -321,6 +322,13 @@ class KvBlockManager
      *  state and the cache's record at once, so the misses overlap
      *  instead of queueing. */
     static constexpr std::size_t kWalkAhead = 16;
+
+    /** Start loading `block`'s state. */
+    void
+    prefetchState(BlockId block) const
+    {
+        __builtin_prefetch(&states_[static_cast<std::size_t>(block)]);
+    }
 
     /** Start loading what the walk over `blocks` at position `at`
      *  reads later (defined in memory/prefix_cache.hh). */
@@ -454,31 +462,6 @@ KvBlockManager::growInSlack(RequestSlot slot, TokenCount tokens)
     alloc->numTokens += tokens;
     if (alloc->numTokens == held)
         ++batchNeed_;  // full: the next step takes a block
-}
-
-inline void
-KvBlockManager::retainCached(BlockId block, std::uint32_t mark)
-{
-    BlockState &state = states_[static_cast<std::size_t>(block)];
-    LIGHTLLM_ASSERT(state.cacheMark == kNotCached,
-                    "block ", block, " retained twice");
-    LIGHTLLM_ASSERT(state.requestRefs > 0,
-                    "caching a free block ", block);
-    LIGHTLLM_ASSERT(mark != kNotCached, "invalid park mark");
-    state.cacheMark = mark;
-}
-
-inline void
-KvBlockManager::dropCached(BlockId block)
-{
-    BlockState &state = states_[static_cast<std::size_t>(block)];
-    LIGHTLLM_ASSERT(state.cacheMark != kNotCached,
-                    "dropping uncached block ", block);
-    state.cacheMark = kNotCached;
-    if (state.requestRefs == 0) {
-        --cacheOnly_;
-        freeList_.push_back(block);
-    }
 }
 
 } // namespace memory

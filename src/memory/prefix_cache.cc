@@ -1,5 +1,6 @@
 #include "memory/prefix_cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "base/logging.hh"
@@ -23,8 +24,8 @@ PrefixCache::PrefixCache(KvBlockManager &kv, std::size_t index_slots)
 std::size_t
 PrefixCache::poolIndexSlots(const KvBlockManager &kv)
 {
-    return std::bit_ceil(
-        static_cast<std::size_t>(2 * (kv.capacityTokens() / kv.blockSize())));
+    const std::int64_t blocks = kv.capacityTokens() / kv.blockSize();
+    return std::bit_ceil(static_cast<std::size_t>(2 * blocks));
 }
 
 PrefixCache::~PrefixCache()
@@ -186,7 +187,30 @@ PrefixCache::reclaim(std::int64_t count)
         ++membership_;
         ++reclaimed;
     }
+    prefetchFifo();
     return reclaimed;
+}
+
+void
+PrefixCache::prefetchFifo() const
+{
+    // Reclaims come a block or two at a time, front by front: start
+    // loading what the next ones read. An index slot needs the
+    // block's hash, so only the two oldest live nodes, whose records
+    // an earlier call loaded, have theirs loaded too.
+    std::size_t live = 0;
+    const std::uint32_t end = std::min<std::uint32_t>(
+        fifoTail_, fifoHead_ + 4 * kPrefetchAhead);
+    for (std::uint32_t at = fifoHead_; at < end && live < kPrefetchAhead;
+         ++at) {
+        const BlockId block = fifo_[at];
+        if (block == kNone)
+            continue;
+        if (live++ < 2)
+            index_.prefetch(records_[static_cast<std::size_t>(block)].hash);
+        prefetchRecord(block);
+        kv_.prefetchState(block);
+    }
 }
 
 BlockId

@@ -202,7 +202,6 @@ class PrefixCache
      *  pinned since it parked. */
     static constexpr BlockId kNone = -1;
 
-
     /** Chain walks (match, peek, insert) start loading this many
      *  positions ahead: their lookups are independent, so the cache
      *  misses overlap instead of queueing. */
@@ -277,7 +276,20 @@ class PrefixCache
         return block != nullptr ? *block : kNone;
     }
 
-    struct PeekMemo;
+    /** A peek's walk: the chain's length and last hash (which commits
+     *  to the whole chain), the membership it saw and the blocks it
+     *  found. */
+    struct PeekMemo
+    {
+        std::size_t size = 0;
+        PrefixHash last = 0;
+        std::uint64_t membership = ~std::uint64_t{0};
+        std::vector<BlockId> blocks;
+    };
+
+    /** Peeks kept: an admission round peeks every waiting request
+     *  before it matches the admitted ones. */
+    static constexpr std::size_t kPeeksKept = 8;
 
     /** A kept peek of `hashes` that still holds (no block cached or
      *  reclaimed since it walked); null when none does. */
@@ -294,6 +306,9 @@ class PrefixCache
     std::size_t insertFrom(std::span<const PrefixHash> hashes,
                            std::span<const BlockId> blocks,
                            std::size_t from, std::uint64_t base);
+
+    /** Start loading what the next reclaims read. */
+    void prefetchFifo() const;
 
     /** Remove the least recently used parked block from the parked
      *  set; kNone when none is parked. */
@@ -334,26 +349,11 @@ class PrefixCache
     /** Bumped whenever a hash joins or leaves the index. */
     std::uint64_t membership_ = 0;
 
-    /** A peek's walk: the chain's length and last hash (which commits
-     *  to the whole chain), the membership it saw and the blocks it
-     *  found. */
-    struct PeekMemo
-    {
-        std::size_t size = 0;
-        PrefixHash last = 0;
-        std::uint64_t membership = ~std::uint64_t{0};
-        std::vector<BlockId> blocks;
-    };
-
-    /** Peeks kept: an admission round peeks every waiting request
-     *  before it matches the admitted ones. */
-    static constexpr std::size_t kPeeksKept = 8;
-
     /** The last kPeeksKept peeks, the oldest at nextPeek_. */
     mutable std::array<PeekMemo, kPeeksKept> peeked_;
     mutable std::size_t nextPeek_ = 0;
 
-    /** allocateMatched's matched blocks. */
+    /** The blocks match() and allocateMatched() found. */
     std::vector<BlockId> matched_;
 
     std::uint64_t clock_ = 0;
@@ -399,7 +399,7 @@ KvBlockManager::prefetchWalk(std::span<const BlockId> blocks,
     if (at + kWalkAhead >= blocks.size())
         return;
     const BlockId block = blocks[at + kWalkAhead];
-    __builtin_prefetch(&states_[static_cast<std::size_t>(block)]);
+    prefetchState(block);
     if (cache_ != nullptr)
         cache_->prefetchRecord(block);
 }
