@@ -59,12 +59,6 @@ struct EngineRequest
     /** Prompt tokens resident in shared prefix-cache blocks. */
     TokenCount cachedPrefix = 0;
 
-    /** Leading blocks of its KV allocation the prefix cache holds
-     *  under its chain's hashes: the matched ones after admission,
-     *  the linked run after an insert, 0 once its KV is released
-     *  (PrefixCache::insertHeld defers their refresh). */
-    std::size_t linkedPrefix = 0;
-
     /** Admitted this iteration with migrated KV: it moves straight
      *  to running (no compute, no emission — the first token came
      *  from the prefill pool). */

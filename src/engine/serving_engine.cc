@@ -25,9 +25,7 @@ ServingEngine::ServingEngine(
     LIGHTLLM_ASSERT(config_.timeFactor > 0.0,
                     "time factor must be positive");
     if (config_.prefixCache) {
-        // Sized for the pool once: the index never rehashes.
-        prefixCache_ = std::make_unique<memory::PrefixCache>(
-            kv_, memory::PrefixCache::poolIndexSlots(kv_));
+        prefixCache_ = std::make_unique<memory::PrefixCache>(kv_);
         kv_.attachPrefixCache(prefixCache_.get());
     }
 }
@@ -300,8 +298,7 @@ ServingEngine::cacheInsert(EngineRequest *request)
     // Full identified blocks are always a prefix of the block
     // table (the allocation covers prompt + at least one token).
     const std::size_t count = std::min(hashes.size(), table.size());
-    request->linkedPrefix = prefixCache_->insertHeld(
-        request->slot, hashes.first(count), request->linkedPrefix);
+    prefixCache_->insertHeld(request->slot, hashes.first(count));
 }
 
 core::SchedulerContext
@@ -396,14 +393,12 @@ ServingEngine::admitOne(EngineRequest *request)
         if (prefixCache_ && !request->spec.segments.empty()) {
             // Reuse every cached full block of the prompt: only the
             // uncached suffix is allocated and prefilled.
-            const std::int64_t matched = prefixCache_->allocateMatched(
-                slot, tokens, chains_.promptHashes(*request));
-            if (matched < 0)
+            if (prefixCache_->allocateMatched(
+                    slot, tokens, chains_.promptHashes(*request)) < 0)
                 return false;
             const TokenCount shared = kv_.requestSharedTokens(slot);
             observer_.prefixLookup(prompt, shared);
             request->cachedPrefix = shared;
-            request->linkedPrefix = static_cast<std::size_t>(matched);
             request->remainingPrompt = prompt - shared;
         } else {
             if (!kv_.allocate(slot, tokens))
@@ -567,7 +562,6 @@ ServingEngine::evictOne()
     victim->evictions += 1;
     victim->remainingPrompt = 0;
     victim->cachedPrefix = 0;
-    victim->linkedPrefix = 0;
     victim->swappedOut = config_.evictionMode == EvictionMode::Swap;
     policy_->onRequestEvicted(victim->spec.id);
     // Back to the front of the queue; the KV is either rebuilt by a

@@ -124,15 +124,6 @@ bool
 KvBlockManager::allocateShared(RequestSlot slot, TokenCount num_tokens,
                                std::span<const BlockId> shared_prefix)
 {
-    return allocateShared(slot, num_tokens, shared_prefix, 0, 0);
-}
-
-bool
-KvBlockManager::allocateShared(RequestSlot slot, TokenCount num_tokens,
-                               std::span<const BlockId> shared_prefix,
-                               std::uint64_t refresh_base,
-                               std::size_t refresh_count)
-{
     LIGHTLLM_ASSERT(num_tokens >= 0, "negative allocation");
     const TokenCount shared_tokens =
         static_cast<TokenCount>(shared_prefix.size()) * blockSize_;
@@ -157,7 +148,8 @@ KvBlockManager::allocateShared(RequestSlot slot, TokenCount num_tokens,
         addRequestRef(shared_prefix[i]);
     }
     if (!ensureFreeBlocks(need)) {
-        dropRefs(shared_prefix, refresh_base, refresh_count);
+        for (const BlockId block : shared_prefix)
+            dropRequestRef(block);
         return false;
     }
 
@@ -169,8 +161,6 @@ KvBlockManager::allocateShared(RequestSlot slot, TokenCount num_tokens,
     ++liveAllocations_;
     alloc.numTokens = num_tokens;
     alloc.sharedTokens = shared_tokens;
-    alloc.refreshBase = refresh_base;
-    alloc.refreshCount = refresh_count;
     alloc.blocks.reserve(shared_prefix.size() +
                          static_cast<std::size_t>(need));
     alloc.blocks.assign(shared_prefix.begin(), shared_prefix.end());
@@ -253,8 +243,12 @@ KvBlockManager::release(RequestSlot slot)
         return;
     if (alloc->growing)
         batchNeed_ -= blocksForExtension(*alloc, 1);
-    dropRefs(alloc->blocks, alloc->refreshBase, alloc->refreshCount);
-    alloc->refreshCount = 0;
+    if (cache_ == nullptr) {
+        for (const BlockId block : alloc->blocks)
+            dropRequestRef(block);
+    } else {
+        releaseCached(*alloc);
+    }
     alloc->blocks.clear();
     alloc->owner = kInvalidSlot;
     alloc->growing = false;
@@ -262,19 +256,21 @@ KvBlockManager::release(RequestSlot slot)
 }
 
 void
-KvBlockManager::dropRefs(std::span<const BlockId> blocks,
-                         std::uint64_t base, std::size_t deferred)
+KvBlockManager::releaseCached(const Allocation &alloc)
 {
+    const PrefixCache::Deferral deferral =
+        cache_->takeDeferral(alloc.owner);
+    const std::span<const BlockId> blocks = alloc.blocks;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
         prefetchWalk(blocks, i);
         // The deferred refresh lands before the reference drops, so
         // a block parked by this drop carries its eager stamp.
-        if (i < deferred) {
+        if (i < deferral.count) {
             LIGHTLLM_ASSERT(states_[static_cast<std::size_t>(blocks[i])]
                                     .cacheMark != kNotCached,
                             "deferred refresh of uncached block ",
                             blocks[i]);
-            cache_->foldStamp(blocks[i], base + i + 1);
+            cache_->foldStamp(blocks[i], deferral.base + i + 1);
         }
         dropRequestRef(blocks[i]);
     }
@@ -294,21 +290,6 @@ KvBlockManager::detachPrefixCache()
         }
     }
     cache_ = nullptr;
-}
-
-void
-KvBlockManager::deferRefresh(RequestSlot slot, std::uint64_t base,
-                             std::size_t count)
-{
-    Allocation *alloc = find(slot);
-    LIGHTLLM_ASSERT(alloc != nullptr,
-                    "deferring a refresh of unknown slot ", slot);
-    LIGHTLLM_ASSERT(count <= alloc->blocks.size(),
-                    "deferred refresh past the block table");
-    for (std::size_t i = count; i < alloc->refreshCount; ++i)
-        cache_->foldStamp(alloc->blocks[i], alloc->refreshBase + i + 1);
-    alloc->refreshBase = base;
-    alloc->refreshCount = count;
 }
 
 void

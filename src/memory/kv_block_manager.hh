@@ -249,13 +249,6 @@ class KvBlockManager
          *  vector keeps its capacity across the slot's requests, so
          *  a warmed pool allocates nothing. */
         std::vector<BlockId> blocks;
-
-        /** The prefix cache's deferred refresh (PrefixCache::
-         *  insertHeld), after the fields a decode step reads: release
-         *  raises the stamp of blocks[i], for i < refreshCount, to at
-         *  least refreshBase + i + 1. */
-        std::uint64_t refreshBase = 0;
-        std::size_t refreshCount = 0;
     };
 
     /** Per-physical-block reference state. */
@@ -291,31 +284,15 @@ class KvBlockManager
      *  references it, it returns to the free list. */
     void dropCached(BlockId block);
 
-    /** allocateShared() whose first `refresh_count` blocks carry a
-     *  deferred refresh from `refresh_base` (PrefixCache::
-     *  allocateMatched); a failed allocation folds it in before the
-     *  blocks drop their new reference. */
-    bool allocateShared(RequestSlot slot, TokenCount num_tokens,
-                        std::span<const BlockId> shared_prefix,
-                        std::uint64_t refresh_base,
-                        std::size_t refresh_count);
-
-    /** Drop one request reference from each of `blocks`, folding in
-     *  the deferred refresh of the first `deferred` (position i to
-     *  stamp base + i + 1) before it. */
-    void dropRefs(std::span<const BlockId> blocks, std::uint64_t base,
-                  std::size_t deferred);
+    /** release() with a cache attached: drop one request reference
+     *  from each of `alloc`'s blocks, folding in its deferred refresh
+     *  (PrefixCache::takeDeferral) before it. */
+    void releaseCached(const Allocation &alloc);
 
     /** The attached prefix cache is going away: every block it
      *  retains is dropped (freed when no request holds it), and the
      *  manager runs without a cache from here. */
     void detachPrefixCache();
-
-    /** Defer the refresh of the first `count` blocks of the live
-     *  allocation in `slot` to its release, position i to stamp
-     *  base + i + 1; a deferral it held past `count` lands now. */
-    void deferRefresh(RequestSlot slot, std::uint64_t base,
-                      std::size_t count);
 
     /** Positions a walk over a block table (release, a shared
      *  allocation, the prefix cache's insert) loads ahead, the block

@@ -1,15 +1,14 @@
 #include "memory/prefix_cache.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "base/logging.hh"
 
 namespace lightllm {
 namespace memory {
 
-PrefixCache::PrefixCache(KvBlockManager &kv, std::size_t index_slots)
-    : kv_(kv), index_(index_slots)
+PrefixCache::PrefixCache(KvBlockManager &kv)
+    : kv_(kv), index_(kInitialSlots)
 {
     // Live nodes never outnumber the pool's blocks, so sliding them
     // to the front frees at least half of twice that.
@@ -21,46 +20,21 @@ PrefixCache::PrefixCache(KvBlockManager &kv, std::size_t index_slots)
     records_.reset(new Record[static_cast<std::size_t>(blocks)]);
 }
 
-std::size_t
-PrefixCache::poolIndexSlots(const KvBlockManager &kv)
-{
-    const std::int64_t blocks = kv.capacityTokens() / kv.blockSize();
-    return std::bit_ceil(static_cast<std::size_t>(2 * blocks));
-}
-
 PrefixCache::~PrefixCache()
 {
     kv_.detachPrefixCache();
 }
 
-const PrefixCache::PeekMemo *
-PrefixCache::heldPeek(std::span<const PrefixHash> hashes) const
-{
-    if (hashes.empty())
-        return nullptr;
-    for (const PeekMemo &memo : peeked_) {
-        if (memo.size == hashes.size() && memo.last == hashes.back() &&
-            memo.membership == membership_)
-            return &memo;
-    }
-    return nullptr;
-}
-
 void
-PrefixCache::collect(std::span<const PrefixHash> hashes,
-                     std::vector<BlockId> &blocks_out) const
+PrefixCache::collect(std::span<const PrefixHash> hashes)
 {
-    if (const PeekMemo *memo = heldPeek(hashes)) {
-        blocks_out.assign(memo->blocks.begin(), memo->blocks.end());
-        return;
-    }
-    blocks_out.clear();
+    matched_.clear();
     for (const PrefixHash hash : hashes) {
-        prefetchHome(hashes, blocks_out.size() + kPrefetchAhead);
+        prefetchHome(hashes, matched_.size() + kPrefetchAhead);
         const BlockId block = lookup(hash);
         if (block == kNone)
             break;
-        blocks_out.push_back(block);
+        matched_.push_back(block);
     }
 }
 
@@ -68,7 +42,7 @@ std::size_t
 PrefixCache::match(std::span<const PrefixHash> hashes,
                    std::vector<BlockId> &blocks_out)
 {
-    collect(hashes, matched_);
+    collect(hashes);
     for (const BlockId block : matched_) {
         touch(block, ++clock_);
         blocks_out.push_back(block);
@@ -79,28 +53,31 @@ PrefixCache::match(std::span<const PrefixHash> hashes,
 std::size_t
 PrefixCache::peek(std::span<const PrefixHash> hashes) const
 {
-    if (const PeekMemo *memo = heldPeek(hashes))
-        return memo->blocks.size();
-    PeekMemo &memo = peeked_[nextPeek_];
-    nextPeek_ = (nextPeek_ + 1) % kPeeksKept;
-    collect(hashes, memo.blocks);
-    memo.size = hashes.size();
-    memo.last = hashes.empty() ? 0 : hashes.back();
-    memo.membership = membership_;
-    return memo.blocks.size();
+    std::size_t matched = 0;
+    for (const PrefixHash hash : hashes) {
+        prefetchHome(hashes, matched + kPrefetchAhead);
+        if (lookup(hash) == kNone)
+            break;
+        ++matched;
+    }
+    return matched;
 }
 
 std::int64_t
 PrefixCache::allocateMatched(RequestSlot slot, TokenCount tokens,
                              std::span<const PrefixHash> hashes)
 {
-    collect(hashes, matched_);
+    collect(hashes);
     // The stamps match() would give, held back for the release.
     const std::uint64_t base = clock_;
     clock_ += matched_.size();
-    if (!kv_.allocateShared(slot, tokens, matched_, base,
-                            matched_.size()))
+    if (!kv_.allocateShared(slot, tokens, matched_)) {
+        // Nothing holds the blocks: their touch lands now.
+        for (std::size_t i = 0; i < matched_.size(); ++i)
+            touch(matched_[i], base + i + 1);
         return -1;
+    }
+    deferral(slot) = Deferral{base, matched_.size()};
     return static_cast<std::int64_t>(matched_.size());
 }
 
@@ -115,20 +92,22 @@ PrefixCache::insert(std::span<const PrefixHash> hashes,
     insertFrom(hashes, blocks, 0, base);
 }
 
-std::size_t
+void
 PrefixCache::insertHeld(RequestSlot slot,
-                        std::span<const PrefixHash> hashes,
-                        std::size_t linked)
+                        std::span<const PrefixHash> hashes)
 {
     const std::span<const BlockId> blocks =
         std::span<const BlockId>(kv_.blockTable(slot))
             .first(hashes.size());
-    LIGHTLLM_ASSERT(linked <= hashes.size(),
+    Deferral &held = deferral(slot);
+    LIGHTLLM_ASSERT(held.count <= hashes.size(),
                     "linked run past the inserted chain");
     const std::uint64_t base = clock_;
     clock_ += hashes.size();
-    kv_.deferRefresh(slot, base, linked);
-    return insertFrom(hashes, blocks, linked, base);
+    // The new deferral covers the old one (its stamps are newer) and
+    // the run this walk links; deferring a stamp the walk just gave
+    // changes nothing.
+    held = Deferral{base, insertFrom(hashes, blocks, held.count, base)};
 }
 
 std::size_t
@@ -166,7 +145,6 @@ PrefixCache::insertFrom(std::span<const PrefixHash> hashes,
         kv_.retainCached(block, kPinned);
         records_[static_cast<std::size_t>(block)] =
             Record{hashes[i], stamp};
-        ++membership_;
         run += run == i;
     }
     return run;
@@ -184,7 +162,6 @@ PrefixCache::reclaim(std::int64_t count)
             records_[static_cast<std::size_t>(block)].hash);
         LIGHTLLM_ASSERT(indexed, "erasing an unindexed hash");
         kv_.dropCached(block);
-        ++membership_;
         ++reclaimed;
     }
     prefetchFifo();

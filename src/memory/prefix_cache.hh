@@ -45,13 +45,13 @@
  * blocks (allocateMatched, insertHeld) skip the refresh of every
  * block the request holds linked (cached under its hash): the
  * blocks it matched, and those an earlier insert published. The
- * request's allocation keeps the reserved stamps, and
- * KvBlockManager::release folds them in, stamp = max(stamp, base +
- * i + 1), in the walk it already makes, on finish and eviction
- * alike. A held block is pinned, and a pinned block's stamp is read
- * only once it parks, which is after every holder's release (a
- * failed allocation's rollback folds before it parks too): so every
- * stamp is the eager one whenever it is read.
+ * cache keeps the reserved stamps per allocation (a Deferral by
+ * request slot), and KvBlockManager::release folds them in, stamp =
+ * max(stamp, base + i + 1), in the walk it already makes, on finish
+ * and eviction alike. A held block is pinned, and a pinned block's
+ * stamp is read only once it parks, which is after every holder's
+ * release (a failed allocateMatched holds nothing, and touches at
+ * once): so every stamp is the eager one whenever it is read.
  *
  * Per-block cache state is indexed by block id: the hash and stamp
  * here, the park mark in the manager's block state (the word that
@@ -69,10 +69,10 @@
 #ifndef LIGHTLLM_MEMORY_PREFIX_CACHE_HH
 #define LIGHTLLM_MEMORY_PREFIX_CACHE_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "base/flat_id_table.hh"
@@ -88,21 +88,9 @@ namespace memory {
 class PrefixCache
 {
   public:
-    /** Index slots of a cache built without a size (doubles from
-     *  there). */
-    static constexpr std::size_t kInitialSlots = 64;
-
     /** @param kv Block pool the cached blocks belong to; the
-     *        manager must outlive the cache.
-     *  @param index_slots Initial slots of the hash index (a power
-     *        of two >= 2, doubling at half load from there);
-     *        poolIndexSlots(kv) is one it never outgrows. */
-    explicit PrefixCache(KvBlockManager &kv,
-                         std::size_t index_slots = kInitialSlots);
-
-    /** Index slots that hold every block of `kv`'s pool at half
-     *  load: a cache built with them never rehashes. */
-    static std::size_t poolIndexSlots(const KvBlockManager &kv);
+     *        manager must outlive the cache. */
+    explicit PrefixCache(KvBlockManager &kv);
 
     PrefixCache(const PrefixCache &) = delete;
     PrefixCache &operator=(const PrefixCache &) = delete;
@@ -122,9 +110,7 @@ class PrefixCache
                       std::vector<BlockId> &blocks_out);
 
     /** Longest cached prefix length in blocks, with no LRU effect
-     *  (load forecasting must not disturb reclamation order). The
-     *  walk is kept: a match of the same chain, with no block
-     *  cached or reclaimed since, reuses it instead of probing. */
+     *  (load forecasting must not disturb reclamation order). */
     std::size_t peek(std::span<const PrefixHash> hashes) const;
 
     /**
@@ -132,7 +118,8 @@ class PrefixCache
      * `tokens` slots to `slot`, sharing the longest cached prefix of
      * `hashes`. The allocation holds the matched blocks, so their
      * touch is deferred to its release (see the file comment); if
-     * the allocation fails, the touch lands before they park again.
+     * the allocation fails, nothing holds them and the touch lands
+     * at once.
      *
      * @return Blocks shared, or -1 when the allocation failed.
      */
@@ -154,17 +141,13 @@ class PrefixCache
 
     /**
      * insert() over the first hashes.size() blocks of the live
-     * allocation in `slot`, whose first `linked` blocks are already
-     * cached under hashes[0..linked): their refresh is deferred to
-     * the allocation's release, replacing any deferral it held.
-     *
-     * @return The leading run of positions now cached under their
-     *         hash with the allocation's own block: the `linked` of
-     *         the allocation's next insertHeld.
+     * allocation in `slot`. Its leading linked run (the blocks
+     * allocateMatched shared, or the leading run an earlier
+     * insertHeld left cached under the allocation's own blocks) is
+     * skipped: its refresh is deferred to the allocation's release.
      */
-    std::size_t insertHeld(RequestSlot slot,
-                           std::span<const PrefixHash> hashes,
-                           std::size_t linked);
+    void insertHeld(RequestSlot slot,
+                    std::span<const PrefixHash> hashes);
 
     /**
      * Hand up to `count` least-recently-used parked blocks (no
@@ -201,6 +184,9 @@ class PrefixCache
     /** lookup() of an unindexed hash; a FIFO node whose block was
      *  pinned since it parked. */
     static constexpr BlockId kNone = -1;
+
+    /** Index slots of a new cache (doubling at half load). */
+    static constexpr std::size_t kInitialSlots = 64;
 
     /** Chain walks (match, peek, insert) start loading this many
      *  positions ahead: their lookups are independent, so the cache
@@ -241,6 +227,37 @@ class PrefixCache
             mark |= kStale;
     }
 
+    /** A live allocation's deferred refresh: its blocks[i], for i <
+     *  count, get at least the stamp base + i + 1 at its release.
+     *  Those blocks are its linked run: each is cached under hash i
+     *  of the allocation's chain. */
+    struct Deferral
+    {
+        std::uint64_t base = 0;
+        std::size_t count = 0;
+    };
+
+    /** The deferral of the allocation in `slot` (none yet: count 0). */
+    Deferral &
+    deferral(RequestSlot slot)
+    {
+        const std::size_t index = slotIndex(slot);
+        if (index >= deferred_.size())
+            deferred_.resize(index + 1);
+        return deferred_[index];
+    }
+
+    /** The allocation in `slot` is being released: its deferral,
+     *  which the release folds in, and the slot's is cleared. */
+    Deferral
+    takeDeferral(RequestSlot slot)
+    {
+        const std::size_t index = slotIndex(slot);
+        if (index >= deferred_.size())
+            return Deferral{};
+        return std::exchange(deferred_[index], Deferral{});
+    }
+
     /** A deferred refresh lands (KvBlockManager::release): the block
      *  is held, so its stamp is only raised. */
     void
@@ -276,30 +293,9 @@ class PrefixCache
         return block != nullptr ? *block : kNone;
     }
 
-    /** A peek's walk: the chain's length and last hash (which commits
-     *  to the whole chain), the membership it saw and the blocks it
-     *  found. */
-    struct PeekMemo
-    {
-        std::size_t size = 0;
-        PrefixHash last = 0;
-        std::uint64_t membership = ~std::uint64_t{0};
-        std::vector<BlockId> blocks;
-    };
-
-    /** Peeks kept: an admission round peeks every waiting request
-     *  before it matches the admitted ones. */
-    static constexpr std::size_t kPeeksKept = 8;
-
-    /** A kept peek of `hashes` that still holds (no block cached or
-     *  reclaimed since it walked); null when none does. */
-    const PeekMemo *heldPeek(std::span<const PrefixHash> hashes) const;
-
-    /** The longest cached prefix of `hashes` into `blocks_out`
-     *  (replacing its contents), with no touch; a held peek's walk
-     *  when there is one. */
-    void collect(std::span<const PrefixHash> hashes,
-                 std::vector<BlockId> &blocks_out) const;
+    /** The longest cached prefix of `hashes` into matched_, with no
+     *  touch. */
+    void collect(std::span<const PrefixHash> hashes);
 
     /** The insert walk from position `from`, position i stamped
      *  base + i + 1; returns the leading linked run from `from`. */
@@ -346,15 +342,11 @@ class PrefixCache
     /** Hash -> block; one hash per cached block. */
     FlatIdTable<BlockId> index_;
 
-    /** Bumped whenever a hash joins or leaves the index. */
-    std::uint64_t membership_ = 0;
-
-    /** The last kPeeksKept peeks, the oldest at nextPeek_. */
-    mutable std::array<PeekMemo, kPeeksKept> peeked_;
-    mutable std::size_t nextPeek_ = 0;
-
     /** The blocks match() and allocateMatched() found. */
     std::vector<BlockId> matched_;
+
+    /** Deferrals by request slot index. */
+    std::vector<Deferral> deferred_;
 
     std::uint64_t clock_ = 0;
 };

@@ -832,8 +832,8 @@ TEST(PrefixCacheTest, ReclaimMatchesListWalkReference)
  * admissions through allocateMatched (whose touches wait for the
  * release, or land at once when the allocation fails), swap-in
  * admissions with no sharing, decode growth, publications through
- * insertHeld carrying the linked run the engine carries (prefill
- * and finish inserts), releases (finish, swap or recompute
+ * insertHeld (prefill and finish inserts, which skip the linked run
+ * the allocation holds), releases (finish, swap or recompute
  * eviction) and explicit reclaims, on a small pool under constant
  * pressure. The list-walk reference touches every matched block and
  * refreshes every inserted position at once, as insert() does; the
@@ -865,13 +865,14 @@ TEST(PrefixCacheTest, DeferredRefreshMatchesEagerReference)
         {
             RequestId id;
             std::size_t stream;
-            /** The engine's EngineRequest::linkedPrefix. */
-            std::size_t linked;
+            /** Admitted sharing matched blocks. */
+            bool matched;
         };
         std::vector<Live> live;
         RequestId next_id = 1;
         std::int64_t explicit_reclaims = 0;
         int failed_after_match = 0;
+        int refused_after_match = 0;
         std::size_t deferred = 0;
 
         auto pick = [&]() -> Live & {
@@ -883,26 +884,35 @@ TEST(PrefixCacheTest, DeferredRefreshMatchesEagerReference)
             const auto dice = rng.uniformInt(0, 99);
             if (dice < 30 || live.empty()) {
                 // Admission: match one token short of the prompt and
-                // allocate it plus a slot, as the engine does.
+                // allocate it plus a slot, as the engine does. One in
+                // ten asks for the matched blocks' tokens alone and
+                // one in ten for a live slot: both are turned down
+                // before any block is held.
                 const auto stream = static_cast<std::size_t>(
                     rng.uniformInt(0, 11));
                 const TokenCount prompt = rng.uniformInt(1, 72);
                 const auto hashes = blockHashChain(
                     streams[stream], kBlock, prompt - 1);
-                const RequestId id = next_id++;
+                const auto shape = rng.uniformInt(0, 9);
+                RequestId id = next_id++;
+                TokenCount tokens = prompt + 1;
+                if (shape == 0)
+                    tokens = static_cast<TokenCount>(hashes.size()) * kBlock;
+                else if (shape == 1 && !live.empty())
+                    id = pick().id;
                 const std::int64_t got =
-                    cache.allocateMatched(id, prompt + 1, hashes);
+                    cache.allocateMatched(id, tokens, hashes);
                 std::vector<BlockId> want;
                 ref.match(hashes, want);
-                const bool ok =
-                    ref.allocateShared(id, prompt + 1, want);
+                const bool ok = ref.allocateShared(id, tokens, want);
                 ASSERT_EQ(got >= 0, ok);
                 if (ok) {
                     ASSERT_EQ(static_cast<std::size_t>(got),
                               want.size());
-                    live.push_back(Live{id, stream, want.size()});
+                    live.push_back(Live{id, stream, !want.empty()});
                 } else if (!want.empty()) {
                     ++failed_after_match;
+                    refused_after_match += shape <= 1;
                 }
             } else if (dice < 38) {
                 // Swap-in: the KV comes back whole, nothing shared.
@@ -914,7 +924,7 @@ TEST(PrefixCacheTest, DeferredRefreshMatchesEagerReference)
                     live.push_back(Live{
                         id,
                         static_cast<std::size_t>(rng.uniformInt(0, 11)),
-                        0});
+                        false});
                 }
             } else if (dice < 58) {
                 const Live &request = pick();
@@ -924,7 +934,7 @@ TEST(PrefixCacheTest, DeferredRefreshMatchesEagerReference)
             } else if (dice < 80) {
                 // A prefill or finish insert over the full blocks the
                 // request's stream covers.
-                Live &request = pick();
+                const Live &request = pick();
                 const std::vector<BlockId> table =
                     kv.blockTable(request.id);
                 const auto hashes = blockHashChain(
@@ -932,11 +942,8 @@ TEST(PrefixCacheTest, DeferredRefreshMatchesEagerReference)
                     kv.requestTokens(request.id));
                 const std::size_t count =
                     std::min(hashes.size(), table.size());
-                ASSERT_LE(request.linked, count);
-                deferred += request.linked;
-                request.linked = cache.insertHeld(
-                    request.id, std::span(hashes).first(count),
-                    request.linked);
+                deferred += request.matched;
+                cache.insertHeld(request.id, std::span(hashes).first(count));
                 ref.insert(std::span(hashes).first(count),
                            std::span(table).first(count));
             } else if (dice < 92) {
@@ -984,9 +991,39 @@ TEST(PrefixCacheTest, DeferredRefreshMatchesEagerReference)
         // admissions and both kinds of reclaim.
         EXPECT_GT(deferred, 0u);
         EXPECT_GT(failed_after_match, 0);
+        EXPECT_GT(refused_after_match, 0);
         EXPECT_GT(explicit_reclaims, 0);
         EXPECT_GT(ref.reclaimed() - explicit_reclaims, 0);
     }
+}
+
+/** A cache destroyed under live allocations takes its deferred
+ *  refreshes with it: the manager releases their blocks without a
+ *  cache, straight to the free list. */
+TEST(PrefixCacheTest, ReleaseAfterTheCacheIsGoneFreesEveryBlock)
+{
+    constexpr TokenCount kBlock = 4;
+    KvBlockManager kv(16 * kBlock, kBlock);
+    const std::vector<PromptSegment> stream{PromptSegment{7, 40}};
+    const auto hashes = blockHashChain(stream, kBlock, 39);
+    ASSERT_EQ(hashes.size(), 9u);
+    {
+        PrefixCache cache(kv);
+        kv.attachPrefixCache(&cache);
+        // Publish the chain and park it; then a request matches it
+        // and republishes it, holding a deferred refresh when the
+        // cache goes.
+        ASSERT_EQ(cache.allocateMatched(1, 41, hashes), 0);
+        cache.insertHeld(1, hashes);
+        kv.release(1);
+        ASSERT_EQ(kv.reclaimableBlocks(), 9);
+        ASSERT_EQ(cache.allocateMatched(2, 41, hashes), 9);
+        cache.insertHeld(2, hashes);
+    }
+    EXPECT_EQ(kv.reclaimableBlocks(), 0);
+    kv.release(2);
+    EXPECT_EQ(kv.freeBlocks(), 16);
+    EXPECT_EQ(kv.usedTokens(), 0);
 }
 
 // --- Engine integration ------------------------------------------
